@@ -6,12 +6,13 @@
 use std::io::Write;
 
 fn main() {
+    let cpu = mpio_dafs_bench::pin_to_one_cpu();
     let json_path = std::env::var("MPIO_DAFS_JSON").ok();
     let mut json = json_path
         .as_deref()
         .map(|p| std::fs::File::create(p).expect("create JSON output"));
     for (_id, run) in mpio_dafs_bench::all_experiments() {
-        let (mut table, wall_note) = mpio_dafs_bench::run_timed(run);
+        let (mut table, wall_note) = mpio_dafs_bench::run_timed(run, cpu);
         // JSON first: the wall-clock note stays out of the JSON stream
         // (one object per line — it would exclude the whole table from
         // the byte-identity comparison instead of just its own line).

@@ -7,6 +7,7 @@
 use mpio_dafs_bench::kernel_speed;
 
 fn main() {
+    let cpu = mpio_dafs_bench::pin_to_one_cpu();
     let mut smoke = false;
     let mut floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
@@ -31,7 +32,9 @@ fn main() {
     } else {
         kernel_speed::measure(200_000, 64, 2_000, 256, 1_000)
     };
-    kernel_speed::table_from(&runs).print();
+    let mut table = kernel_speed::table_from(&runs);
+    table.note(&format!("wall-clock: {}", mpio_dafs_bench::pin_note(cpu)));
+    table.print();
     if let Some(f) = floor {
         for r in &runs {
             let eps = r.events_per_sec();

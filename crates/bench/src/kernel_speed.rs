@@ -2,13 +2,13 @@
 //!
 //! Unlike every other experiment, this one measures the *simulator*, not
 //! the simulated system: how many kernel events per wall-clock second the
-//! scheduler dispatches on two stress shapes —
+//! kernel dispatches on three stress shapes —
 //!
 //! * **ping-pong** — two actors bouncing one message; every event is a
-//!   block/wake handoff, so this isolates per-event dispatch cost
-//!   (condvar signal, queue pop, clock bump);
+//!   block/wake handoff to the other thread, so this isolates per-event
+//!   dispatch cost (queue pop, clock bump, unpark);
 //! * **fan-in** — many senders funneling into one receiver; stresses wake
-//!   coalescing and the scheduler's ready-queue under contention, the
+//!   coalescing and the ready-queue under contention, the
 //!   shape of the R-F10 incast cells;
 //! * **burst** — many actors advancing a shared timer grid in lockstep,
 //!   so every tick wakes all of them at one timestamp; exercises the

@@ -70,14 +70,61 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
+/// `cpu_set_t` is 1024 bits.
+#[cfg(target_os = "linux")]
+const CPU_SET_WORDS: usize = 16;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// Pin the calling thread — and every thread it spawns from now on — to the
+/// highest-numbered CPU it is allowed on (CPU 0 takes most interrupts), and
+/// return that CPU; `None` where pinning is unavailable. The kernel runs one
+/// actor thread at a time, so a second core buys nothing and turns every
+/// handoff into a cross-core wake: unpinned wall-clock numbers are bimodal.
+/// For bench binaries to call first thing; library code never pins.
+#[cfg(target_os = "linux")]
+pub fn pin_to_one_cpu() -> Option<usize> {
+    let mut mask = [0u64; CPU_SET_WORDS];
+    // SAFETY: `mask` is a writable buffer of exactly the byte length passed,
+    // which is what sched_getaffinity(2) fills; pid 0 is the caller.
+    let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+    if rc != 0 {
+        return None;
+    }
+    let cpu = (0..CPU_SET_WORDS * 64)
+        .rev()
+        .find(|c| mask[c / 64] >> (c % 64) & 1 == 1)?;
+    let mut one = [0u64; CPU_SET_WORDS];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable buffer of exactly the byte length passed;
+    // the kernel only reads it.
+    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&one), one.as_ptr()) };
+    (rc == 0).then_some(cpu)
+}
+
+/// No-op off Linux: the run goes on unpinned and its notes say so.
+#[cfg(not(target_os = "linux"))]
+pub fn pin_to_one_cpu() -> Option<usize> {
+    None
+}
+
+/// How a `wall-clock:` note names the result of [`pin_to_one_cpu`].
+pub fn pin_note(cpu: Option<usize>) -> String {
+    cpu.map_or("unpinned".to_string(), |c| format!("pinned to CPU {c}"))
+}
+
 /// Run one experiment, measuring wall-clock harness telemetry around it:
 /// sim-events/s, MiB of payload materialized per second, peak refcounted
-/// bytes alive. Returns the table untouched plus a `wall-clock:`-prefixed
+/// bytes alive, on the CPU `cpu` names (see [`pin_to_one_cpu`]). Returns the table untouched plus a `wall-clock:`-prefixed
 /// note line; callers append the note only to *rendered* output (its own
 /// line, so the byte-identity filter drops exactly it), never to the
 /// one-object-per-line JSON stream (where it would knock out the whole
 /// table from the comparison).
-pub fn run_timed(run: fn() -> Table) -> (Table, String) {
+pub fn run_timed(run: fn() -> Table, cpu: Option<usize>) -> (Table, String) {
     let ev0 = simnet::events_scheduled_global();
     let bytes0 = simnet::buf::bytes_total();
     simnet::buf::reset_bytes_peak();
@@ -88,10 +135,11 @@ pub fn run_timed(run: fn() -> Table) -> (Table, String) {
     let bytes = simnet::buf::bytes_total() - bytes0;
     let peak = simnet::buf::bytes_peak();
     let note = format!(
-        "wall-clock: {events} sim events in {el:.2}s ({:.0} events/s, {:.1} MiB-sim/s, peak {} KiB buffered)",
+        "wall-clock: {events} sim events in {el:.2}s ({:.0} events/s, {:.1} MiB-sim/s, peak {} KiB buffered, {})",
         events as f64 / el,
         bytes as f64 / (1u64 << 20) as f64 / el,
         peak >> 10,
+        pin_note(cpu),
     );
     (table, note)
 }

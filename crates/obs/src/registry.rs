@@ -57,41 +57,41 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric named `name`, created with `make` on first use. The map is
+    /// probed with the borrowed name; only an insert builds the `String`.
+    fn get_or_insert(&self, name: &str, make: fn() -> Metric) -> Metric {
+        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(found) = m.get(name) {
+            return found.clone();
+        }
+        let metric = make();
+        m.insert(name.to_string(), metric.clone());
+        metric
+    }
+
     /// Get or create the counter named `name`.
     ///
     /// Panics if `name` is already registered as a different kind — metric
     /// names are a global contract between layers and reports.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.get_or_insert(name, || Metric::Counter(Counter::new())) {
+            Metric::Counter(c) => c,
             other => panic!("metric '{name}' is a {}, not a counter", other.kind()),
         }
     }
 
     /// Get or create the byte meter named `name`.
     pub fn byte_meter(&self, name: &str) -> ByteMeter {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Bytes(ByteMeter::new()))
-        {
-            Metric::Bytes(b) => b.clone(),
+        match self.get_or_insert(name, || Metric::Bytes(ByteMeter::new())) {
+            Metric::Bytes(b) => b,
             other => panic!("metric '{name}' is a {}, not a byte meter", other.kind()),
         }
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
+        match self.get_or_insert(name, || Metric::Histogram(Histogram::new())) {
+            Metric::Histogram(h) => h,
             other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
         }
     }

@@ -2,10 +2,11 @@
 //! `std::sync`. The build environment has no access to crates.io, so the
 //! workspace vendors the small slice of the API it actually uses:
 //!
-//! * [`Mutex`] / [`MutexGuard`] — `lock()` returns the guard directly
-//!   (non-poisoning; a poisoned std lock is recovered transparently).
-//! * [`RwLock`] with `read()` / `write()`.
-//! * [`Condvar`] whose `wait` takes `&mut MutexGuard`.
+//! * [`Mutex`] — `lock()` returns the guard directly (non-poisoning; a
+//!   poisoned std lock is recovered transparently).
+//! * [`RwLock`] with `read()` / `write()`, likewise.
+//!
+//! Guards are std's own, re-exported.
 //!
 //! Semantics match `parking_lot` for the patterns used in this workspace:
 //! panics while holding a lock do not poison it for other threads.
@@ -13,38 +14,30 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock with `parking_lot`'s non-poisoning interface.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// RAII guard for [`Mutex`]; unlocks on drop.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
 
 impl<T> Mutex<T> {
     /// Create a new mutex protecting `value`.
     pub const fn new(value: T) -> Mutex<T> {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current thread until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -64,99 +57,26 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable compatible with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically release the guarded lock and wait for a notification; the
-    /// lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present");
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(inner);
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 /// A reader-writer lock with `parking_lot`'s non-poisoning interface.
 #[derive(Default)]
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// RAII shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-/// RAII exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
 
 impl<T> RwLock<T> {
     /// Create a new lock protecting `value`.
     pub const fn new(value: T) -> RwLock<T> {
         RwLock(std::sync::RwLock::new(value))
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquire shared read access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
+        self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Acquire exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -171,25 +91,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (lock, cv) = &*p2;
-            let mut started = lock.lock();
-            while !*started {
-                cv.wait(&mut started);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_one();
-        }
-        t.join().unwrap();
     }
 
     #[test]

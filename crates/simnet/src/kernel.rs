@@ -9,20 +9,29 @@
 //! causal and the whole simulation is deterministic: the same program and
 //! seed produce a bit-identical virtual timeline on every run.
 //!
-//! The scheme trades wall-clock speed (two context switches per yield) for a
-//! natural blocking programming style in the protocol crates; simulated
-//! workloads model per-request costs, not per-byte events, so event counts
-//! stay modest.
+//! There is no scheduler thread: the run token passes from actor to actor.
+//! A yielding actor pops the next event itself (`SchedState::dispatch`)
+//! under the state lock it already holds. If it is its own successor it
+//! bumps its clock and returns — no thread switch at all; otherwise it marks
+//! the successor `current`, **releases the lock, then unparks exactly that
+//! thread** (waking under the lock runs the woken thread straight into the
+//! mutex its waker holds, which measured slower than a scheduler thread) and
+//! parks. No wake-up is lost: the parked side re-checks `current == me` under
+//! the lock, and `unpark` before `park` leaves a token. When no event is left
+//! the token goes back to the thread in [`SimKernel::run`], which reaches the
+//! done / deadlock / poison verdict and then unwinds every still-parked actor,
+//! one at a time in `ActorId` order, and joins it — so servers' file systems,
+//! caches and frames die with their simulation.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 use obs::{Obs, Registry, Value};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -36,12 +45,12 @@ impl std::fmt::Display for ActorId {
     }
 }
 
-/// Lifecycle state of an actor, as seen by the scheduler.
+/// Lifecycle state of an actor, as seen by whoever dispatches next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ActorState {
     /// Created but its thread has not reached its first yield yet.
     Starting,
-    /// Selected by the scheduler; its thread may run.
+    /// Holds the run token; its thread may run.
     Running,
     /// Parked; will run again when a wake event with its current generation
     /// fires.
@@ -57,14 +66,12 @@ struct ActorSlot {
     /// target, so stale wakes (superseded by an earlier one) are discarded.
     generation: u64,
     daemon: bool,
-    join: Option<JoinHandle<()>>,
+    /// The actor's thread: unparked by whoever grants it the token.
+    thread: Thread,
     /// The actor's local clock, shared with its `ActorCtx` (which reads it
-    /// lock-free); kept in the slot so the scheduler and wakers touch it
+    /// lock-free); kept in the slot so dispatchers and wakers touch it
     /// under the one `state` lock they already hold.
     clock: Arc<AtomicU64>,
-    /// Private wake signal: the scheduler wakes exactly the actor whose turn
-    /// it is instead of broadcasting to every parked thread.
-    cv: Arc<Condvar>,
     /// Earliest wake already queued for the *current* generation, if any.
     /// Later wakes at the same or a greater time are coalesced away (the
     /// earlier event supersedes them once the actor re-blocks), which keeps
@@ -86,6 +93,8 @@ struct Event {
 #[derive(Default)]
 struct SchedState {
     actors: Vec<ActorSlot>,
+    /// One handle per actor, in `ActorId` order; taken by teardown.
+    joins: Vec<JoinHandle<()>>,
     queue: BinaryHeap<Reverse<Event>>,
     /// Still-valid events drained from the heap in one batch pass — the
     /// earliest event plus everything sharing its timestamp, FIFO by
@@ -95,23 +104,79 @@ struct SchedState {
     /// time). Events pushed while the batch drains carry later sequence
     /// numbers and never earlier times (wakes are stamped at or past the
     /// waker's clock, which has reached the batch time), so batch order
-    /// is exactly the (time, seq) order the one-pop scheduler dispatched.
+    /// is exactly the (time, seq) order a one-pop dispatcher would serve.
     ready: VecDeque<Event>,
     seq: u64,
-    /// Actor currently allowed to run, if any.
+    /// Actor holding the run token. `None` before `run()` and once the
+    /// token is back with it (no event left, or poisoned).
     current: Option<ActorId>,
-    /// Set when an actor panicked; the scheduler propagates it.
+    /// Set when an actor panicked; `run()` propagates it.
     poisoned: Option<String>,
     /// Virtual end time observed so far (max of all actor clocks).
     horizon: SimTime,
+    /// The thread inside `run()`, woken when the token returns to it.
+    main: Option<Thread>,
+    /// Set by teardown: an actor granted the token unwinds instead of running.
+    shutdown: bool,
+    /// Grants to `[another thread, the yielding actor itself]`.
+    #[cfg(test)]
+    grants: [u64; 2],
+}
+
+impl SchedState {
+    fn is_valid(&self, ev: &Event) -> bool {
+        let slot = &self.actors[ev.actor.0];
+        slot.generation == ev.generation
+            && matches!(slot.state, ActorState::Blocked | ActorState::Starting)
+    }
+
+    /// Grant the token to the actor of the earliest still-valid event, or
+    /// to nobody when there is none (or the run is poisoned). Refills the
+    /// ready batch from the heap when it runs dry: one pass drains the
+    /// earliest event plus every event sharing its timestamp (see
+    /// `SchedState::ready` for why batch order is dispatch order).
+    fn dispatch(&mut self) -> Option<ActorId> {
+        self.current = None;
+        if self.poisoned.is_some() {
+            return None;
+        }
+        let ev = loop {
+            if self.ready.is_empty() {
+                while let Some(&Reverse(top)) = self.queue.peek() {
+                    if self.ready.front().is_some_and(|b| top.time > b.time) {
+                        break;
+                    }
+                    self.queue.pop();
+                    // Stale (superseded wake or finished actor): a
+                    // generation never rolls back, so staleness is
+                    // permanent and early discard is safe.
+                    if self.is_valid(&top) {
+                        self.ready.push_back(top);
+                    }
+                }
+            }
+            let ev = self.ready.pop_front()?;
+            // Re-validate at serve time: an actor granted earlier in this
+            // batch has re-blocked under a new generation, staling any
+            // event it left behind.
+            if self.is_valid(&ev) {
+                break ev;
+            }
+        };
+        self.horizon = self.horizon.max(ev.time);
+        let slot = &mut self.actors[ev.actor.0];
+        slot.state = ActorState::Running;
+        slot.pending_wake = None;
+        // Advance the actor's clock to the wake time; it may be ahead
+        // already (e.g. a message arrived in its past).
+        slot.clock.fetch_max(ev.time.as_nanos(), Ordering::Relaxed);
+        self.current = Some(ev.actor);
+        Some(ev.actor)
+    }
 }
 
 pub(crate) struct KernelInner {
     state: Mutex<SchedState>,
-    /// Signalled whenever control should return to the scheduler loop.
-    scheduler_cv: Condvar,
-    /// Global trace flag (diagnostics only).
-    trace: AtomicU64,
     /// Observability handle shared by every actor: structured tracer plus
     /// the metrics registry. Never advances virtual time.
     obs: Obs,
@@ -129,11 +194,32 @@ pub fn events_scheduled_global() -> u64 {
     EVENTS_GLOBAL.load(Ordering::Relaxed)
 }
 
-impl KernelInner {
-    fn trace_on(&self) -> bool {
-        self.trace.load(Ordering::Relaxed) != 0
+/// Pass the run token on from `me` (an actor that just blocked or finished,
+/// or `None` for `run()` starting up), which holds the state lock. Returns
+/// `true` when `me` is its own successor; otherwise wakes the successor — or
+/// `run()` when nobody is left — *after* unlocking.
+fn pass_token(mut st: MutexGuard<'_, SchedState>, me: Option<ActorId>) -> bool {
+    let next = st.dispatch();
+    let own = next.is_some() && next == me;
+    #[cfg(test)]
+    if next.is_some() {
+        st.grants[own as usize] += 1;
     }
+    if own {
+        return true;
+    }
+    let wake = match next {
+        Some(id) => st.actors[id.0].thread.clone(),
+        None => st.main.clone().expect("an actor ran before run()"),
+    };
+    drop(st);
+    wake.unpark();
+    false
 }
+
+/// Unwind payload that teardown throws through a parked actor's stack. Raised
+/// with `resume_unwind`, so it never reaches the panic hook.
+struct Shutdown;
 
 /// The simulation kernel. Create one, [`spawn`](SimKernel::spawn) actors,
 /// then [`run`](SimKernel::run) to completion.
@@ -162,8 +248,6 @@ impl SimKernel {
         SimKernel {
             inner: Arc::new(KernelInner {
                 state: Mutex::new(SchedState::default()),
-                scheduler_cv: Condvar::new(),
-                trace: AtomicU64::new(0),
                 obs,
             }),
         }
@@ -172,11 +256,6 @@ impl SimKernel {
     /// The kernel's observability handle.
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
-    }
-
-    /// Enable or disable stderr event tracing (debugging aid).
-    pub fn set_trace(&self, on: bool) {
-        self.inner.trace.store(on as u64, Ordering::Relaxed);
     }
 
     /// Spawn a regular actor. The simulation does not finish until every
@@ -189,7 +268,7 @@ impl SimKernel {
     }
 
     /// Spawn a daemon actor (e.g. a server loop). Daemons may still be
-    /// blocked when the simulation ends; the kernel does not wait for them.
+    /// blocked when the simulation ends; `run()` unwinds and joins them.
     pub fn spawn_daemon<F>(&self, name: &str, body: F) -> ActorId
     where
         F: FnOnce(&ActorCtx) + Send + 'static,
@@ -205,7 +284,6 @@ impl SimKernel {
         let mut st = inner.state.lock();
         let id = ActorId(st.actors.len());
         let clock = Arc::new(AtomicU64::new(0));
-        let cv = Arc::new(Condvar::new());
         let name: Arc<str> = Arc::from(name);
 
         let thread_inner = inner.clone();
@@ -216,29 +294,39 @@ impl SimKernel {
             name: name.clone(),
             kernel: thread_inner.clone(),
             clock: clock.clone(),
-            cv: cv.clone(),
         };
         let join = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || {
-                // Wait for our first turn before touching any shared state.
-                ctx.wait_for_turn();
-                ctx.trace("sim", "actor.start", &[("daemon", Value::Bool(daemon))]);
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                ctx.trace("sim", "actor.exit", &[("ok", Value::Bool(result.is_ok()))]);
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    // Wait for our first turn before touching any shared state.
+                    ctx.wait_for_turn();
+                    ctx.trace("sim", "actor.start", &[("daemon", Value::Bool(daemon))]);
+                    body(&ctx)
+                }));
+                let panic_msg = match result {
+                    Ok(()) => None,
+                    // Teardown: the run is over and `run()` is joining us.
+                    Err(payload) if payload.is::<Shutdown>() => return,
+                    Err(payload) => Some(
+                        payload
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .unwrap_or_else(|| "actor panicked".to_string()),
+                    ),
+                };
+                ctx.trace(
+                    "sim",
+                    "actor.exit",
+                    &[("ok", Value::Bool(panic_msg.is_none()))],
+                );
                 let mut st = thread_inner.state.lock();
-                if let Err(payload) = result {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "actor panicked".to_string());
-                    let name = st.actors[ctx.id.0].name.clone();
-                    st.poisoned = Some(format!("actor '{name}' panicked: {msg}"));
+                if let Some(msg) = panic_msg {
+                    st.poisoned = Some(format!("actor '{}' panicked: {msg}", ctx.name));
                 }
                 st.actors[ctx.id.0].state = ActorState::Done;
-                st.current = None;
-                thread_inner.scheduler_cv.notify_one();
+                pass_token(st, Some(ctx.id));
             })
             .expect("failed to spawn actor thread");
 
@@ -247,11 +335,11 @@ impl SimKernel {
             state: ActorState::Starting,
             generation: 0,
             daemon,
-            join: Some(join),
+            thread: join.thread().clone(),
             clock,
-            cv,
             pending_wake: Some(SimTime::ZERO),
         });
+        st.joins.push(join);
         // Schedule the actor's first run at t=0 (or at the caller's time when
         // spawned from inside the simulation — see ActorCtx::spawn).
         let seq = st.seq;
@@ -269,132 +357,68 @@ impl SimKernel {
     ///
     /// Returns the virtual end time (the max clock reached by any actor).
     /// Panics if any actor panicked, or on deadlock (no runnable actor, no
-    /// pending event, and some non-daemon actor still blocked).
+    /// pending event, and some non-daemon actor still blocked). Either way
+    /// every actor thread has been joined by the time it returns or panics.
     pub fn run(self) -> SimTime {
-        let inner = self.inner.clone();
-        loop {
-            let mut st = inner.state.lock();
-            // Wait until no actor holds the token.
-            while st.current.is_some() && st.poisoned.is_none() {
-                inner.scheduler_cv.wait(&mut st);
+        let inner = &self.inner;
+        let mut st = inner.state.lock();
+        st.main = Some(std::thread::current());
+        pass_token(st, None);
+        // Park until an actor finds no event left, or one panics.
+        let mut st = loop {
+            let st = inner.state.lock();
+            if st.current.is_none() {
+                break st;
             }
-            if let Some(msg) = st.poisoned.take() {
-                drop(st);
-                self.detach_threads();
-                panic!("{msg}");
-            }
-
-            // Serve the earliest still-valid event, refilling the ready
-            // batch from the heap when it runs dry: one pass drains the
-            // earliest event plus every event sharing its timestamp (see
-            // `SchedState::ready` for why batch order is dispatch order).
-            let next = loop {
-                if st.ready.is_empty() {
-                    while let Some(&Reverse(top)) = st.queue.peek() {
-                        if st.ready.front().is_some_and(|b| top.time > b.time) {
-                            break;
-                        }
-                        st.queue.pop();
-                        let slot = &st.actors[top.actor.0];
-                        let valid = slot.generation == top.generation
-                            && matches!(slot.state, ActorState::Blocked | ActorState::Starting);
-                        // Stale (superseded wake or finished actor): a
-                        // generation never rolls back, so staleness is
-                        // permanent and early discard is safe.
-                        if valid {
-                            st.ready.push_back(top);
-                        }
-                    }
-                    if st.ready.is_empty() {
-                        break None;
-                    }
-                }
-                let ev = st.ready.pop_front().expect("nonempty ready batch");
-                // Re-validate at serve time: an actor granted earlier in
-                // this batch has re-blocked under a new generation, staling
-                // any event it left behind.
-                let slot = &st.actors[ev.actor.0];
-                let valid = slot.generation == ev.generation
-                    && matches!(slot.state, ActorState::Blocked | ActorState::Starting);
-                if valid {
-                    break Some(ev);
-                }
-            };
-
-            match next {
-                Some(ev) => {
-                    st.horizon = st.horizon.max(ev.time);
-                    let slot = &mut st.actors[ev.actor.0];
-                    slot.state = ActorState::Running;
-                    slot.pending_wake = None;
-                    // Advance the actor's clock to the wake time; it may be
-                    // ahead already (e.g. a message arrived in its past).
-                    slot.clock.fetch_max(ev.time.as_nanos(), Ordering::Relaxed);
-                    let cv = slot.cv.clone();
-                    st.current = Some(ev.actor);
-                    if inner.trace_on() {
-                        eprintln!(
-                            "[sim {:>12}] run {} ({})",
-                            ev.time, ev.actor, st.actors[ev.actor.0].name
-                        );
-                    }
-                    drop(st);
-                    // Wake exactly the chosen actor: a targeted notify, not a
-                    // broadcast over every parked actor thread.
-                    cv.notify_one();
-                }
-                None => {
-                    // No events. Either we're done, or we're deadlocked.
-                    let blocked_nondaemon: Vec<String> = st
-                        .actors
-                        .iter()
-                        .filter(|a| !a.daemon && a.state != ActorState::Done)
-                        .map(|a| a.name.to_string())
-                        .collect();
-                    if blocked_nondaemon.is_empty() {
-                        let end = st.horizon;
-                        // Total events ever scheduled (including superseded
-                        // wakes): the denominator for wall-clock
-                        // sim-events/sec harness throughput.
-                        let events = st.seq;
-                        drop(st);
-                        self.detach_threads();
-                        EVENTS_GLOBAL.fetch_add(events, Ordering::Relaxed);
-                        inner.obs.registry().counter("sim.events.total").add(events);
-                        // Close out the trace: final registry snapshot at the
-                        // virtual end time, then flush the sink.
-                        inner.obs.emit_snapshot(end.as_nanos());
-                        return end;
-                    }
-                    drop(st);
-                    self.detach_threads();
-                    panic!(
-                        "simulation deadlock: no pending events but actors {:?} \
-                         are still blocked",
-                        blocked_nondaemon
-                    );
-                }
-            }
+            drop(st);
+            std::thread::park();
+        };
+        let failure = st.poisoned.take().or_else(|| {
+            let stuck: Vec<&str> = (st.actors.iter())
+                .filter(|a| !a.daemon && a.state != ActorState::Done)
+                .map(|a| &*a.name)
+                .collect();
+            (!stuck.is_empty()).then(|| {
+                format!(
+                    "simulation deadlock: no pending events but actors {stuck:?} \
+                     are still blocked"
+                )
+            })
+        });
+        // `seq` counts every event ever scheduled (including superseded
+        // wakes): the denominator for wall-clock sim-events/sec throughput.
+        let (end, events) = (st.horizon, st.seq);
+        drop(st);
+        self.teardown();
+        if let Some(msg) = failure {
+            panic!("{msg}");
         }
+        EVENTS_GLOBAL.fetch_add(events, Ordering::Relaxed);
+        inner.obs.registry().counter("sim.events.total").add(events);
+        // Close out the trace: final registry snapshot at the virtual end
+        // time, then flush the sink.
+        inner.obs.emit_snapshot(end.as_nanos());
+        end
     }
 
-    /// Join finished actor threads and detach daemons (they are parked on a
-    /// condvar and hold only Arcs; dropping the kernel lets the process exit).
-    fn detach_threads(&self) {
-        let handles: Vec<(bool, Option<JoinHandle<()>>)> = {
+    /// Join every actor thread, one at a time in `ActorId` order so drop
+    /// order is deterministic. An actor still parked (a daemon, or anyone on
+    /// deadlock or poison) is handed the token with `shutdown` set, which
+    /// makes `wait_for_turn` unwind its stack to the thread wrapper.
+    fn teardown(&self) {
+        let joins = {
             let mut st = self.inner.state.lock();
-            st.actors
-                .iter_mut()
-                .map(|a| (a.state == ActorState::Done, a.join.take()))
-                .collect()
+            st.shutdown = true;
+            std::mem::take(&mut st.joins)
         };
-        for (done, handle) in handles {
-            if let Some(h) = handle {
-                if done {
-                    let _ = h.join();
-                }
-                // Blocked daemons are left parked; their threads are detached.
+        for (id, join) in joins.into_iter().enumerate() {
+            let mut st = self.inner.state.lock();
+            if st.actors[id].state != ActorState::Done {
+                st.current = Some(ActorId(id));
             }
+            drop(st);
+            join.thread().unpark();
+            join.join().expect("the wrapper catches every actor panic");
         }
     }
 }
@@ -408,8 +432,6 @@ pub struct ActorCtx {
     name: Arc<str>,
     kernel: Arc<KernelInner>,
     clock: Arc<AtomicU64>,
-    /// This actor's private wake signal (also held by its `ActorSlot`).
-    cv: Arc<Condvar>,
 }
 
 impl ActorCtx {
@@ -462,8 +484,8 @@ impl ActorCtx {
         SimTime(self.clock.load(Ordering::Relaxed))
     }
 
-    /// Advance local time by `d`, yielding to the scheduler so that any
-    /// other actor with earlier pending work runs first.
+    /// Advance local time by `d`, yielding so that any other actor with
+    /// earlier pending work runs first.
     pub fn advance(&self, d: SimDuration) {
         if d.is_zero() {
             return;
@@ -510,11 +532,7 @@ impl ActorCtx {
         let kernel = SimKernel {
             inner: self.kernel.clone(),
         };
-        let id = if daemon {
-            kernel.spawn_daemon(name, body)
-        } else {
-            kernel.spawn(name, body)
-        };
+        let id = kernel.spawn_inner(name, daemon, body);
         // Re-stamp the initial event from t=0 to the spawn time.
         let mut st = self.kernel.state.lock();
         // The freshly pushed event has generation 0; supersede it.
@@ -531,49 +549,52 @@ impl ActorCtx {
             actor: id,
             generation,
         }));
-        drop(kernel); // temporary handle onto the shared kernel state
         id
     }
 
     /// Block until a wake event with the current generation fires.
     /// `wake_at`: optionally self-schedule a wake (sleep); external wakers
     /// (message sends) may add earlier wakes for the same generation.
+    /// Dispatches the next event itself: when that is its own, it returns
+    /// without a thread switch.
     pub(crate) fn block(&self, wake_at: Option<SimTime>) {
-        {
-            let mut st = self.kernel.state.lock();
-            debug_assert_eq!(st.current, Some(self.id), "yield from non-current actor");
-            let slot = &mut st.actors[self.id.0];
-            slot.state = ActorState::Blocked;
-            slot.generation += 1;
-            slot.pending_wake = wake_at;
-            let generation = slot.generation;
-            if let Some(t) = wake_at {
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Reverse(Event {
-                    time: t,
-                    seq,
-                    actor: self.id,
-                    generation,
-                }));
-            }
-            st.current = None;
-            self.kernel.scheduler_cv.notify_one();
-        }
-        self.wait_for_turn();
-    }
-
-    /// Re-register as blocked *while already blocked-and-woken*: used by
-    /// Port::recv loops. Identical to `block(None)`.
-    pub(crate) fn block_unscheduled(&self) {
-        self.block(None);
-    }
-
-    /// Park until the scheduler hands us the token.
-    fn wait_for_turn(&self) {
         let mut st = self.kernel.state.lock();
-        while st.current != Some(self.id) {
-            self.cv.wait(&mut st);
+        debug_assert_eq!(st.current, Some(self.id), "yield from non-current actor");
+        let slot = &mut st.actors[self.id.0];
+        slot.state = ActorState::Blocked;
+        slot.generation += 1;
+        slot.pending_wake = wake_at;
+        let generation = slot.generation;
+        if let Some(t) = wake_at {
+            let seq = st.seq;
+            st.seq += 1;
+            st.queue.push(Reverse(Event {
+                time: t,
+                seq,
+                actor: self.id,
+                generation,
+            }));
+        }
+        if !pass_token(st, Some(self.id)) {
+            self.wait_for_turn();
+        }
+    }
+
+    /// Park until somebody hands us the token. The check is under the state
+    /// lock and the waker unparks after setting `current`, so a wake-up
+    /// between the check and the park only makes `park` return at once.
+    fn wait_for_turn(&self) {
+        loop {
+            let st = self.kernel.state.lock();
+            if st.current == Some(self.id) {
+                if st.shutdown {
+                    drop(st);
+                    panic::resume_unwind(Box::new(Shutdown));
+                }
+                return;
+            }
+            drop(st);
+            std::thread::park();
         }
     }
 
@@ -631,6 +652,12 @@ pub struct Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
+        // A span open in an actor that teardown (or a panic) is unwinding
+        // measured nothing: counting it would move `*_ns` counters after
+        // the run's last event.
+        if std::thread::panicking() {
+            return;
+        }
         let start = self.start.as_nanos();
         let end = self.ctx.now().as_nanos();
         let elapsed = end.saturating_sub(start);
@@ -698,27 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_across_runs() {
-        fn run_once() -> Vec<(u64, usize)> {
-            let k = SimKernel::new();
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for a in 0..8usize {
-                let log = log.clone();
-                k.spawn(&format!("a{a}"), move |ctx| {
-                    for _ in 0..50 {
-                        ctx.advance(us((a as u64 * 7 + 3) % 11 + 1));
-                        log.lock().push((ctx.now().as_nanos(), a));
-                    }
-                });
-            }
-            k.run();
-            let v = log.lock().clone();
-            v
-        }
-        assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
     fn spawn_from_inside_starts_at_spawn_time() {
         let k = SimKernel::new();
         let child_start = Arc::new(AtomicU64::new(0));
@@ -734,20 +740,36 @@ mod tests {
         assert_eq!(child_start.load(Ordering::Relaxed), 42_000);
     }
 
-    #[test]
-    #[should_panic(expected = "panicked: boom")]
-    fn actor_panic_propagates() {
-        let k = SimKernel::new();
-        k.spawn("bomber", |ctx| {
-            ctx.advance(us(1));
-            panic!("boom");
-        });
-        k.run();
+    /// Run a kernel that must fail; return `run()`'s panic message.
+    fn run_failing(k: SimKernel) -> String {
+        let err = panic::catch_unwind(AssertUnwindSafe(|| k.run())).unwrap_err();
+        *err.downcast::<String>()
+            .expect("run() panics with a String")
     }
 
     #[test]
-    fn daemon_does_not_block_completion() {
+    fn actor_panic_propagates_and_leaves_no_thread() {
         let k = SimKernel::new();
+        let witness = Arc::new(());
+        let (parked, unborn) = (witness.clone(), witness.clone());
+        k.spawn_daemon("parked", move |ctx| {
+            let _held = parked;
+            ctx.block(None);
+        });
+        k.spawn("bomber", move |ctx| {
+            ctx.advance(us(1));
+            // Still `Starting` when the run is poisoned: never runs.
+            ctx.spawn("unborn", move |_| drop(unborn));
+            panic!("boom");
+        });
+        assert_eq!(run_failing(k), "actor 'bomber' panicked: boom");
+        assert_eq!(Arc::strong_count(&witness), 1, "a thread outlived run()");
+    }
+
+    #[test]
+    fn daemon_does_not_block_completion_and_is_joined() {
+        let k = SimKernel::new();
+        let inner = k.inner.clone();
         let ticks = Arc::new(AtomicUsize::new(0));
         let t = ticks.clone();
         // A daemon that would sleep forever after its work.
@@ -761,17 +783,98 @@ mod tests {
         k.spawn("worker", |ctx| ctx.advance(us(100)));
         let end = k.run();
         assert_eq!(end, SimTime::ZERO + us(100));
+        // Teardown unwound the daemon's stack (dropping `t`) and joined it,
+        // and its unwind payload was not taken for an actor panic.
+        assert_eq!(Arc::strong_count(&ticks), 1);
         assert_eq!(ticks.load(Ordering::Relaxed), 1);
+        assert_eq!(inner.state.lock().poisoned, None);
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
-    fn deadlock_detected() {
+    fn deadlock_detected_and_leaves_no_thread() {
         let k = SimKernel::new();
-        k.spawn("stuck", |ctx| {
+        let witness = Arc::new(());
+        let held = witness.clone();
+        k.spawn("stuck", move |ctx| {
+            let _held = held;
             ctx.block(None); // waits forever, not a daemon
         });
+        let msg = run_failing(k);
+        assert!(msg.starts_with("simulation deadlock") && msg.contains("stuck"));
+        assert_eq!(Arc::strong_count(&witness), 1, "a thread outlived run()");
+    }
+
+    /// `[grants to another thread, grants to the yielding actor itself]`.
+    fn grants_of(k: SimKernel) -> [u64; 2] {
+        let inner = k.inner.clone();
         k.run();
+        let grants = inner.state.lock().grants;
+        grants
+    }
+
+    #[test]
+    fn own_successor_runs_on_without_a_thread_switch() {
+        let k = SimKernel::new();
+        k.spawn("solo", |ctx| (0..10).for_each(|_| ctx.advance(us(1))));
+        // One wake-up from `run()`, then ten grants to itself.
+        assert_eq!(grants_of(k), [1, 10]);
+    }
+
+    #[test]
+    fn own_event_still_yields_to_same_time_earlier_seq() {
+        let k = SimKernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (l1, l2) = (log.clone(), log.clone());
+        k.spawn("first", move |ctx| {
+            ctx.advance(us(5));
+            l1.lock().push("first");
+        });
+        k.spawn("second", move |ctx| {
+            ctx.advance(us(2)); // its own successor: "first" sleeps until 5
+            ctx.advance(us(3)); // ties with "first" at 5, queued after it
+            l2.lock().push("second");
+        });
+        assert_eq!(grants_of(k), [4, 1]);
+        assert_eq!(*log.lock(), ["first", "second"]);
+    }
+
+    #[test]
+    fn actor_finishing_mid_batch_hands_token_to_next_ready_entry() {
+        let k = SimKernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for a in 0..3 {
+            let log = log.clone();
+            // All three wake in one same-time batch and finish inside it.
+            k.spawn(&format!("a{a}"), move |ctx| {
+                ctx.advance(us(1));
+                log.lock().push(a);
+            });
+        }
+        assert_eq!(k.run(), SimTime::ZERO + us(1));
+        assert_eq!(*log.lock(), [0, 1, 2]);
+    }
+
+    /// Dispatch order is `(time, seq)` whoever pops the event: the log of 8
+    /// actors x 50 seeded advances is the same on every run, and hashes to
+    /// what the scheduler-thread kernel this one replaced produced.
+    #[test]
+    fn determinism_across_runs_and_kernels() {
+        let k = SimKernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for a in 0..8u64 {
+            let log = log.clone();
+            k.spawn(&format!("a{a}"), move |ctx| {
+                let mut rng = crate::Rng64::new(a);
+                for _ in 0..50 {
+                    ctx.advance(us(rng.range(1, 12)));
+                    log.lock().push((ctx.now().as_nanos(), a));
+                }
+            });
+        }
+        k.run();
+        let fnv = |h: u64, &(t, a): &(u64, u64)| (h ^ t ^ (a << 56)).wrapping_mul(0x100_0000_01b3);
+        let hash = log.lock().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+        assert_eq!((log.lock().len(), hash), (400, 0x6188_c6ea_fc9d_3ba5));
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl<T: Send + 'static> Port<T> {
                     self.inner.heap.lock().waiter = None;
                 }
                 RecvWait::Park => {
-                    ctx.block_unscheduled();
+                    ctx.block(None);
                     self.inner.heap.lock().waiter = None;
                 }
             }
