@@ -31,7 +31,7 @@ use crate::testbeds::{with_dafs_client, with_dafs_cluster, Cell};
 const PER_CLIENT: u64 = 4 << 20;
 /// Request size: the top of the R-F2 sweep, well past the direct threshold.
 const REQ: u64 = 512 << 10;
-/// Stripe size (the `DafsStripedAdio` default).
+/// Stripe size (the `DafsAdio` default).
 const STRIPE: u64 = 64 << 10;
 /// Fixed client count for the server sweep.
 const CLIENTS: usize = 4;
@@ -74,7 +74,7 @@ fn striped_case(
                 .iter()
                 .map(|c| c.create(ctx, ROOT_ID, &name).unwrap().id)
                 .collect();
-            let file = DafsStripedFile::new(cs.to_vec(), fhs, STRIPE);
+            let file = DafsStripedFile::new(cs.to_vec(), fhs, STRIPE, false);
             let data = pattern(rank, REQ as usize);
             let buf = nic.host().mem.alloc(REQ as usize);
             nic.host().mem.write(buf, &data);
@@ -169,7 +169,7 @@ fn striped_control_ns() -> (u64, u64) {
         },
         move |ctx, _rank, cs, nic| {
             let f = cs[0].lookup(ctx, ROOT_ID, "f").unwrap();
-            let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE);
+            let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE, false);
             let buf = nic.host().mem.alloc(REQ as usize);
             let t0 = ctx.now();
             let mut off = 0;

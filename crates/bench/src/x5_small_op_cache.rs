@@ -278,12 +278,12 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
                 .iter()
                 .map(|c| c.lookup(ctx, ROOT_ID, "hot").unwrap().id)
                 .collect();
-            let f = DafsStripedFile::new(cs.to_vec(), fhs, SCALE_STRIPE);
+            let f = DafsStripedFile::new(cs.to_vec(), fhs, SCALE_STRIPE, true);
             let dst = nic.host().mem.alloc(REQ as usize);
             let pass = |verify_tag: &str| {
                 let mut off = 0;
                 while off < REGION {
-                    let n = f.read_cached(ctx, off, dst, REQ).unwrap();
+                    let n = f.read(ctx, off, dst, REQ).unwrap();
                     assert_eq!(n, REQ, "short {verify_tag} striped read at {off}");
                     assert_eq!(
                         nic.host().mem.read_vec(dst, REQ as usize),

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dafs::{DafsClient, DafsClientConfig, DafsServerCost, ReadReq, SchedPolicy};
+use dafs::{BatchDir, DafsClient, DafsClientConfig, DafsServerCost, IoReq, SchedPolicy};
 use memfs::{MemFs, ROOT_ID};
 use simnet::time::units::*;
 use simnet::{Cluster, SampleSet, SimKernel};
@@ -151,16 +151,16 @@ fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
             let t0 = ctx.now();
             let mut off = 0u64;
             while running.load(Ordering::Relaxed) > 0 {
-                let reqs: Vec<ReadReq> = (0..BATCH)
-                    .map(|j| ReadReq {
-                        fh: f.id,
+                let reqs: Vec<IoReq> = (0..BATCH)
+                    .map(|j| IoReq {
                         off: (off + j as u64 * CHUNK) % REGION,
-                        dst: buf.offset(j as u64 * CHUNK),
+                        addr: buf.offset(j as u64 * CHUNK),
                         len: CHUNK,
                     })
                     .collect();
                 let t1 = ctx.now();
-                for r in c.read_batch(ctx, &reqs) {
+                let batch = c.issue(ctx, BatchDir::Read, f.id, &reqs);
+                for r in c.batch_finish(ctx, batch) {
                     assert_eq!(r.unwrap(), CHUNK, "short streaming read");
                 }
                 lat.record(ctx.now().since(t1).as_nanos());

@@ -130,29 +130,18 @@ struct ClientCache {
     recalls: VecDeque<(u64, u32)>,
 }
 
-/// One read request in a batch.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadReq {
-    /// File to read.
-    pub fh: NodeId,
-    /// Byte offset.
+/// One contiguous request of a batch: `len` bytes at file offset `off`,
+/// to or from simulated memory at `addr` on the client host. Which file it
+/// addresses and which way the bytes move are arguments of the issue call
+/// ([`DafsClient::issue`]), so the same struct serves a session, a striped
+/// file (logical offsets) and the ADIO trait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IoReq {
+    /// Byte offset in the file.
     pub off: u64,
-    /// Destination buffer (simulated memory on the client host).
-    pub dst: VirtAddr,
+    /// Client buffer: destination of a read, source of a write.
+    pub addr: VirtAddr,
     /// Bytes requested.
-    pub len: u64,
-}
-
-/// One write request in a batch.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteReq {
-    /// File to write.
-    pub fh: NodeId,
-    /// Byte offset.
-    pub off: u64,
-    /// Source buffer.
-    pub src: VirtAddr,
-    /// Bytes to write.
     pub len: u64,
 }
 
@@ -163,8 +152,6 @@ pub struct WriteReq {
 /// drain (`off - off0`), or striped fragment positions.
 #[derive(Debug, Clone)]
 pub struct ListReq {
-    /// File to access.
-    pub fh: NodeId,
     /// Segments, ascending on both the file and the buffer axis.
     pub segs: Vec<proto::ListSeg>,
     /// Base buffer; segment `i` lives at `buf + segs[i].2`.
@@ -173,7 +160,7 @@ pub struct ListReq {
 
 impl ListReq {
     /// A packed list: `ranges` consume `buf` back-to-back in list order.
-    pub fn packed(fh: NodeId, ranges: &[(u64, u64)], buf: VirtAddr) -> ListReq {
+    pub fn packed(ranges: &[(u64, u64)], buf: VirtAddr) -> ListReq {
         let mut rel = 0u64;
         let segs = ranges
             .iter()
@@ -183,7 +170,7 @@ impl ListReq {
                 s
             })
             .collect();
-        ListReq { fh, segs, buf }
+        ListReq { segs, buf }
     }
 
     /// Total bytes the list covers.
@@ -197,7 +184,6 @@ impl ListReq {
 /// a vectored list request.
 struct Sub {
     owner: usize,
-    fh: NodeId,
     off: u64,
     addr: VirtAddr,
     len: u64,
@@ -207,35 +193,44 @@ struct Sub {
     segs: Option<Vec<proto::ListSeg>>,
 }
 
-/// Which way a batch moves data.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BatchDir {
+/// Which way a transfer moves data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchDir {
+    /// Server to client buffer.
     Read,
+    /// Client buffer to server.
     Write,
 }
 
-/// A split-phase pipelined batch.
+/// The requests a batch was issued for, kept so that requests that died
+/// with the session can be re-run through the replayable inline path.
+enum BatchReqs {
+    Contig(Vec<IoReq>),
+    List(Vec<ListReq>),
+}
+
+/// A split-phase pipelined batch against one file.
 ///
-/// The issue half ([`DafsClient::read_batch_begin`] /
-/// [`DafsClient::write_batch_begin`]) posts as many sub-requests as the
-/// session's credit window allows and returns immediately, so the server
-/// processes them while the caller overlaps other work.
-/// [`DafsClient::batch_test`] opportunistically retires completions that
-/// already arrived without blocking; [`DafsClient::batch_finish`] blocks
-/// for the remainder and runs the transport-failure recovery pass.
+/// The issue half ([`DafsClient::issue`] / [`DafsClient::issue_list`])
+/// posts as many sub-requests as the session's credit window allows and
+/// returns immediately, so the server processes them while the caller
+/// overlaps other work. [`DafsClient::batch_test`] opportunistically
+/// retires completions that already arrived without blocking;
+/// [`DafsClient::batch_finish`] blocks for the remainder and runs the
+/// transport-failure recovery pass. A blocking batch is the two back to
+/// back.
 ///
 /// The credit window is a hard invariant: the client owns exactly
 /// `credits` pre-posted receive descriptors, so at most one batch may be
 /// outstanding per session — finish one before beginning the next.
 pub struct DafsBatch {
     dir: BatchDir,
+    fh: NodeId,
     subs: Vec<Sub>,
     results: Vec<DafsResult<u64>>,
     inflight: VecDeque<(u32, usize, MemHandle, bool)>,
     next: usize,
-    read_reqs: Vec<ReadReq>,
-    write_reqs: Vec<WriteReq>,
-    list_reqs: Vec<ListReq>,
+    reqs: BatchReqs,
     /// Transport failure observed by the nonblocking poll; the finish half
     /// fails the remaining in-flight subs with it instead of waiting on a
     /// session that already died.
@@ -1064,8 +1059,9 @@ impl DafsClient {
         self.nic.host().mem.write(sb, &data);
         let ops = ctx.metrics().counter("dafs.ops");
         let before = ops.get();
-        let req = ListReq { fh, segs, buf: sb };
-        let b = self.write_list_batch_begin(ctx, std::slice::from_ref(&req));
+        // `drain: false`: this *is* the drain.
+        let req = ListReq { segs, buf: sb };
+        let b = self.begin(ctx, BatchDir::Write, fh, BatchReqs::List(vec![req]), false);
         let res = self.batch_finish(ctx, b).remove(0);
         // Wire requests this flush cost, fallback replays included — the
         // amortization numerator benches assert against flush_pages.
@@ -1614,8 +1610,13 @@ impl DafsClient {
         }
         // Multi-chunk: pipeline the chunks over the session credits rather
         // than paying a round trip per chunk.
-        let results = self.write_batch(ctx, &[WriteReq { fh, off, src, len }]);
-        results.into_iter().next().unwrap()?;
+        let req = IoReq {
+            off,
+            addr: src,
+            len,
+        };
+        let b = self.issue(ctx, BatchDir::Write, fh, &[req]);
+        self.batch_finish(ctx, b).remove(0)?;
         self.getattr(ctx, fh)
     }
 
@@ -1686,76 +1687,33 @@ impl DafsClient {
         }
     }
 
-    /// Expand batch requests into sub-operations: direct transfers go
+    /// Expand contiguous requests into sub-operations: direct transfers go
     /// whole; inline requests that exceed one message split into chunks,
-    /// each remembering which original request it belongs to.
-    fn expand_read_subs(&self, reqs: &[ReadReq]) -> Vec<Sub> {
+    /// each remembering which original request it belongs to. A write goes
+    /// direct only when the fabric supports RDMA Read.
+    fn expand_subs(&self, dir: BatchDir, reqs: &[IoReq]) -> Vec<Sub> {
+        let direct_ok = dir == BatchDir::Read || self.caps().rdma_read;
         let mut subs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
-            if self.is_direct(r.len) {
+            let direct = direct_ok && self.is_direct(r.len);
+            let mut done = 0u64;
+            loop {
+                let n = if direct {
+                    r.len
+                } else {
+                    (r.len - done).min(self.caps().inline_max)
+                };
                 subs.push(Sub {
                     owner: i,
-                    fh: r.fh,
-                    off: r.off,
-                    addr: r.dst,
-                    len: r.len,
-                    direct: true,
+                    off: r.off + done,
+                    addr: r.addr.offset(done),
+                    len: n,
+                    direct,
                     segs: None,
                 });
-            } else {
-                let mut done = 0u64;
-                loop {
-                    let n = (r.len - done).min(self.caps().inline_max);
-                    subs.push(Sub {
-                        owner: i,
-                        fh: r.fh,
-                        off: r.off + done,
-                        addr: r.dst.offset(done),
-                        len: n,
-                        direct: false,
-                        segs: None,
-                    });
-                    done += n;
-                    if done >= r.len {
-                        break;
-                    }
-                }
-            }
-        }
-        subs
-    }
-
-    fn expand_write_subs(&self, reqs: &[WriteReq]) -> Vec<Sub> {
-        let direct_ok = self.caps().rdma_read;
-        let mut subs = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
-            if self.is_direct(r.len) && direct_ok {
-                subs.push(Sub {
-                    owner: i,
-                    fh: r.fh,
-                    off: r.off,
-                    addr: r.src,
-                    len: r.len,
-                    direct: true,
-                    segs: None,
-                });
-            } else {
-                let mut done = 0u64;
-                loop {
-                    let n = (r.len - done).min(self.caps().inline_max);
-                    subs.push(Sub {
-                        owner: i,
-                        fh: r.fh,
-                        off: r.off + done,
-                        addr: r.src.offset(done),
-                        len: n,
-                        direct: false,
-                        segs: None,
-                    });
-                    done += n;
-                    if done >= r.len {
-                        break;
-                    }
+                done += n;
+                if done >= r.len {
+                    break;
                 }
             }
         }
@@ -1808,7 +1766,6 @@ impl DafsClient {
         }
         Sub {
             owner,
-            fh: r.fh,
             off: 0,
             addr: r.buf.offset(base),
             len: total,
@@ -1821,8 +1778,8 @@ impl DafsClient {
     /// total clears the direct threshold go as one RDMA list op against a
     /// single registration; the rest split further into inline-sized list
     /// messages (the no-RDMA-Read write fallback also lands here).
-    fn expand_list_subs(&self, reqs: &[ListReq], write: bool) -> Vec<Sub> {
-        let direct_ok = !write || self.caps().rdma_read;
+    fn expand_list_subs(&self, dir: BatchDir, reqs: &[ListReq]) -> Vec<Sub> {
+        let direct_ok = dir == BatchDir::Read || self.caps().rdma_read;
         let mut subs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
             for group in Self::chunk_segs(&r.segs, proto::LIST_MAX_SEGMENTS, u64::MAX) {
@@ -1842,119 +1799,94 @@ impl DafsClient {
         subs
     }
 
-    /// Post one list sub-request.
-    fn post_list_sub(&self, ctx: &ActorCtx, dir: BatchDir, sb: &Sub) -> (u32, MemHandle, bool) {
-        let segs = sb.segs.as_ref().expect("list sub");
-        ctx.metrics().counter("dafs.list.reqs").inc();
-        ctx.metrics()
-            .counter("dafs.list.segs")
-            .add(segs.len() as u64);
-        // The one registered region a direct list op transfers against:
-        // from the sub's base to the end of its last segment.
-        let span = segs.last().map(|s| s.2 + s.1).unwrap_or(0);
-        match (dir, sb.direct) {
-            (BatchDir::Read, true) => {
-                let (handle, transient) = self.regcache.acquire(ctx, sb.addr, span);
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u8(1).u64(sb.addr.as_u64()).u64(handle.0);
-                proto::enc_seg_list(&mut e, segs);
-                let id = self.post_request(ctx, DafsOp::ReadList, &mut e);
-                (id, handle, transient)
-            }
-            (BatchDir::Read, false) => {
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u8(0);
-                proto::enc_seg_list(&mut e, segs);
-                let id = self.post_request(ctx, DafsOp::ReadList, &mut e);
-                (id, MemHandle(0), false)
-            }
-            (BatchDir::Write, true) => {
-                let (handle, transient) = self.regcache.acquire(ctx, sb.addr, span);
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u8(1).u64(sb.addr.as_u64()).u64(handle.0);
-                proto::enc_seg_list(&mut e, segs);
-                let id = self.post_request(ctx, DafsOp::WriteList, &mut e);
-                self.stats.direct_writes.record(sb.len);
-                ctx.metrics().byte_meter("dafs.direct.bytes").record(sb.len);
-                (id, handle, transient)
-            }
-            (BatchDir::Write, false) => {
-                // Gather the segments into the packed inline payload.
-                let mut data = Vec::with_capacity(sb.len as usize);
-                for &(_, len, rel) in segs {
-                    let piece = self
-                        .nic
-                        .host()
-                        .mem
-                        .read_bytes(sb.addr.offset(rel), len as usize);
-                    data.extend_from_slice(&piece);
-                }
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u8(0);
-                proto::enc_seg_list(&mut e, segs);
-                e.bytes(&data);
-                let id = self.post_request(ctx, DafsOp::WriteList, &mut e);
-                self.stats.inline_writes.record(sb.len);
-                ctx.metrics().byte_meter("dafs.inline.bytes").record(sb.len);
-                (id, MemHandle(0), false)
-            }
-        }
-    }
-
     /// Post one expanded sub-request; returns its id plus the registration
     /// handle (direct subs only).
-    fn post_sub(&self, ctx: &ActorCtx, dir: BatchDir, sb: &Sub) -> (u32, MemHandle, bool) {
-        if sb.segs.is_some() {
-            return self.post_list_sub(ctx, dir, sb);
-        }
-        match (dir, sb.direct) {
-            (BatchDir::Read, true) => {
-                let (handle, transient) = self.regcache.acquire(ctx, sb.addr, sb.len);
-                let mut e = Enc::new();
-                e.u64(sb.fh.0)
-                    .u64(sb.off)
+    fn post_sub(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        fh: NodeId,
+        sb: &Sub,
+    ) -> (u32, MemHandle, bool) {
+        let mem = &self.nic.host().mem;
+        // The one registered region a direct op transfers against; for a
+        // list sub, from its base to the end of its last segment.
+        let span = match &sb.segs {
+            Some(segs) => {
+                ctx.metrics().counter("dafs.list.reqs").inc();
+                ctx.metrics()
+                    .counter("dafs.list.segs")
+                    .add(segs.len() as u64);
+                segs.last().map(|s| s.2 + s.1).unwrap_or(0)
+            }
+            None => sb.len,
+        };
+        let (handle, transient) = if sb.direct {
+            self.regcache.acquire(ctx, sb.addr, span)
+        } else {
+            (MemHandle(0), false)
+        };
+        let inline_write = dir == BatchDir::Write && !sb.direct;
+        let mut e = Enc::new();
+        e.u64(fh.0);
+        let op = match (&sb.segs, dir) {
+            (Some(segs), _) => {
+                if sb.direct {
+                    e.u8(1).u64(sb.addr.as_u64()).u64(handle.0);
+                } else {
+                    e.u8(0);
+                }
+                proto::enc_seg_list(&mut e, segs);
+                if inline_write {
+                    // Gather the segments into the packed inline payload.
+                    let mut data = Vec::with_capacity(sb.len as usize);
+                    for &(_, len, rel) in segs {
+                        data.extend_from_slice(&mem.read_bytes(sb.addr.offset(rel), len as usize));
+                    }
+                    e.bytes(&data);
+                }
+                match dir {
+                    BatchDir::Read => DafsOp::ReadList,
+                    BatchDir::Write => DafsOp::WriteList,
+                }
+            }
+            (None, _) if sb.direct => {
+                e.u64(sb.off)
                     .u64(sb.len)
                     .u64(sb.addr.as_u64())
                     .u64(handle.0);
-                let id = self.post_request(ctx, DafsOp::ReadDirect, &mut e);
-                (id, handle, transient)
+                match dir {
+                    BatchDir::Read => DafsOp::ReadDirect,
+                    BatchDir::Write => DafsOp::WriteDirect,
+                }
             }
-            (BatchDir::Read, false) => {
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u64(sb.off).u64(sb.len);
-                let id = self.post_request(ctx, DafsOp::ReadInline, &mut e);
-                (id, MemHandle(0), false)
+            (None, BatchDir::Read) => {
+                e.u64(sb.off).u64(sb.len);
+                DafsOp::ReadInline
             }
-            (BatchDir::Write, true) => {
-                let (handle, transient) = self.regcache.acquire(ctx, sb.addr, sb.len);
-                let mut e = Enc::new();
-                e.u64(sb.fh.0)
-                    .u64(sb.off)
-                    .u64(sb.len)
-                    .u64(sb.addr.as_u64())
-                    .u64(handle.0);
-                let id = self.post_request(ctx, DafsOp::WriteDirect, &mut e);
-                self.stats.direct_writes.record(sb.len);
-                ctx.metrics().byte_meter("dafs.direct.bytes").record(sb.len);
-                (id, handle, transient)
+            (None, BatchDir::Write) => {
+                e.u64(sb.off)
+                    .bytes(&mem.read_bytes(sb.addr, sb.len as usize));
+                DafsOp::WriteInline
             }
-            (BatchDir::Write, false) => {
-                let data = self.nic.host().mem.read_bytes(sb.addr, sb.len as usize);
-                let mut e = Enc::new();
-                e.u64(sb.fh.0).u64(sb.off).bytes(&data);
-                let id = self.post_request(ctx, DafsOp::WriteInline, &mut e);
-                self.stats.inline_writes.record(sb.len);
-                ctx.metrics().byte_meter("dafs.inline.bytes").record(sb.len);
-                (id, MemHandle(0), false)
-            }
+        };
+        let id = self.post_request(ctx, op, &mut e);
+        // Writes account at post time (reads when their reply is decoded).
+        if inline_write {
+            self.stats.inline_writes.record(sb.len);
+            ctx.metrics().byte_meter("dafs.inline.bytes").record(sb.len);
+        } else if dir == BatchDir::Write {
+            self.stats.direct_writes.record(sb.len);
+            ctx.metrics().byte_meter("dafs.direct.bytes").record(sb.len);
         }
+        (id, handle, transient)
     }
 
     /// Top up the posted window from the batch's unposted sub list.
     fn batch_fill(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
         let window = self.caps().credits.max(1) as usize;
         while b.next < b.subs.len() && b.inflight.len() < window {
-            let (id, handle, transient) = self.post_sub(ctx, b.dir, &b.subs[b.next]);
+            let (id, handle, transient) = self.post_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
             b.inflight.push_back((id, b.next, handle, transient));
             b.next += 1;
         }
@@ -2052,111 +1984,92 @@ impl DafsClient {
         }
     }
 
-    /// Issue half of a split-phase batch read: expand the requests and
-    /// post up to the credit window, then return without waiting. At most
-    /// one batch may be outstanding per session.
-    pub fn read_batch_begin(&self, ctx: &ActorCtx, reqs: &[ReadReq]) -> DafsBatch {
+    /// The single point every batch starts at: expand the requests and post
+    /// up to the credit window.
+    ///
+    /// Batch ops go to the wire past the page cache, so for a
+    /// caller-issued batch (`drain`) a session holding dirty write-back
+    /// pages for `fh` drains them first — a read then sees them, and the
+    /// finish-time [`Self::cache_note_write`] of a write finds nothing
+    /// unflushed to drop. No dirty page means no wire and no clock. If the
+    /// drain fails the batch is refused whole (nothing posted, every
+    /// result the error), so the failure reaches the caller instead of
+    /// hiding behind a batch that succeeded, or was replayed, past
+    /// write-back data that never landed. Only the flush itself passes
+    /// `drain: false`.
+    fn begin(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        fh: NodeId,
+        reqs: BatchReqs,
+        drain: bool,
+    ) -> DafsBatch {
+        let refused = drain.then(|| self.cache_flush_fh(ctx, fh).err()).flatten();
+        let (subs, n) = match &reqs {
+            BatchReqs::Contig(rs) => (self.expand_subs(dir, rs), rs.len()),
+            BatchReqs::List(rs) => (self.expand_list_subs(dir, rs), rs.len()),
+        };
         let mut b = DafsBatch {
-            dir: BatchDir::Read,
-            subs: self.expand_read_subs(reqs),
-            results: vec![Ok(0); reqs.len()],
+            dir,
+            fh,
+            subs,
+            results: vec![Ok(0); n],
             inflight: VecDeque::new(),
             next: 0,
-            read_reqs: reqs.to_vec(),
-            write_reqs: Vec::new(),
-            list_reqs: Vec::new(),
+            reqs,
             failed: None,
         };
+        if let Some(e) = refused {
+            b.subs.clear();
+            b.results.fill(Err(e));
+        }
         self.batch_fill(ctx, &mut b);
         b
     }
 
-    /// Issue half of a split-phase batch write. See [`Self::read_batch_begin`].
-    pub fn write_batch_begin(&self, ctx: &ActorCtx, reqs: &[WriteReq]) -> DafsBatch {
-        let mut b = DafsBatch {
-            dir: BatchDir::Write,
-            subs: self.expand_write_subs(reqs),
-            results: vec![Ok(0); reqs.len()],
-            inflight: VecDeque::new(),
-            next: 0,
-            read_reqs: Vec::new(),
-            write_reqs: reqs.to_vec(),
-            list_reqs: Vec::new(),
-            failed: None,
-        };
-        self.batch_fill(ctx, &mut b);
-        b
+    /// Issue half of a split-phase batch of contiguous requests on `fh`:
+    /// expand them, post up to the credit window, and return without
+    /// waiting. At most one batch may be outstanding per session.
+    pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, fh: NodeId, reqs: &[IoReq]) -> DafsBatch {
+        self.begin(ctx, dir, fh, BatchReqs::Contig(reqs.to_vec()), true)
     }
 
-    /// Issue half of a split-phase vectored batch read: each request's
-    /// segment list is split across credit windows by the wire segment cap
-    /// and posted like any other batch. See [`Self::read_batch_begin`] for
-    /// the outstanding-batch invariant.
-    pub fn read_list_batch_begin(&self, ctx: &ActorCtx, reqs: &[ListReq]) -> DafsBatch {
+    /// Issue half of a split-phase vectored batch on `fh`: each request's
+    /// segment list (sorted ascending and non-overlapping on both axes) is
+    /// split across credit windows by the wire segment cap and posted like
+    /// any other batch. See [`Self::issue`] for the outstanding-batch
+    /// invariant.
+    pub fn issue_list(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        fh: NodeId,
+        reqs: &[ListReq],
+    ) -> DafsBatch {
         for r in reqs {
             assert!(
                 proto::list_acceptable(&r.segs),
                 "list request segments must be sorted and non-overlapping"
             );
         }
-        let mut b = DafsBatch {
-            dir: BatchDir::Read,
-            subs: self.expand_list_subs(reqs, false),
-            results: vec![Ok(0); reqs.len()],
-            inflight: VecDeque::new(),
-            next: 0,
-            read_reqs: Vec::new(),
-            write_reqs: Vec::new(),
-            list_reqs: reqs.to_vec(),
-            failed: None,
-        };
-        self.batch_fill(ctx, &mut b);
-        b
+        self.begin(ctx, dir, fh, BatchReqs::List(reqs.to_vec()), true)
     }
 
-    /// Issue half of a split-phase vectored batch write. See
-    /// [`Self::read_list_batch_begin`].
-    pub fn write_list_batch_begin(&self, ctx: &ActorCtx, reqs: &[ListReq]) -> DafsBatch {
-        for r in reqs {
-            assert!(
-                proto::list_acceptable(&r.segs),
-                "list request segments must be sorted and non-overlapping"
-            );
+    /// Re-run one contiguous range through the replayable inline path —
+    /// the recovery route for requests that died with the session
+    /// (idempotent: reads re-fetch, writes re-put the same bytes).
+    fn replay_inline(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        fh: NodeId,
+        r: IoReq,
+    ) -> DafsResult<u64> {
+        match dir {
+            BatchDir::Read => self.read_inline(ctx, fh, r.off, r.addr, r.len),
+            BatchDir::Write => self.write_inline_chunks(ctx, fh, r.off, r.addr, r.len),
         }
-        let mut b = DafsBatch {
-            dir: BatchDir::Write,
-            subs: self.expand_list_subs(reqs, true),
-            results: vec![Ok(0); reqs.len()],
-            inflight: VecDeque::new(),
-            next: 0,
-            read_reqs: Vec::new(),
-            write_reqs: Vec::new(),
-            list_reqs: reqs.to_vec(),
-            failed: None,
-        };
-        self.batch_fill(ctx, &mut b);
-        b
-    }
-
-    /// Per-segment recovery for a vectored read whose list requests died
-    /// with the session: re-fetch every segment through the replayable
-    /// inline path (idempotent).
-    fn read_list_fallback(&self, ctx: &ActorCtx, r: &ListReq) -> DafsResult<u64> {
-        let mut total = 0u64;
-        for &(off, len, rel) in &r.segs {
-            total += self.read_inline(ctx, r.fh, off, r.buf.offset(rel), len)?;
-        }
-        Ok(total)
-    }
-
-    /// Per-segment recovery for a vectored write: re-put every segment's
-    /// bytes through replayable inline chunks (idempotent).
-    fn write_list_fallback(&self, ctx: &ActorCtx, r: &ListReq) -> DafsResult<u64> {
-        let mut total = 0u64;
-        for &(off, len, rel) in &r.segs {
-            total += self.write_inline_chunks(ctx, r.fh, off, r.buf.offset(rel), len)?;
-        }
-        Ok(total)
     }
 
     /// Nonblocking progress on a split-phase batch: drain completions that
@@ -2186,9 +2099,14 @@ impl DafsClient {
 
     /// Completion half: block until every sub-request has retired, then
     /// re-run any requests that died with the session through the
-    /// replayable inline path (idempotent — reads re-fetch and writes
-    /// re-put the same bytes at the same offsets).
+    /// replayable inline path. Returns per-request byte counts, in request
+    /// order.
     pub fn batch_finish(&self, ctx: &ActorCtx, mut b: DafsBatch) -> Vec<DafsResult<u64>> {
+        if b.subs.is_empty() {
+            // Nothing was ever posted: an empty batch, or one refused at
+            // issue (whose errors must not be "recovered" by a replay).
+            return b.results;
+        }
         if let Some(e) = b.failed {
             // The nonblocking poll saw the session die: fail everything
             // outstanding (releasing registrations) instead of waiting on
@@ -2211,83 +2129,37 @@ impl DafsClient {
         for (i, slot) in b.results.iter_mut().enumerate() {
             if matches!(slot, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
                 ctx.metrics().counter("dafs.batch_recoveries").inc();
-                *slot = if !b.list_reqs.is_empty() {
-                    let r = &b.list_reqs[i];
-                    match b.dir {
-                        BatchDir::Read => self.read_list_fallback(ctx, r),
-                        BatchDir::Write => self.write_list_fallback(ctx, r),
-                    }
-                } else {
-                    match b.dir {
-                        BatchDir::Read => {
-                            let r = b.read_reqs[i];
-                            self.read_inline(ctx, r.fh, r.off, r.dst, r.len)
-                        }
-                        BatchDir::Write => {
-                            let r = b.write_reqs[i];
-                            self.write_inline_chunks(ctx, r.fh, r.off, r.src, r.len)
-                        }
+                *slot = match &b.reqs {
+                    BatchReqs::Contig(rs) => self.replay_inline(ctx, b.dir, b.fh, rs[i]),
+                    // Per segment, each at its own place in the buffer.
+                    BatchReqs::List(rs) => {
+                        rs[i].segs.iter().try_fold(0, |total, &(off, len, rel)| {
+                            let addr = rs[i].buf.offset(rel);
+                            Ok(total
+                                + self.replay_inline(ctx, b.dir, b.fh, IoReq { off, addr, len })?)
+                        })
                     }
                 };
             }
         }
         if b.dir == BatchDir::Write {
             // Self-coherence: drop any cached pages the batch overwrote.
-            for r in &b.write_reqs {
-                self.cache_note_write(ctx, r.fh, r.off, r.len, None);
-            }
-            for r in &b.list_reqs {
-                if let (Some(first), Some(last)) = (r.segs.first(), r.segs.last()) {
-                    let span = last.0 + last.1 - first.0;
-                    self.cache_note_write(ctx, r.fh, first.0, span, None);
+            match &b.reqs {
+                BatchReqs::Contig(rs) => {
+                    for r in rs {
+                        self.cache_note_write(ctx, b.fh, r.off, r.len, None);
+                    }
+                }
+                BatchReqs::List(rs) => {
+                    for r in rs {
+                        if let (Some(first), Some(last)) = (r.segs.first(), r.segs.last()) {
+                            let span = last.0 + last.1 - first.0;
+                            self.cache_note_write(ctx, b.fh, first.0, span, None);
+                        }
+                    }
                 }
             }
         }
         b.results
-    }
-
-    /// Pipelined batch read: up to `credits` requests in flight.
-    /// Returns per-request byte counts, in request order.
-    pub fn read_batch(&self, ctx: &ActorCtx, reqs: &[ReadReq]) -> Vec<DafsResult<u64>> {
-        let b = self.read_batch_begin(ctx, reqs);
-        self.batch_finish(ctx, b)
-    }
-
-    /// Pipelined batch write. Returns per-request written byte counts, in
-    /// request order.
-    pub fn write_batch(&self, ctx: &ActorCtx, reqs: &[WriteReq]) -> Vec<DafsResult<u64>> {
-        let b = self.write_batch_begin(ctx, reqs);
-        self.batch_finish(ctx, b)
-    }
-
-    /// Vectored read: fetch every `(offset, len)` range of `fh` in one
-    /// wire request (split across credit windows past the segment cap),
-    /// scattering packed data into `dst`. Ranges must be sorted ascending
-    /// and non-overlapping. Returns total bytes read.
-    pub fn read_list(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        ranges: &[(u64, u64)],
-        dst: VirtAddr,
-    ) -> DafsResult<u64> {
-        let req = ListReq::packed(fh, ranges, dst);
-        let b = self.read_list_batch_begin(ctx, std::slice::from_ref(&req));
-        self.batch_finish(ctx, b).remove(0)
-    }
-
-    /// Vectored write: put every `(offset, len)` range of `fh` in one wire
-    /// request, gathering packed data from `src`. Ranges must be sorted
-    /// ascending and non-overlapping. Returns total bytes written.
-    pub fn write_list(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        ranges: &[(u64, u64)],
-        src: VirtAddr,
-    ) -> DafsResult<u64> {
-        let req = ListReq::packed(fh, ranges, src);
-        let b = self.write_list_batch_begin(ctx, std::slice::from_ref(&req));
-        self.batch_finish(ctx, b).remove(0)
     }
 }

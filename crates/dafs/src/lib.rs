@@ -30,8 +30,8 @@ pub mod sched;
 pub mod striped;
 
 pub use client::{
-    DafsBatch, DafsCacheStats, DafsClient, DafsClientStats, DafsError, DafsResult, ListReq,
-    ReadReq, WriteReq,
+    BatchDir, DafsBatch, DafsCacheStats, DafsClient, DafsClientStats, DafsError, DafsResult, IoReq,
+    ListReq,
 };
 pub use cost::{DafsClientConfig, DafsServerCost};
 pub use proto::{
@@ -105,6 +105,19 @@ mod tests {
             f(ctx, &c, &nic);
             c.disconnect(ctx);
         });
+    }
+
+    /// One blocking vectored transfer of packed `ranges` — issue + finish.
+    fn list(
+        ctx: &simnet::ActorCtx,
+        c: &DafsClient,
+        dir: BatchDir,
+        fh: memfs::NodeId,
+        ranges: &[(u64, u64)],
+        buf: VirtAddr,
+    ) -> DafsResult<u64> {
+        let batch = c.issue_list(ctx, dir, fh, &[ListReq::packed(ranges, buf)]);
+        c.batch_finish(ctx, batch).remove(0)
     }
 
     #[test]
@@ -370,16 +383,16 @@ mod tests {
         with_client(&b, client_config(), move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "b").unwrap();
             let dsts: Vec<VirtAddr> = (0..COUNT).map(|_| nic.host().mem.alloc(CHUNK)).collect();
-            let reqs: Vec<ReadReq> = (0..COUNT)
-                .map(|i| ReadReq {
-                    fh: f.id,
+            let reqs: Vec<IoReq> = (0..COUNT)
+                .map(|i| IoReq {
                     off: (i * CHUNK) as u64,
-                    dst: dsts[i],
+                    addr: dsts[i],
                     len: CHUNK as u64,
                 })
                 .collect();
             let batch_t0 = ctx.now();
-            let results = c.read_batch(ctx, &reqs);
+            let batch = c.issue(ctx, BatchDir::Read, f.id, &reqs);
+            let results = c.batch_finish(ctx, batch);
             let batch_time = ctx.now().since(batch_t0);
             for (i, r) in results.iter().enumerate() {
                 assert_eq!(*r, Ok(CHUNK as u64), "req {i}");
@@ -391,7 +404,7 @@ mod tests {
             // Sequential comparison: same reads one at a time.
             let seq_t0 = ctx.now();
             for r in &reqs {
-                c.read(ctx, r.fh, r.off, r.dst, r.len).unwrap();
+                c.read(ctx, f.id, r.off, r.addr, r.len).unwrap();
             }
             let seq_time = ctx.now().since(seq_t0);
             assert!(
@@ -412,16 +425,13 @@ mod tests {
             let src = nic.host().mem.alloc(LEN);
             let payload: Vec<u8> = (0..LEN).map(|i| (i % 127) as u8).collect();
             nic.host().mem.write(src, &payload);
-            let results = c.write_batch(
-                ctx,
-                &[WriteReq {
-                    fh: f.id,
-                    off: 0,
-                    src,
-                    len: LEN as u64,
-                }],
-            );
-            assert_eq!(results, vec![Ok(LEN as u64)]);
+            let req = IoReq {
+                off: 0,
+                addr: src,
+                len: LEN as u64,
+            };
+            let batch = c.issue(ctx, BatchDir::Write, f.id, &[req]);
+            assert_eq!(c.batch_finish(ctx, batch), vec![Ok(LEN as u64)]);
         });
         b.kernel.run();
         let fh = b.fs.resolve("/bw").unwrap().id;
@@ -644,7 +654,7 @@ mod tests {
             let ranges: Vec<(u64, u64)> = (0..8).map(|i| (i * 8192, 512)).collect();
             let total: u64 = ranges.iter().map(|r| r.1).sum();
             let dst = nic.host().mem.alloc(total as usize);
-            let n = c.read_list(ctx, f.id, &ranges, dst).unwrap();
+            let n = list(ctx, c, BatchDir::Read, f.id, &ranges, dst).unwrap();
             assert_eq!(n, total);
             let got = nic.host().mem.read_vec(dst, total as usize);
             let mut expect = Vec::new();
@@ -677,7 +687,7 @@ mod tests {
             let total: u64 = ranges.iter().map(|r| r.1).sum();
             let dst = nic.host().mem.alloc(total as usize);
             let cpu_before = nic.host().cpu.busy();
-            let n = c.read_list(ctx, f.id, &ranges, dst).unwrap();
+            let n = list(ctx, c, BatchDir::Read, f.id, &ranges, dst).unwrap();
             assert_eq!(n, total);
             let got = nic.host().mem.read_vec(dst, total as usize);
             let mut expect = Vec::new();
@@ -711,7 +721,7 @@ mod tests {
                 let src = nic.host().mem.alloc(total as usize);
                 let payload: Vec<u8> = (0..total).map(|i| (i % 199) as u8).collect();
                 nic.host().mem.write(src, &payload);
-                let n = c.write_list(ctx, f.id, &ranges, src).unwrap();
+                let n = list(ctx, c, BatchDir::Write, f.id, &ranges, src).unwrap();
                 assert_eq!(n, total);
                 if rdma_read {
                     assert_eq!(c.stats.direct_writes.bytes.get(), total);
@@ -751,7 +761,7 @@ mod tests {
             let ranges = [(0u64, 500u64), (800, 500), (2000, 100)];
             let dst = nic.host().mem.alloc(1100);
             nic.host().mem.fill(dst, 1100, 0xEE);
-            let n = c.read_list(ctx, f.id, &ranges, dst).unwrap();
+            let n = list(ctx, c, BatchDir::Read, f.id, &ranges, dst).unwrap();
             assert_eq!(n, 500 + 200);
             assert_eq!(nic.host().mem.read_vec(dst, 500), vec![7u8; 500]);
             assert_eq!(
@@ -781,7 +791,7 @@ mod tests {
             let ranges: Vec<(u64, u64)> = (0..N).map(|i| ((i * 64) as u64, 32)).collect();
             let total: u64 = 32 * N as u64;
             let dst = nic.host().mem.alloc(total as usize);
-            let n = c.read_list(ctx, f.id, &ranges, dst).unwrap();
+            let n = list(ctx, c, BatchDir::Read, f.id, &ranges, dst).unwrap();
             assert_eq!(n, total);
             let got = nic.host().mem.read_vec(dst, total as usize);
             let mut expect = Vec::new();

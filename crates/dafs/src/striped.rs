@@ -1,9 +1,10 @@
-//! Round-robin striping of one logical file across several DAFS servers.
+//! Round-robin striping of one logical file across N ≥ 1 DAFS servers.
 //!
-//! The paper measures a single server; the striped driver is the scaling
-//! step beyond it (ViPIOS-style data distribution over I/O server
-//! processes). A [`DafsStripedFile`] holds one established session per
-//! server plus the per-server piece file, and round-robin stripes fixed
+//! The paper measures a single server; more than one is the scaling step
+//! beyond it (ViPIOS-style data distribution over I/O server processes),
+//! and the server count is a parameter of this one data path, not a second
+//! path. A [`DafsStripedFile`] holds one established session per server
+//! plus the per-server piece file, and round-robin stripes fixed
 //! `stripe_size` blocks of the logical byte stream across the servers:
 //! logical block `g` (bytes `[g*stripe, (g+1)*stripe)`) lives on server
 //! `g % n` at local block index `g / n`. Each server therefore stores a
@@ -12,19 +13,20 @@
 //!
 //! Data ops decompose a contiguous logical range into per-server pieces
 //! and fan them out through the per-session batch machinery
-//! ([`DafsClient::read_batch_begin`] et al.), so every server's credit
-//! window fills at issue time and the servers stream concurrently. A range
-//! that lands on a single server (always the case for one server, since
-//! the local offsets then equal the logical offsets) delegates straight to
-//! the session's synchronous [`DafsClient::read`]/[`DafsClient::write`] —
-//! byte- and timing-identical to the unstriped client.
+//! ([`DafsClient::issue`] / [`DafsClient::issue_list`]), so every server's
+//! credit window fills at issue time and the servers stream concurrently.
+//! A range that lands on a single server delegates straight to the
+//! session's synchronous [`DafsClient::read`]/[`DafsClient::write`]. With
+//! one server that is every range, and the local offsets equal the logical
+//! ones, so an `n = 1` file is byte- and timing-identical to the bare
+//! session — which is why the MPI-IO layer needs no unstriped driver.
 
 use std::sync::Arc;
 
 use memfs::NodeId;
 use simnet::{ActorCtx, VirtAddr};
 
-use crate::client::{DafsBatch, DafsClient, DafsResult, ListReq, ReadReq, WriteReq};
+use crate::client::{BatchDir, DafsBatch, DafsClient, DafsResult, IoReq, ListReq};
 use crate::proto::ListSeg;
 
 /// One contiguous fragment of a logical range on one server.
@@ -118,24 +120,14 @@ fn split_seg_list(n: u64, stripe: u64, segs: &[ListSeg]) -> Vec<Vec<ListSeg>> {
     per
 }
 
-/// Packed-layout segment list for `(offset, len)` ranges: buffer offsets
-/// are the running prefix sums, mirroring [`ListReq::packed`].
-fn packed_segs(ranges: &[(u64, u64)]) -> Vec<ListSeg> {
-    let mut rel = 0u64;
-    ranges
-        .iter()
-        .map(|&(off, len)| {
-            let s = (off, len, rel);
-            rel += len;
-            s
-        })
-        .collect()
-}
-
 /// An in-flight striped batch: at most one per [`DafsStripedFile`] (each
 /// underlying session allows one outstanding [`DafsBatch`]).
 pub struct DafsStripedBatch {
     per_server: Vec<Option<DafsBatch>>,
+    /// Contiguous batches only: every piece in stream order, as `(server,
+    /// len, first piece of its request)` — what the finish half needs for
+    /// the stream-order count. Empty for list batches.
+    pieces: Vec<(usize, u64, bool)>,
 }
 
 impl DafsStripedBatch {
@@ -155,15 +147,21 @@ pub struct DafsStripedFile {
     /// Per-server piece file (same index as `clients`).
     fhs: Vec<NodeId>,
     stripe: u64,
+    /// Route contiguous reads and writes, size polls and `sync` through
+    /// each session's lease-coherent client cache.
+    cached: bool,
 }
 
 impl DafsStripedFile {
     /// Assemble a striped file from established sessions and the
     /// per-server piece-file handles (one per server, same order).
+    /// `cached` routes [`Self::read`], [`Self::write`], [`Self::get_size`]
+    /// and [`Self::sync`] through the sessions' client caches.
     pub fn new(
         clients: Vec<Arc<DafsClient>>,
         fhs: Vec<NodeId>,
         stripe_size: u64,
+        cached: bool,
     ) -> DafsStripedFile {
         assert!(
             !clients.is_empty(),
@@ -175,6 +173,7 @@ impl DafsStripedFile {
             clients,
             fhs,
             stripe: stripe_size,
+            cached,
         }
     }
 
@@ -188,6 +187,11 @@ impl DafsStripedFile {
         self.stripe
     }
 
+    /// Whether this file goes through the sessions' client caches.
+    pub fn cached(&self) -> bool {
+        self.cached
+    }
+
     /// The session for server `s` (bench harnesses use this for stats).
     pub fn client(&self, s: usize) -> &Arc<DafsClient> {
         &self.clients[s]
@@ -197,16 +201,6 @@ impl DafsStripedFile {
     /// per-server pieces, in stream order.
     fn split(&self, off: u64, len: u64) -> Vec<Piece> {
         split_range(self.clients.len() as u64, self.stripe, off, len)
-    }
-
-    /// Group pieces into per-server request lists, preserving stream order
-    /// within each server. Returns `(per-server indices into pieces)`.
-    fn per_server<'a>(&self, pieces: &'a [Piece]) -> Vec<Vec<&'a Piece>> {
-        let mut by_server: Vec<Vec<&Piece>> = vec![Vec::new(); self.clients.len()];
-        for p in pieces {
-            by_server[p.server].push(p);
-        }
-        by_server
     }
 
     /// Split a sorted logical segment list into per-server segment lists:
@@ -221,82 +215,40 @@ impl DafsStripedFile {
         split_seg_list(self.clients.len() as u64, self.stripe, segs)
     }
 
-    /// Read `len` logical bytes at `off` into `dst`. Returns bytes read in
-    /// stream order (short at the logical EOF).
-    pub fn read(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> DafsResult<u64> {
-        let pieces = self.split(off, len);
-        if let [p] = pieces.as_slice() {
-            // Single server: delegate — identical op stream to an
-            // unstriped session.
-            return self.clients[p.server].read(ctx, self.fhs[p.server], p.local, dst, p.len);
-        }
-        let mut counts = vec![0u64; pieces.len()];
-        {
-            let by_server = self.per_server(&pieces);
-            let mut batches: Vec<Option<DafsBatch>> = Vec::with_capacity(self.clients.len());
-            // Issue every server's batch before finishing any, so all
-            // credit windows fill and the servers stream concurrently.
-            for (s, ps) in by_server.iter().enumerate() {
-                if ps.is_empty() {
-                    batches.push(None);
-                    continue;
-                }
-                let reqs: Vec<ReadReq> = ps
-                    .iter()
-                    .map(|p| ReadReq {
-                        fh: self.fhs[s],
-                        off: p.local,
-                        dst: dst.offset(p.rel),
-                        len: p.len,
-                    })
-                    .collect();
-                batches.push(Some(self.clients[s].read_batch_begin(ctx, &reqs)));
-            }
-            for (s, b) in batches.into_iter().enumerate() {
-                let Some(b) = b else { continue };
-                let rs = self.clients[s].batch_finish(ctx, b);
-                let mut it = rs.into_iter();
-                for (pi, p) in pieces.iter().enumerate() {
-                    if p.server == s {
-                        counts[pi] = it.next().expect("one result per sub-request")?;
-                    }
-                }
-            }
-        }
-        // Stream-order total: stop counting at the first short piece (a
-        // hole past the logical EOF).
-        let mut total = 0;
-        for (pi, p) in pieces.iter().enumerate() {
-            total += counts[pi];
-            if counts[pi] < p.len {
-                break;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Read `len` logical bytes at `off` through each server's
-    /// lease-coherent client cache ([`DafsClient::read_cached`]). Pieces go
-    /// out sequentially rather than through the batch machinery: the cached
-    /// path targets small re-read traffic where hits are local memory
-    /// copies, so there is no credit window worth overlapping. Returns
-    /// bytes read in stream order (short at the logical EOF).
-    pub fn read_cached(
+    /// One contiguous logical transfer. Returns bytes moved in stream
+    /// order (a read is short at the logical EOF).
+    fn transfer(
         &self,
         ctx: &ActorCtx,
+        dir: BatchDir,
         off: u64,
-        dst: VirtAddr,
+        addr: VirtAddr,
         len: u64,
     ) -> DafsResult<u64> {
+        let pieces = self.split(off, len);
+        if !self.cached && pieces.len() > 1 {
+            let b = self.issue(ctx, dir, &[IoReq { off, addr, len }]);
+            return self.batch_finish(ctx, b);
+        }
+        // A single piece goes through the session's blocking entry point:
+        // the op stream (and spans) of an unstriped session. Cached pieces
+        // go out one by one as well — that path targets small re-read
+        // traffic where hits are local memory copies, so there is no
+        // credit window worth overlapping.
         let mut total = 0;
-        for p in self.split(off, len) {
-            let n = self.clients[p.server].read_cached(
-                ctx,
-                self.fhs[p.server],
-                p.local,
-                dst.offset(p.rel),
-                p.len,
-            )?;
+        for p in pieces {
+            let (c, fh) = (&self.clients[p.server], self.fhs[p.server]);
+            let a = addr.offset(p.rel);
+            let n = match (dir, self.cached) {
+                (BatchDir::Read, false) => c.read(ctx, fh, p.local, a, p.len)?,
+                (BatchDir::Read, true) => c.read_cached(ctx, fh, p.local, a, p.len)?,
+                (BatchDir::Write, false) => c.write(ctx, fh, p.local, a, p.len).map(|_| p.len)?,
+                // With write-back off this writes through, only keeping
+                // the cache coherent.
+                (BatchDir::Write, true) => {
+                    c.write_cached(ctx, fh, p.local, a, p.len).map(|_| p.len)?
+                }
+            };
             total += n;
             if n < p.len {
                 break;
@@ -305,219 +257,74 @@ impl DafsStripedFile {
         Ok(total)
     }
 
-    /// Write `len` logical bytes at `off` from `src` through each server's
-    /// client cache ([`DafsClient::write_cached`]); with write-back off
-    /// this writes through, only keeping the cache coherent.
-    pub fn write_cached(
-        &self,
-        ctx: &ActorCtx,
-        off: u64,
-        src: VirtAddr,
-        len: u64,
-    ) -> DafsResult<()> {
-        for p in self.split(off, len) {
-            self.clients[p.server].write_cached(
-                ctx,
-                self.fhs[p.server],
-                p.local,
-                src.offset(p.rel),
-                p.len,
-            )?;
-        }
-        Ok(())
+    /// Read `len` logical bytes at `off` into `dst`. Returns bytes read in
+    /// stream order (short at the logical EOF).
+    pub fn read(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> DafsResult<u64> {
+        self.transfer(ctx, BatchDir::Read, off, dst, len)
     }
 
     /// Write `len` logical bytes at `off` from `src`.
     pub fn write(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> DafsResult<()> {
-        let pieces = self.split(off, len);
-        if let [p] = pieces.as_slice() {
-            return self.clients[p.server]
-                .write(ctx, self.fhs[p.server], p.local, src, p.len)
-                .map(|_| ());
-        }
-        let by_server = self.per_server(&pieces);
-        let mut batches: Vec<Option<DafsBatch>> = Vec::with_capacity(self.clients.len());
-        for (s, ps) in by_server.iter().enumerate() {
-            if ps.is_empty() {
-                batches.push(None);
-                continue;
-            }
-            let reqs: Vec<WriteReq> = ps
-                .iter()
-                .map(|p| WriteReq {
-                    fh: self.fhs[s],
-                    off: p.local,
-                    src: src.offset(p.rel),
-                    len: p.len,
-                })
-                .collect();
-            batches.push(Some(self.clients[s].write_batch_begin(ctx, &reqs)));
-        }
-        let mut first_err = None;
-        for (s, b) in batches.into_iter().enumerate() {
-            let Some(b) = b else { continue };
-            for r in self.clients[s].batch_finish(ctx, b) {
-                if let (Err(e), None) = (r, &first_err) {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.transfer(ctx, BatchDir::Write, off, src, len)
+            .map(|_| ())
     }
 
     // ----- split-phase batch path -----------------------------------------
 
-    /// Issue a batch of logical-range reads across all servers and return
-    /// immediately; every server's credit window is filled before the
-    /// first completion is awaited, so window drains overlap across
-    /// servers. At most one striped batch may be outstanding per file.
-    pub fn read_batch_begin(
-        &self,
-        ctx: &ActorCtx,
-        reqs: &[(u64, VirtAddr, u64)],
-    ) -> DafsStripedBatch {
-        let mut per: Vec<Vec<ReadReq>> = vec![Vec::new(); self.clients.len()];
-        for (off, dst, len) in reqs {
-            for p in self.split(*off, *len) {
-                per[p.server].push(ReadReq {
-                    fh: self.fhs[p.server],
+    /// Issue a batch of contiguous logical-range transfers across all
+    /// servers and return immediately; every server's credit window is
+    /// filled before the first completion is awaited, so window drains
+    /// overlap across servers. At most one striped batch may be
+    /// outstanding per file. Batches go to the wire past the page cache
+    /// (each session drains its dirty pages for the file first).
+    pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> DafsStripedBatch {
+        let mut per: Vec<Vec<IoReq>> = vec![Vec::new(); self.clients.len()];
+        let mut pieces = Vec::new();
+        for r in reqs {
+            for (i, p) in self.split(r.off, r.len).into_iter().enumerate() {
+                per[p.server].push(IoReq {
                     off: p.local,
-                    dst: dst.offset(p.rel),
+                    addr: r.addr.offset(p.rel),
                     len: p.len,
                 });
+                pieces.push((p.server, p.len, i == 0));
             }
         }
-        DafsStripedBatch {
-            per_server: per
-                .into_iter()
-                .enumerate()
-                .map(|(s, rs)| (!rs.is_empty()).then(|| self.clients[s].read_batch_begin(ctx, &rs)))
-                .collect(),
-        }
+        let per_server = per
+            .into_iter()
+            .enumerate()
+            .map(|(s, rs)| {
+                (!rs.is_empty()).then(|| self.clients[s].issue(ctx, dir, self.fhs[s], &rs))
+            })
+            .collect();
+        DafsStripedBatch { per_server, pieces }
     }
 
-    /// Issue a batch of logical-range writes across all servers; the
-    /// split-phase write analogue of [`DafsStripedFile::read_batch_begin`].
-    pub fn write_batch_begin(
-        &self,
-        ctx: &ActorCtx,
-        reqs: &[(u64, VirtAddr, u64)],
-    ) -> DafsStripedBatch {
-        let mut per: Vec<Vec<WriteReq>> = vec![Vec::new(); self.clients.len()];
-        for (off, src, len) in reqs {
-            for p in self.split(*off, *len) {
-                per[p.server].push(WriteReq {
-                    fh: self.fhs[p.server],
-                    off: p.local,
-                    src: src.offset(p.rel),
-                    len: p.len,
-                });
-            }
-        }
-        DafsStripedBatch {
-            per_server: per
-                .into_iter()
-                .enumerate()
-                .map(|(s, ws)| {
-                    (!ws.is_empty()).then(|| self.clients[s].write_batch_begin(ctx, &ws))
-                })
-                .collect(),
-        }
-    }
-
-    // ----- vectored (list) data path --------------------------------------
-
-    /// Issue a batch of vectored reads: each request is a sorted logical
-    /// segment list plus the client buffer its `rel` offsets index. The
-    /// list splits into one per-server [`ListReq`] per request (stripe
-    /// fragments merged where contiguous), and every server's credit
-    /// window fills before any completion is awaited.
-    pub fn read_list_batch_begin(
-        &self,
-        ctx: &ActorCtx,
-        reqs: &[(Vec<ListSeg>, VirtAddr)],
-    ) -> DafsStripedBatch {
+    /// Issue a batch of vectored transfers: each request is a sorted
+    /// logical segment list plus the client buffer its `rel` offsets
+    /// index. The list splits into one per-server [`ListReq`] per request
+    /// (stripe fragments merged where contiguous), and every server's
+    /// credit window fills before any completion is awaited.
+    pub fn issue_list(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[ListReq]) -> DafsStripedBatch {
         let mut per: Vec<Vec<ListReq>> = vec![Vec::new(); self.clients.len()];
-        for (segs, buf) in reqs {
-            for (s, local) in self.split_list(segs).into_iter().enumerate() {
-                if !local.is_empty() {
-                    per[s].push(ListReq {
-                        fh: self.fhs[s],
-                        segs: local,
-                        buf: *buf,
-                    });
+        for r in reqs {
+            for (s, segs) in self.split_list(&r.segs).into_iter().enumerate() {
+                if !segs.is_empty() {
+                    per[s].push(ListReq { segs, buf: r.buf });
                 }
             }
         }
+        let per_server = per
+            .into_iter()
+            .enumerate()
+            .map(|(s, rs)| {
+                (!rs.is_empty()).then(|| self.clients[s].issue_list(ctx, dir, self.fhs[s], &rs))
+            })
+            .collect();
         DafsStripedBatch {
-            per_server: per
-                .into_iter()
-                .enumerate()
-                .map(|(s, rs)| {
-                    (!rs.is_empty()).then(|| self.clients[s].read_list_batch_begin(ctx, &rs))
-                })
-                .collect(),
+            per_server,
+            pieces: Vec::new(),
         }
-    }
-
-    /// Issue a batch of vectored writes; the write analogue of
-    /// [`DafsStripedFile::read_list_batch_begin`].
-    pub fn write_list_batch_begin(
-        &self,
-        ctx: &ActorCtx,
-        reqs: &[(Vec<ListSeg>, VirtAddr)],
-    ) -> DafsStripedBatch {
-        let mut per: Vec<Vec<ListReq>> = vec![Vec::new(); self.clients.len()];
-        for (segs, buf) in reqs {
-            for (s, local) in self.split_list(segs).into_iter().enumerate() {
-                if !local.is_empty() {
-                    per[s].push(ListReq {
-                        fh: self.fhs[s],
-                        segs: local,
-                        buf: *buf,
-                    });
-                }
-            }
-        }
-        DafsStripedBatch {
-            per_server: per
-                .into_iter()
-                .enumerate()
-                .map(|(s, ws)| {
-                    (!ws.is_empty()).then(|| self.clients[s].write_list_batch_begin(ctx, &ws))
-                })
-                .collect(),
-        }
-    }
-
-    /// Vectored read of sorted logical `(offset, len)` ranges into `dst`,
-    /// packed back to back. Returns total bytes read across all servers
-    /// (at the logical EOF, the missing tail simply doesn't land).
-    pub fn read_list(
-        &self,
-        ctx: &ActorCtx,
-        ranges: &[(u64, u64)],
-        dst: VirtAddr,
-    ) -> DafsResult<u64> {
-        let segs = packed_segs(ranges);
-        let b = self.read_list_batch_begin(ctx, &[(segs, dst)]);
-        self.batch_finish(ctx, b)
-    }
-
-    /// Vectored write of sorted logical `(offset, len)` ranges from `src`,
-    /// packed back to back. Returns total bytes written.
-    pub fn write_list(
-        &self,
-        ctx: &ActorCtx,
-        ranges: &[(u64, u64)],
-        src: VirtAddr,
-    ) -> DafsResult<u64> {
-        let segs = packed_segs(ranges);
-        let b = self.write_list_batch_begin(ctx, &[(segs, src)]);
-        self.batch_finish(ctx, b)
     }
 
     /// Nonblocking progress poll: retires completions that already arrived
@@ -537,74 +344,67 @@ impl DafsStripedFile {
 
     /// Block until every server's half of the batch completes; returns
     /// total bytes transferred (first error wins). Finishing is sequential
-    /// per server, but each server's window was posted at begin time, so
+    /// per server, but each server's window was posted at issue time, so
     /// waiting on server 0 overlaps with servers 1..N streaming.
+    ///
+    /// A contiguous request counts in stream order: it stops at its first
+    /// short piece (a hole past the logical EOF), whatever later pieces on
+    /// other servers returned. A list batch counts every byte that landed
+    /// (at the logical EOF, the missing tail simply doesn't).
     pub fn batch_finish(&self, ctx: &ActorCtx, b: DafsStripedBatch) -> DafsResult<u64> {
-        let mut total = 0;
         let mut first_err = None;
+        let mut per: Vec<std::vec::IntoIter<u64>> = Vec::with_capacity(b.per_server.len());
         for (s, ob) in b.per_server.into_iter().enumerate() {
-            let Some(batch) = ob else { continue };
-            for r in self.clients[s].batch_finish(ctx, batch) {
-                match (r, &first_err) {
-                    (Ok(n), _) => total += n,
-                    (Err(e), None) => first_err = Some(e),
-                    (Err(_), Some(_)) => {}
+            let mut counts = Vec::new();
+            if let Some(batch) = ob {
+                for r in self.clients[s].batch_finish(ctx, batch) {
+                    match r {
+                        Ok(n) => counts.push(n),
+                        Err(e) => first_err = first_err.or(Some(e)),
+                    }
                 }
             }
+            per.push(counts.into_iter());
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
+        if let Some(e) = first_err {
+            return Err(e);
         }
+        if b.pieces.is_empty() {
+            return Ok(per.into_iter().flatten().sum());
+        }
+        let (mut total, mut short) = (0, false);
+        for (s, len, first) in b.pieces {
+            let n = per[s].next().expect("one result per piece");
+            if first {
+                short = false;
+            }
+            if !short {
+                total += n;
+                short = n < len;
+            }
+        }
+        Ok(total)
     }
 
     // ----- metadata -------------------------------------------------------
 
     /// Logical file size: the inverse of the block map — the maximum
-    /// logical end over the servers' piece files.
+    /// logical end over the servers' piece files. On a cached file each
+    /// server answers from its lease-coherent attribute cache
+    /// ([`DafsClient::getattr_cached`]): with leases held, a size poll is a
+    /// pure local lookup on every server.
     pub fn get_size(&self, ctx: &ActorCtx) -> DafsResult<u64> {
         let n = self.clients.len() as u64;
         let mut size = 0u64;
         for (s, c) in self.clients.iter().enumerate() {
-            let p = c.getattr(ctx, self.fhs[s])?.size;
-            size = size.max(logical_end(n, self.stripe, s as u64, p));
+            let attr = if self.cached {
+                c.getattr_cached(ctx, self.fhs[s])
+            } else {
+                c.getattr(ctx, self.fhs[s])
+            };
+            size = size.max(logical_end(n, self.stripe, s as u64, attr?.size));
         }
         Ok(size)
-    }
-
-    /// Logical file size via each server's lease-coherent attribute cache
-    /// ([`DafsClient::getattr_cached`]): with leases held, a size poll is a
-    /// pure local lookup on every server.
-    pub fn get_size_cached(&self, ctx: &ActorCtx) -> DafsResult<u64> {
-        let n = self.clients.len() as u64;
-        let mut size = 0u64;
-        for (s, c) in self.clients.iter().enumerate() {
-            let p = c.getattr_cached(ctx, self.fhs[s])?.size;
-            size = size.max(logical_end(n, self.stripe, s as u64, p));
-        }
-        Ok(size)
-    }
-
-    /// Flush every server's dirty write-back pages through its session's
-    /// coalesced `WriteList` path ([`DafsClient::cache_sync`]); each
-    /// server ships only its own stripe fragments, so the batching splits
-    /// per server exactly like the raw striped write fan-out. Returns the
-    /// total pages flushed across servers — zero means no wire traffic.
-    pub fn cache_sync(&self, ctx: &ActorCtx) -> DafsResult<u64> {
-        let mut flushed = 0;
-        for c in &self.clients {
-            flushed += c.cache_sync(ctx)?;
-        }
-        Ok(flushed)
-    }
-
-    /// Flush dirty cached pages and release every server's leases on this
-    /// file (close-time hygiene for cached sessions).
-    pub fn cache_release(&self, ctx: &ActorCtx) -> DafsResult<()> {
-        for (s, c) in self.clients.iter().enumerate() {
-            c.cache_release(ctx, self.fhs[s])?;
-        }
-        Ok(())
     }
 
     /// Truncate / extend the logical file to `size` bytes by truncating
@@ -617,8 +417,31 @@ impl DafsStripedFile {
         Ok(())
     }
 
-    /// Flush every server's piece file.
-    pub fn flush(&self, ctx: &ActorCtx) -> DafsResult<()> {
+    /// Flush every server's piece file to stable storage
+    /// (`MPI_File_sync`).
+    ///
+    /// A cached file first drains each session's dirty write-back pages
+    /// through its coalesced `WriteList` flush ([`DafsClient::cache_sync`];
+    /// each server ships only its own stripe fragments), then hands the
+    /// leases back: sync is the coherence point of MPI's weak consistency
+    /// model, so the next access revalidates and another rank's
+    /// conflicting op never parks behind a holder that is blocked in a
+    /// collective. A clean file with no lease syncs wire-free — the
+    /// server-side `Flush` commit round trip only ships when data actually
+    /// moved.
+    pub fn sync(&self, ctx: &ActorCtx) -> DafsResult<()> {
+        if self.cached {
+            let mut flushed = 0;
+            for c in &self.clients {
+                flushed += c.cache_sync(ctx)?;
+            }
+            for (s, c) in self.clients.iter().enumerate() {
+                c.cache_release(ctx, self.fhs[s])?;
+            }
+            if flushed == 0 {
+                return Ok(());
+            }
+        }
         for (s, c) in self.clients.iter().enumerate() {
             c.flush(ctx, self.fhs[s])?;
         }
@@ -721,6 +544,32 @@ mod tests {
         let per2 = split_seg_list(2, 100, &[(0, 400, 0)]);
         assert_eq!(per2[0], vec![(0, 100, 0), (100, 100, 200)]);
         assert_eq!(per2[1], vec![(0, 100, 100), (100, 100, 300)]);
+    }
+
+    /// What deleting the unstriped ADIO driver rests on, list side: over
+    /// one server the split is the identity. Seeded lists of non-empty
+    /// segments, ascending on both axes, no neighbours contiguous on both
+    /// (those would merge — same bytes, fewer wire segments); the stripe
+    /// size must not matter.
+    #[test]
+    fn one_server_seg_list_split_is_identity() {
+        for seed in 1..=64u64 {
+            let mut rng = simnet::Rng64::new(seed);
+            let stripe = rng.range(1, 1 << 17);
+            let (mut off, mut rel) = (rng.below(1 << 20), 0);
+            let segs: Vec<ListSeg> = (0..rng.range(1, 200))
+                .map(|_| {
+                    let len = rng.range(1, 3 * stripe);
+                    let seg = (off, len, rel);
+                    let file_gap = rng.below(2 * stripe);
+                    off += len + file_gap;
+                    rel += len + if file_gap == 0 { 1 } else { rng.below(4096) };
+                    seg
+                })
+                .collect();
+            assert!(crate::proto::list_acceptable(&segs), "seed {seed}");
+            assert_eq!(split_seg_list(1, stripe, &segs), [segs], "seed {seed}");
+        }
     }
 
     #[test]

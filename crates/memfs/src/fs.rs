@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use simnet::buf::{Bytes, Slab};
 
 /// Identifies an inode. Also serves as the wire-visible file handle for
@@ -139,7 +139,7 @@ struct FsState {
 /// export one filesystem instance).
 #[derive(Clone)]
 pub struct MemFs {
-    state: Arc<RwLock<FsState>>,
+    state: Arc<Mutex<FsState>>,
 }
 
 impl Default for MemFs {
@@ -171,7 +171,7 @@ impl MemFs {
             },
         );
         MemFs {
-            state: Arc::new(RwLock::new(FsState {
+            state: Arc::new(Mutex::new(FsState {
                 nodes,
                 next_id: 2,
                 total_data: 0,
@@ -181,7 +181,7 @@ impl MemFs {
 
     /// Attributes of an inode.
     pub fn getattr(&self, id: NodeId) -> FsResult<FileAttr> {
-        let st = self.state.read();
+        let st = self.state.lock();
         st.nodes
             .get(&id.0)
             .map(|n| n.attr(id))
@@ -190,7 +190,7 @@ impl MemFs {
 
     /// Apply mutable attributes (currently: truncate/extend size).
     pub fn setattr(&self, id: NodeId, set: SetAttr) -> FsResult<FileAttr> {
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let node = st.nodes.get_mut(&id.0).ok_or(FsError::Stale)?;
         if let Some(sz) = set.size {
             match &mut node.body {
@@ -212,7 +212,7 @@ impl MemFs {
 
     /// Look `name` up in directory `dir`.
     pub fn lookup(&self, dir: NodeId, name: &str) -> FsResult<FileAttr> {
-        let st = self.state.read();
+        let st = self.state.lock();
         let d = st.nodes.get(&dir.0).ok_or(FsError::Stale)?;
         match &d.body {
             NodeBody::Directory { entries } => {
@@ -225,7 +225,7 @@ impl MemFs {
 
     fn insert_node(&self, dir: NodeId, name: &str, body: NodeBody) -> FsResult<FileAttr> {
         valid_name(name)?;
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let id = NodeId(st.next_id);
         let is_dir = matches!(body, NodeBody::Directory { .. });
         {
@@ -280,7 +280,7 @@ impl MemFs {
     /// Remove a regular file.
     pub fn remove(&self, dir: NodeId, name: &str) -> FsResult<()> {
         valid_name(name)?;
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let target = {
             let d = st.nodes.get(&dir.0).ok_or(FsError::Stale)?;
             match &d.body {
@@ -307,7 +307,7 @@ impl MemFs {
     /// Remove an empty directory.
     pub fn rmdir(&self, dir: NodeId, name: &str) -> FsResult<()> {
         valid_name(name)?;
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let target = {
             let d = st.nodes.get(&dir.0).ok_or(FsError::Stale)?;
             match &d.body {
@@ -338,7 +338,7 @@ impl MemFs {
     pub fn rename(&self, from: NodeId, name: &str, to: NodeId, to_name: &str) -> FsResult<()> {
         valid_name(name)?;
         valid_name(to_name)?;
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let moved = {
             let d = st.nodes.get(&from.0).ok_or(FsError::Stale)?;
             match &d.body {
@@ -384,7 +384,7 @@ impl MemFs {
     /// The view stays valid (and immutable) across later writes: a write
     /// while views are outstanding clones the slab instead of mutating it.
     pub fn read_bytes(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Bytes> {
-        let st = self.state.read();
+        let st = self.state.lock();
         let n = st.nodes.get(&id.0).ok_or(FsError::Stale)?;
         match &n.body {
             NodeBody::Regular { data } => {
@@ -405,7 +405,7 @@ impl MemFs {
     /// Write `buf` at `offset`, extending (and zero-filling any gap) as
     /// needed. Returns post-write attributes.
     pub fn write(&self, id: NodeId, offset: u64, buf: &[u8]) -> FsResult<FileAttr> {
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let node = st.nodes.get_mut(&id.0).ok_or(FsError::Stale)?;
         match &mut node.body {
             NodeBody::Regular { data } => {
@@ -429,11 +429,15 @@ impl MemFs {
 
     /// Visit a directory's entries in name order without allocating: the
     /// callback sees each borrowed name and id under the filesystem lock.
+    /// That lock is a plain mutex, so the callback must not call back into
+    /// this filesystem (it would self-deadlock); the callers — the DAFS
+    /// and NFS servers' `ReadDir` and [`MemFs::readdir`] — only encode or
+    /// push the entry.
     pub fn with_readdir<F>(&self, dir: NodeId, mut f: F) -> FsResult<()>
     where
         F: FnMut(&str, NodeId),
     {
-        let st = self.state.read();
+        let st = self.state.lock();
         let d = st.nodes.get(&dir.0).ok_or(FsError::Stale)?;
         match &d.body {
             NodeBody::Directory { entries } => {
@@ -468,12 +472,12 @@ impl MemFs {
 
     /// Total bytes of live file data (for capacity reports).
     pub fn total_data(&self) -> u64 {
-        self.state.read().total_data
+        self.state.lock().total_data
     }
 
     /// Number of live inodes, including the root.
     pub fn inode_count(&self) -> usize {
-        self.state.read().nodes.len()
+        self.state.lock().nodes.len()
     }
 }
 

@@ -3,19 +3,18 @@
 //! baseline), and UFS (a node-local memory filesystem).
 //!
 //! The interface is the minimal contract ROMIO's ADIO demands of a
-//! filesystem: contiguous reads/writes at explicit offsets, batched
-//! variants (which the DAFS driver pipelines over session credits),
-//! resize/flush, and an optional shared-file-pointer fetch-and-add
+//! filesystem: contiguous reads/writes at explicit offsets, one
+//! multi-request transfer in a blocking and a split-phase form (which the
+//! DAFS driver pipelines over session credits, optionally as wire-level
+//! list requests), resize/flush, and an optional shared-file-pointer fetch-and-add
 //! primitive (implemented on DAFS with the protocol's file locks; absent
 //! on NFS, where ROMIO historically had to fall back to unsupported or
 //! fcntl-lock emulation).
 
 use std::sync::Arc;
 
-use dafs::{
-    DafsBatch, DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListReq, ListSeg, ReadReq,
-    WriteReq,
-};
+pub use dafs::{BatchDir, IoReq};
+use dafs::{DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListReq};
 use memfs::{FsError, MemFs, NodeId, SetAttr};
 use nfsv3::{NfsClient, NfsError, NfsPendingRead, NfsPendingWrite};
 use simnet::cost::HostCost;
@@ -240,8 +239,8 @@ thread_local! {
     static INFLIGHT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Completion handle for a nonblocking ADIO batch ([`AdioFile::iread_batch`]
-/// / [`AdioFile::iwrite_batch`]): either born complete (eager drivers) or a
+/// Completion handle for a nonblocking ADIO transfer
+/// ([`AdioFile::itransfer`]): either born complete (eager drivers) or a
 /// split-phase operation in flight that [`AdioRequest::wait`] collects.
 #[must_use = "an AdioRequest must be waited, or its I/O may never complete"]
 pub struct AdioRequest {
@@ -293,6 +292,15 @@ impl AdioRequest {
     }
 }
 
+/// How the requests of a multi-request transfer may travel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// One filesystem request per range, pipelined where the driver can.
+    Batch,
+    /// Wire-level vectored (list) requests where the driver has them.
+    List,
+}
+
 /// An open file as seen by the MPI-IO core.
 pub trait AdioFile: Send + Sync {
     /// Read `len` bytes at `off` into `dst`; returns bytes read (short at
@@ -302,71 +310,55 @@ pub trait AdioFile: Send + Sync {
     /// Write `len` bytes at `off` from `src`.
     fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()>;
 
-    /// Batched reads; default loops. Drivers with pipelining override.
-    fn read_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let mut total = 0;
-        for (off, dst, len) in reqs {
-            total += self.read_contig(ctx, *off, *dst, *len)?;
-        }
-        Ok(total)
-    }
-
-    /// Batched writes; default loops.
-    fn write_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        for (off, src, len) in reqs {
-            self.write_contig(ctx, *off, *src, *len)?;
-        }
-        Ok(())
-    }
-
     /// True when this open file ships a sorted batch of ranges as
-    /// wire-level vectored (list) requests — [`AdioFile::read_list`] et
-    /// al. are real ops, not loops. The DAFS drivers answer per the
-    /// `dafs_listio` hint captured at open; everything else says false and
-    /// the MPI-IO core keeps data sieving.
+    /// wire-level vectored (list) requests — [`Shape::List`] transfers are
+    /// real ops, not loops. The DAFS driver answers per the `dafs_listio`
+    /// hint captured at open; everything else says false and the MPI-IO
+    /// core keeps data sieving.
     fn list_io_enabled(&self) -> bool {
         false
     }
 
-    /// Vectored batched reads: ship `reqs` — sorted ascending and
+    /// Blocking multi-request transfer; returns total bytes moved. The
+    /// default loops over the contiguous calls; drivers with pipelining
+    /// override. [`Shape::List`] asks for `reqs` — sorted ascending and
     /// non-overlapping on both the file-offset and buffer-address axes —
-    /// as one list request per credit-window chunk. Returns total bytes
-    /// read. The default (and any unsorted batch) falls back to the
-    /// contiguous batch path.
-    fn read_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        self.read_batch(ctx, reqs)
+    /// to travel as one list request per credit-window chunk; a driver
+    /// without list ops, or handed an unsorted batch, carries them as a
+    /// plain batch.
+    fn transfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        _shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioResult<u64> {
+        let mut total = 0;
+        for r in reqs {
+            total += match dir {
+                BatchDir::Read => self.read_contig(ctx, r.off, r.addr, r.len)?,
+                BatchDir::Write => self
+                    .write_contig(ctx, r.off, r.addr, r.len)
+                    .map(|_| r.len)?,
+            };
+        }
+        Ok(total)
     }
 
-    /// Vectored batched writes; see [`AdioFile::read_list`].
-    fn write_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        self.write_batch(ctx, reqs)
-    }
-
-    /// Nonblocking vectored batched reads; the split-phase analogue of
-    /// [`AdioFile::read_list`]. Default completes eagerly.
-    fn iread_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        self.iread_batch(ctx, reqs)
-    }
-
-    /// Nonblocking vectored batched writes. Default completes eagerly.
-    fn iwrite_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        self.iwrite_batch(ctx, reqs)
-    }
-
-    /// Nonblocking batched reads: issue the batch and return a handle the
-    /// caller overlaps work against before waiting. Default completes
-    /// eagerly (blocking) for drivers without split-phase support. At
-    /// most one nonblocking batch may be outstanding per file handle (the
-    /// DAFS driver shares one credit window per session).
-    fn iread_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        AdioRequest::ready(self.read_batch(ctx, reqs))
-    }
-
-    /// Nonblocking batched writes; the handle resolves to total bytes
-    /// written. Default completes eagerly.
-    fn iwrite_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let total: u64 = reqs.iter().map(|(_, _, len)| *len).sum();
-        AdioRequest::ready(self.write_batch(ctx, reqs).map(|_| total))
+    /// Split-phase form of [`AdioFile::transfer`]: issue the requests and
+    /// return a handle the caller overlaps work against before waiting.
+    /// Default completes eagerly (blocking) for drivers without
+    /// split-phase support. At most one nonblocking transfer may be
+    /// outstanding per file handle (the DAFS driver shares one credit
+    /// window per session).
+    fn itransfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioRequest {
+        AdioRequest::ready(self.transfer(ctx, dir, shape, reqs))
     }
 
     /// Current file size.
@@ -444,24 +436,32 @@ pub trait AdioFs: Send + Sync {
 // DAFS driver
 // ---------------------------------------------------------------------------
 
-/// ADIO over a DAFS session.
+/// Default stripe size when no `striping_unit` hint is given (the classic
+/// ROMIO/PVFS default).
+const DEFAULT_STRIPE: u64 = 64 << 10;
+
+/// ADIO over N ≥ 1 DAFS sessions, one per server: each file is striped
+/// round-robin across the servers ([`dafs::DafsStripedFile`]). One session
+/// is the paper's configuration — every range then lands whole on the one
+/// server at its logical offset, and the op stream is that of the bare
+/// session. The `striping_factor` hint selects how many of the available
+/// servers a file stripes over (0 = all), `striping_unit` the block size —
+/// both honored at open time, PVFS style, so an existing file must be
+/// reopened with the layout it was created with.
 pub struct DafsAdio {
-    client: Arc<DafsClient>,
+    clients: Vec<Arc<DafsClient>>,
 }
 
 impl DafsAdio {
-    /// Wrap an established session.
-    pub fn new(client: Arc<DafsClient>) -> DafsAdio {
-        DafsAdio { client }
+    /// Wrap one established session per server, in server order.
+    pub fn new(clients: Vec<Arc<DafsClient>>) -> DafsAdio {
+        assert!(!clients.is_empty(), "DAFS ADIO needs at least one server");
+        DafsAdio { clients }
     }
 
-    fn resolve_dir(
-        &self,
-        ctx: &ActorCtx,
-        path: &str,
-        create: bool,
-    ) -> AdioResult<(NodeId, String)> {
-        dafs_resolve_dir(&self.client, ctx, path, create)
+    /// Number of servers available to stripe over.
+    pub fn servers(&self) -> usize {
+        self.clients.len()
     }
 }
 
@@ -592,18 +592,19 @@ fn dafs_shfp_set(client: &DafsClient, ctx: &ActorCtx, shfp: NodeId, value: u64) 
 /// The hidden shared-file-pointer companion file suffix.
 const SHFP_SUFFIX: &str = ".shfp";
 
-/// Re-express a sorted batch of contiguous requests as the segments of one
-/// vectored request, relative to the lowest buffer address. `None` when
-/// the batch isn't ascending and non-overlapping on both the file-offset
-/// and buffer-address axes — the caller keeps the contiguous batch path.
-fn list_segments(reqs: &[(u64, VirtAddr, u64)]) -> Option<(VirtAddr, Vec<ListSeg>)> {
-    let base = reqs.first()?.1;
+/// Re-express a sorted batch of contiguous requests as one vectored
+/// request, its segments relative to the lowest buffer address. `None`
+/// when the batch isn't ascending and non-overlapping on both the
+/// file-offset and buffer-address axes — the caller keeps the contiguous
+/// batch path.
+fn list_segments(reqs: &[IoReq]) -> Option<ListReq> {
+    let buf = reqs.first()?.addr;
     let mut segs = Vec::with_capacity(reqs.len());
-    for (off, addr, len) in reqs {
-        let rel = addr.as_u64().checked_sub(base.as_u64())?;
-        segs.push((*off, *len, rel));
+    for r in reqs {
+        let rel = r.addr.as_u64().checked_sub(buf.as_u64())?;
+        segs.push((r.off, r.len, rel));
     }
-    dafs::list_acceptable(&segs).then_some((base, segs))
+    dafs::list_acceptable(&segs).then_some(ListReq { segs, buf })
 }
 
 /// Whether the `dafs_listio` hint turns list I/O on. `Automatic` means on:
@@ -639,431 +640,18 @@ fn declare_qos(client: &DafsClient, ctx: &ActorCtx, hints: &crate::hints::Hints)
     }
 }
 
-struct DafsFileHandle {
-    client: Arc<DafsClient>,
-    fh: NodeId,
-    /// Hidden shared-pointer file (created lazily at open).
+struct DafsHandle {
+    /// The logical file; knows whether the `dafs_cache` hint routes
+    /// contiguous ops, size polls and sync through the client cache.
+    file: Arc<DafsStripedFile>,
+    /// Shared-pointer companion, on server 0 (the metadata authority).
     shfp: NodeId,
     /// `dafs_listio` hint captured at open: route sorted noncontiguous
     /// batches through the wire-level list ops.
     listio: bool,
-    /// `dafs_cache` hint captured at open: route contiguous reads and size
-    /// polls through the lease-coherent client cache.
-    cached: bool,
 }
 
 impl AdioFs for DafsAdio {
-    fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
-        self.open_with_hints(ctx, path, create, &crate::hints::Hints::default())
-    }
-
-    fn open_with_hints(
-        &self,
-        ctx: &ActorCtx,
-        path: &str,
-        create: bool,
-        hints: &crate::hints::Hints,
-    ) -> AdioResult<Arc<dyn AdioFile>> {
-        declare_qos(&self.client, ctx, hints);
-        let (dir, name) = self.resolve_dir(ctx, path, create)?;
-        let fh = dafs_open_node(&self.client, ctx, dir, &name, create)?;
-        // Shared-pointer companion.
-        let shfp = dafs_open_shfp(&self.client, ctx, dir, &name)?;
-        Ok(Arc::new(DafsFileHandle {
-            client: self.client.clone(),
-            fh,
-            shfp,
-            listio: listio_on(hints),
-            cached: cache_on(hints),
-        }))
-    }
-
-    fn delete(&self, ctx: &ActorCtx, path: &str) -> AdioResult<()> {
-        let (dir, name) = self.resolve_dir(ctx, path, false)?;
-        self.client
-            .remove(ctx, dir, &name)
-            .map_err(AdioError::from)?;
-        let _ = self
-            .client
-            .remove(ctx, dir, &format!("{name}{SHFP_SUFFIX}"));
-        Ok(())
-    }
-
-    fn kind(&self) -> DriverKind {
-        DriverKind::Dafs
-    }
-}
-
-impl AdioFile for DafsFileHandle {
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
-        with_retries(ctx, || {
-            if self.cached {
-                self.client.read_cached(ctx, self.fh, off, dst, len)
-            } else {
-                self.client.read(ctx, self.fh, off, dst, len)
-            }
-            .map_err(AdioError::from)
-        })
-    }
-
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
-        with_retries(ctx, || {
-            if self.cached {
-                self.client.write_cached(ctx, self.fh, off, src, len)
-            } else {
-                self.client.write(ctx, self.fh, off, src, len)
-            }
-            .map(|_| ())
-            .map_err(AdioError::from)
-        })
-    }
-
-    fn read_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let rs: Vec<ReadReq> = reqs
-            .iter()
-            .map(|(off, dst, len)| ReadReq {
-                fh: self.fh,
-                off: *off,
-                dst: *dst,
-                len: *len,
-            })
-            .collect();
-        with_retries(ctx, || {
-            let mut total = 0;
-            for r in self.client.read_batch(ctx, &rs) {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        })
-    }
-
-    fn write_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        let ws: Vec<WriteReq> = reqs
-            .iter()
-            .map(|(off, src, len)| WriteReq {
-                fh: self.fh,
-                off: *off,
-                src: *src,
-                len: *len,
-            })
-            .collect();
-        with_retries(ctx, || {
-            for r in self.client.write_batch(ctx, &ws) {
-                r.map_err(AdioError::from)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn list_io_enabled(&self) -> bool {
-        self.listio
-    }
-
-    fn read_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.read_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        with_retries(ctx, || {
-            let b = self
-                .client
-                .read_list_batch_begin(ctx, std::slice::from_ref(&lr));
-            let mut total = 0;
-            for r in self.client.batch_finish(ctx, b) {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        })
-    }
-
-    fn write_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.write_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        with_retries(ctx, || {
-            let b = self
-                .client
-                .write_list_batch_begin(ctx, std::slice::from_ref(&lr));
-            for r in self.client.batch_finish(ctx, b) {
-                r.map_err(AdioError::from)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn iread_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iread_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        let batch = self
-            .client
-            .read_list_batch_begin(ctx, std::slice::from_ref(&lr));
-        // Residual-transient fallback re-runs the same ranges through the
-        // contiguous batch path — byte-identical placement.
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iwrite_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        let batch = self
-            .client
-            .write_list_batch_begin(ctx, std::slice::from_ref(&lr));
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
-            }),
-        )
-    }
-
-    fn iread_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let rs: Vec<ReadReq> = reqs
-            .iter()
-            .map(|(off, dst, len)| ReadReq {
-                fh: self.fh,
-                off: *off,
-                dst: *dst,
-                len: *len,
-            })
-            .collect();
-        let batch = self.client.read_batch_begin(ctx, &rs);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let ws: Vec<WriteReq> = reqs
-            .iter()
-            .map(|(off, src, len)| WriteReq {
-                fh: self.fh,
-                off: *off,
-                src: *src,
-                len: *len,
-            })
-            .collect();
-        let batch = self.client.write_batch_begin(ctx, &ws);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
-            }),
-        )
-    }
-
-    fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
-        let attr = if self.cached {
-            self.client.getattr_cached(ctx, self.fh)
-        } else {
-            self.client.getattr(ctx, self.fh)
-        };
-        Ok(attr.map_err(AdioError::from)?.size)
-    }
-
-    fn set_size(&self, ctx: &ActorCtx, size: u64) -> AdioResult<()> {
-        self.client
-            .truncate(ctx, self.fh, size)
-            .map(|_| ())
-            .map_err(AdioError::from)
-    }
-
-    fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        if self.cached {
-            // Drain dirty write-back pages through the coalesced
-            // `WriteList` flush, then hand the lease back: `MPI_File_sync`
-            // is the coherence point of MPI's weak consistency model, so
-            // the next access revalidates and another rank's conflicting
-            // op never parks behind a holder that is blocked in a
-            // collective. A clean handle with no lease syncs wire-free —
-            // the server-side `Flush` commit round trip only ships when
-            // data actually moved.
-            let flushed = self.client.cache_sync(ctx).map_err(AdioError::from)?;
-            self.client
-                .cache_release(ctx, self.fh)
-                .map_err(AdioError::from)?;
-            if flushed == 0 {
-                return Ok(());
-            }
-        }
-        self.client.flush(ctx, self.fh).map_err(AdioError::from)
-    }
-
-    fn cache_collective(&self) -> bool {
-        self.cached
-    }
-
-    fn shared_fetch_add(&self, ctx: &ActorCtx, nbytes: u64) -> AdioResult<u64> {
-        dafs_shfp_fetch_add(&self.client, ctx, self.shfp, nbytes)
-    }
-
-    fn shared_set(&self, ctx: &ActorCtx, value: u64) -> AdioResult<()> {
-        dafs_shfp_set(&self.client, ctx, self.shfp, value)
-    }
-
-    fn lock_file(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        self.client.lock(ctx, self.fh).map_err(AdioError::from)
-    }
-
-    fn unlock_file(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        self.client.unlock(ctx, self.fh).map_err(AdioError::from)
-    }
-}
-
-/// A split-phase DAFS batch in flight, plus what is needed to re-run it
-/// synchronously if the session dies (idempotent: reads re-fetch, writes
-/// re-put the same bytes at the same offsets).
-struct DafsPending {
-    client: Arc<DafsClient>,
-    fh: NodeId,
-    batch: DafsBatch,
-    reqs: Vec<(u64, VirtAddr, u64)>,
-    write: bool,
-}
-
-impl PendingIo for DafsPending {
-    fn test(&mut self, ctx: &ActorCtx) -> bool {
-        self.client.batch_test(ctx, &mut self.batch)
-    }
-
-    fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
-        let me = *self;
-        let sum = |results: Vec<dafs::DafsResult<u64>>| -> AdioResult<u64> {
-            let mut total = 0;
-            for r in results {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        };
-        match sum(me.client.batch_finish(ctx, me.batch)) {
-            Err(e) if transient(&e) => {
-                // Residual transient failure after the batch's own inline
-                // recovery: fall back to the synchronous batch path, which
-                // carries the usual ADIO retry budget.
-                ctx.metrics().counter("adio.retries").inc();
-                with_retries(ctx, || {
-                    let results = if me.write {
-                        let ws: Vec<WriteReq> = me
-                            .reqs
-                            .iter()
-                            .map(|(off, src, len)| WriteReq {
-                                fh: me.fh,
-                                off: *off,
-                                src: *src,
-                                len: *len,
-                            })
-                            .collect();
-                        me.client.write_batch(ctx, &ws)
-                    } else {
-                        let rs: Vec<ReadReq> = me
-                            .reqs
-                            .iter()
-                            .map(|(off, dst, len)| ReadReq {
-                                fh: me.fh,
-                                off: *off,
-                                dst: *dst,
-                                len: *len,
-                            })
-                            .collect();
-                        me.client.read_batch(ctx, &rs)
-                    };
-                    sum(results)
-                })
-            }
-            r => r,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Striped DAFS driver
-// ---------------------------------------------------------------------------
-
-/// Default stripe size when no `striping_unit` hint is given (the classic
-/// ROMIO/PVFS default).
-const DEFAULT_STRIPE: u64 = 64 << 10;
-
-/// ADIO over several DAFS sessions, striping each file round-robin across
-/// the servers ([`dafs::DafsStripedFile`]). The `striping_factor` hint
-/// selects how many of the available servers a file stripes over (0 =
-/// all), `striping_unit` the block size — both honored at open time, PVFS
-/// style, so an existing file must be reopened with the layout it was
-/// created with.
-pub struct DafsStripedAdio {
-    clients: Vec<Arc<DafsClient>>,
-}
-
-impl DafsStripedAdio {
-    /// Wrap one established session per server, in server order.
-    pub fn new(clients: Vec<Arc<DafsClient>>) -> DafsStripedAdio {
-        assert!(
-            !clients.is_empty(),
-            "striped ADIO needs at least one server"
-        );
-        DafsStripedAdio { clients }
-    }
-
-    /// Number of servers available to stripe over.
-    pub fn servers(&self) -> usize {
-        self.clients.len()
-    }
-}
-
-struct DafsStripedFileHandle {
-    file: Arc<DafsStripedFile>,
-    /// Shared-pointer companion, on server 0 (the metadata authority).
-    shfp: NodeId,
-    /// `dafs_listio` hint captured at open.
-    listio: bool,
-    /// `dafs_cache` hint captured at open.
-    cached: bool,
-}
-
-impl AdioFs for DafsStripedAdio {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
         self.open_with_hints(ctx, path, create, &crate::hints::Hints::default())
     }
@@ -1099,11 +687,11 @@ impl AdioFs for DafsStripedAdio {
                 shfp = Some(dafs_open_shfp(c, ctx, dir, &name)?);
             }
         }
-        Ok(Arc::new(DafsStripedFileHandle {
-            file: Arc::new(DafsStripedFile::new(clients, fhs, stripe)),
+        let file = DafsStripedFile::new(clients, fhs, stripe, cache_on(hints));
+        Ok(Arc::new(DafsHandle {
+            file: Arc::new(file),
             shfp: shfp.expect("factor >= 1"),
             listio: listio_on(hints),
-            cached: cache_on(hints),
         }))
     }
 
@@ -1130,47 +718,56 @@ impl AdioFs for DafsStripedAdio {
     }
 
     fn kind(&self) -> DriverKind {
-        DriverKind::DafsStriped
+        if self.clients.len() == 1 {
+            DriverKind::Dafs
+        } else {
+            DriverKind::DafsStriped
+        }
     }
 }
 
-impl AdioFile for DafsStripedFileHandle {
+impl DafsHandle {
+    /// Issue half of every multi-request transfer: one list request when
+    /// the caller asked for one, the hint allows it and the batch is
+    /// sorted; the contiguous batch otherwise.
+    fn issue(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        shape: Shape,
+        reqs: &[IoReq],
+    ) -> DafsStripedBatch {
+        let listed = (shape == Shape::List && self.listio).then(|| list_segments(reqs));
+        match listed.flatten() {
+            Some(lr) => self.file.issue_list(ctx, dir, &[lr]),
+            None => self.file.issue(ctx, dir, reqs),
+        }
+    }
+}
+
+/// The blocking multi-request path, written once: `issue` + finish under
+/// the ADIO retry budget (each retry issues afresh). Also what a
+/// split-phase request falls back to.
+fn dafs_blocking(
+    ctx: &ActorCtx,
+    file: &DafsStripedFile,
+    issue: impl Fn() -> DafsStripedBatch,
+) -> AdioResult<u64> {
+    with_retries(ctx, || {
+        file.batch_finish(ctx, issue()).map_err(AdioError::from)
+    })
+}
+
+impl AdioFile for DafsHandle {
     fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
         with_retries(ctx, || {
-            if self.cached {
-                self.file.read_cached(ctx, off, dst, len)
-            } else {
-                self.file.read(ctx, off, dst, len)
-            }
-            .map_err(AdioError::from)
+            self.file.read(ctx, off, dst, len).map_err(AdioError::from)
         })
     }
 
     fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
         with_retries(ctx, || {
-            if self.cached {
-                self.file.write_cached(ctx, off, src, len)
-            } else {
-                self.file.write(ctx, off, src, len)
-            }
-            .map_err(AdioError::from)
-        })
-    }
-
-    fn read_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        with_retries(ctx, || {
-            let b = self.file.read_batch_begin(ctx, reqs);
-            self.file.batch_finish(ctx, b).map_err(AdioError::from)
-        })
-    }
-
-    fn write_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        with_retries(ctx, || {
-            let b = self.file.write_batch_begin(ctx, reqs);
-            self.file
-                .batch_finish(ctx, b)
-                .map(|_| ())
-                .map_err(AdioError::from)
+            self.file.write(ctx, off, src, len).map_err(AdioError::from)
         })
     }
 
@@ -1178,97 +775,36 @@ impl AdioFile for DafsStripedFileHandle {
         self.listio
     }
 
-    fn read_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.read_batch(ctx, reqs);
-        };
-        with_retries(ctx, || {
-            let b = self
-                .file
-                .read_list_batch_begin(ctx, &[(segs.clone(), base)]);
-            self.file.batch_finish(ctx, b).map_err(AdioError::from)
-        })
+    fn transfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioResult<u64> {
+        dafs_blocking(ctx, &self.file, || self.issue(ctx, dir, shape, reqs))
     }
 
-    fn write_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.write_batch(ctx, reqs);
-        };
-        with_retries(ctx, || {
-            let b = self
-                .file
-                .write_list_batch_begin(ctx, &[(segs.clone(), base)]);
-            self.file
-                .batch_finish(ctx, b)
-                .map(|_| ())
-                .map_err(AdioError::from)
-        })
-    }
-
-    fn iread_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iread_batch(ctx, reqs);
-        };
-        let batch = self.file.read_list_batch_begin(ctx, &[(segs, base)]);
+    fn itransfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioRequest {
         AdioRequest::pending(
             ctx,
-            Box::new(DafsStripedPending {
+            Box::new(DafsInFlight {
                 file: self.file.clone(),
-                batch,
+                batch: self.issue(ctx, dir, shape, reqs),
+                dir,
                 reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iwrite_batch(ctx, reqs);
-        };
-        let batch = self.file.write_list_batch_begin(ctx, &[(segs, base)]);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsStripedPending {
-                file: self.file.clone(),
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
-            }),
-        )
-    }
-
-    fn iread_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let batch = self.file.read_batch_begin(ctx, reqs);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsStripedPending {
-                file: self.file.clone(),
-                batch,
-                reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let batch = self.file.write_batch_begin(ctx, reqs);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsStripedPending {
-                file: self.file.clone(),
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
             }),
         )
     }
 
     fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
-        if self.cached {
-            self.file.get_size_cached(ctx).map_err(AdioError::from)
-        } else {
-            self.file.get_size(ctx).map_err(AdioError::from)
-        }
+        self.file.get_size(ctx).map_err(AdioError::from)
     }
 
     fn set_size(&self, ctx: &ActorCtx, size: u64) -> AdioResult<()> {
@@ -1276,20 +812,11 @@ impl AdioFile for DafsStripedFileHandle {
     }
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        if self.cached {
-            // Per-server coalesced write-back drain, then lease handback
-            // (sync is the coherence point); wire-free when clean.
-            let flushed = self.file.cache_sync(ctx).map_err(AdioError::from)?;
-            self.file.cache_release(ctx).map_err(AdioError::from)?;
-            if flushed == 0 {
-                return Ok(());
-            }
-        }
-        self.file.flush(ctx).map_err(AdioError::from)
+        self.file.sync(ctx).map_err(AdioError::from)
     }
 
     fn cache_collective(&self) -> bool {
-        self.cached
+        self.file.cached()
     }
 
     fn shared_fetch_add(&self, ctx: &ActorCtx, nbytes: u64) -> AdioResult<u64> {
@@ -1309,17 +836,17 @@ impl AdioFile for DafsStripedFileHandle {
     }
 }
 
-/// A split-phase striped batch in flight: per-server [`DafsBatch`]es plus
-/// what is needed to re-run the whole batch synchronously if a session
-/// dies (idempotent, like [`DafsPending`]).
-struct DafsStripedPending {
+/// A split-phase DAFS transfer in flight: per-server batches plus what is
+/// needed to re-run it synchronously if a session dies (idempotent: reads
+/// re-fetch, writes re-put the same bytes at the same offsets).
+struct DafsInFlight {
     file: Arc<DafsStripedFile>,
     batch: DafsStripedBatch,
-    reqs: Vec<(u64, VirtAddr, u64)>,
-    write: bool,
+    dir: BatchDir,
+    reqs: Vec<IoReq>,
 }
 
-impl PendingIo for DafsStripedPending {
+impl PendingIo for DafsInFlight {
     fn test(&mut self, ctx: &ActorCtx) -> bool {
         self.file.batch_test(ctx, &mut self.batch)
     }
@@ -1329,17 +856,11 @@ impl PendingIo for DafsStripedPending {
         match me.file.batch_finish(ctx, me.batch).map_err(AdioError::from) {
             Err(e) if transient(&e) => {
                 // Residual transient failure after the per-session
-                // recovery: re-run the batch synchronously with the usual
-                // ADIO retry budget.
+                // recovery: fall back to the blocking path, which carries
+                // the usual ADIO retry budget. The same ranges go through
+                // the contiguous batch — byte-identical placement.
                 ctx.metrics().counter("adio.retries").inc();
-                with_retries(ctx, || {
-                    let b = if me.write {
-                        me.file.write_batch_begin(ctx, &me.reqs)
-                    } else {
-                        me.file.read_batch_begin(ctx, &me.reqs)
-                    };
-                    me.file.batch_finish(ctx, b).map_err(AdioError::from)
-                })
+                dafs_blocking(ctx, &me.file, || me.file.issue(ctx, me.dir, &me.reqs))
             }
             r => r,
         }
@@ -1495,38 +1016,35 @@ impl AdioFile for NfsFileHandle {
             .map_err(AdioError::from)
     }
 
-    fn iread_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let ps = reqs
-            .iter()
-            .map(|(off, _, len)| self.client.read_begin(ctx, self.fh, *off, *len))
-            .collect();
+    fn itransfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        _shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioRequest {
+        let ops = match dir {
+            BatchDir::Read => NfsPendingOps::Read(
+                reqs.iter()
+                    .map(|r| self.client.read_begin(ctx, self.fh, r.off, r.len))
+                    .collect(),
+            ),
+            BatchDir::Write => NfsPendingOps::Write(
+                reqs.iter()
+                    .map(|r| {
+                        let data = self.host.mem.read_vec(r.addr, r.len as usize);
+                        self.client.write_begin(ctx, self.fh, r.off, &data)
+                    })
+                    .collect(),
+            ),
+        };
         AdioRequest::pending(
             ctx,
             Box::new(NfsPending {
                 client: self.client.clone(),
                 fh: self.fh,
                 host: self.host.clone(),
-                ops: NfsPendingOps::Read(ps),
-                reqs: reqs.to_vec(),
-            }),
-        )
-    }
-
-    fn iwrite_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let ps = reqs
-            .iter()
-            .map(|(off, src, len)| {
-                let data = self.host.mem.read_vec(*src, *len as usize);
-                self.client.write_begin(ctx, self.fh, *off, &data)
-            })
-            .collect();
-        AdioRequest::pending(
-            ctx,
-            Box::new(NfsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                host: self.host.clone(),
-                ops: NfsPendingOps::Write(ps),
+                ops,
                 reqs: reqs.to_vec(),
             }),
         )
@@ -1552,7 +1070,7 @@ struct NfsPending {
     fh: NodeId,
     host: Host,
     ops: NfsPendingOps,
-    reqs: Vec<(u64, VirtAddr, u64)>,
+    reqs: Vec<IoReq>,
 }
 
 impl PendingIo for NfsPending {
@@ -1569,9 +1087,9 @@ impl PendingIo for NfsPending {
             NfsPendingOps::Read(ps) => {
                 let mut total = 0;
                 (|| {
-                    for (p, (_, dst, _)) in ps.into_iter().zip(&reqs) {
+                    for (p, r) in ps.into_iter().zip(&reqs) {
                         let data = client.read_finish(ctx, p).map_err(AdioError::from)?;
-                        host.mem.write(*dst, &data);
+                        host.mem.write(r.addr, &data);
                         total += data.len() as u64;
                     }
                     Ok(total)
@@ -1580,9 +1098,9 @@ impl PendingIo for NfsPending {
             NfsPendingOps::Write(ps) => {
                 let mut total = 0;
                 (|| {
-                    for (p, (_, _, len)) in ps.into_iter().zip(&reqs) {
+                    for (p, r) in ps.into_iter().zip(&reqs) {
                         client.write_finish(ctx, p).map_err(AdioError::from)?;
-                        total += *len;
+                        total += r.len;
                     }
                     Ok(total)
                 })()
@@ -1598,16 +1116,18 @@ impl PendingIo for NfsPending {
                 ctx.metrics().counter("adio.retries").inc();
                 with_retries(ctx, || {
                     let mut total = 0;
-                    for (off, addr, len) in &reqs {
+                    for r in &reqs {
                         if is_write {
-                            let data = host.mem.read_vec(*addr, *len as usize);
+                            let data = host.mem.read_vec(r.addr, r.len as usize);
                             client
-                                .write(ctx, fh, *off, &data)
+                                .write(ctx, fh, r.off, &data)
                                 .map_err(AdioError::from)?;
-                            total += *len;
+                            total += r.len;
                         } else {
-                            let data = client.read(ctx, fh, *off, *len).map_err(AdioError::from)?;
-                            host.mem.write(*addr, &data);
+                            let data = client
+                                .read(ctx, fh, r.off, r.len)
+                                .map_err(AdioError::from)?;
+                            host.mem.write(r.addr, &data);
                             total += data.len() as u64;
                         }
                     }
@@ -1818,12 +1338,17 @@ mod tests {
             for (i, b) in bufs.iter().enumerate() {
                 host.mem.fill(*b, 100, i as u8 + 1);
             }
-            let writes: Vec<(u64, VirtAddr, u64)> = bufs
+            let writes: Vec<IoReq> = bufs
                 .iter()
                 .enumerate()
-                .map(|(i, b)| ((i * 100) as u64, *b, 100))
+                .map(|(i, b)| IoReq {
+                    off: (i * 100) as u64,
+                    addr: *b,
+                    len: 100,
+                })
                 .collect();
-            f.write_batch(ctx, &writes).unwrap();
+            let n = f.transfer(ctx, BatchDir::Write, Shape::Batch, &writes);
+            assert_eq!(n, Ok(400));
             let dst = host.mem.alloc(400);
             assert_eq!(f.read_contig(ctx, 0, dst, 400).unwrap(), 400);
             let got = host.mem.read_vec(dst, 400);

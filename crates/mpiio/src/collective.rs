@@ -19,8 +19,8 @@
 //!
 //! With `romio_cb_pipeline` left on (the default) the sweep is
 //! *double-buffered*: each aggregator owns two collective buffers and
-//! issues window k's filesystem batch nonblocking (`iwrite_list` /
-//! `iread_list`, which DAFS handles carry as one vectored wire request and
+//! issues window k's filesystem batch nonblocking (`itransfer` with
+//! `Shape::List`, which DAFS handles carry as one vectored wire request and
 //! other drivers serve as the plain contiguous batch), so it drains while
 //! window k+1 is packed, exchanged and
 //! overlaid into the other buffer. Per window the sweep then costs
@@ -31,7 +31,7 @@
 
 use simnet::{ActorCtx, Host, SimTime, VirtAddr};
 
-use crate::adio::{AdioRequest, AdioResult};
+use crate::adio::{AdioRequest, AdioResult, BatchDir, IoReq, Shape};
 use crate::comm::Comm;
 use crate::file::MpiFile;
 use crate::hints::TriState;
@@ -173,6 +173,19 @@ fn merge_runs(mut runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         }
     }
     out
+}
+
+/// Merged file runs of the window starting at `ws` as filesystem requests
+/// against its collective buffer (offset-aligned: byte `off` lives at
+/// `cbuf + (off - ws)`).
+fn window_reqs(runs: &[(u64, u64)], cbuf: VirtAddr, ws: u64) -> Vec<IoReq> {
+    runs.iter()
+        .map(|&(off, len)| IoReq {
+            off,
+            addr: cbuf.offset(off - ws),
+            len,
+        })
+        .collect()
 }
 
 /// A read window whose replies are still owed: the per-rank request
@@ -353,7 +366,7 @@ pub fn write_at_all(
         charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
         // Aggregate my window. When pipelining, the previous batch is still
         // draining from the *other* collective buffer while this overlays.
-        let mut reqs: Option<Vec<(u64, VirtAddr, u64)>> = None;
+        let mut reqs: Option<Vec<IoReq>> = None;
         if let (Some(&cbuf), Some((ws, we))) = (
             cbufs.get(phase as usize % nbufs),
             sweep.window(comm.rank(), phase),
@@ -372,10 +385,7 @@ pub fn write_at_all(
                 }
             }
             let runs = merge_runs(covered);
-            let r: Vec<(u64, VirtAddr, u64)> = runs
-                .iter()
-                .map(|(off, len)| (*off, cbuf.offset(off - ws), *len))
-                .collect();
+            let r = window_reqs(&runs, cbuf, ws);
             debug_assert!(runs.iter().all(|(o, l)| *o >= ws && o + l <= we));
             charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
             reqs = Some(r);
@@ -384,8 +394,8 @@ pub fn write_at_all(
             // Buffer the aggregated runs dirty in the client cache; no
             // per-window wire batch — the flush coalesces them later.
             if let Some(r) = reqs {
-                for (off, addr, len) in &r {
-                    file.adio().write_contig(ctx, *off, *addr, *len)?;
+                for q in &r {
+                    file.adio().write_contig(ctx, q.off, q.addr, q.len)?;
                 }
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
             }
@@ -394,12 +404,16 @@ pub fn write_at_all(
             // ran under this phase's pack/exchange.
             drain_window_batch(ctx, pending.take(), &mut mark)?;
             if let Some(r) = reqs {
-                pending = Some((file.adio().iwrite_list(ctx, &r), ctx.now()));
+                pending = Some((
+                    file.adio().itransfer(ctx, BatchDir::Write, Shape::List, &r),
+                    ctx.now(),
+                ));
                 // Post cost of issuing the batch.
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
             }
         } else if let Some(r) = reqs {
-            file.adio().write_list(ctx, &r)?;
+            file.adio()
+                .transfer(ctx, BatchDir::Write, Shape::List, &r)?;
             charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
         }
     }
@@ -500,18 +514,19 @@ pub fn read_at_all(
                 sweep.window(comm.rank(), phase),
             ) {
                 let runs = merge_runs(piece_descs(&requests));
-                let reqs: Vec<(u64, VirtAddr, u64)> = runs
-                    .iter()
-                    .map(|(off, len)| (*off, cbuf.offset(off - ws), *len))
-                    .collect();
+                let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
                 if cb_cache {
                     // Leased pages answer locally; misses fetch-and-keep.
-                    for (off, addr, len) in &reqs {
-                        file.adio().read_contig(ctx, *off, *addr, *len)?;
+                    for q in &reqs {
+                        file.adio().read_contig(ctx, q.off, q.addr, q.len)?;
                     }
                 } else {
-                    pending = Some((file.adio().iread_list(ctx, &reqs), ctx.now()));
+                    pending = Some((
+                        file.adio()
+                            .itransfer(ctx, BatchDir::Read, Shape::List, &reqs),
+                        ctx.now(),
+                    ));
                 }
                 // Post cost of issuing the batch.
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
@@ -538,18 +553,16 @@ pub fn read_at_all(
                 (cbufs.first(), sweep.window(comm.rank(), phase))
             {
                 let runs = merge_runs(piece_descs(&requests));
-                let reqs: Vec<(u64, VirtAddr, u64)> = runs
-                    .iter()
-                    .map(|(off, len)| (*off, cbuf.offset(off - ws), *len))
-                    .collect();
+                let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
                 if cb_cache {
                     // Leased pages answer locally; misses fetch-and-keep.
-                    for (off, addr, len) in &reqs {
-                        file.adio().read_contig(ctx, *off, *addr, *len)?;
+                    for q in &reqs {
+                        file.adio().read_contig(ctx, q.off, q.addr, q.len)?;
                     }
                 } else {
-                    file.adio().read_list(ctx, &reqs)?;
+                    file.adio()
+                        .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?;
                 }
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
                 served = Some((cbuf, ws));

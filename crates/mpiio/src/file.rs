@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::{ActorCtx, Host, VirtAddr};
 
-use crate::adio::{AdioError, AdioFile, AdioFs, AdioResult, DriverKind};
+use crate::adio::{AdioError, AdioFile, AdioFs, AdioResult, BatchDir, DriverKind, IoReq, Shape};
 use crate::datatype::Datatype;
 use crate::hints::{Hints, TriState};
 use crate::view::FileView;
@@ -113,7 +113,7 @@ pub enum SeekWhence {
 
 /// A completed-or-pending nonblocking operation (`MPI_Request`).
 ///
-/// Wraps the driver-level [`AdioRequest`]: on DAFS and NFS the I/O is
+/// Wraps the driver-level [`crate::adio::AdioRequest`]: on DAFS and NFS the I/O is
 /// genuinely in flight (issued but not collected) until `wait`, so the
 /// caller can overlap computation or communication with it. Drivers
 /// without split-phase support complete eagerly at post time.
@@ -480,23 +480,10 @@ impl MpiFile {
     // --- nonblocking ---------------------------------------------------------
 
     /// Map a view range to batch requests consuming `buf` in order.
-    fn batch_reqs(
-        &self,
-        offset_etypes: u64,
-        buf: VirtAddr,
-        nbytes: u64,
-    ) -> Vec<(u64, VirtAddr, u64)> {
+    fn batch_reqs(&self, offset_etypes: u64, buf: VirtAddr, nbytes: u64) -> Vec<IoReq> {
         let view = self.view.lock().clone();
         let logical = offset_etypes * view.etype_size();
-        let mut consumed = 0u64;
-        view.map(logical, nbytes)
-            .into_iter()
-            .map(|(off, len)| {
-                let r = (off, buf.offset(consumed), len);
-                consumed += len;
-                r
-            })
-            .collect()
+        Self::packed_reqs(&view.map(logical, nbytes), buf)
     }
 
     /// `MPI_File_iread_at`: issue the read split-phase and return a
@@ -511,7 +498,9 @@ impl MpiFile {
     ) -> Request {
         let reqs = self.batch_reqs(offset_etypes, dst, nbytes);
         Request {
-            inner: self.file.iread_batch(ctx, &reqs),
+            inner: self
+                .file
+                .itransfer(ctx, BatchDir::Read, Shape::Batch, &reqs),
         }
     }
 
@@ -525,7 +514,9 @@ impl MpiFile {
     ) -> Request {
         let reqs = self.batch_reqs(offset_etypes, src, nbytes);
         Request {
-            inner: self.file.iwrite_batch(ctx, &reqs),
+            inner: self
+                .file
+                .itransfer(ctx, BatchDir::Write, Shape::Batch, &reqs),
         }
     }
 
@@ -547,12 +538,13 @@ impl MpiFile {
     }
 
     /// A range list as packed batch requests consuming `buf` in order.
-    fn packed_reqs(ranges: &[(u64, u64)], buf: VirtAddr) -> Vec<(u64, VirtAddr, u64)> {
+    fn packed_reqs(ranges: &[(u64, u64)], buf: VirtAddr) -> Vec<IoReq> {
         let mut reqs = Vec::with_capacity(ranges.len());
         let mut consumed = 0u64;
-        for (off, len) in ranges {
-            reqs.push((*off, buf.offset(consumed), *len));
-            consumed += *len;
+        for &(off, len) in ranges {
+            let addr = buf.offset(consumed);
+            reqs.push(IoReq { off, addr, len });
+            consumed += len;
         }
         reqs
     }
@@ -570,10 +562,14 @@ impl MpiFile {
             [] => Ok(0),
             [(off, len)] => self.file.read_contig(ctx, *off, dst, *len),
             _ if self.use_list_io(ranges) => {
-                self.file.read_list(ctx, &Self::packed_reqs(ranges, dst))
+                let reqs = Self::packed_reqs(ranges, dst);
+                self.file.transfer(ctx, BatchDir::Read, Shape::List, &reqs)
             }
             _ if self.should_sieve(ranges, self.hints.ds_read) => self.sieve_read(ctx, ranges, dst),
-            _ => self.file.read_batch(ctx, &Self::packed_reqs(ranges, dst)),
+            _ => {
+                let reqs = Self::packed_reqs(ranges, dst);
+                self.file.transfer(ctx, BatchDir::Read, Shape::Batch, &reqs)
+            }
         }
     }
 
@@ -589,9 +585,7 @@ impl MpiFile {
             [(off, len)] => self.file.write_contig(ctx, *off, src, *len),
             // List writes put exactly the requested bytes — no
             // read-modify-write window, hence no whole-file lock.
-            _ if self.use_list_io(ranges) => {
-                self.file.write_list(ctx, &Self::packed_reqs(ranges, src))
-            }
+            _ if self.use_list_io(ranges) => self.batch_write(ctx, Shape::List, ranges, src),
             _ if self.should_sieve(ranges, self.hints.ds_write) => {
                 // Sieved writes read-modify-write whole windows, which
                 // would clobber concurrent writers' bytes without a lock
@@ -603,16 +597,27 @@ impl MpiFile {
                         self.file.unlock_file(ctx)?;
                         r
                     }
-                    Err(AdioError::NotSupported) => self.batch_write(ctx, ranges, src),
+                    Err(AdioError::NotSupported) => {
+                        self.batch_write(ctx, Shape::Batch, ranges, src)
+                    }
                     Err(e) => Err(e),
                 }
             }
-            _ => self.batch_write(ctx, ranges, src),
+            _ => self.batch_write(ctx, Shape::Batch, ranges, src),
         }
     }
 
-    fn batch_write(&self, ctx: &ActorCtx, ranges: &[(u64, u64)], src: VirtAddr) -> AdioResult<()> {
-        self.file.write_batch(ctx, &Self::packed_reqs(ranges, src))
+    fn batch_write(
+        &self,
+        ctx: &ActorCtx,
+        shape: Shape,
+        ranges: &[(u64, u64)],
+        src: VirtAddr,
+    ) -> AdioResult<()> {
+        let reqs = Self::packed_reqs(ranges, src);
+        self.file
+            .transfer(ctx, BatchDir::Write, shape, &reqs)
+            .map(|_| ())
     }
 
     /// Data-sieving read: fetch whole windows, pick out the pieces.

@@ -34,8 +34,8 @@ pub mod view;
 pub mod world;
 
 pub use adio::{
-    AdioError, AdioFile, AdioFs, AdioRequest, AdioResult, DafsAdio, DafsStripedAdio, DriverKind,
-    IoFault, NfsAdio, PendingIo, UfsAdio, UfsCost,
+    AdioError, AdioFile, AdioFs, AdioRequest, AdioResult, BatchDir, DafsAdio, DriverKind, IoFault,
+    IoReq, NfsAdio, PendingIo, Shape, UfsAdio, UfsCost,
 };
 pub use collective::{
     read_all, read_at_all, read_at_all_begin, read_at_all_end, read_ordered, write_all,

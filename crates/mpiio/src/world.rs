@@ -20,9 +20,7 @@ use simnet::{
 use tcpnet::{TcpCost, TcpFabric};
 use via::{ViaCost, ViaFabric};
 
-use crate::adio::{
-    set_current_host, AdioFs, DafsAdio, DafsStripedAdio, DriverKind, NfsAdio, UfsAdio, UfsCost,
-};
+use crate::adio::{set_current_host, AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio, UfsCost};
 use crate::comm::{Comm, CommCost};
 
 /// Which file-access stack the job runs on.
@@ -216,29 +214,14 @@ impl Testbed {
         let mut via_fabric = None;
         let mut tcp_fabric = None;
         match &backend {
-            Backend::Dafs { via, server, .. } => {
+            Backend::Dafs { via, server, .. } | Backend::DafsStriped { via, server, .. } => {
+                let servers = match &backend {
+                    Backend::DafsStriped { servers, .. } => *servers,
+                    _ => 1,
+                };
+                assert!(servers >= 1, "striped backend needs at least one server");
                 let fabric = ViaFabric::new(*via);
-                let nic = fabric.open_nic(cluster.add_host("server0"));
-                dafs_handles.push(dafs::spawn_dafs_server(
-                    &kernel,
-                    &fabric,
-                    nic,
-                    fs.clone(),
-                    PORT,
-                    *server,
-                ));
-                server_fss.push(fs.clone());
-                via_fabric = Some(fabric);
-            }
-            Backend::DafsStriped {
-                via,
-                server,
-                servers,
-                ..
-            } => {
-                assert!(*servers >= 1, "striped backend needs at least one server");
-                let fabric = ViaFabric::new(*via);
-                for s in 0..*servers {
+                for s in 0..servers {
                     // Server 0 exports the testbed's primary fs handle.
                     let sfs = if s == 0 { fs.clone() } else { MemFs::new() };
                     let nic = fabric.open_nic(cluster.add_host(&format!("server{s}")));
@@ -436,25 +419,11 @@ impl Testbed {
                 rh.lock().push(host.clone());
                 set_current_host(&host);
                 match &backend {
-                    Backend::Dafs { client, .. } => {
+                    Backend::Dafs { client, .. } | Backend::DafsStriped { client, .. } => {
                         let fabric = via_fabric.as_ref().unwrap();
                         let nic = fabric.open_nic(host.clone());
-                        let c = DafsClient::connect(
-                            ctx,
-                            fabric,
-                            &nic,
-                            server_host_id.unwrap(),
-                            PORT,
-                            *client,
-                        )
-                        .expect("DAFS session");
-                        let adio = DafsAdio::new(Arc::new(c));
-                        body(ctx, comm, &adio);
-                    }
-                    Backend::DafsStriped { client, .. } => {
-                        let fabric = via_fabric.as_ref().unwrap();
-                        let nic = fabric.open_nic(host.clone());
-                        // One session per server, all over the rank's NIC.
+                        // One session per server (one, for the paper's
+                        // single-server system), all over the rank's NIC.
                         let clients: Vec<Arc<DafsClient>> = server_host_ids
                             .iter()
                             .map(|sid| {
@@ -464,7 +433,7 @@ impl Testbed {
                                 )
                             })
                             .collect();
-                        let adio = DafsStripedAdio::new(clients);
+                        let adio = DafsAdio::new(clients);
                         body(ctx, comm, &adio);
                     }
                     Backend::Nfs { client, .. } => {

@@ -4,9 +4,8 @@
 //!
 //! * [`Mutex`] — `lock()` returns the guard directly (non-poisoning; a
 //!   poisoned std lock is recovered transparently).
-//! * [`RwLock`] with `read()` / `write()`, likewise.
 //!
-//! Guards are std's own, re-exported.
+//! The guard is std's own, re-exported.
 //!
 //! Semantics match `parking_lot` for the patterns used in this workspace:
 //! panics while holding a lock do not poison it for other threads.
@@ -14,7 +13,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock with `parking_lot`'s non-poisoning interface.
 #[derive(Default)]
@@ -57,29 +56,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s non-poisoning interface.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Create a new lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,18 +67,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = Arc::new(RwLock::new(vec![1, 2]));
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(r1.len() + r2.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 
     #[test]

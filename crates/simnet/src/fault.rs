@@ -255,8 +255,8 @@ impl FaultPlan {
         cause
     }
 
-    /// Apply latency jitter to a delivery that survived [`should_drop`]
-    /// (`FaultPlan::should_drop`). The result is clamped to be monotone per
+    /// Apply latency jitter to a delivery that survived
+    /// [`FaultPlan::should_drop`]. The result is clamped to be monotone per
     /// directed link so jitter never reorders a FIFO wire.
     pub fn jitter(&self, ctx: &ActorCtx, src: HostId, dst: HostId, nominal: SimTime) -> SimTime {
         let max = self.spec(src, dst).jitter;

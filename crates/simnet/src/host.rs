@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::kernel::ActorCtx;
 use crate::time::{SimDuration, SimTime};
@@ -63,7 +63,7 @@ struct MemState {
 #[derive(Clone)]
 /// HostMem.
 pub struct HostMem {
-    state: Arc<RwLock<MemState>>,
+    state: Arc<Mutex<MemState>>,
 }
 
 impl Default for HostMem {
@@ -76,7 +76,7 @@ impl HostMem {
     /// Create a new instance with default state.
     pub fn new() -> HostMem {
         HostMem {
-            state: Arc::new(RwLock::new(MemState {
+            state: Arc::new(Mutex::new(MemState {
                 allocs: BTreeMap::new(),
                 next: 0x1000,
                 allocated_bytes: 0,
@@ -86,7 +86,7 @@ impl HostMem {
 
     /// Allocate `len` zeroed bytes; returns the base address.
     pub fn alloc(&self, len: usize) -> VirtAddr {
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let base = st.next;
         // Align the next allocation to 4 KiB so page-granularity registration
         // costs are realistic, and leave a guard gap.
@@ -106,7 +106,7 @@ impl HostMem {
     /// Free an allocation by its base address. Panics on a non-base address
     /// (simulator-bug detection, like a bad `free(3)`).
     pub fn free(&self, addr: VirtAddr) {
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let a = st
             .allocs
             .remove(&addr.0)
@@ -116,11 +116,11 @@ impl HostMem {
 
     /// Total live allocated bytes.
     pub fn allocated_bytes(&self) -> u64 {
-        self.state.read().allocated_bytes
+        self.state.lock().allocated_bytes
     }
 
     fn with_alloc<R>(&self, addr: VirtAddr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut st = self.state.write();
+        let mut st = self.state.lock();
         let (_, alloc) = st
             .allocs
             .range_mut(..=addr.0)
@@ -167,7 +167,7 @@ impl HostMem {
 
     /// True if `[addr, addr+len)` lies inside one live allocation.
     pub fn is_mapped(&self, addr: VirtAddr, len: usize) -> bool {
-        let st = self.state.read();
+        let st = self.state.lock();
         match st.allocs.range(..=addr.0).next_back() {
             Some((_, a)) => (addr.0 - a.base) as usize + len <= a.data.len(),
             None => false,

@@ -140,4 +140,7 @@ rm -f "$tmp_json" "$tmp_txt" "$tmp_txt.golden" "$tmp_txt.got" "$tmp_json.golden"
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings, i.e. broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "ci: OK"

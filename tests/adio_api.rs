@@ -1,12 +1,19 @@
 //! Unit tests backfilling the typed ADIO API surface: the `OpenOptions`
-//! builder, `DriverKind` string round-trips, and the `source()` chain
-//! threaded through `AdioError::Io`.
+//! builder, `DriverKind` string round-trips, the `source()` chain threaded
+//! through `AdioError::Io`, and the one multi-request transfer every
+//! driver carries (shape × direction × blocking/split-phase), with the
+//! retry and in-flight accounting around it.
 
 use std::error::Error;
 use std::str::FromStr;
 
-use mpio_dafs::mpiio::{AdioError, Backend, DriverKind, IoFault, OpenMode, OpenOptions, Testbed};
+use mpio_dafs::dafs::{DafsClientConfig, DafsError};
+use mpio_dafs::mpiio::{
+    AdioError, Backend, BatchDir, DriverKind, IoFault, IoReq, OpenMode, OpenOptions, Shape, Testbed,
+};
 use mpio_dafs::nfsv3::NfsError;
+use mpio_dafs::simnet::units::ms;
+use mpio_dafs::simnet::{FaultPlan, HostId, SimTime};
 
 #[test]
 fn driver_kind_round_trips_through_strings() {
@@ -109,4 +116,146 @@ fn adio_error_source_chains_to_the_driver_error() {
         .unwrap()
         .source()
         .is_none());
+}
+
+/// Every driver × shape × blocking/split-phase × sorted/unsorted batch, in
+/// both directions: three 40 KiB requests (they straddle the 64 KiB stripe
+/// edges of the two-server layout) land exactly their bytes, and come back
+/// through the same call. An unsorted `Shape::List` batch must quietly
+/// travel as a plain batch. A missing path is `NoSuchFile` everywhere.
+#[test]
+fn every_driver_carries_every_transfer_shape() {
+    const LEN: u64 = 40 << 10;
+    const SPAN: usize = 256 << 10;
+    let backends = [
+        ("dafs x1", Backend::dafs()),
+        ("dafs x2", Backend::dafs_striped(2)),
+        ("nfs", Backend::nfs()),
+        ("ufs", Backend::ufs()),
+    ];
+    for (name, backend) in backends {
+        Testbed::new(backend).run(1, move |ctx, comm, adio| {
+            let mem = &comm.host().mem;
+            assert_eq!(adio.delete(ctx, "/absent"), Err(AdioError::NoSuchFile));
+            let (buf, back) = (mem.alloc(3 * LEN as usize), mem.alloc(SPAN));
+            let mut case = 0u8;
+            for shape in [Shape::Batch, Shape::List] {
+                for split_phase in [false, true] {
+                    for sorted in [true, false] {
+                        case += 1;
+                        let tag = format!("{name} {shape:?} split={split_phase} sorted={sorted}");
+                        let f = adio.open(ctx, &format!("/t{case}"), true).unwrap();
+                        let mut reqs: Vec<IoReq> = (0..3)
+                            .map(|i| IoReq {
+                                off: (10 << 10) + i * (80 << 10),
+                                addr: buf.offset(i * LEN),
+                                len: LEN,
+                            })
+                            .collect();
+                        if !sorted {
+                            // Descending in the file, ascending in memory.
+                            let offs: Vec<u64> = reqs.iter().rev().map(|r| r.off).collect();
+                            for (r, off) in reqs.iter_mut().zip(offs) {
+                                r.off = off;
+                            }
+                        }
+                        let go = |dir| {
+                            if split_phase {
+                                f.itransfer(ctx, dir, shape, &reqs).wait(ctx)
+                            } else {
+                                f.transfer(ctx, dir, shape, &reqs)
+                            }
+                        };
+                        let mut want = vec![0u8; SPAN];
+                        for (i, r) in reqs.iter().enumerate() {
+                            let fill = case * 8 + i as u8;
+                            mem.fill(r.addr, LEN as usize, fill);
+                            want[r.off as usize..(r.off + LEN) as usize].fill(fill);
+                        }
+                        assert_eq!(go(BatchDir::Write), Ok(3 * LEN), "{tag}");
+                        let end = (170 << 10) + LEN;
+                        assert_eq!(f.get_size(ctx), Ok(end), "{tag}");
+                        assert_eq!(f.read_contig(ctx, 0, back, SPAN as u64), Ok(end), "{tag}");
+                        let image = mem.read_vec(back, end as usize);
+                        assert!(image == want[..end as usize], "{tag}: wrong bytes landed");
+                        mem.fill(buf, 3 * LEN as usize, 0);
+                        assert_eq!(go(BatchDir::Read), Ok(3 * LEN), "{tag}");
+                        for (i, r) in reqs.iter().enumerate() {
+                            let got = mem.read_vec(r.addr, LEN as usize);
+                            assert!(
+                                got == vec![case * 8 + i as u8; LEN as usize],
+                                "{tag} req {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// The retry budget around the DAFS transfers, and what `adio.inflight`
+/// counts. The sessions cannot reconnect (`max_reconnects: 0`) and the
+/// server dies for good at 5 ms, so every attempt after that fails with a
+/// transient fault: a blocking call re-attempts `ADIO_RETRIES` = 2 times
+/// and gives up; a split-phase request bumps once for its residual
+/// fallback to the blocking path, which then spends the same budget. Only
+/// the split-phase request was ever in flight.
+#[test]
+fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
+    let backend = Backend::Dafs {
+        via: Default::default(),
+        server: Default::default(),
+        client: DafsClientConfig {
+            max_reconnects: 0,
+            ..DafsClientConfig::default()
+        },
+    };
+    // The file server is always host 0.
+    let (from, until) = (SimTime::ZERO + ms(5), SimTime::ZERO + ms(600_000));
+    let crash = FaultPlan::builder(1)
+        .host_crash(HostId(0), from, until)
+        .build();
+    Testbed::with_faults(backend, crash).run(1, |ctx, comm, adio| {
+        let mem = &comm.host().mem;
+        let f = adio.open(ctx, "/r", true).unwrap();
+        let buf = mem.alloc(16 << 10);
+        let reqs: Vec<IoReq> = (0..4)
+            .map(|i| IoReq {
+                off: i * (8 << 10),
+                addr: buf.offset(i * (4 << 10)),
+                len: 4 << 10,
+            })
+            .collect();
+        let retries = || ctx.metrics().counter("adio.retries").get();
+        let in_flight = || ctx.metrics().histogram("adio.inflight").count();
+        // Healthy: blocking calls of every kind are never "in flight".
+        for shape in [Shape::Batch, Shape::List] {
+            assert_eq!(f.transfer(ctx, BatchDir::Write, shape, &reqs), Ok(16 << 10));
+            assert_eq!(f.transfer(ctx, BatchDir::Read, shape, &reqs), Ok(16 << 10));
+        }
+        f.write_contig(ctx, 0, buf, 4 << 10).unwrap();
+        assert_eq!((retries(), in_flight()), (0, 0));
+        assert!(ctx.now() < SimTime::ZERO + ms(5), "setup outran the crash");
+        ctx.advance(ms(10));
+        let transient = |r: Result<u64, AdioError>| {
+            matches!(
+                r,
+                Err(AdioError::Io(IoFault::Dafs(DafsError::Transport(_))))
+            )
+        };
+        assert!(transient(f.transfer(
+            ctx,
+            BatchDir::Read,
+            Shape::List,
+            &reqs
+        )));
+        assert_eq!((retries(), in_flight()), (2, 0));
+        assert!(transient(f.read_contig(ctx, 0, buf, 4 << 10)));
+        assert_eq!((retries(), in_flight()), (4, 0));
+        let req = f.itransfer(ctx, BatchDir::Write, Shape::List, &reqs);
+        assert_eq!(in_flight(), 1);
+        assert!(transient(req.wait(ctx)));
+        assert_eq!((retries(), in_flight()), (4 + 1 + 2, 1));
+    });
 }

@@ -410,6 +410,93 @@ fn cb_cache_hint_collective_bytes_identical_and_flush_coalesced() {
     );
 }
 
+/// Run-length form of a byte image, so a mismatch prints a few pairs
+/// instead of sixteen thousand numbers.
+type Runs = Vec<(u8, usize)>;
+
+fn runs(bytes: &[u8]) -> Runs {
+    let mut out = Runs::new();
+    for &b in bytes {
+        match out.last_mut() {
+            Some((v, n)) if *v == b => *n += 1,
+            _ => out.push((b, 1)),
+        }
+    }
+    out
+}
+
+/// A write-back session (`cache_write_back` + `dafs_cache=enable`) buffers
+/// 16 KiB of `0x55` dirty over a server file of `0xAA`, then goes through a
+/// 1-KiB-of-every-4-KiB view on the same handle: optionally a strided write
+/// of `0x77`, then a strided read, then `sync`. Returns what the read saw
+/// and the server file afterwards, both run-length encoded.
+fn strided_access_over_dirty_pages(strided_write: bool) -> (Runs, Runs) {
+    const LEN: usize = 16 << 10;
+    let backend = Backend::Dafs {
+        via: ViaCost::default(),
+        server: Default::default(),
+        client: DafsClientConfig {
+            cache_write_back: true,
+            ..DafsClientConfig::default()
+        },
+    };
+    let tb = Testbed::new(backend);
+    let fs = tb.fs.clone();
+    let node = fs.create(memfs::ROOT_ID, "wb").unwrap();
+    fs.write(node.id, 0, &[0xAA; LEN]).unwrap();
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let s2 = seen.clone();
+    tb.run(1, move |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let mut hints = Hints::default();
+        hints.set("dafs_cache", "enable");
+        let f = MpiFile::open(ctx, adio, &host, "/wb", OpenMode::open(), hints).unwrap();
+        let buf = host.mem.alloc(LEN);
+        host.mem.fill(buf, LEN, 0x55);
+        f.write_at(ctx, 0, buf, LEN as u64).unwrap();
+        let el = Datatype::bytes(1 << 10);
+        f.set_view(0, &el, &Datatype::resized(&el, 0, 4 << 10));
+        if strided_write {
+            host.mem.fill(buf, 4 << 10, 0x77);
+            f.write_at(ctx, 0, buf, 4 << 10).unwrap();
+        }
+        host.mem.fill(buf, 4 << 10, 0);
+        assert_eq!(f.read_at(ctx, 0, buf, 4 << 10).unwrap(), 4 << 10);
+        *s2.lock().unwrap() = runs(&host.mem.read_vec(buf, 4 << 10));
+        f.sync(ctx).unwrap();
+    });
+    let stored = runs(&fs.read(node.id, 0, 1 << 20).unwrap());
+    let seen = seen.lock().unwrap().clone();
+    (seen, stored)
+}
+
+/// ROADMAP item 4 "cache bypass", read side: a list read on a handle that
+/// holds dirty write-back pages must return the buffered bytes, not the
+/// server's pre-write ones.
+#[test]
+fn list_read_sees_buffered_write_back_data() {
+    let (seen, stored) = strided_access_over_dirty_pages(false);
+    assert_eq!(
+        seen,
+        [(0x55, 4 << 10)],
+        "strided read went past dirty pages"
+    );
+    assert_eq!(stored, [(0x55, 16 << 10)]);
+}
+
+/// Write side of the same bug: a list write over dirty pages must not
+/// drop them unflushed — after `sync` the file holds the buffered 16 KiB
+/// with the strided kilobytes on top, not the strided kilobytes alone.
+#[test]
+fn list_write_does_not_drop_dirty_write_back_pages() {
+    let (seen, stored) = strided_access_over_dirty_pages(true);
+    assert_eq!(seen, [(0x77, 4 << 10)]);
+    let want: Runs = (0..4)
+        .flat_map(|_| [(0x77, 1 << 10), (0x55, 3 << 10)])
+        .collect();
+    assert_eq!(stored, want, "dirty pages were dropped unflushed");
+}
+
 /// Host naming is uniform across every testbed shape: `server<s>` hosts
 /// first, then (on switched testbeds) the `<switch>.r<rail>` pseudo-hosts,
 /// then `rank<i>` hosts — no more special-cased two-host `client`/`server`

@@ -40,6 +40,13 @@ fn job_leaves_nothing_behind(name: &str, testbed: fn() -> Testbed, ranks: usize)
         "{name}: buffered nothing"
     );
     assert_eq!(bytes_alive(), bytes, "{name}: payload bytes outlived run");
+    // `join` returns when the kernel clears the thread's tid, which is a
+    // moment before it leaves the process's `Threads:` count; let that
+    // settle rather than fail one run in six on the gap.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while live_threads() != threads && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     assert_eq!(live_threads(), threads, "{name}: threads outlived run");
 }
 
