@@ -286,6 +286,8 @@ pub struct DafsClient {
     pub stats: DafsClientStats,
     /// Lease-coherent cache counters.
     pub cache_stats: DafsCacheStats,
+    /// The run-wide `dafs.ops` registry counter, bumped per wire request.
+    ops_metric: obs::LazyCounter,
 }
 
 impl DafsClient {
@@ -350,6 +352,7 @@ impl DafsClient {
             cache: Mutex::new(ClientCache::default()),
             stats: DafsClientStats::default(),
             cache_stats: DafsCacheStats::default(),
+            ops_metric: obs::LazyCounter::new("dafs.ops"),
         };
         // Capability exchange; carries our stable client id. The handshake
         // itself rides the faulted fabric, so it gets the same bounded
@@ -506,7 +509,7 @@ impl DafsClient {
     /// id so the server can recognize a retransmitted operation.
     fn post_request_raw(&self, ctx: &ActorCtx, reqid: u32, op: DafsOp, args: &[u8]) {
         self.stats.ops.inc();
-        ctx.metrics().counter("dafs.ops").inc();
+        self.ops_metric.get(ctx.metrics()).inc();
         self.nic.host().compute(ctx, self.config.per_op);
         let mut e = Enc::new();
         proto::enc_req_header(&mut e, reqid, op);
@@ -1057,7 +1060,7 @@ impl DafsClient {
         }
         let sb = self.scratch(data.len());
         self.nic.host().mem.write(sb, &data);
-        let ops = ctx.metrics().counter("dafs.ops");
+        let ops = self.ops_metric.get(ctx.metrics());
         let before = ops.get();
         // `drain: false`: this *is* the drain.
         let req = ListReq { segs, buf: sb };

@@ -58,10 +58,8 @@ struct Piece {
 }
 
 fn mapped_pieces(file: &MpiFile, offset_etypes: u64, nbytes: u64) -> Vec<Piece> {
-    let view = file.view();
-    let logical = offset_etypes * view.etype_size();
     let mut buf_off = 0u64;
-    view.map(logical, nbytes)
+    file.map_view(offset_etypes, 0, nbytes)
         .into_iter()
         .map(|(off, len)| {
             let p = Piece { off, len, buf_off };
@@ -618,8 +616,7 @@ pub fn write_ordered(
     }
     comm.bcast(ctx, 0, &mut base_bytes);
     let base = u64::from_le_bytes(base_bytes.as_slice().try_into().unwrap());
-    let view = file.view();
-    let ranges = view.map(base + prefix, nbytes);
+    let ranges = file.map_view(0, base + prefix, nbytes);
     file.write_ranges(ctx, &ranges, src)?;
     comm.barrier(ctx);
     Ok(nbytes)
@@ -642,8 +639,7 @@ pub fn read_ordered(
     }
     comm.bcast(ctx, 0, &mut base_bytes);
     let base = u64::from_le_bytes(base_bytes.as_slice().try_into().unwrap());
-    let view = file.view();
-    let ranges = view.map(base + prefix, nbytes);
+    let ranges = file.map_view(0, base + prefix, nbytes);
     let n = file.read_ranges(ctx, &ranges, dst)?;
     comm.barrier(ctx);
     Ok(n)
@@ -706,7 +702,7 @@ pub fn write_all(
     src: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    let etype = file.view().etype_size();
+    let etype = file.etype_size();
     assert!(nbytes.is_multiple_of(etype));
     let off = file.position();
     let r = write_at_all(ctx, comm, file, off, src, nbytes)?;
@@ -722,7 +718,7 @@ pub fn read_all(
     dst: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    let etype = file.view().etype_size();
+    let etype = file.etype_size();
     assert!(nbytes.is_multiple_of(etype));
     let off = file.position();
     let r = read_at_all(ctx, comm, file, off, dst, nbytes)?;

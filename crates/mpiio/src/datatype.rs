@@ -12,12 +12,21 @@
 //! indexed/hindexed, struct, resized, subarray (C order), and a
 //! block-distributed darray helper.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A derived datatype (immutable, cheaply cloneable).
 #[derive(Debug, Clone)]
 pub struct Datatype {
-    inner: Arc<Kind>,
+    inner: Arc<Node>,
+}
+
+#[derive(Debug)]
+struct Node {
+    kind: Kind,
+    /// The flattened form, expanded from `kind` on first use: a datatype
+    /// is immutable, so every later `size` / `extent` / `flatten` / view
+    /// construction reads this instead of re-walking the typemap.
+    flat: OnceLock<Flattened>,
 }
 
 #[derive(Debug)]
@@ -79,7 +88,10 @@ pub struct Flattened {
 impl Datatype {
     fn new(kind: Kind) -> Datatype {
         Datatype {
-            inner: Arc::new(kind),
+            inner: Arc::new(Node {
+                kind,
+                flat: OnceLock::new(),
+            }),
         }
     }
 
@@ -156,7 +168,7 @@ impl Datatype {
         assert_eq!(sizes.len(), subsizes.len());
         assert_eq!(sizes.len(), starts.len());
         assert!(!sizes.is_empty(), "subarray needs at least one dimension");
-        let f = child.flatten();
+        let f = child.flat();
         assert_eq!(
             f.size, f.extent,
             "subarray child must be dense (size == extent)"
@@ -217,16 +229,25 @@ impl Datatype {
 
     /// Total payload bytes.
     pub fn size(&self) -> u64 {
-        self.flatten().size
+        self.flat().size
     }
 
     /// Extent (tiling period).
     pub fn extent(&self) -> u64 {
-        self.flatten().extent
+        self.flat().extent
     }
 
     /// Flatten to ordered, adjacent-merged byte runs.
     pub fn flatten(&self) -> Flattened {
+        self.flat().clone()
+    }
+
+    /// The flattened form, borrowed from the datatype's memo.
+    pub(crate) fn flat(&self) -> &Flattened {
+        self.inner.flat.get_or_init(|| self.expand())
+    }
+
+    fn expand(&self) -> Flattened {
         let mut runs = Vec::new();
         self.emit(0, &mut runs);
         // Merge adjacent-in-sequence contiguous runs; drop empties.
@@ -260,10 +281,10 @@ impl Datatype {
     }
 
     fn emit(&self, base: i64, out: &mut Vec<(i64, u64)>) {
-        match &*self.inner {
+        match &self.inner.kind {
             Kind::Bytes(n) => out.push((base, *n)),
             Kind::Contiguous { count, child } => {
-                let ext = child.bounds_extent() as i64;
+                let ext = child.extent() as i64;
                 for i in 0..*count {
                     child.emit(base + i as i64 * ext, out);
                 }
@@ -274,7 +295,7 @@ impl Datatype {
                 stride,
                 child,
             } => {
-                let ext = child.bounds_extent() as i64;
+                let ext = child.extent() as i64;
                 for i in 0..*count {
                     for j in 0..*blocklen {
                         child.emit(base + (i as i64 * stride + j as i64) * ext, out);
@@ -287,7 +308,7 @@ impl Datatype {
                 stride,
                 child,
             } => {
-                let ext = child.bounds_extent() as i64;
+                let ext = child.extent() as i64;
                 for i in 0..*count {
                     for j in 0..*blocklen {
                         child.emit(base + i as i64 * stride + j as i64 * ext, out);
@@ -295,7 +316,7 @@ impl Datatype {
                 }
             }
             Kind::Indexed { blocks, child } => {
-                let ext = child.bounds_extent() as i64;
+                let ext = child.extent() as i64;
                 for (bl, disp) in blocks {
                     for j in 0..*bl {
                         child.emit(base + (*disp + j as i64) * ext, out);
@@ -303,7 +324,7 @@ impl Datatype {
                 }
             }
             Kind::Hindexed { blocks, child } => {
-                let ext = child.bounds_extent() as i64;
+                let ext = child.extent() as i64;
                 for (bl, disp) in blocks {
                     for j in 0..*bl {
                         child.emit(base + *disp + j as i64 * ext, out);
@@ -312,7 +333,7 @@ impl Datatype {
             }
             Kind::Struct { fields } => {
                 for (bl, disp, child) in fields {
-                    let ext = child.bounds_extent() as i64;
+                    let ext = child.extent() as i64;
                     for j in 0..*bl {
                         child.emit(base + *disp + j as i64 * ext, out);
                     }
@@ -322,14 +343,9 @@ impl Datatype {
         }
     }
 
-    fn bounds_extent(&self) -> u64 {
-        let (lb, ub) = self.bounds();
-        (ub - lb) as u64
-    }
-
     /// (lb, ub) of the typemap, honoring Resized.
     fn bounds(&self) -> (i64, i64) {
-        match &*self.inner {
+        match &self.inner.kind {
             Kind::Bytes(n) => (0, *n as i64),
             Kind::Resized { lb, extent, .. } => (*lb, *lb + *extent as i64),
             Kind::Contiguous { count, child } => {

@@ -215,9 +215,27 @@ impl MpiFile {
         *self.fp.lock() = 0;
     }
 
-    /// Current view (cloned).
+    /// Current view (a handle: the tile index is shared, not copied).
     pub fn view(&self) -> FileView {
         self.view.lock().clone()
+    }
+
+    /// The current view's etype size in bytes.
+    pub(crate) fn etype_size(&self) -> u64 {
+        self.view.lock().etype_size()
+    }
+
+    /// The physical ranges of `nbytes` of the current view's stream,
+    /// starting `offset_etypes` etypes plus `offset_bytes` bytes in (every
+    /// caller counts in one unit or the other and passes 0 for the rest).
+    pub(crate) fn map_view(
+        &self,
+        offset_etypes: u64,
+        offset_bytes: u64,
+        nbytes: u64,
+    ) -> Vec<(u64, u64)> {
+        let view = self.view.lock();
+        view.map(offset_etypes * view.etype_size() + offset_bytes, nbytes)
     }
 
     /// `MPI_File_set_atomicity`.
@@ -264,9 +282,7 @@ impl MpiFile {
         dst: VirtAddr,
         nbytes: u64,
     ) -> AdioResult<u64> {
-        let view = self.view.lock().clone();
-        let logical = offset_etypes * view.etype_size();
-        let ranges = view.map(logical, nbytes);
+        let ranges = self.map_view(offset_etypes, 0, nbytes);
         self.read_ranges(ctx, &ranges, dst)
     }
 
@@ -278,9 +294,7 @@ impl MpiFile {
         src: VirtAddr,
         nbytes: u64,
     ) -> AdioResult<u64> {
-        let view = self.view.lock().clone();
-        let logical = offset_etypes * view.etype_size();
-        let ranges = view.map(logical, nbytes);
+        let ranges = self.map_view(offset_etypes, 0, nbytes);
         self.write_ranges(ctx, &ranges, src)?;
         Ok(nbytes)
     }
@@ -322,12 +336,8 @@ impl MpiFile {
     /// `MPI_File_get_byte_offset`: the absolute file byte offset of a view
     /// offset (in etypes).
     pub fn get_byte_offset(&self, offset_etypes: u64) -> u64 {
-        let view = self.view.lock().clone();
-        let logical = offset_etypes * view.etype_size();
-        view.map(logical, 1)
-            .first()
-            .map(|(o, _)| *o)
-            .unwrap_or_else(|| view.physical_end(logical))
+        // One byte maps to exactly one range.
+        self.map_view(offset_etypes, 0, 1)[0].0
     }
 
     /// Current individual pointer (etypes).
@@ -337,7 +347,7 @@ impl MpiFile {
 
     /// `MPI_File_read`: read at the individual pointer, then advance it.
     pub fn read(&self, ctx: &ActorCtx, dst: VirtAddr, nbytes: u64) -> AdioResult<u64> {
-        let etype = self.view.lock().etype_size();
+        let etype = self.etype_size();
         assert!(
             nbytes.is_multiple_of(etype),
             "transfer not a whole number of etypes"
@@ -353,7 +363,7 @@ impl MpiFile {
 
     /// `MPI_File_write`.
     pub fn write(&self, ctx: &ActorCtx, src: VirtAddr, nbytes: u64) -> AdioResult<u64> {
-        let etype = self.view.lock().etype_size();
+        let etype = self.etype_size();
         assert!(
             nbytes.is_multiple_of(etype),
             "transfer not a whole number of etypes"
@@ -374,24 +384,21 @@ impl MpiFile {
     /// primitive (DAFS).
     pub fn read_shared(&self, ctx: &ActorCtx, dst: VirtAddr, nbytes: u64) -> AdioResult<u64> {
         let logical = self.file.shared_fetch_add(ctx, nbytes)?;
-        let view = self.view.lock().clone();
-        let ranges = view.map(logical, nbytes);
+        let ranges = self.map_view(0, logical, nbytes);
         self.read_ranges(ctx, &ranges, dst)
     }
 
     /// `MPI_File_write_shared`.
     pub fn write_shared(&self, ctx: &ActorCtx, src: VirtAddr, nbytes: u64) -> AdioResult<u64> {
         let logical = self.file.shared_fetch_add(ctx, nbytes)?;
-        let view = self.view.lock().clone();
-        let ranges = view.map(logical, nbytes);
+        let ranges = self.map_view(0, logical, nbytes);
         self.write_ranges(ctx, &ranges, src)?;
         Ok(nbytes)
     }
 
     /// `MPI_File_seek_shared` (callers must make this collective).
     pub fn seek_shared(&self, ctx: &ActorCtx, offset_etypes: u64) -> AdioResult<()> {
-        let etype = self.view.lock().etype_size();
-        self.file.shared_set(ctx, offset_etypes * etype)
+        self.file.shared_set(ctx, offset_etypes * self.etype_size())
     }
 
     // --- memory-side datatypes ----------------------------------------------
@@ -407,7 +414,7 @@ impl MpiFile {
         memtype: &Datatype,
         nbytes: u64,
     ) -> AdioResult<u64> {
-        let flat = memtype.flatten();
+        let flat = memtype.flat();
         assert!(flat.size > 0, "zero-size memory datatype");
         assert!(flat.lb >= 0, "negative memory lower bound unsupported");
         // Fast path: dense memory type ≡ contiguous buffer.
@@ -448,7 +455,7 @@ impl MpiFile {
         memtype: &Datatype,
         nbytes: u64,
     ) -> AdioResult<u64> {
-        let flat = memtype.flatten();
+        let flat = memtype.flat();
         assert!(flat.size > 0, "zero-size memory datatype");
         assert!(flat.lb >= 0, "negative memory lower bound unsupported");
         if flat.runs.len() == 1 && flat.runs[0] == (0, flat.extent) {
@@ -481,9 +488,7 @@ impl MpiFile {
 
     /// Map a view range to batch requests consuming `buf` in order.
     fn batch_reqs(&self, offset_etypes: u64, buf: VirtAddr, nbytes: u64) -> Vec<IoReq> {
-        let view = self.view.lock().clone();
-        let logical = offset_etypes * view.etype_size();
-        Self::packed_reqs(&view.map(logical, nbytes), buf)
+        Self::packed_reqs(&self.map_view(offset_etypes, 0, nbytes), buf)
     }
 
     /// `MPI_File_iread_at`: issue the read split-phase and return a

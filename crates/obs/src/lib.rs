@@ -29,7 +29,7 @@ mod registry;
 mod stats;
 mod trace;
 
-pub use registry::{Metric, Registry, Snapshot, SnapshotEntry};
+pub use registry::{LazyCounter, Metric, Registry, Snapshot, SnapshotEntry};
 pub use stats::{ByteMeter, Counter, Histogram, SampleSet};
 pub use trace::{TraceBuffer, Tracer, Value};
 

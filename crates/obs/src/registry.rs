@@ -12,7 +12,7 @@
 //! byte-identical snapshot on every run.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::json;
 use crate::stats::{ByteMeter, Counter, Histogram};
@@ -147,6 +147,36 @@ impl Registry {
     }
 }
 
+/// A registry counter looked up by name once and kept: for counters bumped
+/// on every simulated event, where [`Registry::counter`]'s mutex and map
+/// probe per bump would outweigh the increment.
+///
+/// Resolution is lazy — the name enters the registry at the first
+/// [`LazyCounter::get`], exactly when a by-name lookup would have created
+/// it, so snapshots list the same names at the same times. The owner must
+/// live inside one simulation: the handle stays bound to the first registry
+/// it is shown.
+pub struct LazyCounter {
+    name: &'static str,
+    cell: OnceLock<Counter>,
+}
+
+impl LazyCounter {
+    /// A handle for the counter `name`, not yet resolved.
+    pub const fn new(name: &'static str) -> LazyCounter {
+        LazyCounter {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The counter, registered in `registry` on first call.
+    #[inline]
+    pub fn get(&self, registry: &Registry) -> &Counter {
+        self.cell.get_or_init(|| registry.counter(self.name))
+    }
+}
+
 /// One metric frozen at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotEntry {
@@ -256,6 +286,17 @@ mod tests {
         c.add(3);
         let again = r.counter("via.doorbells");
         assert_eq!(again.get(), 3);
+    }
+
+    #[test]
+    fn lazy_counter_registers_at_first_use_and_shares_state() {
+        let r = Registry::new();
+        let lazy = LazyCounter::new("via.doorbells");
+        assert!(r.snapshot(0).get("via.doorbells").is_none());
+        lazy.get(&r).inc();
+        r.counter("via.doorbells").add(2);
+        assert_eq!(lazy.get(&r).get(), 3);
+        assert_eq!(r.snapshot(0).expect("via.doorbells").value(), 3);
     }
 
     #[test]

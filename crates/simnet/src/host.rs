@@ -237,7 +237,7 @@ impl Host {
     /// charges the host CPU meter.
     pub fn compute(&self, ctx: &ActorCtx, d: SimDuration) {
         self.cpu.add(d);
-        ctx.metrics().counter("sim.cpu_ns").add(d.as_nanos());
+        ctx.cpu_ns().add(d.as_nanos());
         ctx.trace(
             "sim",
             "cpu.compute",

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, Thread};
 
-use obs::{Obs, Registry, Value};
+use obs::{Counter, LazyCounter, Obs, Registry, Value};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::time::{SimDuration, SimTime};
@@ -294,6 +294,7 @@ impl SimKernel {
             name: name.clone(),
             kernel: thread_inner.clone(),
             clock: clock.clone(),
+            cpu_ns: LazyCounter::new("sim.cpu_ns"),
         };
         let join = std::thread::Builder::new()
             .name(thread_name)
@@ -432,6 +433,8 @@ pub struct ActorCtx {
     name: Arc<str>,
     kernel: Arc<KernelInner>,
     clock: Arc<AtomicU64>,
+    /// `sim.cpu_ns`, which [`crate::Host::compute`] adds to on every call.
+    cpu_ns: LazyCounter,
 }
 
 impl ActorCtx {
@@ -453,6 +456,11 @@ impl ActorCtx {
     /// The simulation-wide metrics registry (always live).
     pub fn metrics(&self) -> &Registry {
         self.kernel.obs.registry()
+    }
+
+    /// The `sim.cpu_ns` counter (host CPU work charged by any actor).
+    pub(crate) fn cpu_ns(&self) -> &Counter {
+        self.cpu_ns.get(self.metrics())
     }
 
     /// Emit one structured trace event stamped with this actor's name and

@@ -196,6 +196,7 @@ impl ViaFabric {
                 peer_nic: server_nic,
                 faults,
                 topology,
+                counters: Default::default(),
             }),
             Some(ConnReply::Reject) | None => Err(ConnectError::Rejected),
         }
@@ -241,6 +242,7 @@ impl Listener {
             peer_nic: req.client_nic,
             faults,
             topology,
+            counters: Default::default(),
         })
     }
 

@@ -12,6 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use obs::LazyCounter;
 use parking_lot::Mutex;
 use simnet::fault::FaultPlan;
 use simnet::topo::Topology;
@@ -136,6 +137,25 @@ pub struct Vi {
     /// Switched-fabric topology captured from the fabric at connection
     /// time; `None` means the point-to-point wire model (unchanged).
     pub(crate) topology: Option<Arc<Topology>>,
+    pub(crate) counters: ViCounters,
+}
+
+/// The registry counters a VI bumps on every descriptor, resolved at first
+/// use (a VI lives inside one simulation).
+pub(crate) struct ViCounters {
+    doorbells: LazyCounter,
+    completions: LazyCounter,
+    recv_posted: LazyCounter,
+}
+
+impl Default for ViCounters {
+    fn default() -> ViCounters {
+        ViCounters {
+            doorbells: LazyCounter::new("via.doorbells"),
+            completions: LazyCounter::new("via.completions"),
+            recv_posted: LazyCounter::new("via.descriptors.recv_posted"),
+        }
+    }
 }
 
 impl Vi {
@@ -161,7 +181,7 @@ impl Vi {
 
     fn complete_send(&self, ctx: &ActorCtx, c: Completion) {
         let at = c.at;
-        ctx.metrics().counter("via.completions").inc();
+        self.counters.completions.get(ctx.metrics()).inc();
         if ctx.obs().enabled() {
             ctx.trace(
                 "via",
@@ -261,7 +281,7 @@ impl Vi {
                 .per_segment
                 .saturating_mul(desc.segs.len() as u64);
         self.nic.host().compute(ctx, cost);
-        ctx.metrics().counter("via.descriptors.recv_posted").inc();
+        self.counters.recv_posted.get(ctx.metrics()).inc();
         ctx.trace(
             "via",
             "post.recv",
@@ -294,7 +314,7 @@ impl Vi {
         self.nic.host().compute(ctx, cost);
         // The doorbell write is the user-level I/O submission the paper's
         // VIA path is built around: count every ring.
-        ctx.metrics().counter("via.doorbells").inc();
+        self.counters.doorbells.get(ctx.metrics()).inc();
         ctx.trace(
             "via",
             "doorbell",

@@ -120,20 +120,23 @@ diff -u "$tmp_json.golden" "$tmp_json.got" || {
 
 echo "==> R-F10 1024-client cell wall-clock budget"
 # The 1024-client cell is the largest single simulation in the suite;
-# same-timestamp pop batching keeps it dispatching well above this
-# floor (~10x below a quiet-machine run), so a kernel or fabric
-# regression that makes the big cells crawl fails CI instead of just
-# making the suite slow. The note comes from the identity run above.
+# same-timestamp pop batching and the indexed view mapping (every rank
+# reads 128 KiB blocks through the default view: 19 600-27 400 events/s
+# when `FileView::map` walked it byte by byte, 28 700-53 500 now) keep
+# it dispatching well above this floor (~10x below a quiet-machine
+# run), so a kernel, fabric or mapping regression that makes the big
+# cells crawl fails CI instead of just making the suite slow. The note
+# comes from the identity run above.
 f10_rate=$(sed -n 's|.*1024-client s=4 o=1:1 cell ran [0-9]* sim events in [0-9.]*s (\([0-9]*\) events/s).*|\1|p' "$tmp_txt")
 if [ -z "$f10_rate" ]; then
     echo "ci: R-F10 output missing the 1024-client cell wall-clock note" >&2
     exit 1
 fi
-if [ "$f10_rate" -lt 1200 ]; then
-    echo "ci: R-F10 1024-client cell too slow: $f10_rate events/s (floor 1200)" >&2
+if [ "$f10_rate" -lt 5000 ]; then
+    echo "ci: R-F10 1024-client cell too slow: $f10_rate events/s (floor 5000)" >&2
     exit 1
 fi
-echo "1024-client cell: $f10_rate events/s (floor 1200)"
+echo "1024-client cell: $f10_rate events/s (floor 5000)"
 
 rm -f "$tmp_json" "$tmp_txt" "$tmp_txt.golden" "$tmp_txt.got" "$tmp_json.golden" "$tmp_json.got"
 

@@ -1,0 +1,125 @@
+#!/usr/bin/env sh
+# Wall-clock self-profile of any command, with no timers in the program and
+# nothing to switch on: a preloaded sampler (scripts/hostprof/hostprof.c)
+# backtraces the process every millisecond of CPU time (every kernel tick,
+# where that is coarser), and this script symbolises the samples and prints
+# where they fell. The workspace's release builds carry debug info
+# ([profile.release] in Cargo.toml), so inlined frames are named too.
+#
+#   scripts/hostprof.sh CMD [ARG...]
+#
+#   scripts/hostprof.sh target/release/f2_file_bandwidth
+#   scripts/hostprof.sh target/release/mpio-benchmark child \
+#       --workload stream_large --seed 101 --scale full
+#
+# "self" is the innermost function of the interrupted frame; "inclusive"
+# counts a function once per sample it appears anywhere in. A name tagged
+# [no line info] comes from the symbol table alone: callees inlined into it
+# are folded in (benchmark/ builds without debug info; build it with
+# CARGO_PROFILE_RELEASE_DEBUG=true to get them back), and in a stripped
+# system library it is merely the nearest exported symbol. CMD's own output
+# passes through; the profile goes to stderr. Processes CMD spawns are
+# sampled too and reported together. Pin CMD to one CPU (taskset -c 1) as
+# for any wall-clock number here.
+set -eu
+
+[ $# -gt 0 ] || {
+    echo "usage: $0 CMD [ARG...]" >&2
+    exit 2
+}
+for tool in cc addr2line python3; do
+    command -v "$tool" >/dev/null 2>&1 || {
+        echo "hostprof: '$tool' not found; it needs cc (to build the sampler), addr2line and python3 (to read the samples)" >&2
+        exit 1
+    }
+done
+
+here=$(cd "$(dirname "$0")" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cc -O1 -shared -fPIC -o "$work/hostprof.so" "$here/hostprof/hostprof.c"
+
+status=0
+HOSTPROF_OUT="$work/samples" LD_PRELOAD="$work/hostprof.so" "$@" || status=$?
+
+python3 - "$work" >&2 <<'EOF'
+import collections, glob, subprocess, sys
+
+TOP = 25
+self_hits = collections.Counter()
+incl_hits = collections.Counter()
+total = dropped = 0
+
+for path in glob.glob(sys.argv[1] + "/samples.*"):
+    maps, stacks = [], []
+    for line in open(path):
+        f = line.split()
+        if not f:
+            continue
+        if f[0] == "samples":
+            dropped += int(f[3])
+        elif "-" in f[0]:
+            lo, hi = (int(x, 16) for x in f[0].split("-"))
+            maps.append((lo, hi, int(f[2], 16), f[5] if len(f) > 5 else ""))
+        else:
+            stacks.append([int(a, 16) for a in f])
+    # An object's load bias is where its offset-0 mapping starts.
+    bias = {obj: lo for lo, _, off, obj in reversed(maps) if off == 0}
+
+    def locate(addr):
+        for lo, hi, _, obj in maps:
+            if lo <= addr < hi and obj.startswith("/"):
+                return obj, addr - bias.get(obj, lo)
+        return None
+
+    # Frame 0 is the interrupted pc; callers are return addresses, one past
+    # the call.
+    wanted = collections.defaultdict(set)
+    located = []
+    for stack in stacks:
+        frames = [locate(a - (i > 0)) for i, a in enumerate(stack)]
+        located.append(frames)
+        for fr in frames:
+            if fr:
+                wanted[fr[0]].add(fr[1])
+    names = {}
+    for obj, addrs in wanted.items():
+        addrs = sorted(addrs)
+        for i in range(0, len(addrs), 2000):
+            out = subprocess.run(
+                ["addr2line", "-a", "-f", "-i", "-C", "-e", obj]
+                + [hex(a) for a in addrs[i : i + 2000]],
+                capture_output=True, text=True,
+            ).stdout.splitlines()
+            # Per address: its line, then (function, file:line) pairs,
+            # innermost inlined frame first.
+            cur = None
+            for j, line in enumerate(out):
+                if line.startswith("0x"):
+                    cur = names.setdefault((obj, int(line, 16)), [])
+                    fn_line = j + 1
+                elif cur is not None and (j - fn_line) % 2 == 0:
+                    if out[j + 1].startswith("??"):
+                        line += " [no line info]"
+                    cur.append(line)
+    for frames in located:
+        total += 1
+        seen = set()
+        for depth, fr in enumerate(frames):
+            fns = (names.get(fr) if fr else None) or ["?? (unmapped)"]
+            if depth == 0:
+                self_hits[fns[0]] += 1
+            seen.update(fns)
+        for fn in seen:
+            incl_hits[fn] += 1
+
+if total == 0:
+    sys.exit("hostprof: no samples (the command used almost no CPU, or exited without running destructors)")
+print(f"hostprof: {total} samples" + (f", {dropped} more dropped" if dropped else ""))
+for title, hits in (("self", self_hits), ("inclusive", incl_hits)):
+    print(f"\n  top {title}")
+    for fn, n in hits.most_common(TOP):
+        print(f"  {100 * n / total:6.2f}%  {n:7d}  {fn}")
+EOF
+
+exit "$status"

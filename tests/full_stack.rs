@@ -6,7 +6,7 @@ use mpio_dafs::dafs::DafsClientConfig;
 use mpio_dafs::mpiio::{
     read_at_all, write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed,
 };
-use mpio_dafs::simnet::SimDuration;
+use mpio_dafs::simnet::{Rng64, SimDuration};
 use mpio_dafs::via::ViaCost;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -495,6 +495,156 @@ fn list_write_does_not_drop_dirty_write_back_pages() {
         .flat_map(|_| [(0x77, 1 << 10), (0x55, 3 << 10)])
         .collect();
     assert_eq!(stored, want, "dirty pages were dropped unflushed");
+}
+
+/// A dense view is the byte stream, whatever its tile size: one seeded
+/// script of independent, split-phase and shared-pointer I/O must end at
+/// the same virtual time, after the same number of DAFS requests, with the
+/// same file, under the default view and under dense views tiled by 1 byte
+/// and by 4 KiB (the view layer maps all three to one range per call).
+#[test]
+fn dense_views_are_the_byte_stream() {
+    const REGION: u64 = 1 << 20;
+    const MAX: u64 = 200 << 10;
+    fn run(tile: Option<u64>) -> (u64, u64, Vec<u8>) {
+        let tb = Testbed::new(Backend::dafs());
+        let fs = tb.fs.clone();
+        let report = tb.run(2, move |ctx, comm, adio| {
+            let host = comm.host().clone();
+            let f = MpiFile::open(
+                ctx,
+                adio,
+                &host,
+                "/dense",
+                OpenMode::create(),
+                Hints::default(),
+            )
+            .unwrap();
+            if let Some(tile) = tile {
+                f.set_view(0, &Datatype::bytes(1), &Datatype::bytes(tile));
+            }
+            // Each rank owns one region; shared-pointer appends land past both.
+            if comm.rank() == 0 {
+                f.seek_shared(ctx, 2 * REGION).unwrap();
+            }
+            comm.barrier(ctx);
+            let base = comm.rank() as u64 * REGION;
+            let mut model = vec![0u8; REGION as usize];
+            let mut rng = Rng64::new(0xD15E ^ comm.rank() as u64);
+            let buf = host.mem.alloc(MAX as usize);
+            for _ in 0..48 {
+                let len = rng.range(1, MAX + 1);
+                let off = rng.range(0, REGION - len + 1);
+                let op = rng.range(0, 5);
+                if matches!(op, 0 | 2 | 4) {
+                    let data = rng.bytes(len as usize);
+                    host.mem.write(buf, &data);
+                    match op {
+                        0 => assert_eq!(f.write_at(ctx, base + off, buf, len).unwrap(), len),
+                        2 => assert_eq!(
+                            f.iwrite_at(ctx, base + off, buf, len).wait(ctx).unwrap(),
+                            len
+                        ),
+                        _ => {
+                            f.write_shared(ctx, buf, len).unwrap();
+                            continue;
+                        }
+                    }
+                    model[off as usize..(off + len) as usize].copy_from_slice(&data);
+                } else {
+                    host.mem.fill(buf, len as usize, 0);
+                    let n = match op {
+                        1 => f.read_at(ctx, base + off, buf, len).unwrap(),
+                        _ => f.iread_at(ctx, base + off, buf, len).wait(ctx).unwrap(),
+                    } as usize;
+                    // Short only at end of file; what came back is this
+                    // rank's own bytes (holes read as zeros).
+                    assert_eq!(
+                        host.mem.read_vec(buf, n),
+                        &model[off as usize..off as usize + n]
+                    );
+                }
+            }
+        });
+        let attr = fs.resolve("/dense").unwrap();
+        (
+            report.end_time.as_nanos(),
+            report.snapshot.expect("dafs.ops").value(),
+            fs.read(attr.id, 0, attr.size).unwrap(),
+        )
+    }
+    let default = run(None);
+    assert!(default.2.len() as u64 > 2 * REGION, "no shared appends");
+    for tile in [1, 4096] {
+        let dense = run(Some(tile));
+        assert_eq!(
+            (dense.0, dense.1),
+            (default.0, default.1),
+            "bytes({tile}) view: (end time, dafs.ops) differ from the default view"
+        );
+        assert!(
+            dense.2 == default.2,
+            "bytes({tile}) view: file image differs"
+        );
+    }
+}
+
+/// Memory-side datatypes go through the datatype's flattened form on every
+/// call: a 1 000-run memory type round-trips through the file, lands packed
+/// in it, and leaves the holes between its runs untouched.
+#[test]
+fn thousand_run_memory_type_round_trips() {
+    const RUNS: u64 = 1_000;
+    const TILES: u64 = 2;
+    let tb = Testbed::new(Backend::dafs());
+    let fs = tb.fs.clone();
+    tb.run(1, |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let f = MpiFile::open(
+            ctx,
+            adio,
+            &host,
+            "/mem",
+            OpenMode::create(),
+            Hints::default(),
+        )
+        .unwrap();
+        // 8 bytes of every 16.
+        let memtype = Datatype::resized(
+            &Datatype::vector(RUNS, 1, 2, &Datatype::bytes(8)),
+            0,
+            RUNS * 16,
+        );
+        assert_eq!(memtype.flatten().runs.len() as u64, RUNS);
+        let span = (TILES * RUNS * 16) as usize;
+        let payload = TILES * RUNS * 8;
+        let pattern: Vec<u8> = (0..span as u32).map(|i| (i % 251) as u8).collect();
+        let src = host.mem.alloc(span);
+        host.mem.write(src, &pattern);
+        for _ in 0..2 {
+            assert_eq!(
+                f.write_at_mem(ctx, 0, src, &memtype, payload).unwrap(),
+                payload
+            );
+        }
+        let dst = host.mem.alloc(span);
+        host.mem.fill(dst, span, 0xEE);
+        assert_eq!(
+            f.read_at_mem(ctx, 0, dst, &memtype, payload).unwrap(),
+            payload
+        );
+        let got = host.mem.read_vec(dst, span);
+        for (i, (g, p)) in got.iter().zip(&pattern).enumerate() {
+            let want = if i % 16 < 8 { *p } else { 0xEE };
+            assert_eq!(*g, want, "memory byte {i}");
+        }
+    });
+    let attr = fs.resolve("/mem").unwrap();
+    let packed: Vec<u8> = (0..(TILES * RUNS * 16) as u32)
+        .filter(|i| i % 16 < 8)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    assert!(fs.read(attr.id, 0, attr.size).unwrap() == packed);
 }
 
 /// Host naming is uniform across every testbed shape: `server<s>` hosts
