@@ -45,7 +45,7 @@ use simnet::{Bandwidth, SimTime};
 use via::ViaCost;
 
 use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_sharded_dafs_fabric, Cell};
+use crate::testbeds::{with_dafs_cluster, Cell, Dial};
 
 /// Request size for every read.
 const REQ: u64 = 128 << 10;
@@ -97,14 +97,14 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
     let span = Cell::new();
     let sp = span.clone();
     let expect = pattern(PER_CLIENT as usize);
-    let (_, topology, run) = with_sharded_dafs_fabric(
+    let (_, topology, run) = with_dafs_cluster(
         servers,
         clients,
         via,
         DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
-        move |cluster, sids| {
+        Some(Box::new(move |cluster, sids| {
             Topology::dumbbell(
                 cluster,
                 sids,
@@ -125,7 +125,8 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
                     policy,
                 },
             )
-        },
+        })),
+        Dial::Shard,
         |fss| {
             let data = pattern(PER_CLIENT as usize);
             for fs in fss {
@@ -133,7 +134,8 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
                 fs.write(f.id, 0, &data).unwrap();
             }
         },
-        move |ctx, _rank, c, nic| {
+        move |ctx, _rank, cs, nic| {
+            let c = &cs[0];
             let f = c.lookup(ctx, ROOT_ID, "stream").unwrap();
             let buf = nic.host().mem.alloc(REQ as usize);
             let mut off = 0;
@@ -153,7 +155,7 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
     // The trunk is the inter-switch port on either leaf; reads flow
     // server→client, so the hot one lives on the server leaf.
     let (mut qmax, mut queued, mut drops) = (0u64, 0u64, 0u64);
-    for p in topology.port_stats() {
+    for p in topology.expect("built above").port_stats() {
         if p.port.starts_with("to_leaf") {
             qmax = qmax.max(p.qdepth_max);
             queued += p.queued_ns;

@@ -25,7 +25,7 @@ use simnet::{FaultPlan, HostId};
 use via::ViaCost;
 
 use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_client, with_dafs_cluster, Cell};
+use crate::testbeds::{with_dafs_client, with_dafs_cluster, Cell, Dial};
 
 /// Bytes written (then read back) by each client.
 const PER_CLIENT: u64 = 4 << 20;
@@ -58,13 +58,15 @@ fn striped_case(
     let wspan = Cell::new();
     let rspan = Cell::new();
     let (ws, rs) = (wspan.clone(), rspan.clone());
-    let (_, obs) = with_dafs_cluster(
+    let (_, _, obs) = with_dafs_cluster(
         servers,
         clients,
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
         plan,
+        None,
+        Dial::EveryServer,
         |_| {},
         move |ctx, rank, cs, nic| {
             // Each client stripes its own file over every server: one piece
@@ -163,6 +165,8 @@ fn striped_control_ns() -> (u64, u64) {
         DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
+        None,
+        Dial::EveryServer,
         |fss| {
             let f = fss[0].create(ROOT_ID, "f").unwrap();
             fss[0].write(f.id, 0, &vec![3u8; FILE as usize]).unwrap();

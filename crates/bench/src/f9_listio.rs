@@ -129,8 +129,7 @@ fn configs() -> [(&'static str, Vec<(&'static str, &'static str)>); 3] {
                 ("romio_ds_write", "enable"),
             ],
         ),
-        // Explicit `enable` so the A/B comparison survives the
-        // `MPIO_DAFS_LISTIO=disable` sweep-wide kill switch.
+        // Explicit `enable`: each column names its routing in full.
         ("list", vec![("dafs_listio", "enable")]),
         (
             "range",

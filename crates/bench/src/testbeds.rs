@@ -119,14 +119,25 @@ where
     (fs, server, client_host, RunObs { obs, end })
 }
 
+/// Which servers each client actor of [`with_dafs_cluster`] dials.
+pub enum Dial {
+    /// One session per server, in server order — what a client needs to
+    /// assemble a [`dafs::DafsStripedFile`] over the whole server set.
+    EveryServer,
+    /// One session, to server `i % servers` for client `i`: a 1024-client
+    /// sweep stays at one session per client instead of `clients × servers`.
+    Shard,
+}
+
 /// Run `clients` client actors against `servers` fresh DAFS servers, each
-/// exporting its own [`MemFs`] — the striped-topology fixture for the
-/// server-scaling experiments. Server hosts are created first, so their
-/// [`simnet::HostId`]s are `0..servers` and client hosts follow at
-/// `servers..servers+clients`; a [`FaultPlan`] can therefore target one
-/// server's links by id. Each client actor connects one session per server
-/// (in server order) before `body` runs and disconnects them all after.
-#[allow(clippy::too_many_arguments)]
+/// exporting its own [`MemFs`] — the one multi-host fixture, point-to-point
+/// (`topo: None`) or behind a switched fabric. Construction order matters:
+/// server hosts first, so their [`HostId`]s are `0..servers` and a
+/// [`FaultPlan`] can target one server's links by id; then `topo` builds
+/// the topology (its switch pseudo-hosts are rail-down targets); then
+/// client hosts, which ride the topology's default attachment. Each client
+/// connects the sessions `dial` names before `body` and disconnects after.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn with_dafs_cluster<F>(
     servers: usize,
     clients: usize,
@@ -134,18 +145,17 @@ pub fn with_dafs_cluster<F>(
     server_cost: DafsServerCost,
     client_cfg: DafsClientConfig,
     plan: Option<FaultPlan>,
+    topo: Option<Box<dyn FnOnce(&Cluster, &[HostId]) -> Topology + '_>>,
+    dial: Dial,
     prefill: impl FnOnce(&[MemFs]),
     body: F,
-) -> (Vec<MemFs>, RunObs)
+) -> (Vec<MemFs>, Option<Arc<Topology>>, RunObs)
 where
     F: Fn(&ActorCtx, usize, &[Arc<DafsClient>], &ViaNic) + Send + Sync + 'static,
 {
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = Arc::new(ViaFabric::new(via_cost));
-    if let Some(p) = plan {
-        fabric.set_fault_plan(p);
-    }
     let mut fss = Vec::new();
     let mut sids = Vec::new();
     for s in 0..servers {
@@ -155,12 +165,22 @@ where
         let h = dafs::spawn_dafs_server(&kernel, &fabric, nic, fs, PORT, server_cost);
         sids.push(h.host.id);
     }
+    let topology = topo.map(|build| Arc::new(build(&cluster, &sids)));
+    if let Some(t) = &topology {
+        fabric.set_topology(t.clone());
+    }
+    if let Some(p) = plan {
+        fabric.set_fault_plan(p);
+    }
     prefill(&fss);
     let body = Arc::new(body);
     for i in 0..clients {
         let fabric = fabric.clone();
         let host = cluster.add_host(&format!("client{i}"));
-        let sids = sids.clone();
+        let sids = match dial {
+            Dial::EveryServer => sids.clone(),
+            Dial::Shard => vec![sids[i % servers]],
+        };
         let body = body.clone();
         kernel.spawn(&format!("client{i}"), move |ctx| {
             let nic = fabric.open_nic(host.clone());
@@ -180,136 +200,9 @@ where
     }
     let obs = kernel.obs().clone();
     let end = kernel.run();
-    (fss, RunObs { obs, end })
-}
-
-/// Run `clients` client actors against `servers` DAFS servers **behind a
-/// switched fabric**, one session per client: client `i` shards onto
-/// server `i % servers`, so a 1024-client sweep stays at one session per
-/// client instead of `clients × servers`. Construction order matters:
-/// server hosts first (ids `0..servers`), then `topo` builds the topology
-/// (allocating its switch pseudo-hosts), then client hosts follow and ride
-/// the topology's default attachment. An optional [`FaultPlan`] is
-/// installed alongside, so rail-down windows can target the pseudo-hosts.
-#[allow(clippy::too_many_arguments)]
-pub fn with_sharded_dafs_fabric<F>(
-    servers: usize,
-    clients: usize,
-    via_cost: ViaCost,
-    server_cost: DafsServerCost,
-    client_cfg: DafsClientConfig,
-    plan: Option<FaultPlan>,
-    topo: impl FnOnce(&Cluster, &[HostId]) -> Topology,
-    prefill: impl FnOnce(&[MemFs]),
-    body: F,
-) -> (Vec<MemFs>, Arc<Topology>, RunObs)
-where
-    F: Fn(&ActorCtx, usize, &DafsClient, &ViaNic) + Send + Sync + 'static,
-{
-    let kernel = SimKernel::new();
-    let cluster = Cluster::new();
-    let fabric = Arc::new(ViaFabric::new(via_cost));
-    let mut fss = Vec::new();
-    let mut sids = Vec::new();
-    for s in 0..servers {
-        let nic = fabric.open_nic(cluster.add_host(&format!("server{s}")));
-        let fs = MemFs::new();
-        fss.push(fs.clone());
-        let h = dafs::spawn_dafs_server(&kernel, &fabric, nic, fs, PORT, server_cost);
-        sids.push(h.host.id);
+    if let Some(t) = &topology {
+        t.publish_metrics(obs.registry());
     }
-    let topology = Arc::new(topo(&cluster, &sids));
-    fabric.set_topology(topology.clone());
-    if let Some(p) = plan {
-        fabric.set_fault_plan(p);
-    }
-    prefill(&fss);
-    let body = Arc::new(body);
-    for i in 0..clients {
-        let fabric = fabric.clone();
-        let host = cluster.add_host(&format!("client{i}"));
-        let sid = sids[i % servers.max(1)];
-        let body = body.clone();
-        kernel.spawn(&format!("client{i}"), move |ctx| {
-            let nic = fabric.open_nic(host.clone());
-            let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, client_cfg).unwrap();
-            body(ctx, i, &c, &nic);
-            c.disconnect(ctx);
-        });
-    }
-    let obs = kernel.obs().clone();
-    let end = kernel.run();
-    topology.publish_metrics(obs.registry());
-    (fss, topology, RunObs { obs, end })
-}
-
-/// Run `clients` client actors against `servers` DAFS servers behind a
-/// switched fabric, **one session per client per server** — the striped
-/// scale-out fixture: [`with_sharded_dafs_fabric`]'s topology with
-/// [`with_dafs_cluster`]'s session shape, so every client can assemble a
-/// [`dafs::DafsStripedFile`] over the whole server set while its frames
-/// ride the switch's shared egress queues. Construction order matches the
-/// sharded fixture: server hosts first (ids `0..servers`), then `topo`
-/// builds the topology (allocating its switch pseudo-hosts), then client
-/// hosts follow and ride the topology's default attachment.
-#[allow(clippy::too_many_arguments)]
-pub fn with_striped_dafs_fabric<F>(
-    servers: usize,
-    clients: usize,
-    via_cost: ViaCost,
-    server_cost: DafsServerCost,
-    client_cfg: DafsClientConfig,
-    plan: Option<FaultPlan>,
-    topo: impl FnOnce(&Cluster, &[HostId]) -> Topology,
-    prefill: impl FnOnce(&[MemFs]),
-    body: F,
-) -> (Vec<MemFs>, Arc<Topology>, RunObs)
-where
-    F: Fn(&ActorCtx, usize, &[Arc<DafsClient>], &ViaNic) + Send + Sync + 'static,
-{
-    let kernel = SimKernel::new();
-    let cluster = Cluster::new();
-    let fabric = Arc::new(ViaFabric::new(via_cost));
-    let mut fss = Vec::new();
-    let mut sids = Vec::new();
-    for s in 0..servers {
-        let nic = fabric.open_nic(cluster.add_host(&format!("server{s}")));
-        let fs = MemFs::new();
-        fss.push(fs.clone());
-        let h = dafs::spawn_dafs_server(&kernel, &fabric, nic, fs, PORT, server_cost);
-        sids.push(h.host.id);
-    }
-    let topology = Arc::new(topo(&cluster, &sids));
-    fabric.set_topology(topology.clone());
-    if let Some(p) = plan {
-        fabric.set_fault_plan(p);
-    }
-    prefill(&fss);
-    let body = Arc::new(body);
-    for i in 0..clients {
-        let fabric = fabric.clone();
-        let host = cluster.add_host(&format!("client{i}"));
-        let sids = sids.clone();
-        let body = body.clone();
-        kernel.spawn(&format!("client{i}"), move |ctx| {
-            let nic = fabric.open_nic(host.clone());
-            let cs: Vec<Arc<DafsClient>> = sids
-                .iter()
-                .map(|&sid| {
-                    Arc::new(
-                        DafsClient::connect(ctx, &fabric, &nic, sid, PORT, client_cfg).unwrap(),
-                    )
-                })
-                .collect();
-            body(ctx, i, &cs, &nic);
-            for c in &cs {
-                c.disconnect(ctx);
-            }
-        });
-    }
-    let obs = kernel.obs().clone();
-    let end = kernel.run();
-    topology.publish_metrics(obs.registry());
     (fss, topology, RunObs { obs, end })
 }
 

@@ -39,7 +39,7 @@ use simnet::{Bandwidth, FaultPlan};
 use via::ViaCost;
 
 use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_cluster, with_striped_dafs_fabric, Cell};
+use crate::testbeds::{with_dafs_cluster, Cell, Dial};
 
 /// Shared region each client re-reads.
 const REGION: u64 = 128 << 10;
@@ -81,13 +81,15 @@ struct CaseOut {
 fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> CaseOut {
     let elapsed = Cell::new();
     let el = elapsed.clone();
-    let (_, obs) = with_dafs_cluster(
+    let (_, _, obs) = with_dafs_cluster(
         1,
         clients,
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
         plan,
+        None,
+        Dial::EveryServer,
         |fss| {
             let f = fss[0].create(ROOT_ID, "hot").unwrap();
             fss[0].write(f.id, 0, &pattern()).unwrap();
@@ -168,13 +170,15 @@ fn writeback_case() -> WbOut {
         ..DafsClientConfig::default()
     };
     let page = cfg.cache_page;
-    let (_, obs) = with_dafs_cluster(
+    let (_, _, obs) = with_dafs_cluster(
         1,
         1,
         ViaCost::default(),
         DafsServerCost::default(),
         cfg,
         None,
+        None,
+        Dial::EveryServer,
         |fss| {
             fss[0].create(ROOT_ID, "wb").unwrap();
         },
@@ -231,14 +235,14 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
     let warm = Cell::new();
     let (cd, wm) = (cold.clone(), warm.clone());
     let expect = pattern();
-    let (_, _topology, obs) = with_striped_dafs_fabric(
+    let (_, _topology, obs) = with_dafs_cluster(
         SCALE_SERVERS,
         clients,
         via,
         DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
-        move |cluster, sids| {
+        Some(Box::new(move |cluster, sids| {
             Topology::dumbbell(
                 cluster,
                 sids,
@@ -256,7 +260,8 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
                     policy: QueuePolicy::Backpressure,
                 },
             )
-        },
+        })),
+        Dial::EveryServer,
         |fss| {
             // Stripe the logical region over the piece files: logical
             // block `b` lives on server `b % SCALE_SERVERS` at local block
@@ -339,13 +344,15 @@ fn storm_case(readers: usize) -> StormOut {
     let img_a: Vec<u8> = (0..REGION as usize).map(|j| (j * 7 + 3) as u8).collect();
     let img_b: Vec<u8> = (0..REGION as usize).map(|j| (j * 13 + 1) as u8).collect();
     let (a, b) = (img_a.clone(), img_b.clone());
-    let (fss, obs) = with_dafs_cluster(
+    let (fss, _, obs) = with_dafs_cluster(
         1,
         readers + 1,
         ViaCost::default(),
         DafsServerCost::default(),
         cfg,
         None,
+        None,
+        Dial::EveryServer,
         |fss| {
             let f = fss[0].create(ROOT_ID, "storm").unwrap();
             fss[0].write(f.id, 0, &pattern()).unwrap();

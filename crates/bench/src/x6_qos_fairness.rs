@@ -2,12 +2,12 @@
 //! streaming tenant's saturation load.
 //!
 //! Two tenants share one DAFS server. A *small-op* tenant (one client,
-//! `dafs_tenant_weight` 8) issues getattr + 4 KiB inline reads with a short
+//! `DafsClientConfig::tenant` weight 8) issues getattr + 4 KiB inline reads with a short
 //! think time — an interactive metadata workload. A *streaming* tenant
 //! (three clients, weight 1) keeps batched 256 KiB direct reads in flight
 //! the whole time, saturating the server wire. The same seeded workload
 //! runs twice: once with the default FIFO dispatch and once with the WFQ
-//! scheduler (`MPIO_DAFS_SCHED=wfq` equivalent, passed explicitly).
+//! scheduler (`spawn_dafs_server_sched` with `SchedPolicy::Wfq`).
 //!
 //! Expected shape: under FIFO the small ops queue behind whole streaming
 //! batches and p99 blows up to many chunk-service-times; under WFQ the

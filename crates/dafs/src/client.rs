@@ -268,9 +268,6 @@ pub struct DafsClient {
     port: u16,
     config: DafsClientConfig,
     caps: Mutex<ServerCaps>,
-    /// QoS tenant binding declared to the server (config, or a later
-    /// [`DafsClient::declare_tenant`]); re-declared on every reconnect.
-    tenant: Mutex<Option<(u64, u32)>>,
     /// Stable client identity across reconnects: the VI id of the first
     /// session (fabric-scoped, so identical runs get identical ids).
     client_id: u64,
@@ -340,7 +337,6 @@ impl DafsClient {
                 credits: config.credits,
                 inline_max: config.inline_max,
             }),
-            tenant: Mutex::new(config.tenant),
             client_id,
             reqid: AtomicU32::new(1),
             req_ring: Mutex::new(req_ring),
@@ -434,34 +430,9 @@ impl DafsClient {
     }
 
     /// The capabilities negotiated at session setup (and re-negotiated by
-    /// [`DafsClient::declare_tenant`] or a reconnect).
+    /// a reconnect).
     pub fn caps(&self) -> ServerCaps {
         *self.caps.lock()
-    }
-
-    /// The stable client id the server keys its replay cache by.
-    pub fn client_id(&self) -> u64 {
-        self.client_id
-    }
-
-    /// Declare this session's QoS tenant binding (the `dafs_qos` hint
-    /// path): a fresh `Hello` carries `(tenant, weight)`, and the reply's —
-    /// possibly throttled — credit window replaces the session's negotiated
-    /// caps. The binding sticks for the life of the client and is
-    /// re-declared on every reconnect.
-    pub fn declare_tenant(
-        &self,
-        ctx: &ActorCtx,
-        tenant: u64,
-        weight: u32,
-    ) -> DafsResult<ServerCaps> {
-        *self.tenant.lock() = Some((tenant, weight));
-        // Ride the retryable path: a declaration must survive the same
-        // transport faults any other control op does (Hello re-executes
-        // idempotently, so replays are harmless).
-        let mut e = Self::hello_args(self.client_id, Some((tenant, weight)));
-        let payload = self.call(ctx, DafsOp::Hello, &mut e)?;
-        self.apply_hello_caps(&payload)
     }
 
     /// The session's configuration.
@@ -745,7 +716,7 @@ impl DafsClient {
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
         // the scheduler keeps treating the new session as the same tenant.
-        let mut e = Self::hello_args(self.client_id, *self.tenant.lock());
+        let mut e = Self::hello_args(self.client_id, self.config.tenant);
         let hello = std::mem::take(&mut e).finish();
         let reqid = self.next_reqid();
         self.post_request_raw(ctx, reqid, DafsOp::Hello, &hello);
@@ -2146,15 +2117,19 @@ impl DafsClient {
             }
         }
         if b.dir == BatchDir::Write {
-            // Self-coherence: drop any cached pages the batch overwrote.
+            // Self-coherence: drop any cached pages the batch overwrote —
+            // per request, and only once the server has acknowledged it.
+            // A request that failed keeps its pages: for the write-back
+            // flush they are the only copy of the bytes, and must stay
+            // dirty for the next flush to retry.
             match &b.reqs {
                 BatchReqs::Contig(rs) => {
-                    for r in rs {
+                    for (r, _) in rs.iter().zip(&b.results).filter(|(_, res)| res.is_ok()) {
                         self.cache_note_write(ctx, b.fh, r.off, r.len, None);
                     }
                 }
                 BatchReqs::List(rs) => {
-                    for r in rs {
+                    for (r, _) in rs.iter().zip(&b.results).filter(|(_, res)| res.is_ok()) {
                         if let (Some(first), Some(last)) = (r.segs.first(), r.segs.last()) {
                             let span = last.0 + last.1 - first.0;
                             self.cache_note_write(ctx, b.fh, first.0, span, None);

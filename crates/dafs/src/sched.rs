@@ -75,17 +75,6 @@ impl Default for WfqParams {
     }
 }
 
-/// The scheduler policy named by the `MPIO_DAFS_SCHED` environment
-/// variable: `wfq`/`enable`/`true` turn weighted fair queueing on;
-/// anything else — including unset and `disable` — keeps the historical
-/// FIFO dispatch.
-pub fn policy_from_env() -> SchedPolicy {
-    match std::env::var("MPIO_DAFS_SCHED").ok().as_deref() {
-        Some("wfq") | Some("enable") | Some("true") => SchedPolicy::Wfq(WfqParams::default()),
-        _ => SchedPolicy::Fifo,
-    }
-}
-
 /// One received request frame waiting for dispatch.
 pub struct QueuedReq {
     /// Session the frame arrived on.
@@ -545,18 +534,5 @@ mod tests {
             assert_eq!(vis, vec![2, 3]);
             assert!(s.is_empty());
         });
-    }
-
-    #[test]
-    fn policy_env_mapping() {
-        // Pure mapping check (no env mutation): default is FIFO.
-        assert_eq!(policy_from_env(), SchedPolicy::Fifo);
-        assert_eq!(
-            SchedPolicy::Wfq(WfqParams::default()),
-            SchedPolicy::Wfq(WfqParams {
-                quantum: 64 << 10,
-                boost_deadline: SimDuration::from_micros(50),
-            })
-        );
     }
 }

@@ -128,9 +128,8 @@ struct QosState {
     next_legacy_cid: u64,
 }
 
-/// Start a DAFS server on `nic`'s host, exporting `fs` at `port`. The
-/// dispatch policy comes from the `MPIO_DAFS_SCHED` environment variable
-/// ([`sched::policy_from_env`]); unset means the historical FIFO order.
+/// Start a DAFS server on `nic`'s host, exporting `fs` at `port`, with
+/// the historical FIFO dispatch order.
 pub fn spawn_dafs_server(
     kernel: &SimKernel,
     fabric: &ViaFabric,
@@ -139,15 +138,7 @@ pub fn spawn_dafs_server(
     port: u16,
     cost: DafsServerCost,
 ) -> DafsServerHandle {
-    spawn_dafs_server_sched(
-        kernel,
-        fabric,
-        nic,
-        fs,
-        port,
-        cost,
-        sched::policy_from_env(),
-    )
+    spawn_dafs_server_sched(kernel, fabric, nic, fs, port, cost, SchedPolicy::Fifo)
 }
 
 /// [`spawn_dafs_server`] with an explicit request-scheduling policy sitting

@@ -187,11 +187,6 @@ impl DafsStripedFile {
         self.stripe
     }
 
-    /// Whether this file goes through the sessions' client caches.
-    pub fn cached(&self) -> bool {
-        self.cached
-    }
-
     /// The session for server `s` (bench harnesses use this for stats).
     pub fn client(&self, s: usize) -> &Arc<DafsClient> {
         &self.clients[s]

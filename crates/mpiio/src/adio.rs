@@ -370,16 +370,6 @@ pub trait AdioFile: Send + Sync {
     /// Flush to stable storage (`MPI_File_sync`).
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()>;
 
-    /// True when this handle can serve collective window I/O through a
-    /// lease-coherent client cache (the `romio_cb_cache` hint): two-phase
-    /// aggregators then write aggregated windows via [`Self::write_contig`]
-    /// so the bytes buffer dirty and drain on the coalesced write-back
-    /// flush, and serve exchange reads from leased pages via
-    /// [`Self::read_contig`]. Default: no cache, keep the list/batch path.
-    fn cache_collective(&self) -> bool {
-        false
-    }
-
     /// Atomically advance the shared file pointer by `nbytes`, returning
     /// its previous value. `Err(NotSupported)` where the filesystem has no
     /// locking primitive.
@@ -622,24 +612,6 @@ fn cache_on(hints: &crate::hints::Hints) -> bool {
     hints.dafs_cache == crate::hints::TriState::Enable
 }
 
-/// Whether the `dafs_qos` hint declares this job as a QoS tenant. Like
-/// `dafs_cache`, `Automatic` means OFF: a declaration extends the Hello
-/// wire exchange, so it is strictly opt-in via `enable`.
-fn qos_on(hints: &crate::hints::Hints) -> bool {
-    hints.dafs_qos == crate::hints::TriState::Enable
-}
-
-/// Declare the session's QoS tenant binding at open when `dafs_qos` is
-/// enabled. The tenant id is the client's stable id (each rank's session
-/// is its own tenant); the weight comes from `dafs_tenant_weight`. Errors
-/// are swallowed — a FIFO or legacy server simply ignores the extension,
-/// and an open must not fail over a scheduling hint.
-fn declare_qos(client: &DafsClient, ctx: &ActorCtx, hints: &crate::hints::Hints) {
-    if qos_on(hints) {
-        let _ = client.declare_tenant(ctx, client.client_id(), hints.dafs_tenant_weight);
-    }
-}
-
 struct DafsHandle {
     /// The logical file; knows whether the `dafs_cache` hint routes
     /// contiguous ops, size polls and sync through the client cache.
@@ -679,7 +651,6 @@ impl AdioFs for DafsAdio {
         let mut fhs = Vec::with_capacity(factor);
         let mut shfp = None;
         for c in &self.clients[..factor] {
-            declare_qos(c, ctx, hints);
             let (dir, name) = dafs_resolve_dir(c, ctx, path, create)?;
             fhs.push(dafs_open_node(c, ctx, dir, &name, create)?);
             clients.push(c.clone());
@@ -813,10 +784,6 @@ impl AdioFile for DafsHandle {
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
         self.file.sync(ctx).map_err(AdioError::from)
-    }
-
-    fn cache_collective(&self) -> bool {
-        self.file.cached()
     }
 
     fn shared_fetch_add(&self, ctx: &ActorCtx, nbytes: u64) -> AdioResult<u64> {

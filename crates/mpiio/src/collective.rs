@@ -306,18 +306,6 @@ pub fn write_at_all(
     let host = file.host().clone();
     let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
-    // Cache-aware collective buffering (`romio_cb_cache`): aggregated
-    // windows go through the lease-coherent write-back cache — one local
-    // copy per run now, the wire drain riding the coalesced `WriteList`
-    // flush at sync/release. Strictly opt-in, and only on handles opened
-    // with `dafs_cache` enabled (`cache_collective` captures that).
-    // Single-aggregator sweeps only: the write lease spans the whole
-    // file, so a second buffering aggregator would park the first's
-    // write-through behind a recall its holder — blocked in the next
-    // exchange — can never service. Wider sweeps keep the list path.
-    let cb_cache = file.hints().cb_cache == TriState::Enable
-        && file.adio().cache_collective()
-        && sweep.naggs == 1;
     // Two collective buffers when pipelining: batch k-1 drains from one
     // while phase k overlays into the other.
     let nbufs = if pipelined { 2 } else { 1 };
@@ -388,16 +376,7 @@ pub fn write_at_all(
             charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
             reqs = Some(r);
         }
-        if cb_cache {
-            // Buffer the aggregated runs dirty in the client cache; no
-            // per-window wire batch — the flush coalesces them later.
-            if let Some(r) = reqs {
-                for q in &r {
-                    file.adio().write_contig(ctx, q.off, q.addr, q.len)?;
-                }
-                charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-            }
-        } else if pipelined {
+        if pipelined {
             // Drain window k-1 only now — its filesystem time since issue
             // ran under this phase's pack/exchange.
             drain_window_batch(ctx, pending.take(), &mut mark)?;
@@ -450,10 +429,6 @@ pub fn read_at_all(
     let host = file.host().clone();
     let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
-    // Cache-aware collective buffering (`romio_cb_cache`): aggregators
-    // fill their windows through the lease-coherent cache, so re-read
-    // sweeps serve exchange data from leased pages without wire traffic.
-    let cb_cache = file.hints().cb_cache == TriState::Enable && file.adio().cache_collective();
     // Two collective buffers when pipelining: window k reads into one
     // while window k-1's replies ship from the other.
     let nbufs = if pipelined { 2 } else { 1 };
@@ -514,18 +489,11 @@ pub fn read_at_all(
                 let runs = merge_runs(piece_descs(&requests));
                 let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-                if cb_cache {
-                    // Leased pages answer locally; misses fetch-and-keep.
-                    for q in &reqs {
-                        file.adio().read_contig(ctx, q.off, q.addr, q.len)?;
-                    }
-                } else {
-                    pending = Some((
-                        file.adio()
-                            .itransfer(ctx, BatchDir::Read, Shape::List, &reqs),
-                        ctx.now(),
-                    ));
-                }
+                pending = Some((
+                    file.adio()
+                        .itransfer(ctx, BatchDir::Read, Shape::List, &reqs),
+                    ctx.now(),
+                ));
                 // Post cost of issuing the batch.
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
                 served = Some((cbuf, ws));
@@ -553,15 +521,8 @@ pub fn read_at_all(
                 let runs = merge_runs(piece_descs(&requests));
                 let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-                if cb_cache {
-                    // Leased pages answer locally; misses fetch-and-keep.
-                    for q in &reqs {
-                        file.adio().read_contig(ctx, q.off, q.addr, q.len)?;
-                    }
-                } else {
-                    file.adio()
-                        .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?;
-                }
+                file.adio()
+                    .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?;
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
                 served = Some((cbuf, ws));
             }

@@ -1,10 +1,11 @@
 //! MPI_Info hints, with the ROMIO-compatible key set.
 //!
 //! Every known hint is described by one entry in the [`HINT_SPECS`] table:
-//! its key, its value kind ([`HintKind`]), and typed accessors. Parsing,
-//! clamping, environment-variable defaults, and round-tripping all flow
-//! through that single table, so adding a hint is one spec entry plus a
-//! field — not another ad-hoc `match` arm with its own string handling.
+//! its key and the typed field it addresses ([`HintField`]). Parsing,
+//! clamping and round-tripping all flow through that single table, so
+//! adding a hint is one spec entry plus a field — not another ad-hoc
+//! `match` arm with its own string handling. Defaults are literals: no
+//! environment variable changes one.
 
 use std::collections::BTreeMap;
 
@@ -42,47 +43,7 @@ impl TriState {
     }
 }
 
-/// The value kind of one hint key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HintKind {
-    /// Tri-state (`enable` / `disable` / anything-else-is-automatic).
-    Tri,
-    /// Byte size with a 4 KiB floor. With `zero_keeps_default`, a literal
-    /// `0` leaves the field untouched (the driver default), like
-    /// `striping_unit`.
-    Size {
-        /// Values below this clamp up to it.
-        floor: u64,
-        /// `0` keeps the prior/default value instead of being clamped.
-        zero_keeps_default: bool,
-    },
-    /// Plain count (`cb_nodes`, `striping_factor`).
-    Count,
-}
-
-impl HintKind {
-    /// Parse one value of this kind. `None` means "keep the current
-    /// field value" (unparsable numbers, or `0` where zero keeps the
-    /// default); tri-states never return `None` — garbage parses to
-    /// `Automatic`, exactly like the historical per-hint parsers.
-    pub fn parse(self, v: &str) -> Option<HintValue> {
-        match self {
-            HintKind::Tri => Some(HintValue::Tri(TriState::parse(v))),
-            HintKind::Count => v.parse().ok().map(HintValue::Count),
-            HintKind::Size {
-                floor,
-                zero_keeps_default,
-            } => match v.parse::<u64>() {
-                Ok(0) if zero_keeps_default => None,
-                Ok(n) => Some(HintValue::Size(n.max(floor))),
-                Err(_) => None,
-            },
-        }
-    }
-}
-
-/// A typed hint value: what [`Hints::get`] returns and what the spec
-/// table's setters consume.
+/// A typed hint value: what [`Hints::get`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HintValue {
     /// Tri-state hints.
@@ -105,219 +66,120 @@ impl HintValue {
     }
 }
 
-/// One known hint: key, value kind, and typed field accessors.
+/// 4 KiB floor shared by every byte-size hint: smaller values clamp up.
+const SIZE_FLOOR: u64 = 4096;
+
+/// The [`Hints`] field a key addresses, typed by its value kind: the one
+/// accessor both [`Hints::set`] and [`Hints::get`] go through, so a spec
+/// cannot pair a key with a value of the wrong kind.
+#[derive(Clone, Copy)]
+pub enum HintField {
+    /// Tri-state (`enable` / `disable` / anything-else-is-automatic).
+    Tri(fn(&mut Hints) -> &mut TriState),
+    /// Byte size, clamped up to the 4 KiB floor.
+    Size {
+        /// The field.
+        at: fn(&mut Hints) -> &mut u64,
+        /// A literal `0` leaves the field untouched (the driver default)
+        /// instead of being clamped, like `striping_unit`.
+        zero_keeps_default: bool,
+    },
+    /// Plain count (`cb_nodes`, `striping_factor`).
+    Count(fn(&mut Hints) -> &mut usize),
+}
+
+/// One known hint: its `MPI_Info` key and the field it addresses.
 pub struct HintSpec {
     /// The `MPI_Info` key.
     pub key: &'static str,
-    /// How its values parse.
-    pub kind: HintKind,
-    set: fn(&mut Hints, HintValue),
-    get: fn(&Hints) -> HintValue,
+    /// Where its values land, and how they parse.
+    pub field: HintField,
 }
 
-/// 4 KiB floor shared by every buffer-size hint.
-const SIZE_FLOOR: HintKind = HintKind::Size {
-    floor: 4096,
-    zero_keeps_default: false,
-};
+impl HintSpec {
+    /// Parse `value` into the field. Unparsable numbers — and `0` where
+    /// zero keeps the default — leave it as it was; tri-states always
+    /// store, garbage parsing to `Automatic`.
+    fn store(&self, h: &mut Hints, value: &str) {
+        match self.field {
+            HintField::Tri(at) => *at(h) = TriState::parse(value),
+            HintField::Count(at) => {
+                if let Ok(n) = value.parse() {
+                    *at(h) = n;
+                }
+            }
+            HintField::Size {
+                at,
+                zero_keeps_default,
+            } => match value.parse::<u64>() {
+                Ok(0) if zero_keeps_default => {}
+                Ok(n) => *at(h) = n.max(SIZE_FLOOR),
+                Err(_) => {}
+            },
+        }
+    }
 
-/// The one table every hint flows through.
+    /// The field's current value.
+    fn load(&self, h: &mut Hints) -> HintValue {
+        match self.field {
+            HintField::Tri(at) => HintValue::Tri(*at(h)),
+            HintField::Size { at, .. } => HintValue::Size(*at(h)),
+            HintField::Count(at) => HintValue::Count(*at(h)),
+        }
+    }
+}
+
+const fn tri(key: &'static str, at: fn(&mut Hints) -> &mut TriState) -> HintSpec {
+    HintSpec {
+        key,
+        field: HintField::Tri(at),
+    }
+}
+
+const fn size(key: &'static str, at: fn(&mut Hints) -> &mut u64) -> HintSpec {
+    HintSpec {
+        key,
+        field: HintField::Size {
+            at,
+            zero_keeps_default: false,
+        },
+    }
+}
+
+const fn count(key: &'static str, at: fn(&mut Hints) -> &mut usize) -> HintSpec {
+    HintSpec {
+        key,
+        field: HintField::Count(at),
+    }
+}
+
+/// The one table every hint flows through. DESIGN.md §4.4 names, for each
+/// tri-state, the experiment that sweeps it.
 pub const HINT_SPECS: &[HintSpec] = &[
-    HintSpec {
-        key: "cb_nodes",
-        kind: HintKind::Count,
-        set: |h, v| {
-            if let HintValue::Count(n) = v {
-                h.cb_nodes = n;
-            }
-        },
-        get: |h| HintValue::Count(h.cb_nodes),
-    },
-    HintSpec {
-        key: "cb_buffer_size",
-        kind: SIZE_FLOOR,
-        set: |h, v| {
-            if let HintValue::Size(n) = v {
-                h.cb_buffer_size = n;
-            }
-        },
-        get: |h| HintValue::Size(h.cb_buffer_size),
-    },
-    HintSpec {
-        key: "ind_rd_buffer_size",
-        kind: SIZE_FLOOR,
-        set: |h, v| {
-            if let HintValue::Size(n) = v {
-                h.ind_rd_buffer_size = n;
-            }
-        },
-        get: |h| HintValue::Size(h.ind_rd_buffer_size),
-    },
-    HintSpec {
-        key: "ind_wr_buffer_size",
-        kind: SIZE_FLOOR,
-        set: |h, v| {
-            if let HintValue::Size(n) = v {
-                h.ind_wr_buffer_size = n;
-            }
-        },
-        get: |h| HintValue::Size(h.ind_wr_buffer_size),
-    },
-    HintSpec {
-        key: "romio_cb_read",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.cb_read = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.cb_read),
-    },
-    HintSpec {
-        key: "romio_cb_write",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.cb_write = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.cb_write),
-    },
-    HintSpec {
-        key: "romio_ds_read",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.ds_read = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.ds_read),
-    },
-    HintSpec {
-        key: "romio_ds_write",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.ds_write = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.ds_write),
-    },
-    HintSpec {
-        key: "romio_cb_pipeline",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.cb_pipeline = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.cb_pipeline),
-    },
-    HintSpec {
-        key: "romio_cb_cache",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.cb_cache = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.cb_cache),
-    },
-    HintSpec {
-        key: "dafs_listio",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.dafs_listio = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.dafs_listio),
-    },
-    HintSpec {
-        key: "dafs_cache",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.dafs_cache = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.dafs_cache),
-    },
-    HintSpec {
-        key: "dafs_qos",
-        kind: HintKind::Tri,
-        set: |h, v| {
-            if let HintValue::Tri(t) = v {
-                h.dafs_qos = t;
-            }
-        },
-        get: |h| HintValue::Tri(h.dafs_qos),
-    },
-    HintSpec {
-        key: "dafs_tenant_weight",
-        kind: HintKind::Count,
-        set: |h, v| {
-            if let HintValue::Count(n) = v {
-                h.dafs_tenant_weight = n.max(1) as u32;
-            }
-        },
-        get: |h| HintValue::Count(h.dafs_tenant_weight as usize),
-    },
-    HintSpec {
-        key: "striping_factor",
-        kind: HintKind::Count,
-        set: |h, v| {
-            if let HintValue::Count(n) = v {
-                h.striping_factor = n;
-            }
-        },
-        get: |h| HintValue::Count(h.striping_factor),
-    },
+    count("cb_nodes", |h| &mut h.cb_nodes),
+    size("cb_buffer_size", |h| &mut h.cb_buffer_size),
+    size("ind_rd_buffer_size", |h| &mut h.ind_rd_buffer_size),
+    size("ind_wr_buffer_size", |h| &mut h.ind_wr_buffer_size),
+    tri("romio_cb_read", |h| &mut h.cb_read),
+    tri("romio_cb_write", |h| &mut h.cb_write),
+    tri("romio_ds_read", |h| &mut h.ds_read),
+    tri("romio_ds_write", |h| &mut h.ds_write),
+    tri("romio_cb_pipeline", |h| &mut h.cb_pipeline),
+    tri("dafs_listio", |h| &mut h.dafs_listio),
+    tri("dafs_cache", |h| &mut h.dafs_cache),
+    count("striping_factor", |h| &mut h.striping_factor),
     HintSpec {
         key: "striping_unit",
-        kind: HintKind::Size {
-            floor: 4096,
+        field: HintField::Size {
+            at: |h| &mut h.striping_unit,
             zero_keeps_default: true,
         },
-        set: |h, v| {
-            if let HintValue::Size(n) = v {
-                h.striping_unit = n;
-            }
-        },
-        get: |h| HintValue::Size(h.striping_unit),
     },
 ];
 
 /// Look up the spec for `key`.
 pub fn hint_spec(key: &str) -> Option<&'static HintSpec> {
     HINT_SPECS.iter().find(|s| s.key == key)
-}
-
-/// Tri-state hints whose sweep-wide default can come from an
-/// `MPIO_DAFS_*` environment variable: `(hint key, env var)`.
-pub const TRI_ENV_OVERRIDES: &[(&str, &str)] = &[
-    ("dafs_listio", "MPIO_DAFS_LISTIO"),
-    ("dafs_cache", "MPIO_DAFS_CACHE"),
-    ("dafs_qos", "MPIO_DAFS_QOS"),
-    ("romio_cb_cache", "MPIO_ROMIO_CB_CACHE"),
-];
-
-/// The value an `MPIO_DAFS_*` override variable contributes: its parsed
-/// tri-state when set, `Automatic` when absent. Pure; the env read lives
-/// in [`tri_env_default`].
-pub fn tri_env_value(v: Option<&str>) -> TriState {
-    match v {
-        Some(v) => TriState::parse(v),
-        None => TriState::Automatic,
-    }
-}
-
-/// Uniform environment override for tri-state hints: the sweep-wide
-/// default for a hint comes from its `MPIO_DAFS_*` variable, and an
-/// explicit hint still wins. Used by every entry in
-/// [`TRI_ENV_OVERRIDES`].
-pub fn tri_env_default(var: &str) -> TriState {
-    tri_env_value(std::env::var(var).ok().as_deref())
 }
 
 /// Parsed hints controlling the I/O strategies.
@@ -344,15 +206,6 @@ pub struct Hints {
     /// `Automatic` means on; `disable` forces the strictly synchronous
     /// sweep.
     pub cb_pipeline: TriState,
-    /// Cache-aware collective buffering: with this **and** `dafs_cache`
-    /// enabled, two-phase aggregators write their aggregated windows
-    /// through the lease-coherent write-back cache (the drain rides the
-    /// coalesced `WriteList` flush at sync/close) and serve exchange
-    /// reads from leased pages. `Automatic` means **off** — like
-    /// `dafs_cache`, it changes when bytes reach the server, so it is
-    /// strictly opt-in via `enable`; `disable` is byte-identical to the
-    /// plain pipelined sweep. Inert on non-DAFS backends.
-    pub cb_cache: TriState,
     /// Vectored list I/O on DAFS backends: ship a sorted `(offset, len)`
     /// list as one wire request instead of data-sieving the covering
     /// extent. `Automatic` means on where the backend supports it (DAFS,
@@ -366,16 +219,6 @@ pub struct Hints {
     /// write-sharing cost model (recalls), so it is strictly opt-in via
     /// `enable`. Inert on non-DAFS backends.
     pub dafs_cache: TriState,
-    /// QoS tenant declaration on DAFS backends: the open declares the
-    /// MPI job as one tenant to the server's request scheduler, which
-    /// apportions service by `dafs_tenant_weight` when fairness is on.
-    /// `Automatic` means **off** (no declaration, wire bytes unchanged) —
-    /// like `dafs_cache`, strictly opt-in via `enable`. Inert on non-DAFS
-    /// backends and under a FIFO server.
-    pub dafs_qos: TriState,
-    /// Scheduling weight this job declares with `dafs_qos`; service under
-    /// a weighted-fair server is proportional to weight. Clamped to ≥ 1.
-    pub dafs_tenant_weight: u32,
     /// Number of servers to stripe a new file over (PVFS/ROMIO
     /// convention). 0 = all servers the filesystem has. Ignored by
     /// unstriped drivers.
@@ -400,15 +243,8 @@ impl Default for Hints {
             ds_read: TriState::Automatic,
             ds_write: TriState::Automatic,
             cb_pipeline: TriState::Automatic,
-            cb_cache: tri_env_default("MPIO_ROMIO_CB_CACHE"),
-            dafs_listio: tri_env_default("MPIO_DAFS_LISTIO"),
-            dafs_cache: tri_env_default("MPIO_DAFS_CACHE"),
-            dafs_qos: tri_env_default("MPIO_DAFS_QOS"),
-            dafs_tenant_weight: std::env::var("MPIO_DAFS_TENANT_WEIGHT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map(|w: u32| w.max(1))
-                .unwrap_or(1),
+            dafs_listio: TriState::Automatic,
+            dafs_cache: TriState::Automatic,
             striping_factor: 0,
             striping_unit: 0,
             raw: BTreeMap::new(),
@@ -433,15 +269,19 @@ impl Hints {
     pub fn set(&mut self, key: &str, value: &str) {
         self.raw.insert(key.to_string(), value.to_string());
         if let Some(spec) = hint_spec(key) {
-            if let Some(v) = spec.kind.parse(value) {
-                (spec.set)(self, v);
-            }
+            spec.store(self, value);
         }
     }
 
     /// The typed current value of a known hint key.
     pub fn get(&self, key: &str) -> Option<HintValue> {
-        hint_spec(key).map(|spec| (spec.get)(self))
+        // The one accessor is `&mut`: read through a copy of the typed
+        // fields (all `Copy`; `raw`, which no spec addresses, stays behind).
+        let mut fields = Hints {
+            raw: BTreeMap::new(),
+            ..*self
+        };
+        hint_spec(key).map(|spec| spec.load(&mut fields))
     }
 
     /// Raw keys that match no [`HintSpec`] — inert hints the application
@@ -576,18 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn cb_cache_toggle() {
-        // Off by default, strictly opt-in — like dafs_cache.
-        assert_eq!(Hints::default().cb_cache, TriState::Automatic);
-        let h = Hints::from_pairs([("romio_cb_cache", "enable")]);
-        assert_eq!(h.cb_cache, TriState::Enable);
-        let h = Hints::from_pairs([("romio_cb_cache", "disable")]);
-        assert_eq!(h.cb_cache, TriState::Disable);
-        let h = Hints::from_pairs([("romio_cb_cache", "sometimes")]);
-        assert_eq!(h.cb_cache, TriState::Automatic);
-    }
-
-    #[test]
     fn dafs_listio_toggle() {
         assert_eq!(Hints::default().dafs_listio, TriState::Automatic);
         let h = Hints::from_pairs([("dafs_listio", "disable")]);
@@ -607,21 +435,6 @@ mod tests {
         assert_eq!(h.dafs_cache, TriState::Disable);
         let h = Hints::from_pairs([("dafs_cache", "sometimes")]);
         assert_eq!(h.dafs_cache, TriState::Automatic);
-    }
-
-    #[test]
-    fn dafs_qos_toggle_and_weight() {
-        // Off by default, strictly opt-in — like dafs_cache.
-        assert_eq!(Hints::default().dafs_qos, TriState::Automatic);
-        assert_eq!(Hints::default().dafs_tenant_weight, 1);
-        let h = Hints::from_pairs([("dafs_qos", "enable"), ("dafs_tenant_weight", "8")]);
-        assert_eq!(h.dafs_qos, TriState::Enable);
-        assert_eq!(h.dafs_tenant_weight, 8);
-        // Weight 0 clamps to 1 (a zero-weight tenant would starve itself).
-        let h = Hints::from_pairs([("dafs_tenant_weight", "0")]);
-        assert_eq!(h.dafs_tenant_weight, 1);
-        let h = Hints::from_pairs([("dafs_qos", "sometimes")]);
-        assert_eq!(h.dafs_qos, TriState::Automatic);
     }
 
     #[test]
@@ -655,10 +468,10 @@ mod tests {
     fn tri_hints_round_trip() {
         let tri_keys: Vec<&str> = HINT_SPECS
             .iter()
-            .filter(|s| s.kind == HintKind::Tri)
+            .filter(|s| matches!(s.field, HintField::Tri(_)))
             .map(|s| s.key)
             .collect();
-        assert!(tri_keys.len() >= 7, "all tri-state hints must be specs");
+        assert_eq!(tri_keys.len(), 7, "all tri-state hints must be specs");
         let spellings = [
             ("enable", TriState::Enable),
             ("true", TriState::Enable),
@@ -686,7 +499,10 @@ mod tests {
     /// Numeric hints round-trip through the same single path.
     #[test]
     fn numeric_hints_round_trip() {
-        for spec in HINT_SPECS.iter().filter(|s| s.kind != HintKind::Tri) {
+        for spec in HINT_SPECS
+            .iter()
+            .filter(|s| !matches!(s.field, HintField::Tri(_)))
+        {
             let mut h = Hints::default();
             h.set(spec.key, "131072");
             let got = h.get(spec.key).unwrap();
@@ -697,27 +513,48 @@ mod tests {
         }
     }
 
-    /// The uniform env-override helper: every `MPIO_DAFS_*` variable in
-    /// [`TRI_ENV_OVERRIDES`] contributes the same tri-state mapping, and
-    /// every tri-state spelling flows through [`TriState::parse`].
+    /// Hints are a function of what the application passes: the six
+    /// process-wide `MPIO_*` switches that used to move defaults are gone,
+    /// and exporting them must change nothing.
     #[test]
-    fn env_override_mapping() {
-        assert_eq!(tri_env_value(None), TriState::Automatic);
-        assert_eq!(tri_env_value(Some("enable")), TriState::Enable);
-        assert_eq!(tri_env_value(Some("true")), TriState::Enable);
-        assert_eq!(tri_env_value(Some("disable")), TriState::Disable);
-        assert_eq!(tri_env_value(Some("false")), TriState::Disable);
-        assert_eq!(tri_env_value(Some("whatever")), TriState::Automatic);
-        // Every override entry names a known tri-state hint and a
-        // variable in the project env namespace (`MPIO_DAFS_*` for the
-        // DAFS-backend hints, `MPIO_ROMIO_*` for the ROMIO-level ones).
-        for (key, var) in TRI_ENV_OVERRIDES {
-            let spec = hint_spec(key).expect("override key must be a spec");
-            assert_eq!(spec.kind, HintKind::Tri, "{key}");
-            assert!(
-                var.starts_with("MPIO_DAFS_") || var.starts_with("MPIO_ROMIO_"),
-                "{var}"
-            );
+    fn defaults_ignore_the_environment() {
+        // By name, so a grep for environment reads finds only the sinks.
+        use std::env::{remove_var, set_var, var_os};
+        let pristine = format!("{:?}", Hints::default());
+        for (var, hostile) in [
+            ("MPIO_DAFS_LISTIO", "disable"),
+            ("MPIO_DAFS_CACHE", "enable"),
+            ("MPIO_DAFS_QOS", "enable"),
+            ("MPIO_DAFS_TENANT_WEIGHT", "8"),
+            ("MPIO_DAFS_SCHED", "wfq"),
+            ("MPIO_ROMIO_CB_CACHE", "enable"),
+        ] {
+            let saved = var_os(var);
+            set_var(var, hostile);
+            let got = format!("{:?}", Hints::default());
+            match saved {
+                Some(v) => set_var(var, v),
+                None => remove_var(var),
+            }
+            assert_eq!(got, pristine, "{var}={hostile} moved a default");
         }
+    }
+
+    /// README's hint table is the user-facing rendering of [`HINT_SPECS`]:
+    /// same keys, no more, no fewer.
+    #[test]
+    fn readme_hint_table_matches_specs() {
+        let readme = include_str!("../../../README.md");
+        let mut documented: Vec<&str> = readme
+            .lines()
+            .skip_while(|l| *l != "| hint | meaning |")
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.split('`').nth(1).expect("row without a `key`"))
+            .collect();
+        documented.sort_unstable();
+        let mut specs: Vec<&str> = HINT_SPECS.iter().map(|s| s.key).collect();
+        specs.sort_unstable();
+        assert_eq!(documented, specs);
     }
 }

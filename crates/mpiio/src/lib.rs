@@ -44,7 +44,7 @@ pub use collective::{
 pub use comm::{Comm, CommCost, CommWorld, ReduceOp, TrafficStats};
 pub use datatype::{Datatype, Flattened};
 pub use file::{mpi_file_delete, MpiFile, OpenMode, OpenOptions, Request, SeekWhence};
-pub use hints::{HintKind, HintValue, Hints, TriState};
+pub use hints::{HintField, HintValue, Hints, TriState};
 pub use view::FileView;
 pub use world::{Backend, JobReport, Testbed};
 

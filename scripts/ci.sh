@@ -13,6 +13,15 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test -q again, under the deleted MPIO_* switches"
+# Hints and the server scheduler are functions of their arguments: the six
+# process-wide switches that used to move defaults are gone, so exporting
+# them to hostile values must change no test. An ambient read that sneaks
+# back in fails here.
+MPIO_DAFS_CACHE=enable MPIO_DAFS_SCHED=wfq MPIO_ROMIO_CB_CACHE=enable \
+    MPIO_DAFS_QOS=enable MPIO_DAFS_TENANT_WEIGHT=8 MPIO_DAFS_LISTIO=disable \
+    cargo test -q --workspace
+
 echo "==> chaos suite (deterministic fault injection)"
 cargo test -q --test chaos
 
@@ -85,36 +94,30 @@ cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 250
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
 benchmark/run.sh --smoke
 
-echo "==> bench suite byte-identity under MPIO_DAFS_CACHE=disable"
-# The client cache must be invisible when disabled: the full suite, run
-# with the cache hint forced off via the env override, must emit exactly
-# the checked-in goldens (which the default-env run also must match,
-# since dafs_cache defaults to off). The same holds for the QoS
-# scheduler: with MPIO_DAFS_SCHED unset (or =disable) the server's
-# default FifoSched must be byte-identical in virtual time to the
-# pre-scheduler dispatch loop, so the goldens double as that gate —
-# X-6's fifo rows come from the same FifoSched path. Likewise
-# MPIO_ROMIO_CB_CACHE=disable pins cache-aware collective I/O off: the
-# two-phase sweep must take the plain list-I/O path bit-for-bit.
+echo "==> bench suite golden diff"
+# The full suite must emit exactly the checked-in goldens. What that
+# gates: default hints reproduce every table (`dafs_cache` defaults to
+# off, `dafs_listio` and the pipelined sweep to on), and the server's
+# default FifoSched is byte-identical in virtual time to the
+# pre-scheduler dispatch loop — X-6's fifo rows come from that same path.
 # Wall-clock lines are real elapsed time (nondeterministic by design):
 # the per-table harness throughput notes in the rendered text, R-F10's
 # embedded cell notes, and the R-K1 microbench (whose title carries the
 # marker, excluding its whole JSON line). Both diffs filter them; every
 # other line is compared byte-for-byte.
 tmp_json=$(mktemp) tmp_txt=$(mktemp)
-MPIO_DAFS_CACHE=disable MPIO_DAFS_SCHED=disable MPIO_ROMIO_CB_CACHE=disable \
-    MPIO_DAFS_JSON="$tmp_json" \
+MPIO_DAFS_JSON="$tmp_json" \
     cargo run --release -p mpio-dafs-bench --bin all_experiments >"$tmp_txt"
 grep -v 'wall-clock' bench_output.txt >"$tmp_txt.golden"
 grep -v 'wall-clock' "$tmp_txt" >"$tmp_txt.got"
 diff -u "$tmp_txt.golden" "$tmp_txt.got" || {
-    echo "ci: bench_output.txt differs under MPIO_DAFS_CACHE=disable" >&2
+    echo "ci: the suite's output differs from bench_output.txt" >&2
     exit 1
 }
 grep -v 'wall-clock' BENCH_13.json >"$tmp_json.golden"
 grep -v 'wall-clock' "$tmp_json" >"$tmp_json.got"
 diff -u "$tmp_json.golden" "$tmp_json.got" || {
-    echo "ci: BENCH_13.json differs under MPIO_DAFS_CACHE=disable" >&2
+    echo "ci: the suite's JSON differs from BENCH_13.json" >&2
     exit 1
 }
 
@@ -126,7 +129,7 @@ echo "==> R-F10 1024-client cell wall-clock budget"
 # it dispatching well above this floor (~10x below a quiet-machine
 # run), so a kernel, fabric or mapping regression that makes the big
 # cells crawl fails CI instead of just making the suite slow. The note
-# comes from the identity run above.
+# comes from the golden run above.
 f10_rate=$(sed -n 's|.*1024-client s=4 o=1:1 cell ran [0-9]* sim events in [0-9.]*s (\([0-9]*\) events/s).*|\1|p' "$tmp_txt")
 if [ -z "$f10_rate" ]; then
     echo "ci: R-F10 output missing the 1024-client cell wall-clock note" >&2

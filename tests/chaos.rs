@@ -754,6 +754,88 @@ fn dafs_server_crash_mid_coalesced_flush_replays_exactly_once() {
     }
 }
 
+#[test]
+fn dafs_failed_flush_keeps_pages_dirty_for_the_next_sync() {
+    // A write-back holder buffers 16 strided pages, then the link to the
+    // server goes down for longer than the session's reconnect budget
+    // rides out: the sync must report the failure *and keep the bytes* —
+    // pages the server never acknowledged stay dirty. Once the link is
+    // back, the next sync lands them and an uncached session reads the
+    // written pattern.
+    const PAGE: u64 = 4096;
+    const PAGES: u64 = 16;
+    let fill = |p: u64| (p % 251) as u8 + 1;
+    let (kernel, fabric, cluster, sid, fs) = lease_chaos_bed();
+    let client_host = cluster.add_host("flusher");
+    let plan = FaultPlan::builder(0xD1A7)
+        .link_down(
+            sid,
+            client_host.id,
+            SimTime::ZERO + ms(4),
+            SimTime::ZERO + ms(40),
+        )
+        .build();
+    fabric.set_fault_plan(plan);
+    fs.create(ROOT_ID, "wb").unwrap();
+    {
+        let fabric = fabric.clone();
+        kernel.spawn("flusher", move |ctx| {
+            let nic = fabric.open_nic(client_host.clone());
+            let cfg = dafs::DafsClientConfig {
+                cache_write_back: true,
+                // 1 ms + 2 ms of backoff: gives up well inside the window.
+                max_reconnects: 2,
+                ..Default::default()
+            };
+            let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
+            let f = c.lookup(ctx, ROOT_ID, "wb").unwrap();
+            let src = nic.host().mem.alloc(PAGE as usize);
+            for p in 0..PAGES {
+                nic.host().mem.fill(src, PAGE as usize, fill(p));
+                c.write_cached(ctx, f.id, p * 2 * PAGE, src, PAGE).unwrap();
+            }
+            ctx.advance(ms(5));
+            assert!(
+                c.cache_sync(ctx).is_err(),
+                "sync across a dead link must report the failed flush"
+            );
+            assert!(
+                ctx.now().as_nanos() < ms(40).as_nanos(),
+                "the failed sync outlived the outage — nothing was exhausted"
+            );
+            ctx.advance((SimTime::ZERO + ms(45)).since(ctx.now()));
+            c.cache_sync(ctx)
+                .expect("sync after the outage must land the still-dirty pages");
+            c.disconnect(ctx);
+            let plain = dafs::DafsClient::connect(
+                ctx,
+                &fabric,
+                &nic,
+                sid,
+                2049,
+                dafs::DafsClientConfig::default(),
+            )
+            .unwrap();
+            for p in 0..PAGES {
+                let got = plain.read_to_vec(ctx, f.id, p * 2 * PAGE, PAGE).unwrap();
+                assert!(
+                    got == vec![fill(p); PAGE as usize],
+                    "page {p} was lost with the failed flush ({} bytes read back)",
+                    got.len()
+                );
+            }
+            plain.disconnect(ctx);
+        });
+    }
+    let end = kernel.run();
+    assert!(
+        end.as_nanos() < DEADLINE_NS,
+        "virtual-time deadline blown: {} ns",
+        end.as_nanos()
+    );
+    assert_eq!(fs.resolve("/wb").unwrap().size, (2 * PAGES - 1) * PAGE);
+}
+
 // --- switched-fabric chaos ---------------------------------------------------
 //
 // The fabric layer rides the same ladder: egress saturation, a rail dying

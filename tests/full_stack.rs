@@ -322,94 +322,6 @@ fn dafs_cache_hint_serves_rereads_from_client_cache() {
     assert_eq!(run(Some("disable")), (0, 0));
 }
 
-/// Cache-aware collective buffering end to end (`romio_cb_cache` on top of
-/// `dafs_cache`): aggregated windows buffer dirty in the client cache and
-/// drain on the coalesced write-back flush at sync. The server file must be
-/// byte-identical to the default wire path, and only the enabled run may
-/// touch the flush counters.
-#[test]
-fn cb_cache_hint_collective_bytes_identical_and_flush_coalesced() {
-    const RANKS: usize = 4;
-    const CH: usize = 16; // chunks per rank
-    const CHUNK: usize = 4 << 10;
-    fn run(enable: bool) -> (Vec<u8>, u64, u64) {
-        // Write-back buffering is session-level (client config); the
-        // `romio_cb_cache` hint then opts the collective path in per file.
-        let backend = Backend::Dafs {
-            via: ViaCost::default(),
-            server: mpio_dafs::dafs::DafsServerCost::default(),
-            client: DafsClientConfig {
-                cache_write_back: true,
-                ..DafsClientConfig::default()
-            },
-        };
-        let tb = Testbed::new(backend);
-        let fs = tb.fs.clone();
-        let report = tb.run(RANKS, move |ctx, comm, adio| {
-            let host = comm.host().clone();
-            let mut hints = Hints::default();
-            let v = if enable { "enable" } else { "disable" };
-            hints.set("dafs_cache", v);
-            hints.set("romio_cb_cache", v);
-            // One aggregator: the whole-file write lease admits exactly one
-            // buffering rank, so that is the sweep shape cb_cache covers.
-            hints.set("cb_nodes", "1");
-            let f = MpiFile::open(ctx, adio, &host, "/cb", OpenMode::create(), hints).unwrap();
-            // File = CH rows x RANKS cols of CHUNK-byte cells; rank r owns
-            // column r, so every aggregated window interleaves all ranks.
-            let ft = Datatype::subarray(
-                &[CH as u64, RANKS as u64],
-                &[CH as u64, 1],
-                &[0, comm.rank() as u64],
-                &Datatype::bytes(CHUNK as u64),
-            );
-            f.set_view(0, &Datatype::bytes(CHUNK as u64), &ft);
-            let mine = CH * CHUNK;
-            let src = host.mem.alloc(mine);
-            for c in 0..CH {
-                let cell: Vec<u8> = (0..CHUNK)
-                    .map(|b| (comm.rank() * 31 + c * 7 + b) as u8)
-                    .collect();
-                host.mem.write(src.offset((c * CHUNK) as u64), &cell);
-            }
-            write_at_all(ctx, comm, &f, 0, src, mine as u64).unwrap();
-            f.sync(ctx).unwrap();
-            comm.barrier(ctx);
-            let dst = host.mem.alloc(mine);
-            let n = read_at_all(ctx, comm, &f, 0, dst, mine as u64).unwrap();
-            assert_eq!(n as usize, mine);
-            assert_eq!(host.mem.read_vec(dst, mine), host.mem.read_vec(src, mine));
-        });
-        let metric = |k: &str| report.snapshot.get(k).map(|e| e.value()).unwrap_or(0);
-        let attr = fs.resolve("/cb").unwrap();
-        assert_eq!(attr.size, (RANKS * CH * CHUNK) as u64);
-        (
-            fs.read(attr.id, 0, attr.size).unwrap(),
-            metric("dafs.cache.flush_pages"),
-            metric("dafs.cache.flush_batches"),
-        )
-    }
-    let (cached, flush_pages, flush_batches) = run(true);
-    let (plain, p_pages, p_batches) = run(false);
-    assert_eq!(
-        cached, plain,
-        "cb_cache changed the bytes on stable storage"
-    );
-    assert!(
-        flush_pages > 0,
-        "enabled run never drained through the write-back flush"
-    );
-    assert!(
-        flush_batches <= flush_pages.div_ceil(4),
-        "flush not coalesced: {flush_batches} wire requests for {flush_pages} pages"
-    );
-    assert_eq!(
-        (p_pages, p_batches),
-        (0, 0),
-        "disabled run touched the cache"
-    );
-}
-
 /// Run-length form of a byte image, so a mismatch prints a few pairs
 /// instead of sixteen thousand numbers.
 type Runs = Vec<(u8, usize)>;

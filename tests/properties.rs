@@ -242,8 +242,10 @@ fn memfs_matches_reference_model() {
 
 /// The pipelined double-buffered sweep (the default) lands exactly the
 /// same bytes as the strictly synchronous sweep
-/// (`romio_cb_pipeline=disable`), for random strided geometries on every
-/// backend — and collective reads return the written data in both modes.
+/// (`romio_cb_pipeline=disable`) — and as no sweep at all
+/// (`romio_cb_{read,write}=disable`: each rank's independent access plus a
+/// barrier) — for random strided geometries on every backend, and
+/// collective reads return the written data in every mode.
 #[test]
 fn pipelined_collective_matches_synchronous() {
     let mut rng = Rng64::new(0xDA7A_0007);
@@ -252,7 +254,12 @@ fn pipelined_collective_matches_synchronous() {
         let block = rng.range(1, 9) * 512;
         let rounds = rng.range_usize(1, 4);
         let mut images: Vec<Vec<u8>> = Vec::new();
-        for pipeline in ["disable", "enable"] {
+        for (cb, pipeline) in [
+            ("enable", "disable"),
+            ("enable", "enable"),
+            ("disable", "disable"),
+            ("disable", "enable"),
+        ] {
             let backend = match case % 3 {
                 0 => Backend::dafs(),
                 1 => Backend::nfs(),
@@ -267,6 +274,8 @@ fn pipelined_collective_matches_synchronous() {
                 // so the pipeline actually has windows to overlap.
                 hints.set("cb_buffer_size", "4096");
                 hints.set("romio_cb_pipeline", pipeline);
+                hints.set("romio_cb_read", cb);
+                hints.set("romio_cb_write", cb);
                 let f = MpiFile::open(ctx, adio, &host, "/eq", OpenMode::create(), hints).unwrap();
                 let el = Datatype::bytes(block);
                 let ft = Datatype::resized(
@@ -292,16 +301,18 @@ fn pipelined_collective_matches_synchronous() {
                 assert_eq!(
                     host.mem.read_vec(dst, total as usize),
                     host.mem.read_vec(src, total as usize),
-                    "collective read-back mismatch (pipeline={pipeline})"
+                    "collective read-back mismatch (cb={cb}, pipeline={pipeline})"
                 );
             });
             let attr = fs.resolve("/eq").unwrap();
             images.push(fs.read(attr.id, 0, attr.size).unwrap());
         }
-        assert_eq!(
-            images[0], images[1],
-            "case {case}: pipelined file differs from synchronous"
-        );
+        for (mode, image) in images.iter().enumerate().skip(1) {
+            assert_eq!(
+                &images[0], image,
+                "case {case}: hint mode {mode} left a different file than the synchronous sweep"
+            );
+        }
     }
 }
 
