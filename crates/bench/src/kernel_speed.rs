@@ -5,8 +5,8 @@
 //! kernel dispatches on three stress shapes —
 //!
 //! * **ping-pong** — two actors bouncing one message; every event is a
-//!   block/wake handoff to the other thread, so this isolates per-event
-//!   dispatch cost (queue pop, clock bump, unpark);
+//!   block/wake handoff to the other actor, so this isolates per-event
+//!   dispatch cost (queue pop, clock bump, stack switch);
 //! * **fan-in** — many senders funneling into one receiver; stresses wake
 //!   coalescing and the ready-queue under contention, the
 //!   shape of the R-F10 incast cells;

@@ -82,9 +82,10 @@ extern "C" {
 
 /// Pin the calling thread — and every thread it spawns from now on — to the
 /// highest-numbered CPU it is allowed on (CPU 0 takes most interrupts), and
-/// return that CPU; `None` where pinning is unavailable. The kernel runs one
-/// actor thread at a time, so a second core buys nothing and turns every
-/// handoff into a cross-core wake: unpinned wall-clock numbers are bimodal.
+/// return that CPU; `None` where pinning is unavailable. A simulation runs
+/// on the one thread inside `SimKernel::run`, so there is no cross-core wake
+/// left to avoid; pinning only keeps the OS from migrating that thread
+/// mid-measurement, for steadier wall-clock numbers.
 /// For bench binaries to call first thing; library code never pins.
 #[cfg(target_os = "linux")]
 pub fn pin_to_one_cpu() -> Option<usize> {

@@ -232,12 +232,11 @@ enum ReqState {
     Pending(Box<dyn PendingIo>),
 }
 
-thread_local! {
-    /// Split-phase batches outstanding on the calling actor (each rank
-    /// actor runs on its own thread). Feeds the `adio.inflight` depth
-    /// histogram; self-balancing because every request is waited.
-    static INFLIGHT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
+/// Split-phase batches outstanding on one actor, kept in its
+/// [`ActorCtx::with_local`] slot. Feeds the `adio.inflight` depth histogram;
+/// self-balancing because every request is waited.
+#[derive(Default)]
+struct Inflight(u64);
 
 /// Completion handle for a nonblocking ADIO transfer
 /// ([`AdioFile::itransfer`]): either born complete (eager drivers) or a
@@ -258,9 +257,9 @@ impl AdioRequest {
     /// A genuinely in-flight split-phase request. Records the calling
     /// actor's outstanding depth in the `adio.inflight` histogram.
     pub fn pending(ctx: &ActorCtx, io: Box<dyn PendingIo>) -> AdioRequest {
-        let depth = INFLIGHT.with(|d| {
-            d.set(d.get() + 1);
-            d.get()
+        let depth = ctx.with_local(|d: &mut Inflight| {
+            d.0 += 1;
+            d.0
         });
         ctx.metrics().histogram("adio.inflight").record(depth);
         AdioRequest {
@@ -274,7 +273,7 @@ impl AdioRequest {
         match self.state {
             ReqState::Done(r) => r,
             ReqState::Pending(io) => {
-                INFLIGHT.with(|d| d.set(d.get().saturating_sub(1)));
+                ctx.with_local(|d: &mut Inflight| d.0 = d.0.saturating_sub(1));
                 io.wait(ctx)
             }
         }
@@ -924,24 +923,20 @@ impl AdioFs for NfsAdio {
     }
 }
 
-thread_local! {
-    /// The host of the actor currently executing on this thread. Set by
-    /// [`set_current_host`]; lets slice-based drivers find the simulated
-    /// memory arena to stage through.
-    static CURRENT_HOST: std::cell::RefCell<Option<Host>> = const { std::cell::RefCell::new(None) };
-}
+/// The host an actor runs on, kept in its [`ActorCtx::with_local`] slot. Set
+/// by [`set_current_host`]; lets slice-based drivers find the simulated
+/// memory arena to stage through.
+#[derive(Default)]
+struct CurrentHost(Option<Host>);
 
 /// Declare the host the calling actor runs on (rank bootstrap calls this).
-pub fn set_current_host(host: &Host) {
-    CURRENT_HOST.with(|h| *h.borrow_mut() = Some(host.clone()));
+pub fn set_current_host(ctx: &ActorCtx, host: &Host) {
+    ctx.with_local(|h: &mut CurrentHost| h.0 = Some(host.clone()));
 }
 
-fn hostof(_ctx: &ActorCtx) -> Host {
-    CURRENT_HOST.with(|h| {
-        h.borrow()
-            .clone()
-            .expect("set_current_host must be called in each rank actor")
-    })
+fn hostof(ctx: &ActorCtx) -> Host {
+    ctx.with_local(|h: &mut CurrentHost| h.0.clone())
+        .expect("set_current_host must be called in each rank actor")
 }
 
 impl AdioFile for NfsFileHandle {
@@ -1247,7 +1242,7 @@ mod tests {
         let fs = MemFs::new();
         let h2 = host.clone();
         kernel.spawn("t", move |ctx| {
-            set_current_host(&h2);
+            set_current_host(ctx, &h2);
             let adio = UfsAdio::new(fs, h2.clone(), UfsCost::default());
             f(ctx, &adio, &h2);
         });

@@ -417,7 +417,7 @@ impl Testbed {
             move |ctx, comm| {
                 let host = comm.host().clone();
                 rh.lock().push(host.clone());
-                set_current_host(&host);
+                set_current_host(ctx, &host);
                 match &backend {
                     Backend::Dafs { client, .. } | Backend::DafsStriped { client, .. } => {
                         let fabric = via_fabric.as_ref().unwrap();

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::coro::Mapping;
 use crate::kernel::ActorCtx;
 use crate::time::{SimDuration, SimTime};
 
@@ -44,7 +45,10 @@ impl std::fmt::Display for VirtAddr {
 
 struct Allocation {
     base: u64,
-    data: Vec<u8>,
+    /// Mapped from the OS, not `malloc`ed: sessions allocate megabytes of
+    /// slots and staging they mostly never touch, which cost nothing as
+    /// untouched zero pages but a `memset` each from a recycled heap.
+    data: Mapping,
 }
 
 /// A host's memory arena. Addresses start at 0x1000 (null stays invalid);
@@ -97,7 +101,7 @@ impl HostMem {
             base,
             Allocation {
                 base,
-                data: vec![0u8; len],
+                data: Mapping::zeroed(len),
             },
         );
         VirtAddr(base)

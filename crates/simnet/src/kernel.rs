@@ -1,7 +1,9 @@
-//! Conservative discrete-event kernel with threaded actors.
+//! Conservative discrete-event kernel with coroutine actors.
 //!
-//! Each simulated process (an MPI rank, a file server, a helper) runs on its
-//! own OS thread, but the kernel admits **exactly one runnable actor at a
+//! Each simulated process (an MPI rank, a file server, a helper) is a
+//! stackful coroutine: ordinary blocking code on a stack of its own
+//! ([`crate::coro`]). All of them run on the one OS thread inside
+//! [`SimKernel::run`], and the kernel admits **exactly one runnable actor at a
 //! time** — always the one with the smallest local virtual time. Actors
 //! voluntarily yield whenever they advance their clock (`advance`, `compute`,
 //! `sleep_until`) or block on a [`Port`](crate::port::Port). Because no actor
@@ -9,30 +11,31 @@
 //! causal and the whole simulation is deterministic: the same program and
 //! seed produce a bit-identical virtual timeline on every run.
 //!
-//! There is no scheduler thread: the run token passes from actor to actor.
-//! A yielding actor pops the next event itself (`SchedState::dispatch`)
-//! under the state lock it already holds. If it is its own successor it
-//! bumps its clock and returns — no thread switch at all; otherwise it marks
-//! the successor `current`, **releases the lock, then unparks exactly that
-//! thread** (waking under the lock runs the woken thread straight into the
-//! mutex its waker holds, which measured slower than a scheduler thread) and
-//! parks. No wake-up is lost: the parked side re-checks `current == me` under
-//! the lock, and `unpark` before `park` leaves a token. When no event is left
-//! the token goes back to the thread in [`SimKernel::run`], which reaches the
-//! done / deadlock / poison verdict and then unwinds every still-parked actor,
-//! one at a time in `ActorId` order, and joins it — so servers' file systems,
-//! caches and frames die with their simulation.
+//! There is no scheduler: the run token passes from actor to actor. A
+//! yielding actor pops the next event itself (`SchedState::dispatch`) under
+//! the state lock it already holds. If it is its own successor it bumps its
+//! clock and returns — no switch at all; otherwise it marks the successor
+//! `current`, **releases the lock, then switches to that actor's stack** (the
+//! successor runs on this same thread and takes the lock next, so a guard
+//! held across the switch would deadlock it against itself). When no event is
+//! left the switch goes back to [`SimKernel::run`]'s own context, which
+//! reaches the done / deadlock / poison verdict and then disposes of every
+//! actor, one at a time in `ActorId` order: a suspended one is unwound on its
+//! own stack, one that never ran has its closure dropped — so servers' file
+//! systems, caches and frames die with their simulation.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
 
 use obs::{Counter, LazyCounter, Obs, Registry, Value};
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::{Coroutines, ExitTo};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies an actor within one [`SimKernel`].
@@ -48,11 +51,11 @@ impl std::fmt::Display for ActorId {
 /// Lifecycle state of an actor, as seen by whoever dispatches next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ActorState {
-    /// Created but its thread has not reached its first yield yet.
+    /// Created but never run: its closure has not been entered.
     Starting,
-    /// Holds the run token; its thread may run.
+    /// Holds the run token; the thread in `run()` is on its stack.
     Running,
-    /// Parked; will run again when a wake event with its current generation
+    /// Suspended; will run again when a wake event with its current generation
     /// fires.
     Blocked,
     /// Its closure returned.
@@ -66,8 +69,6 @@ struct ActorSlot {
     /// target, so stale wakes (superseded by an earlier one) are discarded.
     generation: u64,
     daemon: bool,
-    /// The actor's thread: unparked by whoever grants it the token.
-    thread: Thread,
     /// The actor's local clock, shared with its `ActorCtx` (which reads it
     /// lock-free); kept in the slot so dispatchers and wakers touch it
     /// under the one `state` lock they already hold.
@@ -93,8 +94,9 @@ struct Event {
 #[derive(Default)]
 struct SchedState {
     actors: Vec<ActorSlot>,
-    /// One handle per actor, in `ActorId` order; taken by teardown.
-    joins: Vec<JoinHandle<()>>,
+    /// Every actor's context (stack, or closure not yet entered), by
+    /// `ActorId`; teardown takes them out one by one.
+    coros: Coroutines,
     queue: BinaryHeap<Reverse<Event>>,
     /// Still-valid events drained from the heap in one batch pass — the
     /// earliest event plus everything sharing its timestamp, FIFO by
@@ -114,11 +116,7 @@ struct SchedState {
     poisoned: Option<String>,
     /// Virtual end time observed so far (max of all actor clocks).
     horizon: SimTime,
-    /// The thread inside `run()`, woken when the token returns to it.
-    main: Option<Thread>,
-    /// Set by teardown: an actor granted the token unwinds instead of running.
-    shutdown: bool,
-    /// Grants to `[another thread, the yielding actor itself]`.
+    /// Grants to `[another context, the yielding actor itself]`.
     #[cfg(test)]
     grants: [u64; 2],
 }
@@ -177,6 +175,10 @@ impl SchedState {
 
 pub(crate) struct KernelInner {
     state: Mutex<SchedState>,
+    /// Set by teardown: an actor switched to unwinds instead of running.
+    /// Outside the lock so that a resumed actor need not take it to look;
+    /// `Relaxed` because writer and readers are contexts of one thread.
+    shutdown: AtomicBool,
     /// Observability handle shared by every actor: structured tracer plus
     /// the metrics registry. Never advances virtual time.
     obs: Obs,
@@ -194,13 +196,15 @@ pub fn events_scheduled_global() -> u64 {
     EVENTS_GLOBAL.load(Ordering::Relaxed)
 }
 
-/// Pass the run token on from `me` (an actor that just blocked or finished,
-/// or `None` for `run()` starting up), which holds the state lock. Returns
-/// `true` when `me` is its own successor; otherwise wakes the successor — or
-/// `run()` when nobody is left — *after* unlocking.
+/// Pass the run token on from `me` (an actor that just blocked, or `None`
+/// for `run()` starting up), which holds the state lock. Returns `true` when
+/// there is nowhere to switch: `me` is its own successor, or `run()` found no
+/// actor to start. Otherwise drops the lock, switches to the successor's
+/// stack — or to `run()`'s when nobody is left — and returns `false` once
+/// something has switched back.
 fn pass_token(mut st: MutexGuard<'_, SchedState>, me: Option<ActorId>) -> bool {
     let next = st.dispatch();
-    let own = next.is_some() && next == me;
+    let own = next == me;
     #[cfg(test)]
     if next.is_some() {
         st.grants[own as usize] += 1;
@@ -208,16 +212,11 @@ fn pass_token(mut st: MutexGuard<'_, SchedState>, me: Option<ActorId>) -> bool {
     if own {
         return true;
     }
-    let wake = match next {
-        Some(id) => st.actors[id.0].thread.clone(),
-        None => st.main.clone().expect("an actor ran before run()"),
-    };
-    drop(st);
-    wake.unpark();
+    Coroutines::switch(st, |st| &mut st.coros, next.map(|id| id.0));
     false
 }
 
-/// Unwind payload that teardown throws through a parked actor's stack. Raised
+/// Unwind payload that teardown throws through a suspended actor's stack. Raised
 /// with `resume_unwind`, so it never reaches the panic hook.
 struct Shutdown;
 
@@ -248,6 +247,7 @@ impl SimKernel {
         SimKernel {
             inner: Arc::new(KernelInner {
                 state: Mutex::new(SchedState::default()),
+                shutdown: AtomicBool::new(false),
                 obs,
             }),
         }
@@ -268,7 +268,7 @@ impl SimKernel {
     }
 
     /// Spawn a daemon actor (e.g. a server loop). Daemons may still be
-    /// blocked when the simulation ends; `run()` unwinds and joins them.
+    /// blocked when the simulation ends; `run()` unwinds them.
     pub fn spawn_daemon<F>(&self, name: &str, body: F) -> ActorId
     where
         F: FnOnce(&ActorCtx) + Send + 'static,
@@ -280,67 +280,78 @@ impl SimKernel {
     where
         F: FnOnce(&ActorCtx) + Send + 'static,
     {
-        let inner = self.inner.clone();
-        let mut st = inner.state.lock();
+        let mut st = self.inner.state.lock();
         let id = ActorId(st.actors.len());
         let clock = Arc::new(AtomicU64::new(0));
         let name: Arc<str> = Arc::from(name);
+        self.inner
+            .obs
+            .registry()
+            .counter("sim.actors.spawned")
+            .inc();
 
-        let thread_inner = inner.clone();
-        let thread_name = format!("sim-{}-{}", id.0, name);
-        inner.obs.registry().counter("sim.actors.spawned").inc();
-        let ctx = ActorCtx {
-            id,
-            name: name.clone(),
-            kernel: thread_inner.clone(),
-            clock: clock.clone(),
-            cpu_ns: LazyCounter::new("sim.cpu_ns"),
-        };
-        let join = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Wait for our first turn before touching any shared state.
-                    ctx.wait_for_turn();
-                    ctx.trace("sim", "actor.start", &[("daemon", Value::Bool(daemon))]);
-                    body(&ctx)
-                }));
-                let panic_msg = match result {
-                    Ok(()) => None,
-                    // Teardown: the run is over and `run()` is joining us.
-                    Err(payload) if payload.is::<Shutdown>() => return,
-                    Err(payload) => Some(
-                        payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "actor panicked".to_string()),
-                    ),
-                };
-                ctx.trace(
-                    "sim",
-                    "actor.exit",
-                    &[("ok", Value::Bool(panic_msg.is_none()))],
-                );
-                let mut st = thread_inner.state.lock();
-                if let Some(msg) = panic_msg {
-                    st.poisoned = Some(format!("actor '{}' panicked: {msg}", ctx.name));
+        // What the actor's stack runs from its first switch in. It holds the
+        // kernel weakly: the kernel owns it until then, and a kernel dropped
+        // without `run()` must drop it — and what `body` captured — too.
+        let kernel = Arc::downgrade(&self.inner);
+        let (ctx_name, ctx_clock) = (name.clone(), clock.clone());
+        let entry = move || -> ExitTo {
+            let ctx = ActorCtx {
+                id,
+                name: ctx_name,
+                kernel: kernel.upgrade().expect("run() holds the kernel"),
+                clock: ctx_clock,
+                cpu_ns: LazyCounter::new("sim.cpu_ns"),
+                locals: RefCell::default(),
+            };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                ctx.trace("sim", "actor.start", &[("daemon", Value::Bool(daemon))]);
+                body(&ctx)
+            }));
+            let panic_msg = match result {
+                Ok(()) => None,
+                // Teardown: the run is over and `run()` waits for this stack
+                // to finish unwinding.
+                Err(payload) if payload.is::<Shutdown>() => {
+                    return ctx.kernel.state.lock().coros.exit_to(None);
                 }
-                st.actors[ctx.id.0].state = ActorState::Done;
-                pass_token(st, Some(ctx.id));
-            })
-            .expect("failed to spawn actor thread");
+                Err(payload) => Some(
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "actor panicked".to_string()),
+                ),
+            };
+            ctx.trace(
+                "sim",
+                "actor.exit",
+                &[("ok", Value::Bool(panic_msg.is_none()))],
+            );
+            let mut st = ctx.kernel.state.lock();
+            if let Some(msg) = panic_msg {
+                st.poisoned = Some(format!("actor '{}' panicked: {msg}", ctx.name));
+            }
+            st.actors[id.0].state = ActorState::Done;
+            let next = st.dispatch();
+            #[cfg(test)]
+            if next.is_some() {
+                st.grants[0] += 1;
+            }
+            // Not a switch from here: this closure first returns, dropping
+            // `ctx` and the guard, and the stack's first frame switches away.
+            st.coros.exit_to(next.map(|id| id.0))
+        };
 
+        st.coros.spawn(Box::new(entry));
         st.actors.push(ActorSlot {
             name,
             state: ActorState::Starting,
             generation: 0,
             daemon,
-            thread: join.thread().clone(),
             clock,
             pending_wake: Some(SimTime::ZERO),
         });
-        st.joins.push(join);
         // Schedule the actor's first run at t=0 (or at the caller's time when
         // spawned from inside the simulation — see ActorCtx::spawn).
         let seq = st.seq;
@@ -359,21 +370,13 @@ impl SimKernel {
     /// Returns the virtual end time (the max clock reached by any actor).
     /// Panics if any actor panicked, or on deadlock (no runnable actor, no
     /// pending event, and some non-daemon actor still blocked). Either way
-    /// every actor thread has been joined by the time it returns or panics.
+    /// every actor is gone — unwound, or dropped unrun — and every stack
+    /// unmapped by the time it returns or panics.
     pub fn run(self) -> SimTime {
         let inner = &self.inner;
+        // Returns when an actor finds no event left, or one panics.
+        pass_token(inner.state.lock(), None);
         let mut st = inner.state.lock();
-        st.main = Some(std::thread::current());
-        pass_token(st, None);
-        // Park until an actor finds no event left, or one panics.
-        let mut st = loop {
-            let st = inner.state.lock();
-            if st.current.is_none() {
-                break st;
-            }
-            drop(st);
-            std::thread::park();
-        };
         let failure = st.poisoned.take().or_else(|| {
             let stuck: Vec<&str> = (st.actors.iter())
                 .filter(|a| !a.daemon && a.state != ActorState::Done)
@@ -402,24 +405,28 @@ impl SimKernel {
         end
     }
 
-    /// Join every actor thread, one at a time in `ActorId` order so drop
-    /// order is deterministic. An actor still parked (a daemon, or anyone on
-    /// deadlock or poison) is handed the token with `shutdown` set, which
-    /// makes `wait_for_turn` unwind its stack to the thread wrapper.
+    /// Dispose of every actor, one at a time in `ActorId` order so drop order
+    /// is deterministic. An actor still suspended (a daemon, or anyone on
+    /// deadlock or poison) is switched to with `shutdown` set, which makes
+    /// `block` unwind its stack to the wrapper's `catch_unwind`; the wrapper
+    /// switches back here and only then is the stack unmapped. One that never
+    /// ran has its closure dropped where it lies.
     fn teardown(&self) {
-        let joins = {
+        self.inner.shutdown.store(true, Ordering::Relaxed);
+        for id in 0.. {
             let mut st = self.inner.state.lock();
-            st.shutdown = true;
-            std::mem::take(&mut st.joins)
-        };
-        for (id, join) in joins.into_iter().enumerate() {
-            let mut st = self.inner.state.lock();
-            if st.actors[id].state != ActorState::Done {
+            let Some(slot) = st.actors.get(id) else {
+                break;
+            };
+            if slot.state == ActorState::Blocked {
                 st.current = Some(ActorId(id));
+                Coroutines::switch(st, |st| &mut st.coros, Some(id));
+                st = self.inner.state.lock();
             }
+            let gone = st.coros.remove(id);
+            // What a closure captured may do anything when dropped.
             drop(st);
-            join.thread().unpark();
-            join.join().expect("the wrapper catches every actor panic");
+            drop(gone);
         }
     }
 }
@@ -427,7 +434,7 @@ impl SimKernel {
 /// Handle given to each actor; all virtual-time operations go through it.
 ///
 /// `ActorCtx` is deliberately not `Clone`: it is owned by exactly one actor
-/// thread and must not leak to another.
+/// and must not leak to another.
 pub struct ActorCtx {
     id: ActorId,
     name: Arc<str>,
@@ -435,6 +442,8 @@ pub struct ActorCtx {
     clock: Arc<AtomicU64>,
     /// `sim.cpu_ns`, which [`crate::Host::compute`] adds to on every call.
     cpu_ns: LazyCounter,
+    /// At most one value per type; see [`ActorCtx::with_local`].
+    locals: RefCell<Vec<Box<dyn Any + Send>>>,
 }
 
 impl ActorCtx {
@@ -484,6 +493,19 @@ impl ActorCtx {
             op,
             start: self.now(),
         }
+    }
+
+    /// This actor's own value of type `T`, default-constructed on first use:
+    /// what a `thread_local!` was when every actor had a thread. All actors
+    /// share one OS thread now, so a thread-local is shared by all of them.
+    /// `f` must not call `with_local` again.
+    pub fn with_local<T: Any + Send + Default, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut locals = self.locals.borrow_mut();
+        let i = (locals.iter().position(|l| l.is::<T>())).unwrap_or_else(|| {
+            locals.push(Box::<T>::default());
+            locals.len() - 1
+        });
+        f(locals[i].downcast_mut().expect("found by its type"))
     }
 
     /// Current local virtual time.
@@ -564,7 +586,7 @@ impl ActorCtx {
     /// `wake_at`: optionally self-schedule a wake (sleep); external wakers
     /// (message sends) may add earlier wakes for the same generation.
     /// Dispatches the next event itself: when that is its own, it returns
-    /// without a thread switch.
+    /// without a switch.
     pub(crate) fn block(&self, wake_at: Option<SimTime>) {
         let mut st = self.kernel.state.lock();
         debug_assert_eq!(st.current, Some(self.id), "yield from non-current actor");
@@ -583,26 +605,10 @@ impl ActorCtx {
                 generation,
             }));
         }
-        if !pass_token(st, Some(self.id)) {
-            self.wait_for_turn();
-        }
-    }
-
-    /// Park until somebody hands us the token. The check is under the state
-    /// lock and the waker unparks after setting `current`, so a wake-up
-    /// between the check and the park only makes `park` return at once.
-    fn wait_for_turn(&self) {
-        loop {
-            let st = self.kernel.state.lock();
-            if st.current == Some(self.id) {
-                if st.shutdown {
-                    drop(st);
-                    panic::resume_unwind(Box::new(Shutdown));
-                }
-                return;
-            }
-            drop(st);
-            std::thread::park();
+        // Switched away and back. If it was teardown that switched in, the
+        // run is over: unwind this stack to the wrapper's `catch_unwind`.
+        if !pass_token(st, Some(self.id)) && self.kernel.shutdown.load(Ordering::Relaxed) {
+            panic::resume_unwind(Box::new(Shutdown));
         }
     }
 
@@ -662,7 +668,9 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         // A span open in an actor that teardown (or a panic) is unwinding
         // measured nothing: counting it would move `*_ns` counters after
-        // the run's last event.
+        // the run's last event. The flag is the OS thread's, which every
+        // actor shares, and still means "this actor": an unwind runs to its
+        // `catch_unwind` before the next switch.
         if std::thread::panicking() {
             return;
         }
@@ -756,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn actor_panic_propagates_and_leaves_no_thread() {
+    fn actor_panic_propagates_and_leaves_no_context() {
         let k = SimKernel::new();
         let witness = Arc::new(());
         let (parked, unborn) = (witness.clone(), witness.clone());
@@ -771,11 +779,11 @@ mod tests {
             panic!("boom");
         });
         assert_eq!(run_failing(k), "actor 'bomber' panicked: boom");
-        assert_eq!(Arc::strong_count(&witness), 1, "a thread outlived run()");
+        assert_eq!(Arc::strong_count(&witness), 1, "a context outlived run()");
     }
 
     #[test]
-    fn daemon_does_not_block_completion_and_is_joined() {
+    fn daemon_does_not_block_completion_and_is_unwound() {
         let k = SimKernel::new();
         let inner = k.inner.clone();
         let ticks = Arc::new(AtomicUsize::new(0));
@@ -791,15 +799,15 @@ mod tests {
         k.spawn("worker", |ctx| ctx.advance(us(100)));
         let end = k.run();
         assert_eq!(end, SimTime::ZERO + us(100));
-        // Teardown unwound the daemon's stack (dropping `t`) and joined it,
-        // and its unwind payload was not taken for an actor panic.
+        // Teardown unwound the daemon's stack (dropping `t`), and its unwind
+        // payload was not taken for an actor panic.
         assert_eq!(Arc::strong_count(&ticks), 1);
         assert_eq!(ticks.load(Ordering::Relaxed), 1);
         assert_eq!(inner.state.lock().poisoned, None);
     }
 
     #[test]
-    fn deadlock_detected_and_leaves_no_thread() {
+    fn deadlock_detected_and_leaves_no_context() {
         let k = SimKernel::new();
         let witness = Arc::new(());
         let held = witness.clone();
@@ -809,10 +817,10 @@ mod tests {
         });
         let msg = run_failing(k);
         assert!(msg.starts_with("simulation deadlock") && msg.contains("stuck"));
-        assert_eq!(Arc::strong_count(&witness), 1, "a thread outlived run()");
+        assert_eq!(Arc::strong_count(&witness), 1, "a context outlived run()");
     }
 
-    /// `[grants to another thread, grants to the yielding actor itself]`.
+    /// `[grants to another context, grants to the yielding actor itself]`.
     fn grants_of(k: SimKernel) -> [u64; 2] {
         let inner = k.inner.clone();
         k.run();
@@ -821,10 +829,10 @@ mod tests {
     }
 
     #[test]
-    fn own_successor_runs_on_without_a_thread_switch() {
+    fn own_successor_runs_on_without_a_context_switch() {
         let k = SimKernel::new();
         k.spawn("solo", |ctx| (0..10).for_each(|_| ctx.advance(us(1))));
-        // One wake-up from `run()`, then ten grants to itself.
+        // One switch in from `run()`, then ten grants to itself.
         assert_eq!(grants_of(k), [1, 10]);
     }
 
@@ -862,11 +870,12 @@ mod tests {
         assert_eq!(*log.lock(), [0, 1, 2]);
     }
 
-    /// Dispatch order is `(time, seq)` whoever pops the event: the log of 8
-    /// actors x 50 seeded advances is the same on every run, and hashes to
-    /// what the scheduler-thread kernel this one replaced produced.
-    #[test]
-    fn determinism_across_runs_and_kernels() {
+    /// What every kernel so far made of [`seeded_advances_log`].
+    const PINNED_LOG: (usize, u64) = (400, 0x6188_c6ea_fc9d_3ba5);
+
+    /// The `(time, actor)` log of 8 actors x 50 seeded advances: its length
+    /// and FNV hash.
+    fn seeded_advances_log() -> (usize, u64) {
         let k = SimKernel::new();
         let log = Arc::new(Mutex::new(Vec::new()));
         for a in 0..8u64 {
@@ -882,7 +891,90 @@ mod tests {
         k.run();
         let fnv = |h: u64, &(t, a): &(u64, u64)| (h ^ t ^ (a << 56)).wrapping_mul(0x100_0000_01b3);
         let hash = log.lock().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
-        assert_eq!((log.lock().len(), hash), (400, 0x6188_c6ea_fc9d_3ba5));
+        let len = log.lock().len();
+        (len, hash)
+    }
+
+    /// Dispatch order is `(time, seq)` whoever pops the event: the log is the
+    /// same on every run, and hashes to what the scheduler-thread and the
+    /// token-passing thread kernels this one replaced produced.
+    #[test]
+    fn determinism_across_runs_and_kernels() {
+        assert_eq!(seeded_advances_log(), PINNED_LOG);
+    }
+
+    /// A kernel keeps no process-global state: eight of them, each driven by
+    /// its own OS thread at once (what `cargo test` does to every test here),
+    /// all produce the pinned log.
+    #[test]
+    fn concurrent_kernels_on_eight_os_threads_do_not_interfere() {
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..8).map(|_| s.spawn(seeded_advances_log)).collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), PINNED_LOG);
+            }
+        });
+    }
+
+    #[test]
+    fn dropping_an_unrun_kernel_drops_its_actors() {
+        let k = SimKernel::new();
+        let witness = Arc::new(());
+        for name in ["a", "b"] {
+            let held = witness.clone();
+            k.spawn(name, move |_| drop(held));
+        }
+        assert_eq!(Arc::strong_count(&witness), 3);
+        drop(k);
+        assert_eq!(
+            Arc::strong_count(&witness),
+            1,
+            "an unrun actor outlived its kernel"
+        );
+    }
+
+    #[test]
+    fn with_local_is_per_actor_and_per_type() {
+        #[derive(Default)]
+        struct Mine(u64);
+        let k = SimKernel::new();
+        for a in 1..=2u64 {
+            // The two interleave: 1 wakes at 3, 6, 9, ...; 2 at 2, 4, 6, ...
+            k.spawn(&format!("a{a}"), move |ctx| {
+                assert_eq!(ctx.with_local(|m: &mut Mine| m.0), 0);
+                for round in 0..5 {
+                    ctx.with_local(|m: &mut Mine| m.0 += a);
+                    ctx.advance(us(4 - a));
+                    assert_eq!(ctx.with_local(|m: &mut Mine| m.0), a * (round + 1));
+                }
+                // A second type has a slot of its own.
+                assert_eq!(ctx.with_local(|n: &mut u64| std::mem::replace(n, 7)), 0);
+                assert_eq!(ctx.with_local(|m: &mut Mine| m.0), a * 5);
+            });
+        }
+        k.run();
+    }
+
+    #[test]
+    fn actor_can_recurse_through_over_a_mebibyte_of_stack() {
+        /// Recurse, a kibibyte of live frame at a time, until 1.25 MiB below
+        /// `top`; returns the depth reached.
+        fn descend(ctx: &ActorCtx, top: usize) -> u64 {
+            let frame = std::hint::black_box([1u8; 1024]);
+            if top - frame.as_ptr() as usize > (5 << 20) / 4 {
+                ctx.advance(us(1)); // switch away and back from the bottom
+                return 0;
+            }
+            descend(ctx, top) + frame[frame.len() / 2] as u64
+        }
+        let k = SimKernel::new();
+        k.spawn("deep", |ctx| {
+            let top = 0u8;
+            let depth = descend(ctx, &raw const top as usize);
+            assert!((400..=1280).contains(&depth), "{depth} frames in 1.25 MiB");
+        });
+        k.spawn("other", |ctx| ctx.advance(us(2)));
+        assert_eq!(k.run(), SimTime::ZERO + us(2));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! longer exists (VIA NICs, a DAFS server appliance, a 2001-era cluster).
 //! `simnet` replaces the physical platform with a conservative discrete-event
 //! simulator in which every simulated process — an MPI rank, a file server, a
-//! NIC engine — is an *actor* running on its own OS thread, scheduled by a
-//! kernel that admits exactly one runnable actor at a time, always the one
-//! with the smallest local virtual time.
+//! NIC engine — is an *actor*: blocking code on a stack of its own, run as a
+//! coroutine on the one OS thread inside [`SimKernel::run`] by a kernel that
+//! admits exactly one runnable actor at a time, always the one with the
+//! smallest local virtual time.
 //!
 //! The important properties:
 //!
@@ -14,8 +15,9 @@
 //!   virtual timeline, so every table in `EXPERIMENTS.md` is exactly
 //!   reproducible.
 //! * **Real data movement** — buffers are actual bytes in a per-host arena
-//!   ([`HostMem`]); DMA and copies move real data, so file contents written
-//!   through the full MPI-IO→DAFS→VIA stack are verified in tests.
+//!   ([`HostMem`], each region mapped from the OS); DMA and copies move real
+//!   data, so file contents written through the full MPI-IO→DAFS→VIA stack
+//!   are verified in tests.
 //! * **Cost accounting** — per-host CPU meters ([`CpuMeter`]) and serial
 //!   resources ([`Resource`]) make host-overhead and saturation experiments
 //!   first-class.
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
+mod coro;
 mod kernel;
 mod link;
 mod port;

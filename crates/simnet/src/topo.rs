@@ -31,7 +31,7 @@
 //! spawned actor: the forwarding plane has no decisions to make that depend
 //! on simulated time passing — every per-frame outcome (queue wait, service
 //! span, drop) is a deterministic function of prior bookings, exactly like
-//! [`Resource`] itself. An actor thread per switch would add context
+//! [`Resource`] itself. An actor per switch would add context
 //! switches without changing a single computed time. (tcpnet's softirq
 //! resource follows the same pattern.)
 //!

@@ -83,13 +83,14 @@ echo "$x6_out" | grep -q "deadline boost" || {
 echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # The simulator itself must stay fast: the smoke-size kernel microbench
 # (which pins itself to one CPU) has to dispatch at least this many events
-# per wall-clock second on every workload shape. The floor is far below
-# what the token-passing kernel (actors hand the run token to each other
-# directly, an actor that is its own successor runs on without a thread
-# switch, same-timestamp events drain in one batch) measures on a quiet
-# machine, so it only trips on a genuine dispatch-path regression, not
-# host noise.
-cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 25000
+# per wall-clock second on every workload shape. The floor is a tenth of
+# what the slowest shape, ping-pong, measures on a quiet machine now that
+# a handoff is a user-space stack switch between coroutines (seven pinned
+# runs: ping-pong 4.6-5.7 M events/s, median 5.5 M; fan-in 9.1-10.4 M;
+# burst 6.1-8.6 M), so it only trips on a genuine dispatch-path
+# regression — a syscall or a contended lock back in the handoff, which
+# costs that factor of ten — not on host noise.
+cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 500000
 
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
 benchmark/run.sh --smoke
@@ -122,24 +123,25 @@ diff -u "$tmp_json.golden" "$tmp_json.got" || {
 }
 
 echo "==> R-F10 1024-client cell wall-clock budget"
-# The 1024-client cell is the largest single simulation in the suite;
-# same-timestamp pop batching and the indexed view mapping (every rank
-# reads 128 KiB blocks through the default view: 19 600-27 400 events/s
-# when `FileView::map` walked it byte by byte, 28 700-53 500 now) keep
-# it dispatching well above this floor (~10x below a quiet-machine
-# run), so a kernel, fabric or mapping regression that makes the big
-# cells crawl fails CI instead of just making the suite slow. The note
-# comes from the golden run above.
+# The 1024-client cell is the largest single simulation in the suite:
+# over a thousand actors, each a coroutine on a mapped stack, and 1 024
+# sessions of mapped slot buffers. The floor is a tenth of a
+# quiet-machine reading (five pinned suite runs: 238 700-272 300
+# events/s, median 251 000; the same cell ran 28 700-53 500 when every
+# handoff was a futex round trip between threads), so a kernel, fabric,
+# mapping or view-mapping regression that makes the big cells crawl
+# fails CI instead of just making the suite slow. The note comes from
+# the golden run above.
 f10_rate=$(sed -n 's|.*1024-client s=4 o=1:1 cell ran [0-9]* sim events in [0-9.]*s (\([0-9]*\) events/s).*|\1|p' "$tmp_txt")
 if [ -z "$f10_rate" ]; then
     echo "ci: R-F10 output missing the 1024-client cell wall-clock note" >&2
     exit 1
 fi
-if [ "$f10_rate" -lt 5000 ]; then
-    echo "ci: R-F10 1024-client cell too slow: $f10_rate events/s (floor 5000)" >&2
+if [ "$f10_rate" -lt 25000 ]; then
+    echo "ci: R-F10 1024-client cell too slow: $f10_rate events/s (floor 25000)" >&2
     exit 1
 fi
-echo "1024-client cell: $f10_rate events/s (floor 5000)"
+echo "1024-client cell: $f10_rate events/s (floor 25000)"
 
 rm -f "$tmp_json" "$tmp_txt" "$tmp_txt.golden" "$tmp_txt.got" "$tmp_json.golden" "$tmp_json.got"
 

@@ -16,8 +16,11 @@
 # counts a function once per sample it appears anywhere in. A name tagged
 # [no line info] comes from the symbol table alone: callees inlined into it
 # are folded in (benchmark/ builds without debug info; build it with
-# CARGO_PROFILE_RELEASE_DEBUG=true to get them back), and in a stripped
-# system library it is merely the nearest exported symbol. CMD's own output
+# CARGO_PROFILE_RELEASE_DEBUG=true to get them back). In a stripped system
+# library the nearest exported symbol is often not the function sampled
+# (libc's memcpy and memset are local symbols): an address past the end of
+# that symbol, or after one with no size, prints as `libc.so.6+0xOFFSET`
+# instead of under a wrong name. CMD's own output
 # passes through; the profile goes to stderr. Processes CMD spawns are
 # sampled too and reported together. Pin CMD to one CPU (taskset -c 1) as
 # for any wall-clock number here.
@@ -27,9 +30,9 @@ set -eu
     echo "usage: $0 CMD [ARG...]" >&2
     exit 2
 }
-for tool in cc addr2line python3; do
+for tool in cc addr2line nm python3; do
     command -v "$tool" >/dev/null 2>&1 || {
-        echo "hostprof: '$tool' not found; it needs cc (to build the sampler), addr2line and python3 (to read the samples)" >&2
+        echo "hostprof: '$tool' not found; it needs cc (to build the sampler), addr2line, nm and python3 (to read the samples)" >&2
         exit 1
     }
 done
@@ -43,12 +46,35 @@ status=0
 HOSTPROF_OUT="$work/samples" LD_PRELOAD="$work/hostprof.so" "$@" || status=$?
 
 python3 - "$work" >&2 <<'EOF'
-import collections, glob, subprocess, sys
+import bisect, collections, glob, os, subprocess, sys
 
 TOP = 25
 self_hits = collections.Counter()
 incl_hits = collections.Counter()
 total = dropped = 0
+
+extents = {}
+
+def in_a_symbol(obj, addr):
+    """Whether `addr` lies inside a sized symbol of `obj`'s static or dynamic
+    table: without line info addr2line names the nearest symbol below an
+    address, however far below."""
+    if obj not in extents:
+        size = {}
+        for table in ([], ["-D"]):
+            out = subprocess.run(
+                ["nm", "-S", "--defined-only"] + table + [obj],
+                capture_output=True, text=True,
+            ).stdout
+            for f in map(str.split, out.splitlines()):
+                # "addr size type name", or "addr type name" for no size.
+                if len(f) >= 3:
+                    start = int(f[0], 16)
+                    size[start] = max(size.get(start, 0), int(f[1], 16) if len(f) > 3 else 0)
+        extents[obj] = (sorted(size), size)
+    starts, size = extents[obj]
+    i = bisect.bisect_right(starts, addr) - 1
+    return i >= 0 and addr < starts[i] + size[starts[i]]
 
 for path in glob.glob(sys.argv[1] + "/samples.*"):
     maps, stacks = [], []
@@ -96,11 +122,15 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
             cur = None
             for j, line in enumerate(out):
                 if line.startswith("0x"):
-                    cur = names.setdefault((obj, int(line, 16)), [])
+                    addr = int(line, 16)
+                    cur = names.setdefault((obj, addr), [])
                     fn_line = j + 1
                 elif cur is not None and (j - fn_line) % 2 == 0:
                     if out[j + 1].startswith("??"):
-                        line += " [no line info]"
+                        if in_a_symbol(obj, addr):
+                            line += " [no line info]"
+                        else:
+                            line = f"{os.path.basename(obj)}+{addr:#x}"
                     cur.append(line)
     for frames in located:
         total += 1

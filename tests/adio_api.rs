@@ -9,7 +9,8 @@ use std::str::FromStr;
 
 use mpio_dafs::dafs::{DafsClientConfig, DafsError};
 use mpio_dafs::mpiio::{
-    AdioError, Backend, BatchDir, DriverKind, IoFault, IoReq, OpenMode, OpenOptions, Shape, Testbed,
+    AdioError, Backend, BatchDir, DriverKind, Hints, IoFault, IoReq, MpiFile, OpenMode,
+    OpenOptions, Shape, Testbed,
 };
 use mpio_dafs::nfsv3::NfsError;
 use mpio_dafs::simnet::units::ms;
@@ -257,5 +258,53 @@ fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
         assert_eq!(in_flight(), 1);
         assert!(transient(req.wait(ctx)));
         assert_eq!((retries(), in_flight()), (4 + 1 + 2, 1));
+    });
+}
+
+/// What the ADIO layer keeps per rank is per *actor*, not per OS thread
+/// (every actor runs on the one thread inside `run`): the NFS driver stages
+/// through the memory of the host its own rank declared, and `adio.inflight`
+/// records each rank's own depth. Two ranks on two hosts open the same file,
+/// keep one split-phase write each in flight across a barrier, then read
+/// each other's block. Staged through the other host's arena, a write reads
+/// addresses that are the other rank's bytes or not mapped at all; counted
+/// together, the second request is recorded at depth 2.
+#[test]
+fn nfs_ranks_stage_through_their_own_host_and_count_their_own_inflight() {
+    const LEN: u64 = 16 << 10;
+    Testbed::new(Backend::nfs()).run(2, |ctx, comm, adio| {
+        let (me, host) = (comm.rank() as u64, comm.host().clone());
+        let (fill, their_fill) = (0xA0 + me as u8, 0xA0 + (1 - me) as u8);
+        let file = MpiFile::open(
+            ctx,
+            adio,
+            &host,
+            "/two",
+            OpenMode::create(),
+            Hints::default(),
+        )
+        .expect("open");
+        let buf = host.mem.alloc(2 * LEN as usize);
+        host.mem.fill(buf, 2 * LEN as usize, fill);
+        // Block `me` split-phase, block `2 + me` blocking.
+        let req = file.iwrite_at(ctx, me * LEN, buf, LEN);
+        comm.barrier(ctx);
+        assert_eq!(req.wait(ctx), Ok(LEN));
+        assert_eq!(
+            file.write_at(ctx, (2 + me) * LEN, buf.offset(LEN), LEN),
+            Ok(LEN)
+        );
+        comm.barrier(ctx);
+        for block in [1 - me, 3 - me] {
+            assert_eq!(file.read_at(ctx, block * LEN, buf, LEN), Ok(LEN));
+            let got = host.mem.read_vec(buf, LEN as usize);
+            assert!(
+                got == vec![their_fill; LEN as usize],
+                "rank {me} block {block}"
+            );
+        }
+        let depth = ctx.metrics().histogram("adio.inflight");
+        assert_eq!((depth.count(), depth.max()), (2, 1), "rank {me}");
+        file.close(ctx, adio).expect("close");
     });
 }
