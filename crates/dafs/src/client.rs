@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
-use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, VirtAddr};
+use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, HostMem, VirtAddr};
 use via::{
     Completion, ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc,
     SendDesc, Vi, ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
@@ -244,6 +244,62 @@ impl DafsBatch {
     }
 }
 
+/// Where the byte string that ends an inline write request lives. The
+/// frame is assembled straight from there ([`request_frame`]), so the
+/// payload is copied once — out of client memory into the buffer that goes
+/// on the wire.
+#[derive(Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    /// The request ends with its arguments.
+    None,
+    /// One range of client memory (`WriteInline`).
+    Mem(VirtAddr, u64),
+    /// Segments `(_, len, buffer offset)` of client memory at a base
+    /// address, packed in list order (inline `WriteList`).
+    Segs(VirtAddr, &'a [proto::ListSeg]),
+    /// The caller's own bytes (`Append`).
+    Slice(&'a [u8]),
+}
+
+/// Assemble one request frame: header, arguments, then the payload behind
+/// its length prefix — byte for byte what `Enc::bytes` of the gathered
+/// payload after the same arguments encodes.
+pub(crate) fn request_frame(
+    mem: &HostMem,
+    reqid: u32,
+    op: DafsOp,
+    args: &[u8],
+    payload: Payload<'_>,
+) -> Bytes {
+    let body = match payload {
+        Payload::None => None,
+        Payload::Mem(_, len) => Some(len as usize),
+        Payload::Segs(_, segs) => Some(segs.iter().map(|s| s.1 as usize).sum()),
+        Payload::Slice(data) => Some(data.len()),
+    };
+    let total = proto::REQ_HEADER_LEN + args.len() + body.map_or(0, |n| 4 + n);
+    assert!(total as u64 <= SLOT, "request overflows message slot");
+    let mut e = Enc::with_capacity(total);
+    proto::enc_req_header(&mut e, reqid, op);
+    e.raw(args);
+    if let Some(n) = body {
+        e.u32(n as u32);
+    }
+    match payload {
+        Payload::None => {}
+        Payload::Mem(addr, len) => mem.read_into(addr, len as usize, e.buf_mut()),
+        Payload::Segs(base, segs) => {
+            for &(_, len, rel) in segs {
+                mem.read_into(base.offset(rel), len as usize, e.buf_mut());
+            }
+        }
+        Payload::Slice(data) => {
+            e.raw(data);
+        }
+    }
+    Bytes::from_vec(e.finish())
+}
+
 fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     MemAttributes {
         ptag,
@@ -356,7 +412,7 @@ impl DafsClient {
         let mut attempt = 0u32;
         let resp = loop {
             let mut e = Self::hello_args(client_id, config.tenant);
-            let reqid = client.post_request(ctx, DafsOp::Hello, &mut e);
+            let reqid = client.post_request(ctx, DafsOp::Hello, &mut e, Payload::None);
             match client.wait_response(ctx, reqid) {
                 Ok(r) => break r,
                 Err(DafsError::Transport(_) | DafsError::Connect(_))
@@ -415,7 +471,7 @@ impl DafsClient {
 
     /// Decode a `Hello` reply payload (after the response header) and
     /// install the negotiated capabilities.
-    fn apply_hello_caps(&self, payload: &[u8]) -> DafsResult<ServerCaps> {
+    fn apply_hello_caps(&self, payload: &Bytes) -> DafsResult<ServerCaps> {
         let mut d = Dec::new(payload);
         let rdma_read = d.u8().map_err(|_| DafsError::Protocol)? != 0;
         let credits = d.u32().map_err(|_| DafsError::Protocol)?;
@@ -467,30 +523,44 @@ impl DafsClient {
         self.reqid.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Build and post one request; returns its id. `body` receives the
-    /// header; the caller must have appended the op arguments already —
-    /// so this takes the op and an `Enc` holding only the arguments.
-    fn post_request(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> u32 {
+    /// Build and post one request under a fresh id; returns the id. `args`
+    /// holds the op's arguments, `payload` names where an inline write's
+    /// bytes live.
+    fn post_request(
+        &self,
+        ctx: &ActorCtx,
+        op: DafsOp,
+        args: &mut Enc,
+        payload: Payload<'_>,
+    ) -> u32 {
         let reqid = self.next_reqid();
-        self.post_request_raw(ctx, reqid, op, &std::mem::take(args).finish());
+        self.post_request_raw(ctx, reqid, op, &std::mem::take(args).finish(), payload);
         reqid
     }
 
     /// Post a request under a caller-chosen id — the replay path reuses an
     /// id so the server can recognize a retransmitted operation.
-    fn post_request_raw(&self, ctx: &ActorCtx, reqid: u32, op: DafsOp, args: &[u8]) {
+    ///
+    /// The frame is assembled once, in the buffer that goes on the wire,
+    /// and rides the send as a zero-copy payload: the registered request
+    /// slot still describes the transfer (TPT check, every cost term, the
+    /// charge for the copy into it), only the bounce through it is skipped.
+    fn post_request_raw(
+        &self,
+        ctx: &ActorCtx,
+        reqid: u32,
+        op: DafsOp,
+        args: &[u8],
+        payload: Payload<'_>,
+    ) {
+        let frame = request_frame(&self.nic.host().mem, reqid, op, args, payload);
         self.stats.ops.inc();
         self.ops_metric.get(ctx.metrics()).inc();
         self.nic.host().compute(ctx, self.config.per_op);
-        let mut e = Enc::new();
-        proto::enc_req_header(&mut e, reqid, op);
-        let mut bytes = e.finish();
-        bytes.extend_from_slice(args);
-        assert!(bytes.len() as u64 <= SLOT, "request overflows message slot");
-        // Copy into the next registered request slot.
+        // The copy into the next registered request slot.
         self.nic
             .host()
-            .compute(ctx, self.config.host.copy(bytes.len() as u64));
+            .compute(ctx, self.config.host.copy(frame.len() as u64));
         let ring = self.req_ring.lock();
         let slot = {
             let mut next = self.req_next.lock();
@@ -500,13 +570,12 @@ impl DafsClient {
         };
         let (buf, h) = ring[slot];
         drop(ring);
-        self.nic.host().mem.write(buf, &bytes);
         let vi = self.vi.lock();
         // Drain stale send completions to keep the port bounded.
         while vi.send_done(ctx).is_some() {}
         vi.post_send(
             ctx,
-            SendDesc::send(vec![DataSegment::new(buf, bytes.len() as u32, h)]),
+            SendDesc::send(vec![DataSegment::new(buf, frame.len() as u32, h)]).with_payload(frame),
         );
     }
 
@@ -597,11 +666,24 @@ impl DafsClient {
     /// request under its original id, so the server-side replay cache makes
     /// non-idempotent operations exactly-once.
     fn call(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<Bytes> {
+        self.call_with(ctx, op, args, Payload::None)
+    }
+
+    /// [`Self::call`] for a request that ends in an inline payload. A
+    /// replay rebuilds its frame from the same place: the caller's write
+    /// has not returned, so the bytes there are the ones first sent.
+    fn call_with(
+        &self,
+        ctx: &ActorCtx,
+        op: DafsOp,
+        args: &mut Enc,
+        payload: Payload<'_>,
+    ) -> DafsResult<Bytes> {
         let args = std::mem::take(args).finish();
         let reqid = self.next_reqid();
         let mut attempt = 0u32;
         loop {
-            self.post_request_raw(ctx, reqid, op, &args);
+            self.post_request_raw(ctx, reqid, op, &args, payload);
             match self.wait_response(ctx, reqid) {
                 Ok(resp) => return Self::decode_resp(&resp),
                 Err(DafsError::Transport(_) | DafsError::Connect(_))
@@ -622,7 +704,7 @@ impl DafsClient {
     /// direct-I/O paths, whose requests embed registration handles that die
     /// with the session (the caller falls back to inline instead).
     fn call_once(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<Bytes> {
-        let reqid = self.post_request(ctx, op, args);
+        let reqid = self.post_request(ctx, op, args, Payload::None);
         let resp = self.wait_response(ctx, reqid)?;
         Self::decode_resp(&resp)
     }
@@ -717,9 +799,7 @@ impl DafsClient {
         // this client's stable id; a declared tenant binding rides along so
         // the scheduler keeps treating the new session as the same tenant.
         let mut e = Self::hello_args(self.client_id, self.config.tenant);
-        let hello = std::mem::take(&mut e).finish();
-        let reqid = self.next_reqid();
-        self.post_request_raw(ctx, reqid, DafsOp::Hello, &hello);
+        let reqid = self.post_request(ctx, DafsOp::Hello, &mut e, Payload::None);
         let resp = self.wait_response(ctx, reqid)?;
         let payload = Self::decode_resp(&resp)?;
         self.apply_hello_caps(&payload).map(|_| ())
@@ -821,8 +901,8 @@ impl DafsClient {
             "append record exceeds the inline limit"
         );
         let mut e = Enc::new();
-        e.u64(fh.0).bytes(data);
-        let payload = self.call(ctx, DafsOp::Append, &mut e)?;
+        e.u64(fh.0);
+        let payload = self.call_with(ctx, DafsOp::Append, &mut e, Payload::Slice(data))?;
         self.stats.inline_writes.record(data.len() as u64);
         ctx.metrics()
             .byte_meter("dafs.inline.bytes")
@@ -1571,12 +1651,12 @@ impl DafsClient {
         }
         // Inline path (small writes, or the cLAN no-RDMA-Read fallback).
         if len <= self.caps().inline_max {
-            let data = self.nic.host().mem.read_bytes(src, len as usize);
             // App buffer into the message buffer (charged in post_request as
             // part of the body copy).
             let mut e = Enc::new();
-            e.u64(fh.0).u64(off).bytes(&data);
-            let a = self.call_attr(ctx, DafsOp::WriteInline, &mut e)?;
+            e.u64(fh.0).u64(off);
+            let reply = self.call_with(ctx, DafsOp::WriteInline, &mut e, Payload::Mem(src, len))?;
+            let a = proto::dec_attr(&mut Dec::new(&reply)).map_err(|_| DafsError::Protocol)?;
             self.stats.inline_writes.record(len);
             ctx.metrics().byte_meter("dafs.inline.bytes").record(len);
             self.cache_note_write(ctx, fh, off, len, Some(&a));
@@ -1637,10 +1717,10 @@ impl DafsClient {
         let mut done = 0u64;
         while done < len {
             let n = (len - done).min(self.caps().inline_max);
-            let data = self.nic.host().mem.read_bytes(src.offset(done), n as usize);
             let mut e = Enc::new();
-            e.u64(fh.0).u64(off + done).bytes(&data);
-            self.call(ctx, DafsOp::WriteInline, &mut e)?;
+            e.u64(fh.0).u64(off + done);
+            let chunk = Payload::Mem(src.offset(done), n);
+            self.call_with(ctx, DafsOp::WriteInline, &mut e, chunk)?;
             self.stats.inline_writes.record(n);
             ctx.metrics().byte_meter("dafs.inline.bytes").record(n);
             done += n;
@@ -1782,7 +1862,6 @@ impl DafsClient {
         fh: NodeId,
         sb: &Sub,
     ) -> (u32, MemHandle, bool) {
-        let mem = &self.nic.host().mem;
         // The one registered region a direct op transfers against; for a
         // list sub, from its base to the end of its last segment.
         let span = match &sb.segs {
@@ -1803,7 +1882,8 @@ impl DafsClient {
         let inline_write = dir == BatchDir::Write && !sb.direct;
         let mut e = Enc::new();
         e.u64(fh.0);
-        let op = match (&sb.segs, dir) {
+        // The op, and where an inline write's payload lives.
+        let (op, payload) = match (&sb.segs, dir) {
             (Some(segs), _) => {
                 if sb.direct {
                     e.u8(1).u64(sb.addr.as_u64()).u64(handle.0);
@@ -1811,17 +1891,11 @@ impl DafsClient {
                     e.u8(0);
                 }
                 proto::enc_seg_list(&mut e, segs);
-                if inline_write {
-                    // Gather the segments into the packed inline payload.
-                    let mut data = Vec::with_capacity(sb.len as usize);
-                    for &(_, len, rel) in segs {
-                        data.extend_from_slice(&mem.read_bytes(sb.addr.offset(rel), len as usize));
-                    }
-                    e.bytes(&data);
-                }
                 match dir {
-                    BatchDir::Read => DafsOp::ReadList,
-                    BatchDir::Write => DafsOp::WriteList,
+                    BatchDir::Read => (DafsOp::ReadList, Payload::None),
+                    BatchDir::Write if sb.direct => (DafsOp::WriteList, Payload::None),
+                    // The segments, packed, are the inline payload.
+                    BatchDir::Write => (DafsOp::WriteList, Payload::Segs(sb.addr, segs)),
                 }
             }
             (None, _) if sb.direct => {
@@ -1830,21 +1904,20 @@ impl DafsClient {
                     .u64(sb.addr.as_u64())
                     .u64(handle.0);
                 match dir {
-                    BatchDir::Read => DafsOp::ReadDirect,
-                    BatchDir::Write => DafsOp::WriteDirect,
+                    BatchDir::Read => (DafsOp::ReadDirect, Payload::None),
+                    BatchDir::Write => (DafsOp::WriteDirect, Payload::None),
                 }
             }
             (None, BatchDir::Read) => {
                 e.u64(sb.off).u64(sb.len);
-                DafsOp::ReadInline
+                (DafsOp::ReadInline, Payload::None)
             }
             (None, BatchDir::Write) => {
-                e.u64(sb.off)
-                    .bytes(&mem.read_bytes(sb.addr, sb.len as usize));
-                DafsOp::WriteInline
+                e.u64(sb.off);
+                (DafsOp::WriteInline, Payload::Mem(sb.addr, sb.len))
             }
         };
-        let id = self.post_request(ctx, op, &mut e);
+        let id = self.post_request(ctx, op, &mut e, payload);
         // Writes account at post time (reads when their reply is decoded).
         if inline_write {
             self.stats.inline_writes.record(sb.len);
@@ -1868,7 +1941,13 @@ impl DafsClient {
 
     /// Decode one sub-response and perform its client-side completion work
     /// (inline-read copy into the destination buffer, transfer stats).
-    fn sub_payload(&self, ctx: &ActorCtx, dir: BatchDir, sb: &Sub, resp: &[u8]) -> DafsResult<u64> {
+    fn sub_payload(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        sb: &Sub,
+        resp: &Bytes,
+    ) -> DafsResult<u64> {
         let mut d = Dec::new(resp);
         let (_, status) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
         if status != DafsStatus::Ok {

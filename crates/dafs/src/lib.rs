@@ -107,6 +107,63 @@ mod tests {
         });
     }
 
+    /// No wire byte moved when the request frame stopped being built by
+    /// `Enc::bytes` of a gathered copy: for `WriteInline` and inline
+    /// `WriteList`, the frame assembled in place from client memory equals
+    /// the frame the previous encoding produced for the same request.
+    #[test]
+    fn request_frames_assembled_in_place_are_the_same_wire_bytes() {
+        use crate::client::{request_frame, Payload};
+        use crate::wire::Enc;
+        let mem = simnet::HostMem::new();
+        let buf = mem.alloc(8192);
+        let pattern: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 251) as u8).collect();
+        mem.write(buf, &pattern);
+
+        // WriteInline: (fh, off) then the payload as a byte string.
+        let (fh, off, at, len) = (7u64, 40_960u64, 100usize, 5000usize);
+        let mut old = Enc::new();
+        proto::enc_req_header(&mut old, 42, DafsOp::WriteInline);
+        old.u64(fh).u64(off).bytes(&pattern[at..at + len]);
+        let mut args = Enc::new();
+        args.u64(fh).u64(off);
+        let payload = Payload::Mem(buf.offset(at as u64), len as u64);
+        let frame = request_frame(&mem, 42, DafsOp::WriteInline, &args.finish(), payload);
+        assert_eq!(frame, old.finish());
+
+        // Inline WriteList: (fh, mode 0, segment list) then the segments'
+        // bytes, gathered from their places in the buffer, as one string.
+        let segs: Vec<proto::ListSeg> = vec![(0, 1000, 16), (4096, 24, 2000), (9000, 3000, 4096)];
+        let mut packed = Vec::new();
+        for &(_, len, rel) in &segs {
+            packed.extend_from_slice(&pattern[rel as usize..(rel + len) as usize]);
+        }
+        let mut old = Enc::new();
+        proto::enc_req_header(&mut old, 43, DafsOp::WriteList);
+        old.u64(fh).u8(0);
+        proto::enc_seg_list(&mut old, &segs);
+        old.bytes(&packed);
+        let mut args = Enc::new();
+        args.u64(fh).u8(0);
+        proto::enc_seg_list(&mut args, &segs);
+        let payload = Payload::Segs(buf, &segs);
+        let frame = request_frame(&mem, 43, DafsOp::WriteList, &args.finish(), payload);
+        assert_eq!(frame, old.finish());
+
+        // Append carries the caller's slice the same way; no payload, no
+        // length prefix.
+        let mut old = Enc::new();
+        proto::enc_req_header(&mut old, 44, DafsOp::Append);
+        old.u64(fh).bytes(b"record");
+        let mut args = Enc::new();
+        args.u64(fh);
+        let args = args.finish();
+        let frame = request_frame(&mem, 44, DafsOp::Append, &args, Payload::Slice(b"record"));
+        assert_eq!(frame, old.finish());
+        let bare = request_frame(&mem, 45, DafsOp::Flush, &args, Payload::None);
+        assert_eq!(bare.len(), proto::REQ_HEADER_LEN + args.len());
+    }
+
     /// One blocking vectored transfer of packed `ranges` — issue + finish.
     fn list(
         ctx: &simnet::ActorCtx,

@@ -231,6 +231,9 @@ pub struct ServerCaps {
     pub inline_max: u64,
 }
 
+/// Encoded size of a request header.
+pub const REQ_HEADER_LEN: usize = 5;
+
 /// Encode a request header: (request id, op).
 pub fn enc_req_header(e: &mut Enc, reqid: u32, op: DafsOp) {
     e.u32(reqid);
@@ -358,6 +361,7 @@ pub fn dec_attr(d: &mut Dec) -> Result<FileAttr, WireError> {
 mod tests {
     use super::*;
     use memfs::ROOT_ID;
+    use simnet::Bytes;
 
     #[test]
     fn op_roundtrip() {
@@ -376,7 +380,7 @@ mod tests {
         assert_eq!(LeaseKind::from_u8(0), None);
         assert_eq!(LeaseKind::from_u8(3), None);
 
-        let b = enc_recall_push(NodeId(7), 42).finish();
+        let b = Bytes::from_vec(enc_recall_push(NodeId(7), 42).finish());
         let mut d = Dec::new(&b);
         // The push frame reads as a reqid-0 Ok response...
         assert_eq!(dec_resp_header(&mut d).unwrap(), (0, DafsStatus::Ok));
@@ -399,7 +403,7 @@ mod tests {
         for segs in lists {
             let mut e = Enc::new();
             enc_seg_list(&mut e, &segs);
-            let b = e.finish();
+            let b = Bytes::from_vec(e.finish());
             assert_eq!(b.len(), 4 + 24 * segs.len());
             let mut d = Dec::new(&b);
             assert_eq!(dec_seg_list(&mut d).unwrap(), segs);
@@ -411,18 +415,18 @@ mod tests {
     fn seg_list_truncation_and_bounds() {
         let mut e = Enc::new();
         enc_seg_list(&mut e, &[(5, 10, 0), (20, 30, 10)]);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         // Every truncated prefix must decode to an error, never panic.
         for cut in 0..b.len() {
             assert!(
-                dec_seg_list(&mut Dec::new(&b[..cut])).is_err(),
+                dec_seg_list(&mut Dec::new(&b.slice(..cut))).is_err(),
                 "truncation at {cut} decoded"
             );
         }
         // A count past LIST_MAX_SEGMENTS is rejected up front.
         let mut e = Enc::new();
         e.u32(LIST_MAX_SEGMENTS as u32 + 1);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         assert!(dec_seg_list(&mut Dec::new(&b)).is_err());
     }
 
@@ -449,13 +453,13 @@ mod tests {
     fn headers_roundtrip() {
         let mut e = Enc::new();
         enc_req_header(&mut e, 42, DafsOp::ReadDirect);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = Dec::new(&b);
         assert_eq!(dec_req_header(&mut d).unwrap(), (42, DafsOp::ReadDirect));
 
         let mut e = Enc::new();
         enc_resp_header(&mut e, 42, DafsStatus::Stale);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = Dec::new(&b);
         assert_eq!(dec_resp_header(&mut d).unwrap(), (42, DafsStatus::Stale));
     }
@@ -471,7 +475,7 @@ mod tests {
         };
         let mut e = Enc::new();
         enc_attr(&mut e, &a);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         assert_eq!(dec_attr(&mut Dec::new(&b)).unwrap(), a);
     }
 }

@@ -100,7 +100,7 @@ pub struct QueuedReq {
 /// (decoded lengths for reads and direct transfers; the frame itself
 /// already carries inline write payloads). Malformed frames cost their
 /// own length and are left for `serve_one` to reject.
-pub fn classify(req: &[u8]) -> (u64, bool) {
+pub fn classify(req: &Bytes) -> (u64, bool) {
     let flen = req.len() as u64;
     let mut d = Dec::new(req);
     let Ok((_reqid, op)) = proto::dec_req_header(&mut d) else {
@@ -155,7 +155,7 @@ fn skip2_len(d: &mut Dec) -> Result<u64, crate::wire::WireError> {
 /// wedge every request blocked on that recall behind the very tenant the
 /// scheduler is throttling (a priority inversion). FIFO mode never calls
 /// this — nothing is reordered there.
-pub fn control_op(req: &[u8]) -> bool {
+pub fn control_op(req: &Bytes) -> bool {
     let mut d = Dec::new(req);
     matches!(
         proto::dec_req_header(&mut d),

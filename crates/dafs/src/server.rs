@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use memfs::{MemFs, NodeId, SetAttr};
-use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, SimKernel, SimTime, VirtAddr};
+use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, Rope, SimKernel, SimTime, VirtAddr};
 use via::{
     Cq, DataSegment, MemAttributes, MemHandle, RecvDesc, RemoteSegment, SendDesc, Vi, ViAttributes,
     ViId, ViState, ViaFabric, ViaNic, ViaStatus, WhichQueue,
@@ -106,9 +106,9 @@ struct LeaseState {
 struct RecallState {
     /// Holders whose flush-and-ack is still outstanding.
     pending: Vec<ViId>,
-    /// Raw request frames deferred until the recall completes, replayed
-    /// through `serve_one` in arrival order.
-    blocked: Vec<(ViId, Vec<u8>)>,
+    /// Request frames (views, not copies) deferred until the recall
+    /// completes, replayed through `serve_one` in arrival order.
+    blocked: Vec<(ViId, Bytes)>,
 }
 
 /// High-half base for synthetic client ids handed to legacy (cid-less)
@@ -589,7 +589,7 @@ fn lease_defer(
     vi_id: ViId,
     fh: u64,
     mutating: bool,
-    req: &[u8],
+    req: &Bytes,
 ) -> bool {
     let Some(st) = leases.get_mut(&fh) else {
         return false;
@@ -614,7 +614,7 @@ fn lease_defer(
     }
     if let Some(rc) = st.recall.as_mut() {
         // Recall already in flight: queue behind it in arrival order.
-        rc.blocked.push((vi_id, req.to_vec()));
+        rc.blocked.push((vi_id, req.clone()));
         return true;
     }
     let id = *next_recall_id;
@@ -656,7 +656,7 @@ fn lease_defer(
     );
     st.recall = Some(RecallState {
         pending,
-        blocked: vec![(vi_id, req.to_vec())],
+        blocked: vec![(vi_id, req.clone())],
     });
     true
 }
@@ -664,7 +664,7 @@ fn lease_defer(
 /// Drop `vi`'s lease on `fh` (recall ack, voluntary release, or teardown).
 /// When that completes an in-flight recall, the deferred frames come back
 /// for the caller to replay through `serve_one`.
-fn lease_drop(leases: &mut BTreeMap<u64, LeaseState>, fh: u64, vi: ViId) -> Vec<(ViId, Vec<u8>)> {
+fn lease_drop(leases: &mut BTreeMap<u64, LeaseState>, fh: u64, vi: ViId) -> Vec<(ViId, Bytes)> {
     let Some(st) = leases.get_mut(&fh) else {
         return Vec::new();
     };
@@ -689,7 +689,7 @@ fn release_leases_of(
     ctx: &ActorCtx,
     leases: &mut BTreeMap<u64, LeaseState>,
     vi: ViId,
-) -> Vec<(ViId, Vec<u8>)> {
+) -> Vec<(ViId, Bytes)> {
     let mut frames = Vec::new();
     let fhs: Vec<u64> = leases.keys().copied().collect();
     for fh in fhs {
@@ -737,7 +737,7 @@ fn serve_one(
     client_ids: &mut HashMap<ViId, u64>,
     replay: &mut ReplayCache,
     qos: &mut QosState,
-    req: &[u8],
+    req: &Bytes,
 ) -> bool {
     stats.ops.inc();
     host.compute(ctx, cost.per_op);
@@ -1019,12 +1019,12 @@ fn serve_one(
             if len > INLINE_MAX {
                 fail!(DafsStatus::Inval);
             }
-            let data = try_fs!(fs.read_bytes(fh, off, len));
+            let data = try_fs!(fs.read_views(fh, off, len));
             // Buffer-cache copy into the response message.
             host.compute(ctx, cost.host.copy(data.len() as u64));
             stats.inline_reads.record(data.len() as u64);
             proto::enc_resp_header(&mut e, reqid, DafsStatus::Ok);
-            e.bytes(&data);
+            e.rope(&data);
             reply!(e);
         }
         DafsOp::Append => {
@@ -1063,14 +1063,14 @@ fn serve_one(
             let len = try_wire!(d.u64());
             let raddr = VirtAddr(try_wire!(d.u64()));
             let rhandle = MemHandle(try_wire!(d.u64()));
-            let data = try_fs!(fs.read_bytes(fh, off, len));
+            let data = try_fs!(fs.read_views(fh, off, len));
             if !cost.registered_buffer_cache {
                 host.compute(ctx, cost.host.copy(data.len() as u64));
             }
             // RDMA-write the data into the client's buffer, chunked as if
             // through the session staging area (chunks pipeline on the
-            // wire). Each chunk rides as a zero-copy view of the file page:
-            // server page → wire → client buffer, no staging bounce.
+            // wire). Each chunk rides as zero-copy views of the file pages:
+            // server pages → wire → client buffer, no staging bounce.
             let sess = sess!();
             let (sbuf, sh) = sess.staging;
             let mut sent = 0usize;
@@ -1174,12 +1174,12 @@ fn serve_one(
             // segment (EOF) empties every later one, so the gathered bytes
             // are a dense prefix of each buffer-contiguous run.
             let mut counts = Vec::with_capacity(segs.len());
-            let mut data = Vec::new(); // inline reply payload (list order)
+            let mut data = Rope::new(); // inline reply payload (list order)
             if mode == 0 {
                 for &(off, len, _) in &segs {
-                    let seg = try_fs!(fs.read_bytes(fh, off, len));
+                    let seg = try_fs!(fs.read_views(fh, off, len));
                     counts.push(seg.len() as u64);
-                    data.extend_from_slice(&seg);
+                    data.append(seg);
                 }
                 host.compute(ctx, cost.host.copy(data.len() as u64));
                 stats.inline_reads.record(data.len() as u64);
@@ -1190,23 +1190,15 @@ fn serve_one(
                 let mut moved = 0u64;
                 let mut failed = false;
                 'runs: for (run_rel, run) in list_runs(&segs) {
-                    // A single-segment run streams the file page view
-                    // directly; multi-segment runs gather once into a fresh
-                    // frame (the segments are discontiguous in the file).
-                    let rdata: Bytes = if run.len() == 1 {
-                        let (off, len, _) = run[0];
-                        let seg = try_fs!(fs.read_bytes(fh, off, len));
+                    // The run streams as views of the file pages of its
+                    // segments, in order — discontiguous in the file,
+                    // back-to-back in the client buffer.
+                    let mut rdata = Rope::new();
+                    for &(off, len, _) in &run {
+                        let seg = try_fs!(fs.read_views(fh, off, len));
                         counts.push(seg.len() as u64);
-                        seg
-                    } else {
-                        let mut v = Vec::new();
-                        for &(off, len, _) in &run {
-                            let seg = try_fs!(fs.read_bytes(fh, off, len));
-                            counts.push(seg.len() as u64);
-                            v.extend_from_slice(&seg);
-                        }
-                        Bytes::from_vec(v)
-                    };
+                        rdata.append(seg);
+                    }
                     if !cost.registered_buffer_cache {
                         host.compute(ctx, cost.host.copy(rdata.len() as u64));
                     }
@@ -1246,7 +1238,7 @@ fn serve_one(
                 e.u64(*c);
             }
             if mode == 0 {
-                e.bytes(&data);
+                e.rope(&data);
             }
             reply!(e);
         }

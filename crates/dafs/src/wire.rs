@@ -3,7 +3,10 @@
 //! DAFS defined its own marshalling (not XDR); we keep the same spirit:
 //! fixed-width little-endian integers, length-prefixed byte strings, no
 //! padding. Request and response payloads are built with [`Enc`] and parsed
-//! with [`Dec`].
+//! with [`Dec`]. A decoder reads a refcounted frame and returns byte-string
+//! fields as views of it, so a payload is never copied just to be parsed.
+
+use simnet::{Bytes, Rope};
 
 /// Wire encoder.
 #[derive(Default)]
@@ -15,6 +18,19 @@ impl Enc {
     /// Fresh encoder.
     pub fn new() -> Enc {
         Enc::default()
+    }
+
+    /// Fresh encoder with room for `n` bytes, for a frame of known size.
+    pub fn with_capacity(n: usize) -> Enc {
+        Enc {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
+    /// The bytes encoded so far, for a producer that appends a payload in
+    /// place (`HostMem::read_into`) behind a length prefix it encoded.
+    pub fn buf_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
     }
 
     /// Append a u8.
@@ -39,6 +55,14 @@ impl Enc {
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Append a length-prefixed byte string held as a rope of views (the
+    /// copy of file pages into a reply message).
+    pub fn rope(&mut self, v: &Rope) -> &mut Self {
+        self.u32(v.len() as u32);
+        v.copy_into(&mut self.buf);
         self
     }
 
@@ -75,15 +99,15 @@ impl Enc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireError;
 
-/// Wire decoder.
+/// Wire decoder over a received frame.
 pub struct Dec<'a> {
-    buf: &'a [u8],
+    buf: &'a Bytes,
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
     /// Decode from `buf`.
-    pub fn new(buf: &'a [u8]) -> Dec<'a> {
+    pub fn new(buf: &'a Bytes) -> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
@@ -91,7 +115,7 @@ impl<'a> Dec<'a> {
         if self.pos + n > self.buf.len() {
             return Err(WireError);
         }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = &self.buf.as_slice()[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
@@ -111,18 +135,20 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// Read a length-prefixed byte string, as a view of the frame.
+    pub fn bytes(&mut self) -> Result<Bytes, WireError> {
         let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(WireError);
-        }
-        Ok(self.take(n)?.to_vec())
+        let start = self.pos;
+        self.take(n)?;
+        Ok(self.buf.slice(start..start + n))
     }
 
     /// Read a length-prefixed string.
     pub fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError)
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?)
+            .map(str::to_owned)
+            .map_err(|_| WireError)
     }
 
     /// Bytes not yet consumed.
@@ -144,13 +170,16 @@ mod tests {
             .u64(1 << 40)
             .str("file.dat")
             .bytes(b"xyz");
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = Dec::new(&b);
         assert_eq!(d.u8().unwrap(), 7);
         assert_eq!(d.u32().unwrap(), 0xABCD);
         assert_eq!(d.u64().unwrap(), 1 << 40);
         assert_eq!(d.str().unwrap(), "file.dat");
-        assert_eq!(d.bytes().unwrap(), b"xyz");
+        let field = d.bytes().unwrap();
+        assert_eq!(field, b"xyz".as_slice());
+        // A view of the frame, not a copy.
+        assert!(std::ptr::eq(field.as_ptr(), &b[b.len() - 3]));
         assert_eq!(d.remaining(), 0);
     }
 
@@ -158,18 +187,31 @@ mod tests {
     fn truncation_detected() {
         let mut e = Enc::new();
         e.u32(10).u8(1);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = Dec::new(&b);
         assert_eq!(d.bytes(), Err(WireError));
-        let mut d2 = Dec::new(&[1, 2]);
-        assert_eq!(d2.u32(), Err(WireError));
+        let short = Bytes::from_vec(vec![1, 2]);
+        assert_eq!(Dec::new(&short).u32(), Err(WireError));
+    }
+
+    #[test]
+    fn rope_encodes_like_its_concatenation() {
+        let whole = Bytes::from_vec(b"pages of a file".to_vec());
+        let mut rope = Rope::new();
+        rope.push(whole.slice(..5));
+        rope.push(Bytes::from_vec(b" of a".to_vec()));
+        rope.push(whole.slice(10..));
+        let (mut a, mut b) = (Enc::new(), Enc::new());
+        a.rope(&rope);
+        b.bytes(&whole);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]
     fn empty_bytes_ok() {
         let mut e = Enc::new();
         e.bytes(b"");
-        let b = e.finish();
-        assert_eq!(Dec::new(&b).bytes().unwrap(), b"");
+        let b = Bytes::from_vec(e.finish());
+        assert_eq!(Dec::new(&b).bytes().unwrap(), b"".as_slice());
     }
 }

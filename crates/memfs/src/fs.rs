@@ -1,10 +1,19 @@
 //! The filesystem proper: inodes, directories, file data.
+//!
+//! A regular file is a sparse map of fixed-size copy-on-write pages plus an
+//! explicit size ([`FileBody`]). A page that is absent, and the part of a
+//! page past its stored length, read as zeros up to the file size — so
+//! growing a file (by `setattr` or by writing past its end) allocates
+//! nothing, and a write touches only the pages it covers, copying each
+//! byte once into its page. Reads hand out [`Bytes`] views of the pages; a
+//! write that meets an outstanding view copies that one page, never the
+//! file.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::buf::{Bytes, Slab};
+use simnet::buf::{Bytes, Rope, Slab};
 
 /// Identifies an inode. Also serves as the wire-visible file handle for
 /// both servers (DAFS and NFS wrap it in their own handle formats).
@@ -86,18 +95,124 @@ impl std::error::Error for FsError {}
 /// Convenience alias.
 pub type FsResult<T> = Result<T, FsError>;
 
+/// Bytes per file page: the unit a file is stored, shared and
+/// copied-on-write in. It is the DAFS inline limit — the payload of one
+/// message of a large write on a fabric without RDMA Read — so such a chunk,
+/// written at an aligned offset, fills exactly one page.
+const PAGE: usize = 32 << 10;
+
+/// A regular file's data: stored pages by page number, and the size.
+///
+/// A page stores up to [`PAGE`] bytes from the page's start, in a vector
+/// with room for the whole page; the rest of the page reads as zeros.
+/// Invariant: no page stores bytes at or past `size`, so extending the file
+/// needs no zeroing.
+///
+/// Ownership rule — *published means frozen*, per page: a read hands out
+/// views of the pages' slabs, and a page is written in place only while the
+/// file holds the one reference to its slab ([`Arc::get_mut`]). A write that
+/// meets an outstanding view copies that page into a fresh slab first, so a
+/// view never observes a later write and a write never copies more than the
+/// pages it touches.
+#[derive(Debug, Default)]
+struct FileBody {
+    pages: BTreeMap<u64, Arc<Slab>>,
+    size: u64,
+}
+
+impl FileBody {
+    /// Page `p`'s slab, writable in place. When the file does not hold the
+    /// only reference to it (the page is absent, or a read view is still
+    /// out), the page first becomes a fresh slab holding a copy of the old
+    /// bytes below `keep` — the caller names the prefix it will not
+    /// overwrite or cut itself.
+    fn writable(&mut self, p: u64, keep: usize) -> &mut Slab {
+        let fresh = |old: &[u8]| {
+            let mut v = Vec::with_capacity(PAGE);
+            v.extend_from_slice(&old[..keep.min(old.len())]);
+            Arc::new(Slab::from_vec(v))
+        };
+        let page = self.pages.entry(p).or_insert_with(|| fresh(&[]));
+        if Arc::get_mut(page).is_none() {
+            *page = fresh(&page[..]);
+        }
+        Arc::get_mut(page).expect("page was just made unshared")
+    }
+
+    /// Write `src` at `offset`: each byte is copied once, into the page it
+    /// belongs to, and nothing is zero-filled that the write then covers.
+    fn write(&mut self, offset: u64, src: &[u8]) {
+        let mut done = 0usize;
+        while done < src.len() {
+            let at = offset + done as u64;
+            let (p, lo) = (at / PAGE as u64, (at % PAGE as u64) as usize);
+            let n = (PAGE - lo).min(src.len() - done);
+            let piece = &src[done..done + n];
+            // Old bytes the write leaves standing: all of them, unless it
+            // runs to the end of what the page stores.
+            let stored = self.pages.get(&p).map_or(0, |pg| pg.len());
+            let slab = self.writable(p, if lo + n >= stored { lo } else { stored });
+            let v = slab.data_mut();
+            if v.len() < lo {
+                v.resize(lo, 0); // the gap below the write, inside the page
+            }
+            let over = (v.len() - lo).min(n);
+            v[lo..lo + over].copy_from_slice(&piece[..over]);
+            v.extend_from_slice(&piece[over..]);
+            slab.recharge();
+            done += n;
+        }
+        self.size = self.size.max(offset + src.len() as u64);
+    }
+
+    /// Truncate or extend to `size`. Extending allocates nothing; shrinking
+    /// drops whole pages past the cut and cuts the page it falls in, so a
+    /// later extension re-exposes zeros, not old bytes.
+    fn resize(&mut self, size: u64) {
+        if size < self.size {
+            let (p, keep) = (size / PAGE as u64, (size % PAGE as u64) as usize);
+            self.pages.split_off(&(p + (keep > 0) as u64));
+            if self.pages.get(&p).is_some_and(|pg| pg.len() > keep) {
+                let slab = self.writable(p, keep);
+                slab.data_mut().truncate(keep);
+                slab.recharge();
+            }
+        }
+        self.size = size;
+    }
+
+    /// Views of `[offset, offset + len)` clipped to the file size, one per
+    /// stored page in order; holes come back as freshly made zeros.
+    fn read(&self, offset: u64, len: u64) -> Rope {
+        let end = offset.saturating_add(len).min(self.size);
+        let mut out = Rope::new();
+        let mut zeros = 0usize;
+        let mut at = offset.min(end);
+        while at < end {
+            let (p, lo) = (at / PAGE as u64, (at % PAGE as u64) as usize);
+            let n = (PAGE - lo).min((end - at) as usize);
+            let page = self.pages.get(&p);
+            let have = page.map_or(0, |pg| pg.len().saturating_sub(lo).min(n));
+            if let (Some(pg), true) = (page, have > 0) {
+                if zeros > 0 {
+                    out.push(Bytes::from_vec(vec![0; std::mem::take(&mut zeros)]));
+                }
+                out.push(Bytes::from_slab(pg.clone()).slice(lo..lo + have));
+            }
+            zeros += n - have;
+            at += n as u64;
+        }
+        if zeros > 0 {
+            out.push(Bytes::from_vec(vec![0; zeros]));
+        }
+        out
+    }
+}
+
 #[derive(Debug)]
 enum NodeBody {
-    /// File data lives in one refcounted slab so reads hand out zero-copy
-    /// [`Bytes`] views. Writes go through `Arc::make_mut`: in place while
-    /// the file is the only owner, copy-on-write the moment read views are
-    /// still outstanding — a published view never observes a later write.
-    Regular {
-        data: Arc<Slab>,
-    },
-    Directory {
-        entries: BTreeMap<String, NodeId>,
-    },
+    Regular { data: FileBody },
+    Directory { entries: BTreeMap<String, NodeId> },
 }
 
 #[derive(Debug)]
@@ -113,7 +228,7 @@ impl Node {
             NodeBody::Regular { data } => FileAttr {
                 id,
                 ftype: FileType::Regular,
-                size: data.len() as u64,
+                size: data.size,
                 version: self.version,
                 nlink: self.nlink,
             },
@@ -195,10 +310,8 @@ impl MemFs {
         if let Some(sz) = set.size {
             match &mut node.body {
                 NodeBody::Regular { data } => {
-                    let delta = sz as i64 - data.len() as i64;
-                    let slab = Arc::make_mut(data);
-                    slab.data_mut().resize(sz as usize, 0);
-                    slab.recharge();
+                    let delta = sz as i64 - data.size as i64;
+                    data.resize(sz);
                     node.version += 1;
                     let attr = node.attr(id);
                     st.total_data = (st.total_data as i64 + delta) as u64;
@@ -261,7 +374,7 @@ impl MemFs {
             dir,
             name,
             NodeBody::Regular {
-                data: Arc::new(Slab::from_vec(Vec::new())),
+                data: FileBody::default(),
             },
         )
     }
@@ -296,7 +409,7 @@ impl MemFs {
         }
         st.nodes.get_mut(&dir.0).unwrap().version += 1;
         let freed = match &st.nodes[&target.0].body {
-            NodeBody::Regular { data } => data.len() as u64,
+            NodeBody::Regular { data } => data.size,
             _ => 0,
         };
         st.nodes.remove(&target.0);
@@ -369,7 +482,7 @@ impl MemFs {
         st.nodes.get_mut(&to.0).unwrap().version += 1;
         if let Some(r) = replaced {
             let freed = match &st.nodes[&r.0].body {
-                NodeBody::Regular { data } => data.len() as u64,
+                NodeBody::Regular { data } => data.size,
                 _ => 0,
             };
             st.nodes.remove(&r.0);
@@ -378,49 +491,53 @@ impl MemFs {
         Ok(())
     }
 
-    /// Read up to `len` bytes at `offset` as a zero-copy view of the file
-    /// slab. Short reads at EOF, like read(2); reads past EOF return empty.
+    /// Read up to `len` bytes at `offset` as views of the file's pages, in
+    /// order (holes materialised as zeros). Short at EOF, like read(2);
+    /// reads past EOF return empty.
     ///
-    /// The view stays valid (and immutable) across later writes: a write
-    /// while views are outstanding clones the slab instead of mutating it.
-    pub fn read_bytes(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Bytes> {
+    /// The views stay valid (and immutable) across later writes: a write
+    /// that meets an outstanding view copies that page instead of mutating
+    /// it.
+    pub fn read_views(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Rope> {
         let st = self.state.lock();
         let n = st.nodes.get(&id.0).ok_or(FsError::Stale)?;
         match &n.body {
-            NodeBody::Regular { data } => {
-                let start = (offset as usize).min(data.len());
-                let end = (offset.saturating_add(len) as usize).min(data.len());
-                Ok(Bytes::from_slab(data.clone()).slice(start..end))
-            }
+            NodeBody::Regular { data } => Ok(data.read(offset, len)),
             NodeBody::Directory { .. } => Err(FsError::IsDirectory),
         }
     }
 
-    /// [`MemFs::read_bytes`], copied out into an owned vector (compat shim
-    /// for callers that need ownership).
-    pub fn read(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Vec<u8>> {
-        Ok(self.read_bytes(id, offset, len)?.to_vec())
+    /// [`MemFs::read_views`] as one contiguous view: zero-copy when the
+    /// range lies in one page, else the concatenation.
+    pub fn read_bytes(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Bytes> {
+        let views = self.read_views(id, offset, len)?;
+        Ok(views.as_single().cloned().unwrap_or_else(|| {
+            let mut v = Vec::new();
+            views.copy_into(&mut v);
+            Bytes::from_vec(v)
+        }))
     }
 
-    /// Write `buf` at `offset`, extending (and zero-filling any gap) as
-    /// needed. Returns post-write attributes.
+    /// [`MemFs::read_views`], copied out into an owned vector.
+    pub fn read(&self, id: NodeId, offset: u64, len: u64) -> FsResult<Vec<u8>> {
+        let mut v = Vec::new();
+        self.read_views(id, offset, len)?.copy_into(&mut v);
+        Ok(v)
+    }
+
+    /// Write `buf` at `offset`, extending the file as needed (a gap reads
+    /// as zeros). Returns post-write attributes.
     pub fn write(&self, id: NodeId, offset: u64, buf: &[u8]) -> FsResult<FileAttr> {
         let mut st = self.state.lock();
         let node = st.nodes.get_mut(&id.0).ok_or(FsError::Stale)?;
         match &mut node.body {
             NodeBody::Regular { data } => {
-                let end = offset as usize + buf.len();
-                let grow = end.saturating_sub(data.len());
-                let slab = Arc::make_mut(data);
-                let v = slab.data_mut();
-                if end > v.len() {
-                    v.resize(end, 0);
-                }
-                v[offset as usize..end].copy_from_slice(buf);
-                slab.recharge();
+                let before = data.size;
+                data.write(offset, buf);
+                let grow = data.size - before;
                 node.version += 1;
                 let attr = node.attr(id);
-                st.total_data += grow as u64;
+                st.total_data += grow;
                 Ok(attr)
             }
             NodeBody::Directory { .. } => Err(FsError::IsDirectory),
@@ -507,6 +624,175 @@ mod tests {
         assert_eq!(fs.read(f.id, 0, 100).unwrap(), b"hello world");
         assert_eq!(fs.read(f.id, 6, 5).unwrap(), b"world");
         assert_eq!(fs.total_data(), 11);
+    }
+
+    /// Every read entry point against a flat model of the file. (Names the
+    /// first differing byte instead of dumping two file images.)
+    fn assert_reads(fs: &MemFs, id: NodeId, model: &[u8], off: u64, len: u64) {
+        let s = (off as usize).min(model.len());
+        let e = (off.saturating_add(len) as usize).min(model.len());
+        let want = &model[s..e];
+        let views = fs.read_views(id, off, len).unwrap();
+        assert!(views.iter().all(|v| !v.is_empty()));
+        let mut flat = Vec::new();
+        views.copy_into(&mut flat);
+        assert_eq!(views.len(), flat.len());
+        for (what, got) in [
+            ("read", fs.read(id, off, len).unwrap()),
+            ("read_bytes", fs.read_bytes(id, off, len).unwrap().to_vec()),
+            ("read_views", flat),
+        ] {
+            assert_eq!(got.len(), want.len(), "{what} {off}+{len}: length");
+            let diff = got.iter().zip(want).position(|(g, w)| g != w);
+            assert_eq!(diff, None, "{what} {off}+{len}: first differing byte");
+        }
+    }
+
+    #[test]
+    fn holes_read_as_zeros_and_cost_nothing() {
+        let fs = MemFs::new();
+        let f = fs.create(ROOT_ID, "sparse").unwrap();
+        let far = 256u64 << 20;
+        let a = fs.write(f.id, far, &[9u8; 4096]).unwrap();
+        assert_eq!(a.size, far + 4096);
+        assert_eq!(fs.getattr(f.id).unwrap().size, far + 4096);
+        assert_eq!(fs.total_data(), far + 4096);
+        // Through every read entry point: lengths equal, bytes zero, the
+        // written range intact — across the edge of the hole too.
+        for (off, len) in [
+            (0, 100),
+            (PAGE as u64 - 1, 2),
+            (far - 10, 20),
+            (far - PAGE as u64, 2 * PAGE as u64),
+            (far + 4000, 1000),
+        ] {
+            let got = fs.read(f.id, off, len).unwrap();
+            let want: Vec<u8> = (off..(off + len).min(far + 4096))
+                .map(|i| if i >= far { 9 } else { 0 })
+                .collect();
+            assert_eq!(got, want, "read {off}+{len}");
+            assert_eq!(fs.read_bytes(f.id, off, len).unwrap(), want);
+            let views = fs.read_views(f.id, off, len).unwrap();
+            let mut flat = Vec::new();
+            views.copy_into(&mut flat);
+            assert_eq!((views.len(), flat), (want.len(), want));
+        }
+        // Extending by setattr stores nothing either.
+        let g = fs.create(ROOT_ID, "grown").unwrap();
+        fs.setattr(g.id, SetAttr { size: Some(far) }).unwrap();
+        assert_eq!(fs.read(g.id, far - 3, 10).unwrap(), [0, 0, 0]);
+        fs.remove(ROOT_ID, "sparse").unwrap();
+        assert_eq!(fs.total_data(), far);
+    }
+
+    #[test]
+    fn shrink_then_extend_re_exposes_zeros() {
+        let p = PAGE as u64;
+        // (size before, cut, size after): inside the last page, at a page
+        // edge, and across pages.
+        for (before, cut, after) in [
+            (p / 2, 100, p / 2),
+            (p + 500, p + 10, p + 500),
+            (3 * p + 17, p - 1, 3 * p + 17),
+            (3 * p, p, 2 * p + 5),
+            (2 * p + 9, 0, 2 * p + 9),
+        ] {
+            for hold_view in [false, true] {
+                let fs = MemFs::new();
+                let f = fs.create(ROOT_ID, "t").unwrap();
+                let data = vec![0x5Au8; before as usize];
+                fs.write(f.id, 0, &data).unwrap();
+                // A view of the page the cut falls in, taken before it.
+                let cut_page = cut / p * p;
+                let held = hold_view.then(|| fs.read_bytes(f.id, cut_page, p).unwrap());
+                let old = held.as_ref().map(|v| v.to_vec());
+                fs.setattr(f.id, SetAttr { size: Some(cut) }).unwrap();
+                assert_reads(&fs, f.id, &data[..cut as usize], 0, u64::MAX);
+                fs.setattr(f.id, SetAttr { size: Some(after) }).unwrap();
+                let mut model = data[..cut as usize].to_vec();
+                model.resize(after as usize, 0);
+                assert_reads(&fs, f.id, &model, 0, u64::MAX);
+                // Writing just past the cut must not resurrect the old tail
+                // below or above it.
+                fs.write(f.id, cut + 3, b"!").unwrap();
+                model[cut as usize + 3] = b'!';
+                assert_reads(&fs, f.id, &model, 0, u64::MAX);
+                assert_eq!(held.map(|v| v.to_vec()), old, "truncation mutated a view");
+            }
+        }
+    }
+
+    /// The `map == map_reference` pattern of `mpiio::view`: a seeded walk of
+    /// every mutating and reading entry point against a flat `Vec<u8>`,
+    /// offsets and lengths drawn around page edges, with views held across
+    /// later steps (published means frozen).
+    #[test]
+    fn paged_body_matches_a_flat_model() {
+        use simnet::Rng64;
+        const SPAN: u64 = 6 * PAGE as u64;
+        let mut rng = Rng64::new(0x00DA_F518);
+        // A position near a page edge three times in four, anywhere else.
+        let near_edge = |rng: &mut Rng64, max: u64| -> u64 {
+            let at = if rng.range(0, 4) == 0 {
+                rng.range(0, max + 1)
+            } else {
+                (rng.range(0, max / PAGE as u64 + 1) * PAGE as u64 + rng.range(0, 5))
+                    .saturating_sub(2)
+            };
+            at.min(max)
+        };
+        let fs = MemFs::new();
+        let f = fs.create(ROOT_ID, "model").unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        let mut spanning = 0;
+        for step in 0..3000u32 {
+            match rng.range(0, 10) {
+                0..=3 => {
+                    let off = near_edge(&mut rng, SPAN);
+                    let len = match rng.range(0, 3) {
+                        0 => rng.range(1, 64),
+                        1 => rng.range(1, 3) * PAGE as u64,
+                        _ => near_edge(&mut rng, 3 * PAGE as u64).max(1),
+                    };
+                    let data: Vec<u8> = (0..len).map(|i| (step as u64 * 31 + i) as u8).collect();
+                    fs.write(f.id, off, &data).unwrap();
+                    let end = (off + len) as usize;
+                    if end > model.len() {
+                        model.resize(end, 0);
+                    }
+                    model[off as usize..end].copy_from_slice(&data);
+                }
+                4 => {
+                    let size = near_edge(&mut rng, SPAN);
+                    fs.setattr(f.id, SetAttr { size: Some(size) }).unwrap();
+                    model.resize(size as usize, 0);
+                }
+                5 => {
+                    let off = near_edge(&mut rng, SPAN);
+                    let len = near_edge(&mut rng, 2 * PAGE as u64).max(1);
+                    let view = fs.read_bytes(f.id, off, len).unwrap();
+                    held.push((view.clone(), view.to_vec()));
+                    if held.len() > 8 {
+                        held.remove(0);
+                    }
+                }
+                _ => {
+                    let off = near_edge(&mut rng, SPAN + PAGE as u64);
+                    let len = near_edge(&mut rng, 4 * PAGE as u64);
+                    assert_reads(&fs, f.id, &model, off, len);
+                    spanning += (fs.read_views(f.id, off, len).unwrap().iter().count() > 2) as u32;
+                }
+            }
+            assert_eq!(fs.getattr(f.id).unwrap().size, model.len() as u64);
+            assert_eq!(fs.total_data(), model.len() as u64);
+            for (view, snap) in &held {
+                assert_eq!(view, snap, "step {step} mutated a published view");
+            }
+        }
+        assert_reads(&fs, f.id, &model, 0, u64::MAX);
+        // The walk did reach what it is for.
+        assert!(spanning > 100, "{spanning} reads spanned pages");
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //!
 //! 2001-era DAFS evaluations ran server-cached (memory-resident) workloads
 //! to isolate the network path; `memfs` reproduces exactly that regime: an
-//! inode table, hierarchical directories, and extent-growable file data held
-//! in memory. The crate is pure logic — no simulation dependency — and the
-//! servers layer their own CPU cost models on top.
+//! inode table, hierarchical directories, and file data held in memory as
+//! sparse fixed-size copy-on-write pages — holes and growth cost nothing, a
+//! write copies each byte once into its page, and reads hand out refcounted
+//! views of the pages ([`MemFs::read_views`]) that no later write can
+//! change. The crate is pure logic — it takes only the buffer types from
+//! `simnet`, no virtual time — and the servers layer their own CPU cost
+//! models on top.
 
 #![warn(missing_docs)]
 

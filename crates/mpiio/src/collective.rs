@@ -250,8 +250,8 @@ fn ship_read_replies(
                 let len = get_u64(msg, &mut pos);
                 put_u64(reply, off);
                 put_u64(reply, len);
-                let data = host.mem.read_vec(cbuf.offset(off - ws), len as usize);
-                reply.extend_from_slice(&data);
+                host.mem
+                    .read_into(cbuf.offset(off - ws), len as usize, reply);
                 host.compute(ctx, simnet::cost::HostCost::default().copy(len));
             }
         }
@@ -340,8 +340,8 @@ pub fn write_at_all(
                 if let Some(c) = clip(p, ws, we) {
                     put_u64(msg, c.off);
                     put_u64(msg, c.len);
-                    let data = host.mem.read_vec(src.offset(c.buf_off), c.len as usize);
-                    msg.extend_from_slice(&data);
+                    host.mem
+                        .read_into(src.offset(c.buf_off), c.len as usize, msg);
                     // Packing copy.
                     host.compute(ctx, simnet::cost::HostCost::default().copy(c.len));
                 }

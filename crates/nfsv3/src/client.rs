@@ -584,7 +584,7 @@ impl NfsClient {
         self.host
             .compute(ctx, self.config.host_cost.copy(data.len() as u64));
         self.stats.reads.record(data.len() as u64);
-        Ok((data, eof))
+        Ok((data.to_vec(), eof))
     }
 
     /// Read `len` bytes at `off`, issuing as many READ RPCs as rsize
@@ -873,7 +873,7 @@ impl NfsClient {
                 .compute(ctx, self.config.host_cost.copy(data.len() as u64));
             self.stats.reads.record(data.len() as u64);
             let short = (data.len() as u64) < *n;
-            out.extend_from_slice(&data);
+            out.extend_from_slice(data);
             if chunk_eof || short {
                 eof = true;
             }

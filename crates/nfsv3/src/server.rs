@@ -264,7 +264,7 @@ fn serve_one(
             let fh = NodeId(try_xdr!(d.u64()));
             let off = try_xdr!(d.u64());
             let len = try_xdr!(d.u32()) as u64;
-            let data = try_fs!(fs.read_bytes(fh, off, len));
+            let data = try_fs!(fs.read_views(fh, off, len));
             // Buffer-cache copy into the reply.
             host.compute(ctx, cost.host.copy(data.len() as u64));
             stats.reads.record(data.len() as u64);
@@ -272,7 +272,7 @@ fn serve_one(
             e.u32(NfsStatus::Ok as u32);
             e.u32(data.len() as u32);
             e.u32(eof as u32);
-            e.opaque(&data);
+            e.opaque_rope(&data);
         }
         NfsProc::Write => {
             let fh = NodeId(try_xdr!(d.u64()));
@@ -280,7 +280,7 @@ fn serve_one(
             let stable = Stable::from_u32(try_xdr!(d.u32()));
             let data = try_xdr!(d.opaque());
             host.compute(ctx, cost.host.copy(data.len() as u64));
-            let a = try_fs!(fs.write(fh, off, &data));
+            let a = try_fs!(fs.write(fh, off, data));
             if stable != Stable::Unstable {
                 host.compute(ctx, cost.sync);
             }

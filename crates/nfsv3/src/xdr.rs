@@ -31,8 +31,20 @@ impl XdrEnc {
     pub fn opaque(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
-        let pad = (4 - v.len() % 4) % 4;
-        self.buf.extend(std::iter::repeat_n(0u8, pad));
+        self.pad(v.len())
+    }
+
+    /// Append a variable-length opaque held as a rope of views (the copy
+    /// of file pages into a reply).
+    pub fn opaque_rope(&mut self, v: &simnet::Rope) -> &mut Self {
+        self.u32(v.len() as u32);
+        v.copy_into(&mut self.buf);
+        self.pad(v.len())
+    }
+
+    /// Pad an opaque body of `len` bytes to 4-byte alignment.
+    fn pad(&mut self, len: usize) -> &mut Self {
+        self.buf.extend(std::iter::repeat_n(0u8, (4 - len % 4) % 4));
         self
     }
 
@@ -103,13 +115,13 @@ impl<'a> XdrDec<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a variable-length opaque.
-    pub fn opaque(&mut self) -> Result<Vec<u8>, XdrError> {
+    /// Read a variable-length opaque, borrowed from the message.
+    pub fn opaque(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.u32()? as usize;
         if len > self.buf.len() - self.pos {
             return Err(XdrError::BadLength);
         }
-        let data = self.take(len)?.to_vec();
+        let data = self.take(len)?;
         let pad = (4 - len % 4) % 4;
         self.take(pad)?;
         Ok(data)
@@ -117,7 +129,7 @@ impl<'a> XdrDec<'a> {
 
     /// Read a string.
     pub fn string(&mut self) -> Result<String, XdrError> {
-        String::from_utf8(self.opaque()?).map_err(|_| XdrError::BadLength)
+        String::from_utf8(self.opaque()?.to_vec()).map_err(|_| XdrError::BadLength)
     }
 
     /// Bytes not yet consumed.
@@ -153,6 +165,13 @@ mod tests {
             let mut d = XdrDec::new(&b);
             assert_eq!(d.opaque().unwrap(), data);
             assert_eq!(d.remaining(), 0);
+            // The same bytes held as two views encode the same.
+            let mut rope = simnet::Rope::new();
+            rope.push(simnet::Bytes::copy_from_slice(&data[..n / 2]));
+            rope.push(simnet::Bytes::copy_from_slice(&data[n / 2..]));
+            let mut e = XdrEnc::new();
+            e.opaque_rope(&rope);
+            assert_eq!(e.finish(), b, "n={n}");
         }
     }
 

@@ -1,20 +1,23 @@
 //! Shared payload buffers: refcounted byte slabs with zero-cost subslicing,
-//! plus a small freelist pool for short-lived wire frames.
+//! a [`Rope`] of such views for payloads that live in several slabs, and a
+//! small freelist pool for short-lived wire frames.
 //!
-//! Every hop of the simulated data path used to re-own its payload —
-//! `gather` built a fresh `Vec<u8>` per send, `memfs` reads returned
-//! `to_vec` slices, and each port queue cloned frames again. [`Bytes`] makes
-//! payload hand-off a refcount bump: one backing [`Slab`] is materialized at
-//! the producer (a memfs page, a gathered send, a wire frame) and every
-//! consumer downstream holds a cheap `(slab, offset, len)` view. Actual
-//! copies remain only where the simulated machine genuinely copies — into
-//! and out of a host's registered-memory arena ([`crate::HostMem`]).
+//! A payload crosses a layer as a [`Bytes`] view: one backing [`Slab`] is
+//! materialized at the producer (a request frame assembled from client
+//! memory, a gathered send, a memfs page) and every consumer downstream
+//! holds a cheap `(slab, offset, len)` view of it. Actual copies remain only
+//! where the simulated machine genuinely copies — into and out of a host's
+//! registered-memory arena ([`crate::HostMem`]), and into a file page.
 //!
 //! Slabs are immutable once published: a `Bytes` view can never observe a
 //! later mutation (the aliasing property tested in `tests/determinism.rs`).
-//! Writable storage that *shares* slabs (the memfs `Regular` file body)
-//! clones-on-write via [`std::sync::Arc::make_mut`] — `Slab: Clone` exists
-//! for exactly that.
+//! Writable storage that *shares* slabs (a memfs file page) writes in place
+//! only while [`std::sync::Arc::get_mut`] says it holds the one reference,
+//! and copies the page out first otherwise.
+//!
+//! Nothing here zero-fills a buffer its caller is about to overwrite:
+//! [`BufPool::alloc`] hands out an *empty* vector with room for the frame,
+//! and producers append.
 //!
 //! All accounting here is **wall-clock harness telemetry** (bytes alive,
 //! peak, total materialized); it never feeds back into virtual time, so it
@@ -72,8 +75,9 @@ pub fn reset_bytes_peak() {
 }
 
 /// One refcounted backing allocation. Immutable once shared; mutable only
-/// through `Arc::make_mut` (which clones when other references exist —
-/// copy-on-write, never mutation-in-place of shared data).
+/// through `Arc::get_mut`, which refuses while any other reference exists —
+/// an owner that must write then copies the bytes out into a slab of its
+/// own (copy-on-write, never mutation-in-place of shared data).
 pub struct Slab {
     data: Vec<u8>,
     /// Bytes charged against the global accounting; adjusted by
@@ -94,8 +98,8 @@ impl Slab {
         &self.data
     }
 
-    /// Mutable access to the backing vector. Only call on an unshared slab
-    /// (e.g. via `Arc::make_mut`); call [`Slab::recharge`] afterwards if the
+    /// Mutable access to the backing vector. Only reachable on an unshared
+    /// slab (via `Arc::get_mut`); call [`Slab::recharge`] afterwards if the
     /// length changed.
     pub fn data_mut(&mut self) -> &mut Vec<u8> {
         &mut self.data
@@ -120,12 +124,6 @@ impl Slab {
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-}
-
-impl Clone for Slab {
-    fn clone(&self) -> Slab {
-        Slab::from_vec(self.data.clone())
     }
 }
 
@@ -330,6 +328,120 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
+/// A payload that lives in more than one slab: views in order, their
+/// concatenation implied. This is what lets a read of several file pages
+/// ride one RDMA write without first being gathered into a frame. Pieces
+/// are never empty.
+///
+/// The first piece is stored inline, so the common rope — one frame, one
+/// page — costs no allocation beyond the view itself.
+#[derive(Clone, Debug, Default)]
+pub struct Rope {
+    first: Option<Bytes>,
+    rest: Vec<Bytes>,
+    len: usize,
+}
+
+/// The pieces of a [`Rope`], in order.
+pub type RopeIter<'a> = std::iter::Chain<std::option::Iter<'a, Bytes>, std::slice::Iter<'a, Bytes>>;
+
+impl Rope {
+    /// An empty rope.
+    pub fn new() -> Rope {
+        Rope::default()
+    }
+
+    /// Append a view.
+    pub fn push(&mut self, piece: Bytes) {
+        if piece.is_empty() {
+            return;
+        }
+        self.len += piece.len();
+        match self.first {
+            None => self.first = Some(piece),
+            Some(_) => self.rest.push(piece),
+        }
+    }
+
+    /// Append every piece of `other`.
+    pub fn append(&mut self, other: Rope) {
+        let pieces = other.first.into_iter().chain(other.rest);
+        pieces.for_each(|p| self.push(p));
+    }
+
+    /// Total bytes across the pieces.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the rope holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rope's only piece, when it has exactly one: what a consumer that
+    /// needs the bytes contiguous can take without copying.
+    pub fn as_single(&self) -> Option<&Bytes> {
+        self.first.as_ref().filter(|_| self.rest.is_empty())
+    }
+
+    /// The pieces, in order.
+    pub fn iter(&self) -> RopeIter<'_> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    /// A sub-rope sharing the same slabs. Panics if the range is out of
+    /// bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Rope {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "slice {}..{} out of bounds for {} bytes",
+            range.start,
+            range.end,
+            self.len
+        );
+        let mut out = Rope::new();
+        let mut at = 0usize;
+        for p in self {
+            let lo = range.start.max(at);
+            let hi = range.end.min(at + p.len());
+            if lo < hi {
+                out.push(p.slice(lo - at..hi - at));
+            }
+            at += p.len();
+            if at >= range.end {
+                break;
+            }
+        }
+        out
+    }
+
+    /// Append every piece to `out` — the one copy of a consumer that needs
+    /// the bytes contiguous.
+    pub fn copy_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len);
+        for p in self {
+            out.extend_from_slice(p);
+        }
+    }
+}
+
+impl From<Bytes> for Rope {
+    fn from(b: Bytes) -> Rope {
+        let mut r = Rope::new();
+        r.push(b);
+        r
+    }
+}
+
+impl<'a> IntoIterator for &'a Rope {
+    type Item = &'a Bytes;
+    type IntoIter = RopeIter<'a>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// How many spare vectors a pool retains before excess buffers fall back to
 /// the allocator.
 const POOL_RETAIN: usize = 64;
@@ -352,6 +464,11 @@ impl PoolState {
 /// writable buffer (recycled when available), and freezing it into a
 /// [`Bytes`] arranges for the vector to return to the pool when the last
 /// view drops.
+///
+/// A recycled vector keeps the capacity of the largest frame it ever held,
+/// so a pooled frame is for bytes that die with the message; a buffer whose
+/// views are *kept* (a file page, a cached reply) is an exact-size
+/// [`Bytes::from_vec`] instead.
 #[derive(Clone)]
 pub struct BufPool {
     state: Arc<PoolState>,
@@ -367,11 +484,12 @@ impl BufPool {
         }
     }
 
-    /// A zero-filled writable buffer of `len` bytes, recycled from the
-    /// freelist when possible.
+    /// An empty writable buffer with room for `len` bytes, recycled from
+    /// the freelist when possible. The caller appends: nothing is
+    /// zero-filled only to be overwritten.
     pub fn alloc(&self, len: usize) -> PoolBuf {
         let mut v = self.state.free.lock().pop().unwrap_or_default();
-        v.resize(len, 0);
+        v.reserve(len);
         PoolBuf {
             data: v,
             home: Arc::downgrade(&self.state),
@@ -473,16 +591,49 @@ mod tests {
     }
 
     #[test]
-    fn cow_slab_preserves_published_views() {
+    fn shared_slab_refuses_mutation() {
         let _serial = ACCOUNTING.lock();
         let mut file = Arc::new(Slab::from_vec(b"aaaa".to_vec()));
         let delivered = Bytes::from_slab(file.clone());
-        // A later write while views are outstanding must clone, not mutate.
-        let body = Arc::make_mut(&mut file);
-        body.data_mut()[0] = b'z';
+        // While a view is outstanding the owner cannot write in place...
+        assert!(Arc::get_mut(&mut file).is_none());
+        drop(delivered);
+        // ...and can again once the last view is gone.
+        let body = Arc::get_mut(&mut file).expect("sole owner");
+        body.data_mut().push(b'z');
         body.recharge();
-        assert_eq!(delivered, b"aaaa".as_slice());
-        assert_eq!(file.data(), b"zaaa");
+        assert_eq!(file.data(), b"aaaaz");
+    }
+
+    #[test]
+    fn rope_slices_across_pieces() {
+        let _serial = ACCOUNTING.lock();
+        let a = Bytes::from_vec((0u8..10).collect());
+        let b = Bytes::from_vec((10u8..20).collect());
+        let mut r = Rope::new();
+        r.push(a.clone());
+        r.push(Bytes::new()); // empty: dropped
+        r.push(b.slice(2..));
+        r.push(a.slice(0..2));
+        assert_eq!(r.len(), 20);
+        assert_eq!(r.iter().map(Bytes::len).collect::<Vec<_>>(), [10, 8, 2]);
+        let mut flat = Vec::new();
+        r.copy_into(&mut flat);
+        let expect: Vec<u8> = (0u8..10).chain(12..20).chain(0..2).collect();
+        assert_eq!(flat, expect);
+        for (lo, hi) in [(0, 20), (0, 0), (3, 12), (10, 18), (9, 19), (20, 20)] {
+            let s = r.slice(lo..hi);
+            assert_eq!(s.len(), hi - lo);
+            let mut got = Vec::new();
+            s.copy_into(&mut got);
+            assert_eq!(got, expect[lo..hi], "slice {lo}..{hi}");
+        }
+        // Slicing shares the slabs.
+        let s = r.slice(3..12);
+        let first = s.iter().next().expect("piece");
+        assert!(std::ptr::eq(first.as_slice().as_ptr(), &a.as_slice()[3]));
+        assert!(r.as_single().is_none() && Rope::new().as_single().is_none());
+        assert_eq!(Rope::from(a.clone()).as_single(), Some(&a));
     }
 
     #[test]
@@ -490,7 +641,7 @@ mod tests {
         let _serial = ACCOUNTING.lock();
         let pool = BufPool::new();
         let mut buf = pool.alloc(8);
-        buf.copy_from_slice(b"frame!!!");
+        buf.extend_from_slice(b"frame!!!");
         let frozen = buf.freeze();
         let copy = frozen.clone();
         assert_eq!(pool.idle(), 0);
@@ -499,9 +650,9 @@ mod tests {
         assert_eq!(copy, b"frame!!!".as_slice());
         drop(copy);
         assert_eq!(pool.idle(), 1, "last drop returns the vector");
-        // Reallocation hands back a cleared buffer of the right size.
-        let again = pool.alloc(3);
-        assert_eq!(&again[..], &[0, 0, 0]);
+        // Reallocation hands back the vector, emptied, with the room asked.
+        let again = pool.alloc(16);
+        assert!(again.is_empty() && again.capacity() >= 16);
         assert_eq!(pool.idle(), 0);
     }
 

@@ -144,10 +144,16 @@ impl HostMem {
         self.with_alloc(addr, out.len(), |m| out.copy_from_slice(m));
     }
 
+    /// Append `len` bytes at `addr` to `out` — the one pass of a producer
+    /// assembling a frame (nothing is zero-filled first).
+    pub fn read_into(&self, addr: VirtAddr, len: usize, out: &mut Vec<u8>) {
+        self.with_alloc(addr, len, |m| out.extend_from_slice(m));
+    }
+
     /// Copy bytes out into a fresh vector.
     pub fn read_vec(&self, addr: VirtAddr, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.read(addr, &mut v);
+        let mut v = Vec::with_capacity(len);
+        self.read_into(addr, len, &mut v);
         v
     }
 
@@ -155,7 +161,7 @@ impl HostMem {
     /// arena; everything downstream shares the frame by reference.
     pub fn read_bytes(&self, addr: VirtAddr, len: usize) -> crate::buf::Bytes {
         let mut frame = crate::buf::frame_pool().alloc(len);
-        self.read(addr, &mut frame[..len]);
+        self.read_into(addr, len, &mut frame);
         frame.freeze()
     }
 
@@ -331,6 +337,10 @@ mod tests {
         m.write(a, b"hello");
         m.write(a.offset(5), b" world");
         assert_eq!(m.read_vec(a, 11), b"hello world");
+        let mut frame = b"hdr:".to_vec();
+        m.read_into(a.offset(6), 5, &mut frame);
+        assert_eq!(frame, b"hdr:world");
+        assert_eq!(m.read_bytes(a, 5), b"hello".as_slice());
         assert_eq!(m.allocated_bytes(), 64);
     }
 

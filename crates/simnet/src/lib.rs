@@ -63,7 +63,7 @@ pub mod topo;
 /// `simnet::obs::...` without a separate dependency edge.
 pub use obs;
 
-pub use buf::{BufPool, Bytes};
+pub use buf::{BufPool, Bytes, Rope};
 pub use fault::{DropCause, FaultPlan, FaultPlanBuilder};
 pub use host::{Cluster, CpuMeter, Host, HostId, HostMem, Stopwatch, VirtAddr};
 pub use kernel::{events_scheduled_global, ActorCtx, ActorId, SimKernel, Span};

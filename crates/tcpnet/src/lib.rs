@@ -365,7 +365,7 @@ impl Socket {
     /// downstream shares the frame by reference.
     pub fn send(&self, ctx: &ActorCtx, bytes: &[u8]) {
         let mut frame = buf::frame_pool().alloc(bytes.len());
-        frame[..bytes.len()].copy_from_slice(bytes);
+        frame.extend_from_slice(bytes);
         self.send_bytes(ctx, frame.freeze());
     }
 

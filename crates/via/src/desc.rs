@@ -7,7 +7,7 @@
 //! application hands to `Vi::post_send` / `Vi::post_recv` and gets back from
 //! the completion calls.
 
-use simnet::{Bytes, SimTime, VirtAddr};
+use simnet::{Bytes, Rope, SimTime, VirtAddr};
 
 use crate::mem::{MemError, MemHandle};
 
@@ -122,8 +122,10 @@ pub struct SendDesc {
     /// segments still describe the transfer (they are TPT-checked and drive
     /// every cost term exactly as before); only the bounce through the
     /// registered staging region is skipped. This is the simulated form of
-    /// a zero-copy RDMA path: server page → wire → client buffer.
-    pub payload: Option<Bytes>,
+    /// a zero-copy RDMA path: server pages → wire → client buffer. A rope,
+    /// because a read that spans file pages lives in several slabs; an RDMA
+    /// write places it piece by piece.
+    pub payload: Option<Rope>,
 }
 
 impl SendDesc {
@@ -184,9 +186,9 @@ impl SendDesc {
     }
 
     /// Attach a zero-copy payload (must match the segments' total length;
-    /// checked at post time).
-    pub fn with_payload(mut self, payload: Bytes) -> SendDesc {
-        self.payload = Some(payload);
+    /// checked at post time). A [`Bytes`] converts into a one-piece rope.
+    pub fn with_payload(mut self, payload: impl Into<Rope>) -> SendDesc {
+        self.payload = Some(payload.into());
         self
     }
 

@@ -231,6 +231,73 @@ mod tests {
     }
 
     #[test]
+    fn rope_payload_is_placed_piece_by_piece_and_sent_as_one_frame() {
+        // A payload in several slabs (file pages): an RDMA write places the
+        // pieces back to back at the remote address with no gather; a
+        // two-sided send delivers their concatenation as one message. The
+        // staging segment the descriptors name is never read.
+        use simnet::{Bytes, Rope};
+        let tb = testbed();
+        let server_host = tb.server_nic.host().id;
+        let fabric = tb.fabric.clone();
+        let snic = tb.server_nic.clone();
+        let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
+            Arc::new(parking_lot::Mutex::new(None));
+        let slot = shared.clone();
+        let expect: Vec<u8> = (0..3000u32).map(|i| (i % 241) as u8).collect();
+        let want = expect.clone();
+        tb.kernel.spawn_daemon("server", move |ctx| {
+            let listener = fabric.listen(&snic, 7);
+            let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+            let tag = vi.ptag();
+            let (buf, h) = reg_buf(ctx, &snic, 4096, MemAttributes::rdma_write_target(tag));
+            *slot.lock() = Some((buf, h));
+            let (mbuf, mh) = reg_buf(ctx, &snic, 4096, MemAttributes::local(tag));
+            vi.post_recv(ctx, RecvDesc::new(vec![DataSegment::new(mbuf, 4096, mh)]));
+            let c = vi.recv_wait(ctx);
+            assert!(c.status.is_ok());
+            assert_eq!(c.len, 3000);
+            // The send arrived after the RDMA write ahead of it on the VI.
+            assert_eq!(snic.host().mem.read_vec(buf, 3000), want);
+            assert_eq!(snic.host().mem.read_vec(mbuf, 3000), want);
+            assert_eq!(c.payload.expect("delivered frame"), want);
+        });
+        let fabric = tb.fabric.clone();
+        let cnic = tb.client_nic.clone();
+        tb.kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let (raddr, rh) = loop {
+                if let Some(x) = *shared.lock() {
+                    break x;
+                }
+                ctx.advance(us(10));
+            };
+            let (sbuf, sh) = reg_buf(ctx, &cnic, 4096, MemAttributes::local(vi.ptag()));
+            cnic.host().mem.fill(sbuf, 4096, 0xEE);
+            let mut rope = Rope::new();
+            for piece in expect.chunks(1100) {
+                rope.push(Bytes::copy_from_slice(piece));
+            }
+            assert_eq!(rope.iter().count(), 3);
+            let remote = RemoteSegment {
+                addr: raddr,
+                handle: rh,
+            };
+            let segs = vec![DataSegment::new(sbuf, 3000, sh)];
+            vi.post_send(
+                ctx,
+                SendDesc::rdma_write(segs.clone(), remote).with_payload(rope.clone()),
+            );
+            assert!(vi.send_wait(ctx).status.is_ok());
+            vi.post_send(ctx, SendDesc::send(segs).with_payload(rope));
+            assert!(vi.send_wait(ctx).status.is_ok());
+        });
+        tb.kernel.run();
+    }
+
+    #[test]
     fn rdma_write_to_unwritable_region_is_protection_error() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;

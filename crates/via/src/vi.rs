@@ -16,7 +16,7 @@ use obs::LazyCounter;
 use parking_lot::Mutex;
 use simnet::fault::FaultPlan;
 use simnet::topo::Topology;
-use simnet::{buf, ActorCtx, Bytes, Port, SimTime};
+use simnet::{buf, ActorCtx, Bytes, Port, Rope, SimTime};
 
 use crate::cq::{Cq, CqToken};
 use crate::desc::{Completion, RecvDesc, SendDesc, SendOp, ViaStatus, WhichQueue};
@@ -413,31 +413,44 @@ impl Vi {
         Ok((tx_done, rx_done + c.rx_nic_proc))
     }
 
-    /// Assemble the outgoing frame. With a zero-copy payload attached to
-    /// the descriptor, this is a refcount bump — the segments were already
-    /// TPT-checked and costed, and the bounce through registered staging
-    /// memory is skipped. Otherwise gather once from host memory into a
-    /// pooled frame buffer (the single copy of the send path).
-    fn gather(&self, desc: &SendDesc) -> Bytes {
-        if let Some(p) = &desc.payload {
+    /// The bytes a descriptor sends. A zero-copy payload attached to it is
+    /// taken as it is — the segments were already TPT-checked and costed,
+    /// and the bounce through registered staging memory is skipped.
+    /// Otherwise gather once from host memory into a pooled frame buffer
+    /// (the single copy of the send path).
+    fn gather(&self, desc: &mut SendDesc) -> Rope {
+        if let Some(p) = desc.payload.take() {
             assert_eq!(
                 p.len() as u64,
                 desc.total_len(),
                 "zero-copy payload length must match the descriptor segments"
             );
-            return p.clone();
+            return p;
         }
         let mut frame = buf::frame_pool().alloc(desc.total_len() as usize);
-        let mut off = 0usize;
         for s in &desc.segs {
-            let n = s.len as usize;
-            self.nic.host().mem.read(s.addr, &mut frame[off..off + n]);
-            off += n;
+            self.nic
+                .host()
+                .mem
+                .read_into(s.addr, s.len as usize, &mut frame);
         }
+        frame.freeze().into()
+    }
+
+    /// [`Self::gather`] as the one frame a two-sided message travels in: a
+    /// payload in several pieces is concatenated into a pooled frame (the
+    /// copy into the message buffer the sender was charged for).
+    fn gather_frame(&self, desc: &mut SendDesc) -> Bytes {
+        let rope = self.gather(desc);
+        if let Some(one) = rope.as_single() {
+            return one.clone();
+        }
+        let mut frame = buf::frame_pool().alloc(rope.len());
+        rope.copy_into(&mut frame);
         frame.freeze()
     }
 
-    fn do_send(&self, ctx: &ActorCtx, desc: SendDesc) {
+    fn do_send(&self, ctx: &ActorCtx, mut desc: SendDesc) {
         let len = desc.total_len();
         if len > self.local.attrs.max_transfer() {
             return self.complete_send(
@@ -453,7 +466,7 @@ impl Vi {
             );
         }
         ctx.metrics().byte_meter("via.send.bytes").record(len);
-        let bytes = self.gather(&desc);
+        let bytes = self.gather_frame(&mut desc);
         let (tx_done, delivery) = match self.wire_times(ctx, len) {
             Ok(v) => v,
             Err(at) => return self.fault_break(ctx, at),
@@ -487,7 +500,7 @@ impl Vi {
         );
     }
 
-    fn do_rdma_write(&self, ctx: &ActorCtx, desc: SendDesc) {
+    fn do_rdma_write(&self, ctx: &ActorCtx, mut desc: SendDesc) {
         let remote = match desc.remote {
             Some(r) => r,
             None => {
@@ -529,7 +542,7 @@ impl Vi {
         }
         // Move the bytes (the peer host CPU is *not* involved).
         ctx.metrics().byte_meter("via.rdma.bytes").record(len);
-        let bytes = self.gather(&desc);
+        let bytes = self.gather(&mut desc);
         let (tx_done, delivery) = match self.wire_times(ctx, len) {
             Ok(v) => v,
             Err(at) => return self.fault_break(ctx, at),
@@ -539,7 +552,11 @@ impl Vi {
             Ok(d) => d,
             Err(()) => return self.fault_break(ctx, delivery),
         };
-        self.peer_nic.host().mem.write(remote.addr, &bytes);
+        let mut at = remote.addr;
+        for piece in &bytes {
+            self.peer_nic.host().mem.write(at, piece);
+            at = at.offset(piece.len() as u64);
+        }
         if let Some(imm) = desc.imm {
             self.peer.incoming.send(
                 ctx,

@@ -95,6 +95,11 @@ cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 500
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
 benchmark/run.sh --smoke
 
+echo "==> repo benchmark unit tests"
+# benchmark/ is a package of its own, outside the workspace, frozen by
+# BENCHMARK.json: its tests are what notice a library API moved from under it.
+(cd benchmark && CARGO_TARGET_DIR=../target cargo test --release --offline -q)
+
 echo "==> bench suite golden diff"
 # The full suite must emit exactly the checked-in goldens. What that
 # gates: default hints reproduce every table (`dafs_cache` defaults to

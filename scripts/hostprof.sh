@@ -6,14 +6,18 @@
 # where they fell. The workspace's release builds carry debug info
 # ([profile.release] in Cargo.toml), so inlined frames are named too.
 #
-#   scripts/hostprof.sh CMD [ARG...]
+#   scripts/hostprof.sh [-n ROWS] CMD [ARG...]
 #
 #   scripts/hostprof.sh target/release/f2_file_bandwidth
-#   scripts/hostprof.sh target/release/mpio-benchmark child \
+#   scripts/hostprof.sh -n 60 target/release/mpio-benchmark child \
 #       --workload stream_large --seed 101 --scale full
 #
 # "self" is the innermost function of the interrupted frame; "inclusive"
-# counts a function once per sample it appears anywhere in. A name tagged
+# counts a function once per sample it appears anywhere in; each list shows
+# ROWS rows (default 25). The frames every coroutine stack starts with
+# (simnet::coro's boot and first_frame, the spawn closure, the catch_unwind
+# chain under it) are left out of the inclusive list: they sit on nearly
+# every sample and say nothing. A name tagged
 # [no line info] comes from the symbol table alone: callees inlined into it
 # are folded in (benchmark/ builds without debug info; build it with
 # CARGO_PROFILE_RELEASE_DEBUG=true to get them back). In a stripped system
@@ -26,8 +30,15 @@
 # for any wall-clock number here.
 set -eu
 
+rows=25
+if [ "${1:-}" = "-n" ]; then
+    rows=${2:-}
+    [ $# -lt 2 ] || shift 2
+fi
+# A missing or non-numeric ROWS falls through to the usage message.
+case $rows in '' | *[!0-9]*) set -- ;; esac
 [ $# -gt 0 ] || {
-    echo "usage: $0 CMD [ARG...]" >&2
+    echo "usage: $0 [-n ROWS] CMD [ARG...]" >&2
     exit 2
 }
 for tool in cc addr2line nm python3; do
@@ -45,10 +56,17 @@ cc -O1 -shared -fPIC -o "$work/hostprof.so" "$here/hostprof/hostprof.c"
 status=0
 HOSTPROF_OUT="$work/samples" LD_PRELOAD="$work/hostprof.so" "$@" || status=$?
 
-python3 - "$work" >&2 <<'EOF'
-import bisect, collections, glob, os, subprocess, sys
+python3 - "$work" "$rows" >&2 <<'EOF'
+import bisect, collections, glob, os, re, subprocess, sys
 
-TOP = 25
+TOP = int(sys.argv[2])
+# What every actor's stack starts with, below the actor's own closure.
+BOOT = re.compile(
+    r"simnet::coro::(boot|first_frame)|simnet::kernel::SimKernel::spawn_inner"
+    r"|std::panicking::(try|catch_unwind)|std::panic::catch_unwind|__rust_try"
+    r"|<core::panic::unwind_safe::AssertUnwindSafe<F> as core::ops::function::FnOnce"
+    r"|core::ops::function::FnOnce::call_once|<alloc::boxed::Box<F,A> as core::ops::function::FnOnce"
+)
 self_hits = collections.Counter()
 incl_hits = collections.Counter()
 total = dropped = 0
@@ -141,7 +159,8 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
                 self_hits[fns[0]] += 1
             seen.update(fns)
         for fn in seen:
-            incl_hits[fn] += 1
+            if not BOOT.search(fn):
+                incl_hits[fn] += 1
 
 if total == 0:
     sys.exit("hostprof: no samples (the command used almost no CPU, or exited without running destructors)")

@@ -499,12 +499,12 @@ fn frozen_pool_frames_survive_pool_reuse() {
     for round in 0..8u8 {
         let len = 1024 + 512 * round as usize;
         let mut frame = buf::frame_pool().alloc(len);
-        frame[..len].fill(round + 1);
+        frame.resize(len, round + 1);
         kept.push((round, len, frame.freeze()));
         // Churn the pool hard with junk of assorted sizes.
         for i in 0..32usize {
             let mut junk = buf::frame_pool().alloc(256 + i * 64);
-            junk[..].fill(0xEE);
+            junk.resize(256 + i * 64, 0xEE);
             drop(junk.freeze());
         }
         for (r, l, b) in &kept {
@@ -618,6 +618,148 @@ fn delivered_read_is_immune_to_concurrent_overwrite() {
     let attr = fs.resolve("/shared").unwrap();
     assert!(fs
         .read(attr.id, 0, attr.size)
+        .unwrap()
+        .iter()
+        .all(|&b| b == 0xBB));
+}
+
+/// The snapshot-at-post rule on the write side: the bytes a write carries
+/// are the ones in the buffer while `write_at` runs. Rank 0 writes a
+/// pattern and scribbles over its buffer the instant the call returns — the
+/// request frame and the server's parked views of it are refcounted slabs
+/// by then, and none of them may be a view of the *buffer*. Rank 1, on a session of its own, must read the
+/// pattern, and so must the server's file image afterwards.
+fn scribble_after_write(backend: Backend, hints: &[(&str, &str)], len: usize, strided: bool) {
+    let dafs = backend.kind() == mpio_dafs::mpiio::DriverKind::Dafs;
+    let tb = Testbed::new(backend);
+    let fs = tb.fs.clone();
+    let pairs: Vec<(String, String)> = hints
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    let pattern: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+    let want = pattern.clone();
+    let report = tb.run(2, move |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let hints = Hints::from_pairs(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+        let f = MpiFile::open(ctx, adio, &host, "/alias", OpenMode::create(), hints).unwrap();
+        if strided {
+            // 1 KiB blocks a 1 KiB gap apart: the write leaves as a list.
+            let block = Datatype::bytes(1024);
+            f.set_view(0, &block, &Datatype::resized(&block, 0, 2048));
+        }
+        let buf = host.mem.alloc(len);
+        if comm.rank() == 0 {
+            host.mem.write(buf, &pattern);
+            assert_eq!(f.write_at(ctx, 0, buf, len as u64), Ok(len as u64));
+            host.mem.fill(buf, len, 0xEE);
+            f.sync(ctx).unwrap();
+        }
+        comm.barrier(ctx);
+        if comm.rank() == 1 {
+            assert_eq!(f.read_at(ctx, 0, buf, len as u64), Ok(len as u64));
+            assert!(
+                host.mem.read_vec(buf, len) == pattern,
+                "a second session read bytes the writer scribbled after its write returned"
+            );
+        }
+        f.close(ctx, adio).unwrap();
+    });
+    if dafs {
+        // The write did travel the path the case is named for.
+        let snap = &report.snapshot;
+        assert!(snap.expect("dafs.inline.bytes").value() >= len as u64);
+        assert_eq!(snap.expect("dafs.list.reqs").value() > 0, strided);
+    }
+    let attr = fs.resolve("/alias").unwrap();
+    let image = fs.read(attr.id, 0, attr.size).unwrap();
+    let stored: Vec<u8> = if strided {
+        image
+            .chunks(2048)
+            .flat_map(|c| &c[..1024.min(c.len())])
+            .copied()
+            .collect()
+    } else {
+        image
+    };
+    assert!(stored == want, "the file holds the scribble");
+}
+
+#[test]
+fn buffer_overwritten_after_write_returns_does_not_reach_the_file() {
+    // One inline message, the synchronous call path.
+    scribble_after_write(Backend::dafs(), &[], 32 << 10, false);
+    // Four inline chunks pipelined as a batch (the cLAN has no RDMA Read).
+    scribble_after_write(Backend::dafs(), &[], 128 << 10, false);
+    // Noncontiguous in the file, shipped as inline WriteList requests.
+    let list = [("romio_ds_write", "disable"), ("dafs_listio", "enable")];
+    scribble_after_write(Backend::dafs(), &list, 64 << 10, true);
+    scribble_after_write(Backend::nfs(), &[], 128 << 10, false);
+}
+
+#[test]
+fn descriptor_holding_page_views_delivers_the_bytes_it_was_built_with() {
+    // The converse: a reply built from views of file pages (what the server
+    // hands an RDMA write) is immune to the file changing under it. Build
+    // the descriptor, overwrite every page it views, then post it: the
+    // client's buffer gets the old bytes.
+    use mpio_dafs::simnet::{Port, VirtAddr};
+    use mpio_dafs::via::{
+        DataSegment, MemAttributes, MemHandle, RemoteSegment, SendDesc, ViAttributes, ViaCost,
+    };
+    const LEN: usize = 96 << 10;
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = ViaFabric::new(ViaCost::default());
+    let snic = fabric.open_nic(cluster.add_host("server"));
+    let cnic = fabric.open_nic(cluster.add_host("client"));
+    let sid = snic.host().id;
+    let fs = MemFs::new();
+    let f = fs.create(ROOT_ID, "paged").unwrap();
+    fs.write(f.id, 0, &vec![0xAAu8; LEN]).unwrap();
+    // Client to server: where to write. Server to client: written.
+    let target: Port<(VirtAddr, MemHandle)> = Port::new("target");
+    let done: Port<()> = Port::new("done");
+    {
+        let (fabric, fs) = (fabric.clone(), fs.clone());
+        let (target, done) = (target.clone(), done.clone());
+        kernel.spawn_daemon("server", move |ctx| {
+            let vi = fabric
+                .listen(&snic, 9)
+                .accept(ctx, ViAttributes::default())
+                .unwrap();
+            let stage = snic.host().mem.alloc(LEN);
+            let sh = snic.register_mem(ctx, stage, LEN as u64, MemAttributes::local(vi.ptag()));
+            let (addr, handle) = target.recv(ctx).unwrap();
+            let views = fs.read_views(f.id, 0, LEN as u64).unwrap();
+            assert!(views.iter().count() >= 3, "the read spans pages");
+            let desc = SendDesc::rdma_write(
+                vec![DataSegment::new(stage, LEN as u32, sh)],
+                RemoteSegment { addr, handle },
+            )
+            .with_payload(views);
+            fs.write(f.id, 0, &vec![0xBBu8; LEN]).unwrap();
+            vi.post_send(ctx, desc);
+            let c = vi.send_wait(ctx);
+            assert!(c.status.is_ok());
+            done.send(ctx, (), c.at);
+        });
+    }
+    kernel.spawn("client", move |ctx| {
+        let vi = fabric
+            .connect(ctx, &cnic, sid, 9, ViAttributes::default())
+            .unwrap();
+        let buf = cnic.host().mem.alloc(LEN);
+        let attrs = MemAttributes::rdma_write_target(vi.ptag());
+        let h = cnic.register_mem(ctx, buf, LEN as u64, attrs);
+        target.send(ctx, (buf, h), ctx.now());
+        done.recv(ctx).unwrap();
+        let got = cnic.host().mem.read_vec(buf, LEN);
+        assert!(got.iter().all(|&b| b == 0xAA), "delivered the overwrite");
+    });
+    kernel.run();
+    assert!(fs
+        .read(f.id, 0, LEN as u64)
         .unwrap()
         .iter()
         .all(|&b| b == 0xBB));
