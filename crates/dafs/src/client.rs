@@ -88,9 +88,11 @@ pub struct DafsClientStats {
     pub direct_writes: ByteMeter,
 }
 
-/// Named counters for the lease-coherent client cache — the same objects
-/// back the `dafs.cache.*` metrics in the obs registry, so bench reports
-/// and live metrics can never disagree.
+/// Named counters for the lease-coherent client cache, per session. The
+/// run-wide `dafs.cache.*` metrics in the obs registry are separate
+/// objects, bumped beside these at each site — except the clean pages
+/// dropped on reconnect, which only `invalidations` here counts. (One
+/// object with a session dimension is ROADMAP item 5's dimensional metrics.)
 #[derive(Clone, Default)]
 pub struct DafsCacheStats {
     /// Cached reads served without touching the server.

@@ -13,12 +13,9 @@ pub struct DafsServerCost {
     pub per_op: SimDuration,
     /// Stable-storage flush (FLUSH op, synchronous creates). NVRAM-backed.
     pub sync: SimDuration,
-    /// Whether the server's buffer cache is registered with the NIC. When
-    /// true (NetApp-prototype style), direct transfers DMA straight from
-    /// cache pages and the server pays no data copy; when false, the server
-    /// pays one copy into a registered staging buffer.
-    pub registered_buffer_cache: bool,
-    /// Host primitives.
+    /// Host primitives: the buffer-cache copy of the inline paths. The
+    /// buffer cache is registered with the NIC (NetApp-prototype style), so
+    /// direct transfers DMA straight from cache pages and pay no copy.
     pub host: HostCost,
 }
 
@@ -27,7 +24,6 @@ impl Default for DafsServerCost {
         DafsServerCost {
             per_op: us(9),
             sync: us(30),
-            registered_buffer_cache: true,
             host: HostCost::default(),
         }
     }

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 mod client;
+mod lease;
 mod proto;
 mod server;
 mod wire;
@@ -295,6 +296,38 @@ mod tests {
         b.kernel.run();
         let fh = b.fs.resolve("/w").unwrap().id;
         assert_eq!(b.fs.read(fh, LEN as u64 - 4, 4).unwrap(), vec![0xC3; 4]);
+    }
+
+    #[test]
+    fn write_past_the_last_offset_is_refused_and_the_session_lives_on() {
+        // `off + len` passes u64::MAX. Nothing between the wire and the
+        // file's pages checked it: a debug build died in the worker
+        // ("attempt to add with overflow"), a release build wrapped to
+        // offset 0 and overwrote the head of the file. Inline and direct.
+        let b = bed_with(ViaCost {
+            rdma_read_supported: true,
+            ..ViaCost::default()
+        });
+        const BIG: usize = 64 << 10;
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            assert!(c.caps().rdma_read, "the big write must go direct");
+            let f = c.create(ctx, ROOT_ID, "edge").unwrap();
+            let before = c.write_bytes(ctx, f.id, 0, &[0xAB; 16]).unwrap();
+            let src = nic.host().mem.alloc(BIG);
+            nic.host().mem.fill(src, BIG, 0xCD);
+            for (off, len) in [(u64::MAX - 1, 4), (u64::MAX - 100, BIG as u64)] {
+                assert_eq!(
+                    c.write(ctx, f.id, off, src, len),
+                    Err(DafsError::Status(DafsStatus::Inval)),
+                    "write of {len} at {off:#x}"
+                );
+            }
+            // Same session, still answering; nothing moved.
+            assert_eq!(c.getattr(ctx, f.id).unwrap(), before);
+            assert_eq!(c.read_to_vec(ctx, f.id, 0, 64).unwrap(), vec![0xAB; 16]);
+        });
+        b.kernel.run();
+        assert_eq!(b.server.stats.direct_writes.ops.get(), 0);
     }
 
     #[test]

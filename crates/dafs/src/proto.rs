@@ -172,8 +172,15 @@ impl From<FsError> for DafsStatus {
             FsError::IsDirectory => DafsStatus::IsDir,
             FsError::Exists => DafsStatus::Exists,
             FsError::NotEmpty => DafsStatus::NotEmpty,
-            FsError::InvalidName => DafsStatus::Inval,
+            FsError::InvalidName | FsError::FileTooBig => DafsStatus::Inval,
         }
+    }
+}
+
+/// A request that does not decode is an invalid argument.
+impl From<WireError> for DafsStatus {
+    fn from(_: WireError) -> DafsStatus {
+        DafsStatus::Inval
     }
 }
 

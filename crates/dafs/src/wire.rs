@@ -99,7 +99,9 @@ impl Enc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireError;
 
-/// Wire decoder over a received frame.
+/// Wire decoder over a received frame. A clone reads on from the same
+/// position without moving the original (a peek).
+#[derive(Clone)]
 pub struct Dec<'a> {
     buf: &'a Bytes,
     pos: usize,

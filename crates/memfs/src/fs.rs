@@ -73,6 +73,8 @@ pub enum FsError {
     NotEmpty,
     /// Name is invalid (empty, contains '/', or '.'/'..').
     InvalidName,
+    /// A write's `offset + length` passes the largest file offset.
+    FileTooBig,
 }
 
 impl std::fmt::Display for FsError {
@@ -85,6 +87,7 @@ impl std::fmt::Display for FsError {
             FsError::Exists => "file exists",
             FsError::NotEmpty => "directory not empty",
             FsError::InvalidName => "invalid name",
+            FsError::FileTooBig => "file too large",
         };
         f.write_str(s)
     }
@@ -526,8 +529,12 @@ impl MemFs {
     }
 
     /// Write `buf` at `offset`, extending the file as needed (a gap reads
-    /// as zeros). Returns post-write attributes.
+    /// as zeros). Returns post-write attributes. A range whose end passes
+    /// `u64::MAX` is refused before anything is touched.
     pub fn write(&self, id: NodeId, offset: u64, buf: &[u8]) -> FsResult<FileAttr> {
+        if offset.checked_add(buf.len() as u64).is_none() {
+            return Err(FsError::FileTooBig);
+        }
         let mut st = self.state.lock();
         let node = st.nodes.get_mut(&id.0).ok_or(FsError::Stale)?;
         match &mut node.body {
@@ -803,6 +810,30 @@ mod tests {
         assert_eq!(fs.getattr(f.id).unwrap().size, 101);
         assert_eq!(fs.read(f.id, 0, 100).unwrap(), vec![0u8; 100]);
         assert_eq!(fs.read(f.id, 100, 1).unwrap(), b"x");
+    }
+
+    #[test]
+    fn write_past_the_last_offset_is_refused_and_changes_nothing() {
+        let fs = MemFs::new();
+        let f = fs.create(ROOT_ID, "edge").unwrap();
+        let before = fs.write(f.id, 0, &[0xAB; 16]).unwrap();
+        // `off + len` passes u64::MAX: used to panic in debug and, in
+        // release, wrap around and overwrite the head of the file.
+        for (off, len) in [
+            (u64::MAX - 1, 4),
+            (u64::MAX, 1),
+            (u64::MAX - 70_000, 70_001),
+        ] {
+            let src = vec![0xCD; len];
+            assert_eq!(fs.write(f.id, off, &src), Err(FsError::FileTooBig));
+        }
+        assert_eq!(fs.getattr(f.id).unwrap(), before, "size and version stand");
+        assert_eq!(fs.read(f.id, 0, 64).unwrap(), [0xAB; 16]);
+        assert_eq!(fs.total_data(), 16);
+        // Ending exactly at the last offset is a legal (sparse) write.
+        let a = fs.write(f.id, u64::MAX - 4, &[1; 4]).unwrap();
+        assert_eq!(a.size, u64::MAX);
+        assert_eq!(fs.read(f.id, u64::MAX - 4, 8).unwrap(), [1; 4]);
     }
 
     #[test]

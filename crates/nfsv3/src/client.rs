@@ -64,14 +64,6 @@ pub struct NfsClientConfig {
     pub retry: RetryPolicy,
     /// Default stability for writes.
     pub stable: Stable,
-    /// Enable the client data (page) cache. 2001 kernel clients cached
-    /// reads in the page cache with attribute-based revalidation — fast for
-    /// re-reads, but only weakly consistent across clients (the reason
-    /// ROMIO required `noac`-style mounts for correct MPI-IO). Default off
-    /// to keep multi-client runs strongly consistent.
-    pub data_cache: bool,
-    /// Page size of the data cache.
-    pub cache_page: u64,
     /// Client CPU per RPC (encode/decode + RPC layer), beyond socket costs.
     pub per_rpc_cpu: SimDuration,
     /// Host primitives.
@@ -84,8 +76,6 @@ impl Default for NfsClientConfig {
             rsize: 32 << 10,
             wsize: 32 << 10,
             retry: RetryPolicy::default(),
-            data_cache: false,
-            cache_page: 4096,
             stable: Stable::FileSync,
             per_rpc_cpu: us(6),
             host_cost: HostCost::default(),
@@ -148,14 +138,7 @@ pub struct NfsClientStats {
     pub ac_hits: simnet::Counter,
     /// Attribute-cache misses.
     pub ac_misses: simnet::Counter,
-    /// Data-cache page hits.
-    pub dc_hits: simnet::Counter,
-    /// Data-cache page misses.
-    pub dc_misses: simnet::Counter,
 }
-
-/// Page-cache storage: (file id, page index) -> (bytes, version fetched).
-type PageCache = HashMap<(u64, u64), (Vec<u8>, u64)>;
 
 /// A mounted NFS client.
 pub struct NfsClient {
@@ -164,8 +147,6 @@ pub struct NfsClient {
     config: NfsClientConfig,
     xid: AtomicU32,
     attr_cache: Mutex<HashMap<u64, (FileAttr, SimTime)>>,
-    /// Page cache: (fh, page index) -> (bytes, file version when fetched).
-    data_cache: Mutex<PageCache>,
     /// Whether the retransmit timer is armed. True only when the mount's
     /// fabric carried a fault plan: on a lossless fabric a reply always
     /// arrives, and never arming the timer keeps fault-free runs
@@ -200,7 +181,6 @@ impl NfsClient {
             config,
             xid: AtomicU32::new(1),
             attr_cache: Mutex::new(HashMap::new()),
-            data_cache: Mutex::new(HashMap::new()),
             retransmit,
             async_replies: Mutex::new(HashMap::new()),
             stats: NfsClientStats::default(),
@@ -438,9 +418,7 @@ impl NfsClient {
         self.call(ctx, NfsProc::Null, XdrEnc::new()).map(|_| ())
     }
 
-    /// GETATTR, served from the attribute cache when fresh. An expired
-    /// entry revalidates against the server (and drops stale cached pages)
-    /// rather than just refetching.
+    /// GETATTR, served from the attribute cache when fresh.
     pub fn getattr(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<FileAttr> {
         if let Some((a, exp)) = self.attr_cache.lock().get(&fh.0) {
             if *exp > ctx.now() {
@@ -454,20 +432,17 @@ impl NfsClient {
         self.revalidate_attr(ctx, fh)
     }
 
-    /// Force a round trip to the server and reconcile the caches against
-    /// its answer: the same revalidation contract the DAFS client applies
-    /// after lease loss, keyed on the [`FileAttr::version`] change token.
-    /// If the server's version differs from the cached attribute's, another
-    /// client wrote the file — every cached page is dropped rather than
-    /// left to dangle behind the stale tag. Callers that need
-    /// external-write visibility *now* (close-to-open points, `MPI_File_sync`)
-    /// use this instead of waiting out the attribute TTL.
+    /// Force a round trip to the server and re-prime the attribute cache
+    /// with its answer. Callers that need external-write visibility *now*
+    /// (close-to-open points, `MPI_File_sync`) use this instead of waiting
+    /// out the attribute TTL; `nfs.attrcache.revalidations` counts the times
+    /// the [`FileAttr::version`] change token had moved — another client
+    /// wrote the file.
     pub fn revalidate_attr(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<FileAttr> {
         let prev = self.attr_cache.lock().get(&fh.0).map(|(a, _)| a.version);
         let a = self.getattr_uncached(ctx, fh)?;
         if prev.is_some_and(|p| p != a.version) {
             ctx.metrics().counter("nfs.attrcache.revalidations").inc();
-            self.invalidate_data(fh);
         }
         Ok(a)
     }
@@ -489,7 +464,6 @@ impl NfsClient {
         let r = self.call(ctx, NfsProc::SetAttr, e)?;
         let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
         self.cache_attr(ctx, a);
-        self.invalidate_data(fh);
         Ok(a)
     }
 
@@ -588,23 +562,8 @@ impl NfsClient {
     }
 
     /// Read `len` bytes at `off`, issuing as many READ RPCs as rsize
-    /// requires. Short result at EOF. With `data_cache` enabled, pages are
-    /// served from the client page cache after attribute revalidation.
-    pub fn read(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsResult<Vec<u8>> {
-        if self.config.data_cache {
-            self.cached_read(ctx, fh, off, len)
-        } else {
-            self.uncached_read(ctx, fh, off, len)
-        }
-    }
-
-    fn uncached_read(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        mut off: u64,
-        len: u64,
-    ) -> NfsResult<Vec<u8>> {
+    /// requires. Short result at EOF.
+    pub fn read(&self, ctx: &ActorCtx, fh: NodeId, mut off: u64, len: u64) -> NfsResult<Vec<u8>> {
         let mut out = Vec::with_capacity(len as usize);
         let mut remaining = len;
         while remaining > 0 {
@@ -618,96 +577,6 @@ impl NfsClient {
             }
         }
         Ok(out)
-    }
-
-    /// Page-cache read path: revalidate via (attribute-cached) GETATTR,
-    /// serve hits from memory, fetch missing page runs in rsize chunks.
-    ///
-    /// Consistency caveat, faithful to 2001 kernel clients: another
-    /// client's write is only noticed once the attribute cache entry
-    /// expires — the weak model that forced `noac` mounts under MPI-IO.
-    /// The caveat covers *cached pages* only: where this path has to go to
-    /// the server it trusts the per-RPC `eof`, exactly like
-    /// [`NfsClient::uncached_read`], so the two paths return the same
-    /// length even for a read spanning another client's concurrent
-    /// extension. (It used to clamp the request to the attribute-cached
-    /// `attr.size`, silently shortening such reads.)
-    fn cached_read(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsResult<Vec<u8>> {
-        let page = self.config.cache_page.max(512);
-        let attr = self.getattr(ctx, fh)?;
-        let v = attr.version;
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let end = off + len;
-        let first = off / page;
-        let last = (end - 1) / page;
-        // Collect runs of pages that miss (absent or stale).
-        let mut missing: Vec<(u64, u64)> = Vec::new(); // [start, end) page runs
-        {
-            let dc = self.data_cache.lock();
-            let mut run_start: Option<u64> = None;
-            for p in first..=last {
-                let hit = dc.get(&(fh.0, p)).is_some_and(|(_, pv)| *pv == v);
-                if hit {
-                    self.stats.dc_hits.inc();
-                    ctx.metrics().counter("nfs.pagecache.hits").inc();
-                    if let Some(s) = run_start {
-                        missing.push((s, p));
-                        run_start = None;
-                    }
-                } else {
-                    self.stats.dc_misses.inc();
-                    ctx.metrics().counter("nfs.pagecache.misses").inc();
-                    if run_start.is_none() {
-                        run_start = Some(p);
-                    }
-                }
-            }
-            if let Some(s) = run_start {
-                missing.push((s, last + 1));
-            }
-        }
-        for (a, b) in missing {
-            let fetch_off = a * page;
-            let fetch_len = b * page - fetch_off;
-            // Short (or empty) at EOF per the server's authoritative word;
-            // pages past EOF stay absent rather than caching emptiness.
-            let data = self.uncached_read(ctx, fh, fetch_off, fetch_len)?;
-            let mut dc = self.data_cache.lock();
-            for (i, chunk) in data.chunks(page as usize).enumerate() {
-                dc.insert((fh.0, a + i as u64), (chunk.to_vec(), v));
-            }
-        }
-        // Assemble the answer from the cache (memory copy charged). An
-        // absent or short page marks EOF: nothing past it is appended.
-        let mut out = Vec::with_capacity(len as usize);
-        {
-            let dc = self.data_cache.lock();
-            for p in first..=last {
-                let page_base = p * page;
-                let Some((bytes, _)) = dc.get(&(fh.0, p)) else {
-                    break;
-                };
-                let s = off.max(page_base) - page_base;
-                let e = end.min(page_base + page) - page_base;
-                if (s as usize) >= bytes.len() {
-                    break;
-                }
-                out.extend_from_slice(&bytes[s as usize..(e as usize).min(bytes.len())]);
-                if (e as usize) > bytes.len() {
-                    break;
-                }
-            }
-        }
-        self.host
-            .compute(ctx, self.config.host_cost.copy(out.len() as u64));
-        Ok(out)
-    }
-
-    /// Drop every cached page of a file (close-to-open consistency point).
-    pub fn invalidate_data(&self, fh: NodeId) {
-        self.data_cache.lock().retain(|(f, _), _| *f != fh.0);
     }
 
     /// Write `data` at `off`, chunked by wsize, at the mount's stability
@@ -724,7 +593,6 @@ impl NfsClient {
             // Application buffer into the RPC buffer.
             self.host
                 .compute(ctx, self.config.host_cost.copy(chunk.len() as u64));
-            let prev = self.attr_cache.lock().get(&fh.0).map(|(a, _)| a.version);
             let mut e = XdrEnc::new();
             e.u64(fh.0)
                 .u64(off)
@@ -736,29 +604,6 @@ impl NfsClient {
             let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
             let a = proto::dec_attr(&mut d).map_err(|_| NfsError::Protocol)?;
             self.cache_attr(ctx, a);
-            if self.config.data_cache {
-                let page = self.config.cache_page.max(512);
-                let cover_first = off / page;
-                let cover_last = (off + chunk.len() as u64 - 1) / page;
-                let mut dc = self.data_cache.lock();
-                dc.retain(|(f, p), _| *f != fh.0 || *p < cover_first || *p > cover_last);
-                if prev.is_some_and(|p| p + 1 == a.version) {
-                    // The version advanced by exactly our write: the
-                    // surviving pages are still current from this client's
-                    // point of view, so carry their tags forward.
-                    for ((f, _), entry) in dc.iter_mut() {
-                        if *f == fh.0 {
-                            entry.1 = a.version;
-                        }
-                    }
-                } else {
-                    // The change token jumped (or we had no attribute to
-                    // compare): another client wrote between our reads and
-                    // this write. Re-tagging would bless stale pages with
-                    // the fresh version forever — drop them instead.
-                    dc.retain(|(f, _), _| *f != fh.0);
-                }
-            }
             attr = Some(a);
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
@@ -792,7 +637,7 @@ impl NfsClient {
                 .u32(self.config.stable as u32)
                 .opaque(chunk);
             let (xid, framed) = self.send_rpc(ctx, NfsProc::Write, e);
-            rpcs.push((xid, framed, off, chunk.len() as u64));
+            rpcs.push((xid, framed));
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
         }
@@ -800,32 +645,17 @@ impl NfsClient {
     }
 
     /// Completion half of [`Self::write_begin`]: await every reply in
-    /// issue order, refreshing the attribute cache and invalidating
-    /// written pages exactly as the synchronous path does. Zero-length
-    /// writes behave like getattr.
+    /// issue order, refreshing the attribute cache exactly as the
+    /// synchronous path does. Zero-length writes behave like getattr.
     pub fn write_finish(&self, ctx: &ActorCtx, p: NfsPendingWrite) -> NfsResult<FileAttr> {
         let mut attr = None;
-        for (xid, framed, off, len) in p.rpcs {
+        for (xid, framed) in p.rpcs {
             let r = self.recv_rpc(ctx, xid, &framed)?;
             let mut d = XdrDec::new(&r);
             let _count = d.u32().map_err(|_| NfsError::Protocol)?;
             let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
             let a = proto::dec_attr(&mut d).map_err(|_| NfsError::Protocol)?;
             self.cache_attr(ctx, a);
-            if self.config.data_cache {
-                let page = self.config.cache_page.max(512);
-                let cover_first = off / page;
-                let cover_last = (off + len - 1) / page;
-                let mut dc = self.data_cache.lock();
-                dc.retain(|(f, pg), _| *f != p.fh.0 || *pg < cover_first || *pg > cover_last);
-                // Our own write bumped the version; the surviving pages
-                // are still current from this client's point of view.
-                for ((f, _), entry) in dc.iter_mut() {
-                    if *f == p.fh.0 {
-                        entry.1 = a.version;
-                    }
-                }
-            }
             attr = Some(a);
         }
         match attr {
@@ -909,8 +739,8 @@ impl NfsClient {
 /// collected yet. Created by [`NfsClient::write_begin`].
 pub struct NfsPendingWrite {
     fh: NodeId,
-    /// (xid, framed request, chunk offset, chunk length), in issue order.
-    rpcs: Vec<(u32, Vec<u8>, u64, u64)>,
+    /// (xid, framed request), in issue order.
+    rpcs: Vec<(u32, Vec<u8>)>,
 }
 
 impl NfsPendingWrite {

@@ -73,6 +73,8 @@ pub enum NfsStatus {
     Exist = 17,
     /// Invalid argument.
     Inval = 22,
+    /// File too large (a write past the largest file offset).
+    FBig = 27,
     /// Not a directory.
     NotDir = 20,
     /// Is a directory.
@@ -91,6 +93,7 @@ impl NfsStatus {
             2 => NfsStatus::NoEnt,
             17 => NfsStatus::Exist,
             22 => NfsStatus::Inval,
+            27 => NfsStatus::FBig,
             20 => NfsStatus::NotDir,
             21 => NfsStatus::IsDir,
             66 => NfsStatus::NotEmpty,
@@ -110,6 +113,7 @@ impl From<FsError> for NfsStatus {
             FsError::Exists => NfsStatus::Exist,
             FsError::NotEmpty => NfsStatus::NotEmpty,
             FsError::InvalidName => NfsStatus::Inval,
+            FsError::FileTooBig => NfsStatus::FBig,
         }
     }
 }

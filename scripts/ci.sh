@@ -22,9 +22,6 @@ MPIO_DAFS_CACHE=enable MPIO_DAFS_SCHED=wfq MPIO_ROMIO_CB_CACHE=enable \
     MPIO_DAFS_QOS=enable MPIO_DAFS_TENANT_WEIGHT=8 MPIO_DAFS_LISTIO=disable \
     cargo test -q --workspace
 
-echo "==> chaos suite (deterministic fault injection)"
-cargo test -q --test chaos
-
 echo "==> R-F7 overlap smoke (pipelined two-phase sweep)"
 f7_out=$(cargo run --release -p mpio-dafs-bench --bin f7_overlap -- --smoke)
 echo "$f7_out"

@@ -195,6 +195,34 @@ fn every_driver_carries_every_transfer_shape() {
     }
 }
 
+/// A write whose `off + len` passes `u64::MAX` comes back as an I/O error
+/// — it used to kill the NFS server's actor (or, on UFS, the rank) in a
+/// debug build and wrap onto the head of the file in a release build — and
+/// the file is intact and usable through the same handle afterwards. The
+/// DAFS server's half of this is `dafs`'s own wire-level test: through ADIO
+/// the DAFS driver's stripe arithmetic meets the range first.
+#[test]
+fn nfs_and_ufs_refuse_a_write_past_the_last_offset() {
+    for (name, backend) in [("nfs", Backend::nfs()), ("ufs", Backend::ufs())] {
+        Testbed::new(backend).run(1, move |ctx, comm, adio| {
+            let mem = &comm.host().mem;
+            let f = adio.open(ctx, "/edge", true).unwrap();
+            let buf = mem.alloc(64);
+            mem.fill(buf, 16, 0xAB);
+            f.write_contig(ctx, 0, buf, 16).unwrap();
+            mem.fill(buf, 16, 0xCD);
+            let r = f.write_contig(ctx, u64::MAX - 1, buf, 4);
+            assert!(matches!(r, Err(AdioError::Io(_))), "{name}: {r:?}");
+            assert_eq!(f.get_size(ctx), Ok(16), "{name}");
+            assert_eq!(f.read_contig(ctx, 0, buf, 64), Ok(16), "{name}");
+            assert!(
+                mem.read_vec(buf, 16) == vec![0xAB; 16],
+                "{name}: head overwritten"
+            );
+        });
+    }
+}
+
 /// The retry budget around the DAFS transfers, and what `adio.inflight`
 /// counts. The sessions cannot reconnect (`max_reconnects: 0`) and the
 /// server dies for good at 5 ms, so every attempt after that fails with a

@@ -311,3 +311,144 @@ fn legacy_clients_get_distinct_replay_identities() {
         );
     }
 }
+
+/// ROADMAP item 8, the DAFS decoder's half: a request cut short anywhere
+/// past its header is a protocol error — exactly one `Inval` reply — never
+/// a panic, a hang or a half-applied op. A raw VIA client says a real
+/// Hello, then for every op that has a body sends every proper prefix of a
+/// frame that would have been valid (and, for the mutating ops, would have
+/// changed something). Afterwards the same session still answers, and the
+/// namespace and the file image are what they were. `Hello` itself is left
+/// out: every prefix of its body is an older dialect, answered OK.
+#[test]
+fn truncated_frames_get_one_error_reply_and_change_nothing() {
+    const INVAL: u8 = 7;
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = via::ViaFabric::new(via::ViaCost::default());
+    let server_nic = fabric.open_nic(cluster.add_host("server0"));
+    let sid = server_nic.host().id;
+    let fs = mpio_dafs::memfs::MemFs::new();
+    let f = fs.create(ROOT_ID, "f").unwrap().id;
+    fs.write(f, 0, &[0x5A; 64]).unwrap();
+    let d = fs.mkdir(ROOT_ID, "d").unwrap().id;
+    let server = dafs::spawn_dafs_server(
+        &kernel,
+        &fabric,
+        server_nic,
+        fs.clone(),
+        PORT,
+        dafs::DafsServerCost::default(),
+    );
+    let snapshot = move |fs: &mpio_dafs::memfs::MemFs| {
+        (
+            fs.readdir(ROOT_ID).unwrap(),
+            [ROOT_ID, f, d].map(|id| fs.getattr(id).unwrap()),
+            fs.read(f, 0, 1 << 20).unwrap(),
+        )
+    };
+    let before = snapshot(&fs);
+
+    // Field encoders of the DAFS wire format (little-endian, u32 length
+    // prefixes), and one valid body per op.
+    let cat = |parts: &[&[u8]]| parts.concat();
+    let u = |v: u64| v.to_le_bytes().to_vec();
+    let s = |v: &[u8]| cat(&[&(v.len() as u32).to_le_bytes(), v]);
+    let (root, fh) = (u(ROOT_ID.0), u(f.0));
+    let remote = cat(&[&u(0x1000), &u(77)]); // client buffer address, handle
+    let segs = cat(&[
+        &2u32.to_le_bytes(),
+        &cat(&[&u(0), &u(8), &u(0)]),
+        &cat(&[&u(16), &u(8), &u(8)]),
+    ]);
+    let bodies: Vec<(u8, Vec<u8>)> = vec![
+        (1, fh.clone()),                                 // GetAttr
+        (2, cat(&[&fh, &[1], &u(8)])),                   // SetAttr: truncate to 8
+        (3, cat(&[&root, &s(b"f")])),                    // Lookup
+        (4, cat(&[&root, &s(b"new")])),                  // Create
+        (5, cat(&[&root, &s(b"f")])),                    // Remove
+        (6, cat(&[&root, &s(b"newdir")])),               // Mkdir
+        (7, cat(&[&root, &s(b"d")])),                    // Rmdir
+        (8, cat(&[&root, &s(b"f"), &root, &s(b"g")])),   // Rename
+        (9, root.clone()),                               // ReadDir
+        (10, cat(&[&fh, &u(0), &u(64)])),                // ReadInline
+        (11, cat(&[&fh, &u(0), &s(&[0xEE; 16])])),       // WriteInline
+        (12, cat(&[&fh, &u(0), &u(64), &remote])),       // ReadDirect
+        (13, cat(&[&fh, &u(0), &u(64), &remote])),       // WriteDirect
+        (14, fh.clone()),                                // Flush
+        (15, fh.clone()),                                // Lock
+        (16, fh.clone()),                                // Unlock
+        (19, cat(&[&fh, &s(&[0xEE; 16])])),              // Append
+        (20, cat(&[&fh, &[0], &segs])),                  // ReadList, inline
+        (20, cat(&[&fh, &[1], &remote, &segs])),         // ReadList, direct
+        (21, cat(&[&fh, &[0], &segs, &s(&[0xEE; 16])])), // WriteList, inline
+        (21, cat(&[&fh, &[1], &remote, &segs])),         // WriteList, direct
+        (22, cat(&[&fh, &[2]])),                         // LeaseGrant (write)
+        (24, cat(&[&fh, &1u32.to_le_bytes()])),          // LeaseRecallAck
+    ];
+    let frames: u64 = bodies.iter().map(|(_, b)| b.len() as u64).sum();
+
+    {
+        let fabric = fabric.clone();
+        let host = cluster.add_host("raw");
+        kernel.spawn("raw", move |ctx| {
+            let nic = fabric.open_nic(host.clone());
+            let vi = fabric
+                .connect(ctx, &nic, sid, PORT, ViAttributes::default())
+                .unwrap();
+            let tag = vi.ptag();
+            let mem = &nic.host().mem;
+            let (sbuf, rbuf) = (mem.alloc(1 << 10), mem.alloc(1 << 10));
+            let sh = nic.register_mem(ctx, sbuf, 1 << 10, MemAttributes::local(tag));
+            let rh = nic.register_mem(ctx, rbuf, 1 << 10, MemAttributes::local(tag));
+            // One request, one reply (a second, unsolicited reply would
+            // find no receive descriptor and break the connection). Every
+            // request has its own id, so the replay cache stays out of it.
+            let mut reqid = 0u32;
+            let mut call = |op: u8, body: &[u8]| -> u8 {
+                reqid += 1;
+                let frame = [&reqid.to_le_bytes()[..], &[op], body].concat();
+                mem.write(sbuf, &frame);
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(rbuf, 1 << 10, rh)]),
+                );
+                vi.post_send(
+                    ctx,
+                    SendDesc::send(vec![DataSegment::new(sbuf, frame.len() as u32, sh)]),
+                );
+                vi.send_wait(ctx);
+                let resp = vi.recv_wait(ctx);
+                assert!(resp.status.is_ok(), "op {op}: transport error");
+                let reply = resp.payload.expect("reply frame");
+                assert_eq!(
+                    reply[..4],
+                    reqid.to_le_bytes(),
+                    "op {op}: reply to another request"
+                );
+                reply[4]
+            };
+            assert_eq!(call(18, &7u64.to_le_bytes()), 0, "Hello");
+            for (op, body) in &bodies {
+                for cut in 0..body.len() {
+                    let status = call(*op, &body[..cut]);
+                    assert_eq!(
+                        status,
+                        INVAL,
+                        "op {op} cut to {cut} of {} bytes",
+                        body.len()
+                    );
+                }
+            }
+            assert_eq!(call(1, &f.0.to_le_bytes()), 0, "GetAttr after the sweep");
+            vi.disconnect(ctx);
+        });
+    }
+    kernel.run();
+    assert_eq!(
+        snapshot(&fs),
+        before,
+        "a truncated frame changed the filesystem"
+    );
+    assert_eq!(server.stats.ops.get(), frames + 2, "a frame went unserved");
+}
