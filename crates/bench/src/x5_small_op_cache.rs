@@ -31,7 +31,7 @@
 //!   holders at once; the storm must complete with a bounded flush-request
 //!   count (asserted) and every reader re-reads the writer's flushed image.
 
-use dafs::{DafsClientConfig, DafsServerCost, DafsStripedFile};
+use dafs::{DafsClientConfig, DafsServerCost, DafsStripedFile, CACHE_PAGE};
 use memfs::ROOT_ID;
 use simnet::topo::{DumbbellSpec, ForwardingMode, QueuePolicy, Topology};
 use simnet::units::*;
@@ -169,7 +169,7 @@ fn writeback_case() -> WbOut {
         cache_write_back: true,
         ..DafsClientConfig::default()
     };
-    let page = cfg.cache_page;
+    let page = CACHE_PAGE;
     let (_, _, obs) = with_dafs_cluster(
         1,
         1,
@@ -340,7 +340,7 @@ fn storm_case(readers: usize) -> StormOut {
         cache_write_back: true,
         ..DafsClientConfig::default()
     };
-    let page = cfg.cache_page;
+    let page = CACHE_PAGE;
     let img_a: Vec<u8> = (0..REGION as usize).map(|j| (j * 7 + 3) as u8).collect();
     let img_b: Vec<u8> = (0..REGION as usize).map(|j| (j * 13 + 1) as u8).collect();
     let (a, b) = (img_a.clone(), img_b.clone());
@@ -571,7 +571,7 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
     );
     assert_eq!(
         storm.flush_pages,
-        REGION / DafsClientConfig::default().cache_page,
+        REGION / CACHE_PAGE,
         "the storm must flush exactly the dirty region"
     );
     assert!(

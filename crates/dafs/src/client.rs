@@ -11,8 +11,19 @@
 //!   (cached-registered) user buffer; the client CPU does nothing per byte;
 //! * larger writes use **WRITE_DIRECT** when the fabric supports RDMA Read,
 //!   else fall back to inline chunks (the cLAN configuration).
+//!
+//! The lease-coherent cache behind the `*_cached` entry points — its
+//! state and the driver that sequences it — is `crate::cache`; this file
+//! supplies what that driver may not do itself (`Live`, at the end: the
+//! wire requests, the clock charges, the counters, the trace line) and the
+//! public entry points. One rule ties the two paths together —
+//! `cache::past_cache`, called by `write`, `truncate`, `append` and every
+//! batch: before a request goes to the server past the cache the file's
+//! dirty pages are flushed, and before a mutating one a holder of only a
+//! read lease hands it back.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use memfs::{FileAttr, NodeId};
@@ -23,6 +34,9 @@ use via::{
     SendDesc, Vi, ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
 };
 
+use crate::cache::{
+    self, AttrAfter, CacheIo, CacheStat, PageCache, Run, CACHE_CAPACITY, CACHE_PAGE,
+};
 use crate::cost::DafsClientConfig;
 use crate::proto::{self, DafsOp, DafsStatus, LeaseKind, ServerCaps};
 use crate::regcache::{RegCache, RegCacheStats};
@@ -73,6 +87,10 @@ impl std::error::Error for DafsError {
 /// Convenience alias.
 pub type DafsResult<T> = Result<T, DafsError>;
 
+/// What a request whose `off + len` passes `u64::MAX` gets, before anything
+/// is sent: the status the server gives the same range.
+pub(crate) const OUT_OF_RANGE: DafsError = DafsError::Status(DafsStatus::Inval);
+
 /// Client-side counters.
 #[derive(Clone, Default)]
 pub struct DafsClientStats {
@@ -88,11 +106,11 @@ pub struct DafsClientStats {
     pub direct_writes: ByteMeter,
 }
 
-/// Named counters for the lease-coherent client cache, per session. The
-/// run-wide `dafs.cache.*` metrics in the obs registry are separate
-/// objects, bumped beside these at each site — except the clean pages
-/// dropped on reconnect, which only `invalidations` here counts. (One
-/// object with a session dimension is ROADMAP item 5's dimensional metrics.)
+/// Named counters for the lease-coherent client cache, per session. Each
+/// has a run-wide `dafs.cache.*` twin in the obs registry, and the two are
+/// only ever bumped together (`Live::count`, the one place that names
+/// them). (One object with a session dimension is ROADMAP item 5's
+/// dimensional metrics.)
 #[derive(Clone, Default)]
 pub struct DafsCacheStats {
     /// Cached reads served without touching the server.
@@ -113,23 +131,6 @@ pub struct DafsCacheStats {
     pub flush_batches: Counter,
     /// Dirty pages retired through those flush requests.
     pub flush_pages: Counter,
-}
-
-/// Lease-coherent cache state: pages and attributes the client may serve
-/// locally while it holds a lease, plus the recalls queued for service.
-/// All maps are ordered so flush/eviction sweeps are deterministic.
-#[derive(Default)]
-struct ClientCache {
-    /// Leases this session believes it holds.
-    leases: BTreeMap<u64, LeaseKind>,
-    /// Cached attributes, keyed by file handle.
-    attrs: BTreeMap<u64, FileAttr>,
-    /// Cached pages: `(fh, page index)` → bytes (full pages except at EOF).
-    pages: BTreeMap<(u64, u64), Vec<u8>>,
-    /// Write-back pages not yet flushed to the server.
-    dirty: BTreeSet<(u64, u64)>,
-    /// Recall pushes received but not yet serviced: `(fh, recall id)`.
-    recalls: VecDeque<(u64, u32)>,
 }
 
 /// One contiguous request of a batch: `len` bytes at file offset `off`,
@@ -233,6 +234,9 @@ pub struct DafsBatch {
     inflight: VecDeque<(u32, usize, MemHandle, bool)>,
     next: usize,
     reqs: BatchReqs,
+    /// This batch is the write-back flush: the one request that does not
+    /// go through `past_cache`, and whose pages the cache's driver retires.
+    flush: bool,
     /// Transport failure observed by the nonblocking poll; the finish half
     /// fails the remaining in-flight subs with it instead of waiting on a
     /// session that already died.
@@ -336,7 +340,7 @@ pub struct DafsClient {
     regcache: RegCache,
     pending: Mutex<HashMap<u32, Bytes>>,
     scratch: Mutex<Option<(VirtAddr, usize)>>,
-    cache: Mutex<ClientCache>,
+    cache: Mutex<PageCache>,
     /// Client counters.
     pub stats: DafsClientStats,
     /// Lease-coherent cache counters.
@@ -403,7 +407,7 @@ impl DafsClient {
             regcache,
             pending: Mutex::new(HashMap::new()),
             scratch: Mutex::new(None),
-            cache: Mutex::new(ClientCache::default()),
+            cache: Mutex::new(PageCache::new(CACHE_PAGE, CACHE_CAPACITY)),
             stats: DafsClientStats::default(),
             cache_stats: DafsCacheStats::default(),
             ops_metric: obs::LazyCounter::new("dafs.ops"),
@@ -439,12 +443,16 @@ impl DafsClient {
             "dafs.regcache.hits",
             "dafs.regcache.misses",
             "dafs.regcache.evictions",
-            "dafs.cache.hits",
-            "dafs.cache.attr_hits",
-            "dafs.cache.flush_batches",
-            "dafs.cache.flush_pages",
         ] {
             let _ = ctx.metrics().counter(name);
+        }
+        for stat in [
+            CacheStat::Hits,
+            CacheStat::AttrHits,
+            CacheStat::FlushBatches,
+            CacheStat::FlushPages,
+        ] {
+            Live(&client, ctx).count(stat, 0);
         }
         ctx.trace(
             "dafs",
@@ -607,7 +615,7 @@ impl DafsClient {
             // recall. Only queue it here — this runs under the VI lock, and
             // servicing means flushing and acking over that same VI.
             if let Ok((fh, recall_id)) = proto::dec_recall_push(&mut d) {
-                self.cache.lock().recalls.push_back((fh.0, recall_id));
+                self.cache.lock().queue_recall(fh.0, recall_id);
             }
             return Ok(());
         }
@@ -748,20 +756,8 @@ impl DafsClient {
         // re-flushed through the new session by the next cache entry point
         // (those writes carry fresh request ids, so the replay cache keeps
         // them exactly-once even if this session dies too).
-        {
-            let mut c = self.cache.lock();
-            c.leases.clear();
-            c.attrs.clear();
-            c.recalls.clear(); // acked implicitly by the session teardown
-            let dirty = std::mem::take(&mut c.dirty);
-            let before = c.pages.len();
-            c.pages.retain(|k, _| dirty.contains(k));
-            let dropped = (before - c.pages.len()) as u64;
-            c.dirty = dirty;
-            if dropped > 0 {
-                self.cache_stats.invalidations.add(dropped);
-            }
-        }
+        let dropped = self.cache.lock().session_lost();
+        cache::dropped(&mut Live(self, ctx), dropped);
         // Ring registrations were made under the old protection tag;
         // re-register fresh buffers under the new one.
         {
@@ -821,11 +817,12 @@ impl DafsClient {
 
     /// Truncate / extend.
     pub fn truncate(&self, ctx: &ActorCtx, fh: NodeId, size: u64) -> DafsResult<FileAttr> {
+        self.past_cache(ctx, fh, true)?;
         let mut e = Enc::new();
         e.u64(fh.0).u8(1).u64(size);
         let a = self.call_attr(ctx, DafsOp::SetAttr, &mut e)?;
         // Resizing invalidates every cached page of the file.
-        self.cache_note_write(ctx, fh, 0, u64::MAX, Some(&a));
+        self.note_wrote(ctx, fh, 0, u64::MAX, AttrAfter::Set(a));
         Ok(a)
     }
 
@@ -902,6 +899,7 @@ impl DafsClient {
             data.len() as u64 <= self.caps().inline_max,
             "append record exceeds the inline limit"
         );
+        self.past_cache(ctx, fh, true)?;
         let mut e = Enc::new();
         e.u64(fh.0);
         let payload = self.call_with(ctx, DafsOp::Append, &mut e, Payload::Slice(data))?;
@@ -912,7 +910,7 @@ impl DafsClient {
         let mut d = Dec::new(&payload);
         let at = d.u64().map_err(|_| DafsError::Protocol)?;
         if let Ok(a) = proto::dec_attr(&mut d) {
-            self.cache_note_write(ctx, fh, at, data.len() as u64, Some(&a));
+            self.note_wrote(ctx, fh, at, data.len() as u64, AttrAfter::Set(a));
         }
         Ok(at)
     }
@@ -943,7 +941,7 @@ impl DafsClient {
         // Flush write-back data and hand leases back before the goodbye.
         // A session that never cached skips this without touching the
         // clock or the wire.
-        let _ = self.cache_shutdown(ctx);
+        let _ = cache::cache_shutdown(&mut Live(self, ctx));
         let mut e = Enc::new();
         let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e);
         self.regcache.flush(ctx);
@@ -971,275 +969,33 @@ impl DafsClient {
         Ok(attr)
     }
 
-    // ----- lease-coherent cache -------------------------------------------
+    // ----- lease-coherent cache ---------------------------------------------
     //
-    // Strictly opt-in: only the `*_cached` entry points (and the coherence
-    // hooks they arm) touch this machinery, so a session that never calls
-    // them runs byte-identically to one built before the cache existed.
+    // The state machine and the driver that sequences it are in
+    // `crate::cache`; here is what they may not do themselves — wire,
+    // clock, simulated memory, metrics, traces (`Live`, below this impl) —
+    // and the public entry points. Strictly opt-in: a session that never
+    // calls a `*_cached` entry point holds nothing, and every driver step
+    // then returns before any of those.
 
-    /// Acquire (or refresh/upgrade) a `kind` lease on `fh`. Returns the
-    /// attr that rode along with a grant, `None` on denial. Routed through
-    /// the non-replaying path: grants are session state, so replaying one
-    /// across a reconnect would resurrect a lease the server already
-    /// reclaimed.
-    fn lease_acquire(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        kind: LeaseKind,
-    ) -> DafsResult<Option<FileAttr>> {
-        let mut e = Enc::new();
-        e.u64(fh.0).u8(kind as u8);
-        let payload = self.call_once(ctx, DafsOp::LeaseGrant, &mut e)?;
-        let mut d = Dec::new(&payload);
-        let granted = d.u8().map_err(|_| DafsError::Protocol)? != 0;
-        let attr = proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?;
-        if !granted {
-            return Ok(None);
-        }
-        let mut c = self.cache.lock();
-        let slot = c.leases.entry(fh.0).or_insert(kind);
-        *slot = (*slot).max(kind);
-        c.attrs.insert(fh.0, attr);
-        Ok(Some(attr))
+    /// The server acknowledged a write of `[off, off + len)`.
+    fn note_wrote(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64, attr: AttrAfter) {
+        let dropped = self.cache.lock().wrote(fh.0, off, len, attr);
+        cache::dropped(&mut Live(self, ctx), dropped);
     }
 
-    /// Cache entry-point prologue: flush write-back data orphaned by a
-    /// reconnect, then notice and service any recalls the server pushed
-    /// since the last operation. A session with nothing cached returns
-    /// immediately without touching the clock or the wire.
-    fn cache_service(&self, ctx: &ActorCtx) -> DafsResult<()> {
-        {
-            let c = self.cache.lock();
-            if c.leases.is_empty() && c.recalls.is_empty() && c.dirty.is_empty() {
-                return Ok(());
-            }
-        }
-        // Dirty pages whose write-back lease died with a previous session
-        // get re-flushed through the new one before anything is served.
-        let orphans: Vec<u64> = {
-            let c = self.cache.lock();
-            let mut fhs: Vec<u64> = c.dirty.iter().map(|(fh, _)| *fh).collect();
-            fhs.dedup();
-            fhs.retain(|fh| c.leases.get(fh) != Some(&LeaseKind::Write));
-            fhs
-        };
-        for fh in orphans {
-            self.cache_flush_fh(ctx, NodeId(fh))?;
-        }
-        // Recall pushes land in the recv ring; drain it without blocking.
-        // A dead session surfaces on the next real request, not here.
-        self.poll_responses(ctx).ok();
-        loop {
-            let next = self.cache.lock().recalls.pop_front();
-            let Some((fh, recall_id)) = next else { break };
-            self.cache_recall_one(ctx, fh, recall_id)?;
-        }
-        Ok(())
-    }
-
-    /// Service one recall: flush the file's dirty pages, drop everything
-    /// cached under the lease, ack. The ack rides the replayable request
-    /// path — if the session dies mid-ack, the replayed ack re-drops an
-    /// already-absent lease on the server, a no-op, so recalls racing loss
-    /// stay exactly-once.
-    fn cache_recall_one(&self, ctx: &ActorCtx, fh: u64, recall_id: u32) -> DafsResult<()> {
-        self.cache_stats.recalls.inc();
-        ctx.metrics().counter("dafs.cache.recalls").inc();
-        ctx.trace(
-            "dafs",
-            "cache.recall",
-            &[
-                ("fh", obs::Value::U64(fh)),
-                ("recall", obs::Value::U64(recall_id as u64)),
-            ],
-        );
-        self.cache_flush_fh(ctx, NodeId(fh))?;
-        self.cache_drop_fh(ctx, fh);
-        let mut e = Enc::new();
-        e.u64(fh).u32(recall_id);
-        self.call(ctx, DafsOp::LeaseRecallAck, &mut e).map(|_| ())
-    }
-
-    /// Drop every cached object for `fh`: lease, attr, pages, dirty marks.
-    fn cache_drop_fh(&self, ctx: &ActorCtx, fh: u64) {
-        let mut c = self.cache.lock();
-        c.leases.remove(&fh);
-        c.attrs.remove(&fh);
-        let before = c.pages.len();
-        c.pages.retain(|(f, _), _| *f != fh);
-        c.dirty.retain(|(f, _)| *f != fh);
-        let dropped = (before - c.pages.len()) as u64;
-        drop(c);
-        if dropped > 0 {
-            self.cache_stats.invalidations.add(dropped);
-            ctx.metrics()
-                .counter("dafs.cache.invalidations")
-                .add(dropped);
-        }
-    }
-
-    /// Flush `fh`'s dirty write-back pages in one coalesced pass: snapshot
-    /// every dirty run (contiguous full pages merge into one segment; a
-    /// short page is the file's tail, and since it ends before the next
-    /// page boundary it ends its run naturally), gather the bytes into a
-    /// staging buffer, and ship the whole sorted run set as a vectored
-    /// `WriteList` batch — one wire request per credit-window chunk
-    /// instead of one per extent. A flush interrupted by session death
-    /// falls back per segment through the replayable inline path inside
-    /// [`Self::batch_finish`], so the bytes still land exactly once.
-    /// Returns the number of dirty pages flushed.
-    fn cache_flush_fh(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<u64> {
-        let page = self.config.cache_page.max(1);
-        let (segs, data, pages_n, attr) = {
-            let c = self.cache.lock();
-            let mut segs: Vec<proto::ListSeg> = Vec::new();
-            let mut data: Vec<u8> = Vec::new();
-            let mut pages_n = 0u64;
-            for &(_, p) in c.dirty.range((fh.0, 0)..=(fh.0, u64::MAX)) {
-                let bytes = c.pages.get(&(fh.0, p)).expect("dirty page cached");
-                let off = p * page;
-                match segs.last_mut() {
-                    Some(s) if s.0 + s.1 == off => s.1 += bytes.len() as u64,
-                    _ => segs.push((off, bytes.len() as u64, data.len() as u64)),
-                }
-                data.extend_from_slice(bytes);
-                pages_n += 1;
-            }
-            (segs, data, pages_n, c.attrs.get(&fh.0).copied())
-        };
-        if segs.is_empty() {
-            return Ok(0);
-        }
-        let sb = self.scratch(data.len());
-        self.nic.host().mem.write(sb, &data);
-        let ops = self.ops_metric.get(ctx.metrics());
-        let before = ops.get();
-        // `drain: false`: this *is* the drain.
-        let req = ListReq { segs, buf: sb };
-        let b = self.begin(ctx, BatchDir::Write, fh, BatchReqs::List(vec![req]), false);
-        let res = self.batch_finish(ctx, b).remove(0);
-        // Wire requests this flush cost, fallback replays included — the
-        // amortization numerator benches assert against flush_pages.
-        let wire = ops.get() - before;
-        self.cache_stats.flush_batches.add(wire);
-        ctx.metrics().counter("dafs.cache.flush_batches").add(wire);
-        self.cache_stats.flush_pages.add(pages_n);
-        ctx.metrics().counter("dafs.cache.flush_pages").add(pages_n);
-        res?;
-        // The batch's self-coherence hook retired the flushed span but
-        // also forgot the cached attr (a raw list write carries no attr
-        // reply). The write lease still vouches for the size this client
-        // tracked while buffering, so restore it rather than paying a
-        // wire GETATTR on the next cached access.
-        if let Some(a) = attr {
-            let mut c = self.cache.lock();
-            if c.leases.contains_key(&fh.0) {
-                c.attrs.insert(fh.0, a);
-            }
-        }
-        Ok(pages_n)
-    }
-
-    /// Self-coherence hook on every server-bound write: drop cached pages
-    /// the write covers (the cache would otherwise shadow newer server
-    /// state) and keep the cached attr in step. Pure map surgery — no
-    /// clock, no wire — so cache-less sessions are untouched.
-    fn cache_note_write(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        len: u64,
-        attr: Option<&FileAttr>,
-    ) {
-        let mut c = self.cache.lock();
-        if c.attrs.is_empty() && c.pages.is_empty() {
-            return;
-        }
-        let mut dropped = 0u64;
-        if len > 0 {
-            let page = self.config.cache_page.max(1);
-            let p0 = off / page;
-            let p1 = (off.saturating_add(len) - 1) / page;
-            let keys: Vec<(u64, u64)> = c
-                .pages
-                .range((fh.0, p0)..=(fh.0, p1))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in keys {
-                c.pages.remove(&k);
-                c.dirty.remove(&k);
-                dropped += 1;
-            }
-        }
-        match attr {
-            // Keep the attr only while a lease vouches for it.
-            Some(a) if c.leases.contains_key(&fh.0) => {
-                c.attrs.insert(fh.0, *a);
-            }
-            _ => {
-                c.attrs.remove(&fh.0);
-            }
-        }
-        drop(c);
-        if dropped > 0 {
-            self.cache_stats.invalidations.add(dropped);
-            ctx.metrics()
-                .counter("dafs.cache.invalidations")
-                .add(dropped);
-        }
-    }
-
-    /// Evict clean pages (lowest key first) beyond the configured
-    /// capacity. Dirty pages are never evicted — they hold unflushed data.
-    fn cache_evict_excess(&self, ctx: &ActorCtx) {
-        let cap = self.config.cache_capacity;
-        let mut c = self.cache.lock();
-        let mut dropped = 0u64;
-        while c.pages.len() > cap {
-            let victim = c.pages.keys().find(|k| !c.dirty.contains(k)).copied();
-            let Some(k) = victim else { break };
-            c.pages.remove(&k);
-            dropped += 1;
-        }
-        drop(c);
-        if dropped > 0 {
-            self.cache_stats.invalidations.add(dropped);
-            ctx.metrics()
-                .counter("dafs.cache.invalidations")
-                .add(dropped);
-        }
+    /// [`cache::past_cache`]: flush `fh`, and before a `mutating` request
+    /// hand a read lease back — what `write`, `truncate`, `append` and
+    /// every batch do first.
+    fn past_cache(&self, ctx: &ActorCtx, fh: NodeId, mutating: bool) -> DafsResult<()> {
+        cache::past_cache(&mut Live(self, ctx), fh.0, mutating)
     }
 
     /// Fetch attributes through the cache: free while a lease is held,
     /// one lease acquisition (which seeds the cache) otherwise, falling
     /// back to a plain GETATTR when the server denies the lease.
     pub fn getattr_cached(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
-        self.cache_service(ctx)?;
-        let cached = {
-            let c = self.cache.lock();
-            if c.leases.contains_key(&fh.0) {
-                c.attrs.get(&fh.0).copied()
-            } else {
-                None
-            }
-        };
-        if let Some(a) = cached {
-            self.cache_stats.attr_hits.inc();
-            ctx.metrics().counter("dafs.cache.attr_hits").inc();
-            return Ok(a);
-        }
-        self.cache_stats.attr_misses.inc();
-        ctx.metrics().counter("dafs.cache.attr_misses").inc();
-        match self.lease_acquire(ctx, fh, LeaseKind::Read) {
-            Ok(Some(a)) => Ok(a),
-            // Denied (conflicting writer) or session trouble: stay coherent
-            // by asking the server directly.
-            Ok(None) => self.getattr(ctx, fh),
-            Err(DafsError::Transport(_) | DafsError::Connect(_)) => self.getattr(ctx, fh),
-            Err(e) => Err(e),
-        }
+        cache::getattr_cached(&mut Live(self, ctx), fh.0)
     }
 
     /// Read through the cache: pages already under a valid lease are
@@ -1254,106 +1010,11 @@ impl DafsClient {
         dst: VirtAddr,
         len: u64,
     ) -> DafsResult<u64> {
-        self.cache_service(ctx)?;
-        if len == 0 {
-            return Ok(0);
-        }
-        let attr = {
-            let c = self.cache.lock();
-            if c.leases.contains_key(&fh.0) {
-                c.attrs.get(&fh.0).copied()
-            } else {
-                None
-            }
-        };
-        let attr = match attr {
-            Some(a) => a,
-            None => match self.lease_acquire(ctx, fh, LeaseKind::Read) {
-                Ok(Some(a)) => a,
-                Ok(None) | Err(DafsError::Transport(_) | DafsError::Connect(_)) => {
-                    self.cache_stats.misses.inc();
-                    ctx.metrics().counter("dafs.cache.misses").inc();
-                    return self.read(ctx, fh, off, dst, len);
-                }
-                Err(e) => return Err(e),
-            },
-        };
-        let end = (off + len).min(attr.size);
-        if off >= end {
-            // Fully past EOF: answered from the cached attr alone.
-            self.cache_stats.hits.inc();
-            ctx.metrics().counter("dafs.cache.hits").inc();
-            return Ok(0);
-        }
-        let page = self.config.cache_page.max(1);
-        let p0 = off / page;
-        let p1 = (end - 1) / page;
-        let expected = |p: u64| ((attr.size - p * page).min(page)) as usize;
-        let missing: Vec<u64> = {
-            let c = self.cache.lock();
-            (p0..=p1)
-                .filter(|&p| {
-                    c.pages
-                        .get(&(fh.0, p))
-                        .is_none_or(|b| b.len() < expected(p))
-                })
-                .collect()
-        };
-        let served_locally = missing.is_empty();
-        // Fetch each contiguous missing run with one server read.
-        let mut i = 0usize;
-        while i < missing.len() {
-            let start = missing[i];
-            let mut stop = start;
-            while i + 1 < missing.len() && missing[i + 1] == stop + 1 {
-                i += 1;
-                stop = missing[i];
-            }
-            i += 1;
-            let foff = start * page;
-            let flen = ((stop + 1) * page).min(attr.size) - foff;
-            let sb = self.scratch(flen as usize);
-            let n = self.read(ctx, fh, foff, sb, flen)?;
-            let data = self.nic.host().mem.read_vec(sb, n as usize);
-            let mut c = self.cache.lock();
-            for p in start..=stop {
-                let lo = ((p - start) * page) as usize;
-                if lo >= data.len() {
-                    break;
-                }
-                let hi = data.len().min(lo + page as usize);
-                c.pages.insert((fh.0, p), data[lo..hi].to_vec());
-            }
-        }
-        if served_locally {
-            self.cache_stats.hits.inc();
-            ctx.metrics().counter("dafs.cache.hits").inc();
-        } else {
-            self.cache_stats.misses.inc();
-            ctx.metrics().counter("dafs.cache.misses").inc();
-        }
-        // Assemble into the user buffer: the one copy a local hit costs.
-        self.nic
-            .host()
-            .compute(ctx, self.config.host.copy(end - off));
-        {
-            let c = self.cache.lock();
-            for p in p0..=p1 {
-                let Some(bytes) = c.pages.get(&(fh.0, p)) else {
-                    continue;
-                };
-                let pstart = p * page;
-                let lo = off.max(pstart);
-                let hi = end.min(pstart + bytes.len() as u64);
-                if lo >= hi {
-                    continue;
-                }
-                let slice = &bytes[(lo - pstart) as usize..(hi - pstart) as usize];
-                self.nic.host().mem.write(dst.offset(lo - off), slice);
-            }
-        }
-        self.cache_evict_excess(ctx);
-        Ok(end - off)
+        let end = off.checked_add(len).ok_or(OUT_OF_RANGE)?;
+        let mem = &self.nic.host().mem;
+        let sink = |rel, bytes: &[u8]| mem.write(dst.offset(rel), bytes);
+        let through = |_: &mut Live| self.read(ctx, fh, off, dst, len);
+        cache::read_cached(&mut Live(self, ctx), fh.0, (off, end), sink, through)
     }
 
     /// Write through the cache. Under a write-back lease (opt-in via
@@ -1368,89 +1029,10 @@ impl DafsClient {
         src: VirtAddr,
         len: u64,
     ) -> DafsResult<FileAttr> {
-        self.cache_service(ctx)?;
-        if self.config.cache_write_back && len > 0 {
-            let held = self.cache.lock().leases.get(&fh.0) == Some(&LeaseKind::Write);
-            let granted =
-                held || matches!(self.lease_acquire(ctx, fh, LeaseKind::Write), Ok(Some(_)));
-            if granted {
-                return self.write_buffered(ctx, fh, off, src, len);
-            }
-        }
-        self.write(ctx, fh, off, src, len)
-    }
-
-    /// Buffer a write into dirty pages under an already-held write lease.
-    fn write_buffered(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        src: VirtAddr,
-        len: u64,
-    ) -> DafsResult<FileAttr> {
-        let page = self.config.cache_page.max(1);
-        // The attr is the EOF authority; the write lease guarantees nobody
-        // else can move it underneath us.
-        let attr = self.getattr_cached(ctx, fh)?;
-        // Pre-fault partial edge pages that overlap existing file data, so
-        // overlaying the write can't lose the bytes beside it.
-        let end = off + len;
-        let head = off / page;
-        let tail = (end - 1) / page;
-        if !off.is_multiple_of(page) && head * page < attr.size {
-            self.cache_fill_page(ctx, fh, head, attr.size)?;
-        }
-        if !end.is_multiple_of(page) && tail != head && tail * page < attr.size {
-            self.cache_fill_page(ctx, fh, tail, attr.size)?;
-        }
-        let data = self.nic.host().mem.read_vec(src, len as usize);
-        self.nic.host().compute(ctx, self.config.host.copy(len));
-        let out = {
-            let mut c = self.cache.lock();
-            let mut pos = 0usize;
-            let mut p = head;
-            while pos < data.len() {
-                let pstart = p * page;
-                let in_off = ((off + pos as u64) - pstart) as usize;
-                let take = (page as usize - in_off).min(data.len() - pos);
-                let entry = c.pages.entry((fh.0, p)).or_default();
-                if entry.len() < in_off + take {
-                    entry.resize(in_off + take, 0);
-                }
-                entry[in_off..in_off + take].copy_from_slice(&data[pos..pos + take]);
-                c.dirty.insert((fh.0, p));
-                pos += take;
-                p += 1;
-            }
-            let a = c.attrs.entry(fh.0).or_insert(attr);
-            a.size = a.size.max(end);
-            *a
-        };
-        self.cache_evict_excess(ctx);
-        Ok(out)
-    }
-
-    /// Ensure page `p` of `fh` is cached (fetching it if absent); `size`
-    /// is the current file size. Internal RMW helper — not a cache hit or
-    /// miss from the caller's point of view.
-    fn cache_fill_page(&self, ctx: &ActorCtx, fh: NodeId, p: u64, size: u64) -> DafsResult<()> {
-        let page = self.config.cache_page.max(1);
-        let plen = (size - p * page).min(page);
-        let have = self
-            .cache
-            .lock()
-            .pages
-            .get(&(fh.0, p))
-            .is_some_and(|b| b.len() as u64 >= plen);
-        if have {
-            return Ok(());
-        }
-        let sb = self.scratch(plen as usize);
-        let n = self.read(ctx, fh, p * page, sb, plen)?;
-        let bytes = self.nic.host().mem.read_vec(sb, n as usize);
-        self.cache.lock().pages.insert((fh.0, p), bytes);
-        Ok(())
+        let end = off.checked_add(len).ok_or(OUT_OF_RANGE)?;
+        let data = |_: &mut Live| self.nic.host().mem.read_vec(src, len as usize);
+        let through = |_: &mut Live| self.write(ctx, fh, off, src, len);
+        cache::write_cached(&mut Live(self, ctx), fh.0, (off, end), data, through)
     }
 
     /// Flush every dirty write-back page to the server (the cache half of
@@ -1458,47 +1040,13 @@ impl DafsClient {
     /// flushed — zero means the sync cost no wire traffic at all, which
     /// callers use to skip the server-side `Flush` commit round trip.
     pub fn cache_sync(&self, ctx: &ActorCtx) -> DafsResult<u64> {
-        self.cache_service(ctx)?;
-        let fhs: Vec<u64> = {
-            let c = self.cache.lock();
-            let set: BTreeSet<u64> = c.dirty.iter().map(|(f, _)| *f).collect();
-            set.into_iter().collect()
-        };
-        let mut flushed = 0;
-        for fh in fhs {
-            flushed += self.cache_flush_fh(ctx, NodeId(fh))?;
-        }
-        Ok(flushed)
+        cache::cache_sync(&mut Live(self, ctx))
     }
 
     /// Voluntarily hand the lease on `fh` back after flushing it — the
     /// recall-ack wire path with the reserved recall id 0.
     pub fn cache_release(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<()> {
-        if !self.cache.lock().leases.contains_key(&fh.0) {
-            return Ok(());
-        }
-        self.cache_flush_fh(ctx, fh)?;
-        self.cache_drop_fh(ctx, fh.0);
-        let mut e = Enc::new();
-        e.u64(fh.0).u32(0);
-        self.call(ctx, DafsOp::LeaseRecallAck, &mut e).map(|_| ())
-    }
-
-    /// Flush and release everything cached; runs ahead of `disconnect`.
-    fn cache_shutdown(&self, ctx: &ActorCtx) -> DafsResult<()> {
-        {
-            let c = self.cache.lock();
-            if c.leases.is_empty() && c.recalls.is_empty() && c.dirty.is_empty() {
-                return Ok(());
-            }
-        }
-        self.cache_service(ctx)?;
-        let fhs: Vec<u64> = self.cache.lock().leases.keys().copied().collect();
-        for fh in fhs {
-            self.cache_release(ctx, NodeId(fh))?;
-        }
-        // Dirty data without a lease was already flushed by cache_service.
-        Ok(())
+        cache::hand_back(&mut Live(self, ctx), fh.0, 0)
     }
 
     // ----- data path ------------------------------------------------------
@@ -1605,6 +1153,7 @@ impl DafsClient {
         src: VirtAddr,
         len: u64,
     ) -> DafsResult<FileAttr> {
+        self.past_cache(ctx, fh, true)?;
         let _span = ctx.span("dafs", "write");
         let direct = self.is_direct(len) && self.caps().rdma_read;
         ctx.trace(
@@ -1641,14 +1190,14 @@ impl DafsClient {
                     ctx.metrics().counter("dafs.direct_fallbacks").inc();
                     self.write_inline_chunks(ctx, fh, off, src, len)?;
                     let a = self.getattr(ctx, fh)?;
-                    self.cache_note_write(ctx, fh, off, len, Some(&a));
+                    self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
                     return Ok(a);
                 }
                 Err(e) => return Err(e),
             };
             self.stats.direct_writes.record(len);
             ctx.metrics().byte_meter("dafs.direct.bytes").record(len);
-            self.cache_note_write(ctx, fh, off, len, Some(&a));
+            self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
             return Ok(a);
         }
         // Inline path (small writes, or the cLAN no-RDMA-Read fallback).
@@ -1661,7 +1210,7 @@ impl DafsClient {
             let a = proto::dec_attr(&mut Dec::new(&reply)).map_err(|_| DafsError::Protocol)?;
             self.stats.inline_writes.record(len);
             ctx.metrics().byte_meter("dafs.inline.bytes").record(len);
-            self.cache_note_write(ctx, fh, off, len, Some(&a));
+            self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
             return Ok(a);
         }
         // Multi-chunk: pipeline the chunks over the session credits rather
@@ -1698,6 +1247,9 @@ impl DafsClient {
         off: u64,
         data: &[u8],
     ) -> DafsResult<FileAttr> {
+        // A flush stages through the same scratch buffer: have the one
+        // this write would start done before the bytes go in.
+        self.past_cache(ctx, fh, true)?;
         let src = self.scratch(data.len());
         self.nic.host().mem.write(src, data);
         self.write(ctx, fh, off, src, data.len() as u64)
@@ -2042,25 +1594,24 @@ impl DafsClient {
     /// The single point every batch starts at: expand the requests and post
     /// up to the credit window.
     ///
-    /// Batch ops go to the wire past the page cache, so for a
-    /// caller-issued batch (`drain`) a session holding dirty write-back
-    /// pages for `fh` drains them first — a read then sees them, and the
-    /// finish-time [`Self::cache_note_write`] of a write finds nothing
-    /// unflushed to drop. No dirty page means no wire and no clock. If the
-    /// drain fails the batch is refused whole (nothing posted, every
+    /// Batch ops go to the wire past the page cache, so every batch but the
+    /// write-back flush itself (`flush`) first follows [`Self::past_cache`].
+    /// If that fails the batch is refused whole (nothing posted, every
     /// result the error), so the failure reaches the caller instead of
     /// hiding behind a batch that succeeded, or was replayed, past
-    /// write-back data that never landed. Only the flush itself passes
-    /// `drain: false`.
+    /// write-back data that never landed.
     fn begin(
         &self,
         ctx: &ActorCtx,
         dir: BatchDir,
         fh: NodeId,
         reqs: BatchReqs,
-        drain: bool,
+        flush: bool,
     ) -> DafsBatch {
-        let refused = drain.then(|| self.cache_flush_fh(ctx, fh).err()).flatten();
+        let refused = match flush {
+            true => None,
+            false => self.past_cache(ctx, fh, dir == BatchDir::Write).err(),
+        };
         let (subs, n) = match &reqs {
             BatchReqs::Contig(rs) => (self.expand_subs(dir, rs), rs.len()),
             BatchReqs::List(rs) => (self.expand_list_subs(dir, rs), rs.len()),
@@ -2073,6 +1624,7 @@ impl DafsClient {
             inflight: VecDeque::new(),
             next: 0,
             reqs,
+            flush,
             failed: None,
         };
         if let Some(e) = refused {
@@ -2087,7 +1639,7 @@ impl DafsClient {
     /// expand them, post up to the credit window, and return without
     /// waiting. At most one batch may be outstanding per session.
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, fh: NodeId, reqs: &[IoReq]) -> DafsBatch {
-        self.begin(ctx, dir, fh, BatchReqs::Contig(reqs.to_vec()), true)
+        self.begin(ctx, dir, fh, BatchReqs::Contig(reqs.to_vec()), false)
     }
 
     /// Issue half of a split-phase vectored batch on `fh`: each request's
@@ -2108,7 +1660,7 @@ impl DafsClient {
                 "list request segments must be sorted and non-overlapping"
             );
         }
-        self.begin(ctx, dir, fh, BatchReqs::List(reqs.to_vec()), true)
+        self.begin(ctx, dir, fh, BatchReqs::List(reqs.to_vec()), false)
     }
 
     /// Re-run one contiguous range through the replayable inline path —
@@ -2197,28 +1749,132 @@ impl DafsClient {
                 };
             }
         }
-        if b.dir == BatchDir::Write {
-            // Self-coherence: drop any cached pages the batch overwrote —
-            // per request, and only once the server has acknowledged it.
-            // A request that failed keeps its pages: for the write-back
-            // flush they are the only copy of the bytes, and must stay
-            // dirty for the next flush to retry.
-            match &b.reqs {
-                BatchReqs::Contig(rs) => {
-                    for (r, _) in rs.iter().zip(&b.results).filter(|(_, res)| res.is_ok()) {
-                        self.cache_note_write(ctx, b.fh, r.off, r.len, None);
-                    }
-                }
-                BatchReqs::List(rs) => {
-                    for (r, _) in rs.iter().zip(&b.results).filter(|(_, res)| res.is_ok()) {
-                        if let (Some(first), Some(last)) = (r.segs.first(), r.segs.last()) {
-                            let span = last.0 + last.1 - first.0;
-                            self.cache_note_write(ctx, b.fh, first.0, span, None);
-                        }
-                    }
-                }
-            }
+        // Self-coherence: drop any cached pages the batch overwrote — per
+        // request, and only once the server has acknowledged it; no attr
+        // came back. (The flush is the cache's own: its driver retires what
+        // it flushed, and a failed flush keeps it — the only copy of the
+        // bytes — dirty for the next.)
+        let written = b.dir == BatchDir::Write && !b.flush;
+        let acked = (0..b.results.len()).filter(|&i| written && b.results[i].is_ok());
+        for i in acked {
+            let (off, len) = match &b.reqs {
+                BatchReqs::Contig(rs) => (rs[i].off, rs[i].len),
+                // First segment to last; an empty list wrote nothing.
+                BatchReqs::List(rs) => match (rs[i].segs.first(), rs[i].segs.last()) {
+                    (Some(first), Some(last)) => (first.0, last.0 + last.1 - first.0),
+                    _ => continue,
+                },
+            };
+            self.note_wrote(ctx, b.fh, off, len, AttrAfter::Forget);
         }
         b.results
+    }
+}
+
+/// A session and the actor running it: the I/O under the cache's driver.
+struct Live<'a>(&'a DafsClient, &'a ActorCtx);
+
+impl CacheIo for Live<'_> {
+    type Error = DafsError;
+
+    fn cache(&mut self) -> impl DerefMut<Target = PageCache> + '_ {
+        self.0.cache.lock()
+    }
+
+    fn write_back(&self) -> bool {
+        self.0.config.cache_write_back
+    }
+
+    fn count(&mut self, stat: CacheStat, n: u64) {
+        let s = &self.0.cache_stats;
+        let (field, metric) = match stat {
+            CacheStat::Hits => (&s.hits, "dafs.cache.hits"),
+            CacheStat::Misses => (&s.misses, "dafs.cache.misses"),
+            CacheStat::AttrHits => (&s.attr_hits, "dafs.cache.attr_hits"),
+            CacheStat::AttrMisses => (&s.attr_misses, "dafs.cache.attr_misses"),
+            CacheStat::Recalls => (&s.recalls, "dafs.cache.recalls"),
+            CacheStat::Invalidations => (&s.invalidations, "dafs.cache.invalidations"),
+            CacheStat::FlushBatches => (&s.flush_batches, "dafs.cache.flush_batches"),
+            CacheStat::FlushPages => (&s.flush_pages, "dafs.cache.flush_pages"),
+        };
+        field.add(n);
+        self.1.metrics().counter(metric).add(n);
+    }
+
+    fn charge_copy(&mut self, bytes: u64) {
+        let Live(c, ctx) = *self;
+        c.nic.host().compute(ctx, c.config.host.copy(bytes));
+    }
+
+    fn note_recall(&mut self, fh: u64, id: u32) {
+        let fields = [
+            ("fh", obs::Value::U64(fh)),
+            ("recall", obs::Value::U64(id as u64)),
+        ];
+        self.1.trace("dafs", "cache.recall", &fields);
+    }
+
+    /// Recall pushes land in the recv ring; each poll charges the NIC.
+    fn poll(&mut self) {
+        self.0.poll_responses(self.1).ok();
+    }
+
+    /// Through the non-replaying path: grants are session state, so
+    /// replaying one across a reconnect would resurrect a lease the server
+    /// already reclaimed.
+    fn lease_grant(&mut self, fh: u64, kind: LeaseKind) -> DafsResult<Option<FileAttr>> {
+        let mut e = Enc::new();
+        e.u64(fh).u8(kind as u8);
+        let payload = match self.0.call_once(self.1, DafsOp::LeaseGrant, &mut e) {
+            Err(DafsError::Transport(_) | DafsError::Connect(_)) => return Ok(None),
+            reply => reply?,
+        };
+        let mut d = Dec::new(&payload);
+        let granted = d.u8().map_err(|_| DafsError::Protocol)? != 0;
+        let attr = proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?;
+        Ok(granted.then_some(attr))
+    }
+
+    /// Through the replayable path: if the session dies mid-ack the replay
+    /// re-drops an already-absent lease, a no-op, so recalls racing loss
+    /// stay exactly-once.
+    fn lease_ack(&mut self, fh: u64, id: u32) -> DafsResult<()> {
+        let mut e = Enc::new();
+        e.u64(fh).u32(id);
+        self.0
+            .call(self.1, DafsOp::LeaseRecallAck, &mut e)
+            .map(|_| ())
+    }
+
+    /// One plain `read`: its span, `xfer` trace line and inline-vs-direct
+    /// choice by run length, into the shared scratch buffer.
+    fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Vec<u8>> {
+        self.0.read_to_vec(self.1, NodeId(fh), off, len)
+    }
+
+    /// The sorted dirty runs go through the scratch buffer as one vectored
+    /// `WriteList` batch — one wire request per credit-window chunk, not
+    /// one per extent. A flush interrupted by session death falls back per
+    /// segment through the replayable inline path inside `batch_finish`,
+    /// so the bytes still land exactly once.
+    fn flush(
+        &mut self,
+        fh: u64,
+        segs: Vec<proto::ListSeg>,
+        data: Vec<u8>,
+    ) -> (u64, DafsResult<()>) {
+        let Live(c, ctx) = *self;
+        let buf = c.scratch(data.len());
+        c.nic.host().mem.write(buf, &data);
+        let ops = c.ops_metric.get(ctx.metrics());
+        let before = ops.get();
+        let reqs = BatchReqs::List(vec![ListReq { segs, buf }]);
+        let b = c.begin(ctx, BatchDir::Write, NodeId(fh), reqs, true);
+        let res = c.batch_finish(ctx, b).remove(0);
+        (ops.get() - before, res.map(|_| ()))
+    }
+
+    fn getattr(&mut self, fh: u64) -> DafsResult<FileAttr> {
+        self.0.getattr(self.1, NodeId(fh))
     }
 }

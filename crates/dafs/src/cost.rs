@@ -57,16 +57,12 @@ pub struct DafsClientConfig {
     /// subsequent attempt (so the default 1 ms rides out ~250 ms of server
     /// downtime across 8 attempts).
     pub reconnect_backoff: SimDuration,
-    /// Page size of the lease-coherent client cache. The cache itself is
-    /// strictly opt-in: only the `*_cached` entry points touch it, so a
-    /// session that never calls them is byte-identical to one without it.
-    pub cache_page: u64,
-    /// Client cache capacity in pages; clean pages evict lowest-offset
-    /// first beyond this.
-    pub cache_capacity: usize,
     /// Request write-back leases for cached writes: dirty pages buffer at
     /// the client until flush, recall, or close. Off by default — cached
-    /// writes then write through under the read lease.
+    /// writes then write through. (The cache itself is strictly opt-in:
+    /// only the `*_cached` entry points touch it, so a session that never
+    /// calls them is byte-identical to one without it. Its page size is
+    /// [`crate::CACHE_PAGE`].)
     pub cache_write_back: bool,
     /// QoS tenant declaration `(tenant id, weight)` carried in the session
     /// `Hello`. `None` (default) declares nothing — the session schedules
@@ -87,8 +83,6 @@ impl Default for DafsClientConfig {
             host: HostCost::default(),
             max_reconnects: 8,
             reconnect_backoff: ms(1),
-            cache_page: 4 << 10,
-            cache_capacity: 1024,
             cache_write_back: false,
             tenant: None,
         }

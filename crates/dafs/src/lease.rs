@@ -10,6 +10,19 @@
 //! frame it arrived in and comes back when the last pending holder has
 //! acked or died, to be served again from the top: in arrival order, each
 //! frame exactly once, discarded only by the death of its own session.
+//!
+//! **What the holder pass relies on.** [`LeaseTable::gate`] lets any request
+//! from a holder through: a recalled write-back holder must still be able
+//! to flush. That is coherent for the one write-lease holder (nobody else
+//! caches) but not for a *read* holder that mutates — the other readers
+//! would never be recalled. The table cannot recall them itself without
+//! wedging two readers that write at once (each would park behind a recall
+//! the other answers only on entry to its next call), so the rule is the
+//! client's: a session that holds only a read lease hands it back before it
+//! sends a mutation (`crate::cache::past_cache`). `crate::explore` composes
+//! this table with the client's cache and checks that nothing stale is
+//! read under that rule; enforcing it against a client that does not follow
+//! it needs holders that service recalls while blocked (ROADMAP item 1).
 
 use std::collections::BTreeMap;
 
@@ -188,7 +201,7 @@ impl LeaseTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -247,11 +260,11 @@ mod tests {
             .collect()
     }
 
-    type Key = Vec<(u64, Vec<(ViId, LeaseKind)>, Option<(Vec<ViId>, Vec<ViId>)>)>;
+    pub(crate) type Key = Vec<(u64, Vec<(ViId, LeaseKind)>, Option<(Vec<ViId>, Vec<ViId>)>)>;
 
     /// The table with what cannot matter taken out: the recall id counter,
     /// and the frame tokens (their order in the list is their identity).
-    fn canonical(t: &LeaseTable) -> Key {
+    pub(crate) fn canonical(t: &LeaseTable) -> Key {
         t.files
             .iter()
             .map(|(fh, st)| {

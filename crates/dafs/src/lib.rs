@@ -19,7 +19,10 @@
 
 #![warn(missing_docs)]
 
+mod cache;
 mod client;
+#[cfg(test)]
+mod explore;
 mod lease;
 mod proto;
 mod server;
@@ -30,6 +33,7 @@ pub mod regcache;
 pub mod sched;
 pub mod striped;
 
+pub use cache::CACHE_PAGE;
 pub use client::{
     BatchDir, DafsBatch, DafsCacheStats, DafsClient, DafsClientStats, DafsError, DafsResult, IoReq,
     ListReq,
@@ -1192,5 +1196,195 @@ mod tests {
         }
         b.kernel.run();
         assert_eq!(b.fs.read(fh, 0, 4).unwrap(), vec![8u8; 4]);
+    }
+
+    fn write_back() -> DafsClientConfig {
+        DafsClientConfig {
+            cache_write_back: true,
+            ..client_config()
+        }
+    }
+
+    /// `name` on the server, holding `image`.
+    fn server_file(b: &Bed, name: &str, image: &[u8]) -> memfs::NodeId {
+        let fh = b.fs.create(ROOT_ID, name).unwrap().id;
+        b.fs.write(fh, 0, image).unwrap();
+        fh
+    }
+
+    /// The page invariant, write side: a buffered write that starts on a
+    /// page boundary and ends inside the page is a read-modify-write like
+    /// any other partial page. It used to leave a 100-byte dirty page, which
+    /// the next cached read took for missing and replaced with the server's
+    /// bytes — the write was never seen again, by this session or the file.
+    #[test]
+    fn buffered_write_inside_one_page_keeps_the_bytes_beside_it_and_itself() {
+        let b = bed();
+        let fh = server_file(&b, "rmw", &[0xAA; 4096]);
+        with_client(&b, write_back(), |ctx, c, nic| {
+            let f = c.lookup(ctx, ROOT_ID, "rmw").unwrap();
+            let mem = &nic.host().mem;
+            let (src, dst) = (mem.alloc(100), mem.alloc(4096));
+            mem.fill(src, 100, 0xBB);
+            c.write_cached(ctx, f.id, 0, src, 100).unwrap();
+            assert_eq!(c.read_cached(ctx, f.id, 0, dst, 4096).unwrap(), 4096);
+            let got = mem.read_vec(dst, 4096);
+            assert!(got[..100] == [0xBB; 100], "own write lost: {:#x}", got[0]);
+            assert!(got[100..] == [0xAA; 3996], "the bytes beside the write");
+            assert_eq!(c.cache_sync(ctx).unwrap(), 1);
+        });
+        b.kernel.run();
+        let image = b.fs.read(fh, 0, 4096).unwrap();
+        assert!(
+            image[..100] == [0xBB; 100],
+            "the write never reached the server"
+        );
+        assert!(image[100..] == [0xAA; 3996]);
+    }
+
+    /// The page invariant, read side: what lies between two buffered writes
+    /// past the old end of file is a hole, and a cached read returns it as
+    /// zeros. It used to leave that part of the caller's buffer alone.
+    #[test]
+    fn cached_read_of_a_hole_between_buffered_writes_is_zeros() {
+        let b = bed();
+        let fh = server_file(&b, "hole", &[]);
+        with_client(&b, write_back(), |ctx, c, nic| {
+            let f = c.lookup(ctx, ROOT_ID, "hole").unwrap();
+            let mem = &nic.host().mem;
+            let (src, dst) = (mem.alloc(100), mem.alloc(5100));
+            mem.fill(src, 100, 0xBB);
+            c.write_cached(ctx, f.id, 0, src, 100).unwrap();
+            c.write_cached(ctx, f.id, 5000, src, 100).unwrap();
+            mem.fill(dst, 5100, 0xEE);
+            assert_eq!(c.read_cached(ctx, f.id, 0, dst, 5100).unwrap(), 5100);
+            let got = mem.read_vec(dst, 5100);
+            assert!(got[..100] == [0xBB; 100] && got[5000..] == [0xBB; 100]);
+            assert!(
+                got[100..5000].iter().all(|&x| x == 0),
+                "the hole is not zeros"
+            );
+        });
+        b.kernel.run();
+        assert_eq!(b.fs.getattr(fh).unwrap().size, 5100);
+    }
+
+    /// Nothing mutating goes to the server past the cache: a resize, an
+    /// append and a plain write each flush the file's buffered pages first.
+    /// Each used to drop the dirty pages it touched like clean ones — the
+    /// truncated file came back as zeros, the appended record landed at
+    /// offset 0, and the 100-byte write took the other 3 996 bytes of its
+    /// page with it.
+    #[test]
+    fn truncate_append_and_plain_write_land_on_top_of_buffered_data() {
+        let b = bed();
+        let fhs = ["trunc", "app", "plain"].map(|name| server_file(&b, name, &[]));
+        with_client(&b, write_back(), |ctx, c, nic| {
+            let mem = &nic.host().mem;
+            let src = mem.alloc(8192);
+            mem.fill(src, 8192, 0xBB);
+            let open = |name: &str| c.lookup(ctx, ROOT_ID, name).unwrap().id;
+
+            let f = open("trunc");
+            c.write_cached(ctx, f, 0, src, 8192).unwrap();
+            assert_eq!(c.truncate(ctx, f, 4096).unwrap().size, 4096);
+
+            let f = open("app");
+            c.write_cached(ctx, f, 0, src, 4096).unwrap();
+            assert_eq!(c.append(ctx, f, &[0xCC; 100]).unwrap(), 4096);
+
+            let f = open("plain");
+            c.write_cached(ctx, f, 0, src, 4096).unwrap();
+            c.write_bytes(ctx, f, 0, &[0xCC; 100]).unwrap();
+
+            c.cache_sync(ctx).unwrap();
+        });
+        b.kernel.run();
+        let image = |fh| b.fs.read(fh, 0, 1 << 20).unwrap();
+        assert!(
+            image(fhs[0]) == [0xBB; 4096],
+            "truncate threw the buffer away"
+        );
+        let app = image(fhs[1]);
+        assert_eq!(
+            app.len(),
+            4196,
+            "append did not land after the buffered bytes"
+        );
+        assert!(app[..4096] == [0xBB; 4096] && app[4096..] == [0xCC; 100]);
+        let plain = image(fhs[2]);
+        assert_eq!(plain.len(), 4096, "the rest of the dirty page is gone");
+        assert!(plain[..100] == [0xCC; 100] && plain[100..] == [0xBB; 3996]);
+    }
+
+    /// Two sessions that `read_cached` page 0 of `name` (so both hold a read
+    /// lease), then run `then` with `(ctx, client, fh, index, buffer)`.
+    fn two_readers(
+        b: &Bed,
+        name: &'static str,
+        then: impl Fn(&simnet::ActorCtx, &DafsClient, memfs::NodeId, usize, VirtAddr)
+            + Clone
+            + Send
+            + 'static,
+    ) {
+        for i in 0..2 {
+            let fabric = b.fabric.clone();
+            let nic = fabric.open_nic(b.cluster.add_host(&format!("reader{i}")));
+            let sid = b.server.host.id;
+            let then = then.clone();
+            b.kernel.spawn(&format!("reader{i}"), move |ctx| {
+                let c =
+                    DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
+                let f = c.lookup(ctx, ROOT_ID, name).unwrap();
+                let buf = nic.host().mem.alloc(4096);
+                assert_eq!(c.read_cached(ctx, f.id, 0, buf, 4096).unwrap(), 4096);
+                assert_eq!(nic.host().mem.read_vec(buf, 4096), vec![0xAA; 4096]);
+                then(ctx, &c, f.id, i, buf);
+                c.disconnect(ctx);
+            });
+        }
+    }
+
+    /// A read-lease holder hands its lease back before it writes, so the
+    /// server recalls the other readers like for any writer. The server
+    /// lets a holder's own requests through, so the write used to go past
+    /// reader 1, which served the old page for ever (leases have no term).
+    #[test]
+    fn a_reader_that_writes_is_a_writer_to_the_other_readers() {
+        let b = bed();
+        let fh = server_file(&b, "two", &[0xAA; 4096]);
+        two_readers(&b, "two", |ctx, c, f, i, buf| {
+            let mem = &c.nic().host().mem;
+            if i == 0 {
+                ctx.advance(ms(2));
+                mem.fill(buf, 4096, 0xBB);
+                c.write_cached(ctx, f, 0, buf, 4096).unwrap();
+            } else {
+                ctx.advance(ms(10));
+                assert_eq!(c.read_cached(ctx, f, 0, buf, 4096).unwrap(), 4096);
+                let got = mem.read_vec(buf, 4096);
+                assert!(got == [0xBB; 4096], "stale: {:#x}", got[0]);
+                assert_eq!(c.cache_stats.recalls.get(), 1);
+            }
+        });
+        b.kernel.run();
+        assert_eq!(b.fs.read(fh, 0, 4096).unwrap(), vec![0xBB; 4096]);
+    }
+
+    /// Two read holders that write at the same moment both finish: each
+    /// hand-back completes whatever recall waits on the releaser, so
+    /// neither write can park behind a holder that is itself parked.
+    #[test]
+    fn two_read_holders_writing_at_once_both_finish() {
+        let b = bed();
+        let fh = server_file(&b, "both", &[0xAA; 4096]);
+        two_readers(&b, "both", |ctx, c, f, i, buf| {
+            ctx.advance(ms(2));
+            c.nic().host().mem.fill(buf, 2048, 0xB0 + i as u8);
+            c.write_cached(ctx, f, 2048 * i as u64, buf, 2048).unwrap();
+        });
+        b.kernel.run();
+        let image = b.fs.read(fh, 0, 4096).unwrap();
+        assert!(image[..2048] == [0xB0; 2048] && image[2048..] == [0xB1; 2048]);
     }
 }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use memfs::NodeId;
 use simnet::{ActorCtx, VirtAddr};
 
-use crate::client::{BatchDir, DafsBatch, DafsClient, DafsResult, IoReq, ListReq};
+use crate::client::{BatchDir, DafsBatch, DafsClient, DafsResult, IoReq, ListReq, OUT_OF_RANGE};
 use crate::proto::ListSeg;
 
 /// One contiguous fragment of a logical range on one server.
@@ -45,7 +45,9 @@ struct Piece {
 /// Decompose the contiguous logical range `[off, off+len)` over `n`
 /// servers with `stripe`-byte blocks, in stream order. Adjacent fragments
 /// that stay on one server with contiguous local and buffer offsets are
-/// merged, so a single-server layout yields exactly one piece.
+/// merged, so a single-server layout yields exactly one piece. `off + len`
+/// must not pass `u64::MAX`: the three entry points of [`DafsStripedFile`]
+/// refuse such a range before they get here.
 fn split_range(n: u64, stripe: u64, off: u64, len: u64) -> Vec<Piece> {
     let mut out: Vec<Piece> = Vec::new();
     let mut cur = off;
@@ -128,6 +130,9 @@ pub struct DafsStripedBatch {
     /// len, first piece of its request)` — what the finish half needs for
     /// the stream-order count. Empty for list batches.
     pieces: Vec<(usize, u64, bool)>,
+    /// A range ran past the last offset: nothing was sent, and the finish
+    /// half reports it.
+    out_of_range: bool,
 }
 
 impl DafsStripedBatch {
@@ -220,6 +225,7 @@ impl DafsStripedFile {
         addr: VirtAddr,
         len: u64,
     ) -> DafsResult<u64> {
+        off.checked_add(len).ok_or(OUT_OF_RANGE)?;
         let pieces = self.split(off, len);
         if !self.cached && pieces.len() > 1 {
             let b = self.issue(ctx, dir, &[IoReq { off, addr, len }]);
@@ -273,6 +279,9 @@ impl DafsStripedFile {
     /// outstanding per file. Batches go to the wire past the page cache
     /// (each session drains its dirty pages for the file first).
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> DafsStripedBatch {
+        if reqs.iter().any(|r| r.off.checked_add(r.len).is_none()) {
+            return self.out_of_range();
+        }
         let mut per: Vec<Vec<IoReq>> = vec![Vec::new(); self.clients.len()];
         let mut pieces = Vec::new();
         for r in reqs {
@@ -292,7 +301,20 @@ impl DafsStripedFile {
                 (!rs.is_empty()).then(|| self.clients[s].issue(ctx, dir, self.fhs[s], &rs))
             })
             .collect();
-        DafsStripedBatch { per_server, pieces }
+        DafsStripedBatch {
+            per_server,
+            pieces,
+            out_of_range: false,
+        }
+    }
+
+    /// The batch of a request whose range passes the last offset.
+    fn out_of_range(&self) -> DafsStripedBatch {
+        DafsStripedBatch {
+            per_server: self.clients.iter().map(|_| None).collect(),
+            pieces: Vec::new(),
+            out_of_range: true,
+        }
     }
 
     /// Issue a batch of vectored transfers: each request is a sorted
@@ -301,6 +323,10 @@ impl DafsStripedFile {
     /// (stripe fragments merged where contiguous), and every server's
     /// credit window fills before any completion is awaited.
     pub fn issue_list(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[ListReq]) -> DafsStripedBatch {
+        let mut segs = reqs.iter().flat_map(|r| &r.segs);
+        if segs.any(|s| s.0.checked_add(s.1).is_none()) {
+            return self.out_of_range();
+        }
         let mut per: Vec<Vec<ListReq>> = vec![Vec::new(); self.clients.len()];
         for r in reqs {
             for (s, segs) in self.split_list(&r.segs).into_iter().enumerate() {
@@ -319,6 +345,7 @@ impl DafsStripedFile {
         DafsStripedBatch {
             per_server,
             pieces: Vec::new(),
+            out_of_range: false,
         }
     }
 
@@ -347,6 +374,9 @@ impl DafsStripedFile {
     /// other servers returned. A list batch counts every byte that landed
     /// (at the logical EOF, the missing tail simply doesn't).
     pub fn batch_finish(&self, ctx: &ActorCtx, b: DafsStripedBatch) -> DafsResult<u64> {
+        if b.out_of_range {
+            return Err(OUT_OF_RANGE);
+        }
         let mut first_err = None;
         let mut per: Vec<std::vec::IntoIter<u64>> = Vec::with_capacity(b.per_server.len());
         for (s, ob) in b.per_server.into_iter().enumerate() {

@@ -7,6 +7,16 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> the two lease state machines stay pure"
+# The server's lease table, the client's page cache and the explorer that
+# composes them name no kernel, NIC, simulated memory, metric or trace —
+# tests included: both explorers run without a SimKernel.
+if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.compute\(' \
+    crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs; then
+    echo "ci: I/O in a pure module (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -196,23 +196,46 @@ fn every_driver_carries_every_transfer_shape() {
 }
 
 /// A write whose `off + len` passes `u64::MAX` comes back as an I/O error
-/// — it used to kill the NFS server's actor (or, on UFS, the rank) in a
-/// debug build and wrap onto the head of the file in a release build — and
-/// the file is intact and usable through the same handle afterwards. The
-/// DAFS server's half of this is `dafs`'s own wire-level test: through ADIO
-/// the DAFS driver's stripe arithmetic meets the range first.
+/// on every backend — it used to kill the NFS server's actor (or, on UFS
+/// and through the DAFS driver's stripe arithmetic, the rank) in a debug
+/// build, and in a release build wrap onto the head of the file or, on
+/// DAFS, into an empty piece list that reported success — and the file is
+/// intact and usable through the same handle afterwards. DAFS is driven
+/// over one session and two, with the `dafs_cache` hint off and on. The
+/// DAFS server's half of this is `dafs`'s own wire-level test.
 #[test]
-fn nfs_and_ufs_refuse_a_write_past_the_last_offset() {
-    for (name, backend) in [("nfs", Backend::nfs()), ("ufs", Backend::ufs())] {
+fn every_backend_refuses_a_write_past_the_last_offset() {
+    let cases = [
+        ("nfs", Backend::nfs(), None),
+        ("ufs", Backend::ufs(), None),
+        ("dafs", Backend::dafs(), None),
+        ("dafs cached", Backend::dafs(), Some("enable")),
+        ("dafs x2", Backend::dafs_striped(2), None),
+        ("dafs x2 cached", Backend::dafs_striped(2), Some("enable")),
+    ];
+    for (name, backend, cache) in cases {
         Testbed::new(backend).run(1, move |ctx, comm, adio| {
             let mem = &comm.host().mem;
-            let f = adio.open(ctx, "/edge", true).unwrap();
+            let mut hints = Hints::default();
+            if let Some(v) = cache {
+                hints.set("dafs_cache", v);
+            }
+            let f = adio.open_with_hints(ctx, "/edge", true, &hints).unwrap();
             let buf = mem.alloc(64);
             mem.fill(buf, 16, 0xAB);
             f.write_contig(ctx, 0, buf, 16).unwrap();
             mem.fill(buf, 16, 0xCD);
             let r = f.write_contig(ctx, u64::MAX - 1, buf, 4);
             assert!(matches!(r, Err(AdioError::Io(_))), "{name}: {r:?}");
+            let reqs = [IoReq {
+                off: u64::MAX - 1,
+                addr: buf,
+                len: 4,
+            }];
+            for shape in [Shape::Batch, Shape::List] {
+                let r = f.transfer(ctx, BatchDir::Write, shape, &reqs);
+                assert!(r.is_err(), "{name} {shape:?}: {r:?}");
+            }
             assert_eq!(f.get_size(ctx), Ok(16), "{name}");
             assert_eq!(f.read_contig(ctx, 0, buf, 64), Ok(16), "{name}");
             assert!(
