@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot code paths (real wall-clock performance of
-//! the library itself, as opposed to the virtual-time experiments in the
-//! `experiments` bench target).
+//! the library itself, as opposed to the virtual-time experiments the
+//! `bench` binary runs).
 //!
 //! Plain `harness = false` timing loops (the build environment carries no
 //! external bench framework): each case runs a warmup, then reports the

@@ -27,15 +27,6 @@ use simnet::{Port, SimKernel};
 
 use crate::report::Table;
 
-/// Full-size ping-pong round count.
-const PP_ROUNDS: u64 = 200_000;
-/// Full-size fan-in shape: senders × messages-per-sender.
-const FI_SENDERS: usize = 64;
-const FI_PER: u64 = 2_000;
-/// Full-size burst shape: actors × lockstep ticks.
-const BU_ACTORS: usize = 256;
-const BU_ROUNDS: u64 = 1_000;
-
 /// One workload's wall-clock measurement.
 pub struct SpeedRun {
     /// Deterministic workload label.
@@ -139,19 +130,14 @@ pub fn burst(actors: usize, rounds: u64) -> SpeedRun {
     timed_run(kernel, format!("burst ({actors} actors x {rounds} ticks)"))
 }
 
-/// Measure every workload shape at the given sizes.
-pub fn measure(
-    pp_rounds: u64,
-    fi_senders: usize,
-    fi_per: u64,
-    bu_actors: usize,
-    bu_rounds: u64,
-) -> Vec<SpeedRun> {
-    vec![
-        ping_pong(pp_rounds),
-        fan_in(fi_senders, fi_per),
-        burst(bu_actors, bu_rounds),
-    ]
+/// Measure every workload shape, at full size or at the seconds-scale
+/// size CI runs.
+pub fn measure(smoke: bool) -> Vec<SpeedRun> {
+    if smoke {
+        vec![ping_pong(20_000), fan_in(16, 500), burst(64, 250)]
+    } else {
+        vec![ping_pong(200_000), fan_in(64, 2_000), burst(256, 1_000)]
+    }
 }
 
 /// Render measurements: deterministic labels as rows, every wall-clock
@@ -179,14 +165,23 @@ pub fn table_from(runs: &[SpeedRun]) -> Table {
 
 /// The full-size experiment table.
 pub fn run() -> Table {
-    table_from(&measure(
-        PP_ROUNDS, FI_SENDERS, FI_PER, BU_ACTORS, BU_ROUNDS,
-    ))
+    table_from(&measure(false))
 }
 
-/// A seconds-scale version for CI smoke runs.
-pub fn run_smoke() -> Vec<SpeedRun> {
-    measure(20_000, 16, 500, 64, 250)
+/// The CI regression gate against the simulator itself getting slow:
+/// `Err` names the first workload that dispatched fewer than `floor`
+/// events per wall-clock second.
+pub(crate) fn check_floor(runs: &[SpeedRun], floor: f64) -> Result<String, String> {
+    for r in runs {
+        let eps = r.events_per_sec();
+        if eps < floor {
+            return Err(format!(
+                "FLOOR VIOLATION: {} ran at {eps:.0} events/s < floor {floor:.0}",
+                r.label
+            ));
+        }
+    }
+    Ok(format!("floor ok: all workloads >= {floor:.0} events/s"))
 }
 
 #[cfg(test)]

@@ -452,8 +452,10 @@ pub(crate) fn dropped(s: &mut impl CacheIo, n: u64) {
 /// (It cannot recall them itself: two readers writing at once would each
 /// park behind a recall the other answers only on entry to its next call. A
 /// release completes any recall waiting on the releaser, so this cannot
-/// wedge.) Only the flush itself is exempt. With nothing cached: two
-/// lookups, no clock, wire, metric or trace.
+/// wedge.) Only the driver's own requests are exempt — the flush, and the
+/// fetches and GETATTR behind a trait call, which would otherwise flush the
+/// file they pre-fault. With nothing cached: two lookups, no clock, wire,
+/// metric or trace.
 pub(crate) fn past_cache<S: CacheIo>(s: &mut S, fh: u64, mutating: bool) -> Result<(), S::Error> {
     flush_file(s, fh)?;
     if mutating && matches!(s.cache().held(fh), Some((LeaseKind::Read, _))) {

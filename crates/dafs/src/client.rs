@@ -17,10 +17,11 @@
 //! supplies what that driver may not do itself (`Live`, at the end: the
 //! wire requests, the clock charges, the counters, the trace line) and the
 //! public entry points. One rule ties the two paths together —
-//! `cache::past_cache`, called by `write`, `truncate`, `append` and every
-//! batch: before a request goes to the server past the cache the file's
-//! dirty pages are flushed, and before a mutating one a holder of only a
-//! read lease hands it back.
+//! `cache::past_cache`, called by `read`, `getattr`, `write`, `truncate`,
+//! `append` and every batch: before a request goes to the server past the
+//! cache the file's dirty pages are flushed, and before a mutating one a
+//! holder of only a read lease hands it back. The driver's own requests
+//! (`read_wire`, `getattr_wire`, the flush batch) are the exempt ones.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::DerefMut;
@@ -314,6 +315,9 @@ fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     }
 }
 
+/// One `SLOT`-byte message buffer of a session ring and its registration.
+type Slot = (VirtAddr, MemHandle);
+
 /// A DAFS session.
 ///
 /// The session survives transport failures: when the VI breaks, operations
@@ -334,9 +338,9 @@ pub struct DafsClient {
     /// session (fabric-scoped, so identical runs get identical ids).
     client_id: u64,
     reqid: AtomicU32,
-    req_ring: Mutex<Vec<(VirtAddr, MemHandle)>>,
+    req_ring: Mutex<Vec<Slot>>,
     req_next: Mutex<usize>,
-    recv_ring: Mutex<VecDeque<(VirtAddr, MemHandle)>>,
+    recv_ring: Mutex<VecDeque<Slot>>,
     regcache: RegCache,
     pending: Mutex<HashMap<u32, Bytes>>,
     scratch: Mutex<Option<(VirtAddr, usize)>>,
@@ -362,26 +366,10 @@ impl DafsClient {
         let vi = fabric
             .connect(ctx, nic, server, port, ViAttributes::default())
             .map_err(DafsError::Connect)?;
-        let tag = vi.ptag();
-        let mut req_ring = Vec::new();
-        let mut recv_ring = VecDeque::new();
-        for _ in 0..config.credits {
-            let buf = nic.host().mem.alloc(SLOT as usize);
-            let h = nic.register_mem(ctx, buf, SLOT, MemAttributes::local(tag));
-            req_ring.push((buf, h));
-        }
-        for _ in 0..config.credits {
-            let buf = nic.host().mem.alloc(SLOT as usize);
-            let h = nic.register_mem(ctx, buf, SLOT, MemAttributes::local(tag));
-            vi.post_recv(
-                ctx,
-                RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
-            );
-            recv_ring.push_back((buf, h));
-        }
+        let (req_ring, recv_ring) = Self::post_rings(ctx, nic, &vi, config.credits);
         let regcache = RegCache::new(
             nic.clone(),
-            tag,
+            vi.ptag(),
             rw_attrs,
             config.regcache_capacity,
             config.use_regcache,
@@ -465,6 +453,34 @@ impl DafsClient {
             ],
         );
         Ok(client)
+    }
+
+    /// One session's two rings of `credits` slots each, allocated and
+    /// registered under `vi`'s protection tag: the request ring, then the
+    /// receive ring, every slot of it posted on `vi`.
+    fn post_rings(
+        ctx: &ActorCtx,
+        nic: &ViaNic,
+        vi: &Vi,
+        credits: u32,
+    ) -> (Vec<Slot>, VecDeque<Slot>) {
+        let slot = || {
+            let buf = nic.host().mem.alloc(SLOT as usize);
+            let attrs = MemAttributes::local(vi.ptag());
+            (buf, nic.register_mem(ctx, buf, SLOT, attrs))
+        };
+        let req_ring = (0..credits).map(|_| slot()).collect();
+        let recv_ring = (0..credits)
+            .map(|_| {
+                let (buf, h) = slot();
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
+                );
+                (buf, h)
+            })
+            .collect();
+        (req_ring, recv_ring)
     }
 
     /// Encode a `Hello` body: the stable client id plus the optional QoS
@@ -747,7 +763,6 @@ impl DafsClient {
                 ViAttributes::default(),
             )
             .map_err(DafsError::Connect)?;
-        let tag = vi.ptag();
         // Responses from the dead session can never arrive.
         self.pending.lock().clear();
         // Revalidate-on-reconnect: the server reclaimed our leases the
@@ -758,40 +773,19 @@ impl DafsClient {
         // them exactly-once even if this session dies too).
         let dropped = self.cache.lock().session_lost();
         cache::dropped(&mut Live(self, ctx), dropped);
-        // Ring registrations were made under the old protection tag;
-        // re-register fresh buffers under the new one.
-        {
-            let mut ring = self.req_ring.lock();
-            for (_, h) in ring.drain(..) {
-                let _ = self.nic.deregister_mem(ctx, h);
-            }
-            for _ in 0..self.config.credits {
-                let buf = self.nic.host().mem.alloc(SLOT as usize);
-                let h = self
-                    .nic
-                    .register_mem(ctx, buf, SLOT, MemAttributes::local(tag));
-                ring.push((buf, h));
-            }
+        // Ring registrations were made under the old protection tag: the
+        // old slots go, fresh ones are registered under the new one.
+        let old_req = std::mem::take(&mut *self.req_ring.lock());
+        let old_recv = std::mem::take(&mut *self.recv_ring.lock());
+        for (buf, h) in old_req.into_iter().chain(old_recv) {
+            let _ = self.nic.deregister_mem(ctx, h);
+            self.nic.host().mem.free(buf);
         }
+        let (req_ring, recv_ring) = Self::post_rings(ctx, &self.nic, &vi, self.config.credits);
+        *self.req_ring.lock() = req_ring;
         *self.req_next.lock() = 0;
-        {
-            let mut ring = self.recv_ring.lock();
-            for (_, h) in ring.drain(..) {
-                let _ = self.nic.deregister_mem(ctx, h);
-            }
-            for _ in 0..self.config.credits {
-                let buf = self.nic.host().mem.alloc(SLOT as usize);
-                let h = self
-                    .nic
-                    .register_mem(ctx, buf, SLOT, MemAttributes::local(tag));
-                vi.post_recv(
-                    ctx,
-                    RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
-                );
-                ring.push_back((buf, h));
-            }
-        }
-        self.regcache.retarget(ctx, tag);
+        *self.recv_ring.lock() = recv_ring;
+        self.regcache.retarget(ctx, vi.ptag());
         *self.vi.lock() = vi;
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
@@ -810,6 +804,13 @@ impl DafsClient {
 
     /// Fetch attributes.
     pub fn getattr(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
+        self.past_cache(ctx, fh, false)?;
+        self.getattr_wire(ctx, fh)
+    }
+
+    /// The GETATTR itself, for callers already past the cache: the cache's
+    /// driver and the tail of a `write`.
+    fn getattr_wire(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
         let mut e = Enc::new();
         e.u64(fh.0);
         self.call_attr(ctx, DafsOp::GetAttr, &mut e)
@@ -985,8 +986,8 @@ impl DafsClient {
     }
 
     /// [`cache::past_cache`]: flush `fh`, and before a `mutating` request
-    /// hand a read lease back — what `write`, `truncate`, `append` and
-    /// every batch do first.
+    /// hand a read lease back — what every public entry point that sends
+    /// `fh` to the server, and every batch, does first.
     fn past_cache(&self, ctx: &ActorCtx, fh: NodeId, mutating: bool) -> DafsResult<()> {
         cache::past_cache(&mut Live(self, ctx), fh.0, mutating)
     }
@@ -1013,7 +1014,7 @@ impl DafsClient {
         let end = off.checked_add(len).ok_or(OUT_OF_RANGE)?;
         let mem = &self.nic.host().mem;
         let sink = |rel, bytes: &[u8]| mem.write(dst.offset(rel), bytes);
-        let through = |_: &mut Live| self.read(ctx, fh, off, dst, len);
+        let through = |_: &mut Live| self.read_wire(ctx, fh, off, dst, len);
         cache::read_cached(&mut Live(self, ctx), fh.0, (off, end), sink, through)
     }
 
@@ -1059,6 +1060,21 @@ impl DafsClient {
     /// Read `len` bytes at `off` into the user buffer `dst`.
     /// Returns bytes actually read (short at EOF).
     pub fn read(
+        &self,
+        ctx: &ActorCtx,
+        fh: NodeId,
+        off: u64,
+        dst: VirtAddr,
+        len: u64,
+    ) -> DafsResult<u64> {
+        self.past_cache(ctx, fh, false)?;
+        self.read_wire(ctx, fh, off, dst, len)
+    }
+
+    /// The read itself — its span, `xfer` trace line and inline-vs-direct
+    /// choice by length — for the cache's driver, whose own fetches must not
+    /// flush the file they pre-fault.
+    fn read_wire(
         &self,
         ctx: &ActorCtx,
         fh: NodeId,
@@ -1189,7 +1205,7 @@ impl DafsClient {
                 Err(DafsError::Transport(_) | DafsError::Connect(_)) => {
                     ctx.metrics().counter("dafs.direct_fallbacks").inc();
                     self.write_inline_chunks(ctx, fh, off, src, len)?;
-                    let a = self.getattr(ctx, fh)?;
+                    let a = self.getattr_wire(ctx, fh)?;
                     self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
                     return Ok(a);
                 }
@@ -1222,7 +1238,7 @@ impl DafsClient {
         };
         let b = self.issue(ctx, BatchDir::Write, fh, &[req]);
         self.batch_finish(ctx, b).remove(0)?;
-        self.getattr(ctx, fh)
+        self.getattr_wire(ctx, fh)
     }
 
     /// Convenience: read into a fresh vector (stages through an internal
@@ -1234,9 +1250,9 @@ impl DafsClient {
         off: u64,
         len: u64,
     ) -> DafsResult<Vec<u8>> {
-        let dst = self.scratch(len as usize);
-        let n = self.read(ctx, fh, off, dst, len)?;
-        Ok(self.nic.host().mem.read_vec(dst, n as usize))
+        // A flush stages through the same scratch buffer: first.
+        self.past_cache(ctx, fh, false)?;
+        Live(self, ctx).fetch(fh.0, (off, len))
     }
 
     /// Convenience: write from a byte slice.
@@ -1846,10 +1862,12 @@ impl CacheIo for Live<'_> {
             .map(|_| ())
     }
 
-    /// One plain `read`: its span, `xfer` trace line and inline-vs-direct
-    /// choice by run length, into the shared scratch buffer.
+    /// One [`DafsClient::read_wire`] into the shared scratch buffer.
     fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Vec<u8>> {
-        self.0.read_to_vec(self.1, NodeId(fh), off, len)
+        let Live(c, ctx) = *self;
+        let dst = c.scratch(len as usize);
+        let n = c.read_wire(ctx, NodeId(fh), off, dst, len)?;
+        Ok(c.nic.host().mem.read_vec(dst, n as usize))
     }
 
     /// The sorted dirty runs go through the scratch buffer as one vectored
@@ -1875,6 +1893,6 @@ impl CacheIo for Live<'_> {
     }
 
     fn getattr(&mut self, fh: u64) -> DafsResult<FileAttr> {
-        self.0.getattr(self.1, NodeId(fh))
+        self.0.getattr_wire(self.1, NodeId(fh))
     }
 }

@@ -733,6 +733,30 @@ mod tests {
         assert!(t > 400_000, "waiter must be granted after the crash: {t}");
     }
 
+    /// A reconnect frees the ring buffers it replaces: however many times
+    /// the session is re-established, the client holds two rings of slots.
+    /// It used to deregister the old slots and keep them allocated:
+    /// 2 x credits x `SLOT` = 1 056 KiB more per reconnect at defaults.
+    #[test]
+    fn reconnects_do_not_accumulate_ring_buffers() {
+        let b = bed();
+        b.fs.create(ROOT_ID, "f").unwrap();
+        with_client(&b, client_config(), |ctx, c, nic| {
+            let f = c.lookup(ctx, ROOT_ID, "f").unwrap().id;
+            let held_after_reconnect = |_| {
+                c.abort(ctx);
+                c.getattr(ctx, f).unwrap();
+                nic.host().mem.allocated_bytes()
+            };
+            let held: Vec<u64> = (0..5).map(held_after_reconnect).collect();
+            assert_eq!(held[0], held[4], "held after each reconnect: {held:?}");
+        });
+        let obs = b.kernel.obs().clone();
+        let end = b.kernel.run();
+        let snap = obs.snapshot(end.as_nanos());
+        assert_eq!(snap.get("dafs.reconnects").map(|e| e.value()), Some(5));
+    }
+
     #[test]
     fn list_read_inline_scatters_segments() {
         let b = bed();
@@ -1315,6 +1339,41 @@ mod tests {
         let plain = image(fhs[2]);
         assert_eq!(plain.len(), 4096, "the rest of the dirty page is gone");
         assert!(plain[..100] == [0xCC; 100] && plain[100..] == [0xBB; 3996]);
+    }
+
+    /// Nothing that reads goes to the server past the cache either: a plain
+    /// read, `read_to_vec` and `getattr` flush the file's buffered pages
+    /// first. Each used to answer from the server's copy — old bytes, and a
+    /// size 4 004 short of what the session had written.
+    #[test]
+    fn plain_read_and_getattr_see_buffered_data() {
+        let b = bed();
+        for name in ["rd", "attr", "vec"] {
+            server_file(&b, name, &[0xAA; 4096]);
+        }
+        with_client(&b, write_back(), |ctx, c, nic| {
+            let mem = &nic.host().mem;
+            let (src, dst) = (mem.alloc(100), mem.alloc(4096));
+            mem.fill(src, 100, 0xBB);
+            let buffered = |name: &str| {
+                let f = c.lookup(ctx, ROOT_ID, name).unwrap().id;
+                c.write_cached(ctx, f, 0, src, 100).unwrap();
+                c.write_cached(ctx, f, 8000, src, 100).unwrap();
+                f
+            };
+
+            let f = buffered("rd");
+            assert_eq!(c.read(ctx, f, 0, dst, 4096).unwrap(), 4096);
+            assert_eq!(mem.read_vec(dst, 1)[0], 0xBB, "plain read is stale");
+
+            let f = buffered("attr");
+            assert_eq!(c.getattr(ctx, f).unwrap().size, 8100, "getattr is stale");
+
+            let f = buffered("vec");
+            let got = c.read_to_vec(ctx, f, 0, 100).unwrap();
+            assert!(got == [0xBB; 100], "read_to_vec is stale: {:#x}", got[0]);
+        });
+        b.kernel.run();
     }
 
     /// Two sessions that `read_cached` page 0 of `name` (so both hold a read

@@ -8,7 +8,6 @@
 //! implies). Memory buffers are contiguous simulated-memory ranges — the
 //! common case; noncontiguity lives on the *file* side via the view.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -147,7 +146,6 @@ pub struct MpiFile {
     /// Individual file pointer, in etypes.
     fp: Mutex<u64>,
     hints: Hints,
-    atomic: AtomicBool,
 }
 
 impl MpiFile {
@@ -177,7 +175,6 @@ impl MpiFile {
             view: Mutex::new(FileView::contiguous()),
             fp: Mutex::new(0),
             hints,
-            atomic: AtomicBool::new(false),
         })
     }
 
@@ -236,16 +233,6 @@ impl MpiFile {
     ) -> Vec<(u64, u64)> {
         let view = self.view.lock();
         view.map(offset_etypes * view.etype_size() + offset_bytes, nbytes)
-    }
-
-    /// `MPI_File_set_atomicity`.
-    pub fn set_atomicity(&self, on: bool) {
-        self.atomic.store(on, Ordering::Relaxed);
-    }
-
-    /// Current atomicity mode.
-    pub fn atomicity(&self) -> bool {
-        self.atomic.load(Ordering::Relaxed)
     }
 
     /// File size in bytes (`MPI_File_get_size`).

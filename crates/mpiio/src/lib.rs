@@ -14,7 +14,7 @@
 //!   flattening and logical→physical translation all I/O goes through.
 //! * `file` — `MPI_File`: independent I/O (explicit offset, individual
 //!   and shared file pointers), data sieving for noncontiguous access,
-//!   nonblocking requests, sync/atomicity.
+//!   nonblocking requests, sync.
 //! * [`collective`] — two-phase collective I/O with configurable
 //!   aggregators and collective-buffer sweeps.
 //! * [`adio`] — the driver interface + DAFS/NFS/UFS drivers.
@@ -51,7 +51,9 @@ pub use world::{Backend, JobReport, Testbed};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::SimDuration;
+    use std::sync::Arc;
 
     /// Write a rank-striped file collectively on `backend`, read it back
     /// independently, verify every byte on the server.
@@ -285,11 +287,15 @@ mod tests {
 
     #[test]
     fn shared_pointer_partitions_stream_dafs() {
-        // 4 ranks each write_shared 3 chunks; the 12 chunks must tile the
-        // file without gaps or overlaps.
+        // 4 ranks each write_shared 3 chunks, every chunk its own fill; the
+        // 12 chunks must tile the file without gaps or overlaps. Then the
+        // pointer goes back to 0 and each rank read_shared-s 3 chunks: the
+        // 12 reads must tile the file the same way.
         let tb = Testbed::new(Backend::dafs());
         let fs = tb.fs.clone();
         const CHUNK: usize = 1 << 10;
+        let read_back = Arc::new(Mutex::new(Vec::new()));
+        let seen = read_back.clone();
         tb.run(4, move |ctx, comm, adio| {
             let host = comm.host().clone();
             let f = MpiFile::open(
@@ -301,23 +307,39 @@ mod tests {
                 Hints::default(),
             )
             .unwrap();
-            let src = host.mem.alloc(CHUNK);
-            host.mem.fill(src, CHUNK, comm.rank() as u8 + 1);
-            for _ in 0..3 {
-                f.write_shared(ctx, src, CHUNK as u64).unwrap();
+            let buf = host.mem.alloc(CHUNK);
+            for i in 0..3 {
+                host.mem.fill(buf, CHUNK, (comm.rank() * 3 + i) as u8 + 1);
+                f.write_shared(ctx, buf, CHUNK as u64).unwrap();
             }
             comm.barrier(ctx);
+            if comm.rank() == 0 {
+                f.seek_shared(ctx, 0).unwrap();
+            }
+            comm.barrier(ctx);
+            for _ in 0..3 {
+                assert_eq!(f.read_shared(ctx, buf, CHUNK as u64), Ok(CHUNK as u64));
+                seen.lock().push(host.mem.read_vec(buf, CHUNK));
+            }
         });
         let attr = fs.resolve("/shared").unwrap();
         assert_eq!(attr.size, (12 * CHUNK) as u64);
-        // Each chunk is uniformly one rank's fill; count 3 chunks per rank.
-        let mut counts = [0usize; 5];
-        for k in 0..12 {
-            let b = fs.read(attr.id, (k * CHUNK) as u64, CHUNK as u64).unwrap();
-            assert!(b.iter().all(|&x| x == b[0]), "chunk {k} torn");
-            counts[b[0] as usize] += 1;
-        }
-        assert_eq!(&counts[1..], &[3, 3, 3, 3]);
+        // Each chunk is uniformly one write's fill, and every fill is there.
+        let fills = |chunks: &mut dyn Iterator<Item = Vec<u8>>| {
+            let mut fills: Vec<u8> = chunks
+                .map(|b| {
+                    assert!(b.iter().all(|&x| x == b[0]), "chunk of {} torn", b[0]);
+                    b[0]
+                })
+                .collect();
+            fills.sort_unstable();
+            fills
+        };
+        let all: Vec<u8> = (1..=12).collect();
+        let stored =
+            &mut (0..12).map(|k| fs.read(attr.id, (k * CHUNK) as u64, CHUNK as u64).unwrap());
+        assert_eq!(fills(stored), all);
+        assert_eq!(fills(&mut read_back.lock().drain(..)), all, "read_shared");
     }
 
     #[test]

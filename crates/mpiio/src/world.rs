@@ -138,14 +138,6 @@ impl WallStats {
         }
         self.sim_events as f64 / self.elapsed.as_secs_f64()
     }
-
-    /// MiB of buffered payload materialized per wall-clock second.
-    pub fn mib_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.bytes_buffered as f64 / (1 << 20) as f64 / self.elapsed.as_secs_f64()
-    }
 }
 
 /// Post-run accounting.

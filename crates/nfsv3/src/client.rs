@@ -408,11 +408,6 @@ impl NfsClient {
             .insert(a.id.0, (a, ctx.now() + self.config.retry.base_timeout));
     }
 
-    /// Drop a cached attribute entry (close-to-open consistency point).
-    pub fn invalidate_attr(&self, fh: NodeId) {
-        self.attr_cache.lock().remove(&fh.0);
-    }
-
     /// NULL ping.
     pub fn null(&self, ctx: &ActorCtx) -> NfsResult<()> {
         self.call(ctx, NfsProc::Null, XdrEnc::new()).map(|_| ())

@@ -21,9 +21,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct VirtAddr(pub u64);
 
 impl VirtAddr {
-    /// The null address (never mapped).
-    pub const NULL: VirtAddr = VirtAddr(0);
-
     #[inline]
     /// Address `delta` bytes past this one.
     pub fn offset(self, delta: u64) -> VirtAddr {
@@ -257,12 +254,6 @@ impl Host {
             ],
         );
         ctx.advance(d);
-    }
-
-    /// Charge CPU time without blocking the caller (for costs that overlap
-    /// with a subsequent sleep, e.g. interrupt handling on another flow).
-    pub fn charge_cpu(&self, d: SimDuration) {
-        self.cpu.add(d);
     }
 }
 

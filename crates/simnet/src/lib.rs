@@ -46,7 +46,6 @@
 
 mod coro;
 mod kernel;
-mod link;
 mod port;
 mod resource;
 mod stats;
@@ -67,7 +66,6 @@ pub use buf::{BufPool, Bytes, Rope};
 pub use fault::{DropCause, FaultPlan, FaultPlanBuilder};
 pub use host::{Cluster, CpuMeter, Host, HostId, HostMem, Stopwatch, VirtAddr};
 pub use kernel::{events_scheduled_global, ActorCtx, ActorId, SimKernel, Span};
-pub use link::Link;
 pub use port::{Port, RecvUntil};
 pub use resource::Resource;
 pub use rng::Rng64;

@@ -232,16 +232,6 @@ impl<T: Send + 'static> Port<T> {
             _ => None,
         }
     }
-
-    /// Arrival time of the earliest queued message, if any.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        self.inner
-            .heap
-            .lock()
-            .messages
-            .peek()
-            .map(|Reverse(t)| t.arrival)
-    }
 }
 
 enum RecvWait {

@@ -261,7 +261,7 @@ impl TcpFabric {
                 peer_host: r.server_host,
                 peer_port: r.server_port,
                 incoming: my_port,
-                buffer: Mutex::new(VecDeque::new()),
+                buffer: Mutex::default(),
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
@@ -307,7 +307,7 @@ impl TcpListener {
                 peer_host: req.client_host,
                 peer_port: req.client_port,
                 incoming: my_port,
-                buffer: Mutex::new(VecDeque::new()),
+                buffer: Mutex::default(),
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
@@ -322,6 +322,41 @@ impl TcpListener {
     }
 }
 
+/// The stream's arrived, unread bytes: the chunks as they came, the first
+/// one cut down to its unread tail.
+#[derive(Default)]
+struct RecvBuf {
+    chunks: VecDeque<Bytes>,
+    len: usize,
+}
+
+impl RecvBuf {
+    fn push(&mut self, chunk: Bytes) {
+        self.len += chunk.len();
+        self.chunks.push_back(chunk);
+    }
+
+    /// The next `n` bytes, once that many have arrived.
+    fn take(&mut self, n: usize) -> Option<Vec<u8>> {
+        if self.len < n {
+            return None;
+        }
+        self.len -= n;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let first = self.chunks.front_mut().expect("len counts the chunks");
+            let k = first.len().min(n - out.len());
+            out.extend_from_slice(&first.as_slice()[..k]);
+            if k == first.len() {
+                self.chunks.pop_front();
+            } else {
+                *first = first.slice(k..);
+            }
+        }
+        Some(out)
+    }
+}
+
 struct SocketInner {
     cost: TcpCost,
     local_host: Host,
@@ -330,7 +365,7 @@ struct SocketInner {
     peer_host: HostId,
     peer_port: Port<Chunk>,
     incoming: Port<Chunk>,
-    buffer: Mutex<VecDeque<u8>>,
+    buffer: Mutex<RecvBuf>,
     fin_seen: Mutex<bool>,
     /// Latest delivery instant scheduled toward the peer; FIN is ordered
     /// after all data, as in a real TCP stream.
@@ -449,29 +484,8 @@ impl Socket {
     /// Read exactly `n` bytes (blocking). Charges receiver-side CPU for the
     /// bytes returned.
     pub fn recv_exact(&self, ctx: &ActorCtx, n: usize) -> Result<Vec<u8>, TcpError> {
-        let s = &self.inner;
-        loop {
-            {
-                let mut buf = s.buffer.lock();
-                if buf.len() >= n {
-                    let out: Vec<u8> = buf.drain(..n).collect();
-                    drop(buf);
-                    s.local_host.compute(ctx, s.cost.recv_cpu(n as u64));
-                    ctx.metrics().byte_meter("tcp.rx.bytes").record(n as u64);
-                    ctx.trace("tcp", "segment.rx", &[("bytes", obs::Value::U64(n as u64))]);
-                    return Ok(out);
-                }
-                if *s.fin_seen.lock() {
-                    return Err(TcpError::Closed);
-                }
-            }
-            match s.incoming.recv(ctx) {
-                Some(Chunk::Data(d)) => s.buffer.lock().extend(d.as_slice()),
-                Some(Chunk::Fin) | None => {
-                    *s.fin_seen.lock() = true;
-                }
-            }
-        }
+        self.recv_exact_by(ctx, n, None)
+            .map(|got| got.expect("no deadline to pass"))
     }
 
     /// Like [`Socket::recv_exact`], but give up once the caller's clock
@@ -485,42 +499,42 @@ impl Socket {
         n: usize,
         deadline: SimTime,
     ) -> Result<Option<Vec<u8>>, TcpError> {
-        let s = &self.inner;
-        loop {
-            {
-                let mut buf = s.buffer.lock();
-                if buf.len() >= n {
-                    let out: Vec<u8> = buf.drain(..n).collect();
-                    drop(buf);
-                    s.local_host.compute(ctx, s.cost.recv_cpu(n as u64));
-                    ctx.metrics().byte_meter("tcp.rx.bytes").record(n as u64);
-                    ctx.trace("tcp", "segment.rx", &[("bytes", obs::Value::U64(n as u64))]);
-                    return Ok(Some(out));
-                }
-                if *s.fin_seen.lock() {
-                    return Err(TcpError::Closed);
-                }
-            }
-            match s.incoming.recv_until(ctx, deadline) {
-                RecvUntil::Msg(Chunk::Data(d)) => s.buffer.lock().extend(d.as_slice()),
-                RecvUntil::Msg(Chunk::Fin) | RecvUntil::Closed => {
-                    *s.fin_seen.lock() = true;
-                }
-                RecvUntil::TimedOut => return Ok(None),
-            }
-        }
+        self.recv_exact_by(ctx, n, Some(deadline))
     }
 
-    /// Bytes currently buffered and readable without blocking.
-    pub fn available(&self, ctx: &ActorCtx) -> usize {
+    /// The one receive loop. Without a deadline the wait parks on the port
+    /// (no timer event), with one it sleeps toward it.
+    fn recv_exact_by(
+        &self,
+        ctx: &ActorCtx,
+        n: usize,
+        deadline: Option<SimTime>,
+    ) -> Result<Option<Vec<u8>>, TcpError> {
         let s = &self.inner;
-        while let Some(chunk) = s.incoming.try_recv(ctx) {
+        loop {
+            let got = s.buffer.lock().take(n);
+            if let Some(out) = got {
+                s.local_host.compute(ctx, s.cost.recv_cpu(n as u64));
+                ctx.metrics().byte_meter("tcp.rx.bytes").record(n as u64);
+                ctx.trace("tcp", "segment.rx", &[("bytes", obs::Value::U64(n as u64))]);
+                return Ok(Some(out));
+            }
+            if *s.fin_seen.lock() {
+                return Err(TcpError::Closed);
+            }
+            let chunk = match deadline {
+                None => s.incoming.recv(ctx),
+                Some(at) => match s.incoming.recv_until(ctx, at) {
+                    RecvUntil::Msg(chunk) => Some(chunk),
+                    RecvUntil::Closed => None,
+                    RecvUntil::TimedOut => return Ok(None),
+                },
+            };
             match chunk {
-                Chunk::Data(d) => s.buffer.lock().extend(d.as_slice()),
-                Chunk::Fin => *s.fin_seen.lock() = true,
+                Some(Chunk::Data(d)) => s.buffer.lock().push(d),
+                Some(Chunk::Fin) | None => *s.fin_seen.lock() = true,
             }
         }
-        s.buffer.lock().len()
     }
 
     /// Half-close: the peer's reads will drain then fail with `Closed`.
@@ -566,14 +580,17 @@ mod tests {
         t.kernel.spawn_daemon("server", move |ctx| {
             let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
-            let got = s.recv_exact(ctx, 10).unwrap();
-            assert_eq!(got, b"0123456789");
+            // Reads cut the stream where they like: inside the first
+            // segment, then across its tail and the whole second one.
+            assert_eq!(s.recv_exact(ctx, 3).unwrap(), b"012");
+            assert_eq!(s.recv_exact(ctx, 7).unwrap(), b"3456789");
             s.send(ctx, b"ok");
         });
         let (f, a, bid) = (t.fabric.clone(), t.a.clone(), t.b.id);
         t.kernel.spawn("client", move |ctx| {
             let s = f.connect(ctx, &a, bid, 80).unwrap();
-            // Two sends, one logical read on the far side (stream semantics).
+            // Two sends, read at other boundaries on the far side (stream
+            // semantics).
             s.send(ctx, b"01234");
             s.send(ctx, b"56789");
             assert_eq!(s.recv_exact(ctx, 2).unwrap(), b"ok");

@@ -140,17 +140,6 @@ impl SendDesc {
         }
     }
 
-    /// A plain send with immediate data.
-    pub fn send_imm(segs: Vec<DataSegment>, imm: u32) -> SendDesc {
-        SendDesc {
-            op: SendOp::Send,
-            segs,
-            remote: None,
-            imm: Some(imm),
-            payload: None,
-        }
-    }
-
     /// An RDMA Write from local `segs` to the `remote` segment.
     pub fn rdma_write(segs: Vec<DataSegment>, remote: RemoteSegment) -> SendDesc {
         SendDesc {

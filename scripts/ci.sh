@@ -32,64 +32,43 @@ MPIO_DAFS_CACHE=enable MPIO_DAFS_SCHED=wfq MPIO_ROMIO_CB_CACHE=enable \
     MPIO_DAFS_QOS=enable MPIO_DAFS_TENANT_WEIGHT=8 MPIO_DAFS_LISTIO=disable \
     cargo test -q --workspace
 
-echo "==> R-F7 overlap smoke (pipelined two-phase sweep)"
-f7_out=$(cargo run --release -p mpio-dafs-bench --bin f7_overlap -- --smoke)
-echo "$f7_out"
-echo "$f7_out" | grep -q "pipelined" || {
-    echo "ci: R-F7 output missing the pipelined column" >&2
+echo "==> one evaluation program, one ambient read"
+# `bench` is the only binary of the bench crate, and the only environment
+# variable the tree reads names the trace file (`obs`).
+if [ "$(ls crates/bench/src/bin)" != "bench.rs" ]; then
+    echo "ci: crates/bench/src/bin holds more than bench.rs" >&2
     exit 1
+fi
+env_reads=$(grep -rn 'env::var' crates src tests examples)
+if [ "$(echo "$env_reads" | wc -l)" -ne 1 ] || ! echo "$env_reads" | grep -q '^crates/obs/'; then
+    echo "ci: env::var outside the obs trace sink:" >&2
+    echo "$env_reads" >&2
+    exit 1
+fi
+
+bench() {
+    cargo run --release -p mpio-dafs-bench --bin bench -- "$@"
 }
 
-echo "==> R-F8 server-scaling smoke (striped multi-server DAFS)"
-f8_out=$(cargo run --release -p mpio-dafs-bench --bin f8_server_scaling -- --smoke)
-echo "$f8_out"
-echo "$f8_out" | grep -q "bit-identical" || {
-    echo "ci: R-F8 output missing the striped-vs-raw identity note" >&2
-    exit 1
-}
-
-echo "==> R-F9 list-I/O smoke (vectored ops vs data sieving)"
-f9_out=$(cargo run --release -p mpio-dafs-bench --bin f9_listio -- --smoke)
-echo "$f9_out"
-echo "$f9_out" | grep -q "byte-identical" || {
-    echo "ci: R-F9 output missing the cross-routing identity note" >&2
-    exit 1
-}
-
-echo "==> R-X5 client-cache smoke (lease-coherent re-read sweep)"
-x5_out=$(cargo run --release -p mpio-dafs-bench --bin x5_small_op_cache -- --smoke)
-echo "$x5_out"
-echo "$x5_out" | grep -q "cached+loss" || {
-    echo "ci: R-X5 output missing the degraded cached+loss row" >&2
-    exit 1
-}
-echo "$x5_out" | grep -q "scale-out" || {
-    echo "ci: R-X5 output missing the striped scale-out ladder" >&2
-    exit 1
-}
-
-echo "==> R-F10 switched-fabric smoke (incast/oversubscription sweep)"
-f10_out=$(cargo run --release -p mpio-dafs-bench --bin f10_fabric_sweep -- --smoke)
-echo "$f10_out"
-echo "$f10_out" | grep -q "oversub" || {
-    echo "ci: R-F10 output missing the oversubscription sweep" >&2
-    exit 1
-}
-
-echo "==> X-6 QoS-fairness smoke (multi-tenant WFQ vs FIFO)"
-# The binary's own asserts are the gate: WFQ small-op p99 must beat FIFO
-# (the >=5x bound is enforced on the full-size run inside all_experiments
-# below, where the quantiles are fine enough to pin a ratio).
-x6_out=$(cargo run --release -p mpio-dafs-bench --bin x6_qos_fairness -- --smoke)
-echo "$x6_out"
-echo "$x6_out" | grep -q "deadline boost" || {
-    echo "ci: X-6 output missing the deadline-boost note" >&2
-    exit 1
-}
+echo "==> experiment smokes (id:what the output must still say)"
+# Each run's own asserts are the gate (X-6: WFQ small-op p99 must beat
+# FIFO; the >=5x bound is enforced on the full-size run of the golden diff
+# below, where the quantiles are fine enough to pin a ratio); the grep
+# only catches a table that lost a column, a row or its identity note.
+for smoke in R-F7:pipelined R-F8:bit-identical R-F9:byte-identical \
+    X-5:cached+loss X-5:scale-out R-F10:oversub "X-6:deadline boost"; do
+    id=${smoke%%:*} must=${smoke#*:}
+    out=$(bench --only "$id" --smoke)
+    echo "$out"
+    echo "$out" | grep -q "$must" || {
+        echo "ci: $id --smoke output is missing \"$must\"" >&2
+        exit 1
+    }
+done
 
 echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # The simulator itself must stay fast: the smoke-size kernel microbench
-# (which pins itself to one CPU) has to dispatch at least this many events
+# (`bench` pins itself to one CPU) has to dispatch at least this many events
 # per wall-clock second on every workload shape. The floor is a tenth of
 # what the slowest shape, ping-pong, measures on a quiet machine now that
 # a handoff is a user-space stack switch between coroutines (seven pinned
@@ -97,7 +76,7 @@ echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # burst 6.1-8.6 M), so it only trips on a genuine dispatch-path
 # regression — a syscall or a contended lock back in the handoff, which
 # costs that factor of ten — not on host noise.
-cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 500000
+bench --only R-K1 --smoke --floor 500000
 
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
 benchmark/run.sh --smoke
@@ -119,8 +98,7 @@ echo "==> bench suite golden diff"
 # marker, excluding its whole JSON line). Both diffs filter them; every
 # other line is compared byte-for-byte.
 tmp_json=$(mktemp) tmp_txt=$(mktemp)
-MPIO_DAFS_JSON="$tmp_json" \
-    cargo run --release -p mpio-dafs-bench --bin all_experiments >"$tmp_txt"
+bench --json "$tmp_json" >"$tmp_txt"
 grep -v 'wall-clock' bench_output.txt >"$tmp_txt.golden"
 grep -v 'wall-clock' "$tmp_txt" >"$tmp_txt.got"
 diff -u "$tmp_txt.golden" "$tmp_txt.got" || {

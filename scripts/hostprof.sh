@@ -8,7 +8,7 @@
 #
 #   scripts/hostprof.sh [-n ROWS] CMD [ARG...]
 #
-#   scripts/hostprof.sh target/release/f2_file_bandwidth
+#   scripts/hostprof.sh target/release/bench --only R-F2
 #   scripts/hostprof.sh -n 60 target/release/mpio-benchmark child \
 #       --workload stream_large --seed 101 --scale full
 #

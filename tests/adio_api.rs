@@ -246,6 +246,44 @@ fn every_backend_refuses_a_write_past_the_last_offset() {
     }
 }
 
+/// What a handle reads does not depend on how many servers its file
+/// stripes over. A write-back handle buffers 128 KiB dirty; a default-hints
+/// handle on the same rank — the same sessions — then reads it back. Over
+/// two stripes the read is a batch, which always flushed the file first;
+/// over one it is the session's blocking `read`, which used to go to the
+/// server past the dirty pages and come back empty.
+#[test]
+fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_count() {
+    const LEN: u64 = 128 << 10;
+    for servers in [1, 2] {
+        let backend = Backend::DafsStriped {
+            via: Default::default(),
+            server: Default::default(),
+            client: DafsClientConfig {
+                cache_write_back: true,
+                ..DafsClientConfig::default()
+            },
+            servers,
+        };
+        Testbed::new(backend).run(1, move |ctx, comm, adio| {
+            let mem = &comm.host().mem;
+            let mut cached = Hints::default();
+            cached.set("dafs_cache", "enable");
+            let w = adio.open_with_hints(ctx, "/wb", true, &cached).unwrap();
+            let r = adio.open(ctx, "/wb", false).unwrap();
+            let buf = mem.alloc(LEN as usize);
+            mem.fill(buf, LEN as usize, 0xBB);
+            w.write_contig(ctx, 0, buf, LEN).unwrap();
+            mem.fill(buf, LEN as usize, 0);
+            assert_eq!(r.read_contig(ctx, 0, buf, LEN), Ok(LEN), "x{servers}");
+            assert!(
+                mem.read_vec(buf, LEN as usize) == vec![0xBB; LEN as usize],
+                "x{servers}: stale bytes"
+            );
+        });
+    }
+}
+
 /// The retry budget around the DAFS transfers, and what `adio.inflight`
 /// counts. The sessions cannot reconnect (`max_reconnects: 0`) and the
 /// server dies for good at 5 ms, so every attempt after that fails with a
