@@ -100,7 +100,11 @@ pub fn all_experiments() -> Vec<Experiment> {
         full_only("R-F4", f4_collective_vs_independent::run),
         full_only("R-T5", t5_regcache_ablation::run),
         full_only("R-F5", f5_direct_threshold::run),
-        full_only("R-T6", t6_cb_buffer_sweep::run),
+        Experiment {
+            // Sixteen sub-second cells: the full run is the smoke run.
+            smoke: Some(t6_cb_buffer_sweep::run),
+            ..full_only("R-T6", t6_cb_buffer_sweep::run)
+        },
         full_only("R-F6", f6_server_saturation::run),
         Experiment {
             // 16 rounds through a 16 KiB collective buffer.

@@ -4,6 +4,11 @@
 //! exchange rounds and more, smaller filesystem writes); the curve improves
 //! with buffer size and flattens once one phase covers each aggregator's
 //! whole file domain.
+//!
+//! The `striped(2)` columns run the same sweep over two servers (64 KiB
+//! stripes): the sweep lays its windows on the stripe grid and hands each
+//! phase's consecutive stripes to consecutive aggregators, so every phase
+//! drives both wires and the curve sits near twice the one-server one.
 
 use mpiio::{write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
@@ -14,8 +19,8 @@ const RANKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
 const ROUNDS: u64 = 64;
 
-fn run_cb(cb_bytes: u64, pipelined: bool) -> f64 {
-    let tb = Testbed::new(Backend::dafs());
+fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> f64 {
+    let tb = Testbed::new(backend);
     let dur = Cell::new();
     let d = dur.clone();
     tb.run(RANKS, move |ctx, comm, adio| {
@@ -49,16 +54,33 @@ fn run_cb(cb_bytes: u64, pipelined: bool) -> f64 {
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-T6: cb_buffer_size sweep (8 ranks, 4 KiB interleave, MB/s)",
-        &["cb_buffer_size", "synchronous", "pipelined"],
+        &[
+            "cb_buffer_size",
+            "synchronous",
+            "pipelined",
+            "striped(2) sync",
+            "striped(2) pipelined",
+        ],
     );
     for cb in [64u64 << 10, 256 << 10, 1 << 20, 4 << 20] {
-        t.row(vec![
-            human_size(cb),
-            format!("{:.1}", run_cb(cb, false)),
-            format!("{:.1}", run_cb(cb, true)),
-        ]);
+        let cells = [
+            run_cb(Backend::dafs(), cb, false),
+            run_cb(Backend::dafs(), cb, true),
+            run_cb(Backend::dafs_striped(2), cb, false),
+            run_cb(Backend::dafs_striped(2), cb, true),
+        ];
+        if cb == 64 << 10 {
+            assert!(
+                cells[3] >= 1.5 * cells[1],
+                "two servers must carry a 64K-window pipelined sweep at >= 1.5x one: {cells:?}"
+            );
+        }
+        let mut row = vec![human_size(cb)];
+        row.extend(cells.iter().map(|mbps| format!("{mbps:.1}")));
+        t.row(row);
     }
     t.note("expect improvement with buffer size, flattening once one phase covers a file domain");
     t.note("pipelining helps most mid-sweep: many phases to overlap but windows still sizable");
+    t.note("striped(2): windows on the stripe grid, each phase's stripes dealt round the aggregators, so both wires stay busy");
     t
 }

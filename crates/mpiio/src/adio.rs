@@ -392,6 +392,15 @@ pub trait AdioFile: Send + Sync {
     fn unlock_file(&self, _ctx: &ActorCtx) -> AdioResult<()> {
         Err(AdioError::NotSupported)
     }
+
+    /// How this open file is laid out over servers: `(unit, servers)` when
+    /// consecutive `unit`-byte stripes go round-robin over `servers` > 1
+    /// servers, `None` when every byte lives behind the one wire. Observed
+    /// from the open file, not hinted — the two-phase sweep shapes its
+    /// windows on it.
+    fn stripe_layout(&self) -> Option<(u64, usize)> {
+        None
+    }
 }
 
 /// A mounted filesystem that can open [`AdioFile`]s.
@@ -419,6 +428,11 @@ pub trait AdioFs: Send + Sync {
 
     /// Which driver this is.
     fn kind(&self) -> DriverKind;
+
+    /// The client host's cost model, as the testbed handed it to this
+    /// driver: what the MPI-IO core charges its own copies with (packing,
+    /// sieving, the two-phase overlay and scatter).
+    fn host_cost(&self) -> HostCost;
 }
 
 // ---------------------------------------------------------------------------
@@ -694,6 +708,10 @@ impl AdioFs for DafsAdio {
             DriverKind::DafsStriped
         }
     }
+
+    fn host_cost(&self) -> HostCost {
+        self.clients[0].config().host
+    }
 }
 
 impl DafsHandle {
@@ -800,6 +818,11 @@ impl AdioFile for DafsHandle {
     fn unlock_file(&self, ctx: &ActorCtx) -> AdioResult<()> {
         self.file.unlock(ctx).map_err(AdioError::from)
     }
+
+    fn stripe_layout(&self) -> Option<(u64, usize)> {
+        let servers = self.file.servers();
+        (servers > 1).then(|| (self.file.stripe_size(), servers))
+    }
 }
 
 /// A split-phase DAFS transfer in flight: per-server batches plus what is
@@ -884,7 +907,6 @@ struct NfsFileHandle {
     client: Arc<NfsClient>,
     fh: NodeId,
     host: Host,
-    host_cost: HostCost,
 }
 
 impl AdioFs for NfsAdio {
@@ -909,7 +931,6 @@ impl AdioFs for NfsAdio {
             client: self.client.clone(),
             fh: attr.id,
             host: hostof(ctx),
-            host_cost: HostCost::default(),
         }))
     }
 
@@ -920,6 +941,10 @@ impl AdioFs for NfsAdio {
 
     fn kind(&self) -> DriverKind {
         DriverKind::Nfs
+    }
+
+    fn host_cost(&self) -> HostCost {
+        self.client.config().host_cost
     }
 }
 
@@ -1014,7 +1039,6 @@ impl AdioFile for NfsFileHandle {
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
         // FILE_SYNC writes are already stable; COMMIT covers unstable mounts.
-        let _ = self.host_cost;
         self.client.commit(ctx, self.fh).map_err(AdioError::from)
     }
 }
@@ -1189,6 +1213,10 @@ impl AdioFs for UfsAdio {
 
     fn kind(&self) -> DriverKind {
         DriverKind::Ufs
+    }
+
+    fn host_cost(&self) -> HostCost {
+        self.cost.host
     }
 }
 

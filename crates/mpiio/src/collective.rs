@@ -2,13 +2,17 @@
 //!
 //! Phase structure for a collective write:
 //! 1. ranks flatten their view-mapped requests and allgather the extents;
-//! 2. the file range `[gmin, gmax)` is split into contiguous *file domains*,
-//!    one per aggregator (`cb_nodes`, default: every rank);
-//! 3. each aggregator sweeps its domain in `cb_buffer_size` windows; in each
-//!    phase every rank ships the pieces of its data that fall in each
-//!    aggregator's current window (one `alltoallv`), the aggregator overlays
-//!    them into its collective buffer and issues one coalesced filesystem
-//!    write per covered run.
+//! 2. the file range `[gmin, gmax)` is split into windows of at most
+//!    `cb_buffer_size` bytes and each phase gives every aggregator
+//!    (`cb_nodes`, default: every rank) one of them (`Sweep`): on one
+//!    server an aggregator sweeps its own contiguous *file domain*; on a
+//!    striped file the windows sit on the stripe grid and each phase's
+//!    consecutive windows go round the aggregators, so every phase loads
+//!    every server;
+//! 3. in each phase every rank ships the pieces of its data that fall in
+//!    each aggregator's current window (one `alltoallv`), the aggregator
+//!    overlays them into its collective buffer and issues one coalesced
+//!    filesystem write per covered run.
 //!
 //! Reads run the same sweep in reverse: ranks send piece *descriptors*, the
 //! aggregator reads the coalesced coverage once and ships pieces back.
@@ -29,7 +33,7 @@
 //! `mpiio.twophase.overlap_ns`; `romio_cb_pipeline=disable` restores the
 //! strictly synchronous sweep.
 
-use simnet::{ActorCtx, Host, SimTime, VirtAddr};
+use simnet::{ActorCtx, SimTime, VirtAddr};
 
 use crate::adio::{AdioRequest, AdioResult, BatchDir, IoReq, Shape};
 use crate::comm::Comm;
@@ -57,16 +61,23 @@ struct Piece {
     buf_off: u64,
 }
 
+/// A view maps ascending (MPI requires monotone filetype displacements):
+/// the pieces come sorted by `off` and disjoint, which `plan_sweep` (first
+/// and last piece bound the extent) and `ship_read_replies` (binary search
+/// for a reply's owner) rely on.
 fn mapped_pieces(file: &MpiFile, offset_etypes: u64, nbytes: u64) -> Vec<Piece> {
     let mut buf_off = 0u64;
-    file.map_view(offset_etypes, 0, nbytes)
+    let pieces: Vec<Piece> = file
+        .map_view(offset_etypes, 0, nbytes)
         .into_iter()
         .map(|(off, len)| {
             let p = Piece { off, len, buf_off };
             buf_off += len;
             p
         })
-        .collect()
+        .collect();
+    debug_assert!(pieces.windows(2).all(|w| w[0].off + w[0].len <= w[1].off));
+    pieces
 }
 
 /// Intersect `p` with the window `[ws, we)`.
@@ -93,14 +104,116 @@ fn get_u64(v: &[u8], pos: &mut usize) -> u64 {
     x
 }
 
-/// Shared sweep geometry, agreed by allgather.
+/// The two-phase sweep geometry: which byte window of `[gmin, gmax)`
+/// aggregator `a` holds in phase `k`. A pure function of the extent (agreed
+/// by allgather), `cb_buffer_size`, the aggregator count and the stripe
+/// layout of the open file.
+///
+/// The file range is cut into *domains* of `fd` bytes from `origin`, each
+/// domain into `per` windows of `w` bytes (the last clipped at the domain's
+/// end), and the windows are numbered in *slots*: `servers` consecutive
+/// domains form a row, and a row's slots take sub-window 0 of each of its
+/// domains, then sub-window 1 of each, and so on. Aggregator `a` holds slot
+/// `a·agg_stride + k·phase_stride` in phase `k`.
+///
+/// * One wire (layout `None`): a domain is an aggregator's contiguous share
+///   `⌈extent / naggs⌉`, swept in `cb`-sized windows — slot `a·per + k`.
+/// * Striped: domains sit on the stripe grid and phase `k` hands the
+///   aggregators the `naggs` consecutive slots from `k·naggs` (ROMIO's
+///   group-cyclic Lustre file domains). With `cb` ≥ the stripe unit a
+///   domain is one window of whole stripes, so a phase is one contiguous
+///   run of stripes; with `cb` below it a domain is one stripe, and the row
+///   order puts consecutive aggregators on consecutive stripes. Either way
+///   consecutive slots go round-robin over the servers, so every phase
+///   loads every server instead of convoying all aggregators onto one.
+#[derive(Debug)]
 struct Sweep {
     gmin: u64,
-    fd: u64,
-    naggs: usize,
-    cb: u64,
-    phases: u64,
     gmax: u64,
+    naggs: usize,
+    origin: u64,
+    fd: u64,
+    w: u64,
+    per: u64,
+    servers: u64,
+    agg_stride: u64,
+    phase_stride: u64,
+    phases: u64,
+}
+
+impl Sweep {
+    fn new(gmin: u64, gmax: u64, naggs: usize, cb: u64, layout: Option<(u64, usize)>) -> Sweep {
+        debug_assert!(gmin < gmax && naggs > 0 && cb > 0);
+        let extent = gmax - gmin;
+        let n = naggs as u64;
+        let Some((unit, servers)) = layout.filter(|&(_, servers)| servers > 1) else {
+            let fd = extent.div_ceil(n);
+            let per = fd.div_ceil(cb);
+            return Sweep {
+                gmin,
+                gmax,
+                naggs,
+                origin: gmin,
+                fd,
+                w: cb,
+                per,
+                servers: 1,
+                agg_stride: per,
+                phase_stride: 1,
+                phases: per,
+            };
+        };
+        let servers = servers as u64;
+        let origin = gmin / unit * unit;
+        let (fd, w) = if cb >= unit {
+            // Whole stripes, no more than an aggregator's share of the
+            // extent: a window of `cb` could swallow a small extent and
+            // leave one aggregator all the work.
+            let share = (extent / n / unit).max(1) * unit;
+            let w = cb.min(share) / unit * unit;
+            (w, w)
+        } else {
+            // Equal parts of one stripe, as few as fit the buffer.
+            (unit, unit.div_ceil(unit.div_ceil(cb)))
+        };
+        let per = fd.div_ceil(w);
+        // The slot of the last byte; later slots of its row are sub-windows
+        // of the (full) domains before it.
+        let last = gmax - 1 - origin;
+        let (d, j) = (last / fd, last % fd / w);
+        let (row, c) = (d / servers, d % servers);
+        let m = if c > 0 && j + 1 < per {
+            (per - 1) * servers + c - 1
+        } else {
+            j * servers + c
+        };
+        Sweep {
+            gmin,
+            gmax,
+            naggs,
+            origin,
+            fd,
+            w,
+            per,
+            servers,
+            agg_stride: 1,
+            phase_stride: n,
+            phases: (row * servers * per + m) / n + 1,
+        }
+    }
+
+    /// Aggregator `a`'s window in `phase`, if any.
+    fn window(&self, a: usize, phase: u64) -> Option<(u64, u64)> {
+        let slot = a as u64 * self.agg_stride + phase * self.phase_stride;
+        let row_slots = self.servers * self.per;
+        let (row, m) = (slot / row_slots, slot % row_slots);
+        let (d, j) = (row * self.servers + m % self.servers, m / self.servers);
+        let ds = self.origin + d * self.fd;
+        let de = (ds + self.fd).min(self.gmax);
+        let ws = (ds + j * self.w).max(self.gmin);
+        let we = (ds + (j + 1) * self.w).min(de);
+        (ws < we).then_some((ws, we))
+    }
 }
 
 fn plan_sweep(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, pieces: &[Piece]) -> Option<Sweep> {
@@ -126,36 +239,13 @@ fn plan_sweep(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, pieces: &[Piece]) -> 
     if gmin >= gmax {
         return None; // nobody has data
     }
-    let naggs = file.hints().aggregators(comm.size());
-    let fd = (gmax - gmin).div_ceil(naggs as u64).max(1);
-    let cb = file.hints().cb_buffer_size;
-    let phases = fd.div_ceil(cb);
-    Some(Sweep {
+    Some(Sweep::new(
         gmin,
-        fd,
-        naggs,
-        cb,
-        phases,
         gmax,
-    })
-}
-
-impl Sweep {
-    /// Aggregator `a`'s domain.
-    fn domain(&self, a: usize) -> (u64, u64) {
-        let s = self.gmin + a as u64 * self.fd;
-        (s.min(self.gmax), (s + self.fd).min(self.gmax))
-    }
-
-    /// Aggregator `a`'s window in `phase`, if any.
-    fn window(&self, a: usize, phase: u64) -> Option<(u64, u64)> {
-        let (ds, de) = self.domain(a);
-        let ws = ds + phase * self.cb;
-        if ws >= de {
-            return None;
-        }
-        Some((ws, (ws + self.cb).min(de)))
-    }
+        file.hints().aggregators(comm.size()),
+        file.hints().cb_buffer_size,
+        file.adio().stripe_layout(),
+    ))
 }
 
 fn merge_runs(mut runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
@@ -232,13 +322,14 @@ fn drain_window_batch(
 fn ship_read_replies(
     ctx: &ActorCtx,
     comm: &Comm,
-    host: &Host,
+    file: &MpiFile,
     pieces: &[Piece],
     dst: VirtAddr,
     requests: &[Vec<u8>],
     served: Option<(VirtAddr, u64)>,
     mark: &mut SimTime,
 ) -> u64 {
+    let host = file.host();
     // Build per-rank replies in request order.
     let mut replies: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
     if let Some((cbuf, ws)) = served {
@@ -252,7 +343,7 @@ fn ship_read_replies(
                 put_u64(reply, len);
                 host.mem
                     .read_into(cbuf.offset(off - ws), len as usize, reply);
-                host.compute(ctx, simnet::cost::HostCost::default().copy(len));
+                file.charge_copy(ctx, len);
             }
         }
     }
@@ -266,15 +357,16 @@ fn ship_read_replies(
         while pos < msg.len() {
             let off = get_u64(msg, &mut pos);
             let len = get_u64(msg, &mut pos);
-            // Find the owning piece to recover the buffer offset.
+            // The owning piece (sorted, disjoint: the first to end past
+            // `off`) recovers the buffer offset.
             let p = pieces
-                .iter()
-                .find(|p| off >= p.off && off + len <= p.off + p.len)
+                .get(pieces.partition_point(|p| p.off + p.len <= off))
+                .filter(|p| off >= p.off && off + len <= p.off + p.len)
                 .expect("reply for an unrequested piece");
             let boff = p.buf_off + (off - p.off);
             host.mem
                 .write(dst.offset(boff), &msg[pos..pos + len as usize]);
-            host.compute(ctx, simnet::cost::HostCost::default().copy(len));
+            file.charge_copy(ctx, len);
             pos += len as usize;
             total += len;
         }
@@ -310,7 +402,7 @@ pub fn write_at_all(
     // while phase k overlays into the other.
     let nbufs = if pipelined { 2 } else { 1 };
     let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.cb as usize))
+        .map(|_| host.mem.alloc(sweep.w as usize))
         .collect();
     ctx.metrics().counter("mpiio.twophase.writes").inc();
     ctx.trace(
@@ -343,7 +435,7 @@ pub fn write_at_all(
                     host.mem
                         .read_into(src.offset(c.buf_off), c.len as usize, msg);
                     // Packing copy.
-                    host.compute(ctx, simnet::cost::HostCost::default().copy(c.len));
+                    file.charge_copy(ctx, c.len);
                 }
             }
         }
@@ -365,7 +457,7 @@ pub fn write_at_all(
                     let len = get_u64(msg, &mut pos);
                     host.mem
                         .write(cbuf.offset(off - ws), &msg[pos..pos + len as usize]);
-                    host.compute(ctx, simnet::cost::HostCost::default().copy(len));
+                    file.charge_copy(ctx, len);
                     pos += len as usize;
                     covered.push((off, len));
                 }
@@ -433,7 +525,7 @@ pub fn read_at_all(
     // while window k-1's replies ship from the other.
     let nbufs = if pipelined { 2 } else { 1 };
     let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.cb as usize))
+        .map(|_| host.mem.alloc(sweep.w as usize))
         .collect();
     let mut total = 0u64;
     ctx.metrics().counter("mpiio.twophase.reads").inc();
@@ -503,7 +595,7 @@ pub fn read_at_all(
                 total += ship_read_replies(
                     ctx,
                     comm,
-                    &host,
+                    file,
                     &pieces,
                     dst,
                     &prev_requests,
@@ -526,8 +618,7 @@ pub fn read_at_all(
                 charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
                 served = Some((cbuf, ws));
             }
-            total +=
-                ship_read_replies(ctx, comm, &host, &pieces, dst, &requests, served, &mut mark);
+            total += ship_read_replies(ctx, comm, file, &pieces, dst, &requests, served, &mut mark);
         }
     }
     // Pipelined epilogue: the last window's batch and its reply round.
@@ -536,7 +627,7 @@ pub fn read_at_all(
         total += ship_read_replies(
             ctx,
             comm,
-            &host,
+            file,
             &pieces,
             dst,
             &prev_requests,
@@ -700,38 +791,372 @@ mod tests {
         assert_eq!(merge_runs(vec![(0, 4), (4, 4)]), vec![(0, 8)]);
     }
 
-    #[test]
-    fn sweep_geometry_partitions_domain() {
-        let s = Sweep {
-            gmin: 1000,
-            fd: 400,
-            naggs: 3,
-            cb: 150,
-            phases: 3, // ceil(400/150)
-            gmax: 2000,
-        };
-        // Domains tile [gmin, gmax) without gaps.
-        assert_eq!(s.domain(0), (1000, 1400));
-        assert_eq!(s.domain(1), (1400, 1800));
-        assert_eq!(s.domain(2), (1800, 2000)); // clipped at gmax
-                                               // Windows sweep each domain in cb-sized steps.
-        assert_eq!(s.window(0, 0), Some((1000, 1150)));
-        assert_eq!(s.window(0, 1), Some((1150, 1300)));
-        assert_eq!(s.window(0, 2), Some((1300, 1400))); // clipped at domain end
-                                                        // The short last domain runs out of windows early.
-        assert_eq!(s.window(2, 0), Some((1800, 1950)));
-        assert_eq!(s.window(2, 1), Some((1950, 2000)));
-        assert_eq!(s.window(2, 2), None);
-        // Union of all windows == union of all domains == [gmin, gmax).
-        let mut covered = 0u64;
-        for a in 0..s.naggs {
-            for p in 0..s.phases {
-                if let Some((ws, we)) = s.window(a, p) {
-                    covered += we - ws;
+    const KIB: u64 = 1 << 10;
+
+    /// Every window of a sweep, as `(phase, aggregator, start, end)`.
+    fn windows(s: &Sweep) -> Vec<(u64, usize, u64, u64)> {
+        let mut out = Vec::new();
+        for k in 0..s.phases {
+            for a in 0..s.naggs {
+                if let Some((ws, we)) = s.window(a, k) {
+                    out.push((k, a, ws, we));
                 }
             }
         }
-        assert_eq!(covered, s.gmax - s.gmin);
+        out
+    }
+
+    /// One aggregator's contiguous domain and the windows it sweeps it in,
+    /// as the contiguous-domain code computed them before the stripe-aware
+    /// geometry existed.
+    type Domain = ((u64, u64), &'static [(u64, u64)]);
+
+    struct Pinned {
+        /// `(gmin, gmax, naggs, cb)`.
+        input: (u64, u64, usize, u64),
+        phases: u64,
+        domains: &'static [Domain],
+    }
+
+    /// Cut from the pre-stripe-aware `Sweep::{domain, window}`: what one
+    /// server, or no layout at all, must keep producing.
+    const PINNED: &[Pinned] = &[
+        // The benchmark's collective call: 8 aggregators x 4 windows.
+        Pinned {
+            input: (0, 2097152, 8, 65536),
+            phases: 4,
+            domains: &[
+                (
+                    (0, 262144),
+                    &[
+                        (0, 65536),
+                        (65536, 131072),
+                        (131072, 196608),
+                        (196608, 262144),
+                    ],
+                ),
+                (
+                    (262144, 524288),
+                    &[
+                        (262144, 327680),
+                        (327680, 393216),
+                        (393216, 458752),
+                        (458752, 524288),
+                    ],
+                ),
+                (
+                    (524288, 786432),
+                    &[
+                        (524288, 589824),
+                        (589824, 655360),
+                        (655360, 720896),
+                        (720896, 786432),
+                    ],
+                ),
+                (
+                    (786432, 1048576),
+                    &[
+                        (786432, 851968),
+                        (851968, 917504),
+                        (917504, 983040),
+                        (983040, 1048576),
+                    ],
+                ),
+                (
+                    (1048576, 1310720),
+                    &[
+                        (1048576, 1114112),
+                        (1114112, 1179648),
+                        (1179648, 1245184),
+                        (1245184, 1310720),
+                    ],
+                ),
+                (
+                    (1310720, 1572864),
+                    &[
+                        (1310720, 1376256),
+                        (1376256, 1441792),
+                        (1441792, 1507328),
+                        (1507328, 1572864),
+                    ],
+                ),
+                (
+                    (1572864, 1835008),
+                    &[
+                        (1572864, 1638400),
+                        (1638400, 1703936),
+                        (1703936, 1769472),
+                        (1769472, 1835008),
+                    ],
+                ),
+                (
+                    (1835008, 2097152),
+                    &[
+                        (1835008, 1900544),
+                        (1900544, 1966080),
+                        (1966080, 2031616),
+                        (2031616, 2097152),
+                    ],
+                ),
+            ],
+        },
+        // Displaced and ragged.
+        Pinned {
+            input: (20480, 1073152, 3, 262144),
+            phases: 2,
+            domains: &[
+                ((20480, 371371), &[(20480, 282624), (282624, 371371)]),
+                ((371371, 722262), &[(371371, 633515), (633515, 722262)]),
+                ((722262, 1073152), &[(722262, 984406), (984406, 1073152)]),
+            ],
+        },
+        Pinned {
+            input: (1000, 2000, 3, 150),
+            phases: 3,
+            domains: &[
+                ((1000, 1334), &[(1000, 1150), (1150, 1300), (1300, 1334)]),
+                ((1334, 1668), &[(1334, 1484), (1484, 1634), (1634, 1668)]),
+                ((1668, 2000), &[(1668, 1818), (1818, 1968), (1968, 2000)]),
+            ],
+        },
+        // One block under a buffer that could swallow it.
+        Pinned {
+            input: (4096, 8192, 4, 16384),
+            phases: 1,
+            domains: &[
+                ((4096, 5120), &[(4096, 5120)]),
+                ((5120, 6144), &[(5120, 6144)]),
+                ((6144, 7168), &[(6144, 7168)]),
+                ((7168, 8192), &[(7168, 8192)]),
+            ],
+        },
+        Pinned {
+            input: (0, 8388608, 5, 4194304),
+            phases: 1,
+            domains: &[
+                ((0, 1677722), &[(0, 1677722)]),
+                ((1677722, 3355444), &[(1677722, 3355444)]),
+                ((3355444, 5033166), &[(3355444, 5033166)]),
+                ((5033166, 6710888), &[(5033166, 6710888)]),
+                ((6710888, 8388608), &[(6710888, 8388608)]),
+            ],
+        },
+        Pinned {
+            input: (20480, 320480, 7, 16384),
+            phases: 3,
+            domains: &[
+                (
+                    (20480, 63338),
+                    &[(20480, 36864), (36864, 53248), (53248, 63338)],
+                ),
+                (
+                    (63338, 106196),
+                    &[(63338, 79722), (79722, 96106), (96106, 106196)],
+                ),
+                (
+                    (106196, 149054),
+                    &[(106196, 122580), (122580, 138964), (138964, 149054)],
+                ),
+                (
+                    (149054, 191912),
+                    &[(149054, 165438), (165438, 181822), (181822, 191912)],
+                ),
+                (
+                    (191912, 234770),
+                    &[(191912, 208296), (208296, 224680), (224680, 234770)],
+                ),
+                (
+                    (234770, 277628),
+                    &[(234770, 251154), (251154, 267538), (267538, 277628)],
+                ),
+                (
+                    (277628, 320480),
+                    &[(277628, 294012), (294012, 310396), (310396, 320480)],
+                ),
+            ],
+        },
+        // The short last domain runs out of windows a phase early.
+        Pinned {
+            input: (0, 4097, 4, 512),
+            phases: 3,
+            domains: &[
+                ((0, 1025), &[(0, 512), (512, 1024), (1024, 1025)]),
+                ((1025, 2050), &[(1025, 1537), (1537, 2049), (2049, 2050)]),
+                ((2050, 3075), &[(2050, 2562), (2562, 3074), (3074, 3075)]),
+                ((3075, 4097), &[(3075, 3587), (3587, 4097)]),
+            ],
+        },
+        // Fewer bytes than aggregators can share: the last domain is empty.
+        Pinned {
+            input: (100, 105, 4, 4096),
+            phases: 1,
+            domains: &[
+                ((100, 102), &[(100, 102)]),
+                ((102, 104), &[(102, 104)]),
+                ((104, 105), &[(104, 105)]),
+                ((105, 105), &[]),
+            ],
+        },
+    ];
+
+    #[test]
+    fn one_wire_keeps_the_contiguous_domains_verbatim() {
+        for p in PINNED {
+            let (gmin, gmax, naggs, cb) = p.input;
+            for layout in [None, Some((64 * KIB, 1)), Some((4096, 1))] {
+                let s = Sweep::new(gmin, gmax, naggs, cb, layout);
+                assert_eq!(s.phases, p.phases, "{:?} {layout:?}", p.input);
+                assert_eq!(p.domains.len(), naggs);
+                for (a, ((ds, de), want)) in p.domains.iter().enumerate() {
+                    let got: Vec<Option<(u64, u64)>> =
+                        (0..s.phases).map(|k| s.window(a, k)).collect();
+                    // The pinned windows, in phase order, then none.
+                    let mut padded: Vec<Option<(u64, u64)>> =
+                        want.iter().copied().map(Some).collect();
+                    padded.resize(s.phases as usize, None);
+                    assert_eq!(got, padded, "{:?} {layout:?} aggregator {a}", p.input);
+                    // And they sweep exactly the pinned domain.
+                    if let (Some(first), Some(last)) = (want.first(), want.last()) {
+                        assert_eq!((first.0, last.1), (*ds, *de));
+                    } else {
+                        assert_eq!(ds, de);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bytes each server serves in each phase, for a layout the sweep may
+    /// or may not have been planned on.
+    fn phase_loads(s: &Sweep, unit: u64, servers: u64) -> Vec<Vec<u64>> {
+        let mut loads = vec![vec![0u64; servers as usize]; s.phases as usize];
+        for (k, _, ws, we) in windows(s) {
+            let mut at = ws;
+            while at < we {
+                let stripe = at / unit;
+                let end = ((stripe + 1) * unit).min(we);
+                loads[k as usize][(stripe % servers) as usize] += end - at;
+                at = end;
+            }
+        }
+        loads
+    }
+
+    /// `check_sweep` over servers 1..=4, 1..=8 aggregators, a stripe-aligned
+    /// and a 20 KiB-displaced start, and extents from one 4 KiB block to
+    /// 8 MiB; returns the number of sweeps checked.
+    fn check_grid(units: &[u64], cbs: &[u64]) -> usize {
+        let extents = [4, 20, 64, 100, 260, 1024, 2048, 2060, 8192].map(|k| k * KIB);
+        let mut cases = 0;
+        for servers in 1..=4usize {
+            for &unit in units {
+                for &cb in cbs {
+                    for naggs in 1..=8usize {
+                        for displaced in [0, 20 * KIB] {
+                            for extent in extents {
+                                let gmin = 48 * unit + displaced;
+                                let layout = Some((unit, servers));
+                                let s = Sweep::new(gmin, gmin + extent, naggs, cb, layout);
+                                check_sweep(&s, cb, unit, servers as u64);
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn sweep_geometry_properties() {
+        let cases = check_grid(
+            &[16 * KIB, 64 * KIB, 256 * KIB],
+            &[16 * KIB, 64 * KIB, 256 * KIB, 4096 * KIB],
+        );
+        assert_eq!(cases, 4 * 3 * 4 * 8 * 2 * 9);
+        // Sizes that divide nothing: hints are free-form.
+        check_grid(
+            &[4 * KIB, 12 * KIB, 100_000],
+            &[5000, 20 * KIB, 48 * KIB, 1_000_000],
+        );
+    }
+
+    fn check_sweep(s: &Sweep, cb: u64, unit: u64, servers: u64) {
+        let (gmin, gmax) = (s.gmin, s.gmax);
+        let all = windows(s);
+        // The windows tile [gmin, gmax) exactly once.
+        let mut by_start: Vec<(u64, u64)> = all.iter().map(|&(_, _, ws, we)| (ws, we)).collect();
+        by_start.sort_unstable();
+        let mut at = gmin;
+        for &(ws, we) in &by_start {
+            assert_eq!(ws, at, "gap or overlap at {at}: {s:?}");
+            assert!(
+                we > ws && we - ws <= cb,
+                "window [{ws}, {we}) vs cb {cb}: {s:?}"
+            );
+            at = we;
+        }
+        assert_eq!(at, gmax, "{s:?}");
+        // No phase is spent on nothing.
+        assert!(all.iter().any(|&(k, ..)| k + 1 == s.phases), "{s:?}");
+        if servers == 1 {
+            return;
+        }
+        // A window of at most one stripe stays inside one; a larger one
+        // starts and ends on stripe boundaries (or the extent's ends).
+        for &(_, _, ws, we) in &all {
+            if s.w <= unit {
+                assert_eq!(ws / unit, (we - 1) / unit, "[{ws}, {we}) straddles: {s:?}");
+            } else {
+                assert!(ws % unit == 0 || ws == gmin, "{ws} unaligned: {s:?}");
+                assert!(we % unit == 0 || we == gmax, "{we} unaligned: {s:?}");
+            }
+        }
+        // Every aggregator has work once there is a stripe for each.
+        if gmax - gmin >= s.naggs as u64 * unit {
+            for a in 0..s.naggs {
+                assert!(all.iter().any(|&(_, aa, ..)| aa == a), "{a} idle: {s:?}");
+            }
+        }
+        // Every phase loads the servers within one window of each other —
+        // plus, in the phases the extent's ragged ends reach, the bytes
+        // those ends clip off the phase's windows.
+        for (k, load) in phase_loads(s, unit, servers).iter().enumerate() {
+            let held: u64 = load.iter().sum();
+            let clipped = s.naggs as u64 * s.w - held;
+            let spread = load.iter().max().unwrap() - load.iter().min().unwrap();
+            assert!(
+                spread <= s.w + clipped,
+                "phase {k} loads {load:?} (clipped {clipped}): {s:?}"
+            );
+        }
+    }
+
+    /// What the stripe-aware grid is for: contiguous domains whose size is
+    /// a multiple of `unit x servers` put every aggregator's phase-`k`
+    /// window on the same server.
+    #[test]
+    fn contiguous_domains_convoy_and_the_stripe_grid_does_not() {
+        let (unit, servers) = (64 * KIB, 2);
+        let contiguous = Sweep::new(0, 2048 * KIB, 8, 64 * KIB, None);
+        for load in phase_loads(&contiguous, unit, servers) {
+            assert_eq!(load.iter().min(), Some(&0), "{load:?}");
+            assert_eq!(load.iter().max(), Some(&(512 * KIB)), "{load:?}");
+        }
+        let grid = Sweep::new(0, 2048 * KIB, 8, 64 * KIB, Some((unit, servers as usize)));
+        assert_eq!(grid.phases, contiguous.phases);
+        for (k, load) in phase_loads(&grid, unit, servers).iter().enumerate() {
+            assert_eq!(load, &vec![256 * KIB; 2]);
+            // Phase k hands aggregator a stripe 8k + a.
+            for a in 0..8u64 {
+                let stripe = 8 * k as u64 + a;
+                assert_eq!(
+                    grid.window(a as usize, k as u64),
+                    Some((stripe * unit, (stripe + 1) * unit))
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use simnet::cost::HostCost;
 use simnet::{ActorCtx, Host, VirtAddr};
 
 use crate::adio::{AdioError, AdioFile, AdioFs, AdioResult, BatchDir, DriverKind, IoReq, Shape};
@@ -142,6 +143,8 @@ pub struct MpiFile {
     mode: OpenMode,
     driver: DriverKind,
     host: Host,
+    /// The driver's host cost model: what this layer's own copies cost.
+    host_cost: HostCost,
     view: Mutex<FileView>,
     /// Individual file pointer, in etypes.
     fp: Mutex<u64>,
@@ -172,6 +175,7 @@ impl MpiFile {
             mode,
             driver: fs.kind(),
             host: host.clone(),
+            host_cost: fs.host_cost(),
             view: Mutex::new(FileView::contiguous()),
             fp: Mutex::new(0),
             hints,
@@ -199,6 +203,12 @@ impl MpiFile {
     /// The rank-local host (for buffer allocation in helpers).
     pub fn host(&self) -> &Host {
         &self.host
+    }
+
+    /// Charge the rank's CPU one copy of `bytes` (packing, sieving, the
+    /// two-phase overlay and scatter), at the driver's host cost model.
+    pub(crate) fn charge_copy(&self, ctx: &ActorCtx, bytes: u64) {
+        self.host.compute(ctx, self.host_cost.copy(bytes));
     }
 
     /// The underlying ADIO handle (collective I/O uses it directly).
@@ -426,8 +436,7 @@ impl MpiFile {
             }
             tile += 1;
         }
-        self.host
-            .compute(ctx, simnet::cost::HostCost::default().copy(n));
+        self.charge_copy(ctx, n);
         self.host.mem.free(stage);
         Ok(n)
     }
@@ -464,8 +473,7 @@ impl MpiFile {
             }
             tile += 1;
         }
-        self.host
-            .compute(ctx, simnet::cost::HostCost::default().copy(nbytes));
+        self.charge_copy(ctx, nbytes);
         let r = self.write_at(ctx, offset_etypes, stage, nbytes);
         self.host.mem.free(stage);
         r
@@ -645,8 +653,7 @@ impl MpiFile {
                     // Copy out of the sieve buffer (charged like any copy).
                     let piece = self.host.mem.read_vec(sieve.offset(s), avail as usize);
                     self.host.mem.write(dst.offset(consumed), &piece);
-                    self.host
-                        .compute(ctx, simnet::cost::HostCost::default().copy(avail));
+                    self.charge_copy(ctx, avail);
                     total += avail;
                 }
                 consumed += *len;
@@ -696,8 +703,7 @@ impl MpiFile {
                 let s = off - wstart;
                 let piece = self.host.mem.read_vec(src.offset(consumed), *len as usize);
                 self.host.mem.write(sieve.offset(s), &piece);
-                self.host
-                    .compute(ctx, simnet::cost::HostCost::default().copy(*len));
+                self.charge_copy(ctx, *len);
                 consumed += *len;
             }
             self.file.write_contig(ctx, wstart, sieve, wlen)?;

@@ -8,7 +8,10 @@
 //! per-range batches. Inputs come from the in-tree deterministic PRNG
 //! ([`simnet::Rng64`]), so every run explores exactly the same cases.
 
-use mpio_dafs::mpiio::{Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
+use mpio_dafs::memfs::MemFs;
+use mpio_dafs::mpiio::{
+    read_at_all, write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed,
+};
 use mpio_dafs::simnet::{FaultPlan, Rng64};
 
 /// A random sorted, non-overlapping range list. Lengths and gaps are drawn
@@ -31,6 +34,16 @@ fn gen_ranges(rng: &mut Rng64, max_n: usize, max_len: u64, max_gap: u64) -> Vec<
 fn strided_ft(ranges: &[(u64, u64)]) -> Datatype {
     let blocks: Vec<(u64, i64)> = ranges.iter().map(|&(o, l)| (l, o as i64)).collect();
     Datatype::hindexed(&blocks, &Datatype::bytes(1))
+}
+
+/// Each server's piece file of `path`, whole, in server order.
+fn server_pieces(fss: &[MemFs], path: &str) -> Vec<Vec<u8>> {
+    fss.iter()
+        .map(|fs| {
+            let attr = fs.resolve(path).unwrap();
+            fs.read(attr.id, 0, attr.size).unwrap()
+        })
+        .collect()
 }
 
 /// Reassemble the logical byte stream from round-robin striped piece
@@ -110,14 +123,7 @@ fn run_case(
             "strided read-back returned different bytes than written"
         );
     });
-    let pieces: Vec<Vec<u8>> = fss
-        .iter()
-        .map(|fs| {
-            let attr = fs.resolve("/case").unwrap();
-            fs.read(attr.id, 0, attr.size).unwrap()
-        })
-        .collect();
-    logical_image(&pieces, stripe)
+    logical_image(&server_pieces(&fss, "/case"), stripe)
 }
 
 /// The three routing configurations under test. All must land identical
@@ -295,4 +301,85 @@ fn sieved_write_zero_fills_gap_past_eof() {
     );
     assert!(img[6000..].iter().all(|&b| b == 0xCD), "payload range 3");
     assert_eq!(sieved, per_range, "sieved image differs from per-range");
+}
+
+/// One interleaved collective write then read on a fresh testbed: 4 ranks,
+/// rank `r` owning every 4th 4 KiB block of a view displaced by `disp`
+/// bytes, 48 blocks each. Every rank checks its read-back; returns the
+/// logical server image and the servers' request count.
+fn collective_case(backend: Backend, cb: u64, pipelined: bool, disp: u64) -> (Vec<u8>, u64) {
+    const RANKS: u64 = 4;
+    const BLOCK: u64 = 4 << 10;
+    const BLOCKS: u64 = 48;
+    let tb = Testbed::new(backend);
+    let fss = tb.server_fss.clone();
+    let report = tb.run(RANKS as usize, move |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let mut hints = Hints::default();
+        hints.set("cb_buffer_size", &cb.to_string());
+        hints.set(
+            "romio_cb_pipeline",
+            if pipelined { "enable" } else { "disable" },
+        );
+        let f = MpiFile::open(ctx, adio, &host, "/coll", OpenMode::create(), hints).unwrap();
+        let el = Datatype::bytes(BLOCK);
+        let ft = Datatype::resized(
+            &Datatype::hindexed(&[(1, (comm.rank() as u64 * BLOCK) as i64)], &el),
+            0,
+            RANKS * BLOCK,
+        );
+        f.set_view(disp, &el, &ft);
+        let total = BLOCKS * BLOCK;
+        let payload = Rng64::new(0xC011 + comm.rank() as u64).bytes(total as usize);
+        let src = host.mem.alloc(payload.len());
+        host.mem.write(src, &payload);
+        write_at_all(ctx, comm, &f, 0, src, total).unwrap();
+        let dst = host.mem.alloc(payload.len());
+        assert_eq!(read_at_all(ctx, comm, &f, 0, dst, total).unwrap(), total);
+        assert_eq!(
+            host.mem.read_vec(dst, payload.len()),
+            payload,
+            "collective read-back differs from what rank {} wrote",
+            comm.rank()
+        );
+    });
+    let image = logical_image(&server_pieces(&fss, "/coll"), 64 << 10);
+    (image, report.server_ops)
+}
+
+/// The stripe-aware two-phase sweep is a pure performance change: over 1
+/// to 4 servers, with collective buffers below, at and above the stripe
+/// unit, pipelined or not, through a view that starts 20 KiB into a
+/// stripe, every rank reads back what it wrote and the servers hold, piece
+/// by piece, the bytes one server holds.
+#[test]
+fn striped_collective_sweep_lands_the_one_server_image() {
+    const DISP: u64 = 20 << 10;
+    let (reference, _) = collective_case(Backend::dafs(), 4 << 20, true, DISP);
+    assert_eq!(reference.len() as u64, DISP + 4 * 48 * 4096);
+    for servers in 1..=4 {
+        for cb in [16u64 << 10, 64 << 10, 256 << 10] {
+            for pipelined in [true, false] {
+                let (image, _) =
+                    collective_case(Backend::dafs_striped(servers), cb, pipelined, DISP);
+                assert!(
+                    image == reference,
+                    "{servers} servers, cb {cb}, pipelined {pipelined}: server image differs"
+                );
+            }
+        }
+    }
+}
+
+/// Windows sit on the stripe grid wherever the view starts, so a window's
+/// list request never splits over two servers because the view is
+/// displaced: the displaced call reaches into one more stripe than the
+/// aligned one (13 instead of 12) and costs exactly that one request more,
+/// in the write and in the read. Contiguous domains cut from a displaced
+/// `gmin` straddled a stripe boundary in every window and paid double.
+#[test]
+fn displaced_view_costs_one_request_per_stripe_touched() {
+    let (_, aligned) = collective_case(Backend::dafs_striped(2), 64 << 10, true, 0);
+    let (_, displaced) = collective_case(Backend::dafs_striped(2), 64 << 10, true, 20 << 10);
+    assert_eq!(displaced, aligned + 2, "server requests, whole job");
 }
