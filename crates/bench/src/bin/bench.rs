@@ -5,8 +5,8 @@
 //!   its `wall-clock:` harness note;
 //! * `--only ID[,ID…]` — just those experiments (`R-T1` … `X-6`, `R-K1`),
 //!   in suite order;
-//! * `--smoke` — the seconds-scale run CI makes (R-T6, R-F7 … R-F10, X-5,
-//!   X-6, R-K1);
+//! * `--smoke` — the seconds-scale run CI makes (R-F5, R-T6, R-F7 … R-F10,
+//!   X-5, X-6, R-K1);
 //! * `--fault-seed N` — another fault timeline (R-F8, X-4, X-5); the same
 //!   seed reproduces the same table bit for bit;
 //! * `--floor N` — exit 1 if any R-K1 workload dispatches fewer than `N`

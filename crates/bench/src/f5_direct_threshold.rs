@@ -1,9 +1,20 @@
-//! R-F5 — Inline→direct threshold sweep.
+//! R-F5 — Inline→direct rule sweep: what `direct_threshold` prices.
 //!
-//! Expected shape: each threshold setting is best in its own regime — a
-//! low threshold wastes registration/RDMA setup on small requests, a high
-//! one wastes copies on large requests; the default (8 KiB) tracks the
-//! upper envelope, with the crossover visible in the columns.
+//! The threshold exists because *registering* a buffer costs more than
+//! copying a small one — so it is a statement about the **cold** buffer,
+//! one the NIC has never seen. The `cold` columns give every request a
+//! buffer of its own: a low threshold pays a registration per small
+//! request, a high one pays two copies per large request, and the default
+//! (8 KiB) tracks the upper envelope of the two. The `warm` columns reuse
+//! one buffer, as MPI-IO does: past the first two requests its registration
+//! is free, so the client sends every read past the floor (a few hundred
+//! bytes) direct whatever the threshold says — the two warm columns
+//! coincide and lie on or above everything else. The last column is what
+//! is left without RDMA at all: no registration cache, no direct transfer.
+//!
+//! Asserted: warm ≥ cold at every size, for either threshold; the default
+//! configuration is the envelope — of the cold columns with a fresh buffer,
+//! of every column with a reused one.
 
 use dafs::{DafsClientConfig, DafsServerCost};
 use memfs::ROOT_ID;
@@ -14,28 +25,33 @@ use crate::testbeds::{with_dafs_client, Cell};
 
 const FILE: u64 = 4 << 20;
 
-fn read_mb_s(req: u64, threshold: u64) -> f64 {
+/// Sequential `req`-byte reads of the whole file; `cold` gives each request
+/// the next `req` bytes of one file-sized arena (a range offered once),
+/// otherwise all share the arena's head.
+fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> f64 {
     let dur = Cell::new();
     let d = dur.clone();
     with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
-        DafsClientConfig {
-            direct_threshold: threshold,
-            ..Default::default()
-        },
+        cfg,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; FILE as usize]).unwrap();
         },
         move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
-            let buf = nic.host().mem.alloc(req as usize);
-            // Warm the registration cache out of the measurement.
-            c.read(ctx, f.id, 0, buf, req).unwrap();
+            let arena = nic.host().mem.alloc(FILE as usize);
+            if !cold {
+                // Warm the buffer out of the measurement: seen, registered.
+                for _ in 0..2 {
+                    c.read(ctx, f.id, 0, arena, req).unwrap();
+                }
+            }
             let t0 = ctx.now();
             let mut off = 0;
             while off < FILE {
+                let buf = arena.offset(if cold { off } else { 0 });
                 c.read(ctx, f.id, off, buf, req.min(FILE - off)).unwrap();
                 off += req;
             }
@@ -45,25 +61,60 @@ fn read_mb_s(req: u64, threshold: u64) -> f64 {
     mb_per_s(FILE, dur.get())
 }
 
+fn threshold(direct_threshold: u64) -> DafsClientConfig {
+    DafsClientConfig {
+        direct_threshold,
+        ..Default::default()
+    }
+}
+
 /// Run R-F5.
 pub fn run() -> Table {
     let mut t = Table::new(
-        "R-F5: direct-threshold sweep, sequential reads (MB/s)",
+        "R-F5: inline/direct rule sweep, sequential reads (MB/s)",
         &[
             "request",
-            "thresh 1K",
-            "thresh 8K",
-            "thresh 64K (inline-only)",
+            "cold, thresh 1K",
+            "cold, thresh 8K",
+            "warm, thresh 1K",
+            "warm, thresh 8K",
+            "inline-only",
         ],
     );
+    let inline_only = DafsClientConfig {
+        direct_threshold: u64::MAX,
+        use_regcache: false,
+        ..Default::default()
+    };
     for req in [1u64 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10] {
-        t.row(vec![
-            human_size(req),
-            format!("{:.1}", read_mb_s(req, 1 << 10)),
-            format!("{:.1}", read_mb_s(req, 8 << 10)),
-            format!("{:.1}", read_mb_s(req, u64::MAX)),
-        ]);
+        let cold = [1u64 << 10, 8 << 10].map(|th| read_mb_s(req, threshold(th), true));
+        let warm = [1u64 << 10, 8 << 10].map(|th| read_mb_s(req, threshold(th), false));
+        let inline = read_mb_s(req, inline_only, false);
+        let size = human_size(req);
+        for th in 0..2 {
+            assert!(
+                warm[th] >= cold[th],
+                "{size}: warm {} below cold {}",
+                warm[th],
+                cold[th]
+            );
+        }
+        assert!(
+            cold[1] >= cold[0],
+            "{size}: the default threshold is not the cold envelope ({cold:?})"
+        );
+        let best = [cold[0], cold[1], warm[0], inline]
+            .into_iter()
+            .fold(0.0, f64::max);
+        assert!(
+            warm[1] >= best,
+            "{size}: the default configuration ({}) is not the envelope ({best})",
+            warm[1]
+        );
+        let cells = [cold[0], cold[1], warm[0], warm[1], inline].map(|v| format!("{v:.1}"));
+        t.row([vec![size], cells.to_vec()].concat());
     }
-    t.note("each column wins in its own regime; the default 8K threshold tracks the envelope");
+    t.note("cold = a fresh buffer per request: the threshold trades a registration against two copies, and 8K tracks the envelope");
+    t.note("warm = one reused buffer: its registration is free, every read past the floor goes direct, the threshold is moot; asserted warm >= cold and default = envelope");
     t
 }

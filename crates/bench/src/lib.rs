@@ -99,7 +99,12 @@ pub fn all_experiments() -> Vec<Experiment> {
         full_only("R-T4", t4_cpu_overhead::run),
         full_only("R-F4", f4_collective_vs_independent::run),
         full_only("R-T5", t5_regcache_ablation::run),
-        full_only("R-F5", f5_direct_threshold::run),
+        Experiment {
+            // Twenty-five sub-second cells and the asserts on them: the
+            // full run is the smoke run.
+            smoke: Some(f5_direct_threshold::run),
+            ..full_only("R-F5", f5_direct_threshold::run)
+        },
         Experiment {
             // Sixteen sub-second cells: the full run is the smoke run.
             smoke: Some(t6_cb_buffer_sweep::run),

@@ -2,8 +2,9 @@
 //! streaming tenant's saturation load.
 //!
 //! Two tenants share one DAFS server. A *small-op* tenant (one client,
-//! `DafsClientConfig::tenant` weight 8) issues getattr + 4 KiB inline reads with a short
-//! think time — an interactive metadata workload. A *streaming* tenant
+//! `DafsClientConfig::tenant` weight 8) issues getattr + 4 KiB reads (direct
+//! once their buffer is warm) with a short think time — an interactive
+//! metadata workload. A *streaming* tenant
 //! (three clients, weight 1) keeps batched 256 KiB direct reads in flight
 //! the whole time, saturating the server wire. The same seeded workload
 //! runs twice: once with the default FIFO dispatch and once with the WFQ
@@ -219,7 +220,7 @@ pub fn run_with(small_ops: usize) -> Table {
     let wfq_p99 = wfq.small.quantile(0.99);
     let ratio = fifo_p99 as f64 / wfq_p99.max(1) as f64;
     t.note(&format!(
-        "small tenant: {SMALL_CLIENTS} clients, weight 8, getattr + 4KiB inline read pairs; \
+        "small tenant: {SMALL_CLIENTS} clients, weight 8, getattr + 4KiB read pairs; \
          streaming tenant: {STREAMERS} clients, weight 1, batched {}KiB direct reads",
         CHUNK >> 10
     ));

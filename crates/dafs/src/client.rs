@@ -4,13 +4,32 @@
 //! the response buffers and the pipeline depth for batch I/O. Requests
 //! carry session-local ids so responses can be matched out of order.
 //!
-//! Transfer strategy (the `direct_threshold` knob):
-//! * requests ≤ threshold go **inline** — one copy on each host, lowest
-//!   latency for small transfers;
-//! * larger reads use **READ_DIRECT** — the server RDMA-Writes into the
-//!   (cached-registered) user buffer; the client CPU does nothing per byte;
-//! * larger writes use **WRITE_DIRECT** when the fabric supports RDMA Read,
-//!   else fall back to inline chunks (the cLAN configuration).
+//! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
+//! * an **inline** transfer rides in the message: one copy on each host, no
+//!   registration, the lowest latency into a buffer the NIC has never seen;
+//! * a **direct read** (READ_DIRECT) has the server RDMA-Write into the
+//!   (cached-registered) user buffer; the client CPU does nothing per byte.
+//!   A read goes direct when it is longer than `direct_threshold` — the
+//!   length past which registering a *cold* buffer costs less than copying
+//!   it — **or** when its buffer is warm ([`RegCache::warm`]: a live
+//!   registration covers it, or this is the second time the same range is
+//!   offered) and it is past the floor below;
+//! * a **direct write** (WRITE_DIRECT) keeps the length rule, and needs a
+//!   fabric with RDMA Read (else inline chunks — the cLAN configuration):
+//!   an RDMA Read holds the server's worker until the bytes are back, so a
+//!   small one costs every other session more than its two copies save.
+//!
+//! The floor: into a warm buffer a direct read costs no registration, only
+//! one more message than an inline one — the server posts the RDMA Write
+//! and then the reply (`post_send + per_segment`, one more completion
+//! `poll`) and each NIC handles one more descriptor (`tx_nic_proc`,
+//! `rx_nic_proc`); the data bytes cross the wire once either way. It wins
+//! when the two copies it saves, `2 · host.copy(len)`, cost more than that
+//! — about 560 bytes with the default costs, and computed from them.
+//!
+//! The reply needs no flag saying the data landed: it follows the RDMA
+//! Write on the same reliable VI, which delivers in order, so a reply in
+//! hand means every byte posted before it is in the buffer.
 //!
 //! The lease-coherent cache behind the `*_cached` entry points — its
 //! state and the driver that sequences it — is `crate::cache`; this file
@@ -1052,9 +1071,20 @@ impl DafsClient {
 
     // ----- data path ------------------------------------------------------
 
-    /// True if a transfer of `len` goes direct rather than inline.
-    pub fn is_direct(&self, len: u64) -> bool {
-        len > self.config.direct_threshold
+    /// True if a transfer of `len` bytes to (`Read`) or from (`Write`) the
+    /// client region `[addr, addr + span)` goes direct rather than inline —
+    /// the module header has the rule. `span` is `len` for a contiguous
+    /// transfer; a list's segments may leave gaps in their region. A "no"
+    /// for a small read is remembered: the same region offered again is warm.
+    fn goes_direct(&self, dir: BatchDir, len: u64, addr: VirtAddr, span: u64) -> bool {
+        if len > self.config.direct_threshold {
+            return dir == BatchDir::Read || self.caps().rdma_read;
+        }
+        let c = self.nic.cost();
+        let one_more_message = c.post_send + c.per_segment + c.poll + c.tx_nic_proc + c.rx_nic_proc;
+        dir == BatchDir::Read
+            && self.config.host.copy(len) * 2 > one_more_message
+            && self.regcache.warm(addr, span)
     }
 
     /// Read `len` bytes at `off` into the user buffer `dst`.
@@ -1072,7 +1102,7 @@ impl DafsClient {
     }
 
     /// The read itself — its span, `xfer` trace line and inline-vs-direct
-    /// choice by length — for the cache's driver, whose own fetches must not
+    /// choice — for the cache's driver, whose own fetches must not
     /// flush the file they pre-fault.
     fn read_wire(
         &self,
@@ -1083,7 +1113,7 @@ impl DafsClient {
         len: u64,
     ) -> DafsResult<u64> {
         let _span = ctx.span("dafs", "read");
-        let direct = self.is_direct(len);
+        let direct = self.goes_direct(BatchDir::Read, len, dst, len);
         ctx.trace(
             "dafs",
             "xfer",
@@ -1171,7 +1201,7 @@ impl DafsClient {
     ) -> DafsResult<FileAttr> {
         self.past_cache(ctx, fh, true)?;
         let _span = ctx.span("dafs", "write");
-        let direct = self.is_direct(len) && self.caps().rdma_read;
+        let direct = self.goes_direct(BatchDir::Write, len, src, len);
         ctx.trace(
             "dafs",
             "xfer",
@@ -1313,13 +1343,11 @@ impl DafsClient {
 
     /// Expand contiguous requests into sub-operations: direct transfers go
     /// whole; inline requests that exceed one message split into chunks,
-    /// each remembering which original request it belongs to. A write goes
-    /// direct only when the fabric supports RDMA Read.
+    /// each remembering which original request it belongs to.
     fn expand_subs(&self, dir: BatchDir, reqs: &[IoReq]) -> Vec<Sub> {
-        let direct_ok = dir == BatchDir::Read || self.caps().rdma_read;
         let mut subs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
-            let direct = direct_ok && self.is_direct(r.len);
+            let direct = self.goes_direct(dir, r.len, r.addr, r.len);
             let mut done = 0u64;
             loop {
                 let n = if direct {
@@ -1398,17 +1426,19 @@ impl DafsClient {
         }
     }
 
-    /// Expand list requests into segment-capped sub-requests: groups whose
-    /// total clears the direct threshold go as one RDMA list op against a
+    /// Expand list requests into segment-capped sub-requests: groups that
+    /// go direct (by their total, against the region from their first
+    /// segment to the end of their last) are one RDMA list op against a
     /// single registration; the rest split further into inline-sized list
     /// messages (the no-RDMA-Read write fallback also lands here).
     fn expand_list_subs(&self, dir: BatchDir, reqs: &[ListReq]) -> Vec<Sub> {
-        let direct_ok = dir == BatchDir::Read || self.caps().rdma_read;
         let mut subs = Vec::new();
         for (i, r) in reqs.iter().enumerate() {
             for group in Self::chunk_segs(&r.segs, proto::LIST_MAX_SEGMENTS, u64::MAX) {
                 let total: u64 = group.iter().map(|s| s.1).sum();
-                if direct_ok && self.is_direct(total) {
+                let (first, last) = (group[0], group[group.len() - 1]);
+                let span = last.2 + last.1 - first.2;
+                if self.goes_direct(dir, total, r.buf.offset(first.2), span) {
                     subs.push(Self::list_sub(i, r, group, total, true));
                 } else {
                     for g in

@@ -462,6 +462,122 @@ mod tests {
         b.kernel.run();
     }
 
+    /// The transfer rule for a small read: the first into a buffer goes
+    /// inline (and is remembered), the second registers the buffer and goes
+    /// direct, the third finds it registered. A buffer never seen twice
+    /// costs no registration at all. The bytes are the same either way.
+    #[test]
+    fn small_reads_go_direct_into_a_buffer_seen_before() {
+        let b = bed();
+        const LEN: usize = 4 << 10;
+        let image: Vec<u8> = (0..3 * LEN).map(|i| (i * 7 + 3) as u8).collect();
+        let fh = server_file(&b, "f", &image);
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let mem = &nic.host().mem;
+            let before = nic.registration_stats().registrations;
+            let registered = || nic.registration_stats().registrations - before;
+            let direct = || c.stats.direct_reads.ops.get();
+            let reused = mem.alloc(LEN);
+            for (i, (want_direct, want_registered)) in
+                [(0, 0), (1, 1), (2, 1)].into_iter().enumerate()
+            {
+                let off = (i * LEN) as u64;
+                assert_eq!(c.read(ctx, fh, off, reused, LEN as u64), Ok(LEN as u64));
+                assert_eq!(
+                    mem.read_vec(reused, LEN),
+                    image[i * LEN..][..LEN],
+                    "read {i}"
+                );
+                assert_eq!(
+                    (direct(), registered()),
+                    (want_direct, want_registered),
+                    "read {i}"
+                );
+            }
+            assert_eq!(c.stats.inline_reads.ops.get(), 1);
+            // A fresh buffer per read: always a first touch.
+            for i in 0..3 {
+                let fresh = mem.alloc(LEN);
+                assert_eq!(
+                    c.read(ctx, fh, (i * LEN) as u64, fresh, LEN as u64),
+                    Ok(LEN as u64)
+                );
+                assert_eq!(mem.read_vec(fresh, LEN), image[i * LEN..][..LEN]);
+            }
+            assert_eq!(
+                (direct(), registered()),
+                (2, 1),
+                "fresh buffers stay inline"
+            );
+            assert_eq!(c.stats.inline_reads.ops.get(), 4);
+            // Too short for the saved copies to pay for a second message:
+            // inline even into the registered buffer.
+            for _ in 0..2 {
+                assert_eq!(c.read(ctx, fh, 0, reused, 256), Ok(256));
+            }
+            assert_eq!(direct(), 2, "256 bytes is below the floor");
+        });
+        b.kernel.run();
+    }
+
+    /// Writes keep the length rule however warm their buffer: an RDMA Read
+    /// holds the server's worker until the bytes are back.
+    #[test]
+    fn small_writes_stay_inline_from_a_warm_buffer() {
+        for rdma_read_supported in [false, true] {
+            let b = bed_with(ViaCost {
+                rdma_read_supported,
+                ..ViaCost::default()
+            });
+            const LEN: usize = 4 << 10;
+            let fh = server_file(&b, "f", &[0; LEN]);
+            with_client(&b, client_config(), move |ctx, c, nic| {
+                assert_eq!(c.caps().rdma_read, rdma_read_supported);
+                let buf = nic.host().mem.alloc(LEN);
+                // Warm it: three reads, the last two direct.
+                for _ in 0..3 {
+                    c.read(ctx, fh, 0, buf, LEN as u64).unwrap();
+                }
+                assert_eq!(c.stats.direct_reads.ops.get(), 2);
+                nic.host().mem.fill(buf, LEN, 0x3C);
+                for _ in 0..3 {
+                    c.write(ctx, fh, 0, buf, LEN as u64).unwrap();
+                }
+                assert_eq!(c.stats.inline_writes.ops.get(), 3);
+                assert_eq!(c.stats.direct_writes.ops.get(), 0);
+            });
+            b.kernel.run();
+            assert_eq!(b.fs.read(fh, 0, LEN as u64).unwrap(), vec![0x3C; LEN]);
+        }
+    }
+
+    /// What a session costs the server is given back when it dies: sixteen
+    /// slots, the staging area and their seventeen registrations used to
+    /// stay behind for every session the worker reaped.
+    #[test]
+    fn a_reaped_session_gives_back_what_the_acceptor_allocated() {
+        let b = bed();
+        b.fs.create(ROOT_ID, "f").unwrap();
+        let (snic, shost) = (b.server.nic.clone(), b.server.host.clone());
+        with_client(&b, client_config(), move |ctx, c, _| {
+            let f = c.lookup(ctx, ROOT_ID, "f").unwrap().id;
+            let held = || (snic.table().live_regions(), shost.mem.allocated_bytes());
+            let one_session = held();
+            assert_eq!(one_session.0, 17);
+            for cycle in 0..100 {
+                // Break the session; the next call dials a new one.
+                c.abort(ctx);
+                c.getattr(ctx, f).unwrap();
+                assert_eq!(held(), one_session, "after {cycle} dead sessions");
+            }
+        });
+        b.kernel.run();
+        assert_eq!(b.server.stats.sessions.get(), 101);
+        // The clean goodbye is reaped like the broken sessions were.
+        assert_eq!(b.server.nic.table().live_regions(), 0);
+        assert_eq!(b.server.host.mem.allocated_bytes(), 0);
+    }
+
     #[test]
     fn batch_read_pipelines_and_verifies() {
         let b = bed();

@@ -6,8 +6,15 @@
 //! least-recently-used registrations when the pinned-byte budget is
 //! exceeded — the standard technique in VIA/InfiniBand middleware, and one
 //! of the knobs the evaluation ablates (R-T5).
+//!
+//! The cache also answers the question the client's transfer rule asks of a
+//! *small* buffer ([`RegCache::warm`]): would a registration of this range
+//! be free, or is it about to pay for itself? A live registration covering
+//! the range is free. A range offered for the second time is a buffer the
+//! caller reuses, so registering it now is paid once and amortised over
+//! every later transfer; a range seen for the first time is only remembered.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
 use simnet::{ActorCtx, Counter, VirtAddr};
@@ -24,6 +31,17 @@ struct Entry {
     refs: u64,
 }
 
+impl Entry {
+    fn covers(&self, addr: VirtAddr, len: u64) -> bool {
+        addr >= self.base && addr.as_u64() + len <= self.base.as_u64() + self.len
+    }
+}
+
+/// Ranges [`RegCache::warm`] remembers having been offered once. A rank
+/// reuses a handful of transfer buffers; a working set of small buffers
+/// wider than this keeps going inline, which is what it does today.
+const SEEN_RANGES: usize = 16;
+
 struct CacheState {
     /// Keyed by base address; containment queries scan (few live buffers in
     /// practice — MPI-IO reuses its transfer buffers).
@@ -34,6 +52,9 @@ struct CacheState {
     retired: Vec<Entry>,
     pinned: u64,
     tick: u64,
+    /// `(base, len)` of ranges offered to [`RegCache::warm`] once and not
+    /// registered, oldest first, at most [`SEEN_RANGES`].
+    seen: VecDeque<(u64, u64)>,
 }
 
 /// A point-in-time snapshot of registration-cache counters, read with
@@ -89,6 +110,7 @@ impl RegCache {
                 retired: Vec::new(),
                 pinned: 0,
                 tick: 0,
+                seen: VecDeque::new(),
             }),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -116,7 +138,7 @@ impl RegCache {
         let tick = st.tick;
         // Containment: any cached entry covering the range?
         for e in st.entries.values_mut() {
-            if addr >= e.base && addr.as_u64() + len <= e.base.as_u64() + e.len {
+            if e.covers(addr, len) {
                 e.last_use = tick;
                 e.refs += 1;
                 self.hits.inc();
@@ -178,6 +200,34 @@ impl RegCache {
         (handle, false)
     }
 
+    /// Whether `[addr, addr+len)` is a buffer worth transferring into
+    /// directly whatever its size: a live registration covers it (an
+    /// [`acquire`](RegCache::acquire) would be a hit), or exactly this range
+    /// was offered here once before and not registered — the caller reuses
+    /// it, so the registration the second touch pays for is the last one.
+    /// A first touch is remembered and answered "no"; so is everything when
+    /// the cache is disabled, where a registration never outlives its op.
+    /// Costs no virtual time.
+    pub fn warm(&self, addr: VirtAddr, len: u64) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        let mut st = self.state.lock();
+        if st.entries.values().any(|e| e.covers(addr, len)) {
+            return true;
+        }
+        let range = (addr.as_u64(), len);
+        if let Some(i) = st.seen.iter().position(|r| *r == range) {
+            st.seen.remove(i);
+            return true;
+        }
+        if st.seen.len() == SEEN_RANGES {
+            st.seen.pop_front();
+        }
+        st.seen.push_back(range);
+        false
+    }
+
     /// Release one acquisition of `handle`. Transient (cache-disabled)
     /// registrations are deregistered outright; cached ones are unpinned,
     /// making them evictable again once no acquisition holds them. A
@@ -210,7 +260,8 @@ impl RegCache {
     /// Drop every cached registration (session teardown). Pinned entries
     /// are dropped too: the session — and with it every in-flight op that
     /// held a handle — is already gone, and [`RegCache::release`] treats
-    /// their late releases as no-ops.
+    /// their late releases as no-ops. The ranges [`RegCache::warm`] had
+    /// only seen are forgotten with them.
     pub fn flush(&self, ctx: &ActorCtx) {
         let mut st = self.state.lock();
         for (_, e) in st.entries.drain() {
@@ -220,6 +271,7 @@ impl RegCache {
             let _ = self.nic.deregister_mem(ctx, e.handle);
         }
         st.pinned = 0;
+        st.seen.clear();
     }
 
     /// Re-key the cache to a new protection tag after a session reconnect:
@@ -413,6 +465,76 @@ mod tests {
             assert_ne!(h1, h2);
             let rs = nic.registration_stats();
             assert_eq!((rs.registrations, rs.deregistrations), (2, 2));
+        });
+    }
+
+    #[test]
+    fn second_touch_of_a_range_is_warm() {
+        with_cache(1 << 20, true, |ctx, cache, nic| {
+            let buf = nic.host().mem.alloc(16 << 10);
+            assert!(!cache.warm(buf, 4096), "first touch");
+            assert!(cache.warm(buf, 4096), "second touch");
+            // The answer registered nothing; the caller does, and from then
+            // on the live registration answers, for any range inside it.
+            assert_eq!(nic.table().live_regions(), 0);
+            touch(ctx, cache, buf, 4096);
+            assert!(cache.warm(buf, 4096));
+            assert!(cache.warm(buf.offset(1024), 1024), "covered range");
+            assert_eq!((cache.hits.get(), cache.misses.get()), (0, 1));
+            // A range that was only seen vouches for itself alone: a piece
+            // of it, or a longer range at its base, is a first touch.
+            let other = buf.offset(8 << 10);
+            assert!(!cache.warm(other, 8 << 10));
+            assert!(!cache.warm(other, 4096), "sub-range of a seen range");
+            assert!(!cache.warm(other.offset(4096), 4096));
+            assert!(cache.warm(other, 8 << 10));
+            assert_eq!(cache.pinned(), 4096, "warm never registers");
+        });
+    }
+
+    #[test]
+    fn disabled_cache_is_never_warm() {
+        with_cache(1 << 20, false, |ctx, cache, nic| {
+            let buf = nic.host().mem.alloc(4096);
+            for _ in 0..3 {
+                assert!(!cache.warm(buf, 4096));
+                let (h, t) = cache.acquire(ctx, buf, 4096);
+                cache.release(ctx, h, t);
+            }
+        });
+    }
+
+    #[test]
+    fn seen_ranges_are_bounded_and_forgotten_oldest_first() {
+        with_cache(1 << 20, true, |_, cache, nic| {
+            let buf = nic.host().mem.alloc((SEEN_RANGES + 1) * 4096);
+            let at = |i: usize| buf.offset(i as u64 * 4096);
+            for i in 0..=SEEN_RANGES {
+                assert!(!cache.warm(at(i), 4096));
+            }
+            assert_eq!(cache.state.lock().seen.len(), SEEN_RANGES);
+            // One more than fits: the oldest is a first touch again (which
+            // pushes out the next oldest); the newest is still remembered.
+            assert!(!cache.warm(at(0), 4096));
+            assert!(cache.warm(at(SEEN_RANGES), 4096));
+            assert!(cache.state.lock().seen.len() < SEEN_RANGES);
+        });
+    }
+
+    #[test]
+    fn flush_and_retarget_forget_seen_ranges() {
+        with_cache(1 << 20, true, |ctx, cache, nic| {
+            let buf = nic.host().mem.alloc(4096);
+            assert!(!cache.warm(buf, 4096));
+            cache.flush(ctx);
+            assert!(!cache.warm(buf, 4096), "flush forgot the first touch");
+            cache.retarget(ctx, nic.create_ptag());
+            assert!(!cache.warm(buf, 4096), "so did retarget");
+            assert!(cache.warm(buf, 4096));
+            // A registration dropped by flush no longer vouches either.
+            touch(ctx, cache, buf, 4096);
+            cache.flush(ctx);
+            assert!(!cache.warm(buf, 4096));
         });
     }
 

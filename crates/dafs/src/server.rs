@@ -22,7 +22,12 @@
 //! * **inline** — payload travels in the message; the server pays a
 //!   buffer-cache copy;
 //! * **direct read** — the server RDMA-Writes file data straight into the
-//!   client's advertised buffer, then sends a small completion response;
+//!   client's advertised buffer, then sends a small completion response.
+//!   The response is posted behind the data on the same reliable VI, whose
+//!   in-order delivery is the fence; the worker sleeps through the write
+//!   only while the session has more RDMA bytes unsent than an inline
+//!   reply may hold (`Session::rdma_write`), so small transfers queue on
+//!   the NIC the way small replies do and large ones still pace the worker;
 //! * **direct write** — the server RDMA-Reads from the client's buffer
 //!   (only if the NIC supports RDMA Read; otherwise the op is rejected and
 //!   the client falls back to inline). The buffer cache is registered with
@@ -41,8 +46,8 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use memfs::{FileAttr, MemFs, NodeId, SetAttr};
 use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, Rope, SimKernel, SimTime, VirtAddr};
 use via::{
-    Cq, CqToken, DataSegment, MemAttributes, MemHandle, RecvDesc, RemoteSegment, SendDesc, Vi,
-    ViAttributes, ViId, ViState, ViaFabric, ViaNic, ViaStatus, WhichQueue,
+    Completion, Cq, CqToken, DataSegment, MemAttributes, MemHandle, RecvDesc, RemoteSegment,
+    SendDesc, Vi, ViAttributes, ViId, ViState, ViaFabric, ViaNic, ViaStatus, WhichQueue,
 };
 
 use crate::cost::DafsServerCost;
@@ -97,9 +102,83 @@ struct Session {
     resp_next: usize,
     /// Staging buffer for direct transfers.
     staging: (VirtAddr, MemHandle),
+    /// The send descriptors posted on `vi` and not yet reaped, oldest
+    /// first: an RDMA Write's byte count, 0 for a reply or an RDMA Read. A
+    /// VI completes its send queue in post order, so a reaped completion is
+    /// always the head's.
+    posted: VecDeque<u64>,
+    /// The sum of `posted`: RDMA-Write bytes handed to the NIC whose
+    /// completion has not been reaped.
+    unsent: u64,
 }
 
 impl Session {
+    /// Arm an accepted VI: `CREDITS` receive descriptors posted, as many
+    /// response slots and the staging area.
+    ///
+    /// The buffers come from the server's boot-time pre-registered pool
+    /// (NetApp-prototype style): no registration cost at session setup,
+    /// just the binding to this session's protection tag.
+    fn open(ctx: &ActorCtx, nic: &ViaNic, vi: Vi) -> Session {
+        let tag = vi.ptag();
+        let pooled = |len: u64| {
+            let buf = nic.host().mem.alloc(len as usize);
+            (
+                buf,
+                nic.register_mem_prepinned(buf, len, MemAttributes::local(tag)),
+            )
+        };
+        let recv_ring: VecDeque<_> = (0..CREDITS).map(|_| pooled(SLOT)).collect();
+        for &(buf, h) in &recv_ring {
+            vi.post_recv(
+                ctx,
+                RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
+            );
+        }
+        let resp_ring = (0..CREDITS).map(|_| pooled(SLOT)).collect();
+        Session {
+            vi,
+            recv_ring,
+            resp_ring,
+            resp_next: 0,
+            staging: pooled(STAGING),
+            posted: VecDeque::new(),
+            unsent: 0,
+        }
+    }
+
+    /// Post one send descriptor, `rdma_bytes` of it an RDMA Write.
+    fn post(&mut self, ctx: &ActorCtx, desc: SendDesc, rdma_bytes: u64) {
+        self.vi.post_send(ctx, desc);
+        self.posted.push_back(rdma_bytes);
+        self.unsent += rdma_bytes;
+    }
+
+    /// Match one reaped completion to the oldest posted descriptor; false
+    /// if it completed in error.
+    fn reaped(&mut self, c: Completion) -> bool {
+        let head = self.posted.pop_front();
+        debug_assert!(head.is_some(), "a send completion nothing was posted for");
+        self.unsent -= head.unwrap_or(0);
+        c.status.is_ok()
+    }
+
+    /// Reap the send completions that are already due, so the completion
+    /// port stays bounded; false if one of them completed in error.
+    fn reap_due(&mut self, ctx: &ActorCtx) -> bool {
+        let mut ok = true;
+        while let Some(c) = self.vi.send_done(ctx) {
+            ok &= self.reaped(c);
+        }
+        ok
+    }
+
+    /// Sleep for the next send completion; false if it completed in error.
+    fn reap_next(&mut self, ctx: &ActorCtx) -> bool {
+        let c = self.vi.send_wait(ctx);
+        self.reaped(c)
+    }
+
     /// Send `resp` on the session's next response slot.
     ///
     /// The slot still describes the transfer (its registration is
@@ -110,16 +189,24 @@ impl Session {
         assert!(resp.len() as u64 <= SLOT, "response overflows session slot");
         let (buf, h) = self.resp_ring[self.resp_next];
         self.resp_next = (self.resp_next + 1) % self.resp_ring.len();
-        self.vi.post_send(
-            ctx,
-            SendDesc::send(vec![DataSegment::new(buf, resp.len() as u32, h)]).with_payload(resp),
-        );
+        let seg = DataSegment::new(buf, resp.len() as u32, h);
+        self.post(ctx, SendDesc::send(vec![seg]).with_payload(resp), 0);
     }
 
     /// RDMA-write `data` into the client's buffer at `to`, chunked as if
     /// through the staging area (chunks pipeline on the wire). Each chunk
     /// rides as zero-copy views of the file pages: server pages → wire →
     /// client buffer, no staging bounce.
+    ///
+    /// The worker runs ahead of the wire by a byte budget: after a post it
+    /// sleeps only while the session has more than [`INLINE_MAX`] RDMA bytes
+    /// posted and unsent. A transfer no larger than an inline reply is thus
+    /// queued the way an inline reply of its size is — the worker goes on
+    /// to the next request while the NIC sends — and a larger one holds the
+    /// worker for its wire time, which is the only hold the request
+    /// scheduler has on the wire (X-6). The reply posted afterwards follows
+    /// the data on the same reliable VI, whose in-order delivery is the
+    /// fence; a transfer that fails breaks the VI, which flushes that reply.
     fn rdma_write(
         &mut self,
         ctx: &ActorCtx,
@@ -130,23 +217,35 @@ impl Session {
         let mut sent = 0usize;
         while sent < data.len() {
             let n = (data.len() - sent).min(STAGING as usize);
-            self.vi.post_send(
-                ctx,
-                SendDesc::rdma_write(
-                    vec![DataSegment::new(sbuf, n as u32, sh)],
-                    RemoteSegment {
-                        addr: to.addr.offset(sent as u64),
-                        handle: to.handle,
-                    },
-                )
-                .with_payload(data.slice(sent..sent + n)),
+            let desc = SendDesc::rdma_write(
+                vec![DataSegment::new(sbuf, n as u32, sh)],
+                RemoteSegment {
+                    addr: to.addr.offset(sent as u64),
+                    handle: to.handle,
+                },
             );
-            // Chunk boundaries serialize through the staging buffer: wait
-            // for the NIC to finish each chunk before overwriting.
-            if !self.vi.send_wait(ctx).status.is_ok() {
-                return Err(DafsStatus::XferError);
+            self.post(ctx, desc.with_payload(data.slice(sent..sent + n)), n as u64);
+            while self.unsent > INLINE_MAX {
+                if !self.reap_next(ctx) {
+                    return Err(DafsStatus::XferError);
+                }
             }
             sent += n;
+        }
+        Ok(())
+    }
+
+    /// RDMA-read `n` bytes at `from` in the client's memory into the
+    /// staging buffer and wait until they are there: until this descriptor,
+    /// the newest, has been reaped — not just the oldest one outstanding.
+    fn rdma_read(&mut self, ctx: &ActorCtx, n: u64, from: RemoteSegment) -> Result<(), DafsStatus> {
+        let (sbuf, sh) = self.staging;
+        let seg = DataSegment::new(sbuf, n as u32, sh);
+        self.post(ctx, SendDesc::rdma_read(vec![seg], from), 0);
+        while !self.posted.is_empty() {
+            if !self.reap_next(ctx) {
+                return Err(DafsStatus::XferError);
+            }
         }
         Ok(())
     }
@@ -211,40 +310,7 @@ pub fn spawn_dafs_server_sched(
                     break;
                 };
                 stats.sessions.inc();
-                let tag = vi.ptag();
-                // Session buffers come from the server's boot-time
-                // pre-registered pool (NetApp-prototype style): no
-                // registration cost at session setup, just the binding to
-                // this session's protection tag.
-                let mut recv_ring = VecDeque::new();
-                for _ in 0..CREDITS {
-                    let buf = nic.host().mem.alloc(SLOT as usize);
-                    let h = nic.register_mem_prepinned(buf, SLOT, MemAttributes::local(tag));
-                    vi.post_recv(
-                        ctx,
-                        RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
-                    );
-                    recv_ring.push_back((buf, h));
-                }
-                let mut resp_ring = Vec::new();
-                for _ in 0..CREDITS {
-                    let buf = nic.host().mem.alloc(SLOT as usize);
-                    let h = nic.register_mem_prepinned(buf, SLOT, MemAttributes::local(tag));
-                    resp_ring.push((buf, h));
-                }
-                let sbuf = nic.host().mem.alloc(STAGING as usize);
-                let sh = nic.register_mem_prepinned(sbuf, STAGING, MemAttributes::local(tag));
-                new_sessions.send(
-                    ctx,
-                    Session {
-                        vi,
-                        recv_ring,
-                        resp_ring,
-                        resp_next: 0,
-                        staging: (sbuf, sh),
-                    },
-                    ctx.now(),
-                );
+                new_sessions.send(ctx, Session::open(ctx, &nic, vi), ctx.now());
             }
         });
     }
@@ -479,13 +545,18 @@ impl Server {
             self.sessions.insert(s.vi.id(), s);
         }
         let sess = self.sessions.get_mut(&vi)?;
-        // Drain old send completions so ports stay bounded.
-        while sess.vi.send_done(ctx).is_some() {}
-        let completion = sess.vi.recv_done(ctx)?;
-        if completion.status == ViaStatus::ConnectionLost {
+        // A send that failed has broken the VI (and told the peer): the
+        // session is over, whatever arrived on it.
+        let sent_ok = sess.reap_due(ctx);
+        let completion = sess.vi.recv_done(ctx);
+        let lost = completion
+            .as_ref()
+            .is_some_and(|c| c.status == ViaStatus::ConnectionLost);
+        if lost || !sent_ok {
             self.reap(ctx, vi);
             return None;
         }
+        let completion = completion?;
         if !completion.status.is_ok() {
             return None;
         }
@@ -548,10 +619,26 @@ impl Server {
         }
     }
 
-    /// Reap a dead session: tear down its state, drop its queued frames,
-    /// pass on its locks, and serve any requests its leases were blocking.
+    /// Reap a dead session: tear down its state, free what the acceptor
+    /// allocated for it, drop its queued frames, pass on its locks, and
+    /// serve any requests its leases were blocking.
     fn reap(&mut self, ctx: &ActorCtx, dead: ViId) {
-        self.sessions.remove(&dead);
+        if let Some(s) = self.sessions.remove(&dead) {
+            // The acceptor's slots and staging area go back to the boot-time
+            // pool they came from: unbound at no cost, as they were bound.
+            for (buf, h) in s
+                .recv_ring
+                .into_iter()
+                .chain(s.resp_ring)
+                .chain([s.staging])
+            {
+                self.nic
+                    .table()
+                    .deregister(h)
+                    .expect("a session's registrations live as long as it does");
+                self.host.mem.free(buf);
+            }
+        }
         self.retired.insert(dead);
         self.client_ids.remove(&dead);
         self.tenants.remove(&dead);
@@ -1067,21 +1154,13 @@ impl Server {
                     let mut rpos = 0u64; // bytes of it already written
                     while got < run_total {
                         let n = (run_total - got).min(STAGING);
-                        let sess = self.sessions.get_mut(&vi).expect("live session");
-                        let (sbuf, sh) = sess.staging;
-                        sess.vi.post_send(
-                            ctx,
-                            SendDesc::rdma_read(
-                                vec![DataSegment::new(sbuf, n as u32, sh)],
-                                RemoteSegment {
-                                    addr: from.addr.offset(run[0].2 + got),
-                                    handle: from.handle,
-                                },
-                            ),
-                        );
-                        if !sess.vi.send_wait(ctx).status.is_ok() {
-                            return Err(DafsStatus::XferError);
-                        }
+                        let at = RemoteSegment {
+                            addr: from.addr.offset(run[0].2 + got),
+                            handle: from.handle,
+                        };
+                        let sess = self.session(vi);
+                        sess.rdma_read(ctx, n, at)?;
+                        let sbuf = sess.staging.0;
                         let chunk = self.host.mem.read_vec(sbuf, n as usize);
                         let mut cpos = 0u64;
                         while cpos < n {
@@ -1106,5 +1185,120 @@ impl Server {
         };
         meter.record(total);
         Ok(self.fs.getattr(fh)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::Mutex;
+    use simnet::Cluster;
+    use std::sync::Arc;
+    use via::ViaCost;
+
+    /// What the worker does for a batch of direct reads, on a bare
+    /// `Session`: more transfers than the credit window, 1 KiB to 256 KiB
+    /// in no order, each an RDMA Write and then its reply. Every reaped
+    /// completion matches the oldest posted descriptor (`reaped`
+    /// `debug_assert`s one completion per post); after a transfer the
+    /// session never has more than `INLINE_MAX` RDMA bytes unsent; a reply
+    /// in the client's hand means its data is; and at the end the FIFO is
+    /// empty and the unsent count is back at 0.
+    #[test]
+    fn mixed_direct_reads_drain_the_send_fifo() {
+        const KIB: usize = 1 << 10;
+        const SIZES: [usize; 12] = [1, 256, 4, 32, 64, 2, 128, 16, 33, 8, 256, 1];
+        assert!(SIZES.len() > CREDITS as usize);
+        let total: usize = SIZES.iter().sum::<usize>() * KIB;
+        let kernel = SimKernel::new();
+        let cluster = Cluster::new();
+        let fabric = ViaFabric::new(ViaCost::default());
+        let snic = fabric.open_nic(cluster.add_host("server"));
+        let cnic = fabric.open_nic(cluster.add_host("client"));
+        let server_host = snic.host().id;
+        let target: Arc<Mutex<Option<RemoteSegment>>> = Arc::new(Mutex::new(None));
+        {
+            let (fabric, target) = (fabric.clone(), target.clone());
+            kernel.spawn_daemon("server", move |ctx| {
+                let listener = fabric.listen(&snic, 7);
+                let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+                let mut sess = Session::open(ctx, &snic, vi);
+                // The client's first message says its buffer is registered.
+                assert!(sess.vi.recv_wait(ctx).status.is_ok());
+                let to = target.lock().expect("published before the message");
+                let mut at = 0u64;
+                for (i, kib) in SIZES.into_iter().enumerate() {
+                    let n = kib * KIB;
+                    sess.reap_due(ctx);
+                    let data = Rope::from(Bytes::from_vec(vec![i as u8 + 1; n]));
+                    let to = RemoteSegment {
+                        addr: to.addr.offset(at),
+                        handle: to.handle,
+                    };
+                    assert_eq!(sess.rdma_write(ctx, &data, to), Ok(()));
+                    assert!(
+                        sess.unsent <= INLINE_MAX,
+                        "{} unsent after {kib}K",
+                        sess.unsent
+                    );
+                    assert_eq!(sess.unsent, sess.posted.iter().sum::<u64>());
+                    sess.respond(ctx, Bytes::from_vec(vec![i as u8]));
+                    at += n as u64;
+                }
+                while !sess.posted.is_empty() {
+                    assert!(sess.reap_next(ctx));
+                }
+                assert_eq!(sess.unsent, 0);
+                assert!(
+                    sess.vi.send_done(ctx).is_none(),
+                    "a completion nothing matched"
+                );
+            });
+        }
+        kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let mem = &cnic.host().mem;
+            let tag = vi.ptag();
+            let dst = mem.alloc(total);
+            let dh = cnic.register_mem(
+                ctx,
+                dst,
+                total as u64,
+                MemAttributes::rdma_write_target(tag),
+            );
+            let msg = mem.alloc(SLOT as usize);
+            let mh = cnic.register_mem(ctx, msg, SLOT, MemAttributes::local(tag));
+            for _ in SIZES {
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(msg, SLOT as u32, mh)]),
+                );
+            }
+            *target.lock() = Some(RemoteSegment {
+                addr: dst,
+                handle: dh,
+            });
+            vi.post_send(ctx, SendDesc::send(vec![DataSegment::new(msg, 8, mh)]));
+            let mut at = 0u64;
+            for (i, kib) in SIZES.into_iter().enumerate() {
+                let reply = vi.recv_wait(ctx);
+                assert!(reply.status.is_ok());
+                assert_eq!(
+                    reply.payload.expect("reply")[..],
+                    [i as u8],
+                    "replies in order"
+                );
+                let n = kib * KIB;
+                let landed = mem.read_vec(dst.offset(at), n);
+                assert!(
+                    landed.iter().all(|b| *b == i as u8 + 1),
+                    "transfer {i} behind its reply"
+                );
+                at += n as u64;
+            }
+        });
+        kernel.run();
     }
 }

@@ -313,8 +313,10 @@ mod tests {
             // Local-only registration: remote writes must be denied.
             let (buf, h) = reg_buf(ctx, &snic, 4096, MemAttributes::local(tag));
             *slot.lock() = Some((buf, h));
-            // Park forever; nothing should arrive.
-            let _ = vi.recv_wait(ctx);
+            // No data arrives. The refused write breaks the connection at
+            // both ends: this side is told, not left waiting.
+            assert_eq!(vi.recv_wait(ctx).status, ViaStatus::ConnectionLost);
+            assert_eq!(vi.state(), ViState::Error);
         });
         let fabric = tb.fabric.clone();
         let cnic = tb.client_nic.clone();

@@ -237,15 +237,7 @@ impl Vi {
                 ("at_ns", obs::Value::U64(at.as_nanos())),
             ],
         );
-        self.peer.incoming.send(
-            ctx,
-            Arrived {
-                at,
-                msg: WireMsg::Broken,
-            },
-            at,
-        );
-        self.notify_peer_recv_cq(ctx, at);
+        self.tell_peer_broken(ctx, at);
         self.complete_send(
             ctx,
             Completion {
@@ -257,6 +249,43 @@ impl Vi {
                 payload: None,
             },
         );
+    }
+
+    /// The peer's NIC refused an RDMA target (bad handle, wrong tag, out
+    /// of bounds, no remote access). On a reliable VI that is a connection
+    /// error at *both* ends: this endpoint enters `Error` and the descriptor
+    /// completes with `RemoteProtectionError`; the peer, whose NIC made the
+    /// check, observes `ConnectionLost` one NIC-to-host notification later.
+    /// Nothing leaves `Connected` without the other side being told — the
+    /// invariant [`Vi::disconnect`] relies on when it treats a dead VI as
+    /// already announced.
+    fn protection_break(&self, ctx: &ActorCtx) {
+        *self.local.state.lock() = ViState::Error;
+        self.tell_peer_broken(ctx, ctx.now() + self.nic.cost().unloaded_one_way(0));
+        self.complete_send(
+            ctx,
+            Completion {
+                status: ViaStatus::RemoteProtectionError,
+                len: 0,
+                imm: None,
+                queue: WhichQueue::Send,
+                at: ctx.now(),
+                payload: None,
+            },
+        );
+    }
+
+    /// The peer endpoint observes `ConnectionLost` at `at`.
+    fn tell_peer_broken(&self, ctx: &ActorCtx, at: SimTime) {
+        self.peer.incoming.send(
+            ctx,
+            Arrived {
+                at,
+                msg: WireMsg::Broken,
+            },
+            at,
+        );
+        self.notify_peer_recv_cq(ctx, at);
     }
 
     fn notify_peer_recv_cq(&self, ctx: &ActorCtx, at: SimTime) {
@@ -520,25 +549,15 @@ impl Vi {
         let len = desc.total_len();
         // The remote NIC validates the target against its own TPT under the
         // *peer* endpoint's protection tag.
-        if let Err(_e) = self.peer_nic.table().check(
+        let target = self.peer_nic.table().check(
             remote.handle,
             self.peer.ptag,
             remote.addr,
             len,
             AccessKind::RemoteWrite,
-        ) {
-            *self.local.state.lock() = ViState::Error;
-            return self.complete_send(
-                ctx,
-                Completion {
-                    status: ViaStatus::RemoteProtectionError,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Send,
-                    at: ctx.now(),
-                    payload: None,
-                },
-            );
+        );
+        if target.is_err() {
+            return self.protection_break(ctx);
         }
         // Move the bytes (the peer host CPU is *not* involved).
         ctx.metrics().byte_meter("via.rdma.bytes").record(len);
@@ -612,25 +631,15 @@ impl Vi {
             }
         };
         let len = desc.total_len();
-        if let Err(_e) = self.peer_nic.table().check(
+        let target = self.peer_nic.table().check(
             remote.handle,
             self.peer.ptag,
             remote.addr,
             len,
             AccessKind::RemoteRead,
-        ) {
-            *self.local.state.lock() = ViState::Error;
-            return self.complete_send(
-                ctx,
-                Completion {
-                    status: ViaStatus::RemoteProtectionError,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Send,
-                    at: ctx.now(),
-                    payload: None,
-                },
-            );
+        );
+        if target.is_err() {
+            return self.protection_break(ctx);
         }
         ctx.metrics().byte_meter("via.rdma.bytes").record(len);
         let c = self.nic.cost();

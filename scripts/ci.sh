@@ -51,13 +51,15 @@ bench() {
 }
 
 echo "==> experiment smokes (id:what the output must still say)"
-# Each run's own asserts are the gate (R-T6: two servers must carry the
-# 64K-window pipelined sweep at >= 1.5x one; X-6: WFQ small-op p99 must beat
-# FIFO; the >=5x bound is enforced on the full-size run of the golden diff
-# below, where the quantiles are fine enough to pin a ratio); the grep
-# only catches a table that lost a column, a row or its identity note.
-for smoke in "R-T6:striped(2)" R-F7:pipelined R-F8:bit-identical R-F9:byte-identical \
-    X-5:cached+loss X-5:scale-out R-F10:oversub "X-6:deadline boost"; do
+# Each run's own asserts are the gate (R-F5: a reused buffer never reads
+# slower than a fresh one, and the default configuration is the envelope of
+# every column; R-T6: two servers must carry the 64K-window pipelined sweep
+# at >= 1.5x one; X-6: WFQ small-op p99 must beat FIFO; the >=5x bound is
+# enforced on the full-size run of the golden diff below, where the
+# quantiles are fine enough to pin a ratio); the grep only catches a table
+# that lost a column, a row or its identity note.
+for smoke in "R-F5:default = envelope" "R-T6:striped(2)" R-F7:pipelined R-F8:bit-identical \
+    R-F9:byte-identical X-5:cached+loss X-5:scale-out R-F10:oversub "X-6:deadline boost"; do
     id=${smoke%%:*} must=${smoke#*:}
     out=$(bench --only "$id" --smoke)
     echo "$out"

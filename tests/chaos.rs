@@ -577,6 +577,82 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
     assert_eq!(fs.resolve("/x").unwrap().size, 4096);
 }
 
+/// X-4's ladder over the reads the transfer rule sends direct because
+/// their buffer is warm: 4 KiB reads into one buffer, each now an RDMA Write
+/// and a reply where it used to be one message. A read returns exactly the
+/// file's bytes or an error — a reply never outruns its data, and a
+/// transfer lost with its session is redone through the inline path — and
+/// at 1 % loss and below the reconnect budget absorbs every break: no read
+/// fails.
+#[test]
+fn dafs_warm_small_reads_survive_loss_ladder() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    const REQ: usize = 4 << 10;
+    const FILE: usize = 64 << 10;
+    const PASSES: usize = 8;
+    for (i, loss) in [0.001, 0.01, 0.05].into_iter().enumerate() {
+        let plan = FaultPlan::builder(0x4A12 + i as u64).loss(loss).build();
+        // (failed reads, direct reads, fallbacks to inline)
+        let tally = Arc::new([const { AtomicU64::new(0) }; 3]);
+        let t = tally.clone();
+        let (_, reconnects) = raw_dafs_run(plan, move |ctx, c| {
+            let image: Vec<u8> = (0..FILE).map(|i| (i * 13 + i / REQ) as u8).collect();
+            let f = c.create(ctx, ROOT_ID, "f").unwrap().id;
+            for (n, chunk) in image.chunks(32 << 10).enumerate() {
+                c.write_bytes(ctx, f, (n * (32 << 10)) as u64, chunk)
+                    .unwrap();
+            }
+            let mem = &c.nic().host().mem;
+            let buf = mem.alloc(REQ);
+            let fallbacks = || ctx.metrics().counter("dafs.direct_fallbacks").get();
+            for _ in 0..PASSES {
+                for off in (0..FILE).step_by(REQ) {
+                    mem.fill(buf, REQ, 0);
+                    match c.read(ctx, f, off as u64, buf, REQ as u64) {
+                        Ok(n) => {
+                            assert_eq!(n, REQ as u64, "short read at {off}");
+                            assert_eq!(
+                                mem.read_vec(buf, REQ),
+                                image[off..off + REQ],
+                                "loss {loss}: wrong bytes at {off}"
+                            );
+                        }
+                        Err(_) => {
+                            t[0].fetch_add(1, Relaxed);
+                        }
+                    }
+                }
+            }
+            t[1].store(c.stats.direct_reads.ops.get(), Relaxed);
+            t[2].store(fallbacks(), Relaxed);
+            assert!(
+                ctx.now().as_nanos() < DEADLINE_NS,
+                "virtual-time deadline blown: {} ns",
+                ctx.now().as_nanos()
+            );
+        });
+        let [failed, direct, fallbacks] = [0, 1, 2].map(|k| tally[k].load(Relaxed));
+        let reads = (PASSES * FILE / REQ) as u64;
+        assert!(
+            direct > reads / 2,
+            "loss {loss}: only {direct} of {reads} reads went direct"
+        );
+        if loss <= 0.01 {
+            assert_eq!(
+                failed, 0,
+                "loss {loss}: reads failed ({reconnects} reconnects)"
+            );
+        }
+        if loss >= 0.05 {
+            assert!(
+                reconnects > 0 && fallbacks > 0,
+                "loss {loss}: {reconnects} reconnects, {fallbacks} fallbacks — recovery went untested"
+            );
+        }
+    }
+}
+
 /// Raw DAFS client under `plan`; returns the server fs and total reconnects.
 fn raw_dafs_run(
     plan: FaultPlan,

@@ -452,3 +452,148 @@ fn truncated_frames_get_one_error_reply_and_change_nothing() {
     );
     assert_eq!(server.stats.ops.get(), frames + 2, "a frame went unserved");
 }
+
+/// The other half of the sweep above: frames that decode, and name a client
+/// buffer the server may not touch. `truncated_frames_…` cannot reach this
+/// — every frame it sends is a proper prefix. A direct request whose handle
+/// nobody registered (or whose length runs past what was registered) makes
+/// the server's RDMA fail; that breaks the reliable VI at both ends, so the
+/// client sees a transport error instead of waiting forever for a reply the
+/// dead VI flushed. Each of the five direct bodies, on a fabric with and
+/// without RDMA Read, ends in an error status or a transport error within a
+/// millisecond; a well-behaved second session is served the whole time; the
+/// file is what it was.
+#[test]
+fn direct_requests_naming_a_bad_buffer_end_in_an_error_not_a_hang() {
+    for rdma_read_supported in [false, true] {
+        let kernel = SimKernel::new();
+        let cluster = Cluster::new();
+        let fabric = via::ViaFabric::new(via::ViaCost {
+            rdma_read_supported,
+            ..Default::default()
+        });
+        let server_nic = fabric.open_nic(cluster.add_host("server0"));
+        let sid = server_nic.host().id;
+        let fs = mpio_dafs::memfs::MemFs::new();
+        let f = fs.create(ROOT_ID, "f").unwrap().id;
+        fs.write(f, 0, &[0x5A; 4096]).unwrap();
+        let _server = dafs::spawn_dafs_server(
+            &kernel,
+            &fabric,
+            server_nic,
+            fs.clone(),
+            PORT,
+            dafs::DafsServerCost::default(),
+        );
+        let image = move |fs: &mpio_dafs::memfs::MemFs| {
+            (fs.getattr(f).unwrap(), fs.read(f, 0, 1 << 20).unwrap())
+        };
+        let before = image(&fs);
+
+        let u = |v: u64| v.to_le_bytes().to_vec();
+        let segs = [
+            &2u32.to_le_bytes()[..],
+            &[u(0), u(8), u(0)].concat(),
+            &[u(16), u(8), u(8)].concat(),
+        ]
+        .concat();
+        // `remote` is the buffer the request names: (address, handle).
+        let bodies = move |remote: &[u8], small: &[u8]| -> Vec<(&'static str, u8, Vec<u8>)> {
+            let fh = u(f.0);
+            vec![
+                ("ReadDirect", 12, [&fh[..], &u(0), &u(64), remote].concat()),
+                ("WriteDirect", 13, [&fh[..], &u(0), &u(64), remote].concat()),
+                ("ReadList", 20, [&fh[..], &[1], remote, &segs].concat()),
+                ("WriteList", 21, [&fh[..], &[1], remote, &segs].concat()),
+                // A handle that is registered, for 1 KiB; the read is 4 KiB.
+                (
+                    "ReadDirect past the registration",
+                    12,
+                    [&fh[..], &u(0), &u(4096), small].concat(),
+                ),
+            ]
+        };
+
+        {
+            let fabric = fabric.clone();
+            let host = cluster.add_host("raw");
+            kernel.spawn("raw", move |ctx| {
+                let nic = fabric.open_nic(host.clone());
+                let mem = &nic.host().mem;
+                let wild = [u(0x1000), u(77)].concat();
+                for i in 0..5 {
+                    // The session does not survive a refused RDMA: each body
+                    // gets a connection of its own.
+                    let vi = fabric
+                        .connect(ctx, &nic, sid, PORT, ViAttributes::default())
+                        .unwrap();
+                    let tag = vi.ptag();
+                    let (sbuf, rbuf, dbuf) =
+                        (mem.alloc(1 << 10), mem.alloc(1 << 10), mem.alloc(1 << 10));
+                    let sh = nic.register_mem(ctx, sbuf, 1 << 10, MemAttributes::local(tag));
+                    let rh = nic.register_mem(ctx, rbuf, 1 << 10, MemAttributes::local(tag));
+                    let dh =
+                        nic.register_mem(ctx, dbuf, 1 << 10, MemAttributes::rdma_write_target(tag));
+                    let small = [u(dbuf.as_u64()), u(dh.0)].concat();
+                    let mut reqid = 0u32;
+                    // `Ok(status)` of the reply, or `Err` of the transport.
+                    let mut call = |op: u8, body: &[u8]| -> Result<u8, via::ViaStatus> {
+                        reqid += 1;
+                        let frame = [&reqid.to_le_bytes()[..], &[op], body].concat();
+                        mem.write(sbuf, &frame);
+                        vi.post_recv(
+                            ctx,
+                            RecvDesc::new(vec![DataSegment::new(rbuf, 1 << 10, rh)]),
+                        );
+                        vi.post_send(
+                            ctx,
+                            SendDesc::send(vec![DataSegment::new(sbuf, frame.len() as u32, sh)]),
+                        );
+                        vi.send_wait(ctx);
+                        let resp = vi.recv_wait(ctx);
+                        if !resp.status.is_ok() {
+                            return Err(resp.status);
+                        }
+                        Ok(resp.payload.expect("reply frame")[4])
+                    };
+                    assert_eq!(call(18, &7u64.to_le_bytes()), Ok(0), "Hello");
+                    let (name, op, body) = bodies(&wild, &small).swap_remove(i);
+                    let sent = ctx.now();
+                    let outcome = call(op, &body);
+                    assert_ne!(
+                        outcome,
+                        Ok(0),
+                        "{name}: served (rdma read {rdma_read_supported})"
+                    );
+                    assert!(
+                        ctx.now().since(sent) < ms(1),
+                        "{name}: {outcome:?} only after {} ns",
+                        ctx.now().since(sent).as_nanos()
+                    );
+                    vi.disconnect(ctx);
+                }
+            });
+        }
+        {
+            // The bystander: one request every 50 us, from before the first
+            // bad frame until after the last, each answered promptly.
+            let fabric = fabric.clone();
+            let host = cluster.add_host("bystander");
+            kernel.spawn("bystander", move |ctx| {
+                let nic = fabric.open_nic(host.clone());
+                let c =
+                    dafs::DafsClient::connect(ctx, &fabric, &nic, sid, PORT, Default::default())
+                        .unwrap();
+                for _ in 0..40 {
+                    let asked = ctx.now();
+                    assert_eq!(c.getattr(ctx, f).unwrap().size, 4096);
+                    assert!(ctx.now().since(asked) < us(200), "the bystander waited");
+                    ctx.advance(us(50));
+                }
+                c.disconnect(ctx);
+            });
+        }
+        kernel.run();
+        assert_eq!(image(&fs), before, "a refused transfer changed the file");
+    }
+}
