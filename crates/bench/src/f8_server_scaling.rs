@@ -76,7 +76,7 @@ fn striped_case(
                 .iter()
                 .map(|c| c.create(ctx, ROOT_ID, &name).unwrap().id)
                 .collect();
-            let file = DafsStripedFile::new(cs.to_vec(), fhs, STRIPE, false);
+            let file = DafsStripedFile::new(cs.to_vec(), fhs, STRIPE);
             let data = pattern(rank, REQ as usize);
             let buf = nic.host().mem.alloc(REQ as usize);
             nic.host().mem.write(buf, &data);
@@ -173,7 +173,7 @@ fn striped_control_ns() -> (u64, u64) {
         },
         move |ctx, _rank, cs, nic| {
             let f = cs[0].lookup(ctx, ROOT_ID, "f").unwrap();
-            let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE, false);
+            let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE);
             let buf = nic.host().mem.alloc(REQ as usize);
             let t0 = ctx.now();
             let mut off = 0;

@@ -97,16 +97,15 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
         move |ctx, _i, cs, nic| {
             let c = &cs[0];
             let f = c.lookup(ctx, ROOT_ID, "hot").unwrap();
+            if cached {
+                c.cache_file(f.id);
+            }
             let dst = nic.host().mem.alloc(REQ as usize);
             let expect = pattern();
             // Warm pass (uncounted): seeds the cache in cached mode.
             let mut off = 0;
             while off < REGION {
-                let n = if cached {
-                    c.read_cached(ctx, f.id, off, dst, REQ).unwrap()
-                } else {
-                    c.read(ctx, f.id, off, dst, REQ).unwrap()
-                };
+                let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
                 assert_eq!(n, REQ, "short warm read at {off}");
                 off += REQ;
             }
@@ -114,11 +113,7 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
             for _ in 0..rounds {
                 let mut off = 0;
                 while off < REGION {
-                    let n = if cached {
-                        c.read_cached(ctx, f.id, off, dst, REQ).unwrap()
-                    } else {
-                        c.read(ctx, f.id, off, dst, REQ).unwrap()
-                    };
+                    let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
                     assert_eq!(n, REQ, "short re-read at {off}");
                     assert_eq!(
                         nic.host().mem.read_vec(dst, REQ as usize),
@@ -128,11 +123,7 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
                     off += REQ;
                 }
                 for _ in 0..GETATTRS_PER_ROUND {
-                    let a = if cached {
-                        c.getattr_cached(ctx, f.id).unwrap()
-                    } else {
-                        c.getattr(ctx, f.id).unwrap()
-                    };
+                    let a = c.getattr(ctx, f.id).unwrap();
                     assert_eq!(a.size, REGION);
                 }
             }
@@ -185,10 +176,11 @@ fn writeback_case() -> WbOut {
         move |ctx, _i, cs, nic| {
             let c = &cs[0];
             let f = c.lookup(ctx, ROOT_ID, "wb").unwrap();
+            c.cache_file(f.id);
             let src = nic.host().mem.alloc(page as usize);
             for p in 0..WB_PAGES {
                 nic.host().mem.fill(src, page as usize, (p % 251) as u8 + 1);
-                c.write_cached(ctx, f.id, p * 2 * page, src, page).unwrap();
+                c.write(ctx, f.id, p * 2 * page, src, page).unwrap();
             }
             let flushed = c.cache_sync(ctx).unwrap();
             assert_eq!(flushed, WB_PAGES, "every strided dirty page must flush");
@@ -283,7 +275,10 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
                 .iter()
                 .map(|c| c.lookup(ctx, ROOT_ID, "hot").unwrap().id)
                 .collect();
-            let f = DafsStripedFile::new(cs.to_vec(), fhs, SCALE_STRIPE, true);
+            for (c, fh) in cs.iter().zip(&fhs) {
+                c.cache_file(*fh);
+            }
+            let f = DafsStripedFile::new(cs.to_vec(), fhs, SCALE_STRIPE);
             let dst = nic.host().mem.alloc(REQ as usize);
             let pass = |verify_tag: &str| {
                 let mut off = 0;
@@ -360,6 +355,7 @@ fn storm_case(readers: usize) -> StormOut {
         move |ctx, i, cs, nic| {
             let c = &cs[0];
             let f = c.lookup(ctx, ROOT_ID, "storm").unwrap();
+            c.cache_file(f.id);
             if i == 0 {
                 let src = nic.host().mem.alloc(REGION as usize);
                 // Phase A at ms(8): every reader holds its page lease by
@@ -367,12 +363,12 @@ fn storm_case(readers: usize) -> StormOut {
                 // at the server until the last ack lands (~ms(12)).
                 ctx.advance(ms(8));
                 nic.host().mem.write(src, &a);
-                c.write_cached(ctx, f.id, 0, src, REGION).unwrap();
+                c.write(ctx, f.id, 0, src, REGION).unwrap();
                 // Phase B: no leases are out (the acks dropped them, the
                 // readers' re-reads wait until ms(22)), so this acquires a
                 // write-back lease and buffers the region dirty.
                 nic.host().mem.write(src, &b);
-                c.write_cached(ctx, f.id, 0, src, REGION).unwrap();
+                c.write(ctx, f.id, 0, src, REGION).unwrap();
                 // ms(26)+: the readers' storm parked behind our lease at
                 // ~ms(22); servicing the recall flushes everything dirty
                 // as one coalesced batch, then the ack releases them all.
@@ -382,7 +378,7 @@ fn storm_case(readers: usize) -> StormOut {
                 // Warm one page under a read lease — small on purpose, so
                 // all N warm reads finish well before phase A starts.
                 let dst = nic.host().mem.alloc(page as usize);
-                let n = c.read_cached(ctx, f.id, 0, dst, page).unwrap();
+                let n = c.read(ctx, f.id, 0, dst, page).unwrap();
                 assert_eq!(n, page, "reader {i} short warm read");
                 // ms(12)-ish: service phase A's recall — flush (nothing,
                 // we're clean), ack, drop the page.
@@ -399,7 +395,7 @@ fn storm_case(readers: usize) -> StormOut {
                 // read behind the writer's lease and must return the
                 // flushed phase-B image, never A or the original.
                 ctx.advance(ms(10));
-                let n = c.read_cached(ctx, f.id, 0, dst, page).unwrap();
+                let n = c.read(ctx, f.id, 0, dst, page).unwrap();
                 assert_eq!(n, page, "reader {i} short post-storm read");
                 assert_eq!(
                     nic.host().mem.read_vec(dst, page as usize),

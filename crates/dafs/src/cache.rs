@@ -5,12 +5,18 @@
 //! [`PageCache`] is pure state, like [`crate::lease`] on the server side:
 //! nothing in it sends a request, reads a clock, touches simulated memory,
 //! counts or traces; it answers in plans and counts. Below it is the driver
-//! that sequences it — [`past_cache`], [`read_cached`], [`write_cached`],
+//! that sequences it — [`read`], [`write`], [`getattr`], [`past_cache`],
 //! [`hand_back`] and the rest — written once over [`CacheIo`], the I/O it
 //! needs: `crate::client` answers that with the wire, the clock and the
 //! counters, `crate::explore` with a model server around the real lease
 //! table and no kernel, so what the explorer exhausts is the code the
 //! client runs.
+//!
+//! **Which files a session caches** is state of the cache too: the set a
+//! caller enrolled ([`PageCache::enrol`]). The driver's three entry points
+//! ask it first, before anything else, and a file that is not in it goes
+//! past the cache ([`past_cache`], then the wire) — so the route is a
+//! property of (session, file), like the lease, and never of the call site.
 //!
 //! **The page invariant.** Under a lease that vouches for size `S`, a
 //! cached page `p` holds exactly `min(page, S - p * page)` bytes and none
@@ -25,7 +31,7 @@
 //! was in flight still lands its pages against it, and the next grant keeps
 //! them only if the file's version has not moved since.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::DerefMut;
 
 use memfs::FileAttr;
@@ -65,6 +71,9 @@ struct Page {
 pub(crate) struct PageCache {
     page: u64,
     capacity: usize,
+    /// The files this session caches, for as long as it lives: reconnects
+    /// included, and holding nothing does not empty it.
+    enrolled: BTreeSet<u64>,
     /// Leases held, with the attributes they vouch for (`None` after a
     /// write whose reply carried none).
     leases: BTreeMap<u64, (LeaseKind, Option<FileAttr>)>,
@@ -84,6 +93,7 @@ impl PageCache {
         PageCache {
             page,
             capacity,
+            enrolled: BTreeSet::new(),
             leases: BTreeMap::new(),
             claims: BTreeMap::new(),
             pages: BTreeMap::new(),
@@ -92,8 +102,19 @@ impl PageCache {
         }
     }
 
+    /// From now on `fh` is read, written and sized through this cache.
+    pub(crate) fn enrol(&mut self, fh: u64) {
+        self.enrolled.insert(fh);
+    }
+
+    /// Whether `fh` was enrolled.
+    pub(crate) fn caches(&self, fh: u64) -> bool {
+        self.enrolled.contains(&fh)
+    }
+
     /// No lease, no queued recall, no dirty page: nothing to service on
-    /// entry to a cached call, nothing to hand back on disconnect.
+    /// entry to a cached call, nothing to hand back on disconnect. (What is
+    /// enrolled does not count: it holds nothing.)
     pub(crate) fn is_idle(&self) -> bool {
         self.leases.is_empty() && self.recalls.is_empty() && self.dirty == 0
     }
@@ -567,10 +588,15 @@ fn with_fetched<S: CacheIo, R>(
     out
 }
 
-/// Attributes through the cache: free while a lease vouches for them, one
+/// Attributes of `fh`. A file the session does not cache: the rule, then a
+/// plain GETATTR. One it does: free while a lease vouches for them, one
 /// lease acquisition (which seeds the cache) otherwise, and without a lease
 /// a plain GETATTR — coherent by asking.
-pub(crate) fn getattr_cached<S: CacheIo>(s: &mut S, fh: u64) -> Result<FileAttr, S::Error> {
+pub(crate) fn getattr<S: CacheIo>(s: &mut S, fh: u64) -> Result<FileAttr, S::Error> {
+    if !s.cache().caches(fh) {
+        past_cache(s, fh, false)?;
+        return s.getattr(fh);
+    }
     service(s)?;
     let held = s.cache().held(fh);
     if let Some((_, Some(attr))) = held {
@@ -584,20 +610,29 @@ pub(crate) fn getattr_cached<S: CacheIo>(s: &mut S, fh: u64) -> Result<FileAttr,
     }
 }
 
-/// Read `[off, end)` through the cache into `sink`: pages under a valid
-/// lease cost one local copy; missing ones are fetched in contiguous runs
-/// and kept. Without a lease the read goes `through` to the server. A hit
+/// Read `len` bytes at `off` of `fh`. A file the session does not cache:
+/// the rule, then the read on the `wire`. One it does goes into `sink`:
+/// pages under a valid lease cost one local copy; missing ones are fetched
+/// in contiguous runs and kept; without a lease the read goes to the `wire`
+/// (as does a range past the last offset, for the server to refuse). A hit
 /// or miss is counted once the fetches are in; a read wholly past EOF is a
 /// hit on the attributes alone.
-pub(crate) fn read_cached<S: CacheIo>(
+pub(crate) fn read<S: CacheIo>(
     s: &mut S,
     fh: u64,
-    (off, end): (u64, u64),
+    (off, len): (u64, u64),
     sink: impl FnMut(u64, &[u8]),
-    through: impl FnOnce(&mut S) -> Result<u64, S::Error>,
+    wire: impl FnOnce(&mut S) -> Result<u64, S::Error>,
 ) -> Result<u64, S::Error> {
+    if !s.cache().caches(fh) {
+        past_cache(s, fh, false)?;
+        return wire(s);
+    }
     service(s)?;
-    if off == end {
+    let Some(end) = off.checked_add(len) else {
+        return wire(s);
+    };
+    if len == 0 {
         return Ok(0);
     }
     let mut plan = s.cache().plan(fh, off, end, false);
@@ -606,7 +641,7 @@ pub(crate) fn read_cached<S: CacheIo>(
     }
     let Some((end, runs)) = plan else {
         s.count(CacheStat::Misses, 1);
-        return through(s);
+        return wire(s);
     };
     if off >= end {
         s.count(CacheStat::Hits, 1);
@@ -623,44 +658,64 @@ pub(crate) fn read_cached<S: CacheIo>(
     match with_fetched(s, fh, &fetched, |c| c.copy_out(fh, off, end, sink)) {
         true => Ok(end - off),
         // The lease died with the session while the misses were fetched.
-        false => through(s),
+        false => wire(s),
     }
 }
 
-/// Write `[off, end)` through the cache. A write-back session buffers the
-/// bytes (`data`) dirty under a write lease — one local copy now, flushed
-/// on recall, sync or close; anything else writes `through`.
-pub(crate) fn write_cached<S: CacheIo>(
+/// Write `len` bytes at `off` of `fh`: buffered ([`buffer_write`]) where
+/// the session caches the file and writes back; anything else — a file it
+/// does not cache, no write-back, no lease — follows the rule and goes to
+/// the `wire`.
+pub(crate) fn write<S: CacheIo>(
     s: &mut S,
     fh: u64,
-    (off, end): (u64, u64),
+    (off, len): (u64, u64),
     data: impl FnOnce(&mut S) -> Vec<u8>,
-    through: impl FnOnce(&mut S) -> Result<FileAttr, S::Error>,
+    wire: impl FnOnce(&mut S) -> Result<FileAttr, S::Error>,
 ) -> Result<FileAttr, S::Error> {
-    service(s)?;
-    let lease = |s: &mut S| {
-        matches!(s.cache().held(fh), Some((LeaseKind::Write, _)))
-            || matches!(lease_acquire(s, fh, LeaseKind::Write), Ok(Some(_)))
-    };
-    if s.write_back() && off < end && lease(s) {
-        // The attr is the EOF authority; the write lease guarantees nobody
-        // else can move it underneath us. (Asking may service a recall and
-        // lose the lease: then there is no plan.)
-        getattr_cached(s, fh)?;
-        let plan = s.cache().plan(fh, off, end, true);
-        if let Some((_, runs)) = plan {
-            // Pre-fault the partly covered pages, so overlaying the write
-            // cannot lose the bytes beside it.
-            let fetched = fetch_pages(s, fh, &runs)?;
-            let bytes = data(s);
-            s.charge_copy(end - off);
-            let buffered = with_fetched(s, fh, &fetched, |c| c.buffer(fh, off, &bytes));
-            if let Some(attr) = buffered {
-                return Ok(attr);
-            }
+    if s.cache().caches(fh) {
+        service(s)?;
+        if let Some(attr) = buffer_write(s, fh, off, len, data)? {
+            return Ok(attr);
         }
     }
-    through(s)
+    past_cache(s, fh, true)?;
+    wire(s)
+}
+
+/// A write-back session buffers the bytes (`data`) dirty under a write
+/// lease — one local copy now, flushed on recall, sync or close. `None`,
+/// and nothing buffered, without write-back or the lease.
+fn buffer_write<S: CacheIo>(
+    s: &mut S,
+    fh: u64,
+    off: u64,
+    len: u64,
+    data: impl FnOnce(&mut S) -> Vec<u8>,
+) -> Result<Option<FileAttr>, S::Error> {
+    let end = match off.checked_add(len) {
+        Some(end) if len > 0 && s.write_back() => end,
+        _ => return Ok(None),
+    };
+    let held = matches!(s.cache().held(fh), Some((LeaseKind::Write, _)))
+        || matches!(lease_acquire(s, fh, LeaseKind::Write), Ok(Some(_)));
+    if !held {
+        return Ok(None);
+    }
+    // The attr is the EOF authority; the write lease guarantees nobody else
+    // can move it underneath us. (Asking may service a recall and lose the
+    // lease: then there is no plan.)
+    getattr(s, fh)?;
+    let plan = s.cache().plan(fh, off, end, true);
+    let Some((_, runs)) = plan else {
+        return Ok(None);
+    };
+    // Pre-fault the partly covered pages, so overlaying the write cannot
+    // lose the bytes beside it.
+    let fetched = fetch_pages(s, fh, &runs)?;
+    let bytes = data(s);
+    s.charge_copy(len);
+    Ok(with_fetched(s, fh, &fetched, |c| c.buffer(fh, off, &bytes)))
 }
 
 /// Flush every dirty write-back page (the cache half of `MPI_File_sync`);
@@ -718,9 +773,11 @@ impl PageCache {
     }
 
     /// Everything that decides future behaviour, for the explorer to hash:
-    /// leases, claims, pages `(fh, page, bytes, dirty)`, queued recalls.
+    /// enrolled files, leases, claims, pages `(fh, page, bytes, dirty)`,
+    /// queued recalls.
     pub(crate) fn key(&self) -> CacheKey {
         (
+            self.enrolled.iter().copied().collect(),
             self.leases.iter().map(|(fh, h)| (*fh, h.0, h.1)).collect(),
             self.claims.iter().map(|(fh, a)| (*fh, *a)).collect(),
             self.pages
@@ -734,6 +791,7 @@ impl PageCache {
 
 #[cfg(test)]
 pub(crate) type CacheKey = (
+    Vec<u64>,
     Vec<(u64, LeaseKind, Option<FileAttr>)>,
     Vec<(u64, FileAttr)>,
     Vec<(u64, u64, Vec<u8>, bool)>,
@@ -902,6 +960,18 @@ mod tests {
         assert_eq!(c.grant(FH, LeaseKind::Read, attr(12, 2)), 0);
         assert_eq!(read(&c, 8, 12).unwrap(), b"cccc");
         c.check();
+    }
+
+    #[test]
+    fn enrolment_holds_nothing_and_outlives_the_session() {
+        let mut c = PageCache::new(4, 8);
+        c.enrol(FH);
+        assert!(c.caches(FH) && !c.caches(FH + 1));
+        assert!(c.is_idle(), "nothing to service, nothing to hand back");
+        c.grant(FH, LeaseKind::Read, attr(4, 1));
+        c.session_lost();
+        c.drop_file(FH);
+        assert!(c.caches(FH), "the next session caches it again");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The DAFS client (`dap_*`-style API).
 //!
-//! One VI per session; `credits` pre-posted receive descriptors double as
+//! One VI per session; the [`CREDITS`] pre-posted receive descriptors double as
 //! the response buffers and the pipeline depth for batch I/O. Requests
 //! carry session-local ids so responses can be matched out of order.
 //!
@@ -31,17 +31,25 @@
 //! Write on the same reliable VI, which delivers in order, so a reply in
 //! hand means every byte posted before it is in the buffer.
 //!
-//! The lease-coherent cache behind the `*_cached` entry points — its
-//! state and the driver that sequences it — is `crate::cache`; this file
-//! supplies what that driver may not do itself (`Live`, at the end: the
-//! wire requests, the clock charges, the counters, the trace line) and the
-//! public entry points. One rule ties the two paths together —
-//! `cache::past_cache`, called by `read`, `getattr`, `write`, `truncate`,
-//! `append` and every batch: before a request goes to the server past the
-//! cache the file's dirty pages are flushed, and before a mutating one a
-//! holder of only a read lease hands it back. The driver's own requests
-//! (`read_wire`, `getattr_wire`, the flush batch) are the exempt ones.
+//! There is one way in for data and attributes: [`DafsClient::read`],
+//! [`DafsClient::write`] and [`DafsClient::getattr`] hand straight to the
+//! driver of the lease-coherent cache in `crate::cache`, whose first step
+//! asks whether this session caches the file ([`DafsClient::cache_file`]
+//! enrols one, for the session's life). A file it does not cache passes
+//! through — the rule below, then `read_wire` / `write_wire` /
+//! `getattr_wire` — before any poll, clock, metric or trace, so a session
+//! that enrols nothing is the session without a cache. This file supplies
+//! what the driver may not do itself (`Live`, at the end: the wire requests,
+//! the clock charges, the counters, the trace line). One rule covers every
+//! request that goes to the server past the cache — `cache::past_cache`,
+//! followed by the driver's pass-through, by `truncate`, `append` and every
+//! batch (batches and list ops always go past it: serving a collective from
+//! the cache waits for leases with terms): the file's dirty pages are
+//! flushed first, and before a mutating request a holder of only a read
+//! lease hands it back. The driver's own requests (its fetches, its
+//! GETATTR, the flush batch) are the exempt ones.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -60,7 +68,7 @@ use crate::cache::{
 use crate::cost::DafsClientConfig;
 use crate::proto::{self, DafsOp, DafsStatus, LeaseKind, ServerCaps};
 use crate::regcache::{RegCache, RegCacheStats};
-use crate::server::SLOT;
+use crate::server::{CREDITS, SLOT};
 use crate::wire::{Dec, Enc};
 
 /// DAFS client errors.
@@ -107,10 +115,6 @@ impl std::error::Error for DafsError {
 /// Convenience alias.
 pub type DafsResult<T> = Result<T, DafsError>;
 
-/// What a request whose `off + len` passes `u64::MAX` gets, before anything
-/// is sent: the status the server gives the same range.
-pub(crate) const OUT_OF_RANGE: DafsError = DafsError::Status(DafsStatus::Inval);
-
 /// Client-side counters.
 #[derive(Clone, Default)]
 pub struct DafsClientStats {
@@ -129,7 +133,7 @@ pub struct DafsClientStats {
 /// Named counters for the lease-coherent client cache, per session. Each
 /// has a run-wide `dafs.cache.*` twin in the obs registry, and the two are
 /// only ever bumped together (`Live::count`, the one place that names
-/// them). (One object with a session dimension is ROADMAP item 5's
+/// them). (One object with a session dimension is ROADMAP item 1's
 /// dimensional metrics.)
 #[derive(Clone, Default)]
 pub struct DafsCacheStats {
@@ -334,6 +338,10 @@ fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     }
 }
 
+/// Bytes the registration cache keeps pinned before it evicts the least
+/// recently used registration.
+const REGCACHE_CAPACITY: u64 = 64 << 20;
+
 /// One `SLOT`-byte message buffer of a session ring and its registration.
 type Slot = (VirtAddr, MemHandle);
 
@@ -385,12 +393,12 @@ impl DafsClient {
         let vi = fabric
             .connect(ctx, nic, server, port, ViAttributes::default())
             .map_err(DafsError::Connect)?;
-        let (req_ring, recv_ring) = Self::post_rings(ctx, nic, &vi, config.credits);
+        let (req_ring, recv_ring) = Self::post_rings(ctx, nic, &vi);
         let regcache = RegCache::new(
             nic.clone(),
             vi.ptag(),
             rw_attrs,
-            config.regcache_capacity,
+            REGCACHE_CAPACITY,
             config.use_regcache,
         );
         let client_id = vi.id().0;
@@ -403,7 +411,7 @@ impl DafsClient {
             config,
             caps: Mutex::new(ServerCaps {
                 rdma_read: false,
-                credits: config.credits,
+                credits: CREDITS,
                 inline_max: config.inline_max,
             }),
             client_id,
@@ -474,22 +482,17 @@ impl DafsClient {
         Ok(client)
     }
 
-    /// One session's two rings of `credits` slots each, allocated and
+    /// One session's two rings of [`CREDITS`] slots each, allocated and
     /// registered under `vi`'s protection tag: the request ring, then the
     /// receive ring, every slot of it posted on `vi`.
-    fn post_rings(
-        ctx: &ActorCtx,
-        nic: &ViaNic,
-        vi: &Vi,
-        credits: u32,
-    ) -> (Vec<Slot>, VecDeque<Slot>) {
+    fn post_rings(ctx: &ActorCtx, nic: &ViaNic, vi: &Vi) -> (Vec<Slot>, VecDeque<Slot>) {
         let slot = || {
             let buf = nic.host().mem.alloc(SLOT as usize);
             let attrs = MemAttributes::local(vi.ptag());
             (buf, nic.register_mem(ctx, buf, SLOT, attrs))
         };
-        let req_ring = (0..credits).map(|_| slot()).collect();
-        let recv_ring = (0..credits)
+        let req_ring = (0..CREDITS).map(|_| slot()).collect();
+        let recv_ring = (0..CREDITS)
             .map(|_| {
                 let (buf, h) = slot();
                 vi.post_recv(
@@ -515,7 +518,9 @@ impl DafsClient {
     }
 
     /// Decode a `Hello` reply payload (after the response header) and
-    /// install the negotiated capabilities.
+    /// install the negotiated capabilities: whatever the server offers,
+    /// never more credits than the receive ring has descriptors for the
+    /// replies.
     fn apply_hello_caps(&self, payload: &Bytes) -> DafsResult<ServerCaps> {
         let mut d = Dec::new(payload);
         let rdma_read = d.u8().map_err(|_| DafsError::Protocol)? != 0;
@@ -523,7 +528,7 @@ impl DafsClient {
         let inline_max = d.u64().map_err(|_| DafsError::Protocol)?;
         let caps = ServerCaps {
             rdma_read,
-            credits,
+            credits: credits.min(CREDITS),
             inline_max: inline_max.min(self.config.inline_max),
         };
         *self.caps.lock() = caps;
@@ -800,7 +805,7 @@ impl DafsClient {
             let _ = self.nic.deregister_mem(ctx, h);
             self.nic.host().mem.free(buf);
         }
-        let (req_ring, recv_ring) = Self::post_rings(ctx, &self.nic, &vi, self.config.credits);
+        let (req_ring, recv_ring) = Self::post_rings(ctx, &self.nic, &vi);
         *self.req_ring.lock() = req_ring;
         *self.req_next.lock() = 0;
         *self.recv_ring.lock() = recv_ring;
@@ -821,14 +826,16 @@ impl DafsClient {
         proto::dec_attr(&mut Dec::new(&payload)).map_err(|_| DafsError::Protocol)
     }
 
-    /// Fetch attributes.
+    /// Fetch attributes. Of a file this session caches
+    /// ([`Self::cache_file`]): free while a lease is held, one lease
+    /// acquisition (which seeds the cache) otherwise, a GETATTR when the
+    /// server denies the lease. Of any other file: a GETATTR.
     pub fn getattr(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
-        self.past_cache(ctx, fh, false)?;
-        self.getattr_wire(ctx, fh)
+        cache::getattr(&mut Live(self, ctx), fh.0)
     }
 
     /// The GETATTR itself, for callers already past the cache: the cache's
-    /// driver and the tail of a `write`.
+    /// driver and the tail of a `write_wire`.
     fn getattr_wire(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
         let mut e = Enc::new();
         e.u64(fh.0);
@@ -837,7 +844,7 @@ impl DafsClient {
 
     /// Truncate / extend.
     pub fn truncate(&self, ctx: &ActorCtx, fh: NodeId, size: u64) -> DafsResult<FileAttr> {
-        self.past_cache(ctx, fh, true)?;
+        cache::past_cache(&mut Live(self, ctx), fh.0, true)?;
         let mut e = Enc::new();
         e.u64(fh.0).u8(1).u64(size);
         let a = self.call_attr(ctx, DafsOp::SetAttr, &mut e)?;
@@ -919,7 +926,7 @@ impl DafsClient {
             data.len() as u64 <= self.caps().inline_max,
             "append record exceeds the inline limit"
         );
-        self.past_cache(ctx, fh, true)?;
+        cache::past_cache(&mut Live(self, ctx), fh.0, true)?;
         let mut e = Enc::new();
         e.u64(fh.0);
         let payload = self.call_with(ctx, DafsOp::Append, &mut e, Payload::Slice(data))?;
@@ -993,66 +1000,28 @@ impl DafsClient {
     //
     // The state machine and the driver that sequences it are in
     // `crate::cache`; here is what they may not do themselves — wire,
-    // clock, simulated memory, metrics, traces (`Live`, below this impl) —
-    // and the public entry points. Strictly opt-in: a session that never
-    // calls a `*_cached` entry point holds nothing, and every driver step
-    // then returns before any of those.
+    // clock, simulated memory, metrics, traces (`Live`, below this impl).
+    // Strictly opt-in: a session that enrols no file holds nothing, and
+    // every driver step then returns before any of those.
+
+    /// From now on, and for the life of this session (reconnects included),
+    /// [`Self::read`], [`Self::write`] and [`Self::getattr`] of `fh` go
+    /// through the lease-coherent cache — from every caller, so the file is
+    /// coherent through every handle this session has on it. No wire, no
+    /// clock: the first access asks for the lease.
+    pub fn cache_file(&self, fh: NodeId) {
+        self.cache.lock().enrol(fh.0);
+    }
+
+    /// Whether [`Self::cache_file`] enrolled `fh`.
+    pub fn caches(&self, fh: NodeId) -> bool {
+        self.cache.lock().caches(fh.0)
+    }
 
     /// The server acknowledged a write of `[off, off + len)`.
     fn note_wrote(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64, attr: AttrAfter) {
         let dropped = self.cache.lock().wrote(fh.0, off, len, attr);
         cache::dropped(&mut Live(self, ctx), dropped);
-    }
-
-    /// [`cache::past_cache`]: flush `fh`, and before a `mutating` request
-    /// hand a read lease back — what every public entry point that sends
-    /// `fh` to the server, and every batch, does first.
-    fn past_cache(&self, ctx: &ActorCtx, fh: NodeId, mutating: bool) -> DafsResult<()> {
-        cache::past_cache(&mut Live(self, ctx), fh.0, mutating)
-    }
-
-    /// Fetch attributes through the cache: free while a lease is held,
-    /// one lease acquisition (which seeds the cache) otherwise, falling
-    /// back to a plain GETATTR when the server denies the lease.
-    pub fn getattr_cached(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
-        cache::getattr_cached(&mut Live(self, ctx), fh.0)
-    }
-
-    /// Read through the cache: pages already under a valid lease are
-    /// served with one local copy; missing pages are fetched from the
-    /// server in contiguous page-aligned runs and kept. Falls back to the
-    /// plain read path when the server denies a lease.
-    pub fn read_cached(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        dst: VirtAddr,
-        len: u64,
-    ) -> DafsResult<u64> {
-        let end = off.checked_add(len).ok_or(OUT_OF_RANGE)?;
-        let mem = &self.nic.host().mem;
-        let sink = |rel, bytes: &[u8]| mem.write(dst.offset(rel), bytes);
-        let through = |_: &mut Live| self.read_wire(ctx, fh, off, dst, len);
-        cache::read_cached(&mut Live(self, ctx), fh.0, (off, end), sink, through)
-    }
-
-    /// Write through the cache. Under a write-back lease (opt-in via
-    /// [`DafsClientConfig::cache_write_back`]) the bytes buffer dirty at
-    /// the client — one local copy now, flushed on recall, sync, or close.
-    /// Otherwise this writes through, keeping the cached attr in step.
-    pub fn write_cached(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        src: VirtAddr,
-        len: u64,
-    ) -> DafsResult<FileAttr> {
-        let end = off.checked_add(len).ok_or(OUT_OF_RANGE)?;
-        let data = |_: &mut Live| self.nic.host().mem.read_vec(src, len as usize);
-        let through = |_: &mut Live| self.write(ctx, fh, off, src, len);
-        cache::write_cached(&mut Live(self, ctx), fh.0, (off, end), data, through)
     }
 
     /// Flush every dirty write-back page to the server (the cache half of
@@ -1088,7 +1057,10 @@ impl DafsClient {
     }
 
     /// Read `len` bytes at `off` into the user buffer `dst`.
-    /// Returns bytes actually read (short at EOF).
+    /// Returns bytes actually read (short at EOF). On a file this session
+    /// caches ([`Self::cache_file`]), pages under a valid lease are served
+    /// with one local copy; missing ones are fetched from the server in
+    /// contiguous page-aligned runs and kept.
     pub fn read(
         &self,
         ctx: &ActorCtx,
@@ -1097,13 +1069,16 @@ impl DafsClient {
         dst: VirtAddr,
         len: u64,
     ) -> DafsResult<u64> {
-        self.past_cache(ctx, fh, false)?;
-        self.read_wire(ctx, fh, off, dst, len)
+        let mem = &self.nic.host().mem;
+        let sink = |rel, bytes: &[u8]| mem.write(dst.offset(rel), bytes);
+        let wire = |_: &mut Live| self.read_wire(ctx, fh, off, dst, len);
+        cache::read(&mut Live(self, ctx), fh.0, (off, len), sink, wire)
     }
 
     /// The read itself — its span, `xfer` trace line and inline-vs-direct
-    /// choice — for the cache's driver, whose own fetches must not
-    /// flush the file they pre-fault.
+    /// choice — where the cache's driver sends a read it does not serve,
+    /// and what its own fetches are, which must not flush the file they
+    /// pre-fault.
     fn read_wire(
         &self,
         ctx: &ActorCtx,
@@ -1154,6 +1129,16 @@ impl DafsClient {
         Ok(count)
     }
 
+    /// The byte string an inline read of `asked` bytes came back with. More
+    /// than that is a protocol error: it would land past the caller's buffer.
+    fn inline_data(d: &mut Dec, asked: u64) -> DafsResult<Bytes> {
+        let data = d.bytes().map_err(|_| DafsError::Protocol)?;
+        if data.len() as u64 > asked {
+            return Err(DafsError::Protocol);
+        }
+        Ok(data)
+    }
+
     fn read_inline(
         &self,
         ctx: &ActorCtx,
@@ -1168,9 +1153,7 @@ impl DafsClient {
             let mut e = Enc::new();
             e.u64(fh.0).u64(off).u64(n);
             let payload = self.call(ctx, DafsOp::ReadInline, &mut e)?;
-            let data = Dec::new(&payload)
-                .bytes()
-                .map_err(|_| DafsError::Protocol)?;
+            let data = Self::inline_data(&mut Dec::new(&payload), n)?;
             // Copy out of the message buffer into the user buffer.
             self.nic
                 .host()
@@ -1190,7 +1173,11 @@ impl DafsClient {
         Ok(done)
     }
 
-    /// Write `len` bytes at `off` from the user buffer `src`.
+    /// Write `len` bytes at `off` from the user buffer `src`. On a file
+    /// this session caches ([`Self::cache_file`]) under a write-back lease
+    /// (opt-in via [`DafsClientConfig::cache_write_back`]) the bytes buffer
+    /// dirty at the client — one local copy now, flushed on recall, sync or
+    /// close. Anything else goes to the server, keeping the cache in step.
     pub fn write(
         &self,
         ctx: &ActorCtx,
@@ -1199,7 +1186,20 @@ impl DafsClient {
         src: VirtAddr,
         len: u64,
     ) -> DafsResult<FileAttr> {
-        self.past_cache(ctx, fh, true)?;
+        let data = |_: &mut Live| self.nic.host().mem.read_vec(src, len as usize);
+        let wire = |_: &mut Live| self.write_wire(ctx, fh, off, src, len);
+        cache::write(&mut Live(self, ctx), fh.0, (off, len), data, wire)
+    }
+
+    /// The write itself, for the cache's driver: already past the cache.
+    fn write_wire(
+        &self,
+        ctx: &ActorCtx,
+        fh: NodeId,
+        off: u64,
+        src: VirtAddr,
+        len: u64,
+    ) -> DafsResult<FileAttr> {
         let _span = ctx.span("dafs", "write");
         let direct = self.goes_direct(BatchDir::Write, len, src, len);
         ctx.trace(
@@ -1271,8 +1271,10 @@ impl DafsClient {
         self.getattr_wire(ctx, fh)
     }
 
-    /// Convenience: read into a fresh vector (stages through an internal
-    /// scratch buffer; costs one extra mechanical copy, uncharged).
+    /// Convenience: [`Self::read`] into a fresh vector. What comes off the
+    /// wire stages through an internal scratch buffer (one extra mechanical
+    /// copy, uncharged); what the cache serves lands in the vector itself —
+    /// the cache's own fetches use that scratch buffer.
     pub fn read_to_vec(
         &self,
         ctx: &ActorCtx,
@@ -1280,12 +1282,20 @@ impl DafsClient {
         off: u64,
         len: u64,
     ) -> DafsResult<Vec<u8>> {
-        // A flush stages through the same scratch buffer: first.
-        self.past_cache(ctx, fh, false)?;
-        Live(self, ctx).fetch(fh.0, (off, len))
+        let out = RefCell::new(Vec::new());
+        // The cache hands its pieces over in stream order.
+        let sink = |_, bytes: &[u8]| out.borrow_mut().extend_from_slice(bytes);
+        let wire = |s: &mut Live| {
+            *out.borrow_mut() = s.fetch(fh.0, (off, len))?;
+            Ok(out.borrow().len() as u64)
+        };
+        cache::read(&mut Live(self, ctx), fh.0, (off, len), sink, wire)?;
+        Ok(out.into_inner())
     }
 
-    /// Convenience: write from a byte slice.
+    /// Convenience: [`Self::write`] from a byte slice. The cache buffers
+    /// the caller's bytes as they are; on the way to the wire they stage
+    /// through the scratch buffer, once the rule's flush is done with it.
     pub fn write_bytes(
         &self,
         ctx: &ActorCtx,
@@ -1293,12 +1303,14 @@ impl DafsClient {
         off: u64,
         data: &[u8],
     ) -> DafsResult<FileAttr> {
-        // A flush stages through the same scratch buffer: have the one
-        // this write would start done before the bytes go in.
-        self.past_cache(ctx, fh, true)?;
-        let src = self.scratch(data.len());
-        self.nic.host().mem.write(src, data);
-        self.write(ctx, fh, off, src, data.len() as u64)
+        let len = data.len() as u64;
+        let own = |_: &mut Live| data.to_vec();
+        let wire = |_: &mut Live| {
+            let src = self.scratch(data.len());
+            self.nic.host().mem.write(src, data);
+            self.write_wire(ctx, fh, off, src, len)
+        };
+        cache::write(&mut Live(self, ctx), fh.0, (off, len), own, wire)
     }
 
     /// Write `[src, src+len)` to `(fh, off)` as sequential inline chunks,
@@ -1567,6 +1579,10 @@ impl DafsClient {
             for _ in 0..n {
                 counts.push(d.u64().map_err(|_| DafsError::Protocol)?);
             }
+            // A count past its segment would land on the segment after it.
+            if counts.iter().zip(segs).any(|(c, seg)| *c > seg.1) {
+                return Err(DafsError::Protocol);
+            }
             let total: u64 = counts.iter().sum();
             if sb.direct {
                 self.stats.direct_reads.record(total);
@@ -1601,7 +1617,7 @@ impl DafsClient {
                 Ok(count)
             }
             (BatchDir::Read, false) => {
-                let data = d.bytes().map_err(|_| DafsError::Protocol)?;
+                let data = Self::inline_data(&mut d, sb.len)?;
                 self.nic
                     .host()
                     .compute(ctx, self.config.host.copy(data.len() as u64));
@@ -1641,7 +1657,7 @@ impl DafsClient {
     /// up to the credit window.
     ///
     /// Batch ops go to the wire past the page cache, so every batch but the
-    /// write-back flush itself (`flush`) first follows [`Self::past_cache`].
+    /// write-back flush itself (`flush`) first follows [`cache::past_cache`].
     /// If that fails the batch is refused whole (nothing posted, every
     /// result the error), so the failure reaches the caller instead of
     /// hiding behind a batch that succeeded, or was replayed, past
@@ -1656,7 +1672,7 @@ impl DafsClient {
     ) -> DafsBatch {
         let refused = match flush {
             true => None,
-            false => self.past_cache(ctx, fh, dir == BatchDir::Write).err(),
+            false => cache::past_cache(&mut Live(self, ctx), fh.0, dir == BatchDir::Write).err(),
         };
         let (subs, n) = match &reqs {
             BatchReqs::Contig(rs) => (self.expand_subs(dir, rs), rs.len()),

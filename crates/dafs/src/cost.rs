@@ -32,9 +32,6 @@ impl Default for DafsServerCost {
 /// Client-side configuration and cost constants.
 #[derive(Debug, Clone, Copy)]
 pub struct DafsClientConfig {
-    /// Session credits: receive descriptors pre-posted per side; also the
-    /// pipeline depth available to batch I/O.
-    pub credits: u32,
     /// Largest payload carried inline in a single message (must fit the
     /// VI's 64 KiB MTU with headers).
     pub inline_max: u64,
@@ -43,8 +40,6 @@ pub struct DafsClientConfig {
     pub direct_threshold: u64,
     /// Enable the client registration cache for direct-I/O buffers.
     pub use_regcache: bool,
-    /// Registration cache capacity in bytes (evicts LRU beyond this).
-    pub regcache_capacity: u64,
     /// Client CPU per request (build + parse, beyond VIA posting costs).
     pub per_op: SimDuration,
     /// Host primitives (the inline-path copies).
@@ -60,9 +55,9 @@ pub struct DafsClientConfig {
     /// Request write-back leases for cached writes: dirty pages buffer at
     /// the client until flush, recall, or close. Off by default — cached
     /// writes then write through. (The cache itself is strictly opt-in:
-    /// only the `*_cached` entry points touch it, so a session that never
-    /// calls them is byte-identical to one without it. Its page size is
-    /// [`crate::CACHE_PAGE`].)
+    /// only files enrolled with [`crate::DafsClient::cache_file`] go
+    /// through it, so a session that enrols none is byte-identical to one
+    /// without it. Its page size is [`crate::CACHE_PAGE`].)
     pub cache_write_back: bool,
     /// QoS tenant declaration `(tenant id, weight)` carried in the session
     /// `Hello`. `None` (default) declares nothing — the session schedules
@@ -74,11 +69,9 @@ pub struct DafsClientConfig {
 impl Default for DafsClientConfig {
     fn default() -> Self {
         DafsClientConfig {
-            credits: 8,
             inline_max: 32 << 10,
             direct_threshold: 8 << 10,
             use_regcache: true,
-            regcache_capacity: 64 << 20,
             per_op: us(4),
             host: HostCost::default(),
             max_reconnects: 8,
@@ -98,7 +91,6 @@ mod tests {
         let c = DafsClientConfig::default();
         assert!(c.direct_threshold <= c.inline_max);
         assert!(c.inline_max <= 64 << 10);
-        assert!(c.credits >= 1);
         let s = DafsServerCost::default();
         assert!(s.per_op < us(20), "DAFS per-op must undercut NFS's 20us");
     }

@@ -102,10 +102,19 @@ mod tests {
         config: DafsClientConfig,
         f: impl FnOnce(&simnet::ActorCtx, &DafsClient, &ViaNic) + Send + 'static,
     ) {
+        with_named_client(bed, "dafs-client", config, f)
+    }
+
+    fn with_named_client(
+        bed: &Bed,
+        name: &str,
+        config: DafsClientConfig,
+        f: impl FnOnce(&simnet::ActorCtx, &DafsClient, &ViaNic) + Send + 'static,
+    ) {
         let fabric = bed.fabric.clone();
-        let nic = fabric.open_nic(bed.cluster.add_host("dafs-client"));
+        let nic = fabric.open_nic(bed.cluster.add_host(name));
         let sid = bed.server.host.id;
-        bed.kernel.spawn("dafs-client", move |ctx| {
+        bed.kernel.spawn(name, move |ctx| {
             let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, config).unwrap();
             f(ctx, &c, &nic);
             c.disconnect(ctx);
@@ -1088,8 +1097,9 @@ mod tests {
             assert_eq!(c.stats.ops.get(), ops, "empty-cache sync sent a request");
             // Holding a clean lease: still nothing to flush, still no wire.
             let f = c.lookup(ctx, ROOT_ID, "clean").unwrap();
+            c.cache_file(f.id);
             let dst = nic.host().mem.alloc(4096);
-            assert_eq!(c.read_cached(ctx, f.id, 0, dst, 4096).unwrap(), 4096);
+            assert_eq!(c.read(ctx, f.id, 0, dst, 4096).unwrap(), 4096);
             assert_eq!(nic.host().mem.read_vec(dst, 4096), want);
             let ops = c.stats.ops.get();
             assert_eq!(c.cache_sync(ctx).unwrap(), 0);
@@ -1097,7 +1107,7 @@ mod tests {
             // Dirty → one flush; the immediate second sync is a no-op again.
             let src = nic.host().mem.alloc(4096);
             nic.host().mem.fill(src, 4096, 0x3C);
-            c.write_cached(ctx, f.id, 0, src, 4096).unwrap();
+            c.write(ctx, f.id, 0, src, 4096).unwrap();
             assert_eq!(c.cache_sync(ctx).unwrap(), 1);
             let ops = c.stats.ops.get();
             assert_eq!(c.cache_sync(ctx).unwrap(), 0);
@@ -1116,8 +1126,9 @@ mod tests {
         b.fs.write(fh, 0, &payload).unwrap();
         with_client(&b, client_config(), move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "hot").unwrap();
+            c.cache_file(f.id);
             let dst = nic.host().mem.alloc(8192);
-            let n = c.read_cached(ctx, f.id, 0, dst, 8192).unwrap();
+            let n = c.read(ctx, f.id, 0, dst, 8192).unwrap();
             assert_eq!(n, 8192);
             assert_eq!(nic.host().mem.read_vec(dst, 8192), payload);
             assert_eq!(c.cache_stats.misses.get(), 1);
@@ -1126,7 +1137,7 @@ mod tests {
             let wire = c.stats.inline_reads.bytes.get() + c.stats.direct_reads.bytes.get();
             let ops = c.stats.ops.get();
             nic.host().mem.fill(dst, 8192, 0);
-            let n = c.read_cached(ctx, f.id, 0, dst, 8192).unwrap();
+            let n = c.read(ctx, f.id, 0, dst, 8192).unwrap();
             assert_eq!(n, 8192);
             assert_eq!(nic.host().mem.read_vec(dst, 8192), payload);
             assert_eq!(c.cache_stats.hits.get(), 1);
@@ -1137,7 +1148,7 @@ mod tests {
             );
             assert_eq!(c.stats.ops.get(), ops, "cache hit issued a request");
             // Attributes ride the same lease: getattr is now free too.
-            let a = c.getattr_cached(ctx, f.id).unwrap();
+            let a = c.getattr(ctx, f.id).unwrap();
             assert_eq!(a.size, 8192);
             assert_eq!(c.cache_stats.attr_hits.get(), 1);
             assert_eq!(c.stats.ops.get(), ops);
@@ -1160,13 +1171,14 @@ mod tests {
                 let c =
                     DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
                 let f = c.lookup(ctx, ROOT_ID, "shared").unwrap();
+                c.cache_file(f.id);
                 let dst = nic.host().mem.alloc(4096);
-                c.read_cached(ctx, f.id, 0, dst, 4096).unwrap();
+                c.read(ctx, f.id, 0, dst, 4096).unwrap();
                 assert_eq!(nic.host().mem.read_vec(dst, 4096), vec![0xAA; 4096]);
                 // The writer shows up at ms(2); its WRITE parks behind our
                 // lease until the next cache entry point services the recall.
                 ctx.advance(ms(5));
-                let n = c.read_cached(ctx, f.id, 0, dst, 4096).unwrap();
+                let n = c.read(ctx, f.id, 0, dst, 4096).unwrap();
                 assert_eq!(n, 4096);
                 assert_eq!(
                     nic.host().mem.read_vec(dst, 4096),
@@ -1215,9 +1227,10 @@ mod tests {
             b.kernel.spawn("wb-holder", move |ctx| {
                 let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
                 let f = c.lookup(ctx, ROOT_ID, "wb").unwrap();
+                c.cache_file(f.id);
                 let src = nic.host().mem.alloc(4096);
                 nic.host().mem.fill(src, 4096, 0x5A);
-                let a = c.write_cached(ctx, f.id, 0, src, 4096).unwrap();
+                let a = c.write(ctx, f.id, 0, src, 4096).unwrap();
                 assert_eq!(a.size, 4096, "buffered write must report new EOF");
                 assert_eq!(
                     fs.resolve("/wb").unwrap().size,
@@ -1227,7 +1240,7 @@ mod tests {
                 // A reader connects at ms(2); servicing its recall flushes
                 // the dirty pages before the ack releases the lease.
                 ctx.advance(ms(5));
-                c.getattr_cached(ctx, f.id).unwrap();
+                c.getattr(ctx, f.id).unwrap();
                 assert_eq!(c.cache_stats.recalls.get(), 1);
                 assert_eq!(fs.resolve("/wb").unwrap().size, 4096);
                 c.disconnect(ctx);
@@ -1267,8 +1280,9 @@ mod tests {
                 let c =
                     DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
                 let f = c.lookup(ctx, ROOT_ID, "rel").unwrap();
+                c.cache_file(f.id);
                 let dst = nic.host().mem.alloc(4096);
-                c.read_cached(ctx, f.id, 0, dst, 4096).unwrap();
+                c.read(ctx, f.id, 0, dst, 4096).unwrap();
                 c.cache_release(ctx, f.id).unwrap();
                 // Idle well past the writer; with the lease returned, no
                 // recall ever reaches us.
@@ -1314,8 +1328,9 @@ mod tests {
                 let c =
                     DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
                 let f = c.lookup(ctx, ROOT_ID, "gone").unwrap();
+                c.cache_file(f.id);
                 let dst = nic.host().mem.alloc(1024);
-                c.read_cached(ctx, f.id, 0, dst, 1024).unwrap();
+                c.read(ctx, f.id, 0, dst, 1024).unwrap();
                 // Disconnect with the lease held: the shutdown path must
                 // release it so waiting writers are replayed.
                 c.disconnect(ctx);
@@ -1363,11 +1378,12 @@ mod tests {
         let fh = server_file(&b, "rmw", &[0xAA; 4096]);
         with_client(&b, write_back(), |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "rmw").unwrap();
+            c.cache_file(f.id);
             let mem = &nic.host().mem;
             let (src, dst) = (mem.alloc(100), mem.alloc(4096));
             mem.fill(src, 100, 0xBB);
-            c.write_cached(ctx, f.id, 0, src, 100).unwrap();
-            assert_eq!(c.read_cached(ctx, f.id, 0, dst, 4096).unwrap(), 4096);
+            c.write(ctx, f.id, 0, src, 100).unwrap();
+            assert_eq!(c.read(ctx, f.id, 0, dst, 4096).unwrap(), 4096);
             let got = mem.read_vec(dst, 4096);
             assert!(got[..100] == [0xBB; 100], "own write lost: {:#x}", got[0]);
             assert!(got[100..] == [0xAA; 3996], "the bytes beside the write");
@@ -1391,13 +1407,14 @@ mod tests {
         let fh = server_file(&b, "hole", &[]);
         with_client(&b, write_back(), |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "hole").unwrap();
+            c.cache_file(f.id);
             let mem = &nic.host().mem;
             let (src, dst) = (mem.alloc(100), mem.alloc(5100));
             mem.fill(src, 100, 0xBB);
-            c.write_cached(ctx, f.id, 0, src, 100).unwrap();
-            c.write_cached(ctx, f.id, 5000, src, 100).unwrap();
+            c.write(ctx, f.id, 0, src, 100).unwrap();
+            c.write(ctx, f.id, 5000, src, 100).unwrap();
             mem.fill(dst, 5100, 0xEE);
-            assert_eq!(c.read_cached(ctx, f.id, 0, dst, 5100).unwrap(), 5100);
+            assert_eq!(c.read(ctx, f.id, 0, dst, 5100).unwrap(), 5100);
             let got = mem.read_vec(dst, 5100);
             assert!(got[..100] == [0xBB; 100] && got[5000..] == [0xBB; 100]);
             assert!(
@@ -1410,32 +1427,39 @@ mod tests {
     }
 
     /// Nothing mutating goes to the server past the cache: a resize, an
-    /// append and a plain write each flush the file's buffered pages first.
+    /// append and a batch write each flush the file's buffered pages first.
     /// Each used to drop the dirty pages it touched like clean ones — the
     /// truncated file came back as zeros, the appended record landed at
     /// offset 0, and the 100-byte write took the other 3 996 bytes of its
     /// page with it.
     #[test]
-    fn truncate_append_and_plain_write_land_on_top_of_buffered_data() {
+    fn truncate_append_and_a_batch_write_land_on_top_of_buffered_data() {
         let b = bed();
-        let fhs = ["trunc", "app", "plain"].map(|name| server_file(&b, name, &[]));
+        let fhs = ["trunc", "app", "batch"].map(|name| server_file(&b, name, &[]));
         with_client(&b, write_back(), |ctx, c, nic| {
             let mem = &nic.host().mem;
-            let src = mem.alloc(8192);
+            let (src, small) = (mem.alloc(8192), mem.alloc(100));
             mem.fill(src, 8192, 0xBB);
-            let open = |name: &str| c.lookup(ctx, ROOT_ID, name).unwrap().id;
+            mem.fill(small, 100, 0xCC);
+            let open = |name: &str| {
+                let f = c.lookup(ctx, ROOT_ID, name).unwrap().id;
+                c.cache_file(f);
+                f
+            };
 
             let f = open("trunc");
-            c.write_cached(ctx, f, 0, src, 8192).unwrap();
+            c.write(ctx, f, 0, src, 8192).unwrap();
             assert_eq!(c.truncate(ctx, f, 4096).unwrap().size, 4096);
 
             let f = open("app");
-            c.write_cached(ctx, f, 0, src, 4096).unwrap();
+            c.write(ctx, f, 0, src, 4096).unwrap();
             assert_eq!(c.append(ctx, f, &[0xCC; 100]).unwrap(), 4096);
 
-            let f = open("plain");
-            c.write_cached(ctx, f, 0, src, 4096).unwrap();
-            c.write_bytes(ctx, f, 0, &[0xCC; 100]).unwrap();
+            let f = open("batch");
+            c.write(ctx, f, 0, src, 4096).unwrap();
+            let (off, addr, len) = (0, small, 100);
+            let batch = c.issue(ctx, BatchDir::Write, f, &[IoReq { off, addr, len }]);
+            assert_eq!(c.batch_finish(ctx, batch), [Ok(100)]);
 
             c.cache_sync(ctx).unwrap();
         });
@@ -1452,48 +1476,133 @@ mod tests {
             "append did not land after the buffered bytes"
         );
         assert!(app[..4096] == [0xBB; 4096] && app[4096..] == [0xCC; 100]);
-        let plain = image(fhs[2]);
-        assert_eq!(plain.len(), 4096, "the rest of the dirty page is gone");
-        assert!(plain[..100] == [0xCC; 100] && plain[100..] == [0xBB; 3996]);
+        let batch = image(fhs[2]);
+        assert_eq!(batch.len(), 4096, "the rest of the dirty page is gone");
+        assert!(batch[..100] == [0xCC; 100] && batch[100..] == [0xBB; 3996]);
     }
 
-    /// Nothing that reads goes to the server past the cache either: a plain
-    /// read, `read_to_vec` and `getattr` flush the file's buffered pages
-    /// first. Each used to answer from the server's copy — old bytes, and a
-    /// size 4 004 short of what the session had written.
+    /// One way in. On a session that caches the file, `read`, `getattr` and
+    /// `read_to_vec` — the calls a handle opened without any hint makes —
+    /// are served from the buffered pages: the session's own bytes and
+    /// size, `hits` moving, not one request to the server, whose image is
+    /// still the old one. (They were a second route past the cache: stale
+    /// until PR 21, then flushing the file first.) Another session sees
+    /// the data only after the holder's flush: its read parks behind the
+    /// recall until the holder next enters a call.
     #[test]
-    fn plain_read_and_getattr_see_buffered_data() {
+    fn every_read_of_a_cached_file_sees_buffered_data_without_the_server() {
         let b = bed();
-        for name in ["rd", "attr", "vec"] {
-            server_file(&b, name, &[0xAA; 4096]);
-        }
-        with_client(&b, write_back(), |ctx, c, nic| {
+        let fh = server_file(&b, "own", &[0xAA; 4096]);
+        let fs = b.fs.clone();
+        with_named_client(&b, "holder", write_back(), move |ctx, c, nic| {
             let mem = &nic.host().mem;
             let (src, dst) = (mem.alloc(100), mem.alloc(4096));
             mem.fill(src, 100, 0xBB);
-            let buffered = |name: &str| {
-                let f = c.lookup(ctx, ROOT_ID, name).unwrap().id;
-                c.write_cached(ctx, f, 0, src, 100).unwrap();
-                c.write_cached(ctx, f, 8000, src, 100).unwrap();
-                f
-            };
-
-            let f = buffered("rd");
+            let f = c.lookup(ctx, ROOT_ID, "own").unwrap().id;
+            c.cache_file(f);
+            c.write(ctx, f, 0, src, 100).unwrap();
+            c.write(ctx, f, 8000, src, 100).unwrap();
+            let (ops, hits) = (c.stats.ops.get(), c.cache_stats.hits.get());
             assert_eq!(c.read(ctx, f, 0, dst, 4096).unwrap(), 4096);
-            assert_eq!(mem.read_vec(dst, 1)[0], 0xBB, "plain read is stale");
-
-            let f = buffered("attr");
-            assert_eq!(c.getattr(ctx, f).unwrap().size, 8100, "getattr is stale");
-
-            let f = buffered("vec");
-            let got = c.read_to_vec(ctx, f, 0, 100).unwrap();
-            assert!(got == [0xBB; 100], "read_to_vec is stale: {:#x}", got[0]);
+            let got = mem.read_vec(dst, 4096);
+            assert!(got[..100] == [0xBB; 100] && got[100..] == [0xAA; 3996]);
+            assert_eq!(c.getattr(ctx, f).unwrap().size, 8100);
+            let got = c.read_to_vec(ctx, f, 50, 100).unwrap();
+            assert!(got == [[0xBB; 50], [0xAA; 50]].concat());
+            assert_eq!(c.cache_stats.hits.get(), hits + 2);
+            assert_eq!(c.stats.ops.get(), ops, "a hit went to the server");
+            assert_eq!(fs.getattr(fh).unwrap().size, 4096, "flushed early");
+            // The other session's read arrives at 2 ms and parks.
+            ctx.advance(ms(5));
+            c.getattr(ctx, f).unwrap();
+            assert_eq!(c.cache_stats.recalls.get(), 1);
+            assert_eq!(fs.getattr(fh).unwrap().size, 8100);
+        });
+        with_named_client(&b, "other", client_config(), |ctx, c, _| {
+            ctx.advance(ms(2));
+            let f = c.lookup(ctx, ROOT_ID, "own").unwrap().id;
+            let got = c.read_to_vec(ctx, f, 0, 200).unwrap();
+            assert!(got == [[0xBB; 100], [0xAA; 100]].concat(), "{:#x}", got[0]);
+            assert!(ctx.now().as_nanos() >= ms(5).as_nanos(), "did not park");
         });
         b.kernel.run();
     }
 
-    /// Two sessions that `read_cached` page 0 of `name` (so both hold a read
-    /// lease), then run `then` with `(ctx, client, fh, index, buffer)`.
+    /// The trap the one entry opened: `write_bytes` used to stage the
+    /// caller's slice in the session's scratch buffer, and the buffered
+    /// write's pre-fault of a partly covered page goes through that same
+    /// buffer — it landed on top of the payload before the cache read it.
+    /// The cache now takes the caller's bytes as they are. (The parent had
+    /// no route from `write_bytes` to a buffered write, so no test of it
+    /// could; with the staging put back, bytes 0..100 of the page come back
+    /// in place of the caller's.)
+    #[test]
+    fn write_bytes_into_a_cached_page_buffers_the_callers_bytes() {
+        let b = bed();
+        let image: Vec<u8> = (0..4096u32).map(|i| (i % 199) as u8 + 1).collect();
+        let fh = server_file(&b, "trap", &image);
+        with_client(&b, write_back(), |ctx, c, _| {
+            let f = c.lookup(ctx, ROOT_ID, "trap").unwrap().id;
+            c.cache_file(f);
+            c.write_bytes(ctx, f, 1000, &[0xEE; 100]).unwrap();
+            assert_eq!(c.cache_sync(ctx).unwrap(), 1);
+        });
+        b.kernel.run();
+        let got = b.fs.read(fh, 0, 4096).unwrap();
+        assert!(got[1000..1100] == [0xEE; 100], "payload: {:#x}", got[1000]);
+        assert!(got[..1000] == image[..1000] && got[1100..] == image[1100..]);
+    }
+
+    /// A session that caches file A is, for a file B it does not cache, the
+    /// session that caches nothing: `read`, `write` and `getattr` of B cost
+    /// the same requests and the same virtual time and move no `cache`
+    /// counter — the driver's first step is the pass-through, ahead of the
+    /// poll for recalls that holding A's lease would otherwise cost every
+    /// call. (New with enrolment: nothing at the parent could say it.)
+    #[test]
+    fn a_file_the_session_does_not_cache_costs_what_it_costs_without_a_cache() {
+        let run = |enrol: bool| {
+            let b = bed();
+            server_file(&b, "a", &[0xAA; 8192]);
+            server_file(&b, "b", &[0xBB; 8192]);
+            let out = Arc::new(parking_lot::Mutex::new(None));
+            let seen = out.clone();
+            with_client(&b, write_back(), move |ctx, c, nic| {
+                let mem = &nic.host().mem;
+                let (for_a, for_b) = (mem.alloc(4096), mem.alloc(4096));
+                let a = c.lookup(ctx, ROOT_ID, "a").unwrap().id;
+                let f = c.lookup(ctx, ROOT_ID, "b").unwrap().id;
+                if enrol {
+                    c.cache_file(a);
+                }
+                // Holding A's lease, a page of it dirty.
+                c.read(ctx, a, 0, for_a, 4096).unwrap();
+                c.write(ctx, a, 4096, for_a, 4096).unwrap();
+                let cache = |c: &DafsClient| {
+                    let s = &c.cache_stats;
+                    let (reads, attrs) = ([&s.hits, &s.misses], [&s.attr_hits, &s.attr_misses]);
+                    let flushes = [&s.flush_batches, &s.flush_pages];
+                    let all = [reads, attrs, [&s.recalls, &s.invalidations], flushes];
+                    all.iter().flatten().map(|n| n.get()).sum::<u64>()
+                };
+                let (t0, ops, counted) = (ctx.now(), c.stats.ops.get(), cache(c));
+                assert_eq!(c.read(ctx, f, 0, for_b, 4096).unwrap(), 4096);
+                assert_eq!(c.write(ctx, f, 100, for_b, 1000).unwrap().size, 8192);
+                assert_eq!(c.getattr(ctx, f).unwrap().size, 8192);
+                assert_eq!(cache(c), counted, "a cache counter moved");
+                let cost = (c.stats.ops.get() - ops, ctx.now().since(t0).as_nanos());
+                *seen.lock() = Some(cost);
+            });
+            b.kernel.run();
+            let cost = out.lock().take();
+            cost.expect("the client ran")
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(false).0, 3, "one request each");
+    }
+
+    /// Two sessions that cache `name` and read page 0 of it (so both hold a
+    /// read lease), then run `then` with `(ctx, client, fh, index, buffer)`.
     fn two_readers(
         b: &Bed,
         name: &'static str,
@@ -1511,8 +1620,9 @@ mod tests {
                 let c =
                     DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
                 let f = c.lookup(ctx, ROOT_ID, name).unwrap();
+                c.cache_file(f.id);
                 let buf = nic.host().mem.alloc(4096);
-                assert_eq!(c.read_cached(ctx, f.id, 0, buf, 4096).unwrap(), 4096);
+                assert_eq!(c.read(ctx, f.id, 0, buf, 4096).unwrap(), 4096);
                 assert_eq!(nic.host().mem.read_vec(buf, 4096), vec![0xAA; 4096]);
                 then(ctx, &c, f.id, i, buf);
                 c.disconnect(ctx);
@@ -1533,10 +1643,10 @@ mod tests {
             if i == 0 {
                 ctx.advance(ms(2));
                 mem.fill(buf, 4096, 0xBB);
-                c.write_cached(ctx, f, 0, buf, 4096).unwrap();
+                c.write(ctx, f, 0, buf, 4096).unwrap();
             } else {
                 ctx.advance(ms(10));
-                assert_eq!(c.read_cached(ctx, f, 0, buf, 4096).unwrap(), 4096);
+                assert_eq!(c.read(ctx, f, 0, buf, 4096).unwrap(), 4096);
                 let got = mem.read_vec(buf, 4096);
                 assert!(got == [0xBB; 4096], "stale: {:#x}", got[0]);
                 assert_eq!(c.cache_stats.recalls.get(), 1);
@@ -1556,7 +1666,7 @@ mod tests {
         two_readers(&b, "both", |ctx, c, f, i, buf| {
             ctx.advance(ms(2));
             c.nic().host().mem.fill(buf, 2048, 0xB0 + i as u8);
-            c.write_cached(ctx, f, 2048 * i as u64, buf, 2048).unwrap();
+            c.write(ctx, f, 2048 * i as u64, buf, 2048).unwrap();
         });
         b.kernel.run();
         let image = b.fs.read(fh, 0, 4096).unwrap();

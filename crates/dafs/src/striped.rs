@@ -20,14 +20,23 @@
 //! one server that is every range, and the local offsets equal the logical
 //! ones, so an `n = 1` file is byte- and timing-identical to the bare
 //! session — which is why the MPI-IO layer needs no unstriped driver.
+//!
+//! Whether a piece file goes through its session's client cache is the
+//! session's to say ([`DafsClient::cache_file`] enrols it), not this
+//! file's: nothing here picks a route, and two striped files over the same
+//! sessions and pieces are coherent with each other.
 
 use std::sync::Arc;
 
 use memfs::NodeId;
 use simnet::{ActorCtx, VirtAddr};
 
-use crate::client::{BatchDir, DafsBatch, DafsClient, DafsResult, IoReq, ListReq, OUT_OF_RANGE};
-use crate::proto::ListSeg;
+use crate::client::{BatchDir, DafsBatch, DafsClient, DafsError, DafsResult, IoReq, ListReq};
+use crate::proto::{DafsStatus, ListSeg};
+
+/// What a request whose `off + len` passes `u64::MAX` gets, before anything
+/// is split or sent: the status the server gives the same range.
+const OUT_OF_RANGE: DafsError = DafsError::Status(DafsStatus::Inval);
 
 /// One contiguous fragment of a logical range on one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,21 +161,15 @@ pub struct DafsStripedFile {
     /// Per-server piece file (same index as `clients`).
     fhs: Vec<NodeId>,
     stripe: u64,
-    /// Route contiguous reads and writes, size polls and `sync` through
-    /// each session's lease-coherent client cache.
-    cached: bool,
 }
 
 impl DafsStripedFile {
     /// Assemble a striped file from established sessions and the
     /// per-server piece-file handles (one per server, same order).
-    /// `cached` routes [`Self::read`], [`Self::write`], [`Self::get_size`]
-    /// and [`Self::sync`] through the sessions' client caches.
     pub fn new(
         clients: Vec<Arc<DafsClient>>,
         fhs: Vec<NodeId>,
         stripe_size: u64,
-        cached: bool,
     ) -> DafsStripedFile {
         assert!(
             !clients.is_empty(),
@@ -178,7 +181,6 @@ impl DafsStripedFile {
             clients,
             fhs,
             stripe: stripe_size,
-            cached,
         }
     }
 
@@ -195,6 +197,12 @@ impl DafsStripedFile {
     /// The session for server `s` (bench harnesses use this for stats).
     pub fn client(&self, s: usize) -> &Arc<DafsClient> {
         &self.clients[s]
+    }
+
+    /// Whether any session caches its piece of this file.
+    fn cached(&self) -> bool {
+        let mut pieces = self.clients.iter().zip(&self.fhs);
+        pieces.any(|(c, fh)| c.caches(*fh))
     }
 
     /// Decompose the contiguous logical range `[off, off+len)` into
@@ -227,28 +235,23 @@ impl DafsStripedFile {
     ) -> DafsResult<u64> {
         off.checked_add(len).ok_or(OUT_OF_RANGE)?;
         let pieces = self.split(off, len);
-        if !self.cached && pieces.len() > 1 {
+        if pieces.len() > 1 && !self.cached() {
             let b = self.issue(ctx, dir, &[IoReq { off, addr, len }]);
             return self.batch_finish(ctx, b);
         }
         // A single piece goes through the session's blocking entry point:
-        // the op stream (and spans) of an unstriped session. Cached pieces
-        // go out one by one as well — that path targets small re-read
-        // traffic where hits are local memory copies, so there is no
-        // credit window worth overlapping.
+        // the op stream (and spans) of an unstriped session. Pieces the
+        // sessions cache go out one by one as well — batches go past the
+        // cache, and that path targets small re-read traffic where hits
+        // are local memory copies, so there is no credit window worth
+        // overlapping.
         let mut total = 0;
         for p in pieces {
             let (c, fh) = (&self.clients[p.server], self.fhs[p.server]);
             let a = addr.offset(p.rel);
-            let n = match (dir, self.cached) {
-                (BatchDir::Read, false) => c.read(ctx, fh, p.local, a, p.len)?,
-                (BatchDir::Read, true) => c.read_cached(ctx, fh, p.local, a, p.len)?,
-                (BatchDir::Write, false) => c.write(ctx, fh, p.local, a, p.len).map(|_| p.len)?,
-                // With write-back off this writes through, only keeping
-                // the cache coherent.
-                (BatchDir::Write, true) => {
-                    c.write_cached(ctx, fh, p.local, a, p.len).map(|_| p.len)?
-                }
+            let n = match dir {
+                BatchDir::Read => c.read(ctx, fh, p.local, a, p.len)?,
+                BatchDir::Write => c.write(ctx, fh, p.local, a, p.len).map(|_| p.len)?,
             };
             total += n;
             if n < p.len {
@@ -414,20 +417,15 @@ impl DafsStripedFile {
     // ----- metadata -------------------------------------------------------
 
     /// Logical file size: the inverse of the block map — the maximum
-    /// logical end over the servers' piece files. On a cached file each
-    /// server answers from its lease-coherent attribute cache
-    /// ([`DafsClient::getattr_cached`]): with leases held, a size poll is a
-    /// pure local lookup on every server.
+    /// logical end over the servers' piece files. A session that caches
+    /// its piece answers from its lease-coherent attribute cache: with
+    /// leases held, a size poll is a pure local lookup on every server.
     pub fn get_size(&self, ctx: &ActorCtx) -> DafsResult<u64> {
         let n = self.clients.len() as u64;
         let mut size = 0u64;
         for (s, c) in self.clients.iter().enumerate() {
-            let attr = if self.cached {
-                c.getattr_cached(ctx, self.fhs[s])
-            } else {
-                c.getattr(ctx, self.fhs[s])
-            };
-            size = size.max(logical_end(n, self.stripe, s as u64, attr?.size));
+            let attr = c.getattr(ctx, self.fhs[s])?;
+            size = size.max(logical_end(n, self.stripe, s as u64, attr.size));
         }
         Ok(size)
     }
@@ -445,17 +443,17 @@ impl DafsStripedFile {
     /// Flush every server's piece file to stable storage
     /// (`MPI_File_sync`).
     ///
-    /// A cached file first drains each session's dirty write-back pages
-    /// through its coalesced `WriteList` flush ([`DafsClient::cache_sync`];
-    /// each server ships only its own stripe fragments), then hands the
-    /// leases back: sync is the coherence point of MPI's weak consistency
+    /// Where the sessions cache the pieces, this first drains each one's
+    /// dirty write-back pages through its coalesced `WriteList` flush
+    /// ([`DafsClient::cache_sync`]; each server ships only its own stripe
+    /// fragments), then hands the leases back: sync is the coherence point of MPI's weak consistency
     /// model, so the next access revalidates and another rank's
     /// conflicting op never parks behind a holder that is blocked in a
     /// collective. A clean file with no lease syncs wire-free — the
     /// server-side `Flush` commit round trip only ships when data actually
     /// moved.
     pub fn sync(&self, ctx: &ActorCtx) -> DafsResult<()> {
-        if self.cached {
+        if self.cached() {
             let mut flushed = 0;
             for c in &self.clients {
                 flushed += c.cache_sync(ctx)?;

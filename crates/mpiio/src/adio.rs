@@ -620,14 +620,15 @@ fn listio_on(hints: &crate::hints::Hints) -> bool {
 /// Whether the `dafs_cache` hint turns the lease-coherent client cache on.
 /// Unlike `dafs_listio`, `Automatic` means OFF: caching acquires leases and
 /// changes the op stream, so it is strictly opt-in — only an explicit
-/// `enable` routes reads and size polls through the cached entry points.
+/// `enable` enrols the piece files in their sessions' caches
+/// ([`DafsClient::cache_file`]), for the sessions' life: a later open
+/// without the hint un-enrols nothing, and reads the same cache.
 fn cache_on(hints: &crate::hints::Hints) -> bool {
     hints.dafs_cache == crate::hints::TriState::Enable
 }
 
 struct DafsHandle {
-    /// The logical file; knows whether the `dafs_cache` hint routes
-    /// contiguous ops, size polls and sync through the client cache.
+    /// The logical file.
     file: Arc<DafsStripedFile>,
     /// Shared-pointer companion, on server 0 (the metadata authority).
     shfp: NodeId,
@@ -665,13 +666,17 @@ impl AdioFs for DafsAdio {
         let mut shfp = None;
         for c in &self.clients[..factor] {
             let (dir, name) = dafs_resolve_dir(c, ctx, path, create)?;
-            fhs.push(dafs_open_node(c, ctx, dir, &name, create)?);
+            let fh = dafs_open_node(c, ctx, dir, &name, create)?;
+            if cache_on(hints) {
+                c.cache_file(fh);
+            }
+            fhs.push(fh);
             clients.push(c.clone());
             if shfp.is_none() {
                 shfp = Some(dafs_open_shfp(c, ctx, dir, &name)?);
             }
         }
-        let file = DafsStripedFile::new(clients, fhs, stripe, cache_on(hints));
+        let file = DafsStripedFile::new(clients, fhs, stripe);
         Ok(Arc::new(DafsHandle {
             file: Arc::new(file),
             shfp: shfp.expect("factor >= 1"),

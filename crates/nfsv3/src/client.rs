@@ -534,6 +534,20 @@ impl NfsClient {
         Ok(out)
     }
 
+    /// Decode the reply to a READ of `count` bytes: `(data, eof)`. More
+    /// data than was asked for is a protocol error — it would end up past
+    /// the caller's buffer.
+    fn dec_read_reply(reply: &[u8], count: u64) -> NfsResult<(&[u8], bool)> {
+        let mut d = XdrDec::new(reply);
+        let _count = d.u32().map_err(|_| NfsError::Protocol)?;
+        let eof = d.u32().map_err(|_| NfsError::Protocol)? != 0;
+        let data = d.opaque().map_err(|_| NfsError::Protocol)?;
+        if data.len() as u64 > count {
+            return Err(NfsError::Protocol);
+        }
+        Ok((data, eof))
+    }
+
     /// One READ RPC, at most `rsize` bytes. Returns (data, eof).
     fn read_rpc(
         &self,
@@ -542,13 +556,11 @@ impl NfsClient {
         off: u64,
         len: u64,
     ) -> NfsResult<(Vec<u8>, bool)> {
+        let count = len.min(self.config.rsize);
         let mut e = XdrEnc::new();
-        e.u64(fh.0).u64(off).u32(len.min(self.config.rsize) as u32);
+        e.u64(fh.0).u64(off).u32(count as u32);
         let r = self.call(ctx, NfsProc::Read, e)?;
-        let mut d = XdrDec::new(&r);
-        let _count = d.u32().map_err(|_| NfsError::Protocol)?;
-        let eof = d.u32().map_err(|_| NfsError::Protocol)? != 0;
-        let data = d.opaque().map_err(|_| NfsError::Protocol)?;
+        let (data, eof) = Self::dec_read_reply(&r, count)?;
         // Copy from the RPC buffer into the application buffer.
         self.host
             .compute(ctx, self.config.host_cost.copy(data.len() as u64));
@@ -686,10 +698,7 @@ impl NfsClient {
         let mut eof = false;
         for (xid, framed, _off, n) in &p.rpcs {
             let r = self.recv_rpc(ctx, *xid, framed)?;
-            let mut d = XdrDec::new(&r);
-            let _count = d.u32().map_err(|_| NfsError::Protocol)?;
-            let chunk_eof = d.u32().map_err(|_| NfsError::Protocol)? != 0;
-            let data = d.opaque().map_err(|_| NfsError::Protocol)?;
+            let (data, chunk_eof) = Self::dec_read_reply(&r, *n)?;
             if eof {
                 continue; // past EOF: drain only
             }

@@ -379,4 +379,101 @@ mod tests {
         }
         assert_eq!(server.stats.writes.ops.get(), (N * 2) as u64);
     }
+
+    /// The NFS half of `tests/qos.rs::truncated_frames_get_one_error_reply_
+    /// and_change_nothing`: every proper prefix of one valid frame per
+    /// procedure — cut inside the xid, the procedure number or the
+    /// arguments — gets exactly one reply, under the frame's xid (0 if it
+    /// has none), with a status that is not OK; afterwards the mount still
+    /// answers and the namespace and the file are what they were. A frame
+    /// cut short of its procedure number used to get an empty record for a
+    /// reply, which no client could match to a call; nothing exercised the
+    /// rest.
+    #[test]
+    fn truncated_frames_get_one_error_reply_and_change_nothing() {
+        let b = bed();
+        let f = b.fs.create(ROOT_ID, "f").unwrap().id;
+        b.fs.write(f, 0, &[0x5A; 64]).unwrap();
+        let d = b.fs.mkdir(ROOT_ID, "d").unwrap().id;
+        let snapshot = move |fs: &MemFs| {
+            (
+                fs.readdir(ROOT_ID).unwrap(),
+                [ROOT_ID, f, d].map(|id| fs.getattr(id).unwrap()),
+                fs.read(f, 0, 1 << 20).unwrap(),
+            )
+        };
+        let before = snapshot(&b.fs);
+
+        type Build<'b> = &'b dyn for<'a> Fn(&'a mut xdr::XdrEnc) -> &'a mut xdr::XdrEnc;
+        let args = |build: Build| {
+            let mut e = xdr::XdrEnc::new();
+            build(&mut e);
+            e.finish()
+        };
+        let (root, fh) = (ROOT_ID.0, f.0);
+        let frames: Vec<(NfsProc, Vec<u8>)> = vec![
+            (NfsProc::Null, Vec::new()),
+            (NfsProc::GetAttr, args(&|e| e.u64(fh))),
+            (NfsProc::SetAttr, args(&|e| e.u64(fh).u32(1).u64(8))),
+            (NfsProc::Lookup, args(&|e| e.u64(root).string("f"))),
+            (NfsProc::Read, args(&|e| e.u64(fh).u64(0).u32(64))),
+            (
+                NfsProc::Write,
+                args(&|e| e.u64(fh).u64(0).u32(2).opaque(&[0xEE; 16])),
+            ),
+            (NfsProc::Create, args(&|e| e.u64(root).string("new"))),
+            (NfsProc::Mkdir, args(&|e| e.u64(root).string("newdir"))),
+            (NfsProc::Remove, args(&|e| e.u64(root).string("f"))),
+            (NfsProc::Rmdir, args(&|e| e.u64(root).string("d"))),
+            (
+                NfsProc::Rename,
+                args(&|e| e.u64(root).string("f").u64(root).string("g")),
+            ),
+            (NfsProc::ReadDir, args(&|e| e.u64(root))),
+            (NfsProc::Commit, args(&|e| e.u64(fh))),
+        ];
+        let sent: u64 = frames.iter().map(|(_, a)| 8 + a.len() as u64).sum();
+
+        let fabric = b.fabric.clone();
+        let host = b.client_host.clone();
+        let sid = b.server.host.id;
+        b.kernel.spawn("raw", move |ctx| {
+            let sock = fabric.connect(ctx, &host, sid, 2049).unwrap();
+            // One record out, one record back: `(xid, status)`.
+            let call = |body: &[u8]| -> (u32, u32) {
+                sock.send(ctx, &proto::frame(body));
+                let len = sock.recv_exact(ctx, 4).unwrap();
+                let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+                let reply = sock.recv_exact(ctx, len).unwrap();
+                let mut d = xdr::XdrDec::new(&reply);
+                (d.u32().unwrap(), d.u32().unwrap())
+            };
+            let mut xid = 0u32;
+            for (proc_, args) in &frames {
+                let frame = |xid: u32| {
+                    let mut e = xdr::XdrEnc::new();
+                    e.u32(xid).u32(*proc_ as u32).raw(args);
+                    e.finish()
+                };
+                for cut in 0..8 + args.len() {
+                    xid += 1;
+                    let (rxid, status) = call(&frame(xid)[..cut]);
+                    let want = if cut < 4 { 0 } else { xid };
+                    assert_eq!(rxid, want, "{proc_:?} cut at {cut}: whose reply?");
+                    assert_ne!(status, 0, "{proc_:?} cut at {cut} was served");
+                }
+            }
+            // A reply too many anywhere above would be read here.
+            let mut e = xdr::XdrEnc::new();
+            e.u32(u32::MAX).u32(NfsProc::GetAttr as u32).u64(fh);
+            assert_eq!(call(&e.finish()), (u32::MAX, 0), "the mount lives on");
+            sock.close(ctx);
+        });
+        b.kernel.run();
+        assert_eq!(b.server.stats.ops.get(), sent + 1, "one pass per frame");
+        assert!(
+            snapshot(&b.fs) == before,
+            "a truncated frame changed the fs"
+        );
+    }
 }

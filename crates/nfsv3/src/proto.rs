@@ -118,6 +118,13 @@ impl From<FsError> for NfsStatus {
     }
 }
 
+/// A request that does not decode is answered as an I/O error.
+impl From<XdrError> for NfsStatus {
+    fn from(_: XdrError) -> NfsStatus {
+        NfsStatus::Io
+    }
+}
+
 /// Write stability levels (RFC 1813).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u32)]

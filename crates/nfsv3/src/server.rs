@@ -182,7 +182,18 @@ impl Drc {
     }
 }
 
-/// Decode, execute, and encode one RPC. Charges nfsd CPU time.
+/// A reply to `xid`, so far only its header: the one place the status word
+/// is written.
+fn reply_header(xid: u32, status: NfsStatus) -> XdrEnc {
+    let mut e = XdrEnc::new();
+    e.u32(xid).u32(status as u32);
+    e
+}
+
+/// Decode, execute, and encode one RPC. Charges nfsd CPU time. Every frame
+/// gets one reply: a frame cut short of its xid is answered under xid 0,
+/// and one that names no procedure, or cuts its arguments short, with
+/// [`NfsStatus::Io`].
 fn serve_one(
     ctx: &ActorCtx,
     host: &Host,
@@ -195,160 +206,112 @@ fn serve_one(
     host.compute(ctx, cost.per_op);
 
     let mut d = XdrDec::new(req);
-    let mut e = XdrEnc::new();
-    let (xid, procnum) = match (d.u32(), d.u32()) {
-        (Ok(x), Ok(p)) => (x, p),
-        _ => return Vec::new(),
-    };
-    e.u32(xid);
-
-    let Some(proc_) = NfsProc::from_u32(procnum) else {
-        e.u32(NfsStatus::Io as u32);
-        return e.finish();
-    };
-
-    macro_rules! status {
-        ($st:expr) => {{
-            e.u32($st as u32);
-            return e.finish();
-        }};
+    let xid = d.u32().unwrap_or(0);
+    let mut e = reply_header(xid, NfsStatus::Ok);
+    if let Err(status) = dispatch(ctx, host, fs, cost, stats, &mut d, &mut e) {
+        e = reply_header(xid, status);
     }
-    macro_rules! try_fs {
-        ($r:expr) => {
-            match $r {
-                Ok(v) => v,
-                Err(err) => status!(NfsStatus::from(err)),
-            }
-        };
-    }
-    macro_rules! try_xdr {
-        ($r:expr) => {
-            match $r {
-                Ok(v) => v,
-                Err(_) => status!(NfsStatus::Io),
-            }
-        };
-    }
+    e.finish()
+}
 
-    match proc_ {
-        NfsProc::Null => {
-            e.u32(NfsStatus::Ok as u32);
-        }
+/// Decode and execute one procedure, appending the reply body to `e` (which
+/// already holds the OK header). An error becomes the reply's status.
+fn dispatch(
+    ctx: &ActorCtx,
+    host: &Host,
+    fs: &MemFs,
+    cost: &NfsServerCost,
+    stats: &NfsServerStats,
+    d: &mut XdrDec,
+    e: &mut XdrEnc,
+) -> Result<(), NfsStatus> {
+    match NfsProc::from_u32(d.u32()?).ok_or(NfsStatus::Io)? {
+        NfsProc::Null => {}
         NfsProc::GetAttr => {
-            let fh = NodeId(try_xdr!(d.u64()));
-            let a = try_fs!(fs.getattr(fh));
-            e.u32(NfsStatus::Ok as u32);
-            proto::enc_attr(&mut e, &a);
+            let a = fs.getattr(NodeId(d.u64()?))?;
+            proto::enc_attr(e, &a);
         }
         NfsProc::SetAttr => {
-            let fh = NodeId(try_xdr!(d.u64()));
-            let has_size = try_xdr!(d.u32());
-            let size = if has_size != 0 {
-                Some(try_xdr!(d.u64()))
-            } else {
-                None
+            let fh = NodeId(d.u64()?);
+            let size = match d.u32()? {
+                0 => None,
+                _ => Some(d.u64()?),
             };
-            let a = try_fs!(fs.setattr(fh, SetAttr { size }));
+            let a = fs.setattr(fh, SetAttr { size })?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
-            proto::enc_attr(&mut e, &a);
+            proto::enc_attr(e, &a);
         }
         NfsProc::Lookup => {
-            let dir = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            let a = try_fs!(fs.lookup(dir, &name));
-            e.u32(NfsStatus::Ok as u32);
-            proto::enc_attr(&mut e, &a);
+            let (dir, name) = (NodeId(d.u64()?), d.string()?);
+            proto::enc_attr(e, &fs.lookup(dir, &name)?);
         }
         NfsProc::Read => {
-            let fh = NodeId(try_xdr!(d.u64()));
-            let off = try_xdr!(d.u64());
-            let len = try_xdr!(d.u32()) as u64;
-            let data = try_fs!(fs.read_views(fh, off, len));
+            let (fh, off, len) = (NodeId(d.u64()?), d.u64()?, d.u32()? as u64);
+            let data = fs.read_views(fh, off, len)?;
             // Buffer-cache copy into the reply.
             host.compute(ctx, cost.host.copy(data.len() as u64));
             stats.reads.record(data.len() as u64);
-            let eof = off + data.len() as u64 >= try_fs!(fs.getattr(fh)).size;
-            e.u32(NfsStatus::Ok as u32);
-            e.u32(data.len() as u32);
-            e.u32(eof as u32);
-            e.opaque_rope(&data);
+            let eof = off + data.len() as u64 >= fs.getattr(fh)?.size;
+            e.u32(data.len() as u32).u32(eof as u32).opaque_rope(&data);
         }
         NfsProc::Write => {
-            let fh = NodeId(try_xdr!(d.u64()));
-            let off = try_xdr!(d.u64());
-            let stable = Stable::from_u32(try_xdr!(d.u32()));
-            let data = try_xdr!(d.opaque());
+            let (fh, off) = (NodeId(d.u64()?), d.u64()?);
+            let stable = Stable::from_u32(d.u32()?);
+            let data = d.opaque()?;
             host.compute(ctx, cost.host.copy(data.len() as u64));
-            let a = try_fs!(fs.write(fh, off, data));
+            let a = fs.write(fh, off, data)?;
             if stable != Stable::Unstable {
                 host.compute(ctx, cost.sync);
             }
             stats.writes.record(data.len() as u64);
-            e.u32(NfsStatus::Ok as u32);
-            e.u32(data.len() as u32);
-            e.u32(stable as u32);
-            proto::enc_attr(&mut e, &a);
+            e.u32(data.len() as u32).u32(stable as u32);
+            proto::enc_attr(e, &a);
         }
         NfsProc::Create => {
-            let dir = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            let a = try_fs!(fs.create(dir, &name));
+            let (dir, name) = (NodeId(d.u64()?), d.string()?);
+            let a = fs.create(dir, &name)?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
-            proto::enc_attr(&mut e, &a);
+            proto::enc_attr(e, &a);
         }
         NfsProc::Mkdir => {
-            let dir = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            let a = try_fs!(fs.mkdir(dir, &name));
+            let (dir, name) = (NodeId(d.u64()?), d.string()?);
+            let a = fs.mkdir(dir, &name)?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
-            proto::enc_attr(&mut e, &a);
+            proto::enc_attr(e, &a);
         }
         NfsProc::Remove => {
-            let dir = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            try_fs!(fs.remove(dir, &name));
+            let (dir, name) = (NodeId(d.u64()?), d.string()?);
+            fs.remove(dir, &name)?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
         }
         NfsProc::Rmdir => {
-            let dir = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            try_fs!(fs.rmdir(dir, &name));
+            let (dir, name) = (NodeId(d.u64()?), d.string()?);
+            fs.rmdir(dir, &name)?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
         }
         NfsProc::Rename => {
-            let from = NodeId(try_xdr!(d.u64()));
-            let name = try_xdr!(d.string());
-            let to = NodeId(try_xdr!(d.u64()));
-            let to_name = try_xdr!(d.string());
-            try_fs!(fs.rename(from, &name, to, &to_name));
+            let (from, name) = (NodeId(d.u64()?), d.string()?);
+            let (to, to_name) = (NodeId(d.u64()?), d.string()?);
+            fs.rename(from, &name, to, &to_name)?;
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
         }
         NfsProc::ReadDir => {
-            let dir = NodeId(try_xdr!(d.u64()));
+            let dir = NodeId(d.u64()?);
             // Encode entries straight off the directory map, borrowed under
             // the filesystem lock — no per-call Vec<(String, NodeId)>.
             let mut n = 0u32;
             let mut body = XdrEnc::new();
-            try_fs!(fs.with_readdir(dir, |name, id| {
+            fs.with_readdir(dir, |name, id| {
                 body.u64(id.0);
                 body.string(name);
                 n += 1;
-            }));
-            e.u32(NfsStatus::Ok as u32);
-            e.u32(n);
-            e.raw(&body.finish());
+            })?;
+            e.u32(n).raw(&body.finish());
         }
         NfsProc::Commit => {
-            let _fh = NodeId(try_xdr!(d.u64()));
+            let _fh = NodeId(d.u64()?);
             host.compute(ctx, cost.sync);
-            e.u32(NfsStatus::Ok as u32);
         }
     }
-    e.finish()
+    Ok(())
 }

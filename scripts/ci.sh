@@ -17,6 +17,16 @@ if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.comput
     exit 1
 fi
 
+echo "==> one way into the DAFS client"
+# Which route a read, write or getattr takes is the session's to say (the
+# files it enrolled), decided in the cache driver's first step: no caller
+# picks a `*_cached` entry point, and the striped file carries no flag.
+if grep -rnE '\.(read|write|getattr)_cached\(' crates tests examples ||
+    grep -nE '\bcached:' crates/dafs/src/striped.rs; then
+    echo "ci: a caller-side cached route is back (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -246,12 +246,16 @@ fn every_backend_refuses_a_write_past_the_last_offset() {
     }
 }
 
-/// What a handle reads does not depend on how many servers its file
-/// stripes over. A write-back handle buffers 128 KiB dirty; a default-hints
-/// handle on the same rank — the same sessions — then reads it back. Over
-/// two stripes the read is a batch, which always flushed the file first;
-/// over one it is the session's blocking `read`, which used to go to the
-/// server past the dirty pages and come back empty.
+/// What a handle reads depends neither on how many servers its file
+/// stripes over nor on the hints it was opened with. A write-back handle
+/// buffers 128 KiB dirty; a default-hints handle on the same rank — the
+/// same sessions, which cache the pieces since the first open — reads it,
+/// sizes it and overwrites part of it *through the cache*: the same bytes
+/// at one and two stripes, `dafs.cache.hits` moving and not one request
+/// reaching a server. (It used to be a second route past the cache: over
+/// one stripe stale until PR 21, then flushing the file first.) A handle on
+/// another rank's sessions sees the data only after the holder's flush:
+/// its read parks until the holder syncs at 40 ms.
 #[test]
 fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_count() {
     const LEN: u64 = 128 << 10;
@@ -265,21 +269,44 @@ fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_coun
             },
             servers,
         };
-        Testbed::new(backend).run(1, move |ctx, comm, adio| {
+        Testbed::new(backend).run(2, move |ctx, comm, adio| {
             let mem = &comm.host().mem;
+            let buf = mem.alloc(LEN as usize);
+            let expect = [vec![0xCC; 1000], vec![0xBB; LEN as usize - 1000]].concat();
+            if comm.rank() == 1 {
+                ctx.advance(ms(20));
+                let other = adio.open(ctx, "/wb", false).unwrap();
+                assert_eq!(other.read_contig(ctx, 0, buf, LEN), Ok(LEN), "x{servers}");
+                assert!(
+                    mem.read_vec(buf, LEN as usize) == expect,
+                    "x{servers}: stale"
+                );
+                assert!(ctx.now() >= SimTime::ZERO + ms(40), "x{servers}: no park");
+                return;
+            }
             let mut cached = Hints::default();
             cached.set("dafs_cache", "enable");
             let w = adio.open_with_hints(ctx, "/wb", true, &cached).unwrap();
             let r = adio.open(ctx, "/wb", false).unwrap();
-            let buf = mem.alloc(LEN as usize);
             mem.fill(buf, LEN as usize, 0xBB);
             w.write_contig(ctx, 0, buf, LEN).unwrap();
+            let count = |name: &str| ctx.metrics().counter(name).get();
+            let (requests, hits) = (count("dafs.ops"), count("dafs.cache.hits"));
             mem.fill(buf, LEN as usize, 0);
             assert_eq!(r.read_contig(ctx, 0, buf, LEN), Ok(LEN), "x{servers}");
             assert!(
                 mem.read_vec(buf, LEN as usize) == vec![0xBB; LEN as usize],
                 "x{servers}: stale bytes"
             );
+            assert_eq!(r.get_size(ctx), Ok(LEN), "x{servers}");
+            mem.fill(buf, 1000, 0xCC);
+            r.write_contig(ctx, 0, buf, 1000).unwrap();
+            assert_eq!(w.read_contig(ctx, 0, buf, LEN), Ok(LEN), "x{servers}");
+            assert!(mem.read_vec(buf, LEN as usize) == expect, "x{servers}");
+            assert!(count("dafs.cache.hits") > hits, "x{servers}: no hit");
+            assert_eq!(count("dafs.ops"), requests, "x{servers}: went to a server");
+            ctx.advance(ms(40));
+            w.flush(ctx).unwrap();
         });
     }
 }

@@ -433,13 +433,14 @@ fn dafs_recall_push_to_crashed_holder_reclaims_lease() {
             };
             let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
             let f = c.lookup(ctx, ROOT_ID, "x").unwrap();
+            c.cache_file(f.id);
             let src = nic.host().mem.alloc(4096);
             nic.host().mem.fill(src, 4096, 0x5A);
-            c.write_cached(ctx, f.id, 0, src, 4096).unwrap();
+            c.write(ctx, f.id, 0, src, 4096).unwrap();
             c.cache_sync(ctx).unwrap(); // page 0 on stable storage
             nic.host().mem.fill(src, 4096, 0x77);
-            c.write_cached(ctx, f.id, 4096, src, 4096).unwrap(); // dirty forever
-                                                                 // No disconnect: the host crashes at ms(4) with the lease held.
+            c.write(ctx, f.id, 4096, src, 4096).unwrap(); // dirty forever
+                                                          // No disconnect: the host crashes at ms(4) with the lease held.
         });
     }
     {
@@ -514,9 +515,10 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
             };
             let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
             let f = c.lookup(ctx, ROOT_ID, "x").unwrap();
+            c.cache_file(f.id);
             let src = nic.host().mem.alloc(4096);
             nic.host().mem.fill(src, 4096, 0x5A);
-            c.write_cached(ctx, f.id, 0, src, 4096).unwrap();
+            c.write(ctx, f.id, 0, src, 4096).unwrap();
             c.cache_sync(ctx).unwrap();
             // The reader's recall push lands shortly after ms(5); service
             // it at ms(9), inside the crash window: the flush is empty and
@@ -524,7 +526,7 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
             // reconnect backoff past ms(50) and replays the ack against a
             // server that already reclaimed the lease — a no-op by design.
             ctx.advance(ms(9));
-            let a = c.getattr_cached(ctx, f.id).unwrap();
+            let a = c.getattr(ctx, f.id).unwrap();
             assert_eq!(a.size, 4096);
             assert_eq!(c.cache_stats.recalls.get(), 1);
             c.disconnect(ctx);
@@ -766,10 +768,11 @@ fn dafs_server_crash_mid_coalesced_flush_replays_exactly_once() {
             };
             let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
             let f = c.lookup(ctx, ROOT_ID, "wb").unwrap();
+            c.cache_file(f.id);
             let src = nic.host().mem.alloc(PAGE as usize);
             for p in 0..PAGES {
                 nic.host().mem.fill(src, PAGE as usize, (p % 251) as u8 + 1);
-                c.write_cached(ctx, f.id, p * 2 * PAGE, src, PAGE).unwrap();
+                c.write(ctx, f.id, p * 2 * PAGE, src, PAGE).unwrap();
             }
             // Sync at ms(5): the batches take ~2.5 ms of wire time, so
             // the ms(6) crash lands mid-flush; the reconnect backoff
@@ -865,10 +868,11 @@ fn dafs_failed_flush_keeps_pages_dirty_for_the_next_sync() {
             };
             let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, 2049, cfg).unwrap();
             let f = c.lookup(ctx, ROOT_ID, "wb").unwrap();
+            c.cache_file(f.id);
             let src = nic.host().mem.alloc(PAGE as usize);
             for p in 0..PAGES {
                 nic.host().mem.fill(src, PAGE as usize, fill(p));
-                c.write_cached(ctx, f.id, p * 2 * PAGE, src, PAGE).unwrap();
+                c.write(ctx, f.id, p * 2 * PAGE, src, PAGE).unwrap();
             }
             ctx.advance(ms(5));
             assert!(

@@ -1,0 +1,254 @@
+//! A reply longer than the request is a protocol error, not a write past
+//! the caller's buffer: both clients against scripted peers that
+//! over-answer. Each case hands the client a buffer inside a larger region
+//! of `0x11`; the call must come back with the protocol error and every
+//! byte of the region — the buffer too — as it was.
+//!
+//! At the parent commit each of these wrote the surplus after the caller's
+//! buffer and returned `Ok`, and the credit case took the server's word for
+//! a window of 1 000 requests over eight receive descriptors: all five
+//! fail there. No existing test met a peer that over-answers.
+
+use std::sync::Arc;
+
+use mpio_dafs::dafs::{BatchDir, DafsClient, DafsClientConfig, DafsError, IoReq, ListReq};
+use mpio_dafs::memfs::NodeId;
+use mpio_dafs::mpiio::adio::set_current_host;
+use mpio_dafs::mpiio::{AdioError, AdioFs, IoFault, NfsAdio};
+use mpio_dafs::nfsv3::xdr::XdrEnc;
+use mpio_dafs::nfsv3::{NfsClient, NfsClientConfig, NfsError};
+use mpio_dafs::simnet::{ActorCtx, Cluster, SimKernel, VirtAddr};
+use mpio_dafs::tcpnet::{TcpCost, TcpFabric};
+use mpio_dafs::via::{
+    DataSegment, MemAttributes, RecvDesc, SendDesc, ViAttributes, ViaCost, ViaFabric, ViaNic,
+};
+
+const PORT: u16 = 2049;
+/// Bytes the peer adds to what a read asked for.
+const EXTRA: u64 = 16;
+const FH: NodeId = NodeId(2);
+
+fn le(v: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..v.len()].copy_from_slice(v);
+    u64::from_le_bytes(word)
+}
+
+/// A DAFS server that grants `credits` in its `Hello` and answers every
+/// inline read — `ReadInline`, and the first segment of an inline
+/// `ReadList` — with `extra` bytes more than were asked for; anything else
+/// gets an empty OK.
+fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits: u32, extra: u64) {
+    let fabric = fabric.clone();
+    kernel.spawn_daemon("peer", move |ctx| {
+        let listener = fabric.listen(&nic, PORT);
+        let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+        // One registration, cut into 64 receive slots and a send buffer:
+        // the client's `Hello` must find a descriptor posted.
+        let (mem, slot) = (&nic.host().mem, 1u64 << 10);
+        let base = mem.alloc(128 << 10);
+        let h = nic.register_mem(ctx, base, 128 << 10, MemAttributes::local(vi.ptag()));
+        let recv = |i: u64| {
+            let seg = DataSegment::new(base.offset(i * slot), slot as u32, h);
+            vi.post_recv(ctx, RecvDesc::new(vec![seg]));
+        };
+        (0..64).for_each(recv);
+        let (sbuf, mut next) = (base.offset(64 * slot), 0);
+        loop {
+            let arrived = vi.recv_wait(ctx);
+            if !arrived.status.is_ok() {
+                break;
+            }
+            recv(next);
+            next = (next + 1) % 64;
+            let req = arrived.payload.expect("request frame");
+            let (op, body) = (req[4], &req[5..]);
+            let payload = match op {
+                // Hello: RDMA Read, credits, inline limit.
+                18 => [
+                    &[0][..],
+                    &credits.to_le_bytes(),
+                    &(32u64 << 10).to_le_bytes(),
+                ]
+                .concat(),
+                // ReadInline (fh, off, len): one byte string.
+                10 => {
+                    let n = (le(&body[16..24]) + extra) as usize;
+                    [&(n as u32).to_le_bytes()[..], &vec![0xEE; n]].concat()
+                }
+                // Inline ReadList (fh, 0, n, n × (off, len, rel)): n, the
+                // counts, the packed bytes.
+                20 => {
+                    let n = le(&body[9..13]) as usize;
+                    let lens = (0..n).map(|i| le(&body[13 + 24 * i + 8..][..8]));
+                    let counts: Vec<u64> = lens
+                        .enumerate()
+                        .map(|(i, len)| len + if i == 0 { extra } else { 0 })
+                        .collect();
+                    let total = counts.iter().sum::<u64>() as usize;
+                    let mut p = (n as u32).to_le_bytes().to_vec();
+                    counts.iter().for_each(|c| p.extend(c.to_le_bytes()));
+                    p.extend((total as u32).to_le_bytes());
+                    p.extend(vec![0xEE; total]);
+                    p
+                }
+                _ => Vec::new(),
+            };
+            let reply = [&req[..4], &[0], &payload].concat();
+            mem.write(sbuf, &reply);
+            vi.post_send(
+                ctx,
+                SendDesc::send(vec![DataSegment::new(sbuf, reply.len() as u32, h)]),
+            );
+            vi.send_wait(ctx);
+        }
+    });
+}
+
+/// Run `body` on a session with the scripted DAFS peer.
+fn with_dafs_peer(
+    credits: u32,
+    extra: u64,
+    body: impl FnOnce(&ActorCtx, &DafsClient, &ViaNic) + Send + 'static,
+) {
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = ViaFabric::new(ViaCost::default());
+    let peer = fabric.open_nic(cluster.add_host("peer"));
+    let sid = peer.host().id;
+    spawn_dafs_peer(&kernel, &fabric, peer, credits, extra);
+    let nic = fabric.open_nic(cluster.add_host("client"));
+    kernel.spawn("client", move |ctx| {
+        let config = DafsClientConfig::default();
+        let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, config).unwrap();
+        body(ctx, &c, &nic);
+        c.disconnect(ctx);
+    });
+    kernel.run();
+}
+
+/// A 4 KiB region of `0x11` and the check that it still is.
+fn region(nic: &ViaNic) -> (VirtAddr, impl Fn(&str) + '_) {
+    let mem = &nic.host().mem;
+    let at = mem.alloc(4096);
+    mem.fill(at, 4096, 0x11);
+    (at, move |what: &str| {
+        assert!(mem.read_vec(at, 4096) == [0x11; 4096], "{what}: wrote");
+    })
+}
+
+#[test]
+fn dafs_inline_read_longer_than_asked_is_a_protocol_error() {
+    with_dafs_peer(8, EXTRA, |ctx, c, nic| {
+        let (buf, untouched) = region(nic);
+        assert_eq!(c.read(ctx, FH, 0, buf, 256), Err(DafsError::Protocol));
+        untouched("read");
+        let got = c.read_to_vec(ctx, FH, 0, 256);
+        assert_eq!(got, Err(DafsError::Protocol));
+    });
+}
+
+#[test]
+fn dafs_batch_read_longer_than_its_chunk_is_a_protocol_error() {
+    with_dafs_peer(8, EXTRA, |ctx, c, nic| {
+        let (buf, untouched) = region(nic);
+        let reqs = [0, 1].map(|i| IoReq {
+            off: i * 256,
+            addr: buf.offset(i * 512),
+            len: 256,
+        });
+        let batch = c.issue(ctx, BatchDir::Read, FH, &reqs);
+        let results = c.batch_finish(ctx, batch);
+        assert_eq!(results, [Err(DafsError::Protocol); 2]);
+        untouched("batch");
+    });
+}
+
+#[test]
+fn dafs_list_read_count_longer_than_its_segment_is_a_protocol_error() {
+    with_dafs_peer(8, EXTRA, |ctx, c, nic| {
+        let (buf, untouched) = region(nic);
+        let segs = vec![(0, 64, 0), (128, 64, 128)];
+        let batch = c.issue_list(ctx, BatchDir::Read, FH, &[ListReq { segs, buf }]);
+        assert_eq!(c.batch_finish(ctx, batch), [Err(DafsError::Protocol)]);
+        untouched("list");
+    });
+}
+
+/// The server's `Hello` offers 1 000 credits; the client posted eight
+/// receive descriptors. Twenty reads in one batch must still come back:
+/// the window is the ring, whatever the server says.
+#[test]
+fn dafs_credits_past_the_receive_ring_are_clamped_to_it() {
+    with_dafs_peer(1000, 0, |ctx, c, nic| {
+        assert_eq!(c.caps().credits, 8);
+        let buf = nic.host().mem.alloc(20 * 256);
+        let reqs: Vec<IoReq> = (0..20)
+            .map(|i| IoReq {
+                off: i * 256,
+                addr: buf.offset(i * 256),
+                len: 256,
+            })
+            .collect();
+        let batch = c.issue(ctx, BatchDir::Read, FH, &reqs);
+        assert_eq!(c.batch_finish(ctx, batch), vec![Ok(256); 20]);
+        assert!(nic.host().mem.read_vec(buf, 20 * 256) == [0xEE; 20 * 256]);
+    });
+}
+
+/// An NFS server that knows one file and answers every READ with [`EXTRA`]
+/// bytes more than its `count`.
+#[test]
+fn nfs_read_longer_than_count_is_a_protocol_error() {
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = TcpFabric::new(TcpCost::default());
+    let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
+    let sid = peer.id;
+    {
+        let fabric = fabric.clone();
+        kernel.spawn_daemon("peer", move |ctx| {
+            let sock = fabric.listen(&peer, PORT).accept(ctx).unwrap();
+            while let Ok(hdr) = sock.recv_exact(ctx, 4) {
+                let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+                let req = sock.recv_exact(ctx, len).unwrap();
+                let word = |at: usize| u32::from_be_bytes(req[at..at + 4].try_into().unwrap());
+                let mut e = XdrEnc::new();
+                e.u32(word(0)).u32(0);
+                match word(4) {
+                    // LOOKUP: a regular file, 4 KiB.
+                    3 => {
+                        e.u32(1).u64(FH.0).u64(4096).u64(1).u32(1);
+                    }
+                    // READ (fh, off, count).
+                    6 => {
+                        let n = word(24) as usize + EXTRA as usize;
+                        e.u32(n as u32).u32(0).opaque(&vec![0xEE; n]);
+                    }
+                    _ => {}
+                }
+                let reply = e.finish();
+                let framed = [&(reply.len() as u32).to_be_bytes()[..], &reply].concat();
+                sock.send(ctx, &framed);
+            }
+        });
+    }
+    kernel.spawn("client", move |ctx| {
+        set_current_host(ctx, &host);
+        let config = NfsClientConfig::default();
+        let c = Arc::new(NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap());
+        assert_eq!(c.read(ctx, FH, 0, 256), Err(NfsError::Protocol));
+        let pending = c.read_begin(ctx, FH, 0, 256);
+        assert_eq!(c.read_finish(ctx, pending), Err(NfsError::Protocol));
+        // And from the ADIO driver, which copies what it gets to `dst`.
+        let f = NfsAdio::new(c.clone()).open(ctx, "/f", false).unwrap();
+        let buf = host.mem.alloc(4096);
+        host.mem.fill(buf, 4096, 0x11);
+        let got = f.read_contig(ctx, 0, buf, 256);
+        let protocol = AdioError::Io(IoFault::Nfs(NfsError::Protocol));
+        assert_eq!(got, Err(protocol));
+        assert!(host.mem.read_vec(buf, 4096) == [0x11; 4096], "wrote");
+        c.unmount(ctx);
+    });
+    kernel.run();
+}

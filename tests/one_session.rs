@@ -160,7 +160,7 @@ fn one_session_striped_file_is_the_bare_client() {
             move |ctx, cs, nic| {
                 let fh = cs[0].lookup(ctx, ROOT_ID, "f").unwrap().id;
                 let path = if striped {
-                    Path::OneSession(DafsStripedFile::new(cs, vec![fh], STRIPE, false))
+                    Path::OneSession(DafsStripedFile::new(cs, vec![fh], STRIPE))
                 } else {
                     Path::Bare(cs[0].clone(), fh)
                 };
@@ -208,7 +208,7 @@ fn striped_read_counts_in_stream_order_across_an_eof_hole() {
                 .iter()
                 .map(|c| c.lookup(ctx, ROOT_ID, "f").unwrap().id)
                 .collect();
-            let f = DafsStripedFile::new(cs, fhs, BLK, false);
+            let f = DafsStripedFile::new(cs, fhs, BLK);
             assert_eq!(f.get_size(ctx).unwrap(), 3 * BLK);
             let buf = nic.host().mem.alloc(4 * BLK as usize);
             assert_eq!(f.read(ctx, 0, buf, 3 * BLK).unwrap(), BLK + 1000);

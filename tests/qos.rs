@@ -185,7 +185,8 @@ fn throttled_tenant_crash_mid_queue_releases_parked_frames() {
             let c = dafs::DafsClient::connect(ctx, &fabric, &nic, sid, PORT, cfg).unwrap();
             let sh = c.lookup(ctx, ROOT_ID, "shared").unwrap();
             let dst = nic.host().mem.alloc(1 << 20);
-            c.read_cached(ctx, sh.id, 0, dst, 4 << 10).unwrap();
+            c.cache_file(sh.id);
+            c.read(ctx, sh.id, 0, dst, 4 << 10).unwrap();
             let b = c.lookup(ctx, ROOT_ID, "bulk").unwrap();
             // Stream until the crash surfaces as an error (the client
             // burns its bounded reconnect budget first — that must not
