@@ -31,13 +31,20 @@
 //! Write on the same reliable VI, which delivers in order, so a reply in
 //! hand means every byte posted before it is in the buffer.
 //!
+//! A contiguous transfer takes one form on the wire, whether blocking or
+//! batched: the `Sub`s that `expand_subs` cuts it into (where the rule is
+//! asked, once per request), each encoded by `encode_sub` and its reply
+//! decoded by `sub_payload`. A batch pipelines them over the credits; the
+//! blocking `transfer_wire` runs them one at a time, and the three lines
+//! where that schedule differs from a batch are marked (a)–(c) there.
+//!
 //! There is one way in for data and attributes: [`DafsClient::read`],
 //! [`DafsClient::write`] and [`DafsClient::getattr`] hand straight to the
 //! driver of the lease-coherent cache in `crate::cache`, whose first step
 //! asks whether this session caches the file ([`DafsClient::cache_file`]
 //! enrols one, for the session's life). A file it does not cache passes
-//! through — the rule below, then `read_wire` / `write_wire` /
-//! `getattr_wire` — before any poll, clock, metric or trace, so a session
+//! through — the rule below, then `transfer_wire` / `getattr_wire` —
+//! before any poll, clock, metric or trace, so a session
 //! that enrols nothing is the session without a cache. This file supplies
 //! what the driver may not do itself (`Live`, at the end: the wire requests,
 //! the clock charges, the counters, the trace line). One rule covers every
@@ -338,6 +345,12 @@ fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     }
 }
 
+/// The attributes a write's [`DafsClient::transfer_wire`] ends in: every
+/// route a write takes there ends in a reply that carries them, or a GETATTR.
+fn written((_, attr): (u64, Option<FileAttr>)) -> FileAttr {
+    attr.expect("a write's transfer ends in its attributes")
+}
+
 /// Bytes the registration cache keeps pinned before it evicts the least
 /// recently used registration.
 const REGCACHE_CAPACITY: u64 = 64 << 20;
@@ -520,7 +533,7 @@ impl DafsClient {
     /// Decode a `Hello` reply payload (after the response header) and
     /// install the negotiated capabilities: whatever the server offers,
     /// never more credits than the receive ring has descriptors for the
-    /// replies.
+    /// replies, and an inline limit that cuts a transfer into chunks.
     fn apply_hello_caps(&self, payload: &Bytes) -> DafsResult<ServerCaps> {
         let mut d = Dec::new(payload);
         let rdma_read = d.u8().map_err(|_| DafsError::Protocol)? != 0;
@@ -529,7 +542,7 @@ impl DafsClient {
         let caps = ServerCaps {
             rdma_read,
             credits: credits.min(CREDITS),
-            inline_max: inline_max.min(self.config.inline_max),
+            inline_max: inline_max.min(self.config.inline_max).max(1),
         };
         *self.caps.lock() = caps;
         Ok(caps)
@@ -753,8 +766,14 @@ impl DafsClient {
     /// Synchronous request/response with **no** recovery: used by the
     /// direct-I/O paths, whose requests embed registration handles that die
     /// with the session (the caller falls back to inline instead).
-    fn call_once(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<Bytes> {
-        let reqid = self.post_request(ctx, op, args, Payload::None);
+    fn call_once(
+        &self,
+        ctx: &ActorCtx,
+        op: DafsOp,
+        args: &mut Enc,
+        payload: Payload<'_>,
+    ) -> DafsResult<Bytes> {
+        let reqid = self.post_request(ctx, op, args, payload);
         let resp = self.wait_response(ctx, reqid)?;
         Self::decode_resp(&resp)
     }
@@ -835,7 +854,7 @@ impl DafsClient {
     }
 
     /// The GETATTR itself, for callers already past the cache: the cache's
-    /// driver and the tail of a `write_wire`.
+    /// driver and the tail of a `transfer_wire` write.
     fn getattr_wire(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
         let mut e = Enc::new();
         e.u64(fh.0);
@@ -930,10 +949,7 @@ impl DafsClient {
         let mut e = Enc::new();
         e.u64(fh.0);
         let payload = self.call_with(ctx, DafsOp::Append, &mut e, Payload::Slice(data))?;
-        self.stats.inline_writes.record(data.len() as u64);
-        ctx.metrics()
-            .byte_meter("dafs.inline.bytes")
-            .record(data.len() as u64);
+        self.account(ctx, BatchDir::Write, false, data.len() as u64);
         let mut d = Dec::new(&payload);
         let at = d.u64().map_err(|_| DafsError::Protocol)?;
         if let Ok(a) = proto::dec_attr(&mut d) {
@@ -970,7 +986,7 @@ impl DafsClient {
         // clock or the wire.
         let _ = cache::cache_shutdown(&mut Live(self, ctx));
         let mut e = Enc::new();
-        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e);
+        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e, Payload::None);
         self.regcache.flush(ctx);
         self.vi.lock().disconnect(ctx);
         ctx.trace("dafs", "session.disconnect", &[]);
@@ -1071,106 +1087,116 @@ impl DafsClient {
     ) -> DafsResult<u64> {
         let mem = &self.nic.host().mem;
         let sink = |rel, bytes: &[u8]| mem.write(dst.offset(rel), bytes);
-        let wire = |_: &mut Live| self.read_wire(ctx, fh, off, dst, len);
+        let req = IoReq {
+            off,
+            addr: dst,
+            len,
+        };
+        let wire = |_: &mut Live| {
+            let moved = self.transfer_wire(ctx, BatchDir::Read, fh, req);
+            moved.map(|(n, _)| n)
+        };
         cache::read(&mut Live(self, ctx), fh.0, (off, len), sink, wire)
     }
 
-    /// The read itself — its span, `xfer` trace line and inline-vs-direct
-    /// choice — where the cache's driver sends a read it does not serve,
-    /// and what its own fetches are, which must not flush the file they
-    /// pre-fault.
-    fn read_wire(
+    /// The transfer itself — its span, its `xfer` trace line, and the subs
+    /// [`Self::expand_subs`] cuts it into, run one at a time by
+    /// [`Self::run_subs`] — where the cache's driver sends a read or write
+    /// it does not serve, and what its own fetches are (which must not
+    /// flush the file they pre-fault). Returns the bytes moved and, for a
+    /// write, the attributes after it. The lines marked (a)–(c) are where
+    /// this schedule differs from a batch of the one request.
+    fn transfer_wire(
         &self,
         ctx: &ActorCtx,
+        dir: BatchDir,
         fh: NodeId,
-        off: u64,
-        dst: VirtAddr,
-        len: u64,
-    ) -> DafsResult<u64> {
-        let _span = ctx.span("dafs", "read");
-        let direct = self.goes_direct(BatchDir::Read, len, dst, len);
+        req: IoReq,
+    ) -> DafsResult<(u64, Option<FileAttr>)> {
+        let op = match dir {
+            BatchDir::Read => "read",
+            BatchDir::Write => "write",
+        };
+        let _span = ctx.span("dafs", op);
+        let subs = self.expand_subs(dir, &[req]);
+        let direct = subs[0].direct;
+        let mode = if direct { "direct" } else { "inline" };
         ctx.trace(
             "dafs",
             "xfer",
             &[
-                ("op", obs::Value::Str("read")),
-                (
-                    "mode",
-                    obs::Value::Str(if direct { "direct" } else { "inline" }),
-                ),
-                ("len", obs::Value::U64(len)),
+                ("op", obs::Value::Str(op)),
+                ("mode", obs::Value::Str(mode)),
+                ("len", obs::Value::U64(req.len)),
             ],
         );
-        if !direct {
-            return self.read_inline(ctx, fh, off, dst, len);
+        // (a) One sub at a time, except: a zero-length read posts nothing,
+        // and a multi-chunk inline write is pipelined as a batch + GETATTR.
+        if dir == BatchDir::Read && req.len == 0 {
+            return Ok((0, None));
         }
-        let (handle, transient) = self.regcache.acquire(ctx, dst, len);
-        let mut e = Enc::new();
-        e.u64(fh.0)
-            .u64(off)
-            .u64(len)
-            .u64(dst.as_u64())
-            .u64(handle.0);
-        let r = self.call_once(ctx, DafsOp::ReadDirect, &mut e);
-        self.regcache.release(ctx, handle, transient);
-        let payload = match r {
-            Ok(p) => p,
-            // The registration handle in the request died with the session;
-            // recover the transfer through the (replayable) inline path.
-            Err(DafsError::Transport(_) | DafsError::Connect(_)) => {
+        if dir == BatchDir::Write && subs.len() > 1 {
+            self.batch_finish(ctx, self.issue(ctx, dir, fh, &[req]))
+                .remove(0)?;
+            return Ok((req.len, Some(self.getattr_wire(ctx, fh)?)));
+        }
+        let (n, attr) = match self.run_subs(ctx, dir, fh, &subs) {
+            // (b) The direct sub's registration died with the session: redo
+            // the transfer as its inline chunks, which replay — idempotent
+            // even if the RDMA transfer partly landed.
+            Err(DafsError::Transport(_) | DafsError::Connect(_)) if direct => {
                 ctx.metrics().counter("dafs.direct_fallbacks").inc();
-                return self.read_inline(ctx, fh, off, dst, len);
+                let (n, _) = self.run_subs(ctx, dir, fh, &self.inline_subs(0, req))?;
+                // (c) A write that fell back asks for its attributes.
+                let attr = match dir {
+                    BatchDir::Read => None,
+                    BatchDir::Write => Some(self.getattr_wire(ctx, fh)?),
+                };
+                (n, attr)
             }
-            Err(e) => return Err(e),
+            moved => moved?,
         };
-        let count = Dec::new(&payload).u64().map_err(|_| DafsError::Protocol)?;
-        self.stats.direct_reads.record(count);
-        ctx.metrics().byte_meter("dafs.direct.bytes").record(count);
-        Ok(count)
-    }
-
-    /// The byte string an inline read of `asked` bytes came back with. More
-    /// than that is a protocol error: it would land past the caller's buffer.
-    fn inline_data(d: &mut Dec, asked: u64) -> DafsResult<Bytes> {
-        let data = d.bytes().map_err(|_| DafsError::Protocol)?;
-        if data.len() as u64 > asked {
-            return Err(DafsError::Protocol);
+        if let Some(a) = attr {
+            self.note_wrote(ctx, fh, req.off, req.len, AttrAfter::Set(a));
         }
-        Ok(data)
+        Ok((n, attr))
     }
 
-    fn read_inline(
+    /// Run one transfer's `subs` in order, each waited for before the next
+    /// is posted — (a): a read stops at its first short sub, the end of the
+    /// file. (b) An inline sub goes through [`Self::call_with`], so a
+    /// reconnect replays it under its original id; a direct one is posted
+    /// once, its registration dying with the session. Returns the bytes
+    /// moved and the attributes the last write reply carried.
+    fn run_subs(
         &self,
         ctx: &ActorCtx,
+        dir: BatchDir,
         fh: NodeId,
-        mut off: u64,
-        dst: VirtAddr,
-        len: u64,
-    ) -> DafsResult<u64> {
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(self.caps().inline_max);
-            let mut e = Enc::new();
-            e.u64(fh.0).u64(off).u64(n);
-            let payload = self.call(ctx, DafsOp::ReadInline, &mut e)?;
-            let data = Self::inline_data(&mut Dec::new(&payload), n)?;
-            // Copy out of the message buffer into the user buffer.
-            self.nic
-                .host()
-                .compute(ctx, self.config.host.copy(data.len() as u64));
-            self.nic.host().mem.write(dst.offset(done), &data);
-            self.stats.inline_reads.record(data.len() as u64);
-            ctx.metrics()
-                .byte_meter("dafs.inline.bytes")
-                .record(data.len() as u64);
-            let got = data.len() as u64;
-            done += got;
-            off += got;
-            if got < n {
-                break; // EOF
+        subs: &[Sub],
+    ) -> DafsResult<(u64, Option<FileAttr>)> {
+        let (mut done, mut attr) = (0, None);
+        for sb in subs {
+            let (op, mut args, payload, (handle, transient)) = self.encode_sub(ctx, dir, fh, sb);
+            let reply = match sb.direct {
+                false => self.call_with(ctx, op, &mut args, payload),
+                true => {
+                    let reply = self.call_once(ctx, op, &mut args, payload);
+                    self.regcache.release(ctx, handle, transient);
+                    reply
+                }
+            };
+            let (n, a) = self.sub_payload(ctx, dir, sb, &reply?)?;
+            // Counted once acknowledged (a batch counts a write as it posts).
+            if dir == BatchDir::Write {
+                self.account(ctx, dir, sb.direct, n);
+            }
+            (done, attr) = (done + n, a);
+            if n < sb.len {
+                break;
             }
         }
-        Ok(done)
+        Ok((done, attr))
     }
 
     /// Write `len` bytes at `off` from the user buffer `src`. On a file
@@ -1187,88 +1213,16 @@ impl DafsClient {
         len: u64,
     ) -> DafsResult<FileAttr> {
         let data = |_: &mut Live| self.nic.host().mem.read_vec(src, len as usize);
-        let wire = |_: &mut Live| self.write_wire(ctx, fh, off, src, len);
-        cache::write(&mut Live(self, ctx), fh.0, (off, len), data, wire)
-    }
-
-    /// The write itself, for the cache's driver: already past the cache.
-    fn write_wire(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        src: VirtAddr,
-        len: u64,
-    ) -> DafsResult<FileAttr> {
-        let _span = ctx.span("dafs", "write");
-        let direct = self.goes_direct(BatchDir::Write, len, src, len);
-        ctx.trace(
-            "dafs",
-            "xfer",
-            &[
-                ("op", obs::Value::Str("write")),
-                (
-                    "mode",
-                    obs::Value::Str(if direct { "direct" } else { "inline" }),
-                ),
-                ("len", obs::Value::U64(len)),
-            ],
-        );
-        if direct {
-            let (handle, transient) = self.regcache.acquire(ctx, src, len);
-            let mut e = Enc::new();
-            e.u64(fh.0)
-                .u64(off)
-                .u64(len)
-                .u64(src.as_u64())
-                .u64(handle.0);
-            let r = self.call_once(ctx, DafsOp::WriteDirect, &mut e);
-            self.regcache.release(ctx, handle, transient);
-            let a = match r {
-                Ok(payload) => {
-                    proto::dec_attr(&mut Dec::new(&payload)).map_err(|_| DafsError::Protocol)?
-                }
-                // Re-writing the same bytes at the same offsets is
-                // idempotent, so recovering a broken direct write through
-                // inline chunks cannot corrupt the file even if the RDMA
-                // transfer partially (or fully) landed.
-                Err(DafsError::Transport(_) | DafsError::Connect(_)) => {
-                    ctx.metrics().counter("dafs.direct_fallbacks").inc();
-                    self.write_inline_chunks(ctx, fh, off, src, len)?;
-                    let a = self.getattr_wire(ctx, fh)?;
-                    self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
-                    return Ok(a);
-                }
-                Err(e) => return Err(e),
-            };
-            self.stats.direct_writes.record(len);
-            ctx.metrics().byte_meter("dafs.direct.bytes").record(len);
-            self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
-            return Ok(a);
-        }
-        // Inline path (small writes, or the cLAN no-RDMA-Read fallback).
-        if len <= self.caps().inline_max {
-            // App buffer into the message buffer (charged in post_request as
-            // part of the body copy).
-            let mut e = Enc::new();
-            e.u64(fh.0).u64(off);
-            let reply = self.call_with(ctx, DafsOp::WriteInline, &mut e, Payload::Mem(src, len))?;
-            let a = proto::dec_attr(&mut Dec::new(&reply)).map_err(|_| DafsError::Protocol)?;
-            self.stats.inline_writes.record(len);
-            ctx.metrics().byte_meter("dafs.inline.bytes").record(len);
-            self.note_wrote(ctx, fh, off, len, AttrAfter::Set(a));
-            return Ok(a);
-        }
-        // Multi-chunk: pipeline the chunks over the session credits rather
-        // than paying a round trip per chunk.
         let req = IoReq {
             off,
             addr: src,
             len,
         };
-        let b = self.issue(ctx, BatchDir::Write, fh, &[req]);
-        self.batch_finish(ctx, b).remove(0)?;
-        self.getattr_wire(ctx, fh)
+        let wire = |_: &mut Live| {
+            self.transfer_wire(ctx, BatchDir::Write, fh, req)
+                .map(written)
+        };
+        cache::write(&mut Live(self, ctx), fh.0, (off, len), data, wire)
     }
 
     /// Convenience: [`Self::read`] into a fresh vector. What comes off the
@@ -1306,38 +1260,13 @@ impl DafsClient {
         let len = data.len() as u64;
         let own = |_: &mut Live| data.to_vec();
         let wire = |_: &mut Live| {
-            let src = self.scratch(data.len());
-            self.nic.host().mem.write(src, data);
-            self.write_wire(ctx, fh, off, src, len)
+            let addr = self.scratch(data.len());
+            self.nic.host().mem.write(addr, data);
+            let req = IoReq { off, addr, len };
+            self.transfer_wire(ctx, BatchDir::Write, fh, req)
+                .map(written)
         };
         cache::write(&mut Live(self, ctx), fh.0, (off, len), own, wire)
-    }
-
-    /// Write `[src, src+len)` to `(fh, off)` as sequential inline chunks,
-    /// each routed through the replayable request path. This is the
-    /// recovery route for broken direct writes and failed batch writes:
-    /// slow, but exactly-once per chunk and immune to dead registration
-    /// handles.
-    fn write_inline_chunks(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        src: VirtAddr,
-        len: u64,
-    ) -> DafsResult<u64> {
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(self.caps().inline_max);
-            let mut e = Enc::new();
-            e.u64(fh.0).u64(off + done);
-            let chunk = Payload::Mem(src.offset(done), n);
-            self.call_with(ctx, DafsOp::WriteInline, &mut e, chunk)?;
-            self.stats.inline_writes.record(n);
-            ctx.metrics().byte_meter("dafs.inline.bytes").record(n);
-            done += n;
-        }
-        Ok(done)
     }
 
     fn scratch(&self, len: usize) -> VirtAddr {
@@ -1353,35 +1282,47 @@ impl DafsClient {
         }
     }
 
-    /// Expand contiguous requests into sub-operations: direct transfers go
-    /// whole; inline requests that exceed one message split into chunks,
-    /// each remembering which original request it belongs to.
+    /// Expand contiguous requests into sub-operations, each remembering
+    /// which request it belongs to: a direct transfer goes whole, as does
+    /// an empty one (one empty message), an inline one as its
+    /// [`Self::inline_subs`].
     fn expand_subs(&self, dir: BatchDir, reqs: &[IoReq]) -> Vec<Sub> {
         let mut subs = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
+        for (i, &r) in reqs.iter().enumerate() {
             let direct = self.goes_direct(dir, r.len, r.addr, r.len);
-            let mut done = 0u64;
-            loop {
-                let n = if direct {
-                    r.len
-                } else {
-                    (r.len - done).min(self.caps().inline_max)
-                };
+            if direct || r.len == 0 {
                 subs.push(Sub {
                     owner: i,
-                    off: r.off + done,
-                    addr: r.addr.offset(done),
-                    len: n,
+                    off: r.off,
+                    addr: r.addr,
+                    len: r.len,
                     direct,
                     segs: None,
                 });
-                done += n;
-                if done >= r.len {
-                    break;
-                }
+            } else {
+                subs.extend(self.inline_subs(i, r));
             }
         }
         subs
+    }
+
+    /// The one chunker: `r` as inline messages of at most the session's
+    /// inline limit, in order (none for an empty range). What a broken
+    /// direct transfer and a batch's recovery re-run, without asking the
+    /// transfer rule again.
+    fn inline_subs(&self, owner: usize, r: IoReq) -> Vec<Sub> {
+        let max = self.caps().inline_max;
+        (0..r.len)
+            .step_by(max as usize)
+            .map(|done| Sub {
+                owner,
+                off: r.off + done,
+                addr: r.addr.offset(done),
+                len: (r.len - done).min(max),
+                direct: false,
+                segs: None,
+            })
+            .collect()
     }
 
     /// Split a segment list into per-request groups honoring the wire
@@ -1465,15 +1406,16 @@ impl DafsClient {
         subs
     }
 
-    /// Post one expanded sub-request; returns its id plus the registration
-    /// handle (direct subs only).
-    fn post_sub(
+    /// The one encoder: a sub's op, its arguments and where an inline
+    /// write's bytes live, plus — a direct sub only — the registration its
+    /// buffer rides under, to release once the reply is in.
+    fn encode_sub<'a>(
         &self,
         ctx: &ActorCtx,
         dir: BatchDir,
         fh: NodeId,
-        sb: &Sub,
-    ) -> (u32, MemHandle, bool) {
+        sb: &'a Sub,
+    ) -> (DafsOp, Enc, Payload<'a>, (MemHandle, bool)) {
         // The one registered region a direct op transfers against; for a
         // list sub, from its base to the end of its last segment.
         let span = match &sb.segs {
@@ -1491,7 +1433,6 @@ impl DafsClient {
         } else {
             (MemHandle(0), false)
         };
-        let inline_write = dir == BatchDir::Write && !sb.direct;
         let mut e = Enc::new();
         e.u64(fh.0);
         // The op, and where an inline write's payload lives.
@@ -1529,107 +1470,110 @@ impl DafsClient {
                 (DafsOp::WriteInline, Payload::Mem(sb.addr, sb.len))
             }
         };
-        let id = self.post_request(ctx, op, &mut e, payload);
-        // Writes account at post time (reads when their reply is decoded).
-        if inline_write {
-            self.stats.inline_writes.record(sb.len);
-            ctx.metrics().byte_meter("dafs.inline.bytes").record(sb.len);
-        } else if dir == BatchDir::Write {
-            self.stats.direct_writes.record(sb.len);
-            ctx.metrics().byte_meter("dafs.direct.bytes").record(sb.len);
-        }
-        (id, handle, transient)
+        (op, e, payload, (handle, transient))
+    }
+
+    /// Count `n` bytes moved `dir`, inline or `direct`: the session's meter
+    /// and its run-wide `dafs.{inline,direct}.bytes` twin, together.
+    fn account(&self, ctx: &ActorCtx, dir: BatchDir, direct: bool, n: u64) {
+        let s = &self.stats;
+        let (meter, metric) = match (dir, direct) {
+            (BatchDir::Read, false) => (&s.inline_reads, "dafs.inline.bytes"),
+            (BatchDir::Write, false) => (&s.inline_writes, "dafs.inline.bytes"),
+            (BatchDir::Read, true) => (&s.direct_reads, "dafs.direct.bytes"),
+            (BatchDir::Write, true) => (&s.direct_writes, "dafs.direct.bytes"),
+        };
+        meter.record(n);
+        ctx.metrics().byte_meter(metric).record(n);
     }
 
     /// Top up the posted window from the batch's unposted sub list.
     fn batch_fill(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
         let window = self.caps().credits.max(1) as usize;
         while b.next < b.subs.len() && b.inflight.len() < window {
-            let (id, handle, transient) = self.post_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
+            let sb = &b.subs[b.next];
+            let (op, mut args, payload, (handle, transient)) =
+                self.encode_sub(ctx, b.dir, b.fh, sb);
+            let id = self.post_request(ctx, op, &mut args, payload);
+            // A batch counts a write as it posts it (a read as it decodes).
+            if b.dir == BatchDir::Write {
+                self.account(ctx, b.dir, sb.direct, sb.len);
+            }
             b.inflight.push_back((id, b.next, handle, transient));
             b.next += 1;
         }
     }
 
-    /// Decode one sub-response and perform its client-side completion work
-    /// (inline-read copy into the destination buffer, transfer stats).
+    /// The one decoder, of a sub's reply payload (its status already
+    /// checked by [`Self::decode_resp`]): the bytes the sub moved — an
+    /// inline read's copied out to the buffer, and a read's counted — and
+    /// the attributes a contiguous write's reply carries. A reply that
+    /// would land past the sub's buffer is a protocol error.
     fn sub_payload(
         &self,
         ctx: &ActorCtx,
         dir: BatchDir,
         sb: &Sub,
-        resp: &Bytes,
-    ) -> DafsResult<u64> {
-        let mut d = Dec::new(resp);
-        let (_, status) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
-        if status != DafsStatus::Ok {
-            return Err(DafsError::Status(status));
-        }
-        if let Some(segs) = &sb.segs {
-            if dir == BatchDir::Write {
-                return Ok(sb.len);
+        payload: &Bytes,
+    ) -> DafsResult<(u64, Option<FileAttr>)> {
+        let mut d = Dec::new(payload);
+        let n = match (dir, &sb.segs) {
+            (BatchDir::Write, Some(_)) => return Ok((sb.len, None)),
+            (BatchDir::Write, None) => {
+                let a = proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?;
+                return Ok((sb.len, Some(a)));
             }
-            // List read reply: per-segment counts, plus the packed payload
-            // in inline mode (direct data already landed via RDMA).
-            let n = d.u32().map_err(|_| DafsError::Protocol)? as usize;
-            if n != segs.len() {
-                return Err(DafsError::Protocol);
-            }
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                counts.push(d.u64().map_err(|_| DafsError::Protocol)?);
-            }
-            // A count past its segment would land on the segment after it.
-            if counts.iter().zip(segs).any(|(c, seg)| *c > seg.1) {
-                return Err(DafsError::Protocol);
-            }
-            let total: u64 = counts.iter().sum();
-            if sb.direct {
-                self.stats.direct_reads.record(total);
-                ctx.metrics().byte_meter("dafs.direct.bytes").record(total);
-            } else {
+            (BatchDir::Read, None) if sb.direct => d.u64().map_err(|_| DafsError::Protocol)?,
+            (BatchDir::Read, None) => {
                 let data = d.bytes().map_err(|_| DafsError::Protocol)?;
-                self.nic
-                    .host()
-                    .compute(ctx, self.config.host.copy(data.len() as u64));
-                let mut pos = 0usize;
-                for (i, &(_, _, rel)) in segs.iter().enumerate() {
-                    let c = counts[i] as usize;
-                    if pos + c > data.len() {
-                        return Err(DafsError::Protocol);
-                    }
-                    self.nic
-                        .host()
-                        .mem
-                        .write(sb.addr.offset(rel), &data[pos..pos + c]);
-                    pos += c;
+                if data.len() as u64 > sb.len {
+                    return Err(DafsError::Protocol);
                 }
-                self.stats.inline_reads.record(total);
-                ctx.metrics().byte_meter("dafs.inline.bytes").record(total);
-            }
-            return Ok(total);
-        }
-        match (dir, sb.direct) {
-            (BatchDir::Read, true) => {
-                let count = d.u64().map_err(|_| DafsError::Protocol)?;
-                self.stats.direct_reads.record(count);
-                ctx.metrics().byte_meter("dafs.direct.bytes").record(count);
-                Ok(count)
-            }
-            (BatchDir::Read, false) => {
-                let data = Self::inline_data(&mut d, sb.len)?;
+                // Copy out of the message buffer into the user buffer.
                 self.nic
                     .host()
                     .compute(ctx, self.config.host.copy(data.len() as u64));
                 self.nic.host().mem.write(sb.addr, &data);
-                self.stats.inline_reads.record(data.len() as u64);
-                ctx.metrics()
-                    .byte_meter("dafs.inline.bytes")
-                    .record(data.len() as u64);
-                Ok(data.len() as u64)
+                data.len() as u64
             }
-            (BatchDir::Write, _) => Ok(sb.len),
-        }
+            // Per-segment counts, then the packed payload in inline mode
+            // (direct data already landed via RDMA).
+            (BatchDir::Read, Some(segs)) => {
+                let n = d.u32().map_err(|_| DafsError::Protocol)? as usize;
+                if n != segs.len() {
+                    return Err(DafsError::Protocol);
+                }
+                let mut counts = Vec::with_capacity(n);
+                for _ in 0..n {
+                    counts.push(d.u64().map_err(|_| DafsError::Protocol)?);
+                }
+                // A count past its segment would land on the segment after it.
+                if counts.iter().zip(segs).any(|(c, seg)| *c > seg.1) {
+                    return Err(DafsError::Protocol);
+                }
+                if !sb.direct {
+                    let data = d.bytes().map_err(|_| DafsError::Protocol)?;
+                    self.nic
+                        .host()
+                        .compute(ctx, self.config.host.copy(data.len() as u64));
+                    let mut pos = 0usize;
+                    for (i, &(_, _, rel)) in segs.iter().enumerate() {
+                        let c = counts[i] as usize;
+                        if pos + c > data.len() {
+                            return Err(DafsError::Protocol);
+                        }
+                        self.nic
+                            .host()
+                            .mem
+                            .write(sb.addr.offset(rel), &data[pos..pos + c]);
+                        pos += c;
+                    }
+                }
+                counts.iter().sum()
+            }
+        };
+        self.account(ctx, dir, sb.direct, n);
+        Ok((n, None))
     }
 
     /// Retire the oldest in-flight sub: blocking, unless its response is
@@ -1641,7 +1585,9 @@ impl DafsClient {
             Some(e) => Err(e),
             None => self
                 .wait_response(ctx, id)
-                .and_then(|resp| self.sub_payload(ctx, b.dir, sb, &resp)),
+                .and_then(|resp| Self::decode_resp(&resp))
+                .and_then(|payload| self.sub_payload(ctx, b.dir, sb, &payload))
+                .map(|(n, _)| n),
         };
         if sb.direct {
             self.regcache.release(ctx, handle, transient);
@@ -1725,22 +1671,6 @@ impl DafsClient {
         self.begin(ctx, dir, fh, BatchReqs::List(reqs.to_vec()), false)
     }
 
-    /// Re-run one contiguous range through the replayable inline path —
-    /// the recovery route for requests that died with the session
-    /// (idempotent: reads re-fetch, writes re-put the same bytes).
-    fn replay_inline(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        fh: NodeId,
-        r: IoReq,
-    ) -> DafsResult<u64> {
-        match dir {
-            BatchDir::Read => self.read_inline(ctx, fh, r.off, r.addr, r.len),
-            BatchDir::Write => self.write_inline_chunks(ctx, fh, r.off, r.addr, r.len),
-        }
-    }
-
     /// Nonblocking progress on a split-phase batch: drain completions that
     /// already arrived, retire finished subs in order, and post freed
     /// credits. Returns true once every sub has retired (then
@@ -1795,17 +1725,23 @@ impl DafsClient {
             self.batch_fill(ctx, &mut b);
             self.batch_retire_front(ctx, &mut b);
         }
+        // Re-run a range through the replayable inline path (idempotent:
+        // reads re-fetch, writes re-put the same bytes).
+        let (dir, fh) = (b.dir, b.fh);
+        let rerun = |r| {
+            self.run_subs(ctx, dir, fh, &self.inline_subs(0, r))
+                .map(|(n, _)| n)
+        };
         for (i, slot) in b.results.iter_mut().enumerate() {
             if matches!(slot, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
                 ctx.metrics().counter("dafs.batch_recoveries").inc();
                 *slot = match &b.reqs {
-                    BatchReqs::Contig(rs) => self.replay_inline(ctx, b.dir, b.fh, rs[i]),
+                    BatchReqs::Contig(rs) => rerun(rs[i]),
                     // Per segment, each at its own place in the buffer.
                     BatchReqs::List(rs) => {
                         rs[i].segs.iter().try_fold(0, |total, &(off, len, rel)| {
                             let addr = rs[i].buf.offset(rel);
-                            Ok(total
-                                + self.replay_inline(ctx, b.dir, b.fh, IoReq { off, addr, len })?)
+                            Ok(total + rerun(IoReq { off, addr, len })?)
                         })
                     }
                 };
@@ -1887,7 +1823,10 @@ impl CacheIo for Live<'_> {
     fn lease_grant(&mut self, fh: u64, kind: LeaseKind) -> DafsResult<Option<FileAttr>> {
         let mut e = Enc::new();
         e.u64(fh).u8(kind as u8);
-        let payload = match self.0.call_once(self.1, DafsOp::LeaseGrant, &mut e) {
+        let payload = match self
+            .0
+            .call_once(self.1, DafsOp::LeaseGrant, &mut e, Payload::None)
+        {
             Err(DafsError::Transport(_) | DafsError::Connect(_)) => return Ok(None),
             reply => reply?,
         };
@@ -1908,12 +1847,14 @@ impl CacheIo for Live<'_> {
             .map(|_| ())
     }
 
-    /// One [`DafsClient::read_wire`] into the shared scratch buffer.
+    /// One [`DafsClient::transfer_wire`] read into the shared scratch
+    /// buffer.
     fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Vec<u8>> {
         let Live(c, ctx) = *self;
-        let dst = c.scratch(len as usize);
-        let n = c.read_wire(ctx, NodeId(fh), off, dst, len)?;
-        Ok(c.nic.host().mem.read_vec(dst, n as usize))
+        let addr = c.scratch(len as usize);
+        let req = IoReq { off, addr, len };
+        let (n, _) = c.transfer_wire(ctx, BatchDir::Read, NodeId(fh), req)?;
+        Ok(c.nic.host().mem.read_vec(addr, n as usize))
     }
 
     /// The sorted dirty runs go through the scratch buffer as one vectored

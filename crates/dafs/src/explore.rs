@@ -291,7 +291,8 @@ impl World {
     // ----- what `DafsClient` does around the driver --------------------------
 
     /// A request on the wire and its completion, now or when released:
-    /// `DafsClient::{read_wire, write_wire}`, and `truncate` past its rule.
+    /// `DafsClient::transfer_wire` (a write's request, then `note_wrote`),
+    /// and `truncate` past its rule.
     fn wire(&mut self, i: usize, req: Req) -> Result<Reply, Parked> {
         let reply = self.send(i, req.clone())?;
         self.complete(i, &req, &reply);

@@ -67,7 +67,10 @@ mod tests {
     }
 
     fn bed_with(cost: ViaCost) -> Bed {
-        let kernel = SimKernel::new();
+        bed_in(SimKernel::new(), cost)
+    }
+
+    fn bed_in(kernel: SimKernel, cost: ViaCost) -> Bed {
         let cluster = Cluster::new();
         let fabric = ViaFabric::new(cost);
         let server_nic = fabric.open_nic(cluster.add_host("dafs-server"));
@@ -376,6 +379,143 @@ mod tests {
             assert_eq!(c.read(ctx, f.id, 0, dst, 64 << 10).unwrap(), 3);
         });
         b.kernel.run();
+    }
+
+    /// What one blocking call cost, from its start to its return.
+    #[derive(Debug, PartialEq)]
+    struct Cost {
+        /// Wire requests the client posted.
+        ops: u64,
+        /// Request ids the server answered from its replay cache.
+        replayed: Vec<u64>,
+        /// `dafs.replay.hits`.
+        hits: u64,
+        /// `dafs.direct_fallbacks`.
+        fallbacks: u64,
+        /// Inline writes the server applied.
+        applied: u64,
+        /// Virtual nanoseconds.
+        ns: u64,
+    }
+
+    /// One blocking `call` on a fresh session at 1 ms of virtual time, on a
+    /// 48 KiB file, with the client's link to the server down over `down`
+    /// (ns after the call starts): what it cost.
+    fn blocking(
+        rdma_read: bool,
+        config: DafsClientConfig,
+        down: Option<(u64, u64)>,
+        call: impl FnOnce(&simnet::ActorCtx, &DafsClient, memfs::NodeId, VirtAddr) + Send + 'static,
+    ) -> Cost {
+        use simnet::{FaultPlan, SimDuration, SimTime};
+        const T0: u64 = 1_000_000;
+        let (obs, trace) = obs::Obs::buffered();
+        let cost = ViaCost {
+            rdma_read_supported: rdma_read,
+            ..ViaCost::default()
+        };
+        let b = bed_in(SimKernel::with_obs(obs), cost);
+        server_file(&b, "f", &[0x5A; 48 << 10]);
+        let (fabric, sid, host) = (b.fabric.clone(), b.server.host.id, b.cluster.add_host("c"));
+        if let Some((from, until)) = down {
+            let at = |ns| SimTime::ZERO + SimDuration::from_nanos(T0 + ns);
+            let plan = FaultPlan::builder(1).link_down(sid, host.id, at(from), at(until));
+            fabric.set_fault_plan(plan.build());
+        }
+        let out = Arc::new(parking_lot::Mutex::new(None));
+        let seen = out.clone();
+        b.kernel.spawn("client", move |ctx| {
+            let nic = fabric.open_nic(host);
+            let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, config).unwrap();
+            let f = c.lookup(ctx, ROOT_ID, "f").unwrap().id;
+            let buf = nic.host().mem.alloc(96 << 10);
+            ctx.advance(SimDuration::from_nanos(T0 - ctx.now().as_nanos()));
+            let ops = c.stats.ops.get();
+            call(ctx, &c, f, buf);
+            let metric = |name: &str| ctx.metrics().counter(name).get();
+            *seen.lock() = Some(Cost {
+                ops: c.stats.ops.get() - ops,
+                replayed: Vec::new(),
+                hits: metric("dafs.replay.hits"),
+                fallbacks: metric("dafs.direct_fallbacks"),
+                applied: 0,
+                ns: ctx.now().as_nanos() - T0,
+            });
+            c.disconnect(ctx);
+        });
+        b.kernel.run();
+        let mut cost = out.lock().take().expect("the client ran");
+        cost.applied = b.server.stats.inline_writes.ops.get();
+        let trace = String::from_utf8(trace.contents()).unwrap();
+        let hits = trace
+            .lines()
+            .filter(|l| l.contains("\"event\":\"replay.hit\""));
+        cost.replayed = hits
+            .map(|l| {
+                let id = &l[l.find("\"reqid\":").unwrap() + 8..];
+                id[..id.find(|ch: char| !ch.is_ascii_digit()).unwrap()]
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        cost
+    }
+
+    /// Where a blocking transfer's schedule differs from a batch of the one
+    /// request — the three lines (a)–(c) of `transfer_wire` that the sync →
+    /// batch fold (ROADMAP item 5) must move on purpose, not by accident.
+    /// Every literal was cut from the commit before `transfer_wire`, when
+    /// the blocking path had its own encodes and decodes; they held there
+    /// and no test pinned these schedules before.
+    #[test]
+    fn the_blocking_schedule_where_it_differs_from_a_batch() {
+        let cost = |ops, replayed: &[u64], hits, fallbacks, applied, ns| Cost {
+            ops,
+            replayed: replayed.to_vec(),
+            hits,
+            fallbacks,
+            applied,
+            ns,
+        };
+        let plain = client_config;
+        // (a) An empty read posts nothing, an empty write one WriteInline.
+        let got = blocking(false, plain(), None, |ctx, c, f, buf| {
+            assert_eq!(c.read(ctx, f, 0, buf, 0), Ok(0));
+        });
+        assert_eq!(got, cost(0, &[], 0, 0, 0, 0), "empty read");
+        let got = blocking(false, plain(), None, |ctx, c, f, buf| {
+            assert_eq!(c.write(ctx, f, 0, buf, 0).unwrap().size, 48 << 10);
+        });
+        assert_eq!(got, cost(1, &[], 0, 0, 1, 31_951), "empty write");
+        // (a) Three inline chunks asked, the file ending inside the second:
+        // two requests, each waited for before the next.
+        let inline_only = DafsClientConfig {
+            direct_threshold: u64::MAX,
+            ..plain()
+        };
+        let got = blocking(false, inline_only, None, |ctx, c, f, buf| {
+            assert_eq!(c.read(ctx, f, 0, buf, 96 << 10), Ok(48 << 10));
+        });
+        assert_eq!(got, cost(2, &[], 0, 0, 0, 756_735), "short inline read");
+        // (b) A direct read whose VI breaks: the read, the chunk that finds
+        // the VI dead, the reconnect's Hello, two chunks on the new session.
+        let got = blocking(false, plain(), Some((40_000, 50_000)), |ctx, c, f, buf| {
+            assert_eq!(c.read(ctx, f, 0, buf, 64 << 10), Ok(48 << 10));
+            let mem = &c.nic().host().mem;
+            assert!(mem.read_vec(buf, 48 << 10) == [0x5A; 48 << 10]);
+        });
+        assert_eq!(got, cost(5, &[], 0, 1, 0, 2_726_251), "broken direct read");
+        // (b) + (c) A direct write whose VI breaks: the same, then a GETATTR.
+        let got = blocking(true, plain(), Some((40_000, 50_000)), |ctx, c, f, buf| {
+            assert_eq!(c.write(ctx, f, 0, buf, 64 << 10).unwrap().size, 64 << 10);
+        });
+        assert_eq!(got, cost(6, &[], 0, 1, 2, 3_071_102), "broken direct write");
+        // (b) An inline write whose reply is lost: replayed under its id
+        // (3: Hello, LOOKUP, then it) and answered from the replay cache.
+        let got = blocking(false, plain(), Some((81_500, 82_000)), |ctx, c, f, buf| {
+            assert_eq!(c.write(ctx, f, 0, buf, 4096).unwrap().size, 48 << 10);
+        });
+        assert_eq!(got, cost(3, &[3], 1, 0, 1, 2_074_974), "lost inline reply");
     }
 
     #[test]

@@ -342,11 +342,8 @@ pub fn spawn_dafs_server_sched(
     DafsServerHandle { stats, host, nic }
 }
 
-/// Entries retained by the replay cache; covers every request id a client
-/// could replay across its bounded reconnect attempts.
-const REPLAY_CAPACITY: usize = 1024;
-
-/// Replay cache: `(client id, request id) -> encoded reply`, evicted FIFO.
+/// Replay cache: per client id, its last [`CREDITS`] cacheable replies,
+/// oldest first.
 ///
 /// A client that reconnects replays its in-flight request under the same
 /// request id; a hit here resends the first execution's reply without
@@ -354,22 +351,42 @@ const REPLAY_CAPACITY: usize = 1024;
 /// APPEND, WRITE, RENAME, ...) exactly-once under any loss pattern.
 /// Lookups and inserts charge no virtual time, so fault-free runs are
 /// byte-identical with and without the cache.
+///
+/// Why [`CREDITS`] replies per client suffice, whatever the other clients
+/// do: one place in the client retries under an old id,
+/// `DafsClient::call_with`, one request at a time. A session never has
+/// more than [`CREDITS`] requests posted and unanswered (its receive ring;
+/// one reply more would find no descriptor and break the VI), so while that
+/// request is out at most `CREDITS − 1` others are, and between losing its
+/// reply and replaying it the client posts nothing else but a `Hello`,
+/// which is not cached. So at most `CREDITS − 1` of its own replies can be
+/// inserted after the one it will ask for. Frames the lease gate parks are
+/// among those in flight when it serves them later. A dead session's
+/// frames stop at its reap — the first one served after the break triggers
+/// it — which drops the rest, queued (`RequestSched::drop_session`) or
+/// parked (`LeaseTable::drop_session`). A clean `Disconnect` ends the
+/// client, and its entries go with it.
 #[derive(Default)]
 struct ReplayCache {
-    replies: HashMap<(u64, u32), Bytes>,
-    order: VecDeque<(u64, u32)>,
+    clients: HashMap<u64, VecDeque<(u32, Bytes)>>,
 }
 
 impl ReplayCache {
-    fn insert(&mut self, key: (u64, u32), reply: Bytes) {
-        if self.replies.insert(key, reply).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > REPLAY_CAPACITY {
-                if let Some(old) = self.order.pop_front() {
-                    self.replies.remove(&old);
-                }
-            }
+    fn get(&self, (cid, reqid): (u64, u32)) -> Option<&Bytes> {
+        let replies = self.clients.get(&cid)?;
+        replies.iter().find(|(id, _)| *id == reqid).map(|(_, r)| r)
+    }
+
+    fn insert(&mut self, (cid, reqid): (u64, u32), reply: Bytes) {
+        let replies = self.clients.entry(cid).or_default();
+        if replies.len() == CREDITS as usize {
+            replies.pop_front();
         }
+        replies.push_back((reqid, reply));
+    }
+
+    fn forget(&mut self, cid: u64) {
+        self.clients.remove(&cid);
     }
 }
 
@@ -711,7 +728,7 @@ impl Server {
             None
         };
         if let Some(key) = replay_key {
-            if let Some(cached) = self.replay.replies.get(&key).cloned() {
+            if let Some(cached) = self.replay.get(key).cloned() {
                 ctx.metrics().counter("dafs.replay.hits").inc();
                 ctx.trace(
                     "dafs",
@@ -978,7 +995,12 @@ impl Server {
                     }
                 }
             }
-            DafsOp::Disconnect => return Ok(Outcome::ThenTeardown),
+            DafsOp::Disconnect => {
+                if let Some(cid) = self.client_ids.get(&vi) {
+                    self.replay.forget(*cid);
+                }
+                return Ok(Outcome::ThenTeardown);
+            }
             DafsOp::LeaseGrant => {
                 // Not replay-cacheable: leases are per-session state, and a
                 // reconnected client starts cold (revalidate-on-reconnect),
@@ -1300,5 +1322,34 @@ mod tests {
             }
         });
         kernel.run();
+    }
+
+    /// A client's reply outlives every other client's traffic: 256 other
+    /// clients × [`CREDITS`] cacheable replies (2 048, twice what the old
+    /// cache held in all) and `CREDITS − 1` of its own, the most that can
+    /// land between its lost reply and its replay. Fails at the parent, one
+    /// FIFO of 1 024 replies shared by every client: A's was evicted by the
+    /// 1 024th insert after it.
+    #[test]
+    fn a_reply_survives_other_clients_and_its_own_window() {
+        let mut cache = ReplayCache::default();
+        let reply = |id: u32| Bytes::from_vec(id.to_le_bytes().to_vec());
+        let a = (1, 42);
+        cache.insert(a, reply(42));
+        for cid in 2..258 {
+            for id in 1..=CREDITS {
+                cache.insert((cid, id), reply(id));
+            }
+        }
+        for id in 43..43 + CREDITS - 1 {
+            cache.insert((1, id), reply(id));
+        }
+        assert_eq!(cache.get(a), Some(&reply(42)));
+        // One more of its own pushes it out; a clean goodbye drops the rest.
+        cache.insert((1, 99), reply(99));
+        assert_eq!(cache.get(a), None);
+        cache.forget(1);
+        assert_eq!(cache.get((1, 99)), None);
+        assert_eq!(cache.get((2, 1)), Some(&reply(1)));
     }
 }

@@ -152,10 +152,9 @@ pub struct NfsClient {
     /// arrives, and never arming the timer keeps fault-free runs
     /// byte-identical no matter how slow the server is.
     retransmit: bool,
-    /// Replies that arrived while the split-phase path was draining the
-    /// stream for a different xid. The synchronous path never stashes
-    /// here: it matches replies in issue order.
-    async_replies: Mutex<HashMap<u32, Vec<u8>>>,
+    /// Every xid sent and not yet collected, with its reply once that
+    /// arrived while another xid was being waited for.
+    outstanding: Mutex<HashMap<u32, Option<Vec<u8>>>>,
     /// Client-side counters.
     pub stats: NfsClientStats,
 }
@@ -182,7 +181,7 @@ impl NfsClient {
             xid: AtomicU32::new(1),
             attr_cache: Mutex::new(HashMap::new()),
             retransmit,
-            async_replies: Mutex::new(HashMap::new()),
+            outstanding: Mutex::new(HashMap::new()),
             stats: NfsClientStats::default(),
         })
     }
@@ -192,47 +191,13 @@ impl NfsClient {
         &self.config
     }
 
-    /// One synchronous RPC: frame, send, await the matching reply.
+    /// One synchronous RPC: its split-phase halves back to back, inside a
+    /// whole-RPC virtual-time span (`nfs.rpc_ns` / `nfs.rpc.calls` for the
+    /// per-layer breakdown, and one trace event on completion).
     fn call(&self, ctx: &ActorCtx, proc_: NfsProc, args: XdrEnc) -> NfsResult<Vec<u8>> {
-        let xid = self.xid.fetch_add(1, Ordering::Relaxed);
-        self.stats.rpcs.inc();
-        // Whole-RPC virtual-time span: accrues nfs.rpc_ns / nfs.rpc.calls
-        // for the per-layer breakdown, and one trace event on completion.
-        let span = ctx.span("nfs", "rpc");
-        if ctx.obs().enabled() {
-            ctx.trace(
-                "nfs",
-                "rpc.start",
-                &[
-                    ("xid", obs::Value::U64(xid as u64)),
-                    ("proc", obs::Value::Str(&format!("{proc_:?}"))),
-                ],
-            );
-        }
-        let _span = span;
-        self.host.compute(ctx, self.config.per_rpc_cpu);
-        let mut e = XdrEnc::new();
-        e.u32(xid);
-        e.u32(proc_ as u32);
-        let mut body = e.finish();
-        body.extend_from_slice(&args.finish());
-        let framed = proto::frame(&body);
-
-        let reply = if self.retransmit {
-            self.exchange_with_retransmit(ctx, xid, &framed)?
-        } else {
-            self.sock.send(ctx, &framed);
-            let hdr = self.sock.recv_exact(ctx, 4)?;
-            let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
-            let reply = self.sock.recv_exact(ctx, len)?;
-            let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
-            if rxid != xid {
-                return Err(NfsError::Protocol);
-            }
-            reply
-        };
-
-        Self::decode_reply(&reply)
+        let _span = ctx.span("nfs", "rpc");
+        let (xid, framed) = self.send_rpc(ctx, proc_, args, "rpc.start");
+        self.recv_rpc(ctx, xid, &framed)
     }
 
     /// Strip a matched reply's header: verify the status, return the
@@ -247,18 +212,24 @@ impl NfsClient {
         Ok(reply[8..].to_vec())
     }
 
-    /// Issue half of one split-phase RPC: frame and send without waiting
-    /// for the reply. Returns the xid and the framed bytes (kept so the
-    /// completion half can retransmit). Unlike [`Self::call`] this opens
-    /// no `nfs.rpc` span — the wall time of a split-phase RPC overlaps the
-    /// caller's other work, so a blocking-style span would double-count.
-    fn send_rpc(&self, ctx: &ActorCtx, proc_: NfsProc, args: XdrEnc) -> (u32, Vec<u8>) {
+    /// Issue half of one RPC: frame and send without waiting for the
+    /// reply, traced as `event` (`rpc.start` for a blocking call,
+    /// `rpc.issue` for a split-phase one, whose wall time overlaps the
+    /// caller's other work, so it opens no span). Returns the xid and the
+    /// framed bytes, kept so the completion half can retransmit.
+    fn send_rpc(
+        &self,
+        ctx: &ActorCtx,
+        proc_: NfsProc,
+        args: XdrEnc,
+        event: &str,
+    ) -> (u32, Vec<u8>) {
         let xid = self.xid.fetch_add(1, Ordering::Relaxed);
         self.stats.rpcs.inc();
         if ctx.obs().enabled() {
             ctx.trace(
                 "nfs",
-                "rpc.issue",
+                event,
                 &[
                     ("xid", obs::Value::U64(xid as u64)),
                     ("proc", obs::Value::Str(&format!("{proc_:?}"))),
@@ -272,49 +243,45 @@ impl NfsClient {
         let mut body = e.finish();
         body.extend_from_slice(&args.finish());
         let framed = proto::frame(&body);
+        self.outstanding.lock().insert(xid, None);
         self.sock.send(ctx, &framed);
         (xid, framed)
     }
 
-    /// Completion half of one split-phase RPC: await the reply matching
-    /// `xid`, stashing replies to other outstanding split-phase RPCs that
-    /// arrive first. With the retransmit timer armed, unanswered deadlines
-    /// resend `framed` under the usual backoff; stale duplicates overwrite
-    /// their stash slot harmlessly (the server's duplicate-request cache
-    /// makes the replies identical).
+    /// Completion half of one RPC: await the reply to `xid` and collect it.
     fn recv_rpc(&self, ctx: &ActorCtx, xid: u32, framed: &[u8]) -> NfsResult<Vec<u8>> {
-        if !self.retransmit {
-            loop {
-                if let Some(reply) = self.async_replies.lock().remove(&xid) {
-                    return Self::decode_reply(&reply);
-                }
-                let hdr = self.sock.recv_exact(ctx, 4)?;
-                let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
-                let reply = self.sock.recv_exact(ctx, len)?;
-                let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
-                if rxid == xid {
-                    return Self::decode_reply(&reply);
-                }
-                self.async_replies.lock().insert(rxid, reply);
-            }
-        }
+        let reply = self.await_reply(ctx, xid, framed);
+        self.outstanding.lock().remove(&xid);
+        Self::decode_reply(&reply?)
+    }
+
+    /// The reply to `xid`. A reply to another xid still outstanding is
+    /// kept for its own [`Self::recv_rpc`]; one to an xid that is not is a
+    /// retransmit's duplicate of a reply already collected when the timer
+    /// is armed (counted in `nfs.stale_replies` and dropped), and a
+    /// protocol error when it is not. Armed, an unanswered deadline resends
+    /// `framed` under [`RetryPolicy`]'s backoff; the server's
+    /// duplicate-request cache makes that safe for non-idempotent
+    /// procedures.
+    fn await_reply(&self, ctx: &ActorCtx, xid: u32, framed: &[u8]) -> NfsResult<Vec<u8>> {
         let policy = self.config.retry;
         let mut timeout = policy.base_timeout;
         let mut attempt = 1u32;
         loop {
-            if let Some(reply) = self.async_replies.lock().remove(&xid) {
-                return Self::decode_reply(&reply);
+            let kept = self.outstanding.lock().get_mut(&xid).and_then(Option::take);
+            if let Some(reply) = kept {
+                return Ok(reply);
             }
-            let deadline = ctx.now() + timeout;
-            while let Some(hdr) = self.sock.recv_exact_deadline(ctx, 4, deadline)? {
-                let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
-                // Header seen: the body is in flight; wait for all of it.
-                let reply = self.sock.recv_exact(ctx, len)?;
-                let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
+            let deadline = self.retransmit.then(|| ctx.now() + timeout);
+            while let Some((rxid, reply)) = self.next_reply(ctx, deadline)? {
                 if rxid == xid {
-                    return Self::decode_reply(&reply);
+                    return Ok(reply);
                 }
-                self.async_replies.lock().insert(rxid, reply);
+                match self.outstanding.lock().get_mut(&rxid) {
+                    Some(slot) => *slot = Some(reply),
+                    None if self.retransmit => ctx.metrics().counter("nfs.stale_replies").inc(),
+                    None => return Err(NfsError::Protocol),
+                }
             }
             if attempt >= policy.max_attempts.max(1) {
                 ctx.metrics().counter("nfs.timeouts").inc();
@@ -343,63 +310,25 @@ impl NfsClient {
         }
     }
 
-    /// Send `framed` and wait for the reply matching `xid`, retransmitting
-    /// on timeout per [`RetryPolicy`]. Replies whose xid doesn't match are
-    /// stale duplicates from an earlier retransmit round and are skipped
-    /// (counted in `nfs.stale_replies`). The server's duplicate-request
-    /// cache makes retransmits of non-idempotent procedures safe.
-    fn exchange_with_retransmit(
+    /// The next reply on the stream and its xid; `None` once `deadline`
+    /// passes (never without one).
+    fn next_reply(
         &self,
         ctx: &ActorCtx,
-        xid: u32,
-        framed: &[u8],
-    ) -> NfsResult<Vec<u8>> {
-        let policy = self.config.retry;
-        let mut timeout = policy.base_timeout;
-        let mut attempt = 1u32;
-        loop {
-            self.sock.send(ctx, framed);
-            let deadline = ctx.now() + timeout;
-            // Drain replies until ours arrives or the deadline passes.
-            let timed_out = loop {
-                let Some(hdr) = self.sock.recv_exact_deadline(ctx, 4, deadline)? else {
-                    break true;
-                };
-                let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
-                // Header seen: the body is in flight; wait for all of it.
-                let reply = self.sock.recv_exact(ctx, len)?;
-                let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
-                if rxid != xid {
-                    ctx.metrics().counter("nfs.stale_replies").inc();
-                    continue;
-                }
-                return Ok(reply);
-            };
-            debug_assert!(timed_out);
-            if attempt >= policy.max_attempts.max(1) {
-                ctx.metrics().counter("nfs.timeouts").inc();
-                ctx.trace(
-                    "nfs",
-                    "rpc.timeout",
-                    &[
-                        ("xid", obs::Value::U64(xid as u64)),
-                        ("attempts", obs::Value::U64(attempt as u64)),
-                    ],
-                );
-                return Err(NfsError::TimedOut);
-            }
-            attempt += 1;
-            ctx.metrics().counter("nfs.retrans").inc();
-            ctx.trace(
-                "nfs",
-                "rpc.retrans",
-                &[
-                    ("xid", obs::Value::U64(xid as u64)),
-                    ("attempt", obs::Value::U64(attempt as u64)),
-                ],
-            );
-            timeout = timeout * u64::from(policy.backoff_factor.max(1));
-        }
+        deadline: Option<SimTime>,
+    ) -> NfsResult<Option<(u32, Vec<u8>)>> {
+        let hdr = match deadline {
+            None => self.sock.recv_exact(ctx, 4)?,
+            Some(at) => match self.sock.recv_exact_deadline(ctx, 4, at)? {
+                Some(hdr) => hdr,
+                None => return Ok(None),
+            },
+        };
+        let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+        // Header seen: the body is in flight; wait for all of it.
+        let reply = self.sock.recv_exact(ctx, len)?;
+        let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
+        Ok(Some((rxid, reply)))
     }
 
     fn cache_attr(&self, ctx: &ActorCtx, a: FileAttr) {
@@ -534,6 +463,13 @@ impl NfsClient {
         Ok(out)
     }
 
+    /// READ arguments: `count` bytes of `fh` at `off`.
+    fn read_args(fh: NodeId, off: u64, count: u64) -> XdrEnc {
+        let mut e = XdrEnc::new();
+        e.u64(fh.0).u64(off).u32(count as u32);
+        e
+    }
+
     /// Decode the reply to a READ of `count` bytes: `(data, eof)`. More
     /// data than was asked for is a protocol error — it would end up past
     /// the caller's buffer.
@@ -548,35 +484,50 @@ impl NfsClient {
         Ok((data, eof))
     }
 
-    /// One READ RPC, at most `rsize` bytes. Returns (data, eof).
-    fn read_rpc(
-        &self,
-        ctx: &ActorCtx,
-        fh: NodeId,
-        off: u64,
-        len: u64,
-    ) -> NfsResult<(Vec<u8>, bool)> {
-        let count = len.min(self.config.rsize);
-        let mut e = XdrEnc::new();
-        e.u64(fh.0).u64(off).u32(count as u32);
-        let r = self.call(ctx, NfsProc::Read, e)?;
-        let (data, eof) = Self::dec_read_reply(&r, count)?;
-        // Copy from the RPC buffer into the application buffer.
+    /// Charge the copy of a READ reply's `data` from the RPC buffer into
+    /// the application buffer, and count it.
+    fn charge_read(&self, ctx: &ActorCtx, data: &[u8]) {
         self.host
             .compute(ctx, self.config.host_cost.copy(data.len() as u64));
         self.stats.reads.record(data.len() as u64);
-        Ok((data.to_vec(), eof))
     }
 
-    /// Read `len` bytes at `off`, issuing as many READ RPCs as rsize
-    /// requires. Short result at EOF.
+    /// WRITE arguments for `chunk` at `off`, at the mount's stability,
+    /// once the application buffer is copied into the RPC buffer.
+    fn write_args(&self, ctx: &ActorCtx, fh: NodeId, off: u64, chunk: &[u8]) -> XdrEnc {
+        self.host
+            .compute(ctx, self.config.host_cost.copy(chunk.len() as u64));
+        let mut e = XdrEnc::new();
+        e.u64(fh.0)
+            .u64(off)
+            .u32(self.config.stable as u32)
+            .opaque(chunk);
+        e
+    }
+
+    /// Decode a WRITE reply: the attributes after it, which the attribute
+    /// cache takes.
+    fn dec_write_reply(&self, ctx: &ActorCtx, reply: &[u8]) -> NfsResult<FileAttr> {
+        let mut d = XdrDec::new(reply);
+        let _count = d.u32().map_err(|_| NfsError::Protocol)?;
+        let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
+        let a = proto::dec_attr(&mut d).map_err(|_| NfsError::Protocol)?;
+        self.cache_attr(ctx, a);
+        Ok(a)
+    }
+
+    /// Read `len` bytes at `off`, one READ RPC of at most rsize at a time
+    /// until EOF. Short result at EOF.
     pub fn read(&self, ctx: &ActorCtx, fh: NodeId, mut off: u64, len: u64) -> NfsResult<Vec<u8>> {
         let mut out = Vec::with_capacity(len as usize);
         let mut remaining = len;
         while remaining > 0 {
-            let (data, eof) = self.read_rpc(ctx, fh, off, remaining)?;
+            let count = remaining.min(self.config.rsize);
+            let r = self.call(ctx, NfsProc::Read, Self::read_args(fh, off, count))?;
+            let (data, eof) = Self::dec_read_reply(&r, count)?;
+            self.charge_read(ctx, data);
             let n = data.len() as u64;
-            out.extend_from_slice(&data);
+            out.extend_from_slice(data);
             off += n;
             remaining -= n.min(remaining);
             if eof || n == 0 {
@@ -597,21 +548,9 @@ impl NfsClient {
     ) -> NfsResult<FileAttr> {
         let mut attr = None;
         for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            // Application buffer into the RPC buffer.
-            self.host
-                .compute(ctx, self.config.host_cost.copy(chunk.len() as u64));
-            let mut e = XdrEnc::new();
-            e.u64(fh.0)
-                .u64(off)
-                .u32(self.config.stable as u32)
-                .opaque(chunk);
+            let e = self.write_args(ctx, fh, off, chunk);
             let r = self.call(ctx, NfsProc::Write, e)?;
-            let mut d = XdrDec::new(&r);
-            let _count = d.u32().map_err(|_| NfsError::Protocol)?;
-            let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
-            let a = proto::dec_attr(&mut d).map_err(|_| NfsError::Protocol)?;
-            self.cache_attr(ctx, a);
-            attr = Some(a);
+            attr = Some(self.dec_write_reply(ctx, &r)?);
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
         }
@@ -635,16 +574,8 @@ impl NfsClient {
     ) -> NfsPendingWrite {
         let mut rpcs = Vec::new();
         for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            // Application buffer into the RPC buffer.
-            self.host
-                .compute(ctx, self.config.host_cost.copy(chunk.len() as u64));
-            let mut e = XdrEnc::new();
-            e.u64(fh.0)
-                .u64(off)
-                .u32(self.config.stable as u32)
-                .opaque(chunk);
-            let (xid, framed) = self.send_rpc(ctx, NfsProc::Write, e);
-            rpcs.push((xid, framed));
+            let e = self.write_args(ctx, fh, off, chunk);
+            rpcs.push(self.send_rpc(ctx, NfsProc::Write, e, "rpc.issue"));
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
         }
@@ -658,12 +589,7 @@ impl NfsClient {
         let mut attr = None;
         for (xid, framed) in p.rpcs {
             let r = self.recv_rpc(ctx, xid, &framed)?;
-            let mut d = XdrDec::new(&r);
-            let _count = d.u32().map_err(|_| NfsError::Protocol)?;
-            let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
-            let a = proto::dec_attr(&mut d).map_err(|_| NfsError::Protocol)?;
-            self.cache_attr(ctx, a);
-            attr = Some(a);
+            attr = Some(self.dec_write_reply(ctx, &r)?);
         }
         match attr {
             Some(a) => Ok(a),
@@ -681,10 +607,9 @@ impl NfsClient {
         let mut done = 0u64;
         while done < len {
             let n = (len - done).min(self.config.rsize.max(1));
-            let mut e = XdrEnc::new();
-            e.u64(fh.0).u64(off + done).u32(n as u32);
-            let (xid, framed) = self.send_rpc(ctx, NfsProc::Read, e);
-            rpcs.push((xid, framed, off + done, n));
+            let e = Self::read_args(fh, off + done, n);
+            let (xid, framed) = self.send_rpc(ctx, NfsProc::Read, e, "rpc.issue");
+            rpcs.push((xid, framed, n));
             done += n;
         }
         NfsPendingRead { rpcs }
@@ -696,21 +621,15 @@ impl NfsClient {
     pub fn read_finish(&self, ctx: &ActorCtx, p: NfsPendingRead) -> NfsResult<Vec<u8>> {
         let mut out = Vec::new();
         let mut eof = false;
-        for (xid, framed, _off, n) in &p.rpcs {
+        for (xid, framed, n) in &p.rpcs {
             let r = self.recv_rpc(ctx, *xid, framed)?;
             let (data, chunk_eof) = Self::dec_read_reply(&r, *n)?;
             if eof {
                 continue; // past EOF: drain only
             }
-            // Copy from the RPC buffer into the application buffer.
-            self.host
-                .compute(ctx, self.config.host_cost.copy(data.len() as u64));
-            self.stats.reads.record(data.len() as u64);
-            let short = (data.len() as u64) < *n;
+            self.charge_read(ctx, data);
             out.extend_from_slice(data);
-            if chunk_eof || short {
-                eof = true;
-            }
+            eof = chunk_eof || (data.len() as u64) < *n;
         }
         Ok(out)
     }
@@ -756,8 +675,8 @@ impl NfsPendingWrite {
 
 /// A split-phase READ in flight. Created by [`NfsClient::read_begin`].
 pub struct NfsPendingRead {
-    /// (xid, framed request, chunk offset, chunk length), in issue order.
-    rpcs: Vec<(u32, Vec<u8>, u64, u64)>,
+    /// (xid, framed request, chunk length), in issue order.
+    rpcs: Vec<(u32, Vec<u8>, u64)>,
 }
 
 impl NfsPendingRead {

@@ -17,7 +17,7 @@ if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.comput
     exit 1
 fi
 
-echo "==> one way into the DAFS client"
+echo "==> one way into the DAFS client, one way onto the wire"
 # Which route a read, write or getattr takes is the session's to say (the
 # files it enrolled), decided in the cache driver's first step: no caller
 # picks a `*_cached` entry point, and the striped file carries no flag.
@@ -26,6 +26,19 @@ if grep -rnE '\.(read|write|getattr)_cached\(' crates tests examples ||
     echo "ci: a caller-side cached route is back (lines above)" >&2
     exit 1
 fi
+# One way onto the wire per client: a contiguous DAFS transfer is the
+# batch's subs (one encoder names each op once), blocking or not, and the
+# NFS client's blocking RPC is its split-phase halves back to back.
+if grep -rnE 'fn (read_inline|write_inline_chunks|replay_inline|exchange_with_retransmit)\b' crates; then
+    echo "ci: a second copy of a wire path is back (lines above)" >&2
+    exit 1
+fi
+for op in ReadInline ReadDirect WriteInline WriteDirect; do
+    if [ "$(grep -o "DafsOp::$op\b" crates/dafs/src/client.rs | wc -l)" -gt 1 ]; then
+        echo "ci: crates/dafs/src/client.rs encodes or decodes DafsOp::$op twice" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace

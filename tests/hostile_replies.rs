@@ -17,7 +17,7 @@ use mpio_dafs::mpiio::adio::set_current_host;
 use mpio_dafs::mpiio::{AdioError, AdioFs, IoFault, NfsAdio};
 use mpio_dafs::nfsv3::xdr::XdrEnc;
 use mpio_dafs::nfsv3::{NfsClient, NfsClientConfig, NfsError};
-use mpio_dafs::simnet::{ActorCtx, Cluster, SimKernel, VirtAddr};
+use mpio_dafs::simnet::{ActorCtx, Cluster, FaultPlan, Host, SimKernel, VirtAddr};
 use mpio_dafs::tcpnet::{TcpCost, TcpFabric};
 use mpio_dafs::via::{
     DataSegment, MemAttributes, RecvDesc, SendDesc, ViAttributes, ViaCost, ViaFabric, ViaNic,
@@ -196,8 +196,47 @@ fn dafs_credits_past_the_receive_ring_are_clamped_to_it() {
     });
 }
 
-/// An NFS server that knows one file and answers every READ with [`EXTRA`]
-/// bytes more than its `count`.
+/// An NFS server that knows one file and answers every READ with `extra`
+/// bytes more than its `count`, `read_copies` times over.
+fn spawn_nfs_peer(
+    kernel: &SimKernel,
+    fabric: &TcpFabric,
+    peer: Host,
+    extra: u64,
+    read_copies: usize,
+) {
+    let fabric = fabric.clone();
+    kernel.spawn_daemon("peer", move |ctx| {
+        let sock = fabric.listen(&peer, PORT).accept(ctx).unwrap();
+        while let Ok(hdr) = sock.recv_exact(ctx, 4) {
+            let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+            let req = sock.recv_exact(ctx, len).unwrap();
+            let word = |at: usize| u32::from_be_bytes(req[at..at + 4].try_into().unwrap());
+            let mut e = XdrEnc::new();
+            e.u32(word(0)).u32(0);
+            let mut copies = 1;
+            match word(4) {
+                // LOOKUP: a regular file, 4 KiB.
+                3 => {
+                    e.u32(1).u64(FH.0).u64(4096).u64(1).u32(1);
+                }
+                // READ (fh, off, count).
+                6 => {
+                    let n = word(24) as usize + extra as usize;
+                    e.u32(n as u32).u32(0).opaque(&vec![0xEE; n]);
+                    copies = read_copies;
+                }
+                _ => {}
+            }
+            let reply = e.finish();
+            let framed = [&(reply.len() as u32).to_be_bytes()[..], &reply].concat();
+            for _ in 0..copies {
+                sock.send(ctx, &framed);
+            }
+        }
+    });
+}
+
 #[test]
 fn nfs_read_longer_than_count_is_a_protocol_error() {
     let kernel = SimKernel::new();
@@ -205,34 +244,7 @@ fn nfs_read_longer_than_count_is_a_protocol_error() {
     let fabric = TcpFabric::new(TcpCost::default());
     let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
     let sid = peer.id;
-    {
-        let fabric = fabric.clone();
-        kernel.spawn_daemon("peer", move |ctx| {
-            let sock = fabric.listen(&peer, PORT).accept(ctx).unwrap();
-            while let Ok(hdr) = sock.recv_exact(ctx, 4) {
-                let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
-                let req = sock.recv_exact(ctx, len).unwrap();
-                let word = |at: usize| u32::from_be_bytes(req[at..at + 4].try_into().unwrap());
-                let mut e = XdrEnc::new();
-                e.u32(word(0)).u32(0);
-                match word(4) {
-                    // LOOKUP: a regular file, 4 KiB.
-                    3 => {
-                        e.u32(1).u64(FH.0).u64(4096).u64(1).u32(1);
-                    }
-                    // READ (fh, off, count).
-                    6 => {
-                        let n = word(24) as usize + EXTRA as usize;
-                        e.u32(n as u32).u32(0).opaque(&vec![0xEE; n]);
-                    }
-                    _ => {}
-                }
-                let reply = e.finish();
-                let framed = [&(reply.len() as u32).to_be_bytes()[..], &reply].concat();
-                sock.send(ctx, &framed);
-            }
-        });
-    }
+    spawn_nfs_peer(&kernel, &fabric, peer, EXTRA, 1);
     kernel.spawn("client", move |ctx| {
         set_current_host(ctx, &host);
         let config = NfsClientConfig::default();
@@ -248,6 +260,38 @@ fn nfs_read_longer_than_count_is_a_protocol_error() {
         let protocol = AdioError::Io(IoFault::Nfs(NfsError::Protocol));
         assert_eq!(got, Err(protocol));
         assert!(host.mem.read_vec(buf, 4096) == [0x11; 4096], "wrote");
+        c.unmount(ctx);
+    });
+    kernel.run();
+}
+
+/// A peer that answers every READ twice, on a fabric with a fault plan (an
+/// empty one: it arms the retransmit timer). Each duplicate answers an xid
+/// already collected: a stale duplicate, counted and dropped — `N − 1`
+/// after `N` split-phase chunks (the last is still on the stream), `N` once
+/// the next blocking call has read past it, so none was kept. At the parent
+/// the split-phase receive stashed every duplicate for the life of the
+/// mount, and the counter read 0 after the reads.
+#[test]
+fn nfs_duplicate_replies_are_dropped_as_stale() {
+    const N: u64 = 4;
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = TcpFabric::new(TcpCost::default());
+    fabric.set_fault_plan(FaultPlan::builder(1).build());
+    let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
+    let sid = peer.id;
+    spawn_nfs_peer(&kernel, &fabric, peer, 0, 2);
+    kernel.spawn("client", move |ctx| {
+        let config = NfsClientConfig::default();
+        let c = NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap();
+        let stale = || ctx.metrics().counter("nfs.stale_replies").get();
+        let len = N * config.rsize;
+        let pending = c.read_begin(ctx, FH, 0, len);
+        assert_eq!(c.read_finish(ctx, pending).unwrap().len() as u64, len);
+        assert_eq!(stale(), N - 1);
+        assert_eq!(c.lookup(ctx, FH, "f").unwrap().id, FH);
+        assert_eq!(stale(), N);
         c.unmount(ctx);
     });
     kernel.run();
