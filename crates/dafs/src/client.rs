@@ -34,9 +34,9 @@
 //! A contiguous transfer takes one form on the wire, whether blocking or
 //! batched: the `Sub`s that `expand_subs` cuts it into (where the rule is
 //! asked, once per request), each encoded by `encode_sub` and its reply
-//! decoded by `sub_payload`. A batch pipelines them over the credits; the
-//! blocking `transfer_wire` runs them one at a time, and the three lines
-//! where that schedule differs from a batch are marked (a)–(c) there.
+//! decoded — and its bytes counted — by `sub_payload`, pipelined over the
+//! credits. A blocking `read` / `write` is a batch of the one request
+//! (`transfer_wire`): it costs what that batch costs, recovery included.
 //!
 //! There is one way in for data and attributes: [`DafsClient::read`],
 //! [`DafsClient::write`] and [`DafsClient::getattr`] hand straight to the
@@ -216,6 +216,7 @@ impl ListReq {
 /// One expanded sub-operation of a batch: a whole direct transfer, one
 /// inline-sized chunk of a larger request, or one segment-capped slice of
 /// a vectored list request.
+#[derive(Clone)]
 struct Sub {
     owner: usize,
     off: u64,
@@ -236,13 +237,6 @@ pub enum BatchDir {
     Write,
 }
 
-/// The requests a batch was issued for, kept so that requests that died
-/// with the session can be re-run through the replayable inline path.
-enum BatchReqs {
-    Contig(Vec<IoReq>),
-    List(Vec<ListReq>),
-}
-
 /// A split-phase pipelined batch against one file.
 ///
 /// The issue half ([`DafsClient::issue`] / [`DafsClient::issue_list`])
@@ -252,7 +246,7 @@ enum BatchReqs {
 /// retires completions that already arrived without blocking;
 /// [`DafsClient::batch_finish`] blocks for the remainder and runs the
 /// transport-failure recovery pass. A blocking batch is the two back to
-/// back.
+/// back, and so is a blocking [`DafsClient::read`] / [`DafsClient::write`].
 ///
 /// The credit window is a hard invariant: the client owns exactly
 /// `credits` pre-posted receive descriptors, so at most one batch may be
@@ -264,20 +258,39 @@ pub struct DafsBatch {
     results: Vec<DafsResult<u64>>,
     inflight: VecDeque<(u32, usize, MemHandle, bool)>,
     next: usize,
-    reqs: BatchReqs,
-    /// This batch is the write-back flush: the one request that does not
-    /// go through `past_cache`, and whose pages the cache's driver retires.
-    flush: bool,
-    /// Transport failure observed by the nonblocking poll; the finish half
-    /// fails the remaining in-flight subs with it instead of waiting on a
-    /// session that already died.
+    /// The caller is already past the cache and keeps it in step itself —
+    /// the cache's driver, or the read or write it hands to the wire: no
+    /// [`cache::past_cache`] first, no `note_wrote` at the finish.
+    past: bool,
+    /// The transport failure the batch's session died with, seen by the
+    /// poll or a wait: from then on nothing is posted, and a sub whose
+    /// reply has not arrived is lost, not waited for.
     failed: Option<DafsError>,
+    /// Posted subs the session took with it and their request ids, in post
+    /// order: what the recovery pass retries.
+    lost: Vec<(usize, u32)>,
+    /// The newest attributes a contiguous write reply carried (the highest
+    /// `version`: the server runs a session's requests in arrival order).
+    attr: Option<FileAttr>,
 }
 
 impl DafsBatch {
     /// Sub-requests posted but not yet retired.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// Count what sub `s` moved toward its request, or fail the request;
+    /// keep the newest attributes a reply carried.
+    fn credit(&mut self, s: usize, res: DafsResult<(u64, Option<FileAttr>)>) {
+        if let Ok((_, attr)) = res {
+            self.attr = self.attr.into_iter().chain(attr).max_by_key(|a| a.version);
+        }
+        match (&mut self.results[self.subs[s].owner], res) {
+            (Ok(total), Ok((n, _))) => *total += n,
+            (slot @ Ok(_), Err(e)) => *slot = Err(e),
+            (Err(_), _) => {}
+        }
     }
 }
 
@@ -345,8 +358,9 @@ fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     }
 }
 
-/// The attributes a write's [`DafsClient::transfer_wire`] ends in: every
-/// route a write takes there ends in a reply that carries them, or a GETATTR.
+/// The attributes a write's [`DafsClient::transfer_wire`] ends in: it
+/// succeeds only once every sub is acknowledged, and every contiguous write
+/// reply carries them — an empty write is one empty message.
 fn written((_, attr): (u64, Option<FileAttr>)) -> FileAttr {
     attr.expect("a write's transfer ends in its attributes")
 }
@@ -743,37 +757,58 @@ impl DafsClient {
         payload: Payload<'_>,
     ) -> DafsResult<Bytes> {
         let args = std::mem::take(args).finish();
-        let reqid = self.next_reqid();
-        let mut attempt = 0u32;
-        loop {
-            self.post_request_raw(ctx, reqid, op, &args, payload);
-            match self.wait_response(ctx, reqid) {
-                Ok(resp) => return Self::decode_resp(&resp),
-                Err(DafsError::Transport(_) | DafsError::Connect(_))
-                    if attempt < self.config.max_reconnects =>
-                {
-                    attempt += 1;
-                    // A failed redial falls through: the next iteration's
-                    // post fails fast on the dead VI and we land here again
-                    // with a longer backoff, until attempts are exhausted.
-                    let _ = self.reconnect(ctx, attempt);
-                }
-                Err(e) => return Err(e),
-            }
+        self.call_as(ctx, self.next_reqid(), op, &args, payload)
+    }
+
+    /// Post request `reqid` and wait for its reply; one that dies with the
+    /// session goes to [`Self::retry`].
+    fn call_as(
+        &self,
+        ctx: &ActorCtx,
+        reqid: u32,
+        op: DafsOp,
+        args: &[u8],
+        payload: Payload<'_>,
+    ) -> DafsResult<Bytes> {
+        self.post_request_raw(ctx, reqid, op, args, payload);
+        match self.wait_response(ctx, reqid) {
+            Ok(resp) => Self::decode_resp(&resp),
+            Err(e) => self.retry(ctx, e, reqid, op, args, payload),
         }
     }
 
-    /// Synchronous request/response with **no** recovery: used by the
-    /// direct-I/O paths, whose requests embed registration handles that die
-    /// with the session (the caller falls back to inline instead).
-    fn call_once(
+    /// The one retry identity: request `reqid` failed with `err`; if that
+    /// is a transport failure, reconnect, repost it under the same id and
+    /// wait, up to `max_reconnects` times. A failed redial falls through:
+    /// the repost fails fast on the dead VI, and the next attempt waits a
+    /// longer backoff.
+    fn retry(
         &self,
         ctx: &ActorCtx,
+        mut err: DafsError,
+        reqid: u32,
         op: DafsOp,
-        args: &mut Enc,
+        args: &[u8],
         payload: Payload<'_>,
     ) -> DafsResult<Bytes> {
-        let reqid = self.post_request(ctx, op, args, payload);
+        for attempt in 1..=self.config.max_reconnects {
+            if !matches!(err, DafsError::Transport(_) | DafsError::Connect(_)) {
+                break;
+            }
+            let _ = self.reconnect(ctx, attempt);
+            self.post_request_raw(ctx, reqid, op, args, payload);
+            match self.wait_response(ctx, reqid) {
+                Ok(resp) => return Self::decode_resp(&resp),
+                Err(e) => err = e,
+            }
+        }
+        Err(err)
+    }
+
+    /// Synchronous request/response with **no** recovery, for what must
+    /// not outlive its session: a lease grant, and the goodbye.
+    fn call_once(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<Bytes> {
+        let reqid = self.post_request(ctx, op, args, Payload::None);
         let resp = self.wait_response(ctx, reqid)?;
         Self::decode_resp(&resp)
     }
@@ -853,8 +888,8 @@ impl DafsClient {
         cache::getattr(&mut Live(self, ctx), fh.0)
     }
 
-    /// The GETATTR itself, for callers already past the cache: the cache's
-    /// driver and the tail of a `transfer_wire` write.
+    /// The GETATTR itself, for the one caller already past the cache: the
+    /// cache's driver (`CacheIo::getattr`).
     fn getattr_wire(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
         let mut e = Enc::new();
         e.u64(fh.0);
@@ -986,7 +1021,7 @@ impl DafsClient {
         // clock or the wire.
         let _ = cache::cache_shutdown(&mut Live(self, ctx));
         let mut e = Enc::new();
-        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e, Payload::None);
+        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e);
         self.regcache.flush(ctx);
         self.vi.lock().disconnect(ctx);
         ctx.trace("dafs", "session.disconnect", &[]);
@@ -1099,13 +1134,12 @@ impl DafsClient {
         cache::read(&mut Live(self, ctx), fh.0, (off, len), sink, wire)
     }
 
-    /// The transfer itself — its span, its `xfer` trace line, and the subs
-    /// [`Self::expand_subs`] cuts it into, run one at a time by
-    /// [`Self::run_subs`] — where the cache's driver sends a read or write
-    /// it does not serve, and what its own fetches are (which must not
-    /// flush the file they pre-fault). Returns the bytes moved and, for a
-    /// write, the attributes after it. The lines marked (a)–(c) are where
-    /// this schedule differs from a batch of the one request.
+    /// A blocking transfer: a batch of the one request, past the cache —
+    /// where the cache's driver sends a read or write it does not serve,
+    /// and what its own fetches are (which must not flush the file they
+    /// pre-fault) — inside its span and `xfer` trace line. Returns the bytes
+    /// moved and, for a write, the attributes after it, which bring the
+    /// cache in step.
     fn transfer_wire(
         &self,
         ctx: &ActorCtx,
@@ -1118,8 +1152,8 @@ impl DafsClient {
             BatchDir::Write => "write",
         };
         let _span = ctx.span("dafs", op);
-        let subs = self.expand_subs(dir, &[req]);
-        let direct = subs[0].direct;
+        let b = self.begin(ctx, dir, fh, 1, true, || self.expand_subs(dir, &[req]));
+        let direct = b.subs.first().is_some_and(|s| s.direct);
         let mode = if direct { "direct" } else { "inline" };
         ctx.trace(
             "dafs",
@@ -1130,73 +1164,12 @@ impl DafsClient {
                 ("len", obs::Value::U64(req.len)),
             ],
         );
-        // (a) One sub at a time, except: a zero-length read posts nothing,
-        // and a multi-chunk inline write is pipelined as a batch + GETATTR.
-        if dir == BatchDir::Read && req.len == 0 {
-            return Ok((0, None));
-        }
-        if dir == BatchDir::Write && subs.len() > 1 {
-            self.batch_finish(ctx, self.issue(ctx, dir, fh, &[req]))
-                .remove(0)?;
-            return Ok((req.len, Some(self.getattr_wire(ctx, fh)?)));
-        }
-        let (n, attr) = match self.run_subs(ctx, dir, fh, &subs) {
-            // (b) The direct sub's registration died with the session: redo
-            // the transfer as its inline chunks, which replay — idempotent
-            // even if the RDMA transfer partly landed.
-            Err(DafsError::Transport(_) | DafsError::Connect(_)) if direct => {
-                ctx.metrics().counter("dafs.direct_fallbacks").inc();
-                let (n, _) = self.run_subs(ctx, dir, fh, &self.inline_subs(0, req))?;
-                // (c) A write that fell back asks for its attributes.
-                let attr = match dir {
-                    BatchDir::Read => None,
-                    BatchDir::Write => Some(self.getattr_wire(ctx, fh)?),
-                };
-                (n, attr)
-            }
-            moved => moved?,
-        };
+        let (mut moved, attr) = self.finish(ctx, b);
+        let n = moved.remove(0)?;
         if let Some(a) = attr {
             self.note_wrote(ctx, fh, req.off, req.len, AttrAfter::Set(a));
         }
         Ok((n, attr))
-    }
-
-    /// Run one transfer's `subs` in order, each waited for before the next
-    /// is posted — (a): a read stops at its first short sub, the end of the
-    /// file. (b) An inline sub goes through [`Self::call_with`], so a
-    /// reconnect replays it under its original id; a direct one is posted
-    /// once, its registration dying with the session. Returns the bytes
-    /// moved and the attributes the last write reply carried.
-    fn run_subs(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        fh: NodeId,
-        subs: &[Sub],
-    ) -> DafsResult<(u64, Option<FileAttr>)> {
-        let (mut done, mut attr) = (0, None);
-        for sb in subs {
-            let (op, mut args, payload, (handle, transient)) = self.encode_sub(ctx, dir, fh, sb);
-            let reply = match sb.direct {
-                false => self.call_with(ctx, op, &mut args, payload),
-                true => {
-                    let reply = self.call_once(ctx, op, &mut args, payload);
-                    self.regcache.release(ctx, handle, transient);
-                    reply
-                }
-            };
-            let (n, a) = self.sub_payload(ctx, dir, sb, &reply?)?;
-            // Counted once acknowledged (a batch counts a write as it posts).
-            if dir == BatchDir::Write {
-                self.account(ctx, dir, sb.direct, n);
-            }
-            (done, attr) = (done + n, a);
-            if n < sb.len {
-                break;
-            }
-        }
-        Ok((done, attr))
     }
 
     /// Write `len` bytes at `off` from the user buffer `src`. On a file
@@ -1284,13 +1257,14 @@ impl DafsClient {
 
     /// Expand contiguous requests into sub-operations, each remembering
     /// which request it belongs to: a direct transfer goes whole, as does
-    /// an empty one (one empty message), an inline one as its
-    /// [`Self::inline_subs`].
+    /// an empty write (one empty message, whose reply carries the
+    /// attributes), an inline one as its [`Self::inline_subs`] — none for
+    /// an empty read.
     fn expand_subs(&self, dir: BatchDir, reqs: &[IoReq]) -> Vec<Sub> {
         let mut subs = Vec::new();
         for (i, &r) in reqs.iter().enumerate() {
             let direct = self.goes_direct(dir, r.len, r.addr, r.len);
-            if direct || r.len == 0 {
+            if direct || r.len == 0 && dir == BatchDir::Write {
                 subs.push(Sub {
                     owner: i,
                     off: r.off,
@@ -1307,9 +1281,9 @@ impl DafsClient {
     }
 
     /// The one chunker: `r` as inline messages of at most the session's
-    /// inline limit, in order (none for an empty range). What a broken
-    /// direct transfer and a batch's recovery re-run, without asking the
-    /// transfer rule again.
+    /// inline limit, in order (none for an empty range). What a direct sub
+    /// the session took with it is redone as ([`Self::recover`]), without
+    /// asking the transfer rule again.
     fn inline_subs(&self, owner: usize, r: IoReq) -> Vec<Sub> {
         let max = self.caps().inline_max;
         (0..r.len)
@@ -1356,13 +1330,8 @@ impl DafsClient {
         groups
     }
 
-    fn list_sub(
-        owner: usize,
-        r: &ListReq,
-        mut segs: Vec<proto::ListSeg>,
-        total: u64,
-        direct: bool,
-    ) -> Sub {
+    /// One list sub of the segments `segs` of the buffer at `buf`.
+    fn list_sub(owner: usize, buf: VirtAddr, mut segs: Vec<proto::ListSeg>, direct: bool) -> Sub {
         // Rebase buffer offsets onto the group's first segment so the
         // registered region spans exactly the bytes this sub touches.
         let base = segs[0].2;
@@ -1372,11 +1341,20 @@ impl DafsClient {
         Sub {
             owner,
             off: 0,
-            addr: r.buf.offset(base),
-            len: total,
+            addr: buf.offset(base),
+            len: segs.iter().map(|s| s.1).sum(),
             direct,
             segs: Some(segs),
         }
+    }
+
+    /// The chunker for a list: `segs` of the buffer at `buf` as inline list
+    /// messages.
+    fn inline_list_subs(&self, owner: usize, buf: VirtAddr, segs: &[proto::ListSeg]) -> Vec<Sub> {
+        let max = self.caps().inline_max;
+        let groups = Self::chunk_segs(segs, proto::LIST_MAX_SEGMENTS, max);
+        let sub = |g| Self::list_sub(owner, buf, g, false);
+        groups.into_iter().map(sub).collect()
     }
 
     /// Expand list requests into segment-capped sub-requests: groups that
@@ -1392,14 +1370,9 @@ impl DafsClient {
                 let (first, last) = (group[0], group[group.len() - 1]);
                 let span = last.2 + last.1 - first.2;
                 if self.goes_direct(dir, total, r.buf.offset(first.2), span) {
-                    subs.push(Self::list_sub(i, r, group, total, true));
+                    subs.push(Self::list_sub(i, r.buf, group, true));
                 } else {
-                    for g in
-                        Self::chunk_segs(&group, proto::LIST_MAX_SEGMENTS, self.caps().inline_max)
-                    {
-                        let t: u64 = g.iter().map(|s| s.1).sum();
-                        subs.push(Self::list_sub(i, r, g, t, false));
-                    }
+                    subs.extend(self.inline_list_subs(i, r.buf, &group));
                 }
             }
         }
@@ -1408,7 +1381,8 @@ impl DafsClient {
 
     /// The one encoder: a sub's op, its arguments and where an inline
     /// write's bytes live, plus — a direct sub only — the registration its
-    /// buffer rides under, to release once the reply is in.
+    /// buffer rides under, to release once the reply is in. An inline sub
+    /// encodes with no side effect, so a retry encodes it again.
     fn encode_sub<'a>(
         &self,
         ctx: &ActorCtx,
@@ -1419,13 +1393,7 @@ impl DafsClient {
         // The one registered region a direct op transfers against; for a
         // list sub, from its base to the end of its last segment.
         let span = match &sb.segs {
-            Some(segs) => {
-                ctx.metrics().counter("dafs.list.reqs").inc();
-                ctx.metrics()
-                    .counter("dafs.list.segs")
-                    .add(segs.len() as u64);
-                segs.last().map(|s| s.2 + s.1).unwrap_or(0)
-            }
+            Some(segs) => segs.last().map(|s| s.2 + s.1).unwrap_or(0),
             None => sb.len,
         };
         let (handle, transient) = if sb.direct {
@@ -1487,18 +1455,14 @@ impl DafsClient {
         ctx.metrics().byte_meter(metric).record(n);
     }
 
-    /// Top up the posted window from the batch's unposted sub list.
+    /// Top up the posted window from the batch's unposted sub list, while
+    /// its session lives.
     fn batch_fill(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
         let window = self.caps().credits.max(1) as usize;
-        while b.next < b.subs.len() && b.inflight.len() < window {
-            let sb = &b.subs[b.next];
+        while b.failed.is_none() && b.next < b.subs.len() && b.inflight.len() < window {
             let (op, mut args, payload, (handle, transient)) =
-                self.encode_sub(ctx, b.dir, b.fh, sb);
+                self.encode_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
             let id = self.post_request(ctx, op, &mut args, payload);
-            // A batch counts a write as it posts it (a read as it decodes).
-            if b.dir == BatchDir::Write {
-                self.account(ctx, b.dir, sb.direct, sb.len);
-            }
             b.inflight.push_back((id, b.next, handle, transient));
             b.next += 1;
         }
@@ -1506,9 +1470,11 @@ impl DafsClient {
 
     /// The one decoder, of a sub's reply payload (its status already
     /// checked by [`Self::decode_resp`]): the bytes the sub moved — an
-    /// inline read's copied out to the buffer, and a read's counted — and
-    /// the attributes a contiguous write's reply carries. A reply that
-    /// would land past the sub's buffer is a protocol error.
+    /// inline read's copied out to the buffer — and the attributes a
+    /// contiguous write's reply carries. The one byte meter too: what a sub
+    /// moved is counted here, once it is acknowledged, however it got
+    /// there. A reply that would land past the sub's buffer is a protocol
+    /// error.
     fn sub_payload(
         &self,
         ctx: &ActorCtx,
@@ -1517,11 +1483,12 @@ impl DafsClient {
         payload: &Bytes,
     ) -> DafsResult<(u64, Option<FileAttr>)> {
         let mut d = Dec::new(payload);
+        let mut attr = None;
         let n = match (dir, &sb.segs) {
-            (BatchDir::Write, Some(_)) => return Ok((sb.len, None)),
+            (BatchDir::Write, Some(_)) => sb.len,
             (BatchDir::Write, None) => {
-                let a = proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?;
-                return Ok((sb.len, Some(a)));
+                attr = Some(proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?);
+                sb.len
             }
             (BatchDir::Read, None) if sb.direct => d.u64().map_err(|_| DafsError::Protocol)?,
             (BatchDir::Read, None) => {
@@ -1572,38 +1539,107 @@ impl DafsClient {
                 counts.iter().sum()
             }
         };
+        if let Some(segs) = &sb.segs {
+            ctx.metrics().counter("dafs.list.reqs").inc();
+            let n = segs.len() as u64;
+            ctx.metrics().counter("dafs.list.segs").add(n);
+        }
         self.account(ctx, dir, sb.direct, n);
-        Ok((n, None))
+        Ok((n, attr))
     }
 
     /// Retire the oldest in-flight sub: blocking, unless its response is
-    /// already stashed or the batch has already failed.
+    /// already stashed or the batch's session has died — then a sub whose
+    /// reply has not arrived is lost, for the recovery pass.
     fn batch_retire_front(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        let (id, sub_idx, handle, transient) = b.inflight.pop_front().expect("inflight");
-        let sb = &b.subs[sub_idx];
-        let res = match b.failed {
-            Some(e) => Err(e),
-            None => self
-                .wait_response(ctx, id)
-                .and_then(|resp| Self::decode_resp(&resp))
-                .and_then(|payload| self.sub_payload(ctx, b.dir, sb, &payload))
-                .map(|(n, _)| n),
+        let (id, s, handle, transient) = b.inflight.pop_front().expect("inflight");
+        let reply = match b.failed {
+            Some(e) => self.pending.lock().remove(&id).ok_or(e),
+            None => self.wait_response(ctx, id),
         };
+        let sb = &b.subs[s];
+        let res = reply
+            .and_then(|resp| Self::decode_resp(&resp))
+            .and_then(|payload| self.sub_payload(ctx, b.dir, sb, &payload));
         if sb.direct {
             self.regcache.release(ctx, handle, transient);
         }
-        match (&mut b.results[sb.owner], res) {
-            (Ok(total), Ok(n)) => *total += n,
-            (slot @ Ok(_), Err(e)) => *slot = Err(e),
-            (Err(_), _) => {}
+        match res {
+            Err(e @ (DafsError::Transport(_) | DafsError::Connect(_))) => {
+                b.failed.get_or_insert(e);
+                b.lost.push((s, id));
+            }
+            res => b.credit(s, res),
         }
     }
 
-    /// The single point every batch starts at: expand the requests and post
-    /// up to the credit window.
+    /// Redo what the batch's session took with it. First the posted inline
+    /// subs, oldest first, each under its original id — the first through
+    /// [`Self::retry`], which redials, the rest through [`Self::call_as`] —
+    /// so the replay cache answers those the server already ran
+    /// (`ReplayCache` in `server.rs` says why it still can). Then, under
+    /// fresh ids through [`Self::call_with`], the subs never posted, and
+    /// the posted direct ones: their registrations died with the session,
+    /// so each counts a `dafs.direct_fallbacks` and is redone as its inline
+    /// chunks, idempotent even if the RDMA transfer partly landed. A read's
+    /// chunks stop at the first short one, the end of the file; a request
+    /// that has failed is not pursued.
+    fn recover(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
+        let Some(died) = b.failed else { return };
+        let (dir, fh) = (b.dir, b.fh);
+        let lost = std::mem::take(&mut b.lost).into_iter();
+        let (same_id, direct): (Vec<_>, Vec<_>) = lost.partition(|&(s, _)| !b.subs[s].direct);
+        let mut redial = Some(died);
+        for (s, id) in same_id {
+            let sb = &b.subs[s];
+            if b.results[sb.owner].is_err() {
+                continue;
+            }
+            let (op, args, payload, _) = self.encode_sub(ctx, dir, fh, sb);
+            let args = args.finish();
+            let reply = match redial.take() {
+                Some(e) => self.retry(ctx, e, id, op, &args, payload),
+                None => self.call_as(ctx, id, op, &args, payload),
+            };
+            let res = reply.and_then(|payload| self.sub_payload(ctx, dir, sb, &payload));
+            b.credit(s, res);
+        }
+        let fresh = direct
+            .into_iter()
+            .map(|(s, _)| s)
+            .chain(b.next..b.subs.len());
+        for s in fresh {
+            let sb = &b.subs[s];
+            if b.results[sb.owner].is_err() {
+                continue;
+            }
+            if sb.direct {
+                ctx.metrics().counter("dafs.direct_fallbacks").inc();
+            }
+            let (off, addr, len) = (sb.off, sb.addr, sb.len);
+            let chunks = match (sb.direct, &sb.segs) {
+                (false, _) => vec![sb.clone()],
+                (true, None) => self.inline_subs(sb.owner, IoReq { off, addr, len }),
+                (true, Some(segs)) => self.inline_list_subs(sb.owner, addr, segs),
+            };
+            for c in &chunks {
+                let (op, mut args, payload, _) = self.encode_sub(ctx, dir, fh, c);
+                let reply = self.call_with(ctx, op, &mut args, payload);
+                let res = reply.and_then(|payload| self.sub_payload(ctx, dir, c, &payload));
+                let short = res.as_ref().map_or(true, |(n, _)| *n < c.len);
+                b.credit(s, res);
+                if short {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The single point every batch starts at: `expand` its `n` requests
+    /// into subs and post up to the credit window.
     ///
-    /// Batch ops go to the wire past the page cache, so every batch but the
-    /// write-back flush itself (`flush`) first follows [`cache::past_cache`].
+    /// Batch ops go to the wire past the page cache, so every batch whose
+    /// caller is not already `past` it first follows [`cache::past_cache`].
     /// If that fails the batch is refused whole (nothing posted, every
     /// result the error), so the failure reaches the caller instead of
     /// hiding behind a batch that succeeded, or was replayed, past
@@ -1613,27 +1649,25 @@ impl DafsClient {
         ctx: &ActorCtx,
         dir: BatchDir,
         fh: NodeId,
-        reqs: BatchReqs,
-        flush: bool,
+        n: usize,
+        past: bool,
+        expand: impl FnOnce() -> Vec<Sub>,
     ) -> DafsBatch {
-        let refused = match flush {
+        let refused = match past {
             true => None,
             false => cache::past_cache(&mut Live(self, ctx), fh.0, dir == BatchDir::Write).err(),
-        };
-        let (subs, n) = match &reqs {
-            BatchReqs::Contig(rs) => (self.expand_subs(dir, rs), rs.len()),
-            BatchReqs::List(rs) => (self.expand_list_subs(dir, rs), rs.len()),
         };
         let mut b = DafsBatch {
             dir,
             fh,
-            subs,
+            subs: expand(),
             results: vec![Ok(0); n],
             inflight: VecDeque::new(),
             next: 0,
-            reqs,
-            flush,
+            past,
             failed: None,
+            lost: Vec::new(),
+            attr: None,
         };
         if let Some(e) = refused {
             b.subs.clear();
@@ -1647,7 +1681,9 @@ impl DafsClient {
     /// expand them, post up to the credit window, and return without
     /// waiting. At most one batch may be outstanding per session.
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, fh: NodeId, reqs: &[IoReq]) -> DafsBatch {
-        self.begin(ctx, dir, fh, BatchReqs::Contig(reqs.to_vec()), false)
+        self.begin(ctx, dir, fh, reqs.len(), false, || {
+            self.expand_subs(dir, reqs)
+        })
     }
 
     /// Issue half of a split-phase vectored batch on `fh`: each request's
@@ -1668,7 +1704,8 @@ impl DafsClient {
                 "list request segments must be sorted and non-overlapping"
             );
         }
-        self.begin(ctx, dir, fh, BatchReqs::List(reqs.to_vec()), false)
+        let expand = || self.expand_list_subs(dir, reqs);
+        self.begin(ctx, dir, fh, reqs.len(), false, expand)
     }
 
     /// Nonblocking progress on a split-phase batch: drain completions that
@@ -1678,7 +1715,7 @@ impl DafsClient {
     pub fn batch_test(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
         if b.failed.is_none() {
             if let Err(e) = self.poll_responses(ctx) {
-                // Leave the cleanup to batch_finish, which fails the
+                // Leave the cleanup to batch_finish, which loses the
                 // outstanding subs and runs the recovery pass.
                 b.failed = Some(e);
                 return false;
@@ -1697,75 +1734,44 @@ impl DafsClient {
     }
 
     /// Completion half: block until every sub-request has retired, then
-    /// re-run any requests that died with the session through the
-    /// replayable inline path. Returns per-request byte counts, in request
-    /// order.
-    pub fn batch_finish(&self, ctx: &ActorCtx, mut b: DafsBatch) -> Vec<DafsResult<u64>> {
-        if b.subs.is_empty() {
-            // Nothing was ever posted: an empty batch, or one refused at
-            // issue (whose errors must not be "recovered" by a replay).
-            return b.results;
-        }
-        if let Some(e) = b.failed {
-            // The nonblocking poll saw the session die: fail everything
-            // outstanding (releasing registrations) instead of waiting on
-            // completions that can never arrive.
-            while !b.inflight.is_empty() {
-                self.batch_retire_front(ctx, &mut b);
-            }
-            while b.next < b.subs.len() {
-                let owner = b.subs[b.next].owner;
-                if b.results[owner].is_ok() {
-                    b.results[owner] = Err(e);
-                }
-                b.next += 1;
-            }
-        }
-        while b.next < b.subs.len() || !b.inflight.is_empty() {
+    /// redo what died with the session, each sub that was posted under its
+    /// own id. Returns per-request byte counts, in request order.
+    pub fn batch_finish(&self, ctx: &ActorCtx, b: DafsBatch) -> Vec<DafsResult<u64>> {
+        self.finish(ctx, b).0
+    }
+
+    /// [`Self::batch_finish`], and the attributes of the newest contiguous
+    /// write reply.
+    fn finish(&self, ctx: &ActorCtx, mut b: DafsBatch) -> (Vec<DafsResult<u64>>, Option<FileAttr>) {
+        loop {
             self.batch_fill(ctx, &mut b);
+            if b.inflight.is_empty() {
+                break;
+            }
             self.batch_retire_front(ctx, &mut b);
         }
-        // Re-run a range through the replayable inline path (idempotent:
-        // reads re-fetch, writes re-put the same bytes).
-        let (dir, fh) = (b.dir, b.fh);
-        let rerun = |r| {
-            self.run_subs(ctx, dir, fh, &self.inline_subs(0, r))
-                .map(|(n, _)| n)
-        };
-        for (i, slot) in b.results.iter_mut().enumerate() {
-            if matches!(slot, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
-                ctx.metrics().counter("dafs.batch_recoveries").inc();
-                *slot = match &b.reqs {
-                    BatchReqs::Contig(rs) => rerun(rs[i]),
-                    // Per segment, each at its own place in the buffer.
-                    BatchReqs::List(rs) => {
-                        rs[i].segs.iter().try_fold(0, |total, &(off, len, rel)| {
-                            let addr = rs[i].buf.offset(rel);
-                            Ok(total + rerun(IoReq { off, addr, len })?)
-                        })
-                    }
-                };
-            }
-        }
-        // Self-coherence: drop any cached pages the batch overwrote — per
-        // request, and only once the server has acknowledged it; no attr
-        // came back. (The flush is the cache's own: its driver retires what
+        self.recover(ctx, &mut b);
+        // Self-coherence: drop any cached pages the batch overwrote — sub by
+        // sub, once its request is acknowledged — and take the attributes
+        // the replies carried, if they carried any. (A caller already past
+        // the cache keeps it in step itself: the flush's driver retires what
         // it flushed, and a failed flush keeps it — the only copy of the
         // bytes — dirty for the next.)
-        let written = b.dir == BatchDir::Write && !b.flush;
-        let acked = (0..b.results.len()).filter(|&i| written && b.results[i].is_ok());
-        for i in acked {
-            let (off, len) = match &b.reqs {
-                BatchReqs::Contig(rs) => (rs[i].off, rs[i].len),
-                // First segment to last; an empty list wrote nothing.
-                BatchReqs::List(rs) => match (rs[i].segs.first(), rs[i].segs.last()) {
-                    (Some(first), Some(last)) => (first.0, last.0 + last.1 - first.0),
-                    _ => continue,
-                },
+        let written = b.dir == BatchDir::Write && !b.past;
+        let acked = b
+            .subs
+            .iter()
+            .filter(|sb| written && b.results[sb.owner].is_ok());
+        for sb in acked {
+            // A list sub, from its first segment to the end of its last.
+            let (off, end) = match &sb.segs {
+                Some(segs) => (segs[0].0, segs.last().map_or(0, |s| s.0 + s.1)),
+                None => (sb.off, sb.off + sb.len),
             };
-            self.note_wrote(ctx, b.fh, off, len, AttrAfter::Forget);
+            let after = b.attr.map_or(AttrAfter::Forget, AttrAfter::Set);
+            self.note_wrote(ctx, b.fh, off, end - off, after);
         }
-        b.results
+        (b.results, b.attr)
     }
 }
 
@@ -1823,10 +1829,7 @@ impl CacheIo for Live<'_> {
     fn lease_grant(&mut self, fh: u64, kind: LeaseKind) -> DafsResult<Option<FileAttr>> {
         let mut e = Enc::new();
         e.u64(fh).u8(kind as u8);
-        let payload = match self
-            .0
-            .call_once(self.1, DafsOp::LeaseGrant, &mut e, Payload::None)
-        {
+        let payload = match self.0.call_once(self.1, DafsOp::LeaseGrant, &mut e) {
             Err(DafsError::Transport(_) | DafsError::Connect(_)) => return Ok(None),
             reply => reply?,
         };
@@ -1848,7 +1851,7 @@ impl CacheIo for Live<'_> {
     }
 
     /// One [`DafsClient::transfer_wire`] read into the shared scratch
-    /// buffer.
+    /// buffer: a batch of the one request, already past the cache.
     fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Vec<u8>> {
         let Live(c, ctx) = *self;
         let addr = c.scratch(len as usize);
@@ -1859,9 +1862,9 @@ impl CacheIo for Live<'_> {
 
     /// The sorted dirty runs go through the scratch buffer as one vectored
     /// `WriteList` batch — one wire request per credit-window chunk, not
-    /// one per extent. A flush interrupted by session death falls back per
-    /// segment through the replayable inline path inside `batch_finish`,
-    /// so the bytes still land exactly once.
+    /// one per extent. A flush interrupted by session death is redone by
+    /// the batch's recovery, its inline requests under their own ids, so
+    /// the bytes still land exactly once.
     fn flush(
         &mut self,
         fh: u64,
@@ -1873,8 +1876,9 @@ impl CacheIo for Live<'_> {
         c.nic.host().mem.write(buf, &data);
         let ops = c.ops_metric.get(ctx.metrics());
         let before = ops.get();
-        let reqs = BatchReqs::List(vec![ListReq { segs, buf }]);
-        let b = c.begin(ctx, BatchDir::Write, NodeId(fh), reqs, true);
+        let reqs = [ListReq { segs, buf }];
+        let expand = || c.expand_list_subs(BatchDir::Write, &reqs);
+        let b = c.begin(ctx, BatchDir::Write, NodeId(fh), 1, true, expand);
         let res = c.batch_finish(ctx, b).remove(0);
         (ops.get() - before, res.map(|_| ()))
     }

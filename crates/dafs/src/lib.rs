@@ -428,7 +428,7 @@ mod tests {
             let nic = fabric.open_nic(host);
             let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, config).unwrap();
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap().id;
-            let buf = nic.host().mem.alloc(96 << 10);
+            let buf = nic.host().mem.alloc(128 << 10);
             ctx.advance(SimDuration::from_nanos(T0 - ctx.now().as_nanos()));
             let ops = c.stats.ops.get();
             call(ctx, &c, f, buf);
@@ -446,29 +446,80 @@ mod tests {
         b.kernel.run();
         let mut cost = out.lock().take().expect("the client ran");
         cost.applied = b.server.stats.inline_writes.ops.get();
-        let trace = String::from_utf8(trace.contents()).unwrap();
-        let hits = trace
-            .lines()
-            .filter(|l| l.contains("\"event\":\"replay.hit\""));
-        cost.replayed = hits
-            .map(|l| {
-                let id = &l[l.find("\"reqid\":").unwrap() + 8..];
-                id[..id.find(|ch: char| !ch.is_ascii_digit()).unwrap()]
-                    .parse()
-                    .unwrap()
-            })
-            .collect();
+        cost.replayed = replay_hits(&trace.contents());
         cost
     }
 
-    /// Where a blocking transfer's schedule differs from a batch of the one
-    /// request — the three lines (a)–(c) of `transfer_wire` that the sync →
-    /// batch fold (ROADMAP item 5) must move on purpose, not by accident.
-    /// Every literal was cut from the commit before `transfer_wire`, when
-    /// the blocking path had its own encodes and decodes; they held there
-    /// and no test pinned these schedules before.
+    /// The request ids of a trace's `replay.hit` lines, in order.
+    fn replay_hits(trace: &[u8]) -> Vec<u64> {
+        let trace = String::from_utf8(trace.to_vec()).unwrap();
+        let hits = trace
+            .lines()
+            .filter(|l| l.contains("\"event\":\"replay.hit\""));
+        hits.map(|l| {
+            let id = &l[l.find("\"reqid\":").unwrap() + 8..];
+            id[..id.find(|ch: char| !ch.is_ascii_digit()).unwrap()]
+                .parse()
+                .unwrap()
+        })
+        .collect()
+    }
+
+    /// `dir` of `len` bytes at offset 0 of `blocking`'s 48 KiB file, run as
+    /// the blocking call and as `issue` + `batch_finish` of the same
+    /// request: each moves `moved` bytes (a read lands the file's bytes, a
+    /// write returns the size it left) at the same cost, which is returned.
+    fn blocking_and_batch(
+        rdma_read: bool,
+        config: DafsClientConfig,
+        down: Option<(u64, u64)>,
+        dir: BatchDir,
+        len: u64,
+        moved: u64,
+    ) -> Cost {
+        let landed = move |c: &DafsClient, buf| {
+            let mem = &c.nic().host().mem;
+            dir == BatchDir::Write
+                || mem.read_vec(buf, moved as usize) == vec![0x5A; moved as usize]
+        };
+        let call = move |ctx: &simnet::ActorCtx, c: &DafsClient, f, buf| {
+            let n = match dir {
+                BatchDir::Read => c.read(ctx, f, 0, buf, len),
+                BatchDir::Write => c.write(ctx, f, 0, buf, len).map(|a| {
+                    assert_eq!(a.size, len.max(48 << 10), "the size the write left");
+                    len
+                }),
+            };
+            assert_eq!(n, Ok(moved));
+            assert!(landed(c, buf));
+        };
+        let batch = move |ctx: &simnet::ActorCtx, c: &DafsClient, f, buf| {
+            let req = IoReq {
+                off: 0,
+                addr: buf,
+                len,
+            };
+            let b = c.issue(ctx, dir, f, &[req]);
+            assert_eq!(c.batch_finish(ctx, b), [Ok(moved)]);
+            assert!(landed(c, buf));
+        };
+        let got = blocking(rdma_read, config, down, call);
+        assert_eq!(
+            got,
+            blocking(rdma_read, config, down, batch),
+            "{dir:?} of {len}"
+        );
+        got
+    }
+
+    /// A blocking `read` / `write` is a batch of the one request: in each
+    /// of the six schedules that used to tell them apart, the two cost the
+    /// same — requests, replayed ids, replay hits, fallbacks, applied
+    /// writes, virtual ns. The literals that did not move are the parent's;
+    /// the two that moved say why.
     #[test]
-    fn the_blocking_schedule_where_it_differs_from_a_batch() {
+    fn a_blocking_call_costs_what_a_one_request_batch_costs() {
+        use BatchDir::{Read, Write};
         let cost = |ops, replayed: &[u64], hits, fallbacks, applied, ns| Cost {
             ops,
             replayed: replayed.to_vec(),
@@ -478,44 +529,134 @@ mod tests {
             ns,
         };
         let plain = client_config;
-        // (a) An empty read posts nothing, an empty write one WriteInline.
-        let got = blocking(false, plain(), None, |ctx, c, f, buf| {
-            assert_eq!(c.read(ctx, f, 0, buf, 0), Ok(0));
-        });
-        assert_eq!(got, cost(0, &[], 0, 0, 0, 0), "empty read");
-        let got = blocking(false, plain(), None, |ctx, c, f, buf| {
-            assert_eq!(c.write(ctx, f, 0, buf, 0).unwrap().size, 48 << 10);
-        });
-        assert_eq!(got, cost(1, &[], 0, 0, 1, 31_951), "empty write");
-        // (a) Three inline chunks asked, the file ending inside the second:
-        // two requests, each waited for before the next.
         let inline_only = DafsClientConfig {
             direct_threshold: u64::MAX,
             ..plain()
         };
-        let got = blocking(false, inline_only, None, |ctx, c, f, buf| {
-            assert_eq!(c.read(ctx, f, 0, buf, 96 << 10), Ok(48 << 10));
-        });
-        assert_eq!(got, cost(2, &[], 0, 0, 0, 756_735), "short inline read");
-        // (b) A direct read whose VI breaks: the read, the chunk that finds
-        // the VI dead, the reconnect's Hello, two chunks on the new session.
-        let got = blocking(false, plain(), Some((40_000, 50_000)), |ctx, c, f, buf| {
-            assert_eq!(c.read(ctx, f, 0, buf, 64 << 10), Ok(48 << 10));
-            let mem = &c.nic().host().mem;
-            assert!(mem.read_vec(buf, 48 << 10) == [0x5A; 48 << 10]);
-        });
+        let (kib, broken) = (1 << 10, Some((40_000, 50_000)));
+        // An empty read posts nothing; an empty write one WriteInline,
+        // whose reply carries the attributes.
+        let got = blocking_and_batch(false, plain(), None, Read, 0, 0);
+        assert_eq!(got, cost(0, &[], 0, 0, 0, 0), "empty read");
+        let got = blocking_and_batch(false, plain(), None, Write, 0, 0);
+        assert_eq!(got, cost(1, &[], 0, 0, 1, 31_951), "empty write");
+        // Three inline chunks asked, the file ending inside the second. The
+        // three are in flight at once: one request more than the blocking
+        // read's stop-and-wait (2 requests, 756 735 ns), and 154 µs sooner.
+        let got = blocking_and_batch(false, inline_only, None, Read, 96 * kib, 48 * kib);
+        assert_eq!(got, cost(3, &[], 0, 0, 0, 602_768), "short inline read");
+        // A direct read whose VI breaks: the read, the chunk that finds the
+        // VI dead, the reconnect's Hello, two chunks on the new session.
+        let got = blocking_and_batch(false, plain(), broken, Read, 64 * kib, 48 * kib);
         assert_eq!(got, cost(5, &[], 0, 1, 0, 2_726_251), "broken direct read");
-        // (b) + (c) A direct write whose VI breaks: the same, then a GETATTR.
-        let got = blocking(true, plain(), Some((40_000, 50_000)), |ctx, c, f, buf| {
-            assert_eq!(c.write(ctx, f, 0, buf, 64 << 10).unwrap().size, 64 << 10);
-        });
-        assert_eq!(got, cost(6, &[], 0, 1, 2, 3_071_102), "broken direct write");
-        // (b) An inline write whose reply is lost: replayed under its id
-        // (3: Hello, LOOKUP, then it) and answered from the replay cache.
-        let got = blocking(false, plain(), Some((81_500, 82_000)), |ctx, c, f, buf| {
-            assert_eq!(c.write(ctx, f, 0, buf, 4096).unwrap().size, 48 << 10);
-        });
+        // A direct write whose VI breaks: the same, and the attributes come
+        // from the chunks' replies — the blocking write's GETATTR after its
+        // fallback is gone (6 requests, 3 071 102 ns).
+        let got = blocking_and_batch(true, plain(), broken, Write, 64 * kib, 64 * kib);
+        assert_eq!(got, cost(5, &[], 0, 1, 2, 3_039_290), "broken direct write");
+        // An inline write whose reply is lost: replayed under its id (3:
+        // Hello, LOOKUP, then it) and answered from the replay cache.
+        let lost = Some((81_500, 82_000));
+        let got = blocking_and_batch(false, plain(), lost, Write, 4 * kib, 4 * kib);
         assert_eq!(got, cost(3, &[3], 1, 0, 1, 2_074_974), "lost inline reply");
+    }
+
+    /// A write is counted once, when the server acknowledges it: four
+    /// 32 KiB inline writes whose link drops while they are in flight meter
+    /// 128 KiB, however many of them the recovery redoes. (A batch used to
+    /// count a write as it posted it, and its recovery counted the redone
+    /// ones again.)
+    #[test]
+    fn a_batch_write_that_outlives_its_session_is_metered_once() {
+        const LEN: u64 = 32 << 10;
+        let drop = Some((300_000, 400_000));
+        let got = blocking(false, client_config(), drop, |ctx, c, f, buf| {
+            let reqs: Vec<IoReq> = (0..4)
+                .map(|i| IoReq {
+                    off: i * LEN,
+                    addr: buf.offset(i * LEN),
+                    len: LEN,
+                })
+                .collect();
+            let b = c.issue(ctx, BatchDir::Write, f, &reqs);
+            assert_eq!(c.batch_finish(ctx, b), [Ok(LEN); 4]);
+            assert!(
+                ctx.metrics().counter("dafs.reconnects").get() > 0,
+                "no drop"
+            );
+            assert_eq!(c.stats.inline_writes.bytes.get(), 4 * LEN);
+            let metered = ctx.metrics().byte_meter("dafs.inline.bytes").bytes.get();
+            assert_eq!(metered, 4 * LEN);
+        });
+        // Three were applied before the drop and are answered from the
+        // replay cache; the fourth was lost on its way and runs fresh.
+        assert_eq!((got.replayed, got.applied), (vec![3, 4, 5], 4));
+    }
+
+    /// A batch retries each sub under its own id. `CREDITS` inline writes
+    /// park behind a recall of another session's read lease; the server
+    /// runs them when that holder hands the lease back, while the writer's
+    /// link is down, so every reply is lost after its write was applied.
+    /// The holder then writes one of those ranges itself. The writer's
+    /// recovery reposts each write under the id it was first posted with,
+    /// and the replay cache answers all of them: the holder's bytes
+    /// survive. (The recovery used to re-run the requests under fresh ids:
+    /// nothing was replayed, and the holder's write was clobbered.)
+    #[test]
+    fn a_batch_whose_replies_are_lost_is_answered_under_its_own_ids() {
+        use simnet::{FaultPlan, SimDuration, SimTime};
+        const PAGE: u64 = 4 << 10;
+        let credits = server::CREDITS as u64;
+        let (obs, trace) = obs::Obs::buffered();
+        let b = bed_in(SimKernel::with_obs(obs), ViaCost::default());
+        let fh = server_file(&b, "f", &vec![0; (credits * PAGE) as usize]);
+        let writer = b.cluster.add_host("writer");
+        let at = |us_: u64| SimTime::ZERO + SimDuration::from_nanos(us_ * 1000);
+        let plan =
+            FaultPlan::builder(1).link_down(b.server.host.id, writer.id, at(1_500), at(3_000));
+        b.fabric.set_fault_plan(plan.build());
+        // The holder: a read lease on the file, then at 2 ms a write of
+        // page 5, which hands the lease back first.
+        with_named_client(&b, "holder", client_config(), move |ctx, c, nic| {
+            c.cache_file(fh);
+            let buf = nic.host().mem.alloc(PAGE as usize);
+            c.read(ctx, fh, 0, buf, PAGE).unwrap();
+            ctx.advance(SimDuration::from_nanos(
+                at(2_000).as_nanos() - ctx.now().as_nanos(),
+            ));
+            nic.host().mem.fill(buf, PAGE as usize, 0xBB);
+            c.write(ctx, fh, 5 * PAGE, buf, PAGE).unwrap();
+        });
+        let (fabric, sid) = (b.fabric.clone(), b.server.host.id);
+        b.kernel.spawn("writer", move |ctx| {
+            let nic = fabric.open_nic(writer);
+            let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
+            let buf = nic.host().mem.alloc((credits * PAGE) as usize);
+            nic.host().mem.fill(buf, (credits * PAGE) as usize, 0xAA);
+            ctx.advance(SimDuration::from_nanos(
+                at(1_000).as_nanos() - ctx.now().as_nanos(),
+            ));
+            let reqs: Vec<IoReq> = (0..credits)
+                .map(|i| IoReq {
+                    off: i * PAGE,
+                    addr: buf.offset(i * PAGE),
+                    len: PAGE,
+                })
+                .collect();
+            let batch = c.issue(ctx, BatchDir::Write, fh, &reqs);
+            assert_eq!(batch.in_flight(), credits as usize, "all posted at once");
+            assert_eq!(c.batch_finish(ctx, batch), vec![Ok(PAGE); credits as usize]);
+            c.disconnect(ctx);
+        });
+        b.kernel.run();
+        // Hello took id 1; the writes were posted as 2 ..= CREDITS + 1.
+        let posted: Vec<u64> = (2..=credits + 1).collect();
+        assert_eq!(replay_hits(&trace.contents()), posted);
+        let image = b.fs.read(fh, 0, credits * PAGE).unwrap();
+        for (p, page) in image.chunks(PAGE as usize).enumerate() {
+            let want = if p == 5 { 0xBB } else { 0xAA };
+            assert!(page.iter().all(|&x| x == want), "page {p}: {:#x}", page[0]);
+        }
     }
 
     #[test]

@@ -353,19 +353,26 @@ pub fn spawn_dafs_server_sched(
 /// byte-identical with and without the cache.
 ///
 /// Why [`CREDITS`] replies per client suffice, whatever the other clients
-/// do: one place in the client retries under an old id,
-/// `DafsClient::call_with`, one request at a time. A session never has
-/// more than [`CREDITS`] requests posted and unanswered (its receive ring;
-/// one reply more would find no descriptor and break the VI), so while that
-/// request is out at most `CREDITS − 1` others are, and between losing its
-/// reply and replaying it the client posts nothing else but a `Hello`,
-/// which is not cached. So at most `CREDITS − 1` of its own replies can be
-/// inserted after the one it will ask for. Frames the lease gate parks are
-/// among those in flight when it serves them later. A dead session's
-/// frames stop at its reap — the first one served after the break triggers
-/// it — which drops the rest, queued (`RequestSched::drop_session`) or
-/// parked (`LeaseTable::drop_session`). A clean `Disconnect` ends the
-/// client, and its entries go with it.
+/// do. The client asks for an old reply in one way, `DafsClient::retry`,
+/// from a blocking call or from a batch's recovery, and a session never
+/// has more than [`CREDITS`] requests posted and unanswered (its receive
+/// ring; one reply more would find no descriptor and break the VI). A
+/// blocking request is alone on the wire. A batch retires its subs in
+/// post order and posts a new one only when the oldest retires, so when
+/// its oldest lost sub `f₁` fails at most `CREDITS − 1` subs were posted
+/// after it. From then on the batch posts nothing new, and its recovery
+/// retries the lost subs oldest first, each waited for, before it posts
+/// anything under a fresh id. For the `j`-th lost sub `fⱼ`, the subs
+/// `f₂ … fⱼ` are among those posted after `f₁`, so at most `CREDITS − j`
+/// were posted after `fⱼ`, and the retries ahead of its own add at most
+/// `j − 1` replies (a replay hit adds none). The only other request is
+/// the redial's `Hello`, which is not cached. So at most `CREDITS − 1` of
+/// its own replies can be inserted after the one it will ask for. Frames
+/// the lease gate parks are among those in flight when it serves them
+/// later. A dead session's frames stop at its reap — the first one served
+/// after the break triggers it — which drops the rest, queued
+/// (`RequestSched::drop_session`) or parked (`LeaseTable::drop_session`).
+/// A clean `Disconnect` ends the client, and its entries go with it.
 #[derive(Default)]
 struct ReplayCache {
     clients: HashMap<u64, VecDeque<(u32, Bytes)>>,
@@ -408,9 +415,9 @@ fn replay_cacheable(op: DafsOp) -> bool {
             | DafsOp::Rename
             | DafsOp::WriteInline
             | DafsOp::Append
-            // Only inline-mode WriteList is ever replayed (direct mode uses
-            // call_once like WriteDirect); caching a direct reply is benign
-            // because request ids are never reused.
+            // Only inline-mode WriteList is ever replayed (a direct one
+            // falls back inline like WriteDirect); caching a direct reply is
+            // benign because request ids are never reused.
             | DafsOp::WriteList
     )
 }

@@ -26,11 +26,22 @@ if grep -rnE '\.(read|write|getattr)_cached\(' crates tests examples ||
     echo "ci: a caller-side cached route is back (lines above)" >&2
     exit 1
 fi
-# One way onto the wire per client: a contiguous DAFS transfer is the
-# batch's subs (one encoder names each op once), blocking or not, and the
-# NFS client's blocking RPC is its split-phase halves back to back.
-if grep -rnE 'fn (read_inline|write_inline_chunks|replay_inline|exchange_with_retransmit)\b' crates; then
+# One way onto the wire per client: a blocking DAFS transfer is a batch of
+# the one request (one encoder names each op once), a sub that dies with
+# its session is retried under its own id, and the NFS client's blocking
+# RPC is its split-phase halves back to back.
+if grep -rnE 'fn (read_inline|write_inline_chunks|replay_inline|exchange_with_retransmit|run_subs)\b' crates ||
+    grep -rn 'batch_recoveries' crates; then
     echo "ci: a second copy of a wire path is back (lines above)" >&2
+    exit 1
+fi
+# A write's attributes come from its replies: the GETATTR has one caller,
+# the cache driver's `CacheIo::getattr`.
+getattr_callers=$(grep -rn 'getattr_wire(' crates | grep -v 'fn getattr_wire(')
+if [ "$(echo "$getattr_callers" | wc -l)" -ne 1 ] ||
+    ! grep -A3 'fn getattr(&mut self' crates/dafs/src/client.rs | grep -q 'getattr_wire('; then
+    echo "ci: getattr_wire has a caller besides CacheIo::getattr:" >&2
+    echo "$getattr_callers" >&2
     exit 1
 fi
 for op in ReadInline ReadDirect WriteInline WriteDirect; do
