@@ -6,8 +6,9 @@
 //! performs. Expected shape: NFS degrades gradually — a lost RPC costs one
 //! retransmit timeout and nothing else — while DAFS degrades more steeply
 //! at high loss because VIA reliable delivery turns any lost message into a
-//! broken VI, forcing a full session reconnect (ring re-registration,
-//! re-Hello, request replay) before the stream continues.
+//! broken VI, forcing a session reconnect (a new VI under the session's
+//! protection tag, the receive ring re-posted on it, re-Hello, request
+//! replay) before the stream continues.
 //!
 //! Every cell also verifies the data: the read pass must return exactly the
 //! bytes the write pass put down, whatever the fault timeline did.

@@ -379,9 +379,15 @@ type Slot = (VirtAddr, MemHandle);
 /// (bounded by `max_reconnects`) and replay the in-flight request under
 /// its **original** request id, which the server's replay cache uses to
 /// make non-idempotent operations exactly-once.
+///
+/// The session has one protection tag for its life. Its two rings and the
+/// registration cache are registered under it, and every VI it dials is
+/// created with it, so a reconnect replaces the VI and nothing registered.
 pub struct DafsClient {
-    /// The live VI; swapped wholesale on reconnect.
+    /// The live VI: the one thing a reconnect replaces.
     vi: Mutex<Vi>,
+    /// The session's protection tag.
+    ptag: ProtectionTag,
     nic: ViaNic,
     fabric: ViaFabric,
     server: HostId,
@@ -417,13 +423,15 @@ impl DafsClient {
         port: u16,
         config: DafsClientConfig,
     ) -> DafsResult<DafsClient> {
+        let ptag = nic.create_ptag();
         let vi = fabric
-            .connect(ctx, nic, server, port, ViAttributes::default())
+            .connect(ctx, nic, server, port, Self::vi_attrs(ptag))
             .map_err(DafsError::Connect)?;
-        let (req_ring, recv_ring) = Self::post_rings(ctx, nic, &vi);
+        let (req_ring, recv_ring) = Self::register_rings(ctx, nic, ptag);
+        Self::post_recv_ring(ctx, &vi, &recv_ring);
         let regcache = RegCache::new(
             nic.clone(),
-            vi.ptag(),
+            ptag,
             rw_attrs,
             REGCACHE_CAPACITY,
             config.use_regcache,
@@ -431,6 +439,7 @@ impl DafsClient {
         let client_id = vi.id().0;
         let client = DafsClient {
             vi: Mutex::new(vi),
+            ptag,
             nic: nic.clone(),
             fabric: fabric.clone(),
             server,
@@ -509,27 +518,37 @@ impl DafsClient {
         Ok(client)
     }
 
+    /// The attributes of every VI the session dials: its one tag.
+    fn vi_attrs(ptag: ProtectionTag) -> ViAttributes {
+        ViAttributes {
+            ptag: Some(ptag),
+            ..ViAttributes::default()
+        }
+    }
+
     /// One session's two rings of [`CREDITS`] slots each, allocated and
-    /// registered under `vi`'s protection tag: the request ring, then the
-    /// receive ring, every slot of it posted on `vi`.
-    fn post_rings(ctx: &ActorCtx, nic: &ViaNic, vi: &Vi) -> (Vec<Slot>, VecDeque<Slot>) {
-        let slot = || {
+    /// registered once, under the session's protection tag: the request
+    /// ring, then the receive ring.
+    fn register_rings(
+        ctx: &ActorCtx,
+        nic: &ViaNic,
+        ptag: ProtectionTag,
+    ) -> (Vec<Slot>, VecDeque<Slot>) {
+        let attrs = MemAttributes::local(ptag);
+        let slot = |_| {
             let buf = nic.host().mem.alloc(SLOT as usize);
-            let attrs = MemAttributes::local(vi.ptag());
             (buf, nic.register_mem(ctx, buf, SLOT, attrs))
         };
-        let req_ring = (0..CREDITS).map(|_| slot()).collect();
-        let recv_ring = (0..CREDITS)
-            .map(|_| {
-                let (buf, h) = slot();
-                vi.post_recv(
-                    ctx,
-                    RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
-                );
-                (buf, h)
-            })
-            .collect();
-        (req_ring, recv_ring)
+        let req_ring = (0..CREDITS).map(slot).collect();
+        (req_ring, (0..CREDITS).map(slot).collect())
+    }
+
+    /// Post every slot of the receive ring on `vi`, in ring order.
+    fn post_recv_ring(ctx: &ActorCtx, vi: &Vi, ring: &VecDeque<Slot>) {
+        for &(buf, h) in ring {
+            let seg = DataSegment::new(buf, SLOT as u32, h);
+            vi.post_recv(ctx, RecvDesc::new(vec![seg]));
+        }
     }
 
     /// Encode a `Hello` body: the stable client id plus the optional QoS
@@ -580,7 +599,8 @@ impl DafsClient {
 
     /// Bytes currently pinned by the registration cache. With the cache
     /// enabled this stays at the cached working-set size between
-    /// operations; it must return to zero after [`DafsClient::regcache_flush`].
+    /// operations, reconnects included; it must return to zero after
+    /// [`DafsClient::regcache_flush`].
     pub fn regcache_pinned(&self) -> u64 {
         self.regcache.pinned()
     }
@@ -813,10 +833,13 @@ impl DafsClient {
         Self::decode_resp(&resp)
     }
 
-    /// Tear down all old-session state and dial a fresh session. On
-    /// success the VI, rings, registration cache, and server-side client
-    /// binding (via Hello) are all re-established; `pending` responses from
-    /// the dead session are discarded.
+    /// Replace the dead VI with a fresh one under the session's tag, and
+    /// re-bind the server side (via Hello). What the session registered —
+    /// both rings, the registration cache's entries and the ranges it has
+    /// seen — is the NIC's under that tag, not the VI's, and stays: the
+    /// receive ring is re-posted on the new VI and the request ring starts
+    /// over. What was the dead session's goes: `pending` responses, leases
+    /// and clean cached pages.
     fn reconnect(&self, ctx: &ActorCtx, attempt: u32) -> DafsResult<()> {
         ctx.metrics().counter("dafs.reconnects").inc();
         ctx.trace(
@@ -831,6 +854,11 @@ impl DafsClient {
             .reconnect_backoff
             .saturating_mul(1u64 << (attempt - 1).min(20));
         ctx.advance(backoff);
+        // The NIC refuses RDMA aimed at an end that has left `Connected`;
+        // that, not a change of tag, keeps the old session's stale RDMA out
+        // of the buffers the new one reuses. So the old VI is closed before
+        // the new one is dialled — a no-op on one already broken or aborted.
+        self.vi.lock().disconnect(ctx);
         let vi = self
             .fabric
             .connect(
@@ -838,7 +866,7 @@ impl DafsClient {
                 &self.nic,
                 self.server,
                 self.port,
-                ViAttributes::default(),
+                Self::vi_attrs(self.ptag),
             )
             .map_err(DafsError::Connect)?;
         // Responses from the dead session can never arrive.
@@ -851,19 +879,10 @@ impl DafsClient {
         // them exactly-once even if this session dies too).
         let dropped = self.cache.lock().session_lost();
         cache::dropped(&mut Live(self, ctx), dropped);
-        // Ring registrations were made under the old protection tag: the
-        // old slots go, fresh ones are registered under the new one.
-        let old_req = std::mem::take(&mut *self.req_ring.lock());
-        let old_recv = std::mem::take(&mut *self.recv_ring.lock());
-        for (buf, h) in old_req.into_iter().chain(old_recv) {
-            let _ = self.nic.deregister_mem(ctx, h);
-            self.nic.host().mem.free(buf);
-        }
-        let (req_ring, recv_ring) = Self::post_rings(ctx, &self.nic, &vi);
-        *self.req_ring.lock() = req_ring;
+        // The rings and the registration cache stay registered under the
+        // session's tag, which the new VI carries.
+        Self::post_recv_ring(ctx, &vi, &self.recv_ring.lock());
         *self.req_next.lock() = 0;
-        *self.recv_ring.lock() = recv_ring;
-        self.regcache.retarget(ctx, vi.ptag());
         *self.vi.lock() = vi;
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
@@ -1027,12 +1046,13 @@ impl DafsClient {
         ctx.trace("dafs", "session.disconnect", &[]);
     }
 
-    /// Abruptly drop the VIA connection with no protocol goodbye — the
-    /// client-crash path. The server observes `ConnectionLost` on the
-    /// session's VI and must tear the session down (releasing its locks).
+    /// Abruptly drop the VIA connection with no protocol goodbye — what the
+    /// server sees of a client crash. The server observes `ConnectionLost`
+    /// on the session's VI and must tear the session down (releasing its
+    /// locks). What the session registered stays, as across any break: a
+    /// later call redials onto it.
     pub fn abort(&self, ctx: &ActorCtx) {
         self.vi.lock().disconnect(ctx);
-        self.regcache.flush(ctx);
         ctx.trace("dafs", "session.abort", &[]);
     }
 
@@ -1579,9 +1599,10 @@ impl DafsClient {
     /// so the replay cache answers those the server already ran
     /// (`ReplayCache` in `server.rs` says why it still can). Then, under
     /// fresh ids through [`Self::call_with`], the subs never posted, and
-    /// the posted direct ones: their registrations died with the session,
-    /// so each counts a `dafs.direct_fallbacks` and is redone as its inline
-    /// chunks, idempotent even if the RDMA transfer partly landed. A read's
+    /// the posted direct ones: a replayed reply would not say whether the
+    /// session's RDMA moved their bytes, so each counts a
+    /// `dafs.direct_fallbacks` and is redone as its inline chunks,
+    /// idempotent even if the RDMA transfer partly landed. A read's
     /// chunks stop at the first short one, the end of the file; a request
     /// that has failed is not pursued.
     fn recover(&self, ctx: &ActorCtx, b: &mut DafsBatch) {

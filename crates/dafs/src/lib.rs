@@ -515,8 +515,8 @@ mod tests {
     /// A blocking `read` / `write` is a batch of the one request: in each
     /// of the six schedules that used to tell them apart, the two cost the
     /// same — requests, replayed ids, replay hits, fallbacks, applied
-    /// writes, virtual ns. The literals that did not move are the parent's;
-    /// the two that moved say why.
+    /// writes, virtual ns. Where a literal moved from an earlier cut, its
+    /// comment says why.
     #[test]
     fn a_blocking_call_costs_what_a_one_request_batch_costs() {
         use BatchDir::{Read, Write};
@@ -547,18 +547,25 @@ mod tests {
         assert_eq!(got, cost(3, &[], 0, 0, 0, 602_768), "short inline read");
         // A direct read whose VI breaks: the read, the chunk that finds the
         // VI dead, the reconnect's Hello, two chunks on the new session.
+        // The reconnect keeps the session's registrations: 862 400 ns less
+        // than when it replaced both rings (16 × `registration(66 KiB)` =
+        // 16 × 45 400, 16 × `dereg` = 16 × 8 000) and flushed the cache
+        // (one `dereg` of the read's buffer).
         let got = blocking_and_batch(false, plain(), broken, Read, 64 * kib, 48 * kib);
-        assert_eq!(got, cost(5, &[], 0, 1, 0, 2_726_251), "broken direct read");
+        assert_eq!(got, cost(5, &[], 0, 1, 0, 1_863_851), "broken direct read");
         // A direct write whose VI breaks: the same, and the attributes come
         // from the chunks' replies — the blocking write's GETATTR after its
-        // fallback is gone (6 requests, 3 071 102 ns).
+        // fallback is gone (6 requests, 3 071 102 ns). The reconnect's
+        // 862 400 ns less is the read's: same rings, same one buffer.
         let got = blocking_and_batch(true, plain(), broken, Write, 64 * kib, 64 * kib);
-        assert_eq!(got, cost(5, &[], 0, 1, 2, 3_039_290), "broken direct write");
+        assert_eq!(got, cost(5, &[], 0, 1, 2, 2_176_890), "broken direct write");
         // An inline write whose reply is lost: replayed under its id (3:
-        // Hello, LOOKUP, then it) and answered from the replay cache.
+        // Hello, LOOKUP, then it) and answered from the replay cache. The
+        // reconnect keeps both rings: 854 400 ns less (the read's, less the
+        // cache `dereg` — an inline write registers nothing).
         let lost = Some((81_500, 82_000));
         let got = blocking_and_batch(false, plain(), lost, Write, 4 * kib, 4 * kib);
-        assert_eq!(got, cost(3, &[3], 1, 0, 1, 2_074_974), "lost inline reply");
+        assert_eq!(got, cost(3, &[3], 1, 0, 1, 1_220_574), "lost inline reply");
     }
 
     /// A write is counted once, when the server acknowledges it: four
@@ -1139,10 +1146,10 @@ mod tests {
         assert!(t > 400_000, "waiter must be granted after the crash: {t}");
     }
 
-    /// A reconnect frees the ring buffers it replaces: however many times
-    /// the session is re-established, the client holds two rings of slots.
-    /// It used to deregister the old slots and keep them allocated:
-    /// 2 x credits x `SLOT` = 1 056 KiB more per reconnect at defaults.
+    /// However many times the session is re-established, the client holds
+    /// two rings of slots. A reconnect once deregistered the old slots and
+    /// kept them allocated: 2 x credits x `SLOT` = 1 056 KiB more per
+    /// reconnect at defaults. Now it keeps the slots themselves.
     #[test]
     fn reconnects_do_not_accumulate_ring_buffers() {
         let b = bed();
@@ -1156,6 +1163,49 @@ mod tests {
             };
             let held: Vec<u64> = (0..5).map(held_after_reconnect).collect();
             assert_eq!(held[0], held[4], "held after each reconnect: {held:?}");
+        });
+        let obs = b.kernel.obs().clone();
+        let end = b.kernel.run();
+        let snap = obs.snapshot(end.as_nanos());
+        assert_eq!(snap.get("dafs.reconnects").map(|e| e.value()), Some(5));
+    }
+
+    /// A reconnect replaces the VI and nothing registered. Across five dead
+    /// sessions the NIC registers nothing more and the registration cache
+    /// keeps what it pinned; a 4 KiB read into a buffer warmed before the
+    /// first break goes direct as soon as each new session is up, and lands
+    /// the file's newest bytes. (Each reconnect used to register both rings
+    /// afresh, 16 registrations, and flush the cache: the buffer was a first
+    /// touch again.)
+    #[test]
+    fn a_reconnect_registers_nothing() {
+        const LEN: usize = 4 << 10;
+        let b = bed();
+        let fh = server_file(&b, "f", &[0; LEN]);
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let buf = nic.host().mem.alloc(LEN);
+            // A first touch, then a direct read that registers the buffer.
+            for _ in 0..2 {
+                c.read(ctx, fh, 0, buf, LEN as u64).unwrap();
+            }
+            assert_eq!(c.stats.direct_reads.ops.get(), 1);
+            let registrations = nic.registration_stats().registrations;
+            assert_eq!(registrations, 2 * server::CREDITS as u64 + 1);
+            let pinned = c.regcache_pinned();
+            assert_eq!(pinned, LEN as u64);
+            for round in 1..=5u8 {
+                c.abort(ctx);
+                c.getattr(ctx, fh).unwrap();
+                c.write_bytes(ctx, fh, 0, &[round; LEN]).unwrap();
+                nic.host().mem.fill(buf, LEN, 0);
+                assert_eq!(c.read(ctx, fh, 0, buf, LEN as u64), Ok(LEN as u64));
+                assert_eq!(nic.host().mem.read_vec(buf, LEN), vec![round; LEN]);
+                let direct = c.stats.direct_reads.ops.get();
+                assert_eq!(direct, 1 + round as u64, "round {round}: went inline");
+                let now = nic.registration_stats().registrations;
+                assert_eq!(now, registrations, "round {round}: registered");
+                assert_eq!(c.regcache_pinned(), pinned, "round {round}");
+            }
         });
         let obs = b.kernel.obs().clone();
         let end = b.kernel.run();

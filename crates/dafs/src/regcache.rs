@@ -71,11 +71,14 @@ pub struct RegCacheStats {
 }
 
 /// An LRU cache of live NIC registrations.
+///
+/// A registration belongs to the NIC and a protection tag, not to a VI: a
+/// session keeps one tag for its life, so its entries — and the ranges
+/// [`RegCache::warm`] has seen — outlive every reconnect.
 pub struct RegCache {
     nic: ViaNic,
-    /// The session's protection tag; swapped by [`RegCache::retarget`] when
-    /// the session reconnects (the new VI carries a new tag).
-    ptag: Mutex<ProtectionTag>,
+    /// The session's protection tag.
+    ptag: ProtectionTag,
     attrs_for: fn(ProtectionTag) -> MemAttributes,
     capacity: u64,
     enabled: bool,
@@ -101,7 +104,7 @@ impl RegCache {
     ) -> RegCache {
         RegCache {
             nic,
-            ptag: Mutex::new(ptag),
+            ptag,
             attrs_for,
             capacity,
             enabled,
@@ -124,13 +127,11 @@ impl RegCache {
     /// entry against eviction; the caller must [`release`](RegCache::release)
     /// the handle once the operation using it has completed.
     pub fn acquire(&self, ctx: &ActorCtx, addr: VirtAddr, len: u64) -> (MemHandle, bool) {
-        let ptag = *self.ptag.lock();
+        let attrs = (self.attrs_for)(self.ptag);
         if !self.enabled {
             self.misses.inc();
             ctx.metrics().counter("dafs.regcache.misses").inc();
-            let h = self
-                .nic
-                .register_mem(ctx, addr, len, (self.attrs_for)(ptag));
+            let h = self.nic.register_mem(ctx, addr, len, attrs);
             return (h, true);
         }
         let mut st = self.state.lock();
@@ -183,9 +184,7 @@ impl RegCache {
                 .deregister_mem(ctx, e.handle)
                 .expect("cache entry must be live");
         }
-        let handle = self
-            .nic
-            .register_mem(ctx, addr, len, (self.attrs_for)(ptag));
+        let handle = self.nic.register_mem(ctx, addr, len, attrs);
         st.pinned += len;
         st.entries.insert(
             addr.as_u64(),
@@ -233,8 +232,8 @@ impl RegCache {
     /// making them evictable again once no acquisition holds them. A
     /// retired registration (displaced by a same-base re-registration) is
     /// deregistered on its final release. Releasing a handle the cache no
-    /// longer knows (flushed by a reconnect under an in-flight op) is a
-    /// no-op — the registration died with the session.
+    /// longer knows (flushed under an in-flight op) is a no-op — the
+    /// registration is already gone.
     pub fn release(&self, ctx: &ActorCtx, handle: MemHandle, transient: bool) {
         if transient {
             self.nic
@@ -257,11 +256,12 @@ impl RegCache {
         }
     }
 
-    /// Drop every cached registration (session teardown). Pinned entries
-    /// are dropped too: the session — and with it every in-flight op that
-    /// held a handle — is already gone, and [`RegCache::release`] treats
-    /// their late releases as no-ops. The ranges [`RegCache::warm`] had
-    /// only seen are forgotten with them.
+    /// Drop every cached registration (the session's goodbye, or on
+    /// request). Pinned entries are dropped too: the session is going, and
+    /// [`RegCache::release`] treats late releases of their handles as
+    /// no-ops. The ranges [`RegCache::warm`] had only seen are forgotten
+    /// with them. A reconnect does not flush: the tag, and with it every
+    /// registration, survives the VI.
     pub fn flush(&self, ctx: &ActorCtx) {
         let mut st = self.state.lock();
         for (_, e) in st.entries.drain() {
@@ -272,14 +272,6 @@ impl RegCache {
         }
         st.pinned = 0;
         st.seen.clear();
-    }
-
-    /// Re-key the cache to a new protection tag after a session reconnect:
-    /// every registration made under the old (dead) tag is dropped, and
-    /// future acquisitions register under `tag`.
-    pub fn retarget(&self, ctx: &ActorCtx, tag: ProtectionTag) {
-        self.flush(ctx);
-        *self.ptag.lock() = tag;
     }
 
     /// Bytes currently pinned by the cache.
@@ -522,14 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_retarget_forget_seen_ranges() {
+    fn flush_forgets_seen_ranges() {
         with_cache(1 << 20, true, |ctx, cache, nic| {
             let buf = nic.host().mem.alloc(4096);
             assert!(!cache.warm(buf, 4096));
             cache.flush(ctx);
             assert!(!cache.warm(buf, 4096), "flush forgot the first touch");
-            cache.retarget(ctx, nic.create_ptag());
-            assert!(!cache.warm(buf, 4096), "so did retarget");
             assert!(cache.warm(buf, 4096));
             // A registration dropped by flush no longer vouches either.
             touch(ctx, cache, buf, 4096);

@@ -141,7 +141,8 @@ impl ViaFabric {
     /// Connect from `nic` to a listener at `(remote, port)` with the given
     /// endpoint attributes (`VipConnectRequest` + wait for accept).
     ///
-    /// The client's protection tag is allocated from its NIC.
+    /// The client's protection tag is `attrs.ptag`, or a fresh one from its
+    /// NIC.
     pub fn connect(
         &self,
         ctx: &ActorCtx,
@@ -171,7 +172,7 @@ impl ViaFabric {
             }
         }
 
-        let ptag = nic.create_ptag();
+        let ptag = attrs.ptag.unwrap_or_else(|| nic.create_ptag());
         let client_end = ViEnd::new(self.alloc_vi_id(), attrs, ptag);
         let reply: Port<ConnReply> = Port::new("conn-reply");
         // Request travels one way at small-message latency.
@@ -213,10 +214,11 @@ pub struct Listener {
 
 impl Listener {
     /// Block until a connection request arrives, then accept it with the
-    /// given server-side endpoint attributes. Returns the server's VI.
+    /// given server-side endpoint attributes (tagged `attrs.ptag`, or
+    /// afresh). Returns the server's VI.
     pub fn accept(&self, ctx: &ActorCtx, attrs: ViAttributes) -> Option<Vi> {
         let req = self.requests.recv(ctx)?;
-        let ptag = self.nic.create_ptag();
+        let ptag = attrs.ptag.unwrap_or_else(|| self.nic.create_ptag());
         let server_end = ViEnd::new(
             ViId(self.vi_ids.fetch_add(1, Ordering::Relaxed)),
             attrs,

@@ -14,6 +14,7 @@
 //! | `VipCreatePtag`             | [`ViaNic::create_ptag`]                       |
 //! | `VipRegisterMem`            | [`ViaNic::register_mem`]                      |
 //! | `VipCreateVi` + connect     | [`ViaFabric::connect`] / [`Listener::accept`] |
+//! | `VIP_VI_ATTRIBUTES.Ptag`    | [`ViAttributes::ptag`]                        |
 //! | `VipPostSend`/`VipPostRecv` | [`Vi::post_send`] / [`Vi::post_recv`]         |
 //! | `VipSendDone`/`VipRecvWait` | [`Vi::send_done`] / [`Vi::recv_wait`]         |
 //! | `VipCQCreate`/`VipCQWait`   | [`Cq::new`] / [`Cq::wait`]                    |
@@ -347,6 +348,92 @@ mod tests {
             assert_eq!(vi.state(), ViState::Error);
         });
         tb.kernel.run();
+    }
+
+    /// An RDMA aimed at a VI end that is no longer `Connected` is discarded.
+    /// The client end breaks on a lost send; its server end has not heard
+    /// yet and, still `Connected`, RDMA-writes into (or reads from) the
+    /// client's registered buffer. Nothing is placed or read, the server's
+    /// descriptor completes `ConnectionLost`, and the one loss is counted
+    /// once. (The Write used to land and complete `Success`; only a change
+    /// of protection tag kept it out of memory reused by a new VI.)
+    #[test]
+    fn rdma_at_an_end_that_broke_is_discarded() {
+        use simnet::fault::FaultPlan;
+        const LEN: usize = 256;
+        for (rdma_read, op) in [
+            (false, SendOp::RdmaWrite),
+            (true, SendOp::RdmaWrite),
+            (true, SendOp::RdmaRead),
+        ] {
+            let tb = testbed_with(ViaCost {
+                rdma_read_supported: rdma_read,
+                ..ViaCost::default()
+            });
+            let (chost, shost) = (tb.client_nic.host().id, tb.server_nic.host().id);
+            let at = |t| SimTime::ZERO + t;
+            let plan = FaultPlan::builder(7).link_down(chost, shost, at(us(100)), at(us(200)));
+            tb.fabric.set_fault_plan(plan.build());
+            // The client's buffer, once its end has broken.
+            let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
+                Arc::new(parking_lot::Mutex::new(None));
+            let (fabric, snic, cnic) = (
+                tb.fabric.clone(),
+                tb.server_nic.clone(),
+                tb.client_nic.clone(),
+            );
+            let slot = shared.clone();
+            tb.kernel.spawn_daemon("server", move |ctx| {
+                let listener = fabric.listen(&snic, 7);
+                let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+                let (buf, h) = reg_buf(ctx, &snic, LEN, MemAttributes::local(vi.ptag()));
+                snic.host().mem.fill(buf, LEN, 0xAB);
+                let (raddr, rh) = loop {
+                    if let Some(x) = *slot.lock() {
+                        break x;
+                    }
+                    ctx.advance(us(10));
+                };
+                // Past the link's down window: the fabric carries this.
+                ctx.advance(us(200));
+                assert_eq!(vi.state(), ViState::Connected, "not told yet");
+                let segs = vec![DataSegment::new(buf, LEN as u32, h)];
+                let remote = RemoteSegment {
+                    addr: raddr,
+                    handle: rh,
+                };
+                let desc = match op {
+                    SendOp::RdmaWrite => SendDesc::rdma_write(segs, remote),
+                    _ => SendDesc::rdma_read(segs, remote),
+                };
+                vi.post_send(ctx, desc);
+                assert_eq!(vi.send_wait(ctx).status, ViaStatus::ConnectionLost);
+                assert_eq!(vi.state(), ViState::Error);
+                // Neither side's bytes moved.
+                assert_eq!(cnic.host().mem.read_vec(raddr, LEN), vec![0x11; LEN]);
+                assert_eq!(snic.host().mem.read_vec(buf, LEN), vec![0xAB; LEN]);
+                assert_eq!(ctx.metrics().counter("via.conn_broken").get(), 1);
+            });
+            let (fabric, cnic) = (tb.fabric.clone(), tb.client_nic.clone());
+            tb.kernel.spawn("client", move |ctx| {
+                let vi = fabric
+                    .connect(ctx, &cnic, shost, 7, ViAttributes::default())
+                    .unwrap();
+                let attrs = MemAttributes {
+                    ptag: vi.ptag(),
+                    enable_rdma_write: true,
+                    enable_rdma_read: true,
+                };
+                let (buf, h) = reg_buf(ctx, &cnic, LEN, attrs);
+                cnic.host().mem.fill(buf, LEN, 0x11);
+                ctx.advance(us(100) - ctx.now().since(SimTime::ZERO));
+                vi.post_send(ctx, SendDesc::send(vec![DataSegment::new(buf, 8, h)]));
+                assert_eq!(vi.send_wait(ctx).status, ViaStatus::ConnectionLost);
+                assert_eq!(vi.state(), ViState::Error);
+                *shared.lock() = Some((buf, h));
+            });
+            tb.kernel.run();
+        }
     }
 
     #[test]

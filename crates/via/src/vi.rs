@@ -53,6 +53,10 @@ pub struct ViAttributes {
     pub send_cq: Option<Cq>,
     /// CQ to notify on receive completions.
     pub recv_cq: Option<Cq>,
+    /// Protection tag the endpoint is created with (`VIP_VI_ATTRIBUTES.Ptag`).
+    /// `None` = a fresh tag from the NIC. A tag outlives any one VI: memory
+    /// registered under it serves every VI created with it.
+    pub ptag: Option<ProtectionTag>,
 }
 
 impl ViAttributes {
@@ -273,6 +277,36 @@ impl Vi {
                 payload: None,
             },
         );
+    }
+
+    /// True if the peer end has left `Connected` (it broke or disconnected,
+    /// whether or not this end has heard yet), in which case the NIC
+    /// discards the RDMA about to be aimed at it: nothing is placed or
+    /// read, the descriptor completes `ConnectionLost`, and this end is
+    /// broken too. Nothing is counted here: a loss that took the peer out
+    /// of `Connected` was counted (`via.conn_broken`) where it happened.
+    /// Nor is the peer told: its end is already out of service.
+    ///
+    /// A registration belongs to its NIC and protection tag, not to a VI,
+    /// so the tag check alone would let a dead connection's RDMA Write into
+    /// memory its owner has since reused on a new VI under the same tag.
+    fn peer_gone(&self, ctx: &ActorCtx) -> bool {
+        if *self.peer.state.lock() == ViState::Connected {
+            return false;
+        }
+        *self.local.state.lock() = ViState::Error;
+        self.complete_send(
+            ctx,
+            Completion {
+                status: ViaStatus::ConnectionLost,
+                len: 0,
+                imm: None,
+                queue: WhichQueue::Send,
+                at: ctx.now(),
+                payload: None,
+            },
+        );
+        true
     }
 
     /// The peer endpoint observes `ConnectionLost` at `at`.
@@ -546,6 +580,9 @@ impl Vi {
                 )
             }
         };
+        if self.peer_gone(ctx) {
+            return;
+        }
         let len = desc.total_len();
         // The remote NIC validates the target against its own TPT under the
         // *peer* endpoint's protection tag.
@@ -630,6 +667,9 @@ impl Vi {
                 )
             }
         };
+        if self.peer_gone(ctx) {
+            return;
+        }
         let len = desc.total_len();
         let target = self.peer_nic.table().check(
             remote.handle,

@@ -51,6 +51,18 @@ for op in ReadInline ReadDirect WriteInline WriteDirect; do
     fi
 done
 
+echo "==> a DAFS reconnect replaces the VI, not the registrations"
+# A session keeps one protection tag for its life, so a redial re-posts the
+# receive ring on the new VI and registers nothing: the cache is never
+# re-keyed, and the body of `DafsClient::reconnect` neither rebuilds the
+# rings nor registers or deregisters memory.
+reconnect_body=$(sed -n '/^    fn reconnect(/,/^    }$/p' crates/dafs/src/client.rs)
+if grep -rnE 'fn retarget\b' crates/dafs || [ -z "$reconnect_body" ] ||
+    echo "$reconnect_body" | grep -nE '\b(post_rings|register_mem|deregister_mem)\b'; then
+    echo "ci: a reconnect re-registers, or DafsClient::reconnect is gone (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -585,7 +585,9 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
 /// file's bytes or an error — a reply never outruns its data, and a
 /// transfer lost with its session is redone through the inline path — and
 /// at 1 % loss and below the reconnect budget absorbs every break: no read
-/// fails.
+/// fails. However many reconnects it takes, the session registers one
+/// thing after it is up — the read buffer, once: a reconnect keeps the
+/// rings and the cache.
 #[test]
 fn dafs_warm_small_reads_survive_loss_ladder() {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -595,10 +597,12 @@ fn dafs_warm_small_reads_survive_loss_ladder() {
     const PASSES: usize = 8;
     for (i, loss) in [0.001, 0.01, 0.05].into_iter().enumerate() {
         let plan = FaultPlan::builder(0x4A12 + i as u64).loss(loss).build();
-        // (failed reads, direct reads, fallbacks to inline)
-        let tally = Arc::new([const { AtomicU64::new(0) }; 3]);
+        // (failed reads, direct reads, fallbacks to inline, registrations)
+        let tally = Arc::new([const { AtomicU64::new(0) }; 4]);
         let t = tally.clone();
         let (_, reconnects) = raw_dafs_run(plan, move |ctx, c| {
+            let registrations = || c.nic().registration_stats().registrations;
+            let registered_at_connect = registrations();
             let image: Vec<u8> = (0..FILE).map(|i| (i * 13 + i / REQ) as u8).collect();
             let f = c.create(ctx, ROOT_ID, "f").unwrap().id;
             for (n, chunk) in image.chunks(32 << 10).enumerate() {
@@ -628,13 +632,18 @@ fn dafs_warm_small_reads_survive_loss_ladder() {
             }
             t[1].store(c.stats.direct_reads.ops.get(), Relaxed);
             t[2].store(fallbacks(), Relaxed);
+            t[3].store(registrations() - registered_at_connect, Relaxed);
             assert!(
                 ctx.now().as_nanos() < DEADLINE_NS,
                 "virtual-time deadline blown: {} ns",
                 ctx.now().as_nanos()
             );
         });
-        let [failed, direct, fallbacks] = [0, 1, 2].map(|k| tally[k].load(Relaxed));
+        let [failed, direct, fallbacks, registered] = [0, 1, 2, 3].map(|k| tally[k].load(Relaxed));
+        assert_eq!(
+            registered, 1,
+            "loss {loss}: {registered} registrations over {reconnects} reconnects"
+        );
         let reads = (PASSES * FILE / REQ) as u64;
         assert!(
             direct > reads / 2,
