@@ -39,8 +39,8 @@ use via::ViId;
 use crate::proto::{self, DafsOp};
 use crate::wire::Dec;
 
-/// Tenant id for sessions that never declared one (legacy clients, QoS
-/// hint off). They share one best-effort bucket at weight 1.
+/// Tenant id for sessions whose Hello declared none (a client configured
+/// without a tenant). They share one best-effort bucket at weight 1.
 pub const DEFAULT_TENANT: u64 = 0;
 
 /// Scheduler selection for [`crate::spawn_dafs_server_sched`].

@@ -44,6 +44,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use memfs::{FileAttr, MemFs, NodeId, SetAttr};
+use simnet::replay::ReplayCache;
 use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, Rope, SimKernel, SimTime, VirtAddr};
 use via::{
     Completion, Cq, CqToken, DataSegment, MemAttributes, MemHandle, RecvDesc, RemoteSegment,
@@ -257,11 +258,6 @@ struct LockState {
     waiters: VecDeque<(ViId, u32)>,
 }
 
-/// High-half base for synthetic client ids handed to legacy (cid-less)
-/// Hellos; real client ids are VI ids (small integers), so the two ranges
-/// never collide.
-const LEGACY_CID_BASE: u64 = 1 << 63;
-
 /// Start a DAFS server on `nic`'s host, exporting `fs` at `port`, with
 /// the historical FIFO dispatch order.
 pub fn spawn_dafs_server(
@@ -329,72 +325,40 @@ pub fn spawn_dafs_server_sched(
         locks: BTreeMap::new(),
         leases: LeaseTable::default(),
         client_ids: HashMap::new(),
-        replay: ReplayCache::default(),
+        // Keyed by the client id each Hello names, so a redialed session
+        // finds its replies. Why `CREDITS` replies per client suffice,
+        // whatever the other clients do: the client asks for an old reply
+        // in one way, `DafsClient::retry`, from a blocking call or from a
+        // batch's recovery, and a session never has more than `CREDITS`
+        // requests posted and unanswered (its receive ring; one reply more
+        // would find no descriptor and break the VI). A blocking request is
+        // alone on the wire. A batch retires its subs in post order and
+        // posts a new one only when the oldest retires, so when its oldest
+        // lost sub `f₁` fails at most `CREDITS − 1` subs were posted after
+        // it. From then on the batch posts nothing new, and its recovery
+        // retries the lost subs oldest first, each waited for, before it
+        // posts anything under a fresh id. For the `j`-th lost sub `fⱼ`, the
+        // subs `f₂ … fⱼ` are among those posted after `f₁`, so at most
+        // `CREDITS − j` were posted after `fⱼ`, and the retries ahead of its
+        // own add at most `j − 1` replies (a replay hit adds none). The only
+        // other request is the redial's `Hello`, which is not cached. So at
+        // most `CREDITS − 1` of its own replies can be inserted after the
+        // one it will ask for. Frames the lease gate parks are among those
+        // in flight when it serves them later. A dead session's frames stop
+        // at its reap — the first one served after the break triggers it —
+        // which drops the rest, queued (`RequestSched::drop_session`) or
+        // parked (`LeaseTable::drop_session`). A clean `Disconnect` ends the
+        // client, and its entries go with it.
+        replay: ReplayCache::new(CREDITS as usize),
         sched: match policy {
             SchedPolicy::Fifo => Box::new(sched::FifoSched::new()),
             SchedPolicy::Wfq(p) => Box::new(sched::WfqSched::new(p)),
         },
         tenants: HashMap::new(),
-        next_legacy_cid: 0,
     };
     kernel.spawn_daemon("dafs-worker", move |ctx| server.run(ctx));
 
     DafsServerHandle { stats, host, nic }
-}
-
-/// Replay cache: per client id, its last [`CREDITS`] cacheable replies,
-/// oldest first.
-///
-/// A client that reconnects replays its in-flight request under the same
-/// request id; a hit here resends the first execution's reply without
-/// touching the filesystem, making non-idempotent operations (CREATE,
-/// APPEND, WRITE, RENAME, ...) exactly-once under any loss pattern.
-/// Lookups and inserts charge no virtual time, so fault-free runs are
-/// byte-identical with and without the cache.
-///
-/// Why [`CREDITS`] replies per client suffice, whatever the other clients
-/// do. The client asks for an old reply in one way, `DafsClient::retry`,
-/// from a blocking call or from a batch's recovery, and a session never
-/// has more than [`CREDITS`] requests posted and unanswered (its receive
-/// ring; one reply more would find no descriptor and break the VI). A
-/// blocking request is alone on the wire. A batch retires its subs in
-/// post order and posts a new one only when the oldest retires, so when
-/// its oldest lost sub `f₁` fails at most `CREDITS − 1` subs were posted
-/// after it. From then on the batch posts nothing new, and its recovery
-/// retries the lost subs oldest first, each waited for, before it posts
-/// anything under a fresh id. For the `j`-th lost sub `fⱼ`, the subs
-/// `f₂ … fⱼ` are among those posted after `f₁`, so at most `CREDITS − j`
-/// were posted after `fⱼ`, and the retries ahead of its own add at most
-/// `j − 1` replies (a replay hit adds none). The only other request is
-/// the redial's `Hello`, which is not cached. So at most `CREDITS − 1` of
-/// its own replies can be inserted after the one it will ask for. Frames
-/// the lease gate parks are among those in flight when it serves them
-/// later. A dead session's frames stop at its reap — the first one served
-/// after the break triggers it — which drops the rest, queued
-/// (`RequestSched::drop_session`) or parked (`LeaseTable::drop_session`).
-/// A clean `Disconnect` ends the client, and its entries go with it.
-#[derive(Default)]
-struct ReplayCache {
-    clients: HashMap<u64, VecDeque<(u32, Bytes)>>,
-}
-
-impl ReplayCache {
-    fn get(&self, (cid, reqid): (u64, u32)) -> Option<&Bytes> {
-        let replies = self.clients.get(&cid)?;
-        replies.iter().find(|(id, _)| *id == reqid).map(|(_, r)| r)
-    }
-
-    fn insert(&mut self, (cid, reqid): (u64, u32), reply: Bytes) {
-        let replies = self.clients.entry(cid).or_default();
-        if replies.len() == CREDITS as usize {
-            replies.pop_front();
-        }
-        replies.push_back((reqid, reply));
-    }
-
-    fn forget(&mut self, cid: u64) {
-        self.clients.remove(&cid);
-    }
 }
 
 /// Whether an op's reply must be remembered for replay. Only ops whose
@@ -505,8 +469,6 @@ struct Server {
     sched: Box<dyn RequestSched>,
     /// Tenant binding per live session, from its Hello: `(tenant, weight)`.
     tenants: HashMap<ViId, (u64, u32)>,
-    /// Last synthetic client id handed to a legacy (cid-less) Hello.
-    next_legacy_cid: u64,
 }
 
 impl Server {
@@ -729,19 +691,19 @@ impl Server {
 
         // Replay short-circuit: a reconnected client re-sending a request we
         // already executed gets the original reply verbatim.
-        let replay_key = if replay_cacheable(op) {
-            self.client_ids.get(&vi).map(|cid| (*cid, reqid))
-        } else {
-            None
-        };
-        if let Some(key) = replay_key {
-            if let Some(cached) = self.replay.get(key).cloned() {
+        let client = self
+            .client_ids
+            .get(&vi)
+            .copied()
+            .filter(|_| replay_cacheable(op));
+        if let Some(cid) = client {
+            if let Some(cached) = self.replay.get(cid, reqid).cloned() {
                 ctx.metrics().counter("dafs.replay.hits").inc();
                 ctx.trace(
                     "dafs",
                     "replay.hit",
                     &[
-                        ("client", obs::Value::U64(key.0)),
+                        ("client", obs::Value::U64(cid)),
                         ("reqid", obs::Value::U64(reqid as u64)),
                     ],
                 );
@@ -773,8 +735,8 @@ impl Server {
             }
         };
         let reply = Bytes::from_vec(e.finish());
-        if let Some(key) = replay_key {
-            self.replay.insert(key, reply.clone());
+        if let Some(cid) = client {
+            self.replay.insert(cid, reqid, reply.clone());
         }
         self.session(vi).respond(ctx, reply);
         match outcome {
@@ -870,7 +832,7 @@ impl Server {
         e: &mut Enc,
     ) -> Result<Outcome, DafsStatus> {
         match op {
-            DafsOp::Hello => self.hello(ctx, vi, d, e),
+            DafsOp::Hello => self.hello(ctx, vi, d, e)?,
             DafsOp::GetAttr => {
                 let a = self.fs.getattr(NodeId(d.u64()?))?;
                 proto::enc_attr(e, &a);
@@ -1039,28 +1001,21 @@ impl Server {
     }
 
     /// Session setup: bind the client's identities, reply the capabilities.
-    fn hello(&mut self, ctx: &ActorCtx, vi: ViId, d: &mut Dec, e: &mut Enc) {
-        // The body carries the client's stable id. Legacy clients omit it;
-        // each such session gets a unique synthetic id (high bit set, above
-        // any real VI-derived id) so two cid-less clients never share a
-        // replay-cache identity. A re-Hello on a session that already holds
-        // a synthetic id keeps it — a legacy client cannot name itself
-        // across reconnects, so its identity is the session.
-        match d.u64() {
-            Ok(c) => {
-                self.client_ids.insert(vi, c);
-            }
-            Err(_) => {
-                self.client_ids.entry(vi).or_insert_with(|| {
-                    self.next_legacy_cid += 1;
-                    LEGACY_CID_BASE | self.next_legacy_cid
-                });
-            }
-        }
+    /// The body starts with the client's stable id, its replay identity
+    /// across redials; a body too short to hold one is refused and binds
+    /// nothing.
+    fn hello(
+        &mut self,
+        ctx: &ActorCtx,
+        vi: ViId,
+        d: &mut Dec,
+        e: &mut Enc,
+    ) -> Result<(), DafsStatus> {
+        self.client_ids.insert(vi, d.u64()?);
         // Optional QoS extension, present only when the client declared a
-        // tenant: `(tenant id u64, weight u32)`. Legacy and QoS-unaware
-        // Hellos end at the client id, so decoding simply stops there and
-        // the reply is unchanged.
+        // tenant: `(tenant id u64, weight u32)`. A Hello without a tenant
+        // ends at the client id, so decoding simply stops there and the
+        // reply is unchanged.
         let mut credits = CREDITS;
         if let Ok(tenant) = d.u64() {
             let weight = d.u32().unwrap_or(1).max(1);
@@ -1084,6 +1039,7 @@ impl Server {
         e.u8(self.nic.cost().rdma_read_supported as u8);
         e.u32(credits);
         e.u64(INLINE_MAX);
+        Ok(())
     }
 
     /// The read executor: gather `segs` of `fh` and deliver them inline
@@ -1329,34 +1285,5 @@ mod tests {
             }
         });
         kernel.run();
-    }
-
-    /// A client's reply outlives every other client's traffic: 256 other
-    /// clients × [`CREDITS`] cacheable replies (2 048, twice what the old
-    /// cache held in all) and `CREDITS − 1` of its own, the most that can
-    /// land between its lost reply and its replay. Fails at the parent, one
-    /// FIFO of 1 024 replies shared by every client: A's was evicted by the
-    /// 1 024th insert after it.
-    #[test]
-    fn a_reply_survives_other_clients_and_its_own_window() {
-        let mut cache = ReplayCache::default();
-        let reply = |id: u32| Bytes::from_vec(id.to_le_bytes().to_vec());
-        let a = (1, 42);
-        cache.insert(a, reply(42));
-        for cid in 2..258 {
-            for id in 1..=CREDITS {
-                cache.insert((cid, id), reply(id));
-            }
-        }
-        for id in 43..43 + CREDITS - 1 {
-            cache.insert((1, id), reply(id));
-        }
-        assert_eq!(cache.get(a), Some(&reply(42)));
-        // One more of its own pushes it out; a clean goodbye drops the rest.
-        cache.insert((1, 99), reply(99));
-        assert_eq!(cache.get(a), None);
-        cache.forget(1);
-        assert_eq!(cache.get((1, 99)), None);
-        assert_eq!(cache.get((2, 1)), Some(&reply(1)));
     }
 }

@@ -6,13 +6,21 @@
 //! and reply encoding run serially in one `nfsd` actor, so request
 //! processing contends on one CPU — which is exactly what saturates first
 //! in the multi-client experiments.
-
-use std::collections::{HashMap, VecDeque};
+//!
+//! The worker is one `Nfsd`: the export, its costs and counters, and the
+//! duplicate-request cache, with `serve` (the cache around one frame),
+//! `serve_one` (bill, decode, execute, encode) and `dispatch` (one
+//! procedure) as methods. The cache is the DAFS server's machine,
+//! [`simnet::replay::ReplayCache`], keyed by connection: a retransmitted xid
+//! whose reply is kept gets that reply resent verbatim, and only the
+//! procedures whose re-execution would be observable are kept (see
+//! `REPLAY_WINDOW` for why 256 per connection).
 
 use memfs::{MemFs, NodeId, SetAttr};
 use simnet::cost::HostCost;
+use simnet::replay::ReplayCache;
 use simnet::time::units::*;
-use simnet::{ActorCtx, ByteMeter, Counter, Host, Port, SimDuration, SimKernel};
+use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, SimDuration, SimKernel};
 use tcpnet::{Socket, TcpFabric};
 
 use crate::proto::{self, NfsProc, NfsStatus, Stable};
@@ -99,87 +107,55 @@ pub fn spawn_nfs_server(
     }
 
     // The serial nfsd worker.
-    {
-        let host = host.clone();
-        let stats = stats.clone();
-        let work = work.clone();
-        kernel.spawn_daemon("nfsd", move |ctx| {
-            let mut drc = Drc::new(DRC_CAPACITY);
-            while let Some((conn, req, sock)) = work.recv(ctx) {
-                // Duplicate-request cache: a retransmitted xid (same
-                // connection) gets the cached reply resent verbatim, so
-                // non-idempotent procedures execute at most once even when
-                // the client's retransmit timer fires.
-                let xid = XdrDec::new(&req).u32().ok();
-                if let Some(xid) = xid {
-                    if let Some(cached) = drc.get(conn, xid) {
-                        ctx.metrics().counter("nfs.drc.hits").inc();
-                        ctx.trace(
-                            "nfs",
-                            "drc.hit",
-                            &[
-                                ("conn", obs::Value::U64(conn as u64)),
-                                ("xid", obs::Value::U64(xid as u64)),
-                            ],
-                        );
-                        let cached = cached.clone();
-                        sock.send_owned(ctx, proto::frame(&cached));
-                        continue;
-                    }
-                }
-                let reply = serve_one(ctx, &host, &fs, &cost, &stats, &req);
-                if let Some(xid) = xid {
-                    drc.insert(conn, xid, reply.clone());
-                }
-                sock.send_owned(ctx, proto::frame(&reply));
-            }
-        });
-    }
+    let mut nfsd = Nfsd {
+        host: host.clone(),
+        fs,
+        cost,
+        stats: stats.clone(),
+        replay: ReplayCache::new(REPLAY_WINDOW),
+    };
+    kernel.spawn_daemon("nfsd", move |ctx| {
+        while let Some((conn, req, sock)) = work.recv(ctx) {
+            nfsd.serve(ctx, conn, &req, &sock);
+        }
+    });
 
     NfsServerHandle { stats, host }
 }
 
-/// Entries retained by the duplicate-request cache. Sized like a 2001-era
-/// nfsd DRC: big enough to cover every xid still inside a client's
-/// retransmit window, small enough to be an afterthought in server memory.
-const DRC_CAPACITY: usize = 256;
-
-/// Duplicate-request cache: `(connection, xid) -> encoded reply`, evicted
-/// FIFO at `capacity`. Keyed per connection because xids are per-client
-/// counters (every client starts at 1).
+/// Replies the duplicate-request cache keeps per connection.
 ///
-/// Lookups and inserts charge no virtual time: the real cache probe is
-/// noise next to `per_op`, and keeping the miss path free means fault-free
-/// runs are byte-identical with and without this cache.
-struct Drc {
-    capacity: usize,
-    replies: HashMap<(u32, u32), Vec<u8>>,
-    order: VecDeque<(u32, u32)>,
-}
+/// A mount asks for an old reply in one way: it retransmits an xid it is
+/// still waiting for (`NfsClient::await_reply`), on the connection it sent
+/// it on. Every RPC inserts at most once — a retransmit that hits inserts
+/// nothing, and one whose first copy was lost executes for the first time
+/// — so the replies inserted after xid `x`'s are those of the other
+/// mutating RPCs in flight beside it on its connection. The bound holds
+/// unless more than 256 mutating RPCs are in flight on one connection. The
+/// largest batch the stack issues itself is one two-phase window of
+/// WRITEs: `cb_buffer_size / wsize` plus one per run (128 plus the runs at
+/// the 4 MiB / 32 KiB defaults). An application `iwrite_at` of more than
+/// 8 MiB issues more than 256 WRITEs at once and can exceed it; a client
+/// slot table that caps the RPCs in flight would close that gap. The nfsd
+/// is never told a connection closed, so it keeps up to this many replies
+/// for every connection it has served.
+const REPLAY_WINDOW: usize = 256;
 
-impl Drc {
-    fn new(capacity: usize) -> Drc {
-        Drc {
-            capacity,
-            replies: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, conn: u32, xid: u32) -> Option<&Vec<u8>> {
-        self.replies.get(&(conn, xid))
-    }
-
-    fn insert(&mut self, conn: u32, xid: u32, reply: Vec<u8>) {
-        if self.replies.insert((conn, xid), reply).is_none() {
-            self.order.push_back((conn, xid));
-            if self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.replies.remove(&old);
-                }
-            }
-        }
-    }
+/// Whether a procedure's reply must be kept for retransmits: only those
+/// whose re-execution would be observable (the DAFS server's rule). A
+/// retransmitted READ, LOOKUP, GETATTR, READDIR, COMMIT or NULL simply runs
+/// again, so the 32 KiB of a READ reply is never held.
+fn replay_cacheable(p: NfsProc) -> bool {
+    matches!(
+        p,
+        NfsProc::SetAttr
+            | NfsProc::Write
+            | NfsProc::Create
+            | NfsProc::Mkdir
+            | NfsProc::Remove
+            | NfsProc::Rmdir
+            | NfsProc::Rename
+    )
 }
 
 /// A reply to `xid`, so far only its header: the one place the status word
@@ -190,128 +166,161 @@ fn reply_header(xid: u32, status: NfsStatus) -> XdrEnc {
     e
 }
 
-/// Decode, execute, and encode one RPC. Charges nfsd CPU time. Every frame
-/// gets one reply: a frame cut short of its xid is answered under xid 0,
-/// and one that names no procedure, or cuts its arguments short, with
-/// [`NfsStatus::Io`].
-fn serve_one(
-    ctx: &ActorCtx,
-    host: &Host,
-    fs: &MemFs,
-    cost: &NfsServerCost,
-    stats: &NfsServerStats,
-    req: &[u8],
-) -> Vec<u8> {
-    stats.ops.inc();
-    host.compute(ctx, cost.per_op);
-
-    let mut d = XdrDec::new(req);
-    let xid = d.u32().unwrap_or(0);
-    let mut e = reply_header(xid, NfsStatus::Ok);
-    if let Err(status) = dispatch(ctx, host, fs, cost, stats, &mut d, &mut e) {
-        e = reply_header(xid, status);
-    }
-    e.finish()
+/// The worker's state. Owned by the one `nfsd` actor.
+struct Nfsd {
+    host: Host,
+    fs: MemFs,
+    cost: NfsServerCost,
+    stats: NfsServerStats,
+    /// Framed replies of mutating procedures, per connection.
+    replay: ReplayCache,
 }
 
-/// Decode and execute one procedure, appending the reply body to `e` (which
-/// already holds the OK header). An error becomes the reply's status.
-fn dispatch(
-    ctx: &ActorCtx,
-    host: &Host,
-    fs: &MemFs,
-    cost: &NfsServerCost,
-    stats: &NfsServerStats,
-    d: &mut XdrDec,
-    e: &mut XdrEnc,
-) -> Result<(), NfsStatus> {
-    match NfsProc::from_u32(d.u32()?).ok_or(NfsStatus::Io)? {
-        NfsProc::Null => {}
-        NfsProc::GetAttr => {
-            let a = fs.getattr(NodeId(d.u64()?))?;
-            proto::enc_attr(e, &a);
+impl Nfsd {
+    /// Answer one frame from connection `conn` on `sock`: resend a kept
+    /// reply to a retransmitted xid, or execute the frame and keep a
+    /// mutating procedure's reply. Lookups and inserts charge no virtual
+    /// time, and the resend costs what the first send did.
+    fn serve(&mut self, ctx: &ActorCtx, conn: u32, req: &[u8], sock: &Socket) {
+        let mut d = XdrDec::new(req);
+        let xid = d.u32().ok();
+        if let Some(xid) = xid {
+            if let Some(cached) = self.replay.get(conn as u64, xid) {
+                ctx.metrics().counter("nfs.drc.hits").inc();
+                ctx.trace(
+                    "nfs",
+                    "drc.hit",
+                    &[
+                        ("conn", obs::Value::U64(conn as u64)),
+                        ("xid", obs::Value::U64(xid as u64)),
+                    ],
+                );
+                sock.send_bytes(ctx, cached.clone());
+                return;
+            }
         }
-        NfsProc::SetAttr => {
-            let fh = NodeId(d.u64()?);
-            let size = match d.u32()? {
-                0 => None,
-                _ => Some(d.u64()?),
-            };
-            let a = fs.setattr(fh, SetAttr { size })?;
-            host.compute(ctx, cost.sync);
-            proto::enc_attr(e, &a);
+        let cacheable = d
+            .u32()
+            .ok()
+            .and_then(NfsProc::from_u32)
+            .is_some_and(replay_cacheable);
+        let reply = Bytes::from_vec(proto::frame(&self.serve_one(ctx, req)));
+        if let (Some(xid), true) = (xid, cacheable) {
+            self.replay.insert(conn as u64, xid, reply.clone());
         }
-        NfsProc::Lookup => {
-            let (dir, name) = (NodeId(d.u64()?), d.string()?);
-            proto::enc_attr(e, &fs.lookup(dir, &name)?);
+        sock.send_bytes(ctx, reply);
+    }
+
+    /// Decode, execute, and encode one RPC. Charges nfsd CPU time. Every
+    /// frame gets one reply: a frame cut short of its xid is answered under
+    /// xid 0, and one that names no procedure, or cuts its arguments short,
+    /// with [`NfsStatus::Io`].
+    fn serve_one(&self, ctx: &ActorCtx, req: &[u8]) -> Vec<u8> {
+        self.stats.ops.inc();
+        self.host.compute(ctx, self.cost.per_op);
+
+        let mut d = XdrDec::new(req);
+        let xid = d.u32().unwrap_or(0);
+        let mut e = reply_header(xid, NfsStatus::Ok);
+        if let Err(status) = self.dispatch(ctx, &mut d, &mut e) {
+            e = reply_header(xid, status);
         }
-        NfsProc::Read => {
-            let (fh, off, len) = (NodeId(d.u64()?), d.u64()?, d.u32()? as u64);
-            let data = fs.read_views(fh, off, len)?;
-            // Buffer-cache copy into the reply.
-            host.compute(ctx, cost.host.copy(data.len() as u64));
-            stats.reads.record(data.len() as u64);
-            let eof = off + data.len() as u64 >= fs.getattr(fh)?.size;
-            e.u32(data.len() as u32).u32(eof as u32).opaque_rope(&data);
-        }
-        NfsProc::Write => {
-            let (fh, off) = (NodeId(d.u64()?), d.u64()?);
-            let stable = Stable::from_u32(d.u32()?);
-            let data = d.opaque()?;
-            host.compute(ctx, cost.host.copy(data.len() as u64));
-            let a = fs.write(fh, off, data)?;
-            if stable != Stable::Unstable {
+        e.finish()
+    }
+
+    /// Decode and execute one procedure, appending the reply body to `e`
+    /// (which already holds the OK header). An error becomes the reply's
+    /// status.
+    fn dispatch(&self, ctx: &ActorCtx, d: &mut XdrDec, e: &mut XdrEnc) -> Result<(), NfsStatus> {
+        let (host, fs, cost, stats) = (&self.host, &self.fs, &self.cost, &self.stats);
+        match NfsProc::from_u32(d.u32()?).ok_or(NfsStatus::Io)? {
+            NfsProc::Null => {}
+            NfsProc::GetAttr => {
+                let a = fs.getattr(NodeId(d.u64()?))?;
+                proto::enc_attr(e, &a);
+            }
+            NfsProc::SetAttr => {
+                let fh = NodeId(d.u64()?);
+                let size = match d.u32()? {
+                    0 => None,
+                    _ => Some(d.u64()?),
+                };
+                let a = fs.setattr(fh, SetAttr { size })?;
+                host.compute(ctx, cost.sync);
+                proto::enc_attr(e, &a);
+            }
+            NfsProc::Lookup => {
+                let (dir, name) = (NodeId(d.u64()?), d.string()?);
+                proto::enc_attr(e, &fs.lookup(dir, &name)?);
+            }
+            NfsProc::Read => {
+                let (fh, off, len) = (NodeId(d.u64()?), d.u64()?, d.u32()? as u64);
+                let data = fs.read_views(fh, off, len)?;
+                // Buffer-cache copy into the reply.
+                host.compute(ctx, cost.host.copy(data.len() as u64));
+                stats.reads.record(data.len() as u64);
+                let eof = off + data.len() as u64 >= fs.getattr(fh)?.size;
+                e.u32(data.len() as u32).u32(eof as u32).opaque_rope(&data);
+            }
+            NfsProc::Write => {
+                let (fh, off) = (NodeId(d.u64()?), d.u64()?);
+                let stable = Stable::from_u32(d.u32()?);
+                let data = d.opaque()?;
+                host.compute(ctx, cost.host.copy(data.len() as u64));
+                let a = fs.write(fh, off, data)?;
+                if stable != Stable::Unstable {
+                    host.compute(ctx, cost.sync);
+                }
+                stats.writes.record(data.len() as u64);
+                e.u32(data.len() as u32).u32(stable as u32);
+                proto::enc_attr(e, &a);
+            }
+            NfsProc::Create => {
+                let (dir, name) = (NodeId(d.u64()?), d.string()?);
+                let a = fs.create(dir, &name)?;
+                host.compute(ctx, cost.sync);
+                proto::enc_attr(e, &a);
+            }
+            NfsProc::Mkdir => {
+                let (dir, name) = (NodeId(d.u64()?), d.string()?);
+                let a = fs.mkdir(dir, &name)?;
+                host.compute(ctx, cost.sync);
+                proto::enc_attr(e, &a);
+            }
+            NfsProc::Remove => {
+                let (dir, name) = (NodeId(d.u64()?), d.string()?);
+                fs.remove(dir, &name)?;
                 host.compute(ctx, cost.sync);
             }
-            stats.writes.record(data.len() as u64);
-            e.u32(data.len() as u32).u32(stable as u32);
-            proto::enc_attr(e, &a);
+            NfsProc::Rmdir => {
+                let (dir, name) = (NodeId(d.u64()?), d.string()?);
+                fs.rmdir(dir, &name)?;
+                host.compute(ctx, cost.sync);
+            }
+            NfsProc::Rename => {
+                let (from, name) = (NodeId(d.u64()?), d.string()?);
+                let (to, to_name) = (NodeId(d.u64()?), d.string()?);
+                fs.rename(from, &name, to, &to_name)?;
+                host.compute(ctx, cost.sync);
+            }
+            NfsProc::ReadDir => {
+                let dir = NodeId(d.u64()?);
+                // Encode entries straight off the directory map, borrowed under
+                // the filesystem lock — no per-call Vec<(String, NodeId)>.
+                let mut n = 0u32;
+                let mut body = XdrEnc::new();
+                fs.with_readdir(dir, |name, id| {
+                    body.u64(id.0);
+                    body.string(name);
+                    n += 1;
+                })?;
+                e.u32(n).raw(&body.finish());
+            }
+            NfsProc::Commit => {
+                let _fh = NodeId(d.u64()?);
+                host.compute(ctx, cost.sync);
+            }
         }
-        NfsProc::Create => {
-            let (dir, name) = (NodeId(d.u64()?), d.string()?);
-            let a = fs.create(dir, &name)?;
-            host.compute(ctx, cost.sync);
-            proto::enc_attr(e, &a);
-        }
-        NfsProc::Mkdir => {
-            let (dir, name) = (NodeId(d.u64()?), d.string()?);
-            let a = fs.mkdir(dir, &name)?;
-            host.compute(ctx, cost.sync);
-            proto::enc_attr(e, &a);
-        }
-        NfsProc::Remove => {
-            let (dir, name) = (NodeId(d.u64()?), d.string()?);
-            fs.remove(dir, &name)?;
-            host.compute(ctx, cost.sync);
-        }
-        NfsProc::Rmdir => {
-            let (dir, name) = (NodeId(d.u64()?), d.string()?);
-            fs.rmdir(dir, &name)?;
-            host.compute(ctx, cost.sync);
-        }
-        NfsProc::Rename => {
-            let (from, name) = (NodeId(d.u64()?), d.string()?);
-            let (to, to_name) = (NodeId(d.u64()?), d.string()?);
-            fs.rename(from, &name, to, &to_name)?;
-            host.compute(ctx, cost.sync);
-        }
-        NfsProc::ReadDir => {
-            let dir = NodeId(d.u64()?);
-            // Encode entries straight off the directory map, borrowed under
-            // the filesystem lock — no per-call Vec<(String, NodeId)>.
-            let mut n = 0u32;
-            let mut body = XdrEnc::new();
-            fs.with_readdir(dir, |name, id| {
-                body.u64(id.0);
-                body.string(name);
-                n += 1;
-            })?;
-            e.u32(n).raw(&body.finish());
-        }
-        NfsProc::Commit => {
-            let _fh = NodeId(d.u64()?);
-            host.compute(ctx, cost.sync);
-        }
+        Ok(())
     }
-    Ok(())
 }

@@ -54,6 +54,7 @@ pub mod buf;
 pub mod cost;
 pub mod fault;
 pub mod host;
+pub mod replay;
 pub mod rng;
 pub mod time;
 pub mod topo;

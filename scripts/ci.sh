@@ -7,13 +7,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> the two lease state machines stay pure"
-# The server's lease table, the client's page cache and the explorer that
-# composes them name no kernel, NIC, simulated memory, metric or trace —
-# tests included: both explorers run without a SimKernel.
+echo "==> the lease and replay state machines stay pure"
+# The server's lease table, the client's page cache, the explorer that
+# composes them and the replay cache both servers drive name no kernel,
+# NIC, simulated memory, metric or trace — tests included: both explorers
+# run without a SimKernel.
 if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.compute\(' \
-    crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs; then
+    crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs \
+    crates/simnet/src/replay.rs; then
     echo "ci: I/O in a pure module (lines above)" >&2
+    exit 1
+fi
+
+echo "==> one duplicate-request machine"
+# The DAFS server and the nfsd drive one replay cache, `simnet::replay`:
+# no second cache type, and no synthetic identity for a cid-less Hello.
+if grep -rnE 'struct Drc\b|DRC_CAPACITY|LEGACY_CID_BASE|next_legacy_cid' crates ||
+    grep -rn 'struct ReplayCache\b' crates | grep -v '^crates/simnet/src/replay.rs:'; then
+    echo "ci: a second duplicate-request cache is back (lines above)" >&2
     exit 1
 fi
 

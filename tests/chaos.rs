@@ -370,6 +370,86 @@ fn nfs_writes_survive_retransmission_without_corruption() {
     assert!(total_retrans > 0, "sweep never exercised a retransmission");
 }
 
+/// The NFS duplicate-request cache keeps each connection's replies apart
+/// from every other connection's traffic, and keeps only what re-execution
+/// would make observable. Mount A's CREATE reply dies in a link-down window
+/// on A↔server; while A waits out its timer, mount B runs 300 CREATEs. A's
+/// retransmit gets the kept `Ok` and the file exists once — with one FIFO
+/// of 256 replies shared by every connection, B's traffic evicted it and
+/// the retransmit met `Exist`. Then a READ whose reply dies the same way
+/// simply runs again: the server counts it twice, where a cache that kept
+/// every reply answered it for free.
+#[test]
+fn nfs_retransmits_are_exactly_once_across_connections() {
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = tcpnet::TcpFabric::new(tcpnet::TcpCost::default());
+    let server_host = cluster.add_host("server0");
+    let (a_host, b_host) = (cluster.add_host("a"), cluster.add_host("b"));
+    let (sid, aid) = (server_host.id, a_host.id);
+    // A sends at `t`; its request is on the wire ~21 us later and the
+    // reply leaves the server past `t` + 100 us. The window takes the
+    // reply only, and closes long before A's 200 ms timer fires.
+    let (create_at, read_at) = (SimTime::ZERO + ms(1), SimTime::ZERO + ms(300));
+    let lose_reply = |t: SimTime| (t + us(60), t + ms(150));
+    let (c0, c1) = lose_reply(create_at);
+    let (r0, r1) = lose_reply(read_at);
+    fabric.set_fault_plan(
+        FaultPlan::builder(0xD2C)
+            .link_down(sid, aid, c0, c1)
+            .link_down(sid, aid, r0, r1)
+            .build(),
+    );
+    let fs = mpio_dafs::memfs::MemFs::new();
+    let server = nfsv3::spawn_nfs_server(
+        &kernel,
+        &fabric,
+        server_host,
+        fs.clone(),
+        2049,
+        nfsv3::NfsServerCost::default(),
+    );
+    let mount =
+        move |ctx: &ActorCtx, host: &mpio_dafs::simnet::Host, fabric: &tcpnet::TcpFabric| {
+            let mut cfg = nfsv3::NfsClientConfig::default();
+            cfg.retry.base_timeout = ms(200);
+            nfsv3::NfsClient::mount(ctx, fabric, host, sid, 2049, cfg).unwrap()
+        };
+    {
+        let fabric = fabric.clone();
+        let ops = server.stats.ops.clone();
+        kernel.spawn("a", move |ctx| {
+            let c = mount(ctx, &a_host, &fabric);
+            ctx.sleep_until(create_at);
+            let f = c.create(ctx, ROOT_ID, "a").expect("the kept CREATE reply");
+            c.write(ctx, f.id, 0, &[0xA5; 4096]).unwrap();
+            ctx.sleep_until(read_at);
+            let before = ops.get();
+            assert_eq!(c.read(ctx, f.id, 0, 4096).unwrap(), vec![0xA5; 4096]);
+            assert_eq!(ops.get() - before, 2, "a lost READ reply runs again");
+            c.unmount(ctx);
+        });
+    }
+    kernel.spawn("b", move |ctx| {
+        let c = mount(ctx, &b_host, &fabric);
+        ctx.sleep_until(create_at + ms(1));
+        for i in 0..300 {
+            c.create(ctx, ROOT_ID, &format!("b{i}")).unwrap();
+        }
+        assert!(ctx.now() < create_at + ms(200), "B outlasted A's timer");
+        c.unmount(ctx);
+    });
+    let obs = kernel.obs().clone();
+    let end = kernel.run();
+    let snap = obs.snapshot(end.as_nanos());
+    let count = |name: &str| snap.get(name).map(|e| e.value()).unwrap_or(0);
+    assert_eq!(count("nfs.retrans"), 2, "both replies were lost");
+    assert!(count("nfs.drc.hits") >= 1, "the CREATE retransmit missed");
+    let names = fs.readdir(ROOT_ID).unwrap();
+    assert_eq!(names.iter().filter(|(n, _)| n == "a").count(), 1);
+    assert_eq!(names.len(), 301);
+}
+
 // --- lease recalls under faults ---------------------------------------------
 //
 // The lease-coherent client cache adds a new wedge surface: a conflicting

@@ -1,6 +1,7 @@
 //! QoS scheduler suite: weighted-fair sharing properties, full-stack
-//! two-tenant progress, crash-of-a-throttled-tenant chaos, and the
-//! legacy-client replay-identity regression.
+//! two-tenant progress, crash-of-a-throttled-tenant chaos, and the DAFS
+//! server's answers to malformed frames (a Hello without a client id, a
+//! truncated request, a direct request naming a bad buffer).
 //!
 //! Everything runs in virtual time on seeded inputs, so every assertion
 //! here is exactly reproducible.
@@ -228,22 +229,21 @@ fn throttled_tenant_crash_mid_queue_releases_parked_frames() {
     );
 }
 
-/// Regression (legacy-client replay identity): two cid-less clients that
-/// replay the *same* reqid must not share one replay-cache identity. The
-/// old decode mapped every malformed/legacy Hello to client id 0, so the
-/// second client's write was answered from the first client's cached
-/// reply — and never applied.
+/// A Hello names the client's replay identity, so one without a client id
+/// is a protocol error: one `Inval` reply, binding nothing. The session
+/// lives on: a real Hello on it is answered, and a `WriteInline` after
+/// that applies.
 #[test]
-fn legacy_clients_get_distinct_replay_identities() {
+fn a_hello_without_a_client_id_is_refused() {
+    const INVAL: u8 = 7;
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = via::ViaFabric::new(via::ViaCost::default());
     let server_nic = fabric.open_nic(cluster.add_host("server0"));
     let sid = server_nic.host().id;
     let fs = mpio_dafs::memfs::MemFs::new();
-    fs.create(ROOT_ID, "a").unwrap();
-    fs.create(ROOT_ID, "b").unwrap();
-    let _server = dafs::spawn_dafs_server(
+    let f = fs.create(ROOT_ID, "a").unwrap().id;
+    let server = dafs::spawn_dafs_server(
         &kernel,
         &fabric,
         server_nic,
@@ -251,66 +251,56 @@ fn legacy_clients_get_distinct_replay_identities() {
         PORT,
         dafs::DafsServerCost::default(),
     );
-    // Raw VIA clients speaking the legacy dialect: Hello with an *empty*
-    // body (no client id), then WriteInline — both using reqid 42.
-    for (name, file, fill) in [("legacy0", "a", 0xAAu8), ("legacy1", "b", 0xBB)] {
+    {
         let fabric = fabric.clone();
-        let fs = fs.clone();
-        let host = cluster.add_host(name);
-        kernel.spawn(name, move |ctx| {
+        let host = cluster.add_host("raw");
+        kernel.spawn("raw", move |ctx| {
             let nic = fabric.open_nic(host.clone());
             let vi = fabric
                 .connect(ctx, &nic, sid, PORT, ViAttributes::default())
                 .unwrap();
             let tag = vi.ptag();
-            // One recv slot per expected reply.
-            for _ in 0..2 {
-                let buf = nic.host().mem.alloc(1 << 10);
-                let h = nic.register_mem(ctx, buf, 1 << 10, MemAttributes::local(tag));
-                vi.post_recv(ctx, RecvDesc::new(vec![DataSegment::new(buf, 1 << 10, h)]));
-            }
-            let send = |ctx: &mpio_dafs::simnet::ActorCtx, frame: &[u8]| {
-                let buf = nic.host().mem.alloc(frame.len());
-                nic.host().mem.write(buf, frame);
-                let h = nic.register_mem(ctx, buf, frame.len() as u64, MemAttributes::local(tag));
+            let mem = &nic.host().mem;
+            let (sbuf, rbuf) = (mem.alloc(1 << 10), mem.alloc(1 << 10));
+            let sh = nic.register_mem(ctx, sbuf, 1 << 10, MemAttributes::local(tag));
+            let rh = nic.register_mem(ctx, rbuf, 1 << 10, MemAttributes::local(tag));
+            // One request, one reply: its reqid echoed and its status byte.
+            let call = |reqid: u32, op: u8, body: &[u8]| -> u8 {
+                let frame = [&reqid.to_le_bytes()[..], &[op], body].concat();
+                mem.write(sbuf, &frame);
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(rbuf, 1 << 10, rh)]),
+                );
                 vi.post_send(
                     ctx,
-                    SendDesc::send(vec![DataSegment::new(buf, frame.len() as u32, h)]),
+                    SendDesc::send(vec![DataSegment::new(sbuf, frame.len() as u32, sh)]),
                 );
                 vi.send_wait(ctx);
                 let resp = vi.recv_wait(ctx);
-                assert!(resp.status.is_ok(), "{name}: transport error");
-                let payload = resp.payload.expect("reply frame");
-                // Response header: reqid u32 | status u8 (0 = OK).
-                assert_eq!(payload[4], 0, "{name}: server returned an error");
+                assert!(resp.status.is_ok(), "op {op}: transport error");
+                let reply = resp.payload.expect("reply frame");
+                assert_eq!(reply[..4], reqid.to_le_bytes(), "op {op}: another reply");
+                reply[4]
             };
-            // Legacy Hello: header only — reqid 1, op 18 — no client id.
-            let mut hello = 1u32.to_le_bytes().to_vec();
-            hello.push(18);
-            send(ctx, &hello);
-            // WriteInline, reqid 42 for BOTH clients: fh u64 | off u64 |
-            // len-prefixed data.
-            let f = fs.resolve(&format!("/{file}")).unwrap();
-            let mut w = 42u32.to_le_bytes().to_vec();
-            w.push(11);
-            w.extend_from_slice(&f.id.0.to_le_bytes());
-            w.extend_from_slice(&0u64.to_le_bytes());
-            w.extend_from_slice(&128u32.to_le_bytes());
-            w.extend(std::iter::repeat_n(fill, 128));
-            send(ctx, &w);
+            // Hello (op 18) with an empty body: header only.
+            assert_eq!(call(1, 18, &[]), INVAL, "a Hello without a client id");
+            assert_eq!(call(2, 18, &7u64.to_le_bytes()), 0, "a real Hello after it");
+            // WriteInline (op 11): fh u64 | off u64 | len-prefixed data.
+            let body = [
+                &f.0.to_le_bytes()[..],
+                &0u64.to_le_bytes(),
+                &128u32.to_le_bytes(),
+                &[0xAA; 128],
+            ]
+            .concat();
+            assert_eq!(call(3, 11, &body), 0, "WriteInline");
             vi.disconnect(ctx);
         });
     }
     kernel.run();
-    for (file, fill) in [("a", 0xAAu8), ("b", 0xBB)] {
-        let attr = fs.resolve(&format!("/{file}")).unwrap();
-        assert_eq!(attr.size, 128, "legacy write to '{file}' was not applied");
-        assert_eq!(
-            fs.read(attr.id, 0, 128).unwrap(),
-            vec![fill; 128],
-            "legacy write to '{file}' holds wrong bytes (replay identity collision?)"
-        );
-    }
+    assert_eq!(fs.read(f, 0, 1 << 10).unwrap(), vec![0xAA; 128]);
+    assert_eq!(server.stats.ops.get(), 3, "a frame went unserved");
 }
 
 /// ROADMAP item 8, the DAFS decoder's half: a request cut short anywhere
@@ -319,8 +309,8 @@ fn legacy_clients_get_distinct_replay_identities() {
 /// Hello, then for every op that has a body sends every proper prefix of a
 /// frame that would have been valid (and, for the mutating ops, would have
 /// changed something). Afterwards the same session still answers, and the
-/// namespace and the file image are what they were. `Hello` itself is left
-/// out: every prefix of its body is an older dialect, answered OK.
+/// namespace and the file image are what they were. `Hello` is among them:
+/// a body shorter than its client id binds nothing.
 #[test]
 fn truncated_frames_get_one_error_reply_and_change_nothing() {
     const INVAL: u8 = 7;
@@ -386,6 +376,7 @@ fn truncated_frames_get_one_error_reply_and_change_nothing() {
         (21, cat(&[&fh, &[1], &remote, &segs])),         // WriteList, direct
         (22, cat(&[&fh, &[2]])),                         // LeaseGrant (write)
         (24, cat(&[&fh, &1u32.to_le_bytes()])),          // LeaseRecallAck
+        (18, u(7)),                                      // Hello: client id
     ];
     let frames: u64 = bodies.iter().map(|(_, b)| b.len() as u64).sum();
 
