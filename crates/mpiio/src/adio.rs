@@ -431,7 +431,7 @@ pub trait AdioFs: Send + Sync {
 
     /// The client host's cost model, as the testbed handed it to this
     /// driver: what the MPI-IO core charges its own copies with (packing,
-    /// sieving, the two-phase overlay and scatter).
+    /// sieving, the two-phase aggregator's overlay and reply build).
     fn host_cost(&self) -> HostCost;
 }
 

@@ -17,6 +17,14 @@
 //! Reads run the same sweep in reverse: ranks send piece *descriptors*, the
 //! aggregator reads the coalesced coverage once and ships pieces back.
 //!
+//! Each byte is copied once per direction, on the collective-buffer side. A
+//! rank's pieces in one window are consecutive in its view, so they are one
+//! run of its buffer (`clipped`): a message is the pieces' `(off, len)`
+//! descriptors followed by that run, which a writer sends from its buffer
+//! as it lies and a reader lands there in one piece — ROMIO's
+//! contiguous-buffer path. Only the aggregator copies, piece by piece,
+//! between messages and its collective buffer.
+//!
 //! The payoff is the paper-era argument for collective I/O: many tiny
 //! strided accesses become a few large contiguous transfers, at the price
 //! of an interconnect exchange — cheap on a VIA-class network.
@@ -63,12 +71,16 @@ struct Piece {
 
 /// A view maps ascending (MPI requires monotone filetype displacements):
 /// the pieces come sorted by `off` and disjoint, which `plan_sweep` (first
-/// and last piece bound the extent) and `ship_read_replies` (binary search
-/// for a reply's owner) rely on.
+/// and last piece bound the extent), `clipped` and `buffer_run` (binary
+/// search for a window's or a reply's pieces) rely on.
 fn mapped_pieces(file: &MpiFile, offset_etypes: u64, nbytes: u64) -> Vec<Piece> {
+    pieces_of(file.map_view(offset_etypes, 0, nbytes))
+}
+
+/// Mapped `(off, len)` ranges as pieces consuming the buffer in order.
+fn pieces_of(ranges: Vec<(u64, u64)>) -> Vec<Piece> {
     let mut buf_off = 0u64;
-    let pieces: Vec<Piece> = file
-        .map_view(offset_etypes, 0, nbytes)
+    let pieces: Vec<Piece> = ranges
         .into_iter()
         .map(|(off, len)| {
             let p = Piece { off, len, buf_off };
@@ -92,6 +104,26 @@ fn clip(p: &Piece, ws: u64, we: u64) -> Option<Piece> {
         len: e - s,
         buf_off: p.buf_off + (s - p.off),
     })
+}
+
+/// The pieces clipped to the window `[ws, we)`. They are consecutive in
+/// the view and only the first and last can be cut, so they are one run of
+/// the rank's buffer — which the exchange moves in place.
+fn clipped(pieces: &[Piece], ws: u64, we: u64) -> Vec<Piece> {
+    let first = pieces.partition_point(|p| p.off + p.len <= ws);
+    let run: Vec<Piece> = pieces[first..]
+        .iter()
+        .map_while(|p| clip(p, ws, we))
+        .collect();
+    debug_assert!(one_run(&run), "window [{ws}, {we}) splits the buffer");
+    run
+}
+
+/// Whether each piece starts in the buffer where the one before it ends.
+fn one_run(pieces: &[Piece]) -> bool {
+    pieces
+        .windows(2)
+        .all(|w| w[0].buf_off + w[0].len == w[1].buf_off)
 }
 
 fn put_u64(v: &mut Vec<u8>, x: u64) {
@@ -280,19 +312,66 @@ fn window_reqs(runs: &[(u64, u64)], cbuf: VirtAddr, ws: u64) -> Vec<IoReq> {
 /// messages, plus `(cbuf, window_start)` if this rank aggregated it.
 type OwedWindow = (Vec<Vec<u8>>, Option<(VirtAddr, u64)>);
 
-/// Decode piece descriptors `(off u64, len u64)*` from each rank's
-/// request message into one flat list.
-fn piece_descs(requests: &[Vec<u8>]) -> Vec<(u64, u64)> {
-    let mut wanted = Vec::new();
-    for msg in requests {
-        let mut pos = 0usize;
-        while pos < msg.len() {
-            let off = get_u64(msg, &mut pos);
-            let len = get_u64(msg, &mut pos);
-            wanted.push((off, len));
-        }
+/// Put a window's clipped pieces into `msg` as `(off u64, len u64)*`
+/// descriptors.
+fn put_descs(msg: &mut Vec<u8>, pieces: &[Piece]) {
+    for p in pieces {
+        put_u64(msg, p.off);
+        put_u64(msg, p.len);
     }
-    wanted
+}
+
+fn get_desc(msg: &[u8], pos: &mut usize) -> (u64, u64) {
+    (get_u64(msg, pos), get_u64(msg, pos))
+}
+
+/// The descriptors of a read request, which carries nothing else.
+fn request_descs(msg: &[u8]) -> Vec<(u64, u64)> {
+    let mut pos = 0usize;
+    let mut out = Vec::new();
+    while pos < msg.len() {
+        out.push(get_desc(msg, &mut pos));
+    }
+    out
+}
+
+/// Split a data message into its descriptors and the payload run after
+/// them, whose length is theirs summed.
+fn split_run(msg: &[u8]) -> (Vec<(u64, u64)>, &[u8]) {
+    let (mut pos, mut run) = (0usize, 0usize);
+    let mut out = Vec::new();
+    while pos + run < msg.len() {
+        let d = get_desc(msg, &mut pos);
+        run += d.1 as usize;
+        out.push(d);
+    }
+    assert_eq!(
+        pos + run,
+        msg.len(),
+        "two-phase message of the wrong length"
+    );
+    (out, &msg[pos..])
+}
+
+/// Where in the buffer a reply's payload lands: the offset of the run its
+/// descriptors name, if each lies inside one of `pieces` and starts where
+/// the one before it ended.
+fn buffer_run(pieces: &[Piece], descs: &[(u64, u64)]) -> Option<u64> {
+    let mut start = None;
+    let mut next = None;
+    for &(off, len) in descs {
+        // The owning piece (sorted, disjoint: the first to end past `off`).
+        let p = pieces
+            .get(pieces.partition_point(|p| p.off + p.len <= off))
+            .filter(|p| off >= p.off && off + len <= p.off + p.len)?;
+        let boff = p.buf_off + (off - p.off);
+        if next.is_some_and(|n| n != boff) {
+            return None;
+        }
+        start.get_or_insert(boff);
+        next = Some(boff + len);
+    }
+    start
 }
 
 /// Record how long a nonblocking window batch has been in flight, then
@@ -314,10 +393,10 @@ fn drain_window_batch(
 }
 
 /// Answer a window's piece requests out of the collective buffer it was
-/// read into, exchange the replies, and scatter what came back into the
-/// user buffer. Runs on every rank each round — the reply `alltoallv` is
-/// collective — with `served` set only on the aggregator that holds data
-/// for these requests. Returns the bytes landed locally.
+/// read into, exchange the replies, and land each reply's payload in the
+/// user buffer as one run. Runs on every rank each round — the reply
+/// `alltoallv` is collective — with `served` set only on the aggregator
+/// that holds data for these requests. Returns the bytes landed locally.
 #[allow(clippy::too_many_arguments)]
 fn ship_read_replies(
     ctx: &ActorCtx,
@@ -330,17 +409,13 @@ fn ship_read_replies(
     mark: &mut SimTime,
 ) -> u64 {
     let host = file.host();
-    // Build per-rank replies in request order.
+    // Build per-rank replies in request order: the request's descriptors
+    // back as they came, then each piece out of the collective buffer.
     let mut replies: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
     if let Some((cbuf, ws)) = served {
-        for (r, msg) in requests.iter().enumerate() {
-            let mut pos = 0usize;
-            let reply = &mut replies[r];
-            while pos < msg.len() {
-                let off = get_u64(msg, &mut pos);
-                let len = get_u64(msg, &mut pos);
-                put_u64(reply, off);
-                put_u64(reply, len);
+        for (reply, msg) in replies.iter_mut().zip(requests) {
+            reply.extend_from_slice(msg);
+            for (off, len) in request_descs(msg) {
                 host.mem
                     .read_into(cbuf.offset(off - ws), len as usize, reply);
                 file.charge_copy(ctx, len);
@@ -350,26 +425,17 @@ fn ship_read_replies(
     charge_phase(ctx, "mpiio.twophase.aggregation_ns", mark);
     let incoming = comm.alltoallv(ctx, &replies);
     charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
-    // Scatter the pieces I got back into my user buffer.
+    // This rank asked for the pieces, so it knows where they go: the
+    // payload is one run of the user buffer and lands there in place.
     let mut total = 0u64;
     for msg in &incoming {
-        let mut pos = 0usize;
-        while pos < msg.len() {
-            let off = get_u64(msg, &mut pos);
-            let len = get_u64(msg, &mut pos);
-            // The owning piece (sorted, disjoint: the first to end past
-            // `off`) recovers the buffer offset.
-            let p = pieces
-                .get(pieces.partition_point(|p| p.off + p.len <= off))
-                .filter(|p| off >= p.off && off + len <= p.off + p.len)
-                .expect("reply for an unrequested piece");
-            let boff = p.buf_off + (off - p.off);
-            host.mem
-                .write(dst.offset(boff), &msg[pos..pos + len as usize]);
-            file.charge_copy(ctx, len);
-            pos += len as usize;
-            total += len;
+        let (got, payload) = split_run(msg);
+        if got.is_empty() {
+            continue;
         }
+        let boff = buffer_run(pieces, &got).expect("reply for an unrequested piece");
+        host.mem.write(dst.offset(boff), payload);
+        total += payload.len() as u64;
     }
     total
 }
@@ -427,16 +493,14 @@ pub fn write_at_all(
             let Some((ws, we)) = sweep.window(a, phase) else {
                 continue;
             };
+            let run = clipped(&pieces, ws, we);
             let msg = &mut sends[a];
-            for p in &pieces {
-                if let Some(c) = clip(p, ws, we) {
-                    put_u64(msg, c.off);
-                    put_u64(msg, c.len);
-                    host.mem
-                        .read_into(src.offset(c.buf_off), c.len as usize, msg);
-                    // Packing copy.
-                    file.charge_copy(ctx, c.len);
-                }
+            put_descs(msg, &run);
+            // The payload leaves the user buffer as it lies: no packing copy.
+            if let (Some(first), Some(last)) = (run.first(), run.last()) {
+                let len = last.buf_off + last.len - first.buf_off;
+                host.mem
+                    .read_into(src.offset(first.buf_off), len as usize, msg);
             }
         }
         charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
@@ -449,18 +513,18 @@ pub fn write_at_all(
             cbufs.get(phase as usize % nbufs),
             sweep.window(comm.rank(), phase),
         ) {
+            // The aggregator's side is piece by piece: it cannot know the
+            // layout before the data arrives.
             let mut covered: Vec<(u64, u64)> = Vec::new();
             for msg in &received {
-                let mut pos = 0usize;
-                while pos < msg.len() {
-                    let off = get_u64(msg, &mut pos);
-                    let len = get_u64(msg, &mut pos);
-                    host.mem
-                        .write(cbuf.offset(off - ws), &msg[pos..pos + len as usize]);
+                let (got, mut payload) = split_run(msg);
+                for &(off, len) in &got {
+                    let (piece, rest) = payload.split_at(len as usize);
+                    host.mem.write(cbuf.offset(off - ws), piece);
                     file.charge_copy(ctx, len);
-                    pos += len as usize;
-                    covered.push((off, len));
+                    payload = rest;
                 }
+                covered.extend(got);
             }
             let runs = merge_runs(covered);
             let r = window_reqs(&runs, cbuf, ws);
@@ -556,13 +620,7 @@ pub fn read_at_all(
             let Some((ws, we)) = sweep.window(a, phase) else {
                 continue;
             };
-            let msg = &mut sends[a];
-            for p in &pieces {
-                if let Some(c) = clip(p, ws, we) {
-                    put_u64(msg, c.off);
-                    put_u64(msg, c.len);
-                }
-            }
+            put_descs(&mut sends[a], &clipped(&pieces, ws, we));
         }
         charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
         let requests = comm.alltoallv(ctx, &sends);
@@ -578,7 +636,7 @@ pub fn read_at_all(
                 cbufs.get(phase as usize % nbufs),
                 sweep.window(comm.rank(), phase),
             ) {
-                let runs = merge_runs(piece_descs(&requests));
+                let runs = merge_runs(requests.iter().flat_map(|m| request_descs(m)).collect());
                 let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
                 pending = Some((
@@ -610,7 +668,7 @@ pub fn read_at_all(
             if let (Some(&cbuf), Some((ws, _we))) =
                 (cbufs.first(), sweep.window(comm.rank(), phase))
             {
-                let runs = merge_runs(piece_descs(&requests));
+                let runs = merge_runs(requests.iter().flat_map(|m| request_descs(m)).collect());
                 let reqs = window_reqs(&runs, cbuf, ws);
                 charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
                 file.adio()
@@ -781,6 +839,9 @@ pub fn read_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::Datatype;
+    use crate::view::FileView;
+    use simnet::Rng64;
 
     #[test]
     fn merge_runs_coalesces_overlaps() {
@@ -1080,6 +1141,109 @@ mod tests {
             &[4 * KIB, 12 * KIB, 100_000],
             &[5000, 20 * KIB, 48 * KIB, 1_000_000],
         );
+    }
+
+    /// `ranks` views over one file, seeded like `tests/properties.rs`'s
+    /// generators: a tile of blocks of irregular length and gap, dealt to
+    /// the ranks at random, each rank's filetype the `hindexed` of its
+    /// blocks resized to the tile, displaced by up to 20 KiB.
+    fn gen_views(rng: &mut Rng64, ranks: usize) -> Vec<FileView> {
+        let mut blocks: Vec<Vec<(u64, i64)>> = vec![Vec::new(); ranks];
+        let mut at = 0u64;
+        for r in 0..ranks {
+            // Every rank gets at least one block.
+            let mut owners = vec![r];
+            for _ in 0..rng.below(3) {
+                owners.push(rng.range_usize(0, ranks));
+            }
+            for owner in owners {
+                let len = rng.range(1, 12 * KIB);
+                blocks[owner].push((len, at as i64));
+                at += len + rng.below(4 * KIB);
+            }
+        }
+        let disp = rng.below(20 * KIB);
+        let byte = Datatype::bytes(1);
+        // Dealt in file order, so each rank's displacements ascend.
+        blocks
+            .iter()
+            .map(|b| {
+                let ft = Datatype::resized(&Datatype::hindexed(b, &byte), 0, at);
+                FileView::new(disp, &byte, &ft)
+            })
+            .collect()
+    }
+
+    /// What the exchange moves in place: in every phase, every rank's
+    /// pieces in every aggregator's window are one run of its buffer (the
+    /// run a read reply's descriptors lead back to), `clipped` finds the
+    /// same pieces as clipping each one, and each byte ships exactly once.
+    #[test]
+    fn a_window_holds_one_run_of_each_rank_buffer() {
+        let mut rng = Rng64::new(0xDA7A_0029);
+        for case in 0..64 {
+            let ranks = rng.range_usize(1, 9);
+            let views = gen_views(&mut rng, ranks);
+            let all: Vec<(Vec<Piece>, u64)> = views
+                .iter()
+                .map(|v| {
+                    let nbytes = rng.range(1, 3 * v.tile_size());
+                    (pieces_of(v.map(rng.below(v.tile_size()), nbytes)), nbytes)
+                })
+                .collect();
+            let gmin = all.iter().map(|(p, _)| p[0].off).min().unwrap();
+            let gmax = all
+                .iter()
+                .map(|(p, _)| p.last().map_or(0, |l| l.off + l.len))
+                .max()
+                .unwrap();
+            let naggs = rng.range_usize(1, ranks + 1);
+            let cb = [4 * KIB, 20 * KIB, 64 * KIB, 1_000_000][rng.range_usize(0, 4)];
+            for layout in [None, Some((16 * KIB, 2)), Some((64 * KIB, 3))] {
+                let s = Sweep::new(gmin, gmax, naggs, cb, layout);
+                for (r, (pieces, nbytes)) in all.iter().enumerate() {
+                    let mut shipped = 0;
+                    for (k, a, ws, we) in windows(&s) {
+                        let run = clipped(pieces, ws, we);
+                        let each: Vec<Piece> =
+                            pieces.iter().filter_map(|p| clip(p, ws, we)).collect();
+                        let key = |p: &Piece| (p.off, p.len, p.buf_off);
+                        assert_eq!(
+                            run.iter().map(key).collect::<Vec<_>>(),
+                            each.iter().map(key).collect::<Vec<_>>(),
+                            "case {case} rank {r} phase {k} aggregator {a}"
+                        );
+                        assert!(
+                            one_run(&run),
+                            "case {case} rank {r} phase {k} aggregator {a}: {run:?}"
+                        );
+                        let descs: Vec<(u64, u64)> = run.iter().map(|p| (p.off, p.len)).collect();
+                        assert_eq!(buffer_run(pieces, &descs), run.first().map(|p| p.buf_off));
+                        shipped += run.iter().map(|p| p.len).sum::<u64>();
+                    }
+                    assert_eq!(shipped, *nbytes, "case {case} rank {r} {layout:?}");
+                }
+            }
+        }
+    }
+
+    /// A data message splits back into what was put in it; a reply whose
+    /// descriptors skip part of the buffer has no one run to land in.
+    #[test]
+    fn a_message_is_descriptors_then_one_run() {
+        let pieces = pieces_of(vec![(100, 10), (200, 30), (300, 5)]);
+        let run = clipped(&pieces, 105, 302);
+        let mut msg = Vec::new();
+        put_descs(&mut msg, &run);
+        msg.extend_from_slice(&[7u8; 37]);
+        let (descs, payload) = split_run(&msg);
+        assert_eq!(descs, vec![(105, 5), (200, 30), (300, 2)]);
+        assert_eq!(payload, &[7u8; 37]);
+        assert_eq!(request_descs(&msg[..48]), descs);
+        assert_eq!(buffer_run(&pieces, &descs), Some(5));
+        assert_eq!(buffer_run(&pieces, &[(105, 5), (300, 2)]), None);
+        assert_eq!(buffer_run(&pieces, &[(150, 1)]), None);
+        assert_eq!(split_run(&[]), (vec![], &[][..]));
     }
 
     fn check_sweep(s: &Sweep, cb: u64, unit: u64, servers: u64) {

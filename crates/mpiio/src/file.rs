@@ -145,6 +145,8 @@ pub struct MpiFile {
     host: Host,
     /// The driver's host cost model: what this layer's own copies cost.
     host_cost: HostCost,
+    /// `mpiio.copy_bytes`: the bytes those copies moved.
+    copy_bytes: obs::LazyCounter,
     view: Mutex<FileView>,
     /// Individual file pointer, in etypes.
     fp: Mutex<u64>,
@@ -176,6 +178,7 @@ impl MpiFile {
             driver: fs.kind(),
             host: host.clone(),
             host_cost: fs.host_cost(),
+            copy_bytes: obs::LazyCounter::new("mpiio.copy_bytes"),
             view: Mutex::new(FileView::contiguous()),
             fp: Mutex::new(0),
             hints,
@@ -205,9 +208,15 @@ impl MpiFile {
         &self.host
     }
 
-    /// Charge the rank's CPU one copy of `bytes` (packing, sieving, the
-    /// two-phase overlay and scatter), at the driver's host cost model.
+    /// Charge the rank's CPU one copy of `bytes` at the driver's host cost
+    /// model, and count them in `mpiio.copy_bytes` (which costs no virtual
+    /// time). The copies this layer makes itself: packing through a memory
+    /// datatype, picking pieces out of (or into) a sieve buffer, and the
+    /// collective-buffer side of the two-phase exchange — an aggregator's
+    /// overlay of written pieces and its build of read replies. The
+    /// user-buffer side of that exchange moves in place and is not charged.
     pub(crate) fn charge_copy(&self, ctx: &ActorCtx, bytes: u64) {
+        self.copy_bytes.get(ctx.metrics()).add(bytes);
         self.host.compute(ctx, self.host_cost.copy(bytes));
     }
 

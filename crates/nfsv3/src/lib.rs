@@ -380,6 +380,55 @@ mod tests {
         assert_eq!(server.stats.writes.ops.get(), (N * 2) as u64);
     }
 
+    /// The nfsd forgets a connection once it closes: four mounts each keep
+    /// a CREATE's reply in the duplicate-request cache, then unmount, and
+    /// each close leaves one connection fewer — the cache ends empty
+    /// instead of holding 256 replies for every connection ever served.
+    #[test]
+    fn the_nfsd_forgets_a_connection_once_it_closes() {
+        const N: usize = 4;
+        let (obs, trace) = obs::Obs::buffered();
+        let kernel = SimKernel::with_obs(obs);
+        let cluster = Cluster::new();
+        let fabric = TcpFabric::new(TcpCost::default());
+        let sh = cluster.add_host("server");
+        let server = spawn_nfs_server(
+            &kernel,
+            &fabric,
+            sh,
+            MemFs::new(),
+            2049,
+            NfsServerCost::default(),
+        );
+        for i in 0..N {
+            let fabric = fabric.clone();
+            let host = cluster.add_host(&format!("c{i}"));
+            let sid = server.host.id;
+            kernel.spawn(&format!("client{i}"), move |ctx| {
+                let c =
+                    NfsClient::mount(ctx, &fabric, &host, sid, 2049, NfsClientConfig::default())
+                        .unwrap();
+                c.create(ctx, ROOT_ID, &format!("f{i}")).unwrap();
+                // Every CREATE is in before the first mount goes.
+                ctx.advance(ms(1) * (i as u64 + 1));
+                c.unmount(ctx);
+                // Stay up until the server has seen the close.
+                ctx.advance(ms(1));
+            });
+        }
+        kernel.run();
+        let trace = String::from_utf8(trace.contents()).unwrap();
+        let left: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"event\":\"drc.forget\""))
+            .map(|l| {
+                let n = &l[l.find("\"clients\":").unwrap() + 10..];
+                &n[..n.find(|ch: char| !ch.is_ascii_digit()).unwrap()]
+            })
+            .collect();
+        assert_eq!(left, ["3", "2", "1", "0"]);
+    }
+
     /// The NFS half of `tests/qos.rs::truncated_frames_get_one_error_reply_
     /// and_change_nothing`: every proper prefix of one valid frame per
     /// procedure — cut inside the xid, the procedure number or the

@@ -12,9 +12,10 @@
 //! `serve_one` (bill, decode, execute, encode) and `dispatch` (one
 //! procedure) as methods. The cache is the DAFS server's machine,
 //! [`simnet::replay::ReplayCache`], keyed by connection: a retransmitted xid
-//! whose reply is kept gets that reply resent verbatim, and only the
+//! whose reply is kept gets that reply resent verbatim, only the
 //! procedures whose re-execution would be observable are kept (see
-//! `REPLAY_WINDOW` for why 256 per connection).
+//! `REPLAY_WINDOW` for why 256 per connection), and a connection's replies
+//! go when its reader reports it closed.
 
 use memfs::{MemFs, NodeId, SetAttr};
 use simnet::cost::HostCost;
@@ -79,8 +80,7 @@ pub fn spawn_nfs_server(
     cost: NfsServerCost,
 ) -> NfsServerHandle {
     let stats = NfsServerStats::default();
-    // (connection id, request bytes, socket to reply on)
-    let work: Port<(u32, Vec<u8>, Socket)> = Port::new("nfsd-work");
+    let work: Port<(u32, Work)> = Port::new("nfsd-work");
 
     // Acceptor: one reader daemon per connection.
     {
@@ -99,8 +99,11 @@ pub fn spawn_nfs_server(
                         let Ok(body) = sock.recv_exact(cctx, len) else {
                             break;
                         };
-                        work.send(cctx, (n, body, sock.clone()), cctx.now());
+                        work.send(cctx, (n, Work::Frame(body, sock.clone())), cctx.now());
                     }
+                    // The close notice, behind the last frame on the same
+                    // port, so the nfsd has served every frame by then.
+                    work.send(cctx, (n, Work::Closed), cctx.now());
                 });
             }
         });
@@ -115,12 +118,23 @@ pub fn spawn_nfs_server(
         replay: ReplayCache::new(REPLAY_WINDOW),
     };
     kernel.spawn_daemon("nfsd", move |ctx| {
-        while let Some((conn, req, sock)) = work.recv(ctx) {
-            nfsd.serve(ctx, conn, &req, &sock);
+        while let Some((conn, item)) = work.recv(ctx) {
+            match item {
+                Work::Frame(req, sock) => nfsd.serve(ctx, conn, &req, &sock),
+                Work::Closed => nfsd.forget(ctx, conn),
+            }
         }
     });
 
     NfsServerHandle { stats, host }
+}
+
+/// What a connection's reader hands the nfsd, tagged with the connection.
+enum Work {
+    /// One request frame, and the socket to reply on.
+    Frame(Vec<u8>, Socket),
+    /// The connection closed; nothing more comes from it.
+    Closed,
 }
 
 /// Replies the duplicate-request cache keeps per connection.
@@ -136,9 +150,10 @@ pub fn spawn_nfs_server(
 /// WRITEs: `cb_buffer_size / wsize` plus one per run (128 plus the runs at
 /// the 4 MiB / 32 KiB defaults). An application `iwrite_at` of more than
 /// 8 MiB issues more than 256 WRITEs at once and can exceed it; a client
-/// slot table that caps the RPCs in flight would close that gap. The nfsd
-/// is never told a connection closed, so it keeps up to this many replies
-/// for every connection it has served.
+/// slot table that caps the RPCs in flight would close that gap. A
+/// connection's reader tells the nfsd when it closes, and the nfsd then
+/// forgets its replies — no xid can be retransmitted on a closed
+/// connection — so it keeps up to this many replies for each open one.
 const REPLAY_WINDOW: usize = 256;
 
 /// Whether a procedure's reply must be kept for retransmits: only those
@@ -209,6 +224,20 @@ impl Nfsd {
             self.replay.insert(conn as u64, xid, reply.clone());
         }
         sock.send_bytes(ctx, reply);
+    }
+
+    /// Connection `conn` closed: drop the replies kept for it, which no
+    /// retransmit can ask for any more. Charges no virtual time.
+    fn forget(&mut self, ctx: &ActorCtx, conn: u32) {
+        self.replay.forget(conn as u64);
+        ctx.trace(
+            "nfs",
+            "drc.forget",
+            &[
+                ("conn", obs::Value::U64(conn as u64)),
+                ("clients", obs::Value::U64(self.replay.clients() as u64)),
+            ],
+        );
     }
 
     /// Decode, execute, and encode one RPC. Charges nfsd CPU time. Every

@@ -54,6 +54,11 @@ impl ReplayCache {
     pub fn forget(&mut self, client: u64) {
         self.clients.remove(&client);
     }
+
+    /// How many clients have replies kept.
+    pub fn clients(&self) -> usize {
+        self.clients.len()
+    }
 }
 
 #[cfg(test)]
@@ -83,9 +88,11 @@ mod tests {
             // One more of its own pushes it out; a goodbye drops the rest.
             cache.insert(1, 1 << 20, reply(1 << 20));
             assert_eq!(cache.get(1, 42), None, "window {window}");
+            assert_eq!(cache.clients(), 257, "window {window}");
             cache.forget(1);
             assert_eq!(cache.get(1, 1 << 20), None, "window {window}");
             assert_eq!(cache.get(2, 1), Some(&reply(1)), "window {window}");
+            assert_eq!(cache.clients(), 256, "window {window}");
         }
     }
 }

@@ -74,6 +74,19 @@ if grep -rnE 'fn retarget\b' crates/dafs || [ -z "$reconnect_body" ] ||
     exit 1
 fi
 
+echo "==> the two-phase exchange copies each byte once"
+# A rank's pieces in a window are one run of its buffer, so the user-buffer
+# side of every exchange message moves in place; only the aggregator copies,
+# once per direction (its overlay of written pieces, its build of read
+# replies). `tests/full_stack.rs::two_phase_copies_each_byte_once_per_direction`
+# holds the byte count; this holds the sites.
+copies=$(grep -c 'charge_copy(' crates/mpiio/src/collective.rs || true)
+if [ "$copies" -gt 2 ]; then
+    echo "ci: crates/mpiio/src/collective.rs charges $copies copies (at most 2):" >&2
+    grep -n 'charge_copy(' crates/mpiio/src/collective.rs >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -237,6 +237,62 @@ fn cb_nodes_hint_changes_aggregators_not_answers() {
     }
 }
 
+/// The two-phase exchange copies each byte once per direction: eight ranks
+/// 4 KiB-interleaved, `write_at_all` then `read_at_all` of `N` bytes each,
+/// count `8N` bytes in `mpiio.copy_bytes` per direction — the aggregators'
+/// overlay, then their reply build; the ranks' own buffers move in place.
+/// On two striped DAFS servers and on UFS, pipelined and not.
+#[test]
+fn two_phase_copies_each_byte_once_per_direction() {
+    const RANKS: u64 = 8;
+    const N: u64 = 256 << 10;
+    for (name, backend) in [
+        ("dafs_striped(2)", Backend::dafs_striped(2)),
+        ("ufs", Backend::ufs()),
+    ] {
+        for pipeline in ["enable", "disable"] {
+            let after_write = Arc::new(AtomicU64::new(0));
+            let seen = after_write.clone();
+            let report =
+                Testbed::new(backend.clone()).run(RANKS as usize, move |ctx, comm, adio| {
+                    let host = comm.host().clone();
+                    let mut hints = Hints::default();
+                    // The benchmark's collective call: 8 aggregators x 4 windows.
+                    hints.set("cb_buffer_size", "65536");
+                    hints.set("romio_cb_pipeline", pipeline);
+                    let f = MpiFile::open(ctx, adio, &host, "/copies", OpenMode::create(), hints)
+                        .unwrap();
+                    let el = Datatype::bytes(4096);
+                    let mine = Datatype::hindexed(&[(1, comm.rank() as i64 * 4096)], &el);
+                    f.set_view(0, &el, &Datatype::resized(&mine, 0, RANKS * 4096));
+                    let buf = host.mem.alloc(N as usize);
+                    host.mem.fill(buf, N as usize, comm.rank() as u8 + 1);
+                    assert_eq!(write_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+                    // Every rank's copies are in: the call ends in a barrier.
+                    if comm.rank() == 0 {
+                        seen.store(
+                            ctx.metrics().counter("mpiio.copy_bytes").get(),
+                            Ordering::Relaxed,
+                        );
+                    }
+                    f.sync(ctx).unwrap();
+                    comm.barrier(ctx);
+                    host.mem.fill(buf, N as usize, 0);
+                    assert_eq!(read_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+                    assert_eq!(
+                        host.mem.read_vec(buf, N as usize),
+                        vec![comm.rank() as u8 + 1; N as usize]
+                    );
+                });
+            let total = report.snapshot.get("mpiio.copy_bytes").unwrap().value();
+            let wrote = after_write.load(Ordering::Relaxed);
+            let what = format!("{name} pipeline={pipeline}");
+            assert_eq!(wrote, RANKS * N, "write: {what}");
+            assert_eq!(total - wrote, RANKS * N, "read: {what}");
+        }
+    }
+}
+
 /// Aggregate DAFS bandwidth grows with client count until the server NIC
 /// saturates near the wire rate.
 #[test]
