@@ -4,7 +4,8 @@
 //! requests DAFS reads go direct at every size past the floor (a few hundred
 //! bytes: the 512-byte row stays inline) and climb to the wire; DAFS writes
 //! keep the length rule (inline up to the 8 KiB threshold, and on this
-//! fabric, which has no RDMA Read, above it too); NFS stays host-limited
+//! fabric, which has no RDMA Read, above it too), and from the reused
+//! buffer their inline bytes are sent in place; NFS stays host-limited
 //! everywhere. Forced-inline DAFS shows what is lost without RDMA.
 
 use dafs::{DafsClientConfig, DafsServerCost};

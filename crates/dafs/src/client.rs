@@ -5,8 +5,12 @@
 //! carry session-local ids so responses can be matched out of order.
 //!
 //! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
-//! * an **inline** transfer rides in the message: one copy on each host, no
-//!   registration, the lowest latency into a buffer the NIC has never seen;
+//! * an **inline** transfer rides in the message, the lowest latency into a
+//!   buffer the NIC has never seen: a copy on the server, and on the client
+//!   a copy into the request slot (a write) or out of the reply (a read) —
+//!   except that an inline write from a warm buffer sends its bytes in
+//!   place ([`DafsClient::gathers`]), a second gather segment under the
+//!   buffer's cached registration, and the client copies only the header;
 //! * a **direct read** (READ_DIRECT) has the server RDMA-Write into the
 //!   (cached-registered) user buffer; the client CPU does nothing per byte.
 //!   A read goes direct when it is longer than `direct_threshold` — the
@@ -27,13 +31,19 @@
 //! when the two copies it saves, `2 · host.copy(len)`, cost more than that
 //! — about 560 bytes with the default costs, and computed from them.
 //!
+//! The gather floor: an inline write's payload sent in place costs one
+//! more data segment (`per_segment`) in place of the copy into the slot,
+//! `host.copy(len)` — about 60 bytes with the default costs, and computed
+//! from them. The wire bytes, messages and server work are the same.
+//!
 //! The reply needs no flag saying the data landed: it follows the RDMA
 //! Write on the same reliable VI, which delivers in order, so a reply in
 //! hand means every byte posted before it is in the buffer.
 //!
 //! A contiguous transfer takes one form on the wire, whether blocking or
 //! batched: the `Sub`s that `expand_subs` cuts it into (where the rule is
-//! asked, once per request), each encoded by `encode_sub` and its reply
+//! asked, once per request, and the gather floor once per inline write
+//! chunk), each encoded by `encode_sub` and its reply
 //! decoded — and its bytes counted — by `sub_payload`, pipelined over the
 //! credits. A blocking `read` / `write` is a batch of the one request
 //! (`transfer_wire`): it costs what that batch costs, recovery included.
@@ -223,6 +233,10 @@ struct Sub {
     addr: VirtAddr,
     len: u64,
     direct: bool,
+    /// An inline write chunk sent in place ([`DafsClient::gathers`]):
+    /// decided when the chunk is cut, so a replay sends it as it was first
+    /// sent and does not count as another touch of its buffer.
+    in_place: bool,
     /// List sub: segments with buffer offsets rebased onto `addr`. `off`
     /// is unused then; `len` is the segments' total byte count.
     segs: Option<Vec<proto::ListSeg>>,
@@ -295,20 +309,37 @@ impl DafsBatch {
 }
 
 /// Where the byte string that ends an inline write request lives. The
-/// frame is assembled straight from there ([`request_frame`]), so the
-/// payload is copied once — out of client memory into the buffer that goes
-/// on the wire.
+/// frame is assembled straight from there ([`request_frame`]), whichever
+/// variant it is. What the client is charged for differs: a payload in
+/// registered memory ([`Payload::Pinned`]) is sent in place, as the send
+/// descriptor's second gather segment, and costs no copy; every other one
+/// is copied into the request slot with the header.
 #[derive(Clone, Copy)]
 pub(crate) enum Payload<'a> {
     /// The request ends with its arguments.
     None,
-    /// One range of client memory (`WriteInline`).
+    /// One range of client memory (`WriteInline`), copied into the slot.
     Mem(VirtAddr, u64),
+    /// One range of client memory under a registration that covers it
+    /// (`WriteInline` from a warm buffer), sent in place.
+    Pinned(VirtAddr, u64, MemHandle),
     /// Segments `(_, len, buffer offset)` of client memory at a base
     /// address, packed in list order (inline `WriteList`).
     Segs(VirtAddr, &'a [proto::ListSeg]),
     /// The caller's own bytes (`Append`).
     Slice(&'a [u8]),
+}
+
+impl Payload<'_> {
+    /// The payload's byte count, without its length prefix.
+    fn len(&self) -> u64 {
+        match *self {
+            Payload::None => 0,
+            Payload::Mem(_, len) | Payload::Pinned(_, len, _) => len,
+            Payload::Segs(_, segs) => segs.iter().map(|s| s.1).sum(),
+            Payload::Slice(data) => data.len() as u64,
+        }
+    }
 }
 
 /// Assemble one request frame: header, arguments, then the payload behind
@@ -323,9 +354,7 @@ pub(crate) fn request_frame(
 ) -> Bytes {
     let body = match payload {
         Payload::None => None,
-        Payload::Mem(_, len) => Some(len as usize),
-        Payload::Segs(_, segs) => Some(segs.iter().map(|s| s.1 as usize).sum()),
-        Payload::Slice(data) => Some(data.len()),
+        p => Some(p.len() as usize),
     };
     let total = proto::REQ_HEADER_LEN + args.len() + body.map_or(0, |n| 4 + n);
     assert!(total as u64 <= SLOT, "request overflows message slot");
@@ -337,7 +366,9 @@ pub(crate) fn request_frame(
     }
     match payload {
         Payload::None => {}
-        Payload::Mem(addr, len) => mem.read_into(addr, len as usize, e.buf_mut()),
+        Payload::Mem(addr, len) | Payload::Pinned(addr, len, _) => {
+            mem.read_into(addr, len as usize, e.buf_mut())
+        }
         Payload::Segs(base, segs) => {
             for &(_, len, rel) in segs {
                 mem.read_into(base.offset(rel), len as usize, e.buf_mut());
@@ -411,6 +442,9 @@ pub struct DafsClient {
     pub cache_stats: DafsCacheStats,
     /// The run-wide `dafs.ops` registry counter, bumped per wire request.
     ops_metric: obs::LazyCounter,
+    /// `dafs.inline.copied_bytes`: the payload bytes the client is charged
+    /// to copy ([`Self::charge_copy`]).
+    copied_bytes: obs::LazyCounter,
 }
 
 impl DafsClient {
@@ -462,6 +496,7 @@ impl DafsClient {
             stats: DafsClientStats::default(),
             cache_stats: DafsCacheStats::default(),
             ops_metric: obs::LazyCounter::new("dafs.ops"),
+            copied_bytes: obs::LazyCounter::new("dafs.inline.copied_bytes"),
         };
         // Capability exchange; carries our stable client id. The handshake
         // itself rides the faulted fabric, so it gets the same bounded
@@ -639,9 +674,13 @@ impl DafsClient {
     /// id so the server can recognize a retransmitted operation.
     ///
     /// The frame is assembled once, in the buffer that goes on the wire,
-    /// and rides the send as a zero-copy payload: the registered request
-    /// slot still describes the transfer (TPT check, every cost term, the
-    /// charge for the copy into it), only the bounce through it is skipped.
+    /// and rides the send as a zero-copy payload. The descriptor's segments
+    /// still describe the transfer (TPT check, every cost term): the
+    /// registered request slot, charged for the copy into it, and — a
+    /// [`Payload::Pinned`] only — the payload in place under its own
+    /// registration, so the slot holds the header, arguments and length
+    /// prefix and only those are charged. Only the bounce through the slot
+    /// is skipped.
     fn post_request_raw(
         &self,
         ctx: &ActorCtx,
@@ -654,10 +693,12 @@ impl DafsClient {
         self.stats.ops.inc();
         self.ops_metric.get(ctx.metrics()).inc();
         self.nic.host().compute(ctx, self.config.per_op);
-        // The copy into the next registered request slot.
-        self.nic
-            .host()
-            .compute(ctx, self.config.host.copy(frame.len() as u64));
+        let header = frame.len() as u64 - payload.len();
+        let (copied, in_place) = match payload {
+            Payload::Pinned(addr, len, h) => (0, Some(DataSegment::new(addr, len as u32, h))),
+            p => (p.len(), None),
+        };
+        self.charge_copy(ctx, header, copied);
         let ring = self.req_ring.lock();
         let slot = {
             let mut next = self.req_next.lock();
@@ -670,10 +711,9 @@ impl DafsClient {
         let vi = self.vi.lock();
         // Drain stale send completions to keep the port bounded.
         while vi.send_done(ctx).is_some() {}
-        vi.post_send(
-            ctx,
-            SendDesc::send(vec![DataSegment::new(buf, frame.len() as u32, h)]).with_payload(frame),
-        );
+        let mut segs = vec![DataSegment::new(buf, (header + copied) as u32, h)];
+        segs.extend(in_place);
+        vi.post_send(ctx, SendDesc::send(segs).with_payload(frame));
     }
 
     /// Pop the front recv-ring slot, take a zero-copy view of the arrived
@@ -1127,6 +1167,16 @@ impl DafsClient {
             && self.regcache.warm(addr, span)
     }
 
+    /// True if an inline write of `len` bytes from `[addr, addr + len)`
+    /// sends them in place rather than copying them into the request slot —
+    /// the module header has the floor. Its buffer must be warm, the same
+    /// [`RegCache::warm`] a small read asks, so the registration it rides
+    /// under is a cache hit or the second touch that pays for every later
+    /// one.
+    fn gathers(&self, addr: VirtAddr, len: u64) -> bool {
+        self.config.host.copy(len) > self.nic.cost().per_segment && self.regcache.warm(addr, len)
+    }
+
     /// Read `len` bytes at `off` into the user buffer `dst`.
     /// Returns bytes actually read (short at EOF). On a file this session
     /// caches ([`Self::cache_file`]), pages under a valid lease are served
@@ -1291,30 +1341,37 @@ impl DafsClient {
                     addr: r.addr,
                     len: r.len,
                     direct,
+                    in_place: false,
                     segs: None,
                 });
             } else {
-                subs.extend(self.inline_subs(i, r));
+                subs.extend(self.inline_subs(dir, i, r));
             }
         }
         subs
     }
 
     /// The one chunker: `r` as inline messages of at most the session's
-    /// inline limit, in order (none for an empty range). What a direct sub
-    /// the session took with it is redone as ([`Self::recover`]), without
-    /// asking the transfer rule again.
-    fn inline_subs(&self, owner: usize, r: IoReq) -> Vec<Sub> {
+    /// inline limit, in order (none for an empty range), each write chunk
+    /// asking whether it goes in place ([`Self::gathers`]). What a direct
+    /// sub the session took with it is redone as ([`Self::recover`]),
+    /// without asking the transfer rule again; its buffer's registration
+    /// is live, so a write's chunks go in place.
+    fn inline_subs(&self, dir: BatchDir, owner: usize, r: IoReq) -> Vec<Sub> {
         let max = self.caps().inline_max;
         (0..r.len)
             .step_by(max as usize)
-            .map(|done| Sub {
-                owner,
-                off: r.off + done,
-                addr: r.addr.offset(done),
-                len: (r.len - done).min(max),
-                direct: false,
-                segs: None,
+            .map(|done| {
+                let (addr, len) = (r.addr.offset(done), (r.len - done).min(max));
+                Sub {
+                    owner,
+                    off: r.off + done,
+                    addr,
+                    len,
+                    direct: false,
+                    in_place: dir == BatchDir::Write && self.gathers(addr, len),
+                    segs: None,
+                }
             })
             .collect()
     }
@@ -1364,6 +1421,7 @@ impl DafsClient {
             addr: buf.offset(base),
             len: segs.iter().map(|s| s.1).sum(),
             direct,
+            in_place: false,
             segs: Some(segs),
         }
     }
@@ -1400,9 +1458,10 @@ impl DafsClient {
     }
 
     /// The one encoder: a sub's op, its arguments and where an inline
-    /// write's bytes live, plus — a direct sub only — the registration its
-    /// buffer rides under, to release once the reply is in. An inline sub
-    /// encodes with no side effect, so a retry encodes it again.
+    /// write's bytes live, plus the registration its buffer rides under —
+    /// a direct sub's, or an inline write's sent in place; `MemHandle(0)`
+    /// for none — to [`release`](Self::release) once the reply is in. A
+    /// retry encodes the sub again, and releases again.
     fn encode_sub<'a>(
         &self,
         ctx: &ActorCtx,
@@ -1416,7 +1475,7 @@ impl DafsClient {
             Some(segs) => segs.last().map(|s| s.2 + s.1).unwrap_or(0),
             None => sb.len,
         };
-        let (handle, transient) = if sb.direct {
+        let (handle, transient) = if sb.direct || sb.in_place {
             self.regcache.acquire(ctx, sb.addr, span)
         } else {
             (MemHandle(0), false)
@@ -1455,7 +1514,11 @@ impl DafsClient {
             }
             (None, BatchDir::Write) => {
                 e.u64(sb.off);
-                (DafsOp::WriteInline, Payload::Mem(sb.addr, sb.len))
+                let payload = match sb.in_place {
+                    true => Payload::Pinned(sb.addr, sb.len, handle),
+                    false => Payload::Mem(sb.addr, sb.len),
+                };
+                (DafsOp::WriteInline, payload)
             }
         };
         (op, e, payload, (handle, transient))
@@ -1473,6 +1536,23 @@ impl DafsClient {
         };
         meter.record(n);
         ctx.metrics().byte_meter(metric).record(n);
+    }
+
+    /// Charge the client CPU one copy of `header + payload` bytes — into a
+    /// request slot, or out of a reply — and count the `payload` ones in
+    /// `dafs.inline.copied_bytes` (which costs no virtual time).
+    fn charge_copy(&self, ctx: &ActorCtx, header: u64, payload: u64) {
+        self.copied_bytes.get(ctx.metrics()).add(payload);
+        self.nic
+            .host()
+            .compute(ctx, self.config.host.copy(header + payload));
+    }
+
+    /// Give back a registration [`Self::encode_sub`] acquired, if it did.
+    fn release(&self, ctx: &ActorCtx, (handle, transient): (MemHandle, bool)) {
+        if handle != MemHandle(0) {
+            self.regcache.release(ctx, handle, transient);
+        }
     }
 
     /// Top up the posted window from the batch's unposted sub list, while
@@ -1517,9 +1597,7 @@ impl DafsClient {
                     return Err(DafsError::Protocol);
                 }
                 // Copy out of the message buffer into the user buffer.
-                self.nic
-                    .host()
-                    .compute(ctx, self.config.host.copy(data.len() as u64));
+                self.charge_copy(ctx, 0, data.len() as u64);
                 self.nic.host().mem.write(sb.addr, &data);
                 data.len() as u64
             }
@@ -1540,9 +1618,7 @@ impl DafsClient {
                 }
                 if !sb.direct {
                     let data = d.bytes().map_err(|_| DafsError::Protocol)?;
-                    self.nic
-                        .host()
-                        .compute(ctx, self.config.host.copy(data.len() as u64));
+                    self.charge_copy(ctx, 0, data.len() as u64);
                     let mut pos = 0usize;
                     for (i, &(_, _, rel)) in segs.iter().enumerate() {
                         let c = counts[i] as usize;
@@ -1581,9 +1657,7 @@ impl DafsClient {
         let res = reply
             .and_then(|resp| Self::decode_resp(&resp))
             .and_then(|payload| self.sub_payload(ctx, b.dir, sb, &payload));
-        if sb.direct {
-            self.regcache.release(ctx, handle, transient);
-        }
+        self.release(ctx, (handle, transient));
         match res {
             Err(e @ (DafsError::Transport(_) | DafsError::Connect(_))) => {
                 b.failed.get_or_insert(e);
@@ -1616,12 +1690,13 @@ impl DafsClient {
             if b.results[sb.owner].is_err() {
                 continue;
             }
-            let (op, args, payload, _) = self.encode_sub(ctx, dir, fh, sb);
+            let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, sb);
             let args = args.finish();
             let reply = match redial.take() {
                 Some(e) => self.retry(ctx, e, id, op, &args, payload),
                 None => self.call_as(ctx, id, op, &args, payload),
             };
+            self.release(ctx, held);
             let res = reply.and_then(|payload| self.sub_payload(ctx, dir, sb, &payload));
             b.credit(s, res);
         }
@@ -1640,12 +1715,13 @@ impl DafsClient {
             let (off, addr, len) = (sb.off, sb.addr, sb.len);
             let chunks = match (sb.direct, &sb.segs) {
                 (false, _) => vec![sb.clone()],
-                (true, None) => self.inline_subs(sb.owner, IoReq { off, addr, len }),
+                (true, None) => self.inline_subs(dir, sb.owner, IoReq { off, addr, len }),
                 (true, Some(segs)) => self.inline_list_subs(sb.owner, addr, segs),
             };
             for c in &chunks {
-                let (op, mut args, payload, _) = self.encode_sub(ctx, dir, fh, c);
+                let (op, mut args, payload, held) = self.encode_sub(ctx, dir, fh, c);
                 let reply = self.call_with(ctx, op, &mut args, payload);
+                self.release(ctx, held);
                 let res = reply.and_then(|payload| self.sub_payload(ctx, dir, c, &payload));
                 let short = res.as_ref().map_or(true, |(n, _)| *n < c.len);
                 b.credit(s, res);

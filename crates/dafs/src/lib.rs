@@ -238,9 +238,12 @@ mod tests {
             assert_eq!(a.size, 4096);
             let back = c.read_to_vec(ctx, f.id, 0, 4096).unwrap();
             assert_eq!(back, data);
-            // 4 KiB is under the 8 KiB threshold: all inline.
+            // 4 KiB is under the 8 KiB threshold: the write goes inline, a
+            // first touch of the scratch buffer both conveniences stage
+            // through. The read into that range is its second touch, so it
+            // goes direct.
             assert_eq!(c.stats.inline_writes.bytes.get(), 4096);
-            assert_eq!(c.stats.direct_reads.bytes.get(), 0);
+            assert_eq!(c.stats.direct_reads.bytes.get(), 4096);
         });
         b.kernel.run();
     }
@@ -556,9 +559,14 @@ mod tests {
         // A direct write whose VI breaks: the same, and the attributes come
         // from the chunks' replies — the blocking write's GETATTR after its
         // fallback is gone (6 requests, 3 071 102 ns). The reconnect's
-        // 862 400 ns less is the read's: same rings, same one buffer.
+        // 862 400 ns less is the read's: same rings, same one buffer. The
+        // fallback's inline chunks send from that buffer's registration in
+        // place: three posts (the first finds the VI dead) each copy 32 KiB
+        // less for one more segment, 3 × (81 920 − 300) ns, and the drain
+        // before a post polls once less (200 ns): 245 060 ns less than
+        // when they copied (2 176 890 ns).
         let got = blocking_and_batch(true, plain(), broken, Write, 64 * kib, 64 * kib);
-        assert_eq!(got, cost(5, &[], 0, 1, 2, 2_176_890), "broken direct write");
+        assert_eq!(got, cost(5, &[], 0, 1, 2, 1_931_830), "broken direct write");
         // An inline write whose reply is lost: replayed under its id (3:
         // Hello, LOOKUP, then it) and answered from the replay cache. The
         // reconnect keeps both rings: 854 400 ns less (the read's, less the
@@ -817,8 +825,78 @@ mod tests {
         b.kernel.run();
     }
 
+    /// An inline write from a warm buffer sends its payload in place, as a
+    /// second gather segment under the buffer's registration. Three 32 KiB
+    /// writes from one buffer: the first, a first touch, copies its whole
+    /// frame into the request slot; the second registers the buffer and
+    /// copies only the header, for one more data segment; the third finds
+    /// the registration and pays the header and the segment alone. Every
+    /// other cost of a write is the same each time, and so are the bytes
+    /// that land.
+    #[test]
+    fn an_inline_write_from_a_warm_buffer_copies_only_its_header() {
+        const LEN: u64 = 32 << 10;
+        let b = bed();
+        let fh = server_file(&b, "f", &[]);
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let buf = nic.host().mem.alloc(LEN as usize);
+            let cpu = || nic.host().cpu.busy();
+            let took: Vec<_> = (0..3u8)
+                .map(|i| {
+                    nic.host().mem.fill(buf, LEN as usize, i);
+                    let t0 = cpu();
+                    c.write(ctx, fh, 0, buf, LEN).unwrap();
+                    cpu() - t0
+                })
+                .collect();
+            let (via, copy) = (nic.cost(), |n| c.config().host.copy(n));
+            // Header, arguments (fh, offset) and the payload's length prefix.
+            let header = (proto::REQ_HEADER_LEN + 8 + 8 + 4) as u64;
+            let in_place = copy(header) + via.per_segment;
+            let rest = took[2] - in_place;
+            assert_eq!(took[0], rest + copy(header + LEN), "first touch");
+            assert_eq!(took[1], rest + via.registration(LEN) + in_place, "second");
+            assert_eq!(c.stats.inline_writes.ops.get(), 3);
+            assert_eq!(c.regcache_stats().misses, 1);
+        });
+        b.kernel.run();
+        assert_eq!(b.fs.read(fh, 0, LEN).unwrap(), vec![2; LEN as usize]);
+    }
+
+    /// `dafs.inline.copied_bytes` counts the payload bytes the client is
+    /// charged to copy — a cold inline write's, an inline read's copy-out —
+    /// and costs no virtual time. Once two writes have warmed their buffer,
+    /// 128 KiB writes from it copy none.
+    #[test]
+    fn writes_from_a_warm_buffer_copy_no_payload() {
+        const LEN: u64 = 128 << 10;
+        let b = bed();
+        let fh = server_file(&b, "f", &[]);
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let copied = || ctx.metrics().counter("dafs.inline.copied_bytes").get();
+            let buf = nic.host().mem.alloc(LEN as usize);
+            c.write(ctx, fh, 0, buf, LEN).unwrap();
+            assert_eq!(copied(), LEN, "a first touch copies");
+            c.write(ctx, fh, 0, buf, LEN).unwrap();
+            let warmed = copied();
+            assert_eq!(
+                warmed, LEN,
+                "the second touch registers, and copies nothing"
+            );
+            for i in 0..8 {
+                c.write(ctx, fh, i * LEN, buf, LEN).unwrap();
+            }
+            assert_eq!(copied(), warmed);
+            let fresh = nic.host().mem.alloc(4 << 10);
+            c.read(ctx, fh, 0, fresh, 4 << 10).unwrap();
+            assert_eq!(copied(), warmed + (4 << 10), "an inline read copies out");
+        });
+        b.kernel.run();
+    }
+
     /// Writes keep the length rule however warm their buffer: an RDMA Read
-    /// holds the server's worker until the bytes are back.
+    /// holds the server's worker until the bytes are back. (From a warm
+    /// buffer the inline message sends the payload in place.)
     #[test]
     fn small_writes_stay_inline_from_a_warm_buffer() {
         for rdma_read_supported in [false, true] {
@@ -1174,9 +1252,10 @@ mod tests {
     /// sessions the NIC registers nothing more and the registration cache
     /// keeps what it pinned; a 4 KiB read into a buffer warmed before the
     /// first break goes direct as soon as each new session is up, and lands
-    /// the file's newest bytes. (Each reconnect used to register both rings
-    /// afresh, 16 registrations, and flush the cache: the buffer was a first
-    /// touch again.)
+    /// the file's newest bytes, which a write from the warm scratch buffer
+    /// sent in place. (Each reconnect used to register both rings afresh,
+    /// 16 registrations, and flush the cache: the buffers were first
+    /// touches again.)
     #[test]
     fn a_reconnect_registers_nothing() {
         const LEN: usize = 4 << 10;
@@ -1184,15 +1263,18 @@ mod tests {
         let fh = server_file(&b, "f", &[0; LEN]);
         with_client(&b, client_config(), move |ctx, c, nic| {
             let buf = nic.host().mem.alloc(LEN);
-            // A first touch, then a direct read that registers the buffer.
+            // A first touch, then a direct read that registers the buffer;
+            // the same for `write_bytes`' scratch, whose second write is
+            // sent from it in place.
             for _ in 0..2 {
                 c.read(ctx, fh, 0, buf, LEN as u64).unwrap();
+                c.write_bytes(ctx, fh, 0, &[0; LEN]).unwrap();
             }
             assert_eq!(c.stats.direct_reads.ops.get(), 1);
             let registrations = nic.registration_stats().registrations;
-            assert_eq!(registrations, 2 * server::CREDITS as u64 + 1);
+            assert_eq!(registrations, 2 * server::CREDITS as u64 + 2);
             let pinned = c.regcache_pinned();
-            assert_eq!(pinned, LEN as u64);
+            assert_eq!(pinned, 2 * LEN as u64);
             for round in 1..=5u8 {
                 c.abort(ctx);
                 c.getattr(ctx, fh).unwrap();

@@ -665,9 +665,10 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
 /// file's bytes or an error — a reply never outruns its data, and a
 /// transfer lost with its session is redone through the inline path — and
 /// at 1 % loss and below the reconnect budget absorbs every break: no read
-/// fails. However many reconnects it takes, the session registers one
-/// thing after it is up — the read buffer, once: a reconnect keeps the
-/// rings and the cache.
+/// fails. However many reconnects it takes, the session registers two
+/// things after it is up — the read buffer, and the scratch buffer
+/// `write_bytes` stages the file through, which its second write sends
+/// from in place — once each: a reconnect keeps the rings and the cache.
 #[test]
 fn dafs_warm_small_reads_survive_loss_ladder() {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -721,7 +722,7 @@ fn dafs_warm_small_reads_survive_loss_ladder() {
         });
         let [failed, direct, fallbacks, registered] = [0, 1, 2, 3].map(|k| tally[k].load(Relaxed));
         assert_eq!(
-            registered, 1,
+            registered, 2,
             "loss {loss}: {registered} registrations over {reconnects} reconnects"
         );
         let reads = (PASSES * FILE / REQ) as u64;
@@ -739,6 +740,83 @@ fn dafs_warm_small_reads_survive_loss_ladder() {
             assert!(
                 reconnects > 0 && fallbacks > 0,
                 "loss {loss}: {reconnects} reconnects, {fallbacks} fallbacks — recovery went untested"
+            );
+        }
+    }
+}
+
+/// X-4's ladder over inline writes sent in place: 32 KiB writes from one
+/// buffer, which from its second use on rides each send as a second gather
+/// segment under its registration. A write lost with its session is
+/// replayed under its id from the same place, or redone; either way every
+/// piece of the file holds exactly the bytes of one write to it, and none
+/// older than its last acknowledged one. At 1 % loss and below no write
+/// fails. However many reconnects it takes, the session registers one
+/// thing after it is up — the write buffer, once.
+#[test]
+fn dafs_warm_inline_writes_survive_loss_ladder() {
+    use std::sync::{Arc, Mutex};
+    const REQ: usize = 32 << 10;
+    const PIECES: usize = 8;
+    const PASSES: usize = 16;
+    let bytes = |pass: usize, k: usize| -> Vec<u8> {
+        (0..REQ)
+            .map(|i| (i * 13 + k * 7 + pass * 101) as u8)
+            .collect()
+    };
+    for (i, loss) in [0.001, 0.01, 0.05].into_iter().enumerate() {
+        let plan = FaultPlan::builder(0x1A7E + i as u64).loss(loss).build();
+        // (pass, piece, acknowledged) per write; registrations; the file.
+        type Run = (Vec<(usize, usize, bool)>, u64, mpio_dafs::memfs::NodeId);
+        let out: Arc<Mutex<Option<Run>>> = Arc::default();
+        let o = out.clone();
+        let (fs, reconnects) = raw_dafs_run(plan, move |ctx, c| {
+            let registrations = || c.nic().registration_stats().registrations;
+            let registered_at_connect = registrations();
+            let f = c.create(ctx, ROOT_ID, "f").unwrap().id;
+            let mem = &c.nic().host().mem;
+            let buf = mem.alloc(REQ);
+            let mut log = Vec::new();
+            for pass in 0..PASSES {
+                for k in 0..PIECES {
+                    mem.write(buf, &bytes(pass, k));
+                    let acked = c.write(ctx, f, (k * REQ) as u64, buf, REQ as u64);
+                    log.push((pass, k, acked.is_ok()));
+                }
+            }
+            assert!(
+                ctx.now().as_nanos() < DEADLINE_NS,
+                "virtual-time deadline blown: {} ns",
+                ctx.now().as_nanos()
+            );
+            let registered = registrations() - registered_at_connect;
+            *o.lock().unwrap() = Some((log, registered, f));
+        });
+        let (log, registered, f) = out.lock().unwrap().take().expect("the client ran");
+        assert_eq!(
+            registered, 1,
+            "loss {loss}: {registered} registrations over {reconnects} reconnects"
+        );
+        let failed = log.iter().filter(|w| !w.2).count();
+        if loss <= 0.01 {
+            assert_eq!(
+                failed, 0,
+                "loss {loss}: writes failed ({reconnects} reconnects)"
+            );
+        }
+        if loss >= 0.05 {
+            assert!(reconnects > 0, "loss {loss}: recovery went untested");
+        }
+        let image = fs.read(f, 0, (PIECES * REQ) as u64).unwrap();
+        for k in 0..PIECES {
+            let writes: Vec<_> = log.iter().filter(|w| w.1 == k).collect();
+            let since = writes.iter().rposition(|w| w.2).unwrap_or(0);
+            let got = image.get(k * REQ..(k + 1) * REQ);
+            assert!(
+                writes[since..]
+                    .iter()
+                    .any(|w| got == Some(&bytes(w.0, k)[..])),
+                "loss {loss}: piece {k} holds bytes no write since its last acknowledged one sent"
             );
         }
     }
