@@ -1,8 +1,11 @@
 //! The DAFS client (`dap_*`-style API).
 //!
 //! One VI per session; the [`CREDITS`] pre-posted receive descriptors double as
-//! the response buffers and the pipeline depth for batch I/O. Requests
-//! carry session-local ids so responses can be matched out of order.
+//! the response buffers and the pipeline depth for batch I/O. One request
+//! table per session ([`RequestTable`]) keeps the ids, the credit window the
+//! Hello granted, the replies that arrived — matched out of order, for
+//! whichever batch or call waits on them — and the requests a broken VI
+//! took with it, which are re-posted under their own ids.
 //!
 //! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
 //! * an **inline** transfer rides in the message, the lowest latency into a
@@ -67,16 +70,17 @@
 //! GETATTR, the flush batch) are the exempt ones.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::DerefMut;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
+use simnet::reqtab::{RequestTable, State};
 use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, HostMem, VirtAddr};
 use via::{
-    Completion, ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc,
-    SendDesc, Vi, ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
+    ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
+    ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
 };
 
 use crate::cache::{
@@ -254,35 +258,29 @@ pub enum BatchDir {
 /// A split-phase pipelined batch against one file.
 ///
 /// The issue half ([`DafsClient::issue`] / [`DafsClient::issue_list`])
-/// posts as many sub-requests as the session's credit window allows and
-/// returns immediately, so the server processes them while the caller
+/// posts as many sub-requests as the session's credit window has room for
+/// and returns immediately, so the server processes them while the caller
 /// overlaps other work. [`DafsClient::batch_test`] opportunistically
 /// retires completions that already arrived without blocking;
 /// [`DafsClient::batch_finish`] blocks for the remainder and runs the
 /// transport-failure recovery pass. A blocking batch is the two back to
 /// back, and so is a blocking [`DafsClient::read`] / [`DafsClient::write`].
-///
-/// The credit window is a hard invariant: the client owns exactly
-/// `credits` pre-posted receive descriptors, so at most one batch may be
-/// outstanding per session — finish one before beginning the next.
+/// Batches share the session's window, whichever is finished first.
 pub struct DafsBatch {
     dir: BatchDir,
     fh: NodeId,
-    subs: Vec<Sub>,
+    /// Shared with the request table's records of the posted ones.
+    subs: Arc<[Sub]>,
     results: Vec<DafsResult<u64>>,
-    inflight: VecDeque<(u32, usize, MemHandle, bool)>,
+    inflight: VecDeque<(u32, usize, (MemHandle, bool))>,
     next: usize,
     /// The caller is already past the cache and keeps it in step itself —
     /// the cache's driver, or the read or write it hands to the wire: no
     /// [`cache::past_cache`] first, no `note_wrote` at the finish.
     past: bool,
-    /// The transport failure the batch's session died with, seen by the
-    /// poll or a wait: from then on nothing is posted, and a sub whose
-    /// reply has not arrived is lost, not waited for.
-    failed: Option<DafsError>,
-    /// Posted subs the session took with it and their request ids, in post
-    /// order: what the recovery pass retries.
-    lost: Vec<(usize, u32)>,
+    /// Direct subs the session took with it, in post order: the recovery
+    /// redoes them inline.
+    redo: Vec<usize>,
     /// The newest attributes a contiguous write reply carried (the highest
     /// `version`: the server runs a session's requests in arrival order).
     attr: Option<FileAttr>,
@@ -307,6 +305,15 @@ impl DafsBatch {
         }
     }
 }
+
+/// What the session posts a request again as if its VI breaks under it:
+/// sub `.3` of a batch's subs. A blocking call re-posts its own request; a
+/// Hello, lease grant or goodbye is never re-posted (no record).
+#[derive(Clone)]
+struct Resend(BatchDir, NodeId, Arc<[Sub]>, usize);
+
+/// What waiting on a request the session lost returns.
+const LOST: DafsError = DafsError::Transport(ViaStatus::ConnectionLost);
 
 /// Where the byte string that ends an inline write request lives. The
 /// frame is assembled straight from there ([`request_frame`]), whichever
@@ -428,12 +435,12 @@ pub struct DafsClient {
     /// Stable client identity across reconnects: the VI id of the first
     /// session (fabric-scoped, so identical runs get identical ids).
     client_id: u64,
-    reqid: AtomicU32,
-    req_ring: Mutex<Vec<Slot>>,
-    req_next: Mutex<usize>,
+    table: Mutex<RequestTable<Option<Resend>, Bytes>>,
+    /// A request goes out from slot `id mod CREDITS`: the window keeps
+    /// the unanswered ids fewer than `CREDITS` apart.
+    req_ring: Vec<Slot>,
     recv_ring: Mutex<VecDeque<Slot>>,
     regcache: RegCache,
-    pending: Mutex<HashMap<u32, Bytes>>,
     scratch: Mutex<Option<(VirtAddr, usize)>>,
     cache: Mutex<PageCache>,
     /// Client counters.
@@ -485,12 +492,10 @@ impl DafsClient {
                 inline_max: config.inline_max,
             }),
             client_id,
-            reqid: AtomicU32::new(1),
-            req_ring: Mutex::new(req_ring),
-            req_next: Mutex::new(0),
+            table: Mutex::new(RequestTable::new(CREDITS as usize)),
+            req_ring,
             recv_ring: Mutex::new(recv_ring),
             regcache,
-            pending: Mutex::new(HashMap::new()),
             scratch: Mutex::new(None),
             cache: Mutex::new(PageCache::new(CACHE_PAGE, CACHE_CAPACITY)),
             stats: DafsClientStats::default(),
@@ -502,10 +507,8 @@ impl DafsClient {
         // itself rides the faulted fabric, so it gets the same bounded
         // reconnect treatment as any other request.
         let mut attempt = 0u32;
-        let resp = loop {
-            let mut e = Self::hello_args(client_id, config.tenant);
-            let reqid = client.post_request(ctx, DafsOp::Hello, &mut e, Payload::None);
-            match client.wait_response(ctx, reqid) {
+        let caps = loop {
+            match client.hello(ctx) {
                 Ok(r) => break r,
                 Err(DafsError::Transport(_) | DafsError::Connect(_))
                     if attempt < client.config.max_reconnects =>
@@ -516,8 +519,6 @@ impl DafsClient {
                 Err(e) => return Err(e),
             }
         };
-        let payload = Self::decode_resp(&resp)?;
-        let caps = client.apply_hello_caps(&payload)?;
         ctx.metrics().counter("dafs.sessions").inc();
         // Pre-register the event counters benches read back, so a run where
         // the event never fires still snapshots an explicit zero and checked
@@ -586,24 +587,23 @@ impl DafsClient {
         }
     }
 
-    /// Encode a `Hello` body: the stable client id plus the optional QoS
-    /// tenant extension `(tenant id u64, weight u32)`.
-    fn hello_args(client_id: u64, tenant: Option<(u64, u32)>) -> Enc {
+    /// Introduce the session: a `Hello` carrying the stable client id and
+    /// the optional QoS tenant extension `(tenant id u64, weight u32)` — the
+    /// request that opens a session on a new VI, outside the window
+    /// ([`RequestTable::open`]) — then install the capabilities its reply
+    /// offers: never more credits than the receive ring has descriptors for
+    /// the replies (the credits are the request table's window), and an
+    /// inline limit that cuts a transfer into chunks.
+    fn hello(&self, ctx: &ActorCtx) -> DafsResult<ServerCaps> {
         let mut e = Enc::new();
-        e.u64(client_id);
-        if let Some((t, w)) = tenant {
-            e.u64(t);
-            e.u32(w);
+        e.u64(self.client_id);
+        if let Some((t, w)) = self.config.tenant {
+            e.u64(t).u32(w);
         }
-        e
-    }
-
-    /// Decode a `Hello` reply payload (after the response header) and
-    /// install the negotiated capabilities: whatever the server offers,
-    /// never more credits than the receive ring has descriptors for the
-    /// replies, and an inline limit that cuts a transfer into chunks.
-    fn apply_hello_caps(&self, payload: &Bytes) -> DafsResult<ServerCaps> {
-        let mut d = Dec::new(payload);
+        let id = self.table.lock().open(|_| None);
+        self.post_request_raw(ctx, id, DafsOp::Hello, &e.finish(), Payload::None);
+        let payload = self.collect(id, self.await_reply(ctx, id))?;
+        let mut d = Dec::new(&payload);
         let rdma_read = d.u8().map_err(|_| DafsError::Protocol)? != 0;
         let credits = d.u32().map_err(|_| DafsError::Protocol)?;
         let inline_max = d.u64().map_err(|_| DafsError::Protocol)?;
@@ -613,6 +613,7 @@ impl DafsClient {
             inline_max: inline_max.min(self.config.inline_max).max(1),
         };
         *self.caps.lock() = caps;
+        self.table.lock().set_window(caps.credits.max(1) as usize);
         Ok(caps)
     }
 
@@ -650,27 +651,28 @@ impl DafsClient {
         &self.nic
     }
 
-    /// Allocate the next request id.
-    fn next_reqid(&self) -> u32 {
-        self.reqid.fetch_add(1, Ordering::Relaxed)
+    /// A fresh id for a blocking call: while the window is full, receive
+    /// replies; while the session has lost requests, re-post them first.
+    fn fresh_id(&self, ctx: &ActorCtx) -> u32 {
+        loop {
+            if let Some(id) = self.table.lock().post(|_| None) {
+                return id;
+            }
+            if !self.make_room(ctx) {
+                self.resend_lost(ctx, None);
+            }
+        }
     }
 
-    /// Build and post one request under a fresh id; returns the id. `args`
-    /// holds the op's arguments, `payload` names where an inline write's
-    /// bytes live.
-    fn post_request(
-        &self,
-        ctx: &ActorCtx,
-        op: DafsOp,
-        args: &mut Enc,
-        payload: Payload<'_>,
-    ) -> u32 {
-        let reqid = self.next_reqid();
-        self.post_request_raw(ctx, reqid, op, &std::mem::take(args).finish(), payload);
-        reqid
+    /// Receive a reply, which gives up the oldest's place in the window
+    /// once it is in; false if the session has lost requests, or loses
+    /// them now.
+    fn make_room(&self, ctx: &ActorCtx) -> bool {
+        let lost = self.table.lock().lost();
+        !lost && self.receive(ctx, true).is_ok()
     }
 
-    /// Post a request under a caller-chosen id — the replay path reuses an
+    /// Post a request under an id from the table — the replay path reuses an
     /// id so the server can recognize a retransmitted operation.
     ///
     /// The frame is assembled once, in the buffer that goes on the wire,
@@ -699,15 +701,7 @@ impl DafsClient {
             p => (p.len(), None),
         };
         self.charge_copy(ctx, header, copied);
-        let ring = self.req_ring.lock();
-        let slot = {
-            let mut next = self.req_next.lock();
-            let s = *next;
-            *next = (s + 1) % ring.len();
-            s
-        };
-        let (buf, h) = ring[slot];
-        drop(ring);
+        let (buf, h) = self.req_ring[reqid as usize % self.req_ring.len()];
         let vi = self.vi.lock();
         // Drain stale send completions to keep the port bounded.
         while vi.send_done(ctx).is_some() {}
@@ -716,18 +710,38 @@ impl DafsClient {
         vi.post_send(ctx, SendDesc::send(segs).with_payload(frame));
     }
 
-    /// Pop the front recv-ring slot, take a zero-copy view of the arrived
-    /// response, re-post the descriptor, and stash the view under its
-    /// request id. The completion carries the delivered frame, so the
-    /// posted buffer is never re-read.
-    fn stash_response(&self, ctx: &ActorCtx, vi: &Vi, completion: Completion) -> DafsResult<()> {
-        let len = completion.len as usize;
+    /// Take one reply off the receive ring into the request table —
+    /// waiting for it, or (`block` false, the split-phase `test` path) only
+    /// one already there: false if none was. Each VIA poll charges the
+    /// NIC's poll cost, so polling is **not** virtual-time-free. The
+    /// completion carries the delivered frame, so the posted buffer is
+    /// never re-read; its descriptor goes back on the ring at once. A VI
+    /// that has broken loses the session: every request posted on it is
+    /// lost.
+    fn receive(&self, ctx: &ActorCtx, block: bool) -> DafsResult<bool> {
+        let vi = self.vi.lock();
+        let up = vi.state() == ViState::Connected;
+        let got = match block {
+            _ if !up => None,
+            true => Some(vi.recv_wait(ctx)),
+            false => vi.recv_done(ctx),
+        };
+        let completion = match got {
+            Some(c) if c.status == ViaStatus::Success => c,
+            None if up => return Ok(false),
+            c => {
+                self.table.lock().session_lost();
+                let status = c.map_or(ViaStatus::ConnectionLost, |c| c.status);
+                return Err(DafsError::Transport(status));
+            }
+        };
         let (buf, h) = {
             let mut ring = self.recv_ring.lock();
             let slot = ring.pop_front().expect("recv ring");
             ring.push_back(slot);
             slot
         };
+        let len = completion.len as usize;
         let resp = completion
             .payload
             .unwrap_or_else(|| self.nic.host().mem.read_bytes(buf, len));
@@ -737,60 +751,33 @@ impl DafsClient {
         );
         let mut d = Dec::new(&resp);
         let (rid, _) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
-        if rid == 0 {
+        if rid != 0 {
+            self.table.lock().arrived(rid, resp);
+        } else if let Ok((fh, recall_id)) = proto::dec_recall_push(&mut d) {
             // Unsolicited server push (request ids start at 1): a lease
             // recall. Only queue it here — this runs under the VI lock, and
             // servicing means flushing and acking over that same VI.
-            if let Ok((fh, recall_id)) = proto::dec_recall_push(&mut d) {
-                self.cache.lock().queue_recall(fh.0, recall_id);
-            }
-            return Ok(());
+            self.cache.lock().queue_recall(fh.0, recall_id);
         }
-        self.pending.lock().insert(rid, resp);
-        Ok(())
+        Ok(true)
     }
 
-    /// Await the response for `reqid`, stashing any other responses that
-    /// arrive first.
-    fn wait_response(&self, ctx: &ActorCtx, reqid: u32) -> DafsResult<Bytes> {
-        loop {
-            if let Some(resp) = self.pending.lock().remove(&reqid) {
-                return Ok(resp);
-            }
-            let vi = self.vi.lock();
-            if vi.state() != ViState::Connected {
-                return Err(DafsError::Transport(ViaStatus::ConnectionLost));
-            }
-            let completion = vi.recv_wait(ctx);
-            match completion.status {
-                ViaStatus::Success => {}
-                status => return Err(DafsError::Transport(status)),
-            }
-            self.stash_response(ctx, &vi, completion)?;
+    /// Wait until the reply to `id` is in the table, receiving others'; an
+    /// error once the session lost it (or it was given up).
+    fn await_reply(&self, ctx: &ActorCtx, id: u32) -> DafsResult<()> {
+        while self.table.lock().state(id) == Some(State::Posted) {
+            self.receive(ctx, true)?;
         }
+        let arrived = self.table.lock().state(id) == Some(State::Arrived);
+        arrived.then_some(()).ok_or(LOST)
     }
 
-    /// Drain every response completion that has already arrived, without
-    /// blocking (the split-phase `test` path). Each VIA poll charges the
-    /// NIC's poll cost, so this is **not** virtual-time-free.
-    fn poll_responses(&self, ctx: &ActorCtx) -> DafsResult<()> {
-        let vi = self.vi.lock();
-        if vi.state() != ViState::Connected {
-            return Err(DafsError::Transport(ViaStatus::ConnectionLost));
-        }
-        while let Some(completion) = vi.recv_done(ctx) {
-            match completion.status {
-                ViaStatus::Success => {}
-                status => return Err(DafsError::Transport(status)),
-            }
-            self.stash_response(ctx, &vi, completion)?;
-        }
-        Ok(())
-    }
-
-    /// Decode a response: check the status, return a view of the payload.
-    fn decode_resp(resp: &Bytes) -> DafsResult<Bytes> {
-        let mut d = Dec::new(resp);
+    /// Take request `id` out of the table and, if its reply `arrived`,
+    /// check the reply's status and return a view of its payload.
+    fn collect(&self, id: u32, arrived: DafsResult<()>) -> DafsResult<Bytes> {
+        let resp = self.table.lock().take(id);
+        let resp = arrived.and(resp.ok_or(LOST))?;
+        let mut d = Dec::new(&resp);
         let (_, status) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
         if status != DafsStatus::Ok {
             return Err(DafsError::Status(status));
@@ -817,69 +804,58 @@ impl DafsClient {
         payload: Payload<'_>,
     ) -> DafsResult<Bytes> {
         let args = std::mem::take(args).finish();
-        self.call_as(ctx, self.next_reqid(), op, &args, payload)
+        let id = self.fresh_id(ctx);
+        let arrived = self.deliver(ctx, None, id, op, &args, payload);
+        self.collect(id, arrived)
     }
 
-    /// Post request `reqid` and wait for its reply; one that dies with the
-    /// session goes to [`Self::retry`].
-    fn call_as(
+    /// The one retry identity: post request `id` — fresh, or lost and now
+    /// re-posted under its own id — and wait for its reply; while that
+    /// fails with a transport failure (`died`: it already has), reconnect
+    /// and post it again, up to `max_reconnects` times. A failed redial
+    /// falls through: the repost fails fast on the dead VI, and the next
+    /// attempt waits a longer backoff.
+    fn deliver(
         &self,
         ctx: &ActorCtx,
-        reqid: u32,
+        died: Option<DafsError>,
+        id: u32,
         op: DafsOp,
         args: &[u8],
         payload: Payload<'_>,
-    ) -> DafsResult<Bytes> {
-        self.post_request_raw(ctx, reqid, op, args, payload);
-        match self.wait_response(ctx, reqid) {
-            Ok(resp) => Self::decode_resp(&resp),
-            Err(e) => self.retry(ctx, e, reqid, op, args, payload),
-        }
-    }
-
-    /// The one retry identity: request `reqid` failed with `err`; if that
-    /// is a transport failure, reconnect, repost it under the same id and
-    /// wait, up to `max_reconnects` times. A failed redial falls through:
-    /// the repost fails fast on the dead VI, and the next attempt waits a
-    /// longer backoff.
-    fn retry(
-        &self,
-        ctx: &ActorCtx,
-        mut err: DafsError,
-        reqid: u32,
-        op: DafsOp,
-        args: &[u8],
-        payload: Payload<'_>,
-    ) -> DafsResult<Bytes> {
+    ) -> DafsResult<()> {
+        let post = || {
+            self.table.lock().repost(id);
+            self.post_request_raw(ctx, id, op, args, payload);
+            self.await_reply(ctx, id)
+        };
+        let mut res = died.map_or_else(post, Err);
         for attempt in 1..=self.config.max_reconnects {
-            if !matches!(err, DafsError::Transport(_) | DafsError::Connect(_)) {
+            if !matches!(res, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
                 break;
             }
             let _ = self.reconnect(ctx, attempt);
-            self.post_request_raw(ctx, reqid, op, args, payload);
-            match self.wait_response(ctx, reqid) {
-                Ok(resp) => return Self::decode_resp(&resp),
-                Err(e) => err = e,
-            }
+            res = post();
         }
-        Err(err)
+        res
     }
 
     /// Synchronous request/response with **no** recovery, for what must
     /// not outlive its session: a lease grant, and the goodbye.
     fn call_once(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<Bytes> {
-        let reqid = self.post_request(ctx, op, args, Payload::None);
-        let resp = self.wait_response(ctx, reqid)?;
-        Self::decode_resp(&resp)
+        let id = self.fresh_id(ctx);
+        let args = std::mem::take(args).finish();
+        self.post_request_raw(ctx, id, op, &args, Payload::None);
+        self.collect(id, self.await_reply(ctx, id))
     }
 
     /// Replace the dead VI with a fresh one under the session's tag, and
     /// re-bind the server side (via Hello). What the session registered —
     /// both rings, the registration cache's entries and the ranges it has
     /// seen — is the NIC's under that tag, not the VI's, and stays: the
-    /// receive ring is re-posted on the new VI and the request ring starts
-    /// over. What was the dead session's goes: `pending` responses, leases
-    /// and clean cached pages.
+    /// receive ring is re-posted on the new VI. What was the dead session's
+    /// goes: leases and clean cached pages. Its requests stay in the table,
+    /// lost, for their re-posts.
     fn reconnect(&self, ctx: &ActorCtx, attempt: u32) -> DafsResult<()> {
         ctx.metrics().counter("dafs.reconnects").inc();
         ctx.trace(
@@ -909,8 +885,6 @@ impl DafsClient {
                 Self::vi_attrs(self.ptag),
             )
             .map_err(DafsError::Connect)?;
-        // Responses from the dead session can never arrive.
-        self.pending.lock().clear();
         // Revalidate-on-reconnect: the server reclaimed our leases the
         // moment it saw ConnectionLost, so every cached object is suspect.
         // Clean state is dropped; dirty write-back pages survive and are
@@ -922,16 +896,11 @@ impl DafsClient {
         // The rings and the registration cache stay registered under the
         // session's tag, which the new VI carries.
         Self::post_recv_ring(ctx, &vi, &self.recv_ring.lock());
-        *self.req_next.lock() = 0;
         *self.vi.lock() = vi;
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
         // the scheduler keeps treating the new session as the same tenant.
-        let mut e = Self::hello_args(self.client_id, self.config.tenant);
-        let reqid = self.post_request(ctx, DafsOp::Hello, &mut e, Payload::None);
-        let resp = self.wait_response(ctx, reqid)?;
-        let payload = Self::decode_resp(&resp)?;
-        self.apply_hello_caps(&payload).map(|_| ())
+        self.hello(ctx).map(|_| ())
     }
 
     fn call_attr(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<FileAttr> {
@@ -950,17 +919,13 @@ impl DafsClient {
     /// The GETATTR itself, for the one caller already past the cache: the
     /// cache's driver (`CacheIo::getattr`).
     fn getattr_wire(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<FileAttr> {
-        let mut e = Enc::new();
-        e.u64(fh.0);
-        self.call_attr(ctx, DafsOp::GetAttr, &mut e)
+        self.call_attr(ctx, DafsOp::GetAttr, Enc::new().u64(fh.0))
     }
 
     /// Truncate / extend.
     pub fn truncate(&self, ctx: &ActorCtx, fh: NodeId, size: u64) -> DafsResult<FileAttr> {
         cache::past_cache(&mut Live(self, ctx), fh.0, true)?;
-        let mut e = Enc::new();
-        e.u64(fh.0).u8(1).u64(size);
-        let a = self.call_attr(ctx, DafsOp::SetAttr, &mut e)?;
+        let a = self.call_attr(ctx, DafsOp::SetAttr, Enc::new().u64(fh.0).u8(1).u64(size))?;
         // Resizing invalidates every cached page of the file.
         self.note_wrote(ctx, fh, 0, u64::MAX, AttrAfter::Set(a));
         Ok(a)
@@ -968,37 +933,29 @@ impl DafsClient {
 
     /// Directory lookup.
     pub fn lookup(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> DafsResult<FileAttr> {
-        let mut e = Enc::new();
-        e.u64(dir.0).str(name);
-        self.call_attr(ctx, DafsOp::Lookup, &mut e)
+        self.call_attr(ctx, DafsOp::Lookup, Enc::new().u64(dir.0).str(name))
     }
 
     /// Create a regular file.
     pub fn create(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> DafsResult<FileAttr> {
-        let mut e = Enc::new();
-        e.u64(dir.0).str(name);
-        self.call_attr(ctx, DafsOp::Create, &mut e)
+        self.call_attr(ctx, DafsOp::Create, Enc::new().u64(dir.0).str(name))
     }
 
     /// Create a directory.
     pub fn mkdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> DafsResult<FileAttr> {
-        let mut e = Enc::new();
-        e.u64(dir.0).str(name);
-        self.call_attr(ctx, DafsOp::Mkdir, &mut e)
+        self.call_attr(ctx, DafsOp::Mkdir, Enc::new().u64(dir.0).str(name))
     }
 
     /// Remove a regular file.
     pub fn remove(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(dir.0).str(name);
-        self.call(ctx, DafsOp::Remove, &mut e).map(|_| ())
+        self.call(ctx, DafsOp::Remove, Enc::new().u64(dir.0).str(name))
+            .map(|_| ())
     }
 
     /// Remove an empty directory.
     pub fn rmdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(dir.0).str(name);
-        self.call(ctx, DafsOp::Rmdir, &mut e).map(|_| ())
+        self.call(ctx, DafsOp::Rmdir, Enc::new().u64(dir.0).str(name))
+            .map(|_| ())
     }
 
     /// Rename.
@@ -1010,16 +967,17 @@ impl DafsClient {
         to: NodeId,
         to_name: &str,
     ) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(from.0).str(name).u64(to.0).str(to_name);
-        self.call(ctx, DafsOp::Rename, &mut e).map(|_| ())
+        self.call(
+            ctx,
+            DafsOp::Rename,
+            Enc::new().u64(from.0).str(name).u64(to.0).str(to_name),
+        )
+        .map(|_| ())
     }
 
     /// List a directory.
     pub fn readdir(&self, ctx: &ActorCtx, dir: NodeId) -> DafsResult<Vec<(String, NodeId)>> {
-        let mut e = Enc::new();
-        e.u64(dir.0);
-        let payload = self.call(ctx, DafsOp::ReadDir, &mut e)?;
+        let payload = self.call(ctx, DafsOp::ReadDir, Enc::new().u64(dir.0))?;
         let mut d = Dec::new(&payload);
         let n = d.u32().map_err(|_| DafsError::Protocol)?;
         let mut out = Vec::with_capacity(n as usize);
@@ -1054,23 +1012,20 @@ impl DafsClient {
 
     /// Flush to stable storage (MPI_File_sync bottom half).
     pub fn flush(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(fh.0);
-        self.call(ctx, DafsOp::Flush, &mut e).map(|_| ())
+        self.call(ctx, DafsOp::Flush, Enc::new().u64(fh.0))
+            .map(|_| ())
     }
 
     /// Acquire the whole-file exclusive lock (blocks until granted).
     pub fn lock(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(fh.0);
-        self.call(ctx, DafsOp::Lock, &mut e).map(|_| ())
+        self.call(ctx, DafsOp::Lock, Enc::new().u64(fh.0))
+            .map(|_| ())
     }
 
     /// Release the whole-file lock.
     pub fn unlock(&self, ctx: &ActorCtx, fh: NodeId) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(fh.0);
-        self.call(ctx, DafsOp::Unlock, &mut e).map(|_| ())
+        self.call(ctx, DafsOp::Unlock, Enc::new().u64(fh.0))
+            .map(|_| ())
     }
 
     /// End the session.
@@ -1079,8 +1034,7 @@ impl DafsClient {
         // A session that never cached skips this without touching the
         // clock or the wire.
         let _ = cache::cache_shutdown(&mut Live(self, ctx));
-        let mut e = Enc::new();
-        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut e);
+        let _ = self.call_once(ctx, DafsOp::Disconnect, &mut Enc::new());
         self.regcache.flush(ctx);
         self.vi.lock().disconnect(ctx);
         ctx.trace("dafs", "session.disconnect", &[]);
@@ -1354,7 +1308,7 @@ impl DafsClient {
     /// The one chunker: `r` as inline messages of at most the session's
     /// inline limit, in order (none for an empty range), each write chunk
     /// asking whether it goes in place ([`Self::gathers`]). What a direct
-    /// sub the session took with it is redone as ([`Self::recover`]),
+    /// sub the session took with it is redone as ([`Self::fallback`]),
     /// without asking the transfer rule again; its buffer's registration
     /// is live, so a write's chunks go in place.
     fn inline_subs(&self, dir: BatchDir, owner: usize, r: IoReq) -> Vec<Sub> {
@@ -1555,21 +1509,23 @@ impl DafsClient {
         }
     }
 
-    /// Top up the posted window from the batch's unposted sub list, while
-    /// its session lives.
+    /// Post the batch's unposted subs while the request table has room:
+    /// none while the session has lost requests.
     fn batch_fill(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        let window = self.caps().credits.max(1) as usize;
-        while b.failed.is_none() && b.next < b.subs.len() && b.inflight.len() < window {
-            let (op, mut args, payload, (handle, transient)) =
-                self.encode_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
-            let id = self.post_request(ctx, op, &mut args, payload);
-            b.inflight.push_back((id, b.next, handle, transient));
+        while b.next < b.subs.len() {
+            let resend = Resend(b.dir, b.fh, b.subs.clone(), b.next);
+            let Some(id) = self.table.lock().post(|_| Some(resend)) else {
+                break;
+            };
+            let (op, args, payload, held) = self.encode_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
+            self.post_request_raw(ctx, id, op, &args.finish(), payload);
+            b.inflight.push_back((id, b.next, held));
             b.next += 1;
         }
     }
 
     /// The one decoder, of a sub's reply payload (its status already
-    /// checked by [`Self::decode_resp`]): the bytes the sub moved — an
+    /// checked by [`Self::collect`]): the bytes the sub moved — an
     /// inline read's copied out to the buffer — and the attributes a
     /// contiguous write's reply carries. The one byte meter too: what a sub
     /// moved is counted here, once it is acknowledged, however it got
@@ -1644,68 +1600,71 @@ impl DafsClient {
         Ok((n, attr))
     }
 
-    /// Retire the oldest in-flight sub: blocking, unless its response is
-    /// already stashed or the batch's session has died — then a sub whose
-    /// reply has not arrived is lost, for the recovery pass.
-    fn batch_retire_front(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        let (id, s, handle, transient) = b.inflight.pop_front().expect("inflight");
-        let reply = match b.failed {
-            Some(e) => self.pending.lock().remove(&id).ok_or(e),
-            None => self.wait_response(ctx, id),
-        };
-        let sb = &b.subs[s];
-        let res = reply
-            .and_then(|resp| Self::decode_resp(&resp))
-            .and_then(|payload| self.sub_payload(ctx, b.dir, sb, &payload));
-        self.release(ctx, (handle, transient));
+    /// Retire the oldest in-flight sub: wait for its reply, unless the
+    /// session has lost it — then a direct sub goes to the batch's
+    /// [`Self::fallback`], an inline one to [`Self::resend_lost`], and this
+    /// returns true. (A sub another batch's recovery gave up on fails its
+    /// request.)
+    fn batch_retire_front(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
+        let (id, s, held) = b.inflight.pop_front().expect("inflight");
+        let arrived = self.await_reply(ctx, id);
+        let lost = arrived.is_err() && self.table.lock().state(id).is_some();
+        let res = arrived.and_then(|()| self.collect(id, Ok(())));
+        let res = res.and_then(|payload| self.sub_payload(ctx, b.dir, &b.subs[s], &payload));
+        self.release(ctx, held);
         match res {
-            Err(e @ (DafsError::Transport(_) | DafsError::Connect(_))) => {
-                b.failed.get_or_insert(e);
-                b.lost.push((s, id));
-            }
+            Err(_) if b.subs[s].direct && arrived.is_err() => b.redo.push(s),
+            Err(_) if lost => {}
             res => b.credit(s, res),
+        }
+        lost
+    }
+
+    /// Re-post every request the session lost, oldest first, each under
+    /// its original id and each awaited — the first through the redial
+    /// when the VI is down — so the replay cache answers those the server
+    /// already ran (`ReplayCache` in `server.rs` says why it still can). A
+    /// reply to a sub of `b` is decoded at once; any other is kept for its
+    /// batch, and one given up fails that batch's request. A direct sub is
+    /// not re-posted: a replayed reply would not say whether the session's
+    /// RDMA moved its bytes, so its batch redoes it ([`Self::fallback`]).
+    /// Nor is a request with no record: its caller re-posts it or gives it
+    /// up.
+    fn resend_lost(&self, ctx: &ActorCtx, mut b: Option<&mut DafsBatch>) {
+        let mut redial = (self.vi.lock().state() != ViState::Connected).then_some(LOST);
+        let lost = self.table.lock().session_lost();
+        for id in lost {
+            let resend = self.table.lock().request(id).cloned().flatten();
+            let Some(Resend(dir, fh, subs, s)) = resend.filter(|r| !r.2[r.3].direct) else {
+                self.table.lock().take(id);
+                continue;
+            };
+            let sb = &subs[s];
+            let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, sb);
+            let arrived = self.deliver(ctx, redial.take(), id, op, &args.finish(), payload);
+            self.release(ctx, held);
+            if let Some(b) = b.as_deref_mut().filter(|b| Arc::ptr_eq(&b.subs, &subs)) {
+                let res = self.collect(id, arrived);
+                b.credit(s, res.and_then(|p| self.sub_payload(ctx, dir, sb, &p)));
+            } else if arrived.is_err() {
+                self.table.lock().take(id);
+            }
         }
     }
 
-    /// Redo what the batch's session took with it. First the posted inline
-    /// subs, oldest first, each under its original id — the first through
-    /// [`Self::retry`], which redials, the rest through [`Self::call_as`] —
-    /// so the replay cache answers those the server already ran
-    /// (`ReplayCache` in `server.rs` says why it still can). Then, under
-    /// fresh ids through [`Self::call_with`], the subs never posted, and
-    /// the posted direct ones: a replayed reply would not say whether the
-    /// session's RDMA moved their bytes, so each counts a
-    /// `dafs.direct_fallbacks` and is redone as its inline chunks,
-    /// idempotent even if the RDMA transfer partly landed. A read's
-    /// chunks stop at the first short one, the end of the file; a request
-    /// that has failed is not pursued.
-    fn recover(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        let Some(died) = b.failed else { return };
-        let (dir, fh) = (b.dir, b.fh);
-        let lost = std::mem::take(&mut b.lost).into_iter();
-        let (same_id, direct): (Vec<_>, Vec<_>) = lost.partition(|&(s, _)| !b.subs[s].direct);
-        let mut redial = Some(died);
-        for (s, id) in same_id {
-            let sb = &b.subs[s];
-            if b.results[sb.owner].is_err() {
-                continue;
-            }
-            let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, sb);
-            let args = args.finish();
-            let reply = match redial.take() {
-                Some(e) => self.retry(ctx, e, id, op, &args, payload),
-                None => self.call_as(ctx, id, op, &args, payload),
-            };
-            self.release(ctx, held);
-            let res = reply.and_then(|payload| self.sub_payload(ctx, dir, sb, &payload));
-            b.credit(s, res);
-        }
-        let fresh = direct
+    /// Redo under fresh ids, through [`Self::call_with`], the subs the
+    /// batch's session took before they were posted, and the direct ones it
+    /// lost posted: each of those counts a `dafs.direct_fallbacks` and is
+    /// redone as its inline chunks, idempotent even if the RDMA transfer
+    /// partly landed. A read's chunks stop at the first short one, the end
+    /// of the file; a request that has failed is not pursued.
+    fn fallback(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
+        let (dir, fh, subs) = (b.dir, b.fh, b.subs.clone());
+        for s in std::mem::take(&mut b.redo)
             .into_iter()
-            .map(|(s, _)| s)
-            .chain(b.next..b.subs.len());
-        for s in fresh {
-            let sb = &b.subs[s];
+            .chain(b.next..subs.len())
+        {
+            let sb = &subs[s];
             if b.results[sb.owner].is_err() {
                 continue;
             }
@@ -1733,7 +1692,7 @@ impl DafsClient {
     }
 
     /// The single point every batch starts at: `expand` its `n` requests
-    /// into subs and post up to the credit window.
+    /// into subs and post what the credit window has room for.
     ///
     /// Batch ops go to the wire past the page cache, so every batch whose
     /// caller is not already `past` it first follows [`cache::past_cache`].
@@ -1754,29 +1713,26 @@ impl DafsClient {
             true => None,
             false => cache::past_cache(&mut Live(self, ctx), fh.0, dir == BatchDir::Write).err(),
         };
+        let mut subs = expand();
+        subs.retain(|_| refused.is_none());
         let mut b = DafsBatch {
             dir,
             fh,
-            subs: expand(),
-            results: vec![Ok(0); n],
+            subs: subs.into(),
+            results: vec![refused.map_or(Ok(0), Err); n],
             inflight: VecDeque::new(),
             next: 0,
             past,
-            failed: None,
-            lost: Vec::new(),
+            redo: Vec::new(),
             attr: None,
         };
-        if let Some(e) = refused {
-            b.subs.clear();
-            b.results.fill(Err(e));
-        }
         self.batch_fill(ctx, &mut b);
         b
     }
 
     /// Issue half of a split-phase batch of contiguous requests on `fh`:
-    /// expand them, post up to the credit window, and return without
-    /// waiting. At most one batch may be outstanding per session.
+    /// expand them, post what the credit window has room for, and return
+    /// without waiting.
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, fh: NodeId, reqs: &[IoReq]) -> DafsBatch {
         self.begin(ctx, dir, fh, reqs.len(), false, || {
             self.expand_subs(dir, reqs)
@@ -1786,8 +1742,7 @@ impl DafsClient {
     /// Issue half of a split-phase vectored batch on `fh`: each request's
     /// segment list (sorted ascending and non-overlapping on both axes) is
     /// split across credit windows by the wire segment cap and posted like
-    /// any other batch. See [`Self::issue`] for the outstanding-batch
-    /// invariant.
+    /// any other batch.
     pub fn issue_list(
         &self,
         ctx: &ActorCtx,
@@ -1809,30 +1764,21 @@ impl DafsClient {
     /// already arrived, retire finished subs in order, and post freed
     /// credits. Returns true once every sub has retired (then
     /// [`Self::batch_finish`] will not block).
+    /// A broken VI is left to [`Self::batch_finish`], which recovers.
     pub fn batch_test(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
-        if b.failed.is_none() {
-            if let Err(e) = self.poll_responses(ctx) {
-                // Leave the cleanup to batch_finish, which loses the
-                // outstanding subs and runs the recovery pass.
-                b.failed = Some(e);
-                return false;
-            }
-            loop {
-                match b.inflight.front() {
-                    Some((id, ..)) if self.pending.lock().contains_key(id) => {
-                        self.batch_retire_front(ctx, b);
-                        self.batch_fill(ctx, b);
-                    }
-                    _ => break,
-                }
-            }
+        while let Ok(true) = self.receive(ctx, false) {}
+        let arrived = |id| self.table.lock().state(id) == Some(State::Arrived);
+        while b.inflight.front().is_some_and(|&(id, ..)| arrived(id)) {
+            self.batch_retire_front(ctx, b);
+            self.batch_fill(ctx, b);
         }
-        b.failed.is_none() && b.next >= b.subs.len() && b.inflight.is_empty()
+        b.next == b.subs.len() && b.inflight.is_empty()
     }
 
-    /// Completion half: block until every sub-request has retired, then
-    /// redo what died with the session, each sub that was posted under its
-    /// own id. Returns per-request byte counts, in request order.
+    /// Completion half: block until every sub-request has retired — the
+    /// batch's own, and, while another's hold the window, theirs arrive —
+    /// then redo what died with the session, each sub that was posted under
+    /// its own id. Returns per-request byte counts, in request order.
     pub fn batch_finish(&self, ctx: &ActorCtx, b: DafsBatch) -> Vec<DafsResult<u64>> {
         self.finish(ctx, b).0
     }
@@ -1840,14 +1786,22 @@ impl DafsClient {
     /// [`Self::batch_finish`], and the attributes of the newest contiguous
     /// write reply.
     fn finish(&self, ctx: &ActorCtx, mut b: DafsBatch) -> (Vec<DafsResult<u64>>, Option<FileAttr>) {
+        let mut died = false;
         loop {
             self.batch_fill(ctx, &mut b);
-            if b.inflight.is_empty() {
+            if !b.inflight.is_empty() {
+                died |= self.batch_retire_front(ctx, &mut b);
+            } else if died || b.next == b.subs.len() {
                 break;
+            } else {
+                // Other requests hold the window.
+                died = !self.make_room(ctx);
             }
-            self.batch_retire_front(ctx, &mut b);
         }
-        self.recover(ctx, &mut b);
+        if died {
+            self.resend_lost(ctx, Some(&mut b));
+        }
+        self.fallback(ctx, &mut b);
         // Self-coherence: drop any cached pages the batch overwrote — sub by
         // sub, once its request is acknowledged — and take the attributes
         // the replies carried, if they carried any. (A caller already past
@@ -1917,16 +1871,18 @@ impl CacheIo for Live<'_> {
 
     /// Recall pushes land in the recv ring; each poll charges the NIC.
     fn poll(&mut self) {
-        self.0.poll_responses(self.1).ok();
+        while let Ok(true) = self.0.receive(self.1, false) {}
     }
 
     /// Through the non-replaying path: grants are session state, so
     /// replaying one across a reconnect would resurrect a lease the server
     /// already reclaimed.
     fn lease_grant(&mut self, fh: u64, kind: LeaseKind) -> DafsResult<Option<FileAttr>> {
-        let mut e = Enc::new();
-        e.u64(fh).u8(kind as u8);
-        let payload = match self.0.call_once(self.1, DafsOp::LeaseGrant, &mut e) {
+        let payload = match self.0.call_once(
+            self.1,
+            DafsOp::LeaseGrant,
+            Enc::new().u64(fh).u8(kind as u8),
+        ) {
             Err(DafsError::Transport(_) | DafsError::Connect(_)) => return Ok(None),
             reply => reply?,
         };
@@ -1940,10 +1896,8 @@ impl CacheIo for Live<'_> {
     /// re-drops an already-absent lease, a no-op, so recalls racing loss
     /// stay exactly-once.
     fn lease_ack(&mut self, fh: u64, id: u32) -> DafsResult<()> {
-        let mut e = Enc::new();
-        e.u64(fh).u32(id);
         self.0
-            .call(self.1, DafsOp::LeaseRecallAck, &mut e)
+            .call(self.1, DafsOp::LeaseRecallAck, Enc::new().u64(fh).u32(id))
             .map(|_| ())
     }
 

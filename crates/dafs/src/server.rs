@@ -328,26 +328,27 @@ pub fn spawn_dafs_server_sched(
         // Keyed by the client id each Hello names, so a redialed session
         // finds its replies. Why `CREDITS` replies per client suffice,
         // whatever the other clients do: the client asks for an old reply
-        // in one way, `DafsClient::retry`, from a blocking call or from a
-        // batch's recovery, and a session never has more than `CREDITS`
-        // requests posted and unanswered (its receive ring; one reply more
-        // would find no descriptor and break the VI). A blocking request is
-        // alone on the wire. A batch retires its subs in post order and
-        // posts a new one only when the oldest retires, so when its oldest
-        // lost sub `f₁` fails at most `CREDITS − 1` subs were posted after
-        // it. From then on the batch posts nothing new, and its recovery
-        // retries the lost subs oldest first, each waited for, before it
-        // posts anything under a fresh id. For the `j`-th lost sub `fⱼ`, the
-        // subs `f₂ … fⱼ` are among those posted after `f₁`, so at most
-        // `CREDITS − j` were posted after `fⱼ`, and the retries ahead of its
-        // own add at most `j − 1` replies (a replay hit adds none). The only
-        // other request is the redial's `Hello`, which is not cached. So at
-        // most `CREDITS − 1` of its own replies can be inserted after the
-        // one it will ask for. Frames the lease gate parks are among those
-        // in flight when it serves them later. A dead session's frames stop
-        // at its reap — the first one served after the break triggers it —
-        // which drops the rest, queued (`RequestSched::drop_session`) or
-        // parked (`LeaseTable::drop_session`). A clean `Disconnect` ends the
+        // in one way — it posts a request its session lost again under the
+        // same id (`DafsClient::deliver`) — and its request table
+        // (`simnet::reqtab`) keeps two rules over its batches and blocking
+        // calls together. The window: no id is posted `CREDITS` or more past
+        // the oldest one whose reply has not arrived. The lost rule: after a
+        // break, no fresh id is posted until each lost one is posted again.
+        // Say request `x` ran and its reply was lost, which broke the VI.
+        // Every request inserts at most once — a replay hit inserts nothing
+        // — so the replies inserted after `x`'s belong to requests that ran
+        // after it: ones posted after it, and older ones the lease gate
+        // parked. By the lost rule all were posted before the break, while
+        // the oldest of them, `o`, held the window (its reply could not
+        // arrive before the break: it follows `x`'s on an in-order VI). So
+        // all lie within `CREDITS` ids of `o`, and at most `CREDITS − 1`
+        // replies are inserted after `x`'s; the redial's `Hello` is not
+        // cached. (The receive ring is the same window: `CREDITS`
+        // descriptors, and one reply more would break the VI.) A dead
+        // session's frames stop at its reap — the first one served after the
+        // break triggers it — which drops the rest, queued
+        // (`RequestSched::drop_session`) or parked
+        // (`LeaseTable::drop_session`). A clean `Disconnect` ends the
         // client, and its entries go with it.
         replay: ReplayCache::new(CREDITS as usize),
         sched: match policy {

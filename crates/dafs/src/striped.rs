@@ -131,8 +131,8 @@ fn split_seg_list(n: u64, stripe: u64, segs: &[ListSeg]) -> Vec<Vec<ListSeg>> {
     per
 }
 
-/// An in-flight striped batch: at most one per [`DafsStripedFile`] (each
-/// underlying session allows one outstanding [`DafsBatch`]).
+/// An in-flight striped batch: one [`DafsBatch`] per server it touches,
+/// sharing that session's credit window with any other.
 pub struct DafsStripedBatch {
     per_server: Vec<Option<DafsBatch>>,
     /// Contiguous batches only: every piece in stream order, as `(server,
@@ -278,8 +278,7 @@ impl DafsStripedFile {
     /// Issue a batch of contiguous logical-range transfers across all
     /// servers and return immediately; every server's credit window is
     /// filled before the first completion is awaited, so window drains
-    /// overlap across servers. At most one striped batch may be
-    /// outstanding per file. Batches go to the wire past the page cache
+    /// overlap across servers. Batches go to the wire past the page cache
     /// (each session drains its dirty pages for the file first).
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> DafsStripedBatch {
         if reqs.iter().any(|r| r.off.checked_add(r.len).is_none()) {

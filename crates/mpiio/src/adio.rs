@@ -347,9 +347,7 @@ pub trait AdioFile: Send + Sync {
     /// Split-phase form of [`AdioFile::transfer`]: issue the requests and
     /// return a handle the caller overlaps work against before waiting.
     /// Default completes eagerly (blocking) for drivers without
-    /// split-phase support. At most one nonblocking transfer may be
-    /// outstanding per file handle (the DAFS driver shares one credit
-    /// window per session).
+    /// split-phase support.
     fn itransfer(
         &self,
         ctx: &ActorCtx,

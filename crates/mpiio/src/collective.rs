@@ -627,8 +627,7 @@ pub fn read_at_all(
         charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
         if pipelined {
             // Window k-1's batch must land before its buffer is answered
-            // from — and before the next issue: one batch outstanding
-            // keeps the DAFS credit window honest.
+            // from.
             drain_window_batch(ctx, pending.take(), &mut mark)?;
             // Issue my window's coalesced read nonblocking.
             let mut served: Option<(VirtAddr, u64)> = None;

@@ -3,17 +3,17 @@
 //! client that matter for I/O performance.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::cost::HostCost;
+use simnet::reqtab::RequestTable;
 use simnet::time::units::*;
-use simnet::{ActorCtx, ByteMeter, Host, HostId, SimDuration, SimTime};
+use simnet::{ActorCtx, ByteMeter, Bytes, Host, HostId, SimDuration, SimTime};
 use tcpnet::{TcpError, TcpFabric};
 
-use crate::proto::{self, NfsProc, NfsStatus, Stable};
+use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
 use crate::xdr::{XdrDec, XdrEnc};
 
 /// RPC retransmit policy: what the `timeo`/`retrans` mount options control
@@ -145,16 +145,16 @@ pub struct NfsClient {
     sock: tcpnet::Socket,
     host: Host,
     config: NfsClientConfig,
-    xid: AtomicU32,
     attr_cache: Mutex<HashMap<u64, (FileAttr, SimTime)>>,
     /// Whether the retransmit timer is armed. True only when the mount's
     /// fabric carried a fault plan: on a lossless fabric a reply always
     /// arrives, and never arming the timer keeps fault-free runs
     /// byte-identical no matter how slow the server is.
     retransmit: bool,
-    /// Every xid sent and not yet collected, with its reply once that
-    /// arrived while another xid was being waited for.
-    outstanding: Mutex<HashMap<u32, Option<Vec<u8>>>>,
+    /// Every xid sent and not yet collected: its framed request until the
+    /// reply arrives, then the reply. Its window is the nfsd's replay
+    /// window, so the mount is a client slot table.
+    table: Mutex<RequestTable<Bytes, Vec<u8>>>,
     /// Client-side counters.
     pub stats: NfsClientStats,
 }
@@ -178,10 +178,9 @@ impl NfsClient {
             sock,
             host: host.clone(),
             config,
-            xid: AtomicU32::new(1),
             attr_cache: Mutex::new(HashMap::new()),
             retransmit,
-            outstanding: Mutex::new(HashMap::new()),
+            table: Mutex::new(RequestTable::new(REPLAY_WINDOW)),
             stats: NfsClientStats::default(),
         })
     }
@@ -194,37 +193,39 @@ impl NfsClient {
     /// One synchronous RPC: its split-phase halves back to back, inside a
     /// whole-RPC virtual-time span (`nfs.rpc_ns` / `nfs.rpc.calls` for the
     /// per-layer breakdown, and one trace event on completion).
-    fn call(&self, ctx: &ActorCtx, proc_: NfsProc, args: XdrEnc) -> NfsResult<Vec<u8>> {
+    fn call(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc) -> NfsResult<Vec<u8>> {
         let _span = ctx.span("nfs", "rpc");
-        let (xid, framed) = self.send_rpc(ctx, proc_, args, "rpc.start");
-        self.recv_rpc(ctx, xid, &framed)
-    }
-
-    /// Strip a matched reply's header: verify the status, return the
-    /// payload.
-    fn decode_reply(reply: &[u8]) -> NfsResult<Vec<u8>> {
-        let mut d = XdrDec::new(reply);
-        d.u32().map_err(|_| NfsError::Protocol)?; // xid, already matched
-        let status = NfsStatus::from_u32(d.u32().map_err(|_| NfsError::Protocol)?);
-        if status != NfsStatus::Ok {
-            return Err(NfsError::Status(status));
-        }
-        Ok(reply[8..].to_vec())
+        let xid = self.send_rpc(ctx, proc_, args, "rpc.start");
+        self.recv_rpc(ctx, xid)
     }
 
     /// Issue half of one RPC: frame and send without waiting for the
     /// reply, traced as `event` (`rpc.start` for a blocking call,
     /// `rpc.issue` for a split-phase one, whose wall time overlaps the
-    /// caller's other work, so it opens no span). Returns the xid and the
-    /// framed bytes, kept so the completion half can retransmit.
-    fn send_rpc(
-        &self,
-        ctx: &ActorCtx,
-        proc_: NfsProc,
-        args: XdrEnc,
-        event: &str,
-    ) -> (u32, Vec<u8>) {
-        let xid = self.xid.fetch_add(1, Ordering::Relaxed);
+    /// caller's other work, so it opens no span). Returns the xid; the
+    /// table keeps the framed request for the completion half to
+    /// retransmit. While the window is full it waits for the oldest reply
+    /// (retransmitting it), keeping the others: the window does not move
+    /// past a lost reply until its retransmit is answered.
+    fn send_rpc(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc, event: &str) -> u32 {
+        let args = std::mem::take(args).finish();
+        let frame = |xid: u32| {
+            let mut e = XdrEnc::new();
+            e.u32(xid).u32(proc_ as u32);
+            let mut body = e.finish();
+            body.extend_from_slice(&args);
+            Bytes::from_vec(proto::frame(&body))
+        };
+        let xid = loop {
+            if let Some(xid) = self.table.lock().post(&frame) {
+                break xid;
+            }
+            let oldest = self.table.lock().oldest().expect("a full window");
+            if self.await_reply(ctx, oldest).is_err() {
+                // Given up: its own collection reports it timed out.
+                self.table.lock().take(oldest);
+            }
+        };
         self.stats.rpcs.inc();
         if ctx.obs().enabled() {
             ctx.trace(
@@ -237,50 +238,51 @@ impl NfsClient {
             );
         }
         self.host.compute(ctx, self.config.per_rpc_cpu);
-        let mut e = XdrEnc::new();
-        e.u32(xid);
-        e.u32(proc_ as u32);
-        let mut body = e.finish();
-        body.extend_from_slice(&args.finish());
-        let framed = proto::frame(&body);
-        self.outstanding.lock().insert(xid, None);
-        self.sock.send(ctx, &framed);
-        (xid, framed)
+        let framed = self.table.lock().request(xid).cloned();
+        self.sock.send_bytes(ctx, framed.expect("just posted"));
+        xid
     }
 
-    /// Completion half of one RPC: await the reply to `xid` and collect it.
-    fn recv_rpc(&self, ctx: &ActorCtx, xid: u32, framed: &[u8]) -> NfsResult<Vec<u8>> {
-        let reply = self.await_reply(ctx, xid, framed);
-        self.outstanding.lock().remove(&xid);
-        Self::decode_reply(&reply?)
+    /// Completion half of one RPC: await the reply to `xid` and collect it
+    /// — verify the status, return the payload.
+    fn recv_rpc(&self, ctx: &ActorCtx, xid: u32) -> NfsResult<Vec<u8>> {
+        let arrived = self.await_reply(ctx, xid);
+        let reply = self.table.lock().take(xid);
+        let reply = arrived.and(reply.ok_or(NfsError::TimedOut))?;
+        let mut d = XdrDec::new(&reply);
+        d.u32().map_err(|_| NfsError::Protocol)?; // xid, already matched
+        let status = NfsStatus::from_u32(d.u32().map_err(|_| NfsError::Protocol)?);
+        if status != NfsStatus::Ok {
+            return Err(NfsError::Status(status));
+        }
+        Ok(reply[8..].to_vec())
     }
 
-    /// The reply to `xid`. A reply to another xid still outstanding is
-    /// kept for its own [`Self::recv_rpc`]; one to an xid that is not is a
-    /// retransmit's duplicate of a reply already collected when the timer
-    /// is armed (counted in `nfs.stale_replies` and dropped), and a
-    /// protocol error when it is not. Armed, an unanswered deadline resends
-    /// `framed` under [`RetryPolicy`]'s backoff; the server's
-    /// duplicate-request cache makes that safe for non-idempotent
+    /// Wait until the reply to `xid` is in the table (or `xid` is not). A
+    /// reply to another xid still unanswered is kept for its own
+    /// [`Self::recv_rpc`]; one to an xid that is not — a second reply, or
+    /// one to an xid already collected — is a retransmit's duplicate when
+    /// the timer is armed (counted in `nfs.stale_replies` and dropped), and
+    /// a protocol error when it is not. Armed, an unanswered deadline
+    /// resends the framed request under [`RetryPolicy`]'s backoff; the
+    /// server's duplicate-request cache makes that safe for non-idempotent
     /// procedures.
-    fn await_reply(&self, ctx: &ActorCtx, xid: u32, framed: &[u8]) -> NfsResult<Vec<u8>> {
+    fn await_reply(&self, ctx: &ActorCtx, xid: u32) -> NfsResult<()> {
         let policy = self.config.retry;
         let mut timeout = policy.base_timeout;
         let mut attempt = 1u32;
         loop {
-            let kept = self.outstanding.lock().get_mut(&xid).and_then(Option::take);
-            if let Some(reply) = kept {
-                return Ok(reply);
-            }
+            let Some(framed) = self.table.lock().request(xid).cloned() else {
+                return Ok(());
+            };
             let deadline = self.retransmit.then(|| ctx.now() + timeout);
             while let Some((rxid, reply)) = self.next_reply(ctx, deadline)? {
-                if rxid == xid {
-                    return Ok(reply);
-                }
-                match self.outstanding.lock().get_mut(&rxid) {
-                    Some(slot) => *slot = Some(reply),
-                    None if self.retransmit => ctx.metrics().counter("nfs.stale_replies").inc(),
-                    None => return Err(NfsError::Protocol),
+                let kept = self.table.lock().arrived(rxid, reply);
+                match kept {
+                    true if rxid == xid => return Ok(()),
+                    true => {}
+                    false if self.retransmit => ctx.metrics().counter("nfs.stale_replies").inc(),
+                    false => return Err(NfsError::Protocol),
                 }
             }
             if attempt >= policy.max_attempts.max(1) {
@@ -305,7 +307,7 @@ impl NfsClient {
                     ("attempt", obs::Value::U64(attempt as u64)),
                 ],
             );
-            self.sock.send(ctx, framed);
+            self.sock.send_bytes(ctx, framed);
             timeout = timeout * u64::from(policy.backoff_factor.max(1));
         }
     }
@@ -337,9 +339,18 @@ impl NfsClient {
             .insert(a.id.0, (a, ctx.now() + self.config.retry.base_timeout));
     }
 
+    /// An RPC that answers with attributes, which the attribute cache takes.
+    fn call_attr(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc) -> NfsResult<FileAttr> {
+        let r = self.call(ctx, proc_, args)?;
+        let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
+        self.cache_attr(ctx, a);
+        Ok(a)
+    }
+
     /// NULL ping.
     pub fn null(&self, ctx: &ActorCtx) -> NfsResult<()> {
-        self.call(ctx, NfsProc::Null, XdrEnc::new()).map(|_| ())
+        self.call(ctx, NfsProc::Null, &mut XdrEnc::new())
+            .map(|_| ())
     }
 
     /// GETATTR, served from the attribute cache when fresh.
@@ -373,64 +384,44 @@ impl NfsClient {
 
     /// GETATTR bypassing the cache.
     pub fn getattr_uncached(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<FileAttr> {
-        let mut e = XdrEnc::new();
-        e.u64(fh.0);
-        let r = self.call(ctx, NfsProc::GetAttr, e)?;
-        let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
-        self.cache_attr(ctx, a);
-        Ok(a)
+        self.call_attr(ctx, NfsProc::GetAttr, XdrEnc::new().u64(fh.0))
     }
 
     /// SETATTR (truncate to `size`).
     pub fn truncate(&self, ctx: &ActorCtx, fh: NodeId, size: u64) -> NfsResult<FileAttr> {
-        let mut e = XdrEnc::new();
-        e.u64(fh.0).u32(1).u64(size);
-        let r = self.call(ctx, NfsProc::SetAttr, e)?;
-        let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
-        self.cache_attr(ctx, a);
-        Ok(a)
+        self.call_attr(
+            ctx,
+            NfsProc::SetAttr,
+            XdrEnc::new().u64(fh.0).u32(1).u64(size),
+        )
     }
 
     /// LOOKUP `name` in directory `dir`.
     pub fn lookup(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0).string(name);
-        let r = self.call(ctx, NfsProc::Lookup, e)?;
-        let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
-        self.cache_attr(ctx, a);
-        Ok(a)
+        self.call_attr(ctx, NfsProc::Lookup, XdrEnc::new().u64(dir.0).string(name))
     }
 
     /// CREATE a regular file.
     pub fn create(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0).string(name);
-        let r = self.call(ctx, NfsProc::Create, e)?;
-        let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
-        self.cache_attr(ctx, a);
-        Ok(a)
+        self.call_attr(ctx, NfsProc::Create, XdrEnc::new().u64(dir.0).string(name))
     }
 
     /// MKDIR.
     pub fn mkdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0).string(name);
-        let r = self.call(ctx, NfsProc::Mkdir, e)?;
+        let r = self.call(ctx, NfsProc::Mkdir, XdrEnc::new().u64(dir.0).string(name))?;
         proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)
     }
 
     /// REMOVE a regular file.
     pub fn remove(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<()> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0).string(name);
-        self.call(ctx, NfsProc::Remove, e).map(|_| ())
+        self.call(ctx, NfsProc::Remove, XdrEnc::new().u64(dir.0).string(name))
+            .map(|_| ())
     }
 
     /// RMDIR.
     pub fn rmdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<()> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0).string(name);
-        self.call(ctx, NfsProc::Rmdir, e).map(|_| ())
+        self.call(ctx, NfsProc::Rmdir, XdrEnc::new().u64(dir.0).string(name))
+            .map(|_| ())
     }
 
     /// RENAME.
@@ -442,16 +433,21 @@ impl NfsClient {
         to: NodeId,
         to_name: &str,
     ) -> NfsResult<()> {
-        let mut e = XdrEnc::new();
-        e.u64(from.0).string(name).u64(to.0).string(to_name);
-        self.call(ctx, NfsProc::Rename, e).map(|_| ())
+        self.call(
+            ctx,
+            NfsProc::Rename,
+            XdrEnc::new()
+                .u64(from.0)
+                .string(name)
+                .u64(to.0)
+                .string(to_name),
+        )
+        .map(|_| ())
     }
 
     /// READDIR: (name, file id) pairs.
     pub fn readdir(&self, ctx: &ActorCtx, dir: NodeId) -> NfsResult<Vec<(String, NodeId)>> {
-        let mut e = XdrEnc::new();
-        e.u64(dir.0);
-        let r = self.call(ctx, NfsProc::ReadDir, e)?;
+        let r = self.call(ctx, NfsProc::ReadDir, XdrEnc::new().u64(dir.0))?;
         let mut d = XdrDec::new(&r);
         let n = d.u32().map_err(|_| NfsError::Protocol)?;
         let mut out = Vec::with_capacity(n as usize);
@@ -523,7 +519,7 @@ impl NfsClient {
         let mut remaining = len;
         while remaining > 0 {
             let count = remaining.min(self.config.rsize);
-            let r = self.call(ctx, NfsProc::Read, Self::read_args(fh, off, count))?;
+            let r = self.call(ctx, NfsProc::Read, &mut Self::read_args(fh, off, count))?;
             let (data, eof) = Self::dec_read_reply(&r, count)?;
             self.charge_read(ctx, data);
             let n = data.len() as u64;
@@ -548,23 +544,23 @@ impl NfsClient {
     ) -> NfsResult<FileAttr> {
         let mut attr = None;
         for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            let e = self.write_args(ctx, fh, off, chunk);
-            let r = self.call(ctx, NfsProc::Write, e)?;
+            let r = self.call(
+                ctx,
+                NfsProc::Write,
+                &mut self.write_args(ctx, fh, off, chunk),
+            )?;
             attr = Some(self.dec_write_reply(ctx, &r)?);
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
         }
-        match attr {
-            Some(a) => Ok(a),
-            // Zero-length write: behave like getattr.
-            None => self.getattr(ctx, fh),
-        }
+        // Zero-length write: behave like getattr.
+        attr.map_or_else(|| self.getattr(ctx, fh), Ok)
     }
 
     /// Issue half of a split-phase write: send every WRITE RPC (chunked
     /// by wsize) without waiting for replies, so the server processes
-    /// them while the caller overlaps other work. Collect with
-    /// [`Self::write_finish`].
+    /// them while the caller overlaps other work — past the mount's
+    /// window, as its replies come in. Collect with [`Self::write_finish`].
     pub fn write_begin(
         &self,
         ctx: &ActorCtx,
@@ -572,14 +568,14 @@ impl NfsClient {
         mut off: u64,
         data: &[u8],
     ) -> NfsPendingWrite {
-        let mut rpcs = Vec::new();
+        let mut xids = Vec::new();
         for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            let e = self.write_args(ctx, fh, off, chunk);
-            rpcs.push(self.send_rpc(ctx, NfsProc::Write, e, "rpc.issue"));
+            let mut e = self.write_args(ctx, fh, off, chunk);
+            xids.push(self.send_rpc(ctx, NfsProc::Write, &mut e, "rpc.issue"));
             off += chunk.len() as u64;
             self.stats.writes.record(chunk.len() as u64);
         }
-        NfsPendingWrite { fh, rpcs }
+        NfsPendingWrite { fh, xids }
     }
 
     /// Completion half of [`Self::write_begin`]: await every reply in
@@ -587,18 +583,16 @@ impl NfsClient {
     /// synchronous path does. Zero-length writes behave like getattr.
     pub fn write_finish(&self, ctx: &ActorCtx, p: NfsPendingWrite) -> NfsResult<FileAttr> {
         let mut attr = None;
-        for (xid, framed) in p.rpcs {
-            let r = self.recv_rpc(ctx, xid, &framed)?;
+        for xid in p.xids {
+            let r = self.recv_rpc(ctx, xid)?;
             attr = Some(self.dec_write_reply(ctx, &r)?);
         }
-        match attr {
-            Some(a) => Ok(a),
-            None => self.getattr(ctx, p.fh),
-        }
+        attr.map_or_else(|| self.getattr(ctx, p.fh), Ok)
     }
 
     /// Issue half of a split-phase read: send a READ RPC for every rsize
-    /// chunk of `[off, off+len)` up front. The synchronous path stops
+    /// chunk of `[off, off+len)` up front (past the mount's window, as its
+    /// replies come in). The synchronous path stops
     /// chunking when it sees EOF; here the tail RPCs are already posted,
     /// so EOF shows up as short or empty replies that
     /// [`Self::read_finish`] trims.
@@ -607,9 +601,8 @@ impl NfsClient {
         let mut done = 0u64;
         while done < len {
             let n = (len - done).min(self.config.rsize.max(1));
-            let e = Self::read_args(fh, off + done, n);
-            let (xid, framed) = self.send_rpc(ctx, NfsProc::Read, e, "rpc.issue");
-            rpcs.push((xid, framed, n));
+            let mut e = Self::read_args(fh, off + done, n);
+            rpcs.push((self.send_rpc(ctx, NfsProc::Read, &mut e, "rpc.issue"), n));
             done += n;
         }
         NfsPendingRead { rpcs }
@@ -621,24 +614,23 @@ impl NfsClient {
     pub fn read_finish(&self, ctx: &ActorCtx, p: NfsPendingRead) -> NfsResult<Vec<u8>> {
         let mut out = Vec::new();
         let mut eof = false;
-        for (xid, framed, n) in &p.rpcs {
-            let r = self.recv_rpc(ctx, *xid, framed)?;
-            let (data, chunk_eof) = Self::dec_read_reply(&r, *n)?;
+        for &(xid, n) in &p.rpcs {
+            let r = self.recv_rpc(ctx, xid)?;
+            let (data, chunk_eof) = Self::dec_read_reply(&r, n)?;
             if eof {
                 continue; // past EOF: drain only
             }
             self.charge_read(ctx, data);
             out.extend_from_slice(data);
-            eof = chunk_eof || (data.len() as u64) < *n;
+            eof = chunk_eof || (data.len() as u64) < n;
         }
         Ok(out)
     }
 
     /// COMMIT unstable writes to stable storage.
     pub fn commit(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<()> {
-        let mut e = XdrEnc::new();
-        e.u64(fh.0);
-        self.call(ctx, NfsProc::Commit, e).map(|_| ())
+        self.call(ctx, NfsProc::Commit, XdrEnc::new().u64(fh.0))
+            .map(|_| ())
     }
 
     /// Resolve a slash-separated path from the root, LOOKUP by LOOKUP.
@@ -662,21 +654,21 @@ impl NfsClient {
 /// collected yet. Created by [`NfsClient::write_begin`].
 pub struct NfsPendingWrite {
     fh: NodeId,
-    /// (xid, framed request), in issue order.
-    rpcs: Vec<(u32, Vec<u8>)>,
+    /// The xids, in issue order.
+    xids: Vec<u32>,
 }
 
 impl NfsPendingWrite {
     /// RPCs issued and not yet collected.
     pub fn in_flight(&self) -> usize {
-        self.rpcs.len()
+        self.xids.len()
     }
 }
 
 /// A split-phase READ in flight. Created by [`NfsClient::read_begin`].
 pub struct NfsPendingRead {
-    /// (xid, framed request, chunk length), in issue order.
-    rpcs: Vec<(u32, Vec<u8>, u64)>,
+    /// (xid, chunk length), in issue order.
+    rpcs: Vec<(u32, u64)>,
 }
 
 impl NfsPendingRead {

@@ -180,6 +180,27 @@ pub fn dec_attr(d: &mut XdrDec) -> Result<FileAttr, XdrError> {
     })
 }
 
+/// Mutating replies the nfsd keeps per connection, and the window of a
+/// mount's request table: no xid is posted `REPLAY_WINDOW` or more past the
+/// mount's oldest unanswered one.
+///
+/// A mount asks for an old reply in one way: it retransmits an xid it is
+/// still waiting for (`NfsClient::await_reply`), on the connection it sent
+/// it on. Every RPC inserts at most once — a retransmit that hits inserts
+/// nothing, and one whose first copy was lost executes for the first time
+/// — and the nfsd serves a connection's frames in order, so the replies
+/// kept after xid `x`'s are those of frames sent after `x`'s first copy:
+/// new xids, and retransmits of older ones whose first copy was lost. While
+/// `x` is unanswered the mount posts fewer than `REPLAY_WINDOW` new xids
+/// (`simnet::reqtab`), and a full window waits for its oldest xid,
+/// retransmitting it, before it moves: a batch of any size keeps `x`'s
+/// reply. Only an older request lost on its way in, within one window of a
+/// lost reply, can add a reply beyond those. A connection's reader tells
+/// the nfsd when it closes, and the nfsd then forgets its replies — no xid
+/// can be retransmitted on a closed connection — so it keeps up to this
+/// many replies for each open one.
+pub(crate) const REPLAY_WINDOW: usize = 256;
+
 /// Frame a message with the RPC record mark (4-byte length prefix; we always
 /// send a single complete record).
 pub fn frame(body: &[u8]) -> Vec<u8> {

@@ -14,7 +14,7 @@
 //! [`simnet::replay::ReplayCache`], keyed by connection: a retransmitted xid
 //! whose reply is kept gets that reply resent verbatim, only the
 //! procedures whose re-execution would be observable are kept (see
-//! `REPLAY_WINDOW` for why 256 per connection), and a connection's replies
+//! `proto::REPLAY_WINDOW` for why 256 per connection), and a connection's replies
 //! go when its reader reports it closed.
 
 use memfs::{MemFs, NodeId, SetAttr};
@@ -24,7 +24,7 @@ use simnet::time::units::*;
 use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, SimDuration, SimKernel};
 use tcpnet::{Socket, TcpFabric};
 
-use crate::proto::{self, NfsProc, NfsStatus, Stable};
+use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
 use crate::xdr::{XdrDec, XdrEnc};
 
 /// Server-side CPU cost constants.
@@ -136,25 +136,6 @@ enum Work {
     /// The connection closed; nothing more comes from it.
     Closed,
 }
-
-/// Replies the duplicate-request cache keeps per connection.
-///
-/// A mount asks for an old reply in one way: it retransmits an xid it is
-/// still waiting for (`NfsClient::await_reply`), on the connection it sent
-/// it on. Every RPC inserts at most once — a retransmit that hits inserts
-/// nothing, and one whose first copy was lost executes for the first time
-/// — so the replies inserted after xid `x`'s are those of the other
-/// mutating RPCs in flight beside it on its connection. The bound holds
-/// unless more than 256 mutating RPCs are in flight on one connection. The
-/// largest batch the stack issues itself is one two-phase window of
-/// WRITEs: `cb_buffer_size / wsize` plus one per run (128 plus the runs at
-/// the 4 MiB / 32 KiB defaults). An application `iwrite_at` of more than
-/// 8 MiB issues more than 256 WRITEs at once and can exceed it; a client
-/// slot table that caps the RPCs in flight would close that gap. A
-/// connection's reader tells the nfsd when it closes, and the nfsd then
-/// forgets its replies — no xid can be retransmitted on a closed
-/// connection — so it keeps up to this many replies for each open one.
-const REPLAY_WINDOW: usize = 256;
 
 /// Whether a procedure's reply must be kept for retransmits: only those
 /// whose re-execution would be observable (the DAFS server's rule). A

@@ -55,6 +55,7 @@ pub mod cost;
 pub mod fault;
 pub mod host;
 pub mod replay;
+pub mod reqtab;
 pub mod rng;
 pub mod time;
 pub mod topo;

@@ -7,14 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> the lease and replay state machines stay pure"
+echo "==> the lease, replay and request state machines stay pure"
 # The server's lease table, the client's page cache, the explorer that
-# composes them and the replay cache both servers drive name no kernel,
-# NIC, simulated memory, metric or trace — tests included: both explorers
-# run without a SimKernel.
+# composes them, the replay cache both servers drive and the request table
+# both clients keep name no kernel, NIC, simulated memory, metric or trace
+# — tests included: both explorers run without a SimKernel.
 if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.compute\(' \
     crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs \
-    crates/simnet/src/replay.rs; then
+    crates/simnet/src/replay.rs crates/simnet/src/reqtab.rs; then
     echo "ci: I/O in a pure module (lines above)" >&2
     exit 1
 fi
@@ -25,6 +25,16 @@ echo "==> one duplicate-request machine"
 if grep -rnE 'struct Drc\b|DRC_CAPACITY|LEGACY_CID_BASE|next_legacy_cid' crates ||
     grep -rn 'struct ReplayCache\b' crates | grep -v '^crates/simnet/src/replay.rs:'; then
     echo "ci: a second duplicate-request cache is back (lines above)" >&2
+    exit 1
+fi
+
+echo "==> one request table"
+# Both clients keep their request ids, credit window, arrived replies and
+# lost requests in one `simnet::reqtab::RequestTable`: no id counter of
+# their own, and no map of pending or outstanding replies beside it.
+if grep -nE 'AtomicU32|\bpending:|\boutstanding:' crates/dafs/src/client.rs \
+    crates/nfsv3/src/client.rs; then
+    echo "ci: request bookkeeping outside the request table (lines above)" >&2
     exit 1
 fi
 

@@ -377,6 +377,56 @@ fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
     });
 }
 
+/// Two split-phase writes outstanding together on one DAFS session: 16
+/// inline chunks of 32 KiB against the session's 8 credits. The first
+/// request takes the whole window; the second posts as replies arrive,
+/// whichever request is waited on first — waiting on the second receives
+/// and keeps the first's replies, which frees their slots. Neither order
+/// breaks the VI or loses a write. (Each batch used to fill its own window:
+/// 16 requests on 8 receive descriptors broke the VI when the replies came
+/// in unread, and waiting on the second first wedged the rank.)
+#[test]
+fn two_overlapping_dafs_writes_share_the_session_window() {
+    const LEN: u64 = 256 << 10;
+    for second_first in [true, false] {
+        let tb = Testbed::new(Backend::dafs());
+        let fs = tb.fs.clone();
+        let report = tb.run(1, move |ctx, comm, adio| {
+            let host = comm.host().clone();
+            let f = MpiFile::open(
+                ctx,
+                adio,
+                &host,
+                "/two",
+                OpenMode::create(),
+                Hints::default(),
+            )
+            .unwrap();
+            let buf = host.mem.alloc(2 * LEN as usize);
+            host.mem.fill(buf, LEN as usize, 0xA1);
+            host.mem.fill(buf.offset(LEN), LEN as usize, 0xB2);
+            let first = f.iwrite_at(ctx, 0, buf, LEN);
+            let second = f.iwrite_at(ctx, LEN, buf.offset(LEN), LEN);
+            ctx.advance(ms(20));
+            let got = match second_first {
+                true => {
+                    let b = second.wait(ctx);
+                    (first.wait(ctx), b)
+                }
+                false => (first.wait(ctx), second.wait(ctx)),
+            };
+            assert_eq!(got, (Ok(LEN), Ok(LEN)), "second first: {second_first}");
+            f.close(ctx, adio).unwrap();
+        });
+        let reconnects = report.snapshot.get("dafs.reconnects").map(|e| e.value());
+        assert_eq!(reconnects, Some(0), "second first: {second_first}");
+        let attr = fs.resolve("/two").unwrap();
+        let image = fs.read(attr.id, 0, attr.size).unwrap();
+        let want = [vec![0xA1; LEN as usize], vec![0xB2; LEN as usize]].concat();
+        assert!(image == want, "second first: {second_first}");
+    }
+}
+
 /// What the ADIO layer keeps per rank is per *actor*, not per OS thread
 /// (every actor runs on the one thread inside `run`): the NFS driver stages
 /// through the memory of the host its own rank declared, and `adio.inflight`

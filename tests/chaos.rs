@@ -450,6 +450,73 @@ fn nfs_retransmits_are_exactly_once_across_connections() {
     assert_eq!(names.len(), 301);
 }
 
+/// One split-phase batch of 300 WRITEs, more than the 256 replies the nfsd
+/// keeps per connection. The first WRITE's reply is lost: a 1 µs link-down
+/// window takes the nfsd's send at 1.168 ms and falls between two of the
+/// client's. The mount keeps at most 256 RPCs in flight, so `write_begin`
+/// stops at the 257th WRITE and waits for the oldest reply: its 200 ms
+/// timer retransmits the lost WRITE after 255 replies were kept behind it,
+/// the kept reply answers, and the nfsd executes each WRITE once. (The
+/// whole batch used to go out at once: 299 replies were kept behind the
+/// lost one, it was evicted, and the retransmit ran the WRITE again.)
+#[test]
+fn nfs_a_batch_past_the_replay_window_retransmits_exactly_once() {
+    const N: usize = 300;
+    const CHUNK: usize = 512;
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = tcpnet::TcpFabric::new(tcpnet::TcpCost::default());
+    let server_host = cluster.add_host("server0");
+    let client_host = cluster.add_host("client0");
+    let (sid, cid) = (server_host.id, client_host.id);
+    let lost = SimTime::ZERO + us(1_168);
+    fabric.set_fault_plan(
+        FaultPlan::builder(0x5107)
+            .link_down(sid, cid, lost, lost + us(1))
+            .build(),
+    );
+    let fs = mpio_dafs::memfs::MemFs::new();
+    let server = nfsv3::spawn_nfs_server(
+        &kernel,
+        &fabric,
+        server_host,
+        fs.clone(),
+        2049,
+        nfsv3::NfsServerCost::default(),
+    );
+    let ops = server.stats.ops.clone();
+    kernel.spawn("client", move |ctx| {
+        let mut cfg = nfsv3::NfsClientConfig {
+            wsize: CHUNK as u64,
+            ..Default::default()
+        };
+        cfg.retry.base_timeout = ms(200);
+        let c = nfsv3::NfsClient::mount(ctx, &fabric, &client_host, sid, 2049, cfg).unwrap();
+        let f = c.create(ctx, ROOT_ID, "f").unwrap();
+        ctx.sleep_until(SimTime::ZERO + ms(1));
+        let before = ops.get();
+        let data: Vec<u8> = (0..N * CHUNK).map(|i| (i / CHUNK) as u8).collect();
+        let pending = c.write_begin(ctx, f.id, 0, &data);
+        assert_eq!(
+            c.write_finish(ctx, pending).unwrap().size,
+            data.len() as u64
+        );
+        assert_eq!(ops.get() - before, N as u64, "a WRITE ran twice");
+        c.unmount(ctx);
+    });
+    let obs = kernel.obs().clone();
+    let end = kernel.run();
+    let snap = obs.snapshot(end.as_nanos());
+    let count = |name: &str| snap.get(name).map(|e| e.value()).unwrap_or(0);
+    assert_eq!((count("nfs.retrans"), count("nfs.drc.hits")), (1, 1));
+    let attr = fs.resolve("/f").unwrap();
+    let image = fs.read(attr.id, 0, attr.size).unwrap();
+    assert!(image
+        .chunks(CHUNK)
+        .enumerate()
+        .all(|(i, c)| c.iter().all(|&b| b == i as u8)));
+}
+
 // --- lease recalls under faults ---------------------------------------------
 //
 // The lease-coherent client cache adds a new wedge surface: a conflicting
@@ -657,6 +724,66 @@ fn dafs_holder_crash_mid_recall_unblocks_waiter_and_ack_replays_idempotently() {
         "the holder never reconnected — the idempotent-ack replay went untested"
     );
     assert_eq!(fs.resolve("/x").unwrap().size, 4096);
+}
+
+/// Two split-phase DAFS writes of 256 KiB outstanding together — 16 inline
+/// chunks on one session of 8 credits — while rank 0's link is down for
+/// 300 µs at 1, 2 or 3 ms, waited on in both orders. Each request returns
+/// all its bytes, the file holds both fills, and the server applied each
+/// chunk once: the file's version (one per mutation) is 16, however many
+/// chunks the recovery re-posted and the replay cache answered. (Two
+/// batches used to fill a window each and recover each on its own; every
+/// case wedged the rank.)
+#[test]
+fn dafs_overlapping_writes_survive_a_link_drop_exactly_once() {
+    const LEN: u64 = 256 << 10;
+    let rank0 = HostId(1);
+    let (mut reconnects, mut hits) = (0, 0);
+    for t in [1, 2, 3] {
+        for second_first in [true, false] {
+            let from = SimTime::ZERO + ms(t);
+            let plan = FaultPlan::builder(0x0E1A)
+                .link_down(SERVER, rank0, from, from + us(300))
+                .build();
+            let tb = Testbed::with_faults(Backend::dafs(), plan);
+            let fs = tb.fs.clone();
+            let report = tb.run(1, move |ctx, comm, adio| {
+                let host = comm.host().clone();
+                assert_eq!(host.id, rank0);
+                let open = OpenMode::create();
+                let f = MpiFile::open(ctx, adio, &host, "/two", open, Hints::default()).unwrap();
+                let buf = host.mem.alloc(2 * LEN as usize);
+                host.mem.fill(buf, LEN as usize, 0xA1);
+                host.mem.fill(buf.offset(LEN), LEN as usize, 0xB2);
+                let first = f.iwrite_at(ctx, 0, buf, LEN);
+                let second = f.iwrite_at(ctx, LEN, buf.offset(LEN), LEN);
+                let got = match second_first {
+                    true => {
+                        let b = second.wait(ctx);
+                        (first.wait(ctx), b)
+                    }
+                    false => (first.wait(ctx), second.wait(ctx)),
+                };
+                assert_eq!(
+                    got,
+                    (Ok(LEN), Ok(LEN)),
+                    "at {t} ms, second first: {second_first}"
+                );
+                f.close(ctx, adio).unwrap();
+            });
+            let case = format!("at {t} ms, second first: {second_first}");
+            let count = |name: &str| report.snapshot.get(name).map_or(0, |e| e.value());
+            assert!(count("dafs.reconnects") > 0, "{case}: the drop missed");
+            reconnects += count("dafs.reconnects");
+            hits += count("dafs.replay.hits");
+            let attr = fs.resolve("/two").unwrap();
+            assert_eq!(attr.version, 16, "{case}: a chunk was applied twice");
+            let image = fs.read(attr.id, 0, attr.size).unwrap();
+            let want = [vec![0xA1; LEN as usize], vec![0xB2; LEN as usize]].concat();
+            assert!(image == want, "{case}: wrong bytes");
+        }
+    }
+    assert!(hits > 0, "{reconnects} reconnects and no replay hit");
 }
 
 /// X-4's ladder over the reads the transfer rule sends direct because
