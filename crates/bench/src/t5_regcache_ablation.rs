@@ -23,6 +23,7 @@ fn run_case(use_regcache: bool) -> (f64, u64) {
             use_regcache,
             ..Default::default()
         },
+        servers: 1,
     };
     let tb = Testbed::new(backend);
     // Pre-create the file content.

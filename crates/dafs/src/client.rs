@@ -77,7 +77,7 @@ use std::sync::Arc;
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::reqtab::{RequestTable, State};
-use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, HostMem, VirtAddr};
+use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, HostMem, SimTime, VirtAddr};
 use via::{
     ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
     ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
@@ -255,6 +255,16 @@ pub enum BatchDir {
     Write,
 }
 
+impl BatchDir {
+    /// The op a transfer's span and trace line name.
+    fn op(self) -> &'static str {
+        match self {
+            BatchDir::Read => "read",
+            BatchDir::Write => "write",
+        }
+    }
+}
+
 /// A split-phase pipelined batch against one file.
 ///
 /// The issue half ([`DafsClient::issue`] / [`DafsClient::issue_list`])
@@ -265,10 +275,14 @@ pub enum BatchDir {
 /// [`DafsClient::batch_finish`] blocks for the remainder and runs the
 /// transport-failure recovery pass. A blocking batch is the two back to
 /// back, and so is a blocking [`DafsClient::read`] / [`DafsClient::write`].
-/// Batches share the session's window, whichever is finished first.
+/// Batches share the session's window, whichever is finished first. A
+/// batch is one `dafs.read` / `dafs.write` span, from its issue to its
+/// finish.
 pub struct DafsBatch {
     dir: BatchDir,
     fh: NodeId,
+    /// When the batch began, past the cache: where its span starts.
+    start: SimTime,
     /// Shared with the request table's records of the posted ones.
     subs: Arc<[Sub]>,
     results: Vec<DafsResult<u64>>,
@@ -1161,9 +1175,8 @@ impl DafsClient {
     /// A blocking transfer: a batch of the one request, past the cache —
     /// where the cache's driver sends a read or write it does not serve,
     /// and what its own fetches are (which must not flush the file they
-    /// pre-fault) — inside its span and `xfer` trace line. Returns the bytes
-    /// moved and, for a write, the attributes after it, which bring the
-    /// cache in step.
+    /// pre-fault). Returns the bytes moved and, for a write, the attributes
+    /// after it, which bring the cache in step.
     fn transfer_wire(
         &self,
         ctx: &ActorCtx,
@@ -1171,23 +1184,7 @@ impl DafsClient {
         fh: NodeId,
         req: IoReq,
     ) -> DafsResult<(u64, Option<FileAttr>)> {
-        let op = match dir {
-            BatchDir::Read => "read",
-            BatchDir::Write => "write",
-        };
-        let _span = ctx.span("dafs", op);
         let b = self.begin(ctx, dir, fh, 1, true, || self.expand_subs(dir, &[req]));
-        let direct = b.subs.first().is_some_and(|s| s.direct);
-        let mode = if direct { "direct" } else { "inline" };
-        ctx.trace(
-            "dafs",
-            "xfer",
-            &[
-                ("op", obs::Value::Str(op)),
-                ("mode", obs::Value::Str(mode)),
-                ("len", obs::Value::U64(req.len)),
-            ],
-        );
         let (mut moved, attr) = self.finish(ctx, b);
         let n = moved.remove(0)?;
         if let Some(a) = attr {
@@ -1692,10 +1689,13 @@ impl DafsClient {
     }
 
     /// The single point every batch starts at: `expand` its `n` requests
-    /// into subs and post what the credit window has room for.
+    /// into subs and post what the credit window has room for. Its span
+    /// starts here, and its `xfer` trace line is emitted once the window is
+    /// filled.
     ///
     /// Batch ops go to the wire past the page cache, so every batch whose
-    /// caller is not already `past` it first follows [`cache::past_cache`].
+    /// caller is not already `past` it first follows [`cache::past_cache`]
+    /// (before the span, so a flush is never inside another transfer's).
     /// If that fails the batch is refused whole (nothing posted, every
     /// result the error), so the failure reaches the caller instead of
     /// hiding behind a batch that succeeded, or was replayed, past
@@ -1713,11 +1713,13 @@ impl DafsClient {
             true => None,
             false => cache::past_cache(&mut Live(self, ctx), fh.0, dir == BatchDir::Write).err(),
         };
+        let start = ctx.now();
         let mut subs = expand();
         subs.retain(|_| refused.is_none());
         let mut b = DafsBatch {
             dir,
             fh,
+            start,
             subs: subs.into(),
             results: vec![refused.map_or(Ok(0), Err); n],
             inflight: VecDeque::new(),
@@ -1727,6 +1729,18 @@ impl DafsClient {
             attr: None,
         };
         self.batch_fill(ctx, &mut b);
+        let direct = b.subs.first().is_some_and(|s| s.direct);
+        let mode = if direct { "direct" } else { "inline" };
+        let len = b.subs.iter().map(|s| s.len).sum();
+        ctx.trace(
+            "dafs",
+            "xfer",
+            &[
+                ("op", obs::Value::Str(dir.op())),
+                ("mode", obs::Value::Str(mode)),
+                ("len", obs::Value::U64(len)),
+            ],
+        );
         b
     }
 
@@ -1786,6 +1800,7 @@ impl DafsClient {
     /// [`Self::batch_finish`], and the attributes of the newest contiguous
     /// write reply.
     fn finish(&self, ctx: &ActorCtx, mut b: DafsBatch) -> (Vec<DafsResult<u64>>, Option<FileAttr>) {
+        let _span = ctx.span_since("dafs", b.dir.op(), b.start);
         let mut died = false;
         loop {
             self.batch_fill(ctx, &mut b);

@@ -11,20 +11,27 @@
 //! dense local **piece file** — no holes — which keeps per-server space
 //! accounting and truncation exact.
 //!
-//! Data ops decompose a contiguous logical range into per-server pieces
-//! and fan them out through the per-session batch machinery
-//! ([`DafsClient::issue`] / [`DafsClient::issue_list`]), so every server's
-//! credit window fills at issue time and the servers stream concurrently.
-//! A range that lands on a single server delegates straight to the
-//! session's synchronous [`DafsClient::read`]/[`DafsClient::write`]. With
-//! one server that is every range, and the local offsets equal the logical
-//! ones, so an `n = 1` file is byte- and timing-identical to the bare
-//! session — which is why the MPI-IO layer needs no unstriped driver.
+//! Data has one entry, [`DafsStripedFile::issue`] (and its vectored twin
+//! [`DafsStripedFile::issue_list`]): it decomposes each contiguous logical
+//! range into per-server pieces and fans them out through the per-session
+//! batch machinery ([`DafsClient::issue`] / [`DafsClient::issue_list`]), so
+//! every server's credit window fills at issue time and the servers stream
+//! concurrently; [`DafsStripedFile::batch_finish`] collects. A blocking
+//! [`DafsStripedFile::read`] / [`DafsStripedFile::write`] is the two back
+//! to back. With one server every range is one piece at its logical
+//! offset, and a one-request session batch is what the session's own
+//! blocking call is, so an `n = 1` file is byte- and timing-identical to
+//! the bare session — which is why the MPI-IO layer needs no unstriped
+//! driver.
 //!
 //! Whether a piece file goes through its session's client cache is the
-//! session's to say ([`DafsClient::cache_file`] enrols it), not this
-//! file's: nothing here picks a route, and two striped files over the same
-//! sessions and pieces are coherent with each other.
+//! session's to say ([`DafsClient::cache_file`] enrols it), not the
+//! caller's: a one-range issue on a file its sessions cache runs at once,
+//! piece by piece through the sessions' [`DafsClient::read`] /
+//! [`DafsClient::write`] — the cache's one way in — and comes back as a
+//! batch already complete; batches of more ranges, and lists, go past the
+//! cache. Two striped files over the same sessions and pieces are coherent
+//! with each other.
 
 use std::sync::Arc;
 
@@ -55,7 +62,7 @@ struct Piece {
 /// servers with `stripe`-byte blocks, in stream order. Adjacent fragments
 /// that stay on one server with contiguous local and buffer offsets are
 /// merged, so a single-server layout yields exactly one piece. `off + len`
-/// must not pass `u64::MAX`: the three entry points of [`DafsStripedFile`]
+/// must not pass `u64::MAX`: the two issue functions of [`DafsStripedFile`]
 /// refuse such a range before they get here.
 fn split_range(n: u64, stripe: u64, off: u64, len: u64) -> Vec<Piece> {
     let mut out: Vec<Piece> = Vec::new();
@@ -139,9 +146,10 @@ pub struct DafsStripedBatch {
     /// len, first piece of its request)` — what the finish half needs for
     /// the stream-order count. Empty for list batches.
     pieces: Vec<(usize, u64, bool)>,
-    /// A range ran past the last offset: nothing was sent, and the finish
-    /// half reports it.
-    out_of_range: bool,
+    /// The result of a batch that completed at issue — a range past the
+    /// last offset (nothing sent), or one range through the cache — which
+    /// the finish half returns.
+    done: Option<DafsResult<u64>>,
 }
 
 impl DafsStripedBatch {
@@ -223,66 +231,46 @@ impl DafsStripedFile {
         split_seg_list(self.clients.len() as u64, self.stripe, segs)
     }
 
-    /// One contiguous logical transfer. Returns bytes moved in stream
-    /// order (a read is short at the logical EOF).
-    fn transfer(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        off: u64,
-        addr: VirtAddr,
-        len: u64,
-    ) -> DafsResult<u64> {
-        off.checked_add(len).ok_or(OUT_OF_RANGE)?;
-        let pieces = self.split(off, len);
-        if pieces.len() > 1 && !self.cached() {
-            let b = self.issue(ctx, dir, &[IoReq { off, addr, len }]);
-            return self.batch_finish(ctx, b);
-        }
-        // A single piece goes through the session's blocking entry point:
-        // the op stream (and spans) of an unstriped session. Pieces the
-        // sessions cache go out one by one as well — batches go past the
-        // cache, and that path targets small re-read traffic where hits
-        // are local memory copies, so there is no credit window worth
-        // overlapping.
-        let mut total = 0;
-        for p in pieces {
-            let (c, fh) = (&self.clients[p.server], self.fhs[p.server]);
-            let a = addr.offset(p.rel);
-            let n = match dir {
-                BatchDir::Read => c.read(ctx, fh, p.local, a, p.len)?,
-                BatchDir::Write => c.write(ctx, fh, p.local, a, p.len).map(|_| p.len)?,
-            };
-            total += n;
-            if n < p.len {
-                break;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Read `len` logical bytes at `off` into `dst`. Returns bytes read in
-    /// stream order (short at the logical EOF).
+    /// Read `len` logical bytes at `off` into `dst`: [`Self::issue`] of the
+    /// one range, then [`Self::batch_finish`]. Returns bytes read in stream
+    /// order (short at the logical EOF).
     pub fn read(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> DafsResult<u64> {
-        self.transfer(ctx, BatchDir::Read, off, dst, len)
+        let req = IoReq {
+            off,
+            addr: dst,
+            len,
+        };
+        self.batch_finish(ctx, self.issue(ctx, BatchDir::Read, &[req]))
     }
 
-    /// Write `len` logical bytes at `off` from `src`.
+    /// Write `len` logical bytes at `off` from `src`, the same way.
     pub fn write(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> DafsResult<()> {
-        self.transfer(ctx, BatchDir::Write, off, src, len)
-            .map(|_| ())
+        let req = IoReq {
+            off,
+            addr: src,
+            len,
+        };
+        let b = self.issue(ctx, BatchDir::Write, &[req]);
+        self.batch_finish(ctx, b).map(|_| ())
     }
 
-    // ----- split-phase batch path -----------------------------------------
+    // ----- the one data entry ---------------------------------------------
 
     /// Issue a batch of contiguous logical-range transfers across all
     /// servers and return immediately; every server's credit window is
     /// filled before the first completion is awaited, so window drains
     /// overlap across servers. Batches go to the wire past the page cache
-    /// (each session drains its dirty pages for the file first).
+    /// (each session drains its dirty pages for the file first) — except
+    /// one range of a file the sessions cache, which runs now, piece by
+    /// piece in stream order through the cache (there is no credit window
+    /// worth overlapping when hits are local memory copies), and comes
+    /// back complete.
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> DafsStripedBatch {
         if reqs.iter().any(|r| r.off.checked_add(r.len).is_none()) {
-            return self.out_of_range();
+            return self.done(Err(OUT_OF_RANGE));
+        }
+        if reqs.len() == 1 && self.cached() {
+            return self.done(self.through_cache(ctx, dir, reqs[0]));
         }
         let mut per: Vec<Vec<IoReq>> = vec![Vec::new(); self.clients.len()];
         let mut pieces = Vec::new();
@@ -306,16 +294,35 @@ impl DafsStripedFile {
         DafsStripedBatch {
             per_server,
             pieces,
-            out_of_range: false,
+            done: None,
         }
     }
 
-    /// The batch of a request whose range passes the last offset.
-    fn out_of_range(&self) -> DafsStripedBatch {
+    /// One range through the sessions' caches, piece by piece: the bytes
+    /// moved in stream order, up to the first short piece.
+    fn through_cache(&self, ctx: &ActorCtx, dir: BatchDir, r: IoReq) -> DafsResult<u64> {
+        let mut total = 0;
+        for p in self.split(r.off, r.len) {
+            let (c, fh) = (&self.clients[p.server], self.fhs[p.server]);
+            let a = r.addr.offset(p.rel);
+            let n = match dir {
+                BatchDir::Read => c.read(ctx, fh, p.local, a, p.len)?,
+                BatchDir::Write => c.write(ctx, fh, p.local, a, p.len).map(|_| p.len)?,
+            };
+            total += n;
+            if n < p.len {
+                break;
+            }
+        }
+        Ok(total)
+    }
+
+    /// A batch that completed at issue with `result`.
+    fn done(&self, result: DafsResult<u64>) -> DafsStripedBatch {
         DafsStripedBatch {
             per_server: self.clients.iter().map(|_| None).collect(),
             pieces: Vec::new(),
-            out_of_range: true,
+            done: Some(result),
         }
     }
 
@@ -327,7 +334,7 @@ impl DafsStripedFile {
     pub fn issue_list(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[ListReq]) -> DafsStripedBatch {
         let mut segs = reqs.iter().flat_map(|r| &r.segs);
         if segs.any(|s| s.0.checked_add(s.1).is_none()) {
-            return self.out_of_range();
+            return self.done(Err(OUT_OF_RANGE));
         }
         let mut per: Vec<Vec<ListReq>> = vec![Vec::new(); self.clients.len()];
         for r in reqs {
@@ -347,7 +354,7 @@ impl DafsStripedFile {
         DafsStripedBatch {
             per_server,
             pieces: Vec::new(),
-            out_of_range: false,
+            done: None,
         }
     }
 
@@ -376,8 +383,8 @@ impl DafsStripedFile {
     /// other servers returned. A list batch counts every byte that landed
     /// (at the logical EOF, the missing tail simply doesn't).
     pub fn batch_finish(&self, ctx: &ActorCtx, b: DafsStripedBatch) -> DafsResult<u64> {
-        if b.out_of_range {
-            return Err(OUT_OF_RANGE);
+        if let Some(result) = b.done {
+            return result;
         }
         let mut first_err = None;
         let mut per: Vec<std::vec::IntoIter<u64>> = Vec::with_capacity(b.per_server.len());

@@ -3,13 +3,17 @@
 //! baseline), and UFS (a node-local memory filesystem).
 //!
 //! The interface is the minimal contract ROMIO's ADIO demands of a
-//! filesystem: contiguous reads/writes at explicit offsets, one
-//! multi-request transfer in a blocking and a split-phase form (which the
-//! DAFS driver pipelines over session credits, optionally as wire-level
-//! list requests), resize/flush, and an optional shared-file-pointer fetch-and-add
-//! primitive (implemented on DAFS with the protocol's file locks; absent
-//! on NFS, where ROMIO historically had to fall back to unsupported or
-//! fcntl-lock emulation).
+//! filesystem: one data method, a split-phase multi-request transfer at
+//! explicit offsets ([`AdioFile::itransfer`], which the DAFS driver
+//! pipelines over session credits, optionally as wire-level list
+//! requests); resize/flush; and an optional shared-file-pointer
+//! fetch-and-add primitive (implemented on DAFS with the protocol's file
+//! locks; absent on NFS, where ROMIO historically had to fall back to
+//! unsupported or fcntl-lock emulation). As `MPI_File_read` is
+//! `MPI_File_iread` plus a wait, a blocking transfer is the split-phase one
+//! plus its wait, and a contiguous read or write is a blocking transfer of
+//! one range — provided methods, which only the NFS driver overrides (its
+//! blocking calls run one RPC at a time: the baseline as it was measured).
 
 use std::sync::Arc;
 
@@ -213,9 +217,9 @@ fn with_retries<T>(ctx: &ActorCtx, f: impl Fn() -> AdioResult<T>) -> AdioResult<
     }
 }
 
-/// Driver-side completion half of a split-phase batch. Boxed inside an
-/// [`AdioRequest`]; drivers without real split-phase support never create
-/// one (their requests are born complete).
+/// Driver-side completion half of a transfer. Boxed inside an
+/// [`AdioRequest`]; a driver with nothing to overlap never creates one
+/// (its requests are born complete).
 pub trait PendingIo: Send {
     /// Block until the batch completes. Returns total bytes transferred.
     fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64>;
@@ -232,15 +236,16 @@ enum ReqState {
     Pending(Box<dyn PendingIo>),
 }
 
-/// Split-phase batches outstanding on one actor, kept in its
-/// [`ActorCtx::with_local`] slot. Feeds the `adio.inflight` depth histogram;
-/// self-balancing because every request is waited.
+/// Driver transfers in flight on one actor (a request born complete never
+/// is), kept in its [`ActorCtx::with_local`] slot. Feeds the
+/// `adio.inflight` depth histogram; self-balancing because every request
+/// is waited.
 #[derive(Default)]
 struct Inflight(u64);
 
-/// Completion handle for a nonblocking ADIO transfer
-/// ([`AdioFile::itransfer`]): either born complete (eager drivers) or a
-/// split-phase operation in flight that [`AdioRequest::wait`] collects.
+/// Completion handle for an ADIO transfer ([`AdioFile::itransfer`]): either
+/// born complete (eager drivers) or an operation in flight that
+/// [`AdioRequest::wait`] collects.
 #[must_use = "an AdioRequest must be waited, or its I/O may never complete"]
 pub struct AdioRequest {
     state: ReqState,
@@ -254,8 +259,8 @@ impl AdioRequest {
         }
     }
 
-    /// A genuinely in-flight split-phase request. Records the calling
-    /// actor's outstanding depth in the `adio.inflight` histogram.
+    /// A request in flight. Records the calling actor's outstanding depth
+    /// in the `adio.inflight` histogram.
     pub fn pending(ctx: &ActorCtx, io: Box<dyn PendingIo>) -> AdioRequest {
         let depth = ctx.with_local(|d: &mut Inflight| {
             d.0 += 1;
@@ -302,12 +307,50 @@ pub enum Shape {
 
 /// An open file as seen by the MPI-IO core.
 pub trait AdioFile: Send + Sync {
-    /// Read `len` bytes at `off` into `dst`; returns bytes read (short at
-    /// EOF).
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64>;
+    /// The one data method: issue a multi-request transfer and return a
+    /// handle the caller overlaps work against before waiting
+    /// ([`AdioRequest::wait`] returns the total bytes moved; a read is
+    /// short at EOF). [`Shape::List`] asks for `reqs` — sorted ascending
+    /// and non-overlapping on both the file-offset and buffer-address axes
+    /// — to travel as one list request per credit-window chunk; a driver
+    /// without list ops, or handed an unsorted batch, carries them as a
+    /// plain batch. A driver with nothing to overlap completes the request
+    /// at issue ([`AdioRequest::ready`]).
+    fn itransfer(&self, ctx: &ActorCtx, dir: BatchDir, shape: Shape, reqs: &[IoReq])
+        -> AdioRequest;
 
-    /// Write `len` bytes at `off` from `src`.
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()>;
+    /// Blocking form of [`AdioFile::itransfer`]: issue, then wait.
+    fn transfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioResult<u64> {
+        self.itransfer(ctx, dir, shape, reqs).wait(ctx)
+    }
+
+    /// Read `len` bytes at `off` into `dst`; returns bytes read (short at
+    /// EOF). A blocking transfer of the one range.
+    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
+        let req = IoReq {
+            off,
+            addr: dst,
+            len,
+        };
+        self.transfer(ctx, BatchDir::Read, Shape::Batch, &[req])
+    }
+
+    /// Write `len` bytes at `off` from `src`, the same way.
+    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
+        let req = IoReq {
+            off,
+            addr: src,
+            len,
+        };
+        self.transfer(ctx, BatchDir::Write, Shape::Batch, &[req])
+            .map(|_| ())
+    }
 
     /// True when this open file ships a sorted batch of ranges as
     /// wire-level vectored (list) requests — [`Shape::List`] transfers are
@@ -316,46 +359,6 @@ pub trait AdioFile: Send + Sync {
     /// core keeps data sieving.
     fn list_io_enabled(&self) -> bool {
         false
-    }
-
-    /// Blocking multi-request transfer; returns total bytes moved. The
-    /// default loops over the contiguous calls; drivers with pipelining
-    /// override. [`Shape::List`] asks for `reqs` — sorted ascending and
-    /// non-overlapping on both the file-offset and buffer-address axes —
-    /// to travel as one list request per credit-window chunk; a driver
-    /// without list ops, or handed an unsorted batch, carries them as a
-    /// plain batch.
-    fn transfer(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        _shape: Shape,
-        reqs: &[IoReq],
-    ) -> AdioResult<u64> {
-        let mut total = 0;
-        for r in reqs {
-            total += match dir {
-                BatchDir::Read => self.read_contig(ctx, r.off, r.addr, r.len)?,
-                BatchDir::Write => self
-                    .write_contig(ctx, r.off, r.addr, r.len)
-                    .map(|_| r.len)?,
-            };
-        }
-        Ok(total)
-    }
-
-    /// Split-phase form of [`AdioFile::transfer`]: issue the requests and
-    /// return a handle the caller overlaps work against before waiting.
-    /// Default completes eagerly (blocking) for drivers without
-    /// split-phase support.
-    fn itransfer(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        shape: Shape,
-        reqs: &[IoReq],
-    ) -> AdioRequest {
-        AdioRequest::ready(self.transfer(ctx, dir, shape, reqs))
     }
 
     /// Current file size.
@@ -717,63 +720,25 @@ impl AdioFs for DafsAdio {
     }
 }
 
-impl DafsHandle {
-    /// Issue half of every multi-request transfer: one list request when
-    /// the caller asked for one, the hint allows it and the batch is
-    /// sorted; the contiguous batch otherwise.
-    fn issue(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        shape: Shape,
-        reqs: &[IoReq],
-    ) -> DafsStripedBatch {
-        let listed = (shape == Shape::List && self.listio).then(|| list_segments(reqs));
-        match listed.flatten() {
-            Some(lr) => self.file.issue_list(ctx, dir, &[lr]),
-            None => self.file.issue(ctx, dir, reqs),
-        }
-    }
-}
-
-/// The blocking multi-request path, written once: `issue` + finish under
-/// the ADIO retry budget (each retry issues afresh). Also what a
-/// split-phase request falls back to.
-fn dafs_blocking(
-    ctx: &ActorCtx,
+/// Issue half of every DAFS transfer: one list request when `listed` (the
+/// caller asked for one and the hint allows it) and the batch is sorted;
+/// the contiguous batch otherwise.
+fn dafs_issue(
     file: &DafsStripedFile,
-    issue: impl Fn() -> DafsStripedBatch,
-) -> AdioResult<u64> {
-    with_retries(ctx, || {
-        file.batch_finish(ctx, issue()).map_err(AdioError::from)
-    })
+    ctx: &ActorCtx,
+    dir: BatchDir,
+    listed: bool,
+    reqs: &[IoReq],
+) -> DafsStripedBatch {
+    match listed.then(|| list_segments(reqs)).flatten() {
+        Some(lr) => file.issue_list(ctx, dir, &[lr]),
+        None => file.issue(ctx, dir, reqs),
+    }
 }
 
 impl AdioFile for DafsHandle {
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
-        with_retries(ctx, || {
-            self.file.read(ctx, off, dst, len).map_err(AdioError::from)
-        })
-    }
-
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
-        with_retries(ctx, || {
-            self.file.write(ctx, off, src, len).map_err(AdioError::from)
-        })
-    }
-
     fn list_io_enabled(&self) -> bool {
         self.listio
-    }
-
-    fn transfer(
-        &self,
-        ctx: &ActorCtx,
-        dir: BatchDir,
-        shape: Shape,
-        reqs: &[IoReq],
-    ) -> AdioResult<u64> {
-        dafs_blocking(ctx, &self.file, || self.issue(ctx, dir, shape, reqs))
     }
 
     fn itransfer(
@@ -783,13 +748,16 @@ impl AdioFile for DafsHandle {
         shape: Shape,
         reqs: &[IoReq],
     ) -> AdioRequest {
+        let listed = shape == Shape::List && self.listio;
+        let batch = dafs_issue(&self.file, ctx, dir, listed, reqs);
         AdioRequest::pending(
             ctx,
             Box::new(DafsInFlight {
                 file: self.file.clone(),
-                batch: self.issue(ctx, dir, shape, reqs),
                 dir,
+                listed,
                 reqs: reqs.to_vec(),
+                batch,
             }),
         )
     }
@@ -828,14 +796,15 @@ impl AdioFile for DafsHandle {
     }
 }
 
-/// A split-phase DAFS transfer in flight: per-server batches plus what is
-/// needed to re-run it synchronously if a session dies (idempotent: reads
+/// A DAFS transfer in flight — per-server batches, or one that completed at
+/// issue — plus what is needed to issue it again (idempotent: reads
 /// re-fetch, writes re-put the same bytes at the same offsets).
 struct DafsInFlight {
     file: Arc<DafsStripedFile>,
-    batch: DafsStripedBatch,
     dir: BatchDir,
+    listed: bool,
     reqs: Vec<IoReq>,
+    batch: DafsStripedBatch,
 }
 
 impl PendingIo for DafsInFlight {
@@ -843,19 +812,23 @@ impl PendingIo for DafsInFlight {
         self.file.batch_test(ctx, &mut self.batch)
     }
 
+    /// Finish the batch; while the transfer fails with a transient fault
+    /// the sessions' own recovery gave up on, issue it again, within the
+    /// one ADIO retry budget.
     fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
-        let me = *self;
-        match me.file.batch_finish(ctx, me.batch).map_err(AdioError::from) {
-            Err(e) if transient(&e) => {
-                // Residual transient failure after the per-session
-                // recovery: fall back to the blocking path, which carries
-                // the usual ADIO retry budget. The same ranges go through
-                // the contiguous batch — byte-identical placement.
-                ctx.metrics().counter("adio.retries").inc();
-                dafs_blocking(ctx, &me.file, || me.file.issue(ctx, me.dir, &me.reqs))
-            }
-            r => r,
-        }
+        let DafsInFlight {
+            file,
+            dir,
+            listed,
+            reqs,
+            batch,
+        } = *self;
+        let issued = std::cell::Cell::new(Some(batch));
+        with_retries(ctx, || {
+            let b = issued.take();
+            let b = b.unwrap_or_else(|| dafs_issue(&file, ctx, dir, listed, &reqs));
+            file.batch_finish(ctx, b).map_err(AdioError::from)
+        })
     }
 }
 
@@ -906,10 +879,37 @@ impl NfsAdio {
     }
 }
 
+#[derive(Clone)]
 struct NfsFileHandle {
     client: Arc<NfsClient>,
     fh: NodeId,
     host: Host,
+}
+
+impl NfsFileHandle {
+    /// The baseline's blocking transfer: one range after another, each
+    /// through the mount's blocking call — one rsize / wsize RPC at a time —
+    /// under the ADIO retry budget. Also what a split-phase batch falls
+    /// back to.
+    fn sequential(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> AdioResult<u64> {
+        let (c, fh, mem) = (&self.client, self.fh, &self.host.mem);
+        let mut total = 0;
+        for r in reqs {
+            total += match dir {
+                BatchDir::Read => {
+                    let data = with_retries(ctx, || Ok(c.read(ctx, fh, r.off, r.len)?))?;
+                    mem.write(r.addr, &data);
+                    data.len() as u64
+                }
+                BatchDir::Write => {
+                    let data = mem.read_vec(r.addr, r.len as usize);
+                    with_retries(ctx, || Ok(c.write(ctx, fh, r.off, &data)?))?;
+                    r.len
+                }
+            };
+        }
+        Ok(total)
+    }
 }
 
 impl AdioFs for NfsAdio {
@@ -968,26 +968,6 @@ fn hostof(ctx: &ActorCtx) -> Host {
 }
 
 impl AdioFile for NfsFileHandle {
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
-        let data = with_retries(ctx, || {
-            self.client
-                .read(ctx, self.fh, off, len)
-                .map_err(AdioError::from)
-        })?;
-        self.host.mem.write(dst, &data);
-        Ok(data.len() as u64)
-    }
-
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
-        let data = self.host.mem.read_vec(src, len as usize);
-        with_retries(ctx, || {
-            self.client
-                .write(ctx, self.fh, off, &data)
-                .map(|_| ())
-                .map_err(AdioError::from)
-        })
-    }
-
     fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
         // Revalidate rather than just refetch: MPI_File_get_size is a
         // consistency point, so a version change must also drop any pages
@@ -1028,16 +1008,20 @@ impl AdioFile for NfsFileHandle {
                     .collect(),
             ),
         };
-        AdioRequest::pending(
-            ctx,
-            Box::new(NfsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                host: self.host.clone(),
-                ops,
-                reqs: reqs.to_vec(),
-            }),
-        )
+        let (file, reqs) = (self.clone(), reqs.to_vec());
+        AdioRequest::pending(ctx, Box::new(NfsPending { file, ops, reqs }))
+    }
+
+    /// Not issue plus wait: the baseline's blocking calls keep one RPC in
+    /// flight at a time ([`NfsFileHandle::sequential`]).
+    fn transfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        _shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioResult<u64> {
+        self.sequential(ctx, dir, reqs)
     }
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
@@ -1052,76 +1036,49 @@ enum NfsPendingOps {
 }
 
 /// Split-phase NFS RPCs in flight, one pending set per batch entry, plus
-/// what is needed to re-run the batch synchronously on a residual
-/// transient failure.
+/// what is needed to re-run the batch on a residual transient failure.
 struct NfsPending {
-    client: Arc<NfsClient>,
-    fh: NodeId,
-    host: Host,
+    file: NfsFileHandle,
     ops: NfsPendingOps,
     reqs: Vec<IoReq>,
 }
 
 impl PendingIo for NfsPending {
     fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
-        let NfsPending {
-            client,
-            fh,
-            host,
-            ops,
-            reqs,
-        } = *self;
-        let is_write = matches!(ops, NfsPendingOps::Write(_));
-        let first = match ops {
-            NfsPendingOps::Read(ps) => {
-                let mut total = 0;
-                (|| {
+        let NfsPending { file, ops, reqs } = *self;
+        let (c, mem) = (&file.client, &file.host.mem);
+        let dir = match ops {
+            NfsPendingOps::Read(_) => BatchDir::Read,
+            NfsPendingOps::Write(_) => BatchDir::Write,
+        };
+        let first = (|| -> AdioResult<u64> {
+            let mut total = 0;
+            match ops {
+                NfsPendingOps::Read(ps) => {
                     for (p, r) in ps.into_iter().zip(&reqs) {
-                        let data = client.read_finish(ctx, p).map_err(AdioError::from)?;
-                        host.mem.write(r.addr, &data);
+                        let data = c.read_finish(ctx, p)?;
+                        mem.write(r.addr, &data);
                         total += data.len() as u64;
                     }
-                    Ok(total)
-                })()
-            }
-            NfsPendingOps::Write(ps) => {
-                let mut total = 0;
-                (|| {
+                }
+                NfsPendingOps::Write(ps) => {
                     for (p, r) in ps.into_iter().zip(&reqs) {
-                        client.write_finish(ctx, p).map_err(AdioError::from)?;
+                        c.write_finish(ctx, p)?;
                         total += r.len;
                     }
-                    Ok(total)
-                })()
+                }
             }
-        };
+            Ok(total)
+        })();
         match first {
             Err(e) if transient(&e) => {
                 // Residual transient failure after the RPC layer's own
-                // retransmits: re-run the whole batch synchronously
+                // retransmits: re-run the whole batch the blocking way
                 // (idempotent — reads re-fetch, writes re-put the same
-                // bytes). The retransmit-armed sync path treats any
+                // bytes). The retransmit-armed blocking path treats any
                 // leftover replies on the stream as stale duplicates.
                 ctx.metrics().counter("adio.retries").inc();
-                with_retries(ctx, || {
-                    let mut total = 0;
-                    for r in &reqs {
-                        if is_write {
-                            let data = host.mem.read_vec(r.addr, r.len as usize);
-                            client
-                                .write(ctx, fh, r.off, &data)
-                                .map_err(AdioError::from)?;
-                            total += r.len;
-                        } else {
-                            let data = client
-                                .read(ctx, fh, r.off, r.len)
-                                .map_err(AdioError::from)?;
-                            host.mem.write(r.addr, &data);
-                            total += data.len() as u64;
-                        }
-                    }
-                    Ok(total)
-                })
+                file.sequential(ctx, dir, &reqs)
             }
             r => r,
         }
@@ -1224,22 +1181,36 @@ impl AdioFs for UfsAdio {
 }
 
 impl AdioFile for UfsFileHandle {
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
-        self.host
-            .compute(ctx, self.cost.per_op + self.cost.host.copy(len));
-        let data = self.fs.read(self.fh, off, len).map_err(AdioError::from)?;
-        self.host.mem.write(dst, &data);
-        Ok(data.len() as u64)
-    }
-
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
-        self.host
-            .compute(ctx, self.cost.per_op + self.cost.host.copy(len));
-        let data = self.host.mem.read_vec(src, len as usize);
-        self.fs
-            .write(self.fh, off, &data)
-            .map(|_| ())
-            .map_err(AdioError::from)
+    /// Memory-resident: nothing to overlap, so each range is one syscall
+    /// and one page-cache copy, now, and the request is born complete.
+    fn itransfer(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        _shape: Shape,
+        reqs: &[IoReq],
+    ) -> AdioRequest {
+        let run = || -> AdioResult<u64> {
+            let mut total = 0;
+            for r in reqs {
+                self.host
+                    .compute(ctx, self.cost.per_op + self.cost.host.copy(r.len));
+                total += match dir {
+                    BatchDir::Read => {
+                        let data = self.fs.read(self.fh, r.off, r.len)?;
+                        self.host.mem.write(r.addr, &data);
+                        data.len() as u64
+                    }
+                    BatchDir::Write => {
+                        let data = self.host.mem.read_vec(r.addr, r.len as usize);
+                        self.fs.write(self.fh, r.off, &data)?;
+                        r.len
+                    }
+                };
+            }
+            Ok(total)
+        };
+        AdioRequest::ready(run())
     }
 
     fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
@@ -1323,8 +1294,11 @@ mod tests {
         });
     }
 
+    /// UFS's one data method runs at issue: its request is born complete
+    /// (`test` is true before any wait, and nothing is ever in flight), and
+    /// the blocking calls are that request waited.
     #[test]
-    fn default_batch_loops() {
+    fn ufs_itransfer_completes_at_issue() {
         run_ufs(|ctx, adio, host| {
             let f = adio.open(ctx, "/b", true).unwrap();
             let bufs: Vec<VirtAddr> = (0..4).map(|_| host.mem.alloc(100)).collect();
@@ -1340,8 +1314,11 @@ mod tests {
                     len: 100,
                 })
                 .collect();
-            let n = f.transfer(ctx, BatchDir::Write, Shape::Batch, &writes);
-            assert_eq!(n, Ok(400));
+            let mut req = f.itransfer(ctx, BatchDir::Write, Shape::Batch, &writes);
+            assert!(req.test(ctx), "born complete");
+            assert_eq!(f.get_size(ctx), Ok(400), "written at issue");
+            assert_eq!(req.wait(ctx), Ok(400));
+            assert_eq!(ctx.metrics().histogram("adio.inflight").count(), 0);
             let dst = host.mem.alloc(400);
             assert_eq!(f.read_contig(ctx, 0, dst, 400).unwrap(), 400);
             let got = host.mem.read_vec(dst, 400);

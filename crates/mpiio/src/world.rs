@@ -26,26 +26,17 @@ use crate::comm::{Comm, CommCost};
 /// Which file-access stack the job runs on.
 #[derive(Clone)]
 pub enum Backend {
-    /// The paper's system: DAFS over VIA.
+    /// The paper's system: DAFS over VIA, one server or files striped
+    /// round-robin over several (one session per server per rank).
     Dafs {
         /// VIA fabric cost model (set `rdma_read_supported` for the
         /// direct-write ablation).
-        via: ViaCost,
-        /// Server cost model.
-        server: DafsServerCost,
-        /// Per-rank client/session configuration.
-        client: DafsClientConfig,
-    },
-    /// The paper's system striped round-robin across several DAFS
-    /// servers (one session per server per rank).
-    DafsStriped {
-        /// VIA fabric cost model.
         via: ViaCost,
         /// Per-server cost model.
         server: DafsServerCost,
         /// Per-rank, per-session client configuration.
         client: DafsClientConfig,
-        /// Number of DAFS servers (hosts 0..servers-1).
+        /// Number of DAFS servers (hosts 0..servers-1); 1 is the paper's.
         servers: usize,
     },
     /// The baseline: NFSv3 over the kernel TCP path.
@@ -66,18 +57,14 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Default DAFS backend (cLAN-like fabric).
+    /// Default DAFS backend (cLAN-like fabric), one server.
     pub fn dafs() -> Backend {
-        Backend::Dafs {
-            via: ViaCost::default(),
-            server: DafsServerCost::default(),
-            client: DafsClientConfig::default(),
-        }
+        Backend::dafs_striped(1)
     }
 
-    /// Default striped-DAFS backend over `servers` servers.
+    /// Default DAFS backend striped over `servers` servers.
     pub fn dafs_striped(servers: usize) -> Backend {
-        Backend::DafsStriped {
+        Backend::Dafs {
             via: ViaCost::default(),
             server: DafsServerCost::default(),
             client: DafsClientConfig::default(),
@@ -101,11 +88,12 @@ impl Backend {
         }
     }
 
-    /// Which ADIO driver this backend mounts.
+    /// Which ADIO driver this backend mounts (DAFS over more than one
+    /// server reports as striped).
     pub fn kind(&self) -> DriverKind {
         match self {
-            Backend::Dafs { .. } => DriverKind::Dafs,
-            Backend::DafsStriped { .. } => DriverKind::DafsStriped,
+            Backend::Dafs { servers: 1, .. } => DriverKind::Dafs,
+            Backend::Dafs { .. } => DriverKind::DafsStriped,
             Backend::Nfs { .. } => DriverKind::Nfs,
             Backend::Ufs { .. } => DriverKind::Ufs,
         }
@@ -206,14 +194,15 @@ impl Testbed {
         let mut via_fabric = None;
         let mut tcp_fabric = None;
         match &backend {
-            Backend::Dafs { via, server, .. } | Backend::DafsStriped { via, server, .. } => {
-                let servers = match &backend {
-                    Backend::DafsStriped { servers, .. } => *servers,
-                    _ => 1,
-                };
-                assert!(servers >= 1, "striped backend needs at least one server");
+            Backend::Dafs {
+                via,
+                server,
+                servers,
+                ..
+            } => {
+                assert!(*servers >= 1, "DAFS backend needs at least one server");
                 let fabric = ViaFabric::new(*via);
-                for s in 0..servers {
+                for s in 0..*servers {
                     // Server 0 exports the testbed's primary fs handle.
                     let sfs = if s == 0 { fs.clone() } else { MemFs::new() };
                     let nic = fabric.open_nic(cluster.add_host(&format!("server{s}")));
@@ -283,12 +272,9 @@ impl Testbed {
         plan: Option<FaultPlan>,
     ) -> Testbed {
         assert!(oversub >= 1, "oversubscription factor must be >= 1");
-        let backend = Backend::dafs_striped(servers);
-        let (wire_bw, wire_latency) = match &backend {
-            Backend::DafsStriped { via, .. } => (via.wire_bw, via.wire_latency),
-            _ => unreachable!(),
-        };
-        let mut tb = Testbed::with_obs(backend, obs);
+        let via = ViaCost::default();
+        let (wire_bw, wire_latency) = (via.wire_bw, via.wire_latency);
+        let mut tb = Testbed::with_obs(Backend::dafs_striped(servers), obs);
         let trunk_bw = Bandwidth::bytes_per_sec(
             (wire_bw.as_bytes_per_sec() * servers as u64 / oversub).max(1),
         );
@@ -411,7 +397,7 @@ impl Testbed {
                 rh.lock().push(host.clone());
                 set_current_host(ctx, &host);
                 match &backend {
-                    Backend::Dafs { client, .. } | Backend::DafsStriped { client, .. } => {
+                    Backend::Dafs { client, .. } => {
                         let fabric = via_fabric.as_ref().unwrap();
                         let nic = fabric.open_nic(host.clone());
                         // One session per server (one, for the paper's

@@ -561,6 +561,8 @@ impl NfsClient {
     /// by wsize) without waiting for replies, so the server processes
     /// them while the caller overlaps other work — past the mount's
     /// window, as its replies come in. Collect with [`Self::write_finish`].
+    /// A range past `u64::MAX` is sent as it is, for the server to refuse
+    /// chunk by chunk: the chunk offsets stop at `u64::MAX`, never wrap.
     pub fn write_begin(
         &self,
         ctx: &ActorCtx,
@@ -572,7 +574,7 @@ impl NfsClient {
         for chunk in data.chunks(self.config.wsize.max(1) as usize) {
             let mut e = self.write_args(ctx, fh, off, chunk);
             xids.push(self.send_rpc(ctx, NfsProc::Write, &mut e, "rpc.issue"));
-            off += chunk.len() as u64;
+            off = off.saturating_add(chunk.len() as u64);
             self.stats.writes.record(chunk.len() as u64);
         }
         NfsPendingWrite { fh, xids }
@@ -595,13 +597,14 @@ impl NfsClient {
     /// replies come in). The synchronous path stops
     /// chunking when it sees EOF; here the tail RPCs are already posted,
     /// so EOF shows up as short or empty replies that
-    /// [`Self::read_finish`] trims.
+    /// [`Self::read_finish`] trims. As in [`Self::write_begin`], the chunk
+    /// offsets stop at `u64::MAX`.
     pub fn read_begin(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsPendingRead {
         let mut rpcs = Vec::new();
         let mut done = 0u64;
         while done < len {
             let n = (len - done).min(self.config.rsize.max(1));
-            let mut e = Self::read_args(fh, off + done, n);
+            let mut e = Self::read_args(fh, off.saturating_add(done), n);
             rpcs.push((self.send_rpc(ctx, NfsProc::Read, &mut e, "rpc.issue"), n));
             done += n;
         }

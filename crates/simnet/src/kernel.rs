@@ -487,11 +487,18 @@ impl ActorCtx {
     /// `{layer}.{op}.calls`, and (when tracing) emits one event carrying
     /// both endpoints. Spans never advance time themselves.
     pub fn span(&self, layer: &'static str, op: &'static str) -> Span<'_> {
+        self.span_since(layer, op, self.now())
+    }
+
+    /// [`Self::span`] from `start`, an instant this actor already passed:
+    /// for work that begins in one call and ends in another (a split-phase
+    /// transfer, from its issue to its finish).
+    pub fn span_since(&self, layer: &'static str, op: &'static str, start: SimTime) -> Span<'_> {
         Span {
             ctx: self,
             layer,
             op,
-            start: self.now(),
+            start,
         }
     }
 

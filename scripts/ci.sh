@@ -72,6 +72,22 @@ for op in ReadInline ReadDirect WriteInline WriteDirect; do
     fi
 done
 
+echo "==> one ADIO data method"
+# A driver implements `AdioFile::itransfer`: a blocking transfer is it plus
+# its wait, and a contiguous read or write is a blocking transfer of one
+# range — the trait's provided methods. Only the NFS driver overrides
+# `transfer` (its baseline keeps one RPC in flight at a time). The striped
+# DAFS file's one data entry is `issue`, with one retry budget above it.
+defs() { grep -rn "fn $1" crates/mpiio | wc -l; }
+if [ "$(defs read_contig)" -gt 1 ] || [ "$(defs write_contig)" -gt 1 ] ||
+    [ "$(defs 'transfer(')" -gt 2 ] || grep -rn 'dafs_blocking' crates ||
+    grep -n 'fn transfer(' crates/dafs/src/striped.rs; then
+    echo "ci: a second ADIO data path is back: crates/mpiio defines read_contig" \
+        "$(defs read_contig)x, write_contig $(defs write_contig)x (at most 1 each)," \
+        "transfer $(defs 'transfer(')x (at most 2), or the lines above" >&2
+    exit 1
+fi
+
 echo "==> a DAFS reconnect replaces the VI, not the registrations"
 # A session keeps one protection tag for its life, so a redial re-posts the
 # receive ring on the new VI and registers nothing: the cache is never

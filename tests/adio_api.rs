@@ -200,9 +200,13 @@ fn every_driver_carries_every_transfer_shape() {
 /// and through the DAFS driver's stripe arithmetic, the rank) in a debug
 /// build, and in a release build wrap onto the head of the file or, on
 /// DAFS, into an empty piece list that reported success — and the file is
-/// intact and usable through the same handle afterwards. DAFS is driven
-/// over one session and two, with the `dafs_cache` hint off and on. The
-/// DAFS server's half of this is `dafs`'s own wire-level test.
+/// intact and usable through the same handle afterwards. The split-phase
+/// form answers what the blocking form answers, in both shapes, and so
+/// does a read longer than the NFS rsize at the same offset (the NFS
+/// split-phase halves used to step their chunk offsets past `u64::MAX`,
+/// which a debug build caught as an overflow). DAFS is driven over one
+/// session and two, with the `dafs_cache` hint off and on. The DAFS
+/// server's half of this is `dafs`'s own wire-level test.
 #[test]
 fn every_backend_refuses_a_write_past_the_last_offset() {
     let cases = [
@@ -221,20 +225,32 @@ fn every_backend_refuses_a_write_past_the_last_offset() {
                 hints.set("dafs_cache", v);
             }
             let f = adio.open_with_hints(ctx, "/edge", true, &hints).unwrap();
-            let buf = mem.alloc(64);
+            let buf = mem.alloc(40 << 10);
             mem.fill(buf, 16, 0xAB);
             f.write_contig(ctx, 0, buf, 16).unwrap();
             mem.fill(buf, 16, 0xCD);
             let r = f.write_contig(ctx, u64::MAX - 1, buf, 4);
             assert!(matches!(r, Err(AdioError::Io(_))), "{name}: {r:?}");
-            let reqs = [IoReq {
-                off: u64::MAX - 1,
-                addr: buf,
-                len: 4,
-            }];
+            let at_the_end = |len| {
+                [IoReq {
+                    off: u64::MAX - 1,
+                    addr: buf,
+                    len,
+                }]
+            };
             for shape in [Shape::Batch, Shape::List] {
+                let reqs = at_the_end(4);
                 let r = f.transfer(ctx, BatchDir::Write, shape, &reqs);
-                assert!(r.is_err(), "{name} {shape:?}: {r:?}");
+                assert!(
+                    matches!(r, Err(AdioError::Io(_))),
+                    "{name} {shape:?}: {r:?}"
+                );
+                let split = f.itransfer(ctx, BatchDir::Write, shape, &reqs).wait(ctx);
+                assert_eq!(split, r, "{name} {shape:?}: split-phase write");
+                let reqs = at_the_end(40 << 10);
+                let r = f.transfer(ctx, BatchDir::Read, shape, &reqs);
+                let split = f.itransfer(ctx, BatchDir::Read, shape, &reqs).wait(ctx);
+                assert_eq!(split, r, "{name} {shape:?}: split-phase read");
             }
             assert_eq!(f.get_size(ctx), Ok(16), "{name}");
             assert_eq!(f.read_contig(ctx, 0, buf, 64), Ok(16), "{name}");
@@ -260,7 +276,7 @@ fn every_backend_refuses_a_write_past_the_last_offset() {
 fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_count() {
     const LEN: u64 = 128 << 10;
     for servers in [1, 2] {
-        let backend = Backend::DafsStriped {
+        let backend = Backend::Dafs {
             via: Default::default(),
             server: Default::default(),
             client: DafsClientConfig {
@@ -311,15 +327,57 @@ fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_coun
     }
 }
 
+/// A split-phase call on a file its sessions cache takes the route the
+/// blocking call takes: through the cache. After a `read_at` an `iread_at`
+/// of the same range is a hit and reaches no server (it used to go past the
+/// cache: one more request, after flushing the file). An `iwrite_at` into
+/// the middle is then what the next `read_at` sees.
+#[test]
+fn a_split_phase_call_on_a_cached_file_goes_through_the_cache() {
+    const LEN: u64 = 16 << 10;
+    Testbed::new(Backend::dafs()).run(1, |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let mut hints = Hints::default();
+        hints.set("dafs_cache", "enable");
+        let f = MpiFile::open(ctx, adio, &host, "/c", OpenMode::create(), hints).unwrap();
+        let buf = host.mem.alloc(LEN as usize);
+        host.mem.fill(buf, LEN as usize, 0x5A);
+        assert_eq!(f.write_at(ctx, 0, buf, LEN), Ok(LEN));
+        assert_eq!(f.read_at(ctx, 0, buf, LEN), Ok(LEN));
+        let count = |name: &str| ctx.metrics().counter(name).get();
+        let (requests, hits) = (count("dafs.ops"), count("dafs.cache.hits"));
+        host.mem.fill(buf, LEN as usize, 0);
+        assert_eq!(f.iread_at(ctx, 0, buf, LEN).wait(ctx), Ok(LEN));
+        assert!(host.mem.read_vec(buf, LEN as usize) == vec![0x5A; LEN as usize]);
+        assert!(count("dafs.cache.hits") > hits, "no hit");
+        assert_eq!(count("dafs.ops"), requests, "went to the server");
+        host.mem.fill(buf, 1000, 0xC3);
+        assert_eq!(f.iwrite_at(ctx, 100, buf, 1000).wait(ctx), Ok(1000));
+        host.mem.fill(buf, LEN as usize, 0);
+        assert_eq!(f.read_at(ctx, 0, buf, LEN), Ok(LEN));
+        let want = [
+            vec![0x5A; 100],
+            vec![0xC3; 1000],
+            vec![0x5A; LEN as usize - 1100],
+        ];
+        assert!(
+            host.mem.read_vec(buf, LEN as usize) == want.concat(),
+            "stale"
+        );
+        f.close(ctx, adio).unwrap();
+    });
+}
+
 /// The retry budget around the DAFS transfers, and what `adio.inflight`
 /// counts. The sessions cannot reconnect (`max_reconnects: 0`) and the
 /// server dies for good at 5 ms, so every attempt after that fails with a
-/// transient fault: a blocking call re-attempts `ADIO_RETRIES` = 2 times
-/// and gives up; a split-phase request bumps once for its residual
-/// fallback to the blocking path, which then spends the same budget. Only
-/// the split-phase request was ever in flight.
+/// transient fault. A blocking call is the split-phase one plus its wait,
+/// so both re-attempt `ADIO_RETRIES` = 2 times and give up — one budget
+/// (a split-phase request used to bump once more, for a fallback to the
+/// blocking path that then spent the budget again) — and every DAFS
+/// transfer, blocking or not, is in flight until its wait, one at a time.
 #[test]
-fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
+fn transient_faults_spend_one_retry_budget_and_every_dafs_transfer_is_in_flight() {
     let backend = Backend::Dafs {
         via: Default::default(),
         server: Default::default(),
@@ -327,6 +385,7 @@ fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
             max_reconnects: 0,
             ..DafsClientConfig::default()
         },
+        servers: 1,
     };
     // The file server is always host 0.
     let (from, until) = (SimTime::ZERO + ms(5), SimTime::ZERO + ms(600_000));
@@ -346,13 +405,13 @@ fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
             .collect();
         let retries = || ctx.metrics().counter("adio.retries").get();
         let in_flight = || ctx.metrics().histogram("adio.inflight").count();
-        // Healthy: blocking calls of every kind are never "in flight".
+        // Healthy: five blocking calls, each in flight until its wait.
         for shape in [Shape::Batch, Shape::List] {
             assert_eq!(f.transfer(ctx, BatchDir::Write, shape, &reqs), Ok(16 << 10));
             assert_eq!(f.transfer(ctx, BatchDir::Read, shape, &reqs), Ok(16 << 10));
         }
         f.write_contig(ctx, 0, buf, 4 << 10).unwrap();
-        assert_eq!((retries(), in_flight()), (0, 0));
+        assert_eq!((retries(), in_flight()), (0, 5));
         assert!(ctx.now() < SimTime::ZERO + ms(5), "setup outran the crash");
         ctx.advance(ms(10));
         let transient = |r: Result<u64, AdioError>| {
@@ -367,13 +426,15 @@ fn transient_faults_spend_the_retry_budget_and_only_split_phase_is_in_flight() {
             Shape::List,
             &reqs
         )));
-        assert_eq!((retries(), in_flight()), (2, 0));
+        assert_eq!((retries(), in_flight()), (2, 6));
         assert!(transient(f.read_contig(ctx, 0, buf, 4 << 10)));
-        assert_eq!((retries(), in_flight()), (4, 0));
+        assert_eq!((retries(), in_flight()), (4, 7));
         let req = f.itransfer(ctx, BatchDir::Write, Shape::List, &reqs);
-        assert_eq!(in_flight(), 1);
+        assert_eq!(in_flight(), 8);
         assert!(transient(req.wait(ctx)));
-        assert_eq!((retries(), in_flight()), (4 + 1 + 2, 1));
+        assert_eq!((retries(), in_flight()), (4 + 2, 8));
+        let depth = ctx.metrics().histogram("adio.inflight").max();
+        assert_eq!(depth, 1, "one transfer at a time");
     });
 }
 

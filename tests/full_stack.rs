@@ -173,6 +173,7 @@ fn rdma_read_fabric_write_direct_end_to_end() {
         },
         server: Default::default(),
         client: DafsClientConfig::default(),
+        servers: 1,
     };
     let tb = Testbed::new(backend);
     let fs = tb.fs.clone();
@@ -407,6 +408,7 @@ fn strided_access_over_dirty_pages(strided_write: bool) -> (Runs, Runs) {
             cache_write_back: true,
             ..DafsClientConfig::default()
         },
+        servers: 1,
     };
     let tb = Testbed::new(backend);
     let fs = tb.fs.clone();
