@@ -12,8 +12,9 @@
 //!   buffer the NIC has never seen: a copy on the server, and on the client
 //!   a copy into the request slot (a write) or out of the reply (a read) —
 //!   except that an inline write from a warm buffer sends its bytes in
-//!   place ([`DafsClient::gathers`]), a second gather segment under the
-//!   buffer's cached registration, and the client copies only the header;
+//!   place ([`DafsClient::gathers`]), one gather segment per range under
+//!   the buffer's cached registration, and the client copies only the
+//!   header;
 //! * a **direct read** (READ_DIRECT) has the server RDMA-Write into the
 //!   (cached-registered) user buffer; the client CPU does nothing per byte.
 //!   A read goes direct when it is longer than `direct_threshold` — the
@@ -34,10 +35,15 @@
 //! when the two copies it saves, `2 · host.copy(len)`, cost more than that
 //! — about 560 bytes with the default costs, and computed from them.
 //!
-//! The gather floor: an inline write's payload sent in place costs one
-//! more data segment (`per_segment`) in place of the copy into the slot,
-//! `host.copy(len)` — about 60 bytes with the default costs, and computed
-//! from them. The wire bytes, messages and server work are the same.
+//! The gather floor: an inline write message's payload sent in place costs
+//! one more data segment (`per_segment`) per range — one for a contiguous
+//! chunk, one per segment of a `WriteList` message, at most
+//! [`proto::LIST_MAX_SEGMENTS`] — in place of the copy into the slot,
+//! `host.copy(len)`: about 60 bytes for one range with the default costs,
+//! and computed from them. A contiguous chunk asks whether its own range
+//! is warm; a list group asks once, for its whole buffer region, and its
+//! messages past the floor ride under that one registration. The wire
+//! bytes, messages and server work are the same.
 //!
 //! The reply needs no flag saying the data landed: it follows the RDMA
 //! Write on the same reliable VI, which delivers in order, so a reply in
@@ -46,7 +52,7 @@
 //! A contiguous transfer takes one form on the wire, whether blocking or
 //! batched: the `Sub`s that `expand_subs` cuts it into (where the rule is
 //! asked, once per request, and the gather floor once per inline write
-//! chunk), each encoded by `encode_sub` and its reply
+//! chunk, or per list group), each encoded by `encode_sub` and its reply
 //! decoded — and its bytes counted — by `sub_payload`, pipelined over the
 //! credits. A blocking `read` / `write` is a batch of the one request
 //! (`transfer_wire`): it costs what that batch costs, recovery included.
@@ -237,10 +243,12 @@ struct Sub {
     addr: VirtAddr,
     len: u64,
     direct: bool,
-    /// An inline write chunk sent in place ([`DafsClient::gathers`]):
-    /// decided when the chunk is cut, so a replay sends it as it was first
-    /// sent and does not count as another touch of its buffer.
-    in_place: bool,
+    /// An inline write sent in place ([`DafsClient::gathers`]): the
+    /// registered region its bytes ride under — the chunk itself, or the
+    /// whole buffer region of the list group it was cut from. Decided when
+    /// the sub is cut, so a replay sends it as it was first sent and does
+    /// not count as another touch of its buffer.
+    pinned: Option<(VirtAddr, u64)>,
     /// List sub: segments with buffer offsets rebased onto `addr`. `off`
     /// is unused then; `len` is the segments' total byte count.
     segs: Option<Vec<proto::ListSeg>>,
@@ -329,24 +337,45 @@ struct Resend(BatchDir, NodeId, Arc<[Sub]>, usize);
 /// What waiting on a request the session lost returns.
 const LOST: DafsError = DafsError::Transport(ViaStatus::ConnectionLost);
 
-/// Where the byte string that ends an inline write request lives. The
-/// frame is assembled straight from there ([`request_frame`]), whichever
-/// variant it is. What the client is charged for differs: a payload in
-/// registered memory ([`Payload::Pinned`]) is sent in place, as the send
-/// descriptor's second gather segment, and costs no copy; every other one
-/// is copied into the request slot with the header.
+/// The client memory an inline write's payload is gathered from, in order.
+#[derive(Clone, Copy)]
+pub(crate) enum Gather<'a> {
+    /// One range (`WriteInline`).
+    Run(VirtAddr, u64),
+    /// Segments `(_, len, buffer offset)` at a base address, in list order
+    /// (inline `WriteList`).
+    Segs(VirtAddr, &'a [proto::ListSeg]),
+}
+
+impl<'a> Gather<'a> {
+    /// The ranges as `(address, length)`, in payload order.
+    fn runs(self) -> impl Iterator<Item = (VirtAddr, u64)> + 'a {
+        let (one, base, segs) = match self {
+            Gather::Run(addr, len) => (Some((addr, len)), addr, &[][..]),
+            Gather::Segs(base, segs) => (None, base, segs),
+        };
+        let each = segs
+            .iter()
+            .map(move |&(_, len, rel)| (base.offset(rel), len));
+        one.into_iter().chain(each)
+    }
+}
+
+/// Where the byte string that ends a request lives. The frame is assembled
+/// straight from there ([`request_frame`]), whichever variant it is. What
+/// the client is charged for differs: client memory under a registration
+/// that covers it ([`Payload::Pinned`]) is sent in place, one gather
+/// segment per range behind the request slot, and costs no copy; every
+/// other payload is copied into the request slot with the header.
 #[derive(Clone, Copy)]
 pub(crate) enum Payload<'a> {
     /// The request ends with its arguments.
     None,
-    /// One range of client memory (`WriteInline`), copied into the slot.
-    Mem(VirtAddr, u64),
-    /// One range of client memory under a registration that covers it
-    /// (`WriteInline` from a warm buffer), sent in place.
-    Pinned(VirtAddr, u64, MemHandle),
-    /// Segments `(_, len, buffer offset)` of client memory at a base
-    /// address, packed in list order (inline `WriteList`).
-    Segs(VirtAddr, &'a [proto::ListSeg]),
+    /// Client memory, copied into the slot.
+    Mem(Gather<'a>),
+    /// Client memory inside one registered region (an inline write from a
+    /// warm buffer), sent in place under the region's handle.
+    Pinned(Gather<'a>, MemHandle),
     /// The caller's own bytes (`Append`).
     Slice(&'a [u8]),
 }
@@ -356,8 +385,7 @@ impl Payload<'_> {
     fn len(&self) -> u64 {
         match *self {
             Payload::None => 0,
-            Payload::Mem(_, len) | Payload::Pinned(_, len, _) => len,
-            Payload::Segs(_, segs) => segs.iter().map(|s| s.1).sum(),
+            Payload::Mem(g) | Payload::Pinned(g, _) => g.runs().map(|(_, len)| len).sum(),
             Payload::Slice(data) => data.len() as u64,
         }
     }
@@ -387,12 +415,9 @@ pub(crate) fn request_frame(
     }
     match payload {
         Payload::None => {}
-        Payload::Mem(addr, len) | Payload::Pinned(addr, len, _) => {
-            mem.read_into(addr, len as usize, e.buf_mut())
-        }
-        Payload::Segs(base, segs) => {
-            for &(_, len, rel) in segs {
-                mem.read_into(base.offset(rel), len as usize, e.buf_mut());
+        Payload::Mem(g) | Payload::Pinned(g, _) => {
+            for (addr, len) in g.runs() {
+                mem.read_into(addr, len as usize, e.buf_mut());
             }
         }
         Payload::Slice(data) => {
@@ -693,10 +718,10 @@ impl DafsClient {
     /// and rides the send as a zero-copy payload. The descriptor's segments
     /// still describe the transfer (TPT check, every cost term): the
     /// registered request slot, charged for the copy into it, and — a
-    /// [`Payload::Pinned`] only — the payload in place under its own
-    /// registration, so the slot holds the header, arguments and length
-    /// prefix and only those are charged. Only the bounce through the slot
-    /// is skipped.
+    /// [`Payload::Pinned`] only — one segment per payload range, in place
+    /// under the region's registration, so the slot holds the header,
+    /// arguments (a list's segment list among them) and length prefix and
+    /// only those are charged. Only the bounce through the slot is skipped.
     fn post_request_raw(
         &self,
         ctx: &ActorCtx,
@@ -711,8 +736,13 @@ impl DafsClient {
         self.nic.host().compute(ctx, self.config.per_op);
         let header = frame.len() as u64 - payload.len();
         let (copied, in_place) = match payload {
-            Payload::Pinned(addr, len, h) => (0, Some(DataSegment::new(addr, len as u32, h))),
-            p => (p.len(), None),
+            Payload::Pinned(g, h) => {
+                let segs = g
+                    .runs()
+                    .map(|(addr, len)| DataSegment::new(addr, len as u32, h));
+                (0, segs.collect())
+            }
+            p => (p.len(), Vec::new()),
         };
         self.charge_copy(ctx, header, copied);
         let (buf, h) = self.req_ring[reqid as usize % self.req_ring.len()];
@@ -1135,14 +1165,15 @@ impl DafsClient {
             && self.regcache.warm(addr, span)
     }
 
-    /// True if an inline write of `len` bytes from `[addr, addr + len)`
-    /// sends them in place rather than copying them into the request slot —
-    /// the module header has the floor. Its buffer must be warm, the same
+    /// True if an inline write of `len` bytes in `segments` ranges is past
+    /// the gather floor — the module header has it: sent in place, it costs
+    /// one data segment per range instead of the copy into the request
+    /// slot. It goes in place only from a warm buffer as well, the same
     /// [`RegCache::warm`] a small read asks, so the registration it rides
     /// under is a cache hit or the second touch that pays for every later
     /// one.
-    fn gathers(&self, addr: VirtAddr, len: u64) -> bool {
-        self.config.host.copy(len) > self.nic.cost().per_segment && self.regcache.warm(addr, len)
+    fn gathers(&self, len: u64, segments: usize) -> bool {
+        self.config.host.copy(len) > self.nic.cost().per_segment * segments as u64
     }
 
     /// Read `len` bytes at `off` into the user buffer `dst`.
@@ -1292,7 +1323,7 @@ impl DafsClient {
                     addr: r.addr,
                     len: r.len,
                     direct,
-                    in_place: false,
+                    pinned: None,
                     segs: None,
                 });
             } else {
@@ -1304,23 +1335,24 @@ impl DafsClient {
 
     /// The one chunker: `r` as inline messages of at most the session's
     /// inline limit, in order (none for an empty range), each write chunk
-    /// asking whether it goes in place ([`Self::gathers`]). What a direct
-    /// sub the session took with it is redone as ([`Self::fallback`]),
-    /// without asking the transfer rule again; its buffer's registration
-    /// is live, so a write's chunks go in place.
+    /// asking whether it goes in place ([`Self::gathers`], then whether it
+    /// is warm). What a direct sub the session took with it is redone as
+    /// ([`Self::fallback`]), without asking the transfer rule again; its
+    /// buffer's registration is live, so a write's chunks go in place.
     fn inline_subs(&self, dir: BatchDir, owner: usize, r: IoReq) -> Vec<Sub> {
         let max = self.caps().inline_max;
         (0..r.len)
             .step_by(max as usize)
             .map(|done| {
                 let (addr, len) = (r.addr.offset(done), (r.len - done).min(max));
+                let gathers = dir == BatchDir::Write && self.gathers(len, 1);
                 Sub {
                     owner,
                     off: r.off + done,
                     addr,
                     len,
                     direct: false,
-                    in_place: dir == BatchDir::Write && self.gathers(addr, len),
+                    pinned: (gathers && self.regcache.warm(addr, len)).then_some((addr, len)),
                     segs: None,
                 }
             })
@@ -1372,18 +1404,42 @@ impl DafsClient {
             addr: buf.offset(base),
             len: segs.iter().map(|s| s.1).sum(),
             direct,
-            in_place: false,
+            pinned: None,
             segs: Some(segs),
         }
     }
 
-    /// The chunker for a list: `segs` of the buffer at `buf` as inline list
-    /// messages.
-    fn inline_list_subs(&self, owner: usize, buf: VirtAddr, segs: &[proto::ListSeg]) -> Vec<Sub> {
+    /// The chunker for a list: `segs` of the buffer at `buf`, one group of
+    /// at most [`proto::LIST_MAX_SEGMENTS`], as inline list messages. A
+    /// write asks [`RegCache::warm`] once, over the group's whole buffer
+    /// region (its first segment to the end of its last), if any message is
+    /// past the gather floor; each such message from a warm region goes in
+    /// place under that region's registration — one registration for the
+    /// group, the one a direct transfer of the same region would hold.
+    fn inline_list_subs(
+        &self,
+        dir: BatchDir,
+        owner: usize,
+        buf: VirtAddr,
+        segs: &[proto::ListSeg],
+    ) -> Vec<Sub> {
         let max = self.caps().inline_max;
         let groups = Self::chunk_segs(segs, proto::LIST_MAX_SEGMENTS, max);
-        let sub = |g| Self::list_sub(owner, buf, g, false);
-        groups.into_iter().map(sub).collect()
+        let mut subs: Vec<Sub> = groups
+            .into_iter()
+            .map(|g| Self::list_sub(owner, buf, g, false))
+            .collect();
+        let gathers = |s: &Sub| self.gathers(s.len, s.segs.as_ref().map_or(0, Vec::len));
+        if dir == BatchDir::Write && subs.iter().any(gathers) {
+            let (first, last) = (segs[0], segs[segs.len() - 1]);
+            let region = (buf.offset(first.2), last.2 + last.1 - first.2);
+            if self.regcache.warm(region.0, region.1) {
+                for s in subs.iter_mut().filter(|s| gathers(s)) {
+                    s.pinned = Some(region);
+                }
+            }
+        }
+        subs
     }
 
     /// Expand list requests into segment-capped sub-requests: groups that
@@ -1401,7 +1457,7 @@ impl DafsClient {
                 if self.goes_direct(dir, total, r.buf.offset(first.2), span) {
                     subs.push(Self::list_sub(i, r.buf, group, true));
                 } else {
-                    subs.extend(self.inline_list_subs(i, r.buf, &group));
+                    subs.extend(self.inline_list_subs(dir, i, r.buf, &group));
                 }
             }
         }
@@ -1420,16 +1476,23 @@ impl DafsClient {
         fh: NodeId,
         sb: &'a Sub,
     ) -> (DafsOp, Enc, Payload<'a>, (MemHandle, bool)) {
-        // The one registered region a direct op transfers against; for a
-        // list sub, from its base to the end of its last segment.
-        let span = match &sb.segs {
-            Some(segs) => segs.last().map(|s| s.2 + s.1).unwrap_or(0),
-            None => sb.len,
+        // The one registered region a direct op transfers against — for a
+        // list sub, from its base to the end of its last segment — or the
+        // one an in-place write's bytes ride under.
+        let region = match &sb.segs {
+            _ if !sb.direct => sb.pinned,
+            Some(segs) => segs.last().map(|s| (sb.addr, s.2 + s.1)),
+            None => Some((sb.addr, sb.len)),
         };
-        let (handle, transient) = if sb.direct || sb.in_place {
-            self.regcache.acquire(ctx, sb.addr, span)
-        } else {
-            (MemHandle(0), false)
+        let (handle, transient) = match region {
+            Some((addr, len)) => self.regcache.acquire(ctx, addr, len),
+            None => (MemHandle(0), false),
+        };
+        // An inline write's bytes: in place under that registration, or
+        // copied into the request slot.
+        let inline = |g| match sb.pinned {
+            Some(_) => Payload::Pinned(g, handle),
+            None => Payload::Mem(g),
         };
         let mut e = Enc::new();
         e.u64(fh.0);
@@ -1446,7 +1509,7 @@ impl DafsClient {
                     BatchDir::Read => (DafsOp::ReadList, Payload::None),
                     BatchDir::Write if sb.direct => (DafsOp::WriteList, Payload::None),
                     // The segments, packed, are the inline payload.
-                    BatchDir::Write => (DafsOp::WriteList, Payload::Segs(sb.addr, segs)),
+                    BatchDir::Write => (DafsOp::WriteList, inline(Gather::Segs(sb.addr, segs))),
                 }
             }
             (None, _) if sb.direct => {
@@ -1465,11 +1528,7 @@ impl DafsClient {
             }
             (None, BatchDir::Write) => {
                 e.u64(sb.off);
-                let payload = match sb.in_place {
-                    true => Payload::Pinned(sb.addr, sb.len, handle),
-                    false => Payload::Mem(sb.addr, sb.len),
-                };
-                (DafsOp::WriteInline, payload)
+                (DafsOp::WriteInline, inline(Gather::Run(sb.addr, sb.len)))
             }
         };
         (op, e, payload, (handle, transient))
@@ -1672,7 +1731,7 @@ impl DafsClient {
             let chunks = match (sb.direct, &sb.segs) {
                 (false, _) => vec![sb.clone()],
                 (true, None) => self.inline_subs(dir, sb.owner, IoReq { off, addr, len }),
-                (true, Some(segs)) => self.inline_list_subs(sb.owner, addr, segs),
+                (true, Some(segs)) => self.inline_list_subs(dir, sb.owner, addr, segs),
             };
             for c in &chunks {
                 let (op, mut args, payload, held) = self.encode_sub(ctx, dir, fh, c);

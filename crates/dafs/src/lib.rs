@@ -130,7 +130,7 @@ mod tests {
     /// the frame the previous encoding produced for the same request.
     #[test]
     fn request_frames_assembled_in_place_are_the_same_wire_bytes() {
-        use crate::client::{request_frame, Payload};
+        use crate::client::{request_frame, Gather, Payload};
         use crate::wire::Enc;
         let mem = simnet::HostMem::new();
         let buf = mem.alloc(8192);
@@ -144,7 +144,7 @@ mod tests {
         old.u64(fh).u64(off).bytes(&pattern[at..at + len]);
         let mut args = Enc::new();
         args.u64(fh).u64(off);
-        let payload = Payload::Mem(buf.offset(at as u64), len as u64);
+        let payload = Payload::Mem(Gather::Run(buf.offset(at as u64), len as u64));
         let frame = request_frame(&mem, 42, DafsOp::WriteInline, &args.finish(), payload);
         assert_eq!(frame, old.finish());
 
@@ -163,9 +163,17 @@ mod tests {
         let mut args = Enc::new();
         args.u64(fh).u8(0);
         proto::enc_seg_list(&mut args, &segs);
-        let payload = Payload::Segs(buf, &segs);
-        let frame = request_frame(&mem, 43, DafsOp::WriteList, &args.finish(), payload);
-        assert_eq!(frame, old.finish());
+        let args = args.finish();
+        let payload = Payload::Mem(Gather::Segs(buf, &segs));
+        let frame = request_frame(&mem, 43, DafsOp::WriteList, &args, payload);
+        let old = old.finish();
+        assert_eq!(frame, old);
+        // Sent in place, the same segments build the same frame.
+        let pinned = Payload::Pinned(Gather::Segs(buf, &segs), via::MemHandle(1));
+        assert_eq!(
+            request_frame(&mem, 43, DafsOp::WriteList, &args, pinned),
+            old
+        );
 
         // Append carries the caller's slice the same way; no payload, no
         // length prefix.
@@ -861,6 +869,69 @@ mod tests {
         });
         b.kernel.run();
         assert_eq!(b.fs.read(fh, 0, LEN).unwrap(), vec![2; LEN as usize]);
+    }
+
+    /// The gather floor per list message: an inline `WriteList` from a warm
+    /// buffer sends its segments in place, one data segment each, under the
+    /// registration of its group's whole buffer region. Three 64 KiB
+    /// one-segment list writes from one buffer, two 32 KiB messages each:
+    /// the first, a first touch, copies both frames; the second registers
+    /// the 64 KiB region once and copies only the headers, for one data
+    /// segment per message; the third finds the registration. A list of
+    /// 256 16-byte segments costs less to copy than its 256 data segments,
+    /// so it stays copied from the same warm buffer.
+    #[test]
+    fn an_inline_list_write_from_a_warm_buffer_gathers_its_segments_in_place() {
+        const LEN: u64 = 64 << 10;
+        let b = bed();
+        let fh = server_file(&b, "f", &[]);
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let mem = &nic.host().mem;
+            let write = |buf| list(ctx, c, BatchDir::Write, fh, &[(0, LEN)], buf);
+            // A write from another buffer first, so each measured write
+            // finds the same thing to drain: the two sends before it.
+            assert_eq!(write(mem.alloc(LEN as usize)), Ok(LEN));
+            let buf = mem.alloc(LEN as usize);
+            let cpu = || nic.host().cpu.busy();
+            let took: Vec<_> = (0..3u8)
+                .map(|i| {
+                    mem.fill(buf, LEN as usize, i);
+                    let t0 = cpu();
+                    assert_eq!(write(buf), Ok(LEN));
+                    cpu() - t0
+                })
+                .collect();
+            let (via, copy) = (nic.cost(), |n| c.config().host.copy(n));
+            // Header, arguments (fh, mode, a one-segment list) and the
+            // payload's length prefix.
+            let header = (proto::REQ_HEADER_LEN + 8 + 1 + 4 + 24 + 4) as u64;
+            let in_place = copy(header) + via.per_segment;
+            let rest = took[2] - in_place * 2;
+            assert_eq!(took[0], rest + copy(header + LEN / 2) * 2, "first touch");
+            assert_eq!(
+                took[1],
+                rest + via.registration(LEN) + in_place * 2,
+                "second"
+            );
+            assert_eq!(c.stats.inline_writes.ops.get(), 8);
+            assert_eq!(c.regcache_stats().misses, 1);
+
+            let copied = || ctx.metrics().counter("dafs.inline.copied_bytes").get();
+            let registered = || nic.registration_stats().registrations;
+            let before = (copied(), registered());
+            let tiny: Vec<(u64, u64)> = (0..256).map(|i| (i * 32, 16)).collect();
+            mem.fill(buf, 4096, 9);
+            for _ in 0..3 {
+                assert_eq!(list(ctx, c, BatchDir::Write, fh, &tiny, buf), Ok(4096));
+            }
+            assert_eq!((copied(), registered()), (before.0 + 3 * 4096, before.1));
+        });
+        b.kernel.run();
+        let mut image = vec![2; LEN as usize];
+        for i in 0..256 {
+            image[i * 32..i * 32 + 16].fill(9);
+        }
+        assert_eq!(b.fs.read(fh, 0, LEN).unwrap(), image);
     }
 
     /// `dafs.inline.copied_bytes` counts the payload bytes the client is

@@ -25,6 +25,14 @@
 //! contiguous-buffer path. Only the aggregator copies, piece by piece,
 //! between messages and its collective buffer.
 //!
+//! The collective buffers outlive the call: the handle keeps them
+//! (`MpiFile::coll_bufs`) as ROMIO's aggregator keeps its buffer, so a
+//! driver that registers memory registers each once. On DAFS that is what
+//! lets a window's drain cost no copy either: every later inline list
+//! message from a registered buffer is sent in place when the copy into
+//! the request slot costs more than one data segment per piece
+//! (`DafsClient::gathers`, the gather floor per list message).
+//!
 //! The payoff is the paper-era argument for collective I/O: many tiny
 //! strided accesses become a few large contiguous transfers, at the price
 //! of an interconnect exchange — cheap on a VIA-class network.
@@ -467,9 +475,7 @@ pub fn write_at_all(
     // Two collective buffers when pipelining: batch k-1 drains from one
     // while phase k overlays into the other.
     let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.w as usize))
-        .collect();
+    let cbufs = file.coll_bufs(if is_agg { nbufs } else { 0 }, sweep.w);
     ctx.metrics().counter("mpiio.twophase.writes").inc();
     ctx.trace(
         "mpiio",
@@ -551,9 +557,6 @@ pub fn write_at_all(
         }
     }
     drain_window_batch(ctx, pending.take(), &mut mark)?;
-    for cbuf in cbufs {
-        host.mem.free(cbuf);
-    }
     mark = ctx.now();
     comm.barrier(ctx);
     // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
@@ -582,15 +585,12 @@ pub fn read_at_all(
     let Some(sweep) = plan_sweep(ctx, comm, file, &pieces) else {
         return Ok(0);
     };
-    let host = file.host().clone();
     let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
     // Two collective buffers when pipelining: window k reads into one
     // while window k-1's replies ship from the other.
     let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.w as usize))
-        .collect();
+    let cbufs = file.coll_bufs(if is_agg { nbufs } else { 0 }, sweep.w);
     let mut total = 0u64;
     ctx.metrics().counter("mpiio.twophase.reads").inc();
     ctx.trace(
@@ -691,9 +691,6 @@ pub fn read_at_all(
             prev_served,
             &mut mark,
         );
-    }
-    for cbuf in cbufs {
-        host.mem.free(cbuf);
     }
     mark = ctx.now();
     comm.barrier(ctx);

@@ -151,6 +151,10 @@ pub struct MpiFile {
     /// Individual file pointer, in etypes.
     fp: Mutex<u64>,
     hints: Hints,
+    /// The two-phase sweep's collective buffers as `(address, bytes)`,
+    /// kept from call to call ([`MpiFile::coll_bufs`]) and freed with the
+    /// handle.
+    coll: Mutex<Vec<(VirtAddr, u64)>>,
 }
 
 impl MpiFile {
@@ -182,6 +186,7 @@ impl MpiFile {
             view: Mutex::new(FileView::contiguous()),
             fp: Mutex::new(0),
             hints,
+            coll: Mutex::new(Vec::new()),
         })
     }
 
@@ -223,6 +228,22 @@ impl MpiFile {
     /// The underlying ADIO handle (collective I/O uses it directly).
     pub(crate) fn adio(&self) -> &Arc<dyn AdioFile> {
         &self.file
+    }
+
+    /// `n` collective buffers of at least `len` bytes each — the same ones
+    /// on every call, as ROMIO's aggregator keeps its buffer, so a driver
+    /// that registers them registers them once. A buffer is replaced by a
+    /// wider one only when a sweep's window outgrows it.
+    pub(crate) fn coll_bufs(&self, n: usize, len: u64) -> Vec<VirtAddr> {
+        let mut bufs = self.coll.lock();
+        while bufs.len() < n {
+            bufs.push((self.host.mem.alloc(len as usize), len));
+        }
+        for buf in bufs.iter_mut().take(n).filter(|b| b.1 < len) {
+            self.host.mem.free(buf.0);
+            *buf = (self.host.mem.alloc(len as usize), len);
+        }
+        bufs[..n].iter().map(|b| b.0).collect()
     }
 
     /// Set the file view (`MPI_File_set_view`); resets file pointers.
@@ -753,6 +774,15 @@ fn should_sieve_ranges(ranges: &[(u64, u64)], toggle: TriState) -> bool {
 /// Delete a file by path (`MPI_File_delete`).
 pub fn mpi_file_delete(ctx: &ActorCtx, fs: &dyn AdioFs, path: &str) -> AdioResult<()> {
     fs.delete(ctx, path)
+}
+
+/// Closed or dropped, a handle gives its collective buffers back.
+impl Drop for MpiFile {
+    fn drop(&mut self) {
+        for (addr, _) in self.coll.get_mut().drain(..) {
+            self.host.mem.free(addr);
+        }
+    }
 }
 
 impl std::fmt::Debug for MpiFile {

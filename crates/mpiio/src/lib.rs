@@ -52,7 +52,7 @@ pub use world::{Backend, JobReport, Testbed};
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use simnet::SimDuration;
+    use simnet::{ActorCtx, SimDuration};
     use std::sync::Arc;
 
     /// Write a rank-striped file collectively on `backend`, read it back
@@ -224,6 +224,93 @@ mod tests {
             fss[1].resolve("/one.bin").is_err(),
             "server 1 must stay empty"
         );
+    }
+
+    /// Open `/life` on every rank, 4 KiB-interleaved across `comm`.
+    fn open_interleaved(ctx: &ActorCtx, comm: &Comm, adio: &dyn AdioFs, hints: Hints) -> MpiFile {
+        let f = MpiFile::open(ctx, adio, comm.host(), "/life", OpenMode::create(), hints).unwrap();
+        let el = Datatype::bytes(4096);
+        let mine = Datatype::hindexed(&[(1, comm.rank() as i64 * 4096)], &el);
+        f.set_view(
+            0,
+            &el,
+            &Datatype::resized(&mine, 0, comm.size() as u64 * 4096),
+        );
+        f
+    }
+
+    /// A collective write of `n` bytes of `fill` per rank, then a
+    /// collective read of them, every byte checked, from a buffer of its
+    /// own that it frees.
+    fn write_read_all(ctx: &ActorCtx, comm: &Comm, f: &MpiFile, n: u64, fill: u8) {
+        let mem = &comm.host().mem;
+        let buf = mem.alloc(n as usize);
+        mem.fill(buf, n as usize, fill);
+        assert_eq!(write_at_all(ctx, comm, f, 0, buf, n), Ok(n));
+        mem.fill(buf, n as usize, 0);
+        assert_eq!(read_at_all(ctx, comm, f, 0, buf, n), Ok(n));
+        assert_eq!(mem.read_vec(buf, n as usize), vec![fill; n as usize]);
+        mem.free(buf);
+    }
+
+    /// A handle's collective buffers live as long as it does: on UFS, NFS
+    /// and DAFS the rank's memory holds them between calls and is back
+    /// where it was before the open once the handle is closed — or dropped
+    /// without a close.
+    #[test]
+    fn collective_buffers_go_with_the_handle() {
+        for (kind, backend) in [
+            ("ufs", Backend::ufs()),
+            ("nfs", Backend::nfs()),
+            ("dafs", Backend::dafs()),
+        ] {
+            Testbed::new(backend).run(4, move |ctx, comm, adio| {
+                let mem = &comm.host().mem;
+                // What the mount keeps for itself comes with the first open
+                // (DAFS: the scratch buffer its shared-pointer file is
+                // created through).
+                drop(open_interleaved(ctx, comm, adio, Hints::default()));
+                comm.barrier(ctx);
+                for close in [true, false] {
+                    let before = mem.allocated_bytes();
+                    let hints = Hints::from_pairs([("cb_buffer_size", "65536")]);
+                    let f = open_interleaved(ctx, comm, adio, hints);
+                    write_read_all(ctx, comm, &f, 64 << 10, comm.rank() as u8 + 1);
+                    // Two buffers: the sweep is pipelined.
+                    assert_eq!(mem.allocated_bytes() - before, 2 << 16, "{kind}");
+                    if close {
+                        f.close(ctx, adio).unwrap();
+                    } else {
+                        drop(f);
+                    }
+                    assert_eq!(mem.allocated_bytes(), before, "{kind} close={close}");
+                }
+            });
+        }
+    }
+
+    /// On two striped servers a window widens with the extent, up to
+    /// `cb_buffer_size`: a small collective then a wider one on one handle
+    /// grows its buffers, and the bytes still check.
+    #[test]
+    fn a_wider_sweep_grows_the_collective_buffers() {
+        Testbed::new(Backend::dafs_striped(2)).run(4, |ctx, comm, adio| {
+            let mem = &comm.host().mem;
+            let hints =
+                Hints::from_pairs([("cb_buffer_size", "262144"), ("striping_unit", "65536")]);
+            let f = open_interleaved(ctx, comm, adio, hints);
+            let before = mem.allocated_bytes();
+            // 256 KiB in all: one 64 KiB stripe per aggregator.
+            write_read_all(ctx, comm, &f, 64 << 10, 1);
+            assert_eq!(mem.allocated_bytes() - before, 2 * (64 << 10));
+            // 1 MiB: 256 KiB windows.
+            write_read_all(ctx, comm, &f, 256 << 10, 2);
+            assert_eq!(mem.allocated_bytes() - before, 2 * (256 << 10));
+            write_read_all(ctx, comm, &f, 64 << 10, 3);
+            assert_eq!(mem.allocated_bytes() - before, 2 * (256 << 10));
+            drop(f);
+            assert_eq!(mem.allocated_bytes(), before);
+        });
     }
 
     #[test]

@@ -113,6 +113,18 @@ if [ "$copies" -gt 2 ]; then
     exit 1
 fi
 
+echo "==> collective buffers live with the handle"
+# `MpiFile::coll_bufs` hands every sweep the same buffers and the handle
+# frees them when it goes, so a driver that registers them registers them
+# once. A `mem.alloc(` or `mem.free(` in collective.rs is a per-call buffer
+# coming back; `tests/full_stack.rs::the_second_collective_call_registers_and_copies_nothing`
+# holds what that costs.
+if grep -nE 'mem\.(alloc|free)\(' crates/mpiio/src/collective.rs; then
+    echo "ci: crates/mpiio/src/collective.rs allocates or frees memory (lines above);" \
+        "collective buffers come from MpiFile::coll_bufs" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

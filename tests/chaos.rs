@@ -949,6 +949,99 @@ fn dafs_warm_inline_writes_survive_loss_ladder() {
     }
 }
 
+/// The same ladder over inline list writes sent in place: each write is a
+/// list of 16 4 KiB segments, each a segment apart from the next in the
+/// file, packed in one 64 KiB buffer — two 32 KiB `WriteList` messages,
+/// which from the buffer's second use on gather their segments in place
+/// under one registration of the whole 64 KiB. A message lost with its
+/// session is replayed under its id from the same region; every segment of
+/// the file holds exactly the bytes of one write to it, none older than its
+/// last acknowledged one. At 1 % loss and below no write fails. However
+/// many reconnects it takes, the session registers the region once.
+#[test]
+fn dafs_warm_list_writes_survive_loss_ladder() {
+    use std::sync::{Arc, Mutex};
+    const SEG: usize = 4 << 10;
+    const SEGS: usize = 16;
+    const REQ: usize = SEG * SEGS;
+    const PIECES: usize = 4;
+    const PASSES: usize = 16;
+    let bytes = |pass: usize, k: usize| -> Vec<u8> {
+        (0..REQ)
+            .map(|i| (i * 13 + k * 7 + pass * 101) as u8)
+            .collect()
+    };
+    // Segment `j` of piece `k`: its file offset.
+    let at = |k: usize, j: usize| (k * 2 * REQ + j * 2 * SEG) as u64;
+    for (i, loss) in [0.001, 0.01, 0.05].into_iter().enumerate() {
+        let plan = FaultPlan::builder(0x115E + i as u64).loss(loss).build();
+        // (pass, piece, acknowledged) per write; registrations; the file.
+        type Run = (Vec<(usize, usize, bool)>, u64, mpio_dafs::memfs::NodeId);
+        let out: Arc<Mutex<Option<Run>>> = Arc::default();
+        let o = out.clone();
+        let (fs, reconnects) = raw_dafs_run(plan, move |ctx, c| {
+            let registrations = || c.nic().registration_stats().registrations;
+            let registered_at_connect = registrations();
+            let f = c.create(ctx, ROOT_ID, "f").unwrap().id;
+            let mem = &c.nic().host().mem;
+            let buf = mem.alloc(REQ);
+            let mut log = Vec::new();
+            for pass in 0..PASSES {
+                for k in 0..PIECES {
+                    mem.write(buf, &bytes(pass, k));
+                    let ranges: Vec<(u64, u64)> =
+                        (0..SEGS).map(|j| (at(k, j), SEG as u64)).collect();
+                    let list = [dafs::ListReq::packed(&ranges, buf)];
+                    let batch = c.issue_list(ctx, dafs::BatchDir::Write, f, &list);
+                    let acked = c.batch_finish(ctx, batch).remove(0);
+                    log.push((pass, k, acked == Ok(REQ as u64)));
+                }
+            }
+            // A replay sends a message as it was first sent: in place.
+            let copied = ctx.metrics().counter("dafs.inline.copied_bytes").get();
+            assert_eq!(
+                copied, REQ as u64,
+                "loss {loss}: only the first touch copies"
+            );
+            assert!(
+                ctx.now().as_nanos() < DEADLINE_NS,
+                "virtual-time deadline blown: {} ns",
+                ctx.now().as_nanos()
+            );
+            let registered = registrations() - registered_at_connect;
+            *o.lock().unwrap() = Some((log, registered, f));
+        });
+        let (log, registered, f) = out.lock().unwrap().take().expect("the client ran");
+        assert_eq!(
+            registered, 1,
+            "loss {loss}: {registered} registrations over {reconnects} reconnects"
+        );
+        let failed = log.iter().filter(|w| !w.2).count();
+        if loss <= 0.01 {
+            assert_eq!(
+                failed, 0,
+                "loss {loss}: writes failed ({reconnects} reconnects)"
+            );
+        }
+        if loss >= 0.05 {
+            assert!(reconnects > 0, "loss {loss}: recovery went untested");
+        }
+        for k in 0..PIECES {
+            let writes: Vec<_> = log.iter().filter(|w| w.1 == k).collect();
+            let since = writes.iter().rposition(|w| w.2).unwrap_or(0);
+            for j in 0..SEGS {
+                let got = fs.read(f, at(k, j), SEG as u64).unwrap();
+                assert!(
+                    writes[since..]
+                        .iter()
+                        .any(|w| got == bytes(w.0, k)[j * SEG..][..SEG]),
+                    "loss {loss}: piece {k} segment {j} holds bytes no write since its last acknowledged one sent"
+                );
+            }
+        }
+    }
+}
+
 /// Raw DAFS client under `plan`; returns the server fs and total reconnects.
 fn raw_dafs_run(
     plan: FaultPlan,

@@ -294,6 +294,68 @@ fn two_phase_copies_each_byte_once_per_direction() {
     }
 }
 
+/// The aggregators' collective buffers outlive the call: eight ranks
+/// 4 KiB-interleaved on two striped DAFS servers, pipelined, two
+/// `write_at_all`s then two `read_at_all`s of `N` bytes each on one handle.
+/// The first write touches each buffer twice, which registers it; the second
+/// write finds every window's buffer registered, so it registers nothing and
+/// its inline list writes gather their segments in place — no payload byte
+/// copied — and the second read's direct reads land in the same buffers
+/// without a registration. Every byte read back is the second write's.
+#[test]
+fn the_second_collective_call_registers_and_copies_nothing() {
+    const RANKS: u64 = 8;
+    const N: u64 = 256 << 10;
+    // (registrations, payload bytes copied) after each call.
+    let marks = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let m = marks.clone();
+    Testbed::new(Backend::dafs_striped(2)).run(RANKS as usize, move |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let mut hints = Hints::default();
+        hints.set("cb_buffer_size", "65536");
+        let f = MpiFile::open(ctx, adio, &host, "/twice", OpenMode::create(), hints).unwrap();
+        let el = Datatype::bytes(4096);
+        let mine = Datatype::hindexed(&[(1, comm.rank() as i64 * 4096)], &el);
+        f.set_view(0, &el, &Datatype::resized(&mine, 0, RANKS * 4096));
+        let buf = host.mem.alloc(N as usize);
+        // Every rank's registrations and copies are in: a call ends in a
+        // barrier, and the next one does neither before rank 0 joins it.
+        let mark = || {
+            if comm.rank() == 0 {
+                let registered = ctx.metrics().byte_meter("via.mem.registered");
+                let copied = ctx.metrics().counter("dafs.inline.copied_bytes");
+                m.lock().unwrap().push((registered.ops.get(), copied.get()));
+            }
+        };
+        let fill = |call: u8| comm.rank() as u8 * 2 + call + 1;
+        for call in 0..2 {
+            host.mem.fill(buf, N as usize, fill(call));
+            assert_eq!(write_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+            mark();
+        }
+        f.sync(ctx).unwrap();
+        comm.barrier(ctx);
+        for _ in 0..2 {
+            host.mem.fill(buf, N as usize, 0);
+            assert_eq!(read_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+            assert_eq!(
+                host.mem.read_vec(buf, N as usize),
+                vec![fill(1); N as usize],
+                "rank {}",
+                comm.rank()
+            );
+            mark();
+        }
+    });
+    let marks = marks.lock().unwrap();
+    let [w1, w2, r1, r2] = marks[..] else {
+        panic!("four calls, four marks: {marks:?}")
+    };
+    assert_eq!(w2.0 - w1.0, 0, "the second write registers: {marks:?}");
+    assert_eq!(w2.1 - w1.1, 0, "the second write copies: {marks:?}");
+    assert_eq!(r2.0 - r1.0, 0, "the second read registers: {marks:?}");
+}
+
 /// Aggregate DAFS bandwidth grows with client count until the server NIC
 /// saturates near the wire rate.
 #[test]
