@@ -1173,7 +1173,7 @@ impl DafsClient {
     /// under is a cache hit or the second touch that pays for every later
     /// one.
     fn gathers(&self, len: u64, segments: usize) -> bool {
-        self.config.host.copy(len) > self.nic.cost().per_segment * segments as u64
+        self.nic.cost().gathers(&self.config.host, len, segments)
     }
 
     /// Read `len` bytes at `off` into the user buffer `dst`.

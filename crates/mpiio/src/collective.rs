@@ -9,29 +9,27 @@
 //!    striped file the windows sit on the stripe grid and each phase's
 //!    consecutive windows go round the aggregators, so every phase loads
 //!    every server;
-//! 3. in each phase every rank ships the pieces of its data that fall in
-//!    each aggregator's current window (one `alltoallv`), the aggregator
-//!    overlays them into its collective buffer and issues one coalesced
-//!    filesystem write per covered run.
+//! 3. one request exchange (`alltoallv`) tells every aggregator where each
+//!    rank's pieces lie in each of its windows (ROMIO's `others_req`);
+//! 4. in each phase every rank ships its run in each aggregator's window
+//!    (one `alltoallv`); the aggregator lands it in its collective buffer
+//!    and issues one coalesced filesystem write per covered run.
 //!
-//! Reads run the same sweep in reverse: ranks send piece *descriptors*, the
-//! aggregator reads the coalesced coverage once and ships pieces back.
+//! Reads run the same sweep in reverse, one reply `alltoallv` per window.
+//! A reply is cut where the window's batch stopped landing bytes, so a
+//! read past the end of file is short and lands nothing stale.
 //!
-//! Each byte is copied once per direction, on the collective-buffer side. A
-//! rank's pieces in one window are consecutive in its view, so they are one
-//! run of its buffer (`clipped`): a message is the pieces' `(off, len)`
-//! descriptors followed by that run, which a writer sends from its buffer
-//! as it lies and a reader lands there in one piece — ROMIO's
-//! contiguous-buffer path. Only the aggregator copies, piece by piece,
-//! between messages and its collective buffer.
+//! A data message is payload alone: a rank's pieces in one window are one
+//! run of its buffer (`clipped`), sent or landed as it lies — ROMIO's
+//! contiguous-buffer path. Knowing the layout first, the aggregator moves
+//! another rank's pieces as one VIA data segment each past the gather
+//! floor (`ViaCost::gathers`, as the DAFS client's inline writes); below
+//! it, and for its own pieces, which no NIC touches, it copies them
+//! (`charge_pieces`).
 //!
-//! The collective buffers outlive the call: the handle keeps them
-//! (`MpiFile::coll_bufs`) as ROMIO's aggregator keeps its buffer, so a
-//! driver that registers memory registers each once. On DAFS that is what
-//! lets a window's drain cost no copy either: every later inline list
-//! message from a registered buffer is sent in place when the copy into
-//! the request slot costs more than one data segment per piece
-//! (`DafsClient::gathers`, the gather floor per list message).
+//! The collective buffers outlive the call (`MpiFile::coll_bufs`), so a
+//! driver that registers memory registers each once, and on DAFS every
+//! later inline list message from them goes in place past that same floor.
 //!
 //! The payoff is the paper-era argument for collective I/O: many tiny
 //! strided accesses become a few large contiguous transfers, at the price
@@ -42,14 +40,14 @@
 //! issues window k's filesystem batch nonblocking (`itransfer` with
 //! `Shape::List`, which DAFS handles carry as one vectored wire request and
 //! other drivers serve as the plain contiguous batch), so it drains while
-//! window k+1 is packed, exchanged and
-//! overlaid into the other buffer. Per window the sweep then costs
-//! roughly `max(exchange, io)` instead of `exchange + io`. Time the batch
-//! spent in flight before its wait is recorded in
+//! window k+1 is exchanged and landed in the other buffer. Per window the
+//! sweep then costs roughly `max(exchange, io)` instead of `exchange + io`.
+//! Time the batch spent in flight before its wait is recorded in
 //! `mpiio.twophase.overlap_ns`; `romio_cb_pipeline=disable` restores the
 //! strictly synchronous sweep.
 
 use simnet::{ActorCtx, SimTime, VirtAddr};
+use via::ViaCost;
 
 use crate::adio::{AdioRequest, AdioResult, BatchDir, IoReq, Shape};
 use crate::comm::Comm;
@@ -79,8 +77,8 @@ struct Piece {
 
 /// A view maps ascending (MPI requires monotone filetype displacements):
 /// the pieces come sorted by `off` and disjoint, which `plan_sweep` (first
-/// and last piece bound the extent), `clipped` and `buffer_run` (binary
-/// search for a window's or a reply's pieces) rely on.
+/// and last piece bound the extent) and `clipped` (binary search for a
+/// window's pieces) rely on.
 fn mapped_pieces(file: &MpiFile, offset_etypes: u64, nbytes: u64) -> Vec<Piece> {
     pieces_of(file.map_view(offset_etypes, 0, nbytes))
 }
@@ -132,6 +130,14 @@ fn one_run(pieces: &[Piece]) -> bool {
     pieces
         .windows(2)
         .all(|w| w[0].buf_off + w[0].len == w[1].buf_off)
+}
+
+/// The `(buf_off, len)` run of the rank's buffer its pieces in the window
+/// `[ws, we)` make up, if it has any there: what its data message carries.
+fn buffer_span(pieces: &[Piece], ws: u64, we: u64) -> Option<(u64, u64)> {
+    let run = clipped(pieces, ws, we);
+    let (first, last) = (run.first()?, run.last()?);
+    Some((first.buf_off, last.buf_off + last.len - first.buf_off))
 }
 
 fn put_u64(v: &mut Vec<u8>, x: u64) {
@@ -242,7 +248,7 @@ impl Sweep {
         }
     }
 
-    /// Aggregator `a`'s window in `phase`, if any.
+    /// Aggregator `a`'s window in `phase`, if any (none past the last phase).
     fn window(&self, a: usize, phase: u64) -> Option<(u64, u64)> {
         let slot = a as u64 * self.agg_stride + phase * self.phase_stride;
         let row_slots = self.servers * self.per;
@@ -252,7 +258,7 @@ impl Sweep {
         let de = (ds + self.fd).min(self.gmax);
         let ws = (ds + j * self.w).max(self.gmin);
         let we = (ds + (j + 1) * self.w).min(de);
-        (ws < we).then_some((ws, we))
+        (ws < we && phase < self.phases).then_some((ws, we))
     }
 }
 
@@ -288,6 +294,78 @@ fn plan_sweep(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, pieces: &[Piece]) -> 
     ))
 }
 
+/// What every rank asked of one aggregator, `[phase][rank]`: the `(off,
+/// len)` of that rank's pieces in the aggregator's window of that phase
+/// (none in a phase it holds no window). ROMIO's `others_req`.
+type OthersReq = Vec<Vec<Vec<(u64, u64)>>>;
+
+/// This rank's request message to each of `ranks` ranks: to an aggregator,
+/// for each phase it holds a window in, the count of this rank's pieces
+/// there and their `(off, len)`; to any other rank, nothing. Both ends
+/// know the sweep, so nothing else is said.
+fn encode_requests(s: &Sweep, pieces: &[Piece], ranks: usize) -> Vec<Vec<u8>> {
+    let mut msgs = vec![Vec::new(); ranks];
+    for (a, msg) in msgs.iter_mut().enumerate().take(s.naggs) {
+        for (ws, we) in (0..s.phases).filter_map(|k| s.window(a, k)) {
+            let run = clipped(pieces, ws, we);
+            put_u64(msg, run.len() as u64);
+            for p in &run {
+                put_u64(msg, p.off);
+                put_u64(msg, p.len);
+            }
+        }
+    }
+    msgs
+}
+
+/// Aggregator `a`'s reading of the request messages it got, by source.
+fn decode_requests(s: &Sweep, a: usize, msgs: &[Vec<u8>]) -> OthersReq {
+    let mut pos = vec![0usize; msgs.len()];
+    let mut out = vec![vec![Vec::new(); msgs.len()]; s.phases as usize];
+    for k in (0..s.phases).filter(|&k| s.window(a, k).is_some()) {
+        for ((msg, pos), asked) in msgs.iter().zip(&mut pos).zip(&mut out[k as usize]) {
+            let n = get_u64(msg, pos);
+            *asked = (0..n)
+                .map(|_| (get_u64(msg, pos), get_u64(msg, pos)))
+                .collect();
+        }
+    }
+    debug_assert!(msgs.iter().zip(&pos).all(|(m, &p)| p == m.len()));
+    out
+}
+
+/// The one request exchange of a collective call; `None` on a rank that
+/// aggregates nothing.
+fn exchange_requests(
+    ctx: &ActorCtx,
+    comm: &Comm,
+    sweep: &Sweep,
+    pieces: &[Piece],
+    mark: &mut SimTime,
+) -> Option<OthersReq> {
+    let got = comm.alltoallv(ctx, &encode_requests(sweep, pieces, comm.size()));
+    charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
+    (comm.rank() < sweep.naggs).then(|| decode_requests(sweep, comm.rank(), &got))
+}
+
+/// Charge the aggregator for moving `pieces` between its collective buffer
+/// and the message from (or to) `peer` — the one place its side of the
+/// exchange is paid for. Another rank's message carries each piece as one
+/// data segment past the gather floor; below it, and for the aggregator's
+/// own pieces, which no NIC touches, each piece is one copy.
+fn charge_pieces(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, peer: usize, pieces: &[(u64, u64)]) {
+    let via = ViaCost::default();
+    let bytes = pieces.iter().map(|p| p.1).sum();
+    if peer != comm.rank() && via.gathers(file.host_cost(), bytes, pieces.len()) {
+        file.host()
+            .compute(ctx, via.per_segment * pieces.len() as u64);
+    } else {
+        for &(_, len) in pieces {
+            file.charge_copy(ctx, len);
+        }
+    }
+}
+
 fn merge_runs(mut runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     runs.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
@@ -316,140 +394,100 @@ fn window_reqs(runs: &[(u64, u64)], cbuf: VirtAddr, ws: u64) -> Vec<IoReq> {
         .collect()
 }
 
-/// A read window whose replies are still owed: the per-rank request
-/// messages, plus `(cbuf, window_start)` if this rank aggregated it.
-type OwedWindow = (Vec<Vec<u8>>, Option<(VirtAddr, u64)>);
-
-/// Put a window's clipped pieces into `msg` as `(off u64, len u64)*`
-/// descriptors.
-fn put_descs(msg: &mut Vec<u8>, pieces: &[Piece]) {
-    for p in pieces {
-        put_u64(msg, p.off);
-        put_u64(msg, p.len);
-    }
-}
-
-fn get_desc(msg: &[u8], pos: &mut usize) -> (u64, u64) {
-    (get_u64(msg, pos), get_u64(msg, pos))
-}
-
-/// The descriptors of a read request, which carries nothing else.
-fn request_descs(msg: &[u8]) -> Vec<(u64, u64)> {
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    while pos < msg.len() {
-        out.push(get_desc(msg, &mut pos));
-    }
-    out
-}
-
-/// Split a data message into its descriptors and the payload run after
-/// them, whose length is theirs summed.
-fn split_run(msg: &[u8]) -> (Vec<(u64, u64)>, &[u8]) {
-    let (mut pos, mut run) = (0usize, 0usize);
-    let mut out = Vec::new();
-    while pos + run < msg.len() {
-        let d = get_desc(msg, &mut pos);
-        run += d.1 as usize;
-        out.push(d);
-    }
-    assert_eq!(
-        pos + run,
-        msg.len(),
-        "two-phase message of the wrong length"
-    );
-    (out, &msg[pos..])
-}
-
-/// Where in the buffer a reply's payload lands: the offset of the run its
-/// descriptors name, if each lies inside one of `pieces` and starts where
-/// the one before it ended.
-fn buffer_run(pieces: &[Piece], descs: &[(u64, u64)]) -> Option<u64> {
-    let mut start = None;
-    let mut next = None;
-    for &(off, len) in descs {
-        // The owning piece (sorted, disjoint: the first to end past `off`).
-        let p = pieces
-            .get(pieces.partition_point(|p| p.off + p.len <= off))
-            .filter(|p| off >= p.off && off + len <= p.off + p.len)?;
-        let boff = p.buf_off + (off - p.off);
-        if next.is_some_and(|n| n != boff) {
-            return None;
+/// The file offset where the bytes a batch over the sorted `runs` landed
+/// end: they fill the runs from the first, as a read stops short only at
+/// the end of file.
+fn landed_end(runs: &[(u64, u64)], mut landed: u64) -> u64 {
+    for &(off, len) in runs {
+        if landed < len {
+            return off + landed;
         }
-        start.get_or_insert(boff);
-        next = Some(boff + len);
+        landed -= len;
     }
-    start
+    u64::MAX
 }
+
+/// A read window this aggregator holds: its collective buffer, its start,
+/// the merged runs its batch reads, and each rank's pieces of it.
+type Served<'a> = (VirtAddr, u64, Vec<(u64, u64)>, &'a [Vec<(u64, u64)>]);
 
 /// Record how long a nonblocking window batch has been in flight, then
-/// complete it. The `overlap_ns` share is sweep time the synchronous
-/// path would have spent blocked in `io_ns`.
+/// complete it; returns its byte count if there was one. The `overlap_ns`
+/// share is sweep time the synchronous path would have spent blocked in
+/// `io_ns`.
 fn drain_window_batch(
     ctx: &ActorCtx,
     pending: Option<(AdioRequest, SimTime)>,
     mark: &mut SimTime,
-) -> AdioResult<()> {
-    if let Some((req, issued)) = pending {
-        ctx.metrics()
-            .counter("mpiio.twophase.overlap_ns")
-            .add((ctx.now() - issued).as_nanos());
-        req.wait(ctx)?;
-        charge_phase(ctx, "mpiio.twophase.io_ns", mark);
-    }
-    Ok(())
+) -> AdioResult<Option<u64>> {
+    let Some((req, issued)) = pending else {
+        return Ok(None);
+    };
+    ctx.metrics()
+        .counter("mpiio.twophase.overlap_ns")
+        .add((ctx.now() - issued).as_nanos());
+    let n = req.wait(ctx)?;
+    charge_phase(ctx, "mpiio.twophase.io_ns", mark);
+    Ok(Some(n))
 }
 
-/// Answer a window's piece requests out of the collective buffer it was
-/// read into, exchange the replies, and land each reply's payload in the
-/// user buffer as one run. Runs on every rank each round — the reply
-/// `alltoallv` is collective — with `served` set only on the aggregator
-/// that holds data for these requests. Returns the bytes landed locally.
+/// Answer phase `phase`'s pieces out of the collective buffer its window
+/// was read into, exchange the replies, and land each in the user buffer
+/// as a prefix of its run. Runs on every rank each round — the reply
+/// `alltoallv` is collective — with `served` (the window and the bytes its
+/// batch landed) only on an aggregator that held a window this phase.
+/// Returns the bytes landed locally.
 #[allow(clippy::too_many_arguments)]
 fn ship_read_replies(
     ctx: &ActorCtx,
     comm: &Comm,
     file: &MpiFile,
+    sweep: &Sweep,
+    phase: u64,
     pieces: &[Piece],
     dst: VirtAddr,
-    requests: &[Vec<u8>],
-    served: Option<(VirtAddr, u64)>,
+    served: Option<(Served, u64)>,
     mark: &mut SimTime,
 ) -> u64 {
     let host = file.host();
-    // Build per-rank replies in request order: the request's descriptors
-    // back as they came, then each piece out of the collective buffer.
     let mut replies: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-    if let Some((cbuf, ws)) = served {
-        for (reply, msg) in replies.iter_mut().zip(requests) {
-            reply.extend_from_slice(msg);
-            for (off, len) in request_descs(msg) {
+    if let Some(((cbuf, ws, runs, asked), landed)) = served {
+        // Only what landed: a reply past the end of file is cut short.
+        let end = landed_end(&runs, landed);
+        for (peer, (reply, asked)) in replies.iter_mut().zip(asked).enumerate() {
+            let valid: Vec<(u64, u64)> = asked
+                .iter()
+                .map(|&(off, len)| (off, len.min(end.saturating_sub(off))))
+                .take_while(|p| p.1 > 0)
+                .collect();
+            for &(off, len) in &valid {
                 host.mem
                     .read_into(cbuf.offset(off - ws), len as usize, reply);
-                file.charge_copy(ctx, len);
             }
+            charge_pieces(ctx, comm, file, peer, &valid);
         }
     }
     charge_phase(ctx, "mpiio.twophase.aggregation_ns", mark);
     let incoming = comm.alltoallv(ctx, &replies);
     charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
-    // This rank asked for the pieces, so it knows where they go: the
-    // payload is one run of the user buffer and lands there in place.
+    // This rank asked for the pieces, so it knows where they go: a reply is
+    // a prefix of one run of the user buffer and lands there in place.
     let mut total = 0u64;
-    for msg in &incoming {
-        let (got, payload) = split_run(msg);
-        if got.is_empty() {
+    for (a, reply) in incoming.iter().enumerate().take(sweep.naggs) {
+        let Some((boff, len)) = sweep
+            .window(a, phase)
+            .and_then(|(ws, we)| buffer_span(pieces, ws, we))
+        else {
             continue;
-        }
-        let boff = buffer_run(pieces, &got).expect("reply for an unrequested piece");
-        host.mem.write(dst.offset(boff), payload);
-        total += payload.len() as u64;
+        };
+        assert!(reply.len() as u64 <= len, "reply longer than its run");
+        host.mem.write(dst.offset(boff), reply);
+        total += reply.len() as u64;
     }
     total
 }
 
 /// `MPI_File_write_at_all`.
-#[allow(clippy::needless_range_loop)] // `a` indexes both windows and sends
 pub fn write_at_all(
     ctx: &ActorCtx,
     comm: &Comm,
@@ -473,7 +511,7 @@ pub fn write_at_all(
     let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
     // Two collective buffers when pipelining: batch k-1 drains from one
-    // while phase k overlays into the other.
+    // while phase k lands in the other.
     let nbufs = if pipelined { 2 } else { 1 };
     let cbufs = file.coll_bufs(if is_agg { nbufs } else { 0 }, sweep.w);
     ctx.metrics().counter("mpiio.twophase.writes").inc();
@@ -487,60 +525,55 @@ pub fn write_at_all(
         ],
     );
     let mut mark = ctx.now();
+    let others = exchange_requests(ctx, comm, &sweep, &pieces, &mut mark);
     let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
     let mut pending: Option<(AdioRequest, SimTime)> = None;
 
     for phase in 0..sweep.phases {
-        // Ship my pieces to each aggregator's current window.
+        // Ship my run in each aggregator's current window, from the user
+        // buffer as it lies: no packing copy, and no descriptors.
         for s in sends.iter_mut() {
             s.clear();
         }
-        for a in 0..sweep.naggs {
-            let Some((ws, we)) = sweep.window(a, phase) else {
-                continue;
-            };
-            let run = clipped(&pieces, ws, we);
-            let msg = &mut sends[a];
-            put_descs(msg, &run);
-            // The payload leaves the user buffer as it lies: no packing copy.
-            if let (Some(first), Some(last)) = (run.first(), run.last()) {
-                let len = last.buf_off + last.len - first.buf_off;
-                host.mem
-                    .read_into(src.offset(first.buf_off), len as usize, msg);
+        for (a, msg) in sends.iter_mut().enumerate().take(sweep.naggs) {
+            if let Some((boff, len)) = sweep
+                .window(a, phase)
+                .and_then(|(ws, we)| buffer_span(&pieces, ws, we))
+            {
+                host.mem.read_into(src.offset(boff), len as usize, msg);
             }
         }
         charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
         let received = comm.alltoallv(ctx, &sends);
         charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
         // Aggregate my window. When pipelining, the previous batch is still
-        // draining from the *other* collective buffer while this overlays.
+        // draining from the *other* collective buffer while this lands.
         let mut reqs: Option<Vec<IoReq>> = None;
-        if let (Some(&cbuf), Some((ws, we))) = (
+        if let (Some(&cbuf), Some((ws, we)), Some(others)) = (
             cbufs.get(phase as usize % nbufs),
             sweep.window(comm.rank(), phase),
+            &others,
         ) {
-            // The aggregator's side is piece by piece: it cannot know the
-            // layout before the data arrives.
-            let mut covered: Vec<(u64, u64)> = Vec::new();
-            for msg in &received {
-                let (got, mut payload) = split_run(msg);
-                for &(off, len) in &got {
-                    let (piece, rest) = payload.split_at(len as usize);
-                    host.mem.write(cbuf.offset(off - ws), piece);
-                    file.charge_copy(ctx, len);
-                    payload = rest;
+            // Each piece lands where its request said it goes.
+            let asked = &others[phase as usize];
+            for (peer, (msg, got)) in received.iter().zip(asked).enumerate() {
+                let mut at = 0usize;
+                for &(off, len) in got {
+                    host.mem
+                        .write(cbuf.offset(off - ws), &msg[at..at + len as usize]);
+                    at += len as usize;
                 }
-                covered.extend(got);
+                assert_eq!(at, msg.len(), "two-phase message of the wrong length");
+                charge_pieces(ctx, comm, file, peer, got);
             }
-            let runs = merge_runs(covered);
-            let r = window_reqs(&runs, cbuf, ws);
+            let runs = merge_runs(asked.concat());
             debug_assert!(runs.iter().all(|(o, l)| *o >= ws && o + l <= we));
+            reqs = Some(window_reqs(&runs, cbuf, ws));
             charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-            reqs = Some(r);
         }
         if pipelined {
             // Drain window k-1 only now — its filesystem time since issue
-            // ran under this phase's pack/exchange.
+            // ran under this phase's exchange.
             drain_window_batch(ctx, pending.take(), &mut mark)?;
             if let Some(r) = reqs {
                 pending = Some((
@@ -565,7 +598,6 @@ pub fn write_at_all(
 }
 
 /// `MPI_File_read_at_all`.
-#[allow(clippy::needless_range_loop)] // `a` indexes both windows and sends
 pub fn read_at_all(
     ctx: &ActorCtx,
     comm: &Comm,
@@ -603,94 +635,57 @@ pub fn read_at_all(
         ],
     );
     let mut mark = ctx.now();
-    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
+    let others = exchange_requests(ctx, comm, &sweep, &pieces, &mut mark);
     let mut pending: Option<(AdioRequest, SimTime)> = None;
-    // Pipelined sweep: the previous phase's request messages still owed
-    // replies, plus the buffer serving them if this rank aggregated that
-    // window. Kept `Some` on every rank so the reply exchange stays
-    // collective.
-    let mut owed: Option<OwedWindow> = None;
+    // Pipelined sweep: the previous phase, whose replies are still owed,
+    // and the window this rank served in it, if any. Kept `Some` on every
+    // rank so the reply exchange stays collective.
+    let mut owed: Option<(u64, Option<Served>)> = None;
 
-    for phase in 0..sweep.phases {
-        // Send piece descriptors to aggregators.
-        for s in sends.iter_mut() {
-            s.clear();
-        }
-        for a in 0..sweep.naggs {
-            let Some((ws, we)) = sweep.window(a, phase) else {
-                continue;
-            };
-            put_descs(&mut sends[a], &clipped(&pieces, ws, we));
-        }
-        charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-        let requests = comm.alltoallv(ctx, &sends);
-        charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
-        if pipelined {
-            // Window k-1's batch must land before its buffer is answered
-            // from.
-            drain_window_batch(ctx, pending.take(), &mut mark)?;
-            // Issue my window's coalesced read nonblocking.
-            let mut served: Option<(VirtAddr, u64)> = None;
-            if let (Some(&cbuf), Some((ws, _we))) = (
-                cbufs.get(phase as usize % nbufs),
-                sweep.window(comm.rank(), phase),
-            ) {
-                let runs = merge_runs(requests.iter().flat_map(|m| request_descs(m)).collect());
-                let reqs = window_reqs(&runs, cbuf, ws);
-                charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
+    // Pipelined, the sweep runs one round past its last window to ship that
+    // window's replies.
+    for phase in 0..sweep.phases + u64::from(pipelined) {
+        // Window k-1's batch must land before its buffer is answered from.
+        let landed = drain_window_batch(ctx, pending.take(), &mut mark)?;
+        // Read my window's coalesced coverage.
+        let mut served: Option<Served> = None;
+        let mut read: Option<u64> = None;
+        if let (Some(&cbuf), Some((ws, _we)), Some(others)) = (
+            cbufs.get(phase as usize % nbufs),
+            sweep.window(comm.rank(), phase),
+            &others,
+        ) {
+            let asked = &others[phase as usize];
+            let runs = merge_runs(asked.concat());
+            let reqs = window_reqs(&runs, cbuf, ws);
+            charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
+            if pipelined {
                 pending = Some((
                     file.adio()
                         .itransfer(ctx, BatchDir::Read, Shape::List, &reqs),
                     ctx.now(),
                 ));
-                // Post cost of issuing the batch.
-                charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-                served = Some((cbuf, ws));
-            }
-            // Ship window k-1's replies while this window's batch drains.
-            if let Some((prev_requests, prev_served)) = owed.take() {
-                total += ship_read_replies(
-                    ctx,
-                    comm,
-                    file,
-                    &pieces,
-                    dst,
-                    &prev_requests,
-                    prev_served,
-                    &mut mark,
+            } else {
+                read = Some(
+                    file.adio()
+                        .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?,
                 );
             }
-            owed = Some((requests, served));
-        } else {
-            // Aggregator: read coalesced coverage, ship pieces back.
-            let mut served: Option<(VirtAddr, u64)> = None;
-            if let (Some(&cbuf), Some((ws, _we))) =
-                (cbufs.first(), sweep.window(comm.rank(), phase))
-            {
-                let runs = merge_runs(requests.iter().flat_map(|m| request_descs(m)).collect());
-                let reqs = window_reqs(&runs, cbuf, ws);
-                charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-                file.adio()
-                    .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?;
-                charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-                served = Some((cbuf, ws));
-            }
-            total += ship_read_replies(ctx, comm, file, &pieces, dst, &requests, served, &mut mark);
+            // The batch, or the post cost of issuing it.
+            charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
+            served = Some((cbuf, ws, runs, &asked[..]));
         }
-    }
-    // Pipelined epilogue: the last window's batch and its reply round.
-    drain_window_batch(ctx, pending.take(), &mut mark)?;
-    if let Some((prev_requests, prev_served)) = owed.take() {
-        total += ship_read_replies(
-            ctx,
-            comm,
-            file,
-            &pieces,
-            dst,
-            &prev_requests,
-            prev_served,
-            &mut mark,
-        );
+        // Synchronous: ship this window's replies. Pipelined: window k-1's,
+        // while this window's batch drains.
+        let (ship, count) = if pipelined {
+            (owed.replace((phase, served)), landed)
+        } else {
+            (Some((phase, served)), read)
+        };
+        if let Some((k, s)) = ship {
+            let window = s.zip(count);
+            total += ship_read_replies(ctx, comm, file, &sweep, k, &pieces, dst, window, &mut mark);
+        }
     }
     mark = ctx.now();
     comm.barrier(ctx);
@@ -1170,10 +1165,13 @@ mod tests {
             .collect()
     }
 
-    /// What the exchange moves in place: in every phase, every rank's
-    /// pieces in every aggregator's window are one run of its buffer (the
-    /// run a read reply's descriptors lead back to), `clipped` finds the
-    /// same pieces as clipping each one, and each byte ships exactly once.
+    /// What the exchange moves in place, and what the request exchange
+    /// tells the aggregators: in every phase, every rank's pieces in every
+    /// aggregator's window are one run of its buffer, `clipped` finds the
+    /// same pieces as clipping each one, and each byte ships exactly once;
+    /// each aggregator decodes from the request messages exactly each
+    /// rank's clipped pieces, phase by phase, and they sum to the run that
+    /// rank ships it.
     #[test]
     fn a_window_holds_one_run_of_each_rank_buffer() {
         let mut rng = Rng64::new(0xDA7A_0029);
@@ -1197,9 +1195,23 @@ mod tests {
             let cb = [4 * KIB, 20 * KIB, 64 * KIB, 1_000_000][rng.range_usize(0, 4)];
             for layout in [None, Some((16 * KIB, 2)), Some((64 * KIB, 3))] {
                 let s = Sweep::new(gmin, gmax, naggs, cb, layout);
+                // The request messages as an alltoallv delivers them:
+                // `inbox[a][r]` is what rank `r` sent aggregator `a`.
+                let sent: Vec<Vec<Vec<u8>>> = all
+                    .iter()
+                    .map(|(pieces, _)| encode_requests(&s, pieces, ranks))
+                    .collect();
+                let others: Vec<OthersReq> = (0..naggs)
+                    .map(|a| {
+                        let inbox: Vec<Vec<u8>> = sent.iter().map(|m| m[a].clone()).collect();
+                        decode_requests(&s, a, &inbox)
+                    })
+                    .collect();
+                assert!(sent.iter().all(|m| m[naggs..].iter().all(Vec::is_empty)));
                 for (r, (pieces, nbytes)) in all.iter().enumerate() {
                     let mut shipped = 0;
                     for (k, a, ws, we) in windows(&s) {
+                        let what = format!("case {case} rank {r} phase {k} aggregator {a}");
                         let run = clipped(pieces, ws, we);
                         let each: Vec<Piece> =
                             pieces.iter().filter_map(|p| clip(p, ws, we)).collect();
@@ -1207,39 +1219,66 @@ mod tests {
                         assert_eq!(
                             run.iter().map(key).collect::<Vec<_>>(),
                             each.iter().map(key).collect::<Vec<_>>(),
-                            "case {case} rank {r} phase {k} aggregator {a}"
+                            "{what}"
                         );
-                        assert!(
-                            one_run(&run),
-                            "case {case} rank {r} phase {k} aggregator {a}: {run:?}"
-                        );
-                        let descs: Vec<(u64, u64)> = run.iter().map(|p| (p.off, p.len)).collect();
-                        assert_eq!(buffer_run(pieces, &descs), run.first().map(|p| p.buf_off));
-                        shipped += run.iter().map(|p| p.len).sum::<u64>();
+                        assert!(one_run(&run), "{what}: {run:?}");
+                        let asked = &others[a][k as usize][r];
+                        let want: Vec<(u64, u64)> = run.iter().map(|p| (p.off, p.len)).collect();
+                        assert_eq!(asked, &want, "{what}");
+                        let len: u64 = asked.iter().map(|p| p.1).sum();
+                        assert_eq!(buffer_span(pieces, ws, we).map_or(0, |(_, l)| l), len);
+                        shipped += len;
                     }
                     assert_eq!(shipped, *nbytes, "case {case} rank {r} {layout:?}");
+                }
+                // A phase in which an aggregator holds no window asks nothing.
+                for (a, o) in others.iter().enumerate() {
+                    for (k, asked) in o.iter().enumerate() {
+                        if s.window(a, k as u64).is_none() {
+                            assert!(asked.iter().all(Vec::is_empty), "case {case} {a} {k}");
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// A data message splits back into what was put in it; a reply whose
-    /// descriptors skip part of the buffer has no one run to land in.
+    /// A request message is, per window of its aggregator, a count and
+    /// that many `(off, len)`; a data message is the run alone.
     #[test]
-    fn a_message_is_descriptors_then_one_run() {
+    fn a_request_is_a_count_per_window_then_the_pieces() {
         let pieces = pieces_of(vec![(100, 10), (200, 30), (300, 5)]);
-        let run = clipped(&pieces, 105, 302);
-        let mut msg = Vec::new();
-        put_descs(&mut msg, &run);
-        msg.extend_from_slice(&[7u8; 37]);
-        let (descs, payload) = split_run(&msg);
-        assert_eq!(descs, vec![(105, 5), (200, 30), (300, 2)]);
-        assert_eq!(payload, &[7u8; 37]);
-        assert_eq!(request_descs(&msg[..48]), descs);
-        assert_eq!(buffer_run(&pieces, &descs), Some(5));
-        assert_eq!(buffer_run(&pieces, &[(105, 5), (300, 2)]), None);
-        assert_eq!(buffer_run(&pieces, &[(150, 1)]), None);
-        assert_eq!(split_run(&[]), (vec![], &[][..]));
+        // One aggregator, windows [100, 150), [150, 200), [200, 250),
+        // [250, 300), [300, 305).
+        let s = Sweep::new(100, 305, 1, 50, None);
+        assert_eq!(s.phases, 5);
+        let msgs = encode_requests(&s, &pieces, 2);
+        let words: Vec<u64> = msgs[0]
+            .chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [1, 100, 10, 0, 1, 200, 30, 0, 1, 300, 5]);
+        assert!(msgs[1].is_empty());
+        // A rank with nothing in a window still says so.
+        let idle = encode_requests(&s, &[], 2);
+        assert_eq!(idle[0], [0u8; 40]);
+        let others = decode_requests(&s, 0, &[msgs[0].clone(), idle[0].clone()]);
+        assert_eq!(others[2], [vec![(200, 30)], vec![]]);
+        assert_eq!(buffer_span(&pieces, 105, 302), Some((5, 37)));
+        assert_eq!(buffer_span(&pieces, 110, 200), None);
+    }
+
+    /// The bytes a window's batch counted fill its sorted runs from the
+    /// first; where they stop is where every reply is cut.
+    #[test]
+    fn the_landed_bytes_end_where_the_count_runs_out() {
+        let runs = [(0, 4096), (8192, 4096)];
+        assert_eq!(landed_end(&runs, 8192), u64::MAX);
+        assert_eq!(landed_end(&runs, 4096 + 100), 8192 + 100);
+        assert_eq!(landed_end(&runs, 4096), 8192);
+        assert_eq!(landed_end(&runs, 1904), 1904);
+        assert_eq!(landed_end(&runs, 0), 0);
+        assert_eq!(landed_end(&[], 0), u64::MAX);
     }
 
     fn check_sweep(s: &Sweep, cb: u64, unit: u64, servers: u64) {

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use obs::LazyCounter;
 use parking_lot::Mutex;
 use simnet::time::units::*;
 use simnet::{ActorCtx, Bandwidth, Counter, Host, Port, Resource, SimDuration};
@@ -57,6 +58,9 @@ struct WorldInner {
     /// Messages observed (diagnostics).
     msgs: Counter,
     bytes: Counter,
+    /// The same two in the job's registry: `mpi.msgs`, `mpi.bytes`.
+    msgs_metric: LazyCounter,
+    bytes_metric: LazyCounter,
 }
 
 /// The shared communicator fabric; create once, then hand a [`Comm`] to
@@ -85,6 +89,8 @@ impl CommWorld {
                 endpoints,
                 msgs: Counter::new(),
                 bytes: Counter::new(),
+                msgs_metric: LazyCounter::new("mpi.msgs"),
+                bytes_metric: LazyCounter::new("mpi.bytes"),
             }),
         }
     }
@@ -163,6 +169,8 @@ impl Comm {
         me.host.compute(ctx, w.cost.per_msg_cpu);
         w.msgs.inc();
         w.bytes.add(data.len() as u64);
+        w.msgs_metric.get(ctx.metrics()).inc();
+        w.bytes_metric.get(ctx.metrics()).add(data.len() as u64);
         let ser = w.cost.bw.time_for(data.len() as u64);
         let (tx_start, _) = me.tx_wire.book_span(ctx.now(), ser);
         let arrival = peer.rx_wire.book(tx_start + w.cost.latency, ser);

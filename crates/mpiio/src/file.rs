@@ -217,12 +217,16 @@ impl MpiFile {
     /// model, and count them in `mpiio.copy_bytes` (which costs no virtual
     /// time). The copies this layer makes itself: packing through a memory
     /// datatype, picking pieces out of (or into) a sieve buffer, and the
-    /// collective-buffer side of the two-phase exchange — an aggregator's
-    /// overlay of written pieces and its build of read replies. The
-    /// user-buffer side of that exchange moves in place and is not charged.
+    /// pieces of the two-phase exchange that stay on the host — an
+    /// aggregator's own, and those of messages below the gather floor.
     pub(crate) fn charge_copy(&self, ctx: &ActorCtx, bytes: u64) {
         self.copy_bytes.get(ctx.metrics()).add(bytes);
         self.host.compute(ctx, self.host_cost.copy(bytes));
+    }
+
+    /// The driver's host cost model.
+    pub(crate) fn host_cost(&self) -> &HostCost {
+        &self.host_cost
     }
 
     /// The underlying ADIO handle (collective I/O uses it directly).

@@ -81,6 +81,14 @@ impl ViaCost {
     pub fn unloaded_one_way(&self, bytes: u64) -> SimDuration {
         self.tx_nic_proc + self.wire_bw.time_for(bytes) + self.wire_latency + self.rx_nic_proc
     }
+
+    /// The gather floor: true if `len` bytes in `segments` pieces cost the
+    /// host less posted as one data segment each than copied once at
+    /// `host`'s rate — the point past which a message is sent from (or
+    /// received into) the pieces where they lie.
+    pub fn gathers(&self, host: &HostCost, len: u64, segments: usize) -> bool {
+        host.copy(len) > self.per_segment * segments as u64
+    }
 }
 
 #[cfg(test)]

@@ -100,16 +100,23 @@ if grep -rnE 'fn retarget\b' crates/dafs || [ -z "$reconnect_body" ] ||
     exit 1
 fi
 
-echo "==> the two-phase exchange copies each byte once"
-# A rank's pieces in a window are one run of its buffer, so the user-buffer
-# side of every exchange message moves in place; only the aggregator copies,
-# once per direction (its overlay of written pieces, its build of read
-# replies). `tests/full_stack.rs::two_phase_copies_each_byte_once_per_direction`
-# holds the byte count; this holds the sites.
+echo "==> the aggregator knows the layout before the data"
+# One request exchange per collective call tells every aggregator where each
+# rank's pieces go, so data messages carry no descriptors and the aggregator
+# moves other ranks' pieces as data segments past the gather floor. Its side
+# of the exchange is charged in one place (`charge_pieces`), which copies
+# only its own pieces and messages below the floor.
+# `tests/full_stack.rs::two_phase_copies_only_what_stays_on_the_host` holds
+# the byte count; this holds the site, and keeps the per-message
+# descriptor parsers from coming back.
 copies=$(grep -c 'charge_copy(' crates/mpiio/src/collective.rs || true)
-if [ "$copies" -gt 2 ]; then
-    echo "ci: crates/mpiio/src/collective.rs charges $copies copies (at most 2):" >&2
+if [ "$copies" -ne 1 ]; then
+    echo "ci: crates/mpiio/src/collective.rs charges $copies copies (exactly 1):" >&2
     grep -n 'charge_copy(' crates/mpiio/src/collective.rs >&2
+    exit 1
+fi
+if grep -nE '\b(split_run|buffer_run|request_descs)\b' crates/mpiio/src/collective.rs; then
+    echo "ci: crates/mpiio/src/collective.rs parses descriptors out of data messages (lines above)" >&2
     exit 1
 fi
 

@@ -238,58 +238,150 @@ fn cb_nodes_hint_changes_aggregators_not_answers() {
     }
 }
 
-/// The two-phase exchange copies each byte once per direction: eight ranks
-/// 4 KiB-interleaved, `write_at_all` then `read_at_all` of `N` bytes each,
-/// count `8N` bytes in `mpiio.copy_bytes` per direction — the aggregators'
-/// overlay, then their reply build; the ranks' own buffers move in place.
-/// On two striped DAFS servers and on UFS, pipelined and not.
+/// Only what stays on the host is copied: eight ranks interleaved at a
+/// grain, `write_at_all` then `read_at_all` of `N` bytes each, with the
+/// benchmark's 8 aggregators x 4 windows. At a 4 KiB grain every other
+/// rank's pieces ride the exchange as data segments, so `mpiio.copy_bytes`
+/// counts `N` per direction — each aggregator's own pieces, which no NIC
+/// touches. At a 16-byte grain a message's pieces are below the gather
+/// floor and every byte is copied once: `8N` per direction. The ranks' own
+/// buffers move in place. On two striped DAFS servers and on UFS,
+/// pipelined and not.
 #[test]
-fn two_phase_copies_each_byte_once_per_direction() {
+fn two_phase_copies_only_what_stays_on_the_host() {
     const RANKS: u64 = 8;
     const N: u64 = 256 << 10;
-    for (name, backend) in [
-        ("dafs_striped(2)", Backend::dafs_striped(2)),
-        ("ufs", Backend::ufs()),
-    ] {
-        for pipeline in ["enable", "disable"] {
-            let after_write = Arc::new(AtomicU64::new(0));
-            let seen = after_write.clone();
-            let report =
-                Testbed::new(backend.clone()).run(RANKS as usize, move |ctx, comm, adio| {
-                    let host = comm.host().clone();
-                    let mut hints = Hints::default();
-                    // The benchmark's collective call: 8 aggregators x 4 windows.
-                    hints.set("cb_buffer_size", "65536");
-                    hints.set("romio_cb_pipeline", pipeline);
-                    let f = MpiFile::open(ctx, adio, &host, "/copies", OpenMode::create(), hints)
-                        .unwrap();
-                    let el = Datatype::bytes(4096);
-                    let mine = Datatype::hindexed(&[(1, comm.rank() as i64 * 4096)], &el);
-                    f.set_view(0, &el, &Datatype::resized(&mine, 0, RANKS * 4096));
-                    let buf = host.mem.alloc(N as usize);
-                    host.mem.fill(buf, N as usize, comm.rank() as u8 + 1);
-                    assert_eq!(write_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
-                    // Every rank's copies are in: the call ends in a barrier.
-                    if comm.rank() == 0 {
-                        seen.store(
-                            ctx.metrics().counter("mpiio.copy_bytes").get(),
-                            Ordering::Relaxed,
+    for (grain, copied) in [(4096u64, N), (16, RANKS * N)] {
+        for (name, backend) in [
+            ("dafs_striped(2)", Backend::dafs_striped(2)),
+            ("ufs", Backend::ufs()),
+        ] {
+            for pipeline in ["enable", "disable"] {
+                let after_write = Arc::new(AtomicU64::new(0));
+                let seen = after_write.clone();
+                let report =
+                    Testbed::new(backend.clone()).run(RANKS as usize, move |ctx, comm, adio| {
+                        let host = comm.host().clone();
+                        let mut hints = Hints::default();
+                        hints.set("cb_buffer_size", "65536");
+                        hints.set("romio_cb_pipeline", pipeline);
+                        let f =
+                            MpiFile::open(ctx, adio, &host, "/copies", OpenMode::create(), hints)
+                                .unwrap();
+                        let el = Datatype::bytes(grain);
+                        let mine =
+                            Datatype::hindexed(&[(1, (comm.rank() as u64 * grain) as i64)], &el);
+                        f.set_view(0, &el, &Datatype::resized(&mine, 0, RANKS * grain));
+                        let buf = host.mem.alloc(N as usize);
+                        host.mem.fill(buf, N as usize, comm.rank() as u8 + 1);
+                        assert_eq!(write_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+                        // Every rank's copies are in: the call ends in a barrier.
+                        if comm.rank() == 0 {
+                            seen.store(
+                                ctx.metrics().counter("mpiio.copy_bytes").get(),
+                                Ordering::Relaxed,
+                            );
+                        }
+                        f.sync(ctx).unwrap();
+                        comm.barrier(ctx);
+                        host.mem.fill(buf, N as usize, 0);
+                        assert_eq!(read_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+                        assert_eq!(
+                            host.mem.read_vec(buf, N as usize),
+                            vec![comm.rank() as u8 + 1; N as usize]
                         );
-                    }
-                    f.sync(ctx).unwrap();
-                    comm.barrier(ctx);
-                    host.mem.fill(buf, N as usize, 0);
+                    });
+                let total = report.snapshot.get("mpiio.copy_bytes").unwrap().value();
+                let wrote = after_write.load(Ordering::Relaxed);
+                let what = format!("{name} grain={grain} pipeline={pipeline}");
+                assert_eq!(wrote, copied, "write: {what}");
+                assert_eq!(total - wrote, copied, "read: {what}");
+            }
+        }
+    }
+}
+
+/// The MPI rail, counted: the benchmark's collective call (eight ranks
+/// 4 KiB-interleaved, 8 aggregators x 4 windows, two striped DAFS servers)
+/// sends 45 messages per rank for a write and 45 for a read — the extents'
+/// ring allgather (7), the one request exchange (7), one `alltoallv` per
+/// window (4 x 7) and the closing barrier (3). Its bytes are the extents,
+/// the requests — a count per window and two 4 KiB pieces in each — and the
+/// 7/8 of every rank's data that goes to another rank: no data message
+/// carries a descriptor.
+#[test]
+fn the_benchmark_call_sends_45_messages_per_rank_each_way() {
+    const RANKS: u64 = 8;
+    const N: u64 = 256 << 10;
+    let run = |read: bool| {
+        let report =
+            Testbed::new(Backend::dafs_striped(2)).run(RANKS as usize, move |ctx, comm, adio| {
+                let host = comm.host().clone();
+                let mut hints = Hints::default();
+                hints.set("cb_buffer_size", "65536");
+                let f =
+                    MpiFile::open(ctx, adio, &host, "/rail", OpenMode::create(), hints).unwrap();
+                let el = Datatype::bytes(4096);
+                let mine = Datatype::hindexed(&[(1, comm.rank() as i64 * 4096)], &el);
+                f.set_view(0, &el, &Datatype::resized(&mine, 0, RANKS * 4096));
+                let buf = host.mem.alloc(N as usize);
+                assert_eq!(write_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
+                if read {
                     assert_eq!(read_at_all(ctx, comm, &f, 0, buf, N), Ok(N));
-                    assert_eq!(
-                        host.mem.read_vec(buf, N as usize),
-                        vec![comm.rank() as u8 + 1; N as usize]
-                    );
-                });
-            let total = report.snapshot.get("mpiio.copy_bytes").unwrap().value();
-            let wrote = after_write.load(Ordering::Relaxed);
+                }
+            });
+        let metric = |k: &str| report.snapshot.get(k).unwrap().value();
+        (metric("mpi.msgs"), metric("mpi.bytes"))
+    };
+    let (write, both) = (run(false), run(true));
+    let read = (both.0 - write.0, both.1 - write.1);
+    let peers = RANKS * (RANKS - 1);
+    let extents = peers * 16;
+    let requests = peers * 4 * (8 + 2 * 16);
+    for (call, (msgs, bytes)) in [("write", write), ("read", read)] {
+        assert_eq!(msgs, RANKS * 45, "{call}");
+        assert_eq!(bytes, extents + requests + (RANKS - 1) * N, "{call}");
+    }
+}
+
+/// A two-phase read past the end of file comes back short, as an
+/// independent one does: two ranks write 4 KiB each collectively, the file
+/// is cut to 6 000 bytes, and each reads its 4 KiB back with
+/// `read_at_all`. Rank 1 gets 1 904 bytes, and its buffer past them keeps
+/// what it held — not the collective buffer's stale copy of its write.
+#[test]
+fn a_two_phase_read_past_eof_is_short_and_lands_nothing_stale() {
+    const BLOCK: u64 = 4096;
+    const SIZE: u64 = 6000;
+    for (name, backend) in [("dafs", Backend::dafs()), ("ufs", Backend::ufs())] {
+        for pipeline in ["enable", "disable"] {
             let what = format!("{name} pipeline={pipeline}");
-            assert_eq!(wrote, RANKS * N, "write: {what}");
-            assert_eq!(total - wrote, RANKS * N, "read: {what}");
+            Testbed::new(backend.clone()).run(2, move |ctx, comm, adio| {
+                let host = comm.host().clone();
+                let mut hints = Hints::default();
+                hints.set("romio_cb_pipeline", pipeline);
+                let f = MpiFile::open(ctx, adio, &host, "/eof", OpenMode::create(), hints).unwrap();
+                let at = comm.rank() as u64 * BLOCK;
+                let mine = 0xAA + comm.rank() as u8;
+                let buf = host.mem.alloc(BLOCK as usize);
+                host.mem.fill(buf, BLOCK as usize, mine);
+                assert_eq!(write_at_all(ctx, comm, &f, at, buf, BLOCK), Ok(BLOCK));
+                if comm.rank() == 0 {
+                    f.set_size(ctx, SIZE).unwrap();
+                }
+                comm.barrier(ctx);
+                host.mem.fill(buf, BLOCK as usize, 0xEE);
+                let n = read_at_all(ctx, comm, &f, at, buf, BLOCK).unwrap();
+                let want = BLOCK.min(SIZE - at);
+                assert_eq!(n, want, "{what} rank {}", comm.rank());
+                let got = host.mem.read_vec(buf, BLOCK as usize);
+                let (read, rest) = got.split_at(want as usize);
+                assert!(read.iter().all(|&b| b == mine), "{what}: wrong bytes read");
+                assert!(
+                    rest.iter().all(|&b| b == 0xEE),
+                    "{what}: bytes past EOF landed"
+                );
+            });
         }
     }
 }
