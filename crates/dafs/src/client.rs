@@ -7,6 +7,18 @@
 //! whichever batch or call waits on them — and the requests a broken VI
 //! took with it, which are re-posted under their own ids.
 //!
+//! A redial costs no round trip of its own: connect and redial post the
+//! session's `Hello` the same way, and neither waits for its reply before
+//! the next post on that VI. The request that needed the redial goes out
+//! right behind the Hello, and the Hello's reply — the first on the new VI,
+//! which delivers in order — is taken, its caps and window installed, when
+//! it arrives. So a recovered request waits in the server's queue once, not
+//! twice. The flight stays within the rings: the Hello and the one request
+//! behind it are unanswered on a fresh VI, of the `CREDITS` the server
+//! pre-posted, and a request that would go out of the request slot the
+//! unanswered Hello holds waits for its reply first. Only the first connect
+//! takes the Hello's reply before anything else.
+//!
 //! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
 //! * an **inline** transfer rides in the message, the lowest latency into a
 //!   buffer the NIC has never seen: a copy on the server, and on the client
@@ -544,20 +556,18 @@ impl DafsClient {
         };
         // Capability exchange; carries our stable client id. The handshake
         // itself rides the faulted fabric, so it gets the same bounded
-        // reconnect treatment as any other request.
-        let mut attempt = 0u32;
-        let caps = loop {
-            match client.hello(ctx) {
-                Ok(r) => break r,
-                Err(DafsError::Transport(_) | DafsError::Connect(_))
-                    if attempt < client.config.max_reconnects =>
-                {
-                    attempt += 1;
-                    let _ = client.reconnect(ctx, attempt);
-                }
-                Err(e) => return Err(e),
+        // reconnect treatment as any other request: a redial posts its own
+        // Hello, and that is the one taken.
+        let mut caps = client.take_hello(ctx, client.post_hello(ctx));
+        for attempt in 1..=client.config.max_reconnects {
+            if !matches!(caps, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
+                break;
             }
-        };
+            caps = client
+                .reconnect(ctx, attempt)
+                .and_then(|hello| client.take_hello(ctx, hello));
+        }
+        let caps = caps?;
         ctx.metrics().counter("dafs.sessions").inc();
         // Pre-register the event counters benches read back, so a run where
         // the event never fires still snapshots an explicit zero and checked
@@ -626,14 +636,15 @@ impl DafsClient {
         }
     }
 
-    /// Introduce the session: a `Hello` carrying the stable client id and
-    /// the optional QoS tenant extension `(tenant id u64, weight u32)` — the
-    /// request that opens a session on a new VI, outside the window
-    /// ([`RequestTable::open`]) — then install the capabilities its reply
-    /// offers: never more credits than the receive ring has descriptors for
-    /// the replies (the credits are the request table's window), and an
-    /// inline limit that cuts a transfer into chunks.
-    fn hello(&self, ctx: &ActorCtx) -> DafsResult<ServerCaps> {
+    /// Introduce the session on the live VI: post a `Hello` carrying the
+    /// stable client id and the optional QoS tenant extension `(tenant id
+    /// u64, weight u32)` — the request that opens a session on a new VI,
+    /// outside the window ([`RequestTable::open`]) — and return its id
+    /// without waiting for the reply: [`Self::take_hello`] takes it. The VI
+    /// delivers in order and the server serves a VI's frames in arrival
+    /// order, so whatever is posted behind the Hello is served after it has
+    /// bound the session, and its reply is the first on the VI.
+    fn post_hello(&self, ctx: &ActorCtx) -> u32 {
         let mut e = Enc::new();
         e.u64(self.client_id);
         if let Some((t, w)) = self.config.tenant {
@@ -641,6 +652,16 @@ impl DafsClient {
         }
         let id = self.table.lock().open(|_| None);
         self.post_request_raw(ctx, id, DafsOp::Hello, &e.finish(), Payload::None);
+        id
+    }
+
+    /// Take Hello `id` out of the request table — its reply, waited for if
+    /// it has not arrived; none if its VI broke first — and install the
+    /// capabilities the reply offers: never more credits than the receive
+    /// ring has descriptors for the replies (the credits are the request
+    /// table's window), and an inline limit that cuts a transfer into
+    /// chunks.
+    fn take_hello(&self, ctx: &ActorCtx, id: u32) -> DafsResult<ServerCaps> {
         let payload = self.collect(id, self.await_reply(ctx, id))?;
         let mut d = Dec::new(&payload);
         let rdma_read = d.u8().map_err(|_| DafsError::Protocol)? != 0;
@@ -711,6 +732,11 @@ impl DafsClient {
         !lost && self.receive(ctx, true).is_ok()
     }
 
+    /// The request slot request `id` goes out from.
+    fn slot(&self, id: u32) -> usize {
+        id as usize % self.req_ring.len()
+    }
+
     /// Post a request under an id from the table — the replay path reuses an
     /// id so the server can recognize a retransmitted operation.
     ///
@@ -745,7 +771,19 @@ impl DafsClient {
             p => (p.len(), Vec::new()),
         };
         self.charge_copy(ctx, header, copied);
-        let (buf, h) = self.req_ring[reqid as usize % self.req_ring.len()];
+        // No unanswered request on the live VI holds the slot: the window
+        // keeps fresh ids apart, and `deliver` a redial's Hello and the
+        // re-post behind it.
+        debug_assert!(
+            {
+                let (n, table) = (self.req_ring.len() as u32, self.table.lock());
+                [reqid.wrapping_sub(n), reqid.wrapping_add(n)]
+                    .iter()
+                    .all(|&other| table.state(other) != Some(State::Posted))
+            },
+            "request {reqid} would go out of a slot an unanswered request holds"
+        );
+        let (buf, h) = self.req_ring[self.slot(reqid)];
         let vi = self.vi.lock();
         // Drain stale send completions to keep the port bounded.
         while vi.send_done(ctx).is_some() {}
@@ -856,9 +894,13 @@ impl DafsClient {
     /// The one retry identity: post request `id` — fresh, or lost and now
     /// re-posted under its own id — and wait for its reply; while that
     /// fails with a transport failure (`died`: it already has), reconnect
-    /// and post it again, up to `max_reconnects` times. A failed redial
-    /// falls through: the repost fails fast on the dead VI, and the next
-    /// attempt waits a longer backoff.
+    /// and post it again, up to `max_reconnects` times. A redial costs no
+    /// round trip of its own: the request goes out right behind the
+    /// redial's Hello, whose reply — the first on the new VI — is taken
+    /// before the request's. Only a request that would go out of the
+    /// request slot the unanswered Hello holds waits for that reply first.
+    /// A failed redial falls through: the repost fails fast on the dead VI,
+    /// and the next attempt waits a longer backoff.
     fn deliver(
         &self,
         ctx: &ActorCtx,
@@ -868,18 +910,29 @@ impl DafsClient {
         args: &[u8],
         payload: Payload<'_>,
     ) -> DafsResult<()> {
-        let post = || {
+        let post = |hello: Option<u32>| {
+            // The unanswered Hello holds its request slot, so a request
+            // that would go out of the same slot takes its reply first.
+            let (first, behind) = match hello {
+                Some(h) if self.slot(h) == self.slot(id) => (Some(h), None),
+                h => (None, h),
+            };
+            // A Hello the server refused leaves the new VI unbound, and the
+            // server refuses the request behind it too: that reply is what
+            // the request reports.
+            let take = |h: Option<u32>| h.map(|h| self.take_hello(ctx, h).ok());
+            let _ = take(first);
             self.table.lock().repost(id);
             self.post_request_raw(ctx, id, op, args, payload);
+            let _ = take(behind);
             self.await_reply(ctx, id)
         };
-        let mut res = died.map_or_else(post, Err);
+        let mut res = died.map_or_else(|| post(None), Err);
         for attempt in 1..=self.config.max_reconnects {
             if !matches!(res, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
                 break;
             }
-            let _ = self.reconnect(ctx, attempt);
-            res = post();
+            res = post(self.reconnect(ctx, attempt).ok());
         }
         res
     }
@@ -894,13 +947,14 @@ impl DafsClient {
     }
 
     /// Replace the dead VI with a fresh one under the session's tag, and
-    /// re-bind the server side (via Hello). What the session registered —
-    /// both rings, the registration cache's entries and the ranges it has
-    /// seen — is the NIC's under that tag, not the VI's, and stays: the
-    /// receive ring is re-posted on the new VI. What was the dead session's
-    /// goes: leases and clean cached pages. Its requests stay in the table,
-    /// lost, for their re-posts.
-    fn reconnect(&self, ctx: &ActorCtx, attempt: u32) -> DafsResult<()> {
+    /// post the Hello that re-binds the server side: its id, for the caller
+    /// to [`Self::take_hello`] once it has posted its request behind it.
+    /// What the session registered — both rings, the registration cache's
+    /// entries and the ranges it has seen — is the NIC's under that tag,
+    /// not the VI's, and stays: the receive ring is re-posted on the new
+    /// VI. What was the dead session's goes: leases and clean cached pages.
+    /// Its requests stay in the table, lost, for their re-posts.
+    fn reconnect(&self, ctx: &ActorCtx, attempt: u32) -> DafsResult<u32> {
         ctx.metrics().counter("dafs.reconnects").inc();
         ctx.trace(
             "dafs",
@@ -944,7 +998,8 @@ impl DafsClient {
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
         // the scheduler keeps treating the new session as the same tenant.
-        self.hello(ctx).map(|_| ())
+        // The caller takes its reply, after posting what needed the redial.
+        Ok(self.post_hello(ctx))
     }
 
     fn call_attr(&self, ctx: &ActorCtx, op: DafsOp, args: &mut Enc) -> DafsResult<FileAttr> {

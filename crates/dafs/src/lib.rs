@@ -561,9 +561,13 @@ mod tests {
         // The reconnect keeps the session's registrations: 862 400 ns less
         // than when it replaced both rings (16 × `registration(66 KiB)` =
         // 16 × 45 400, 16 × `dereg` = 16 × 8 000) and flushed the cache
-        // (one `dereg` of the read's buffer).
+        // (one `dereg` of the read's buffer). The redial costs no round
+        // trip of its own: the first chunk is posted right behind the
+        // Hello, 25 983 ns sooner than after its reply (the Hello's unloaded
+        // round trip), and waits 5 332 ns at the server while the Hello is
+        // served: 20 651 ns less (1 863 851 ns).
         let got = blocking_and_batch(false, plain(), broken, Read, 64 * kib, 48 * kib);
-        assert_eq!(got, cost(5, &[], 0, 1, 0, 1_863_851), "broken direct read");
+        assert_eq!(got, cost(5, &[], 0, 1, 0, 1_843_200), "broken direct read");
         // A direct write whose VI breaks: the same, and the attributes come
         // from the chunks' replies — the blocking write's GETATTR after its
         // fallback is gone (6 requests, 3 071 102 ns). The reconnect's
@@ -572,16 +576,21 @@ mod tests {
         // place: three posts (the first finds the VI dead) each copy 32 KiB
         // less for one more segment, 3 × (81 920 − 300) ns, and the drain
         // before a post polls once less (200 ns): 245 060 ns less than
-        // when they copied (2 176 890 ns).
+        // when they copied (2 176 890 ns). The first chunk goes out right
+        // behind the redial's Hello: the Hello's unloaded round trip,
+        // 25 983 ns, comes off whole — a 32 KiB frame reaches the server
+        // after the Hello is served (1 931 830 ns).
         let got = blocking_and_batch(true, plain(), broken, Write, 64 * kib, 64 * kib);
-        assert_eq!(got, cost(5, &[], 0, 1, 2, 1_931_830), "broken direct write");
+        assert_eq!(got, cost(5, &[], 0, 1, 2, 1_905_847), "broken direct write");
         // An inline write whose reply is lost: replayed under its id (3:
         // Hello, LOOKUP, then it) and answered from the replay cache. The
         // reconnect keeps both rings: 854 400 ns less (the read's, less the
-        // cache `dereg` — an inline write registers nothing).
+        // cache `dereg` — an inline write registers nothing). The replay is
+        // posted right behind the redial's Hello, not after its reply: the
+        // Hello's unloaded round trip, 25 983 ns, comes off (1 220 574 ns).
         let lost = Some((81_500, 82_000));
         let got = blocking_and_batch(false, plain(), lost, Write, 4 * kib, 4 * kib);
-        assert_eq!(got, cost(3, &[3], 1, 0, 1, 1_220_574), "lost inline reply");
+        assert_eq!(got, cost(3, &[3], 1, 0, 1, 1_194_591), "lost inline reply");
     }
 
     /// A write is counted once, when the server acknowledges it: four
@@ -680,6 +689,100 @@ mod tests {
             let want = if p == 5 { 0xBB } else { 0xAA };
             assert!(page.iter().all(|&x| x == want), "page {p}: {:#x}", page[0]);
         }
+    }
+
+    /// The number after `"key":` in a trace line.
+    fn trace_u64(line: &str, key: &str) -> u64 {
+        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let digits = line[at..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
+        line[at..at + digits].parse().unwrap()
+    }
+
+    /// A redial costs no round trip of its own, under load too. Another
+    /// session keeps the server's wire busy with windows of 32 KiB reads;
+    /// a session whose write is lost with its link redials and posts the
+    /// write right behind the Hello: its doorbell rings before the Hello's
+    /// reply, queued behind the other session's replies, reaches the
+    /// client. (It used to wait for that reply first: one queue wait for
+    /// the Hello, another for the write.) The write applies once.
+    #[test]
+    fn a_redial_posts_its_request_before_the_hellos_reply_arrives() {
+        use simnet::{FaultPlan, SimDuration, SimTime};
+        const BLOCK: u64 = 32 << 10;
+        let credits = server::CREDITS as u64;
+        let (obs, trace) = obs::Obs::buffered();
+        let b = bed_in(SimKernel::with_obs(obs), ViaCost::default());
+        let fh = server_file(&b, "f", &vec![0x5A; (credits * BLOCK) as usize]);
+        let victim = b.cluster.add_host("victim");
+        let at = |us_: u64| SimTime::ZERO + SimDuration::from_nanos(us_ * 1000);
+        let plan =
+            FaultPlan::builder(1).link_down(b.server.host.id, victim.id, at(1_000), at(1_100));
+        b.fabric.set_fault_plan(plan.build());
+        with_named_client(&b, "load", client_config(), move |ctx, c, nic| {
+            let buf = nic.host().mem.alloc((credits * BLOCK) as usize);
+            let reqs: Vec<IoReq> = (0..credits)
+                .map(|i| IoReq {
+                    off: i * BLOCK,
+                    addr: buf.offset(i * BLOCK),
+                    len: BLOCK,
+                })
+                .collect();
+            while ctx.now() < at(4_000) {
+                let batch = c.issue(ctx, BatchDir::Read, fh, &reqs);
+                assert_eq!(
+                    c.batch_finish(ctx, batch),
+                    vec![Ok(BLOCK); credits as usize]
+                );
+            }
+        });
+        let (fabric, sid) = (b.fabric.clone(), b.server.host.id);
+        b.kernel.spawn("victim", move |ctx| {
+            let nic = fabric.open_nic(victim);
+            let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config()).unwrap();
+            ctx.advance(SimDuration::from_nanos(
+                at(1_050).as_nanos() - ctx.now().as_nanos(),
+            ));
+            c.write_bytes(ctx, fh, 0, &[0xAA; 4096]).unwrap();
+            assert_eq!(ctx.metrics().counter("dafs.reconnects").get(), 1);
+            c.disconnect(ctx);
+        });
+        b.kernel.run();
+        assert_eq!(b.fs.read(fh, 0, 4096).unwrap(), vec![0xAA; 4096]);
+        assert_eq!(b.server.stats.inline_writes.ops.get(), 1, "applied once");
+        let trace = String::from_utf8(trace.contents()).unwrap();
+        let lines: Vec<&str> = trace.lines().collect();
+        let redial = lines
+            .iter()
+            .position(|l| l.contains("\"event\":\"session.reconnect\""))
+            .expect("a redial");
+        let after = &lines[redial..];
+        let mut rings = after
+            .iter()
+            .filter(|l| l.contains("\"actor\":\"victim\"") && l.contains("\"event\":\"doorbell\""));
+        let (hello, write) = (rings.next().unwrap(), rings.next().unwrap());
+        assert_eq!(
+            trace_u64(hello, "len"),
+            proto::REQ_HEADER_LEN as u64 + 8,
+            "the Hello"
+        );
+        // The completion of the worker's next send of a Hello reply's
+        // length: when that reply reached the client.
+        let reply = after.iter().find(|l| {
+            l.contains("\"actor\":\"dafs-worker\"")
+                && l.contains("\"event\":\"completion\"")
+                && l.contains("\"len\":18,")
+        });
+        let reached = trace_u64(reply.expect("the Hello's reply"), "at_ns");
+        let (asked, posted) = (trace_u64(hello, "t_ns"), trace_u64(write, "t_ns"));
+        assert!(
+            reached - asked > 100_000,
+            "the Hello's round trip took {} ns: no load",
+            reached - asked
+        );
+        assert!(
+            posted < reached,
+            "the write went out at {posted} ns, after the Hello's reply at {reached} ns"
+        );
     }
 
     #[test]

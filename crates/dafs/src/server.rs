@@ -27,7 +27,8 @@
 //!   in-order delivery is the fence; the worker sleeps through the write
 //!   only while the session has more RDMA bytes unsent than an inline
 //!   reply may hold (`Session::rdma_write`), so small transfers queue on
-//!   the NIC the way small replies do and large ones still pace the worker;
+//!   the NIC the way small replies do and a large one holds the worker
+//!   until its last byte has left;
 //! * **direct write** — the server RDMA-Reads from the client's buffer
 //!   (only if the NIC supports RDMA Read; otherwise the op is rejected and
 //!   the client falls back to inline). The buffer cache is registered with
@@ -199,15 +200,21 @@ impl Session {
     /// rides as zero-copy views of the file pages: server pages → wire →
     /// client buffer, no staging bounce.
     ///
-    /// The worker runs ahead of the wire by a byte budget: after a post it
-    /// sleeps only while the session has more than [`INLINE_MAX`] RDMA bytes
-    /// posted and unsent. A transfer no larger than an inline reply is thus
-    /// queued the way an inline reply of its size is — the worker goes on
-    /// to the next request while the NIC sends — and a larger one holds the
-    /// worker for its wire time, which is the only hold the request
-    /// scheduler has on the wire (X-6). The reply posted afterwards follows
-    /// the data on the same reliable VI, whose in-order delivery is the
-    /// fence; a transfer that fails breaks the VI, which flushes that reply.
+    /// After a post the worker waits while the session has more than
+    /// [`INLINE_MAX`] RDMA bytes in descriptors that have not completed.
+    /// `unsent` falls only when a descriptor completes, by all of its
+    /// bytes, so this is a rule on transfers, not a byte budget the worker
+    /// runs ahead of the wire by: a transfer no larger than an inline reply
+    /// is queued the way an inline reply of its size is — the worker goes
+    /// on to the next request while the NIC sends — and a larger one holds
+    /// the worker until its last byte has left, which is the only hold the
+    /// request scheduler has on the wire (X-6). Its price: the next
+    /// request's transfer is posted only after that, so the outbound wire
+    /// idles while the worker posts the reply and serves the next request
+    /// (12.1 µs per 128 KiB read on `stream_large`). The reply posted
+    /// afterwards follows the data on the same reliable VI, whose in-order
+    /// delivery is the fence; a transfer that fails breaks the VI, which
+    /// flushes that reply.
     fn rdma_write(
         &mut self,
         ctx: &ActorCtx,
@@ -343,8 +350,17 @@ pub fn spawn_dafs_server_sched(
         // arrive before the break: it follows `x`'s on an in-order VI). So
         // all lie within `CREDITS` ids of `o`, and at most `CREDITS − 1`
         // replies are inserted after `x`'s; the redial's `Hello` is not
-        // cached. (The receive ring is the same window: `CREDITS`
-        // descriptors, and one reply more would break the VI.) A dead
+        // cached. The client posts `x` again right behind that Hello, before
+        // its reply, and two facts make the lookup find `x`'s reply all the
+        // same: the server serves a VI's frames in arrival order, and a
+        // Hello, a control op, bypasses a reordering scheduler's queue — it
+        // is served on arrival, ahead of anything behind it. So the Hello
+        // has bound the new VI to the client id when `x` is served. A VI no
+        // Hello has bound has no replay identity, and a request on it is
+        // refused (`serve_one`): a refused Hello cannot let `x` run twice.
+        // (The receive ring is the same window: `CREDITS` descriptors, and
+        // one frame more would break the VI; the client keeps a fresh VI's
+        // unanswered frames, its Hello included, within them.) A dead
         // session's frames stop at its reap — the first one served after the
         // break triggers it — which drops the rest, queued
         // (`RequestSched::drop_session`) or parked
@@ -689,6 +705,17 @@ impl Server {
         let Ok((reqid, op)) = proto::dec_req_header(&mut d) else {
             return false; // unparseable; drop
         };
+
+        // A VI no Hello has bound has no replay identity, so a request on
+        // it could not be made exactly-once: it is refused, applies nothing
+        // and caches nothing. (A client posts a redial's request right
+        // behind its Hello; were the Hello refused, a re-posted write would
+        // otherwise run again here.)
+        if op != DafsOp::Hello && !self.client_ids.contains_key(&vi) {
+            let refused = reply_frame(reqid, DafsStatus::Inval).finish();
+            self.session(vi).respond(ctx, refused.into());
+            return false;
+        }
 
         // Replay short-circuit: a reconnected client re-sending a request we
         // already executed gets the original reply verbatim.

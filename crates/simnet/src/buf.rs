@@ -656,8 +656,27 @@ mod tests {
         assert_eq!(pool.idle(), 0);
     }
 
+    /// The counters are process-wide, and this binary's other tests —
+    /// every module's, not only the ones `ACCOUNTING` serialises — allocate
+    /// on them from their own threads. So the measurement runs in a process
+    /// of its own: this test binary again, asked for this one test alone
+    /// (`--exact`), which is where it measures.
     #[test]
     fn accounting_tracks_alive_and_peak() {
+        const NAME: &str = "buf::tests::accounting_tracks_alive_and_peak";
+        let args: Vec<String> = std::env::args().collect();
+        if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == NAME)) {
+            let exe = std::env::current_exe().expect("the test binary");
+            let alone = std::process::Command::new(exe)
+                .args(["--exact", NAME, "--test-threads=1"])
+                .output()
+                .expect("the test binary runs");
+            let out = String::from_utf8_lossy(&alone.stdout);
+            let err = String::from_utf8_lossy(&alone.stderr);
+            assert!(alone.status.success(), "alone:\n{out}{err}");
+            assert!(out.contains("1 passed"), "alone, it did not run:\n{out}");
+            return;
+        }
         let _serial = ACCOUNTING.lock();
         let before = bytes_alive();
         let total_before = bytes_total();

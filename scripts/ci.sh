@@ -100,6 +100,16 @@ if grep -rnE 'fn retarget\b' crates/dafs || [ -z "$reconnect_body" ] ||
     exit 1
 fi
 
+echo "==> a redial does not wait for its Hello"
+# A redial posts its Hello and returns; the request that needed it goes out
+# right behind, and the caller takes the Hello's reply when it arrives. So
+# the body of `DafsClient::reconnect` calls nothing that awaits a reply.
+if [ -z "$reconnect_body" ] ||
+    echo "$reconnect_body" | grep -nE '\b(hello|take_hello|await_reply|collect)\('; then
+    echo "ci: DafsClient::reconnect waits for a reply (lines above)" >&2
+    exit 1
+fi
+
 echo "==> the aggregator knows the layout before the data"
 # One request exchange per collective call tells every aggregator where each
 # rank's pieces go, so data messages carry no descriptors and the aggregator

@@ -303,6 +303,83 @@ fn a_hello_without_a_client_id_is_refused() {
     assert_eq!(server.stats.ops.get(), 3, "a frame went unserved");
 }
 
+/// A request on a VI no Hello has bound has no replay identity, so the
+/// server cannot make it exactly-once: it is refused with one `Inval` reply,
+/// applies nothing and caches nothing. A client posts its request right
+/// behind a redial's Hello; were that Hello refused, this is what keeps a
+/// re-posted write from running a second time. A real Hello then binds the
+/// VI, and the same write — under the same id, so nothing was cached for it
+/// — applies.
+#[test]
+fn a_request_before_any_hello_is_refused() {
+    const INVAL: u8 = 7;
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = via::ViaFabric::new(via::ViaCost::default());
+    let server_nic = fabric.open_nic(cluster.add_host("server0"));
+    let sid = server_nic.host().id;
+    let fs = mpio_dafs::memfs::MemFs::new();
+    let f = fs.create(ROOT_ID, "a").unwrap().id;
+    let server = dafs::spawn_dafs_server(
+        &kernel,
+        &fabric,
+        server_nic,
+        fs.clone(),
+        PORT,
+        dafs::DafsServerCost::default(),
+    );
+    {
+        let (fabric, fs) = (fabric.clone(), fs.clone());
+        let host = cluster.add_host("raw");
+        kernel.spawn("raw", move |ctx| {
+            let nic = fabric.open_nic(host.clone());
+            let vi = fabric
+                .connect(ctx, &nic, sid, PORT, ViAttributes::default())
+                .unwrap();
+            let tag = vi.ptag();
+            let mem = &nic.host().mem;
+            let (sbuf, rbuf) = (mem.alloc(1 << 10), mem.alloc(1 << 10));
+            let sh = nic.register_mem(ctx, sbuf, 1 << 10, MemAttributes::local(tag));
+            let rh = nic.register_mem(ctx, rbuf, 1 << 10, MemAttributes::local(tag));
+            let call = |reqid: u32, op: u8, body: &[u8]| -> u8 {
+                let frame = [&reqid.to_le_bytes()[..], &[op], body].concat();
+                mem.write(sbuf, &frame);
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(rbuf, 1 << 10, rh)]),
+                );
+                vi.post_send(
+                    ctx,
+                    SendDesc::send(vec![DataSegment::new(sbuf, frame.len() as u32, sh)]),
+                );
+                vi.send_wait(ctx);
+                let resp = vi.recv_wait(ctx);
+                assert!(resp.status.is_ok(), "op {op}: transport error");
+                let reply = resp.payload.expect("reply frame");
+                assert_eq!(reply[..4], reqid.to_le_bytes(), "op {op}: another reply");
+                reply[4]
+            };
+            // WriteInline (op 11): fh u64 | off u64 | len-prefixed data.
+            let body = [
+                &f.0.to_le_bytes()[..],
+                &0u64.to_le_bytes(),
+                &128u32.to_le_bytes(),
+                &[0xAA; 128],
+            ]
+            .concat();
+            assert_eq!(call(1, 11, &body), INVAL, "a write before any Hello");
+            assert!(fs.read(f, 0, 1 << 10).unwrap().is_empty(), "it applied");
+            assert_eq!(call(2, 18, &7u64.to_le_bytes()), 0, "the Hello");
+            assert_eq!(call(1, 11, &body), 0, "the same write, bound");
+            vi.disconnect(ctx);
+        });
+    }
+    kernel.run();
+    assert_eq!(fs.read(f, 0, 1 << 10).unwrap(), vec![0xAA; 128]);
+    assert_eq!(server.stats.ops.get(), 3, "a frame went unserved");
+    assert_eq!(server.stats.inline_writes.ops.get(), 1, "writes applied");
+}
+
 /// ROADMAP item 8, the DAFS decoder's half: a request cut short anywhere
 /// past its header is a protocol error — exactly one `Inval` reply — never
 /// a panic, a hang or a half-applied op. A raw VIA client says a real
