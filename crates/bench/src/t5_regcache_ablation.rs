@@ -76,25 +76,26 @@ fn verify_regcache_invariants(use_regcache: bool) {
                 let expect = if use_regcache { REQ } else { 0 };
                 assert_eq!(c.regcache_pinned(), expect, "pinned bytes drifted");
             }
-            let rc = c.regcache_stats();
+            let rc = c.regcache();
+            let (hits, misses, evictions) = (rc.hits.get(), rc.misses.get(), rc.evictions.get());
             // Each 1 MiB direct read acquires the buffer exactly once.
-            assert_eq!(rc.hits + rc.misses, COUNT, "hit/miss counters must balance");
-            assert_eq!(rc.evictions, 0, "64 MiB budget never evicts a 1 MiB set");
+            assert_eq!(hits + misses, COUNT, "hit/miss counters must balance");
+            assert_eq!(evictions, 0, "64 MiB budget never evicts a 1 MiB set");
             if use_regcache {
-                assert_eq!(rc.misses, 1, "one registration, then all hits");
+                assert_eq!(misses, 1, "one registration, then all hits");
             } else {
-                assert_eq!(rc.hits, 0, "disabled cache never hits");
+                assert_eq!(hits, 0, "disabled cache never hits");
             }
             // Flush must return the pinned accounting to exactly zero.
             c.regcache_flush(ctx);
             assert_eq!(c.regcache_pinned(), 0, "pinned must be zero after flush");
-            st[0].set(rc.hits);
-            st[1].set(rc.misses);
-            st[2].set(rc.evictions);
+            st[0].set(hits);
+            st[1].set(misses);
+            st[2].set(evictions);
         },
     );
-    // The metrics registry and the client-local counters are independent
-    // accounting paths; they must agree.
+    // The session's counters are its series of the run-wide metrics: with
+    // one session, each rolled-up total is its count.
     let snap = obs.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     assert_eq!(counter("dafs.regcache.hits"), stats[0].get());

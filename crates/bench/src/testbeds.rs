@@ -200,9 +200,6 @@ where
     }
     let obs = kernel.obs().clone();
     let end = kernel.run();
-    if let Some(t) = &topology {
-        t.publish_metrics(obs.registry());
-    }
     (fss, topology, RunObs { obs, end })
 }
 

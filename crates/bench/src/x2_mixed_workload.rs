@@ -13,7 +13,7 @@
 use dafs::{DafsClientConfig, DafsServerCost};
 use memfs::{MemFs, NodeId, ROOT_ID};
 use nfsv3::{NfsClientConfig, NfsServerCost};
-use simnet::{DurationMetric, Rng64, SampleSet};
+use simnet::{Rng64, SampleSet};
 use tcpnet::TcpCost;
 use via::ViaCost;
 
@@ -87,7 +87,7 @@ fn dafs_hist() -> SampleSet {
                         c.getattr(ctx, files[file]).unwrap();
                     }
                 }
-                h.record_duration(ctx.now().since(t0));
+                h.record(ctx.now().since(t0).as_nanos());
             }
         },
     );
@@ -122,7 +122,7 @@ fn nfs_hist() -> SampleSet {
                         c.getattr_uncached(ctx, files[file]).unwrap();
                     }
                 }
-                h.record_duration(ctx.now().since(t0));
+                h.record(ctx.now().since(t0).as_nanos());
             }
         },
     );

@@ -23,6 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dafs::sched::tenant_labels;
 use dafs::{BatchDir, DafsClient, DafsClientConfig, DafsServerCost, IoReq, SchedPolicy};
 use memfs::{MemFs, ROOT_ID};
 use simnet::time::units::*;
@@ -184,10 +185,10 @@ fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
             stream_ns.load(Ordering::Relaxed),
         ),
         boosts: reg
-            .counter(&format!("dafs.sched.t{TENANT_SMALL}.boosts"))
+            .counter_at("dafs.sched.boosts", tenant_labels(sid, TENANT_SMALL))
             .get(),
         throttles: reg
-            .counter(&format!("dafs.sched.t{TENANT_STREAM}.throttles"))
+            .counter_at("dafs.sched.throttles", tenant_labels(sid, TENANT_STREAM))
             .get(),
     }
 }

@@ -94,8 +94,9 @@ use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
+use simnet::obs::{Labels, LazyByteMeter, LazyCounter};
 use simnet::reqtab::{RequestTable, State};
-use simnet::{ActorCtx, ByteMeter, Bytes, Counter, HostId, HostMem, SimTime, VirtAddr};
+use simnet::{ActorCtx, Bytes, HostId, HostMem, SimTime, VirtAddr};
 use via::{
     ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
     ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
@@ -106,7 +107,7 @@ use crate::cache::{
 };
 use crate::cost::DafsClientConfig;
 use crate::proto::{self, DafsOp, DafsStatus, LeaseKind, ServerCaps};
-use crate::regcache::{RegCache, RegCacheStats};
+use crate::regcache::RegCache;
 use crate::server::{CREDITS, SLOT};
 use crate::wire::{Dec, Enc};
 
@@ -154,46 +155,88 @@ impl std::error::Error for DafsError {
 /// Convenience alias.
 pub type DafsResult<T> = Result<T, DafsError>;
 
-/// Client-side counters.
-#[derive(Clone, Default)]
+/// A session's counters: its `{host, server}` series of the run-wide
+/// metrics, each bumped once per event. The series is per host–server
+/// pair, not per session: every session from one host to one server, one
+/// after another or at once, counts into it and reads its sum. A handle
+/// reads 0 until its session first bumps it (`ops` and the cache's `hits`
+/// are bumped or resolved at `connect`).
 pub struct DafsClientStats {
-    /// Requests issued.
-    pub ops: Counter,
-    /// Inline READ traffic.
-    pub inline_reads: ByteMeter,
-    /// Inline WRITE traffic.
-    pub inline_writes: ByteMeter,
-    /// Direct READ traffic.
-    pub direct_reads: ByteMeter,
-    /// Direct WRITE traffic.
-    pub direct_writes: ByteMeter,
+    /// Requests issued: `dafs.ops`.
+    pub ops: LazyCounter,
+    /// Inline READ traffic: `dafs.inline.read.bytes`.
+    pub inline_reads: LazyByteMeter,
+    /// Inline WRITE traffic: `dafs.inline.write.bytes`.
+    pub inline_writes: LazyByteMeter,
+    /// Direct READ traffic: `dafs.direct.read.bytes`.
+    pub direct_reads: LazyByteMeter,
+    /// Direct WRITE traffic: `dafs.direct.write.bytes`.
+    pub direct_writes: LazyByteMeter,
 }
 
-/// Named counters for the lease-coherent client cache, per session. Each
-/// has a run-wide `dafs.cache.*` twin in the obs registry, and the two are
-/// only ever bumped together (`Live::count`, the one place that names
-/// them). (One object with a session dimension is ROADMAP item 1's
-/// dimensional metrics.)
-#[derive(Clone, Default)]
+impl DafsClientStats {
+    fn at(labels: Labels) -> DafsClientStats {
+        DafsClientStats {
+            ops: LazyCounter::at("dafs.ops", labels),
+            inline_reads: LazyByteMeter::at("dafs.inline.read.bytes", labels),
+            inline_writes: LazyByteMeter::at("dafs.inline.write.bytes", labels),
+            direct_reads: LazyByteMeter::at("dafs.direct.read.bytes", labels),
+            direct_writes: LazyByteMeter::at("dafs.direct.write.bytes", labels),
+        }
+    }
+}
+
+/// The lease-coherent client cache's counters: the session's `{host,
+/// server}` series of `dafs.cache.*` (shared as [`DafsClientStats`]
+/// says), bumped in one place (`Live::count`).
 pub struct DafsCacheStats {
     /// Cached reads served without touching the server.
-    pub hits: Counter,
+    pub hits: LazyCounter,
     /// Cached reads that had to fetch at least one page.
-    pub misses: Counter,
+    pub misses: LazyCounter,
     /// Attribute fetches served from the cache.
-    pub attr_hits: Counter,
+    pub attr_hits: LazyCounter,
     /// Attribute fetches that went to the server.
-    pub attr_misses: Counter,
+    pub attr_misses: LazyCounter,
     /// Lease recalls processed (flush + ack).
-    pub recalls: Counter,
+    pub recalls: LazyCounter,
     /// Cached pages dropped (recall, eviction, overwrite, reconnect).
-    pub invalidations: Counter,
+    pub invalidations: LazyCounter,
     /// Wire requests carrying coalesced write-back flushes. Together with
     /// `flush_pages` this is the flush amortization ratio: pages per wire
     /// request, ≥1 once runs coalesce.
-    pub flush_batches: Counter,
+    pub flush_batches: LazyCounter,
     /// Dirty pages retired through those flush requests.
-    pub flush_pages: Counter,
+    pub flush_pages: LazyCounter,
+}
+
+impl DafsCacheStats {
+    fn at(labels: Labels) -> DafsCacheStats {
+        let at = |name| LazyCounter::at(name, labels);
+        DafsCacheStats {
+            hits: at("dafs.cache.hits"),
+            misses: at("dafs.cache.misses"),
+            attr_hits: at("dafs.cache.attr_hits"),
+            attr_misses: at("dafs.cache.attr_misses"),
+            recalls: at("dafs.cache.recalls"),
+            invalidations: at("dafs.cache.invalidations"),
+            flush_batches: at("dafs.cache.flush_batches"),
+            flush_pages: at("dafs.cache.flush_pages"),
+        }
+    }
+
+    fn of(&self, stat: CacheStat) -> &LazyCounter {
+        match stat {
+            CacheStat::Hits => &self.hits,
+            CacheStat::Misses => &self.misses,
+            CacheStat::AttrHits => &self.attr_hits,
+            CacheStat::AttrMisses => &self.attr_misses,
+            CacheStat::Recalls => &self.recalls,
+            CacheStat::Invalidations => &self.invalidations,
+            CacheStat::FlushBatches => &self.flush_batches,
+            CacheStat::FlushPages => &self.flush_pages,
+        }
+    }
 }
 
 /// One contiguous request of a batch: `len` bytes at file offset `off`,
@@ -498,11 +541,9 @@ pub struct DafsClient {
     pub stats: DafsClientStats,
     /// Lease-coherent cache counters.
     pub cache_stats: DafsCacheStats,
-    /// The run-wide `dafs.ops` registry counter, bumped per wire request.
-    ops_metric: obs::LazyCounter,
     /// `dafs.inline.copied_bytes`: the payload bytes the client is charged
     /// to copy ([`Self::charge_copy`]).
-    copied_bytes: obs::LazyCounter,
+    copied_bytes: LazyCounter,
 }
 
 impl DafsClient {
@@ -521,12 +562,15 @@ impl DafsClient {
             .map_err(DafsError::Connect)?;
         let (req_ring, recv_ring) = Self::register_rings(ctx, nic, ptag);
         Self::post_recv_ring(ctx, &vi, &recv_ring);
+        let host = nic.host().id.0 as u64;
+        let labels = Labels::NONE.host(host).server(server.0 as u64);
         let regcache = RegCache::new(
             nic.clone(),
             ptag,
             rw_attrs,
             REGCACHE_CAPACITY,
             config.use_regcache,
+            labels,
         );
         let client_id = vi.id().0;
         let client = DafsClient {
@@ -549,10 +593,9 @@ impl DafsClient {
             regcache,
             scratch: Mutex::new(None),
             cache: Mutex::new(PageCache::new(CACHE_PAGE, CACHE_CAPACITY)),
-            stats: DafsClientStats::default(),
-            cache_stats: DafsCacheStats::default(),
-            ops_metric: obs::LazyCounter::new("dafs.ops"),
-            copied_bytes: obs::LazyCounter::new("dafs.inline.copied_bytes"),
+            stats: DafsClientStats::at(labels),
+            cache_stats: DafsCacheStats::at(labels),
+            copied_bytes: LazyCounter::new("dafs.inline.copied_bytes"),
         };
         // Capability exchange; carries our stable client id. The handshake
         // itself rides the faulted fabric, so it gets the same bounded
@@ -572,23 +615,14 @@ impl DafsClient {
         // Pre-register the event counters benches read back, so a run where
         // the event never fires still snapshots an explicit zero and checked
         // lookups (`Snapshot::expect`) can tell "never happened" from a typo.
-        for name in [
-            "dafs.reconnects",
-            "dafs.direct_fallbacks",
-            "dafs.list.reqs",
-            "dafs.regcache.hits",
-            "dafs.regcache.misses",
-            "dafs.regcache.evictions",
-        ] {
+        for name in ["dafs.reconnects", "dafs.direct_fallbacks", "dafs.list.reqs"] {
             let _ = ctx.metrics().counter(name);
         }
-        for stat in [
-            CacheStat::Hits,
-            CacheStat::AttrHits,
-            CacheStat::FlushBatches,
-            CacheStat::FlushPages,
-        ] {
-            Live(&client, ctx).count(stat, 0);
+        let (rc, cs) = (&client.regcache, &client.cache_stats);
+        let regcache = [&rc.hits, &rc.misses, &rc.evictions];
+        let cache = [&cs.hits, &cs.attr_hits, &cs.flush_batches, &cs.flush_pages];
+        for lazy in regcache.into_iter().chain(cache) {
+            lazy.resolve(ctx.metrics());
         }
         ctx.trace(
             "dafs",
@@ -688,9 +722,11 @@ impl DafsClient {
         &self.config
     }
 
-    /// Registration-cache counters, snapshotted by name.
-    pub fn regcache_stats(&self) -> RegCacheStats {
-        self.regcache.stats()
+    /// The session's registration cache, whose `hits`, `misses` and
+    /// `evictions` are its `{host, server}` series of `dafs.regcache.*`
+    /// (shared as [`DafsClientStats`] says).
+    pub fn regcache(&self) -> &RegCache {
+        &self.regcache
     }
 
     /// Bytes currently pinned by the registration cache. With the cache
@@ -757,8 +793,7 @@ impl DafsClient {
         payload: Payload<'_>,
     ) {
         let frame = request_frame(&self.nic.host().mem, reqid, op, args, payload);
-        self.stats.ops.inc();
-        self.ops_metric.get(ctx.metrics()).inc();
+        self.stats.ops.resolve(ctx.metrics()).inc();
         self.nic.host().compute(ctx, self.config.per_op);
         let header = frame.len() as u64 - payload.len();
         let (copied, in_place) = match payload {
@@ -1589,25 +1624,24 @@ impl DafsClient {
         (op, e, payload, (handle, transient))
     }
 
-    /// Count `n` bytes moved `dir`, inline or `direct`: the session's meter
-    /// and its run-wide `dafs.{inline,direct}.bytes` twin, together.
+    /// Count `n` bytes moved `dir`, inline or `direct`, in the session's
+    /// series of `dafs.{inline,direct}.{read,write}.bytes`.
     fn account(&self, ctx: &ActorCtx, dir: BatchDir, direct: bool, n: u64) {
         let s = &self.stats;
-        let (meter, metric) = match (dir, direct) {
-            (BatchDir::Read, false) => (&s.inline_reads, "dafs.inline.bytes"),
-            (BatchDir::Write, false) => (&s.inline_writes, "dafs.inline.bytes"),
-            (BatchDir::Read, true) => (&s.direct_reads, "dafs.direct.bytes"),
-            (BatchDir::Write, true) => (&s.direct_writes, "dafs.direct.bytes"),
+        let meter = match (dir, direct) {
+            (BatchDir::Read, false) => &s.inline_reads,
+            (BatchDir::Write, false) => &s.inline_writes,
+            (BatchDir::Read, true) => &s.direct_reads,
+            (BatchDir::Write, true) => &s.direct_writes,
         };
-        meter.record(n);
-        ctx.metrics().byte_meter(metric).record(n);
+        meter.resolve(ctx.metrics()).record(n);
     }
 
     /// Charge the client CPU one copy of `header + payload` bytes — into a
     /// request slot, or out of a reply — and count the `payload` ones in
     /// `dafs.inline.copied_bytes` (which costs no virtual time).
     fn charge_copy(&self, ctx: &ActorCtx, header: u64, payload: u64) {
-        self.copied_bytes.get(ctx.metrics()).add(payload);
+        self.copied_bytes.resolve(ctx.metrics()).add(payload);
         self.nic
             .host()
             .compute(ctx, self.config.host.copy(header + payload));
@@ -1970,19 +2004,8 @@ impl CacheIo for Live<'_> {
     }
 
     fn count(&mut self, stat: CacheStat, n: u64) {
-        let s = &self.0.cache_stats;
-        let (field, metric) = match stat {
-            CacheStat::Hits => (&s.hits, "dafs.cache.hits"),
-            CacheStat::Misses => (&s.misses, "dafs.cache.misses"),
-            CacheStat::AttrHits => (&s.attr_hits, "dafs.cache.attr_hits"),
-            CacheStat::AttrMisses => (&s.attr_misses, "dafs.cache.attr_misses"),
-            CacheStat::Recalls => (&s.recalls, "dafs.cache.recalls"),
-            CacheStat::Invalidations => (&s.invalidations, "dafs.cache.invalidations"),
-            CacheStat::FlushBatches => (&s.flush_batches, "dafs.cache.flush_batches"),
-            CacheStat::FlushPages => (&s.flush_pages, "dafs.cache.flush_pages"),
-        };
-        field.add(n);
-        self.1.metrics().counter(metric).add(n);
+        let Live(c, ctx) = *self;
+        c.cache_stats.of(stat).resolve(ctx.metrics()).add(n);
     }
 
     fn charge_copy(&mut self, bytes: u64) {
@@ -2054,7 +2077,7 @@ impl CacheIo for Live<'_> {
         let Live(c, ctx) = *self;
         let buf = c.scratch(data.len());
         c.nic.host().mem.write(buf, &data);
-        let ops = c.ops_metric.get(ctx.metrics());
+        let ops = &c.stats.ops;
         let before = ops.get();
         let reqs = [ListReq { segs, buf }];
         let expand = || c.expand_list_subs(BatchDir::Write, &reqs);

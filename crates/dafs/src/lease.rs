@@ -22,7 +22,7 @@
 //! sends a mutation (`crate::cache::past_cache`). `crate::explore` composes
 //! this table with the client's cache and checks that nothing stale is
 //! read under that rule; enforcing it against a client that does not follow
-//! it needs holders that service recalls while blocked (ROADMAP item 1).
+//! it needs holders that service recalls while blocked (ROADMAP, "Leases that are live").
 
 use std::collections::BTreeMap;
 

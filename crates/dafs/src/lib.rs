@@ -43,7 +43,6 @@ pub use proto::{
     list_acceptable, list_well_formed, DafsOp, DafsStatus, LeaseKind, ListSeg, ServerCaps,
     LIST_MAX_SEGMENTS,
 };
-pub use regcache::RegCacheStats;
 pub use sched::{SchedPolicy, WfqParams};
 pub use server::{spawn_dafs_server, spawn_dafs_server_sched, DafsServerHandle, DafsServerStats};
 pub use striped::{DafsStripedBatch, DafsStripedFile};
@@ -250,8 +249,8 @@ mod tests {
             // first touch of the scratch buffer both conveniences stage
             // through. The read into that range is its second touch, so it
             // goes direct.
-            assert_eq!(c.stats.inline_writes.bytes.get(), 4096);
-            assert_eq!(c.stats.direct_reads.bytes.get(), 4096);
+            assert_eq!(c.stats.inline_writes.bytes(), 4096);
+            assert_eq!(c.stats.direct_reads.bytes(), 4096);
         });
         b.kernel.run();
     }
@@ -271,7 +270,7 @@ mod tests {
             let n = c.read(ctx, f.id, 0, dst, LEN as u64).unwrap();
             assert_eq!(n, LEN as u64);
             assert_eq!(nic.host().mem.read_vec(dst, LEN), payload);
-            assert_eq!(c.stats.direct_reads.bytes.get(), LEN as u64);
+            assert_eq!(c.stats.direct_reads.bytes(), LEN as u64);
             // Client CPU: registration (first touch) + request/poll, but no
             // per-byte copy. A 1 MiB memcpy alone would be ~2.6 ms; allow a
             // generous 1 ms to catch any accidental copy.
@@ -295,8 +294,8 @@ mod tests {
             let a = c.write(ctx, f.id, 0, src, LEN as u64).unwrap();
             assert_eq!(a.size, LEN as u64);
             // No RDMA Read on the default fabric: inline chunks.
-            assert_eq!(c.stats.direct_writes.bytes.get(), 0);
-            assert_eq!(c.stats.inline_writes.bytes.get(), LEN as u64);
+            assert_eq!(c.stats.direct_writes.bytes(), 0);
+            assert_eq!(c.stats.inline_writes.bytes(), LEN as u64);
         });
         b.kernel.run();
         assert_eq!(b.fs.resolve("/w").unwrap().size, LEN as u64);
@@ -317,8 +316,8 @@ mod tests {
             let src = nic.host().mem.alloc(LEN);
             nic.host().mem.fill(src, LEN, 0xC3);
             c.write(ctx, f.id, 0, src, LEN as u64).unwrap();
-            assert_eq!(c.stats.direct_writes.bytes.get(), LEN as u64);
-            assert_eq!(c.stats.inline_writes.bytes.get(), 0);
+            assert_eq!(c.stats.direct_writes.bytes(), LEN as u64);
+            assert_eq!(c.stats.inline_writes.bytes(), 0);
         });
         b.kernel.run();
         let fh = b.fs.resolve("/w").unwrap().id;
@@ -616,8 +615,9 @@ mod tests {
                 ctx.metrics().counter("dafs.reconnects").get() > 0,
                 "no drop"
             );
-            assert_eq!(c.stats.inline_writes.bytes.get(), 4 * LEN);
-            let metered = ctx.metrics().byte_meter("dafs.inline.bytes").bytes.get();
+            assert_eq!(c.stats.inline_writes.bytes(), 4 * LEN);
+            let m = ctx.metrics();
+            let metered = m.total("dafs.inline.read.bytes") + m.total("dafs.inline.write.bytes");
             assert_eq!(metered, 4 * LEN);
         });
         // Three were applied before the drop and are answered from the
@@ -843,9 +843,9 @@ mod tests {
             for _ in 0..10 {
                 c.read(ctx, f.id, 0, dst, LEN as u64).unwrap();
             }
-            let rc = c.regcache_stats();
-            assert_eq!(rc.misses, 1, "only the first read registers");
-            assert_eq!(rc.hits, 9);
+            let rc = c.regcache();
+            assert_eq!(rc.misses.get(), 1, "only the first read registers");
+            assert_eq!(rc.hits.get(), 9);
         });
         b.kernel.run();
     }
@@ -867,8 +867,8 @@ mod tests {
             for _ in 0..5 {
                 c.read(ctx, f.id, 0, dst, LEN as u64).unwrap();
             }
-            let rc = c.regcache_stats();
-            assert_eq!((rc.hits, rc.misses), (0, 5));
+            let rc = c.regcache();
+            assert_eq!((rc.hits.get(), rc.misses.get()), (0, 5));
             // All transient registrations were torn down again.
             let rs = nic.registration_stats();
             // 16 session buffers + 5 transient.
@@ -892,7 +892,7 @@ mod tests {
             let mem = &nic.host().mem;
             let before = nic.registration_stats().registrations;
             let registered = || nic.registration_stats().registrations - before;
-            let direct = || c.stats.direct_reads.ops.get();
+            let direct = || c.stats.direct_reads.ops();
             let reused = mem.alloc(LEN);
             for (i, (want_direct, want_registered)) in
                 [(0, 0), (1, 1), (2, 1)].into_iter().enumerate()
@@ -910,7 +910,7 @@ mod tests {
                     "read {i}"
                 );
             }
-            assert_eq!(c.stats.inline_reads.ops.get(), 1);
+            assert_eq!(c.stats.inline_reads.ops(), 1);
             // A fresh buffer per read: always a first touch.
             for i in 0..3 {
                 let fresh = mem.alloc(LEN);
@@ -925,7 +925,7 @@ mod tests {
                 (2, 1),
                 "fresh buffers stay inline"
             );
-            assert_eq!(c.stats.inline_reads.ops.get(), 4);
+            assert_eq!(c.stats.inline_reads.ops(), 4);
             // Too short for the saved copies to pay for a second message:
             // inline even into the registered buffer.
             for _ in 0..2 {
@@ -967,8 +967,8 @@ mod tests {
             let rest = took[2] - in_place;
             assert_eq!(took[0], rest + copy(header + LEN), "first touch");
             assert_eq!(took[1], rest + via.registration(LEN) + in_place, "second");
-            assert_eq!(c.stats.inline_writes.ops.get(), 3);
-            assert_eq!(c.regcache_stats().misses, 1);
+            assert_eq!(c.stats.inline_writes.ops(), 3);
+            assert_eq!(c.regcache().misses.get(), 1);
         });
         b.kernel.run();
         assert_eq!(b.fs.read(fh, 0, LEN).unwrap(), vec![2; LEN as usize]);
@@ -1016,8 +1016,8 @@ mod tests {
                 rest + via.registration(LEN) + in_place * 2,
                 "second"
             );
-            assert_eq!(c.stats.inline_writes.ops.get(), 8);
-            assert_eq!(c.regcache_stats().misses, 1);
+            assert_eq!(c.stats.inline_writes.ops(), 8);
+            assert_eq!(c.regcache().misses.get(), 1);
 
             let copied = || ctx.metrics().counter("dafs.inline.copied_bytes").get();
             let registered = || nic.registration_stats().registrations;
@@ -1087,13 +1087,13 @@ mod tests {
                 for _ in 0..3 {
                     c.read(ctx, fh, 0, buf, LEN as u64).unwrap();
                 }
-                assert_eq!(c.stats.direct_reads.ops.get(), 2);
+                assert_eq!(c.stats.direct_reads.ops(), 2);
                 nic.host().mem.fill(buf, LEN, 0x3C);
                 for _ in 0..3 {
                     c.write(ctx, fh, 0, buf, LEN as u64).unwrap();
                 }
-                assert_eq!(c.stats.inline_writes.ops.get(), 3);
-                assert_eq!(c.stats.direct_writes.ops.get(), 0);
+                assert_eq!(c.stats.inline_writes.ops(), 3);
+                assert_eq!(c.stats.direct_writes.ops(), 0);
             });
             b.kernel.run();
             assert_eq!(b.fs.read(fh, 0, LEN as u64).unwrap(), vec![0x3C; LEN]);
@@ -1444,7 +1444,7 @@ mod tests {
                 c.read(ctx, fh, 0, buf, LEN as u64).unwrap();
                 c.write_bytes(ctx, fh, 0, &[0; LEN]).unwrap();
             }
-            assert_eq!(c.stats.direct_reads.ops.get(), 1);
+            assert_eq!(c.stats.direct_reads.ops(), 1);
             let registrations = nic.registration_stats().registrations;
             assert_eq!(registrations, 2 * server::CREDITS as u64 + 2);
             let pinned = c.regcache_pinned();
@@ -1456,7 +1456,7 @@ mod tests {
                 nic.host().mem.fill(buf, LEN, 0);
                 assert_eq!(c.read(ctx, fh, 0, buf, LEN as u64), Ok(LEN as u64));
                 assert_eq!(nic.host().mem.read_vec(buf, LEN), vec![round; LEN]);
-                let direct = c.stats.direct_reads.ops.get();
+                let direct = c.stats.direct_reads.ops();
                 assert_eq!(direct, 1 + round as u64, "round {round}: went inline");
                 let now = nic.registration_stats().registrations;
                 assert_eq!(now, registrations, "round {round}: registered");
@@ -1492,8 +1492,8 @@ mod tests {
                 expect.extend_from_slice(&payload[off as usize..(off + len) as usize]);
             }
             assert_eq!(got, expect);
-            assert_eq!(c.stats.inline_reads.bytes.get(), total);
-            assert_eq!(c.stats.direct_reads.bytes.get(), 0);
+            assert_eq!(c.stats.inline_reads.bytes(), total);
+            assert_eq!(c.stats.direct_reads.bytes(), 0);
             assert_eq!(ctx.metrics().counter("dafs.list.reqs").get(), 1);
             assert_eq!(ctx.metrics().counter("dafs.list.segs").get(), 8);
         });
@@ -1525,7 +1525,7 @@ mod tests {
                 expect.extend_from_slice(&payload[off as usize..(off + len) as usize]);
             }
             assert_eq!(got, expect);
-            assert_eq!(c.stats.direct_reads.bytes.get(), total);
+            assert_eq!(c.stats.direct_reads.bytes(), total);
             // Zero-copy on the client: data landed via RDMA Write.
             let spent = nic.host().cpu.busy() - cpu_before;
             assert!(
@@ -1554,11 +1554,11 @@ mod tests {
                 let n = list(ctx, c, BatchDir::Write, f.id, &ranges, src).unwrap();
                 assert_eq!(n, total);
                 if rdma_read {
-                    assert_eq!(c.stats.direct_writes.bytes.get(), total);
+                    assert_eq!(c.stats.direct_writes.bytes(), total);
                 } else {
                     // 160 KiB total with no RDMA Read: inline chunks.
-                    assert_eq!(c.stats.direct_writes.bytes.get(), 0);
-                    assert_eq!(c.stats.inline_writes.bytes.get(), total);
+                    assert_eq!(c.stats.direct_writes.bytes(), 0);
+                    assert_eq!(c.stats.inline_writes.bytes(), total);
                 }
             });
             b.kernel.run();
@@ -1704,6 +1704,104 @@ mod tests {
         assert_eq!(b.fs.read(fh, 0, 4096).unwrap(), vec![0x3C; 4096]);
     }
 
+    /// A client striped over two servers from one host counts each event
+    /// once: a session's handle is its `{host, server}` series, and the
+    /// series sum to the run-wide totals. A third session from the host to
+    /// one of the servers shares that pair's series.
+    #[test]
+    fn striped_sessions_count_into_their_host_server_series() {
+        use simnet::obs::Labels;
+        const STRIPE: u64 = 4096;
+        let kernel = SimKernel::new();
+        let cluster = Cluster::new();
+        let fabric = ViaFabric::new(ViaCost::default());
+        let sids: Vec<_> = (0..2)
+            .map(|s| {
+                let fs = MemFs::new();
+                let piece = fs.create(ROOT_ID, "piece").unwrap().id;
+                fs.write(piece, 0, &[s as u8; 2 * STRIPE as usize]).unwrap();
+                let nic = fabric.open_nic(cluster.add_host(&format!("server{s}")));
+                let cost = DafsServerCost::default();
+                spawn_dafs_server(&kernel, &fabric, nic, fs, 2049, cost)
+                    .host
+                    .id
+            })
+            .collect();
+        let nic = fabric.open_nic(cluster.add_host("client"));
+        kernel.spawn("client", move |ctx| {
+            let clients: Vec<Arc<DafsClient>> = sids
+                .iter()
+                .map(|&sid| {
+                    let c = DafsClient::connect(ctx, &fabric, &nic, sid, 2049, client_config());
+                    Arc::new(c.unwrap())
+                })
+                .collect();
+            let fhs = clients
+                .iter()
+                .map(|c| {
+                    let fh = c.lookup(ctx, ROOT_ID, "piece").unwrap().id;
+                    c.cache_file(fh);
+                    fh
+                })
+                .collect();
+            let file = DafsStripedFile::new(clients.clone(), fhs, STRIPE);
+            let buf = nic.host().mem.alloc(4 * STRIPE as usize);
+            // Both stripes twice (misses, then hits on each session), then
+            // server 0's stripe alone and one more request to server 0, so
+            // the two sessions' counts differ.
+            for len in [4 * STRIPE, 4 * STRIPE, STRIPE] {
+                assert_eq!(file.read(ctx, 0, buf, len), Ok(len));
+            }
+            clients[0].lookup(ctx, ROOT_ID, "piece").unwrap();
+            let snap = ctx.obs().snapshot(ctx.now().as_nanos());
+            let host = nic.host().id.0 as u64;
+            let want_ops0 = clients[0].stats.ops.get();
+            let handle = |name, c: &DafsClient| match name {
+                "dafs.ops" => c.stats.ops.get(),
+                _ => c.cache_stats.hits.get(),
+            };
+            for name in ["dafs.ops", "dafs.cache.hits"] {
+                let want: Vec<(Labels, u64)> = clients
+                    .iter()
+                    .zip(&sids)
+                    .map(|(c, sid)| {
+                        (
+                            Labels::NONE.host(host).server(sid.0 as u64),
+                            handle(name, c),
+                        )
+                    })
+                    .collect();
+                let series: Vec<(Labels, u64)> =
+                    snap.series(name).map(|e| (e.labels, e.value())).collect();
+                assert_eq!(series, want, "{name}");
+                assert_ne!(want[0].1, want[1].1, "{name}: the sessions' counts differ");
+                let total: u64 = want.iter().map(|w| w.1).sum();
+                assert_eq!(snap.expect(name).value(), total, "{name}");
+                assert_eq!(ctx.metrics().total(name), total, "{name}");
+            }
+            // The series is per host–server pair: a second session from this
+            // host to server 0 reads and bumps the first one's, its Hello
+            // included. A handle it has not bumped yet reads 0.
+            let again = DafsClient::connect(ctx, &fabric, &nic, sids[0], 2049, client_config());
+            let again = again.unwrap();
+            let first = &clients[0];
+            assert_eq!(again.stats.ops.get(), want_ops0 + 1);
+            assert_eq!(first.stats.ops.get(), want_ops0 + 1);
+            assert_eq!(again.cache_stats.hits.get(), first.cache_stats.hits.get());
+            assert!(first.cache_stats.misses.get() > 0);
+            assert_eq!(again.cache_stats.misses.get(), 0);
+            let snap = ctx.obs().snapshot(ctx.now().as_nanos());
+            let row = snap.series("dafs.ops").next().unwrap();
+            assert_eq!(row.labels, Labels::NONE.host(host).server(sids[0].0 as u64));
+            assert_eq!(row.value(), want_ops0 + 1);
+            again.disconnect(ctx);
+            for c in &clients {
+                c.disconnect(ctx);
+            }
+        });
+        kernel.run();
+    }
+
     #[test]
     fn cached_reread_is_wire_free() {
         let b = bed();
@@ -1721,7 +1819,7 @@ mod tests {
             assert_eq!(c.cache_stats.misses.get(), 1);
             assert_eq!(c.cache_stats.hits.get(), 0);
             // Re-read: served from cached pages, nothing on the wire.
-            let wire = c.stats.inline_reads.bytes.get() + c.stats.direct_reads.bytes.get();
+            let wire = c.stats.inline_reads.bytes() + c.stats.direct_reads.bytes();
             let ops = c.stats.ops.get();
             nic.host().mem.fill(dst, 8192, 0);
             let n = c.read(ctx, f.id, 0, dst, 8192).unwrap();
@@ -1729,7 +1827,7 @@ mod tests {
             assert_eq!(nic.host().mem.read_vec(dst, 8192), payload);
             assert_eq!(c.cache_stats.hits.get(), 1);
             assert_eq!(
-                c.stats.inline_reads.bytes.get() + c.stats.direct_reads.bytes.get(),
+                c.stats.inline_reads.bytes() + c.stats.direct_reads.bytes(),
                 wire,
                 "cache hit moved bytes over the wire"
             );

@@ -17,7 +17,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
-use simnet::{ActorCtx, Counter, VirtAddr};
+use simnet::obs::{Labels, LazyCounter};
+use simnet::{ActorCtx, VirtAddr};
 use via::{MemAttributes, MemHandle, ProtectionTag, ViaNic};
 
 struct Entry {
@@ -57,19 +58,6 @@ struct CacheState {
     seen: VecDeque<(u64, u64)>,
 }
 
-/// A point-in-time snapshot of registration-cache counters, read with
-/// [`RegCache::stats`]. Named fields replace the old positional tuple so
-/// call sites can't transpose hits and misses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegCacheStats {
-    /// Acquisitions served from a live registration.
-    pub hits: u64,
-    /// Acquisitions that performed a fresh registration.
-    pub misses: u64,
-    /// Registrations torn down for capacity.
-    pub evictions: u64,
-}
-
 /// An LRU cache of live NIC registrations.
 ///
 /// A registration belongs to the NIC and a protection tag, not to a VI: a
@@ -83,24 +71,27 @@ pub struct RegCache {
     capacity: u64,
     enabled: bool,
     state: Mutex<CacheState>,
-    /// Cache hits (no registration performed).
-    pub hits: Counter,
-    /// Cache misses (a registration was performed).
-    pub misses: Counter,
-    /// Evictions (a registration was torn down for capacity).
-    pub evictions: Counter,
+    /// Cache hits (no registration performed): `dafs.regcache.hits`.
+    pub hits: LazyCounter,
+    /// Cache misses (a registration was performed): `dafs.regcache.misses`.
+    pub misses: LazyCounter,
+    /// Evictions (a registration was torn down for capacity):
+    /// `dafs.regcache.evictions`.
+    pub evictions: LazyCounter,
 }
 
 impl RegCache {
-    /// Create a cache over `nic` registering with `ptag`. `attrs_for`
-    /// selects the registration rights (DAFS clients register direct-I/O
-    /// buffers as RDMA-write targets and, where supported, read sources).
+    /// Create a cache over `nic` registering with `ptag`, counting into
+    /// the `dafs.regcache.*` series `labels`. `attrs_for` selects the
+    /// registration rights (DAFS clients register direct-I/O buffers as
+    /// RDMA-write targets and, where supported, read sources).
     pub fn new(
         nic: ViaNic,
         ptag: ProtectionTag,
         attrs_for: fn(ProtectionTag) -> MemAttributes,
         capacity: u64,
         enabled: bool,
+        labels: Labels,
     ) -> RegCache {
         RegCache {
             nic,
@@ -115,9 +106,9 @@ impl RegCache {
                 tick: 0,
                 seen: VecDeque::new(),
             }),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
+            hits: LazyCounter::at("dafs.regcache.hits", labels),
+            misses: LazyCounter::at("dafs.regcache.misses", labels),
+            evictions: LazyCounter::at("dafs.regcache.evictions", labels),
         }
     }
 
@@ -129,8 +120,7 @@ impl RegCache {
     pub fn acquire(&self, ctx: &ActorCtx, addr: VirtAddr, len: u64) -> (MemHandle, bool) {
         let attrs = (self.attrs_for)(self.ptag);
         if !self.enabled {
-            self.misses.inc();
-            ctx.metrics().counter("dafs.regcache.misses").inc();
+            self.misses.resolve(ctx.metrics()).inc();
             let h = self.nic.register_mem(ctx, addr, len, attrs);
             return (h, true);
         }
@@ -142,13 +132,11 @@ impl RegCache {
             if e.covers(addr, len) {
                 e.last_use = tick;
                 e.refs += 1;
-                self.hits.inc();
-                ctx.metrics().counter("dafs.regcache.hits").inc();
+                self.hits.resolve(ctx.metrics()).inc();
                 return (e.handle, false);
             }
         }
-        self.misses.inc();
-        ctx.metrics().counter("dafs.regcache.misses").inc();
+        self.misses.resolve(ctx.metrics()).inc();
         // Same base, shorter registration: the insert below would orphan
         // the old entry's NIC registration and leak its bytes from the
         // accounting. Deregister it now (or park it on the retired list
@@ -178,8 +166,7 @@ impl RegCache {
             let Some(lru) = lru else { break };
             let e = st.entries.remove(&lru).unwrap();
             st.pinned -= e.len;
-            self.evictions.inc();
-            ctx.metrics().counter("dafs.regcache.evictions").inc();
+            self.evictions.resolve(ctx.metrics()).inc();
             self.nic
                 .deregister_mem(ctx, e.handle)
                 .expect("cache entry must be live");
@@ -278,15 +265,6 @@ impl RegCache {
     pub fn pinned(&self) -> u64 {
         self.state.lock().pinned
     }
-
-    /// Snapshot the cache counters.
-    pub fn stats(&self) -> RegCacheStats {
-        RegCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +288,7 @@ mod tests {
         let nic = ViaNic::open(host, ViaCost::default());
         kernel.spawn("t", move |ctx| {
             let ptag = nic.create_ptag();
-            let cache = RegCache::new(nic.clone(), ptag, attrs, capacity, enabled);
+            let cache = RegCache::new(nic.clone(), ptag, attrs, capacity, enabled, Labels::NONE);
             f(ctx, &cache, &nic);
         });
         kernel.run();

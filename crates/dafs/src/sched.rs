@@ -33,7 +33,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simnet::{ActorCtx, Bytes, Counter, SimDuration, SimTime};
+use simnet::obs::Labels;
+use simnet::{ActorCtx, Bytes, Counter, HostId, SimDuration, SimTime};
 use via::ViId;
 
 use crate::proto::{self, DafsOp};
@@ -51,6 +52,11 @@ pub enum SchedPolicy {
     Fifo,
     /// Weighted fair queueing across tenants with small-op deadline boost.
     Wfq(WfqParams),
+}
+
+/// The labels of a tenant's `dafs.sched.*` series on the server `server`.
+pub fn tenant_labels(server: HostId, tenant: u64) -> Labels {
+    Labels::NONE.server(server.0 as u64).tenant(tenant)
 }
 
 /// Tunables for [`WfqSched`].
@@ -231,10 +237,10 @@ struct TenantQ {
     topped_up: bool,
     /// Membership in the active round-robin ring.
     in_ring: bool,
-    /// `dafs.sched.t{id}.queued_ns` — virtual ns frames of this tenant
-    /// spent queued before dispatch.
+    /// `dafs.sched.queued_ns{server, tenant}` — virtual ns frames of this
+    /// tenant spent queued before dispatch.
     queued_ns: Counter,
-    /// `dafs.sched.t{id}.boosts` — deadline-boost dispatches.
+    /// `dafs.sched.boosts{server, tenant}` — deadline-boost dispatches.
     boosts: Counter,
 }
 
@@ -242,6 +248,8 @@ struct TenantQ {
 /// cost with an earliest-deadline boost lane for small ops.
 pub struct WfqSched {
     params: WfqParams,
+    /// The server host: its tenants' series carry it.
+    server: HostId,
     tenants: BTreeMap<u64, TenantQ>,
     /// Round-robin ring of tenant ids with queued work, in visit order.
     ring: VecDeque<u64>,
@@ -249,10 +257,11 @@ pub struct WfqSched {
 }
 
 impl WfqSched {
-    /// Create an empty WFQ scheduler with the given tunables.
-    pub fn new(params: WfqParams) -> WfqSched {
+    /// Create an empty WFQ scheduler for the server on `server`.
+    pub fn new(params: WfqParams, server: HostId) -> WfqSched {
         WfqSched {
             params,
+            server,
             tenants: BTreeMap::new(),
             ring: VecDeque::new(),
             len: 0,
@@ -262,21 +271,19 @@ impl WfqSched {
     fn tenant_entry<'a>(
         tenants: &'a mut BTreeMap<u64, TenantQ>,
         ctx: &ActorCtx,
+        server: HostId,
         tenant: u64,
         weight: u32,
     ) -> &'a mut TenantQ {
+        let labels = tenant_labels(server, tenant);
         tenants.entry(tenant).or_insert_with(|| TenantQ {
             queue: VecDeque::new(),
             deficit: 0,
             weight: weight.max(1),
             topped_up: false,
             in_ring: false,
-            queued_ns: ctx
-                .metrics()
-                .counter(&format!("dafs.sched.t{tenant}.queued_ns")),
-            boosts: ctx
-                .metrics()
-                .counter(&format!("dafs.sched.t{tenant}.boosts")),
+            queued_ns: ctx.metrics().counter_at("dafs.sched.queued_ns", labels),
+            boosts: ctx.metrics().counter_at("dafs.sched.boosts", labels),
         })
     }
 
@@ -295,7 +302,7 @@ impl RequestSched for WfqSched {
 
     fn push(&mut self, ctx: &ActorCtx, req: QueuedReq) {
         let tenant = req.tenant;
-        let tq = Self::tenant_entry(&mut self.tenants, ctx, tenant, req.weight);
+        let tq = Self::tenant_entry(&mut self.tenants, ctx, self.server, tenant, req.weight);
         tq.queue.push_back(req);
         if !tq.in_ring {
             tq.in_ring = true;
@@ -433,10 +440,13 @@ mod tests {
     #[test]
     fn drr_shares_follow_weights() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams {
-                quantum: 4096,
-                boost_deadline: SimDuration::from_micros(1_000_000),
-            });
+            let mut s = WfqSched::new(
+                WfqParams {
+                    quantum: 4096,
+                    boost_deadline: SimDuration::from_micros(1_000_000),
+                },
+                HostId(0),
+            );
             // Two backlogged tenants, weight 3:1, equal-cost frames.
             for i in 0..64u64 {
                 s.push(ctx, req(1, 1, 3, 4096, false, ctx.now()));
@@ -459,10 +469,13 @@ mod tests {
     #[test]
     fn expired_small_op_jumps_the_ring() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams {
-                quantum: 1 << 20,
-                boost_deadline: SimDuration::from_micros(10),
-            });
+            let mut s = WfqSched::new(
+                WfqParams {
+                    quantum: 1 << 20,
+                    boost_deadline: SimDuration::from_micros(10),
+                },
+                HostId(0),
+            );
             // Bulk tenant backlog first, then a small op from another
             // tenant that has already waited past its deadline.
             for _ in 0..8 {
@@ -473,17 +486,23 @@ mod tests {
             s.push(ctx, req(2, 2, 1, 64, true, early));
             let first = s.pop(ctx).unwrap();
             assert_eq!(first.tenant, 2, "expired small op must dispatch first");
-            assert_eq!(ctx.metrics().counter("dafs.sched.t2.boosts").get(), 1);
+            let boosts = ctx
+                .metrics()
+                .counter_at("dafs.sched.boosts", tenant_labels(HostId(0), 2));
+            assert_eq!(boosts.get(), 1);
         });
     }
 
     #[test]
     fn unexpired_small_op_waits_its_turn() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams {
-                quantum: 1 << 20,
-                boost_deadline: SimDuration::from_micros(10_000),
-            });
+            let mut s = WfqSched::new(
+                WfqParams {
+                    quantum: 1 << 20,
+                    boost_deadline: SimDuration::from_micros(10_000),
+                },
+                HostId(0),
+            );
             s.push(ctx, req(1, 1, 1, 1 << 20, false, ctx.now()));
             s.push(ctx, req(2, 2, 1, 64, true, ctx.now()));
             // No deadline has expired: plain DRR order (tenant 1 first).
@@ -495,10 +514,13 @@ mod tests {
     #[test]
     fn oversize_frame_is_reached_across_rounds() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams {
-                quantum: 4096,
-                boost_deadline: SimDuration::from_micros(1_000_000),
-            });
+            let mut s = WfqSched::new(
+                WfqParams {
+                    quantum: 4096,
+                    boost_deadline: SimDuration::from_micros(1_000_000),
+                },
+                HostId(0),
+            );
             // A frame 8 quanta wide must still dispatch (deficit carries
             // over), even while a second tenant keeps its queue hot.
             s.push(ctx, req(1, 1, 1, 8 * 4096, false, ctx.now()));
@@ -521,7 +543,7 @@ mod tests {
     #[test]
     fn drop_session_removes_only_that_vi() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams::default());
+            let mut s = WfqSched::new(WfqParams::default(), HostId(0));
             s.push(ctx, req(1, 1, 1, 100, false, ctx.now()));
             s.push(ctx, req(2, 1, 1, 100, false, ctx.now()));
             s.push(ctx, req(3, 2, 1, 100, false, ctx.now()));

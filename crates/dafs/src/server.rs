@@ -369,7 +369,7 @@ pub fn spawn_dafs_server_sched(
         replay: ReplayCache::new(CREDITS as usize),
         sched: match policy {
             SchedPolicy::Fifo => Box::new(sched::FifoSched::new()),
-            SchedPolicy::Wfq(p) => Box::new(sched::WfqSched::new(p)),
+            SchedPolicy::Wfq(p) => Box::new(sched::WfqSched::new(p, host.id)),
         },
         tenants: HashMap::new(),
     };
@@ -1058,8 +1058,9 @@ impl Server {
                 let scaled = (CREDITS as u64 * weight as u64) / max_w.unwrap_or(1) as u64;
                 credits = scaled.clamp(2, CREDITS as u64) as u32;
                 if credits < CREDITS {
+                    let labels = sched::tenant_labels(self.host.id, tenant);
                     ctx.metrics()
-                        .counter(&format!("dafs.sched.t{tenant}.throttles"))
+                        .counter_at("dafs.sched.throttles", labels)
                         .inc();
                 }
             }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use obs::LazyCounter;
 use parking_lot::Mutex;
 use simnet::time::units::*;
-use simnet::{ActorCtx, Bandwidth, Counter, Host, Port, Resource, SimDuration};
+use simnet::{ActorCtx, Bandwidth, Host, Port, Resource, SimDuration};
 
 /// Interconnect cost constants (VIA-class network).
 #[derive(Debug, Clone, Copy)]
@@ -55,12 +55,9 @@ struct RankEndpoint {
 struct WorldInner {
     cost: CommCost,
     endpoints: Vec<RankEndpoint>,
-    /// Messages observed (diagnostics).
-    msgs: Counter,
-    bytes: Counter,
-    /// The same two in the job's registry: `mpi.msgs`, `mpi.bytes`.
-    msgs_metric: LazyCounter,
-    bytes_metric: LazyCounter,
+    /// Messages and their bytes: the job's `mpi.msgs` and `mpi.bytes`.
+    msgs: LazyCounter,
+    bytes: LazyCounter,
 }
 
 /// The shared communicator fabric; create once, then hand a [`Comm`] to
@@ -87,10 +84,8 @@ impl CommWorld {
             inner: Arc::new(WorldInner {
                 cost,
                 endpoints,
-                msgs: Counter::new(),
-                bytes: Counter::new(),
-                msgs_metric: LazyCounter::new("mpi.msgs"),
-                bytes_metric: LazyCounter::new("mpi.bytes"),
+                msgs: LazyCounter::new("mpi.msgs"),
+                bytes: LazyCounter::new("mpi.bytes"),
             }),
         }
     }
@@ -167,10 +162,8 @@ impl Comm {
         let me = &w.endpoints[self.rank];
         let peer = &w.endpoints[dst];
         me.host.compute(ctx, w.cost.per_msg_cpu);
-        w.msgs.inc();
-        w.bytes.add(data.len() as u64);
-        w.msgs_metric.get(ctx.metrics()).inc();
-        w.bytes_metric.get(ctx.metrics()).add(data.len() as u64);
+        w.msgs.resolve(ctx.metrics()).inc();
+        w.bytes.resolve(ctx.metrics()).add(data.len() as u64);
         let ser = w.cost.bw.time_for(data.len() as u64);
         let (tx_start, _) = me.tx_wire.book_span(ctx.now(), ser);
         let arrival = peer.rx_wire.book(tx_start + w.cost.latency, ser);

@@ -220,7 +220,7 @@ impl MpiFile {
     /// pieces of the two-phase exchange that stay on the host — an
     /// aggregator's own, and those of messages below the gather floor.
     pub(crate) fn charge_copy(&self, ctx: &ActorCtx, bytes: u64) {
-        self.copy_bytes.get(ctx.metrics()).add(bytes);
+        self.copy_bytes.resolve(ctx.metrics()).add(bytes);
         self.host.compute(ctx, self.host_cost.copy(bytes));
     }
 

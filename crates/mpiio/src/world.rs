@@ -449,13 +449,6 @@ impl Testbed {
             bytes_buffered: simnet::buf::bytes_total() - bytes0,
             peak_bytes_alive: simnet::buf::bytes_peak(),
         };
-        // Per-port fabric accounting lands in the report snapshot (the
-        // trace stream's closing snapshot was already emitted by the
-        // kernel; tests compare traces run-vs-rerun, so both miss it
-        // identically).
-        if let Some(t) = &self.topology {
-            t.publish_metrics(obs.registry());
-        }
         let ranks_cpu = rank_hosts
             .lock()
             .iter()

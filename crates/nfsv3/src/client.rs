@@ -8,9 +8,10 @@ use std::sync::Arc;
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::cost::HostCost;
+use simnet::obs::{Labels, LazyCounter};
 use simnet::reqtab::RequestTable;
 use simnet::time::units::*;
-use simnet::{ActorCtx, ByteMeter, Bytes, Host, HostId, SimDuration, SimTime};
+use simnet::{ActorCtx, Bytes, Host, HostId, SimDuration, SimTime};
 use tcpnet::{TcpError, TcpFabric};
 
 use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
@@ -125,19 +126,16 @@ impl std::error::Error for NfsError {
 /// Convenience alias.
 pub type NfsResult<T> = Result<T, NfsError>;
 
-/// Client-side counters.
-#[derive(Clone, Default)]
+/// Client-side counters. The attribute cache's are the mount's
+/// `{host, server}` series of `nfs.attrcache.*`, which every mount from the
+/// host to that server shares; each reads 0 until this mount bumps it.
 pub struct NfsClientStats {
     /// RPCs issued.
     pub rpcs: simnet::Counter,
-    /// READ traffic.
-    pub reads: ByteMeter,
-    /// WRITE traffic.
-    pub writes: ByteMeter,
-    /// Attribute-cache hits.
-    pub ac_hits: simnet::Counter,
-    /// Attribute-cache misses.
-    pub ac_misses: simnet::Counter,
+    /// Attribute-cache hits: `nfs.attrcache.hits`.
+    pub ac_hits: LazyCounter,
+    /// Attribute-cache misses: `nfs.attrcache.misses`.
+    pub ac_misses: LazyCounter,
 }
 
 /// A mounted NFS client.
@@ -174,6 +172,7 @@ impl NfsClient {
         // checked bench lookups never mistake "absent" for "never fired".
         let _ = ctx.metrics().counter("nfs.retrans");
         let sock = fabric.connect(ctx, host, server, port)?;
+        let labels = Labels::NONE.host(host.id.0 as u64).server(server.0 as u64);
         Ok(NfsClient {
             sock,
             host: host.clone(),
@@ -181,7 +180,11 @@ impl NfsClient {
             attr_cache: Mutex::new(HashMap::new()),
             retransmit,
             table: Mutex::new(RequestTable::new(REPLAY_WINDOW)),
-            stats: NfsClientStats::default(),
+            stats: NfsClientStats {
+                rpcs: simnet::Counter::new(),
+                ac_hits: LazyCounter::at("nfs.attrcache.hits", labels),
+                ac_misses: LazyCounter::at("nfs.attrcache.misses", labels),
+            },
         })
     }
 
@@ -357,13 +360,11 @@ impl NfsClient {
     pub fn getattr(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<FileAttr> {
         if let Some((a, exp)) = self.attr_cache.lock().get(&fh.0) {
             if *exp > ctx.now() {
-                self.stats.ac_hits.inc();
-                ctx.metrics().counter("nfs.attrcache.hits").inc();
+                self.stats.ac_hits.resolve(ctx.metrics()).inc();
                 return Ok(*a);
             }
         }
-        self.stats.ac_misses.inc();
-        ctx.metrics().counter("nfs.attrcache.misses").inc();
+        self.stats.ac_misses.resolve(ctx.metrics()).inc();
         self.revalidate_attr(ctx, fh)
     }
 
@@ -485,7 +486,6 @@ impl NfsClient {
     fn charge_read(&self, ctx: &ActorCtx, data: &[u8]) {
         self.host
             .compute(ctx, self.config.host_cost.copy(data.len() as u64));
-        self.stats.reads.record(data.len() as u64);
     }
 
     /// WRITE arguments for `chunk` at `off`, at the mount's stability,
@@ -551,7 +551,6 @@ impl NfsClient {
             )?;
             attr = Some(self.dec_write_reply(ctx, &r)?);
             off += chunk.len() as u64;
-            self.stats.writes.record(chunk.len() as u64);
         }
         // Zero-length write: behave like getattr.
         attr.map_or_else(|| self.getattr(ctx, fh), Ok)
@@ -575,7 +574,6 @@ impl NfsClient {
             let mut e = self.write_args(ctx, fh, off, chunk);
             xids.push(self.send_rpc(ctx, NfsProc::Write, &mut e, "rpc.issue"));
             off = off.saturating_add(chunk.len() as u64);
-            self.stats.writes.record(chunk.len() as u64);
         }
         NfsPendingWrite { fh, xids }
     }

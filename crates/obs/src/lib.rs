@@ -9,10 +9,10 @@
 //!   with the emitting actor and its *virtual* time and writes JSON lines
 //!   to a sink (a file when `MPIO_DAFS_TRACE=<path>` is set, nothing
 //!   otherwise — the disabled path costs one branch);
-//! * a hierarchical **metrics registry** ([`Registry`]) of named handles
-//!   (`via.rdma.bytes`, `dafs.regcache.hits`, `mpiio.twophase.exchange_ns`)
-//!   unifying the stack's counters, byte meters, and histograms, and
-//!   snapshotable at any virtual time ([`Snapshot`]).
+//! * a **metrics registry** ([`Registry`]): one counter, byte meter or
+//!   sample set per key — a dotted name (`via.rdma.bytes`) plus a small
+//!   label set ([`Labels`]: host, server, tenant) — with totals rolled up
+//!   on read, snapshotable at any virtual time ([`Snapshot`]).
 //!
 //! Both ride together in an [`Obs`] handle that the simulation kernel owns
 //! and hands to every actor. Observability **never** advances virtual time
@@ -29,8 +29,8 @@ mod registry;
 mod stats;
 mod trace;
 
-pub use registry::{LazyCounter, Metric, Registry, Snapshot, SnapshotEntry};
-pub use stats::{ByteMeter, Counter, Histogram, SampleSet};
+pub use registry::{Labels, Lazy, LazyByteMeter, LazyCounter, Registry, Snapshot, SnapshotEntry};
+pub use stats::{ByteMeter, Counter, SampleSet};
 pub use trace::{TraceBuffer, Tracer, Value};
 
 use std::sync::Arc;

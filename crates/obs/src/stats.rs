@@ -1,11 +1,12 @@
-//! The primitive metric instruments: counters, byte meters, and
-//! log₂-bucketed histograms.
+//! The primitive metric instruments: counters, byte meters, and sample
+//! sets — the one sample type.
 //!
-//! Everything here is lock-free (`AtomicU64`) and cloneable — a clone shares
-//! state with the original, so a layer can keep a cheap handle while the
-//! [`Registry`](crate::Registry) retains another for snapshotting. Durations
-//! are plain `u64` nanoseconds of *virtual* time; this crate knows nothing
-//! about the simulator's time types.
+//! Every instrument is cloneable — a clone shares state with the original,
+//! so a layer can keep a cheap handle while the
+//! [`Registry`](crate::Registry) retains another for snapshotting. Counters
+//! and byte meters are lock-free (`AtomicU64`). Durations are plain `u64`
+//! nanoseconds of *virtual* time; this crate knows nothing about the
+//! simulator's time types.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,11 +39,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.n.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> u64 {
-        self.n.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// Counts operations and the bytes they moved.
@@ -65,122 +61,15 @@ impl ByteMeter {
         self.ops.inc();
         self.bytes.add(bytes);
     }
-
-    /// Mean bytes per operation (0 if no ops).
-    pub fn mean_size(&self) -> f64 {
-        let ops = self.ops.get();
-        if ops == 0 {
-            0.0
-        } else {
-            self.bytes.get() as f64 / ops as f64
-        }
-    }
-
-    /// Throughput over a window of `window_ns` nanoseconds, bytes/second.
-    pub fn throughput_ns(&self, window_ns: u64) -> f64 {
-        if window_ns == 0 {
-            return 0.0;
-        }
-        self.bytes.get() as f64 / (window_ns as f64 / 1e9)
-    }
 }
 
-const BUCKETS: usize = 64;
-
-/// A log₂-bucketed histogram of u64 samples (latencies in ns, sizes in
-/// bytes). Bucket `i` holds samples with `highest_set_bit == i` (bucket 0
-/// holds 0 and 1).
-#[derive(Clone)]
-pub struct Histogram {
-    buckets: Arc<[AtomicU64; BUCKETS]>,
-    count: Counter,
-    sum: Counter,
-    max: Arc<AtomicU64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Create a new instance with default state.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            count: Counter::new(),
-            sum: Counter::new(),
-            max: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (63 - v.max(1).leading_zeros()) as usize
-    }
-
-    /// Record one sample.
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.inc();
-        self.sum.add(v);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.get()
-    }
-
-    /// Arithmetic mean of recorded samples (0 if none).
-    pub fn mean(&self) -> f64 {
-        let c = self.count.get();
-        if c == 0 {
-            0.0
-        } else {
-            self.sum.get() as f64 / c as f64
-        }
-    }
-
-    /// The largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Approximate quantile from the log₂ buckets (returns the upper bound of
-    /// the bucket containing the q-quantile sample).
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count.get();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
-    }
-}
-
-/// An exact-quantile sample recorder for latency *tables*.
+/// An exact-quantile sample recorder: latencies in tables, queue depths in
+/// the registry.
 ///
-/// [`Histogram`]'s log₂ buckets are the right instrument for streaming
-/// metrics (bounded memory, lock-free), but its `quantile()` returns the
-/// containing bucket's **upper bound** — a reported p99 can sit almost 2×
-/// above the true sample. Reported tables deserve better: `SampleSet`
-/// keeps every sample (bench-scale cardinalities, thousands of ops) and
-/// computes nearest-rank quantiles over the sorted set, so a quoted p99
-/// is an actual recorded latency.
+/// `SampleSet` keeps every sample (bench-scale cardinalities) and computes
+/// nearest-rank quantiles over the sorted set, so a quoted p99 is an actual
+/// recorded sample — never a bucket's upper bound, which can sit almost 2×
+/// above the true one.
 #[derive(Clone, Default)]
 pub struct SampleSet {
     samples: Arc<std::sync::Mutex<Vec<u64>>>,
@@ -227,18 +116,27 @@ impl SampleSet {
     }
 
     /// Exact nearest-rank quantile: the smallest recorded sample `x` such
-    /// that at least `ceil(q·n)` samples are `<= x`. Unlike
-    /// [`Histogram::quantile`], the result is always one of the recorded
-    /// samples. Returns 0 when empty.
+    /// that at least `ceil(q·n)` samples are `<= x` — always one of the
+    /// recorded samples. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let mut s = self.lock().clone();
-        if s.is_empty() {
-            return 0;
-        }
-        s.sort_unstable();
-        let rank = ((s.len() as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
-        s[rank.max(1) - 1]
+        nearest_rank(&self.sorted(), q)
     }
+
+    /// The samples so far, ascending.
+    pub(crate) fn sorted(&self) -> Vec<u64> {
+        let mut s = self.lock().clone();
+        s.sort_unstable();
+        s
+    }
+}
+
+/// The nearest-rank `q`-quantile of ascending `sorted`; 0 when empty.
+pub(crate) fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((sorted.len() as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
+    sorted[rank.max(1) - 1]
 }
 
 #[cfg(test)]
@@ -251,8 +149,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.reset(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -270,30 +166,9 @@ mod tests {
         m.record(300);
         assert_eq!(m.ops.get(), 2);
         assert_eq!(m.bytes.get(), 400);
-        assert!((m.mean_size() - 200.0).abs() < 1e-9);
-        // 400 B in 4us = 100 MB/s.
-        assert!((m.throughput_ns(4_000) - 1e8).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_stats() {
-        let h = Histogram::new();
-        for v in [0u64, 1, 2, 3, 1000, 1_000_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 1_000_000);
-        assert!((h.mean() - (1_001_006.0 / 6.0)).abs() < 1e-6);
-        // Median lands in a small bucket.
-        assert!(h.quantile(0.5) <= 8);
-        assert!(h.quantile(1.0) >= 1_000_000);
-    }
-
-    #[test]
-    fn histogram_empty_quantile_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
+        // A clone records into the same meter.
+        m.clone().record(50);
+        assert_eq!((m.ops.get(), m.bytes.get()), (3, 450));
     }
 
     #[test]
@@ -313,17 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn sample_set_beats_histogram_quantization() {
-        // A tight cluster around 3000: the log2 histogram can only answer
-        // 4096 (the bucket upper bound); the sample set answers exactly.
-        let h = Histogram::new();
+    fn sample_set_quotes_a_recorded_sample() {
+        // A tight cluster around 3000: a log2 bucket could only answer
+        // 4096, its upper bound; the sample set answers a sample.
         let s = SampleSet::new();
         for v in [2900u64, 2950, 3000, 3050] {
-            h.record(v);
             s.record(v);
         }
-        assert_eq!(h.quantile(0.5), 4096);
         assert_eq!(s.quantile(0.5), 2950);
+        assert_eq!(s.quantile(0.99), 3050);
     }
 
     #[test]

@@ -52,13 +52,18 @@ pub enum DropCause {
 }
 
 impl DropCause {
-    /// Stable label used in metrics and trace events.
+    /// Stable label used in trace events.
     pub fn as_str(self) -> &'static str {
+        self.metric().trim_start_matches("sim.faults.")
+    }
+
+    /// The `sim.faults.*` counter of drops with this cause.
+    pub fn metric(self) -> &'static str {
         match self {
-            DropCause::Loss => "loss",
-            DropCause::LinkDown => "link_down",
-            DropCause::HostDown => "host_down",
-            DropCause::QueueFull => "queue_full",
+            DropCause::Loss => "sim.faults.loss",
+            DropCause::LinkDown => "sim.faults.link_down",
+            DropCause::HostDown => "sim.faults.host_down",
+            DropCause::QueueFull => "sim.faults.queue_full",
         }
     }
 }
@@ -239,9 +244,7 @@ impl FaultPlan {
         };
         if let Some(c) = cause {
             ctx.metrics().counter("sim.faults.dropped").inc();
-            ctx.metrics()
-                .counter(&format!("sim.faults.{}", c.as_str()))
-                .inc();
+            ctx.metrics().counter(c.metric()).inc();
             ctx.trace(
                 "sim",
                 "fault.drop",

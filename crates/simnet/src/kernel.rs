@@ -469,7 +469,7 @@ impl ActorCtx {
 
     /// The `sim.cpu_ns` counter (host CPU work charged by any actor).
     pub(crate) fn cpu_ns(&self) -> &Counter {
-        self.cpu_ns.get(self.metrics())
+        self.cpu_ns.resolve(self.metrics())
     }
 
     /// Emit one structured trace event stamped with this actor's name and

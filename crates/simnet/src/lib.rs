@@ -48,7 +48,6 @@ mod coro;
 mod kernel;
 mod port;
 mod resource;
-mod stats;
 
 pub mod buf;
 pub mod cost;
@@ -68,10 +67,10 @@ pub use buf::{BufPool, Bytes, Rope};
 pub use fault::{DropCause, FaultPlan, FaultPlanBuilder};
 pub use host::{Cluster, CpuMeter, Host, HostId, HostMem, Stopwatch, VirtAddr};
 pub use kernel::{events_scheduled_global, ActorCtx, ActorId, SimKernel, Span};
+pub use obs::{ByteMeter, Counter, SampleSet};
 pub use port::{Port, RecvUntil};
 pub use resource::Resource;
 pub use rng::Rng64;
-pub use stats::{ByteMeter, Counter, DurationMetric, Histogram, SampleSet, WindowedRate};
 pub use time::{units, Bandwidth, SimDuration, SimTime};
 pub use topo::{
     DumbbellSpec, FabricDrop, ForwardingMode, PortStats, QueuePolicy, SwitchConfig, SwitchRef,

@@ -58,7 +58,7 @@ use crate::host::{Cluster, HostId};
 use crate::kernel::ActorCtx;
 use crate::resource::Resource;
 use crate::time::{Bandwidth, SimDuration, SimTime};
-use obs::{Registry, Value};
+use obs::Value;
 
 /// When an egress port may begin transmitting a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -651,25 +651,6 @@ impl Topology {
             }
         }
         out
-    }
-
-    /// Export per-port counters into `registry` as
-    /// `fabric.<switch>.r<rail>.<port>.{frames,bytes,drops,qdepth_max,queued_ns}`.
-    /// Call once after the run (the snapshot then carries per-port
-    /// queue-depth and drop metrics next to the aggregate `fabric.*` ones).
-    pub fn publish_metrics(&self, registry: &Registry) {
-        for ps in self.port_stats() {
-            let prefix = format!("fabric.{}.r{}.{}", ps.switch, ps.rail, ps.port);
-            registry.counter(&format!("{prefix}.frames")).add(ps.frames);
-            registry.counter(&format!("{prefix}.bytes")).add(ps.bytes);
-            registry.counter(&format!("{prefix}.drops")).add(ps.drops);
-            registry
-                .counter(&format!("{prefix}.qdepth_max"))
-                .add(ps.qdepth_max);
-            registry
-                .counter(&format!("{prefix}.queued_ns"))
-                .add(ps.queued_ns);
-        }
     }
 }
 

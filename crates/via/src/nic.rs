@@ -10,7 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simnet::{ActorCtx, ByteMeter, Host, Resource, SimDuration, VirtAddr};
+use obs::{Labels, LazyByteMeter, LazyCounter};
+use simnet::{ActorCtx, Host, Resource, SimDuration, VirtAddr};
 
 use crate::cost::ViaCost;
 use crate::mem::{MemAttributes, MemError, MemHandle, ProtectionTag, RegistrationTable};
@@ -22,9 +23,9 @@ pub(crate) struct NicInner {
     pub rx_wire: Resource,
     pub table: RegistrationTable,
     next_ptag: AtomicU64,
-    /// Registration activity, for the R-T2 experiment.
-    pub reg_meter: ByteMeter,
-    pub dereg_meter: ByteMeter,
+    /// Registration activity (R-T2): the NIC's `via.mem.*{host}` series.
+    pub registered: LazyByteMeter,
+    pub deregistered: LazyCounter,
     pub reg_cpu: AtomicU64,
 }
 
@@ -51,14 +52,15 @@ impl ViaNic {
     /// Open the NIC on `host` with the given cost model (`VipOpenNic`).
     pub fn open(host: Host, cost: ViaCost) -> ViaNic {
         let name = host.name().to_string();
+        let labels = Labels::NONE.host(host.id.0 as u64);
         ViaNic {
             inner: Arc::new(NicInner {
                 tx_wire: Resource::new(&format!("{name}.via.tx")),
                 rx_wire: Resource::new(&format!("{name}.via.rx")),
                 table: RegistrationTable::new(),
                 next_ptag: AtomicU64::new(1),
-                reg_meter: ByteMeter::new(),
-                dereg_meter: ByteMeter::new(),
+                registered: LazyByteMeter::at("via.mem.registered", labels),
+                deregistered: LazyCounter::at("via.mem.deregistered", labels),
                 reg_cpu: AtomicU64::new(0),
                 host,
                 cost,
@@ -99,11 +101,10 @@ impl ViaNic {
         );
         let cost = self.inner.cost.registration(len);
         self.inner.host.compute(ctx, cost);
-        self.inner.reg_meter.record(len);
+        self.inner.registered.resolve(ctx.metrics()).record(len);
         self.inner
             .reg_cpu
             .fetch_add(cost.as_nanos(), Ordering::Relaxed);
-        ctx.metrics().byte_meter("via.mem.registered").record(len);
         let h = self.inner.table.register(addr, len, attrs);
         ctx.trace(
             "via",
@@ -138,11 +139,10 @@ impl ViaNic {
     pub fn deregister_mem(&self, ctx: &ActorCtx, h: MemHandle) -> Result<(), MemError> {
         let len = self.inner.table.deregister(h)?;
         self.inner.host.compute(ctx, self.inner.cost.dereg);
-        self.inner.dereg_meter.record(len);
+        self.inner.deregistered.resolve(ctx.metrics()).inc();
         self.inner
             .reg_cpu
             .fetch_add(self.inner.cost.dereg.as_nanos(), Ordering::Relaxed);
-        ctx.metrics().counter("via.mem.deregistered").inc();
         ctx.trace(
             "via",
             "mem.deregister",
@@ -160,12 +160,14 @@ impl ViaNic {
         &self.inner.table
     }
 
-    /// Snapshot of the NIC's registration counters.
+    /// Snapshot of the NIC's registration counters: its `{host}` series,
+    /// which every NIC opened on the host shares. Each field reads 0 until
+    /// this NIC first bumps it.
     pub fn registration_stats(&self) -> RegistrationStats {
         RegistrationStats {
-            registrations: self.inner.reg_meter.ops.get(),
-            bytes: self.inner.reg_meter.bytes.get(),
-            deregistrations: self.inner.dereg_meter.ops.get(),
+            registrations: self.inner.registered.ops(),
+            bytes: self.inner.registered.bytes(),
+            deregistrations: self.inner.deregistered.get(),
         }
     }
 

@@ -185,7 +185,7 @@ impl Vi {
 
     fn complete_send(&self, ctx: &ActorCtx, c: Completion) {
         let at = c.at;
-        self.counters.completions.get(ctx.metrics()).inc();
+        self.counters.completions.resolve(ctx.metrics()).inc();
         if ctx.obs().enabled() {
             ctx.trace(
                 "via",
@@ -344,7 +344,7 @@ impl Vi {
                 .per_segment
                 .saturating_mul(desc.segs.len() as u64);
         self.nic.host().compute(ctx, cost);
-        self.counters.recv_posted.get(ctx.metrics()).inc();
+        self.counters.recv_posted.resolve(ctx.metrics()).inc();
         ctx.trace(
             "via",
             "post.recv",
@@ -377,7 +377,7 @@ impl Vi {
         self.nic.host().compute(ctx, cost);
         // The doorbell write is the user-level I/O submission the paper's
         // VIA path is built around: count every ring.
-        self.counters.doorbells.get(ctx.metrics()).inc();
+        self.counters.doorbells.resolve(ctx.metrics()).inc();
         ctx.trace(
             "via",
             "doorbell",

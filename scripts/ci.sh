@@ -142,6 +142,29 @@ if grep -nE 'mem\.(alloc|free)\(' crates/mpiio/src/collective.rs; then
     exit 1
 fi
 
+echo "==> one metrics value"
+# A metric key is a name plus a small fixed label set (`obs::Labels`), and a
+# per-object count is its labelled series, bumped once: no name formatted at
+# run time outside `obs` (a tenant or a port is a label, or a struct of its
+# own), one sample type (`obs::SampleSet`), and no by-name registry twin
+# beside the session's cache and byte counters.
+if grep -rnE '(counter|byte_meter)\(&format!' crates/*/src tests examples | grep -v '^crates/obs/'; then
+    echo "ci: a metric name formatted at run time (lines above); use a label" >&2
+    exit 1
+fi
+if grep -rnE 'struct Histogram\b|DurationMetric|WindowedRate' crates; then
+    echo "ci: a second sample type is back (lines above); obs::SampleSet is the one" >&2
+    exit 1
+fi
+count_body=$(sed -n '/^    fn count(&mut self, stat: CacheStat/,/^    }$/p' crates/dafs/src/client.rs)
+account_body=$(sed -n '/^    fn account(/,/^    }$/p' crates/dafs/src/client.rs)
+if [ -z "$count_body" ] || [ -z "$account_body" ] ||
+    echo "$count_body$account_body" | grep -nE '\.(counter|byte_meter|histogram)(_at)?\('; then
+    echo "ci: Live::count or DafsClient::account looks a metric up by name (a twin" \
+        "of the session's series, lines above), or either is gone" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -306,7 +306,7 @@ fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_coun
             let r = adio.open(ctx, "/wb", false).unwrap();
             mem.fill(buf, LEN as usize, 0xBB);
             w.write_contig(ctx, 0, buf, LEN).unwrap();
-            let count = |name: &str| ctx.metrics().counter(name).get();
+            let count = |name: &str| ctx.metrics().total(name);
             let (requests, hits) = (count("dafs.ops"), count("dafs.cache.hits"));
             mem.fill(buf, LEN as usize, 0);
             assert_eq!(r.read_contig(ctx, 0, buf, LEN), Ok(LEN), "x{servers}");
@@ -344,7 +344,7 @@ fn a_split_phase_call_on_a_cached_file_goes_through_the_cache() {
         host.mem.fill(buf, LEN as usize, 0x5A);
         assert_eq!(f.write_at(ctx, 0, buf, LEN), Ok(LEN));
         assert_eq!(f.read_at(ctx, 0, buf, LEN), Ok(LEN));
-        let count = |name: &str| ctx.metrics().counter(name).get();
+        let count = |name: &str| ctx.metrics().total(name);
         let (requests, hits) = (count("dafs.ops"), count("dafs.cache.hits"));
         host.mem.fill(buf, LEN as usize, 0);
         assert_eq!(f.iread_at(ctx, 0, buf, LEN).wait(ctx), Ok(LEN));

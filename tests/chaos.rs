@@ -838,7 +838,7 @@ fn dafs_warm_small_reads_survive_loss_ladder() {
                     }
                 }
             }
-            t[1].store(c.stats.direct_reads.ops.get(), Relaxed);
+            t[1].store(c.stats.direct_reads.ops(), Relaxed);
             t[2].store(fallbacks(), Relaxed);
             t[3].store(registrations() - registered_at_connect, Relaxed);
             assert!(

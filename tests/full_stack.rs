@@ -414,9 +414,10 @@ fn the_second_collective_call_registers_and_copies_nothing() {
         // barrier, and the next one does neither before rank 0 joins it.
         let mark = || {
             if comm.rank() == 0 {
-                let registered = ctx.metrics().byte_meter("via.mem.registered");
-                let copied = ctx.metrics().counter("dafs.inline.copied_bytes");
-                m.lock().unwrap().push((registered.ops.get(), copied.get()));
+                let snap = ctx.obs().snapshot(ctx.now().as_nanos());
+                let registrations = snap.expect("via.mem.registered").field("ops");
+                let copied = snap.expect("dafs.inline.copied_bytes").value();
+                m.lock().unwrap().push((registrations, copied));
             }
         };
         let fill = |call: u8| comm.rank() as u8 * 2 + call + 1;

@@ -102,8 +102,8 @@ impl Path {
     }
 }
 
-/// After each step: (virtual ns, bytes moved, `dafs.ops`,
-/// `dafs.inline.bytes`, `dafs.direct.bytes`).
+/// After each step: (virtual ns, bytes moved, `dafs.ops`, and the bytes of
+/// `dafs.inline.{read,write}.bytes` and of `dafs.direct.{read,write}.bytes`).
 type Step = (u64, u64, u64, u64, u64);
 
 /// {contiguous, batch, list} × {write, read} × {4 KiB inline, 128 KiB
@@ -115,9 +115,9 @@ fn shapes(ctx: &ActorCtx, path: &Path, buf: VirtAddr) -> Vec<Step> {
         log.push((
             ctx.now().as_nanos(),
             moved,
-            m.counter("dafs.ops").get(),
-            m.byte_meter("dafs.inline.bytes").bytes.get(),
-            m.byte_meter("dafs.direct.bytes").bytes.get(),
+            m.total("dafs.ops"),
+            m.total("dafs.inline.read.bytes") + m.total("dafs.inline.write.bytes"),
+            m.total("dafs.direct.read.bytes") + m.total("dafs.direct.write.bytes"),
         ));
     };
     for len in [4u64 << 10, 128 << 10] {

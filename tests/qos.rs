@@ -10,7 +10,7 @@ use mpio_dafs::dafs::sched::{QueuedReq, RequestSched, WfqSched};
 use mpio_dafs::dafs::{self, SchedPolicy, WfqParams};
 use mpio_dafs::memfs::ROOT_ID;
 use mpio_dafs::simnet::units::*;
-use mpio_dafs::simnet::{Bytes, Cluster, Rng64, SimKernel, SimTime};
+use mpio_dafs::simnet::{Bytes, Cluster, HostId, Rng64, SimKernel, SimTime};
 use mpio_dafs::via::{self, DataSegment, MemAttributes, RecvDesc, SendDesc, ViAttributes, ViId};
 
 const PORT: u16 = 2049;
@@ -25,7 +25,7 @@ fn wfq_shares_track_weights_under_random_mixes() {
             let mut rng = Rng64::new(seed);
             let tenants = rng.range_usize(2, 5); // 2..=4
             let weights: Vec<u32> = (0..tenants).map(|_| rng.range(1, 9) as u32).collect();
-            let mut s = WfqSched::new(WfqParams::default());
+            let mut s = WfqSched::new(WfqParams::default(), HostId(0));
             let mut offered = vec![0u64; tenants];
             for t in 0..tenants {
                 for _ in 0..300 {
@@ -131,10 +131,17 @@ fn two_tenant_full_stack_progress() {
         end.as_nanos()
     );
     let snap = obs.snapshot(end.as_nanos());
-    // Both tenants flowed through the scheduler: their queue-delay
-    // telemetry was registered (checked lookup panics on a typo'd name).
-    snap.expect("dafs.sched.t1.queued_ns");
-    snap.expect("dafs.sched.t2.queued_ns");
+    // Both tenants flowed through the scheduler: each has its queue-delay
+    // series on the server.
+    let tenants: Vec<_> = snap
+        .series("dafs.sched.queued_ns")
+        .map(|e| e.labels)
+        .collect();
+    assert_eq!(
+        tenants,
+        [1, 2].map(|t| dafs::sched::tenant_labels(sid, t)),
+        "one queue-delay series per tenant"
+    );
 }
 
 /// Chaos ladder: a weight-1 (credit-throttled) streaming tenant holds a
@@ -380,7 +387,8 @@ fn a_request_before_any_hello_is_refused() {
     assert_eq!(server.stats.inline_writes.ops.get(), 1, "writes applied");
 }
 
-/// ROADMAP item 8, the DAFS decoder's half: a request cut short anywhere
+/// ROADMAP's hostile-input item ("The perf record as data, and hostile input
+/// on both stacks"), the DAFS decoder's half: a request cut short anywhere
 /// past its header is a protocol error — exactly one `Inval` reply — never
 /// a panic, a hang or a half-applied op. A raw VIA client says a real
 /// Hello, then for every op that has a body sends every proper prefix of a
