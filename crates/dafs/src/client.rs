@@ -5,19 +5,15 @@
 //! table per session ([`RequestTable`]) keeps the ids, the credit window the
 //! Hello granted, the replies that arrived — matched out of order, for
 //! whichever batch or call waits on them — and the requests a broken VI
-//! took with it, which are re-posted under their own ids.
+//! took with it. Which of those a broken session re-posts under their own
+//! ids, which it gives up and redoes, and in what order, is one pure plan
+//! (`crate::recover`), run by one driver ([`DafsClient::recover`]).
 //!
-//! A redial costs no round trip of its own: connect and redial post the
-//! session's `Hello` the same way, and neither waits for its reply before
-//! the next post on that VI. The request that needed the redial goes out
-//! right behind the Hello, and the Hello's reply — the first on the new VI,
-//! which delivers in order — is taken, its caps and window installed, when
-//! it arrives. So a recovered request waits in the server's queue once, not
-//! twice. The flight stays within the rings: the Hello and the one request
-//! behind it are unanswered on a fresh VI, of the `CREDITS` the server
-//! pre-posted, and a request that would go out of the request slot the
-//! unanswered Hello holds waits for its reply first. Only the first connect
-//! takes the Hello's reply before anything else.
+//! A redial costs no round trip of its own: the request that needed it goes
+//! out right behind the new VI's `Hello`, whose reply — the first on the
+//! VI, which delivers in order — is taken, its caps and window installed,
+//! when it arrives; so a recovered request waits in the server's queue
+//! once, not twice. Only the first connect takes the Hello's reply first.
 //!
 //! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
 //! * an **inline** transfer rides in the message, the lowest latency into a
@@ -107,6 +103,7 @@ use crate::cache::{
 };
 use crate::cost::DafsClientConfig;
 use crate::proto::{self, DafsOp, DafsStatus, LeaseKind, ServerCaps};
+use crate::recover::{self, Kind, Step};
 use crate::regcache::RegCache;
 use crate::server::{CREDITS, SLOT};
 use crate::wire::{Dec, Enc};
@@ -309,6 +306,16 @@ struct Sub {
     segs: Option<Vec<proto::ListSeg>>,
 }
 
+impl Sub {
+    /// What a recovery does with the sub if its session loses it.
+    fn kind(&self) -> Kind {
+        match self.direct {
+            true => Kind::Redo,
+            false => Kind::Repost,
+        }
+    }
+}
+
 /// Which way a transfer moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchDir {
@@ -506,11 +513,10 @@ type Slot = (VirtAddr, MemHandle);
 
 /// A DAFS session.
 ///
-/// The session survives transport failures: when the VI breaks, operations
-/// routed through the retryable request path re-establish the session
-/// (bounded by `max_reconnects`) and replay the in-flight request under
-/// its **original** request id, which the server's replay cache uses to
-/// make non-idempotent operations exactly-once.
+/// The session survives transport failures: when the VI breaks, it redials
+/// (up to `max_reconnects` times) and re-posts what it lost under the
+/// **original** request ids, which the server's replay cache uses to make
+/// non-idempotent operations exactly-once.
 ///
 /// The session has one protection tag for its life. Its two rings and the
 /// registration cache are registered under it, and every VI it dials is
@@ -557,9 +563,7 @@ impl DafsClient {
         config: DafsClientConfig,
     ) -> DafsResult<DafsClient> {
         let ptag = nic.create_ptag();
-        let vi = fabric
-            .connect(ctx, nic, server, port, Self::vi_attrs(ptag))
-            .map_err(DafsError::Connect)?;
+        let vi = fabric.connect(ctx, nic, server, port, Self::vi_attrs(ptag))?;
         let (req_ring, recv_ring) = Self::register_rings(ctx, nic, ptag);
         Self::post_recv_ring(ctx, &vi, &recv_ring);
         let host = nic.host().id.0 as u64;
@@ -597,20 +601,10 @@ impl DafsClient {
             cache_stats: DafsCacheStats::at(labels),
             copied_bytes: LazyCounter::new("dafs.inline.copied_bytes"),
         };
-        // Capability exchange; carries our stable client id. The handshake
-        // itself rides the faulted fabric, so it gets the same bounded
-        // reconnect treatment as any other request: a redial posts its own
-        // Hello, and that is the one taken.
-        let mut caps = client.take_hello(ctx, client.post_hello(ctx));
-        for attempt in 1..=client.config.max_reconnects {
-            if !matches!(caps, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
-                break;
-            }
-            caps = client
-                .reconnect(ctx, attempt)
-                .and_then(|hello| client.take_hello(ctx, hello));
-        }
-        let caps = caps?;
+        // The Hello rides the faulted fabric, so it gets the bounded redials
+        // any request gets: a redial posts its own Hello, the one taken.
+        let take = |hello: DafsResult<u32>| hello.and_then(|h| client.take_hello(ctx, h));
+        let caps = client.redial(ctx, take(Ok(client.post_hello(ctx))), take)?;
         ctx.metrics().counter("dafs.sessions").inc();
         // Pre-register the event counters benches read back, so a run where
         // the event never fires still snapshots an explicit zero and checked
@@ -662,9 +656,9 @@ impl DafsClient {
         (req_ring, (0..CREDITS).map(slot).collect())
     }
 
-    /// Post every slot of the receive ring on `vi`, in ring order.
-    fn post_recv_ring(ctx: &ActorCtx, vi: &Vi, ring: &VecDeque<Slot>) {
-        for &(buf, h) in ring {
+    /// Post receive-ring `slots` on `vi`, in order.
+    fn post_recv_ring<'a>(ctx: &ActorCtx, vi: &Vi, slots: impl IntoIterator<Item = &'a Slot>) {
+        for &(buf, h) in slots {
             let seg = DataSegment::new(buf, SLOT as u32, h);
             vi.post_recv(ctx, RecvDesc::new(vec![seg]));
         }
@@ -755,7 +749,7 @@ impl DafsClient {
                 return id;
             }
             if !self.make_room(ctx) {
-                self.resend_lost(ctx, None);
+                self.recover(ctx, true, None);
             }
         }
     }
@@ -766,11 +760,6 @@ impl DafsClient {
     fn make_room(&self, ctx: &ActorCtx) -> bool {
         let lost = self.table.lock().lost();
         !lost && self.receive(ctx, true).is_ok()
-    }
-
-    /// The request slot request `id` goes out from.
-    fn slot(&self, id: u32) -> usize {
-        id as usize % self.req_ring.len()
     }
 
     /// Post a request under an id from the table — the replay path reuses an
@@ -806,19 +795,7 @@ impl DafsClient {
             p => (p.len(), Vec::new()),
         };
         self.charge_copy(ctx, header, copied);
-        // No unanswered request on the live VI holds the slot: the window
-        // keeps fresh ids apart, and `deliver` a redial's Hello and the
-        // re-post behind it.
-        debug_assert!(
-            {
-                let (n, table) = (self.req_ring.len() as u32, self.table.lock());
-                [reqid.wrapping_sub(n), reqid.wrapping_add(n)]
-                    .iter()
-                    .all(|&other| table.state(other) != Some(State::Posted))
-            },
-            "request {reqid} would go out of a slot an unanswered request holds"
-        );
-        let (buf, h) = self.req_ring[self.slot(reqid)];
+        let (buf, h) = self.req_ring[reqid as usize % self.req_ring.len()];
         let vi = self.vi.lock();
         // Drain stale send completions to keep the port bounded.
         while vi.send_done(ctx).is_some() {}
@@ -862,10 +839,7 @@ impl DafsClient {
         let resp = completion
             .payload
             .unwrap_or_else(|| self.nic.host().mem.read_bytes(buf, len));
-        vi.post_recv(
-            ctx,
-            RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
-        );
+        Self::post_recv_ring(ctx, &vi, [&(buf, h)]);
         let mut d = Dec::new(&resp);
         let (rid, _) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
         if rid != 0 {
@@ -922,36 +896,27 @@ impl DafsClient {
     ) -> DafsResult<Bytes> {
         let args = std::mem::take(args).finish();
         let id = self.fresh_id(ctx);
-        let arrived = self.deliver(ctx, None, id, op, &args, payload);
+        let arrived = self.deliver(ctx, false, id, op, &args, payload);
         self.collect(id, arrived)
     }
 
     /// The one retry identity: post request `id` — fresh, or lost and now
     /// re-posted under its own id — and wait for its reply; while that
-    /// fails with a transport failure (`died`: it already has), reconnect
-    /// and post it again, up to `max_reconnects` times. A redial costs no
-    /// round trip of its own: the request goes out right behind the
-    /// redial's Hello, whose reply — the first on the new VI — is taken
-    /// before the request's. Only a request that would go out of the
-    /// request slot the unanswered Hello holds waits for that reply first.
-    /// A failed redial falls through: the repost fails fast on the dead VI,
-    /// and the next attempt waits a longer backoff.
+    /// fails with a transport failure, or first if `redial` (the VI is known
+    /// dead), redial and post it again, where [`recover::around_hello`]
+    /// places it behind the Hello. A failed redial falls through: the repost
+    /// fails fast on the dead VI, and the next attempt waits longer.
     fn deliver(
         &self,
         ctx: &ActorCtx,
-        died: Option<DafsError>,
+        redial: bool,
         id: u32,
         op: DafsOp,
         args: &[u8],
         payload: Payload<'_>,
     ) -> DafsResult<()> {
         let post = |hello: Option<u32>| {
-            // The unanswered Hello holds its request slot, so a request
-            // that would go out of the same slot takes its reply first.
-            let (first, behind) = match hello {
-                Some(h) if self.slot(h) == self.slot(id) => (Some(h), None),
-                h => (None, h),
-            };
+            let [first, behind] = recover::around_hello(hello, id, self.req_ring.len());
             // A Hello the server refused leaves the new VI unbound, and the
             // server refuses the request behind it too: that reply is what
             // the request reports.
@@ -962,12 +927,24 @@ impl DafsClient {
             let _ = take(behind);
             self.await_reply(ctx, id)
         };
-        let mut res = died.map_or_else(|| post(None), Err);
+        let first = if redial { Err(LOST) } else { post(None) };
+        self.redial(ctx, first, |h| post(h.ok()))
+    }
+
+    /// The one redial loop: while `res` is a transport failure, redial
+    /// ([`Self::reconnect`]), up to `max_reconnects` times, and make `res`
+    /// again of the redial's Hello id, or of its failure.
+    fn redial<T>(
+        &self,
+        ctx: &ActorCtx,
+        mut res: DafsResult<T>,
+        again: impl Fn(DafsResult<u32>) -> DafsResult<T>,
+    ) -> DafsResult<T> {
         for attempt in 1..=self.config.max_reconnects {
             if !matches!(res, Err(DafsError::Transport(_) | DafsError::Connect(_))) {
                 break;
             }
-            res = post(self.reconnect(ctx, attempt).ok());
+            res = again(self.reconnect(ctx, attempt));
         }
         res
     }
@@ -991,33 +968,19 @@ impl DafsClient {
     /// Its requests stay in the table, lost, for their re-posts.
     fn reconnect(&self, ctx: &ActorCtx, attempt: u32) -> DafsResult<u32> {
         ctx.metrics().counter("dafs.reconnects").inc();
-        ctx.trace(
-            "dafs",
-            "session.reconnect",
-            &[("attempt", obs::Value::U64(attempt as u64))],
-        );
+        let fields = [("attempt", obs::Value::U64(attempt as u64))];
+        ctx.trace("dafs", "session.reconnect", &fields);
         // Exponential backoff rides out transient outages (link flaps,
         // server crash windows) without hammering the connection manager.
-        let backoff = self
-            .config
-            .reconnect_backoff
-            .saturating_mul(1u64 << (attempt - 1).min(20));
-        ctx.advance(backoff);
+        let backoff = self.config.reconnect_backoff;
+        ctx.advance(backoff.saturating_mul(1u64 << (attempt - 1).min(20)));
         // The NIC refuses RDMA aimed at an end that has left `Connected`;
         // that, not a change of tag, keeps the old session's stale RDMA out
         // of the buffers the new one reuses. So the old VI is closed before
         // the new one is dialled — a no-op on one already broken or aborted.
         self.vi.lock().disconnect(ctx);
-        let vi = self
-            .fabric
-            .connect(
-                ctx,
-                &self.nic,
-                self.server,
-                self.port,
-                Self::vi_attrs(self.ptag),
-            )
-            .map_err(DafsError::Connect)?;
+        let (fabric, attrs) = (&self.fabric, Self::vi_attrs(self.ptag));
+        let vi = fabric.connect(ctx, &self.nic, self.server, self.port, attrs)?;
         // Revalidate-on-reconnect: the server reclaimed our leases the
         // moment it saw ConnectionLost, so every cached object is suspect.
         // Clean state is dropped; dirty write-back pages survive and are
@@ -1028,7 +991,7 @@ impl DafsClient {
         cache::dropped(&mut Live(self, ctx), dropped);
         // The rings and the registration cache stay registered under the
         // session's tag, which the new VI carries.
-        Self::post_recv_ring(ctx, &vi, &self.recv_ring.lock());
+        Self::post_recv_ring(ctx, &vi, &*self.recv_ring.lock());
         *self.vi.lock() = vi;
         // Re-introduce ourselves so the server re-keys its replay cache to
         // this client's stable id; a declared tenant binding rides along so
@@ -1114,13 +1077,9 @@ impl DafsClient {
         let payload = self.call(ctx, DafsOp::ReadDir, Enc::new().u64(dir.0))?;
         let mut d = Dec::new(&payload);
         let n = d.u32().map_err(|_| DafsError::Protocol)?;
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let id = NodeId(d.u64().map_err(|_| DafsError::Protocol)?);
-            let name = d.str().map_err(|_| DafsError::Protocol)?;
-            out.push((name, id));
-        }
-        Ok(out)
+        let entry = |d: &mut Dec<'_>| d.u64().and_then(|id| Ok((d.str()?, NodeId(id))));
+        let entries: Result<_, _> = (0..n).map(|_| entry(&mut d)).collect();
+        entries.map_err(|_| DafsError::Protocol)
     }
 
     /// Atomic append: write `data` at the current end of file in one
@@ -1427,7 +1386,7 @@ impl DafsClient {
     /// inline limit, in order (none for an empty range), each write chunk
     /// asking whether it goes in place ([`Self::gathers`], then whether it
     /// is warm). What a direct sub the session took with it is redone as
-    /// ([`Self::fallback`]), without asking the transfer rule again; its
+    /// ([`Self::recover`]), without asking the transfer rule again; its
     /// buffer's registration is live, so a write's chunks go in place.
     fn inline_subs(&self, dir: BatchDir, owner: usize, r: IoReq) -> Vec<Sub> {
         let max = self.caps().inline_max;
@@ -1709,10 +1668,8 @@ impl DafsClient {
                 if n != segs.len() {
                     return Err(DafsError::Protocol);
                 }
-                let mut counts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    counts.push(d.u64().map_err(|_| DafsError::Protocol)?);
-                }
+                let counts: Result<Vec<u64>, _> = (0..n).map(|_| d.u64()).collect();
+                let counts = counts.map_err(|_| DafsError::Protocol)?;
                 // A count past its segment would land on the segment after it.
                 if counts.iter().zip(segs).any(|(c, seg)| *c > seg.1) {
                     return Err(DafsError::Protocol);
@@ -1720,17 +1677,11 @@ impl DafsClient {
                 if !sb.direct {
                     let data = d.bytes().map_err(|_| DafsError::Protocol)?;
                     self.charge_copy(ctx, 0, data.len() as u64);
-                    let mut pos = 0usize;
-                    for (i, &(_, _, rel)) in segs.iter().enumerate() {
-                        let c = counts[i] as usize;
-                        if pos + c > data.len() {
-                            return Err(DafsError::Protocol);
-                        }
-                        self.nic
-                            .host()
-                            .mem
-                            .write(sb.addr.offset(rel), &data[pos..pos + c]);
-                        pos += c;
+                    let (mem, mut pos) = (&self.nic.host().mem, 0);
+                    for (&c, &(_, _, rel)) in counts.iter().zip(segs) {
+                        let piece = data.get(pos..pos + c as usize).ok_or(DafsError::Protocol)?;
+                        mem.write(sb.addr.offset(rel), piece);
+                        pos += c as usize;
                     }
                 }
                 counts.iter().sum()
@@ -1746,10 +1697,9 @@ impl DafsClient {
     }
 
     /// Retire the oldest in-flight sub: wait for its reply, unless the
-    /// session has lost it — then a direct sub goes to the batch's
-    /// [`Self::fallback`], an inline one to [`Self::resend_lost`], and this
-    /// returns true. (A sub another batch's recovery gave up on fails its
-    /// request.)
+    /// session has lost it — then it is left to the batch's
+    /// [`Self::recover`], by its [`Kind`], and this returns true. (One
+    /// another recovery gave up fails its request, or is redone.)
     fn batch_retire_front(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
         let (id, s, held) = b.inflight.pop_front().expect("inflight");
         let arrived = self.await_reply(ctx, id);
@@ -1758,61 +1708,43 @@ impl DafsClient {
         let res = res.and_then(|payload| self.sub_payload(ctx, b.dir, &b.subs[s], &payload));
         self.release(ctx, held);
         match res {
-            Err(_) if b.subs[s].direct && arrived.is_err() => b.redo.push(s),
+            Err(_) if arrived.is_err() && b.subs[s].kind() == Kind::Redo => b.redo.push(s),
             Err(_) if lost => {}
             res => b.credit(s, res),
         }
         lost
     }
 
-    /// Re-post every request the session lost, oldest first, each under
-    /// its original id and each awaited — the first through the redial
-    /// when the VI is down — so the replay cache answers those the server
-    /// already ran (`ReplayCache` in `server.rs` says why it still can). A
-    /// reply to a sub of `b` is decoded at once; any other is kept for its
-    /// batch, and one given up fails that batch's request. A direct sub is
-    /// not re-posted: a replayed reply would not say whether the session's
-    /// RDMA moved its bytes, so its batch redoes it ([`Self::fallback`]).
-    /// Nor is a request with no record: its caller re-posts it or gives it
-    /// up.
-    fn resend_lost(&self, ctx: &ActorCtx, mut b: Option<&mut DafsBatch>) {
-        let mut redial = (self.vi.lock().state() != ViState::Connected).then_some(LOST);
-        let lost = self.table.lock().session_lost();
-        for id in lost {
-            let resend = self.table.lock().request(id).cloned().flatten();
-            let Some(Resend(dir, fh, subs, s)) = resend.filter(|r| !r.2[r.3].direct) else {
-                self.table.lock().take(id);
-                continue;
+    /// The one recovery driver: run the [`recover::plan`] of what the
+    /// session lost, if it `died`, and of what batch `b` has left. A step
+    /// sends its sub — a direct one as its inline chunks, counting a
+    /// `dafs.direct_fallbacks` — chunk by chunk: encode, deliver, release;
+    /// a reply to `b` is decoded and credited at once (a read stops at a
+    /// short chunk, the end of the file), another batch's kept for it. A
+    /// redo of a request that has failed is not pursued.
+    fn recover(&self, ctx: &ActorCtx, died: bool, mut b: Option<&mut DafsBatch>) {
+        let down = self.vi.lock().state() != ViState::Connected;
+        let rec = |id| self.table.lock().request(id).cloned().flatten();
+        let kind = |id| rec(id).map_or(Kind::Drop, |r: Resend| r.2[r.3].kind());
+        let ids = died.then(|| self.table.lock().session_lost());
+        let lost: Vec<_> = ids.into_iter().flatten().map(|id| (id, kind(id))).collect();
+        let (redo, rest) = match b.as_deref_mut() {
+            Some(b) => (std::mem::take(&mut b.redo), b.next..b.subs.len()),
+            None => (Vec::new(), 0..0),
+        };
+        for step in recover::plan(&lost, down, &redo, rest) {
+            let (id, redial, Resend(dir, fh, subs, s)) = match (step, b.as_deref()) {
+                (Step::GiveUp(id), _) => {
+                    self.table.lock().take(id);
+                    continue;
+                }
+                (Step::Repost { id, redial }, _) => (Some(id), redial, rec(id).expect("its sub")),
+                (Step::Redo(s), Some(b)) if b.results[b.subs[s].owner].is_ok() => {
+                    (None, false, Resend(b.dir, b.fh, b.subs.clone(), s))
+                }
+                (Step::Redo(_), _) => continue,
             };
             let sb = &subs[s];
-            let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, sb);
-            let arrived = self.deliver(ctx, redial.take(), id, op, &args.finish(), payload);
-            self.release(ctx, held);
-            if let Some(b) = b.as_deref_mut().filter(|b| Arc::ptr_eq(&b.subs, &subs)) {
-                let res = self.collect(id, arrived);
-                b.credit(s, res.and_then(|p| self.sub_payload(ctx, dir, sb, &p)));
-            } else if arrived.is_err() {
-                self.table.lock().take(id);
-            }
-        }
-    }
-
-    /// Redo under fresh ids, through [`Self::call_with`], the subs the
-    /// batch's session took before they were posted, and the direct ones it
-    /// lost posted: each of those counts a `dafs.direct_fallbacks` and is
-    /// redone as its inline chunks, idempotent even if the RDMA transfer
-    /// partly landed. A read's chunks stop at the first short one, the end
-    /// of the file; a request that has failed is not pursued.
-    fn fallback(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        let (dir, fh, subs) = (b.dir, b.fh, b.subs.clone());
-        for s in std::mem::take(&mut b.redo)
-            .into_iter()
-            .chain(b.next..subs.len())
-        {
-            let sb = &subs[s];
-            if b.results[sb.owner].is_err() {
-                continue;
-            }
             if sb.direct {
                 ctx.metrics().counter("dafs.direct_fallbacks").inc();
             }
@@ -1822,11 +1754,20 @@ impl DafsClient {
                 (true, None) => self.inline_subs(dir, sb.owner, IoReq { off, addr, len }),
                 (true, Some(segs)) => self.inline_list_subs(dir, sb.owner, addr, segs),
             };
+            let mut mine = b.as_deref_mut().filter(|b| Arc::ptr_eq(&b.subs, &subs));
             for c in &chunks {
-                let (op, mut args, payload, held) = self.encode_sub(ctx, dir, fh, c);
-                let reply = self.call_with(ctx, op, &mut args, payload);
+                let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, c);
+                let id = id.unwrap_or_else(|| self.fresh_id(ctx));
+                let arrived = self.deliver(ctx, redial, id, op, &args.finish(), payload);
                 self.release(ctx, held);
-                let res = reply.and_then(|payload| self.sub_payload(ctx, dir, c, &payload));
+                let Some(b) = mine.as_deref_mut() else {
+                    if arrived.is_err() {
+                        self.table.lock().take(id);
+                    }
+                    break;
+                };
+                let res = self.collect(id, arrived);
+                let res = res.and_then(|payload| self.sub_payload(ctx, dir, c, &payload));
                 let short = res.as_ref().map_or(true, |(n, _)| *n < c.len);
                 b.credit(s, res);
                 if short {
@@ -1961,10 +1902,7 @@ impl DafsClient {
                 died = !self.make_room(ctx);
             }
         }
-        if died {
-            self.resend_lost(ctx, Some(&mut b));
-        }
-        self.fallback(ctx, &mut b);
+        self.recover(ctx, died, Some(&mut b));
         // Self-coherence: drop any cached pages the batch overwrote — sub by
         // sub, once its request is acknowledged — and take the attributes
         // the replies carried, if they carried any. (A caller already past

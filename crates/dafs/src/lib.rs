@@ -25,6 +25,7 @@ mod client;
 mod explore;
 mod lease;
 mod proto;
+mod recover;
 mod server;
 mod wire;
 
@@ -409,14 +410,15 @@ mod tests {
     }
 
     /// One blocking `call` on a fresh session at 1 ms of virtual time, on a
-    /// 48 KiB file, with the client's link to the server down over `down`
-    /// (ns after the call starts): what it cost.
+    /// 48 KiB file, with the client's link to the server down over each
+    /// window of `down` (ns after the call starts): what it cost, and the
+    /// file it left.
     fn blocking(
         rdma_read: bool,
         config: DafsClientConfig,
-        down: Option<(u64, u64)>,
+        down: &[(u64, u64)],
         call: impl FnOnce(&simnet::ActorCtx, &DafsClient, memfs::NodeId, VirtAddr) + Send + 'static,
-    ) -> Cost {
+    ) -> (Cost, Vec<u8>) {
         use simnet::{FaultPlan, SimDuration, SimTime};
         const T0: u64 = 1_000_000;
         let (obs, trace) = obs::Obs::buffered();
@@ -425,11 +427,15 @@ mod tests {
             ..ViaCost::default()
         };
         let b = bed_in(SimKernel::with_obs(obs), cost);
-        server_file(&b, "f", &[0x5A; 48 << 10]);
+        let fh = server_file(&b, "f", &[0x5A; 48 << 10]);
         let (fabric, sid, host) = (b.fabric.clone(), b.server.host.id, b.cluster.add_host("c"));
-        if let Some((from, until)) = down {
+        if !down.is_empty() {
             let at = |ns| SimTime::ZERO + SimDuration::from_nanos(T0 + ns);
-            let plan = FaultPlan::builder(1).link_down(sid, host.id, at(from), at(until));
+            let plan = down
+                .iter()
+                .fold(FaultPlan::builder(1), |plan, &(from, until)| {
+                    plan.link_down(sid, host.id, at(from), at(until))
+                });
             fabric.set_fault_plan(plan.build());
         }
         let out = Arc::new(parking_lot::Mutex::new(None));
@@ -457,7 +463,8 @@ mod tests {
         let mut cost = out.lock().take().expect("the client ran");
         cost.applied = b.server.stats.inline_writes.ops.get();
         cost.replayed = replay_hits(&trace.contents());
-        cost
+        let size = b.fs.getattr(fh).unwrap().size;
+        (cost, b.fs.read(fh, 0, size).unwrap())
     }
 
     /// The request ids of a trace's `replay.hit` lines, in order.
@@ -482,7 +489,7 @@ mod tests {
     fn blocking_and_batch(
         rdma_read: bool,
         config: DafsClientConfig,
-        down: Option<(u64, u64)>,
+        down: &[(u64, u64)],
         dir: BatchDir,
         len: u64,
         moved: u64,
@@ -513,10 +520,10 @@ mod tests {
             assert_eq!(c.batch_finish(ctx, b), [Ok(moved)]);
             assert!(landed(c, buf));
         };
-        let got = blocking(rdma_read, config, down, call);
+        let (got, _) = blocking(rdma_read, config, down, call);
         assert_eq!(
             got,
-            blocking(rdma_read, config, down, batch),
+            blocking(rdma_read, config, down, batch).0,
             "{dir:?} of {len}"
         );
         got
@@ -543,17 +550,17 @@ mod tests {
             direct_threshold: u64::MAX,
             ..plain()
         };
-        let (kib, broken) = (1 << 10, Some((40_000, 50_000)));
+        let (kib, broken) = (1 << 10, &[(40_000, 50_000)]);
         // An empty read posts nothing; an empty write one WriteInline,
         // whose reply carries the attributes.
-        let got = blocking_and_batch(false, plain(), None, Read, 0, 0);
+        let got = blocking_and_batch(false, plain(), &[], Read, 0, 0);
         assert_eq!(got, cost(0, &[], 0, 0, 0, 0), "empty read");
-        let got = blocking_and_batch(false, plain(), None, Write, 0, 0);
+        let got = blocking_and_batch(false, plain(), &[], Write, 0, 0);
         assert_eq!(got, cost(1, &[], 0, 0, 1, 31_951), "empty write");
         // Three inline chunks asked, the file ending inside the second. The
         // three are in flight at once: one request more than the blocking
         // read's stop-and-wait (2 requests, 756 735 ns), and 154 µs sooner.
-        let got = blocking_and_batch(false, inline_only, None, Read, 96 * kib, 48 * kib);
+        let got = blocking_and_batch(false, inline_only, &[], Read, 96 * kib, 48 * kib);
         assert_eq!(got, cost(3, &[], 0, 0, 0, 602_768), "short inline read");
         // A direct read whose VI breaks: the read, the chunk that finds the
         // VI dead, the reconnect's Hello, two chunks on the new session.
@@ -587,7 +594,7 @@ mod tests {
         // cache `dereg` — an inline write registers nothing). The replay is
         // posted right behind the redial's Hello, not after its reply: the
         // Hello's unloaded round trip, 25 983 ns, comes off (1 220 574 ns).
-        let lost = Some((81_500, 82_000));
+        let lost = &[(81_500, 82_000)];
         let got = blocking_and_batch(false, plain(), lost, Write, 4 * kib, 4 * kib);
         assert_eq!(got, cost(3, &[3], 1, 0, 1, 1_194_591), "lost inline reply");
     }
@@ -600,8 +607,8 @@ mod tests {
     #[test]
     fn a_batch_write_that_outlives_its_session_is_metered_once() {
         const LEN: u64 = 32 << 10;
-        let drop = Some((300_000, 400_000));
-        let got = blocking(false, client_config(), drop, |ctx, c, f, buf| {
+        let drop = &[(300_000, 400_000)];
+        let (got, _) = blocking(false, client_config(), drop, |ctx, c, f, buf| {
             let reqs: Vec<IoReq> = (0..4)
                 .map(|i| IoReq {
                     off: i * LEN,
@@ -623,6 +630,49 @@ mod tests {
         // Three were applied before the drop and are answered from the
         // replay cache; the fourth was lost on its way and runs fresh.
         assert_eq!((got.replayed, got.applied), (vec![3, 4, 5], 4));
+    }
+
+    /// A session that breaks again while it re-posts redials once more and
+    /// goes on where it stopped. Four 32 KiB inline writes (ids 3 ..= 6,
+    /// behind the Hello and the LOOKUP); the link drops across their first
+    /// posts: 3 is applied, 4 is lost on its way, and 5 and 6 die with the
+    /// VI. The redial's Hello (7) goes out, then 3 under its own id, which
+    /// the replay cache answers — and the link drops again, across that
+    /// reply. The second redial (Hello 8: attempt 2 of the same delivery,
+    /// after a 2 ms backoff) re-posts 3 once more, answered from the replay
+    /// cache again, then 4, 5 and 6, which run fresh. Each write is applied
+    /// once.
+    #[test]
+    fn a_session_that_breaks_while_it_reposts_redials_and_goes_on() {
+        const LEN: u64 = 32 << 10;
+        let drops = &[(150_000, 200_000), (1_750_000, 1_800_000)];
+        let (got, image) = blocking(false, client_config(), drops, |ctx, c, f, buf| {
+            let mem = &c.nic().host().mem;
+            let reqs: Vec<IoReq> = (0..4)
+                .map(|i| {
+                    mem.fill(buf.offset(i * LEN), LEN as usize, 0xA0 + i as u8);
+                    IoReq {
+                        off: i * LEN,
+                        addr: buf.offset(i * LEN),
+                        len: LEN,
+                    }
+                })
+                .collect();
+            let b = c.issue(ctx, BatchDir::Write, f, &reqs);
+            assert_eq!(c.batch_finish(ctx, b), [Ok(LEN); 4]);
+            assert_eq!(ctx.metrics().counter("dafs.reconnects").get(), 2);
+        });
+        let cost = Cost {
+            ops: 11,
+            replayed: vec![3, 3],
+            hits: 2,
+            fallbacks: 0,
+            applied: 4,
+            ns: 5_705_746,
+        };
+        assert_eq!(got, cost);
+        let want: Vec<u8> = (0..4).flat_map(|i| [0xA0 + i; LEN as usize]).collect();
+        assert_eq!(image, want, "every write landed once, in place");
     }
 
     /// A batch retries each sub under its own id. `CREDITS` inline writes

@@ -336,7 +336,8 @@ pub fn spawn_dafs_server_sched(
         // finds its replies. Why `CREDITS` replies per client suffice,
         // whatever the other clients do: the client asks for an old reply
         // in one way — it posts a request its session lost again under the
-        // same id (`DafsClient::deliver`) — and its request table
+        // same id (`DafsClient::deliver`, as the recovery plan in
+        // `recover.rs` orders) — and its request table
         // (`simnet::reqtab`) keeps two rules over its batches and blocking
         // calls together. The window: no id is posted `CREDITS` or more past
         // the oldest one whose reply has not arrived. The lost rule: after a
@@ -360,7 +361,8 @@ pub fn spawn_dafs_server_sched(
         // refused (`serve_one`): a refused Hello cannot let `x` run twice.
         // (The receive ring is the same window: `CREDITS` descriptors, and
         // one frame more would break the VI; the client keeps a fresh VI's
-        // unanswered frames, its Hello included, within them.) A dead
+        // unanswered frames, its Hello included, within them — the plan's
+        // exhaustive test checks it.) A dead
         // session's frames stop at its reap — the first one served after the
         // break triggers it — which drops the rest, queued
         // (`RequestSched::drop_session`) or parked

@@ -7,14 +7,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> the lease, replay and request state machines stay pure"
+echo "==> the lease, replay, request and recovery state machines stay pure"
 # The server's lease table, the client's page cache, the explorer that
-# composes them, the replay cache both servers drive and the request table
-# both clients keep name no kernel, NIC, simulated memory, metric or trace
-# — tests included: both explorers run without a SimKernel.
+# composes them, the replay cache both servers drive, the request table
+# both clients keep and the DAFS client's recovery planner name no kernel,
+# NIC, simulated memory, metric or trace — tests included: both explorers
+# and the planner's exhaustive test run without a SimKernel.
 if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.compute\(' \
     crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs \
-    crates/simnet/src/replay.rs crates/simnet/src/reqtab.rs; then
+    crates/dafs/src/recover.rs crates/simnet/src/replay.rs crates/simnet/src/reqtab.rs; then
     echo "ci: I/O in a pure module (lines above)" >&2
     exit 1
 fi
@@ -107,6 +108,20 @@ echo "==> a redial does not wait for its Hello"
 if [ -z "$reconnect_body" ] ||
     echo "$reconnect_body" | grep -nE '\b(hello|take_hello|await_reply|collect)\('; then
     echo "ci: DafsClient::reconnect waits for a reply (lines above)" >&2
+    exit 1
+fi
+
+echo "==> one recovery plan"
+# What a broken DAFS session re-posts under its requests' own ids, gives up
+# and redoes, and in what order, is the pure plan in
+# `crates/dafs/src/recover.rs` (its exhaustive test holds the slot, window
+# and order rules). One driver in client.rs runs it, and connect and
+# deliver share one redial loop: `max_reconnects` is read at one site, and
+# neither of the two re-post paths the driver replaced comes back.
+reads=$(grep -o '\.max_reconnects\b' crates/dafs/src/client.rs | wc -l)
+if [ "$reads" -ne 1 ] || grep -nE 'fn (resend_lost|fallback)\b' crates/dafs/src/client.rs; then
+    echo "ci: crates/dafs/src/client.rs reads max_reconnects at $reads sites (exactly 1)," \
+        "or a second recovery path is back (lines above)" >&2
     exit 1
 fi
 

@@ -595,7 +595,8 @@ fn strided_access_over_dirty_pages(strided_write: bool) -> (Runs, Runs) {
     (seen, stored)
 }
 
-/// ROADMAP item 4 "cache bypass", read side: a list read on a handle that
+/// ROADMAP "Leases that are live: terms, expiry, fencing, and recalls
+/// serviced", its cache bypass, read side: a list read on a handle that
 /// holds dirty write-back pages must return the buffered bytes, not the
 /// server's pre-write ones.
 #[test]

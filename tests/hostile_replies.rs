@@ -7,7 +7,8 @@
 //! At the parent commit each of these wrote the surplus after the caller's
 //! buffer and returned `Ok`, and the credit case took the server's word for
 //! a window of 1 000 requests over eight receive descriptors: all five
-//! fail there. No existing test met a peer that over-answers.
+//! fail there. No existing test met a peer that over-answers. A directory
+//! listing that claims more entries than it holds is the same error.
 
 use std::sync::Arc;
 
@@ -36,8 +37,9 @@ fn le(v: &[u8]) -> u64 {
 
 /// A DAFS server that grants `credits` in its `Hello` and answers every
 /// inline read — `ReadInline`, and the first segment of an inline
-/// `ReadList` — with `extra` bytes more than were asked for; anything else
-/// gets an empty OK.
+/// `ReadList` — with `extra` bytes more than were asked for, and every
+/// `ReadDir` with a count of `u32::MAX` entries and none of them; anything
+/// else gets an empty OK.
 fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits: u32, extra: u64) {
     let fabric = fabric.clone();
     kernel.spawn_daemon("peer", move |ctx| {
@@ -71,6 +73,8 @@ fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits:
                     &(32u64 << 10).to_le_bytes(),
                 ]
                 .concat(),
+                // ReadDir (fh): a count, and no entries.
+                9 => u32::MAX.to_le_bytes().to_vec(),
                 // ReadInline (fh, off, len): one byte string.
                 10 => {
                     let n = (le(&body[16..24]) + extra) as usize;
@@ -172,6 +176,16 @@ fn dafs_list_read_count_longer_than_its_segment_is_a_protocol_error() {
         let batch = c.issue_list(ctx, BatchDir::Read, FH, &[ListReq { segs, buf }]);
         assert_eq!(c.batch_finish(ctx, batch), [Err(DafsError::Protocol)]);
         untouched("list");
+    });
+}
+
+/// A listing whose count claims `u32::MAX` entries it does not carry is a
+/// protocol error. The client used to size its list by the claim before
+/// decoding any entry: a 128 GiB allocation, which aborts the process.
+#[test]
+fn dafs_readdir_count_past_its_reply_is_a_protocol_error() {
+    with_dafs_peer(8, 0, |ctx, c, _| {
+        assert_eq!(c.readdir(ctx, FH), Err(DafsError::Protocol));
     });
 }
 
