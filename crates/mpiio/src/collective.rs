@@ -1,6 +1,7 @@
 //! Collective I/O: ROMIO-style two-phase with generalized aggregators.
 //!
-//! Phase structure for a collective write:
+//! A collective write and a collective read are one sweep (`at_all`),
+//! parameterised by direction:
 //! 1. ranks flatten their view-mapped requests and allgather the extents;
 //! 2. the file range `[gmin, gmax)` is split into windows of at most
 //!    `cb_buffer_size` bytes and each phase gives every aggregator
@@ -11,13 +12,20 @@
 //!    every server;
 //! 3. one request exchange (`alltoallv`) tells every aggregator where each
 //!    rank's pieces lie in each of its windows (ROMIO's `others_req`);
-//! 4. in each phase every rank ships its run in each aggregator's window
-//!    (one `alltoallv`); the aggregator lands it in its collective buffer
-//!    and issues one coalesced filesystem write per covered run.
+//! 4. phase k runs, in order: a write's data exchange lands window k in
+//!    the aggregator's collective buffer; at depth 1, window k−1's batch
+//!    drains; window k's coalesced batch is issued (`Shape::List`, which
+//!    DAFS handles carry as one vectored wire request); a read's reply
+//!    exchange ships window k−depth out of its buffer.
 //!
-//! Reads run the same sweep in reverse, one reply `alltoallv` per window.
-//! A reply is cut where the window's batch stopped landing bytes, so a
-//! read past the end of file is short and lands nothing stale.
+//! The depth is `romio_cb_pipeline`, read once: 1 (the default) runs one
+//! round past the last window and double-buffers — window k's batch goes
+//! out through `itransfer` and drains while window k+1 is exchanged in the
+//! other buffer, so a window costs roughly `max(exchange, io)`, and its
+//! time in flight before the wait is `mpiio.twophase.overlap_ns`; 0 issues
+//! it through the blocking `transfer` (NFS's one RPC at a time) and ships
+//! it in the same phase. A read reply is cut where the window's batch
+//! stopped landing bytes, so a read past the end of file is short.
 //!
 //! A data message is payload alone: a rank's pieces in one window are one
 //! run of its buffer (`clipped`), sent or landed as it lies — ROMIO's
@@ -25,44 +33,27 @@
 //! another rank's pieces as one VIA data segment each past the gather
 //! floor (`ViaCost::gathers`, as the DAFS client's inline writes); below
 //! it, and for its own pieces, which no NIC touches, it copies them
-//! (`charge_pieces`).
+//! (`charge_pieces`). The collective buffers outlive the call
+//! (`MpiFile::coll_bufs`), so a driver that registers memory registers
+//! each once.
 //!
-//! The collective buffers outlive the call (`MpiFile::coll_bufs`), so a
-//! driver that registers memory registers each once, and on DAFS every
-//! later inline list message from them goes in place past that same floor.
+//! A window batch's error is held: the aggregator still takes part in
+//! every remaining exchange and the closing barrier, then returns it, so
+//! no peer waits on a rank that failed. The peers are not told (that would
+//! take an error allreduce on every call); a read's failed window answers
+//! nothing, so its peers' reads come back short.
 //!
 //! The payoff is the paper-era argument for collective I/O: many tiny
 //! strided accesses become a few large contiguous transfers, at the price
 //! of an interconnect exchange — cheap on a VIA-class network.
-//!
-//! With `romio_cb_pipeline` left on (the default) the sweep is
-//! *double-buffered*: each aggregator owns two collective buffers and
-//! issues window k's filesystem batch nonblocking (`itransfer` with
-//! `Shape::List`, which DAFS handles carry as one vectored wire request and
-//! other drivers serve as the plain contiguous batch), so it drains while
-//! window k+1 is exchanged and landed in the other buffer. Per window the
-//! sweep then costs roughly `max(exchange, io)` instead of `exchange + io`.
-//! Time the batch spent in flight before its wait is recorded in
-//! `mpiio.twophase.overlap_ns`; `romio_cb_pipeline=disable` restores the
-//! strictly synchronous sweep.
 
 use simnet::{ActorCtx, SimTime, VirtAddr};
 use via::ViaCost;
 
-use crate::adio::{AdioRequest, AdioResult, BatchDir, IoReq, Shape};
+use crate::adio::{AdioError, AdioRequest, AdioResult, BatchDir, IoFault, IoReq, Shape};
 use crate::comm::Comm;
 use crate::file::MpiFile;
 use crate::hints::TriState;
-
-/// Accumulate virtual time since `*since` into the named `_ns` counter and
-/// advance the mark. The two-phase sweep calls this at each phase boundary
-/// so `bench::report::layer_breakdown` can split collective time into
-/// aggregation / exchange / I/O.
-fn charge_phase(ctx: &ActorCtx, name: &'static str, since: &mut SimTime) {
-    let now = ctx.now();
-    ctx.metrics().counter(name).add((now - *since).as_nanos());
-    *since = now;
-}
 
 /// One mapped piece of a rank's request.
 #[derive(Debug, Clone, Copy)]
@@ -334,20 +325,6 @@ fn decode_requests(s: &Sweep, a: usize, msgs: &[Vec<u8>]) -> OthersReq {
     out
 }
 
-/// The one request exchange of a collective call; `None` on a rank that
-/// aggregates nothing.
-fn exchange_requests(
-    ctx: &ActorCtx,
-    comm: &Comm,
-    sweep: &Sweep,
-    pieces: &[Piece],
-    mark: &mut SimTime,
-) -> Option<OthersReq> {
-    let got = comm.alltoallv(ctx, &encode_requests(sweep, pieces, comm.size()));
-    charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
-    (comm.rank() < sweep.naggs).then(|| decode_requests(sweep, comm.rank(), &got))
-}
-
 /// Charge the aggregator for moving `pieces` between its collective buffer
 /// and the message from (or to) `peer` — the one place its side of the
 /// exchange is paid for. Another rank's message carries each piece as one
@@ -394,6 +371,16 @@ fn window_reqs(runs: &[(u64, u64)], cbuf: VirtAddr, ws: u64) -> Vec<IoReq> {
         .collect()
 }
 
+/// A window an aggregator holds in one phase: its collective buffer, its
+/// start (byte `off` lives at `cbuf + (off - ws)`), the merged runs its
+/// batch moves, and each rank's pieces of it.
+struct Window<'o> {
+    cbuf: VirtAddr,
+    ws: u64,
+    runs: Vec<(u64, u64)>,
+    asked: &'o [Vec<(u64, u64)>],
+}
+
 /// The file offset where the bytes a batch over the sorted `runs` landed
 /// end: they fill the runs from the first, as a read stops short only at
 /// the end of file.
@@ -407,84 +394,272 @@ fn landed_end(runs: &[(u64, u64)], mut landed: u64) -> u64 {
     u64::MAX
 }
 
-/// A read window this aggregator holds: its collective buffer, its start,
-/// the merged runs its batch reads, and each rank's pieces of it.
-type Served<'a> = (VirtAddr, u64, Vec<(u64, u64)>, &'a [Vec<(u64, u64)>]);
-
-/// Record how long a nonblocking window batch has been in flight, then
-/// complete it; returns its byte count if there was one. The `overlap_ns`
-/// share is sweep time the synchronous path would have spent blocked in
-/// `io_ns`.
-fn drain_window_batch(
-    ctx: &ActorCtx,
-    pending: Option<(AdioRequest, SimTime)>,
-    mark: &mut SimTime,
-) -> AdioResult<Option<u64>> {
-    let Some((req, issued)) = pending else {
-        return Ok(None);
-    };
-    ctx.metrics()
-        .counter("mpiio.twophase.overlap_ns")
-        .add((ctx.now() - issued).as_nanos());
-    let n = req.wait(ctx)?;
-    charge_phase(ctx, "mpiio.twophase.io_ns", mark);
-    Ok(Some(n))
+/// A window's filesystem batch: finished inside `AdioFile::transfer` at
+/// depth 0, in flight since the given time at depth 1.
+enum Batch {
+    Done(AdioResult<u64>),
+    Flight(AdioRequest, SimTime),
 }
 
-/// Answer phase `phase`'s pieces out of the collective buffer its window
-/// was read into, exchange the replies, and land each in the user buffer
-/// as a prefix of its run. Runs on every rank each round — the reply
-/// `alltoallv` is collective — with `served` (the window and the bytes its
-/// batch landed) only on an aggregator that held a window this phase.
-/// Returns the bytes landed locally.
-#[allow(clippy::too_many_arguments)]
-fn ship_read_replies(
+/// One rank's side of a two-phase call: the sweep, its pieces and user
+/// buffer, its collective buffers (none unless it aggregates), the mark
+/// the phase timers charge from, and the first error a window batch
+/// returned.
+struct Call<'a> {
+    ctx: &'a ActorCtx,
+    comm: &'a Comm,
+    file: &'a MpiFile,
+    sweep: Sweep,
+    pieces: Vec<Piece>,
+    buf: VirtAddr,
+    cbufs: Vec<VirtAddr>,
+    mark: SimTime,
+    held: Option<AdioError>,
+}
+
+impl Call<'_> {
+    /// Accumulate virtual time since the mark into the named `_ns` counter
+    /// and advance the mark. The sweep calls this at each phase boundary so
+    /// `bench::report::layer_breakdown` can split collective time into
+    /// aggregation / exchange / I/O.
+    fn charge(&mut self, name: &'static str) {
+        let since = self.mark;
+        self.mark = self.ctx.now();
+        let ns = (self.mark - since).as_nanos();
+        self.ctx.metrics().counter(name).add(ns);
+    }
+
+    /// The one request exchange of a collective call; `None` on a rank
+    /// that aggregates nothing.
+    fn exchange_requests(&mut self) -> Option<OthersReq> {
+        let (comm, sweep) = (self.comm, &self.sweep);
+        let got = comm.alltoallv(self.ctx, &encode_requests(sweep, &self.pieces, comm.size()));
+        self.charge("mpiio.twophase.exchange_ns");
+        (comm.rank() < self.sweep.naggs).then(|| decode_requests(&self.sweep, comm.rank(), &got))
+    }
+
+    /// The window this rank holds in phase `k`, if it aggregates one, in
+    /// the phase's collective buffer.
+    fn window<'o>(&self, k: u64, others: Option<&'o OthersReq>) -> Option<Window<'o>> {
+        let (ws, we) = self.sweep.window(self.comm.rank(), k)?;
+        let asked = &others?[k as usize][..];
+        let runs = merge_runs(asked.concat());
+        debug_assert!(runs.iter().all(|(o, l)| *o >= ws && o + l <= we));
+        let cbuf = self.cbufs[k as usize % self.cbufs.len()];
+        Some(Window {
+            cbuf,
+            ws,
+            runs,
+            asked,
+        })
+    }
+
+    /// The run of this rank's buffer that aggregator `a`'s window of
+    /// `phase` holds, as `(buf_off, len)`: what its data message to `a`
+    /// carries on a write, and where `a`'s reply lands on a read.
+    fn span(&self, a: usize, phase: u64) -> Option<(u64, u64)> {
+        let (ws, we) = self.sweep.window(a, phase)?;
+        buffer_span(&self.pieces, ws, we)
+    }
+
+    /// A write's phase exchange, on every rank (the `alltoallv` is
+    /// collective): ship this rank's run in each aggregator's window of
+    /// `phase` from the user buffer as it lies — no packing copy, no
+    /// descriptors — and land each piece of `mine` where its request said.
+    fn land_write(&mut self, phase: u64, mine: Option<&Window>) {
+        let (ctx, comm, file) = (self.ctx, self.comm, self.file);
+        let mem = &file.host().mem;
+        let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
+        for (a, msg) in sends.iter_mut().enumerate().take(self.sweep.naggs) {
+            if let Some((boff, len)) = self.span(a, phase) {
+                mem.read_into(self.buf.offset(boff), len as usize, msg);
+            }
+        }
+        self.charge("mpiio.twophase.aggregation_ns");
+        let received = comm.alltoallv(ctx, &sends);
+        self.charge("mpiio.twophase.exchange_ns");
+        let Some(w) = mine else {
+            return;
+        };
+        for (peer, (msg, got)) in received.iter().zip(w.asked).enumerate() {
+            let mut at = 0usize;
+            for &(off, len) in got {
+                mem.write(w.cbuf.offset(off - w.ws), &msg[at..at + len as usize]);
+                at += len as usize;
+            }
+            assert_eq!(at, msg.len(), "two-phase message of the wrong length");
+            charge_pieces(ctx, comm, file, peer, got);
+        }
+        self.charge("mpiio.twophase.aggregation_ns");
+    }
+
+    /// Complete a window's batch, if this rank issued one, and return the
+    /// window with the bytes it moved. One in flight is charged the time
+    /// since its issue to `mpiio.twophase.overlap_ns` — sweep time the
+    /// synchronous sweep would have spent blocked in `io_ns` — and its wait
+    /// to `io_ns`. An error is held (the first wins) and the window
+    /// answers nothing.
+    fn settle<'o>(&mut self, batch: Option<(Batch, Window<'o>)>) -> Option<(Window<'o>, u64)> {
+        let (batch, w) = batch?;
+        let moved = match batch {
+            Batch::Done(r) => r,
+            Batch::Flight(req, issued) => {
+                let ctx = self.ctx;
+                ctx.metrics()
+                    .counter("mpiio.twophase.overlap_ns")
+                    .add((ctx.now() - issued).as_nanos());
+                let r = req.wait(ctx);
+                self.charge("mpiio.twophase.io_ns");
+                r
+            }
+        };
+        moved
+            .map_err(|e| *self.held.get_or_insert(e))
+            .ok()
+            .map(|n| (w, n))
+    }
+
+    /// A read's phase exchange: answer `phase`'s pieces out of the
+    /// collective buffer its window was read into, exchange the replies,
+    /// and land each in the user buffer as a prefix of its run. Runs on
+    /// every rank each round — the reply `alltoallv` is collective — with
+    /// `served` (the window and the bytes its batch landed) only on an
+    /// aggregator whose batch for this phase succeeded. Returns the bytes
+    /// landed locally.
+    fn ship_read_replies(&mut self, phase: u64, served: Option<(Window, u64)>) -> u64 {
+        let (ctx, comm, file) = (self.ctx, self.comm, self.file);
+        let mem = &file.host().mem;
+        let mut replies: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
+        if let Some((w, landed)) = served {
+            // Only what landed: a reply past the end of file is cut short.
+            let end = landed_end(&w.runs, landed);
+            for (peer, (reply, asked)) in replies.iter_mut().zip(w.asked).enumerate() {
+                let valid: Vec<(u64, u64)> = asked
+                    .iter()
+                    .map(|&(off, len)| (off, len.min(end.saturating_sub(off))))
+                    .take_while(|p| p.1 > 0)
+                    .collect();
+                for &(off, len) in &valid {
+                    mem.read_into(w.cbuf.offset(off - w.ws), len as usize, reply);
+                }
+                charge_pieces(ctx, comm, file, peer, &valid);
+            }
+        }
+        self.charge("mpiio.twophase.aggregation_ns");
+        let incoming = comm.alltoallv(ctx, &replies);
+        self.charge("mpiio.twophase.exchange_ns");
+        // This rank asked for the pieces, so it knows where they go: a
+        // reply is a prefix of one run of the user buffer and lands there
+        // in place.
+        let mut total = 0u64;
+        for (a, reply) in incoming.iter().enumerate().take(self.sweep.naggs) {
+            let Some((boff, len)) = self.span(a, phase) else {
+                continue;
+            };
+            assert!(reply.len() as u64 <= len, "reply longer than its run");
+            mem.write(self.buf.offset(boff), reply);
+            total += reply.len() as u64;
+        }
+        total
+    }
+}
+
+/// The two-phase collective, either way: `MPI_File_write_at_all` and
+/// `MPI_File_read_at_all` are each one call of it. `buf` is the rank's
+/// user buffer; a write returns `nbytes`, a read the bytes landed.
+fn at_all(
     ctx: &ActorCtx,
     comm: &Comm,
     file: &MpiFile,
-    sweep: &Sweep,
-    phase: u64,
-    pieces: &[Piece],
-    dst: VirtAddr,
-    served: Option<(Served, u64)>,
-    mark: &mut SimTime,
-) -> u64 {
-    let host = file.host();
-    let mut replies: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-    if let Some(((cbuf, ws, runs, asked), landed)) = served {
-        // Only what landed: a reply past the end of file is cut short.
-        let end = landed_end(&runs, landed);
-        for (peer, (reply, asked)) in replies.iter_mut().zip(asked).enumerate() {
-            let valid: Vec<(u64, u64)> = asked
-                .iter()
-                .map(|&(off, len)| (off, len.min(end.saturating_sub(off))))
-                .take_while(|p| p.1 > 0)
-                .collect();
-            for &(off, len) in &valid {
-                host.mem
-                    .read_into(cbuf.offset(off - ws), len as usize, reply);
+    dir: BatchDir,
+    offset_etypes: u64,
+    buf: VirtAddr,
+    nbytes: u64,
+) -> AdioResult<u64> {
+    let hints = file.hints();
+    let (cb, count, event) = match dir {
+        BatchDir::Write => (hints.cb_write, "mpiio.twophase.writes", "twophase.write"),
+        BatchDir::Read => (hints.cb_read, "mpiio.twophase.reads", "twophase.read"),
+    };
+    let pieces = mapped_pieces(file, offset_etypes, nbytes);
+    if cb == TriState::Disable {
+        let ranges: Vec<(u64, u64)> = pieces.iter().map(|p| (p.off, p.len)).collect();
+        let r = file.ranges(ctx, dir, &ranges, buf);
+        comm.barrier(ctx);
+        return r;
+    }
+    let Some(sweep) = plan_sweep(ctx, comm, file, &pieces) else {
+        return Ok(0); // nobody has data, this rank included
+    };
+    // At depth 1 each aggregator owns two collective buffers: window k's
+    // batch drains from one while window k+1 is exchanged in the other.
+    let depth = u64::from(hints.cb_pipeline != TriState::Disable);
+    let nbufs = (1 + depth) * u64::from(comm.rank() < sweep.naggs);
+    let cbufs = file.coll_bufs(nbufs as usize, sweep.w);
+    ctx.metrics().counter(count).inc();
+    ctx.trace(
+        "mpiio",
+        event,
+        &[
+            ("naggs", obs::Value::U64(sweep.naggs as u64)),
+            ("phases", obs::Value::U64(sweep.phases)),
+            ("extent", obs::Value::U64(sweep.gmax - sweep.gmin)),
+        ],
+    );
+    let phases = sweep.phases;
+    let mut call = Call {
+        ctx,
+        comm,
+        file,
+        sweep,
+        pieces,
+        buf,
+        cbufs,
+        mark: ctx.now(),
+        held: None,
+    };
+    let others = call.exchange_requests();
+    let mut flight: Option<(Batch, Window)> = None;
+    let mut total = 0u64;
+    // At depth 1 the sweep runs one round past its last window, to drain
+    // that window's batch (and ship a read's replies).
+    for k in 0..phases + depth {
+        let mine = call.window(k, others.as_ref());
+        if dir == BatchDir::Write && k < phases {
+            call.land_write(k, mine.as_ref());
+        }
+        let mut done = call.settle(flight.take());
+        if let Some(w) = mine {
+            if dir == BatchDir::Read {
+                call.charge("mpiio.twophase.aggregation_ns");
             }
-            charge_pieces(ctx, comm, file, peer, &valid);
+            let reqs = window_reqs(&w.runs, w.cbuf, w.ws);
+            let batch = if depth == 0 {
+                Batch::Done(file.adio().transfer(ctx, dir, Shape::List, &reqs))
+            } else {
+                let req = file.adio().itransfer(ctx, dir, Shape::List, &reqs);
+                Batch::Flight(req, ctx.now())
+            };
+            // The batch, or the post cost of issuing it.
+            call.charge("mpiio.twophase.io_ns");
+            flight = Some((batch, w));
+        }
+        if depth == 0 {
+            done = call.settle(flight.take());
+        }
+        if dir == BatchDir::Read && k >= depth {
+            total += call.ship_read_replies(k - depth, done);
         }
     }
-    charge_phase(ctx, "mpiio.twophase.aggregation_ns", mark);
-    let incoming = comm.alltoallv(ctx, &replies);
-    charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
-    // This rank asked for the pieces, so it knows where they go: a reply is
-    // a prefix of one run of the user buffer and lands there in place.
-    let mut total = 0u64;
-    for (a, reply) in incoming.iter().enumerate().take(sweep.naggs) {
-        let Some((boff, len)) = sweep
-            .window(a, phase)
-            .and_then(|(ws, we)| buffer_span(pieces, ws, we))
-        else {
-            continue;
-        };
-        assert!(reply.len() as u64 <= len, "reply longer than its run");
-        host.mem.write(dst.offset(boff), reply);
-        total += reply.len() as u64;
+    call.mark = ctx.now();
+    comm.barrier(ctx);
+    // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
+    call.charge("mpiio.twophase.wait_ns");
+    match (call.held, dir) {
+        (Some(e), _) => Err(e),
+        (None, BatchDir::Write) => Ok(nbytes),
+        (None, BatchDir::Read) => Ok(total),
     }
-    total
 }
 
 /// `MPI_File_write_at_all`.
@@ -496,105 +671,7 @@ pub fn write_at_all(
     src: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    if file.hints().cb_write == TriState::Disable {
-        let pieces = mapped_pieces(file, offset_etypes, nbytes);
-        let ranges: Vec<(u64, u64)> = pieces.iter().map(|p| (p.off, p.len)).collect();
-        let r = file.write_ranges(ctx, &ranges, src).map(|_| nbytes);
-        comm.barrier(ctx);
-        return r;
-    }
-    let pieces = mapped_pieces(file, offset_etypes, nbytes);
-    let Some(sweep) = plan_sweep(ctx, comm, file, &pieces) else {
-        return Ok(nbytes);
-    };
-    let host = file.host().clone();
-    let is_agg = comm.rank() < sweep.naggs;
-    let pipelined = file.hints().cb_pipeline != TriState::Disable;
-    // Two collective buffers when pipelining: batch k-1 drains from one
-    // while phase k lands in the other.
-    let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs = file.coll_bufs(if is_agg { nbufs } else { 0 }, sweep.w);
-    ctx.metrics().counter("mpiio.twophase.writes").inc();
-    ctx.trace(
-        "mpiio",
-        "twophase.write",
-        &[
-            ("naggs", obs::Value::U64(sweep.naggs as u64)),
-            ("phases", obs::Value::U64(sweep.phases)),
-            ("extent", obs::Value::U64(sweep.gmax - sweep.gmin)),
-        ],
-    );
-    let mut mark = ctx.now();
-    let others = exchange_requests(ctx, comm, &sweep, &pieces, &mut mark);
-    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
-    let mut pending: Option<(AdioRequest, SimTime)> = None;
-
-    for phase in 0..sweep.phases {
-        // Ship my run in each aggregator's current window, from the user
-        // buffer as it lies: no packing copy, and no descriptors.
-        for s in sends.iter_mut() {
-            s.clear();
-        }
-        for (a, msg) in sends.iter_mut().enumerate().take(sweep.naggs) {
-            if let Some((boff, len)) = sweep
-                .window(a, phase)
-                .and_then(|(ws, we)| buffer_span(&pieces, ws, we))
-            {
-                host.mem.read_into(src.offset(boff), len as usize, msg);
-            }
-        }
-        charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-        let received = comm.alltoallv(ctx, &sends);
-        charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
-        // Aggregate my window. When pipelining, the previous batch is still
-        // draining from the *other* collective buffer while this lands.
-        let mut reqs: Option<Vec<IoReq>> = None;
-        if let (Some(&cbuf), Some((ws, we)), Some(others)) = (
-            cbufs.get(phase as usize % nbufs),
-            sweep.window(comm.rank(), phase),
-            &others,
-        ) {
-            // Each piece lands where its request said it goes.
-            let asked = &others[phase as usize];
-            for (peer, (msg, got)) in received.iter().zip(asked).enumerate() {
-                let mut at = 0usize;
-                for &(off, len) in got {
-                    host.mem
-                        .write(cbuf.offset(off - ws), &msg[at..at + len as usize]);
-                    at += len as usize;
-                }
-                assert_eq!(at, msg.len(), "two-phase message of the wrong length");
-                charge_pieces(ctx, comm, file, peer, got);
-            }
-            let runs = merge_runs(asked.concat());
-            debug_assert!(runs.iter().all(|(o, l)| *o >= ws && o + l <= we));
-            reqs = Some(window_reqs(&runs, cbuf, ws));
-            charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-        }
-        if pipelined {
-            // Drain window k-1 only now — its filesystem time since issue
-            // ran under this phase's exchange.
-            drain_window_batch(ctx, pending.take(), &mut mark)?;
-            if let Some(r) = reqs {
-                pending = Some((
-                    file.adio().itransfer(ctx, BatchDir::Write, Shape::List, &r),
-                    ctx.now(),
-                ));
-                // Post cost of issuing the batch.
-                charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-            }
-        } else if let Some(r) = reqs {
-            file.adio()
-                .transfer(ctx, BatchDir::Write, Shape::List, &r)?;
-            charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-        }
-    }
-    drain_window_batch(ctx, pending.take(), &mut mark)?;
-    mark = ctx.now();
-    comm.barrier(ctx);
-    // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
-    charge_phase(ctx, "mpiio.twophase.wait_ns", &mut mark);
-    Ok(nbytes)
+    at_all(ctx, comm, file, BatchDir::Write, offset_etypes, src, nbytes)
 }
 
 /// `MPI_File_read_at_all`.
@@ -606,101 +683,60 @@ pub fn read_at_all(
     dst: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    if file.hints().cb_read == TriState::Disable {
-        let pieces = mapped_pieces(file, offset_etypes, nbytes);
-        let ranges: Vec<(u64, u64)> = pieces.iter().map(|p| (p.off, p.len)).collect();
-        let r = file.read_ranges(ctx, &ranges, dst);
-        comm.barrier(ctx);
-        return r;
-    }
-    let pieces = mapped_pieces(file, offset_etypes, nbytes);
-    let Some(sweep) = plan_sweep(ctx, comm, file, &pieces) else {
-        return Ok(0);
-    };
-    let is_agg = comm.rank() < sweep.naggs;
-    let pipelined = file.hints().cb_pipeline != TriState::Disable;
-    // Two collective buffers when pipelining: window k reads into one
-    // while window k-1's replies ship from the other.
-    let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs = file.coll_bufs(if is_agg { nbufs } else { 0 }, sweep.w);
-    let mut total = 0u64;
-    ctx.metrics().counter("mpiio.twophase.reads").inc();
-    ctx.trace(
-        "mpiio",
-        "twophase.read",
-        &[
-            ("naggs", obs::Value::U64(sweep.naggs as u64)),
-            ("phases", obs::Value::U64(sweep.phases)),
-            ("extent", obs::Value::U64(sweep.gmax - sweep.gmin)),
-        ],
-    );
-    let mut mark = ctx.now();
-    let others = exchange_requests(ctx, comm, &sweep, &pieces, &mut mark);
-    let mut pending: Option<(AdioRequest, SimTime)> = None;
-    // Pipelined sweep: the previous phase, whose replies are still owed,
-    // and the window this rank served in it, if any. Kept `Some` on every
-    // rank so the reply exchange stays collective.
-    let mut owed: Option<(u64, Option<Served>)> = None;
-
-    // Pipelined, the sweep runs one round past its last window to ship that
-    // window's replies.
-    for phase in 0..sweep.phases + u64::from(pipelined) {
-        // Window k-1's batch must land before its buffer is answered from.
-        let landed = drain_window_batch(ctx, pending.take(), &mut mark)?;
-        // Read my window's coalesced coverage.
-        let mut served: Option<Served> = None;
-        let mut read: Option<u64> = None;
-        if let (Some(&cbuf), Some((ws, _we)), Some(others)) = (
-            cbufs.get(phase as usize % nbufs),
-            sweep.window(comm.rank(), phase),
-            &others,
-        ) {
-            let asked = &others[phase as usize];
-            let runs = merge_runs(asked.concat());
-            let reqs = window_reqs(&runs, cbuf, ws);
-            charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-            if pipelined {
-                pending = Some((
-                    file.adio()
-                        .itransfer(ctx, BatchDir::Read, Shape::List, &reqs),
-                    ctx.now(),
-                ));
-            } else {
-                read = Some(
-                    file.adio()
-                        .transfer(ctx, BatchDir::Read, Shape::List, &reqs)?,
-                );
-            }
-            // The batch, or the post cost of issuing it.
-            charge_phase(ctx, "mpiio.twophase.io_ns", &mut mark);
-            served = Some((cbuf, ws, runs, &asked[..]));
-        }
-        // Synchronous: ship this window's replies. Pipelined: window k-1's,
-        // while this window's batch drains.
-        let (ship, count) = if pipelined {
-            (owed.replace((phase, served)), landed)
-        } else {
-            (Some((phase, served)), read)
-        };
-        if let Some((k, s)) = ship {
-            let window = s.zip(count);
-            total += ship_read_replies(ctx, comm, file, &sweep, k, &pieces, dst, window, &mut mark);
-        }
-    }
-    mark = ctx.now();
-    comm.barrier(ctx);
-    // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
-    charge_phase(ctx, "mpiio.twophase.wait_ns", &mut mark);
-    Ok(total)
+    at_all(ctx, comm, file, BatchDir::Read, offset_etypes, dst, nbytes)
 }
 
-/// `MPI_File_write_ordered`: every rank writes at the shared file pointer
-/// in **rank order** — the collective counterpart of `write_shared`.
-///
-/// Implemented the ROMIO way: the sum of contributions is reserved with
-/// one shared-pointer fetch-and-add (rank 0), the base is broadcast, and
-/// each rank writes at `base + exclusive-prefix-sum(sizes)`. Requires a
-/// driver with a shared-pointer primitive (DAFS).
+/// What rank 0 can tell the peers of an ordered call about a failed
+/// reservation, in one byte: the error's index here. An I/O fault's driver
+/// cause stays on rank 0, so a peer sees it as [`IoFault::Protocol`].
+const TOLD: [AdioError; 4] = [
+    AdioError::NoSuchFile,
+    AdioError::Exists,
+    AdioError::NotSupported,
+    AdioError::Io(IoFault::Protocol),
+];
+
+/// An ordered collective, either way: every rank moves `nbytes` at the
+/// shared file pointer in **rank order**, the ROMIO way — rank 0 reserves
+/// the sum with one shared-pointer fetch-and-add (a DAFS primitive),
+/// broadcasts the 8-byte base, and each rank moves its bytes at `base +
+/// exclusive-prefix-sum(sizes)`. A failed reservation is broadcast as one
+/// byte naming the error instead, and every rank returns an error.
+fn ordered(
+    ctx: &ActorCtx,
+    comm: &Comm,
+    file: &MpiFile,
+    dir: BatchDir,
+    buf: VirtAddr,
+    nbytes: u64,
+) -> AdioResult<u64> {
+    let prefix = comm.exscan_u64(ctx, nbytes);
+    let total = comm.allreduce_u64(ctx, crate::comm::ReduceOp::Sum, nbytes);
+    let mut msg = Vec::new();
+    let mut reserved = Ok(0);
+    if comm.rank() == 0 {
+        reserved = file.adio().shared_fetch_add(ctx, total);
+        msg = match reserved {
+            Ok(base) => base.to_le_bytes().to_vec(),
+            Err(e) => {
+                let told = TOLD
+                    .iter()
+                    .position(|t| std::mem::discriminant(t) == std::mem::discriminant(&e));
+                vec![told.unwrap() as u8]
+            }
+        };
+    }
+    comm.bcast(ctx, 0, &mut msg);
+    let Ok(base) = <[u8; 8]>::try_from(msg.as_slice()) else {
+        return Err(reserved.err().unwrap_or(TOLD[msg[0] as usize]));
+    };
+    let ranges = file.map_view(0, u64::from_le_bytes(base) + prefix, nbytes);
+    let r = file.ranges(ctx, dir, &ranges, buf);
+    comm.barrier(ctx);
+    r
+}
+
+/// `MPI_File_write_ordered`: the collective counterpart of `write_shared`.
 pub fn write_ordered(
     ctx: &ActorCtx,
     comm: &Comm,
@@ -708,19 +744,7 @@ pub fn write_ordered(
     src: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    let prefix = comm.exscan_u64(ctx, nbytes);
-    let total = comm.allreduce_u64(ctx, crate::comm::ReduceOp::Sum, nbytes);
-    let mut base_bytes = Vec::new();
-    if comm.rank() == 0 {
-        let base = file.adio().shared_fetch_add(ctx, total)?;
-        base_bytes = base.to_le_bytes().to_vec();
-    }
-    comm.bcast(ctx, 0, &mut base_bytes);
-    let base = u64::from_le_bytes(base_bytes.as_slice().try_into().unwrap());
-    let ranges = file.map_view(0, base + prefix, nbytes);
-    file.write_ranges(ctx, &ranges, src)?;
-    comm.barrier(ctx);
-    Ok(nbytes)
+    ordered(ctx, comm, file, BatchDir::Write, src, nbytes)
 }
 
 /// `MPI_File_read_ordered`: rank-ordered reads at the shared pointer.
@@ -731,19 +755,7 @@ pub fn read_ordered(
     dst: VirtAddr,
     nbytes: u64,
 ) -> AdioResult<u64> {
-    let prefix = comm.exscan_u64(ctx, nbytes);
-    let total = comm.allreduce_u64(ctx, crate::comm::ReduceOp::Sum, nbytes);
-    let mut base_bytes = Vec::new();
-    if comm.rank() == 0 {
-        let base = file.adio().shared_fetch_add(ctx, total)?;
-        base_bytes = base.to_le_bytes().to_vec();
-    }
-    comm.bcast(ctx, 0, &mut base_bytes);
-    let base = u64::from_le_bytes(base_bytes.as_slice().try_into().unwrap());
-    let ranges = file.map_view(0, base + prefix, nbytes);
-    let n = file.read_ranges(ctx, &ranges, dst)?;
-    comm.barrier(ctx);
-    Ok(n)
+    ordered(ctx, comm, file, BatchDir::Read, dst, nbytes)
 }
 
 /// A split collective in flight (`MPI_File_*_all_begin` / `_all_end`).

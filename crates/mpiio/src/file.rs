@@ -314,7 +314,7 @@ impl MpiFile {
         nbytes: u64,
     ) -> AdioResult<u64> {
         let ranges = self.map_view(offset_etypes, 0, nbytes);
-        self.read_ranges(ctx, &ranges, dst)
+        self.ranges(ctx, BatchDir::Read, &ranges, dst)
     }
 
     /// `MPI_File_write_at`.
@@ -326,8 +326,7 @@ impl MpiFile {
         nbytes: u64,
     ) -> AdioResult<u64> {
         let ranges = self.map_view(offset_etypes, 0, nbytes);
-        self.write_ranges(ctx, &ranges, src)?;
-        Ok(nbytes)
+        self.ranges(ctx, BatchDir::Write, &ranges, src)
     }
 
     // --- individual file pointer -------------------------------------------
@@ -376,8 +375,14 @@ impl MpiFile {
         *self.fp.lock()
     }
 
-    /// `MPI_File_read`: read at the individual pointer, then advance it.
-    pub fn read(&self, ctx: &ActorCtx, dst: VirtAddr, nbytes: u64) -> AdioResult<u64> {
+    /// Move `nbytes` at the individual pointer, advancing it past them.
+    fn individual(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        buf: VirtAddr,
+        nbytes: u64,
+    ) -> AdioResult<u64> {
         let etype = self.etype_size();
         assert!(
             nbytes.is_multiple_of(etype),
@@ -389,42 +394,37 @@ impl MpiFile {
             *fp += nbytes / etype;
             o
         };
-        self.read_at(ctx, off, dst, nbytes)
+        self.ranges(ctx, dir, &self.map_view(off, 0, nbytes), buf)
+    }
+
+    /// `MPI_File_read`: read at the individual pointer, then advance it.
+    pub fn read(&self, ctx: &ActorCtx, dst: VirtAddr, nbytes: u64) -> AdioResult<u64> {
+        self.individual(ctx, BatchDir::Read, dst, nbytes)
     }
 
     /// `MPI_File_write`.
     pub fn write(&self, ctx: &ActorCtx, src: VirtAddr, nbytes: u64) -> AdioResult<u64> {
-        let etype = self.etype_size();
-        assert!(
-            nbytes.is_multiple_of(etype),
-            "transfer not a whole number of etypes"
-        );
-        let off = {
-            let mut fp = self.fp.lock();
-            let o = *fp;
-            *fp += nbytes / etype;
-            o
-        };
-        self.write_at(ctx, off, src, nbytes)
+        self.individual(ctx, BatchDir::Write, src, nbytes)
     }
 
     // --- shared file pointer -------------------------------------------------
+
+    /// Claim the next `nbytes` of the shared stream and move them.
+    fn shared(&self, ctx: &ActorCtx, dir: BatchDir, buf: VirtAddr, nbytes: u64) -> AdioResult<u64> {
+        let logical = self.file.shared_fetch_add(ctx, nbytes)?;
+        self.ranges(ctx, dir, &self.map_view(0, logical, nbytes), buf)
+    }
 
     /// `MPI_File_read_shared`: atomically claim the next `nbytes` of the
     /// shared stream and read them. Requires a driver with a shared-pointer
     /// primitive (DAFS).
     pub fn read_shared(&self, ctx: &ActorCtx, dst: VirtAddr, nbytes: u64) -> AdioResult<u64> {
-        let logical = self.file.shared_fetch_add(ctx, nbytes)?;
-        let ranges = self.map_view(0, logical, nbytes);
-        self.read_ranges(ctx, &ranges, dst)
+        self.shared(ctx, BatchDir::Read, dst, nbytes)
     }
 
     /// `MPI_File_write_shared`.
     pub fn write_shared(&self, ctx: &ActorCtx, src: VirtAddr, nbytes: u64) -> AdioResult<u64> {
-        let logical = self.file.shared_fetch_add(ctx, nbytes)?;
-        let ranges = self.map_view(0, logical, nbytes);
-        self.write_ranges(ctx, &ranges, src)?;
-        Ok(nbytes)
+        self.shared(ctx, BatchDir::Write, src, nbytes)
     }
 
     /// `MPI_File_seek_shared` (callers must make this collective).
@@ -434,14 +434,17 @@ impl MpiFile {
 
     // --- memory-side datatypes ----------------------------------------------
 
-    /// `MPI_File_read_at` with a *memory* datatype: the file-side stream
-    /// (selected by the view) is scattered into memory at `dst_base`
-    /// through `memtype`'s typemap (tiled by its extent).
-    pub fn read_at_mem(
+    /// Move the file-side stream (selected by the view) through a memory
+    /// datatype: one walk of `memtype`'s typemap (tiled by its extent from
+    /// `base`) gathers a write into a contiguous stage before the transfer
+    /// and scatters a read out of it after.
+    #[allow(clippy::too_many_arguments)]
+    fn at_mem(
         &self,
         ctx: &ActorCtx,
+        dir: BatchDir,
         offset_etypes: u64,
-        dst_base: VirtAddr,
+        base: VirtAddr,
         memtype: &Datatype,
         nbytes: u64,
     ) -> AdioResult<u64> {
@@ -450,29 +453,54 @@ impl MpiFile {
         assert!(flat.lb >= 0, "negative memory lower bound unsupported");
         // Fast path: dense memory type ≡ contiguous buffer.
         if flat.runs.len() == 1 && flat.runs[0] == (0, flat.extent) {
-            return self.read_at(ctx, offset_etypes, dst_base, nbytes);
+            return self.ranges(ctx, dir, &self.map_view(offset_etypes, 0, nbytes), base);
         }
-        // Stage contiguously, then scatter through the typemap.
-        let stage = self.host.mem.alloc(nbytes as usize);
-        let n = self.read_at(ctx, offset_etypes, stage, nbytes)?;
-        let data = self.host.mem.read_vec(stage, n as usize);
-        let mut consumed = 0usize;
-        let mut tile = 0u64;
-        'outer: loop {
-            for (roff, rlen) in &flat.runs {
-                if consumed >= data.len() {
-                    break 'outer;
+        let mem = &self.host.mem;
+        let stage = mem.alloc(nbytes as usize);
+        // The first `n` bytes of the stage to or from their typemap runs.
+        let walk = |n: u64| {
+            let mut at = 0u64;
+            for tile in 0u64.. {
+                for &(roff, rlen) in &flat.runs {
+                    if at >= n {
+                        return;
+                    }
+                    let take = rlen.min(n - at);
+                    let run = base.offset(tile * flat.extent + (roff - flat.lb) as u64);
+                    let (from, to) = match dir {
+                        BatchDir::Write => (run, stage.offset(at)),
+                        BatchDir::Read => (stage.offset(at), run),
+                    };
+                    mem.write(to, &mem.read_vec(from, take as usize));
+                    at += take;
                 }
-                let take = (*rlen as usize).min(data.len() - consumed);
-                let dst = dst_base.offset(tile * flat.extent + (*roff - flat.lb) as u64);
-                self.host.mem.write(dst, &data[consumed..consumed + take]);
-                consumed += take;
             }
-            tile += 1;
+        };
+        if dir == BatchDir::Write {
+            walk(nbytes);
+            self.charge_copy(ctx, nbytes);
         }
-        self.charge_copy(ctx, n);
-        self.host.mem.free(stage);
-        Ok(n)
+        let moved = self.ranges(ctx, dir, &self.map_view(offset_etypes, 0, nbytes), stage);
+        if let (BatchDir::Read, Ok(n)) = (dir, moved) {
+            walk(n);
+            self.charge_copy(ctx, n);
+        }
+        mem.free(stage);
+        moved
+    }
+
+    /// `MPI_File_read_at` with a *memory* datatype: the file-side stream
+    /// (selected by the view) is scattered into memory at `dst` through
+    /// `memtype`'s typemap (tiled by its extent).
+    pub fn read_at_mem(
+        &self,
+        ctx: &ActorCtx,
+        offset_etypes: u64,
+        dst: VirtAddr,
+        memtype: &Datatype,
+        nbytes: u64,
+    ) -> AdioResult<u64> {
+        self.at_mem(ctx, BatchDir::Read, offset_etypes, dst, memtype, nbytes)
     }
 
     /// `MPI_File_write_at` with a memory datatype: gather from memory
@@ -481,43 +509,28 @@ impl MpiFile {
         &self,
         ctx: &ActorCtx,
         offset_etypes: u64,
-        src_base: VirtAddr,
+        src: VirtAddr,
         memtype: &Datatype,
         nbytes: u64,
     ) -> AdioResult<u64> {
-        let flat = memtype.flat();
-        assert!(flat.size > 0, "zero-size memory datatype");
-        assert!(flat.lb >= 0, "negative memory lower bound unsupported");
-        if flat.runs.len() == 1 && flat.runs[0] == (0, flat.extent) {
-            return self.write_at(ctx, offset_etypes, src_base, nbytes);
-        }
-        let stage = self.host.mem.alloc(nbytes as usize);
-        let mut gathered = 0u64;
-        let mut tile = 0u64;
-        'outer: loop {
-            for (roff, rlen) in &flat.runs {
-                if gathered >= nbytes {
-                    break 'outer;
-                }
-                let take = (*rlen).min(nbytes - gathered);
-                let src = src_base.offset(tile * flat.extent + (*roff - flat.lb) as u64);
-                let piece = self.host.mem.read_vec(src, take as usize);
-                self.host.mem.write(stage.offset(gathered), &piece);
-                gathered += take;
-            }
-            tile += 1;
-        }
-        self.charge_copy(ctx, nbytes);
-        let r = self.write_at(ctx, offset_etypes, stage, nbytes);
-        self.host.mem.free(stage);
-        r
+        self.at_mem(ctx, BatchDir::Write, offset_etypes, src, memtype, nbytes)
     }
 
     // --- nonblocking ---------------------------------------------------------
 
-    /// Map a view range to batch requests consuming `buf` in order.
-    fn batch_reqs(&self, offset_etypes: u64, buf: VirtAddr, nbytes: u64) -> Vec<IoReq> {
-        Self::packed_reqs(&self.map_view(offset_etypes, 0, nbytes), buf)
+    /// Issue a view range split-phase.
+    fn iat(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        offset_etypes: u64,
+        buf: VirtAddr,
+        nbytes: u64,
+    ) -> Request {
+        let reqs = packed_reqs(&self.map_view(offset_etypes, 0, nbytes), buf);
+        Request {
+            inner: self.file.itransfer(ctx, dir, Shape::Batch, &reqs),
+        }
     }
 
     /// `MPI_File_iread_at`: issue the read split-phase and return a
@@ -530,12 +543,7 @@ impl MpiFile {
         dst: VirtAddr,
         nbytes: u64,
     ) -> Request {
-        let reqs = self.batch_reqs(offset_etypes, dst, nbytes);
-        Request {
-            inner: self
-                .file
-                .itransfer(ctx, BatchDir::Read, Shape::Batch, &reqs),
-        }
+        self.iat(ctx, BatchDir::Read, offset_etypes, dst, nbytes)
     }
 
     /// `MPI_File_iwrite_at`.
@@ -546,20 +554,10 @@ impl MpiFile {
         src: VirtAddr,
         nbytes: u64,
     ) -> Request {
-        let reqs = self.batch_reqs(offset_etypes, src, nbytes);
-        Request {
-            inner: self
-                .file
-                .itransfer(ctx, BatchDir::Write, Shape::Batch, &reqs),
-        }
+        self.iat(ctx, BatchDir::Write, offset_etypes, src, nbytes)
     }
 
     // --- strided engine ------------------------------------------------------
-
-    /// Decide whether to data-sieve a range list.
-    fn should_sieve(&self, ranges: &[(u64, u64)], toggle: TriState) -> bool {
-        should_sieve_ranges(ranges, toggle)
-    }
 
     /// Whether a mapped range list ships as wire-level list requests
     /// instead of sieving: the driver must have the vectored ops (per the
@@ -571,181 +569,152 @@ impl MpiFile {
         self.file.list_io_enabled() && ranges.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0)
     }
 
-    /// A range list as packed batch requests consuming `buf` in order.
-    fn packed_reqs(ranges: &[(u64, u64)], buf: VirtAddr) -> Vec<IoReq> {
-        let mut reqs = Vec::with_capacity(ranges.len());
-        let mut consumed = 0u64;
-        for &(off, len) in ranges {
-            let addr = buf.offset(consumed);
-            reqs.push(IoReq { off, addr, len });
-            consumed += len;
-        }
-        reqs
-    }
-
-    /// Read a mapped range list into `dst` (ranges consume the buffer in
-    /// order). Chooses between wire-level list I/O, batched range reads,
-    /// and data sieving.
-    pub(crate) fn read_ranges(
+    /// The one independent data path: move a mapped range list to or from
+    /// `buf` (the ranges consume the buffer in order) as wire-level list
+    /// I/O, by data sieving, or as a batch of one request per range. A
+    /// write that succeeds returns the bytes it was asked to move.
+    pub(crate) fn ranges(
         &self,
         ctx: &ActorCtx,
+        dir: BatchDir,
         ranges: &[(u64, u64)],
-        dst: VirtAddr,
+        buf: VirtAddr,
     ) -> AdioResult<u64> {
-        match ranges {
+        let ds = match dir {
+            BatchDir::Read => self.hints.ds_read,
+            BatchDir::Write => self.hints.ds_write,
+        };
+        let moved = match ranges {
             [] => Ok(0),
-            [(off, len)] => self.file.read_contig(ctx, *off, dst, *len),
-            _ if self.use_list_io(ranges) => {
-                let reqs = Self::packed_reqs(ranges, dst);
-                self.file.transfer(ctx, BatchDir::Read, Shape::List, &reqs)
-            }
-            _ if self.should_sieve(ranges, self.hints.ds_read) => self.sieve_read(ctx, ranges, dst),
-            _ => {
-                let reqs = Self::packed_reqs(ranges, dst);
-                self.file.transfer(ctx, BatchDir::Read, Shape::Batch, &reqs)
-            }
-        }
-    }
-
-    /// Write a mapped range list from `src`.
-    pub(crate) fn write_ranges(
-        &self,
-        ctx: &ActorCtx,
-        ranges: &[(u64, u64)],
-        src: VirtAddr,
-    ) -> AdioResult<()> {
-        match ranges {
-            [] => Ok(()),
-            [(off, len)] => self.file.write_contig(ctx, *off, src, *len),
             // List writes put exactly the requested bytes — no
             // read-modify-write window, hence no whole-file lock.
-            _ if self.use_list_io(ranges) => self.batch_write(ctx, Shape::List, ranges, src),
-            _ if self.should_sieve(ranges, self.hints.ds_write) => {
-                // Sieved writes read-modify-write whole windows, which
-                // would clobber concurrent writers' bytes without a lock
-                // (ROMIO requires fcntl locks for ds writes). Fall back to
-                // per-range batched writes where the driver has no lock.
-                match self.file.lock_file(ctx) {
-                    Ok(()) => {
-                        let r = self.sieve_write(ctx, ranges, src);
-                        self.file.unlock_file(ctx)?;
-                        r
-                    }
-                    Err(AdioError::NotSupported) => {
-                        self.batch_write(ctx, Shape::Batch, ranges, src)
-                    }
-                    Err(e) => Err(e),
-                }
+            [_, _, ..] if self.use_list_io(ranges) => {
+                let reqs = packed_reqs(ranges, buf);
+                self.file.transfer(ctx, dir, Shape::List, &reqs)
             }
-            _ => self.batch_write(ctx, Shape::Batch, ranges, src),
+            _ if should_sieve_ranges(ranges, ds) => self.sieve(ctx, dir, ranges, buf),
+            _ => self
+                .file
+                .transfer(ctx, dir, Shape::Batch, &packed_reqs(ranges, buf)),
+        };
+        match dir {
+            BatchDir::Read => moved,
+            BatchDir::Write => moved.map(|_| ranges.iter().map(|r| r.1).sum()),
         }
     }
 
-    fn batch_write(
+    /// Data sieving: move whole windows ([`sieve_windows`]) through one
+    /// buffer. A read fetches each window and copies out what landed; a
+    /// write read-modify-writes it under the whole-file lock. A range
+    /// longer than the buffer moves directly. The buffer is freed on every
+    /// path, an error's included.
+    fn sieve(
         &self,
         ctx: &ActorCtx,
-        shape: Shape,
+        dir: BatchDir,
         ranges: &[(u64, u64)],
-        src: VirtAddr,
-    ) -> AdioResult<()> {
-        let reqs = Self::packed_reqs(ranges, src);
-        self.file
-            .transfer(ctx, BatchDir::Write, shape, &reqs)
-            .map(|_| ())
-    }
-
-    /// Data-sieving read: fetch whole windows, pick out the pieces.
-    fn sieve_read(&self, ctx: &ActorCtx, ranges: &[(u64, u64)], dst: VirtAddr) -> AdioResult<u64> {
-        let bufsize = self.hints.ind_rd_buffer_size.max(4096);
-        let sieve = self.host.mem.alloc(bufsize as usize);
-        let mut consumed = 0u64;
-        let mut total = 0u64;
-        let mut i = 0;
-        while i < ranges.len() {
-            let wstart = ranges[i].0;
-            // Extend the window over as many ranges as fit.
-            let mut j = i;
-            while j < ranges.len() && ranges[j].0 + ranges[j].1 <= wstart + bufsize {
-                j += 1;
+        buf: VirtAddr,
+    ) -> AdioResult<u64> {
+        let (bufsize, write) = match dir {
+            BatchDir::Read => (self.hints.ind_rd_buffer_size.max(4096), false),
+            BatchDir::Write => (self.hints.ind_wr_buffer_size.max(4096), true),
+        };
+        // Sieved writes read-modify-write whole windows, which would
+        // clobber concurrent writers' bytes without a lock (ROMIO requires
+        // fcntl locks for ds writes). Fall back to per-range batched writes
+        // where the driver has no lock.
+        match write.then(|| self.file.lock_file(ctx)) {
+            Some(Err(AdioError::NotSupported)) => {
+                return self
+                    .file
+                    .transfer(ctx, dir, Shape::Batch, &packed_reqs(ranges, buf))
             }
-            if j == i {
-                // Single range larger than the sieve buffer: read directly.
-                let (off, len) = ranges[i];
-                let n = self.file.read_contig(ctx, off, dst.offset(consumed), len)?;
-                total += n;
-                consumed += len;
-                i += 1;
-                continue;
-            }
-            let wend = ranges[j - 1].0 + ranges[j - 1].1;
-            let wlen = wend - wstart;
-            let got = self.file.read_contig(ctx, wstart, sieve, wlen)?;
-            for (off, len) in &ranges[i..j] {
-                let s = off - wstart;
-                let avail = got.saturating_sub(s).min(*len);
-                if avail > 0 {
-                    // Copy out of the sieve buffer (charged like any copy).
-                    let piece = self.host.mem.read_vec(sieve.offset(s), avail as usize);
-                    self.host.mem.write(dst.offset(consumed), &piece);
-                    self.charge_copy(ctx, avail);
-                    total += avail;
+            Some(Err(e)) => return Err(e),
+            _ => {}
+        }
+        let mem = &self.host.mem;
+        let sieve = mem.alloc(bufsize as usize);
+        let moved = (|| {
+            let (mut consumed, mut total) = (0u64, 0u64);
+            for w in sieve_windows(ranges, bufsize) {
+                let (wstart, first_len) = ranges[w.start];
+                if first_len > bufsize {
+                    let reqs = packed_reqs(&ranges[w], buf.offset(consumed));
+                    total += self.file.transfer(ctx, dir, Shape::Batch, &reqs)?;
+                    consumed += first_len;
+                    continue;
                 }
-                consumed += *len;
+                let (last_off, last_len) = ranges[w.end - 1];
+                let wlen = last_off + last_len - wstart;
+                let got = self.file.read_contig(ctx, wstart, sieve, wlen)?;
+                if write && got < wlen {
+                    // The window tail is past EOF, so the read left that
+                    // part of the sieve buffer untouched — and the buffer is
+                    // reused across windows, so it may hold a previous
+                    // window's bytes. Zero it: the write-back below must
+                    // fill inter-range gaps past EOF with zeros, exactly
+                    // like the per-range path's hole fill, not stale data.
+                    mem.fill(sieve.offset(got), (wlen - got) as usize, 0);
+                }
+                for &(off, len) in &ranges[w] {
+                    let (at, s) = (buf.offset(consumed), sieve.offset(off - wstart));
+                    // Out of the sieve buffer (what landed) or into it,
+                    // charged like any copy.
+                    let (from, to, n) = match dir {
+                        BatchDir::Read => (s, at, got.saturating_sub(off - wstart).min(len)),
+                        BatchDir::Write => (at, s, len),
+                    };
+                    if n > 0 {
+                        mem.write(to, &mem.read_vec(from, n as usize));
+                        self.charge_copy(ctx, n);
+                        total += n;
+                    }
+                    consumed += len;
+                }
+                if write {
+                    self.file.write_contig(ctx, wstart, sieve, wlen)?;
+                }
             }
-            i = j;
+            Ok(total)
+        })();
+        mem.free(sieve);
+        if write {
+            self.file.unlock_file(ctx)?;
         }
-        self.host.mem.free(sieve);
-        Ok(total)
+        moved
     }
+}
 
-    /// Data-sieving write: read-modify-write whole windows.
-    fn sieve_write(&self, ctx: &ActorCtx, ranges: &[(u64, u64)], src: VirtAddr) -> AdioResult<()> {
-        let bufsize = self.hints.ind_wr_buffer_size.max(4096);
-        let sieve = self.host.mem.alloc(bufsize as usize);
-        let mut consumed = 0u64;
-        let mut i = 0;
-        while i < ranges.len() {
-            let wstart = ranges[i].0;
-            let mut j = i;
-            while j < ranges.len() && ranges[j].0 + ranges[j].1 <= wstart + bufsize {
-                j += 1;
-            }
-            if j == i {
-                let (off, len) = ranges[i];
-                self.file
-                    .write_contig(ctx, off, src.offset(consumed), len)?;
-                consumed += len;
-                i += 1;
-                continue;
-            }
-            let wend = ranges[j - 1].0 + ranges[j - 1].1;
-            let wlen = wend - wstart;
-            // RMW: read the window, overlay the pieces, write it back.
-            let got = self.file.read_contig(ctx, wstart, sieve, wlen)?;
-            if got < wlen {
-                // The window tail is past EOF, so the read left that part
-                // of the sieve buffer untouched — and the buffer is reused
-                // across windows, so it may hold a previous window's bytes.
-                // Zero it: the write-back below must fill inter-range gaps
-                // past EOF with zeros, exactly like the per-range path's
-                // hole fill, not with stale data.
-                self.host
-                    .mem
-                    .fill(sieve.offset(got), (wlen - got) as usize, 0);
-            }
-            for (off, len) in &ranges[i..j] {
-                let s = off - wstart;
-                let piece = self.host.mem.read_vec(src.offset(consumed), *len as usize);
-                self.host.mem.write(sieve.offset(s), &piece);
-                self.charge_copy(ctx, *len);
-                consumed += *len;
-            }
-            self.file.write_contig(ctx, wstart, sieve, wlen)?;
-            i = j;
-        }
-        self.host.mem.free(sieve);
-        Ok(())
+/// A range list as packed batch requests consuming `buf` in order.
+fn packed_reqs(ranges: &[(u64, u64)], buf: VirtAddr) -> Vec<IoReq> {
+    let mut consumed = 0u64;
+    ranges
+        .iter()
+        .map(|&(off, len)| {
+            let addr = buf.offset(consumed);
+            consumed += len;
+            IoReq { off, addr, len }
+        })
+        .collect()
+}
+
+/// The sieve's one window planner, for reads and writes alike: over
+/// offset-sorted `ranges`, each window takes, from its first range on,
+/// every range that ends within `bufsize` bytes of that range's start. A
+/// range longer than the buffer is a window of its own, moved directly.
+fn sieve_windows(ranges: &[(u64, u64)], bufsize: u64) -> Vec<std::ops::Range<usize>> {
+    let mut windows = Vec::new();
+    let mut i = 0;
+    while i < ranges.len() {
+        let wstart = ranges[i].0;
+        let fit = ranges[i..]
+            .iter()
+            .take_while(|r| r.0 + r.1 <= wstart + bufsize)
+            .count();
+        windows.push(i..i + fit.max(1));
+        i += fit.max(1);
     }
+    windows
 }
 
 /// Decide whether a range list is worth data-sieving.
@@ -798,9 +767,6 @@ impl std::fmt::Debug for MpiFile {
     }
 }
 
-#[allow(unused_imports)]
-use AdioError as _AdioErrorUsed;
-
 #[cfg(test)]
 mod sieve_tests {
     use super::*;
@@ -818,5 +784,24 @@ mod sieve_tests {
         assert!(!should_sieve_ranges(&unsorted, TriState::Enable));
         assert!(!should_sieve_ranges(&unsorted, TriState::Automatic));
         assert!(!should_sieve_ranges(&unsorted, TriState::Disable));
+    }
+
+    /// One planner for both directions: a window runs from its first range
+    /// to the last that ends within the buffer of that range's start, and a
+    /// range longer than the buffer is a window of its own.
+    #[test]
+    fn sieve_windows_fill_the_buffer_from_each_first_range() {
+        let ranges = [
+            (0, 10),
+            (20, 10),
+            (90, 10),
+            (100, 300),
+            (400, 10),
+            (405, 10),
+        ];
+        // [90, 100) ends at the buffer's end; [100, 400) outgrows any.
+        assert_eq!(sieve_windows(&ranges, 100), vec![0..3, 3..4, 4..6]);
+        assert_eq!(sieve_windows(&ranges, 1000), vec![0..6]);
+        assert_eq!(sieve_windows(&[], 100), vec![]);
     }
 }

@@ -313,6 +313,109 @@ mod tests {
         });
     }
 
+    /// A window batch that fails on the one aggregator strands no peer:
+    /// the aggregator still takes part in every exchange and the closing
+    /// barrier, then returns the error; its peer, not told, returns. Both
+    /// directions, both sweep depths; the file is removed under the open
+    /// handles.
+    #[test]
+    fn a_failed_aggregator_strands_no_peer() {
+        for dir in [BatchDir::Write, BatchDir::Read] {
+            for pipeline in ["disable", "enable"] {
+                let got = Arc::new(Mutex::new(vec![None; 2]));
+                let seen = got.clone();
+                Testbed::new(Backend::dafs()).run(2, move |ctx, comm, adio| {
+                    let hints =
+                        Hints::from_pairs([("cb_nodes", "1"), ("romio_cb_pipeline", pipeline)]);
+                    let f = open_interleaved(ctx, comm, adio, hints);
+                    let buf = comm.host().mem.alloc(64 << 10);
+                    comm.barrier(ctx);
+                    if comm.rank() == 0 {
+                        adio.delete(ctx, "/life").unwrap();
+                    }
+                    comm.barrier(ctx);
+                    let r = match dir {
+                        BatchDir::Write => write_at_all(ctx, comm, &f, 0, buf, 64 << 10),
+                        BatchDir::Read => read_at_all(ctx, comm, &f, 0, buf, 64 << 10),
+                    };
+                    seen.lock()[comm.rank()] = Some(r);
+                });
+                let got = got.lock();
+                let what = format!("{dir:?} romio_cb_pipeline={pipeline}");
+                assert_eq!(got[0], Some(Err(AdioError::NoSuchFile)), "{what}");
+                assert!(matches!(got[1], Some(Ok(_))), "{what}: {:?}", got[1]);
+            }
+        }
+    }
+
+    /// An ordered call on a driver without a shared file pointer fails on
+    /// every rank, with rank 0's error, instead of leaving the peers
+    /// waiting for a base that never comes.
+    #[test]
+    fn an_ordered_call_without_a_shared_pointer_fails_on_every_rank() {
+        for (kind, backend) in [("nfs", Backend::nfs()), ("ufs", Backend::ufs())] {
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let seen = got.clone();
+            Testbed::new(backend).run(2, move |ctx, comm, adio| {
+                let host = comm.host();
+                let f = MpiFile::open(
+                    ctx,
+                    adio,
+                    host,
+                    "/ord",
+                    OpenMode::create(),
+                    Hints::default(),
+                )
+                .unwrap();
+                let buf = host.mem.alloc(4096);
+                let w = write_ordered(ctx, comm, &f, buf, 4096);
+                let r = read_ordered(ctx, comm, &f, buf, 4096);
+                seen.lock().push((w, r));
+            });
+            let no = Err(AdioError::NotSupported);
+            assert_eq!(*got.lock(), vec![(no, no); 2], "{kind}");
+        }
+    }
+
+    /// A failed sieved read or write, and a failed transfer through a
+    /// memory datatype, give back the sieve buffer and the staging buffer:
+    /// the rank's memory is where it was before each call.
+    #[test]
+    fn a_failed_access_frees_its_buffers() {
+        Testbed::new(Backend::dafs()).run(1, |ctx, comm, adio| {
+            let (host, mem) = (comm.host(), &comm.host().mem);
+            let hints = Hints::from_pairs([
+                ("dafs_listio", "disable"),
+                ("romio_ds_read", "enable"),
+                ("romio_ds_write", "enable"),
+            ]);
+            let f = MpiFile::open(ctx, adio, host, "/gone", OpenMode::create(), hints).unwrap();
+            // Every other 16-byte block: a strided view, which sieves.
+            let el = Datatype::bytes(16);
+            f.set_view(0, &el, &Datatype::resized(&el, 0, 32));
+            let buf = mem.alloc(4096);
+            mem.fill(buf, 4096, 7);
+            assert_eq!(f.write_at(ctx, 0, buf, 1024), Ok(1024));
+            adio.delete(ctx, "/gone").unwrap();
+            let memtype = Datatype::resized(&Datatype::bytes(8), 0, 16);
+            let before = mem.allocated_bytes();
+            let calls: [(&str, &dyn Fn() -> AdioResult<u64>); 4] = [
+                ("sieved read", &|| f.read_at(ctx, 0, buf, 1024)),
+                ("sieved write", &|| f.write_at(ctx, 0, buf, 1024)),
+                ("read_at_mem", &|| {
+                    f.read_at_mem(ctx, 0, buf, &memtype, 1024)
+                }),
+                ("write_at_mem", &|| {
+                    f.write_at_mem(ctx, 0, buf, &memtype, 1024)
+                }),
+            ];
+            for (what, call) in calls {
+                assert!(call().is_err(), "{what} on a removed file");
+                assert_eq!(mem.allocated_bytes(), before, "{what} leaked");
+            }
+        });
+    }
+
     #[test]
     fn independent_contiguous_partition() {
         // Each rank writes its own contiguous slab at an explicit offset.

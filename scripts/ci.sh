@@ -157,6 +157,21 @@ if grep -nE 'mem\.(alloc|free)\(' crates/mpiio/src/collective.rs; then
     exit 1
 fi
 
+echo "==> one two-phase sweep, one ranges path"
+# A collective write and a collective read are one two-phase sweep: one
+# phase loop, whose depth (`romio_cb_pipeline`, 0 or 1) is read once; and
+# an independent access is one ranges path, whichever way it goes.
+sweep_src=$(sed '/^#\[cfg(test)\]/,$d' crates/mpiio/src/collective.rs)
+phase_loops=$(echo "$sweep_src" | grep -cE '\bfor [a-z_]+ in 0\.\.[^{]*phases' || true)
+depth_reads=$(echo "$sweep_src" | grep -o '\.cb_pipeline\b' | wc -l)
+if [ "$phase_loops" -ne 1 ] || [ "$depth_reads" -ne 1 ] ||
+    grep -nE 'fn (read_ranges|write_ranges|batch_write)\b' crates/mpiio/src/file.rs; then
+    echo "ci: crates/mpiio/src/collective.rs has $phase_loops phase loops and reads" \
+        "cb_pipeline at $depth_reads sites (exactly 1 each), or crates/mpiio/src/file.rs" \
+        "has a second ranges path (lines above)" >&2
+    exit 1
+fi
+
 echo "==> one metrics value"
 # A metric key is a name plus a small fixed label set (`obs::Labels`), and a
 # per-object count is its labelled series, bumped once: no name formatted at
