@@ -92,7 +92,7 @@ use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::obs::{Labels, LazyByteMeter, LazyCounter};
 use simnet::reqtab::{RequestTable, State};
-use simnet::{ActorCtx, Bytes, HostId, HostMem, SimTime, VirtAddr};
+use simnet::{ActorCtx, Bytes, HostId, HostMem, SimDuration, SimTime, VirtAddr};
 use via::{
     ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
     ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
@@ -507,6 +507,10 @@ fn written((_, attr): (u64, Option<FileAttr>)) -> FileAttr {
 /// Bytes the registration cache keeps pinned before it evicts the least
 /// recently used registration.
 const REGCACHE_CAPACITY: u64 = 64 << 20;
+
+/// Delay before the first reconnect attempt; doubles on each subsequent
+/// attempt (so 1 ms rides out ~250 ms of server downtime across 8 attempts).
+const RECONNECT_BACKOFF: SimDuration = SimDuration::from_millis(1);
 
 /// One `SLOT`-byte message buffer of a session ring and its registration.
 type Slot = (VirtAddr, MemHandle);
@@ -972,8 +976,7 @@ impl DafsClient {
         ctx.trace("dafs", "session.reconnect", &fields);
         // Exponential backoff rides out transient outages (link flaps,
         // server crash windows) without hammering the connection manager.
-        let backoff = self.config.reconnect_backoff;
-        ctx.advance(backoff.saturating_mul(1u64 << (attempt - 1).min(20)));
+        ctx.advance(RECONNECT_BACKOFF.saturating_mul(1u64 << (attempt - 1).min(20)));
         // The NIC refuses RDMA aimed at an end that has left `Connected`;
         // that, not a change of tag, keeps the old session's stale RDMA out
         // of the buffers the new one reuses. So the old VI is closed before

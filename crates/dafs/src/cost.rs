@@ -47,11 +47,8 @@ pub struct DafsClientConfig {
     /// Session re-establishment attempts after a transport failure before
     /// the error surfaces to the caller. Only exercised when the fabric
     /// carries a fault plan — a lossless fabric never breaks a session.
+    /// The wait before each doubles from 1 ms (`RECONNECT_BACKOFF`).
     pub max_reconnects: u32,
-    /// Delay before the first reconnect attempt; doubles on each
-    /// subsequent attempt (so the default 1 ms rides out ~250 ms of server
-    /// downtime across 8 attempts).
-    pub reconnect_backoff: SimDuration,
     /// Request write-back leases for cached writes: dirty pages buffer at
     /// the client until flush, recall, or close. Off by default — cached
     /// writes then write through. (The cache itself is strictly opt-in:
@@ -75,7 +72,6 @@ impl Default for DafsClientConfig {
             per_op: us(4),
             host: HostCost::default(),
             max_reconnects: 8,
-            reconnect_backoff: ms(1),
             cache_write_back: false,
             tenant: None,
         }

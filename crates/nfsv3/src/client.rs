@@ -17,41 +17,13 @@ use tcpnet::{TcpError, TcpFabric};
 use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
 use crate::xdr::{XdrDec, XdrEnc};
 
-/// RPC retransmit policy: what the `timeo`/`retrans` mount options control
-/// on a real NFS client.
-///
-/// `base_timeout` doubles as the attribute-cache lifetime (acregmin): the
-/// old hardcoded 30 ms `ac_timeout` became this knob, so one duration
-/// governs both how long the client trusts cached attributes and how long
-/// it waits before resending an unanswered RPC.
-///
-/// Retransmission is only *armed* when the mount's `TcpFabric` has a fault
-/// plan attached. On a fault-free fabric nothing can be lost, and leaving
-/// the timer unarmed keeps fault-free runs byte-identical regardless of
-/// server load (a heavily queued server must not trigger spurious
-/// retransmits in baseline experiments).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Timeout before the first retransmit (`timeo`). Also the attribute
-    /// cache lifetime.
-    pub base_timeout: SimDuration,
-    /// Multiplier applied to the timeout after each unanswered attempt
-    /// (exponential backoff; values < 1 are treated as 1).
-    pub backoff_factor: u32,
-    /// Total send attempts before the call fails with
-    /// [`NfsError::TimedOut`] (`retrans` + 1; values < 1 are treated as 1).
-    pub max_attempts: u32,
-}
+/// Multiplier applied to the retransmit timeout after each unanswered
+/// attempt (exponential backoff).
+const BACKOFF_FACTOR: u64 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_timeout: SimDuration::from_millis(30),
-            backoff_factor: 2,
-            max_attempts: 8,
-        }
-    }
-}
+/// Total send attempts of one RPC before it fails with
+/// [`NfsError::TimedOut`] (`retrans` + 1).
+const MAX_ATTEMPTS: u32 = 8;
 
 /// Client configuration (mount options).
 #[derive(Debug, Clone, Copy)]
@@ -60,9 +32,19 @@ pub struct NfsClientConfig {
     pub rsize: u64,
     /// Maximum WRITE transfer per RPC.
     pub wsize: u64,
-    /// RPC retransmit policy; its `base_timeout` is also the attribute
-    /// cache lifetime (acregmin-style).
-    pub retry: RetryPolicy,
+    /// Timeout before the first retransmit of an unanswered RPC (the
+    /// `timeo` mount option), doubling on each further attempt.
+    ///
+    /// It doubles as the attribute-cache lifetime (acregmin): one duration
+    /// governs both how long the client trusts cached attributes and how
+    /// long it waits before resending an unanswered RPC.
+    ///
+    /// Retransmission is only *armed* when the mount's `TcpFabric` has a
+    /// fault plan attached. On a fault-free fabric nothing can be lost, and
+    /// leaving the timer unarmed keeps fault-free runs byte-identical
+    /// regardless of server load (a heavily queued server must not trigger
+    /// spurious retransmits in baseline experiments).
+    pub timeo: SimDuration,
     /// Default stability for writes.
     pub stable: Stable,
     /// Client CPU per RPC (encode/decode + RPC layer), beyond socket costs.
@@ -76,7 +58,7 @@ impl Default for NfsClientConfig {
         NfsClientConfig {
             rsize: 32 << 10,
             wsize: 32 << 10,
-            retry: RetryPolicy::default(),
+            timeo: SimDuration::from_millis(30),
             stable: Stable::FileSync,
             per_rpc_cpu: us(6),
             host_cost: HostCost::default(),
@@ -93,7 +75,7 @@ pub enum NfsError {
     Transport(TcpError),
     /// Malformed reply.
     Protocol,
-    /// Every retransmit attempt went unanswered (see [`RetryPolicy`]).
+    /// Every retransmit attempt went unanswered (see [`NfsClientConfig::timeo`]).
     TimedOut,
 }
 
@@ -267,12 +249,11 @@ impl NfsClient {
     /// one to an xid already collected — is a retransmit's duplicate when
     /// the timer is armed (counted in `nfs.stale_replies` and dropped), and
     /// a protocol error when it is not. Armed, an unanswered deadline
-    /// resends the framed request under [`RetryPolicy`]'s backoff; the
-    /// server's duplicate-request cache makes that safe for non-idempotent
-    /// procedures.
+    /// resends the framed request, the timeout doubling from
+    /// [`NfsClientConfig::timeo`] each time; the server's duplicate-request
+    /// cache makes that safe for non-idempotent procedures.
     fn await_reply(&self, ctx: &ActorCtx, xid: u32) -> NfsResult<()> {
-        let policy = self.config.retry;
-        let mut timeout = policy.base_timeout;
+        let mut timeout = self.config.timeo;
         let mut attempt = 1u32;
         loop {
             let Some(framed) = self.table.lock().request(xid).cloned() else {
@@ -288,7 +269,7 @@ impl NfsClient {
                     false => return Err(NfsError::Protocol),
                 }
             }
-            if attempt >= policy.max_attempts.max(1) {
+            if attempt >= MAX_ATTEMPTS {
                 ctx.metrics().counter("nfs.timeouts").inc();
                 ctx.trace(
                     "nfs",
@@ -311,7 +292,7 @@ impl NfsClient {
                 ],
             );
             self.sock.send_bytes(ctx, framed);
-            timeout = timeout * u64::from(policy.backoff_factor.max(1));
+            timeout = timeout * BACKOFF_FACTOR;
         }
     }
 
@@ -339,7 +320,7 @@ impl NfsClient {
     fn cache_attr(&self, ctx: &ActorCtx, a: FileAttr) {
         self.attr_cache
             .lock()
-            .insert(a.id.0, (a, ctx.now() + self.config.retry.base_timeout));
+            .insert(a.id.0, (a, ctx.now() + self.config.timeo));
     }
 
     /// An RPC that answers with attributes, which the attribute cache takes.

@@ -21,7 +21,7 @@ pub mod xdr;
 
 pub use client::{
     NfsClient, NfsClientConfig, NfsClientStats, NfsError, NfsPendingRead, NfsPendingWrite,
-    NfsResult, RetryPolicy, SharedNfsClient,
+    NfsResult, SharedNfsClient,
 };
 pub use proto::{NfsProc, NfsStatus, Stable};
 pub use server::{spawn_nfs_server, NfsServerCost, NfsServerHandle, NfsServerStats};

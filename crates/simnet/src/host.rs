@@ -204,11 +204,6 @@ impl CpuMeter {
         SimDuration::from_nanos(self.busy_ns.load(Ordering::Relaxed))
     }
 
-    /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> SimDuration {
-        SimDuration::from_nanos(self.busy_ns.swap(0, Ordering::Relaxed))
-    }
-
     /// Utilization.
     pub fn utilization(&self, window: SimDuration) -> f64 {
         if window.is_zero() {

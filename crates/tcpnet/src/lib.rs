@@ -28,7 +28,6 @@ use parking_lot::Mutex;
 use simnet::cost::HostCost;
 use simnet::fault::FaultPlan;
 use simnet::time::units::*;
-use simnet::topo::Topology;
 use simnet::{
     buf, ActorCtx, Bandwidth, Bytes, Host, HostId, Port, RecvUntil, Resource, SimDuration, SimTime,
 };
@@ -137,7 +136,6 @@ struct FabricState {
     listeners: HashMap<(HostId, u16), Port<ConnRequest>>,
     hosts: HashMap<HostId, Arc<HostNet>>,
     faults: Option<FaultPlan>,
-    topology: Option<Arc<Topology>>,
 }
 
 /// The TCP "internet" connecting all hosts in the simulation.
@@ -171,18 +169,6 @@ impl TcpFabric {
     /// The currently attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.state.lock().faults.clone()
-    }
-
-    /// Attach a switched-fabric topology: sockets created after this call
-    /// route their segments through the switch graph instead of a dedicated
-    /// point-to-point wire. Handshakes stay on the control path.
-    pub fn set_topology(&self, topo: Arc<Topology>) {
-        self.state.lock().topology = Some(topo);
-    }
-
-    /// The currently attached topology, if any.
-    pub fn topology(&self) -> Option<Arc<Topology>> {
-        self.state.lock().topology.clone()
     }
 
     fn hostnet(&self, host: &Host) -> Arc<HostNet> {
@@ -248,10 +234,7 @@ impl TcpFabric {
             ctx.now() + self.cost.wire_latency,
         );
         let r = reply.recv(ctx).ok_or(TcpError::ConnectionRefused)?;
-        let (faults, topology) = {
-            let st = self.state.lock();
-            (st.faults.clone(), st.topology.clone())
-        };
+        let faults = self.state.lock().faults.clone();
         Ok(Socket {
             inner: Arc::new(SocketInner {
                 cost: self.cost,
@@ -265,7 +248,6 @@ impl TcpFabric {
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
-                topology,
             }),
         })
     }
@@ -294,10 +276,7 @@ impl TcpListener {
             },
             ctx.now() + self.fabric.cost.wire_latency,
         );
-        let (faults, topology) = {
-            let st = self.fabric.state.lock();
-            (st.faults.clone(), st.topology.clone())
-        };
+        let faults = self.fabric.state.lock().faults.clone();
         Some(Socket {
             inner: Arc::new(SocketInner {
                 cost: self.fabric.cost,
@@ -311,7 +290,6 @@ impl TcpListener {
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
-                topology,
             }),
         })
     }
@@ -373,9 +351,6 @@ struct SocketInner {
     /// Fault plan captured at connection time; `None` leaves the data path
     /// byte-identical to the pre-fault-injection code.
     faults: Option<FaultPlan>,
-    /// Switched-fabric topology captured at connection time; `None` keeps
-    /// the point-to-point wire model.
-    topology: Option<Arc<Topology>>,
 }
 
 /// A connected stream socket.
@@ -404,13 +379,6 @@ impl Socket {
         self.send_bytes(ctx, frame.freeze());
     }
 
-    /// [`Socket::send`] taking ownership of the buffer, skipping the
-    /// user→kernel copy in wall-clock terms (the simulated copy cost is
-    /// still charged — the real 2001 stack always copies).
-    pub fn send_owned(&self, ctx: &ActorCtx, bytes: Vec<u8>) {
-        self.send_bytes(ctx, Bytes::from_vec(bytes));
-    }
-
     /// [`Socket::send`] over an already-refcounted frame: zero wall-clock
     /// copies on the transmit side.
     pub fn send_bytes(&self, ctx: &ActorCtx, bytes: Bytes) {
@@ -430,7 +398,7 @@ impl Socket {
         );
         let wire_bytes = n + npkts * s.cost.header_bytes;
         let ser = s.cost.wire_bw.time_for(wire_bytes);
-        let (tx_start, tx_done) = s.local_net.tx_wire.book_span(ctx.now(), ser);
+        let (tx_start, _) = s.local_net.tx_wire.book_span(ctx.now(), ser);
         // An injected fault loses the whole segment after the sender has
         // paid its transmit cost; the receiver never sees it (no rx-side
         // resource is booked). Message boundaries match `send` calls, so a
@@ -447,24 +415,7 @@ impl Socket {
                 return;
             }
         }
-        let rx_first = match &s.topology {
-            None => tx_start + s.cost.wire_latency,
-            Some(t) => match t.deliver(
-                ctx,
-                s.faults.as_ref(),
-                s.local_host.id,
-                s.peer_host,
-                wire_bytes,
-                tx_start,
-                tx_done,
-            ) {
-                Ok(at) => at,
-                // The fabric shed the segment: like a plan-based loss the
-                // receiver never sees it, and RPC retransmit recovers.
-                Err(_) => return,
-            },
-        };
-        let rx_done = s.peer_net.rx_wire.book(rx_first, ser);
+        let rx_done = s.peer_net.rx_wire.book(tx_start + s.cost.wire_latency, ser);
         // Interrupt-context processing on the receiving host delays
         // delivery and accrues that host's kernel busy time.
         let mut deliver = s

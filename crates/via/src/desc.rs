@@ -237,6 +237,21 @@ pub struct Completion {
     pub payload: Option<Bytes>,
 }
 
+impl Completion {
+    /// A descriptor that completed on `queue` with `status` at `at`, having
+    /// moved no bytes.
+    pub(crate) fn failed(queue: WhichQueue, status: ViaStatus, at: SimTime) -> Completion {
+        Completion {
+            status,
+            len: 0,
+            imm: None,
+            queue,
+            at,
+            payload: None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,6 +55,7 @@ mod tests {
     /// Everything a two-host test needs.
     struct TestBed {
         kernel: SimKernel,
+        cluster: Cluster,
         fabric: ViaFabric,
         client_nic: ViaNic,
         server_nic: ViaNic,
@@ -72,6 +73,7 @@ mod tests {
         let server_nic = fabric.open_nic(cluster.add_host("server"));
         TestBed {
             kernel,
+            cluster,
             fabric,
             client_nic,
             server_nic,
@@ -635,6 +637,194 @@ mod tests {
             assert_eq!(cnic.host().mem.read_vec(dst, 16), b"read me remotely");
         });
         tb.kernel.run();
+    }
+
+    /// What [`rdma_burst`] saw: the client's send completions in the order
+    /// it waited for them, each descriptor's local buffer afterwards, and
+    /// the server's first receive completion (when it watched for one).
+    #[derive(Default)]
+    struct Burst {
+        done: Vec<Completion>,
+        local: Vec<Vec<u8>>,
+        peer: Option<Completion>,
+        conn_broken: u64,
+        dropped: u64,
+    }
+
+    /// The client posts one RDMA descriptor per entry of `ops`, back to
+    /// back, each over a fresh local buffer of `0x11`: a Read from a server
+    /// buffer of `0xAB`, a Write into a second server buffer beside it. It
+    /// then waits for every completion. With `watch` the server blocks on
+    /// its receive queue and reports what it observes.
+    fn rdma_burst(tb: TestBed, ops: &'static [(SendOp, u32)], watch: bool) -> Burst {
+        let server_host = tb.server_nic.host().id;
+        let span = ops.iter().map(|&(_, len)| len as usize).max().unwrap();
+        let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
+            Arc::new(parking_lot::Mutex::new(None));
+        let out = Arc::new(parking_lot::Mutex::new(Burst::default()));
+        let (fabric, snic, slot, o) = (
+            tb.fabric.clone(),
+            tb.server_nic.clone(),
+            shared.clone(),
+            out.clone(),
+        );
+        tb.kernel.spawn_daemon("server", move |ctx| {
+            let listener = fabric.listen(&snic, 7);
+            let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+            let attrs = MemAttributes {
+                ptag: vi.ptag(),
+                enable_rdma_write: true,
+                enable_rdma_read: true,
+            };
+            let (buf, h) = reg_buf(ctx, &snic, 2 * span, attrs);
+            snic.host().mem.fill(buf, span, 0xAB);
+            *slot.lock() = Some((buf, h));
+            if watch {
+                o.lock().peer = Some(vi.recv_wait(ctx));
+            } else {
+                ctx.advance(secs(1));
+            }
+        });
+        let (fabric, cnic, o) = (tb.fabric.clone(), tb.client_nic.clone(), out.clone());
+        tb.kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let (raddr, rh) = loop {
+                if let Some(x) = *shared.lock() {
+                    break x;
+                }
+                ctx.advance(us(10));
+            };
+            let mut bufs = Vec::new();
+            for &(op, len) in ops {
+                let (buf, h) = reg_buf(ctx, &cnic, len as usize, MemAttributes::local(vi.ptag()));
+                cnic.host().mem.fill(buf, len as usize, 0x11);
+                bufs.push((buf, len));
+                let segs = vec![DataSegment::new(buf, len, h)];
+                let at = |addr| RemoteSegment { addr, handle: rh };
+                let desc = match op {
+                    SendOp::RdmaRead => SendDesc::rdma_read(segs, at(raddr)),
+                    _ => SendDesc::rdma_write(segs, at(raddr.offset(span as u64))),
+                };
+                vi.post_send(ctx, desc);
+            }
+            let mut done = Vec::new();
+            let mut local = Vec::new();
+            for &(buf, len) in &bufs {
+                done.push(vi.send_wait(ctx));
+                local.push(cnic.host().mem.read_vec(buf, len as usize));
+            }
+            let mut o = o.lock();
+            (o.done, o.local) = (done, local);
+            o.conn_broken = ctx.metrics().counter("via.conn_broken").get();
+            o.dropped = ctx.metrics().counter("sim.faults.dropped").get();
+        });
+        tb.kernel.run();
+        let burst = std::mem::take(&mut *out.lock());
+        burst
+    }
+
+    fn rdma_read_testbed() -> TestBed {
+        testbed_with(ViaCost {
+            rdma_read_supported: true,
+            ..ViaCost::default()
+        })
+    }
+
+    /// An RDMA Read's returning stream crosses the switch, peer to local:
+    /// the completion lands one switch traversal later than on the
+    /// point-to-point wire.
+    #[test]
+    fn rdma_read_returns_through_one_switch() {
+        use simnet::topo::{SwitchConfig, TopologyBuilder};
+        let tb = rdma_read_testbed();
+        let (chost, shost) = (tb.client_nic.host().id, tb.server_nic.host().id);
+        let topo = {
+            let mut b = TopologyBuilder::new(&tb.cluster, 1);
+            let sw = b.switch("sw0", SwitchConfig::default());
+            b.attach(chost, sw, us(1));
+            b.attach(shost, sw, us(2));
+            b.build()
+        };
+        tb.fabric.set_topology(Arc::new(topo));
+        let r = rdma_burst(tb, &[(SendOp::RdmaRead, 4096)], false);
+        assert_eq!(r.done[0].status, ViaStatus::Success);
+        assert_eq!(r.done[0].len, 4096);
+        assert_eq!(r.done[0].at.as_nanos(), 109_501);
+        assert_eq!(r.local[0], vec![0xAB; 4096]);
+    }
+
+    /// A lost returning stream breaks the VI at its judged delivery
+    /// instant: the reader completes `ConnectionLost`, no byte is scattered
+    /// into its segments, the peer observes the break at the same instant,
+    /// and the one loss is counted once.
+    #[test]
+    fn rdma_read_lost_on_its_way_back_scatters_nothing() {
+        use simnet::fault::FaultPlan;
+        let tb = rdma_read_testbed();
+        let (chost, shost) = (tb.client_nic.host().id, tb.server_nic.host().id);
+        let plan = FaultPlan::builder(5).link_loss(chost, shost, 1.0);
+        tb.fabric.set_fault_plan(plan.build());
+        let r = rdma_burst(tb, &[(SendOp::RdmaRead, 4096)], true);
+        assert_eq!(r.done[0].status, ViaStatus::ConnectionLost);
+        assert_eq!(r.done[0].at.as_nanos(), 111_501);
+        assert_eq!(r.local[0], vec![0x11; 4096]);
+        let peer = r.peer.expect("the server watched its receive queue");
+        assert_eq!(peer.status, ViaStatus::ConnectionLost);
+        assert_eq!(peer.at, r.done[0].at);
+        assert_eq!(r.conn_broken, 1);
+        assert_eq!(r.dropped, 1);
+    }
+
+    /// Two back-to-back RDMA Reads under jitter complete in post order, each
+    /// at its jittered delivery instant.
+    #[test]
+    fn rdma_reads_under_jitter_complete_in_post_order() {
+        use simnet::fault::FaultPlan;
+        let tb = rdma_read_testbed();
+        tb.fabric
+            .set_fault_plan(FaultPlan::builder(11).jitter(us(3)).build());
+        let r = rdma_burst(
+            tb,
+            &[(SendOp::RdmaRead, 4096), (SendOp::RdmaRead, 1024)],
+            false,
+        );
+        let seen: Vec<_> = r
+            .done
+            .iter()
+            .map(|c| (c.status, c.len, c.at.as_nanos()))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (ViaStatus::Success, 4096, 112_450),
+                (ViaStatus::Success, 1024, 121_598),
+            ]
+        );
+        assert_eq!(r.local, vec![vec![0xAB; 4096], vec![0xAB; 1024]]);
+    }
+
+    /// An RDMA Read's returning stream leaves the peer's transmit wire and
+    /// enters this end's receive wire, so it does not queue behind the
+    /// 64 KiB RDMA Write this end is still putting on its own transmit wire.
+    #[test]
+    fn rdma_read_does_not_queue_behind_an_outbound_write() {
+        let ops = &[(SendOp::RdmaWrite, 64 << 10), (SendOp::RdmaRead, 4096)];
+        let r = rdma_burst(rdma_read_testbed(), ops, false);
+        let seen: Vec<_> = r
+            .done
+            .iter()
+            .map(|c| (c.status, c.len, c.at.as_nanos()))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                (ViaStatus::Success, 4096, 196_601),
+                (ViaStatus::Success, 64 << 10, 717_046),
+            ]
+        );
+        assert_eq!(r.local[1], vec![0xAB; 4096]);
     }
 
     #[test]

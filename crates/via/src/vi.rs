@@ -2,12 +2,24 @@
 //! path, and RDMA.
 //!
 //! Posting is asynchronous, as on hardware: `post_send` returns after the
-//! doorbell write; the data path (NIC processing, wire serialization,
-//! cut-through through the peer's receive port) is modeled with serial
-//! resources, and the completion is deposited on the send queue (and CQ) at
-//! its future completion instant. Receive-side data placement is performed
-//! by the simulated NIC with no host CPU charge — the essence of why DAFS
-//! direct I/O leaves the client CPU idle.
+//! doorbell write and hands the descriptor to one executor, in four steps:
+//!
+//! 1. **check** what must hold before anything moves: the MTU for a send;
+//!    for RDMA, Read support, a remote segment, a live peer, and the peer
+//!    NIC's TPT check of the target;
+//! 2. **trip**: the bytes cross the wire once, outbound for a send or an
+//!    RDMA Write, back from the peer for an RDMA Read's returning stream.
+//!    The trip books the sender's transmit wire, takes the fabric hop (or
+//!    the fixed latency), books the receiver's receive wire and NIC, and
+//!    draws the directed link's one loss verdict and, for a frame that
+//!    survives, its one jitter; a loss breaks the reliable VI;
+//! 3. **land** them: on the peer's receive queue, in the peer's memory (plus
+//!    an optional immediate), or in this end's own segments;
+//! 4. **complete** the send queue (and CQ) at its future instant: when the
+//!    bytes have left, or for a read when they have arrived.
+//!
+//! Data placement is performed by the simulated NIC with no host CPU
+//! charge — the essence of why DAFS direct I/O leaves the client CPU idle.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,7 +31,7 @@ use simnet::topo::Topology;
 use simnet::{buf, ActorCtx, Bytes, Port, Rope, SimTime};
 
 use crate::cq::{Cq, CqToken};
-use crate::desc::{Completion, RecvDesc, SendDesc, SendOp, ViaStatus, WhichQueue};
+use crate::desc::{Completion, RecvDesc, RemoteSegment, SendDesc, SendOp, ViaStatus, WhichQueue};
 use crate::mem::{AccessKind, ProtectionTag};
 use crate::nic::ViaNic;
 
@@ -211,18 +223,10 @@ impl Vi {
         }
     }
 
-    /// Judge a wire delivery against the fault plan. `Ok` carries the
-    /// (possibly jittered) arrival instant; `Err` means the message was
-    /// lost. With no plan this is a straight pass-through.
-    fn faulted_delivery(&self, ctx: &ActorCtx, delivery: SimTime) -> Result<SimTime, ()> {
-        let Some(f) = &self.faults else {
-            return Ok(delivery);
-        };
-        let (src, dst) = (self.nic.host().id, self.peer_nic.host().id);
-        if f.should_drop(ctx, src, dst, delivery).is_some() {
-            return Err(());
-        }
-        Ok(f.jitter(ctx, src, dst, delivery))
+    /// The send queue completes the descriptor being posted with `status`,
+    /// now, having moved nothing.
+    fn refuse(&self, ctx: &ActorCtx, status: ViaStatus) {
+        self.complete_send(ctx, Completion::failed(WhichQueue::Send, status, ctx.now()));
     }
 
     /// A wire message on this reliable VI was lost: VIA reliable-delivery
@@ -241,17 +245,10 @@ impl Vi {
                 ("at_ns", obs::Value::U64(at.as_nanos())),
             ],
         );
-        self.tell_peer_broken(ctx, at);
+        self.signal_peer(ctx, at, WireMsg::Broken);
         self.complete_send(
             ctx,
-            Completion {
-                status: ViaStatus::ConnectionLost,
-                len: 0,
-                imm: None,
-                queue: WhichQueue::Send,
-                at,
-                payload: None,
-            },
+            Completion::failed(WhichQueue::Send, ViaStatus::ConnectionLost, at),
         );
     }
 
@@ -265,18 +262,9 @@ impl Vi {
     /// already announced.
     fn protection_break(&self, ctx: &ActorCtx) {
         *self.local.state.lock() = ViState::Error;
-        self.tell_peer_broken(ctx, ctx.now() + self.nic.cost().unloaded_one_way(0));
-        self.complete_send(
-            ctx,
-            Completion {
-                status: ViaStatus::RemoteProtectionError,
-                len: 0,
-                imm: None,
-                queue: WhichQueue::Send,
-                at: ctx.now(),
-                payload: None,
-            },
-        );
+        let told = ctx.now() + self.nic.cost().unloaded_one_way(0);
+        self.signal_peer(ctx, told, WireMsg::Broken);
+        self.refuse(ctx, ViaStatus::RemoteProtectionError);
     }
 
     /// True if the peer end has left `Connected` (it broke or disconnected,
@@ -295,34 +283,14 @@ impl Vi {
             return false;
         }
         *self.local.state.lock() = ViState::Error;
-        self.complete_send(
-            ctx,
-            Completion {
-                status: ViaStatus::ConnectionLost,
-                len: 0,
-                imm: None,
-                queue: WhichQueue::Send,
-                at: ctx.now(),
-                payload: None,
-            },
-        );
+        self.refuse(ctx, ViaStatus::ConnectionLost);
         true
     }
 
-    /// The peer endpoint observes `ConnectionLost` at `at`.
-    fn tell_peer_broken(&self, ctx: &ActorCtx, at: SimTime) {
-        self.peer.incoming.send(
-            ctx,
-            Arrived {
-                at,
-                msg: WireMsg::Broken,
-            },
-            at,
-        );
-        self.notify_peer_recv_cq(ctx, at);
-    }
-
-    fn notify_peer_recv_cq(&self, ctx: &ActorCtx, at: SimTime) {
+    /// `msg` arrives on the peer's receive queue at `at`, and the peer's
+    /// receive CQ (if any) hears of it then.
+    fn signal_peer(&self, ctx: &ActorCtx, at: SimTime, msg: WireMsg) {
+        self.peer.incoming.send(ctx, Arrived { at, msg }, at);
         if let Some(cq) = &self.peer.attrs.recv_cq {
             cq.notify(
                 ctx,
@@ -396,17 +364,7 @@ impl Vi {
         );
 
         if self.state() != ViState::Connected {
-            return self.complete_send(
-                ctx,
-                Completion {
-                    status: ViaStatus::ConnectionLost,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Send,
-                    at: ctx.now(),
-                    payload: None,
-                },
-            );
+            return self.refuse(ctx, ViaStatus::ConnectionLost);
         }
 
         // Validate local segments against the TPT.
@@ -418,62 +376,175 @@ impl Vi {
                 s.len as u64,
                 AccessKind::Local,
             ) {
-                return self.complete_send(
-                    ctx,
-                    Completion {
-                        status: e.into(),
-                        len: 0,
-                        imm: None,
-                        queue: WhichQueue::Send,
-                        at: ctx.now(),
-                        payload: None,
-                    },
-                );
+                return self.refuse(ctx, e.into());
             }
         }
-
-        match desc.op {
-            SendOp::Send => self.do_send(ctx, desc),
-            SendOp::RdmaWrite => self.do_rdma_write(ctx, desc),
-            SendOp::RdmaRead => self.do_rdma_read(ctx, desc),
-        }
+        self.execute(ctx, desc);
     }
 
-    /// Compute (tx_done, delivery) for a message of `bytes` injected now:
-    /// tx NIC processing, transmit-wire serialization, cut-through into the
-    /// peer's receive wire, propagation, receive NIC processing.
-    ///
-    /// With a [`Topology`] configured, the frame traverses the switched
-    /// fabric between the two NICs instead of a dedicated wire; `Err`
-    /// carries the instant the fabric dropped it (queue overflow or every
-    /// rail down), which breaks the reliable VI like any other wire loss.
-    fn wire_times(&self, ctx: &ActorCtx, bytes: u64) -> Result<(SimTime, SimTime), SimTime> {
+    /// The one executor behind every send-queue op: check, trip, land,
+    /// complete. The op decides what is checked, which way the bytes
+    /// travel, where they land, and when the send queue completes.
+    fn execute(&self, ctx: &ActorCtx, mut desc: SendDesc) {
+        let len = desc.total_len();
+        // Check, before anything moves; `via.*.bytes` count what then moves
+        // (or is lost on the way).
+        let landing = if desc.op == SendOp::Send {
+            if len > self.local.attrs.max_transfer() {
+                return self.refuse(ctx, ViaStatus::DescriptorError);
+            }
+            ctx.metrics().byte_meter("via.send.bytes").record(len);
+            Landing::PeerQueue(self.gather_frame(&mut desc))
+        } else {
+            let Some(remote) = self.check_remote(ctx, &desc, len) else {
+                return;
+            };
+            ctx.metrics().byte_meter("via.rdma.bytes").record(len);
+            match desc.op {
+                SendOp::RdmaRead => Landing::OwnSegments(remote),
+                _ => Landing::PeerMemory(self.gather(&mut desc), remote),
+            }
+        };
+        // The trip: outbound from this NIC once it has processed the
+        // descriptor, or, for a read, back from the peer's NIC once the
+        // request (a small control message, neither booked nor judged) has
+        // reached it.
         let c = self.nic.cost();
+        let (way, ready) = match landing {
+            Landing::OwnSegments(_) => (
+                (&self.peer_nic, &self.nic),
+                ctx.now() + c.tx_nic_proc + c.wire_latency,
+            ),
+            _ => ((&self.nic, &self.peer_nic), ctx.now() + c.tx_nic_proc),
+        };
+        let (tx_done, delivery) = match self.trip(ctx, way, ready, len) {
+            Ok(t) => t,
+            // A lost frame places and scatters nothing.
+            Err(at) => return self.fault_break(ctx, at),
+        };
+        // Land, then complete: at `tx_done` once the bytes have left, or
+        // for a read once they have arrived.
+        let at = match landing {
+            Landing::PeerQueue(bytes) => {
+                let imm = desc.imm;
+                self.signal_peer(ctx, delivery, WireMsg::Data { bytes, imm });
+                tx_done
+            }
+            Landing::PeerMemory(bytes, remote) => {
+                // The peer host CPU is *not* involved.
+                let mut addr = remote.addr;
+                for piece in &bytes {
+                    self.peer_nic.host().mem.write(addr, piece);
+                    addr = addr.offset(piece.len() as u64);
+                }
+                if let Some(imm) = desc.imm {
+                    self.signal_peer(ctx, delivery, WireMsg::RdmaWriteImm { imm, len });
+                }
+                tx_done
+            }
+            Landing::OwnSegments(remote) => {
+                let bytes = self
+                    .peer_nic
+                    .host()
+                    .mem
+                    .read_bytes(remote.addr, len as usize);
+                let mut off = 0usize;
+                for s in &desc.segs {
+                    let end = off + s.len as usize;
+                    self.nic.host().mem.write(s.addr, &bytes[off..end]);
+                    off = end;
+                }
+                delivery
+            }
+        };
+        self.complete_send(
+            ctx,
+            Completion {
+                status: ViaStatus::Success,
+                len,
+                imm: None,
+                queue: WhichQueue::Send,
+                at,
+                payload: None,
+            },
+        );
+    }
+
+    /// An RDMA descriptor's checks: Read support, a remote segment, a live
+    /// peer, and the peer NIC's TPT check of the target under the *peer*
+    /// endpoint's protection tag. `None` once the descriptor has completed
+    /// in error.
+    fn check_remote(&self, ctx: &ActorCtx, desc: &SendDesc, len: u64) -> Option<RemoteSegment> {
+        let access = match desc.op {
+            SendOp::RdmaRead if !self.nic.cost().rdma_read_supported => {
+                self.refuse(ctx, ViaStatus::NotSupported);
+                return None;
+            }
+            SendOp::RdmaRead => AccessKind::RemoteRead,
+            _ => AccessKind::RemoteWrite,
+        };
+        let Some(remote) = desc.remote else {
+            self.refuse(ctx, ViaStatus::DescriptorError);
+            return None;
+        };
+        if self.peer_gone(ctx) {
+            return None;
+        }
+        let target =
+            self.peer_nic
+                .table()
+                .check(remote.handle, self.peer.ptag, remote.addr, len, access);
+        if target.is_err() {
+            self.protection_break(ctx);
+            return None;
+        }
+        Some(remote)
+    }
+
+    /// One trip of `bytes` from the first NIC of `(from, to)` to the
+    /// second, the first bit ready at `ready`: the sender's transmit wire,
+    /// the fabric hop (or the fixed wire latency), the receiver's receive
+    /// wire and NIC, then the directed link's one loss verdict and, only
+    /// for a frame that survives, its one jitter. `Ok` carries (tx_done,
+    /// delivery); `Err` the instant the frame was lost, which breaks the
+    /// reliable VI.
+    fn trip(
+        &self,
+        ctx: &ActorCtx,
+        (from, to): (&ViaNic, &ViaNic),
+        ready: SimTime,
+        bytes: u64,
+    ) -> Result<(SimTime, SimTime), SimTime> {
+        let c = self.nic.cost();
+        let (src, dst) = (from.host().id, to.host().id);
         let ser = c.wire_bw.time_for(bytes);
-        let (tx_start, tx_done) = self
-            .nic
-            .inner
-            .tx_wire
-            .book_span(ctx.now() + c.tx_nic_proc, ser);
-        // Cut-through: the peer's receive port starts taking bits one
+        let (tx_start, tx_done) = from.inner.tx_wire.book_span(ready, ser);
+        // Cut-through: the receiving port starts taking bits one
         // propagation delay (or one fabric traversal) after the first bit
-        // leaves.
+        // leaves. A fabric that drops the frame (queue overflow or every
+        // rail down) loses it like any other wire loss.
         let rx_first = match &self.topology {
             None => tx_start + c.wire_latency,
             Some(t) => t
                 .deliver(
                     ctx,
                     self.faults.as_ref(),
-                    self.nic.host().id,
-                    self.peer_nic.host().id,
+                    src,
+                    dst,
                     bytes,
                     tx_start,
                     tx_done,
                 )
                 .map_err(|d| d.at)?,
         };
-        let rx_done = self.peer_nic.inner.rx_wire.book(rx_first, ser);
-        Ok((tx_done, rx_done + c.rx_nic_proc))
+        let delivery = to.inner.rx_wire.book(rx_first, ser) + c.rx_nic_proc;
+        let Some(f) = &self.faults else {
+            return Ok((tx_done, delivery));
+        };
+        if f.should_drop(ctx, src, dst, delivery).is_some() {
+            return Err(delivery);
+        }
+        Ok((tx_done, f.jitter(ctx, src, dst, delivery)))
     }
 
     /// The bytes a descriptor sends. A zero-copy payload attached to it is
@@ -513,237 +584,6 @@ impl Vi {
         frame.freeze()
     }
 
-    fn do_send(&self, ctx: &ActorCtx, mut desc: SendDesc) {
-        let len = desc.total_len();
-        if len > self.local.attrs.max_transfer() {
-            return self.complete_send(
-                ctx,
-                Completion {
-                    status: ViaStatus::DescriptorError,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Send,
-                    at: ctx.now(),
-                    payload: None,
-                },
-            );
-        }
-        ctx.metrics().byte_meter("via.send.bytes").record(len);
-        let bytes = self.gather_frame(&mut desc);
-        let (tx_done, delivery) = match self.wire_times(ctx, len) {
-            Ok(v) => v,
-            Err(at) => return self.fault_break(ctx, at),
-        };
-        let delivery = match self.faulted_delivery(ctx, delivery) {
-            Ok(d) => d,
-            Err(()) => return self.fault_break(ctx, delivery),
-        };
-        self.peer.incoming.send(
-            ctx,
-            Arrived {
-                at: delivery,
-                msg: WireMsg::Data {
-                    bytes,
-                    imm: desc.imm,
-                },
-            },
-            delivery,
-        );
-        self.notify_peer_recv_cq(ctx, delivery);
-        self.complete_send(
-            ctx,
-            Completion {
-                status: ViaStatus::Success,
-                len,
-                imm: None,
-                queue: WhichQueue::Send,
-                at: tx_done,
-                payload: None,
-            },
-        );
-    }
-
-    fn do_rdma_write(&self, ctx: &ActorCtx, mut desc: SendDesc) {
-        let remote = match desc.remote {
-            Some(r) => r,
-            None => {
-                return self.complete_send(
-                    ctx,
-                    Completion {
-                        status: ViaStatus::DescriptorError,
-                        len: 0,
-                        imm: None,
-                        queue: WhichQueue::Send,
-                        at: ctx.now(),
-                        payload: None,
-                    },
-                )
-            }
-        };
-        if self.peer_gone(ctx) {
-            return;
-        }
-        let len = desc.total_len();
-        // The remote NIC validates the target against its own TPT under the
-        // *peer* endpoint's protection tag.
-        let target = self.peer_nic.table().check(
-            remote.handle,
-            self.peer.ptag,
-            remote.addr,
-            len,
-            AccessKind::RemoteWrite,
-        );
-        if target.is_err() {
-            return self.protection_break(ctx);
-        }
-        // Move the bytes (the peer host CPU is *not* involved).
-        ctx.metrics().byte_meter("via.rdma.bytes").record(len);
-        let bytes = self.gather(&mut desc);
-        let (tx_done, delivery) = match self.wire_times(ctx, len) {
-            Ok(v) => v,
-            Err(at) => return self.fault_break(ctx, at),
-        };
-        // A lost RDMA write must not place any remote bytes.
-        let delivery = match self.faulted_delivery(ctx, delivery) {
-            Ok(d) => d,
-            Err(()) => return self.fault_break(ctx, delivery),
-        };
-        let mut at = remote.addr;
-        for piece in &bytes {
-            self.peer_nic.host().mem.write(at, piece);
-            at = at.offset(piece.len() as u64);
-        }
-        if let Some(imm) = desc.imm {
-            self.peer.incoming.send(
-                ctx,
-                Arrived {
-                    at: delivery,
-                    msg: WireMsg::RdmaWriteImm { imm, len },
-                },
-                delivery,
-            );
-            self.notify_peer_recv_cq(ctx, delivery);
-        }
-        self.complete_send(
-            ctx,
-            Completion {
-                status: ViaStatus::Success,
-                len,
-                imm: None,
-                queue: WhichQueue::Send,
-                at: tx_done,
-                payload: None,
-            },
-        );
-    }
-
-    fn do_rdma_read(&self, ctx: &ActorCtx, desc: SendDesc) {
-        if !self.nic.cost().rdma_read_supported {
-            return self.complete_send(
-                ctx,
-                Completion {
-                    status: ViaStatus::NotSupported,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Send,
-                    at: ctx.now(),
-                    payload: None,
-                },
-            );
-        }
-        let remote = match desc.remote {
-            Some(r) => r,
-            None => {
-                return self.complete_send(
-                    ctx,
-                    Completion {
-                        status: ViaStatus::DescriptorError,
-                        len: 0,
-                        imm: None,
-                        queue: WhichQueue::Send,
-                        at: ctx.now(),
-                        payload: None,
-                    },
-                )
-            }
-        };
-        if self.peer_gone(ctx) {
-            return;
-        }
-        let len = desc.total_len();
-        let target = self.peer_nic.table().check(
-            remote.handle,
-            self.peer.ptag,
-            remote.addr,
-            len,
-            AccessKind::RemoteRead,
-        );
-        if target.is_err() {
-            return self.protection_break(ctx);
-        }
-        ctx.metrics().byte_meter("via.rdma.bytes").record(len);
-        let c = self.nic.cost();
-        // Request (small control message) to the peer NIC...
-        let req_at = ctx.now() + c.tx_nic_proc + c.wire_latency;
-        // ...peer NIC streams the payload back, occupying its transmit wire
-        // and our receive wire.
-        let ser = c.wire_bw.time_for(len);
-        let (peer_tx_start, peer_tx_done) = self.peer_nic.inner.tx_wire.book_span(req_at, ser);
-        // The returning payload stream crosses the fabric peer -> local
-        // when a topology is configured (the tiny request stays on the
-        // control path, like connection management).
-        let rx_first = match &self.topology {
-            None => peer_tx_start + c.wire_latency,
-            Some(t) => match t.deliver(
-                ctx,
-                self.faults.as_ref(),
-                self.peer_nic.host().id,
-                self.nic.host().id,
-                len,
-                peer_tx_start,
-                peer_tx_done,
-            ) {
-                Ok(at) => at,
-                Err(d) => return self.fault_break(ctx, d.at),
-            },
-        };
-        let rx_done = self.nic.inner.rx_wire.book(rx_first, ser);
-        let mut delivery = rx_done + c.rx_nic_proc;
-        // The returning data stream is the judged delivery (peer -> local).
-        if let Some(f) = &self.faults {
-            let (src, dst) = (self.peer_nic.host().id, self.nic.host().id);
-            if f.should_drop(ctx, src, dst, delivery).is_some() {
-                return self.fault_break(ctx, delivery);
-            }
-            delivery = f.jitter(ctx, src, dst, delivery);
-        }
-        // Scatter remote bytes into the local segments.
-        let bytes = self
-            .peer_nic
-            .host()
-            .mem
-            .read_bytes(remote.addr, len as usize);
-        let mut off = 0usize;
-        for s in &desc.segs {
-            self.nic
-                .host()
-                .mem
-                .write(s.addr, &bytes[off..off + s.len as usize]);
-            off += s.len as usize;
-        }
-        self.complete_send(
-            ctx,
-            Completion {
-                status: ViaStatus::Success,
-                len,
-                imm: None,
-                queue: WhichQueue::Send,
-                at: delivery,
-                payload: None,
-            },
-        );
-    }
-
     /// Non-blocking send-completion poll (`VipSendDone`).
     pub fn send_done(&self, ctx: &ActorCtx) -> Option<Completion> {
         self.nic.host().compute(ctx, self.nic.cost().poll);
@@ -764,51 +604,24 @@ impl Vi {
     pub fn recv_done(&self, ctx: &ActorCtx) -> Option<Completion> {
         self.nic.host().compute(ctx, self.nic.cost().poll);
         let arrived = self.local.incoming.try_recv(ctx)?;
-        Some(self.deliver(ctx, arrived))
+        Some(self.deliver(arrived))
     }
 
     /// Blocking receive wait (`VipRecvWait`).
     pub fn recv_wait(&self, ctx: &ActorCtx) -> Completion {
         self.nic.host().compute(ctx, self.nic.cost().poll);
         match self.local.incoming.recv(ctx) {
-            Some(arrived) => self.deliver(ctx, arrived),
-            None => Completion {
-                status: ViaStatus::ConnectionLost,
-                len: 0,
-                imm: None,
-                queue: WhichQueue::Recv,
-                at: ctx.now(),
-                payload: None,
-            },
+            Some(arrived) => self.deliver(arrived),
+            None => Completion::failed(WhichQueue::Recv, ViaStatus::ConnectionLost, ctx.now()),
         }
     }
 
     /// Consume one arrived wire message against the posted receive queue.
-    fn deliver(&self, ctx: &ActorCtx, arrived: Arrived) -> Completion {
+    fn deliver(&self, arrived: Arrived) -> Completion {
         let at = arrived.at;
         match arrived.msg {
-            WireMsg::Disconnect => {
-                *self.local.state.lock() = ViState::Disconnected;
-                Completion {
-                    status: ViaStatus::ConnectionLost,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Recv,
-                    at,
-                    payload: None,
-                }
-            }
-            WireMsg::Broken => {
-                *self.local.state.lock() = ViState::Error;
-                Completion {
-                    status: ViaStatus::ConnectionLost,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Recv,
-                    at,
-                    payload: None,
-                }
-            }
+            WireMsg::Disconnect => self.lose_connection(ViState::Disconnected, at),
+            WireMsg::Broken => self.lose_connection(ViState::Error, at),
             WireMsg::RdmaWriteImm { imm, len } => match self.take_posted(at) {
                 Some(_) => Completion {
                     status: ViaStatus::Success,
@@ -818,19 +631,15 @@ impl Vi {
                     at,
                     payload: None,
                 },
-                None => self.missing_descriptor(ctx, at),
+                None => self.missing_descriptor(at),
             },
             WireMsg::Data { bytes, imm } => match self.take_posted(at) {
-                None => self.missing_descriptor(ctx, at),
+                None => self.missing_descriptor(at),
                 Some(desc) => {
                     if (bytes.len() as u64) > desc.capacity() {
                         return Completion {
-                            status: ViaStatus::LengthError,
-                            len: 0,
                             imm,
-                            queue: WhichQueue::Recv,
-                            at,
-                            payload: None,
+                            ..Completion::failed(WhichQueue::Recv, ViaStatus::LengthError, at)
                         };
                     }
                     // Scatter: NIC data placement, no host CPU charge.
@@ -860,6 +669,13 @@ impl Vi {
         }
     }
 
+    /// The receive queue reports the connection lost at `at`, leaving this
+    /// end in `state`.
+    fn lose_connection(&self, state: ViState, at: SimTime) -> Completion {
+        *self.local.state.lock() = state;
+        Completion::failed(WhichQueue::Recv, ViaStatus::ConnectionLost, at)
+    }
+
     /// Pop the head receive descriptor if it was posted before `arrival`.
     fn take_posted(&self, arrival: SimTime) -> Option<RecvDesc> {
         let mut q = self.local.posted_recvs.lock();
@@ -869,29 +685,14 @@ impl Vi {
         }
     }
 
-    fn missing_descriptor(&self, _ctx: &ActorCtx, at: SimTime) -> Completion {
+    fn missing_descriptor(&self, at: SimTime) -> Completion {
         match self.local.attrs.reliability {
-            Reliability::Unreliable => Completion {
-                // Dropped silently on the wire; surfaced to the caller as a
-                // descriptor error so tests can observe the drop.
-                status: ViaStatus::DescriptorError,
-                len: 0,
-                imm: None,
-                queue: WhichQueue::Recv,
-                at,
-                payload: None,
-            },
-            Reliability::Reliable => {
-                *self.local.state.lock() = ViState::Error;
-                Completion {
-                    status: ViaStatus::ConnectionLost,
-                    len: 0,
-                    imm: None,
-                    queue: WhichQueue::Recv,
-                    at,
-                    payload: None,
-                }
+            // Dropped silently on the wire; surfaced to the caller as a
+            // descriptor error so tests can observe the drop.
+            Reliability::Unreliable => {
+                Completion::failed(WhichQueue::Recv, ViaStatus::DescriptorError, at)
             }
+            Reliability::Reliable => self.lose_connection(ViState::Error, at),
         }
     }
 
@@ -909,21 +710,26 @@ impl Vi {
             *st = ViState::Disconnected;
         }
         let at = ctx.now() + c.tx_nic_proc + c.wire_latency + c.rx_nic_proc;
-        // A disconnect notification rides the same faulty wire as data.
+        // A disconnect notification rides the same faulty wire as data, but
+        // on the control path: judged for loss only, neither booked nor
+        // jittered (one more draw would re-deal every later loss).
         if let Some(f) = &self.faults {
             let (src, dst) = (self.nic.host().id, self.peer_nic.host().id);
             if f.should_drop(ctx, src, dst, at).is_some() {
                 return;
             }
         }
-        self.peer.incoming.send(
-            ctx,
-            Arrived {
-                at,
-                msg: WireMsg::Disconnect,
-            },
-            at,
-        );
-        self.notify_peer_recv_cq(ctx, at);
+        self.signal_peer(ctx, at, WireMsg::Disconnect);
     }
+}
+
+/// Where a descriptor's bytes land, decided by its op at the check.
+enum Landing {
+    /// The peer's receive queue, as one two-sided message frame.
+    PeerQueue(Bytes),
+    /// The peer's registered memory at the remote segment (an RDMA Write).
+    PeerMemory(Rope, RemoteSegment),
+    /// This end's own segments, read from the peer's memory at the remote
+    /// segment (an RDMA Read).
+    OwnSegments(RemoteSegment),
 }

@@ -195,6 +195,26 @@ if [ -z "$count_body" ] || [ -z "$account_body" ] ||
     exit 1
 fi
 
+echo "==> one VIA data path"
+# A posted descriptor runs through one executor (check, trip, land,
+# complete), and its bytes make one trip, whichever way they flow: the
+# trip is the one site that books the wire, takes the fabric hop and draws
+# the loss verdict and the jitter. `disconnect` keeps the other loss
+# verdict (control path: loss only, no booking, no jitter). TCP has no
+# topology to thread through.
+vi=crates/via/src/vi.rs
+drops=$(grep -c '\.should_drop(' "$vi" || true)
+jitters=$(grep -c '\.jitter(' "$vi" || true)
+hops=$(grep -E '\.deliver\(' "$vi" | grep -vc 'self\.deliver(' || true)
+if grep -nE 'fn (do_send|do_rdma_write|do_rdma_read)\b' "$vi" ||
+    [ "$drops" -ne 2 ] || [ "$jitters" -ne 1 ] || [ "$hops" -ne 1 ] ||
+    grep -n 'Topology' crates/tcpnet/src/lib.rs; then
+    echo "ci: $vi has a per-op executor (lines above), or calls should_drop at $drops" \
+        "sites (exactly 2), jitter at $jitters (exactly 1), a topology deliver at $hops" \
+        "(exactly 1); or crates/tcpnet/src/lib.rs names Topology (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

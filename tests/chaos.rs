@@ -411,8 +411,10 @@ fn nfs_retransmits_are_exactly_once_across_connections() {
     );
     let mount =
         move |ctx: &ActorCtx, host: &mpio_dafs::simnet::Host, fabric: &tcpnet::TcpFabric| {
-            let mut cfg = nfsv3::NfsClientConfig::default();
-            cfg.retry.base_timeout = ms(200);
+            let cfg = nfsv3::NfsClientConfig {
+                timeo: ms(200),
+                ..Default::default()
+            };
             nfsv3::NfsClient::mount(ctx, fabric, host, sid, 2049, cfg).unwrap()
         };
     {
@@ -486,11 +488,11 @@ fn nfs_a_batch_past_the_replay_window_retransmits_exactly_once() {
     );
     let ops = server.stats.ops.clone();
     kernel.spawn("client", move |ctx| {
-        let mut cfg = nfsv3::NfsClientConfig {
+        let cfg = nfsv3::NfsClientConfig {
             wsize: CHUNK as u64,
+            timeo: ms(200),
             ..Default::default()
         };
-        cfg.retry.base_timeout = ms(200);
         let c = nfsv3::NfsClient::mount(ctx, &fabric, &client_host, sid, 2049, cfg).unwrap();
         let f = c.create(ctx, ROOT_ID, "f").unwrap();
         ctx.sleep_until(SimTime::ZERO + ms(1));
