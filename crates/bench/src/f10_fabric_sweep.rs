@@ -40,7 +40,7 @@
 
 use dafs::{DafsClientConfig, DafsServerCost};
 use memfs::ROOT_ID;
-use simnet::topo::{DumbbellSpec, ForwardingMode, QueuePolicy, Topology};
+use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::{Bandwidth, SimTime};
 use via::ViaCost;
 
@@ -114,14 +114,11 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
                         (wire.as_bytes_per_sec() * servers as u64 / oversub).max(1),
                     ),
                     latency,
-                    rails: 1,
                     queue_capacity: if policy == QueuePolicy::Drop {
                         8
                     } else {
                         QUEUE
                     },
-                    pool_bytes: 0,
-                    mode: ForwardingMode::CutThrough,
                     policy,
                 },
             )

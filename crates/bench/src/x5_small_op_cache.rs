@@ -33,7 +33,7 @@
 
 use dafs::{DafsClientConfig, DafsServerCost, DafsStripedFile, CACHE_PAGE};
 use memfs::ROOT_ID;
-use simnet::topo::{DumbbellSpec, ForwardingMode, QueuePolicy, Topology};
+use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::units::*;
 use simnet::{Bandwidth, FaultPlan};
 use via::ViaCost;
@@ -245,10 +245,7 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
                         wire.as_bytes_per_sec() * SCALE_SERVERS as u64,
                     ),
                     latency,
-                    rails: 1,
                     queue_capacity: 64,
-                    pool_bytes: 0,
-                    mode: ForwardingMode::CutThrough,
                     policy: QueuePolicy::Backpressure,
                 },
             )

@@ -14,7 +14,7 @@
 //! caller reuses, so registering it now is paid once and amortised over
 //! every later transfer; a range seen for the first time is only remembered.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::Mutex;
 use simnet::obs::{Labels, LazyCounter};
@@ -44,9 +44,11 @@ impl Entry {
 const SEEN_RANGES: usize = 16;
 
 struct CacheState {
-    /// Keyed by base address; containment queries scan (few live buffers in
-    /// practice — MPI-IO reuses its transfer buffers).
-    entries: HashMap<u64, Entry>,
+    /// Keyed by base address; containment queries scan in base order (few
+    /// live buffers in practice — MPI-IO reuses its transfer buffers), so a
+    /// hit is the lowest-base covering entry and a flush deregisters in
+    /// address order.
+    entries: BTreeMap<u64, Entry>,
     /// Registrations displaced by a same-base re-registration while an op
     /// still held them: no longer served to new acquires, deregistered on
     /// final release. Their bytes stay in `pinned` until then.
@@ -100,7 +102,7 @@ impl RegCache {
             capacity,
             enabled,
             state: Mutex::new(CacheState {
-                entries: HashMap::new(),
+                entries: BTreeMap::new(),
                 retired: Vec::new(),
                 pinned: 0,
                 tick: 0,
@@ -251,7 +253,7 @@ impl RegCache {
     /// registration, survives the VI.
     pub fn flush(&self, ctx: &ActorCtx) {
         let mut st = self.state.lock();
-        for (_, e) in st.entries.drain() {
+        for e in std::mem::take(&mut st.entries).into_values() {
             let _ = self.nic.deregister_mem(ctx, e.handle);
         }
         for e in st.retired.drain(..) {
@@ -271,6 +273,8 @@ impl RegCache {
 mod tests {
     use super::*;
     use simnet::{Cluster, SimKernel};
+    use std::collections::HashMap;
+    use std::sync::Arc;
     use via::ViaCost;
 
     fn attrs(ptag: ProtectionTag) -> MemAttributes {
@@ -504,6 +508,68 @@ mod tests {
             cache.flush(ctx);
             assert!(!cache.warm(buf, 4096));
         });
+    }
+
+    /// Nine registrations acquired out of address order — eight buffers
+    /// and a region spanning two of them — flushed under a trace: the
+    /// deregistrations come in base order, the same in every run.
+    fn flush_trace() -> (Vec<u64>, Vec<u8>) {
+        let (obs, buf) = simnet::obs::Obs::buffered();
+        let kernel = SimKernel::with_obs(obs);
+        let nic = ViaNic::open(Cluster::new().add_host("h"), ViaCost::default());
+        let bases = Arc::new(parking_lot::Mutex::new(HashMap::new()));
+        let seen = bases.clone();
+        kernel.spawn("t", move |ctx| {
+            let cache = RegCache::new(
+                nic.clone(),
+                nic.create_ptag(),
+                attrs,
+                1 << 20,
+                true,
+                Labels::NONE,
+            );
+            let block = nic.host().mem.alloc(32 << 10);
+            let at = |i: u64| block.offset(i * 4096);
+            let mut bases = seen.lock();
+            for i in [5, 1, 7, 3, 0, 6, 2, 4] {
+                bases.insert(touch(ctx, &cache, at(i), 2048).0, at(i).as_u64());
+            }
+            // Buffers 3 and 4 inside one region based below both.
+            let below = VirtAddr(at(3).as_u64() - 1024);
+            let region = touch(ctx, &cache, below, 1024 + 4096 + 2048);
+            bases.insert(region.0, below.as_u64());
+            // Buffer 4 is covered by its own entry and by the region: the
+            // lower base serves it.
+            assert_eq!(touch(ctx, &cache, at(4), 2048), region);
+            cache.flush(ctx);
+        });
+        kernel.run();
+        let trace = buf.contents();
+        let bases = bases.lock();
+        let text = String::from_utf8(trace.clone()).unwrap();
+        let order = text
+            .lines()
+            .filter(|l| l.contains("\"event\":\"mem.deregister\""))
+            .map(|l| {
+                let h = &l[l.find("\"handle\":").unwrap() + 9..];
+                let h: u64 = h[..h.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                    .parse()
+                    .unwrap();
+                bases[&h]
+            })
+            .collect();
+        (order, trace)
+    }
+
+    #[test]
+    fn flush_deregisters_in_base_order_every_run() {
+        let (order, trace) = flush_trace();
+        assert_eq!(order.len(), 9);
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "deregistered out of base order: {order:x?}"
+        );
+        assert_eq!(trace, flush_trace().1, "two flushes traced differently");
     }
 
     #[test]

@@ -469,89 +469,41 @@ impl DafsAdio {
     }
 }
 
-/// Walk `path`'s directory components on one DAFS session, creating
-/// missing directories when `create` is set; returns the parent directory
-/// and the final component.
-fn dafs_resolve_dir(
-    client: &DafsClient,
-    ctx: &ActorCtx,
+/// Walk `path`'s directory components with the driver's `lookup`,
+/// creating a missing one with its `mkdir` when `create` is set; returns
+/// the parent directory and the final component.
+fn resolve(
     path: &str,
     create: bool,
-) -> AdioResult<(NodeId, String)> {
+    lookup: impl Fn(NodeId, &str) -> AdioResult<NodeId>,
+    mkdir: impl Fn(NodeId, &str) -> AdioResult<NodeId>,
+) -> AdioResult<(NodeId, &str)> {
     let mut parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-    let name = parts.pop().ok_or(AdioError::NoSuchFile)?.to_string();
+    let name = parts.pop().ok_or(AdioError::NoSuchFile)?;
     let mut dir = memfs::ROOT_ID;
     for part in parts {
-        dir = match client.lookup(ctx, dir, part) {
-            Ok(a) => a.id,
-            Err(DafsError::Status(dafs::DafsStatus::NoEnt)) if create => {
-                match client.mkdir(ctx, dir, part) {
-                    Ok(a) => a.id,
-                    // Another rank created it concurrently.
-                    Err(DafsError::Status(dafs::DafsStatus::Exists)) => {
-                        client.lookup(ctx, dir, part).map_err(AdioError::from)?.id
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Err(e) => return Err(e.into()),
+        dir = if create {
+            lookup_or_make(|| lookup(dir, part), || mkdir(dir, part))?
+        } else {
+            lookup(dir, part)?
         };
     }
     Ok((dir, name))
 }
 
-/// Look up (optionally creating) `name` in `dir`, racing politely with
-/// concurrent ranks.
-fn dafs_open_node(
-    client: &DafsClient,
-    ctx: &ActorCtx,
-    dir: NodeId,
-    name: &str,
-    create: bool,
+/// `lookup`, and when it finds nothing, `make`, racing politely with
+/// concurrent ranks: a `make` answered `Exists` lost to another rank's, so
+/// look up theirs.
+fn lookup_or_make(
+    lookup: impl Fn() -> AdioResult<NodeId>,
+    make: impl FnOnce() -> AdioResult<NodeId>,
 ) -> AdioResult<NodeId> {
-    match client.lookup(ctx, dir, name) {
-        Ok(a) => Ok(a.id),
-        Err(DafsError::Status(dafs::DafsStatus::NoEnt)) if create => {
-            match client.create(ctx, dir, name) {
-                Ok(a) => Ok(a.id),
-                // Another rank won the race; open theirs.
-                Err(DafsError::Status(dafs::DafsStatus::Exists)) => {
-                    Ok(client.lookup(ctx, dir, name).map_err(AdioError::from)?.id)
-                }
-                Err(e) => Err(e.into()),
-            }
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Open (creating and zero-initializing if absent) the hidden
-/// shared-pointer companion of `name` in `dir`.
-fn dafs_open_shfp(
-    client: &DafsClient,
-    ctx: &ActorCtx,
-    dir: NodeId,
-    name: &str,
-) -> AdioResult<NodeId> {
-    let shfp_name = format!("{name}{SHFP_SUFFIX}");
-    match client.lookup(ctx, dir, &shfp_name) {
-        Ok(a) => Ok(a.id),
-        Err(DafsError::Status(dafs::DafsStatus::NoEnt)) => {
-            match client.create(ctx, dir, &shfp_name) {
-                Ok(a) => {
-                    client
-                        .write_bytes(ctx, a.id, 0, &0u64.to_le_bytes())
-                        .map_err(AdioError::from)?;
-                    Ok(a.id)
-                }
-                Err(DafsError::Status(dafs::DafsStatus::Exists)) => Ok(client
-                    .lookup(ctx, dir, &shfp_name)
-                    .map_err(AdioError::from)?
-                    .id),
-                Err(e) => Err(e.into()),
-            }
-        }
-        Err(e) => Err(e.into()),
+    match lookup() {
+        Err(AdioError::NoSuchFile) => match make() {
+            Err(AdioError::Exists) => lookup(),
+            made => made,
+        },
+        found => found,
     }
 }
 
@@ -666,15 +618,31 @@ impl AdioFs for DafsAdio {
         let mut fhs = Vec::with_capacity(factor);
         let mut shfp = None;
         for c in &self.clients[..factor] {
-            let (dir, name) = dafs_resolve_dir(c, ctx, path, create)?;
-            let fh = dafs_open_node(c, ctx, dir, &name, create)?;
+            let lookup = |dir, name: &str| Ok(c.lookup(ctx, dir, name)?.id);
+            let mkdir = |dir, name: &str| Ok(c.mkdir(ctx, dir, name)?.id);
+            let (dir, name) = resolve(path, create, lookup, mkdir)?;
+            let fh = if create {
+                lookup_or_make(|| lookup(dir, name), || Ok(c.create(ctx, dir, name)?.id))?
+            } else {
+                lookup(dir, name)?
+            };
             if cache_on(hints) {
                 c.cache_file(fh);
             }
             fhs.push(fh);
             clients.push(c.clone());
             if shfp.is_none() {
-                shfp = Some(dafs_open_shfp(c, ctx, dir, &name)?);
+                // The hidden shared-pointer companion, zero-initialized
+                // by whichever rank creates it.
+                let shfp_name = format!("{name}{SHFP_SUFFIX}");
+                shfp = Some(lookup_or_make(
+                    || lookup(dir, &shfp_name),
+                    || {
+                        let id = c.create(ctx, dir, &shfp_name)?.id;
+                        c.write_bytes(ctx, id, 0, &0u64.to_le_bytes())?;
+                        Ok(id)
+                    },
+                )?);
             }
         }
         let file = DafsStripedFile::new(clients, fhs, stripe);
@@ -690,8 +658,10 @@ impl AdioFs for DafsAdio {
         // with any striping factor up to the server count.
         let mut found = false;
         for (s, c) in self.clients.iter().enumerate() {
-            let (dir, name) = dafs_resolve_dir(c, ctx, path, false)?;
-            match c.remove(ctx, dir, &name) {
+            let lookup = |dir, name: &str| Ok(c.lookup(ctx, dir, name)?.id);
+            let mkdir = |dir, name: &str| Ok(c.mkdir(ctx, dir, name)?.id);
+            let (dir, name) = resolve(path, false, lookup, mkdir)?;
+            match c.remove(ctx, dir, name) {
                 Ok(()) => found = true,
                 Err(DafsError::Status(dafs::DafsStatus::NoEnt)) => {}
                 Err(e) => return Err(e.into()),
@@ -846,37 +816,6 @@ impl NfsAdio {
     pub fn new(client: Arc<NfsClient>) -> NfsAdio {
         NfsAdio { client }
     }
-
-    fn resolve_dir(
-        &self,
-        ctx: &ActorCtx,
-        path: &str,
-        create: bool,
-    ) -> AdioResult<(NodeId, String)> {
-        let mut parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-        let name = parts.pop().ok_or(AdioError::NoSuchFile)?.to_string();
-        let mut dir = memfs::ROOT_ID;
-        for part in parts {
-            dir = match self.client.lookup(ctx, dir, part) {
-                Ok(a) => a.id,
-                Err(NfsError::Status(nfsv3::NfsStatus::NoEnt)) if create => {
-                    match self.client.mkdir(ctx, dir, part) {
-                        Ok(a) => a.id,
-                        // Another rank created it concurrently.
-                        Err(NfsError::Status(nfsv3::NfsStatus::Exist)) => {
-                            self.client
-                                .lookup(ctx, dir, part)
-                                .map_err(AdioError::from)?
-                                .id
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            };
-        }
-        Ok((dir, name))
-    }
 }
 
 #[derive(Clone)]
@@ -914,32 +853,29 @@ impl NfsFileHandle {
 
 impl AdioFs for NfsAdio {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
-        let (dir, name) = self.resolve_dir(ctx, path, create)?;
-        let attr = match self.client.lookup(ctx, dir, &name) {
-            Ok(a) => a,
-            Err(NfsError::Status(nfsv3::NfsStatus::NoEnt)) if create => {
-                match self.client.create(ctx, dir, &name) {
-                    Ok(a) => a,
-                    Err(NfsError::Status(nfsv3::NfsStatus::Exist)) => self
-                        .client
-                        .lookup(ctx, dir, &name)
-                        .map_err(AdioError::from)?,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Err(e) => return Err(e.into()),
+        let c = &self.client;
+        let lookup = |dir, name: &str| Ok(c.lookup(ctx, dir, name)?.id);
+        let mkdir = |dir, name: &str| Ok(c.mkdir(ctx, dir, name)?.id);
+        let (dir, name) = resolve(path, create, lookup, mkdir)?;
+        let fh = if create {
+            lookup_or_make(|| lookup(dir, name), || Ok(c.create(ctx, dir, name)?.id))?
+        } else {
+            lookup(dir, name)?
         };
         // The NFS client API is slice-based; remember the host for staging.
         Ok(Arc::new(NfsFileHandle {
             client: self.client.clone(),
-            fh: attr.id,
+            fh,
             host: hostof(ctx),
         }))
     }
 
     fn delete(&self, ctx: &ActorCtx, path: &str) -> AdioResult<()> {
-        let (dir, name) = self.resolve_dir(ctx, path, false)?;
-        self.client.remove(ctx, dir, &name).map_err(AdioError::from)
+        let c = &self.client;
+        let lookup = |dir, name: &str| Ok(c.lookup(ctx, dir, name)?.id);
+        let mkdir = |dir, name: &str| Ok(c.mkdir(ctx, dir, name)?.id);
+        let (dir, name) = resolve(path, false, lookup, mkdir)?;
+        c.remove(ctx, dir, name).map_err(AdioError::from)
     }
 
     fn kind(&self) -> DriverKind {
@@ -1131,30 +1067,18 @@ struct UfsFileHandle {
 impl AdioFs for UfsAdio {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
         self.host.compute(ctx, self.cost.per_op);
-        let mut parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-        let name = parts.pop().ok_or(AdioError::NoSuchFile)?;
-        let mut dir = memfs::ROOT_ID;
-        for part in parts {
-            dir = match self.fs.lookup(dir, part) {
-                Ok(a) => a.id,
-                Err(FsError::NotFound) if create => match self.fs.mkdir(dir, part) {
-                    Ok(a) => a.id,
-                    Err(FsError::Exists) => self.fs.lookup(dir, part).map_err(AdioError::from)?.id,
-                    Err(e) => return Err(e.into()),
-                },
-                Err(e) => return Err(e.into()),
-            };
-        }
-        let attr = match self.fs.lookup(dir, name) {
-            Ok(a) => a,
-            Err(FsError::NotFound) if create => {
-                self.fs.create(dir, name).map_err(AdioError::from)?
-            }
-            Err(e) => return Err(e.into()),
+        let fs = &self.fs;
+        let lookup = |dir, name: &str| Ok(fs.lookup(dir, name)?.id);
+        let mkdir = |dir, name: &str| Ok(fs.mkdir(dir, name)?.id);
+        let (dir, name) = resolve(path, create, lookup, mkdir)?;
+        let fh = if create {
+            lookup_or_make(|| lookup(dir, name), || Ok(fs.create(dir, name)?.id))?
+        } else {
+            lookup(dir, name)?
         };
         Ok(Arc::new(UfsFileHandle {
             fs: self.fs.clone(),
-            fh: attr.id,
+            fh,
             host: self.host.clone(),
             cost: self.cost,
         }))
@@ -1162,13 +1086,11 @@ impl AdioFs for UfsAdio {
 
     fn delete(&self, ctx: &ActorCtx, path: &str) -> AdioResult<()> {
         self.host.compute(ctx, self.cost.per_op);
-        let mut parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-        let name = parts.pop().ok_or(AdioError::NoSuchFile)?;
-        let mut dir = memfs::ROOT_ID;
-        for part in parts {
-            dir = self.fs.lookup(dir, part).map_err(AdioError::from)?.id;
-        }
-        self.fs.remove(dir, name).map_err(AdioError::from)
+        let fs = &self.fs;
+        let lookup = |dir, name: &str| Ok(fs.lookup(dir, name)?.id);
+        let mkdir = |dir, name: &str| Ok(fs.mkdir(dir, name)?.id);
+        let (dir, name) = resolve(path, false, lookup, mkdir)?;
+        fs.remove(dir, name).map_err(AdioError::from)
     }
 
     fn kind(&self) -> DriverKind {

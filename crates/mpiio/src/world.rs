@@ -13,7 +13,7 @@ use memfs::MemFs;
 use nfsv3::{NfsClient, NfsClientConfig, NfsServerCost};
 use obs::{Obs, Snapshot};
 use parking_lot::Mutex;
-use simnet::topo::{DumbbellSpec, ForwardingMode, QueuePolicy, Topology};
+use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::{
     ActorCtx, Bandwidth, Cluster, FaultPlan, Host, HostId, SimDuration, SimKernel, SimTime,
 };
@@ -257,17 +257,16 @@ impl Testbed {
     /// (VIA-style link-level flow control), so existing recovery machinery
     /// is exercised only when a fault plan is attached.
     pub fn switched(clients: usize, servers: usize, oversub: u64) -> Testbed {
-        Testbed::switched_with(clients, servers, oversub, 1, Obs::from_env(), None)
+        Testbed::switched_with(clients, servers, oversub, Obs::from_env(), None)
     }
 
-    /// [`Testbed::switched`] with explicit rail count, observability sink,
-    /// and optional fault plan (rail-down windows target the switch
-    /// pseudo-hosts reachable via [`Testbed::topology`]).
+    /// [`Testbed::switched`] with an explicit observability sink and an
+    /// optional fault plan (a switch outage targets the switch's
+    /// pseudo-host, [`Topology::switch_host`] via [`Testbed::topology`]).
     pub fn switched_with(
         clients: usize,
         servers: usize,
         oversub: u64,
-        rails: usize,
         obs: Obs,
         plan: Option<FaultPlan>,
     ) -> Testbed {
@@ -285,10 +284,7 @@ impl Testbed {
                 port_bw: wire_bw,
                 trunk_bw,
                 latency: wire_latency,
-                rails,
                 queue_capacity: 64,
-                pool_bytes: 0,
-                mode: ForwardingMode::CutThrough,
                 policy: QueuePolicy::Backpressure,
             },
         ));

@@ -150,7 +150,7 @@ impl std::fmt::Debug for Slab {
 /// pool's freelist instead of the allocator.
 struct PooledSlab {
     data: Vec<u8>,
-    home: Weak<PoolState>,
+    home: Weak<Freelist>,
 }
 
 impl Drop for PooledSlab {
@@ -446,11 +446,11 @@ impl<'a> IntoIterator for &'a Rope {
 /// the allocator.
 const POOL_RETAIN: usize = 64;
 
-struct PoolState {
+struct Freelist {
     free: Mutex<Vec<Vec<u8>>>,
 }
 
-impl PoolState {
+impl Freelist {
     fn put(&self, mut v: Vec<u8>) {
         v.clear();
         let mut free = self.free.lock();
@@ -471,14 +471,14 @@ impl PoolState {
 /// [`Bytes::from_vec`] instead.
 #[derive(Clone)]
 pub struct BufPool {
-    state: Arc<PoolState>,
+    state: Arc<Freelist>,
 }
 
 impl BufPool {
     /// Create an empty pool.
     pub fn new() -> BufPool {
         BufPool {
-            state: Arc::new(PoolState {
+            state: Arc::new(Freelist {
                 free: Mutex::new(Vec::new()),
             }),
         }
@@ -519,7 +519,7 @@ pub fn frame_pool() -> &'static BufPool {
 /// [`Bytes`] once filled.
 pub struct PoolBuf {
     data: Vec<u8>,
-    home: Weak<PoolState>,
+    home: Weak<Freelist>,
 }
 
 impl PoolBuf {

@@ -202,7 +202,7 @@ impl FaultPlan {
 
     /// True if the `a`↔`b` link is inside a configured down window at time
     /// `t`. A pure window query (no RNG draw, no metrics): the fabric layer
-    /// uses it to judge rail health without perturbing the loss stream.
+    /// uses it to judge a path's health without perturbing the loss stream.
     pub fn link_down_at(&self, a: HostId, b: HostId, t: SimTime) -> bool {
         self.spec(a, b)
             .down

@@ -73,6 +73,6 @@ pub use resource::Resource;
 pub use rng::Rng64;
 pub use time::{units, Bandwidth, SimDuration, SimTime};
 pub use topo::{
-    DumbbellSpec, FabricDrop, ForwardingMode, PortStats, QueuePolicy, SwitchConfig, SwitchRef,
-    Topology, TopologyBuilder,
+    DumbbellSpec, FabricDrop, PortStats, QueuePolicy, SwitchConfig, SwitchRef, Topology,
+    TopologyBuilder,
 };

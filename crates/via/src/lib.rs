@@ -741,7 +741,7 @@ mod tests {
         let tb = rdma_read_testbed();
         let (chost, shost) = (tb.client_nic.host().id, tb.server_nic.host().id);
         let topo = {
-            let mut b = TopologyBuilder::new(&tb.cluster, 1);
+            let mut b = TopologyBuilder::new(&tb.cluster);
             let sw = b.switch("sw0", SwitchConfig::default());
             b.attach(chost, sw, us(1));
             b.attach(shost, sw, us(2));

@@ -521,20 +521,12 @@ impl Vi {
         let (tx_start, tx_done) = from.inner.tx_wire.book_span(ready, ser);
         // Cut-through: the receiving port starts taking bits one
         // propagation delay (or one fabric traversal) after the first bit
-        // leaves. A fabric that drops the frame (queue overflow or every
-        // rail down) loses it like any other wire loss.
+        // leaves. A fabric that drops the frame (queue overflow, or a down
+        // link or switch) loses it like any other wire loss.
         let rx_first = match &self.topology {
             None => tx_start + c.wire_latency,
             Some(t) => t
-                .deliver(
-                    ctx,
-                    self.faults.as_ref(),
-                    src,
-                    dst,
-                    bytes,
-                    tx_start,
-                    tx_done,
-                )
+                .deliver(ctx, self.faults.as_ref(), src, dst, bytes, tx_start)
                 .map_err(|d| d.at)?,
         };
         let delivery = to.inner.rx_wire.book(rx_first, ser) + c.rx_nic_proc;

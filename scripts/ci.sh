@@ -215,6 +215,17 @@ if grep -nE 'fn (do_send|do_rdma_write|do_rdma_read)\b' "$vi" ||
     exit 1
 fi
 
+echo "==> the fabric models what the tables run"
+# One plane of cut-through switches with per-port queues: every table and
+# workload runs one rail, no shared buffer pool and cut-through forwarding,
+# so those options and the machinery behind them are gone.
+if grep -rnE 'ForwardingMode|StoreAndForward|pool_bytes|PoolState|rail_assign|pick_rail|fabric\.failovers' \
+    crates tests examples; then
+    echo "ci: a deleted fabric mechanism is back (lines above): rails, the shared" \
+        "pool or store-and-forward" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 

@@ -256,13 +256,13 @@ fn metrics_collect_even_when_tracing_is_disabled() {
 //
 // Threading a routed topology under the transports must not cost the
 // simulation its reproducibility: identical seeds replay identical
-// timelines through switches, trunk failover, and seeded loss — and the
+// timelines through switches, switch outages, and seeded loss — and the
 // degenerate one-switch cut-through fabric is *byte-identical in virtual
 // time* to the point-to-point wire it replaces.
 
 use mpio_dafs::dafs::{DafsClient, DafsClientConfig, DafsServerCost};
 use mpio_dafs::memfs::{MemFs, ROOT_ID};
-use mpio_dafs::simnet::topo::{ForwardingMode, QueuePolicy, SwitchConfig, TopologyBuilder};
+use mpio_dafs::simnet::topo::{QueuePolicy, SwitchConfig, TopologyBuilder};
 use mpio_dafs::simnet::units::ms;
 use mpio_dafs::simnet::{Cluster, SimDuration, SimKernel, SimTime};
 use mpio_dafs::via::ViaFabric;
@@ -270,9 +270,9 @@ use std::sync::Arc;
 
 /// Striped write + verified read-back on a switched testbed, traced into a
 /// buffer. Returns (end ns, trace bytes, snapshot, piece-file bytes).
-fn run_switched(rails: usize, plan: Option<FaultPlan>) -> (u64, Vec<u8>, Snapshot, Vec<u8>) {
+fn run_switched(plan: Option<FaultPlan>) -> (u64, Vec<u8>, Snapshot, Vec<u8>) {
     let (obs, buf) = Obs::buffered();
-    let tb = Testbed::switched_with(4, 2, 2, rails, obs, plan);
+    let tb = Testbed::switched_with(4, 2, 2, obs, plan);
     let pieces = tb.server_fss.clone();
     let report = tb.run(4, |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -315,8 +315,8 @@ fn run_switched(rails: usize, plan: Option<FaultPlan>) -> (u64, Vec<u8>, Snapsho
 
 #[test]
 fn switched_runs_are_byte_identical() {
-    let a = run_switched(1, None);
-    let b = run_switched(1, None);
+    let a = run_switched(None);
+    let b = run_switched(None);
     assert_eq!(a.0, b.0, "virtual end times differ through the switch");
     assert_eq!(a.2, b.2, "metrics snapshots differ through the switch");
     assert_eq!(a.1, b.1, "trace streams differ through the switch");
@@ -326,41 +326,41 @@ fn switched_runs_are_byte_identical() {
 }
 
 #[test]
-fn trunk_failover_replays_bit_identically() {
-    // Crash the server leaf's rail-0 pseudo-host for a mid-run window; the
-    // per-flow home rails fail over to rail 1 and back. Pseudo-host ids are
-    // part of the deterministic host layout, so discover them on a probe
-    // testbed and reuse them in the real plans.
-    let probe = Testbed::switched_with(4, 2, 2, 2, Obs::buffered().0, None);
-    let leaf_srv = probe.topology().unwrap().switch_hosts(0)[0];
+fn switch_outage_replays_bit_identically() {
+    // Crash the server leaf's pseudo-host for a mid-run window shorter than
+    // a session's redial budget; sessions break and redial through it.
+    // Pseudo-host ids are part of the deterministic host layout, so
+    // discover them on a probe testbed and reuse them in the real plans.
+    let probe = Testbed::switched_with(4, 2, 2, Obs::buffered().0, None);
+    let leaf_srv = probe.topology().unwrap().switch_host(0);
     let plan = || {
         FaultPlan::builder(0xFA11_0B37)
-            .host_crash(leaf_srv, SimTime::ZERO + ms(1), SimTime::ZERO + ms(400))
+            .host_crash(leaf_srv, SimTime::ZERO + ms(1), SimTime::ZERO + ms(40))
             .build()
     };
-    let a = run_switched(2, Some(plan()));
-    let b = run_switched(2, Some(plan()));
-    assert_eq!(a.0, b.0, "virtual end times differ under failover");
-    assert_eq!(a.2, b.2, "metrics snapshots differ under failover");
-    assert_eq!(a.1, b.1, "trace streams differ under failover");
-    assert_eq!(a.3, b.3, "piece files differ under failover");
+    let a = run_switched(Some(plan()));
+    let b = run_switched(Some(plan()));
+    assert_eq!(a.0, b.0, "virtual end times differ under an outage");
+    assert_eq!(a.2, b.2, "metrics snapshots differ under an outage");
+    assert_eq!(a.1, b.1, "trace streams differ under an outage");
+    assert_eq!(a.3, b.3, "piece files differ under an outage");
     assert!(
-        a.2.get("fabric.failovers").unwrap().value() > 0,
-        "the rail-down window never forced a failover — the test is vacuous"
+        a.2.get("fabric.drops").unwrap().value() > 0,
+        "the outage dropped nothing — the test is vacuous"
     );
 }
 
 #[test]
 fn seeded_loss_through_a_switch_replays_bit_identically() {
     let plan = |seed| FaultPlan::builder(seed).loss(0.03).jitter(us(10)).build();
-    let a = run_switched(1, Some(plan(0xFA17_5111)));
-    let b = run_switched(1, Some(plan(0xFA17_5111)));
+    let a = run_switched(Some(plan(0xFA17_5111)));
+    let b = run_switched(Some(plan(0xFA17_5111)));
     assert_eq!((a.0, &a.2, &a.1, &a.3), (b.0, &b.2, &b.1, &b.3));
     assert!(
         a.2.get("sim.faults.dropped").unwrap().value() > 0,
         "seed injected nothing"
     );
-    let c = run_switched(1, Some(plan(0xFA17_5112)));
+    let c = run_switched(Some(plan(0xFA17_5112)));
     assert_ne!(a.1, c.1, "different seeds should change the fault timeline");
     assert_eq!(a.3, c.3, "recovery must converge to identical bytes");
 }
@@ -376,14 +376,12 @@ fn incast_end_ns(switched: bool) -> u64 {
     let cost = *fabric.cost();
     let server_host = cluster.add_host("server0");
     if switched {
-        let mut b = TopologyBuilder::new(&cluster, 1);
+        let mut b = TopologyBuilder::new(&cluster);
         let sw = b.switch(
             "sw0",
             SwitchConfig {
                 port_bw: cost.wire_bw,
                 queue_capacity: 0,
-                pool_bytes: 0,
-                mode: ForwardingMode::CutThrough,
                 policy: QueuePolicy::Backpressure,
             },
         );

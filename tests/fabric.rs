@@ -1,12 +1,12 @@
 //! Property battery for the switched fabric (`simnet::topo`).
 //!
 //! Seeded randomized topologies and workloads — switch chains with random
-//! rail counts, attachment latencies, port rates, queue bounds, and frame
-//! schedules — driven straight through [`Topology::deliver`], checking the
+//! attachment latencies, port rates, queue bounds, and frame schedules —
+//! driven straight through [`Topology::deliver`], checking the
 //! invariants every transport above the fabric relies on:
 //!
 //! - **per-flow FIFO**: frames sent in order on one `(src, dst)` flow
-//!   arrive in order, on any topology, any forwarding mode, any rail count;
+//!   arrive in order, on any topology;
 //! - **no loss, no duplication** without a fault plan: under `Backpressure`
 //!   every frame is delivered exactly once — each destination's host-facing
 //!   port admits exactly the frames (and bytes) sent to it;
@@ -23,9 +23,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpio_dafs::simnet::topo::{
-    ForwardingMode, QueuePolicy, SwitchConfig, Topology, TopologyBuilder,
-};
+use mpio_dafs::simnet::topo::{QueuePolicy, SwitchConfig, Topology, TopologyBuilder};
 use mpio_dafs::simnet::units::{ns, us};
 use mpio_dafs::simnet::{Bandwidth, Cluster, HostId, Rng64, SimKernel, SimTime};
 
@@ -35,7 +33,6 @@ struct Frame {
     dst: usize,
     bytes: u64,
     tx_start: SimTime,
-    tx_done: SimTime,
 }
 
 struct Scenario {
@@ -52,24 +49,16 @@ struct Scenario {
 fn gen_scenario(rng: &mut Rng64, policy: QueuePolicy) -> Scenario {
     let cluster = Cluster::new();
     let switches = rng.range_usize(1, 4);
-    let rails = rng.range_usize(1, 4);
     let capacity = match policy {
         QueuePolicy::Backpressure => rng.range_usize(2, 9),
         QueuePolicy::Drop => rng.range_usize(1, 4),
     };
-    let mode = if rng.chance(0.5) {
-        ForwardingMode::CutThrough
-    } else {
-        ForwardingMode::StoreAndForward
-    };
     let cfg = SwitchConfig {
         port_bw: Bandwidth::mb_per_sec(rng.range(50, 200)),
         queue_capacity: capacity,
-        pool_bytes: 0,
-        mode,
         policy,
     };
-    let mut b = TopologyBuilder::new(&cluster, rails);
+    let mut b = TopologyBuilder::new(&cluster);
     let refs: Vec<_> = (0..switches)
         .map(|i| b.switch(&format!("sw{i}"), cfg))
         .collect();
@@ -95,7 +84,6 @@ fn gen_scenario(rng: &mut Rng64, policy: QueuePolicy) -> Scenario {
 
     // A well-ordered schedule: globally non-decreasing tx_start (hence
     // non-decreasing within every flow).
-    let nic_bw = Bandwidth::mb_per_sec(100);
     let mut t = SimTime::ZERO;
     let mut frames = Vec::new();
     for _ in 0..rng.range_usize(30, 81) {
@@ -111,7 +99,6 @@ fn gen_scenario(rng: &mut Rng64, policy: QueuePolicy) -> Scenario {
             dst,
             bytes,
             tx_start: t,
-            tx_done: t + nic_bw.time_for(bytes),
         });
     }
     Scenario {
@@ -138,17 +125,9 @@ fn run_scenario(sc: &Scenario) -> Vec<Result<u64, ()>> {
         let mut res = Vec::new();
         for f in &frames {
             res.push(
-                topo.deliver(
-                    ctx,
-                    None,
-                    hosts[f.src],
-                    hosts[f.dst],
-                    f.bytes,
-                    f.tx_start,
-                    f.tx_done,
-                )
-                .map(|at| at.as_nanos())
-                .map_err(|_| ()),
+                topo.deliver(ctx, None, hosts[f.src], hosts[f.dst], f.bytes, f.tx_start)
+                    .map(|at| at.as_nanos())
+                    .map_err(|_| ()),
             );
         }
         *out.lock().unwrap() = res;
@@ -182,9 +161,8 @@ fn check_invariants(sc: &Scenario, results: &[Result<u64, ()>]) -> (u64, u64) {
     for p in &stats {
         assert!(
             p.qdepth_max <= sc.capacity as u64,
-            "{}.r{}.{}: queue depth {} exceeds capacity {}",
+            "{}.{}: queue depth {} exceeds capacity {}",
             p.switch,
-            p.rail,
             p.port,
             p.qdepth_max,
             sc.capacity
@@ -286,13 +264,13 @@ fn identical_seeds_build_identical_fabrics() {
             .topo
             .port_stats()
             .iter()
-            .map(|p| (p.switch.clone(), p.rail, p.port.clone(), p.frames, p.bytes))
+            .map(|p| (p.switch.clone(), p.port.clone(), p.frames, p.bytes))
             .collect();
         let p2: Vec<_> = s2
             .topo
             .port_stats()
             .iter()
-            .map(|p| (p.switch.clone(), p.rail, p.port.clone(), p.frames, p.bytes))
+            .map(|p| (p.switch.clone(), p.port.clone(), p.frames, p.bytes))
             .collect();
         assert_eq!(p1, p2, "same seed, different port counters");
     }

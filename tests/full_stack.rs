@@ -774,7 +774,7 @@ fn thousand_run_memory_type_round_trips() {
 }
 
 /// Host naming is uniform across every testbed shape: `server<s>` hosts
-/// first, then (on switched testbeds) the `<switch>.r<rail>` pseudo-hosts,
+/// first, then (on switched testbeds) the switch pseudo-hosts, one per switch,
 /// then `rank<i>` hosts — no more special-cased two-host `client`/`server`
 /// worlds.
 #[test]
@@ -792,7 +792,7 @@ fn testbed_host_naming_is_uniform() {
     let tb = Testbed::switched(2, 2, 1);
     assert_eq!(
         tb.host_names(),
-        vec!["server0", "server1", "leaf-srv.r0", "leaf-cli.r0"]
+        vec!["server0", "server1", "leaf-srv", "leaf-cli"]
     );
     let names = Arc::new(std::sync::Mutex::new(Vec::new()));
     let n2 = names.clone();
