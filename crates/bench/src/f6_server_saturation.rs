@@ -75,5 +75,8 @@ pub fn run() -> Table {
         ]);
     }
     t.note("expect a plateau at the server wire rate; doubling the rail doubles the plateau");
+    t.note(
+        "a cell's shortfall below its wire rate is time the server's transmit wire sat idle: tx busy % = 100 x MB/s / wire rate",
+    );
     t
 }

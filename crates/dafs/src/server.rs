@@ -24,11 +24,12 @@
 //! * **direct read** — the server RDMA-Writes file data straight into the
 //!   client's advertised buffer, then sends a small completion response.
 //!   The response is posted behind the data on the same reliable VI, whose
-//!   in-order delivery is the fence; the worker sleeps through the write
-//!   only while the session has more RDMA bytes unsent than an inline
-//!   reply may hold (`Session::rdma_write`), so small transfers queue on
-//!   the NIC the way small replies do and a large one holds the worker
-//!   until its last byte has left;
+//!   in-order delivery is the fence. The write goes out in descriptors of
+//!   at most an inline reply's size, and the worker sleeps through it only
+//!   while the session has more RDMA bytes unsent than that
+//!   (`Session::rdma_write`), so a small transfer queues on the NIC the way
+//!   a small reply does and a large one holds the worker until only its
+//!   last chunk is on the wire;
 //! * **direct write** — the server RDMA-Reads from the client's buffer
 //!   (only if the NIC supports RDMA Read; otherwise the op is rejected and
 //!   the client falls back to inline). The buffer cache is registered with
@@ -60,8 +61,8 @@ use crate::wire::{Dec, Enc};
 
 /// Message-buffer size for each session slot: inline_max plus header slack.
 pub(crate) const SLOT: u64 = 66 << 10;
-/// Server staging area per session for direct transfers; larger transfers
-/// are chunked through it (the chunks pipeline on the wire).
+/// Server staging area per session for direct writes: a larger RDMA Read
+/// is chunked through it.
 const STAGING: u64 = 4 << 20;
 /// Server-granted credits per session.
 pub(crate) const CREDITS: u32 = 8;
@@ -195,26 +196,25 @@ impl Session {
         self.post(ctx, SendDesc::send(vec![seg]).with_payload(resp), 0);
     }
 
-    /// RDMA-write `data` into the client's buffer at `to`, chunked as if
-    /// through the staging area (chunks pipeline on the wire). Each chunk
-    /// rides as zero-copy views of the file pages: server pages → wire →
-    /// client buffer, no staging bounce.
+    /// RDMA-write `data` into the client's buffer at `to`, one descriptor
+    /// per [`INLINE_MAX`] chunk (the chunks pipeline on the wire). Each
+    /// chunk rides as zero-copy views of the file pages: server pages →
+    /// wire → client buffer, no staging bounce.
     ///
     /// After a post the worker waits while the session has more than
     /// [`INLINE_MAX`] RDMA bytes in descriptors that have not completed.
     /// `unsent` falls only when a descriptor completes, by all of its
-    /// bytes, so this is a rule on transfers, not a byte budget the worker
-    /// runs ahead of the wire by: a transfer no larger than an inline reply
-    /// is queued the way an inline reply of its size is — the worker goes
-    /// on to the next request while the NIC sends — and a larger one holds
-    /// the worker until its last byte has left, which is the only hold the
-    /// request scheduler has on the wire (X-6). Its price: the next
-    /// request's transfer is posted only after that, so the outbound wire
-    /// idles while the worker posts the reply and serves the next request
-    /// (12.1 µs per 128 KiB read on `stream_large`). The reply posted
-    /// afterwards follows the data on the same reliable VI, whose in-order
-    /// delivery is the fence; a transfer that fails breaks the VI, which
-    /// flushes that reply.
+    /// bytes, so with chunks of that size the rule is: a transfer no larger
+    /// than an inline reply is queued the way an inline reply of its size
+    /// is — the worker goes on to the next request while the NIC sends —
+    /// and a larger one holds the worker until only its last chunk is on
+    /// the wire. That hold, all but one chunk of every large transfer, is
+    /// the request scheduler's grip on the wire (X-6); the last chunk's
+    /// wire time covers the worker posting the reply and serving the next
+    /// request, so the outbound wire does not idle between transfers. The
+    /// reply posted afterwards follows the data on the same reliable VI,
+    /// whose in-order delivery is the fence; a chunk that fails, the last
+    /// one included, breaks the VI, which refuses or flushes that reply.
     fn rdma_write(
         &mut self,
         ctx: &ActorCtx,
@@ -224,7 +224,7 @@ impl Session {
         let (sbuf, sh) = self.staging;
         let mut sent = 0usize;
         while sent < data.len() {
-            let n = (data.len() - sent).min(STAGING as usize);
+            let n = (data.len() - sent).min(INLINE_MAX as usize);
             let desc = SendDesc::rdma_write(
                 vec![DataSegment::new(sbuf, n as u32, sh)],
                 RemoteSegment {
@@ -1208,40 +1208,169 @@ impl Server {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use simnet::Cluster;
+    use simnet::{Cluster, FaultPlan, HostId, SimDuration};
     use std::sync::Arc;
     use via::ViaCost;
 
-    /// What the worker does for a batch of direct reads, on a bare
-    /// `Session`: more transfers than the credit window, 1 KiB to 256 KiB
-    /// in no order, each an RDMA Write and then its reply. Every reaped
-    /// completion matches the oldest posted descriptor (`reaped`
-    /// `debug_assert`s one completion per post); after a transfer the
-    /// session never has more than `INLINE_MAX` RDMA bytes unsent; a reply
-    /// in the client's hand means its data is; and at the end the FIFO is
-    /// empty and the unsent count is back at 0.
-    #[test]
-    fn mixed_direct_reads_drain_the_send_fifo() {
-        const KIB: usize = 1 << 10;
-        const SIZES: [usize; 12] = [1, 256, 4, 32, 64, 2, 128, 16, 33, 8, 256, 1];
-        assert!(SIZES.len() > CREDITS as usize);
-        let total: usize = SIZES.iter().sum::<usize>() * KIB;
+    const KIB: usize = 1 << 10;
+
+    /// One VI, under `faults` if given (the server is host 0, the client
+    /// host 1), between a bare server `Session` and a client that
+    /// registered `target` bytes as an RDMA Write target and posted
+    /// `replies` receives. `server` runs once the client's first message
+    /// says the target is registered, with the target's segment; `client`
+    /// runs after that message is sent, with its VI and the target's
+    /// address.
+    fn with_session(
+        faults: Option<FaultPlan>,
+        target: usize,
+        replies: usize,
+        server: impl FnOnce(&ActorCtx, &mut Session, RemoteSegment) + Send + 'static,
+        client: impl FnOnce(&ActorCtx, &Vi, &ViaNic, VirtAddr) + Send + 'static,
+    ) {
         let kernel = SimKernel::new();
         let cluster = Cluster::new();
         let fabric = ViaFabric::new(ViaCost::default());
+        if let Some(plan) = faults {
+            fabric.set_fault_plan(plan);
+        }
         let snic = fabric.open_nic(cluster.add_host("server"));
         let cnic = fabric.open_nic(cluster.add_host("client"));
         let server_host = snic.host().id;
-        let target: Arc<Mutex<Option<RemoteSegment>>> = Arc::new(Mutex::new(None));
+        let published: Arc<Mutex<Option<RemoteSegment>>> = Arc::new(Mutex::new(None));
         {
-            let (fabric, target) = (fabric.clone(), target.clone());
-            kernel.spawn_daemon("server", move |ctx| {
+            let (fabric, published) = (fabric.clone(), published.clone());
+            // Not a daemon: the run ends only once `server` has returned.
+            kernel.spawn("server", move |ctx| {
                 let listener = fabric.listen(&snic, 7);
                 let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
                 let mut sess = Session::open(ctx, &snic, vi);
                 // The client's first message says its buffer is registered.
                 assert!(sess.vi.recv_wait(ctx).status.is_ok());
-                let to = target.lock().expect("published before the message");
+                let to = published.lock().expect("published before the message");
+                server(ctx, &mut sess, to);
+            });
+        }
+        kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let mem = &cnic.host().mem;
+            let tag = vi.ptag();
+            let dst = mem.alloc(target);
+            let dh = cnic.register_mem(
+                ctx,
+                dst,
+                target as u64,
+                MemAttributes::rdma_write_target(tag),
+            );
+            let msg = mem.alloc(SLOT as usize);
+            let mh = cnic.register_mem(ctx, msg, SLOT, MemAttributes::local(tag));
+            for _ in 0..replies {
+                vi.post_recv(
+                    ctx,
+                    RecvDesc::new(vec![DataSegment::new(msg, SLOT as u32, mh)]),
+                );
+            }
+            *published.lock() = Some(RemoteSegment {
+                addr: dst,
+                handle: dh,
+            });
+            vi.post_send(ctx, SendDesc::send(vec![DataSegment::new(msg, 8, mh)]));
+            client(ctx, &vi, &cnic, dst);
+        });
+        kernel.run();
+    }
+
+    /// A 128 KiB direct read returns the worker with exactly its last
+    /// `INLINE_MAX` chunk in flight: four descriptors posted, the first
+    /// three reaped, the fourth still on the wire and its bytes the whole
+    /// unsent count.
+    #[test]
+    fn a_large_read_leaves_one_chunk_in_flight() {
+        const N: usize = 128 * KIB;
+        with_session(
+            None,
+            N,
+            0,
+            |ctx, sess, to| {
+                let data = Rope::from(Bytes::from_vec(vec![7; N]));
+                assert_eq!(sess.rdma_write(ctx, &data, to), Ok(()));
+                assert_eq!(sess.posted, [INLINE_MAX]);
+                assert_eq!(sess.unsent, INLINE_MAX);
+                assert!(sess.reap_next(ctx));
+                assert_eq!(sess.unsent, 0);
+            },
+            |_, _, _, _| {},
+        );
+    }
+
+    /// The path a lost last chunk takes now that the worker does not wait
+    /// for it: the link goes down between the third and the fourth chunk of
+    /// a 128 KiB read, so `rdma_write` returns `Ok` with the fourth, lost,
+    /// still posted; the VI broke as it was posted, so the reply behind it
+    /// is refused and both complete in error. The client gets no reply,
+    /// only the broken connection, with the first three chunks landed and
+    /// the fourth not — the error its direct → inline fallback redoes.
+    #[test]
+    fn a_failed_last_chunk_refuses_the_reply() {
+        const N: usize = 128 * KIB;
+        // Chunks go out at `START` (two) and then one per chunk's wire
+        // time, ≈ 298 µs at the default 110 MB/s: the third at ≈ +298 µs,
+        // the fourth at ≈ +596 µs.
+        const START: SimTime = SimTime(10_000_000);
+        let down = START + SimDuration::from_micros(450);
+        let plan = FaultPlan::builder(1)
+            .link_down(HostId(0), HostId(1), down, down + SimDuration::from_secs(1))
+            .build();
+        with_session(
+            Some(plan),
+            N,
+            1,
+            |ctx, sess, to| {
+                assert!(ctx.now() < START, "setup ran past {START}");
+                ctx.sleep_until(START);
+                let data = Rope::from(Bytes::from_vec(vec![7; N]));
+                assert_eq!(sess.rdma_write(ctx, &data, to), Ok(()));
+                assert_eq!(sess.posted, [INLINE_MAX]);
+                assert_ne!(sess.vi.state(), ViState::Connected);
+                sess.respond(ctx, Bytes::from_vec(vec![1]));
+                assert!(!sess.reap_next(ctx));
+                assert!(!sess.reap_next(ctx));
+                assert!(sess.posted.is_empty());
+                assert_eq!(sess.unsent, 0);
+            },
+            |ctx, vi, nic, dst| {
+                let reply = vi.recv_wait(ctx);
+                assert_eq!(reply.status, ViaStatus::ConnectionLost);
+                let landed = nic.host().mem.read_vec(dst, N);
+                let last = N - INLINE_MAX as usize;
+                assert!(landed[..last].iter().all(|b| *b == 7));
+                assert!(landed[last..].iter().all(|b| *b == 0));
+            },
+        );
+    }
+
+    /// What the worker does for a batch of direct reads, on a bare
+    /// `Session`: more transfers than the credit window, 1 KiB to 256 KiB
+    /// in no order, each an RDMA Write and then its reply. Every reaped
+    /// completion matches the oldest posted descriptor (`reaped`
+    /// `debug_assert`s one completion per post); no posted RDMA Write is
+    /// larger than `INLINE_MAX`, and a transfer's last chunk is still in
+    /// flight when the worker gets it back; after a transfer the session
+    /// never has more than `INLINE_MAX` RDMA bytes unsent; a reply in the
+    /// client's hand means its data is; and at the end the FIFO is empty
+    /// and the unsent count is back at 0.
+    #[test]
+    fn mixed_direct_reads_drain_the_send_fifo() {
+        const SIZES: [usize; 12] = [1, 256, 4, 32, 64, 2, 128, 16, 33, 8, 256, 1];
+        assert!(SIZES.len() > CREDITS as usize);
+        let total: usize = SIZES.iter().sum::<usize>() * KIB;
+        with_session(
+            None,
+            total,
+            SIZES.len(),
+            |ctx, sess, to| {
                 let mut at = 0u64;
                 for (i, kib) in SIZES.into_iter().enumerate() {
                     let n = kib * KIB;
@@ -1252,6 +1381,12 @@ mod tests {
                         handle: to.handle,
                     };
                     assert_eq!(sess.rdma_write(ctx, &data, to), Ok(()));
+                    assert!(
+                        sess.posted.iter().all(|&b| b <= INLINE_MAX),
+                        "a descriptor over INLINE_MAX after {kib}K"
+                    );
+                    let last = (n as u64 - 1) % INLINE_MAX + 1;
+                    assert_eq!(sess.posted.back(), Some(&last), "the last chunk of {kib}K");
                     assert!(
                         sess.unsent <= INLINE_MAX,
                         "{} unsent after {kib}K",
@@ -1269,52 +1404,26 @@ mod tests {
                     sess.vi.send_done(ctx).is_none(),
                     "a completion nothing matched"
                 );
-            });
-        }
-        kernel.spawn("client", move |ctx| {
-            let vi = fabric
-                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
-                .unwrap();
-            let mem = &cnic.host().mem;
-            let tag = vi.ptag();
-            let dst = mem.alloc(total);
-            let dh = cnic.register_mem(
-                ctx,
-                dst,
-                total as u64,
-                MemAttributes::rdma_write_target(tag),
-            );
-            let msg = mem.alloc(SLOT as usize);
-            let mh = cnic.register_mem(ctx, msg, SLOT, MemAttributes::local(tag));
-            for _ in SIZES {
-                vi.post_recv(
-                    ctx,
-                    RecvDesc::new(vec![DataSegment::new(msg, SLOT as u32, mh)]),
-                );
-            }
-            *target.lock() = Some(RemoteSegment {
-                addr: dst,
-                handle: dh,
-            });
-            vi.post_send(ctx, SendDesc::send(vec![DataSegment::new(msg, 8, mh)]));
-            let mut at = 0u64;
-            for (i, kib) in SIZES.into_iter().enumerate() {
-                let reply = vi.recv_wait(ctx);
-                assert!(reply.status.is_ok());
-                assert_eq!(
-                    reply.payload.expect("reply")[..],
-                    [i as u8],
-                    "replies in order"
-                );
-                let n = kib * KIB;
-                let landed = mem.read_vec(dst.offset(at), n);
-                assert!(
-                    landed.iter().all(|b| *b == i as u8 + 1),
-                    "transfer {i} behind its reply"
-                );
-                at += n as u64;
-            }
-        });
-        kernel.run();
+            },
+            |ctx, vi, nic, dst| {
+                let mut at = 0u64;
+                for (i, kib) in SIZES.into_iter().enumerate() {
+                    let reply = vi.recv_wait(ctx);
+                    assert!(reply.status.is_ok());
+                    assert_eq!(
+                        reply.payload.expect("reply")[..],
+                        [i as u8],
+                        "replies in order"
+                    );
+                    let n = kib * KIB;
+                    let landed = nic.host().mem.read_vec(dst.offset(at), n);
+                    assert!(
+                        landed.iter().all(|b| *b == i as u8 + 1),
+                        "transfer {i} behind its reply"
+                    );
+                    at += n as u64;
+                }
+            },
+        );
     }
 }

@@ -1044,6 +1044,73 @@ fn dafs_warm_list_writes_survive_loss_ladder() {
     }
 }
 
+/// 128 KiB direct reads under 1 % loss, over a seed ladder. A read goes
+/// out as `INLINE_MAX` chunks and the server's worker moves on with the last
+/// of them still on the wire, so a frame lost may be a request, a reply, or
+/// any chunk, the last one included (the server's half of that path is
+/// pinned by `server.rs`'s `a_failed_last_chunk_refuses_the_reply`). A read
+/// lost with its session is redone through the inline path
+/// (`dafs.direct_fallbacks`); whichever way it went, every read returns
+/// `Ok` with every byte it asked for, and the right ones.
+#[test]
+fn dafs_large_direct_reads_survive_loss_ladder() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    const REQ: usize = 128 << 10;
+    const FILE: usize = 1 << 20;
+    const PASSES: usize = 2;
+    let (mut fallbacks, mut reconnects) = (0, 0);
+    for seed in 0..8u64 {
+        let plan = FaultPlan::builder(0x7A11 + seed).loss(0.01).build();
+        // (direct reads, fallbacks to inline)
+        let tally = Arc::new([const { AtomicU64::new(0) }; 2]);
+        let t = tally.clone();
+        let (_, broke) = raw_dafs_run(plan, move |ctx, c| {
+            let image: Vec<u8> = (0..FILE).map(|i| (i * 7 + i / REQ) as u8).collect();
+            let f = c.create(ctx, ROOT_ID, "f").unwrap().id;
+            for (n, chunk) in image.chunks(32 << 10).enumerate() {
+                c.write_bytes(ctx, f, (n * (32 << 10)) as u64, chunk)
+                    .unwrap();
+            }
+            let mem = &c.nic().host().mem;
+            let buf = mem.alloc(REQ);
+            for _ in 0..PASSES {
+                for off in (0..FILE).step_by(REQ) {
+                    mem.fill(buf, REQ, 0);
+                    let n = c.read(ctx, f, off as u64, buf, REQ as u64);
+                    assert_eq!(n, Ok(REQ as u64), "seed {seed}: read at {off}");
+                    assert_eq!(
+                        mem.read_vec(buf, REQ),
+                        image[off..off + REQ],
+                        "seed {seed}: wrong bytes at {off}"
+                    );
+                }
+            }
+            t[0].store(c.stats.direct_reads.ops(), Relaxed);
+            t[1].store(
+                ctx.metrics().counter("dafs.direct_fallbacks").get(),
+                Relaxed,
+            );
+            assert!(
+                ctx.now().as_nanos() < DEADLINE_NS,
+                "virtual-time deadline blown: {} ns",
+                ctx.now().as_nanos()
+            );
+        });
+        let [direct, fell_back] = [0, 1].map(|k| tally[k].load(Relaxed));
+        assert!(
+            direct > 0,
+            "seed {seed}: no read went direct ({fell_back} fallbacks)"
+        );
+        fallbacks += fell_back;
+        reconnects += broke;
+    }
+    assert!(
+        reconnects > 0 && fallbacks > 0,
+        "{reconnects} reconnects, {fallbacks} fallbacks over the ladder — recovery went untested"
+    );
+}
+
 /// Raw DAFS client under `plan`; returns the server fs and total reconnects.
 fn raw_dafs_run(
     plan: FaultPlan,
