@@ -15,62 +15,24 @@
 //! when it arrives; so a recovered request waits in the server's queue
 //! once, not twice. Only the first connect takes the Hello's reply first.
 //!
-//! Transfer strategy — one predicate, [`DafsClient::goes_direct`]:
-//! * an **inline** transfer rides in the message, the lowest latency into a
-//!   buffer the NIC has never seen: a copy on the server, and on the client
-//!   a copy into the request slot (a write) or out of the reply (a read) —
-//!   except that an inline write from a warm buffer sends its bytes in
-//!   place ([`DafsClient::gathers`]), one gather segment per range under
-//!   the buffer's cached registration, and the client copies only the
-//!   header;
-//! * a **direct read** (READ_DIRECT) has the server RDMA-Write into the
-//!   (cached-registered) user buffer; the client CPU does nothing per byte.
-//!   A read goes direct when it is longer than `direct_threshold` — the
-//!   length past which registering a *cold* buffer costs less than copying
-//!   it — **or** when its buffer is warm ([`RegCache::warm`]: a live
-//!   registration covers it, or this is the second time the same range is
-//!   offered) and it is past the floor below;
-//! * a **direct write** (WRITE_DIRECT) keeps the length rule, and needs a
-//!   fabric with RDMA Read (else inline chunks — the cLAN configuration):
-//!   an RDMA Read holds the server's worker until the bytes are back, so a
-//!   small one costs every other session more than its two copies save.
-//!
-//! The floor: into a warm buffer a direct read costs no registration, only
-//! one more message than an inline one — the server posts the RDMA Write
-//! and then the reply (`post_send + per_segment`, one more completion
-//! `poll`) and each NIC handles one more descriptor (`tx_nic_proc`,
-//! `rx_nic_proc`); the data bytes cross the wire once either way. It wins
-//! when the two copies it saves, `2 · host.copy(len)`, cost more than that
-//! — about 560 bytes with the default costs, and computed from them.
-//!
-//! The gather floor: an inline write message's payload sent in place costs
-//! one more data segment (`per_segment`) per range — one for a contiguous
-//! chunk, one per segment of a `WriteList` message, at most
-//! [`proto::LIST_MAX_SEGMENTS`] — in place of the copy into the slot,
-//! `host.copy(len)`: about 60 bytes for one range with the default costs,
-//! and computed from them. A contiguous chunk asks whether its own range
-//! is warm; a list group asks once, for its whole buffer region, and its
-//! messages past the floor ride under that one registration. The wire
-//! bytes, messages and server work are the same.
-//!
 //! The reply needs no flag saying the data landed: it follows the RDMA
 //! Write on the same reliable VI, which delivers in order, so a reply in
 //! hand means every byte posted before it is in the buffer.
 //!
-//! A contiguous transfer takes one form on the wire, whether blocking or
-//! batched: the `Sub`s that `expand_subs` cuts it into (where the rule is
-//! asked, once per request, and the gather floor once per inline write
-//! chunk, or per list group), each encoded by `encode_sub` and its reply
-//! decoded — and its bytes counted — by `sub_payload`, pipelined over the
-//! credits. A blocking `read` / `write` is a batch of the one request
-//! (`transfer_wire`): it costs what that batch costs, recovery included.
+//! A transfer takes one form on the wire, whether blocking or batched: the
+//! `Sub`s the pure planner ([`crate::plan`]: inline or direct, and how
+//! many) cuts it into at one site ([`DafsClient::cut`]), each encoded by
+//! `encode_sub` and its reply decoded — and its bytes counted — by
+//! `sub_payload`, pipelined over the credits. A blocking `read` / `write`
+//! is a batch of the one request (`transfer_wire`): it costs what that
+//! batch costs, recovery included.
 //!
 //! There is one way in for data and attributes: [`DafsClient::read`],
 //! [`DafsClient::write`] and [`DafsClient::getattr`] hand straight to the
 //! driver of the lease-coherent cache in `crate::cache`, whose first step
 //! asks whether this session caches the file ([`DafsClient::cache_file`]
 //! enrols one, for the session's life). A file it does not cache passes
-//! through — the rule below, then `transfer_wire` / `getattr_wire` —
+//! through — the planner, then `transfer_wire` / `getattr_wire` —
 //! before any poll, clock, metric or trace, so a session
 //! that enrols nothing is the session without a cache. This file supplies
 //! what the driver may not do itself (`Live`, at the end: the wire requests,
@@ -102,6 +64,7 @@ use crate::cache::{
     self, AttrAfter, CacheIo, CacheStat, PageCache, Run, CACHE_CAPACITY, CACHE_PAGE,
 };
 use crate::cost::DafsClientConfig;
+use crate::plan::{self, Rule, Sub, Warm};
 use crate::proto::{self, DafsOp, DafsStatus, LeaseKind, ServerCaps};
 use crate::recover::{self, Kind, Step};
 use crate::regcache::RegCache;
@@ -285,37 +248,6 @@ impl ListReq {
     }
 }
 
-/// One expanded sub-operation of a batch: a whole direct transfer, one
-/// inline-sized chunk of a larger request, or one segment-capped slice of
-/// a vectored list request.
-#[derive(Clone)]
-struct Sub {
-    owner: usize,
-    off: u64,
-    addr: VirtAddr,
-    len: u64,
-    direct: bool,
-    /// An inline write sent in place ([`DafsClient::gathers`]): the
-    /// registered region its bytes ride under — the chunk itself, or the
-    /// whole buffer region of the list group it was cut from. Decided when
-    /// the sub is cut, so a replay sends it as it was first sent and does
-    /// not count as another touch of its buffer.
-    pinned: Option<(VirtAddr, u64)>,
-    /// List sub: segments with buffer offsets rebased onto `addr`. `off`
-    /// is unused then; `len` is the segments' total byte count.
-    segs: Option<Vec<proto::ListSeg>>,
-}
-
-impl Sub {
-    /// What a recovery does with the sub if its session loses it.
-    fn kind(&self) -> Kind {
-        match self.direct {
-            true => Kind::Redo,
-            false => Kind::Repost,
-        }
-    }
-}
-
 /// Which way a transfer moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchDir {
@@ -399,30 +331,6 @@ struct Resend(BatchDir, NodeId, Arc<[Sub]>, usize);
 /// What waiting on a request the session lost returns.
 const LOST: DafsError = DafsError::Transport(ViaStatus::ConnectionLost);
 
-/// The client memory an inline write's payload is gathered from, in order.
-#[derive(Clone, Copy)]
-pub(crate) enum Gather<'a> {
-    /// One range (`WriteInline`).
-    Run(VirtAddr, u64),
-    /// Segments `(_, len, buffer offset)` at a base address, in list order
-    /// (inline `WriteList`).
-    Segs(VirtAddr, &'a [proto::ListSeg]),
-}
-
-impl<'a> Gather<'a> {
-    /// The ranges as `(address, length)`, in payload order.
-    fn runs(self) -> impl Iterator<Item = (VirtAddr, u64)> + 'a {
-        let (one, base, segs) = match self {
-            Gather::Run(addr, len) => (Some((addr, len)), addr, &[][..]),
-            Gather::Segs(base, segs) => (None, base, segs),
-        };
-        let each = segs
-            .iter()
-            .map(move |&(_, len, rel)| (base.offset(rel), len));
-        one.into_iter().chain(each)
-    }
-}
-
 /// Where the byte string that ends a request lives. The frame is assembled
 /// straight from there ([`request_frame`]), whichever variant it is. What
 /// the client is charged for differs: client memory under a registration
@@ -433,11 +341,12 @@ impl<'a> Gather<'a> {
 pub(crate) enum Payload<'a> {
     /// The request ends with its arguments.
     None,
-    /// Client memory, copied into the slot.
-    Mem(Gather<'a>),
-    /// Client memory inside one registered region (an inline write from a
-    /// warm buffer), sent in place under the region's handle.
-    Pinned(Gather<'a>, MemHandle),
+    /// The client memory an inline write sub moves ([`Sub::runs`]),
+    /// copied into the slot.
+    Mem(&'a Sub),
+    /// The same inside one registered region (an inline write from a warm
+    /// buffer), sent in place under the region's handle.
+    Pinned(&'a Sub, MemHandle),
     /// The caller's own bytes (`Append`).
     Slice(&'a [u8]),
 }
@@ -447,7 +356,7 @@ impl Payload<'_> {
     fn len(&self) -> u64 {
         match *self {
             Payload::None => 0,
-            Payload::Mem(g) | Payload::Pinned(g, _) => g.runs().map(|(_, len)| len).sum(),
+            Payload::Mem(s) | Payload::Pinned(s, _) => s.len,
             Payload::Slice(data) => data.len() as u64,
         }
     }
@@ -477,8 +386,8 @@ pub(crate) fn request_frame(
     }
     match payload {
         Payload::None => {}
-        Payload::Mem(g) | Payload::Pinned(g, _) => {
-            for (addr, len) in g.runs() {
+        Payload::Mem(s) | Payload::Pinned(s, _) => {
+            for (addr, len) in s.runs() {
                 mem.read_into(addr, len as usize, e.buf_mut());
             }
         }
@@ -790,8 +699,8 @@ impl DafsClient {
         self.nic.host().compute(ctx, self.config.per_op);
         let header = frame.len() as u64 - payload.len();
         let (copied, in_place) = match payload {
-            Payload::Pinned(g, h) => {
-                let segs = g
+            Payload::Pinned(s, h) => {
+                let segs = s
                     .runs()
                     .map(|(addr, len)| DataSegment::new(addr, len as u32, h));
                 (0, segs.collect())
@@ -1201,31 +1110,19 @@ impl DafsClient {
 
     // ----- data path ------------------------------------------------------
 
-    /// True if a transfer of `len` bytes to (`Read`) or from (`Write`) the
-    /// client region `[addr, addr + span)` goes direct rather than inline —
-    /// the module header has the rule. `span` is `len` for a contiguous
-    /// transfer; a list's segments may leave gaps in their region. A "no"
-    /// for a small read is remembered: the same region offered again is warm.
-    fn goes_direct(&self, dir: BatchDir, len: u64, addr: VirtAddr, span: u64) -> bool {
-        if len > self.config.direct_threshold {
-            return dir == BatchDir::Read || self.caps().rdma_read;
-        }
-        let c = self.nic.cost();
-        let one_more_message = c.post_send + c.per_segment + c.poll + c.tx_nic_proc + c.rx_nic_proc;
-        dir == BatchDir::Read
-            && self.config.host.copy(len) * 2 > one_more_message
-            && self.regcache.warm(addr, span)
-    }
-
-    /// True if an inline write of `len` bytes in `segments` ranges is past
-    /// the gather floor — the module header has it: sent in place, it costs
-    /// one data segment per range instead of the copy into the request
-    /// slot. It goes in place only from a warm buffer as well, the same
-    /// [`RegCache::warm`] a small read asks, so the registration it rides
-    /// under is a cache hit or the second touch that pays for every later
-    /// one.
-    fn gathers(&self, len: u64, segments: usize) -> bool {
-        self.nic.cost().gathers(&self.config.host, len, segments)
+    /// The one site the transfer rule is asked: `cut` with the rule the
+    /// latest Hello installed, and what is warm in the registration cache.
+    fn cut(&self, cut: impl FnOnce(&Rule, Warm) -> Vec<Sub>) -> Vec<Sub> {
+        let caps = self.caps();
+        let rule = Rule {
+            inline_max: caps.inline_max,
+            rdma_read: caps.rdma_read,
+            direct_threshold: self.config.direct_threshold,
+            list_max_segments: proto::LIST_MAX_SEGMENTS,
+            via: *self.nic.cost(),
+            host: self.config.host,
+        };
+        cut(&rule, &mut |addr, len| self.regcache.warm(addr, len))
     }
 
     /// Read `len` bytes at `off` into the user buffer `dst`.
@@ -1267,7 +1164,7 @@ impl DafsClient {
         fh: NodeId,
         req: IoReq,
     ) -> DafsResult<(u64, Option<FileAttr>)> {
-        let b = self.begin(ctx, dir, fh, 1, true, || self.expand_subs(dir, &[req]));
+        let b = self.begin(ctx, dir, fh, true, plan::contiguous, &[req]);
         let (mut moved, attr) = self.finish(ctx, b);
         let n = moved.remove(0)?;
         if let Some(a) = attr {
@@ -1359,163 +1256,6 @@ impl DafsClient {
         }
     }
 
-    /// Expand contiguous requests into sub-operations, each remembering
-    /// which request it belongs to: a direct transfer goes whole, as does
-    /// an empty write (one empty message, whose reply carries the
-    /// attributes), an inline one as its [`Self::inline_subs`] — none for
-    /// an empty read.
-    fn expand_subs(&self, dir: BatchDir, reqs: &[IoReq]) -> Vec<Sub> {
-        let mut subs = Vec::new();
-        for (i, &r) in reqs.iter().enumerate() {
-            let direct = self.goes_direct(dir, r.len, r.addr, r.len);
-            if direct || r.len == 0 && dir == BatchDir::Write {
-                subs.push(Sub {
-                    owner: i,
-                    off: r.off,
-                    addr: r.addr,
-                    len: r.len,
-                    direct,
-                    pinned: None,
-                    segs: None,
-                });
-            } else {
-                subs.extend(self.inline_subs(dir, i, r));
-            }
-        }
-        subs
-    }
-
-    /// The one chunker: `r` as inline messages of at most the session's
-    /// inline limit, in order (none for an empty range), each write chunk
-    /// asking whether it goes in place ([`Self::gathers`], then whether it
-    /// is warm). What a direct sub the session took with it is redone as
-    /// ([`Self::recover`]), without asking the transfer rule again; its
-    /// buffer's registration is live, so a write's chunks go in place.
-    fn inline_subs(&self, dir: BatchDir, owner: usize, r: IoReq) -> Vec<Sub> {
-        let max = self.caps().inline_max;
-        (0..r.len)
-            .step_by(max as usize)
-            .map(|done| {
-                let (addr, len) = (r.addr.offset(done), (r.len - done).min(max));
-                let gathers = dir == BatchDir::Write && self.gathers(len, 1);
-                Sub {
-                    owner,
-                    off: r.off + done,
-                    addr,
-                    len,
-                    direct: false,
-                    pinned: (gathers && self.regcache.warm(addr, len)).then_some((addr, len)),
-                    segs: None,
-                }
-            })
-            .collect()
-    }
-
-    /// Split a segment list into per-request groups honoring the wire
-    /// segment cap and a byte cap (inline message size); individual
-    /// segments may split across groups. Zero-length segments are dropped.
-    fn chunk_segs(
-        segs: &[proto::ListSeg],
-        seg_cap: usize,
-        byte_cap: u64,
-    ) -> Vec<Vec<proto::ListSeg>> {
-        let mut groups = Vec::new();
-        let mut cur: Vec<proto::ListSeg> = Vec::new();
-        let mut cur_bytes = 0u64;
-        for &(mut off, mut len, mut rel) in segs {
-            while len > 0 {
-                if cur.len() >= seg_cap || cur_bytes >= byte_cap {
-                    groups.push(std::mem::take(&mut cur));
-                    cur_bytes = 0;
-                }
-                let take = len.min(byte_cap - cur_bytes);
-                cur.push((off, take, rel));
-                cur_bytes += take;
-                off += take;
-                rel += take;
-                len -= take;
-            }
-        }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
-        groups
-    }
-
-    /// One list sub of the segments `segs` of the buffer at `buf`.
-    fn list_sub(owner: usize, buf: VirtAddr, mut segs: Vec<proto::ListSeg>, direct: bool) -> Sub {
-        // Rebase buffer offsets onto the group's first segment so the
-        // registered region spans exactly the bytes this sub touches.
-        let base = segs[0].2;
-        for s in &mut segs {
-            s.2 -= base;
-        }
-        Sub {
-            owner,
-            off: 0,
-            addr: buf.offset(base),
-            len: segs.iter().map(|s| s.1).sum(),
-            direct,
-            pinned: None,
-            segs: Some(segs),
-        }
-    }
-
-    /// The chunker for a list: `segs` of the buffer at `buf`, one group of
-    /// at most [`proto::LIST_MAX_SEGMENTS`], as inline list messages. A
-    /// write asks [`RegCache::warm`] once, over the group's whole buffer
-    /// region (its first segment to the end of its last), if any message is
-    /// past the gather floor; each such message from a warm region goes in
-    /// place under that region's registration — one registration for the
-    /// group, the one a direct transfer of the same region would hold.
-    fn inline_list_subs(
-        &self,
-        dir: BatchDir,
-        owner: usize,
-        buf: VirtAddr,
-        segs: &[proto::ListSeg],
-    ) -> Vec<Sub> {
-        let max = self.caps().inline_max;
-        let groups = Self::chunk_segs(segs, proto::LIST_MAX_SEGMENTS, max);
-        let mut subs: Vec<Sub> = groups
-            .into_iter()
-            .map(|g| Self::list_sub(owner, buf, g, false))
-            .collect();
-        let gathers = |s: &Sub| self.gathers(s.len, s.segs.as_ref().map_or(0, Vec::len));
-        if dir == BatchDir::Write && subs.iter().any(gathers) {
-            let (first, last) = (segs[0], segs[segs.len() - 1]);
-            let region = (buf.offset(first.2), last.2 + last.1 - first.2);
-            if self.regcache.warm(region.0, region.1) {
-                for s in subs.iter_mut().filter(|s| gathers(s)) {
-                    s.pinned = Some(region);
-                }
-            }
-        }
-        subs
-    }
-
-    /// Expand list requests into segment-capped sub-requests: groups that
-    /// go direct (by their total, against the region from their first
-    /// segment to the end of their last) are one RDMA list op against a
-    /// single registration; the rest split further into inline-sized list
-    /// messages (the no-RDMA-Read write fallback also lands here).
-    fn expand_list_subs(&self, dir: BatchDir, reqs: &[ListReq]) -> Vec<Sub> {
-        let mut subs = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
-            for group in Self::chunk_segs(&r.segs, proto::LIST_MAX_SEGMENTS, u64::MAX) {
-                let total: u64 = group.iter().map(|s| s.1).sum();
-                let (first, last) = (group[0], group[group.len() - 1]);
-                let span = last.2 + last.1 - first.2;
-                if self.goes_direct(dir, total, r.buf.offset(first.2), span) {
-                    subs.push(Self::list_sub(i, r.buf, group, true));
-                } else {
-                    subs.extend(self.inline_list_subs(dir, i, r.buf, &group));
-                }
-            }
-        }
-        subs
-    }
-
     /// The one encoder: a sub's op, its arguments and where an inline
     /// write's bytes live, plus the registration its buffer rides under —
     /// a direct sub's, or an inline write's sent in place; `MemHandle(0)`
@@ -1528,13 +1268,11 @@ impl DafsClient {
         fh: NodeId,
         sb: &'a Sub,
     ) -> (DafsOp, Enc, Payload<'a>, (MemHandle, bool)) {
-        // The one registered region a direct op transfers against — for a
-        // list sub, from its base to the end of its last segment — or the
+        // The one registered region a direct op transfers against, or the
         // one an in-place write's bytes ride under.
-        let region = match &sb.segs {
-            _ if !sb.direct => sb.pinned,
-            Some(segs) => segs.last().map(|s| (sb.addr, s.2 + s.1)),
-            None => Some((sb.addr, sb.len)),
+        let region = match sb.direct {
+            true => Some(sb.region()),
+            false => sb.pinned,
         };
         let (handle, transient) = match region {
             Some((addr, len)) => self.regcache.acquire(ctx, addr, len),
@@ -1542,9 +1280,9 @@ impl DafsClient {
         };
         // An inline write's bytes: in place under that registration, or
         // copied into the request slot.
-        let inline = |g| match sb.pinned {
-            Some(_) => Payload::Pinned(g, handle),
-            None => Payload::Mem(g),
+        let inline = match sb.pinned {
+            Some(_) => Payload::Pinned(sb, handle),
+            None => Payload::Mem(sb),
         };
         let mut e = Enc::new();
         e.u64(fh.0);
@@ -1561,7 +1299,7 @@ impl DafsClient {
                     BatchDir::Read => (DafsOp::ReadList, Payload::None),
                     BatchDir::Write if sb.direct => (DafsOp::WriteList, Payload::None),
                     // The segments, packed, are the inline payload.
-                    BatchDir::Write => (DafsOp::WriteList, inline(Gather::Segs(sb.addr, segs))),
+                    BatchDir::Write => (DafsOp::WriteList, inline),
                 }
             }
             (None, _) if sb.direct => {
@@ -1580,7 +1318,7 @@ impl DafsClient {
             }
             (None, BatchDir::Write) => {
                 e.u64(sb.off);
-                (DafsOp::WriteInline, inline(Gather::Run(sb.addr, sb.len)))
+                (DafsOp::WriteInline, inline)
             }
         };
         (op, e, payload, (handle, transient))
@@ -1636,8 +1374,8 @@ impl DafsClient {
     /// inline read's copied out to the buffer — and the attributes a
     /// contiguous write's reply carries. The one byte meter too: what a sub
     /// moved is counted here, once it is acknowledged, however it got
-    /// there. A reply that would land past the sub's buffer is a protocol
-    /// error.
+    /// there. A reply that claims more than the sub asked for, or would
+    /// land past its buffer, is a protocol error.
     fn sub_payload(
         &self,
         ctx: &ActorCtx,
@@ -1653,7 +1391,10 @@ impl DafsClient {
                 attr = Some(proto::dec_attr(&mut d).map_err(|_| DafsError::Protocol)?);
                 sb.len
             }
-            (BatchDir::Read, None) if sb.direct => d.u64().map_err(|_| DafsError::Protocol)?,
+            (BatchDir::Read, None) if sb.direct => {
+                let n = d.u64().ok().filter(|&n| n <= sb.len);
+                n.ok_or(DafsError::Protocol)?
+            }
             (BatchDir::Read, None) => {
                 let data = d.bytes().map_err(|_| DafsError::Protocol)?;
                 if data.len() as u64 > sb.len {
@@ -1751,12 +1492,7 @@ impl DafsClient {
             if sb.direct {
                 ctx.metrics().counter("dafs.direct_fallbacks").inc();
             }
-            let (off, addr, len) = (sb.off, sb.addr, sb.len);
-            let chunks = match (sb.direct, &sb.segs) {
-                (false, _) => vec![sb.clone()],
-                (true, None) => self.inline_subs(dir, sb.owner, IoReq { off, addr, len }),
-                (true, Some(segs)) => self.inline_list_subs(dir, sb.owner, addr, segs),
-            };
+            let chunks = self.cut(|r, w| plan::redo(dir, sb, r, w));
             let mut mine = b.as_deref_mut().filter(|b| Arc::ptr_eq(&b.subs, &subs));
             for c in &chunks {
                 let (op, args, payload, held) = self.encode_sub(ctx, dir, fh, c);
@@ -1780,10 +1516,10 @@ impl DafsClient {
         }
     }
 
-    /// The single point every batch starts at: `expand` its `n` requests
-    /// into subs and post what the credit window has room for. Its span
-    /// starts here, and its `xfer` trace line is emitted once the window is
-    /// filled.
+    /// The single point every batch starts at: [`Self::cut`] its requests
+    /// into subs with the planner function `cut`, and post what the credit
+    /// window has room for. Its span starts here, and its `xfer` trace line
+    /// is emitted once the window is filled.
     ///
     /// Batch ops go to the wire past the page cache, so every batch whose
     /// caller is not already `past` it first follows [`cache::past_cache`]
@@ -1792,28 +1528,28 @@ impl DafsClient {
     /// result the error), so the failure reaches the caller instead of
     /// hiding behind a batch that succeeded, or was replayed, past
     /// write-back data that never landed.
-    fn begin(
+    fn begin<R>(
         &self,
         ctx: &ActorCtx,
         dir: BatchDir,
         fh: NodeId,
-        n: usize,
         past: bool,
-        expand: impl FnOnce() -> Vec<Sub>,
+        cut: fn(BatchDir, &[R], &Rule, Warm) -> Vec<Sub>,
+        reqs: &[R],
     ) -> DafsBatch {
         let refused = match past {
             true => None,
             false => cache::past_cache(&mut Live(self, ctx), fh.0, dir == BatchDir::Write).err(),
         };
         let start = ctx.now();
-        let mut subs = expand();
+        let mut subs = self.cut(|rule, warm| cut(dir, reqs, rule, warm));
         subs.retain(|_| refused.is_none());
         let mut b = DafsBatch {
             dir,
             fh,
             start,
             subs: subs.into(),
-            results: vec![refused.map_or(Ok(0), Err); n],
+            results: vec![refused.map_or(Ok(0), Err); reqs.len()],
             inflight: VecDeque::new(),
             next: 0,
             past,
@@ -1840,9 +1576,7 @@ impl DafsClient {
     /// expand them, post what the credit window has room for, and return
     /// without waiting.
     pub fn issue(&self, ctx: &ActorCtx, dir: BatchDir, fh: NodeId, reqs: &[IoReq]) -> DafsBatch {
-        self.begin(ctx, dir, fh, reqs.len(), false, || {
-            self.expand_subs(dir, reqs)
-        })
+        self.begin(ctx, dir, fh, false, plan::contiguous, reqs)
     }
 
     /// Issue half of a split-phase vectored batch on `fh`: each request's
@@ -1862,8 +1596,7 @@ impl DafsClient {
                 "list request segments must be sorted and non-overlapping"
             );
         }
-        let expand = || self.expand_list_subs(dir, reqs);
-        self.begin(ctx, dir, fh, reqs.len(), false, expand)
+        self.begin(ctx, dir, fh, false, plan::list, reqs)
     }
 
     /// Nonblocking progress on a split-phase batch: drain completions that
@@ -2021,8 +1754,7 @@ impl CacheIo for Live<'_> {
         let ops = &c.stats.ops;
         let before = ops.get();
         let reqs = [ListReq { segs, buf }];
-        let expand = || c.expand_list_subs(BatchDir::Write, &reqs);
-        let b = c.begin(ctx, BatchDir::Write, NodeId(fh), 1, true, expand);
+        let b = c.begin(ctx, BatchDir::Write, NodeId(fh), true, plan::list, &reqs);
         let res = c.batch_finish(ctx, b).remove(0);
         (ops.get() - before, res.map(|_| ()))
     }

@@ -24,6 +24,7 @@ mod client;
 #[cfg(test)]
 mod explore;
 mod lease;
+mod plan;
 mod proto;
 mod recover;
 mod server;
@@ -130,7 +131,8 @@ mod tests {
     /// the frame the previous encoding produced for the same request.
     #[test]
     fn request_frames_assembled_in_place_are_the_same_wire_bytes() {
-        use crate::client::{request_frame, Gather, Payload};
+        use crate::client::{request_frame, Payload};
+        use crate::plan::Sub;
         use crate::wire::Enc;
         let mem = simnet::HostMem::new();
         let buf = mem.alloc(8192);
@@ -144,7 +146,8 @@ mod tests {
         old.u64(fh).u64(off).bytes(&pattern[at..at + len]);
         let mut args = Enc::new();
         args.u64(fh).u64(off);
-        let payload = Payload::Mem(Gather::Run(buf.offset(at as u64), len as u64));
+        let run = Sub::run(0, off, buf.offset(at as u64), len as u64);
+        let payload = Payload::Mem(&run);
         let frame = request_frame(&mem, 42, DafsOp::WriteInline, &args.finish(), payload);
         assert_eq!(frame, old.finish());
 
@@ -164,12 +167,18 @@ mod tests {
         args.u64(fh).u8(0);
         proto::enc_seg_list(&mut args, &segs);
         let args = args.finish();
-        let payload = Payload::Mem(Gather::Segs(buf, &segs));
+        let list = Sub {
+            addr: buf,
+            len: segs.iter().map(|s| s.1).sum(),
+            segs: Some(segs.clone()),
+            ..run
+        };
+        let payload = Payload::Mem(&list);
         let frame = request_frame(&mem, 43, DafsOp::WriteList, &args, payload);
         let old = old.finish();
         assert_eq!(frame, old);
         // Sent in place, the same segments build the same frame.
-        let pinned = Payload::Pinned(Gather::Segs(buf, &segs), via::MemHandle(1));
+        let pinned = Payload::Pinned(&list, via::MemHandle(1));
         assert_eq!(
             request_frame(&mem, 43, DafsOp::WriteList, &args, pinned),
             old

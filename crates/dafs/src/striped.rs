@@ -631,6 +631,115 @@ mod tests {
         }
     }
 
+    /// The striped split composes with the transfer planner: for 1–4
+    /// servers, a range or a segment list split over the servers, and each
+    /// server's share cut into wire subs, moves every logical byte exactly
+    /// once, to its own byte of the caller's buffer; and every per-server
+    /// list sub is well formed.
+    #[test]
+    fn split_then_plan_moves_every_logical_byte_once() {
+        use crate::plan::{self, tests::rule, Sub};
+        use crate::proto::{list_well_formed, LIST_MAX_SEGMENTS};
+        let buf = VirtAddr(1 << 32);
+        // `(buffer offset, logical offset, len)` runs, merged where both
+        // run on: equal for two ways of moving the same bytes.
+        let merged = |mut runs: Vec<(u64, u64, u64)>| {
+            runs.sort_unstable();
+            let mut out: Vec<(u64, u64, u64)> = Vec::new();
+            for r in runs.into_iter().filter(|r| r.2 > 0) {
+                match out.last_mut() {
+                    Some(p) if p.0 + p.2 == r.0 && p.1 + p.2 == r.1 => p.2 += r.2,
+                    _ => out.push(r),
+                }
+            }
+            out
+        };
+        // What server `s`'s subs move, mapped back to the logical file a
+        // stripe block at a time.
+        let moved = |n: u64, stripe: u64, s: u64, subs: &[Sub]| {
+            let mut runs = Vec::new();
+            for sb in subs {
+                let pieces = match &sb.segs {
+                    Some(segs) => segs.iter().map(|g| (g.0, g.1, sb.addr.0 + g.2)).collect(),
+                    None => vec![(sb.off, sb.len, sb.addr.0)],
+                };
+                for (mut local, mut len, mut addr) in pieces {
+                    while len > 0 {
+                        let take = len.min(stripe - local % stripe);
+                        let logical = logical_end(n, stripe, s, local + 1) - 1;
+                        runs.push((addr - buf.0, logical, take));
+                        (local, len, addr) = (local + take, len - take, addr + take);
+                    }
+                }
+            }
+            runs
+        };
+        let strided = |count: u64, stripe: u64| -> Vec<ListSeg> {
+            let len = stripe / 2 + 7;
+            (0..count)
+                .map(|i| (i * 3 * stripe / 2 + 13, len, i * len))
+                .collect()
+        };
+        for n in 1u64..=4 {
+            for stripe in [100u64, 4096, 64 << 10] {
+                let ranges = [
+                    (37u64, 1u64),
+                    (99, 301),
+                    (4096, 8193),
+                    (1000, 65_537),
+                    (0, 200 << 10),
+                ];
+                let lists = [
+                    strided(40, stripe),
+                    strided(LIST_MAX_SEGMENTS as u64 + 1, 64),
+                ];
+                for dir in [BatchDir::Read, BatchDir::Write] {
+                    for (rdma_read, warm) in [(false, false), (true, true), (false, true)] {
+                        let rule = rule(rdma_read);
+                        for &(off, len) in &ranges {
+                            let mut runs = Vec::new();
+                            for s in 0..n {
+                                let reqs: Vec<IoReq> = split_range(n, stripe, off, len)
+                                    .into_iter()
+                                    .filter(|p| p.server as u64 == s)
+                                    .map(|p| IoReq {
+                                        off: p.local,
+                                        addr: buf.offset(p.rel),
+                                        len: p.len,
+                                    })
+                                    .collect();
+                                let subs = plan::contiguous(dir, &reqs, &rule, &mut |_, _| warm);
+                                runs.extend(moved(n, stripe, s, &subs));
+                            }
+                            assert_eq!(
+                                merged(runs),
+                                [(0, off, len)],
+                                "n={n} stripe={stripe} {off}+{len}"
+                            );
+                        }
+                        for segs in &lists {
+                            let mut runs = Vec::new();
+                            for (s, per) in split_seg_list(n, stripe, segs).into_iter().enumerate()
+                            {
+                                let req = ListReq { segs: per, buf };
+                                let subs = plan::list(dir, &[req], &rule, &mut |_, _| warm);
+                                let lists = subs.iter().filter_map(|sb| sb.segs.as_ref());
+                                assert!(lists.clone().all(|g| list_well_formed(g)));
+                                assert!(lists.clone().all(|g| g.len() <= LIST_MAX_SEGMENTS));
+                                runs.extend(moved(n, stripe, s as u64, &subs));
+                            }
+                            let want = segs
+                                .iter()
+                                .map(|&(off, len, rel)| (rel, off, len))
+                                .collect();
+                            assert_eq!(merged(runs), merged(want), "n={n} stripe={stripe}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn pieces_tile_the_range_exactly() {
         for n in [1usize, 2, 3, 4] {

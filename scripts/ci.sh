@@ -125,6 +125,29 @@ if [ "$reads" -ne 1 ] || grep -nE 'fn (resend_lost|fallback)\b' crates/dafs/src/
     exit 1
 fi
 
+echo "==> one transfer planner"
+# How a request is cut into wire subs — inline or direct, chunked, listed,
+# in place or copied — is the pure planner in `crates/dafs/src/plan.rs`
+# (its exhaustive test pins the cut and every `warm` call). The client asks
+# it at one site, `DafsClient::cut`: the one read of `direct_threshold`
+# and the one `RegCache::warm` call in client.rs; none of the eight
+# functions the planner replaced comes back. The planner names no kernel,
+# NIC, simulated memory, registration cache, metric or trace.
+thresholds=$(grep -o '\.direct_threshold\b' crates/dafs/src/client.rs | wc -l)
+warms=$(grep -o '\.warm(' crates/dafs/src/client.rs | wc -l)
+if [ "$thresholds" -ne 1 ] || [ "$warms" -ne 1 ] ||
+    grep -nE 'fn (goes_direct|gathers|expand_subs|inline_subs|chunk_segs|list_sub|inline_list_subs|expand_list_subs)\b' \
+        crates/dafs/src/client.rs; then
+    echo "ci: crates/dafs/src/client.rs reads direct_threshold at $thresholds sites and" \
+        "calls warm at $warms (exactly 1 each), or defines a cut function (lines above)" >&2
+    exit 1
+fi
+if grep -nE 'ActorCtx|ViaNic|HostMem|RegCache|obs::|metrics\(|\.trace\(|\.compute\(' \
+    crates/dafs/src/plan.rs; then
+    echo "ci: I/O in the transfer planner (lines above)" >&2
+    exit 1
+fi
+
 echo "==> the aggregator knows the layout before the data"
 # One request exchange per collective call tells every aggregator where each
 # rank's pieces go, so data messages carry no descriptors and the aggregator

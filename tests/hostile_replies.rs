@@ -8,7 +8,9 @@
 //! buffer and returned `Ok`, and the credit case took the server's word for
 //! a window of 1 000 requests over eight receive descriptors: all five
 //! fail there. No existing test met a peer that over-answers. A directory
-//! listing that claims more entries than it holds is the same error.
+//! listing that claims more entries than it holds is the same error, and
+//! so is a direct read's count past its request, which was still credited
+//! as it came — `read` returned more bytes than it asked for.
 
 use std::sync::Arc;
 
@@ -36,8 +38,9 @@ fn le(v: &[u8]) -> u64 {
 }
 
 /// A DAFS server that grants `credits` in its `Hello` and answers every
-/// inline read — `ReadInline`, and the first segment of an inline
-/// `ReadList` — with `extra` bytes more than were asked for, and every
+/// read — `ReadInline`, `ReadDirect` (a count only: it writes nothing),
+/// and the first segment of an inline `ReadList` — with `extra` bytes
+/// more than were asked for, and every
 /// `ReadDir` with a count of `u32::MAX` entries and none of them; anything
 /// else gets an empty OK.
 fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits: u32, extra: u64) {
@@ -80,6 +83,9 @@ fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits:
                     let n = (le(&body[16..24]) + extra) as usize;
                     [&(n as u32).to_le_bytes()[..], &vec![0xEE; n]].concat()
                 }
+                // ReadDirect (fh, off, len, addr, handle): a count, and no
+                // RDMA Write of the bytes it claims.
+                12 => (le(&body[16..24]) + extra).to_le_bytes().to_vec(),
                 // Inline ReadList (fh, 0, n, n × (off, len, rel)): n, the
                 // counts, the packed bytes.
                 20 => {
@@ -131,13 +137,13 @@ fn with_dafs_peer(
     kernel.run();
 }
 
-/// A 4 KiB region of `0x11` and the check that it still is.
+/// A 32 KiB region of `0x11` and the check that it still is.
 fn region(nic: &ViaNic) -> (VirtAddr, impl Fn(&str) + '_) {
-    let mem = &nic.host().mem;
-    let at = mem.alloc(4096);
-    mem.fill(at, 4096, 0x11);
+    let (mem, len) = (&nic.host().mem, 32 << 10);
+    let at = mem.alloc(len);
+    mem.fill(at, len, 0x11);
     (at, move |what: &str| {
-        assert!(mem.read_vec(at, 4096) == [0x11; 4096], "{what}: wrote");
+        assert!(mem.read_vec(at, len) == vec![0x11; len], "{what}: wrote");
     })
 }
 
@@ -149,6 +155,19 @@ fn dafs_inline_read_longer_than_asked_is_a_protocol_error() {
         untouched("read");
         let got = c.read_to_vec(ctx, FH, 0, 256);
         assert_eq!(got, Err(DafsError::Protocol));
+    });
+}
+
+/// A direct read's reply carries only a count, the bytes having come by
+/// RDMA Write: a count past the request is as malformed as surplus inline
+/// bytes. It used to be credited as it came, and `read` returned 16 400.
+#[test]
+fn dafs_direct_read_count_longer_than_asked_is_a_protocol_error() {
+    with_dafs_peer(8, EXTRA, |ctx, c, nic| {
+        let (buf, untouched) = region(nic);
+        let got = c.read(ctx, FH, 0, buf.offset(4096), 16 << 10);
+        assert_eq!(got, Err(DafsError::Protocol));
+        untouched("direct read");
     });
 }
 
