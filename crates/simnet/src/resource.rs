@@ -2,9 +2,15 @@
 //! CPU, a disk arm, a shared wire).
 //!
 //! A [`Resource`] models a station that serves one request at a time:
-//! `completion = max(free_at, arrival) + service`. Because the kernel runs
-//! actors in nondecreasing virtual-time order, bookings happen in arrival
-//! order and the model reduces to exact FIFO queueing.
+//! `completion = max(free_at, arrival) + service`. That is exact FIFO
+//! queueing only if bookings are made in arrival order, and keeping that
+//! order is the caller's contract. Booking at the caller's own clock
+//! (`arrival = ctx.now()`) keeps it, because the kernel runs actors in
+//! nondecreasing virtual time. Booking at a future arrival does not: a
+//! later booking for an earlier arrival queues behind it. A downstream
+//! station is therefore booked by whoever sees the work arrive (the
+//! receiver, as it takes a message off its port in arrival order), not by
+//! the sender at send time.
 
 use std::sync::Arc;
 
@@ -43,7 +49,8 @@ impl Resource {
 
     /// Book `service` time starting no earlier than `arrival`; returns the
     /// completion instant. Does not block the caller — use the returned time
-    /// as a message arrival, or `sleep_until` it for synchronous use.
+    /// as a message arrival, or `sleep_until` it for synchronous use. The
+    /// caller books in arrival order (see the module doc).
     pub fn book(&self, arrival: SimTime, service: SimDuration) -> SimTime {
         let mut st = self.inner.lock();
         let start = st.free_at.max(arrival);

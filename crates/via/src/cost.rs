@@ -30,9 +30,6 @@ pub struct ViaCost {
     pub rx_nic_proc: SimDuration,
     /// Host cost of one completion-queue / work-queue poll.
     pub poll: SimDuration,
-    /// Extra host cost when completing via a blocking wait (interrupt +
-    /// wakeup) instead of a successful poll.
-    pub blocking_wakeup: SimDuration,
     /// Fixed cost of registering a memory region (pin pages, program the
     /// NIC's translation table).
     pub reg_base: SimDuration,
@@ -59,7 +56,6 @@ impl Default for ViaCost {
             tx_nic_proc: us(1),
             rx_nic_proc: us(1),
             poll: SimDuration::from_nanos(200),
-            blocking_wakeup: us(5),
             reg_base: us(25),
             reg_per_page: SimDuration::from_nanos(1_200),
             dereg: us(8),

@@ -249,6 +249,18 @@ if grep -rnE 'ForwardingMode|StoreAndForward|pool_bytes|PoolState|rail_assign|pi
     exit 1
 fi
 
+echo "==> a receiver books its own wire"
+# `Resource` is FIFO only if it is booked in arrival order. An MPI message's
+# receive wire is booked by the receiver when it takes the envelope off its
+# port, which yields envelopes in arrival order; a sender that booked its
+# peer's wire would reserve it at send time, ahead of messages that get
+# there first.
+if grep -nE 'peer\.rx_wire' crates/mpiio/src/comm.rs ||
+    grep -nE 'rx_wire\.book' crates/mpiio/src/comm.rs | grep -v 'me\.rx_wire\.book'; then
+    echo "ci: crates/mpiio/src/comm.rs books another rank's rx_wire (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 
