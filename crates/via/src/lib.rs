@@ -778,7 +778,10 @@ mod tests {
     }
 
     /// Two back-to-back RDMA Reads under jitter complete in post order, each
-    /// at its jittered delivery instant.
+    /// at its jittered delivery instant: 111 501 and 120 811 ns without
+    /// jitter, plus the first two draws of the server → client jitter
+    /// stream under seed 11, 2 492 and 1 169 ns. (949 and 787 ns when every
+    /// link drew from one shared stream.)
     #[test]
     fn rdma_reads_under_jitter_complete_in_post_order() {
         use simnet::fault::FaultPlan;
@@ -798,8 +801,8 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (ViaStatus::Success, 4096, 112_450),
-                (ViaStatus::Success, 1024, 121_598),
+                (ViaStatus::Success, 4096, 113_993),
+                (ViaStatus::Success, 1024, 121_980),
             ]
         );
         assert_eq!(r.local, vec![vec![0xAB; 4096], vec![0xAB; 1024]]);

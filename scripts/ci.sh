@@ -238,6 +238,18 @@ if grep -nE 'fn (do_send|do_rdma_write|do_rdma_read)\b' "$vi" ||
     exit 1
 fi
 
+echo "==> one loss draw per link"
+# A loss or jitter verdict is a function of (seed, directed link, stream,
+# the frame's index on that link): `FaultPlan::should_drop` and `jitter`
+# take counter-based draws (`rng::keyed`), one counter per directed link
+# and stream. A shared `Rng64` would deal every link's verdicts from one
+# sequence in global frame order, so one more frame anywhere would move
+# every later verdict everywhere.
+if grep -nE '\bRng64\b|\.rng\b' crates/simnet/src/fault.rs; then
+    echo "ci: crates/simnet/src/fault.rs draws from a shared Rng64 (lines above)" >&2
+    exit 1
+fi
+
 echo "==> the fabric models what the tables run"
 # One plane of cut-through switches with per-port queues: every table and
 # workload runs one rail, no shared buffer pool and cut-through forwarding,

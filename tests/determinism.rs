@@ -207,10 +207,13 @@ fn run_faulted(seed: u64) -> (u64, Vec<u8>, Snapshot, Vec<u8>) {
     )
 }
 
+/// Seed 0xFA19, which drops 8 frames. Since loss is drawn per link, the
+/// seed used before, 0xFA17, drops none of this short run's frames (the
+/// guard at the end caught it).
 #[test]
 fn same_fault_seed_replays_identical_timeline() {
-    let a = run_faulted(0xFA17);
-    let b = run_faulted(0xFA17);
+    let a = run_faulted(0xFA19);
+    let b = run_faulted(0xFA19);
     assert_eq!(a.0, b.0, "virtual end times differ");
     assert_eq!(a.2, b.2, "metrics snapshots differ");
     assert_eq!(a.1, b.1, "trace streams differ");
@@ -218,7 +221,7 @@ fn same_fault_seed_replays_identical_timeline() {
     // The plan must actually have fired, or the assertions above are vacuous.
     assert!(
         a.2.get("sim.faults.dropped").unwrap().value() > 0,
-        "seed 0xFA17 injected nothing"
+        "seed 0xFA19 injected nothing"
     );
 }
 
