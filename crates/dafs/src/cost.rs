@@ -47,7 +47,8 @@ pub struct DafsClientConfig {
     /// Session re-establishment attempts after a transport failure before
     /// the error surfaces to the caller. Only exercised when the fabric
     /// carries a fault plan — a lossless fabric never breaks a session.
-    /// The wait before each doubles from 1 ms (`RECONNECT_BACKOFF`).
+    /// The first dial goes at once; the wait before each later one doubles
+    /// from 1 ms (`RECONNECT_BACKOFF`), so the default 9 dials span 255 ms.
     pub max_reconnects: u32,
     /// Request write-back leases for cached writes: dirty pages buffer at
     /// the client until flush, recall, or close. Off by default — cached
@@ -71,7 +72,7 @@ impl Default for DafsClientConfig {
             use_regcache: true,
             per_op: us(4),
             host: HostCost::default(),
-            max_reconnects: 8,
+            max_reconnects: 9,
             cache_write_back: false,
             tenant: None,
         }
