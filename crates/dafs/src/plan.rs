@@ -177,17 +177,6 @@ pub(crate) fn list(dir: BatchDir, reqs: &[ListReq], rule: &Rule, warm: Warm) -> 
     cut(dir, units, rule, warm)
 }
 
-/// What a recovery sends for a sub its session lost: an inline one as it
-/// was, a direct one as its inline chunks, without asking the transfer
-/// rule again. A direct sub's registration is live, so a write's chunks go
-/// in place past the gather floor.
-pub(crate) fn redo(dir: BatchDir, sub: &Sub, rule: &Rule, warm: Warm) -> Vec<Sub> {
-    match sub.direct {
-        true => inline(dir, sub, rule, warm),
-        false => vec![sub.clone()],
-    }
-}
-
 /// Each unit — a contiguous request or a list group — whole if the rule
 /// sends it direct or it is an empty write, else as its inline chunks.
 fn cut(dir: BatchDir, units: impl Iterator<Item = Sub>, rule: &Rule, warm: Warm) -> Vec<Sub> {
@@ -368,14 +357,13 @@ pub(crate) mod tests {
         }
 
         /// `subs` are the cut of `unit` — a contiguous request or a list
-        /// group — asking the transfer rule first if `rule`.
-        fn unit(&mut self, unit: &Sub, subs: &[Sub], rule: bool) {
+        /// group — asking the transfer rule first.
+        fn unit(&mut self, unit: &Sub, subs: &[Sub]) {
             let (r, w) = (self.rule, self.what.clone());
-            let direct = match rule {
-                false => false,
-                true if unit.len > r.direct_threshold => self.dir == Read || r.rdma_read,
-                true if self.dir == Read && past_read_floor(r, unit.len) => self.ask(unit.region()),
-                true => false,
+            let direct = if unit.len > r.direct_threshold {
+                self.dir == Read || r.rdma_read
+            } else {
+                self.dir == Read && past_read_floor(r, unit.len) && self.ask(unit.region())
             };
             if direct || unit.len == 0 && self.dir == Write {
                 assert_eq!(
@@ -430,7 +418,7 @@ pub(crate) mod tests {
     }
 
     /// Check one cut of `units` (in request order, each request's bytes in
-    /// `whole`), and the redo of every sub it made, under `pattern`.
+    /// `whole`) against the `warm` calls it made.
     fn check(
         dir: BatchDir,
         rule: &Rule,
@@ -474,38 +462,11 @@ pub(crate) mod tests {
                     s.owner == u.owner && range.as_ref().is_none_or(|r| r.contains(&first(s)))
                 })
                 .count();
-            contract.unit(u, &rest[..n], true);
+            contract.unit(u, &rest[..n]);
             rest = &rest[n..];
         }
         assert!(rest.is_empty(), "{}: subs past the requests", contract.what);
         contract.done();
-    }
-
-    /// Every sub of `cut` redone: an inline one as it was, a direct one
-    /// as its inline chunks, without asking the rule.
-    fn check_redo(dir: BatchDir, rule: &Rule, cut: &[Sub], pattern: u32) {
-        for s in cut {
-            let (redone, calls) = asked(pattern, |w| redo(dir, s, rule, w));
-            let what = format!("redo {dir:?} rdma_read={} {s:?}", rule.rdma_read);
-            let mut contract = Contract {
-                dir,
-                rule,
-                calls: calls.iter(),
-                what,
-            };
-            match s.direct {
-                true => contract.unit(
-                    &Sub {
-                        direct: false,
-                        ..s.clone()
-                    },
-                    &redone,
-                    false,
-                ),
-                false => assert_eq!(redone, std::slice::from_ref(s), "{}", contract.what),
-            }
-            contract.done();
-        }
     }
 
     /// Both directions, with and without RDMA Read, every `warm` answer
@@ -558,8 +519,7 @@ pub(crate) mod tests {
                         segs: None,
                     })
                     .collect();
-                check(dir, rule, &units, &units, cut.clone(), &calls);
-                check_redo(dir, rule, &cut, pattern);
+                check(dir, rule, &units, &units, cut, &calls);
             }
         });
     }
@@ -633,8 +593,7 @@ pub(crate) mod tests {
                         .collect();
                     let (cut, calls) = asked(pattern, |w| list(dir, &reqs, rule, w));
                     let (units, whole) = list_units(&reqs);
-                    check(dir, rule, &units, &whole, cut.clone(), &calls);
-                    check_redo(dir, rule, &cut, pattern);
+                    check(dir, rule, &units, &whole, cut, &calls);
                 }
             }
         });

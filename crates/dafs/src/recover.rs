@@ -11,8 +11,9 @@ pub enum Kind {
     /// An inline sub: posted again under its own id, for the server's
     /// replay cache to answer if it already ran.
     Repost,
-    /// A direct sub: given up, and redone inline by its own batch (a replay
-    /// would not say whether the dead VI's RDMA moved its bytes).
+    /// A direct sub: given up, and redone direct by its own batch under a
+    /// fresh id (a replayed reply would not say whether the dead VI's RDMA
+    /// moved its bytes; a re-execution on the new VI moves them).
     Redo,
     /// No record (a blocking call, Hello, lease grant, goodbye): given up.
     Drop,
@@ -26,7 +27,7 @@ pub enum Step {
     Repost { id: u32, redial: bool },
     /// Give lost request `id` up.
     GiveUp(u32),
-    /// Redo the batch's sub `.0` inline, under fresh ids.
+    /// Send the batch's sub `.0` as it was cut, under a fresh id.
     Redo(usize),
 }
 

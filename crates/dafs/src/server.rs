@@ -384,9 +384,13 @@ pub fn spawn_dafs_server_sched(
 /// re-execution would be observable need caching: reads, lookups, and
 /// flushes re-execute harmlessly, and Lock/Unlock must re-execute (the old
 /// session's teardown released its locks, so a replayed Lock has to be
-/// granted fresh). Direct transfers are excluded because the client never
-/// replays them by request id — their registration handles die with the
-/// session, so it falls back to inline instead.
+/// granted fresh). Direct transfers are not cached: a reply alone would not
+/// say whether the dead VI's RDMA moved the bytes, so the client redoes a
+/// lost one direct, under a fresh id on the new VI, and it re-executes and
+/// moves them again. Its registration handle is still good — registrations
+/// live under the session's protection tag, not the VI — and the NIC
+/// refuses any RDMA still aimed at the old VI, which the client closes
+/// before it dials.
 fn replay_cacheable(op: DafsOp) -> bool {
     matches!(
         op,
@@ -398,9 +402,9 @@ fn replay_cacheable(op: DafsOp) -> bool {
             | DafsOp::Rename
             | DafsOp::WriteInline
             | DafsOp::Append
-            // Only inline-mode WriteList is ever replayed (a direct one
-            // falls back inline like WriteDirect); caching a direct reply is
-            // benign because request ids are never reused.
+            // Only inline-mode WriteList is ever replayed (a direct one is
+            // redone under a fresh id, like WriteDirect); caching a direct
+            // reply is benign because request ids are never reused.
             | DafsOp::WriteList
     )
 }
@@ -1311,7 +1315,8 @@ mod tests {
     /// still posted; the VI broke as it was posted, so the reply behind it
     /// is refused and both complete in error. The client gets no reply,
     /// only the broken connection, with the first three chunks landed and
-    /// the fourth not — the error its direct → inline fallback redoes.
+    /// the fourth not — the error its recovery redoes direct, under a
+    /// fresh id on the new VI.
     #[test]
     fn a_failed_last_chunk_refuses_the_reply() {
         const N: usize = 128 * KIB;
