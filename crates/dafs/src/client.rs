@@ -745,17 +745,16 @@ impl DafsClient {
                 return Err(DafsError::Transport(status));
             }
         };
-        let (buf, h) = {
+        let slot = {
             let mut ring = self.recv_ring.lock();
             let slot = ring.pop_front().expect("recv ring");
             ring.push_back(slot);
             slot
         };
-        let len = completion.len as usize;
-        let resp = completion
-            .payload
-            .unwrap_or_else(|| self.nic.host().mem.read_bytes(buf, len));
-        Self::post_recv_ring(ctx, &vi, [&(buf, h)]);
+        Self::post_recv_ring(ctx, &vi, [&slot]);
+        // A successful two-sided receive carries its frame; only an RDMA
+        // Write with immediate, which no server sends, comes without one.
+        let resp = completion.payload.ok_or(DafsError::Protocol)?;
         let mut d = Dec::new(&resp);
         let (rid, _) = proto::dec_resp_header(&mut d).map_err(|_| DafsError::Protocol)?;
         if rid != 0 {

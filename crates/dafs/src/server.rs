@@ -570,19 +570,17 @@ impl Server {
             return None;
         }
         // The message landed in the oldest posted buffer; re-arm. The
-        // completion carries a zero-copy view of the frame, so parsing does
-        // not re-read the posted buffer.
+        // completion carries a zero-copy view of the frame, which is what
+        // is parsed: the buffer itself is never read, so the NIC's placement
+        // never writes its pages. Only an RDMA Write with immediate, which
+        // no client sends, completes without a frame.
         let (buf, h) = sess.recv_ring.pop_front().expect("descriptor ring");
-        let len = completion.len as usize;
-        let req = completion
-            .payload
-            .unwrap_or_else(|| self.host.mem.read_bytes(buf, len));
         sess.vi.post_recv(
             ctx,
             RecvDesc::new(vec![DataSegment::new(buf, SLOT as u32, h)]),
         );
         sess.recv_ring.push_back((buf, h));
-        Some((req, completion.at))
+        Some((completion.payload?, completion.at))
     }
 
     /// Route one received frame. Under a reordering policy, control ops

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::buf::Bytes;
 use crate::coro::Mapping;
 use crate::kernel::ActorCtx;
 use crate::time::{SimDuration, SimTime};
@@ -46,6 +47,24 @@ struct Allocation {
     /// slots and staging they mostly never touch, which cost nothing as
     /// untouched zero pages but a `memset` each from a recycled heap.
     data: Mapping,
+    /// Frames recorded as the contents of `[offset, offset + len)` by
+    /// [`HostMem::place`] and not yet written into `data`, oldest first.
+    placed: Vec<(usize, Bytes)>,
+}
+
+impl Allocation {
+    /// Write the pending placements into the mapping, in order.
+    fn settle(&mut self) {
+        for (off, bytes) in self.placed.drain(..) {
+            self.data[off..off + bytes.len()].copy_from_slice(&bytes);
+        }
+    }
+
+    fn overlaps_placed(&self, off: usize, end: usize) -> bool {
+        self.placed
+            .iter()
+            .any(|(o, b)| *o < end && off < o + b.len())
+    }
 }
 
 /// A host's memory arena. Addresses start at 0x1000 (null stays invalid);
@@ -59,6 +78,24 @@ struct MemState {
     allocs: BTreeMap<u64, Allocation>,
     next: u64,
     allocated_bytes: u64,
+}
+
+impl MemState {
+    /// The allocation `[addr, addr+len)` lies in, and `addr`'s offset in it.
+    fn locate(&mut self, addr: VirtAddr, len: usize) -> (&mut Allocation, usize) {
+        let (_, alloc) = self
+            .allocs
+            .range_mut(..=addr.0)
+            .next_back()
+            .unwrap_or_else(|| panic!("HostMem access to unmapped address {addr}"));
+        let off = (addr.0 - alloc.base) as usize;
+        assert!(
+            off + len <= alloc.data.len(),
+            "HostMem access [{addr} + {len}) overruns allocation of {} bytes",
+            alloc.data.len()
+        );
+        (alloc, off)
+    }
 }
 
 #[derive(Clone)]
@@ -99,13 +136,15 @@ impl HostMem {
             Allocation {
                 base,
                 data: Mapping::zeroed(len),
+                placed: Vec::new(),
             },
         );
         VirtAddr(base)
     }
 
-    /// Free an allocation by its base address. Panics on a non-base address
-    /// (simulator-bug detection, like a bad `free(3)`).
+    /// Free an allocation by its base address, pending placements with it.
+    /// Panics on a non-base address (simulator-bug detection, like a bad
+    /// `free(3)`).
     pub fn free(&self, addr: VirtAddr) {
         let mut st = self.state.lock();
         let a = st
@@ -120,20 +159,50 @@ impl HostMem {
         self.state.lock().allocated_bytes
     }
 
+    /// Every byte access goes through here, and sees the allocation's
+    /// pending placements written first.
     fn with_alloc<R>(&self, addr: VirtAddr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut st = self.state.lock();
-        let (_, alloc) = st
-            .allocs
-            .range_mut(..=addr.0)
-            .next_back()
-            .unwrap_or_else(|| panic!("HostMem access to unmapped address {addr}"));
-        let off = (addr.0 - alloc.base) as usize;
-        assert!(
-            off + len <= alloc.data.len(),
-            "HostMem access [{addr} + {len}) overruns allocation of {} bytes",
-            alloc.data.len()
-        );
+        let (alloc, off) = st.locate(addr, len);
+        alloc.settle();
         f(&mut alloc.data[off..off + len])
+    }
+
+    /// Record `bytes` as the contents of `[addr, addr + bytes.len())`
+    /// without writing a page: a NIC's receive placement. The bytes are
+    /// written only when something next reads or writes the allocation, so
+    /// a frame its receiver parses from the completion and whose buffer it
+    /// re-posts at once never touches the buffer's pages. A placement that
+    /// overlaps a pending one writes the pending ones first.
+    pub fn place(&self, addr: VirtAddr, bytes: Bytes) {
+        let mut st = self.state.lock();
+        let (alloc, off) = st.locate(addr, bytes.len());
+        if bytes.is_empty() {
+            return;
+        }
+        if alloc.overlaps_placed(off, off + bytes.len()) {
+            alloc.settle();
+        }
+        alloc.placed.push((off, bytes));
+    }
+
+    /// Drop, unwritten, every pending placement inside `[addr, addr+len)`:
+    /// the range has been handed back to the NIC, so nothing may read what
+    /// was placed there. A placement that reaches outside the range is
+    /// written instead. A range in no allocation has nothing to drop.
+    pub fn unplace(&self, addr: VirtAddr, len: usize) {
+        let mut st = self.state.lock();
+        let Some((_, alloc)) = st.allocs.range_mut(..=addr.0).next_back() else {
+            return;
+        };
+        let off = (addr.0 - alloc.base) as usize;
+        let end = off + len;
+        alloc
+            .placed
+            .retain(|(o, b)| !(off <= *o && o + b.len() <= end));
+        if alloc.overlaps_placed(off, end) {
+            alloc.settle();
+        }
     }
 
     /// Copy bytes out of simulated memory.
@@ -156,7 +225,7 @@ impl HostMem {
 
     /// Copy bytes out into a pooled, refcounted frame. One copy out of the
     /// arena; everything downstream shares the frame by reference.
-    pub fn read_bytes(&self, addr: VirtAddr, len: usize) -> crate::buf::Bytes {
+    pub fn read_bytes(&self, addr: VirtAddr, len: usize) -> Bytes {
         let mut frame = crate::buf::frame_pool().alloc(len);
         self.read_into(addr, len, &mut frame);
         frame.freeze()
@@ -371,6 +440,63 @@ mod tests {
         m.free(a);
         assert!(!m.is_mapped(a, 1));
         assert_eq!(m.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn a_placed_frame_is_what_a_read_sees() {
+        let m = HostMem::new();
+        let a = m.alloc(64);
+        m.place(a.offset(8), Bytes::from(&b"frame"[..]));
+        assert_eq!(m.read_vec(a.offset(6), 8), b"\0\0frame\0");
+        assert_eq!(m.read_bytes(a.offset(8), 5), b"frame".as_slice());
+    }
+
+    #[test]
+    fn overlapping_placements_apply_in_order() {
+        let m = HostMem::new();
+        let a = m.alloc(16);
+        m.place(a, Bytes::from(&b"aaaaaa"[..]));
+        m.place(a.offset(4), Bytes::from(&b"bbbb"[..]));
+        m.place(a.offset(2), Bytes::from(&b"cc"[..]));
+        assert_eq!(m.read_vec(a, 8), b"aaccbbbb");
+    }
+
+    #[test]
+    fn a_write_beside_a_placement_keeps_both() {
+        let m = HostMem::new();
+        let a = m.alloc(32);
+        m.place(a, Bytes::from(&b"placed"[..]));
+        m.write(a.offset(6), b"+written");
+        m.place(a.offset(14), Bytes::from(&b"!"[..]));
+        m.write(a.offset(3), b"-");
+        assert_eq!(m.read_vec(a, 15), b"pla-ed+written!");
+    }
+
+    #[test]
+    fn unplace_drops_what_it_covers_and_writes_what_it_cuts() {
+        let m = HostMem::new();
+        let a = m.alloc(32);
+        m.fill(a, 32, 0xEE);
+        m.place(a, Bytes::from(&b"gone"[..]));
+        m.place(a.offset(8), Bytes::from(&b"kept"[..]));
+        m.place(a.offset(16), Bytes::from(&b"half"[..]));
+        m.unplace(a, 8);
+        m.unplace(a.offset(18), 8);
+        assert_eq!(m.read_vec(a, 4), [0xEE; 4]);
+        assert_eq!(m.read_vec(a.offset(8), 12), b"kept\xEE\xEE\xEE\xEEhalf");
+        // A range in no allocation has nothing to drop.
+        m.unplace(VirtAddr(0x10), 8);
+    }
+
+    #[test]
+    fn free_drops_a_pending_placement() {
+        let m = HostMem::new();
+        let a = m.alloc(4096);
+        let slab = Arc::new(crate::buf::Slab::from_vec(vec![7; 4096]));
+        m.place(a, Bytes::from_slab(slab.clone()));
+        assert_eq!(Arc::strong_count(&slab), 2);
+        m.free(a);
+        assert_eq!(Arc::strong_count(&slab), 1, "free kept the frame");
     }
 
     #[test]

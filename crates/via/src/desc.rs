@@ -230,10 +230,12 @@ pub struct Completion {
     /// delivered). Diagnostic; the actor's clock has already advanced to at
     /// least this instant when it observes the completion.
     pub at: SimTime,
-    /// The delivered frame, for receive completions of two-sided sends: a
-    /// zero-copy view of the same bytes the NIC scattered into the posted
-    /// receive buffer. Consumers that only parse the message can read this
-    /// view instead of copying the bytes back out of registered memory.
+    /// The delivered frame: a zero-copy view of the same bytes the NIC
+    /// placed in the posted receive buffer. Every successful receive
+    /// completion of a two-sided send carries it (`None` for send-queue
+    /// completions, RDMA Write with immediate and failures). Consumers that
+    /// only parse the message read this view: reading the buffer instead
+    /// writes the placed frame into its pages (`HostMem::place`).
     pub payload: Option<Bytes>,
 }
 

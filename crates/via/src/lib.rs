@@ -133,6 +133,53 @@ mod tests {
         tb.kernel.run();
     }
 
+    /// The NIC places a frame in its receive buffer only if something reads
+    /// the buffer before it is posted again: a receiver that parses the
+    /// completion's payload and re-posts leaves the buffer as it was, and
+    /// after a shorter message the bytes past its length are not the
+    /// previous message's tail.
+    #[test]
+    fn a_reposted_buffer_holds_no_unread_frame() {
+        let tb = testbed();
+        let server_host = tb.server_nic.host().id;
+        let fabric = tb.fabric.clone();
+        let snic = tb.server_nic.clone();
+        tb.kernel.spawn_daemon("server", move |ctx| {
+            let listener = fabric.listen(&snic, 7);
+            let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+            let (buf, h) = reg_buf(ctx, &snic, 64, MemAttributes::local(vi.ptag()));
+            let mem = &snic.host().mem;
+            mem.fill(buf, 64, 0xEE);
+            let post = || vi.post_recv(ctx, RecvDesc::new(vec![DataSegment::new(buf, 64, h)]));
+            post();
+            let c = vi.recv_wait(ctx);
+            assert_eq!(c.payload.expect("frame"), b"a longer first one".as_slice());
+            post();
+            assert_eq!(mem.read_vec(buf, 64), [0xEE; 64], "the NIC wrote the slot");
+            let c = vi.recv_wait(ctx);
+            assert_eq!(c.len, 5);
+            let mut want = b"short".to_vec();
+            want.resize(64, 0xEE);
+            assert_eq!(mem.read_vec(buf, 64), want);
+        });
+
+        let fabric = tb.fabric.clone();
+        let cnic = tb.client_nic.clone();
+        tb.kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let (sbuf, sh) = reg_buf(ctx, &cnic, 64, MemAttributes::local(vi.ptag()));
+            for msg in [&b"a longer first one"[..], b"short"] {
+                cnic.host().mem.write(sbuf, msg);
+                let seg = DataSegment::new(sbuf, msg.len() as u32, sh);
+                vi.post_send(ctx, SendDesc::send(vec![seg]));
+                assert!(vi.send_wait(ctx).status.is_ok());
+            }
+        });
+        tb.kernel.run();
+    }
+
     #[test]
     fn small_message_one_way_latency_in_envelope() {
         let tb = testbed();

@@ -304,7 +304,15 @@ impl Vi {
     }
 
     /// Post a receive descriptor (`VipPostRecv`). Returns immediately.
+    ///
+    /// The buffer belongs to the NIC until the descriptor completes, so a
+    /// frame still placed in it and never read is dropped unwritten: after
+    /// a shorter message completes, the bytes past its length are not the
+    /// previous message's tail.
     pub fn post_recv(&self, ctx: &ActorCtx, desc: RecvDesc) {
+        for s in &desc.segs {
+            self.nic.host().mem.unplace(s.addr, s.len as usize);
+        }
         let cost = self.nic.cost().post_recv
             + self
                 .nic
@@ -634,14 +642,17 @@ impl Vi {
                             ..Completion::failed(WhichQueue::Recv, ViaStatus::LengthError, at)
                         };
                     }
-                    // Scatter: NIC data placement, no host CPU charge.
+                    // Scatter: NIC data placement, no host CPU charge. Each
+                    // segment records its slice of the frame; its pages are
+                    // written only if something reads the buffer before it
+                    // is posted again.
                     let mut off = 0usize;
                     for s in &desc.segs {
                         if off >= bytes.len() {
                             break;
                         }
                         let n = (s.len as usize).min(bytes.len() - off);
-                        self.nic.host().mem.write(s.addr, &bytes[off..off + n]);
+                        self.nic.host().mem.place(s.addr, bytes.slice(off..off + n));
                         off += n;
                     }
                     let len = bytes.len() as u64;
@@ -652,8 +663,8 @@ impl Vi {
                         queue: WhichQueue::Recv,
                         at,
                         // Hand the receiver a view of the same frame the NIC
-                        // just placed, so it can parse without re-reading
-                        // (and re-copying) the posted buffer.
+                        // just placed, so it can parse without reading the
+                        // posted buffer (which would write its pages).
                         payload: Some(bytes),
                     }
                 }

@@ -273,6 +273,20 @@ if grep -nE 'peer\.rx_wire' crates/mpiio/src/comm.rs ||
     exit 1
 fi
 
+echo "==> a receive is placed, not copied"
+# `Vi::deliver` records each segment's slice of the arriving frame
+# (`HostMem::place`); the pages are written only if something reads the
+# buffer before it is posted again. The DAFS client and server parse the
+# completion's payload and re-post at once, so they never read a receive
+# slot back (`read_bytes` is how either would).
+deliver=$(awk '/^    fn deliver\(/ { on = 1 } on && /^    }$/ { print; exit } on' crates/via/src/vi.rs)
+if [ -z "$deliver" ] || echo "$deliver" | grep -n '\.mem\.write(' ||
+    grep -nE '\.read_bytes\(' crates/dafs/src/client.rs crates/dafs/src/server.rs; then
+    echo "ci: Vi::deliver writes a frame into host memory, or the DAFS client or" \
+        "server reads a receive slot back (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 
