@@ -16,10 +16,9 @@
 //!   it — **or** when its buffer is warm (the registration cache's: a live
 //!   registration covers it, or this is the second time the same range is
 //!   offered) and it is past the floor below;
-//! * a **direct write** (WRITE_DIRECT) keeps the length rule, and needs a
-//!   fabric with RDMA Read (else inline chunks — the cLAN configuration):
-//!   an RDMA Read holds the server's worker until the bytes are back, so a
-//!   small one costs every other session more than its two copies save.
+//! * a **write** is always inline, in chunks of at most `inline_max`: a
+//!   direct write would have the server RDMA-Read the client's buffer, and
+//!   the modelled NIC, like the paper's cLAN, has no RDMA Read.
 //!
 //! The floor: into a warm buffer a direct read costs no registration, only
 //! one more message than an inline one — the server posts the RDMA Write
@@ -46,13 +45,12 @@ use crate::client::{BatchDir, IoReq, ListReq};
 use crate::proto::ListSeg;
 use crate::recover::Kind;
 
-/// What the cut reads: the caps' `inline_max` and `rdma_read`, the
-/// session's `direct_threshold`, the wire's segment cap, and the cost terms
-/// of the two floors — the NIC's (`via`) against the client's copy (`host`).
+/// What the cut reads: the caps' `inline_max`, the session's
+/// `direct_threshold`, the wire's segment cap, and the cost terms of the
+/// two floors — the NIC's (`via`) against the client's copy (`host`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rule {
     pub inline_max: u64,
-    pub rdma_read: bool,
     pub direct_threshold: u64,
     pub list_max_segments: usize,
     pub via: ViaCost,
@@ -63,20 +61,21 @@ impl Rule {
     /// True if `len` bytes to (`Read`) or from (`Write`) the client
     /// `region` go direct rather than inline — the module header has it.
     fn direct(&self, dir: BatchDir, len: u64, region: (VirtAddr, u64), warm: Warm) -> bool {
+        if dir == BatchDir::Write {
+            return false;
+        }
         if len > self.direct_threshold {
-            return dir == BatchDir::Read || self.rdma_read;
+            return true;
         }
         let c = &self.via;
         let one_more_message = c.post_send + c.per_segment + c.poll + c.tx_nic_proc + c.rx_nic_proc;
-        dir == BatchDir::Read
-            && self.host.copy(len) * 2 > one_more_message
-            && warm(region.0, region.1)
+        self.host.copy(len) * 2 > one_more_message && warm(region.0, region.1)
     }
 }
 
 /// Whether a client buffer is warm, as the registration cache says. It
 /// remembers a first touch, so when it is asked is part of the contract,
-/// which the exhaustive test pins: never for a length past
+/// which the exhaustive test pins: never for a read past
 /// `direct_threshold`; for a read at or under it, only once past the floor;
 /// once per inline write chunk past the gather floor; once per list group,
 /// over the group's whole region, and only if one of its messages gathers.
@@ -284,11 +283,10 @@ pub(crate) mod tests {
     const ANSWERED: usize = 3;
 
     /// The rule of a session with the default costs and configuration.
-    pub(crate) fn rule(rdma_read: bool) -> Rule {
+    pub(crate) fn rule() -> Rule {
         let c = DafsClientConfig::default();
         Rule {
             inline_max: c.inline_max,
-            rdma_read,
             direct_threshold: c.direct_threshold,
             list_max_segments: LIST_MAX_SEGMENTS,
             via: ViaCost::default(),
@@ -360,11 +358,9 @@ pub(crate) mod tests {
         /// group — asking the transfer rule first.
         fn unit(&mut self, unit: &Sub, subs: &[Sub]) {
             let (r, w) = (self.rule, self.what.clone());
-            let direct = if unit.len > r.direct_threshold {
-                self.dir == Read || r.rdma_read
-            } else {
-                self.dir == Read && past_read_floor(r, unit.len) && self.ask(unit.region())
-            };
+            let direct = self.dir == Read
+                && (unit.len > r.direct_threshold
+                    || past_read_floor(r, unit.len) && self.ask(unit.region()));
             if direct || unit.len == 0 && self.dir == Write {
                 assert_eq!(
                     subs,
@@ -427,7 +423,7 @@ pub(crate) mod tests {
         cut: Vec<Sub>,
         calls: &[Call],
     ) {
-        let what = format!("{dir:?} rdma_read={} {whole:?}", rule.rdma_read);
+        let what = format!("{dir:?} {whole:?}");
         for (i, w) in whole.iter().enumerate() {
             let mine: Vec<Sub> = cut.iter().filter(|s| s.owner == i).cloned().collect();
             assert_eq!(
@@ -469,14 +465,11 @@ pub(crate) mod tests {
         contract.done();
     }
 
-    /// Both directions, with and without RDMA Read, every `warm` answer
-    /// pattern over the first calls.
+    /// Both directions, every `warm` answer pattern over the first calls.
     fn each_rule(mut f: impl FnMut(BatchDir, &Rule, u32)) {
         for dir in [Read, Write] {
-            for rdma_read in [false, true] {
-                for pattern in 0..1 << ANSWERED {
-                    f(dir, &rule(rdma_read), pattern);
-                }
+            for pattern in 0..1 << ANSWERED {
+                f(dir, &rule(), pattern);
             }
         }
     }
@@ -603,7 +596,7 @@ pub(crate) mod tests {
     /// direct from 561 bytes, a warm inline write goes in place from 61.
     #[test]
     fn the_floors_are_560_and_60_bytes() {
-        let rule = rule(false);
+        let rule = rule();
         let one = |dir, len| {
             let req = [IoReq {
                 off: 0,

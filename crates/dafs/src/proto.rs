@@ -38,8 +38,8 @@ pub enum DafsOp {
     WriteInline = 11,
     /// Read with server-initiated RDMA Write into the client buffer.
     ReadDirect = 12,
-    /// Write with server-initiated RDMA Read from the client buffer.
-    WriteDirect = 13,
+    // 13 was a direct write, which had the server RDMA-Read the client's
+    // buffer; it is unassigned, and a server answers it `NotSupported`.
     /// Flush to stable storage.
     Flush = 14,
     /// Acquire a whole-file exclusive lock (blocks until granted).
@@ -61,9 +61,10 @@ pub enum DafsOp {
     /// (small totals) or via a single RDMA Write stream into one
     /// registered client buffer (large totals).
     ReadList = 20,
-    /// Vectored write: the scatter analogue of [`DafsOp::ReadList`] —
-    /// inline payload carries the segments back-to-back, direct transfers
-    /// RDMA-Read them from one registered client buffer.
+    /// Vectored write: the scatter analogue of [`DafsOp::ReadList`], whose
+    /// inline payload carries the segments back-to-back. Always inline: a
+    /// server refuses direct mode (`Inval`), which would have it RDMA-Read
+    /// one registered client buffer.
     WriteList = 21,
     /// Request a cache lease on a file (the DAFS delegation model):
     /// request carries `(fh, kind)` with kind 1 = read, 2 = write-back;
@@ -101,7 +102,6 @@ impl DafsOp {
             10 => DafsOp::ReadInline,
             11 => DafsOp::WriteInline,
             12 => DafsOp::ReadDirect,
-            13 => DafsOp::WriteDirect,
             14 => DafsOp::Flush,
             15 => DafsOp::Lock,
             16 => DafsOp::Unlock,
@@ -140,8 +140,7 @@ pub enum DafsStatus {
     Inval = 7,
     /// Transfer failed (e.g. remote protection error on direct I/O).
     XferError = 8,
-    /// Operation not supported by this server (e.g. WRITE_DIRECT without
-    /// RDMA Read capability).
+    /// Operation not supported by this server: an opcode that names no op.
     NotSupported = 9,
 }
 
@@ -230,8 +229,6 @@ pub fn dec_recall_push(d: &mut Dec) -> Result<(NodeId, u32), WireError> {
 /// Server capabilities advertised at session setup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerCaps {
-    /// Server NIC can perform RDMA Read (enables true WRITE_DIRECT).
-    pub rdma_read: bool,
     /// Session credits granted.
     pub credits: u32,
     /// Largest inline payload the server accepts.
@@ -372,11 +369,12 @@ mod tests {
 
     #[test]
     fn op_roundtrip() {
-        for v in 1..=24u8 {
+        for v in (1..=24u8).filter(|&v| v != 13) {
             let op = DafsOp::from_u8(v).unwrap();
             assert_eq!(op as u8, v);
         }
         assert_eq!(DafsOp::from_u8(0), None);
+        assert_eq!(DafsOp::from_u8(13), None);
         assert_eq!(DafsOp::from_u8(25), None);
     }
 

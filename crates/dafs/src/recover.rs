@@ -11,9 +11,12 @@ pub enum Kind {
     /// An inline sub: posted again under its own id, for the server's
     /// replay cache to answer if it already ran.
     Repost,
-    /// A direct sub: given up, and redone direct by its own batch under a
-    /// fresh id (a replayed reply would not say whether the dead VI's RDMA
-    /// moved its bytes; a re-execution on the new VI moves them).
+    /// A direct sub, always a read: given up, and redone direct by its own
+    /// batch under a fresh id (a replayed reply would not say whether the
+    /// dead VI's RDMA moved its bytes; a re-execution on the new VI moves
+    /// them, and a read changes nothing, so running it twice is harmless).
+    /// A write is always inline, so no request that changes the file is
+    /// ever redone under a fresh id.
     Redo,
     /// No record (a blocking call, Hello, lease grant, goodbye): given up.
     Drop,

@@ -69,7 +69,6 @@ pub struct RegCache {
     nic: ViaNic,
     /// The session's protection tag.
     ptag: ProtectionTag,
-    attrs_for: fn(ProtectionTag) -> MemAttributes,
     capacity: u64,
     enabled: bool,
     state: Mutex<CacheState>,
@@ -84,13 +83,12 @@ pub struct RegCache {
 
 impl RegCache {
     /// Create a cache over `nic` registering with `ptag`, counting into
-    /// the `dafs.regcache.*` series `labels`. `attrs_for` selects the
-    /// registration rights (DAFS clients register direct-I/O buffers as
-    /// RDMA-write targets and, where supported, read sources).
+    /// the `dafs.regcache.*` series `labels`. A buffer is registered as an
+    /// RDMA Write target only: a server writes a direct read into it, and
+    /// nothing reads it by RDMA.
     pub fn new(
         nic: ViaNic,
         ptag: ProtectionTag,
-        attrs_for: fn(ProtectionTag) -> MemAttributes,
         capacity: u64,
         enabled: bool,
         labels: Labels,
@@ -98,7 +96,6 @@ impl RegCache {
         RegCache {
             nic,
             ptag,
-            attrs_for,
             capacity,
             enabled,
             state: Mutex::new(CacheState {
@@ -120,7 +117,7 @@ impl RegCache {
     /// entry against eviction; the caller must [`release`](RegCache::release)
     /// the handle once the operation using it has completed.
     pub fn acquire(&self, ctx: &ActorCtx, addr: VirtAddr, len: u64) -> (MemHandle, bool) {
-        let attrs = (self.attrs_for)(self.ptag);
+        let attrs = MemAttributes::rdma_write_target(self.ptag);
         if !self.enabled {
             self.misses.resolve(ctx.metrics()).inc();
             let h = self.nic.register_mem(ctx, addr, len, attrs);
@@ -277,10 +274,6 @@ mod tests {
     use std::sync::Arc;
     use via::ViaCost;
 
-    fn attrs(ptag: ProtectionTag) -> MemAttributes {
-        MemAttributes::rdma_write_target(ptag)
-    }
-
     fn with_cache(
         capacity: u64,
         enabled: bool,
@@ -292,7 +285,7 @@ mod tests {
         let nic = ViaNic::open(host, ViaCost::default());
         kernel.spawn("t", move |ctx| {
             let ptag = nic.create_ptag();
-            let cache = RegCache::new(nic.clone(), ptag, attrs, capacity, enabled, Labels::NONE);
+            let cache = RegCache::new(nic.clone(), ptag, capacity, enabled, Labels::NONE);
             f(ctx, &cache, &nic);
         });
         kernel.run();
@@ -520,14 +513,7 @@ mod tests {
         let bases = Arc::new(parking_lot::Mutex::new(HashMap::new()));
         let seen = bases.clone();
         kernel.spawn("t", move |ctx| {
-            let cache = RegCache::new(
-                nic.clone(),
-                nic.create_ptag(),
-                attrs,
-                1 << 20,
-                true,
-                Labels::NONE,
-            );
+            let cache = RegCache::new(nic.clone(), nic.create_ptag(), 1 << 20, true, Labels::NONE);
             let block = nic.host().mem.alloc(32 << 10);
             let at = |i: u64| block.offset(i * 4096);
             let mut bases = seen.lock();

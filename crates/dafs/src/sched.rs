@@ -118,7 +118,7 @@ pub fn classify(req: &Bytes) -> (u64, bool) {
             let len = skip2_len(&mut d).unwrap_or(0);
             (flen + len, true)
         }
-        DafsOp::ReadDirect | DafsOp::WriteDirect => {
+        DafsOp::ReadDirect => {
             let len = skip2_len(&mut d).unwrap_or(0);
             (flen + len, false)
         }

@@ -30,17 +30,18 @@
 //!   (`Session::rdma_write`), so a small transfer queues on the NIC the way
 //!   a small reply does and a large one holds the worker until only its
 //!   last chunk is on the wire;
-//! * **direct write** — the server RDMA-Reads from the client's buffer
-//!   (only if the NIC supports RDMA Read; otherwise the op is rejected and
-//!   the client falls back to inline). The buffer cache is registered with
-//!   the NIC, so a direct transfer costs the server no per-byte CPU.
 //!
-//! The seven data ops are one semantics at different access levels: each
-//! decodes into a handle, a place for the bytes (the message, or the
-//! client's registered buffer) and a segment list, and runs through
-//! `read_segs` or `write_segs`. A contiguous op is the one-segment list
-//! `(off, len, 0)`; unlike a list segment that one may be empty, and an
-//! empty inline write still reaches the filesystem once (it bumps the
+//! The buffer cache is registered with the NIC, so a direct read costs the
+//! server no per-byte CPU. A write is always inline: the modelled NIC, like
+//! the paper's cLAN, has no RDMA Read, so the server never pulls from a
+//! client's buffer, and a `WriteList` in direct mode is refused.
+//!
+//! The six data ops are one semantics at different access levels: each
+//! decodes into a handle, a place for the bytes (the message, or for a
+//! read the client's registered buffer) and a segment list, and runs
+//! through `read_segs` or `write_segs`. A contiguous op is the one-segment
+//! list `(off, len, 0)`; unlike a list segment that one may be empty, and
+//! an empty inline write still reaches the filesystem once (it bumps the
 //! file's version, which is on the wire). Only the reply encodings differ.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -61,9 +62,6 @@ use crate::wire::{Dec, Enc};
 
 /// Message-buffer size for each session slot: inline_max plus header slack.
 pub(crate) const SLOT: u64 = 66 << 10;
-/// Server staging area per session for direct writes: a larger RDMA Read
-/// is chunked through it.
-const STAGING: u64 = 4 << 20;
 /// Server-granted credits per session.
 pub(crate) const CREDITS: u32 = 8;
 /// Largest inline payload the server accepts.
@@ -80,8 +78,6 @@ pub struct DafsServerStats {
     pub inline_writes: ByteMeter,
     /// Direct (RDMA) READ traffic.
     pub direct_reads: ByteMeter,
-    /// Direct (RDMA) WRITE traffic.
-    pub direct_writes: ByteMeter,
     /// Sessions admitted.
     pub sessions: Counter,
 }
@@ -103,10 +99,8 @@ struct Session {
     /// Response send buffers, used round-robin.
     resp_ring: Vec<(VirtAddr, MemHandle)>,
     resp_next: usize,
-    /// Staging buffer for direct transfers.
-    staging: (VirtAddr, MemHandle),
     /// The send descriptors posted on `vi` and not yet reaped, oldest
-    /// first: an RDMA Write's byte count, 0 for a reply or an RDMA Read. A
+    /// first: an RDMA Write's byte count, 0 for a reply. A
     /// VI completes its send queue in post order, so a reaped completion is
     /// always the head's.
     posted: VecDeque<u64>,
@@ -116,8 +110,8 @@ struct Session {
 }
 
 impl Session {
-    /// Arm an accepted VI: `CREDITS` receive descriptors posted, as many
-    /// response slots and the staging area.
+    /// Arm an accepted VI: `CREDITS` receive descriptors posted, and as
+    /// many response slots.
     ///
     /// The buffers come from the server's boot-time pre-registered pool
     /// (NetApp-prototype style): no registration cost at session setup,
@@ -144,7 +138,6 @@ impl Session {
             recv_ring,
             resp_ring,
             resp_next: 0,
-            staging: pooled(STAGING),
             posted: VecDeque::new(),
             unsent: 0,
         }
@@ -199,7 +192,10 @@ impl Session {
     /// RDMA-write `data` into the client's buffer at `to`, one descriptor
     /// per [`INLINE_MAX`] chunk (the chunks pipeline on the wire). Each
     /// chunk rides as zero-copy views of the file pages: server pages →
-    /// wire → client buffer, no staging bounce.
+    /// wire → client buffer, no staging bounce. A descriptor's one segment
+    /// is `n` bytes of the session's first response slot: what the TPT
+    /// checks and the NIC costs, as for a reply, while the slot's memory is
+    /// never read.
     ///
     /// After a post the worker waits while the session has more than
     /// [`INLINE_MAX`] RDMA bytes in descriptors that have not completed.
@@ -221,7 +217,7 @@ impl Session {
         data: &Rope,
         to: RemoteSegment,
     ) -> Result<(), DafsStatus> {
-        let (sbuf, sh) = self.staging;
+        let (sbuf, sh) = self.resp_ring[0];
         let mut sent = 0usize;
         while sent < data.len() {
             let n = (data.len() - sent).min(INLINE_MAX as usize);
@@ -239,21 +235,6 @@ impl Session {
                 }
             }
             sent += n;
-        }
-        Ok(())
-    }
-
-    /// RDMA-read `n` bytes at `from` in the client's memory into the
-    /// staging buffer and wait until they are there: until this descriptor,
-    /// the newest, has been reaped — not just the oldest one outstanding.
-    fn rdma_read(&mut self, ctx: &ActorCtx, n: u64, from: RemoteSegment) -> Result<(), DafsStatus> {
-        let (sbuf, sh) = self.staging;
-        let seg = DataSegment::new(sbuf, n as u32, sh);
-        self.post(ctx, SendDesc::rdma_read(vec![seg], from), 0);
-        while !self.posted.is_empty() {
-            if !self.reap_next(ctx) {
-                return Err(DafsStatus::XferError);
-            }
         }
         Ok(())
     }
@@ -384,13 +365,15 @@ pub fn spawn_dafs_server_sched(
 /// re-execution would be observable need caching: reads, lookups, and
 /// flushes re-execute harmlessly, and Lock/Unlock must re-execute (the old
 /// session's teardown released its locks, so a replayed Lock has to be
-/// granted fresh). Direct transfers are not cached: a reply alone would not
+/// granted fresh). A direct read is not cached: a reply alone would not
 /// say whether the dead VI's RDMA moved the bytes, so the client redoes a
 /// lost one direct, under a fresh id on the new VI, and it re-executes and
-/// moves them again. Its registration handle is still good — registrations
-/// live under the session's protection tag, not the VI — and the NIC
-/// refuses any RDMA still aimed at the old VI, which the client closes
-/// before it dials.
+/// moves them again — harmlessly, as a read changes nothing. Its
+/// registration handle is still good — registrations live under the
+/// session's protection tag, not the VI — and the NIC refuses any RDMA
+/// still aimed at the old VI, which the client closes before it dials. A
+/// write is always inline: re-posted under its own id, it is answered from
+/// here if it already ran.
 fn replay_cacheable(op: DafsOp) -> bool {
     matches!(
         op,
@@ -402,9 +385,6 @@ fn replay_cacheable(op: DafsOp) -> bool {
             | DafsOp::Rename
             | DafsOp::WriteInline
             | DafsOp::Append
-            // Only inline-mode WriteList is ever replayed (a direct one is
-            // redone under a fresh id, like WriteDirect); caching a direct
-            // reply is benign because request ids are never reused.
             | DafsOp::WriteList
     )
 }
@@ -443,14 +423,6 @@ fn dec_list(d: &mut Dec) -> Result<(Option<RemoteSegment>, Vec<ListSeg>), DafsSt
 /// contiguous stretch. A direct transfer is one RDMA stream per run.
 fn buffer_runs(segs: &[ListSeg]) -> impl Iterator<Item = &[ListSeg]> {
     segs.chunk_by(|a, b| a.2 + a.1 == b.2)
-}
-
-/// Where a write's bytes are.
-enum WriteSrc {
-    /// In the request message, every segment back-to-back in list order.
-    Inline(Bytes),
-    /// In the client's registered buffer, each segment at its `buf_rel`.
-    Direct(RemoteSegment),
 }
 
 /// What `dispatch` leaves for `serve_one` to do once the op has run: send
@@ -631,14 +603,9 @@ impl Server {
     /// serve any requests its leases were blocking.
     fn reap(&mut self, ctx: &ActorCtx, dead: ViId) {
         if let Some(s) = self.sessions.remove(&dead) {
-            // The acceptor's slots and staging area go back to the boot-time
-            // pool they came from: unbound at no cost, as they were bound.
-            for (buf, h) in s
-                .recv_ring
-                .into_iter()
-                .chain(s.resp_ring)
-                .chain([s.staging])
-            {
+            // The acceptor's slots go back to the boot-time pool they came
+            // from: unbound at no cost, as they were bound.
+            for (buf, h) in s.recv_ring.into_iter().chain(s.resp_ring) {
                 self.nic
                     .table()
                     .deregister(h)
@@ -705,9 +672,17 @@ impl Server {
         self.stats.ops.inc();
         self.host.compute(ctx, self.cost.per_op);
 
+        // Only a frame shorter than a request header has no id to answer
+        // under; it is dropped. An opcode that names no op is answered, so
+        // its sender does not wait on its credit for ever.
         let mut d = Dec::new(req);
-        let Ok((reqid, op)) = proto::dec_req_header(&mut d) else {
-            return false; // unparseable; drop
+        let (Ok(reqid), Ok(code)) = (d.u32(), d.u8()) else {
+            return false;
+        };
+        let Some(op) = DafsOp::from_u8(code) else {
+            let refused = reply_frame(reqid, DafsStatus::NotSupported).finish();
+            self.session(vi).respond(ctx, refused.into());
+            return false;
         };
 
         // A VI no Hello has bound has no replay identity, so a request on
@@ -784,11 +759,9 @@ impl Server {
     /// changes that file. `body` is the decoder just past the header.
     fn lease_target(&self, op: DafsOp, mut body: Dec) -> Option<(u64, bool)> {
         match op {
-            DafsOp::SetAttr
-            | DafsOp::WriteInline
-            | DafsOp::WriteDirect
-            | DafsOp::WriteList
-            | DafsOp::Append => Some((body.u64().ok()?, true)),
+            DafsOp::SetAttr | DafsOp::WriteInline | DafsOp::WriteList | DafsOp::Append => {
+                Some((body.u64().ok()?, true))
+            }
             DafsOp::GetAttr | DafsOp::ReadInline | DafsOp::ReadDirect | DafsOp::ReadList => {
                 Some((body.u64().ok()?, false))
             }
@@ -946,7 +919,7 @@ impl Server {
             DafsOp::WriteInline => {
                 let (fh, off, data) = (NodeId(d.u64()?), d.u64()?, d.bytes()?);
                 let seg = (off, data.len() as u64, 0);
-                let a = self.write_segs(ctx, vi, fh, WriteSrc::Inline(data), &[seg])?;
+                let a = self.write_segs(ctx, fh, data, &[seg])?;
                 proto::enc_attr(e, &a);
             }
             DafsOp::Append => {
@@ -955,24 +928,18 @@ impl Server {
                 // serves every request; nothing else writes in between.
                 let at = self.fs.getattr(fh)?.size;
                 let seg = (at, data.len() as u64, 0);
-                let a = self.write_segs(ctx, vi, fh, WriteSrc::Inline(data), &[seg])?;
+                let a = self.write_segs(ctx, fh, data, &[seg])?;
                 e.u64(at);
-                proto::enc_attr(e, &a);
-            }
-            DafsOp::WriteDirect => {
-                let (fh, off, len) = (NodeId(d.u64()?), d.u64()?, d.u64()?);
-                let from = WriteSrc::Direct(dec_remote(d)?);
-                let a = self.write_segs(ctx, vi, fh, from, &[(off, len, 0)])?;
                 proto::enc_attr(e, &a);
             }
             DafsOp::WriteList => {
                 let fh = NodeId(d.u64()?);
-                let (remote, segs) = dec_list(d)?;
-                let from = match remote {
-                    Some(r) => WriteSrc::Direct(r),
-                    None => WriteSrc::Inline(d.bytes()?),
+                // Direct mode would have the server pull the bytes by RDMA
+                // Read: refused before anything moves.
+                let (None, segs) = dec_list(d)? else {
+                    return Err(DafsStatus::Inval);
                 };
-                let a = self.write_segs(ctx, vi, fh, from, &segs)?;
+                let a = self.write_segs(ctx, fh, d.bytes()?, &segs)?;
                 proto::enc_attr(e, &a);
             }
             DafsOp::Flush => {
@@ -1069,7 +1036,10 @@ impl Server {
                 }
             }
         }
-        e.u8(self.nic.cost().rdma_read_supported as u8);
+        // A byte once said whether the NIC had RDMA Read; it is always 0.
+        // Dropping it shortens every Hello's reply on the wire, which moves
+        // R-F8's lossy row and R-F10's queueing cells.
+        e.u8(0);
         e.u32(credits);
         e.u64(INLINE_MAX);
         Ok(())
@@ -1128,15 +1098,15 @@ impl Server {
         Ok((counts, reply))
     }
 
-    /// The write executor: put the bytes at `from` into `segs` of `fh` and
-    /// return the file's attributes afterwards. A range that passes the last
-    /// file offset is refused before anything moves.
+    /// The write executor: put the request message's bytes, every segment
+    /// back-to-back in list order, into `segs` of `fh` and return the
+    /// file's attributes afterwards. A range that passes the last file
+    /// offset is refused before anything moves.
     fn write_segs(
         &mut self,
         ctx: &ActorCtx,
-        vi: ViId,
         fh: NodeId,
-        from: WriteSrc,
+        data: Bytes,
         segs: &[ListSeg],
     ) -> Result<FileAttr, DafsStatus> {
         let mut total = 0u64;
@@ -1144,64 +1114,17 @@ impl Server {
             off.checked_add(len).ok_or(DafsStatus::Inval)?;
             total += len;
         }
-        let meter = match from {
-            WriteSrc::Inline(data) => {
-                if data.len() as u64 != total || total > INLINE_MAX {
-                    return Err(DafsStatus::Inval);
-                }
-                // Buffer-cache copy out of the request message.
-                self.host.compute(ctx, self.cost.host.copy(total));
-                let mut pos = 0usize;
-                for &(off, len, _) in segs {
-                    self.fs.write(fh, off, &data[pos..pos + len as usize])?;
-                    pos += len as usize;
-                }
-                &self.stats.inline_writes
-            }
-            WriteSrc::Direct(from) => {
-                if !self.nic.cost().rdma_read_supported {
-                    return Err(DafsStatus::NotSupported);
-                }
-                // Per buffer-contiguous run, RDMA-Read the stream from the
-                // client buffer through staging, scattering it over the
-                // run's segments as each chunk lands.
-                for run in buffer_runs(segs) {
-                    let run_total: u64 = run.iter().map(|s| s.1).sum();
-                    let mut got = 0u64;
-                    let mut ri = 0usize; // current segment of the run
-                    let mut rpos = 0u64; // bytes of it already written
-                    while got < run_total {
-                        let n = (run_total - got).min(STAGING);
-                        let at = RemoteSegment {
-                            addr: from.addr.offset(run[0].2 + got),
-                            handle: from.handle,
-                        };
-                        let sess = self.session(vi);
-                        sess.rdma_read(ctx, n, at)?;
-                        let sbuf = sess.staging.0;
-                        let chunk = self.host.mem.read_vec(sbuf, n as usize);
-                        let mut cpos = 0u64;
-                        while cpos < n {
-                            let (off, len, _) = run[ri];
-                            let take = (len - rpos).min(n - cpos);
-                            let piece = &chunk[cpos as usize..(cpos + take) as usize];
-                            self.fs
-                                .write(fh, off + rpos, piece)
-                                .map_err(|_| DafsStatus::XferError)?;
-                            rpos += take;
-                            cpos += take;
-                            if rpos == len {
-                                ri += 1;
-                                rpos = 0;
-                            }
-                        }
-                        got += n;
-                    }
-                }
-                &self.stats.direct_writes
-            }
-        };
-        meter.record(total);
+        if data.len() as u64 != total || total > INLINE_MAX {
+            return Err(DafsStatus::Inval);
+        }
+        // Buffer-cache copy out of the request message.
+        self.host.compute(ctx, self.cost.host.copy(total));
+        let mut pos = 0usize;
+        for &(off, len, _) in segs {
+            self.fs.write(fh, off, &data[pos..pos + len as usize])?;
+            pos += len as usize;
+        }
+        self.stats.inline_writes.record(total);
         Ok(self.fs.getattr(fh)?)
     }
 }

@@ -29,8 +29,7 @@ pub enum Backend {
     /// The paper's system: DAFS over VIA, one server or files striped
     /// round-robin over several (one session per server per rank).
     Dafs {
-        /// VIA fabric cost model (set `rdma_read_supported` for the
-        /// direct-write ablation).
+        /// VIA fabric cost model.
         via: ViaCost,
         /// Per-server cost model.
         server: DafsServerCost,

@@ -49,7 +49,7 @@ pub enum DropCause {
     LinkDown,
     /// The source or destination host was inside a crash window.
     HostDown,
-    /// A switch egress queue (or its shared buffer pool) overflowed under
+    /// A switch egress queue overflowed under
     /// [`QueuePolicy::Drop`](crate::topo::QueuePolicy::Drop).
     QueueFull,
 }

@@ -66,12 +66,21 @@ if [ "$(echo "$getattr_callers" | wc -l)" -ne 1 ] ||
     echo "$getattr_callers" >&2
     exit 1
 fi
-for op in ReadInline ReadDirect WriteInline WriteDirect; do
+for op in ReadInline ReadDirect WriteInline; do
     if [ "$(grep -o "DafsOp::$op\b" crates/dafs/src/client.rs | wc -l)" -gt 1 ]; then
         echo "ci: crates/dafs/src/client.rs encodes or decodes DafsOp::$op twice" >&2
         exit 1
     fi
 done
+
+echo "==> a DAFS write is inline"
+# The modelled NIC, like the paper's cLAN, has no RDMA Read, and no table
+# turns it on: nothing in the DAFS crate pulls a client's buffer by RDMA
+# Read, keeps a staging area for it, or names the direct-write op.
+if grep -rnE 'RdmaRead|rdma_read|STAGING|WriteDirect' crates/dafs/src; then
+    echo "ci: DAFS uses RDMA Read again (lines above)" >&2
+    exit 1
+fi
 
 echo "==> one ADIO data method"
 # A driver implements `AdioFile::itransfer`: a blocking transfer is it plus

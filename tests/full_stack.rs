@@ -163,45 +163,6 @@ fn inline_direct_threshold_behaviour() {
     assert_eq!(attr.size, 68 << 10);
 }
 
-/// RDMA-Read-capable fabric: large writes go direct and still verify.
-#[test]
-fn rdma_read_fabric_write_direct_end_to_end() {
-    let backend = Backend::Dafs {
-        via: ViaCost {
-            rdma_read_supported: true,
-            ..ViaCost::default()
-        },
-        server: Default::default(),
-        client: DafsClientConfig::default(),
-        servers: 1,
-    };
-    let tb = Testbed::new(backend);
-    let fs = tb.fs.clone();
-    const LEN: usize = 1 << 20;
-    tb.run(2, |ctx, comm, adio| {
-        let host = comm.host().clone();
-        let f = MpiFile::open(
-            ctx,
-            adio,
-            &host,
-            "/wd",
-            OpenMode::create(),
-            Hints::default(),
-        )
-        .unwrap();
-        let src = host.mem.alloc(LEN);
-        host.mem.fill(src, LEN, comm.rank() as u8 + 0x10);
-        f.write_at(ctx, (comm.rank() * LEN) as u64, src, LEN as u64)
-            .unwrap();
-    });
-    let attr = fs.resolve("/wd").unwrap();
-    assert_eq!(attr.size, (2 * LEN) as u64);
-    for r in 0..2 {
-        let b = fs.read(attr.id, (r * LEN + LEN / 2) as u64, 1).unwrap();
-        assert_eq!(b, vec![r as u8 + 0x10]);
-    }
-}
-
 /// Collective read after collective write with a *different* number of
 /// aggregators (cb_nodes hint) still returns the right bytes.
 #[test]
