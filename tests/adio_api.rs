@@ -206,7 +206,8 @@ fn every_driver_carries_every_transfer_shape() {
 /// split-phase halves used to step their chunk offsets past `u64::MAX`,
 /// which a debug build caught as an overflow). DAFS is driven over one
 /// session and two, with the `dafs_cache` hint off and on. The DAFS
-/// server's half of this is `dafs`'s own wire-level test.
+/// server's half of this is `qos.rs`'s raw-frame test
+/// `a_write_past_the_last_offset_is_refused_by_the_server`.
 #[test]
 fn every_backend_refuses_a_write_past_the_last_offset() {
     let cases = [
