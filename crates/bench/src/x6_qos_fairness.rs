@@ -7,8 +7,10 @@
 //! metadata workload. A *streaming* tenant
 //! (three clients, weight 1) keeps batched 256 KiB direct reads in flight
 //! the whole time, saturating the server wire. The same seeded workload
-//! runs twice: once with the default FIFO dispatch and once with the WFQ
-//! scheduler (`spawn_dafs_server_sched` with `SchedPolicy::Wfq`).
+//! runs twice: once on a server without a scheduler, which serves each
+//! frame on receipt (`SchedPolicy::Fifo`, the paper's dispatch), and once
+//! with the WFQ scheduler (`spawn_dafs_server_sched` with
+//! `SchedPolicy::Wfq`).
 //!
 //! Expected shape: under FIFO the small ops queue behind whole streaming
 //! batches and p99 blows up to many chunk-service-times; under WFQ the
@@ -196,7 +198,7 @@ fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
 /// Run X-6 with an explicit small-op count (`--smoke` shrinks it).
 pub fn run_with(small_ops: usize) -> Table {
     let fifo = case(SchedPolicy::Fifo, small_ops);
-    let wfq = case(SchedPolicy::Wfq(Default::default()), small_ops);
+    let wfq = case(SchedPolicy::Wfq, small_ops);
 
     let mut t = Table::new(
         "X-6 (extension): multi-tenant QoS — per-tenant latency under streaming saturation (us)",

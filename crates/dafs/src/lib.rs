@@ -46,7 +46,7 @@ pub use proto::{
     list_acceptable, list_well_formed, DafsOp, DafsStatus, LeaseKind, ListSeg, ServerCaps,
     LIST_MAX_SEGMENTS,
 };
-pub use sched::{SchedPolicy, WfqParams};
+pub use sched::SchedPolicy;
 pub use server::{spawn_dafs_server, spawn_dafs_server_sched, DafsServerHandle, DafsServerStats};
 pub use striped::{DafsStripedBatch, DafsStripedFile};
 

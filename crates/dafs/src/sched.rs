@@ -1,10 +1,9 @@
-//! Pluggable request scheduling for the DAFS server worker.
+//! Request scheduling for the DAFS server worker.
 //!
-//! The server's historical dispatch is FIFO-by-completion: whatever frame
-//! the CQ surfaces next is served next. That is the right default (and
-//! [`FifoSched`] preserves it byte-for-byte in virtual time), but it lets a
-//! checkpoint burst from one tenant monopolize the single worker while an
-//! interactive tenant's getattrs sit behind megabytes of queued bulk I/O.
+//! The server's own dispatch serves each frame as the CQ surfaces it, the
+//! paper's event loop. That lets a checkpoint burst from one tenant
+//! monopolize the single worker while an interactive tenant's getattrs sit
+//! behind megabytes of queued bulk I/O.
 //!
 //! [`WfqSched`] adds weighted fair queueing in the spirit of
 //! server-directed I/O (ViPIOS) and DAOS-style tenant separation:
@@ -12,10 +11,10 @@
 //! * **Deficit round-robin over byte cost** — each tenant owns a FIFO of
 //!   its queued frames; tenants are visited round-robin and may dispatch
 //!   while their deficit counter covers the head frame's byte cost, the
-//!   counter refilling by `quantum × weight` per visit. Service converges
+//!   counter refilling by `QUANTUM × weight` per visit. Service converges
 //!   to weight-proportional byte shares without ever preempting a frame.
 //! * **Deadline boost for small ops** — getattrs and ≤inline reads carry an
-//!   implicit deadline (`boost_deadline` past arrival). An expired small op
+//!   implicit deadline (`BOOST_DEADLINE` past arrival). An expired small op
 //!   at the head of any tenant queue jumps the round-robin entirely
 //!   (earliest arrival first), bounding small-op tail latency under bulk
 //!   load. Boosted bytes still drain the tenant's deficit, so the boost is
@@ -47,11 +46,10 @@ pub const DEFAULT_TENANT: u64 = 0;
 /// Scheduler selection for [`crate::spawn_dafs_server_sched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
-    /// Historical FIFO-by-completion dispatch; byte-identical in virtual
-    /// time to servers that predate the scheduler.
+    /// No scheduler: each frame is served on receipt, in completion order.
     Fifo,
     /// Weighted fair queueing across tenants with small-op deadline boost.
-    Wfq(WfqParams),
+    Wfq,
 }
 
 /// The labels of a tenant's `dafs.sched.*` series on the server `server`.
@@ -59,27 +57,15 @@ pub fn tenant_labels(server: HostId, tenant: u64) -> Labels {
     Labels::NONE.server(server.0 as u64).tenant(tenant)
 }
 
-/// Tunables for [`WfqSched`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WfqParams {
-    /// Deficit refill per round-robin visit, in bytes, scaled by the
-    /// tenant's weight. One quantum covers a couple of inline ops; bulk
-    /// frames spanning several quanta simply accumulate deficit across
-    /// rounds (DRR's starvation-freedom argument).
-    pub quantum: u64,
-    /// Queueing delay after which a small op (getattr, ≤inline read) jumps
-    /// the round-robin.
-    pub boost_deadline: SimDuration,
-}
+/// Deficit refill per round-robin visit, in bytes, scaled by the tenant's
+/// weight. One quantum covers a couple of inline ops; bulk frames spanning
+/// several quanta simply accumulate deficit across rounds (DRR's
+/// starvation-freedom argument).
+pub const QUANTUM: u64 = 64 << 10;
 
-impl Default for WfqParams {
-    fn default() -> Self {
-        WfqParams {
-            quantum: 64 << 10,
-            boost_deadline: SimDuration::from_micros(50),
-        }
-    }
-}
+/// Queueing delay after which a small op (getattr, ≤inline read) jumps the
+/// round-robin.
+pub const BOOST_DEADLINE: SimDuration = SimDuration::from_micros(50);
 
 /// One received request frame waiting for dispatch.
 pub struct QueuedReq {
@@ -87,7 +73,8 @@ pub struct QueuedReq {
     pub vi: ViId,
     /// Tenant the session belongs to ([`DEFAULT_TENANT`] if undeclared).
     pub tenant: u64,
-    /// Scheduling weight of the tenant at enqueue time.
+    /// Weight the session's Hello declared (1 if none); pushing the frame
+    /// sets its tenant's weight to it.
     pub weight: u32,
     /// Byte cost charged against the tenant's deficit (payload bytes the
     /// op will move, plus the frame itself).
@@ -102,10 +89,10 @@ pub struct QueuedReq {
 
 /// Byte cost and small-op classification of a raw request frame.
 ///
-/// The cost drives DRR fairness, so it counts the bytes the op will move
-/// (decoded lengths for reads and direct transfers; the frame itself
-/// already carries inline write payloads). Malformed frames cost their
-/// own length and are left for `serve_one` to reject.
+/// The cost drives DRR fairness, so it counts the bytes the op will move:
+/// a read's decoded length on top of its frame, and a write's frame alone,
+/// which carries its payload (every write is inline). Malformed frames
+/// cost their own length and are left for `serve_one` to reject.
 pub fn classify(req: &Bytes) -> (u64, bool) {
     let flen = req.len() as u64;
     let mut d = Dec::new(req);
@@ -122,7 +109,7 @@ pub fn classify(req: &Bytes) -> (u64, bool) {
             let len = skip2_len(&mut d).unwrap_or(0);
             (flen + len, false)
         }
-        DafsOp::ReadList | DafsOp::WriteList => {
+        DafsOp::ReadList => {
             // fh, mode, optional remote segment, then the list itself.
             let total = (|| -> Result<u64, crate::wire::WireError> {
                 d.u64()?;
@@ -135,13 +122,10 @@ pub fn classify(req: &Bytes) -> (u64, bool) {
                 Ok(segs.iter().map(|s| s.1).sum())
             })()
             .unwrap_or(0);
-            // Inline lists already carry their payload in the frame; direct
-            // lists move `total` beyond it. Charging both for either mode
-            // over-counts by at most one frame length.
             (flen + total, false)
         }
-        // Metadata, control, and inline-payload ops: the frame length is
-        // the work (inline write payloads ride in the frame).
+        // Metadata, control, and write ops: the frame length is the work
+        // (write payloads, listed or not, ride in the frame).
         _ => (flen, false),
     }
 }
@@ -154,77 +138,19 @@ fn skip2_len(d: &mut Dec) -> Result<u64, crate::wire::WireError> {
     d.u64()
 }
 
-/// Whether an op must bypass queueing entirely under a reordering policy.
+/// Whether an op bypasses the [`WfqSched`] queue and is served on receipt.
 ///
 /// `Hello` (session/tenant binding), `Disconnect`, and `LeaseRecallAck`
-/// are control traffic: parking a recall ack behind a bulk queue would
+/// are control traffic: parking a recall ack behind a bulk backlog would
 /// wedge every request blocked on that recall behind the very tenant the
-/// scheduler is throttling (a priority inversion). FIFO mode never calls
-/// this — nothing is reordered there.
+/// scheduler is throttling (a priority inversion). A server without a
+/// scheduler never asks: it serves every frame on receipt.
 pub fn control_op(req: &Bytes) -> bool {
     let mut d = Dec::new(req);
     matches!(
         proto::dec_req_header(&mut d),
         Ok((_, DafsOp::Hello)) | Ok((_, DafsOp::Disconnect)) | Ok((_, DafsOp::LeaseRecallAck))
     )
-}
-
-/// The pluggable dispatch-order policy sitting between session receive
-/// and op dispatch in the server worker.
-pub trait RequestSched: Send {
-    /// Whether this policy may emit frames in a different order than they
-    /// were pushed. `false` promises push→pop is an identity queue, which
-    /// the worker relies on to keep the historical single-frame serve path
-    /// (and its virtual-time trace) unchanged.
-    fn reorders(&self) -> bool;
-    /// Enqueue one received frame.
-    fn push(&mut self, ctx: &ActorCtx, req: QueuedReq);
-    /// Next frame to serve, or `None` when idle.
-    fn pop(&mut self, ctx: &ActorCtx) -> Option<QueuedReq>;
-    /// Whether any frame is queued.
-    fn is_empty(&self) -> bool;
-    /// Drop every queued frame of a dead session (its VI is gone; serving
-    /// its frames would panic on the missing session state).
-    fn drop_session(&mut self, vi: ViId);
-    /// Record a tenant's declared weight (from `Hello`).
-    fn set_weight(&mut self, tenant: u64, weight: u32);
-}
-
-/// The historical dispatch order: frames serve strictly in arrival order.
-#[derive(Default)]
-pub struct FifoSched {
-    queue: VecDeque<QueuedReq>,
-}
-
-impl FifoSched {
-    /// Create an empty FIFO scheduler.
-    pub fn new() -> FifoSched {
-        FifoSched::default()
-    }
-}
-
-impl RequestSched for FifoSched {
-    fn reorders(&self) -> bool {
-        false
-    }
-
-    fn push(&mut self, _ctx: &ActorCtx, req: QueuedReq) {
-        self.queue.push_back(req);
-    }
-
-    fn pop(&mut self, _ctx: &ActorCtx) -> Option<QueuedReq> {
-        self.queue.pop_front()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    fn drop_session(&mut self, vi: ViId) {
-        self.queue.retain(|q| q.vi != vi);
-    }
-
-    fn set_weight(&mut self, _tenant: u64, _weight: u32) {}
 }
 
 /// Per-tenant queue state inside [`WfqSched`].
@@ -247,7 +173,6 @@ struct TenantQ {
 /// Weighted fair queueing across tenants: deficit round-robin over byte
 /// cost with an earliest-deadline boost lane for small ops.
 pub struct WfqSched {
-    params: WfqParams,
     /// The server host: its tenants' series carry it.
     server: HostId,
     tenants: BTreeMap<u64, TenantQ>,
@@ -258,33 +183,13 @@ pub struct WfqSched {
 
 impl WfqSched {
     /// Create an empty WFQ scheduler for the server on `server`.
-    pub fn new(params: WfqParams, server: HostId) -> WfqSched {
+    pub fn new(server: HostId) -> WfqSched {
         WfqSched {
-            params,
             server,
             tenants: BTreeMap::new(),
             ring: VecDeque::new(),
             len: 0,
         }
-    }
-
-    fn tenant_entry<'a>(
-        tenants: &'a mut BTreeMap<u64, TenantQ>,
-        ctx: &ActorCtx,
-        server: HostId,
-        tenant: u64,
-        weight: u32,
-    ) -> &'a mut TenantQ {
-        let labels = tenant_labels(server, tenant);
-        tenants.entry(tenant).or_insert_with(|| TenantQ {
-            queue: VecDeque::new(),
-            deficit: 0,
-            weight: weight.max(1),
-            topped_up: false,
-            in_ring: false,
-            queued_ns: ctx.metrics().counter_at("dafs.sched.queued_ns", labels),
-            boosts: ctx.metrics().counter_at("dafs.sched.boosts", labels),
-        })
     }
 
     fn finish_pop(&mut self, ctx: &ActorCtx, tenant: u64, req: QueuedReq) -> Option<QueuedReq> {
@@ -293,16 +198,21 @@ impl WfqSched {
         self.len -= 1;
         Some(req)
     }
-}
 
-impl RequestSched for WfqSched {
-    fn reorders(&self) -> bool {
-        true
-    }
-
-    fn push(&mut self, ctx: &ActorCtx, req: QueuedReq) {
+    /// Enqueue one received frame. Its weight becomes its tenant's.
+    pub fn push(&mut self, ctx: &ActorCtx, req: QueuedReq) {
         let tenant = req.tenant;
-        let tq = Self::tenant_entry(&mut self.tenants, ctx, self.server, tenant, req.weight);
+        let labels = tenant_labels(self.server, tenant);
+        let tq = self.tenants.entry(tenant).or_insert_with(|| TenantQ {
+            queue: VecDeque::new(),
+            deficit: 0,
+            weight: 1,
+            topped_up: false,
+            in_ring: false,
+            queued_ns: ctx.metrics().counter_at("dafs.sched.queued_ns", labels),
+            boosts: ctx.metrics().counter_at("dafs.sched.boosts", labels),
+        });
+        tq.weight = req.weight.max(1);
         tq.queue.push_back(req);
         if !tq.in_ring {
             tq.in_ring = true;
@@ -311,7 +221,8 @@ impl RequestSched for WfqSched {
         self.len += 1;
     }
 
-    fn pop(&mut self, ctx: &ActorCtx) -> Option<QueuedReq> {
+    /// Next frame to serve, or `None` when idle.
+    pub fn pop(&mut self, ctx: &ActorCtx) -> Option<QueuedReq> {
         if self.len == 0 {
             return None;
         }
@@ -322,7 +233,7 @@ impl RequestSched for WfqSched {
         let mut boost: Option<(u64, u64)> = None; // (arrival_ns, tenant)
         for (tid, tq) in &self.tenants {
             if let Some(head) = tq.queue.front() {
-                if head.small && now.since(head.arrival) >= self.params.boost_deadline {
+                if head.small && now.since(head.arrival) >= BOOST_DEADLINE {
                     let a = head.arrival.as_nanos();
                     if boost.is_none_or(|(ba, _)| a < ba) {
                         boost = Some((a, *tid));
@@ -353,7 +264,7 @@ impl RequestSched for WfqSched {
             if !tq.topped_up {
                 tq.deficit = tq
                     .deficit
-                    .saturating_add(self.params.quantum.saturating_mul(tq.weight as u64));
+                    .saturating_add(QUANTUM.saturating_mul(tq.weight as u64));
                 tq.topped_up = true;
             }
             let cost = tq.queue.front().expect("head").cost;
@@ -371,11 +282,14 @@ impl RequestSched for WfqSched {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    /// Whether any frame is queued.
+    pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    fn drop_session(&mut self, vi: ViId) {
+    /// Drop every queued frame of a dead session (its VI is gone; serving
+    /// its frames would panic on the missing session state).
+    pub fn drop_session(&mut self, vi: ViId) {
         for tq in self.tenants.values_mut() {
             let before = tq.queue.len();
             tq.queue.retain(|q| q.vi != vi);
@@ -383,18 +297,13 @@ impl RequestSched for WfqSched {
         }
         // Emptied tenants fall out of the ring lazily in `pop`.
     }
-
-    fn set_weight(&mut self, tenant: u64, weight: u32) {
-        if let Some(tq) = self.tenants.get_mut(&tenant) {
-            tq.weight = weight.max(1);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimKernel;
+    use crate::wire::Enc;
+    use simnet::{Rng64, SimKernel};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -423,35 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn fifo_is_an_identity_queue() {
-        in_kernel(|ctx| {
-            let mut s = FifoSched::new();
-            assert!(!s.reorders());
-            for i in 0..5u64 {
-                s.push(ctx, req(i, i % 2, 1, 1000 * (i + 1), false, ctx.now()));
-            }
-            for i in 0..5u64 {
-                assert_eq!(s.pop(ctx).unwrap().vi, ViId(i));
-            }
-            assert!(s.is_empty());
-        });
-    }
-
-    #[test]
     fn drr_shares_follow_weights() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(
-                WfqParams {
-                    quantum: 4096,
-                    boost_deadline: SimDuration::from_micros(1_000_000),
-                },
-                HostId(0),
-            );
-            // Two backlogged tenants, weight 3:1, equal-cost frames.
-            for i in 0..64u64 {
-                s.push(ctx, req(1, 1, 3, 4096, false, ctx.now()));
-                s.push(ctx, req(2, 2, 1, 4096, false, ctx.now()));
-                let _ = i;
+            let mut s = WfqSched::new(HostId(0));
+            // Two backlogged tenants, weight 3:1, frames one quantum wide.
+            for _ in 0..64 {
+                s.push(ctx, req(1, 1, 3, QUANTUM, false, ctx.now()));
+                s.push(ctx, req(2, 2, 1, QUANTUM, false, ctx.now()));
             }
             let mut served = [0u64; 3];
             for _ in 0..32 {
@@ -469,20 +356,14 @@ mod tests {
     #[test]
     fn expired_small_op_jumps_the_ring() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(
-                WfqParams {
-                    quantum: 1 << 20,
-                    boost_deadline: SimDuration::from_micros(10),
-                },
-                HostId(0),
-            );
+            let mut s = WfqSched::new(HostId(0));
             // Bulk tenant backlog first, then a small op from another
             // tenant that has already waited past its deadline.
             for _ in 0..8 {
-                s.push(ctx, req(1, 1, 1, 1 << 20, false, ctx.now()));
+                s.push(ctx, req(1, 1, 1, QUANTUM, false, ctx.now()));
             }
             let early = ctx.now();
-            ctx.advance(SimDuration::from_micros(50));
+            ctx.advance(BOOST_DEADLINE * 2);
             s.push(ctx, req(2, 2, 1, 64, true, early));
             let first = s.pop(ctx).unwrap();
             assert_eq!(first.tenant, 2, "expired small op must dispatch first");
@@ -494,16 +375,29 @@ mod tests {
     }
 
     #[test]
+    fn a_boost_spends_the_tenants_deficit() {
+        in_kernel(|ctx| {
+            let mut s = WfqSched::new(HostId(0));
+            s.push(ctx, req(1, 1, 1, QUANTUM / 4, false, ctx.now()));
+            s.push(ctx, req(1, 1, 1, QUANTUM / 2, true, ctx.now()));
+            s.push(ctx, req(1, 1, 1, QUANTUM / 2, false, ctx.now()));
+            s.push(ctx, req(2, 2, 1, QUANTUM, false, ctx.now()));
+            // Tenant 1's visit refills one quantum and spends a quarter.
+            assert_eq!(s.pop(ctx).unwrap().cost, QUANTUM / 4);
+            ctx.advance(BOOST_DEADLINE * 2);
+            let boosted = s.pop(ctx).unwrap();
+            assert!(boosted.small, "the expired small op is boosted");
+            // The boost spent half a quantum, so the quarter left cannot
+            // cover tenant 1's next frame: the round passes to tenant 2.
+            assert_eq!(s.pop(ctx).unwrap().tenant, 2);
+        });
+    }
+
+    #[test]
     fn unexpired_small_op_waits_its_turn() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(
-                WfqParams {
-                    quantum: 1 << 20,
-                    boost_deadline: SimDuration::from_micros(10_000),
-                },
-                HostId(0),
-            );
-            s.push(ctx, req(1, 1, 1, 1 << 20, false, ctx.now()));
+            let mut s = WfqSched::new(HostId(0));
+            s.push(ctx, req(1, 1, 1, QUANTUM, false, ctx.now()));
             s.push(ctx, req(2, 2, 1, 64, true, ctx.now()));
             // No deadline has expired: plain DRR order (tenant 1 first).
             assert_eq!(s.pop(ctx).unwrap().tenant, 1);
@@ -514,18 +408,12 @@ mod tests {
     #[test]
     fn oversize_frame_is_reached_across_rounds() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(
-                WfqParams {
-                    quantum: 4096,
-                    boost_deadline: SimDuration::from_micros(1_000_000),
-                },
-                HostId(0),
-            );
+            let mut s = WfqSched::new(HostId(0));
             // A frame 8 quanta wide must still dispatch (deficit carries
             // over), even while a second tenant keeps its queue hot.
-            s.push(ctx, req(1, 1, 1, 8 * 4096, false, ctx.now()));
+            s.push(ctx, req(1, 1, 1, 8 * QUANTUM, false, ctx.now()));
             for _ in 0..32 {
-                s.push(ctx, req(2, 2, 1, 4096, false, ctx.now()));
+                s.push(ctx, req(2, 2, 1, QUANTUM, false, ctx.now()));
             }
             let mut seen_big = false;
             for _ in 0..20 {
@@ -543,7 +431,7 @@ mod tests {
     #[test]
     fn drop_session_removes_only_that_vi() {
         in_kernel(|ctx| {
-            let mut s = WfqSched::new(WfqParams::default(), HostId(0));
+            let mut s = WfqSched::new(HostId(0));
             s.push(ctx, req(1, 1, 1, 100, false, ctx.now()));
             s.push(ctx, req(2, 1, 1, 100, false, ctx.now()));
             s.push(ctx, req(3, 2, 1, 100, false, ctx.now()));
@@ -556,5 +444,135 @@ mod tests {
             assert_eq!(vis, vec![2, 3]);
             assert!(s.is_empty());
         });
+    }
+
+    #[test]
+    fn a_listed_write_costs_its_frame_as_an_unlisted_one_does() {
+        let n = 3 * 4096u64;
+        let data = vec![7u8; n as usize];
+        let frame = |op, body: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            proto::enc_req_header(&mut e, 1, op);
+            body(&mut e);
+            Bytes::from_vec(e.finish())
+        };
+        let plain = frame(DafsOp::WriteInline, &|e| {
+            e.u64(9).u64(0).bytes(&data);
+        });
+        let listed = frame(DafsOp::WriteList, &|e| {
+            e.u64(9).u8(0);
+            proto::enc_seg_list(e, &[(0, n / 2, 0), (n, n / 2, n / 2)]);
+            e.bytes(&data);
+        });
+        // Both frames carry the payload once, and so does their cost: the
+        // list's header and segments are all that set the two apart.
+        let (plain_cost, _) = classify(&plain);
+        let (listed_cost, _) = classify(&listed);
+        assert_eq!(plain_cost, plain.len() as u64);
+        assert_eq!(
+            listed_cost - plain_cost,
+            (listed.len() - plain.len()) as u64
+        );
+    }
+
+    /// Deficit a tenant may hold: one refill on top of less than the
+    /// widest frame it failed to cover.
+    const MAX_COST: u64 = 3 * QUANTUM;
+
+    /// One seeded run of random pushes, pops, clock advances on either
+    /// side of `BOOST_DEADLINE` and session drops over three tenants,
+    /// checked against a model of what is queued.
+    fn interleave(ctx: &ActorCtx, seed: u64) {
+        let mut rng = Rng64::new(seed);
+        let weights: Vec<u32> = (0..3).map(|_| rng.range(1, 9) as u32).collect();
+        let mut s = WfqSched::new(HostId(0));
+        // Live sessions per tenant; a dropped VI is gone for good.
+        let mut live: Vec<Vec<u64>> = vec![Vec::new(); 3];
+        let mut next_vi = 0u64;
+        // Queued request ids (push order) and the tenant and VI of each.
+        let mut queued: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut last_out: Vec<Option<u64>> = vec![None; 3];
+        let mut check_pop = |q: QueuedReq, queued: &mut BTreeMap<u64, (u64, u64)>| {
+            let id = u64::from_le_bytes(q.frame.as_slice().try_into().expect("id frame"));
+            let Some((tenant, vi)) = queued.remove(&id) else {
+                panic!("seed {seed}: request {id} came out but was not queued");
+            };
+            assert_eq!((q.tenant, q.vi), (tenant, ViId(vi)), "seed {seed}");
+            let t = tenant as usize;
+            assert!(
+                last_out[t] < Some(id),
+                "seed {seed}: tenant {tenant} served {id} after {:?}",
+                last_out[t]
+            );
+            last_out[t] = Some(id);
+        };
+        for id in 0..600u64 {
+            match rng.below(10) {
+                0..=3 => {
+                    let t = rng.below(3);
+                    let sessions = &mut live[t as usize];
+                    if sessions.is_empty() || rng.below(4) == 0 {
+                        sessions.push(next_vi);
+                        next_vi += 1;
+                    }
+                    let vi = sessions[rng.range_usize(0, sessions.len())];
+                    let small = rng.below(3) == 0;
+                    let cost = if small {
+                        rng.range(64, 4097)
+                    } else {
+                        rng.range(64, MAX_COST + 1)
+                    };
+                    s.push(
+                        ctx,
+                        QueuedReq {
+                            vi: ViId(vi),
+                            tenant: t,
+                            weight: weights[t as usize],
+                            cost,
+                            small,
+                            arrival: ctx.now(),
+                            frame: Bytes::from_vec(id.to_le_bytes().to_vec()),
+                        },
+                    );
+                    queued.insert(id, (t, vi));
+                }
+                4..=6 => match s.pop(ctx) {
+                    Some(q) => check_pop(q, &mut queued),
+                    None => assert!(queued.is_empty(), "seed {seed}: idle with work queued"),
+                },
+                7 => ctx.advance(SimDuration::from_nanos(
+                    rng.range(1, BOOST_DEADLINE.as_nanos()),
+                )),
+                8 => ctx.advance(BOOST_DEADLINE + SimDuration::from_nanos(rng.below(1_000))),
+                _ => {
+                    let sessions = &mut live[rng.below(3) as usize];
+                    if !sessions.is_empty() {
+                        let vi = sessions.swap_remove(rng.range_usize(0, sessions.len()));
+                        s.drop_session(ViId(vi));
+                        queued.retain(|_, &mut (_, v)| v != vi);
+                    }
+                }
+            }
+            assert_eq!(s.is_empty(), queued.is_empty(), "seed {seed}");
+            for (tenant, tq) in &s.tenants {
+                assert!(
+                    tq.deficit <= QUANTUM * tq.weight as u64 + MAX_COST,
+                    "seed {seed}: tenant {tenant} holds deficit {}",
+                    tq.deficit
+                );
+            }
+        }
+        while let Some(q) = s.pop(ctx) {
+            check_pop(q, &mut queued);
+        }
+        assert!(queued.is_empty(), "seed {seed}: {queued:?} never came out");
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn random_interleavings_serve_each_live_request_once_in_tenant_order() {
+        for seed in 0..64 {
+            in_kernel(move |ctx| interleave(ctx, seed));
+        }
     }
 }

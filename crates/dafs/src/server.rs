@@ -57,7 +57,7 @@ use via::{
 use crate::cost::DafsServerCost;
 use crate::lease::{Gate, LeaseTable, Parked};
 use crate::proto::{self, DafsOp, DafsStatus, ListSeg};
-use crate::sched::{self, QueuedReq, RequestSched, SchedPolicy};
+use crate::sched::{self, QueuedReq, SchedPolicy, WfqSched};
 use crate::wire::{Dec, Enc};
 
 /// Message-buffer size for each session slot: inline_max plus header slack.
@@ -246,8 +246,8 @@ struct LockState {
     waiters: VecDeque<(ViId, u32)>,
 }
 
-/// Start a DAFS server on `nic`'s host, exporting `fs` at `port`, with
-/// the historical FIFO dispatch order.
+/// Start a DAFS server on `nic`'s host, exporting `fs` at `port`, with no
+/// request scheduler: each frame is served on receipt, in completion order.
 pub fn spawn_dafs_server(
     kernel: &SimKernel,
     fabric: &ViaFabric,
@@ -335,7 +335,7 @@ pub fn spawn_dafs_server_sched(
         // cached. The client posts `x` again right behind that Hello, before
         // its reply, and two facts make the lookup find `x`'s reply all the
         // same: the server serves a VI's frames in arrival order, and a
-        // Hello, a control op, bypasses a reordering scheduler's queue — it
+        // Hello, a control op, bypasses the WFQ scheduler's queue — it
         // is served on arrival, ahead of anything behind it. So the Hello
         // has bound the new VI to the client id when `x` is served. A VI no
         // Hello has bound has no replay identity, and a request on it is
@@ -346,13 +346,13 @@ pub fn spawn_dafs_server_sched(
         // exhaustive test checks it.) A dead
         // session's frames stop at its reap — the first one served after the
         // break triggers it — which drops the rest, queued
-        // (`RequestSched::drop_session`) or parked
+        // (`WfqSched::drop_session`) or parked
         // (`LeaseTable::drop_session`). A clean `Disconnect` ends the
         // client, and its entries go with it.
         replay: ReplayCache::new(CREDITS as usize),
         sched: match policy {
-            SchedPolicy::Fifo => Box::new(sched::FifoSched::new()),
-            SchedPolicy::Wfq(p) => Box::new(sched::WfqSched::new(p, host.id)),
+            SchedPolicy::Fifo => None,
+            SchedPolicy::Wfq => Some(WfqSched::new(host.id)),
         },
         tenants: HashMap::new(),
     };
@@ -460,15 +460,16 @@ struct Server {
     /// that makes reconnect-replayed non-idempotent requests exactly-once.
     client_ids: HashMap<ViId, u64>,
     replay: ReplayCache,
-    /// Dispatch-order policy (FIFO by default; WFQ when configured).
-    sched: Box<dyn RequestSched>,
+    /// The WFQ scheduler, if the server runs one; without it each frame
+    /// is served on receipt.
+    sched: Option<WfqSched>,
     /// Tenant binding per live session, from its Hello: `(tenant, weight)`.
+    /// Only a server with a scheduler binds one.
     tenants: HashMap<ViId, (u64, u32)>,
 }
 
 impl Server {
     fn run(&mut self, ctx: &ActorCtx) {
-        let wfq = self.sched.reorders();
         while let Some(token) = self.cq.wait(ctx) {
             // Admit any sessions registered up to now.
             while let Some(s) = self.new_sessions.try_recv(ctx) {
@@ -479,22 +480,17 @@ impl Server {
                 continue;
             };
             self.enqueue(ctx, vi, req, at);
-            // Dispatch until the scheduler runs dry. Under FIFO the queue
-            // holds exactly the frame just pushed, so it serves immediately
-            // — the same timing-visible sequence as the pre-scheduler
-            // server. Under WFQ, completions that have already arrived are
-            // drained first (poll charges no time) so concurrent arrivals
-            // actually compete for dispatch order.
-            while !self.sched.is_empty() {
-                if wfq {
-                    while let Some(t) = self.cq.poll(ctx) {
-                        let tvi = t.vi;
-                        if let Some((r, rat)) = self.token_req(ctx, t) {
-                            self.enqueue(ctx, tvi, r, rat);
-                        }
+            // Dispatch until the scheduler runs dry. Completions that have
+            // already arrived are drained first (poll charges no time) so
+            // concurrent arrivals actually compete for dispatch order.
+            while self.sched.as_ref().is_some_and(|s| !s.is_empty()) {
+                while let Some(t) = self.cq.poll(ctx) {
+                    let tvi = t.vi;
+                    if let Some((r, rat)) = self.token_req(ctx, t) {
+                        self.enqueue(ctx, tvi, r, rat);
                     }
                 }
-                let Some(q) = self.sched.pop(ctx) else {
+                let Some(q) = self.sched.as_mut().and_then(|s| s.pop(ctx)) else {
                     break;
                 };
                 if self.sessions.contains_key(&q.vi) {
@@ -555,22 +551,22 @@ impl Server {
         Some((completion.payload?, completion.at))
     }
 
-    /// Route one received frame. Under a reordering policy, control ops
-    /// (Hello, Disconnect, LeaseRecallAck) bypass the queue — a recall ack
-    /// parked behind a bulk backlog would wedge every frame blocked on that
-    /// recall behind the very tenant being throttled. Everything else
-    /// competes in the scheduler.
+    /// Route one received frame: served on receipt without a scheduler,
+    /// and so are control ops (Hello, Disconnect, LeaseRecallAck) with one
+    /// — a recall ack parked behind a bulk backlog would wedge every frame
+    /// blocked on that recall behind the very tenant being throttled.
+    /// Everything else competes in the scheduler.
     fn enqueue(&mut self, ctx: &ActorCtx, vi: ViId, req: Bytes, arrival: SimTime) {
-        if self.sched.reorders() && sched::control_op(&req) {
+        let Some(wfq) = self.sched.as_mut().filter(|_| !sched::control_op(&req)) else {
             return self.serve_and_reap(ctx, vi, &req);
-        }
+        };
         let (cost, small) = sched::classify(&req);
         let (tenant, weight) = self
             .tenants
             .get(&vi)
             .copied()
             .unwrap_or((sched::DEFAULT_TENANT, 1));
-        self.sched.push(
+        wfq.push(
             ctx,
             QueuedReq {
                 vi,
@@ -616,7 +612,9 @@ impl Server {
         self.retired.insert(dead);
         self.client_ids.remove(&dead);
         self.tenants.remove(&dead);
-        self.sched.drop_session(dead);
+        if let Some(wfq) = &mut self.sched {
+            wfq.drop_session(dead);
+        }
         let mut freed = Vec::new();
         for (fh, st) in self.locks.iter_mut() {
             st.waiters.retain(|(w, _)| *w != dead);
@@ -1014,26 +1012,23 @@ impl Server {
         // Optional QoS extension, present only when the client declared a
         // tenant: `(tenant id u64, weight u32)`. A Hello without a tenant
         // ends at the client id, so decoding simply stops there and the
-        // reply is unchanged.
+        // reply is unchanged. A server without a scheduler ignores it.
         let mut credits = CREDITS;
-        if let Ok(tenant) = d.u64() {
+        if let (Some(_), Ok(tenant)) = (&self.sched, d.u64()) {
             let weight = d.u32().unwrap_or(1).max(1);
             self.tenants.insert(vi, (tenant, weight));
-            self.sched.set_weight(tenant, weight);
-            if self.sched.reorders() {
-                // Credit-window backpressure: an under-weight tenant's
-                // advertised window shrinks in proportion to the largest
-                // declared weight, so its excess load queues at the client
-                // instead of unboundedly in the scheduler.
-                let max_w = self.tenants.values().map(|&(_, w)| w).max();
-                let scaled = (CREDITS as u64 * weight as u64) / max_w.unwrap_or(1) as u64;
-                credits = scaled.clamp(2, CREDITS as u64) as u32;
-                if credits < CREDITS {
-                    let labels = sched::tenant_labels(self.host.id, tenant);
-                    ctx.metrics()
-                        .counter_at("dafs.sched.throttles", labels)
-                        .inc();
-                }
+            // Credit-window backpressure: an under-weight tenant's
+            // advertised window shrinks in proportion to the largest
+            // declared weight, so its excess load queues at the client
+            // instead of unboundedly in the scheduler.
+            let max_w = self.tenants.values().map(|&(_, w)| w).max();
+            let scaled = (CREDITS as u64 * weight as u64) / max_w.unwrap_or(1) as u64;
+            credits = scaled.clamp(2, CREDITS as u64) as u32;
+            if credits < CREDITS {
+                let labels = sched::tenant_labels(self.host.id, tenant);
+                ctx.metrics()
+                    .counter_at("dafs.sched.throttles", labels)
+                    .inc();
             }
         }
         // A byte once said whether the NIC had RDMA Read; it is always 0.

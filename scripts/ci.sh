@@ -82,6 +82,17 @@ if grep -rnE 'RdmaRead|rdma_read|STAGING|WriteDirect' crates/dafs/src; then
     exit 1
 fi
 
+echo "==> one dispatch path"
+# A DAFS server without a scheduler serves each frame on receipt; with one,
+# it is a `WfqSched`, whose quantum and boost deadline are constants. No
+# scheduler trait, identity queue or tunables struct comes back, and the
+# server never asks a scheduler whether it reorders.
+if grep -rnE 'FifoSched|RequestSched|WfqParams' crates tests examples README.md ||
+    grep -rn 'reorders(' crates/dafs/src; then
+    echo "ci: a second dispatch path is back (lines above)" >&2
+    exit 1
+fi
+
 echo "==> one ADIO data method"
 # A driver implements `AdioFile::itransfer`: a blocking transfer is it plus
 # its wait, and a contiguous read or write is a blocking transfer of one
@@ -371,9 +382,9 @@ echo "==> repo benchmark unit tests"
 echo "==> bench suite golden diff"
 # The full suite must emit exactly the checked-in goldens. What that
 # gates: default hints reproduce every table (`dafs_cache` defaults to
-# off, `dafs_listio` and the pipelined sweep to on), and the server's
-# default FifoSched is byte-identical in virtual time to the
-# pre-scheduler dispatch loop — X-6's fifo rows come from that same path.
+# off, `dafs_listio` and the pipelined sweep to on), and a server without
+# a scheduler serves each frame on receipt, in completion order — every
+# table runs that path, X-6's fifo rows included.
 # Wall-clock lines are real elapsed time (nondeterministic by design):
 # the per-table harness throughput notes in the rendered text, R-F10's
 # embedded cell notes, and the R-K1 microbench (whose title carries the

@@ -7,8 +7,8 @@
 //! Everything runs in virtual time on seeded inputs, so every assertion
 //! here is exactly reproducible.
 
-use mpio_dafs::dafs::sched::{QueuedReq, RequestSched, WfqSched};
-use mpio_dafs::dafs::{self, SchedPolicy, WfqParams};
+use mpio_dafs::dafs::sched::{QueuedReq, WfqSched};
+use mpio_dafs::dafs::{self, SchedPolicy};
 use mpio_dafs::memfs::ROOT_ID;
 use mpio_dafs::simnet::units::*;
 use mpio_dafs::simnet::{Bytes, Cluster, HostId, Rng64, SimKernel, SimTime};
@@ -26,7 +26,7 @@ fn wfq_shares_track_weights_under_random_mixes() {
             let mut rng = Rng64::new(seed);
             let tenants = rng.range_usize(2, 5); // 2..=4
             let weights: Vec<u32> = (0..tenants).map(|_| rng.range(1, 9) as u32).collect();
-            let mut s = WfqSched::new(WfqParams::default(), HostId(0));
+            let mut s = WfqSched::new(HostId(0));
             let mut offered = vec![0u64; tenants];
             for t in 0..tenants {
                 for _ in 0..300 {
@@ -97,7 +97,7 @@ fn two_tenant_full_stack_progress() {
         fs.clone(),
         PORT,
         dafs::DafsServerCost::default(),
-        SchedPolicy::Wfq(WfqParams::default()),
+        SchedPolicy::Wfq,
     );
     for (name, tenant, weight) in [("small", 1u64, 8u32), ("stream", 2, 1)] {
         let fabric = fabric.clone();
@@ -169,7 +169,7 @@ fn throttled_tenant_crash_mid_queue_releases_parked_frames() {
         fs.clone(),
         PORT,
         dafs::DafsServerCost::default(),
-        SchedPolicy::Wfq(WfqParams::default()),
+        SchedPolicy::Wfq,
     );
     let holder_host = cluster.add_host("holder");
     let writer_host = cluster.add_host("writer");
