@@ -237,11 +237,22 @@ enum ReqState {
 }
 
 /// Driver transfers in flight on one actor (a request born complete never
-/// is), kept in its [`ActorCtx::with_local`] slot. Feeds the
-/// `adio.inflight` depth histogram; self-balancing because every request
-/// is waited.
-#[derive(Default)]
-struct Inflight(u64);
+/// is), kept in its [`ActorCtx::with_local`] slot with the `adio.inflight`
+/// depth histogram it feeds; self-balancing because every request is
+/// waited.
+struct Inflight {
+    depth: u64,
+    histogram: obs::LazyHistogram,
+}
+
+impl Default for Inflight {
+    fn default() -> Inflight {
+        Inflight {
+            depth: 0,
+            histogram: obs::LazyHistogram::new("adio.inflight"),
+        }
+    }
+}
 
 /// Completion handle for an ADIO transfer ([`AdioFile::itransfer`]): either
 /// born complete (eager drivers) or an operation in flight that
@@ -262,11 +273,10 @@ impl AdioRequest {
     /// A request in flight. Records the calling actor's outstanding depth
     /// in the `adio.inflight` histogram.
     pub fn pending(ctx: &ActorCtx, io: Box<dyn PendingIo>) -> AdioRequest {
-        let depth = ctx.with_local(|d: &mut Inflight| {
-            d.0 += 1;
-            d.0
+        ctx.with_local(|d: &mut Inflight| {
+            d.depth += 1;
+            d.histogram.resolve(ctx.metrics()).record(d.depth);
         });
-        ctx.metrics().histogram("adio.inflight").record(depth);
         AdioRequest {
             state: ReqState::Pending(io),
         }
@@ -278,7 +288,7 @@ impl AdioRequest {
         match self.state {
             ReqState::Done(r) => r,
             ReqState::Pending(io) => {
-                ctx.with_local(|d: &mut Inflight| d.0 = d.0.saturating_sub(1));
+                ctx.with_local(|d: &mut Inflight| d.depth = d.depth.saturating_sub(1));
                 io.wait(ctx)
             }
         }

@@ -29,7 +29,9 @@ mod registry;
 mod stats;
 mod trace;
 
-pub use registry::{Labels, Lazy, LazyByteMeter, LazyCounter, Registry, Snapshot, SnapshotEntry};
+pub use registry::{
+    Labels, Lazy, LazyByteMeter, LazyCounter, LazyHistogram, Registry, Snapshot, SnapshotEntry,
+};
 pub use stats::{ByteMeter, Counter, SampleSet};
 pub use trace::{TraceBuffer, Tracer, Value};
 

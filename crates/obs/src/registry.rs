@@ -203,7 +203,12 @@ impl Registry {
 
     /// Get or create the plain sample set named `name` (kind `"histogram"`).
     pub fn histogram(&self, name: &str) -> SampleSet {
-        match self.get_or_insert(name, Labels::NONE, || Metric::Histogram(SampleSet::new())) {
+        self.histogram_at(name, Labels::NONE)
+    }
+
+    /// Get or create the sample-set series `(name, labels)`.
+    pub(crate) fn histogram_at(&self, name: &str, labels: Labels) -> SampleSet {
+        match self.get_or_insert(name, labels, || Metric::Histogram(SampleSet::new())) {
             Metric::Histogram(s) => s,
             other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
         }
@@ -269,6 +274,8 @@ pub struct Lazy<T> {
 pub type LazyCounter = Lazy<Counter>;
 /// A lazily resolved byte-meter series.
 pub type LazyByteMeter = Lazy<ByteMeter>;
+/// A lazily resolved sample-set series.
+pub type LazyHistogram = Lazy<SampleSet>;
 
 impl<T> Lazy<T> {
     /// A handle for the plain metric `name`, not yet resolved.
@@ -313,6 +320,15 @@ impl Lazy<ByteMeter> {
     /// Bytes recorded so far.
     pub fn bytes(&self) -> u64 {
         self.cell.get().map_or(0, |b| b.bytes.get())
+    }
+}
+
+impl Lazy<SampleSet> {
+    /// The sample set, registered in `reg` on first call.
+    #[inline]
+    pub fn resolve(&self, reg: &Registry) -> &SampleSet {
+        self.cell
+            .get_or_init(|| reg.histogram_at(self.name, self.labels))
     }
 }
 

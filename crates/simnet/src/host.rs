@@ -47,23 +47,54 @@ struct Allocation {
     /// slots and staging they mostly never touch, which cost nothing as
     /// untouched zero pages but a `memset` each from a recycled heap.
     data: Mapping,
-    /// Frames recorded as the contents of `[offset, offset + len)` by
-    /// [`HostMem::place`] and not yet written into `data`, oldest first.
-    placed: Vec<(usize, Bytes)>,
+    /// Views recorded by [`HostMem::place`] as the contents of
+    /// `[offset, offset + len)`, disjoint and keyed by offset. The
+    /// allocation's contents are `data` overlaid by these; nothing ever
+    /// writes them into `data`.
+    placed: BTreeMap<usize, Bytes>,
 }
 
 impl Allocation {
-    /// Write the pending placements into the mapping, in order.
-    fn settle(&mut self) {
-        for (off, bytes) in self.placed.drain(..) {
-            self.data[off..off + bytes.len()].copy_from_slice(&bytes);
+    /// Take `[off, end)` out of the placed views: an entry it covers goes,
+    /// one it cuts keeps the parts outside (sub-views, no copy).
+    fn cut(&mut self, off: usize, end: usize) {
+        if off == end {
+            return;
+        }
+        let before = self.placed.range(..off).next_back();
+        if let Some((&o, b)) = before.filter(|&(&o, b)| o + b.len() > off) {
+            let whole = b.clone();
+            if o + whole.len() > end {
+                self.placed.insert(end, whole.slice(end - o..));
+            }
+            self.placed.insert(o, whole.slice(..off - o));
+        }
+        while let Some((&o, _)) = self.placed.range(off..end).next() {
+            let b = self.placed.remove(&o).expect("just found");
+            if o + b.len() > end {
+                self.placed.insert(end, b.slice(end - o..));
+            }
         }
     }
 
-    fn overlaps_placed(&self, off: usize, end: usize) -> bool {
-        self.placed
-            .iter()
-            .any(|(o, b)| *o < end && off < o + b.len())
+    /// Hand `f` the contents of `[off, end)` in order: slices of the placed
+    /// views in range and of the mapping between them.
+    fn pieces(&self, off: usize, end: usize, mut f: impl FnMut(&[u8])) {
+        let reaching_in = self.placed.range(..off).next_back();
+        let reaching_in = reaching_in.filter(|&(&o, b)| o + b.len() > off);
+        let mut at = off;
+        for (&o, b) in reaching_in.into_iter().chain(self.placed.range(off..end)) {
+            if o > at {
+                f(&self.data[at..o]);
+                at = o;
+            }
+            let stop = (o + b.len()).min(end);
+            f(&b[at - o..stop - o]);
+            at = stop;
+        }
+        if at < end {
+            f(&self.data[at..end]);
+        }
     }
 }
 
@@ -136,13 +167,13 @@ impl HostMem {
             Allocation {
                 base,
                 data: Mapping::zeroed(len),
-                placed: Vec::new(),
+                placed: BTreeMap::new(),
             },
         );
         VirtAddr(base)
     }
 
-    /// Free an allocation by its base address, pending placements with it.
+    /// Free an allocation by its base address, its placed views with it.
     /// Panics on a non-base address (simulator-bug detection, like a bad
     /// `free(3)`).
     pub fn free(&self, addr: VirtAddr) {
@@ -159,37 +190,38 @@ impl HostMem {
         self.state.lock().allocated_bytes
     }
 
-    /// Every byte access goes through here, and sees the allocation's
-    /// pending placements written first.
-    fn with_alloc<R>(&self, addr: VirtAddr, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    /// Every byte access goes through here, with the allocation and
+    /// `addr`'s offset in it.
+    fn with_alloc<R>(
+        &self,
+        addr: VirtAddr,
+        len: usize,
+        f: impl FnOnce(&mut Allocation, usize) -> R,
+    ) -> R {
         let mut st = self.state.lock();
         let (alloc, off) = st.locate(addr, len);
-        alloc.settle();
-        f(&mut alloc.data[off..off + len])
+        f(alloc, off)
     }
 
     /// Record `bytes` as the contents of `[addr, addr + bytes.len())`
-    /// without writing a page: a NIC's receive placement. The bytes are
-    /// written only when something next reads or writes the allocation, so
-    /// a frame its receiver parses from the completion and whose buffer it
-    /// re-posts at once never touches the buffer's pages. A placement that
-    /// overlaps a pending one writes the pending ones first.
+    /// without writing a page: a NIC's placement. Reads see the view; no
+    /// one writes it into the mapping, so a buffer only a NIC writes never
+    /// has its pages touched. The view keeps its slab alive until a later
+    /// placement, write or fill covers it, or the buffer is freed; the
+    /// part of an older view that it covers is dropped.
     pub fn place(&self, addr: VirtAddr, bytes: Bytes) {
-        let mut st = self.state.lock();
-        let (alloc, off) = st.locate(addr, bytes.len());
-        if bytes.is_empty() {
-            return;
-        }
-        if alloc.overlaps_placed(off, off + bytes.len()) {
-            alloc.settle();
-        }
-        alloc.placed.push((off, bytes));
+        self.with_alloc(addr, bytes.len(), |a, off| {
+            if !bytes.is_empty() {
+                a.cut(off, off + bytes.len());
+                a.placed.insert(off, bytes);
+            }
+        });
     }
 
-    /// Drop, unwritten, every pending placement inside `[addr, addr+len)`:
-    /// the range has been handed back to the NIC, so nothing may read what
-    /// was placed there. A placement that reaches outside the range is
-    /// written instead. A range in no allocation has nothing to drop.
+    /// Drop every placed view inside `[addr, addr+len)`: the range has been
+    /// handed back to the NIC, so nothing may read what was placed there.
+    /// A view that reaches outside the range stays whole. A range in no
+    /// allocation has nothing to drop.
     pub fn unplace(&self, addr: VirtAddr, len: usize) {
         let mut st = self.state.lock();
         let Some((_, alloc)) = st.allocs.range_mut(..=addr.0).next_back() else {
@@ -197,23 +229,39 @@ impl HostMem {
         };
         let off = (addr.0 - alloc.base) as usize;
         let end = off + len;
-        alloc
-            .placed
-            .retain(|(o, b)| !(off <= *o && o + b.len() <= end));
-        if alloc.overlaps_placed(off, end) {
-            alloc.settle();
+        // The views are disjoint: only the last one starting in range can
+        // reach past its end.
+        while let Some((&o, b)) = alloc.placed.range(off..end).next() {
+            if o + b.len() > end {
+                break;
+            }
+            alloc.placed.remove(&o);
+        }
+        if alloc.placed.is_empty() {
+            // An emptied map keeps its root node; a receive slot re-posted
+            // after every frame would hold one each.
+            alloc.placed = BTreeMap::new();
         }
     }
 
     /// Copy bytes out of simulated memory.
     pub fn read(&self, addr: VirtAddr, out: &mut [u8]) {
-        self.with_alloc(addr, out.len(), |m| out.copy_from_slice(m));
+        self.with_alloc(addr, out.len(), |a, off| {
+            let mut at = 0;
+            a.pieces(off, off + out.len(), |p| {
+                out[at..at + p.len()].copy_from_slice(p);
+                at += p.len();
+            });
+        });
     }
 
     /// Append `len` bytes at `addr` to `out` — the one pass of a producer
     /// assembling a frame (nothing is zero-filled first).
     pub fn read_into(&self, addr: VirtAddr, len: usize, out: &mut Vec<u8>) {
-        self.with_alloc(addr, len, |m| out.extend_from_slice(m));
+        out.reserve(len);
+        self.with_alloc(addr, len, |a, off| {
+            a.pieces(off, off + len, |p| out.extend_from_slice(p))
+        });
     }
 
     /// Copy bytes out into a fresh vector.
@@ -233,12 +281,18 @@ impl HostMem {
 
     /// Copy bytes into simulated memory.
     pub fn write(&self, addr: VirtAddr, data: &[u8]) {
-        self.with_alloc(addr, data.len(), |m| m.copy_from_slice(data));
+        self.with_alloc(addr, data.len(), |a, off| {
+            a.cut(off, off + data.len());
+            a.data[off..off + data.len()].copy_from_slice(data);
+        });
     }
 
     /// Fill a range with one byte value.
     pub fn fill(&self, addr: VirtAddr, len: usize, value: u8) {
-        self.with_alloc(addr, len, |m| m.fill(value));
+        self.with_alloc(addr, len, |a, off| {
+            a.cut(off, off + len);
+            a.data[off..off + len].fill(value);
+        });
     }
 
     /// True if `[addr, addr+len)` lies inside one live allocation.
@@ -497,6 +551,162 @@ mod tests {
         assert_eq!(Arc::strong_count(&slab), 2);
         m.free(a);
         assert_eq!(Arc::strong_count(&slab), 1, "free kept the frame");
+    }
+
+    /// `HostMem` against a flat model: per byte, the mapping's value and,
+    /// if placed, the view's value and the id of the view it lies in (a
+    /// cut gives the part past it a new id, as the real map makes it a
+    /// new entry).
+    struct Model {
+        mapping: Vec<u8>,
+        placed: Vec<Option<(u32, u8)>>,
+    }
+
+    impl Model {
+        fn new(len: usize) -> Model {
+            Model {
+                mapping: vec![0; len],
+                placed: vec![None; len],
+            }
+        }
+
+        fn cut(&mut self, off: usize, end: usize, fresh: &mut u32) {
+            if off == end {
+                return;
+            }
+            self.placed[off..end].fill(None);
+            if let Some(Some((id, _))) = self.placed.get(end).copied() {
+                *fresh += 1;
+                let run = self.placed[end..].iter_mut();
+                for p in run.take_while(|p| matches!(p, Some((i, _)) if *i == id)) {
+                    p.as_mut().unwrap().0 = *fresh;
+                }
+            }
+        }
+
+        fn unplace(&mut self, off: usize, end: usize) {
+            for i in off..end {
+                let Some((id, _)) = self.placed[i] else {
+                    continue;
+                };
+                let of_id = |p: &Option<(u32, u8)>| matches!(p, Some((j, _)) if *j == id);
+                let mut outside = self.placed[..off].iter().chain(&self.placed[end..]);
+                if !outside.any(of_id) {
+                    self.placed[off..end]
+                        .iter_mut()
+                        .filter(|p| of_id(p))
+                        .for_each(|p| *p = None);
+                }
+            }
+        }
+
+        fn contents(&self, off: usize, end: usize) -> Vec<u8> {
+            (off..end)
+                .map(|i| self.placed[i].map_or(self.mapping[i], |(_, v)| v))
+                .collect()
+        }
+
+        /// `(offset, len)` of each run of one view id, in order.
+        fn views(&self) -> Vec<(usize, usize)> {
+            let mut out: Vec<(usize, usize, u32)> = Vec::new();
+            for (i, p) in self.placed.iter().enumerate() {
+                match (p, out.last_mut()) {
+                    (Some((id, _)), Some(last)) if last.2 == *id && last.0 + last.1 == i => {
+                        last.1 += 1
+                    }
+                    (Some((id, _)), _) => out.push((i, 1, *id)),
+                    (None, _) => {}
+                }
+            }
+            out.into_iter().map(|(o, n, _)| (o, n)).collect()
+        }
+    }
+
+    /// The placed views of the allocation at `a`, in order, each non-empty
+    /// and starting at or past the end of the one before.
+    fn views_of(m: &HostMem, a: VirtAddr) -> Vec<(usize, usize)> {
+        let st = m.state.lock();
+        let alloc = &st.allocs[&a.0];
+        let views: Vec<_> = alloc.placed.iter().map(|(&o, b)| (o, b.len())).collect();
+        for w in views.windows(2) {
+            assert!(w[0].0 + w[0].1 <= w[1].0, "views overlap: {w:?}");
+        }
+        assert!(views
+            .iter()
+            .all(|&(o, n)| n > 0 && o + n <= alloc.data.len()));
+        views
+    }
+
+    #[test]
+    fn placements_writes_and_reads_match_a_flat_model() {
+        use crate::rng::Rng64;
+        for seed in 1..=8u64 {
+            let mut rng = Rng64::new(seed);
+            let m = HostMem::new();
+            let sizes = [64usize, 300, 1024];
+            let mut addrs: Vec<VirtAddr> = sizes.iter().map(|&n| m.alloc(n)).collect();
+            let mut models: Vec<Model> = sizes.iter().map(|&n| Model::new(n)).collect();
+            let mut fresh = 0u32;
+            for step in 0..2000 {
+                let k = rng.range_usize(0, sizes.len());
+                let (a, model, len) = (addrs[k], &mut models[k], sizes[k]);
+                let off = rng.range_usize(0, len + 1);
+                let end = rng.range_usize(off, len + 1);
+                match rng.below(10) {
+                    0..=2 => {
+                        // A view into a larger slab, as a memfs page is.
+                        let lead = rng.range_usize(0, 16);
+                        let slab = Bytes::from_vec(rng.bytes(lead + end - off + 8));
+                        let view = slab.slice(lead..lead + end - off);
+                        model.cut(off, end, &mut fresh);
+                        fresh += 1;
+                        for (i, &v) in (off..end).zip(view.iter()) {
+                            model.placed[i] = Some((fresh, v));
+                        }
+                        m.place(a.offset(off as u64), view);
+                    }
+                    3 | 4 => {
+                        let data = rng.bytes(end - off);
+                        model.cut(off, end, &mut fresh);
+                        model.mapping[off..end].copy_from_slice(&data);
+                        m.write(a.offset(off as u64), &data);
+                    }
+                    5 => {
+                        let v = rng.byte();
+                        model.cut(off, end, &mut fresh);
+                        model.mapping[off..end].fill(v);
+                        m.fill(a.offset(off as u64), end - off, v);
+                    }
+                    6 | 7 => {
+                        model.unplace(off, end);
+                        m.unplace(a.offset(off as u64), end - off);
+                    }
+                    8 => {
+                        let want = model.contents(off, end);
+                        let at = a.offset(off as u64);
+                        let mut out = vec![0xA5; end - off];
+                        m.read(at, &mut out);
+                        assert_eq!(out, want, "read, seed {seed} step {step}");
+                        let mut out = b"hdr".to_vec();
+                        m.read_into(at, end - off, &mut out);
+                        assert_eq!(out[3..], want[..], "read_into, seed {seed} step {step}");
+                        assert_eq!(m.read_bytes(at, end - off), want, "read_bytes");
+                    }
+                    _ => {
+                        m.free(a);
+                        addrs[k] = m.alloc(len);
+                        *model = Model::new(len);
+                    }
+                }
+                let (a, model) = (addrs[k], &models[k]);
+                assert_eq!(
+                    m.read_vec(a, len),
+                    model.contents(0, len),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(views_of(&m, a), model.views(), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::host::{Cluster, HostId};
 use crate::kernel::ActorCtx;
 use crate::resource::Resource;
 use crate::time::{Bandwidth, SimDuration, SimTime};
-use obs::Value;
+use obs::{LazyCounter, Value};
 
 /// What happens when an egress queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -273,6 +273,8 @@ impl<'a> TopologyBuilder<'a> {
             default_attach: self.default_attach,
             paths,
             ports: Mutex::new((0..n).map(|_| BTreeMap::new()).collect()),
+            frames: LazyCounter::new("fabric.frames"),
+            bytes: LazyCounter::new("fabric.bytes"),
         }
     }
 }
@@ -309,6 +311,10 @@ pub struct Topology {
     paths: Vec<Vec<Option<Vec<usize>>>>,
     /// Per switch, its egress ports by neighbour, created at first use.
     ports: Mutex<Vec<BTreeMap<NodeKey, PortState>>>,
+    /// `fabric.frames` and `fabric.bytes`, bumped per delivered frame and
+    /// resolved at the first (a topology lives inside one simulation).
+    frames: LazyCounter,
+    bytes: LazyCounter,
 }
 
 impl Topology {
@@ -465,8 +471,8 @@ impl Topology {
             }
         }
         drop(ports);
-        ctx.metrics().counter("fabric.frames").inc();
-        ctx.metrics().counter("fabric.bytes").add(bytes);
+        self.frames.resolve(ctx.metrics()).inc();
+        self.bytes.resolve(ctx.metrics()).add(bytes);
         Ok(first)
     }
 

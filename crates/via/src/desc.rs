@@ -235,7 +235,7 @@ pub struct Completion {
     /// completion of a two-sided send carries it (`None` for send-queue
     /// completions, RDMA Write with immediate and failures). Consumers that
     /// only parse the message read this view: reading the buffer instead
-    /// writes the placed frame into its pages (`HostMem::place`).
+    /// copies the placed frame out of it (`HostMem::place`).
     pub payload: Option<Bytes>,
 }
 

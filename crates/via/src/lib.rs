@@ -133,11 +133,10 @@ mod tests {
         tb.kernel.run();
     }
 
-    /// The NIC places a frame in its receive buffer only if something reads
-    /// the buffer before it is posted again: a receiver that parses the
-    /// completion's payload and re-posts leaves the buffer as it was, and
-    /// after a shorter message the bytes past its length are not the
-    /// previous message's tail.
+    /// A frame placed in a receive buffer is dropped when the buffer is
+    /// posted again: a receiver that parses the completion's payload and
+    /// re-posts leaves the buffer as it was, and after a shorter message
+    /// the bytes past its length are not the previous message's tail.
     #[test]
     fn a_reposted_buffer_holds_no_unread_frame() {
         let tb = testbed();
@@ -343,6 +342,67 @@ mod tests {
             assert!(vi.send_wait(ctx).status.is_ok());
             vi.post_send(ctx, SendDesc::send(segs).with_payload(rope));
             assert!(vi.send_wait(ctx).status.is_ok());
+        });
+        tb.kernel.run();
+    }
+
+    /// An RDMA Write lands as a view of its payload, not a copy: the
+    /// target holds one more reference to the payload's slab and reads its
+    /// bytes, and a second write over the same range lets the slab go.
+    #[test]
+    fn an_rdma_write_holds_its_payload_until_written_over() {
+        use simnet::{buf::Slab, Bytes};
+        let tb = testbed();
+        let server_host = tb.server_nic.host().id;
+        let fabric = tb.fabric.clone();
+        let snic = tb.server_nic.clone();
+        let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
+            Arc::new(parking_lot::Mutex::new(None));
+        let slot = shared.clone();
+        tb.kernel.spawn_daemon("server", move |ctx| {
+            let listener = fabric.listen(&snic, 7);
+            let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
+            let (buf, h) = reg_buf(
+                ctx,
+                &snic,
+                4096,
+                MemAttributes::rdma_write_target(vi.ptag()),
+            );
+            *slot.lock() = Some((buf, h));
+            ctx.advance(ms(10));
+        });
+        let fabric = tb.fabric.clone();
+        let cnic = tb.client_nic.clone();
+        let smem = tb.server_nic.host().mem.clone();
+        tb.kernel.spawn("client", move |ctx| {
+            let vi = fabric
+                .connect(ctx, &cnic, server_host, 7, ViAttributes::default())
+                .unwrap();
+            let (raddr, rh) = loop {
+                if let Some(x) = *shared.lock() {
+                    break x;
+                }
+                ctx.advance(us(10));
+            };
+            let (sbuf, sh) = reg_buf(ctx, &cnic, 2048, MemAttributes::local(vi.ptag()));
+            let remote = RemoteSegment {
+                addr: raddr.offset(1000),
+                handle: rh,
+            };
+            let write = |payload: Bytes| {
+                let segs = vec![DataSegment::new(sbuf, 2048, sh)];
+                let desc = SendDesc::rdma_write(segs, remote).with_payload(payload);
+                vi.post_send(ctx, desc);
+                assert!(vi.send_wait(ctx).status.is_ok());
+            };
+            let page: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+            let slab = Arc::new(Slab::from_vec(page.clone()));
+            write(Bytes::from_slab(slab.clone()).slice(100..2148));
+            assert_eq!(Arc::strong_count(&slab), 2, "the write copied its payload");
+            assert_eq!(smem.read_vec(raddr.offset(1000), 2048), page[100..2148]);
+            write(Bytes::from_vec(vec![0x5A; 2048]));
+            assert_eq!(Arc::strong_count(&slab), 1, "a write over it kept the view");
+            assert_eq!(smem.read_vec(raddr.offset(1000), 2048), [0x5A; 2048]);
         });
         tb.kernel.run();
     }

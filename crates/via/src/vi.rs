@@ -20,11 +20,14 @@
 //!
 //! Data placement is performed by the simulated NIC with no host CPU
 //! charge — the essence of why DAFS direct I/O leaves the client CPU idle.
+//! Nor does the host copy: every landing records views of the bytes in
+//! the target memory (`HostMem::place`), which reads see and nothing
+//! writes into its pages.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use obs::LazyCounter;
+use obs::{LazyByteMeter, LazyCounter};
 use parking_lot::Mutex;
 use simnet::fault::FaultPlan;
 use simnet::topo::Topology;
@@ -156,12 +159,14 @@ pub struct Vi {
     pub(crate) counters: ViCounters,
 }
 
-/// The registry counters a VI bumps on every descriptor, resolved at first
+/// The registry series a VI bumps on every descriptor, resolved at first
 /// use (a VI lives inside one simulation).
 pub(crate) struct ViCounters {
     doorbells: LazyCounter,
     completions: LazyCounter,
     recv_posted: LazyCounter,
+    send_bytes: LazyByteMeter,
+    rdma_bytes: LazyByteMeter,
 }
 
 impl Default for ViCounters {
@@ -170,6 +175,8 @@ impl Default for ViCounters {
             doorbells: LazyCounter::new("via.doorbells"),
             completions: LazyCounter::new("via.completions"),
             recv_posted: LazyCounter::new("via.descriptors.recv_posted"),
+            send_bytes: LazyByteMeter::new("via.send.bytes"),
+            rdma_bytes: LazyByteMeter::new("via.rdma.bytes"),
         }
     }
 }
@@ -306,9 +313,9 @@ impl Vi {
     /// Post a receive descriptor (`VipPostRecv`). Returns immediately.
     ///
     /// The buffer belongs to the NIC until the descriptor completes, so a
-    /// frame still placed in it and never read is dropped unwritten: after
-    /// a shorter message completes, the bytes past its length are not the
-    /// previous message's tail.
+    /// frame still placed in it is dropped: after a shorter message
+    /// completes, the bytes past its length are not the previous message's
+    /// tail.
     pub fn post_recv(&self, ctx: &ActorCtx, desc: RecvDesc) {
         for s in &desc.segs {
             self.nic.host().mem.unplace(s.addr, s.len as usize);
@@ -401,13 +408,13 @@ impl Vi {
             if len > self.local.attrs.max_transfer() {
                 return self.refuse(ctx, ViaStatus::DescriptorError);
             }
-            ctx.metrics().byte_meter("via.send.bytes").record(len);
+            self.counters.send_bytes.resolve(ctx.metrics()).record(len);
             Landing::PeerQueue(self.gather_frame(&mut desc))
         } else {
             let Some(remote) = self.check_remote(ctx, &desc, len) else {
                 return;
             };
-            ctx.metrics().byte_meter("via.rdma.bytes").record(len);
+            self.counters.rdma_bytes.resolve(ctx.metrics()).record(len);
             match desc.op {
                 SendOp::RdmaRead => Landing::OwnSegments(remote),
                 _ => Landing::PeerMemory(self.gather(&mut desc), remote),
@@ -439,10 +446,12 @@ impl Vi {
                 tx_done
             }
             Landing::PeerMemory(bytes, remote) => {
-                // The peer host CPU is *not* involved.
+                // The peer host CPU is *not* involved, nor are its pages:
+                // each piece is placed as it is (a memfs page view for a
+                // direct read).
                 let mut addr = remote.addr;
                 for piece in &bytes {
-                    self.peer_nic.host().mem.write(addr, piece);
+                    self.peer_nic.host().mem.place(addr, piece.clone());
                     addr = addr.offset(piece.len() as u64);
                 }
                 if let Some(imm) = desc.imm {
@@ -459,7 +468,7 @@ impl Vi {
                 let mut off = 0usize;
                 for s in &desc.segs {
                     let end = off + s.len as usize;
-                    self.nic.host().mem.write(s.addr, &bytes[off..end]);
+                    self.nic.host().mem.place(s.addr, bytes.slice(off..end));
                     off = end;
                 }
                 delivery
@@ -643,9 +652,8 @@ impl Vi {
                         };
                     }
                     // Scatter: NIC data placement, no host CPU charge. Each
-                    // segment records its slice of the frame; its pages are
-                    // written only if something reads the buffer before it
-                    // is posted again.
+                    // segment records its slice of the frame; no page of
+                    // the buffer is written, whoever reads it.
                     let mut off = 0usize;
                     for s in &desc.segs {
                         if off >= bytes.len() {

@@ -293,17 +293,24 @@ if grep -nE 'peer\.rx_wire' crates/mpiio/src/comm.rs ||
     exit 1
 fi
 
-echo "==> a receive is placed, not copied"
-# `Vi::deliver` records each segment's slice of the arriving frame
-# (`HostMem::place`); the pages are written only if something reads the
-# buffer before it is posted again. The DAFS client and server parse the
-# completion's payload and re-post at once, so they never read a receive
-# slot back (`read_bytes` is how either would).
-deliver=$(awk '/^    fn deliver\(/ { on = 1 } on && /^    }$/ { print; exit } on' crates/via/src/vi.rs)
-if [ -z "$deliver" ] || echo "$deliver" | grep -n '\.mem\.write(' ||
+echo "==> a NIC places, a CPU writes"
+# Every NIC landing is a placement: `Vi::deliver` (a receive) and
+# `Vi::execute` (an RDMA Write into the peer's memory, an RDMA Read into
+# this end's segments) record views of the bytes with `HostMem::place`,
+# and no read writes a placement back into the pages (`HostMem` has no
+# `settle`). Only a CPU writes host memory. The DAFS client and server
+# parse the completion's payload and re-post at once, so they never read
+# a receive slot back (`read_bytes` is how either would).
+body() { awk -v f="$1" '$0 ~ "^    fn " f "\\(" { on = 1 } on && /^    }$/ { print; exit } on' crates/via/src/vi.rs; }
+deliver=$(body deliver)
+execute=$(body execute)
+if [ -z "$deliver" ] || [ -z "$execute" ] ||
+    printf '%s\n%s\n' "$deliver" "$execute" | grep -n '\.mem\.write(' ||
+    grep -nE 'fn settle\b' crates/simnet/src/host.rs ||
     grep -nE '\.read_bytes\(' crates/dafs/src/client.rs crates/dafs/src/server.rs; then
-    echo "ci: Vi::deliver writes a frame into host memory, or the DAFS client or" \
-        "server reads a receive slot back (lines above)" >&2
+    echo "ci: Vi::deliver or Vi::execute writes into host memory, HostMem writes a" \
+        "placement back, or the DAFS client or server reads a receive slot back" \
+        "(lines above)" >&2
     exit 1
 fi
 
