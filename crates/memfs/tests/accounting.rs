@@ -1,21 +1,9 @@
 //! What a write costs in payload bytes, read off `simnet::buf`'s gauges.
 //!
-//! The gauges are process-wide, so these tests live in a binary of their
-//! own and take one lock: nothing else here makes a slab while one of them
-//! is counting.
-
-use std::sync::Mutex;
+//! The gauges are per OS thread, so each test reads only the slabs it made.
 
 use memfs::{MemFs, ROOT_ID};
 use simnet::buf::{bytes_alive, bytes_total, Bytes};
-
-static ACCOUNTING: Mutex<()> = Mutex::new(());
-
-/// One test at a time. The lock guards nothing but the turn, so a test that
-/// failed while holding it has left nothing broken behind.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    ACCOUNTING.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The file-page size, as observed: the longest view `read_views` hands
 /// out of a file written in one piece.
@@ -32,7 +20,6 @@ fn page_size(fs: &MemFs) -> u64 {
 /// met one outstanding read view cloned the whole file.
 #[test]
 fn a_write_that_meets_a_view_copies_one_page_not_the_file() {
-    let _serial = serial();
     let fs = MemFs::new();
     let page = page_size(&fs);
     const SIZE: u64 = 8 << 20;
@@ -62,7 +49,6 @@ fn a_write_that_meets_a_view_copies_one_page_not_the_file() {
 /// A far write into an empty file stores the page it touches, not the gap.
 #[test]
 fn a_far_write_allocates_its_page_not_the_gap() {
-    let _serial = serial();
     let fs = MemFs::new();
     let page = page_size(&fs);
     let f = fs.create(ROOT_ID, "sparse").unwrap();

@@ -19,8 +19,9 @@
 //! or charges CPU: with tracing on or off, the simulated timeline is
 //! bit-identical.
 //!
-//! This crate has zero dependencies (time is plain `u64` nanoseconds); the
-//! simulator layers it under every other crate.
+//! This crate's one dependency is the in-tree `parking_lot` shim, whose lock
+//! cell serves the one OS thread a simulation runs on (time is plain `u64`
+//! nanoseconds); the simulator layers it under every other crate.
 
 #![warn(missing_docs)]
 

@@ -14,7 +14,9 @@
 //! same simulation snapshots byte-identically on every run.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 use crate::json;
 use crate::stats::{nearest_rank, ByteMeter, Counter, SampleSet};
@@ -147,7 +149,7 @@ impl Registry {
     /// new name builds a `String`). A series of another kind than its
     /// name's is not created: the name's kind comes back, to be refused.
     fn get_or_insert(&self, name: &str, labels: Labels, make: fn() -> Metric) -> Metric {
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let mut m = self.metrics.lock();
         let Some(family) = m.get_mut(name) else {
             let metric = make();
             m.insert(name.to_string(), Family::from([(labels, metric.clone())]));
@@ -218,7 +220,7 @@ impl Registry {
     /// bytes, a histogram's sum) summed over its series; 0 if it was never
     /// registered.
     pub fn total(&self, name: &str) -> u64 {
-        let m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let m = self.metrics.lock();
         m.get(name).map_or(0, |f| rolled_up(name, f).value())
     }
 
@@ -227,7 +229,7 @@ impl Registry {
     /// calling [`Registry::counter`] with the formatted names — this is
     /// purely an allocation-free fast path for per-event span drops.
     pub fn span_counters(&self, layer: &'static str, op: &'static str) -> (Counter, Counter) {
-        let mut cache = self.span_cache.lock().unwrap_or_else(|e| e.into_inner());
+        let mut cache = self.span_cache.lock();
         cache
             .entry((layer, op))
             .or_insert_with(|| {
@@ -241,7 +243,7 @@ impl Registry {
 
     /// Freeze every registered metric at virtual time `t_ns`.
     pub fn snapshot(&self, t_ns: u64) -> Snapshot {
-        let m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let m = self.metrics.lock();
         let entries = m.iter().map(|(name, f)| rolled_up(name, f)).collect();
         let series = m.iter().flat_map(|(name, f)| {
             let labelled = f.iter().filter(|(labels, _)| !labels.is_plain());

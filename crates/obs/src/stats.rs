@@ -3,13 +3,18 @@
 //!
 //! Every instrument is cloneable — a clone shares state with the original,
 //! so a layer can keep a cheap handle while the
-//! [`Registry`](crate::Registry) retains another for snapshotting. Counters
-//! and byte meters are lock-free (`AtomicU64`). Durations are plain `u64`
-//! nanoseconds of *virtual* time; this crate knows nothing about the
-//! simulator's time types.
+//! [`Registry`](crate::Registry) retains another for snapshotting. A
+//! simulation and its registry live on one OS thread, so nothing here pays
+//! for cross-thread synchronisation: a counter is bumped with a plain load
+//! and store (a bump from a second thread at the same moment could be lost,
+//! never torn), and a sample set sits in the single-thread lock cell of the
+//! `parking_lot` shim. Durations are plain `u64` nanoseconds of *virtual*
+//! time; this crate knows nothing about the simulator's time types.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use parking_lot::{Mutex, MutexGuard};
 
 /// A monotone event counter.
 #[derive(Clone, Default)]
@@ -32,7 +37,8 @@ impl Counter {
     #[inline]
     /// Add `n` to the value.
     pub fn add(&self, n: u64) {
-        self.n.fetch_add(n, Ordering::Relaxed);
+        let v = self.n.load(Ordering::Relaxed);
+        self.n.store(v.wrapping_add(n), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -72,7 +78,7 @@ impl ByteMeter {
 /// above the true one.
 #[derive(Clone, Default)]
 pub struct SampleSet {
-    samples: Arc<std::sync::Mutex<Vec<u64>>>,
+    samples: Arc<Mutex<Vec<u64>>>,
 }
 
 impl SampleSet {
@@ -86,8 +92,8 @@ impl SampleSet {
         self.lock().push(v);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
-        self.samples.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Vec<u64>> {
+        self.samples.lock()
     }
 
     /// Number of recorded samples.

@@ -21,57 +21,95 @@
 //!
 //! All accounting here is **wall-clock harness telemetry** (bytes alive,
 //! peak, total materialized); it never feeds back into virtual time, so it
-//! cannot perturb the deterministic timeline.
+//! cannot perturb the deterministic timeline. It is kept per OS thread, as
+//! is the frame pool: a simulation runs on one thread, so each kernel's
+//! thread counts and recycles its own bytes, and two tests running at once
+//! never see each other's.
 
+use std::cell::Cell;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-/// Live payload bytes across all slabs (plain and pooled) in the process.
-static ALIVE: AtomicU64 = AtomicU64::new(0);
-/// High-water mark of [`ALIVE`].
-static PEAK: AtomicU64 = AtomicU64::new(0);
-/// Total payload bytes ever materialized into slabs (the "MiB simulated"
-/// numerator for harness throughput).
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-
-fn charge(n: usize) {
-    if n == 0 {
-        return;
-    }
-    TOTAL.fetch_add(n as u64, Ordering::Relaxed);
-    let now = ALIVE.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
-    PEAK.fetch_max(now, Ordering::Relaxed);
+/// One OS thread's payload gauges.
+struct Gauges {
+    /// Live payload bytes across the slabs (plain and pooled) this thread
+    /// materialized.
+    alive: Cell<u64>,
+    /// High-water mark of `alive`.
+    peak: Cell<u64>,
+    /// Total payload bytes ever materialized into slabs (the "MiB
+    /// simulated" numerator for harness throughput).
+    total: Cell<u64>,
 }
 
-fn discharge(n: usize) {
-    if n != 0 {
-        ALIVE.fetch_sub(n as u64, Ordering::Relaxed);
+thread_local! {
+    static GAUGES: Gauges = const {
+        Gauges {
+            alive: Cell::new(0),
+            peak: Cell::new(0),
+            total: Cell::new(0),
+        }
+    };
+}
+
+impl Gauges {
+    fn charge(&self, n: usize) {
+        self.total.set(self.total.get() + n as u64);
+        let alive = self.alive.get() + n as u64;
+        self.alive.set(alive);
+        self.peak.set(self.peak.get().max(alive));
+    }
+
+    /// Saturating: a thread that starts after another has ended may get
+    /// its tag (see [`at_home`]), and a drop never panics.
+    fn discharge(&self, n: usize) {
+        self.alive.set(self.alive.get().saturating_sub(n as u64));
     }
 }
 
-/// Payload bytes currently alive (backing slabs still referenced).
+/// Charge `n` bytes to this thread; returns its tag, which the charged
+/// slab keeps.
+fn charge(n: usize) -> usize {
+    GAUGES.with(|g| {
+        g.charge(n);
+        std::ptr::from_ref(g) as usize
+    })
+}
+
+/// Run `f` on this thread's gauges if this is the thread tagged `home`.
+/// Elsewhere a slab's accounting does not move: its bytes stay counted
+/// where they were charged.
+fn at_home(home: usize, f: impl FnOnce(&Gauges)) {
+    GAUGES.with(|g| {
+        if std::ptr::from_ref(g) as usize == home {
+            f(g);
+        }
+    });
+}
+
+/// Payload bytes currently alive (backing slabs still referenced) among
+/// those this thread materialized.
 pub fn bytes_alive() -> u64 {
-    ALIVE.load(Ordering::Relaxed)
+    GAUGES.with(|g| g.alive.get())
 }
 
-/// High-water mark of [`bytes_alive`] since process start.
+/// High-water mark of [`bytes_alive`] since this thread started.
 pub fn bytes_peak() -> u64 {
-    PEAK.load(Ordering::Relaxed)
+    GAUGES.with(|g| g.peak.get())
 }
 
-/// Total payload bytes ever materialized into slabs since process start.
+/// Total payload bytes this thread has ever materialized into slabs.
 pub fn bytes_total() -> u64 {
-    TOTAL.load(Ordering::Relaxed)
+    GAUGES.with(|g| g.total.get())
 }
 
 /// Reset the high-water mark to the currently-alive total, so the next
 /// [`bytes_peak`] reading reports a per-interval peak (harness telemetry
 /// around one benchmark run).
 pub fn reset_bytes_peak() {
-    PEAK.store(ALIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+    GAUGES.with(|g| g.peak.set(g.alive.get()));
 }
 
 /// One refcounted backing allocation. Immutable once shared; mutable only
@@ -80,17 +118,23 @@ pub fn reset_bytes_peak() {
 /// own (copy-on-write, never mutation-in-place of shared data).
 pub struct Slab {
     data: Vec<u8>,
-    /// Bytes charged against the global accounting; adjusted by
+    /// Bytes charged against the accounting; adjusted by
     /// [`Slab::recharge`] after in-place growth.
     charged: usize,
+    /// The tag of the thread they are charged to.
+    home: usize,
 }
 
 impl Slab {
-    /// Wrap a vector, charging its length to the global accounting.
+    /// Wrap a vector, charging its length to this thread's accounting.
     pub fn from_vec(data: Vec<u8>) -> Slab {
-        charge(data.len());
+        let home = charge(data.len());
         let charged = data.len();
-        Slab { data, charged }
+        Slab {
+            data,
+            charged,
+            home,
+        }
     }
 
     /// The stored bytes.
@@ -105,15 +149,18 @@ impl Slab {
         &mut self.data
     }
 
-    /// Re-sync the global byte accounting after an in-place length change.
+    /// Re-sync the byte accounting after an in-place length change (on
+    /// the thread that made the slab; elsewhere nothing moves).
     pub fn recharge(&mut self) {
-        let len = self.data.len();
-        if len > self.charged {
-            charge(len - self.charged);
-        } else {
-            discharge(self.charged - len);
-        }
-        self.charged = len;
+        let (len, charged) = (self.data.len(), &mut self.charged);
+        at_home(self.home, |g| {
+            if len > *charged {
+                g.charge(len - *charged);
+            } else {
+                g.discharge(*charged - len);
+            }
+            *charged = len;
+        });
     }
 
     /// Stored length in bytes.
@@ -129,7 +176,7 @@ impl Slab {
 
 impl Drop for Slab {
     fn drop(&mut self) {
-        discharge(self.charged);
+        at_home(self.home, |g| g.discharge(self.charged));
     }
 }
 
@@ -150,13 +197,15 @@ impl std::fmt::Debug for Slab {
 /// pool's freelist instead of the allocator.
 struct PooledSlab {
     data: Vec<u8>,
-    home: Weak<Freelist>,
+    pool: Weak<Freelist>,
+    /// The tag of the thread its bytes are charged to.
+    home: usize,
 }
 
 impl Drop for PooledSlab {
     fn drop(&mut self) {
-        discharge(self.data.len());
-        if let Some(pool) = self.home.upgrade() {
+        at_home(self.home, |g| g.discharge(self.data.len()));
+        if let Some(pool) = self.pool.upgrade() {
             pool.put(std::mem::take(&mut self.data));
         }
     }
@@ -451,11 +500,14 @@ struct Freelist {
 }
 
 impl Freelist {
+    /// Keep `v` for reuse, unless the freelist is full or this is not the
+    /// pool's thread (`try_lock` answers `None` there): then it is freed.
     fn put(&self, mut v: Vec<u8>) {
-        v.clear();
-        let mut free = self.free.lock();
-        if free.len() < POOL_RETAIN {
-            free.push(v);
+        if let Some(mut free) = self.free.try_lock() {
+            if free.len() < POOL_RETAIN {
+                v.clear();
+                free.push(v);
+            }
         }
     }
 }
@@ -469,6 +521,10 @@ impl Freelist {
 /// so a pooled frame is for bytes that die with the message; a buffer whose
 /// views are *kept* (a file page, a cached reply) is an exact-size
 /// [`Bytes::from_vec`] instead.
+///
+/// A pool serves one thread, the first that allocates from it: its freelist
+/// is a `parking_lot` lock cell, so an `alloc` on another thread panics, and
+/// a frame whose last view drops on another thread is freed, not returned.
 #[derive(Clone)]
 pub struct BufPool {
     state: Arc<Freelist>,
@@ -492,7 +548,7 @@ impl BufPool {
         v.reserve(len);
         PoolBuf {
             data: v,
-            home: Arc::downgrade(&self.state),
+            pool: Arc::downgrade(&self.state),
         }
     }
 
@@ -508,30 +564,31 @@ impl Default for BufPool {
     }
 }
 
-/// The process-wide frame pool used by the transport layers for short-lived
-/// wire frames (gathered sends, TCP chunks).
-pub fn frame_pool() -> &'static BufPool {
-    static POOL: OnceLock<BufPool> = OnceLock::new();
-    POOL.get_or_init(BufPool::new)
+/// This thread's frame pool, used by the transport layers for short-lived
+/// wire frames (gathered sends, TCP chunks): each kernel's thread recycles
+/// its own.
+pub fn frame_pool() -> BufPool {
+    thread_local!(static POOL: BufPool = BufPool::new());
+    POOL.with(BufPool::clone)
 }
 
 /// A writable, pool-backed staging buffer; freeze it into an immutable
 /// [`Bytes`] once filled.
 pub struct PoolBuf {
     data: Vec<u8>,
-    home: Weak<Freelist>,
+    pool: Weak<Freelist>,
 }
 
 impl PoolBuf {
     /// Publish the buffer as an immutable shared payload. The backing
     /// vector rejoins the pool when the last `Bytes` view drops.
     pub fn freeze(self) -> Bytes {
-        charge(self.data.len());
         let len = self.data.len();
         Bytes {
             repr: Repr::Pooled(Arc::new(PooledSlab {
+                home: charge(len),
                 data: self.data,
-                home: self.home,
+                pool: self.pool,
             })),
             off: 0,
             len,
@@ -556,13 +613,8 @@ impl std::ops::DerefMut for PoolBuf {
 mod tests {
     use super::*;
 
-    /// The alive/peak globals are process-wide; tests that assert on them
-    /// exactly must not overlap other slab-creating tests in this binary.
-    static ACCOUNTING: Mutex<()> = Mutex::new(());
-
     #[test]
     fn views_share_one_backing() {
-        let _serial = ACCOUNTING.lock();
         let b = Bytes::from_vec(vec![1, 2, 3, 4, 5]);
         let s = b.slice(1..4);
         assert_eq!(s, [2, 3, 4].as_slice());
@@ -582,7 +634,6 @@ mod tests {
 
     #[test]
     fn slab_views_are_zero_copy() {
-        let _serial = ACCOUNTING.lock();
         let slab = Arc::new(Slab::from_vec(b"page data".to_vec()));
         let view = Bytes::from_slab(slab.clone());
         assert_eq!(view, b"page data".as_slice());
@@ -592,7 +643,6 @@ mod tests {
 
     #[test]
     fn shared_slab_refuses_mutation() {
-        let _serial = ACCOUNTING.lock();
         let mut file = Arc::new(Slab::from_vec(b"aaaa".to_vec()));
         let delivered = Bytes::from_slab(file.clone());
         // While a view is outstanding the owner cannot write in place...
@@ -607,7 +657,6 @@ mod tests {
 
     #[test]
     fn rope_slices_across_pieces() {
-        let _serial = ACCOUNTING.lock();
         let a = Bytes::from_vec((0u8..10).collect());
         let b = Bytes::from_vec((10u8..20).collect());
         let mut r = Rope::new();
@@ -638,7 +687,6 @@ mod tests {
 
     #[test]
     fn pool_recycles_buffers() {
-        let _serial = ACCOUNTING.lock();
         let pool = BufPool::new();
         let mut buf = pool.alloc(8);
         buf.extend_from_slice(b"frame!!!");
@@ -656,28 +704,10 @@ mod tests {
         assert_eq!(pool.idle(), 0);
     }
 
-    /// The counters are process-wide, and this binary's other tests —
-    /// every module's, not only the ones `ACCOUNTING` serialises — allocate
-    /// on them from their own threads. So the measurement runs in a process
-    /// of its own: this test binary again, asked for this one test alone
-    /// (`--exact`), which is where it measures.
+    /// The gauges are this thread's, which no other test shares, so they
+    /// move by exactly what this test does.
     #[test]
     fn accounting_tracks_alive_and_peak() {
-        const NAME: &str = "buf::tests::accounting_tracks_alive_and_peak";
-        let args: Vec<String> = std::env::args().collect();
-        if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == NAME)) {
-            let exe = std::env::current_exe().expect("the test binary");
-            let alone = std::process::Command::new(exe)
-                .args(["--exact", NAME, "--test-threads=1"])
-                .output()
-                .expect("the test binary runs");
-            let out = String::from_utf8_lossy(&alone.stdout);
-            let err = String::from_utf8_lossy(&alone.stderr);
-            assert!(alone.status.success(), "alone:\n{out}{err}");
-            assert!(out.contains("1 passed"), "alone, it did not run:\n{out}");
-            return;
-        }
-        let _serial = ACCOUNTING.lock();
         let before = bytes_alive();
         let total_before = bytes_total();
         let b = Bytes::from_vec(vec![0; 1024]);
@@ -689,5 +719,29 @@ mod tests {
         assert_eq!(bytes_alive(), before + 1024, "slab alive while viewed");
         drop(v);
         assert_eq!(bytes_alive(), before);
+    }
+
+    /// A frame whose last view drops on another thread is freed there, not
+    /// returned to its pool, and neither thread's gauges move: the bytes
+    /// stay counted on the thread that made them.
+    #[test]
+    fn a_frame_dropped_off_its_thread_is_freed_and_stays_counted_at_home() {
+        let pool = BufPool::new();
+        let mut buf = pool.alloc(8);
+        buf.extend_from_slice(b"frame!!!");
+        let frame = buf.freeze();
+        let slab = Bytes::from_vec(vec![0; 100]);
+        let alive = bytes_alive();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let before = (bytes_alive(), bytes_total());
+                drop((frame, slab));
+                assert_eq!((bytes_alive(), bytes_total()), before);
+            });
+        });
+        assert_eq!(pool.idle(), 0, "a frame came back from another thread");
+        assert_eq!(bytes_alive(), alive);
+        drop(pool.alloc(8).freeze());
+        assert_eq!(pool.idle(), 1, "the pool still serves its own thread");
     }
 }

@@ -317,9 +317,12 @@ impl CpuMeter {
         CpuMeter::default()
     }
 
-    /// Record `d` of CPU work (called by `Host::compute`).
+    /// Record `d` of CPU work (called by `Host::compute`). A load and a
+    /// store: a host's meter is charged on the one thread its simulation
+    /// runs on.
     pub fn add(&self, d: SimDuration) {
-        self.busy_ns.fetch_add(d.as_nanos(), Ordering::Relaxed);
+        let busy = self.busy_ns.load(Ordering::Relaxed);
+        (self.busy_ns).store(busy + d.as_nanos(), Ordering::Relaxed);
     }
 
     /// Accumulated busy time.
@@ -546,11 +549,14 @@ mod tests {
     fn free_drops_a_pending_placement() {
         let m = HostMem::new();
         let a = m.alloc(4096);
+        let alive = crate::buf::bytes_alive();
         let slab = Arc::new(crate::buf::Slab::from_vec(vec![7; 4096]));
         m.place(a, Bytes::from_slab(slab.clone()));
         assert_eq!(Arc::strong_count(&slab), 2);
         m.free(a);
         assert_eq!(Arc::strong_count(&slab), 1, "free kept the frame");
+        drop(slab);
+        assert_eq!(crate::buf::bytes_alive(), alive, "free kept its bytes");
     }
 
     /// `HostMem` against a flat model: per byte, the mapping's value and,

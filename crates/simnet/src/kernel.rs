@@ -25,7 +25,7 @@
 //! systems, caches and frames die with their simulation.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -166,8 +166,10 @@ impl SchedState {
         slot.state = ActorState::Running;
         slot.pending_wake = None;
         // Advance the actor's clock to the wake time; it may be ahead
-        // already (e.g. a message arrived in its past).
-        slot.clock.fetch_max(ev.time.as_nanos(), Ordering::Relaxed);
+        // already (e.g. a message arrived in its past). A load and a store:
+        // every writer of a clock holds the state lock.
+        let clock = slot.clock.load(Ordering::Relaxed);
+        (slot.clock).store(clock.max(ev.time.as_nanos()), Ordering::Relaxed);
         self.current = Some(ev.actor);
         Some(ev.actor)
     }
@@ -184,16 +186,19 @@ pub(crate) struct KernelInner {
     obs: Obs,
 }
 
-/// Process-wide count of scheduled events, accumulated as kernels finish.
-/// Purely a wall-clock harness statistic (sim-events/sec); never feeds back
-/// into virtual time.
-static EVENTS_GLOBAL: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This OS thread's count of scheduled events, accumulated as the
+    /// kernels it runs finish. Purely a wall-clock harness statistic
+    /// (sim-events/sec); never feeds back into virtual time.
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total events scheduled by every completed [`SimKernel::run`] in this
-/// process so far. Bench harnesses read the delta around an experiment to
-/// report real-time throughput.
+/// Total events scheduled by every [`SimKernel::run`] this OS thread has
+/// completed so far (each thread that runs kernels keeps its own count).
+/// Bench harnesses read the delta around an experiment to report real-time
+/// throughput.
 pub fn events_scheduled_global() -> u64 {
-    EVENTS_GLOBAL.load(Ordering::Relaxed)
+    EVENTS.with(Cell::get)
 }
 
 /// Pass the run token on from `me` (an actor that just blocked, or `None`
@@ -397,7 +402,7 @@ impl SimKernel {
         if let Some(msg) = failure {
             panic!("{msg}");
         }
-        EVENTS_GLOBAL.fetch_add(events, Ordering::Relaxed);
+        EVENTS.with(|n| n.set(n.get() + events));
         inner.obs.registry().counter("sim.events.total").add(events);
         // Close out the trace: final registry snapshot at the virtual end
         // time, then flush the sink.

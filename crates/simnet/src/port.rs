@@ -9,7 +9,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -43,12 +42,13 @@ impl<T> Ord for Timed<T> {
 
 struct PortInner<T> {
     heap: Mutex<PortState<T>>,
-    seq: AtomicU64,
     name: String,
 }
 
 struct PortState<T> {
     messages: BinaryHeap<Reverse<Timed<T>>>,
+    /// Messages sent so far: the next one's tiebreak among equal arrivals.
+    seq: u64,
     /// Actor currently blocked in `recv`, if any.
     waiter: Option<ActorId>,
     closed: bool,
@@ -80,10 +80,10 @@ impl<T: Send + 'static> Port<T> {
             inner: Arc::new(PortInner {
                 heap: Mutex::new(PortState {
                     messages: BinaryHeap::new(),
+                    seq: 0,
                     waiter: None,
                     closed: false,
                 }),
-                seq: AtomicU64::new(0),
                 name: name.to_string(),
             }),
         }
@@ -111,10 +111,11 @@ impl<T: Send + 'static> Port<T> {
             arrival,
             ctx.now()
         );
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let waiter = {
             let mut st = self.inner.heap.lock();
             assert!(!st.closed, "send on closed port '{}'", self.inner.name);
+            let seq = st.seq;
+            st.seq += 1;
             st.messages.push(Reverse(Timed { arrival, seq, msg }));
             st.waiter
         };

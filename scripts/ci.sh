@@ -314,11 +314,41 @@ if [ -z "$deliver" ] || [ -z "$execute" ] ||
     exit 1
 fi
 
+echo "==> one thread, no lock prefix"
+# A simulation runs on one OS thread, so the state every event touches pays
+# for no cross-thread synchronisation: the kernel, ports, hosts, resources,
+# payload buffers and metrics take no std mutex and make no locked
+# read-modify-write (a counter is a load and a store; what needs a lock sits
+# in the parking_lot shim's single-thread cell, whose one claim is the only
+# compare-and-swap), and the shim is not built on std's mutex. Tests are
+# exempt: they may share state across the threads they start.
+no_tests() { sed '/^#\[cfg(test)\]/,$d' "$1" | grep -nE "$2" | sed "s|^|$1:|" || true; }
+std_mutex='std::sync::(\{[^}]*)?\bMutex\b'
+locked=$(
+    for f in crates/simnet/src/kernel.rs crates/simnet/src/port.rs crates/simnet/src/host.rs \
+        crates/simnet/src/resource.rs crates/simnet/src/buf.rs \
+        crates/obs/src/stats.rs crates/obs/src/registry.rs; do
+        no_tests "$f" "$std_mutex|\bfetch_(add|sub|max)\b|\bcompare_exchange"
+    done
+    no_tests crates/parking_lot/src/lib.rs "$std_mutex"
+)
+if [ -n "$locked" ]; then
+    echo "$locked"
+    echo "ci: a std mutex or a locked read-modify-write on the simulation's" \
+        "one thread (lines above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+echo "==> cargo test -q --release -p parking_lot"
+# The lock cell's re-lock and cross-thread panics hold in a release build
+# too, where nothing else runs its tests.
+cargo test -q --release -p parking_lot
 
 echo "==> cargo test -q again, under the deleted MPIO_* switches"
 # Hints and the server scheduler are functions of their arguments: the six

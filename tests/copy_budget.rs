@@ -6,8 +6,8 @@
 //! copies it on each host; a read byte rides views of the pages into the
 //! client's buffer and is materialised nowhere.
 //!
-//! One `#[test]` on purpose, like `teardown.rs`: the gauge is process-wide,
-//! and an integration-test file is its own process.
+//! The gauge is per OS thread: a job runs on the test's thread, so the test
+//! reads only the bytes its own jobs materialised.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
