@@ -1112,11 +1112,13 @@ impl Server {
         if data.len() as u64 != total || total > INLINE_MAX {
             return Err(DafsStatus::Inval);
         }
-        // Buffer-cache copy out of the request message.
+        // Buffer-cache copy out of the request message. It is modelled
+        // here; memfs adopts the frame's whole pages as they lie.
         self.host.compute(ctx, self.cost.host.copy(total));
         let mut pos = 0usize;
         for &(off, len, _) in segs {
-            self.fs.write(fh, off, &data[pos..pos + len as usize])?;
+            self.fs
+                .write_bytes(fh, off, &data.slice(pos..pos + len as usize))?;
             pos += len as usize;
         }
         self.stats.inline_writes.record(total);

@@ -4,10 +4,13 @@
 //! explicit size ([`FileBody`]). A page that is absent, and the part of a
 //! page past its stored length, read as zeros up to the file size — so
 //! growing a file (by `setattr` or by writing past its end) allocates
-//! nothing, and a write touches only the pages it covers, copying each
-//! byte once into its page. Reads hand out [`Bytes`] views of the pages; a
-//! write that meets an outstanding view copies that one page, never the
-//! file.
+//! nothing, and a write touches only the pages it covers. A write from a
+//! borrowed slice copies each byte once into its page; a write from a
+//! shared buffer ([`MemFs::write_bytes`], a server's request frame) adopts
+//! each piece that is all its page will store as a view of that buffer,
+//! copying nothing. Reads hand out [`Bytes`] views of the pages; a write
+//! that meets an outstanding view, or lands in an adopted page, copies that
+//! one page, never the file.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,65 +107,112 @@ pub type FsResult<T> = Result<T, FsError>;
 /// written at an aligned offset, fills exactly one page.
 const PAGE: usize = 32 << 10;
 
+/// One stored page: a slab the file may write in place, or a view of a
+/// buffer the file adopted (a slice of a request frame), which it never
+/// writes.
+#[derive(Debug)]
+enum Page {
+    Own(Arc<Slab>),
+    View(Bytes),
+}
+
+impl Page {
+    /// The bytes the page stores.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Page::Own(slab) => slab,
+            Page::View(view) => view,
+        }
+    }
+
+    /// A view of `range` of the stored bytes.
+    fn view(&self, range: std::ops::Range<usize>) -> Bytes {
+        match self {
+            Page::Own(slab) => Bytes::from_slab(slab.clone()).slice(range),
+            Page::View(view) => view.slice(range),
+        }
+    }
+
+    /// The slab, if the file may write it in place: its own, and the one
+    /// reference to it.
+    fn slab_mut(&mut self) -> Option<&mut Slab> {
+        match self {
+            Page::Own(slab) => Arc::get_mut(slab),
+            Page::View(_) => None,
+        }
+    }
+}
+
 /// A regular file's data: stored pages by page number, and the size.
 ///
-/// A page stores up to [`PAGE`] bytes from the page's start, in a vector
-/// with room for the whole page; the rest of the page reads as zeros.
-/// Invariant: no page stores bytes at or past `size`, so extending the file
-/// needs no zeroing.
+/// A page stores up to [`PAGE`] bytes from the page's start; the rest of
+/// the page reads as zeros. Invariant: no page stores bytes at or past
+/// `size`, so extending the file needs no zeroing.
 ///
 /// Ownership rule — *published means frozen*, per page: a read hands out
-/// views of the pages' slabs, and a page is written in place only while the
-/// file holds the one reference to its slab ([`Arc::get_mut`]). A write that
-/// meets an outstanding view copies that page into a fresh slab first, so a
-/// view never observes a later write and a write never copies more than the
-/// pages it touches.
+/// views of the pages, and a page is written in place only while it is the
+/// file's own slab and the file holds the one reference to it
+/// ([`Arc::get_mut`]). A write that meets an outstanding view, or lands in
+/// an adopted page, copies that page into a fresh slab first, so neither a
+/// view nor the buffer a page adopted ever observes a later write, and a
+/// write never copies more than the pages it touches.
 #[derive(Debug, Default)]
 struct FileBody {
-    pages: BTreeMap<u64, Arc<Slab>>,
+    pages: BTreeMap<u64, Page>,
     size: u64,
 }
 
 impl FileBody {
-    /// Page `p`'s slab, writable in place. When the file does not hold the
-    /// only reference to it (the page is absent, or a read view is still
-    /// out), the page first becomes a fresh slab holding a copy of the old
-    /// bytes below `keep` — the caller names the prefix it will not
-    /// overwrite or cut itself.
+    /// Page `p`'s slab, writable in place. When the page is not one the
+    /// file may write (it is absent or adopted, or a read view is still
+    /// out), it first becomes a fresh slab holding a copy of the old bytes
+    /// below `keep` — the caller names the prefix it will not overwrite or
+    /// cut itself.
     fn writable(&mut self, p: u64, keep: usize) -> &mut Slab {
         let fresh = |old: &[u8]| {
             let mut v = Vec::with_capacity(PAGE);
             v.extend_from_slice(&old[..keep.min(old.len())]);
-            Arc::new(Slab::from_vec(v))
+            Page::Own(Arc::new(Slab::from_vec(v)))
         };
         let page = self.pages.entry(p).or_insert_with(|| fresh(&[]));
-        if Arc::get_mut(page).is_none() {
-            *page = fresh(&page[..]);
+        if page.slab_mut().is_none() {
+            *page = fresh(page.bytes());
         }
-        Arc::get_mut(page).expect("page was just made unshared")
+        page.slab_mut().expect("page was just made the file's own")
     }
 
-    /// Write `src` at `offset`: each byte is copied once, into the page it
-    /// belongs to, and nothing is zero-filled that the write then covers.
-    fn write(&mut self, offset: u64, src: &[u8]) {
+    /// Write `src` at `offset`, page by page. A piece that starts its page
+    /// and covers every byte the page stores is, when `frame` holds `src`,
+    /// adopted as a view of `frame`: nothing is copied. Any other piece is
+    /// copied once, into the page it belongs to, and nothing is zero-filled
+    /// that the write then covers.
+    fn write(&mut self, offset: u64, src: &[u8], frame: Option<&Bytes>) {
         let mut done = 0usize;
         while done < src.len() {
             let at = offset + done as u64;
             let (p, lo) = (at / PAGE as u64, (at % PAGE as u64) as usize);
             let n = (PAGE - lo).min(src.len() - done);
-            let piece = &src[done..done + n];
-            // Old bytes the write leaves standing: all of them, unless it
-            // runs to the end of what the page stores.
-            let stored = self.pages.get(&p).map_or(0, |pg| pg.len());
-            let slab = self.writable(p, if lo + n >= stored { lo } else { stored });
-            let v = slab.data_mut();
-            if v.len() < lo {
-                v.resize(lo, 0); // the gap below the write, inside the page
+            let stored = self.pages.get(&p).map_or(0, |pg| pg.bytes().len());
+            match frame {
+                Some(frame) if lo == 0 && n >= stored => {
+                    self.pages
+                        .insert(p, Page::View(frame.slice(done..done + n)));
+                }
+                _ => {
+                    let piece = &src[done..done + n];
+                    // Old bytes the write leaves standing: all of them,
+                    // unless it runs to the end of what the page stores.
+                    let slab = self.writable(p, if lo + n >= stored { lo } else { stored });
+                    let v = slab.data_mut();
+                    if v.len() < lo {
+                        v.resize(lo, 0); // the gap below the write, inside the page
+                    }
+                    let over = (v.len() - lo).min(n);
+                    v[lo..lo + over].copy_from_slice(&piece[..over]);
+                    v.extend_from_slice(&piece[over..]);
+                    slab.recharge();
+                }
             }
-            let over = (v.len() - lo).min(n);
-            v[lo..lo + over].copy_from_slice(&piece[..over]);
-            v.extend_from_slice(&piece[over..]);
-            slab.recharge();
             done += n;
         }
         self.size = self.size.max(offset + src.len() as u64);
@@ -175,7 +225,7 @@ impl FileBody {
         if size < self.size {
             let (p, keep) = (size / PAGE as u64, (size % PAGE as u64) as usize);
             self.pages.split_off(&(p + (keep > 0) as u64));
-            if self.pages.get(&p).is_some_and(|pg| pg.len() > keep) {
+            if self.pages.get(&p).is_some_and(|pg| pg.bytes().len() > keep) {
                 let slab = self.writable(p, keep);
                 slab.data_mut().truncate(keep);
                 slab.recharge();
@@ -195,12 +245,12 @@ impl FileBody {
             let (p, lo) = (at / PAGE as u64, (at % PAGE as u64) as usize);
             let n = (PAGE - lo).min((end - at) as usize);
             let page = self.pages.get(&p);
-            let have = page.map_or(0, |pg| pg.len().saturating_sub(lo).min(n));
+            let have = page.map_or(0, |pg| pg.bytes().len().saturating_sub(lo).min(n));
             if let (Some(pg), true) = (page, have > 0) {
                 if zeros > 0 {
                     out.push(Bytes::from_vec(vec![0; std::mem::take(&mut zeros)]));
                 }
-                out.push(Bytes::from_slab(pg.clone()).slice(lo..lo + have));
+                out.push(pg.view(lo..lo + have));
             }
             zeros += n - have;
             at += n as u64;
@@ -532,6 +582,26 @@ impl MemFs {
     /// as zeros). Returns post-write attributes. A range whose end passes
     /// `u64::MAX` is refused before anything is touched.
     pub fn write(&self, id: NodeId, offset: u64, buf: &[u8]) -> FsResult<FileAttr> {
+        self.write_from(id, offset, buf, None)
+    }
+
+    /// [`MemFs::write`] from a shared buffer: each piece that is all its
+    /// page will store — whole pages, and a page-aligned piece that reaches
+    /// past what the page held — is adopted as a view of `buf` instead of
+    /// copied. `buf`'s bytes are never written: a later write into an
+    /// adopted page copies it first.
+    pub fn write_bytes(&self, id: NodeId, offset: u64, buf: &Bytes) -> FsResult<FileAttr> {
+        self.write_from(id, offset, buf, Some(buf))
+    }
+
+    /// The one write: `buf`, which `frame` holds when given.
+    fn write_from(
+        &self,
+        id: NodeId,
+        offset: u64,
+        buf: &[u8],
+        frame: Option<&Bytes>,
+    ) -> FsResult<FileAttr> {
         if offset.checked_add(buf.len() as u64).is_none() {
             return Err(FsError::FileTooBig);
         }
@@ -540,7 +610,7 @@ impl MemFs {
         match &mut node.body {
             NodeBody::Regular { data } => {
                 let before = data.size;
-                data.write(offset, buf);
+                data.write(offset, buf, frame);
                 let grow = data.size - before;
                 node.version += 1;
                 let attr = node.attr(id);
@@ -732,7 +802,9 @@ mod tests {
     /// The `map == map_reference` pattern of `mpiio::view`: a seeded walk of
     /// every mutating and reading entry point against a flat `Vec<u8>`,
     /// offsets and lengths drawn around page edges, with views held across
-    /// later steps (published means frozen).
+    /// later steps (published means frozen). Half the writes come from a
+    /// request frame, as a server's do: its whole pages must be adopted,
+    /// and neither it nor a held view may ever change.
     #[test]
     fn paged_body_matches_a_flat_model() {
         use simnet::Rng64;
@@ -752,18 +824,37 @@ mod tests {
         let f = fs.create(ROOT_ID, "model").unwrap();
         let mut model: Vec<u8> = Vec::new();
         let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
-        let mut spanning = 0;
+        let (mut spanning, mut adopted) = (0, 0);
         for step in 0..3000u32 {
             match rng.range(0, 10) {
                 0..=3 => {
-                    let off = near_edge(&mut rng, SPAN);
+                    let off = match rng.range(0, 4) {
+                        0 => rng.range(0, SPAN / PAGE as u64) * PAGE as u64,
+                        _ => near_edge(&mut rng, SPAN),
+                    };
                     let len = match rng.range(0, 3) {
                         0 => rng.range(1, 64),
                         1 => rng.range(1, 3) * PAGE as u64,
                         _ => near_edge(&mut rng, 3 * PAGE as u64).max(1),
                     };
                     let data: Vec<u8> = (0..len).map(|i| (step as u64 * 31 + i) as u8).collect();
-                    fs.write(f.id, off, &data).unwrap();
+                    if rng.range(0, 2) == 0 {
+                        fs.write(f.id, off, &data).unwrap();
+                    } else {
+                        // The payload of a request frame, behind its header.
+                        let mut wire = vec![0xF0; 25];
+                        wire.extend_from_slice(&data);
+                        let frame = Bytes::from_vec(wire).slice(25..);
+                        fs.write_bytes(f.id, off, &frame).unwrap();
+                        let whole = off.div_ceil(PAGE as u64)..(off + len) / PAGE as u64;
+                        for p in whole.map(|p| p * PAGE as u64) {
+                            let page = fs.read_bytes(f.id, p, PAGE as u64).unwrap();
+                            let at = &frame[(p - off) as usize..];
+                            assert_eq!(page.as_ptr(), at.as_ptr(), "step {step}: page {p} copied");
+                            adopted += 1;
+                        }
+                        held.push((frame, data.clone()));
+                    }
                     let end = (off + len) as usize;
                     if end > model.len() {
                         model.resize(end, 0);
@@ -780,9 +871,6 @@ mod tests {
                     let len = near_edge(&mut rng, 2 * PAGE as u64).max(1);
                     let view = fs.read_bytes(f.id, off, len).unwrap();
                     held.push((view.clone(), view.to_vec()));
-                    if held.len() > 8 {
-                        held.remove(0);
-                    }
                 }
                 _ => {
                     let off = near_edge(&mut rng, SPAN + PAGE as u64);
@@ -793,13 +881,65 @@ mod tests {
             }
             assert_eq!(fs.getattr(f.id).unwrap().size, model.len() as u64);
             assert_eq!(fs.total_data(), model.len() as u64);
+            while held.len() > 8 {
+                held.remove(0);
+            }
             for (view, snap) in &held {
-                assert_eq!(view, snap, "step {step} mutated a published view");
+                assert_eq!(view, snap, "step {step} mutated a published view or frame");
             }
         }
         assert_reads(&fs, f.id, &model, 0, u64::MAX);
         // The walk did reach what it is for.
         assert!(spanning > 100, "{spanning} reads spanned pages");
+        assert!(adopted > 100, "{adopted} pages adopted");
+    }
+
+    #[test]
+    fn a_write_into_an_adopted_page_copies_it_first_and_leaves_the_frame_alone() {
+        use simnet::buf::bytes_total;
+        let p = PAGE as u64;
+        let fs = MemFs::new();
+        let f = fs.create(ROOT_ID, "a").unwrap();
+        let mut wire = b"header".to_vec();
+        wire.resize(6 + 2 * PAGE + 100, 0x11);
+        let frame = Bytes::from_vec(wire).slice(6..);
+        let before = bytes_total();
+        fs.write_bytes(f.id, 0, &frame).unwrap();
+        assert_eq!(bytes_total(), before, "adopting pages copies nothing");
+        let page = |at: u64| fs.read_bytes(f.id, at, p).unwrap();
+        for at in [0, p, 2 * p] {
+            assert_eq!(
+                page(at).as_ptr(),
+                frame[at as usize..].as_ptr(),
+                "page at {at}"
+            );
+        }
+
+        // A write into the first page copies that page, once, then writes.
+        fs.write(f.id, 100, b"xyz").unwrap();
+        assert_eq!(bytes_total() - before, p, "one page copied");
+        assert_ne!(page(0).as_ptr(), frame.as_ptr());
+        assert_eq!(
+            page(p).as_ptr(),
+            frame[PAGE..].as_ptr(),
+            "its neighbour stays adopted"
+        );
+        // A cut inside the second keeps only what stays.
+        fs.setattr(f.id, SetAttr { size: Some(p + 10) }).unwrap();
+        assert_eq!(bytes_total() - before, p + 10);
+
+        let mut model = vec![0x11u8; PAGE + 10];
+        model[100..103].copy_from_slice(b"xyz");
+        assert_reads(&fs, f.id, &model, 0, u64::MAX);
+        assert!(
+            frame.iter().all(|&b| b == 0x11),
+            "a write reached the frame"
+        );
+        // The pages are the file's own now: a second write copies nothing.
+        let before = bytes_total();
+        fs.write(f.id, 200, b"!").unwrap();
+        fs.write(f.id, p, b"?").unwrap();
+        assert_eq!(bytes_total(), before);
     }
 
     #[test]

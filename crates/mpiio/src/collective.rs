@@ -433,7 +433,7 @@ impl Call<'_> {
     /// that aggregates nothing.
     fn exchange_requests(&mut self) -> Option<OthersReq> {
         let (comm, sweep) = (self.comm, &self.sweep);
-        let got = comm.alltoallv(self.ctx, &encode_requests(sweep, &self.pieces, comm.size()));
+        let got = comm.alltoallv(self.ctx, encode_requests(sweep, &self.pieces, comm.size()));
         self.charge("mpiio.twophase.exchange_ns");
         (comm.rank() < self.sweep.naggs).then(|| decode_requests(&self.sweep, comm.rank(), &got))
     }
@@ -476,7 +476,7 @@ impl Call<'_> {
             }
         }
         self.charge("mpiio.twophase.aggregation_ns");
-        let received = comm.alltoallv(ctx, &sends);
+        let received = comm.alltoallv(ctx, sends);
         self.charge("mpiio.twophase.exchange_ns");
         let Some(w) = mine else {
             return;
@@ -539,6 +539,7 @@ impl Call<'_> {
                     .map(|&(off, len)| (off, len.min(end.saturating_sub(off))))
                     .take_while(|p| p.1 > 0)
                     .collect();
+                reply.reserve_exact(valid.iter().map(|p| p.1 as usize).sum());
                 for &(off, len) in &valid {
                     mem.read_into(w.cbuf.offset(off - w.ws), len as usize, reply);
                 }
@@ -546,7 +547,7 @@ impl Call<'_> {
             }
         }
         self.charge("mpiio.twophase.aggregation_ns");
-        let incoming = comm.alltoallv(ctx, &replies);
+        let incoming = comm.alltoallv(ctx, replies);
         self.charge("mpiio.twophase.exchange_ns");
         // This rank asked for the pieces, so it knows where they go: a
         // reply is a prefix of one run of the user buffer and lands there

@@ -171,7 +171,14 @@ impl Comm {
     }
 
     /// Send `data` to `dst` with `tag` (eager; returns after injecting).
+    /// The payload is copied once, into the message.
     pub fn send(&self, ctx: &ActorCtx, dst: usize, tag: u32, data: &[u8]) {
+        self.post(ctx, dst, tag, data.to_vec());
+    }
+
+    /// The one send path: `data` travels as it is, its buffer moved into
+    /// the envelope and out to the matching receive.
+    fn post(&self, ctx: &ActorCtx, dst: usize, tag: u32, data: Vec<u8>) {
         let w = &self.world.inner;
         assert!(dst < w.endpoints.len(), "send to invalid rank {dst}");
         let me = &w.endpoints[self.rank];
@@ -185,7 +192,7 @@ impl Comm {
         let e = Envelope {
             src: self.rank,
             tag,
-            data: data.to_vec(),
+            data,
             head,
             ser,
         };
@@ -326,20 +333,21 @@ impl Comm {
     }
 
     /// Personalized all-to-all with per-destination payloads; returns the
-    /// payloads received, indexed by source. Borrows the send buffers so
-    /// callers in a loop can clear and refill them each round.
-    pub fn alltoallv(&self, ctx: &ActorCtx, sends: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    /// payloads received, indexed by source. Takes the payloads by value:
+    /// each buffer is moved to its receiver, this rank's own straight into
+    /// its slot, so no byte is copied on the way.
+    pub fn alltoallv(&self, ctx: &ActorCtx, mut sends: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let p = self.size();
         assert_eq!(sends.len(), p, "alltoallv needs one payload per rank");
         let tag = self.next_coll_tag();
         let mut recvs: Vec<Vec<u8>> = vec![Vec::new(); p];
-        recvs[self.rank] = sends[self.rank].clone();
+        recvs[self.rank] = std::mem::take(&mut sends[self.rank]);
         // Every send is posted before the first receive (sends are eager),
         // rank + s in step s, so each wire streams back to back and the
         // receives, from rank - s, come in the order they were sent.
         for s in 1..p {
             let to = (self.rank + s) % p;
-            self.send(ctx, to, tag, &sends[to]);
+            self.post(ctx, to, tag, std::mem::take(&mut sends[to]));
         }
         for s in 1..p {
             let from = (self.rank + p - s) % p;
@@ -530,10 +538,35 @@ mod tests {
             let sends: Vec<Vec<u8>> = (0..p)
                 .map(|d| vec![(comm.rank() * 10 + d) as u8; d + 1])
                 .collect();
-            let recvs = comm.alltoallv(ctx, &sends);
+            let recvs = comm.alltoallv(ctx, sends);
             for (s, got) in recvs.iter().enumerate() {
                 let expect = vec![(s * 10 + comm.rank()) as u8; comm.rank() + 1];
                 assert_eq!(got, &expect, "from rank {s}");
+            }
+        });
+    }
+
+    #[test]
+    fn alltoallv_moves_each_payload_without_copying_it() {
+        // ptrs[s * p + d]: where rank s's payload for rank d lives as sent.
+        const P: usize = 4;
+        let ptrs: Arc<Vec<AtomicU64>> = Arc::new((0..P * P).map(|_| AtomicU64::new(0)).collect());
+        let seen = ptrs.clone();
+        run_world(P, move |ctx, comm| {
+            let me = comm.rank();
+            let sends: Vec<Vec<u8>> = (0..P).map(|d| vec![me as u8; 64 + d]).collect();
+            for (d, msg) in sends.iter().enumerate() {
+                seen[me * P + d].store(msg.as_ptr() as u64, Ordering::Relaxed);
+            }
+            let recvs = comm.alltoallv(ctx, sends);
+            for (s, got) in recvs.iter().enumerate() {
+                let sent = seen[s * P + me].load(Ordering::Relaxed);
+                assert_eq!(
+                    got.as_ptr() as u64,
+                    sent,
+                    "rank {me}'s payload from {s} was copied"
+                );
+                assert_eq!(got, &vec![s as u8; 64 + me]);
             }
         });
     }
@@ -581,7 +614,7 @@ mod tests {
         let l2 = last.clone();
         run_world(8, move |ctx, comm| {
             let sends = vec![vec![comm.rank() as u8; 8192]; comm.size()];
-            comm.alltoallv(ctx, &sends);
+            comm.alltoallv(ctx, sends);
             l2.fetch_max(ctx.now().as_nanos(), Ordering::Relaxed);
         });
         let c = CommCost::default();
@@ -609,7 +642,7 @@ mod tests {
             assert_eq!(d, vec![1, 2, 3]);
             assert_eq!(comm.allgather(ctx, &d), vec![vec![1, 2, 3]]);
             assert_eq!(comm.allreduce_u64(ctx, ReduceOp::Sum, 9), 9);
-            assert_eq!(comm.alltoallv(ctx, &[vec![7]]), vec![vec![7]]);
+            assert_eq!(comm.alltoallv(ctx, vec![vec![7]]), vec![vec![7]]);
         });
     }
 

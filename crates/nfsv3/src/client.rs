@@ -194,13 +194,7 @@ impl NfsClient {
     /// past a lost reply until its retransmit is answered.
     fn send_rpc(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc, event: &str) -> u32 {
         let args = std::mem::take(args).finish();
-        let frame = |xid: u32| {
-            let mut e = XdrEnc::new();
-            e.u32(xid).u32(proc_ as u32);
-            let mut body = e.finish();
-            body.extend_from_slice(&args);
-            Bytes::from_vec(proto::frame(&body))
-        };
+        let frame = |xid: u32| Bytes::from_vec(proto::call_record(xid, proc_, &args));
         let xid = loop {
             if let Some(xid) = self.table.lock().post(&frame) {
                 break xid;

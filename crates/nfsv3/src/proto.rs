@@ -201,8 +201,18 @@ pub fn dec_attr(d: &mut XdrDec) -> Result<FileAttr, XdrError> {
 /// many replies for each open one.
 pub(crate) const REPLAY_WINDOW: usize = 256;
 
+/// One call record, built in one exact-size buffer: record mark, xid,
+/// procedure, then the encoded arguments.
+pub fn call_record(xid: u32, proc_: NfsProc, args: &[u8]) -> Vec<u8> {
+    let mut e = XdrEnc::record(8 + args.len());
+    e.u32(xid).u32(proc_ as u32).raw(args);
+    e.finish_record()
+}
+
 /// Frame a message with the RPC record mark (4-byte length prefix; we always
-/// send a single complete record).
+/// send a single complete record): what [`call_record`] and the server's
+/// reply records build in one pass, as a copy behind the mark.
+#[cfg(test)]
 pub fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + body.len());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
@@ -263,6 +273,17 @@ mod tests {
     fn frame_prefixes_length() {
         let f = frame(b"abc");
         assert_eq!(f, vec![0, 0, 0, 3, b'a', b'b', b'c']);
+    }
+
+    #[test]
+    fn a_call_record_is_the_framed_call_in_one_buffer() {
+        for args in [&b""[..], &[9; 3], &[0xEE; 4096 + 12]] {
+            let wire = call_record(0xA1B2_C3D4, NfsProc::Write, args);
+            let mut body = XdrEnc::new();
+            body.u32(0xA1B2_C3D4).u32(NfsProc::Write as u32).raw(args);
+            assert_eq!(wire, frame(&body.finish()));
+            assert_eq!(wire.capacity(), wire.len(), "sized once, exactly");
+        }
     }
 
     #[test]

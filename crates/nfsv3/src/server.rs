@@ -154,10 +154,11 @@ fn replay_cacheable(p: NfsProc) -> bool {
     )
 }
 
-/// A reply to `xid`, so far only its header: the one place the status word
-/// is written.
+/// A reply record to `xid`, so far only its header: the one place the
+/// status word is written. The record mark goes in when it is finished, so
+/// the reply is framed where it is encoded.
 fn reply_header(xid: u32, status: NfsStatus) -> XdrEnc {
-    let mut e = XdrEnc::new();
+    let mut e = XdrEnc::record(8);
     e.u32(xid).u32(status as u32);
     e
 }
@@ -200,7 +201,7 @@ impl Nfsd {
             .ok()
             .and_then(NfsProc::from_u32)
             .is_some_and(replay_cacheable);
-        let reply = Bytes::from_vec(proto::frame(&self.serve_one(ctx, req)));
+        let reply = Bytes::from_vec(self.serve_one(ctx, req));
         if let (Some(xid), true) = (xid, cacheable) {
             self.replay.insert(conn as u64, xid, reply.clone());
         }
@@ -221,10 +222,10 @@ impl Nfsd {
         );
     }
 
-    /// Decode, execute, and encode one RPC. Charges nfsd CPU time. Every
-    /// frame gets one reply: a frame cut short of its xid is answered under
-    /// xid 0, and one that names no procedure, or cuts its arguments short,
-    /// with [`NfsStatus::Io`].
+    /// Decode, execute, and encode one RPC into its reply record. Charges
+    /// nfsd CPU time. Every frame gets one reply: a frame cut short of its
+    /// xid is answered under xid 0, and one that names no procedure, or
+    /// cuts its arguments short, with [`NfsStatus::Io`].
     fn serve_one(&self, ctx: &ActorCtx, req: &[u8]) -> Vec<u8> {
         self.stats.ops.inc();
         self.host.compute(ctx, self.cost.per_op);
@@ -235,7 +236,7 @@ impl Nfsd {
         if let Err(status) = self.dispatch(ctx, &mut d, &mut e) {
             e = reply_header(xid, status);
         }
-        e.finish()
+        e.finish_record()
     }
 
     /// Decode and execute one procedure, appending the reply body to `e`

@@ -7,12 +7,27 @@
 #[derive(Default)]
 pub struct XdrEnc {
     buf: Vec<u8>,
+    /// The first four bytes are an RPC record mark, written at
+    /// [`XdrEnc::finish_record`].
+    record: bool,
 }
+
+/// Bytes of an RPC record mark (a single complete record's length).
+const MARK: usize = 4;
 
 impl XdrEnc {
     /// Fresh encoder.
     pub fn new() -> XdrEnc {
         XdrEnc::default()
+    }
+
+    /// A fresh encoder for one RPC record of about `body` bytes: room for
+    /// the record mark is held at the front, so the record is built in one
+    /// pass rather than copied again behind its mark.
+    pub fn record(body: usize) -> XdrEnc {
+        let mut buf = Vec::with_capacity(MARK + body);
+        buf.extend_from_slice(&[0; MARK]);
+        XdrEnc { buf, record: true }
     }
 
     /// Append an unsigned 32-bit integer.
@@ -61,17 +76,30 @@ impl XdrEnc {
 
     /// Finish, returning the wire bytes.
     pub fn finish(self) -> Vec<u8> {
+        assert!(!self.record, "a record is finished with finish_record");
         self.buf
     }
 
-    /// Bytes encoded so far.
+    /// Finish an [`XdrEnc::record`]: its record mark (the length of what was
+    /// encoded), then the encoded bytes.
+    pub fn finish_record(mut self) -> Vec<u8> {
+        assert!(
+            self.record,
+            "finish_record on an encoder with no record mark"
+        );
+        let body = (self.buf.len() - MARK) as u32;
+        self.buf[..MARK].copy_from_slice(&body.to_be_bytes());
+        self.buf
+    }
+
+    /// Bytes encoded so far (a record's mark not counted).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - if self.record { MARK } else { 0 }
     }
 
     /// True if nothing has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -141,6 +169,22 @@ impl<'a> XdrDec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_record_is_its_body_behind_a_record_mark() {
+        let body = |e: &mut XdrEnc| {
+            e.u32(7).u64(1 << 40).opaque(b"abcde").string("nfs");
+        };
+        let mut plain = XdrEnc::new();
+        body(&mut plain);
+        let plain = plain.finish();
+        let mut rec = XdrEnc::record(plain.len());
+        body(&mut rec);
+        assert_eq!(rec.len(), plain.len());
+        let rec = rec.finish_record();
+        assert_eq!(rec, crate::proto::frame(&plain));
+        assert_eq!(rec.capacity(), rec.len(), "sized once, exactly");
+    }
 
     #[test]
     fn ints_roundtrip() {

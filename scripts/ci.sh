@@ -408,6 +408,22 @@ echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # costs that factor of ten — not on host noise.
 bench --only R-K1 --smoke --floor 500000
 
+echo "==> host profile by owner (scripts/hostprof.sh --by-owner on R-K1)"
+# The profiler's owner view must still see through std to the code that
+# asked for the work: the kernel benchmark's samples fall in simnet. It
+# builds its sampler with cc and names frames with addr2line; without
+# either there is nothing to check.
+if command -v cc >/dev/null 2>&1 && command -v addr2line >/dev/null 2>&1; then
+    prof=$(scripts/hostprof.sh --by-owner target/release/bench --only R-K1 2>&1 >/dev/null)
+    echo "$prof"
+    echo "$prof" | sed -n '/^  by crate/,/^$/p' | grep -qE '%[[:space:]]+[0-9]+[[:space:]]+simnet$' || {
+        echo "ci: hostprof --by-owner printed no by-crate section with a simnet row" >&2
+        exit 1
+    }
+else
+    echo "ci: skipping the host-profile check: cc or addr2line is missing"
+fi
+
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
 benchmark/run.sh --smoke
 

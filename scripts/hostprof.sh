@@ -6,11 +6,12 @@
 # where they fell. The workspace's release builds carry debug info
 # ([profile.release] in Cargo.toml), so inlined frames are named too.
 #
-#   scripts/hostprof.sh [-n ROWS] CMD [ARG...]
+#   scripts/hostprof.sh [-n ROWS] [--by-owner] CMD [ARG...]
 #
 #   scripts/hostprof.sh target/release/bench --only R-F2
 #   scripts/hostprof.sh -n 60 target/release/mpio-benchmark child \
 #       --workload stream_large --seed 101 --scale full
+#   scripts/hostprof.sh --by-owner target/release/bench --only R-K1
 #
 # "self" is the innermost function of the interrupted frame; "inclusive"
 # counts a function once per sample it appears anywhere in; each list shows
@@ -24,21 +25,38 @@
 # library the nearest exported symbol is often not the function sampled
 # (libc's memcpy and memset are local symbols): an address past the end of
 # that symbol, or after one with no size, prints as `libc.so.6+0xOFFSET`
-# instead of under a wrong name. CMD's own output
+# instead of under a wrong name.
+#
+# --by-owner charges each sample to its owner instead: the innermost frame
+# outside std, core, alloc (hashbrown included) and the system libraries
+# (libc, the loader, libgcc, the vdso) — the code that asked for the work.
+# It prints shares by crate and by owning function, and, for the samples
+# that fell in a system library (memcpy, malloc, munmap, ...), the chain
+# of their three innermost owning frames. CMD's own output
 # passes through; the profile goes to stderr. Processes CMD spawns are
 # sampled too and reported together. Pin CMD to one CPU (taskset -c 1) as
 # for any wall-clock number here.
 set -eu
 
 rows=25
-if [ "${1:-}" = "-n" ]; then
-    rows=${2:-}
-    [ $# -lt 2 ] || shift 2
-fi
+mode=frames
+while :; do
+    case ${1:-} in
+    -n)
+        rows=${2:-}
+        [ $# -lt 2 ] || shift 2
+        ;;
+    --by-owner)
+        mode=owner
+        shift
+        ;;
+    *) break ;;
+    esac
+done
 # A missing or non-numeric ROWS falls through to the usage message.
 case $rows in '' | *[!0-9]*) set -- ;; esac
 [ $# -gt 0 ] || {
-    echo "usage: $0 [-n ROWS] CMD [ARG...]" >&2
+    echo "usage: $0 [-n ROWS] [--by-owner] CMD [ARG...]" >&2
     exit 2
 }
 for tool in cc addr2line nm python3; do
@@ -56,10 +74,11 @@ cc -O1 -shared -fPIC -o "$work/hostprof.so" "$here/hostprof/hostprof.c"
 status=0
 HOSTPROF_OUT="$work/samples" LD_PRELOAD="$work/hostprof.so" "$@" || status=$?
 
-python3 - "$work" "$rows" >&2 <<'EOF'
+python3 - "$work" "$rows" "$mode" >&2 <<'EOF'
 import bisect, collections, glob, os, re, subprocess, sys
 
 TOP = int(sys.argv[2])
+BY_OWNER = sys.argv[3] == "owner"
 # What every actor's stack starts with, below the actor's own closure.
 BOOT = re.compile(
     r"simnet::coro::(boot|first_frame)|simnet::kernel::SimKernel::spawn_inner"
@@ -67,8 +86,14 @@ BOOT = re.compile(
     r"|<core::panic::unwind_safe::AssertUnwindSafe<F> as core::ops::function::FnOnce"
     r"|core::ops::function::FnOnce::call_once|<alloc::boxed::Box<F,A> as core::ops::function::FnOnce"
 )
+# The runtime under the program's own code: not an owner.
+RUNTIME = re.compile(r"^<*(std|core|alloc|hashbrown)::|^__rust_|^__rdl_|^\?\?")
+SYSTEM_LIB = re.compile(r"^(libc|libm|libgcc_s|libpthread|ld-linux.*|linux-vdso)\.so|^hostprof\.so$")
 self_hits = collections.Counter()
 incl_hits = collections.Counter()
+crate_hits = collections.Counter()
+owner_hits = collections.Counter()
+chain_hits = collections.Counter()
 total = dropped = 0
 
 extents = {}
@@ -153,22 +178,50 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
     for frames in located:
         total += 1
         seen = set()
+        # The sample's functions, innermost first, each with whether it
+        # sits in a system library.
+        chain = []
         for depth, fr in enumerate(frames):
             fns = (names.get(fr) if fr else None) or ["?? (unmapped)"]
             if depth == 0:
                 self_hits[fns[0]] += 1
             seen.update(fns)
+            system = fr is not None and SYSTEM_LIB.search(os.path.basename(fr[0])) is not None
+            chain += [(fn.removesuffix(" [no line info]"), system) for fn in fns]
         for fn in seen:
             if not BOOT.search(fn):
                 incl_hits[fn] += 1
+        owners = []
+        for fn, system in chain:
+            if not system and not RUNTIME.search(fn) and fn not in owners[-1:]:
+                owners.append(fn)
+        crate = re.match(r"<*([A-Za-z_]\w*)::", owners[0]) if owners else None
+        crate_hits[crate.group(1) if crate else "(runtime only)"] += 1
+        owner_hits[owners[0] if owners else "(runtime only)"] += 1
+        if chain and chain[0][1]:
+            # A local symbol's offset (memcpy's, in a stripped libc) would
+            # split one function into many rows.
+            lib = re.sub(r"\+0x[0-9a-f]+$", "+?", chain[0][0])
+            chain_hits[(lib,) + tuple(owners[:3])] += 1
 
 if total == 0:
     sys.exit("hostprof: no samples (the command used almost no CPU, or exited without running destructors)")
 print(f"hostprof: {total} samples" + (f", {dropped} more dropped" if dropped else ""))
-for title, hits in (("self", self_hits), ("inclusive", incl_hits)):
-    print(f"\n  top {title}")
-    for fn, n in hits.most_common(TOP):
-        print(f"  {100 * n / total:6.2f}%  {n:7d}  {fn}")
+if BY_OWNER:
+    lists = (
+        ("by crate (innermost frame outside std/core/alloc/libc)", crate_hits, None),
+        ("by owning function", owner_hits, TOP),
+        ("in a system library: that function <- its three innermost owners", chain_hits, TOP),
+    )
+else:
+    lists = (("top self", self_hits, TOP), ("top inclusive", incl_hits, TOP))
+for title, hits, top in lists:
+    print(f"\n  {title}")
+    for key, n in hits.most_common(top):
+        row = key if isinstance(key, str) else " <- ".join(key)
+        print(f"  {100 * n / total:6.2f}%  {n:7d}  {row}")
+    if not hits:
+        print("  (none)")
 EOF
 
 exit "$status"

@@ -5,9 +5,10 @@
 //! inside `run`, so there never was a thread to leave behind: the thread
 //! count must not move at all, not even while the job runs.
 //!
-//! One `#[test]` on purpose: `bytes_alive`, the thread count, the mappings
-//! and the heap are process-wide, and an integration-test file is its own
-//! process, so no sibling test can move them under this one.
+//! One `#[test]` on purpose: the thread count, the mappings and the heap
+//! are process-wide, and an integration-test file is its own process, so
+//! no sibling test can move them under this one. (`bytes_alive` is per OS
+//! thread; the job runs on this test's thread, so it needs no such care.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
