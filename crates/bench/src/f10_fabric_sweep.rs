@@ -44,8 +44,8 @@ use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::{Bandwidth, SimTime};
 use via::ViaCost;
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_cluster, Cell, Dial};
+use crate::report::{Cell, Table};
+use crate::testbeds::{with_dafs_cluster, Dial, Probe};
 
 /// Request size for every read.
 const REQ: u64 = 128 << 10;
@@ -73,7 +73,7 @@ fn pattern(len: usize) -> Vec<u8> {
 /// One sweep cell's result: aggregate bandwidth plus the trunk-port
 /// fabric counters and run-wide bookkeeping.
 struct CaseOut {
-    agg_mb_s: f64,
+    agg: Cell,
     trunk_qdepth_max: u64,
     trunk_queued_ns: u64,
     trunk_drops: u64,
@@ -94,7 +94,7 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
     let via = ViaCost::default();
     let wire = via.wire_bw;
     let latency = via.wire_latency;
-    let span = Cell::new();
+    let span = Probe::new();
     let sp = span.clone();
     let expect = pattern(PER_CLIENT as usize);
     let (_, topology, run) = with_dafs_cluster(
@@ -135,8 +135,7 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
             let c = &cs[0];
             let f = c.lookup(ctx, ROOT_ID, "stream").unwrap();
             let buf = nic.host().mem.alloc(REQ as usize);
-            let mut off = 0;
-            while off < PER_CLIENT {
+            for off in (0..PER_CLIENT).step_by(REQ as usize) {
                 let n = c.read(ctx, f.id, off, buf, REQ).unwrap();
                 assert_eq!(n, REQ, "short fabric read at {off}");
                 assert_eq!(
@@ -144,7 +143,6 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
                     expect[off as usize..(off + REQ) as usize],
                     "corrupt read-back at {off} ({servers} servers, {clients} clients)"
                 );
-                off += REQ;
             }
             sp.max(ctx.now().since(SimTime::ZERO).as_nanos());
         },
@@ -162,7 +160,7 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
     let snap = run.snapshot();
     let counter = |name: &str| snap.expect(name).value();
     CaseOut {
-        agg_mb_s: mb_per_s(clients as u64 * PER_CLIENT, span.get()),
+        agg: Cell::mbps(clients as u64 * PER_CLIENT, span.get()),
         trunk_qdepth_max: qmax,
         trunk_queued_ns: queued,
         trunk_drops: drops,
@@ -180,11 +178,8 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
             "R-F10: switched fabric — aggregate read bandwidth vs clients under oversubscription (MB/s, {}KiB requests)",
             REQ >> 10
         ),
-        &std::iter::once("clients".to_string())
-            .chain(configs.iter().map(|(s, o)| format!("s={s} o={o}:1")))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|s| s.as_str())
+        &std::iter::once(("clients".to_string(), 0))
+            .chain(configs.iter().map(|(s, o)| (format!("s={s} o={o}:1"), 1)))
             .collect::<Vec<_>>(),
     );
     // cols[c][i]: CaseOut for configs[c] at client_counts[i].
@@ -192,8 +187,8 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
     // Wall-clock budget cells: the deepest incast (256 × s=16 o=4:1) and
     // the widest fan-out (1024 × s=4 o=1:1); CI gates the events/s of both.
     let mut wall: Vec<(String, u64, std::time::Duration)> = Vec::new();
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let mut row = vec![clients.to_string()];
+    for &clients in client_counts {
+        let mut row = vec![Cell::Int(clients as u64)];
         for (c, &(servers, oversub)) in configs.iter().enumerate() {
             let timed = strict
                 && ((clients == 256 && (servers, oversub) == (16, 4))
@@ -209,21 +204,19 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
             }
             assert_eq!(out.reconnects, 0, "backpressure must not break sessions");
             assert_eq!(out.trunk_drops, 0, "backpressure must not drop frames");
-            row.push(format!("{:.1}", out.agg_mb_s));
+            row.push(out.agg.clone());
             cols[c].push(out);
         }
-        let _ = i;
         t.row(row);
     }
     for (c, &(servers, oversub)) in configs.iter().enumerate() {
         let col = &cols[c];
         for w in col.windows(2) {
+            let (a, b) = (w[0].agg.value(), w[1].agg.value());
             assert!(
-                w[1].agg_mb_s >= w[0].agg_mb_s * 0.85,
+                b >= a * 0.85,
                 "s={servers} o={oversub}: aggregate collapsed under scale-out \
-                 ({:.1} → {:.1} MB/s)",
-                w[0].agg_mb_s,
-                w[1].agg_mb_s
+                 ({a:.1} → {b:.1} MB/s)"
             );
         }
         for out in col {
@@ -240,7 +233,7 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
             if oversub != 1 {
                 continue;
             }
-            let flat = cols[c].last().unwrap().agg_mb_s;
+            let flat = cols[c].last().unwrap().agg.value();
             let line = servers as f64 * WIRE_MB;
             assert!(
                 flat >= line * 0.75 && flat <= line * 1.05,
@@ -248,7 +241,7 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
             );
             let sib = configs.iter().position(|&(s, o)| s == servers && o == 4);
             if let Some(sc) = sib {
-                let bent = cols[sc].last().unwrap().agg_mb_s;
+                let bent = cols[sc].last().unwrap().agg.value();
                 assert!(
                     bent <= flat * 0.5 && bent >= flat / 8.0,
                     "s={servers}: 4:1 plateau {bent:.1} vs 1:1 {flat:.1} — \
@@ -269,17 +262,26 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
     let top = *client_counts.last().unwrap();
     let mut extra = Table::new(
         &format!("R-F10 fabric counters: trunk port at {top} clients"),
-        &["config", "qdepth max", "queued ms", "drops", "reconnects"],
+        &[
+            ("config", 0),
+            ("qdepth max", 0),
+            ("queued ms", 1),
+            ("drops", 0),
+            ("reconnects", 0),
+        ],
     );
+    let counters = |label: String, out: &CaseOut| {
+        [
+            Cell::text(label),
+            Cell::Int(out.trunk_qdepth_max),
+            Cell::ms(out.trunk_queued_ns),
+            Cell::Int(out.trunk_drops),
+            Cell::Int(out.reconnects),
+        ]
+    };
     for (c, &(servers, oversub)) in configs.iter().enumerate() {
-        let out = cols[c].last().unwrap();
-        extra.row(vec![
-            format!("s={servers} o={oversub}:1 backpressure"),
-            out.trunk_qdepth_max.to_string(),
-            format!("{:.1}", out.trunk_queued_ns as f64 / 1e6),
-            out.trunk_drops.to_string(),
-            out.reconnects.to_string(),
-        ]);
+        let label = format!("s={servers} o={oversub}:1 backpressure");
+        extra.row(counters(label, cols[c].last().unwrap()));
     }
     // One Drop-policy row: shallow queue, drops enabled, small scale so the
     // reconnect storm stays bounded. Sheds frames but still completes with
@@ -294,13 +296,8 @@ fn run_sweep(client_counts: &[usize], configs: &[(usize, u64)], strict: bool) ->
         dropped.reconnects > 0,
         "fabric drops must surface as session breaks (and recover)"
     );
-    extra.row(vec![
-        format!("s={ds} o={dov}:1 drop (q=8, {dc} clients)"),
-        dropped.trunk_qdepth_max.to_string(),
-        format!("{:.1}", dropped.trunk_queued_ns as f64 / 1e6),
-        dropped.trunk_drops.to_string(),
-        dropped.reconnects.to_string(),
-    ]);
+    let label = format!("s={ds} o={dov}:1 drop (q=8, {dc} clients)");
+    extra.row(counters(label, &dropped));
     extra.note(
         "drop row: every shed frame broke a session; reconnect/replay still read back byte-exact",
     );

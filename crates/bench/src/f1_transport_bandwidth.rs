@@ -5,19 +5,31 @@
 //! KiB; TCP is host-limited well below the wire at every size. RDMA edges
 //! out send/recv slightly at small sizes (no receive-descriptor handling).
 
-use simnet::{Cluster, SimKernel, SimTime};
+use simnet::{ActorCtx, Cluster, SimKernel, SimTime};
 use tcpnet::{TcpCost, TcpFabric};
 use via::{
-    DataSegment, MemAttributes, RecvDesc, RemoteSegment, SendDesc, ViAttributes, ViaCost, ViaFabric,
+    DataSegment, MemAttributes, RecvDesc, RemoteSegment, SendDesc, Vi, ViAttributes, ViaCost,
+    ViaFabric,
 };
 
-use crate::report::{human_size, mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{Cell, Table};
+use crate::testbeds::Probe;
 
 /// Total bytes pushed per measurement point.
 const TOTAL: u64 = 8 << 20;
 
-fn via_sendrecv_mb_s(size: u64) -> f64 {
+/// Virtual ns from the first to the last of `count` receive completions.
+fn recv_span(ctx: &ActorCtx, vi: &Vi, count: u64) -> u64 {
+    let mut at = (0..count).map(|_| {
+        let c = vi.recv_wait(ctx);
+        assert!(c.status.is_ok());
+        c.at
+    });
+    let first = at.next().unwrap_or(SimTime::ZERO);
+    at.last().map_or(0, |last| last.since(first).as_nanos())
+}
+
+fn via_sendrecv_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
@@ -25,7 +37,7 @@ fn via_sendrecv_mb_s(size: u64) -> f64 {
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let span = Cell::new();
+    let span = Probe::new();
     let sp = span.clone();
     let f2 = fabric.clone();
     kernel.spawn_daemon("sink", move |ctx| {
@@ -40,17 +52,7 @@ fn via_sendrecv_mb_s(size: u64) -> f64 {
                 RecvDesc::new(vec![DataSegment::new(buf, size as u32, h)]),
             );
         }
-        let mut first = SimTime::ZERO;
-        let mut last = SimTime::ZERO;
-        for i in 0..count {
-            let c = vi.recv_wait(ctx);
-            assert!(c.status.is_ok());
-            if i == 0 {
-                first = c.at;
-            }
-            last = c.at;
-        }
-        sp.set(last.since(first).as_nanos());
+        sp.set(recv_span(ctx, &vi, count));
     });
     kernel.spawn("source", move |ctx| {
         let vi = fabric
@@ -70,10 +72,10 @@ fn via_sendrecv_mb_s(size: u64) -> f64 {
         }
     });
     kernel.run();
-    mb_per_s((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span.get())
 }
 
-fn via_rdma_mb_s(size: u64) -> f64 {
+fn via_rdma_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
@@ -81,10 +83,10 @@ fn via_rdma_mb_s(size: u64) -> f64 {
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let span = Cell::new();
+    let span = Probe::new();
     let sp = span.clone();
-    let target: Cell = Cell::new(); // (addr, handle) squeezed into two cells
-    let target_h = Cell::new();
+    let target = Probe::new(); // (addr, handle) squeezed into two probes
+    let target_h = Probe::new();
     let (t1, t2) = (target.clone(), target_h.clone());
     let f2 = fabric.clone();
     kernel.spawn_daemon("sink", move |ctx| {
@@ -104,17 +106,7 @@ fn via_rdma_mb_s(size: u64) -> f64 {
         for _ in 0..count {
             vi.post_recv(ctx, RecvDesc::new(vec![DataSegment::new(ibuf, 64, ih)]));
         }
-        let mut first = SimTime::ZERO;
-        let mut last = SimTime::ZERO;
-        for i in 0..count {
-            let c = vi.recv_wait(ctx);
-            assert!(c.status.is_ok());
-            if i == 0 {
-                first = c.at;
-            }
-            last = c.at;
-        }
-        sp.set(last.since(first).as_nanos());
+        sp.set(recv_span(ctx, &vi, count));
     });
     kernel.spawn("source", move |ctx| {
         let vi = fabric
@@ -146,10 +138,10 @@ fn via_rdma_mb_s(size: u64) -> f64 {
         }
     });
     kernel.run();
-    mb_per_s((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span.get())
 }
 
-fn tcp_mb_s(size: u64) -> f64 {
+fn tcp_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
@@ -157,7 +149,7 @@ fn tcp_mb_s(size: u64) -> f64 {
     let sh = cluster.add_host("server0");
     let ch = cluster.add_host("client0");
     let sid = sh.id;
-    let span = Cell::new();
+    let span = Probe::new();
     let sp = span.clone();
     let f2 = fabric.clone();
     kernel.spawn_daemon("sink", move |ctx| {
@@ -178,30 +170,35 @@ fn tcp_mb_s(size: u64) -> f64 {
         }
     });
     kernel.run();
-    mb_per_s((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span.get())
 }
 
 /// Run R-F1.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-F1: transport bandwidth vs message size (MB/s)",
-        &["size", "VIA send/recv", "VIA RDMA-wr", "TCP"],
+        &[
+            ("size", 0),
+            ("VIA send/recv", 1),
+            ("VIA RDMA-wr", 1),
+            ("TCP", 1),
+        ],
     );
     for size in [1u64 << 10, 4 << 10, 16 << 10, 64 << 10] {
-        t.row(vec![
-            human_size(size),
-            format!("{:.1}", via_sendrecv_mb_s(size)),
-            format!("{:.1}", via_rdma_mb_s(size)),
-            format!("{:.1}", tcp_mb_s(size)),
+        t.row([
+            Cell::Size(size),
+            via_sendrecv_mb_s(size),
+            via_rdma_mb_s(size),
+            tcp_mb_s(size),
         ]);
     }
     // RDMA has no 64 KiB MTU; add larger points for it + TCP.
     for size in [256u64 << 10, 1 << 20] {
-        t.row(vec![
-            human_size(size),
-            "-".into(),
-            format!("{:.1}", via_rdma_mb_s(size)),
-            format!("{:.1}", tcp_mb_s(size)),
+        t.row([
+            Cell::Size(size),
+            Cell::Missing,
+            via_rdma_mb_s(size),
+            tcp_mb_s(size),
         ]);
     }
     t.note("expect both VIA modes to reach ~110 MB/s wire by 16-64K; TCP host-limited ~50-60");

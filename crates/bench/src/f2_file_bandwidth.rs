@@ -14,12 +14,15 @@ use nfsv3::{NfsClientConfig, NfsServerCost};
 use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::{human_size, mb_per_s, Table};
-use crate::testbeds::{with_dafs_client, with_nfs_client, Cell};
+use crate::report::{Cell, Table};
+use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
-const FILE: u64 = 8 << 20;
+/// Bytes each pass moves.
+pub(crate) const FILE: u64 = 8 << 20;
 
-fn dafs_rw_mb_s(req: u64, force_inline: bool) -> (f64, f64) {
+/// Virtual ns of a sequential `req`-byte write pass, then read pass, over
+/// an 8 MiB prefilled file through one DAFS client.
+pub(crate) fn dafs_rw_ns(req: u64, force_inline: bool) -> (u64, u64) {
     let cfg = match force_inline {
         // Forcing inline = no length crosses the direct threshold, and no
         // buffer is ever warm (a reused one would go direct all the same).
@@ -30,13 +33,11 @@ fn dafs_rw_mb_s(req: u64, force_inline: bool) -> (f64, f64) {
         },
         false => DafsClientConfig::default(),
     };
-    let wtime = Cell::new();
-    let rtime = Cell::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
     with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         cfg,
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![3u8; FILE as usize]).unwrap();
@@ -44,35 +45,28 @@ fn dafs_rw_mb_s(req: u64, force_inline: bool) -> (f64, f64) {
         move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let buf = nic.host().mem.alloc(req as usize);
-            // Sequential write pass.
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.write(ctx, f.id, off, buf, req).unwrap();
-                off += req;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            // Sequential read pass.
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.read(ctx, f.id, off, buf, req).unwrap();
-                off += req;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
+            let w = timed(ctx, || {
+                for off in (0..FILE).step_by(req as usize) {
+                    c.write(ctx, f.id, off, buf, req).unwrap();
+                }
+            });
+            let r = timed(ctx, || {
+                for off in (0..FILE).step_by(req as usize) {
+                    c.read(ctx, f.id, off, buf, req).unwrap();
+                }
+            });
+            (w, r)
         },
-    );
-    (mb_per_s(FILE, wtime.get()), mb_per_s(FILE, rtime.get()))
+    )
+    .0
 }
 
-fn nfs_rw_mb_s(req: u64) -> (f64, f64) {
-    let wtime = Cell::new();
-    let rtime = Cell::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
+fn nfs_rw_ns(req: u64) -> (u64, u64) {
     with_nfs_client(
         TcpCost::default(),
         NfsServerCost::default(),
         NfsClientConfig::default(),
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![3u8; FILE as usize]).unwrap();
@@ -80,23 +74,20 @@ fn nfs_rw_mb_s(req: u64) -> (f64, f64) {
         move |ctx, c| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let chunk = vec![5u8; req as usize];
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.write(ctx, f.id, off, &chunk).unwrap();
-                off += req;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.read(ctx, f.id, off, req).unwrap();
-                off += req;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
+            let w = timed(ctx, || {
+                for off in (0..FILE).step_by(req as usize) {
+                    c.write(ctx, f.id, off, &chunk).unwrap();
+                }
+            });
+            let r = timed(ctx, || {
+                for off in (0..FILE).step_by(req as usize) {
+                    c.read(ctx, f.id, off, req).unwrap();
+                }
+            });
+            (w, r)
         },
-    );
-    (mb_per_s(FILE, wtime.get()), mb_per_s(FILE, rtime.get()))
+    )
+    .0
 }
 
 /// Run R-F2.
@@ -104,26 +95,20 @@ pub fn run() -> Table {
     let mut t = Table::new(
         "R-F2: single-client file bandwidth vs request size (MB/s, read | write)",
         &[
-            "request",
-            "DAFS rd",
-            "DAFS wr",
-            "DAFS-inline rd",
-            "NFS rd",
-            "NFS wr",
+            ("request", 0),
+            ("DAFS rd", 1),
+            ("DAFS wr", 1),
+            ("DAFS-inline rd", 1),
+            ("NFS rd", 1),
+            ("NFS wr", 1),
         ],
     );
     for req in [512u64, 2 << 10, 8 << 10, 32 << 10, 128 << 10, 512 << 10] {
-        let (dw, dr) = dafs_rw_mb_s(req, false);
-        let (_, ir) = dafs_rw_mb_s(req, true);
-        let (nw, nr) = nfs_rw_mb_s(req);
-        t.row(vec![
-            human_size(req),
-            format!("{dr:.1}"),
-            format!("{dw:.1}"),
-            format!("{ir:.1}"),
-            format!("{nr:.1}"),
-            format!("{nw:.1}"),
-        ]);
+        let (dw, dr) = dafs_rw_ns(req, false);
+        let (_, ir) = dafs_rw_ns(req, true);
+        let (nw, nr) = nfs_rw_ns(req);
+        let mbps = [dr, dw, ir, nr, nw].map(|ns| Cell::mbps(FILE, ns));
+        t.row([Cell::Size(req)].into_iter().chain(mbps));
     }
     t.note("expect DAFS reads to pull away from 2K up (one reused buffer: direct past the floor) toward ~110; NFS flat-ish ~20-60");
     t.note("DAFS-inline column (no registration cache, no direct transfer) is what the copies cost: it matches DAFS rd only at 512, below the floor");

@@ -8,16 +8,16 @@
 
 use mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{Cell, Table};
+use crate::testbeds::Probe;
 
 const PER_RANK: usize = 4 << 20;
 
 /// (write MB/s, read MB/s) aggregate for `ranks` on `backend`.
-pub fn agg_rw(backend: Backend, ranks: usize) -> (f64, f64) {
+pub fn agg_rw(backend: Backend, ranks: usize) -> (Cell, Cell) {
     let tb = Testbed::new(backend);
-    let wns = Cell::new();
-    let rns = Cell::new();
+    let wns = Probe::new();
+    let rns = Probe::new();
     let (w, r) = (wns.clone(), rns.clone());
     tb.run(ranks, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -44,27 +44,27 @@ pub fn agg_rw(backend: Backend, ranks: usize) -> (f64, f64) {
         r.max(ctx.now().since(t1).as_nanos());
     });
     let total = (ranks * PER_RANK) as u64;
-    (mb_per_s(total, wns.get()), mb_per_s(total, rns.get()))
+    (Cell::mbps(total, wns.get()), Cell::mbps(total, rns.get()))
 }
 
 /// Run R-F3.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-F3: MPI-IO aggregate bandwidth vs ranks (4 MiB/rank, MB/s)",
-        &["ranks", "DAFS wr", "DAFS rd", "NFS wr", "NFS rd", "UFS wr"],
+        &[
+            ("ranks", 0),
+            ("DAFS wr", 1),
+            ("DAFS rd", 1),
+            ("NFS wr", 1),
+            ("NFS rd", 1),
+            ("UFS wr", 0),
+        ],
     );
     for ranks in [1usize, 2, 4, 8, 16] {
         let (dw, dr) = agg_rw(Backend::dafs(), ranks);
         let (nw, nr) = agg_rw(Backend::nfs(), ranks);
         let (uw, _) = agg_rw(Backend::ufs(), ranks);
-        t.row(vec![
-            ranks.to_string(),
-            format!("{dw:.1}"),
-            format!("{dr:.1}"),
-            format!("{nw:.1}"),
-            format!("{nr:.1}"),
-            format!("{uw:.0}"),
-        ]);
+        t.row([Cell::Int(ranks as u64), dw, dr, nw, nr, uw]);
     }
     t.note(
         "expect DAFS to pin at ~105-110 (server wire); NFS to plateau lower (server CPU/packets)",

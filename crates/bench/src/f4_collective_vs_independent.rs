@@ -8,8 +8,8 @@
 
 use mpiio::{write_at_all, Backend, Datatype, Hints, JobReport, MpiFile, OpenMode, Testbed};
 
-use crate::report::{layer_breakdown, mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{layer_breakdown, Cell, Table};
+use crate::testbeds::Probe;
 
 const BLOCK: u64 = 512; // fine-grained interleave: per-op costs dominate
 const ROUNDS: u64 = 256;
@@ -31,7 +31,7 @@ enum Method {
 /// plus the job's accounting report (metrics snapshot included).
 fn run_pattern(ranks: usize, method: Method) -> (u64, JobReport) {
     let tb = Testbed::new(Backend::dafs());
-    let dur = Cell::new();
+    let dur = Probe::new();
     let d = dur.clone();
     let report = tb.run(ranks, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -87,11 +87,11 @@ pub fn run() -> Table {
     let mut t = Table::new(
         "R-F4: collective vs independent write, 512 B interleave (aggregate MB/s)",
         &[
-            "ranks",
-            "two-phase",
-            "indep batched",
-            "indep sieved",
-            "indep naive",
+            ("ranks", 0),
+            ("two-phase", 1),
+            ("indep batched", 1),
+            ("indep sieved", 1),
+            ("indep naive", 1),
         ],
     );
     let mut last_twophase: Option<JobReport> = None;
@@ -102,13 +102,8 @@ pub fn run() -> Table {
         let (sieving, _) = run_pattern(ranks, Method::Sieving);
         let (naive, _) = run_pattern(ranks, Method::Naive);
         last_twophase = Some(tp_report);
-        t.row(vec![
-            ranks.to_string(),
-            format!("{:.1}", mb_per_s(total, two_phase)),
-            format!("{:.1}", mb_per_s(total, batched)),
-            format!("{:.1}", mb_per_s(total, sieving)),
-            format!("{:.1}", mb_per_s(total, naive)),
-        ]);
+        let cells = [two_phase, batched, sieving, naive].map(|ns| Cell::mbps(total, ns));
+        t.row([Cell::Int(ranks as u64)].into_iter().chain(cells));
     }
     t.note("expect two-phase >> sieved/naive; at this grain the server pays per-op cost per 512B block");
     t.note(

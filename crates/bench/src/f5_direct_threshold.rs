@@ -20,21 +20,20 @@ use dafs::{DafsClientConfig, DafsServerCost};
 use memfs::ROOT_ID;
 use via::ViaCost;
 
-use crate::report::{human_size, mb_per_s, Table};
-use crate::testbeds::{with_dafs_client, Cell};
+use crate::report::{human_size, Cell, Table};
+use crate::testbeds::{timed, with_dafs_client};
 
 const FILE: u64 = 4 << 20;
 
 /// Sequential `req`-byte reads of the whole file; `cold` gives each request
 /// the next `req` bytes of one file-sized arena (a range offered once),
 /// otherwise all share the arena's head.
-fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> f64 {
-    let dur = Cell::new();
-    let d = dur.clone();
-    with_dafs_client(
+fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> Cell {
+    let (ns, ..) = with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         cfg,
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; FILE as usize]).unwrap();
@@ -48,17 +47,15 @@ fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> f64 {
                     c.read(ctx, f.id, 0, arena, req).unwrap();
                 }
             }
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                let buf = arena.offset(if cold { off } else { 0 });
-                c.read(ctx, f.id, off, buf, req.min(FILE - off)).unwrap();
-                off += req;
-            }
-            d.set(ctx.now().since(t0).as_nanos());
+            timed(ctx, || {
+                for off in (0..FILE).step_by(req as usize) {
+                    let buf = arena.offset(if cold { off } else { 0 });
+                    c.read(ctx, f.id, off, buf, req.min(FILE - off)).unwrap();
+                }
+            })
         },
     );
-    mb_per_s(FILE, dur.get())
+    Cell::mbps(FILE, ns)
 }
 
 fn threshold(direct_threshold: u64) -> DafsClientConfig {
@@ -73,12 +70,12 @@ pub fn run() -> Table {
     let mut t = Table::new(
         "R-F5: inline/direct rule sweep, sequential reads (MB/s)",
         &[
-            "request",
-            "cold, thresh 1K",
-            "cold, thresh 8K",
-            "warm, thresh 1K",
-            "warm, thresh 8K",
-            "inline-only",
+            ("request", 0),
+            ("cold, thresh 1K", 1),
+            ("cold, thresh 8K", 1),
+            ("warm, thresh 1K", 1),
+            ("warm, thresh 8K", 1),
+            ("inline-only", 1),
         ],
     );
     let inline_only = DafsClientConfig {
@@ -91,28 +88,37 @@ pub fn run() -> Table {
         let warm = [1u64 << 10, 8 << 10].map(|th| read_mb_s(req, threshold(th), false));
         let inline = read_mb_s(req, inline_only, false);
         let size = human_size(req);
+        let (c, w) = (
+            cold.each_ref().map(Cell::value),
+            warm.each_ref().map(Cell::value),
+        );
         for th in 0..2 {
             assert!(
-                warm[th] >= cold[th],
+                w[th] >= c[th],
                 "{size}: warm {} below cold {}",
-                warm[th],
-                cold[th]
+                w[th],
+                c[th]
             );
         }
         assert!(
-            cold[1] >= cold[0],
-            "{size}: the default threshold is not the cold envelope ({cold:?})"
+            c[1] >= c[0],
+            "{size}: the default threshold is not the cold envelope ({c:?})"
         );
-        let best = [cold[0], cold[1], warm[0], inline]
+        let best = [c[0], c[1], w[0], inline.value()]
             .into_iter()
             .fold(0.0, f64::max);
         assert!(
-            warm[1] >= best,
+            w[1] >= best,
             "{size}: the default configuration ({}) is not the envelope ({best})",
-            warm[1]
+            w[1]
         );
-        let cells = [cold[0], cold[1], warm[0], warm[1], inline].map(|v| format!("{v:.1}"));
-        t.row([vec![size], cells.to_vec()].concat());
+        t.row(
+            [Cell::Size(req)]
+                .into_iter()
+                .chain(cold)
+                .chain(warm)
+                .chain([inline]),
+        );
     }
     t.note("cold = a fresh buffer per request: the threshold trades a registration against two copies, and 8K tracks the envelope");
     t.note("warm = one reused buffer: its registration is free, every read past the floor goes direct, the threshold is moot; asserted warm >= cold and default = envelope");

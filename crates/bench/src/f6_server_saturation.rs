@@ -13,12 +13,12 @@ use memfs::{MemFs, ROOT_ID};
 use simnet::{Bandwidth, Cluster, SimKernel};
 use via::{ViaCost, ViaFabric};
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{Cell, PORT};
+use crate::report::{Cell, Table};
+use crate::testbeds::{Probe, PORT};
 
 const PER_CLIENT: u64 = 8 << 20;
 
-fn aggregate_read_mb_s(clients: usize, wire_mb: u64) -> f64 {
+fn aggregate_read_mb_s(clients: usize, wire_mb: u64) -> Cell {
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let via = ViaCost {
@@ -39,7 +39,7 @@ fn aggregate_read_mb_s(clients: usize, wire_mb: u64) -> f64 {
         DafsServerCost::default(),
     );
     let sid = server.host.id;
-    let span = Cell::new();
+    let span = Probe::new();
     let fabric = Arc::new(fabric);
     for i in 0..clients {
         let fabric = fabric.clone();
@@ -58,20 +58,20 @@ fn aggregate_read_mb_s(clients: usize, wire_mb: u64) -> f64 {
         });
     }
     kernel.run();
-    mb_per_s(clients as u64 * PER_CLIENT, span.get())
+    Cell::mbps(clients as u64 * PER_CLIENT, span.get())
 }
 
 /// Run R-F6.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-F6: server saturation — aggregate direct-read bandwidth (MB/s)",
-        &["clients", "1 rail (110)", "2 rails (220)"],
+        &[("clients", 0), ("1 rail (110)", 1), ("2 rails (220)", 1)],
     );
     for clients in [1usize, 2, 4, 8, 16, 32] {
-        t.row(vec![
-            clients.to_string(),
-            format!("{:.1}", aggregate_read_mb_s(clients, 110)),
-            format!("{:.1}", aggregate_read_mb_s(clients, 220)),
+        t.row([
+            Cell::Int(clients as u64),
+            aggregate_read_mb_s(clients, 110),
+            aggregate_read_mb_s(clients, 220),
         ]);
     }
     t.note("expect a plateau at the server wire rate; doubling the rail doubles the plateau");

@@ -15,8 +15,8 @@ use mpiio::{
     read_at_all, write_at_all, Backend, Datatype, Hints, JobReport, MpiFile, OpenMode, Testbed,
 };
 
-use crate::report::{layer_breakdown, mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{layer_breakdown, Cell, Table};
+use crate::testbeds::Probe;
 
 const RANKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
@@ -37,7 +37,7 @@ fn run_case(
     pipelined: bool,
 ) -> (u64, JobReport) {
     let tb = Testbed::new(backend);
-    let dur = Cell::new();
+    let dur = Probe::new();
     let d = dur.clone();
     let report = tb.run(RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -81,7 +81,13 @@ fn run_case(
 pub fn run_sized(rounds: u64, cb: u64) -> Table {
     let mut t = Table::new(
         "R-F7: overlapped two-phase sweep, 4 KiB interleave, 8 ranks (aggregate MB/s)",
-        &["backend", "op", "synchronous", "pipelined", "speedup"],
+        &[
+            ("backend", 0),
+            ("op", 0),
+            ("synchronous", 1),
+            ("pipelined", 1),
+            ("speedup", 2),
+        ],
     );
     let total = RANKS as u64 * rounds * BLOCK;
     let mut traced: Option<JobReport> = None;
@@ -90,12 +96,12 @@ pub fn run_sized(rounds: u64, cb: u64) -> Table {
             let (sync_ns, _) = run_case(backend.clone(), rounds, cb, write, false);
             let (pipe_ns, report) = run_case(backend.clone(), rounds, cb, write, true);
             traced = Some(report);
-            t.row(vec![
-                name.to_string(),
-                op.to_string(),
-                format!("{:.1}", mb_per_s(total, sync_ns)),
-                format!("{:.1}", mb_per_s(total, pipe_ns)),
-                format!("{:.2}x", sync_ns as f64 / pipe_ns as f64),
+            t.row([
+                Cell::text(name),
+                Cell::text(op),
+                Cell::mbps(total, sync_ns),
+                Cell::mbps(total, pipe_ns),
+                Cell::times(sync_ns, pipe_ns),
             ]);
         }
     }

@@ -24,8 +24,9 @@ use memfs::ROOT_ID;
 use simnet::{FaultPlan, HostId};
 use via::ViaCost;
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_client, with_dafs_cluster, Cell, Dial};
+use crate::f2_file_bandwidth::{self, FILE};
+use crate::report::{mb_per_s, Cell, Table};
+use crate::testbeds::{timed, with_dafs_cluster, Dial, Probe};
 
 /// Bytes written (then read back) by each client.
 const PER_CLIENT: u64 = 4 << 20;
@@ -54,9 +55,9 @@ fn striped_case(
     clients: usize,
     per_client: u64,
     plan: Option<FaultPlan>,
-) -> (f64, f64, u64) {
-    let wspan = Cell::new();
-    let rspan = Cell::new();
+) -> (Cell, Cell, u64) {
+    let wspan = Probe::new();
+    let rspan = Probe::new();
     let (ws, rs) = (wspan.clone(), rspan.clone());
     let (_, _, obs) = with_dafs_cluster(
         servers,
@@ -80,83 +81,40 @@ fn striped_case(
             let data = pattern(rank, REQ as usize);
             let buf = nic.host().mem.alloc(REQ as usize);
             nic.host().mem.write(buf, &data);
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < per_client {
-                file.write(ctx, off, buf, REQ).unwrap();
-                off += REQ;
-            }
-            ws.max(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < per_client {
-                let n = file.read(ctx, off, buf, REQ).unwrap();
-                assert_eq!(n, REQ, "short striped read at {off}");
-                assert_eq!(
-                    nic.host().mem.read_vec(buf, REQ as usize),
-                    data,
-                    "corrupt striped read-back at {off} ({servers} servers)"
-                );
-                off += REQ;
-            }
-            rs.max(ctx.now().since(t1).as_nanos());
+            ws.max(timed(ctx, || {
+                for off in (0..per_client).step_by(REQ as usize) {
+                    file.write(ctx, off, buf, REQ).unwrap();
+                }
+            }));
+            rs.max(timed(ctx, || {
+                for off in (0..per_client).step_by(REQ as usize) {
+                    let n = file.read(ctx, off, buf, REQ).unwrap();
+                    assert_eq!(n, REQ, "short striped read at {off}");
+                    assert_eq!(
+                        nic.host().mem.read_vec(buf, REQ as usize),
+                        data,
+                        "corrupt striped read-back at {off} ({servers} servers)"
+                    );
+                }
+            }));
         },
     );
     let total = clients as u64 * per_client;
     let reconnects = obs.snapshot().expect("dafs.reconnects").value();
     (
-        mb_per_s(total, wspan.get()),
-        mb_per_s(total, rspan.get()),
+        Cell::mbps(total, wspan.get()),
+        Cell::mbps(total, rspan.get()),
         reconnects,
     )
 }
 
-/// The R-F2 512 KiB single-client workload through the raw client: 8 MiB
-/// prefilled file, sequential write pass then read pass. Returns virtual
-/// nanoseconds (write, read) so the identity check compares exact times,
-/// not rounded bandwidths.
-fn raw_control_ns() -> (u64, u64) {
-    const FILE: u64 = 8 << 20;
-    let wtime = Cell::new();
-    let rtime = Cell::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
-    with_dafs_client(
-        ViaCost::default(),
-        DafsServerCost::default(),
-        DafsClientConfig::default(),
-        |fs| {
-            let f = fs.create(ROOT_ID, "f").unwrap();
-            fs.write(f.id, 0, &vec![3u8; FILE as usize]).unwrap();
-        },
-        move |ctx, c, nic| {
-            let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
-            let buf = nic.host().mem.alloc(REQ as usize);
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.write(ctx, f.id, off, buf, REQ).unwrap();
-                off += REQ;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.read(ctx, f.id, off, buf, REQ).unwrap();
-                off += REQ;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
-        },
-    );
-    (wtime.get(), rtime.get())
-}
-
-/// The same workload through a 1-server [`DafsStripedFile`]. A single
-/// server means every request is one identity piece, so the striped driver
-/// must delegate straight to the raw client — same ops, same virtual times.
+/// The R-F2 512 KiB workload ([`f2_file_bandwidth::dafs_rw_ns`]) through
+/// a 1-server [`DafsStripedFile`]. A single server means every request is
+/// one identity piece, so the striped driver must delegate straight to the
+/// raw client — same ops, same virtual times.
 fn striped_control_ns() -> (u64, u64) {
-    const FILE: u64 = 8 << 20;
-    let wtime = Cell::new();
-    let rtime = Cell::new();
+    let wtime = Probe::new();
+    let rtime = Probe::new();
     let (wt, rt) = (wtime.clone(), rtime.clone());
     with_dafs_cluster(
         1,
@@ -175,20 +133,16 @@ fn striped_control_ns() -> (u64, u64) {
             let f = cs[0].lookup(ctx, ROOT_ID, "f").unwrap();
             let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE);
             let buf = nic.host().mem.alloc(REQ as usize);
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                file.write(ctx, off, buf, REQ).unwrap();
-                off += REQ;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                file.read(ctx, off, buf, REQ).unwrap();
-                off += REQ;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
+            wt.set(timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    file.write(ctx, off, buf, REQ).unwrap();
+                }
+            }));
+            rt.set(timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    file.read(ctx, off, buf, REQ).unwrap();
+                }
+            }));
         },
     );
     (wtime.get(), rtime.get())
@@ -211,24 +165,21 @@ pub fn run_sized(per_client: u64, seed: u64) -> Table {
         &format!(
             "R-F8: server scaling — aggregate striped bandwidth, {CLIENTS} clients (MB/s; seed {seed:#x})"
         ),
-        &["servers", "agg rd", "agg wr"],
+        &[("servers", 0), ("agg rd", 1), ("agg wr", 1)],
     );
     let mut prev = (0.0f64, 0.0f64);
     for servers in [1usize, 2, 4] {
         let (w, r, reconnects) = striped_case(servers, CLIENTS, per_client, None);
         assert_eq!(reconnects, 0, "fault-free rows must not reconnect");
+        let (wv, rv) = (w.value(), r.value());
         assert!(
-            w > prev.0 && r > prev.1,
-            "aggregate bandwidth must climb with servers: {servers} servers gave {w:.1}/{r:.1} after {:.1}/{:.1}",
+            wv > prev.0 && rv > prev.1,
+            "aggregate bandwidth must climb with servers: {servers} servers gave {wv:.1}/{rv:.1} after {:.1}/{:.1}",
             prev.0,
             prev.1
         );
-        prev = (w, r);
-        t.row(vec![
-            servers.to_string(),
-            format!("{r:.1}"),
-            format!("{w:.1}"),
-        ]);
+        prev = (wv, rv);
+        t.row([Cell::Int(servers as u64), r, w]);
     }
     let (dw, dr, reconnects) = striped_case(
         4,
@@ -236,17 +187,14 @@ pub fn run_sized(per_client: u64, seed: u64) -> Table {
         per_client,
         Some(degraded_plan(seed, 4, CLIENTS, 0)),
     );
-    t.row(vec![
-        format!("4 (one degraded, {:.0}% loss)", DEGRADED_LOSS * 100.0),
-        format!("{dr:.1}"),
-        format!("{dw:.1}"),
-    ]);
+    let degraded = format!("4 (one degraded, {:.0}% loss)", DEGRADED_LOSS * 100.0);
+    t.row([Cell::text(degraded), dr, dw]);
     t.note(&format!(
         "degraded row survived {reconnects} session reconnect(s) with byte-exact read-back"
     ));
     // Identity control: the 1-server striped path must cost exactly what
     // the raw client costs on the R-F2 512K workload.
-    let (raw_w, raw_r) = raw_control_ns();
+    let (raw_w, raw_r) = f2_file_bandwidth::dafs_rw_ns(REQ, false);
     let (str_w, str_r) = striped_control_ns();
     assert_eq!(
         (raw_w, raw_r),
@@ -255,8 +203,8 @@ pub fn run_sized(per_client: u64, seed: u64) -> Table {
     );
     t.note(&format!(
         "1-server striped control is bit-identical to the raw R-F2 512K client: {:.1} rd / {:.1} wr MB/s",
-        mb_per_s(8 << 20, raw_r),
-        mb_per_s(8 << 20, raw_w),
+        mb_per_s(FILE, raw_r),
+        mb_per_s(FILE, raw_w),
     ));
     t.note("expect near-linear scaling 1→2→4: each server adds wire; asserted monotone");
     t

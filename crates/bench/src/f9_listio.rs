@@ -32,8 +32,8 @@
 
 use mpiio::{Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
-use crate::report::{human_size, mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{human_size, Cell, Table};
+use crate::testbeds::Probe;
 
 /// Span of file the strided pattern sweeps.
 const SPAN: u64 = 8 << 20;
@@ -57,14 +57,14 @@ fn strided_case(
     block: u64,
     stride: u64,
     span: u64,
-) -> (f64, f64, u64, Vec<u8>) {
+) -> (Cell, Cell, u64, Vec<u8>) {
     let count = span / stride;
     let payload = count * block;
     let tb = Testbed::new(backend);
     let raw_image = tb.server_fss.len() <= 1;
     let fs = tb.fs.clone();
-    let wns = Cell::new();
-    let rns = Cell::new();
+    let wns = Probe::new();
+    let rns = Probe::new();
     let (w, r) = (wns.clone(), rns.clone());
     let pairs: Vec<(String, String)> = pairs
         .iter()
@@ -111,8 +111,8 @@ fn strided_case(
         Vec::new()
     };
     (
-        mb_per_s(payload, wns.get()),
-        mb_per_s(payload, rns.get()),
+        Cell::mbps(payload, wns.get()),
+        Cell::mbps(payload, rns.get()),
         list_reqs,
         image,
     )
@@ -150,8 +150,14 @@ pub fn run_sized(span: u64) -> Table {
             human_size(span)
         ),
         &[
-            "backend", "pattern", "sieve rd", "list rd", "range rd", "sieve wr", "list wr",
-            "range wr",
+            ("backend", 0),
+            ("pattern", 0),
+            ("sieve rd", 1),
+            ("list rd", 1),
+            ("range rd", 1),
+            ("sieve wr", 1),
+            ("list wr", 1),
+            ("range wr", 1),
         ],
     );
     for (bname, backend) in [
@@ -183,23 +189,17 @@ pub fn run_sized(span: u64) -> Table {
                 );
             }
             if bname == "dafs" && stride / block >= 16 {
-                for (dir, s, l) in [("read", rd[0], rd[1]), ("write", wr[0], wr[1])] {
+                for (dir, s, l) in [("read", &rd[0], &rd[1]), ("write", &wr[0], &wr[1])] {
+                    let (s, l) = (s.value(), l.value());
                     assert!(
                         l >= SPEEDUP_FLOOR * s,
                         "high-stride {dir}: list {l:.1} MB/s < {SPEEDUP_FLOOR}x sieve {s:.1} MB/s"
                     );
                 }
             }
-            t.row(vec![
-                bname.to_string(),
-                format!("{}/{}", human_size(block), human_size(stride)),
-                format!("{:.1}", rd[0]),
-                format!("{:.1}", rd[1]),
-                format!("{:.1}", rd[2]),
-                format!("{:.1}", wr[0]),
-                format!("{:.1}", wr[1]),
-                format!("{:.1}", wr[2]),
-            ]);
+            let pattern = format!("{}/{}", human_size(block), human_size(stride));
+            let labels = [Cell::text(bname), Cell::text(pattern)];
+            t.row(labels.into_iter().chain(rd).chain(wr));
         }
     }
     t.note("sieve moves the covering extent (gaps included); list ships one vectored request per credit window; range pays per-op overhead on every block");

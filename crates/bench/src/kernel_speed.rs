@@ -25,7 +25,7 @@
 use simnet::units::*;
 use simnet::{Port, SimKernel};
 
-use crate::report::Table;
+use crate::report::{Cell, Table};
 
 /// One workload's wall-clock measurement.
 pub struct SpeedRun {
@@ -145,10 +145,10 @@ pub fn measure(smoke: bool) -> Vec<SpeedRun> {
 pub fn table_from(runs: &[SpeedRun]) -> Table {
     let mut t = Table::new(
         "R-K1: DES kernel raw dispatch speed (wall-clock)",
-        &["workload"],
+        &[("workload", 0)],
     );
     for r in runs {
-        t.row(vec![r.label.clone()]);
+        t.row([Cell::text(&r.label)]);
     }
     for r in runs {
         t.note(&format!(

@@ -8,8 +8,8 @@ use simnet::{Cluster, SimKernel};
 use tcpnet::{TcpCost, TcpFabric};
 use via::{DataSegment, MemAttributes, RecvDesc, SendDesc, ViAttributes, ViaCost, ViaFabric};
 
-use crate::report::{human_size, Table};
-use crate::testbeds::Cell;
+use crate::report::{Cell, Table};
+use crate::testbeds::Probe;
 
 const ITERS: u64 = 50;
 
@@ -20,7 +20,7 @@ fn via_one_way_ns(size: usize) -> u64 {
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let out = Cell::new();
+    let out = Probe::new();
     let o = out.clone();
     let f2 = fabric.clone();
     kernel.spawn_daemon("server", move |ctx| {
@@ -78,7 +78,7 @@ fn tcp_one_way_ns(size: usize) -> u64 {
     let sh = cluster.add_host("server0");
     let ch = cluster.add_host("client0");
     let sid = sh.id;
-    let out = Cell::new();
+    let out = Probe::new();
     let o = out.clone();
     let f2 = fabric.clone();
     kernel.spawn_daemon("server", move |ctx| {
@@ -107,16 +107,16 @@ fn tcp_one_way_ns(size: usize) -> u64 {
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-T1: transport small-op one-way latency (us)",
-        &["size", "VIA", "TCP", "TCP/VIA"],
+        &[("size", 0), ("VIA", 1), ("TCP", 1), ("TCP/VIA", 1)],
     );
     for size in [8usize, 64, 256, 1024] {
         let v = via_one_way_ns(size);
         let k = tcp_one_way_ns(size);
-        t.row(vec![
-            human_size(size as u64),
-            format!("{:.1}", v as f64 / 1e3),
-            format!("{:.1}", k as f64 / 1e3),
-            format!("{:.1}x", k as f64 / v as f64),
+        t.row([
+            Cell::Size(size as u64),
+            Cell::us(v),
+            Cell::us(k),
+            Cell::times(k, v),
         ]);
     }
     t.note("expect VIA ~8us nearly flat; TCP ~60-90us; ~7-10x gap");

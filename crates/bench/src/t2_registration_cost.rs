@@ -9,17 +9,17 @@ use memfs::ROOT_ID;
 use simnet::{Cluster, SimKernel};
 use via::{MemAttributes, ViaCost, ViaFabric};
 
-use crate::report::{human_size, Table};
-use crate::testbeds::{with_dafs_client, Cell};
+use crate::report::{Cell, Table};
+use crate::testbeds::{with_dafs_client, Probe};
 
 /// Registration + deregistration virtual time for one buffer of `len`.
-fn reg_cycle_us(len: u64) -> (f64, f64) {
+fn reg_cycle(len: u64) -> (Cell, Cell) {
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = ViaFabric::new(ViaCost::default());
     let nic = fabric.open_nic(cluster.add_host("h"));
-    let reg = Cell::new();
-    let dereg = Cell::new();
+    let reg = Probe::new();
+    let dereg = Probe::new();
     let (r, d) = (reg.clone(), dereg.clone());
     kernel.spawn("app", move |ctx| {
         let tag = nic.create_ptag();
@@ -32,23 +32,21 @@ fn reg_cycle_us(len: u64) -> (f64, f64) {
         d.set(ctx.now().since(t1).as_nanos());
     });
     kernel.run();
-    (reg.get() as f64 / 1e3, dereg.get() as f64 / 1e3)
+    (Cell::us(reg.get()), Cell::us(dereg.get()))
 }
 
 /// Total client registration CPU for 50 repeated 1 MiB direct reads,
 /// with/without the registration cache.
 fn workload_reg_cpu_ms(use_cache: bool) -> (f64, u64) {
     const LEN: u64 = 1 << 20;
-    let regs = Cell::new();
-    let cpu = Cell::new();
-    let (rg, cp) = (regs.clone(), cpu.clone());
-    with_dafs_client(
+    let ((regs, cpu), ..) = with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig {
             use_regcache: use_cache,
             ..Default::default()
         },
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; LEN as usize]).unwrap();
@@ -59,22 +57,22 @@ fn workload_reg_cpu_ms(use_cache: bool) -> (f64, u64) {
             for _ in 0..50 {
                 c.read(ctx, f.id, 0, dst, LEN).unwrap();
             }
-            rg.set(nic.registration_stats().registrations);
-            cp.set(nic.registration_cpu().as_nanos());
+            let regs = nic.registration_stats().registrations;
+            (regs, nic.registration_cpu().as_nanos())
         },
     );
-    (cpu.get() as f64 / 1e6, regs.get())
+    (cpu as f64 / 1e6, regs)
 }
 
 /// Run R-T2.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-T2: memory registration cost",
-        &["buffer", "register (us)", "deregister (us)"],
+        &[("buffer", 0), ("register (us)", 1), ("deregister (us)", 1)],
     );
     for len in [4u64 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20] {
-        let (r, d) = reg_cycle_us(len);
-        t.row(vec![human_size(len), format!("{r:.1}"), format!("{d:.1}")]);
+        let (r, d) = reg_cycle(len);
+        t.row([Cell::Size(len), r, d]);
     }
     let (cached_ms, cached_regs) = workload_reg_cpu_ms(true);
     let (uncached_ms, uncached_regs) = workload_reg_cpu_ms(false);

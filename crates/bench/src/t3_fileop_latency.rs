@@ -7,22 +7,27 @@
 use dafs::{DafsClientConfig, DafsServerCost};
 use memfs::ROOT_ID;
 use nfsv3::{NfsClientConfig, NfsServerCost};
+use simnet::ActorCtx;
 use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::Table;
-use crate::testbeds::{with_dafs_client, with_nfs_client, Cell};
+use crate::report::{Cell, Table};
+use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
 const ITERS: u64 = 20;
 
+/// Mean virtual ns of each op over [`ITERS`] calls, in order.
+fn mean_ns(ctx: &ActorCtx, ops: [&dyn Fn(); 4]) -> [u64; 4] {
+    ops.map(|op| timed(ctx, || (0..ITERS).for_each(|_| op())) / ITERS)
+}
+
 /// (getattr, lookup, read512, write512) mean latencies in ns.
 fn dafs_ops_ns() -> [u64; 4] {
-    let cells: Vec<Cell> = (0..4).map(|_| Cell::new()).collect();
-    let out: Vec<Cell> = cells.clone();
     with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "target").unwrap();
             fs.write(f.id, 0, &vec![1u8; 4096]).unwrap();
@@ -30,54 +35,26 @@ fn dafs_ops_ns() -> [u64; 4] {
         move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "target").unwrap();
             let buf = nic.host().mem.alloc(512);
-            let measure = |cell: &Cell, mut op: Box<dyn FnMut(&simnet::ActorCtx) + '_>| {
-                let t0 = ctx.now();
-                for _ in 0..ITERS {
-                    op(ctx);
-                }
-                cell.set(ctx.now().since(t0).as_nanos() / ITERS);
-            };
-            measure(
-                &out[0],
-                Box::new(|ctx| {
-                    c.getattr(ctx, f.id).unwrap();
-                }),
-            );
-            measure(
-                &out[1],
-                Box::new(|ctx| {
-                    c.lookup(ctx, ROOT_ID, "target").unwrap();
-                }),
-            );
-            measure(
-                &out[2],
-                Box::new(|ctx| {
-                    c.read(ctx, f.id, 0, buf, 512).unwrap();
-                }),
-            );
-            measure(
-                &out[3],
-                Box::new(|ctx| {
-                    c.write(ctx, f.id, 0, buf, 512).unwrap();
-                }),
-            );
+            mean_ns(
+                ctx,
+                [
+                    &|| _ = c.getattr(ctx, f.id).unwrap(),
+                    &|| _ = c.lookup(ctx, ROOT_ID, "target").unwrap(),
+                    &|| _ = c.read(ctx, f.id, 0, buf, 512).unwrap(),
+                    &|| _ = c.write(ctx, f.id, 0, buf, 512).unwrap(),
+                ],
+            )
         },
-    );
-    [
-        cells[0].get(),
-        cells[1].get(),
-        cells[2].get(),
-        cells[3].get(),
-    ]
+    )
+    .0
 }
 
 fn nfs_ops_ns() -> [u64; 4] {
-    let cells: Vec<Cell> = (0..4).map(|_| Cell::new()).collect();
-    let out: Vec<Cell> = cells.clone();
     with_nfs_client(
         TcpCost::default(),
         NfsServerCost::default(),
         NfsClientConfig::default(),
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "target").unwrap();
             fs.write(f.id, 0, &vec![1u8; 4096]).unwrap();
@@ -85,52 +62,25 @@ fn nfs_ops_ns() -> [u64; 4] {
         move |ctx, c| {
             let f = c.lookup(ctx, ROOT_ID, "target").unwrap();
             let data = vec![2u8; 512];
-            let measure = |cell: &Cell, mut op: Box<dyn FnMut(&simnet::ActorCtx) + '_>| {
-                let t0 = ctx.now();
-                for _ in 0..ITERS {
-                    op(ctx);
-                }
-                cell.set(ctx.now().since(t0).as_nanos() / ITERS);
-            };
-            measure(
-                &out[0],
-                Box::new(|ctx| {
-                    c.getattr_uncached(ctx, f.id).unwrap();
-                }),
-            );
-            measure(
-                &out[1],
-                Box::new(|ctx| {
-                    c.lookup(ctx, ROOT_ID, "target").unwrap();
-                }),
-            );
-            measure(
-                &out[2],
-                Box::new(|ctx| {
-                    c.read(ctx, f.id, 0, 512).unwrap();
-                }),
-            );
-            measure(
-                &out[3],
-                Box::new(|ctx| {
-                    c.write(ctx, f.id, 0, &data).unwrap();
-                }),
-            );
+            mean_ns(
+                ctx,
+                [
+                    &|| _ = c.getattr_uncached(ctx, f.id).unwrap(),
+                    &|| _ = c.lookup(ctx, ROOT_ID, "target").unwrap(),
+                    &|| _ = c.read(ctx, f.id, 0, 512).unwrap(),
+                    &|| _ = c.write(ctx, f.id, 0, &data).unwrap(),
+                ],
+            )
         },
-    );
-    [
-        cells[0].get(),
-        cells[1].get(),
-        cells[2].get(),
-        cells[3].get(),
-    ]
+    )
+    .0
 }
 
 /// Run R-T3.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-T3: small file-op latency (us)",
-        &["operation", "DAFS", "NFS", "NFS/DAFS"],
+        &[("operation", 0), ("DAFS", 1), ("NFS", 1), ("NFS/DAFS", 1)],
     );
     let d = dafs_ops_ns();
     let n = nfs_ops_ns();
@@ -138,11 +88,11 @@ pub fn run() -> Table {
         .iter()
         .enumerate()
     {
-        t.row(vec![
-            name.to_string(),
-            format!("{:.1}", d[i] as f64 / 1e3),
-            format!("{:.1}", n[i] as f64 / 1e3),
-            format!("{:.1}x", n[i] as f64 / d[i] as f64),
+        t.row([
+            Cell::text(*name),
+            Cell::us(d[i]),
+            Cell::us(n[i]),
+            Cell::times(n[i], d[i]),
         ]);
     }
     t.note("expect DAFS ~25-50us per op, NFS ~150-300us; 3-6x gap");

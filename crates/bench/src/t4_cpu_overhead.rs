@@ -11,7 +11,7 @@ use nfsv3::{NfsClientConfig, NfsServerCost};
 use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::{layer_breakdown, Table};
+use crate::report::{layer_breakdown, Cell, Table, Unit};
 use crate::testbeds::{with_dafs_client, with_nfs_client, RunObs};
 
 const LEN: u64 = 64 << 20;
@@ -22,10 +22,11 @@ const RATIO_FLOOR: f64 = 50.0;
 /// (client cpu ns, client kernel ns, run observability) for a 64 MiB
 /// sequential read + write on DAFS.
 fn dafs_overhead() -> (u64, u64, RunObs) {
-    let (_, _, client_host, run) = with_dafs_client(
+    let ((), client_host, run) = with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; LEN as usize]).unwrap();
@@ -41,10 +42,11 @@ fn dafs_overhead() -> (u64, u64, RunObs) {
 }
 
 fn nfs_overhead() -> (u64, u64, RunObs) {
-    let (_, _, client_host, fabric, run) = with_nfs_client(
+    let ((), client_host, fabric, run) = with_nfs_client(
         TcpCost::default(),
         NfsServerCost::default(),
         NfsClientConfig::default(),
+        None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; LEN as usize]).unwrap();
@@ -67,22 +69,21 @@ pub fn run() -> Table {
     let mut t = Table::new(
         "R-T4: client CPU overhead for 64 MiB read + 64 MiB write",
         &[
-            "stack",
-            "user CPU (ms)",
-            "kernel CPU (ms)",
-            "CPU ms / MiB moved",
+            ("stack", 0),
+            ("user CPU (ms)", 2),
+            ("kernel CPU (ms)", 2),
+            ("CPU ms / MiB moved", 3),
         ],
     );
     let (d_cpu, d_k, d_run) = dafs_overhead();
     let (n_cpu, n_k, n_run) = nfs_overhead();
-    let mib_moved = 2.0 * (LEN >> 20) as f64;
+    let mib_moved = 2 * (LEN >> 20);
     for (name, cpu, kernel) in [("dafs", d_cpu, d_k), ("nfs", n_cpu, n_k)] {
-        let total_ms = (cpu + kernel) as f64 / 1e6;
-        t.row(vec![
-            name.to_string(),
-            format!("{:.2}", cpu as f64 / 1e6),
-            format!("{:.2}", kernel as f64 / 1e6),
-            format!("{:.3}", total_ms / mib_moved),
+        t.row([
+            Cell::text(name),
+            Cell::ms(cpu),
+            Cell::ms(kernel),
+            Cell::Ratio(cpu + kernel, mib_moved, Unit::Ms),
         ]);
     }
     let ratio = (n_cpu + n_k) as f64 / (d_cpu + d_k).max(1) as f64;

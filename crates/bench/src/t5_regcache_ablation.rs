@@ -9,13 +9,13 @@ use dafs::{DafsClientConfig, DafsServerCost};
 use mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 use via::ViaCost;
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_client, Cell};
+use crate::report::{Cell, Table};
+use crate::testbeds::{with_dafs_client, Probe};
 
 const REQ: u64 = 1 << 20;
 const COUNT: u64 = 64;
 
-fn run_case(use_regcache: bool) -> (f64, u64) {
+fn run_case(use_regcache: bool) -> (Cell, u64) {
     let backend = Backend::Dafs {
         via: ViaCost::default(),
         server: Default::default(),
@@ -29,8 +29,8 @@ fn run_case(use_regcache: bool) -> (f64, u64) {
     // Pre-create the file content.
     let f = tb.fs.create(memfs::ROOT_ID, "big").unwrap();
     tb.fs.write(f.id, 0, &vec![1u8; REQ as usize]).unwrap();
-    let dur = Cell::new();
-    let cpu = Cell::new();
+    let dur = Probe::new();
+    let cpu = Probe::new();
     let (d, c) = (dur.clone(), cpu.clone());
     tb.run(1, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -44,7 +44,7 @@ fn run_case(use_regcache: bool) -> (f64, u64) {
         d.set(ctx.now().since(t0).as_nanos());
         c.set(comm.host().cpu.busy().as_nanos());
     });
-    (mb_per_s(REQ * COUNT, dur.get()), cpu.get())
+    (Cell::mbps(REQ * COUNT, dur.get()), cpu.get())
 }
 
 /// Silent invariant pass backing the table: the same direct-read workload
@@ -52,15 +52,14 @@ fn run_case(use_regcache: bool) -> (f64, u64) {
 /// balances. Any violation panics, aborting the run; nothing is printed,
 /// so the table output is unchanged.
 fn verify_regcache_invariants(use_regcache: bool) {
-    let stats = [Cell::new(), Cell::new(), Cell::new()];
-    let st = stats.clone();
-    let (_, _, _, obs) = with_dafs_client(
+    let (stats, _, obs) = with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig {
             use_regcache,
             ..Default::default()
         },
+        None,
         |fs| {
             let f = fs.create(memfs::ROOT_ID, "big").unwrap();
             fs.write(f.id, 0, &vec![1u8; REQ as usize]).unwrap();
@@ -89,45 +88,39 @@ fn verify_regcache_invariants(use_regcache: bool) {
             // Flush must return the pinned accounting to exactly zero.
             c.regcache_flush(ctx);
             assert_eq!(c.regcache_pinned(), 0, "pinned must be zero after flush");
-            st[0].set(hits);
-            st[1].set(misses);
-            st[2].set(evictions);
+            [hits, misses, evictions]
         },
     );
     // The session's counters are its series of the run-wide metrics: with
     // one session, each rolled-up total is its count.
     let snap = obs.snapshot();
     let counter = |n: &str| snap.expect(n).value();
-    assert_eq!(counter("dafs.regcache.hits"), stats[0].get());
-    assert_eq!(counter("dafs.regcache.misses"), stats[1].get());
-    assert_eq!(counter("dafs.regcache.evictions"), stats[2].get());
+    assert_eq!(counter("dafs.regcache.hits"), stats[0]);
+    assert_eq!(counter("dafs.regcache.misses"), stats[1]);
+    assert_eq!(counter("dafs.regcache.evictions"), stats[2]);
 }
 
 /// Run R-T5.
 pub fn run() -> Table {
     let mut t = Table::new(
         "R-T5: registration-cache ablation (64 x 1 MiB direct reads)",
-        &["regcache", "throughput MB/s", "client CPU (ms)"],
+        &[
+            ("regcache", 0),
+            ("throughput MB/s", 1),
+            ("client CPU (ms)", 2),
+        ],
     );
     verify_regcache_invariants(true);
     verify_regcache_invariants(false);
     let (on_bw, on_cpu) = run_case(true);
     let (off_bw, off_cpu) = run_case(false);
-    t.row(vec![
-        "on".into(),
-        format!("{on_bw:.1}"),
-        format!("{:.2}", on_cpu as f64 / 1e6),
-    ]);
-    t.row(vec![
-        "off".into(),
-        format!("{off_bw:.1}"),
-        format!("{:.2}", off_cpu as f64 / 1e6),
-    ]);
     t.note(&format!(
         "cache saves {:.1}% client CPU and {:.1}% throughput on this workload",
         100.0 * (1.0 - on_cpu as f64 / off_cpu as f64),
-        100.0 * (on_bw / off_bw - 1.0)
+        100.0 * (on_bw.value() / off_bw.value() - 1.0)
     ));
+    t.row([Cell::text("on"), on_bw, Cell::ms(on_cpu)]);
+    t.row([Cell::text("off"), off_bw, Cell::ms(off_cpu)]);
     t
 }
 

@@ -12,16 +12,16 @@
 
 use mpiio::{write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
-use crate::report::{human_size, mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{Cell, Table};
+use crate::testbeds::Probe;
 
 const RANKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
 const ROUNDS: u64 = 64;
 
-fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> f64 {
+fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> Cell {
     let tb = Testbed::new(backend);
-    let dur = Cell::new();
+    let dur = Probe::new();
     let d = dur.clone();
     tb.run(RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -47,7 +47,7 @@ fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> f64 {
         comm.barrier(ctx);
         d.max(ctx.now().since(t0).as_nanos());
     });
-    mb_per_s(RANKS as u64 * ROUNDS * BLOCK, dur.get())
+    Cell::mbps(RANKS as u64 * ROUNDS * BLOCK, dur.get())
 }
 
 /// Run R-T6.
@@ -55,11 +55,11 @@ pub fn run() -> Table {
     let mut t = Table::new(
         "R-T6: cb_buffer_size sweep (8 ranks, 4 KiB interleave, MB/s)",
         &[
-            "cb_buffer_size",
-            "synchronous",
-            "pipelined",
-            "striped(2) sync",
-            "striped(2) pipelined",
+            ("cb_buffer_size", 0),
+            ("synchronous", 1),
+            ("pipelined", 1),
+            ("striped(2) sync", 1),
+            ("striped(2) pipelined", 1),
         ],
     );
     for cb in [64u64 << 10, 256 << 10, 1 << 20, 4 << 20] {
@@ -71,13 +71,11 @@ pub fn run() -> Table {
         ];
         if cb == 64 << 10 {
             assert!(
-                cells[3] >= 1.5 * cells[1],
+                cells[3].value() >= 1.5 * cells[1].value(),
                 "two servers must carry a 64K-window pipelined sweep at >= 1.5x one: {cells:?}"
             );
         }
-        let mut row = vec![human_size(cb)];
-        row.extend(cells.iter().map(|mbps| format!("{mbps:.1}")));
-        t.row(row);
+        t.row([Cell::Size(cb)].into_iter().chain(cells));
     }
     t.note("expect improvement with buffer size, flattening once one phase covers a file domain");
     t.note("pipelining helps most mid-sweep: many phases to overlap but windows still sizable");

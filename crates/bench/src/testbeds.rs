@@ -2,11 +2,11 @@
 //! simple measurement helpers used by several experiments.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
-use dafs::{DafsClient, DafsClientConfig, DafsServerCost, DafsServerHandle};
+use dafs::{DafsClient, DafsClientConfig, DafsServerCost};
 use memfs::MemFs;
-use nfsv3::{NfsClient, NfsClientConfig, NfsServerCost, NfsServerHandle};
+use nfsv3::{NfsClient, NfsClientConfig, NfsServerCost};
 use simnet::obs::{Obs, Snapshot};
 use simnet::topo::Topology;
 use simnet::{ActorCtx, Cluster, FaultPlan, Host, HostId, SimKernel, SimTime};
@@ -39,14 +39,14 @@ impl RunObs {
     }
 }
 
-/// A shared cell for extracting one u64 measurement from an actor.
+/// A shared slot for extracting one u64 measurement from an actor.
 #[derive(Clone, Default)]
-pub struct Cell(Arc<AtomicU64>);
+pub struct Probe(Arc<AtomicU64>);
 
-impl Cell {
-    /// Fresh cell.
-    pub fn new() -> Cell {
-        Cell::default()
+impl Probe {
+    /// Fresh probe.
+    pub fn new() -> Probe {
+        Probe::default()
     }
 
     /// Store a value.
@@ -65,34 +65,28 @@ impl Cell {
     }
 }
 
-/// Run one client actor against a fresh DAFS server; returns after the
-/// simulation completes.
-pub fn with_dafs_client<F>(
-    via_cost: ViaCost,
-    server_cost: DafsServerCost,
-    client_cfg: DafsClientConfig,
-    prefill: impl FnOnce(&MemFs),
-    body: F,
-) -> (MemFs, DafsServerHandle, Host, RunObs)
-where
-    F: FnOnce(&ActorCtx, &DafsClient, &ViaNic) + Send + 'static,
-{
-    with_dafs_client_faults(via_cost, server_cost, client_cfg, None, prefill, body)
+/// Virtual nanoseconds `f` takes on `ctx`'s clock.
+pub fn timed(ctx: &ActorCtx, f: impl FnOnce()) -> u64 {
+    let t0 = ctx.now();
+    f();
+    ctx.now().since(t0).as_nanos()
 }
 
-/// [`with_dafs_client`] with an optional seeded [`FaultPlan`] installed on
-/// the VIA fabric before the server spawns, so every message (including the
-/// session handshake) is judged against it.
-pub fn with_dafs_client_faults<F>(
+/// Run one client actor against a fresh DAFS server and return what `body`
+/// returned once the simulation completes. A seeded [`FaultPlan`], if any,
+/// is installed on the VIA fabric before the server spawns, so every
+/// message (including the session handshake) is judged against it.
+pub fn with_dafs_client<T, F>(
     via_cost: ViaCost,
     server_cost: DafsServerCost,
     client_cfg: DafsClientConfig,
     plan: Option<FaultPlan>,
     prefill: impl FnOnce(&MemFs),
     body: F,
-) -> (MemFs, DafsServerHandle, Host, RunObs)
+) -> (T, Host, RunObs)
 where
-    F: FnOnce(&ActorCtx, &DafsClient, &ViaNic) + Send + 'static,
+    T: Send + 'static,
+    F: FnOnce(&ActorCtx, &DafsClient, &ViaNic) -> T + Send + 'static,
 {
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
@@ -103,20 +97,22 @@ where
     let server_nic = fabric.open_nic(cluster.add_host("server0"));
     let fs = MemFs::new();
     prefill(&fs);
-    let server =
-        dafs::spawn_dafs_server(&kernel, &fabric, server_nic, fs.clone(), PORT, server_cost);
+    let server = dafs::spawn_dafs_server(&kernel, &fabric, server_nic, fs, PORT, server_cost);
     let client_host = cluster.add_host("client0");
     let ch = client_host.clone();
     let sid = server.host.id;
+    let (tx, rx) = mpsc::channel();
     kernel.spawn("client", move |ctx| {
         let nic = fabric.open_nic(ch.clone());
         let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, client_cfg).unwrap();
-        body(ctx, &c, &nic);
+        let out = body(ctx, &c, &nic);
         c.disconnect(ctx);
+        tx.send(out).expect("the receiver outlives the run");
     });
     let obs = kernel.obs().clone();
     let end = kernel.run();
-    (fs, server, client_host, RunObs { obs, end })
+    let out = rx.try_recv().expect("the client actor returned");
+    (out, client_host, RunObs { obs, end })
 }
 
 /// Which servers each client actor of [`with_dafs_cluster`] dials.
@@ -203,33 +199,21 @@ where
     (fss, topology, RunObs { obs, end })
 }
 
-/// Run one client actor against a fresh NFS server.
-pub fn with_nfs_client<F>(
-    tcp_cost: TcpCost,
-    server_cost: NfsServerCost,
-    client_cfg: NfsClientConfig,
-    prefill: impl FnOnce(&MemFs),
-    body: F,
-) -> (MemFs, NfsServerHandle, Host, TcpFabric, RunObs)
-where
-    F: FnOnce(&ActorCtx, &NfsClient) + Send + 'static,
-{
-    with_nfs_client_faults(tcp_cost, server_cost, client_cfg, None, prefill, body)
-}
-
-/// [`with_nfs_client`] with an optional seeded [`FaultPlan`] installed on
-/// the TCP fabric before the server spawns. A present plan also arms the
+/// Run one client actor against a fresh NFS server and return what `body`
+/// returned once the simulation completes. A seeded [`FaultPlan`], if any,
+/// is installed on the TCP fabric before the server spawns, and arms the
 /// client's RPC retransmission machinery at mount time.
-pub fn with_nfs_client_faults<F>(
+pub fn with_nfs_client<T, F>(
     tcp_cost: TcpCost,
     server_cost: NfsServerCost,
     client_cfg: NfsClientConfig,
     plan: Option<FaultPlan>,
     prefill: impl FnOnce(&MemFs),
     body: F,
-) -> (MemFs, NfsServerHandle, Host, TcpFabric, RunObs)
+) -> (T, Host, TcpFabric, RunObs)
 where
-    F: FnOnce(&ActorCtx, &NfsClient) + Send + 'static,
+    T: Send + 'static,
+    F: FnOnce(&ActorCtx, &NfsClient) -> T + Send + 'static,
 {
     let kernel = SimKernel::new();
     let cluster = Cluster::new();
@@ -240,18 +224,20 @@ where
     let server_host = cluster.add_host("server0");
     let fs = MemFs::new();
     prefill(&fs);
-    let server =
-        nfsv3::spawn_nfs_server(&kernel, &fabric, server_host, fs.clone(), PORT, server_cost);
+    let server = nfsv3::spawn_nfs_server(&kernel, &fabric, server_host, fs, PORT, server_cost);
     let client_host = cluster.add_host("client0");
     let ch = client_host.clone();
     let sid = server.host.id;
     let f2 = fabric.clone();
+    let (tx, rx) = mpsc::channel();
     kernel.spawn("client", move |ctx| {
         let c = NfsClient::mount(ctx, &f2, &ch, sid, PORT, client_cfg).unwrap();
-        body(ctx, &c);
+        let out = body(ctx, &c);
         c.unmount(ctx);
+        tx.send(out).expect("the receiver outlives the run");
     });
     let obs = kernel.obs().clone();
     let end = kernel.run();
-    (fs, server, client_host, fabric, RunObs { obs, end })
+    let out = rx.try_recv().expect("the client actor returned");
+    (out, client_host, fabric, RunObs { obs, end })
 }

@@ -13,18 +13,18 @@
 
 use mpiio::{read_at_all, write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::Cell;
+use crate::report::{Cell, Table};
+use crate::testbeds::Probe;
 
 const N: u64 = 64; // N^3 cells of 8 bytes = 2 MiB
 const CELL: u64 = 8;
 const RANKS: usize = 4;
 
 /// (slab-write MB/s, cross-read MB/s).
-fn run_backend(backend: Backend) -> (f64, f64) {
+fn run_backend(backend: Backend) -> (Cell, Cell) {
     let tb = Testbed::new(backend);
-    let wns = Cell::new();
-    let rns = Cell::new();
+    let wns = Probe::new();
+    let rns = Probe::new();
     let (w, r) = (wns.clone(), rns.clone());
     tb.run(RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
@@ -81,19 +81,19 @@ fn run_backend(backend: Backend) -> (f64, f64) {
         }
     });
     let total = N * N * N * CELL;
-    (mb_per_s(total, wns.get()), mb_per_s(total, rns.get()))
+    (Cell::mbps(total, wns.get()), Cell::mbps(total, rns.get()))
 }
 
 /// Run X-1.
 pub fn run() -> Table {
     let mut t = Table::new(
         "X-1 (extension): BT-IO 3-D subarray collective I/O (MB/s)",
-        &["backend", "slab write", "cross read"],
+        &[("backend", 0), ("slab write", 1), ("cross read", 1)],
     );
     for backend in [Backend::dafs(), Backend::nfs()] {
-        let name = backend.kind();
+        let name = backend.kind().as_str();
         let (w, r) = run_backend(backend);
-        t.row(vec![name.to_string(), format!("{w:.1}"), format!("{r:.1}")]);
+        t.row([Cell::text(name), w, r]);
     }
     t.note("cross-read is strided on disk; collective buffering keeps it near the slab rate");
     t

@@ -17,8 +17,8 @@ use simnet::{Rng64, SampleSet};
 use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::Table;
-use crate::testbeds::{with_dafs_client, with_nfs_client};
+use crate::report::{Cell, Table, Unit};
+use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
 const FILES: usize = 8;
 const OPS: usize = 400;
@@ -48,102 +48,87 @@ fn script() -> Vec<Op> {
         .collect()
 }
 
-fn prefill(fs: &MemFs) -> Vec<NodeId> {
-    (0..FILES)
-        .map(|i| {
-            let f = fs.create(ROOT_ID, &format!("f{i}")).unwrap();
-            fs.write(f.id, 0, &vec![i as u8; (16 * IO) as usize])
-                .unwrap();
-            f.id
-        })
-        .collect()
+fn prefill(fs: &MemFs) {
+    for i in 0..FILES {
+        let f = fs.create(ROOT_ID, &format!("f{i}")).unwrap();
+        fs.write(f.id, 0, &vec![i as u8; (16 * IO) as usize])
+            .unwrap();
+    }
 }
 
 fn dafs_hist() -> SampleSet {
-    let hist = SampleSet::new();
-    let h = hist.clone();
     with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
-        |fs| {
-            prefill(fs);
-        },
+        None,
+        prefill,
         move |ctx, c, nic| {
             let files: Vec<NodeId> = (0..FILES)
                 .map(|i| c.lookup(ctx, ROOT_ID, &format!("f{i}")).unwrap().id)
                 .collect();
             let buf = nic.host().mem.alloc(IO as usize);
+            let hist = SampleSet::new();
             for op in script() {
-                let t0 = ctx.now();
-                match op {
-                    Op::Read { file, off } => {
-                        c.read(ctx, files[file], off, buf, IO).unwrap();
-                    }
-                    Op::Write { file, off } => {
-                        c.write(ctx, files[file], off, buf, IO).unwrap();
-                    }
-                    Op::GetAttr { file } => {
-                        c.getattr(ctx, files[file]).unwrap();
-                    }
-                }
-                h.record(ctx.now().since(t0).as_nanos());
+                hist.record(timed(ctx, || match op {
+                    Op::Read { file, off } => _ = c.read(ctx, files[file], off, buf, IO).unwrap(),
+                    Op::Write { file, off } => _ = c.write(ctx, files[file], off, buf, IO).unwrap(),
+                    Op::GetAttr { file } => _ = c.getattr(ctx, files[file]).unwrap(),
+                }));
             }
+            hist
         },
-    );
-    hist
+    )
+    .0
 }
 
 fn nfs_hist() -> SampleSet {
-    let hist = SampleSet::new();
-    let h = hist.clone();
     with_nfs_client(
         TcpCost::default(),
         NfsServerCost::default(),
         NfsClientConfig::default(),
-        |fs| {
-            prefill(fs);
-        },
+        None,
+        prefill,
         move |ctx, c| {
             let files: Vec<NodeId> = (0..FILES)
                 .map(|i| c.lookup(ctx, ROOT_ID, &format!("f{i}")).unwrap().id)
                 .collect();
             let data = vec![7u8; IO as usize];
+            let hist = SampleSet::new();
             for op in script() {
-                let t0 = ctx.now();
-                match op {
-                    Op::Read { file, off } => {
-                        c.read(ctx, files[file], off, IO).unwrap();
-                    }
-                    Op::Write { file, off } => {
-                        c.write(ctx, files[file], off, &data).unwrap();
-                    }
-                    Op::GetAttr { file } => {
-                        c.getattr_uncached(ctx, files[file]).unwrap();
-                    }
-                }
-                h.record(ctx.now().since(t0).as_nanos());
+                hist.record(timed(ctx, || match op {
+                    Op::Read { file, off } => _ = c.read(ctx, files[file], off, IO).unwrap(),
+                    Op::Write { file, off } => _ = c.write(ctx, files[file], off, &data).unwrap(),
+                    Op::GetAttr { file } => _ = c.getattr_uncached(ctx, files[file]).unwrap(),
+                }));
             }
+            hist
         },
-    );
-    hist
+    )
+    .0
 }
 
 /// Run X-2.
 pub fn run() -> Table {
     let mut t = Table::new(
         "X-2 (extension): mixed small-op workload latency (us)",
-        &["stack", "mean", "p50", "p99", "max"],
+        &[
+            ("stack", 0),
+            ("mean", 1),
+            ("p50", 0),
+            ("p99", 0),
+            ("max", 1),
+        ],
     );
     let d = dafs_hist();
     let n = nfs_hist();
     for (name, h) in [("dafs", &d), ("nfs", &n)] {
-        t.row(vec![
-            name.to_string(),
-            format!("{:.1}", h.mean() / 1e3),
-            format!("{:.0}", h.quantile(0.5) as f64 / 1e3),
-            format!("{:.0}", h.quantile(0.99) as f64 / 1e3),
-            format!("{:.1}", h.max() as f64 / 1e3),
+        t.row([
+            Cell::text(name),
+            Cell::Ratio(h.sum(), h.count(), Unit::Us),
+            Cell::us(h.quantile(0.5)),
+            Cell::us(h.quantile(0.99)),
+            Cell::us(h.max()),
         ]);
     }
     t.note(&format!(

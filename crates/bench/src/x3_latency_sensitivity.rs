@@ -15,14 +15,12 @@ use memfs::ROOT_ID;
 use simnet::time::units::*;
 use via::ViaCost;
 
-use crate::report::Table;
-use crate::testbeds::{with_dafs_client, Cell};
+use crate::report::{Cell, Table};
+use crate::testbeds::{timed, with_dafs_client};
 
 const ITERS: u64 = 20;
 
-fn dafs_getattr_us(wire_latency_us: u64) -> f64 {
-    let lat = Cell::new();
-    let l = lat.clone();
+fn dafs_getattr_ns(wire_latency_us: u64) -> u64 {
     with_dafs_client(
         ViaCost {
             wire_latency: us(wire_latency_us),
@@ -30,34 +28,40 @@ fn dafs_getattr_us(wire_latency_us: u64) -> f64 {
         },
         DafsServerCost::default(),
         DafsClientConfig::default(),
+        None,
         |fs| {
             fs.create(ROOT_ID, "f").unwrap();
         },
         move |ctx, c, _| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
-            let t0 = ctx.now();
-            for _ in 0..ITERS {
-                c.getattr(ctx, f.id).unwrap();
-            }
-            l.set(ctx.now().since(t0).as_nanos() / ITERS);
+            timed(ctx, || {
+                for _ in 0..ITERS {
+                    c.getattr(ctx, f.id).unwrap();
+                }
+            }) / ITERS
         },
-    );
-    lat.get() as f64 / 1e3
+    )
+    .0
 }
 
 /// Run X-3.
 pub fn run() -> Table {
     let mut t = Table::new(
         "X-3 (extension): DAFS getattr vs VIA wire latency (us)",
-        &["wire latency", "DAFS getattr", "vs NFS (180.9us)"],
+        &[
+            ("wire latency", 0),
+            ("DAFS getattr", 1),
+            ("vs NFS (180.9us)", 1),
+        ],
     );
-    const NFS_BASELINE_US: f64 = 180.9; // from R-T3 (fixed TCP fabric)
+    const NFS_BASELINE_NS: u64 = 180_900; // from R-T3 (fixed TCP fabric)
     for wire in [5u64, 10, 20, 50, 100] {
-        let d = dafs_getattr_us(wire);
-        t.row(vec![
-            format!("{wire}us"),
-            format!("{d:.1}"),
-            format!("{:.1}x", NFS_BASELINE_US / d),
+        let d = dafs_getattr_ns(wire);
+        let label = format!("{wire}us");
+        t.row([
+            Cell::text(label),
+            Cell::us(d),
+            Cell::times(NFS_BASELINE_NS, d),
         ]);
     }
     t.note("the DAFS advantage is mostly the fabric: it decays from ~6x to ~1x as latency grows");

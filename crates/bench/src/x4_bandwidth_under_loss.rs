@@ -20,8 +20,8 @@ use simnet::FaultPlan;
 use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_client_faults, with_nfs_client_faults, Cell};
+use crate::report::{Cell, Table, Unit};
+use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
 const FILE: u64 = 1 << 20;
 const REQ: u64 = 32 << 10;
@@ -30,11 +30,16 @@ const REQ: u64 = 32 << 10;
 /// seed reproduces the same fault timeline — and the same table — exactly.
 pub const DEFAULT_SEED: u64 = 0xDAF5_0001;
 
-/// The loss probabilities swept (0 = fault-free baseline).
-pub const LOSS_SWEEP: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
+/// The loss probabilities swept, in parts per thousand (0 = fault-free
+/// baseline).
+pub const LOSS_SWEEP: [u64; 4] = [0, 1, 10, 50];
 
-fn plan(seed: u64, loss: f64) -> Option<FaultPlan> {
-    (loss > 0.0).then(|| FaultPlan::builder(seed).loss(loss).build())
+fn plan(seed: u64, per_mille: u64) -> Option<FaultPlan> {
+    (per_mille > 0).then(|| {
+        FaultPlan::builder(seed)
+            .loss(per_mille as f64 / 1000.0)
+            .build()
+    })
 }
 
 fn pattern(len: usize) -> Vec<u8> {
@@ -42,11 +47,8 @@ fn pattern(len: usize) -> Vec<u8> {
 }
 
 /// (MB/s write, MB/s read, reconnects, direct fallbacks)
-fn dafs_case(seed: u64, loss: f64) -> (f64, f64, u64, u64) {
-    let wtime = Cell::new();
-    let rtime = Cell::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
-    let (_, _, _, obs) = with_dafs_client_faults(
+fn dafs_case(seed: u64, loss: u64) -> (Cell, Cell, u64, u64) {
+    let ((w, r), _, obs) = with_dafs_client(
         ViaCost::default(),
         DafsServerCost::default(),
         DafsClientConfig::default(),
@@ -60,44 +62,38 @@ fn dafs_case(seed: u64, loss: f64) -> (f64, f64, u64, u64) {
             let wbuf = nic.host().mem.alloc(REQ as usize);
             let rbuf = nic.host().mem.alloc(REQ as usize);
             nic.host().mem.write(wbuf, &data);
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.write(ctx, f.id, off, wbuf, REQ).unwrap();
-                off += REQ;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                let n = c.read(ctx, f.id, off, rbuf, REQ).unwrap();
-                assert_eq!(n, REQ, "short read at {off}");
-                assert_eq!(
-                    nic.host().mem.read_vec(rbuf, REQ as usize),
-                    data,
-                    "corrupt read-back at {off} under loss"
-                );
-                off += REQ;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
+            let w = timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    c.write(ctx, f.id, off, wbuf, REQ).unwrap();
+                }
+            });
+            let r = timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    let n = c.read(ctx, f.id, off, rbuf, REQ).unwrap();
+                    assert_eq!(n, REQ, "short read at {off}");
+                    assert_eq!(
+                        nic.host().mem.read_vec(rbuf, REQ as usize),
+                        data,
+                        "corrupt read-back at {off} under loss"
+                    );
+                }
+            });
+            (w, r)
         },
     );
     let snap = obs.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     (
-        mb_per_s(FILE, wtime.get()),
-        mb_per_s(FILE, rtime.get()),
+        Cell::mbps(FILE, w),
+        Cell::mbps(FILE, r),
         counter("dafs.reconnects"),
         counter("dafs.direct_fallbacks"),
     )
 }
 
 /// (MB/s write, MB/s read, retransmissions)
-fn nfs_case(seed: u64, loss: f64) -> (f64, f64, u64) {
-    let wtime = Cell::new();
-    let rtime = Cell::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
-    let (_, _, _, _, obs) = with_nfs_client_faults(
+fn nfs_case(seed: u64, loss: u64) -> (Cell, Cell, u64) {
+    let ((w, r), _, _, obs) = with_nfs_client(
         TcpCost::default(),
         NfsServerCost::default(),
         NfsClientConfig::default(),
@@ -108,30 +104,23 @@ fn nfs_case(seed: u64, loss: f64) -> (f64, f64, u64) {
         move |ctx, c| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let data = pattern(REQ as usize);
-            let t0 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                c.write(ctx, f.id, off, &data).unwrap();
-                off += REQ;
-            }
-            wt.set(ctx.now().since(t0).as_nanos());
-            let t1 = ctx.now();
-            let mut off = 0;
-            while off < FILE {
-                let got = c.read(ctx, f.id, off, REQ).unwrap();
-                assert_eq!(got, data, "corrupt read-back at {off} under loss");
-                off += REQ;
-            }
-            rt.set(ctx.now().since(t1).as_nanos());
+            let w = timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    c.write(ctx, f.id, off, &data).unwrap();
+                }
+            });
+            let r = timed(ctx, || {
+                for off in (0..FILE).step_by(REQ as usize) {
+                    let got = c.read(ctx, f.id, off, REQ).unwrap();
+                    assert_eq!(got, data, "corrupt read-back at {off} under loss");
+                }
+            });
+            (w, r)
         },
     );
     let snap = obs.snapshot();
     let retrans = snap.expect("nfs.retrans").value();
-    (
-        mb_per_s(FILE, wtime.get()),
-        mb_per_s(FILE, rtime.get()),
-        retrans,
-    )
+    (Cell::mbps(FILE, w), Cell::mbps(FILE, r), retrans)
 }
 
 /// Run R-X4 with an explicit fault seed.
@@ -139,28 +128,28 @@ pub fn run_with_seed(seed: u64) -> Table {
     let mut t = Table::new(
         &format!("R-X4: file bandwidth under message loss (MB/s; seed {seed:#x})"),
         &[
-            "loss",
-            "DAFS rd",
-            "DAFS wr",
-            "reconnects",
-            "fallbacks",
-            "NFS rd",
-            "NFS wr",
-            "retrans",
+            ("loss", 1),
+            ("DAFS rd", 1),
+            ("DAFS wr", 1),
+            ("reconnects", 0),
+            ("fallbacks", 0),
+            ("NFS rd", 1),
+            ("NFS wr", 1),
+            ("retrans", 0),
         ],
     );
     for loss in LOSS_SWEEP {
         let (dw, dr, reconn, fall) = dafs_case(seed, loss);
         let (nw, nr, retrans) = nfs_case(seed, loss);
-        t.row(vec![
-            format!("{:.1}%", loss * 100.0),
-            format!("{dr:.1}"),
-            format!("{dw:.1}"),
-            reconn.to_string(),
-            fall.to_string(),
-            format!("{nr:.1}"),
-            format!("{nw:.1}"),
-            retrans.to_string(),
+        t.row([
+            Cell::Ratio(loss, 1000, Unit::Pct),
+            dr,
+            dw,
+            Cell::Int(reconn),
+            Cell::Int(fall),
+            nr,
+            nw,
+            Cell::Int(retrans),
         ]);
     }
     t.note("every cell verified byte-identical read-back despite the injected faults");

@@ -38,8 +38,8 @@ use simnet::units::*;
 use simnet::{Bandwidth, FaultPlan};
 use via::ViaCost;
 
-use crate::report::{mb_per_s, Table};
-use crate::testbeds::{with_dafs_cluster, Cell, Dial};
+use crate::report::{Cell, Table, Unit};
+use crate::testbeds::{timed, with_dafs_cluster, Dial, Probe};
 
 /// Shared region each client re-reads.
 const REGION: u64 = 128 << 10;
@@ -71,15 +71,15 @@ fn pattern() -> Vec<u8> {
 }
 
 struct CaseOut {
-    reread_mb_s: f64,
-    kops_s: f64,
+    reread_mb_s: Cell,
+    kops_s: Cell,
     hits: u64,
     attr_hits: u64,
     reconnects: u64,
 }
 
 fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> CaseOut {
-    let elapsed = Cell::new();
+    let elapsed = Probe::new();
     let el = elapsed.clone();
     let (_, _, obs) = with_dafs_cluster(
         1,
@@ -103,31 +103,27 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
             let dst = nic.host().mem.alloc(REQ as usize);
             let expect = pattern();
             // Warm pass (uncounted): seeds the cache in cached mode.
-            let mut off = 0;
-            while off < REGION {
+            for off in (0..REGION).step_by(REQ as usize) {
                 let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
                 assert_eq!(n, REQ, "short warm read at {off}");
-                off += REQ;
             }
-            let t0 = ctx.now();
-            for _ in 0..rounds {
-                let mut off = 0;
-                while off < REGION {
-                    let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
-                    assert_eq!(n, REQ, "short re-read at {off}");
-                    assert_eq!(
-                        nic.host().mem.read_vec(dst, REQ as usize),
-                        &expect[off as usize..(off + REQ) as usize],
-                        "corrupt re-read at {off}"
-                    );
-                    off += REQ;
+            el.max(timed(ctx, || {
+                for _ in 0..rounds {
+                    for off in (0..REGION).step_by(REQ as usize) {
+                        let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
+                        assert_eq!(n, REQ, "short re-read at {off}");
+                        assert_eq!(
+                            nic.host().mem.read_vec(dst, REQ as usize),
+                            &expect[off as usize..(off + REQ) as usize],
+                            "corrupt re-read at {off}"
+                        );
+                    }
+                    for _ in 0..GETATTRS_PER_ROUND {
+                        let a = c.getattr(ctx, f.id).unwrap();
+                        assert_eq!(a.size, REGION);
+                    }
                 }
-                for _ in 0..GETATTRS_PER_ROUND {
-                    let a = c.getattr(ctx, f.id).unwrap();
-                    assert_eq!(a.size, REGION);
-                }
-            }
-            el.max(ctx.now().since(t0).as_nanos());
+            }));
         },
     );
     let snap = obs.snapshot();
@@ -135,12 +131,8 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
     let ns = elapsed.get();
     let ops = clients as u64 * rounds * (REGION / REQ + GETATTRS_PER_ROUND);
     CaseOut {
-        reread_mb_s: mb_per_s(clients as u64 * rounds * REGION, ns),
-        kops_s: if ns == 0 {
-            f64::INFINITY
-        } else {
-            ops as f64 / (ns as f64 / 1e9) / 1e3
-        },
+        reread_mb_s: Cell::mbps(clients as u64 * rounds * REGION, ns),
+        kops_s: Cell::Ratio(ops, ns, Unit::Kops),
         hits: counter("dafs.cache.hits"),
         attr_hits: counter("dafs.cache.attr_hits"),
         reconnects: counter("dafs.reconnects"),
@@ -213,18 +205,31 @@ fn writeback_case() -> WbOut {
 /// one session per server and re-reading a 4-way striped file through the
 /// lease cache.
 struct ScaleOut {
-    cold_mb_s: f64,
-    warm_mb_s: f64,
+    cold_ns: u64,
+    warm_ns: u64,
+    rounds: u64,
     hits: u64,
     reconnects: u64,
+}
+
+impl ScaleOut {
+    /// The cold pass's per-client bandwidth.
+    fn cold(&self) -> Cell {
+        Cell::mbps(REGION, self.cold_ns)
+    }
+
+    /// The warm passes' per-client bandwidth.
+    fn warm(&self) -> Cell {
+        Cell::mbps(self.rounds * REGION, self.warm_ns)
+    }
 }
 
 fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
     let via = ViaCost::default();
     let wire = via.wire_bw;
     let latency = via.wire_latency;
-    let cold = Cell::new();
-    let warm = Cell::new();
+    let cold = Probe::new();
+    let warm = Probe::new();
     let (cd, wm) = (cold.clone(), warm.clone());
     let expect = pattern();
     let (_, _topology, obs) = with_dafs_cluster(
@@ -259,10 +264,10 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
             for (s, fs) in fss.iter().enumerate() {
                 let f = fs.create(ROOT_ID, "hot").unwrap();
                 let mut piece = Vec::new();
-                let mut off = s as u64 * SCALE_STRIPE;
-                while off < REGION {
+                let stripes = (s as u64 * SCALE_STRIPE..REGION)
+                    .step_by(SCALE_SERVERS * SCALE_STRIPE as usize);
+                for off in stripes {
                     piece.extend_from_slice(&data[off as usize..(off + SCALE_STRIPE) as usize]);
-                    off += SCALE_SERVERS as u64 * SCALE_STRIPE;
                 }
                 fs.write(f.id, 0, &piece).unwrap();
             }
@@ -278,8 +283,7 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
             let f = DafsStripedFile::new(cs.to_vec(), fhs, SCALE_STRIPE);
             let dst = nic.host().mem.alloc(REQ as usize);
             let pass = |verify_tag: &str| {
-                let mut off = 0;
-                while off < REGION {
+                for off in (0..REGION).step_by(REQ as usize) {
                     let n = f.read(ctx, off, dst, REQ).unwrap();
                     assert_eq!(n, REQ, "short {verify_tag} striped read at {off}");
                     assert_eq!(
@@ -287,27 +291,21 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
                         &expect[off as usize..(off + REQ) as usize],
                         "corrupt {verify_tag} striped read at {off}"
                     );
-                    off += REQ;
                 }
             };
             // Cold pass: every page crosses the switch once, seeding one
             // read lease per server.
-            let t0 = ctx.now();
-            pass("cold");
-            cd.max(ctx.now().since(t0).as_nanos());
+            cd.max(timed(ctx, || pass("cold")));
             // Warm passes: pure client-memory hits, nothing on the wire.
-            let t1 = ctx.now();
-            for _ in 0..rounds {
-                pass("warm");
-            }
-            wm.max(ctx.now().since(t1).as_nanos());
+            wm.max(timed(ctx, || (0..rounds).for_each(|_| pass("warm"))));
         },
     );
     let snap = obs.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     ScaleOut {
-        cold_mb_s: mb_per_s(REGION, cold.get()),
-        warm_mb_s: mb_per_s(rounds * REGION, warm.get()),
+        cold_ns: cold.get(),
+        warm_ns: warm.get(),
+        rounds,
         hits: counter("dafs.cache.hits"),
         reconnects: counter("dafs.reconnects"),
     }
@@ -424,24 +422,24 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
              ({rounds} passes of 4K re-reads + GETATTR; seed {seed:#x})"
         ),
         &[
-            "clients",
-            "mode",
-            "re-read MB/s",
-            "small-op kops/s",
-            "hits",
-            "attr hits",
-            "reconnects",
+            ("clients", 0),
+            ("mode", 0),
+            ("re-read MB/s", 1),
+            ("small-op kops/s", 1),
+            ("hits", 0),
+            ("attr hits", 0),
+            ("reconnects", 0),
         ],
     );
     let mut row = |clients: usize, mode: &str, o: &CaseOut| {
-        t.row(vec![
-            clients.to_string(),
-            mode.into(),
-            format!("{:.1}", o.reread_mb_s),
-            format!("{:.1}", o.kops_s),
-            o.hits.to_string(),
-            o.attr_hits.to_string(),
-            o.reconnects.to_string(),
+        t.row([
+            Cell::Int(clients as u64),
+            Cell::text(mode),
+            o.reread_mb_s.clone(),
+            o.kops_s.clone(),
+            Cell::Int(o.hits),
+            Cell::Int(o.attr_hits),
+            Cell::Int(o.reconnects),
         ]);
     };
     let mut four = None;
@@ -451,7 +449,7 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
         row(clients, "uncached", &uncached);
         row(clients, "cached", &cached);
         if clients == 4 {
-            four = Some((uncached.reread_mb_s, cached.reread_mb_s));
+            four = Some((uncached.reread_mb_s.value(), cached.reread_mb_s.value()));
         }
     }
     // Cached clients send few messages (that's the point), so the loss
@@ -484,16 +482,18 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
     );
     let mut wbt = Table::new(
         "R-X5 write-back flush coalescing (strided dirty pages, one sync)",
-        &["pattern", "dirty pages", "flush wire reqs", "pages/req"],
+        &[
+            ("pattern", 0),
+            ("dirty pages", 0),
+            ("flush wire reqs", 0),
+            ("pages/req", 1),
+        ],
     );
-    wbt.row(vec![
-        "every other 4K page".into(),
-        wb.flush_pages.to_string(),
-        wb.flush_batches.to_string(),
-        format!(
-            "{:.1}",
-            wb.flush_pages as f64 / wb.flush_batches.max(1) as f64
-        ),
+    wbt.row([
+        Cell::text("every other 4K page"),
+        Cell::Int(wb.flush_pages),
+        Cell::Int(wb.flush_batches),
+        Cell::Ratio(wb.flush_pages, wb.flush_batches.max(1), Unit::Per),
     ]);
     wbt.note(
         "page-at-a-time flush would ship one wire request per dirty page; \
@@ -508,22 +508,22 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
              ({rounds} warm passes)"
         ),
         &[
-            "clients",
-            "cold/client MB/s",
-            "warm/client MB/s",
-            "warm/cold",
-            "hits",
-            "reconnects",
+            ("clients", 0),
+            ("cold/client MB/s", 1),
+            ("warm/client MB/s", 1),
+            ("warm/cold", 1),
+            ("hits", 0),
+            ("reconnects", 0),
         ],
     );
     let mut srow = |clients: usize, o: &ScaleOut| {
-        st.row(vec![
-            clients.to_string(),
-            format!("{:.1}", o.cold_mb_s),
-            format!("{:.1}", o.warm_mb_s),
-            format!("{:.1}", o.warm_mb_s / o.cold_mb_s.max(1e-9)),
-            o.hits.to_string(),
-            o.reconnects.to_string(),
+        st.row([
+            Cell::Int(clients as u64),
+            o.cold(),
+            o.warm(),
+            Cell::Ratio(o.rounds * o.cold_ns, o.warm_ns, Unit::Per),
+            Cell::Int(o.hits),
+            Cell::Int(o.reconnects),
         ]);
     };
     let base = scale_case(4, rounds);
@@ -534,12 +534,11 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
             out.reconnects, 0,
             "lossless scale-out must not break sessions"
         );
+        let (warm, base_warm) = (out.warm().value(), base.warm().value());
         assert!(
-            out.warm_mb_s >= base.warm_mb_s / 4.0,
-            "{clients}-client cached re-read ({:.1} MB/s per client) fell more \
-             than 4x below the 4-client baseline ({:.1} MB/s)",
-            out.warm_mb_s,
-            base.warm_mb_s
+            warm >= base_warm / 4.0,
+            "{clients}-client cached re-read ({warm:.1} MB/s per client) fell more \
+             than 4x below the 4-client baseline ({base_warm:.1} MB/s)"
         );
         srow(clients, &out);
     }
@@ -575,20 +574,23 @@ pub fn run_with(rounds: u64, seed: u64, scale: &[usize]) -> Table {
     let mut rt = Table::new(
         "R-X5 recall storm: one write-back writer invalidates N readers",
         &[
-            "readers",
-            "recalls",
-            "flush wire reqs",
-            "flushed pages",
-            "invalidations",
+            ("readers", 0),
+            ("recalls", 0),
+            ("flush wire reqs", 0),
+            ("flushed pages", 0),
+            ("invalidations", 0),
         ],
     );
-    rt.row(vec![
-        STORM_READERS.to_string(),
-        storm.recalls.to_string(),
-        storm.flush_batches.to_string(),
-        storm.flush_pages.to_string(),
-        storm.invalidations.to_string(),
-    ]);
+    rt.row(
+        [
+            STORM_READERS as u64,
+            storm.recalls,
+            storm.flush_batches,
+            storm.flush_pages,
+            storm.invalidations,
+        ]
+        .map(Cell::Int),
+    );
     rt.note(
         "phase A: the writer's write parks until all N leased readers ack \
          (clean holders flush nothing); phase B: all N readers storm the \

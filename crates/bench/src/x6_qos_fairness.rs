@@ -32,7 +32,7 @@ use simnet::time::units::*;
 use simnet::{Cluster, SampleSet, SimKernel};
 use via::{ViaCost, ViaFabric};
 
-use crate::report::{mb_per_s, Table};
+use crate::report::{Cell, Table};
 use crate::testbeds::PORT;
 
 /// Streaming-tenant clients.
@@ -64,7 +64,7 @@ struct CaseOut {
     /// Per-batch latency of the streaming tenant.
     stream: SampleSet,
     /// Aggregate streaming throughput while the small tenant ran.
-    stream_mb_s: f64,
+    stream_mb_s: Cell,
     /// Scheduler counters (0 under FIFO).
     boosts: u64,
     throttles: u64,
@@ -182,7 +182,7 @@ fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
     CaseOut {
         small,
         stream,
-        stream_mb_s: mb_per_s(
+        stream_mb_s: Cell::mbps(
             stream_bytes.load(Ordering::Relaxed),
             stream_ns.load(Ordering::Relaxed),
         ),
@@ -202,20 +202,27 @@ pub fn run_with(small_ops: usize) -> Table {
 
     let mut t = Table::new(
         "X-6 (extension): multi-tenant QoS — per-tenant latency under streaming saturation (us)",
-        &["sched", "tenant", "p50", "p99", "p999", "MB/s"],
+        &[
+            ("sched", 0),
+            ("tenant", 0),
+            ("p50", 0),
+            ("p99", 0),
+            ("p999", 0),
+            ("MB/s", 1),
+        ],
     );
     for (sched, out) in [("fifo", &fifo), ("wfq", &wfq)] {
         for (tenant, s, bw) in [
-            ("small w8", &out.small, None),
-            ("stream w1", &out.stream, Some(out.stream_mb_s)),
+            ("small w8", &out.small, Cell::Missing),
+            ("stream w1", &out.stream, out.stream_mb_s.clone()),
         ] {
-            t.row(vec![
-                sched.to_string(),
-                tenant.to_string(),
-                format!("{:.0}", s.quantile(0.5) as f64 / 1e3),
-                format!("{:.0}", s.quantile(0.99) as f64 / 1e3),
-                format!("{:.0}", s.quantile(0.999) as f64 / 1e3),
-                bw.map(|b| format!("{b:.1}")).unwrap_or_else(|| "-".into()),
+            t.row([
+                Cell::text(sched),
+                Cell::text(tenant),
+                Cell::us(s.quantile(0.5)),
+                Cell::us(s.quantile(0.99)),
+                Cell::us(s.quantile(0.999)),
+                bw,
             ]);
         }
     }

@@ -81,18 +81,6 @@ impl Enc {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Bytes encoded so far.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been encoded.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// Decode failure (truncated or malformed message).
@@ -154,7 +142,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not yet consumed.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }

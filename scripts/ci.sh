@@ -314,6 +314,34 @@ if [ -z "$deliver" ] || [ -z "$execute" ] ||
     exit 1
 fi
 
+echo "==> a table cell is a value"
+# Every bench table fills typed `report::Cell`s (the exact value and how it
+# prints) and one renderer makes the text: no row is built from strings,
+# and no cell is a number someone already formatted. Prints file:line of
+# each `.row(...)` call, up to its closing parenthesis, that names
+# `vec![`, `format!` or `to_string`.
+string_rows=$(find crates/bench/src -name '*.rs' -exec awk '
+    FNR == 1 { depth = 0 }
+    {
+        s = $0
+        if (!depth) {
+            i = index(s, ".row(")
+            if (!i) next
+            s = substr(s, i + 4)
+        }
+        if (s ~ /vec!\[|format!|to_string/) print FILENAME ":" FNR ":" $0
+        for (k = 1; k <= length(s); k++) {
+            c = substr(s, k, 1)
+            if (c == "(") depth++
+            else if (c == ")" && --depth == 0) break
+        }
+    }' {} +)
+if [ -n "$string_rows" ]; then
+    echo "$string_rows"
+    echo "ci: a bench table row is built from strings (lines above); fill report::Cell values" >&2
+    exit 1
+fi
+
 echo "==> one thread, no lock prefix"
 # A simulation runs on one OS thread, so the state every event touches pays
 # for no cross-thread synchronisation: the kernel, ports, hosts, resources,
