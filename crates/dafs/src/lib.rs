@@ -94,6 +94,31 @@ mod tests {
         bed_in(SimKernel::new())
     }
 
+    /// The server listens from the moment it is spawned: a client actor
+    /// spawned before it, and so run first at t = 0, connects. The
+    /// acceptor used to bind its listener on its own first turn, after
+    /// such a client had dialled and got `Connect(NoListener)`.
+    #[test]
+    fn a_client_spawned_before_the_server_connects() {
+        let (kernel, cluster) = (SimKernel::new(), Cluster::new());
+        let fabric = ViaFabric::new(ViaCost::default());
+        let server_nic = fabric.open_nic(cluster.add_host("dafs-server"));
+        let sid = server_nic.host().id;
+        let nic = fabric.open_nic(cluster.add_host("dafs-client"));
+        let f = fabric.clone();
+        let connected = Arc::new(AtomicU64::new(0));
+        let seen = connected.clone();
+        kernel.spawn("dafs-client", move |ctx| {
+            let c = DafsClient::connect(ctx, &f, &nic, sid, 2049, client_config());
+            c.expect("the server listens once spawned").disconnect(ctx);
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let cost = DafsServerCost::default();
+        spawn_dafs_server(&kernel, &fabric, server_nic, MemFs::new(), 2049, cost);
+        kernel.run();
+        assert_eq!(connected.load(Ordering::Relaxed), 1);
+    }
+
     fn client_config() -> DafsClientConfig {
         DafsClientConfig::default()
     }

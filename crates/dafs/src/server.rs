@@ -276,26 +276,24 @@ pub fn spawn_dafs_server_sched(
     let host = nic.host().clone();
 
     // Acceptor: admit sessions, arm their receive queues, hand them to the
-    // worker.
+    // worker. The listener is bound now, so a client that runs before the
+    // acceptor's first turn finds it.
     {
-        let fabric = fabric.clone();
+        let listener = fabric.listen(&nic, port);
         let nic = nic.clone();
         let cq = cq.clone();
         let new_sessions = new_sessions.clone();
         let stats = stats.clone();
-        kernel.spawn_daemon("dafs-acceptor", move |ctx| {
-            let listener = fabric.listen(&nic, port);
-            loop {
-                let attrs = ViAttributes {
-                    recv_cq: Some(cq.clone()),
-                    ..Default::default()
-                };
-                let Some(vi) = listener.accept(ctx, attrs) else {
-                    break;
-                };
-                stats.sessions.inc();
-                new_sessions.send(ctx, Session::open(ctx, &nic, vi), ctx.now());
-            }
+        kernel.spawn_daemon("dafs-acceptor", move |ctx| loop {
+            let attrs = ViAttributes {
+                recv_cq: Some(cq.clone()),
+                ..Default::default()
+            };
+            let Some(vi) = listener.accept(ctx, attrs) else {
+                break;
+            };
+            stats.sessions.inc();
+            new_sessions.send(ctx, Session::open(ctx, &nic, vi), ctx.now());
         });
     }
 

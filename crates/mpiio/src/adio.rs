@@ -12,15 +12,17 @@
 //! unsupported or fcntl-lock emulation). As `MPI_File_read` is
 //! `MPI_File_iread` plus a wait, a blocking transfer is the split-phase one
 //! plus its wait, and a contiguous read or write is a blocking transfer of
-//! one range — provided methods, which only the NFS driver overrides (its
-//! blocking calls run one RPC at a time: the baseline as it was measured).
+//! one range — provided methods. Only the NFS driver overrides `transfer`:
+//! each range is one transfer of the mount's either way, with every RPC
+//! posted at once by `itransfer` and one RPC in flight at a time by
+//! `transfer` — the baseline as it was measured.
 
 use std::sync::Arc;
 
 pub use dafs::{BatchDir, IoReq};
 use dafs::{DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListReq};
 use memfs::{FsError, MemFs, NodeId, SetAttr};
-use nfsv3::{NfsClient, NfsError, NfsPendingRead, NfsPendingWrite};
+use nfsv3::{NfsClient, NfsError, NfsIo, NfsTransfer};
 use simnet::cost::HostCost;
 use simnet::time::units::*;
 use simnet::{ActorCtx, Host, SimDuration, VirtAddr};
@@ -832,32 +834,37 @@ impl NfsAdio {
 struct NfsFileHandle {
     client: Arc<NfsClient>,
     fh: NodeId,
-    host: Host,
 }
 
 impl NfsFileHandle {
-    /// The baseline's blocking transfer: one range after another, each
-    /// through the mount's blocking call — one rsize / wsize RPC at a time —
-    /// under the ADIO retry budget. Also what a split-phase batch falls
-    /// back to.
-    fn sequential(&self, ctx: &ActorCtx, dir: BatchDir, reqs: &[IoReq]) -> AdioResult<u64> {
-        let (c, fh, mem) = (&self.client, self.fh, &self.host.mem);
-        let mut total = 0;
-        for r in reqs {
-            total += match dir {
-                BatchDir::Read => {
-                    let data = with_retries(ctx, || Ok(c.read(ctx, fh, r.off, r.len)?))?;
-                    mem.write(r.addr, &data);
-                    data.len() as u64
-                }
-                BatchDir::Write => {
-                    let data = mem.read_vec(r.addr, r.len as usize);
-                    with_retries(ctx, || Ok(c.write(ctx, fh, r.off, &data)?))?;
-                    r.len
-                }
-            };
+    /// Open the mount's transfer of one range, at most `window` RPCs in
+    /// flight. A write takes its bytes from the caller's buffer now.
+    fn open(
+        &self,
+        ctx: &ActorCtx,
+        dir: BatchDir,
+        r: &IoReq,
+        window: usize,
+    ) -> NfsTransfer<'static> {
+        let mem = &self.client.host().mem;
+        let io = match dir {
+            BatchDir::Read => NfsIo::Read(r.len),
+            BatchDir::Write => NfsIo::Write(mem.read_vec(r.addr, r.len as usize).into()),
+        };
+        self.client.begin(ctx, self.fh, r.off, io, window)
+    }
+
+    /// Collect the transfer [`Self::open`] opened for `r`, landing a read
+    /// in the caller's buffer: the bytes moved.
+    fn collect(&self, ctx: &ActorCtx, dir: BatchDir, t: NfsTransfer, r: &IoReq) -> AdioResult<u64> {
+        match dir {
+            BatchDir::Read => {
+                let data = self.client.read_finish(ctx, t)?;
+                self.client.host().mem.write(r.addr, &data);
+                Ok(data.len() as u64)
+            }
+            BatchDir::Write => Ok(self.client.write_finish(ctx, t).map(|_| r.len)?),
         }
-        Ok(total)
     }
 }
 
@@ -872,11 +879,9 @@ impl AdioFs for NfsAdio {
         } else {
             lookup(dir, name)?
         };
-        // The NFS client API is slice-based; remember the host for staging.
         Ok(Arc::new(NfsFileHandle {
             client: self.client.clone(),
             fh,
-            host: hostof(ctx),
         }))
     }
 
@@ -895,22 +900,6 @@ impl AdioFs for NfsAdio {
     fn host_cost(&self) -> HostCost {
         self.client.config().host_cost
     }
-}
-
-/// The host an actor runs on, kept in its [`ActorCtx::with_local`] slot. Set
-/// by [`set_current_host`]; lets slice-based drivers find the simulated
-/// memory arena to stage through.
-#[derive(Default)]
-struct CurrentHost(Option<Host>);
-
-/// Declare the host the calling actor runs on (rank bootstrap calls this).
-pub fn set_current_host(ctx: &ActorCtx, host: &Host) {
-    ctx.with_local(|h: &mut CurrentHost| h.0 = Some(host.clone()));
-}
-
-fn hostof(ctx: &ActorCtx) -> Host {
-    ctx.with_local(|h: &mut CurrentHost| h.0.clone())
-        .expect("set_current_host must be called in each rank actor")
 }
 
 impl AdioFile for NfsFileHandle {
@@ -932,6 +921,7 @@ impl AdioFile for NfsFileHandle {
             .map_err(AdioError::from)
     }
 
+    /// Each range one transfer, all of its RPCs posted at once.
     fn itransfer(
         &self,
         ctx: &ActorCtx,
@@ -939,27 +929,23 @@ impl AdioFile for NfsFileHandle {
         _shape: Shape,
         reqs: &[IoReq],
     ) -> AdioRequest {
-        let ops = match dir {
-            BatchDir::Read => NfsPendingOps::Read(
-                reqs.iter()
-                    .map(|r| self.client.read_begin(ctx, self.fh, r.off, r.len))
-                    .collect(),
-            ),
-            BatchDir::Write => NfsPendingOps::Write(
-                reqs.iter()
-                    .map(|r| {
-                        let data = self.host.mem.read_vec(r.addr, r.len as usize);
-                        self.client.write_begin(ctx, self.fh, r.off, &data)
-                    })
-                    .collect(),
-            ),
-        };
+        let transfers = reqs
+            .iter()
+            .map(|r| self.open(ctx, dir, r, usize::MAX))
+            .collect();
         let (file, reqs) = (self.clone(), reqs.to_vec());
-        AdioRequest::pending(ctx, Box::new(NfsPending { file, ops, reqs }))
+        let pending = NfsPending {
+            file,
+            dir,
+            reqs,
+            transfers,
+        };
+        AdioRequest::pending(ctx, Box::new(pending))
     }
 
     /// Not issue plus wait: the baseline's blocking calls keep one RPC in
-    /// flight at a time ([`NfsFileHandle::sequential`]).
+    /// flight at a time. Each range is a transfer with a window of one,
+    /// under the ADIO retry budget.
     fn transfer(
         &self,
         ctx: &ActorCtx,
@@ -967,7 +953,8 @@ impl AdioFile for NfsFileHandle {
         _shape: Shape,
         reqs: &[IoReq],
     ) -> AdioResult<u64> {
-        self.sequential(ctx, dir, reqs)
+        let one = |r| with_retries(ctx, || self.collect(ctx, dir, self.open(ctx, dir, r, 1), r));
+        reqs.iter().map(one).sum()
     }
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
@@ -976,47 +963,22 @@ impl AdioFile for NfsFileHandle {
     }
 }
 
-enum NfsPendingOps {
-    Read(Vec<NfsPendingRead>),
-    Write(Vec<NfsPendingWrite>),
-}
-
-/// Split-phase NFS RPCs in flight, one pending set per batch entry, plus
-/// what is needed to re-run the batch on a residual transient failure.
+/// Split-phase NFS transfers in flight, one per batch entry, plus what is
+/// needed to re-run the batch on a residual transient failure.
 struct NfsPending {
     file: NfsFileHandle,
-    ops: NfsPendingOps,
+    dir: BatchDir,
     reqs: Vec<IoReq>,
+    transfers: Vec<NfsTransfer<'static>>,
 }
 
 impl PendingIo for NfsPending {
     fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
-        let NfsPending { file, ops, reqs } = *self;
-        let (c, mem) = (&file.client, &file.host.mem);
-        let dir = match ops {
-            NfsPendingOps::Read(_) => BatchDir::Read,
-            NfsPendingOps::Write(_) => BatchDir::Write,
-        };
-        let first = (|| -> AdioResult<u64> {
-            let mut total = 0;
-            match ops {
-                NfsPendingOps::Read(ps) => {
-                    for (p, r) in ps.into_iter().zip(&reqs) {
-                        let data = c.read_finish(ctx, p)?;
-                        mem.write(r.addr, &data);
-                        total += data.len() as u64;
-                    }
-                }
-                NfsPendingOps::Write(ps) => {
-                    for (p, r) in ps.into_iter().zip(&reqs) {
-                        c.write_finish(ctx, p)?;
-                        total += r.len;
-                    }
-                }
-            }
-            Ok(total)
-        })();
-        match first {
+        let p = *self;
+        let collected = (p.transfers.into_iter().zip(&p.reqs))
+            .map(|(t, r)| p.file.collect(ctx, p.dir, t, r))
+            .sum();
+        match collected {
             Err(e) if transient(&e) => {
                 // Residual transient failure after the RPC layer's own
                 // retransmits: re-run the whole batch the blocking way
@@ -1024,7 +986,7 @@ impl PendingIo for NfsPending {
                 // bytes). The retransmit-armed blocking path treats any
                 // leftover replies on the stream as stale duplicates.
                 ctx.metrics().counter("adio.retries").inc();
-                file.sequential(ctx, dir, &reqs)
+                p.file.transfer(ctx, p.dir, Shape::Batch, &p.reqs)
             }
             r => r,
         }
@@ -1176,7 +1138,6 @@ mod tests {
         let fs = MemFs::new();
         let h2 = host.clone();
         kernel.spawn("t", move |ctx| {
-            set_current_host(ctx, &h2);
             let adio = UfsAdio::new(fs, h2.clone(), UfsCost::default());
             f(ctx, &adio, &h2);
         });

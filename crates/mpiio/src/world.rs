@@ -20,7 +20,7 @@ use simnet::{
 use tcpnet::{TcpCost, TcpFabric};
 use via::{ViaCost, ViaFabric};
 
-use crate::adio::{set_current_host, AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio, UfsCost};
+use crate::adio::{AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio, UfsCost};
 use crate::comm::{Comm, CommCost};
 
 /// Which file-access stack the job runs on.
@@ -390,7 +390,6 @@ impl Testbed {
             move |ctx, comm| {
                 let host = comm.host().clone();
                 rh.lock().push(host.clone());
-                set_current_host(ctx, &host);
                 match &backend {
                     Backend::Dafs { client, .. } => {
                         let fabric = via_fabric.as_ref().unwrap();

@@ -1,8 +1,12 @@
-//! The NFS client: synchronous RPCs over a TCP socket, an attribute cache,
-//! and rsize/wsize transfer chunking — the pieces of a 2001 kernel NFS
-//! client that matter for I/O performance.
+//! The NFS client: RPCs over a TCP socket, an attribute cache, and
+//! rsize/wsize transfer chunking — the pieces of a 2001 kernel NFS client
+//! that matter for I/O performance. Every READ and WRITE is one
+//! [`NfsTransfer`] of rsize / wsize RPCs: the blocking calls keep one in
+//! flight, the baseline as it was measured; the split-phase ones post the
+//! whole range at once. They differ in nothing else.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
@@ -173,6 +177,11 @@ impl NfsClient {
     /// The mount's configuration.
     pub fn config(&self) -> &NfsClientConfig {
         &self.config
+    }
+
+    /// The host the mount runs on: whose memory its callers' buffers are in.
+    pub fn host(&self) -> &Host {
+        &self.host
     }
 
     /// One synchronous RPC: its split-phase halves back to back, inside a
@@ -435,13 +444,6 @@ impl NfsClient {
         Ok(out)
     }
 
-    /// READ arguments: `count` bytes of `fh` at `off`.
-    fn read_args(fh: NodeId, off: u64, count: u64) -> XdrEnc {
-        let mut e = XdrEnc::new();
-        e.u64(fh.0).u64(off).u32(count as u32);
-        e
-    }
-
     /// Decode the reply to a READ of `count` bytes: `(data, eof)`. More
     /// data than was asked for is a protocol error — it would end up past
     /// the caller's buffer.
@@ -456,26 +458,6 @@ impl NfsClient {
         Ok((data, eof))
     }
 
-    /// Charge the copy of a READ reply's `data` from the RPC buffer into
-    /// the application buffer, and count it.
-    fn charge_read(&self, ctx: &ActorCtx, data: &[u8]) {
-        self.host
-            .compute(ctx, self.config.host_cost.copy(data.len() as u64));
-    }
-
-    /// WRITE arguments for `chunk` at `off`, at the mount's stability,
-    /// once the application buffer is copied into the RPC buffer.
-    fn write_args(&self, ctx: &ActorCtx, fh: NodeId, off: u64, chunk: &[u8]) -> XdrEnc {
-        self.host
-            .compute(ctx, self.config.host_cost.copy(chunk.len() as u64));
-        let mut e = XdrEnc::new();
-        e.u64(fh.0)
-            .u64(off)
-            .u32(self.config.stable as u32)
-            .opaque(chunk);
-        e
-    }
-
     /// Decode a WRITE reply: the attributes after it, which the attribute
     /// cache takes.
     fn dec_write_reply(&self, ctx: &ActorCtx, reply: &[u8]) -> NfsResult<FileAttr> {
@@ -487,120 +469,161 @@ impl NfsClient {
         Ok(a)
     }
 
-    /// Read `len` bytes at `off`, one READ RPC of at most rsize at a time
-    /// until EOF. Short result at EOF.
-    pub fn read(&self, ctx: &ActorCtx, fh: NodeId, mut off: u64, len: u64) -> NfsResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(len as usize);
-        let mut remaining = len;
-        while remaining > 0 {
-            let count = remaining.min(self.config.rsize);
-            let r = self.call(ctx, NfsProc::Read, &mut Self::read_args(fh, off, count))?;
-            let (data, eof) = Self::dec_read_reply(&r, count)?;
-            self.charge_read(ctx, data);
-            let n = data.len() as u64;
-            out.extend_from_slice(data);
-            off += n;
-            remaining -= n.min(remaining);
-            if eof || n == 0 {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Write `data` at `off`, chunked by wsize, at the mount's stability
-    /// level. UNSTABLE writes are followed by a COMMIT when `commit_after`.
-    pub fn write(
+    /// Open the transfer of `io` at `off` in rsize READs or wsize WRITEs,
+    /// posting its first `window` RPCs; collecting posts the rest. A window
+    /// of one is the blocking call: each RPC is traced `rpc.start` and
+    /// timed whole (`nfs.rpc`), and no READ goes past EOF. A wider one
+    /// (`usize::MAX`: the whole range, the split-phase call) overlaps the
+    /// caller's work: `rpc.issue`, no span. Offsets stop at `u64::MAX`.
+    pub fn begin<'a>(
         &self,
         ctx: &ActorCtx,
         fh: NodeId,
-        mut off: u64,
-        data: &[u8],
-    ) -> NfsResult<FileAttr> {
-        let mut attr = None;
-        for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            let r = self.call(
-                ctx,
-                NfsProc::Write,
-                &mut self.write_args(ctx, fh, off, chunk),
-            )?;
-            attr = Some(self.dec_write_reply(ctx, &r)?);
-            off += chunk.len() as u64;
-        }
-        // Zero-length write: behave like getattr.
-        attr.map_or_else(|| self.getattr(ctx, fh), Ok)
+        off: u64,
+        io: NfsIo<'a>,
+        window: usize,
+    ) -> NfsTransfer<'a> {
+        let (len, data) = match &io {
+            NfsIo::Read(len) => (*len, Vec::with_capacity(*len as usize)),
+            NfsIo::Write(data) => (data.len() as u64, Vec::new()),
+        };
+        let mut t = NfsTransfer {
+            fh,
+            off,
+            io,
+            len,
+            window: window.max(1),
+            posted: 0,
+            in_flight: VecDeque::new(),
+            data,
+            attr: None,
+            eof: false,
+        };
+        self.fill(ctx, &mut t);
+        t
     }
 
-    /// Issue half of a split-phase write: send every WRITE RPC (chunked
-    /// by wsize) without waiting for replies, so the server processes
-    /// them while the caller overlaps other work — past the mount's
-    /// window, as its replies come in. Collect with [`Self::write_finish`].
-    /// A range past `u64::MAX` is sent as it is, for the server to refuse
-    /// chunk by chunk: the chunk offsets stop at `u64::MAX`, never wrap.
-    pub fn write_begin(
+    /// Post RPCs in range order until `window` are in flight, the whole
+    /// range is posted, or a READ has met its end.
+    fn fill(&self, ctx: &ActorCtx, t: &mut NfsTransfer) {
+        let max = match t.io {
+            NfsIo::Read(_) => self.config.rsize,
+            NfsIo::Write(_) => self.config.wsize,
+        };
+        while t.in_flight.len() < t.window && t.posted < t.len && !t.eof {
+            let count = (t.len - t.posted).min(max.max(1));
+            let rpc = self.post(ctx, t, t.posted, count);
+            t.in_flight.push_back(rpc);
+            t.posted += count;
+        }
+    }
+
+    /// Post the READ or WRITE of the `count` bytes `at` bytes into the
+    /// transfer's range. A WRITE first copies its bytes from the
+    /// application buffer into the RPC buffer.
+    fn post(&self, ctx: &ActorCtx, t: &NfsTransfer, at: u64, count: u64) -> Posted {
+        let off = t.off.saturating_add(at);
+        let mut args = XdrEnc::new();
+        args.u64(t.fh.0).u64(off);
+        let proc_ = match &t.io {
+            NfsIo::Read(_) => {
+                args.u32(count as u32);
+                NfsProc::Read
+            }
+            NfsIo::Write(data) => {
+                self.host.compute(ctx, self.config.host_cost.copy(count));
+                let chunk = &data[at as usize..(at + count) as usize];
+                args.u32(self.config.stable as u32).opaque(chunk);
+                NfsProc::Write
+            }
+        };
+        let (sent, one) = (ctx.now(), t.window == 1);
+        let event = if one { "rpc.start" } else { "rpc.issue" };
+        let xid = self.send_rpc(ctx, proc_, &mut args, event);
+        (xid, at, count, sent)
+    }
+
+    /// Collect the transfer's RPCs in range order, posting the rest as
+    /// each is collected. A READ reply's bytes are copied into the
+    /// application buffer and kept in file order. A short one without EOF
+    /// has the rest of its range read next (RFC 1813 allows short READs);
+    /// EOF or an empty reply ends the read, and the replies already posted
+    /// past it are drained. A WRITE keeps its last reply's attributes.
+    fn collect(&self, ctx: &ActorCtx, t: &mut NfsTransfer) -> NfsResult<()> {
+        while let Some((xid, at, count, sent)) = t.in_flight.pop_front() {
+            let reply = self.recv_rpc(ctx, xid);
+            if t.window == 1 {
+                drop(ctx.span_since("nfs", "rpc", sent));
+            }
+            let reply = reply?;
+            if let NfsIo::Write(_) = t.io {
+                t.attr = Some(self.dec_write_reply(ctx, &reply)?);
+            } else {
+                let (data, eof) = Self::dec_read_reply(&reply, count)?;
+                let n = data.len() as u64;
+                if !t.eof {
+                    self.host.compute(ctx, self.config.host_cost.copy(n));
+                    t.data.extend_from_slice(data);
+                    t.eof = eof || n == 0;
+                    if !t.eof && n < count {
+                        let rest = self.post(ctx, t, at + n, count - n);
+                        t.in_flight.push_front(rest);
+                    }
+                }
+            }
+            self.fill(ctx, t);
+        }
+        Ok(())
+    }
+
+    /// Read `len` bytes at `off`: a transfer with one RPC in flight. Short
+    /// at EOF.
+    pub fn read(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsResult<Vec<u8>> {
+        self.read_finish(ctx, self.begin(ctx, fh, off, NfsIo::Read(len), 1))
+    }
+
+    /// Write `data` at `off` at the mount's stability: a transfer with one
+    /// RPC in flight.
+    pub fn write(&self, ctx: &ActorCtx, fh: NodeId, off: u64, data: &[u8]) -> NfsResult<FileAttr> {
+        let t = self.begin(ctx, fh, off, NfsIo::Write(data.into()), 1);
+        self.write_finish(ctx, t)
+    }
+
+    /// Issue half of a split-phase read: every READ of the range posted
+    /// at once, so the server works while the caller overlaps other work.
+    pub fn read_begin(
         &self,
         ctx: &ActorCtx,
         fh: NodeId,
-        mut off: u64,
-        data: &[u8],
-    ) -> NfsPendingWrite {
-        let mut xids = Vec::new();
-        for chunk in data.chunks(self.config.wsize.max(1) as usize) {
-            let mut e = self.write_args(ctx, fh, off, chunk);
-            xids.push(self.send_rpc(ctx, NfsProc::Write, &mut e, "rpc.issue"));
-            off = off.saturating_add(chunk.len() as u64);
-        }
-        NfsPendingWrite { fh, xids }
+        off: u64,
+        len: u64,
+    ) -> NfsTransfer<'static> {
+        self.begin(ctx, fh, off, NfsIo::Read(len), usize::MAX)
     }
 
-    /// Completion half of [`Self::write_begin`]: await every reply in
-    /// issue order, refreshing the attribute cache exactly as the
-    /// synchronous path does. Zero-length writes behave like getattr.
-    pub fn write_finish(&self, ctx: &ActorCtx, p: NfsPendingWrite) -> NfsResult<FileAttr> {
-        let mut attr = None;
-        for xid in p.xids {
-            let r = self.recv_rpc(ctx, xid)?;
-            attr = Some(self.dec_write_reply(ctx, &r)?);
-        }
-        attr.map_or_else(|| self.getattr(ctx, p.fh), Ok)
+    /// Issue half of a split-phase write, likewise.
+    pub fn write_begin<'a>(
+        &self,
+        ctx: &ActorCtx,
+        fh: NodeId,
+        off: u64,
+        data: &'a [u8],
+    ) -> NfsTransfer<'a> {
+        self.begin(ctx, fh, off, NfsIo::Write(data.into()), usize::MAX)
     }
 
-    /// Issue half of a split-phase read: send a READ RPC for every rsize
-    /// chunk of `[off, off+len)` up front (past the mount's window, as its
-    /// replies come in). The synchronous path stops
-    /// chunking when it sees EOF; here the tail RPCs are already posted,
-    /// so EOF shows up as short or empty replies that
-    /// [`Self::read_finish`] trims. As in [`Self::write_begin`], the chunk
-    /// offsets stop at `u64::MAX`.
-    pub fn read_begin(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsPendingRead {
-        let mut rpcs = Vec::new();
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(self.config.rsize.max(1));
-            let mut e = Self::read_args(fh, off.saturating_add(done), n);
-            rpcs.push((self.send_rpc(ctx, NfsProc::Read, &mut e, "rpc.issue"), n));
-            done += n;
-        }
-        NfsPendingRead { rpcs }
+    /// Completion half of a read: the bytes read, short at EOF.
+    pub fn read_finish(&self, ctx: &ActorCtx, mut t: NfsTransfer) -> NfsResult<Vec<u8>> {
+        self.collect(ctx, &mut t)?;
+        Ok(t.data)
     }
 
-    /// Completion half of [`Self::read_begin`]: await every reply,
-    /// concatenating data until the first short chunk (EOF). Replies past
-    /// EOF are still drained so nothing is left orphaned on the stream.
-    pub fn read_finish(&self, ctx: &ActorCtx, p: NfsPendingRead) -> NfsResult<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut eof = false;
-        for &(xid, n) in &p.rpcs {
-            let r = self.recv_rpc(ctx, xid)?;
-            let (data, chunk_eof) = Self::dec_read_reply(&r, n)?;
-            if eof {
-                continue; // past EOF: drain only
-            }
-            self.charge_read(ctx, data);
-            out.extend_from_slice(data);
-            eof = chunk_eof || (data.len() as u64) < n;
-        }
-        Ok(out)
+    /// Completion half of a write: the attributes of its last reply, which
+    /// the attribute cache also took. A zero-length write behaves like
+    /// getattr.
+    pub fn write_finish(&self, ctx: &ActorCtx, mut t: NfsTransfer) -> NfsResult<FileAttr> {
+        self.collect(ctx, &mut t)?;
+        t.attr.map_or_else(|| self.getattr(ctx, t.fh), Ok)
     }
 
     /// COMMIT unstable writes to stable storage.
@@ -626,32 +649,38 @@ impl NfsClient {
     }
 }
 
-/// A split-phase WRITE in flight: issued RPCs whose replies have not been
-/// collected yet. Created by [`NfsClient::write_begin`].
-pub struct NfsPendingWrite {
+/// What an [`NfsTransfer`] moves.
+pub enum NfsIo<'a> {
+    /// READ this many bytes.
+    Read(u64),
+    /// WRITE these bytes.
+    Write(Cow<'a, [u8]>),
+}
+
+/// One READ or WRITE RPC in flight: `(xid, at, count, sent)` — the `count`
+/// bytes `at` bytes into its transfer's range, and when it was posted.
+type Posted = (u32, u64, u64, SimTime);
+
+/// A READ or WRITE of one file range in flight: rsize / wsize RPCs, at most
+/// `window` of them posted and not yet collected. Opened by
+/// [`NfsClient::begin`]; collected by [`NfsClient::read_finish`] or
+/// [`NfsClient::write_finish`].
+pub struct NfsTransfer<'a> {
     fh: NodeId,
-    /// The xids, in issue order.
-    xids: Vec<u32>,
-}
-
-impl NfsPendingWrite {
-    /// RPCs issued and not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.xids.len()
-    }
-}
-
-/// A split-phase READ in flight. Created by [`NfsClient::read_begin`].
-pub struct NfsPendingRead {
-    /// (xid, chunk length), in issue order.
-    rpcs: Vec<(u32, u64)>,
-}
-
-impl NfsPendingRead {
-    /// RPCs issued and not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.rpcs.len()
-    }
+    off: u64,
+    io: NfsIo<'a>,
+    len: u64,
+    window: usize,
+    /// Bytes of the range posted so far, from its start.
+    posted: u64,
+    /// Posted and not yet collected, in the order they are collected.
+    in_flight: VecDeque<Posted>,
+    /// A READ's bytes, in file order.
+    data: Vec<u8>,
+    /// The last WRITE reply's attributes.
+    attr: Option<FileAttr>,
+    /// A READ met EOF or an empty reply: post nothing more.
+    eof: bool,
 }
 
 /// Shared handle: several actors on one host may share a mount via `Arc`.

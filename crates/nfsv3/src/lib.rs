@@ -20,8 +20,8 @@ mod server;
 pub mod xdr;
 
 pub use client::{
-    NfsClient, NfsClientConfig, NfsClientStats, NfsError, NfsPendingRead, NfsPendingWrite,
-    NfsResult, SharedNfsClient,
+    NfsClient, NfsClientConfig, NfsClientStats, NfsError, NfsIo, NfsResult, NfsTransfer,
+    SharedNfsClient,
 };
 pub use proto::{NfsProc, NfsStatus, Stable};
 pub use server::{spawn_nfs_server, NfsServerCost, NfsServerHandle, NfsServerStats};
@@ -78,6 +78,29 @@ mod tests {
             f(ctx, &c);
             c.unmount(ctx);
         });
+    }
+
+    /// The server listens from the moment it is spawned: a client actor
+    /// spawned before it, and so run first at t = 0, mounts. The acceptor
+    /// used to bind its listener on its own first turn, after such a client
+    /// had dialled and got `Transport(ConnectionRefused)`.
+    #[test]
+    fn a_client_spawned_before_the_server_mounts() {
+        let (kernel, cluster) = (SimKernel::new(), Cluster::new());
+        let fabric = TcpFabric::new(TcpCost::default());
+        let (host, server_host) = (cluster.add_host("client"), cluster.add_host("server"));
+        let (f, sid) = (fabric.clone(), server_host.id);
+        let mounted = Arc::new(AtomicU64::new(0));
+        let seen = mounted.clone();
+        kernel.spawn("nfs-client", move |ctx| {
+            let c = NfsClient::mount(ctx, &f, &host, sid, 2049, NfsClientConfig::default());
+            c.expect("the server listens once spawned").unmount(ctx);
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let cost = NfsServerCost::default();
+        spawn_nfs_server(&kernel, &fabric, server_host, MemFs::new(), 2049, cost);
+        kernel.run();
+        assert_eq!(mounted.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -82,13 +82,12 @@ pub fn spawn_nfs_server(
     let stats = NfsServerStats::default();
     let work: Port<(u32, Work)> = Port::new("nfsd-work");
 
-    // Acceptor: one reader daemon per connection.
+    // Acceptor: one reader daemon per connection. The listener is bound
+    // now, so a client that runs before the acceptor's first turn finds it.
     {
-        let fabric = fabric.clone();
-        let host = host.clone();
+        let listener = fabric.listen(&host, port);
         let work = work.clone();
         kernel.spawn_daemon("nfs-acceptor", move |ctx| {
-            let listener = fabric.listen(&host, port);
             let mut n = 0u32;
             while let Some(sock) = listener.accept(ctx) {
                 let work = work.clone();

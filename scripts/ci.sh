@@ -97,8 +97,10 @@ echo "==> one ADIO data method"
 # A driver implements `AdioFile::itransfer`: a blocking transfer is it plus
 # its wait, and a contiguous read or write is a blocking transfer of one
 # range — the trait's provided methods. Only the NFS driver overrides
-# `transfer` (its baseline keeps one RPC in flight at a time). The striped
-# DAFS file's one data entry is `issue`, with one retry budget above it.
+# `transfer`, and it is the one NFS path with a window of one: each range
+# the mount's transfer with one RPC in flight, the baseline as measured.
+# The striped DAFS file's one data entry is `issue`, with one retry budget
+# above it.
 defs() { grep -rn "fn $1" crates/mpiio | wc -l; }
 if [ "$(defs read_contig)" -gt 1 ] || [ "$(defs write_contig)" -gt 1 ] ||
     [ "$(defs 'transfer(')" -gt 2 ] || grep -rn 'dafs_blocking' crates ||
@@ -106,6 +108,23 @@ if [ "$(defs read_contig)" -gt 1 ] || [ "$(defs write_contig)" -gt 1 ] ||
     echo "ci: a second ADIO data path is back: crates/mpiio defines read_contig" \
         "$(defs read_contig)x, write_contig $(defs write_contig)x (at most 1 each)," \
         "transfer $(defs 'transfer(')x (at most 2), or the lines above" >&2
+    exit 1
+fi
+
+echo "==> one NFS data path"
+# Every NFS READ and WRITE is one `NfsTransfer`, its window the RPCs it
+# keeps in flight: one for a blocking call, the whole range for a
+# split-phase one. The client encodes each procedure in one place, and the
+# ADIO driver keeps no second loop, per-direction pending type or
+# actor-local host beside it.
+for op in Read Write; do
+    if [ "$(grep -o "NfsProc::$op\b" crates/nfsv3/src/client.rs | wc -l)" -gt 1 ]; then
+        echo "ci: crates/nfsv3/src/client.rs names NfsProc::$op more than once" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'NfsPendingOps|fn sequential\b|CurrentHost|set_current_host' crates/mpiio; then
+    echo "ci: a second NFS data path is back in crates/mpiio (lines above)" >&2
     exit 1
 fi
 

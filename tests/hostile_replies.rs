@@ -11,13 +11,15 @@
 //! listing that claims more entries than it holds is the same error, and
 //! so is a direct read's count past its request, which was still credited
 //! as it came — `read` returned more bytes than it asked for.
+//!
+//! The other way round, an NFS READ answered short of EOF is no error: the
+//! client reads the rest of its range, whichever way the read came in.
 
 use std::sync::Arc;
 
 use mpio_dafs::dafs::{BatchDir, DafsClient, DafsClientConfig, DafsError, IoReq, ListReq};
 use mpio_dafs::memfs::NodeId;
-use mpio_dafs::mpiio::adio::set_current_host;
-use mpio_dafs::mpiio::{AdioError, AdioFs, IoFault, NfsAdio};
+use mpio_dafs::mpiio::{AdioError, AdioFs, IoFault, NfsAdio, Shape};
 use mpio_dafs::nfsv3::xdr::XdrEnc;
 use mpio_dafs::nfsv3::{NfsClient, NfsClientConfig, NfsError};
 use mpio_dafs::simnet::{ActorCtx, Cluster, FaultPlan, Host, SimKernel, VirtAddr};
@@ -229,15 +231,26 @@ fn dafs_credits_past_the_receive_ring_are_clamped_to_it() {
     });
 }
 
-/// An NFS server that knows one file and answers every READ with `extra`
-/// bytes more than its `count`, `read_copies` times over.
-fn spawn_nfs_peer(
-    kernel: &SimKernel,
-    fabric: &TcpFabric,
-    peer: Host,
-    extra: u64,
-    read_copies: usize,
-) {
+/// The one file the scripted NFS peer knows: its size, and byte `i`.
+const FILE: u64 = 4096;
+
+fn file_byte(i: u64) -> u8 {
+    (i % 251) as u8
+}
+
+/// How the scripted NFS peer answers a READ.
+#[derive(Clone, Copy)]
+enum Reads {
+    /// `extra` bytes of `0xEE` more than its `count`, `copies` times over.
+    Over { extra: u64, copies: usize },
+    /// Half its `count` of the file, rounded up, and EOF only with the
+    /// file's last byte: RFC 1813 lets a server answer a READ short.
+    Short,
+}
+
+/// An NFS server that knows one file of [`FILE`] bytes and answers every
+/// READ as `reads` says.
+fn spawn_nfs_peer(kernel: &SimKernel, fabric: &TcpFabric, peer: Host, reads: Reads) {
     let fabric = fabric.clone();
     kernel.spawn_daemon("peer", move |ctx| {
         let sock = fabric.listen(&peer, PORT).accept(ctx).unwrap();
@@ -248,16 +261,23 @@ fn spawn_nfs_peer(
             let mut e = XdrEnc::new();
             e.u32(word(0)).u32(0);
             let mut copies = 1;
-            match word(4) {
-                // LOOKUP: a regular file, 4 KiB.
-                3 => {
-                    e.u32(1).u64(FH.0).u64(4096).u64(1).u32(1);
+            match (word(4), reads) {
+                // LOOKUP: a regular file.
+                (3, _) => {
+                    e.u32(1).u64(FH.0).u64(FILE).u64(1).u32(1);
                 }
                 // READ (fh, off, count).
-                6 => {
+                (6, Reads::Over { extra, copies: c }) => {
                     let n = word(24) as usize + extra as usize;
                     e.u32(n as u32).u32(0).opaque(&vec![0xEE; n]);
-                    copies = read_copies;
+                    copies = c;
+                }
+                (6, Reads::Short) => {
+                    let off = u64::from_be_bytes(req[16..24].try_into().unwrap());
+                    let end = FILE.min(off + (word(24) as u64).div_ceil(2));
+                    let data: Vec<u8> = (off..end).map(file_byte).collect();
+                    let eof = end == FILE;
+                    e.u32(data.len() as u32).u32(eof as u32).opaque(&data);
                 }
                 _ => {}
             }
@@ -277,9 +297,16 @@ fn nfs_read_longer_than_count_is_a_protocol_error() {
     let fabric = TcpFabric::new(TcpCost::default());
     let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
     let sid = peer.id;
-    spawn_nfs_peer(&kernel, &fabric, peer, EXTRA, 1);
+    spawn_nfs_peer(
+        &kernel,
+        &fabric,
+        peer,
+        Reads::Over {
+            extra: EXTRA,
+            copies: 1,
+        },
+    );
     kernel.spawn("client", move |ctx| {
-        set_current_host(ctx, &host);
         let config = NfsClientConfig::default();
         let c = Arc::new(NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap());
         assert_eq!(c.read(ctx, FH, 0, 256), Err(NfsError::Protocol));
@@ -314,7 +341,15 @@ fn nfs_duplicate_replies_are_dropped_as_stale() {
     fabric.set_fault_plan(FaultPlan::builder(1).build());
     let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
     let sid = peer.id;
-    spawn_nfs_peer(&kernel, &fabric, peer, 0, 2);
+    spawn_nfs_peer(
+        &kernel,
+        &fabric,
+        peer,
+        Reads::Over {
+            extra: 0,
+            copies: 2,
+        },
+    );
     kernel.spawn("client", move |ctx| {
         let config = NfsClientConfig::default();
         let c = NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap();
@@ -325,6 +360,50 @@ fn nfs_duplicate_replies_are_dropped_as_stale() {
         assert_eq!(stale(), N - 1);
         assert_eq!(c.lookup(ctx, FH, "f").unwrap().id, FH);
         assert_eq!(stale(), N);
+        c.unmount(ctx);
+    });
+    kernel.run();
+}
+
+/// A READ answered short of EOF leaves the rest of its range to read:
+/// every way in — the blocking call, the split-phase one, and the ADIO
+/// driver's blocking and split-phase transfers — reads on until EOF and
+/// returns the whole file, each over 1 KiB RPCs, from a read twice the
+/// file's size. The split-phase paths used to take the first short reply
+/// for EOF: `read_finish` returned 512 of the 4 096 bytes, `itransfer`
+/// 1 024 (a short first reply for each of its two ranges).
+#[test]
+fn nfs_short_reads_read_on_to_eof() {
+    let kernel = SimKernel::new();
+    let cluster = Cluster::new();
+    let fabric = TcpFabric::new(TcpCost::default());
+    let (peer, host) = (cluster.add_host("peer"), cluster.add_host("client"));
+    let sid = peer.id;
+    spawn_nfs_peer(&kernel, &fabric, peer, Reads::Short);
+    kernel.spawn("client", move |ctx| {
+        let config = NfsClientConfig {
+            rsize: 1 << 10,
+            ..NfsClientConfig::default()
+        };
+        let c = Arc::new(NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap());
+        let whole: Vec<u8> = (0..FILE).map(file_byte).collect();
+        assert!(c.read(ctx, FH, 0, 2 * FILE).unwrap() == whole, "read");
+        let t = c.read_begin(ctx, FH, 0, 2 * FILE);
+        assert!(c.read_finish(ctx, t).unwrap() == whole, "read_begin");
+        let f = NfsAdio::new(c.clone()).open(ctx, "/f", false).unwrap();
+        let (mem, buf) = (&host.mem, host.mem.alloc(2 * FILE as usize));
+        assert_eq!(f.read_contig(ctx, 0, buf, 2 * FILE), Ok(FILE));
+        assert!(mem.read_vec(buf, FILE as usize) == whole, "read_contig");
+        mem.fill(buf, 2 * FILE as usize, 0);
+        let half = FILE / 2;
+        let reqs = [(0, half), (half, FILE + half)].map(|(off, len)| IoReq {
+            off,
+            addr: buf.offset(off),
+            len,
+        });
+        let split = f.itransfer(ctx, BatchDir::Read, Shape::Batch, &reqs);
+        assert_eq!(split.wait(ctx), Ok(FILE));
+        assert!(mem.read_vec(buf, FILE as usize) == whole, "itransfer");
         c.unmount(ctx);
     });
     kernel.run();
