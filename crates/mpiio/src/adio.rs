@@ -855,12 +855,17 @@ impl NfsFileHandle {
     }
 
     /// Collect the transfer [`Self::open`] opened for `r`, landing a read
-    /// in the caller's buffer: the bytes moved.
+    /// in the caller's buffer: the bytes moved. Each reply's bytes are
+    /// written at their offset, the one copy the client charged for them.
     fn collect(&self, ctx: &ActorCtx, dir: BatchDir, t: NfsTransfer, r: &IoReq) -> AdioResult<u64> {
         match dir {
             BatchDir::Read => {
                 let data = self.client.read_finish(ctx, t)?;
-                self.client.host().mem.write(r.addr, &data);
+                let mut at = r.addr;
+                for piece in &data {
+                    self.client.host().mem.write(at, piece);
+                    at = at.offset(piece.len() as u64);
+                }
                 Ok(data.len() as u64)
             }
             BatchDir::Write => Ok(self.client.write_finish(ctx, t).map(|_| r.len)?),

@@ -15,7 +15,7 @@ use simnet::cost::HostCost;
 use simnet::obs::{Labels, LazyCounter};
 use simnet::reqtab::RequestTable;
 use simnet::time::units::*;
-use simnet::{ActorCtx, Bytes, Host, HostId, SimDuration, SimTime};
+use simnet::{ActorCtx, Bytes, Host, HostId, Rope, SimDuration, SimTime};
 use tcpnet::{TcpError, TcpFabric};
 
 use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
@@ -136,9 +136,10 @@ pub struct NfsClient {
     /// byte-identical no matter how slow the server is.
     retransmit: bool,
     /// Every xid sent and not yet collected: its framed request until the
-    /// reply arrives, then the reply. Its window is the nfsd's replay
-    /// window, so the mount is a client slot table.
-    table: Mutex<RequestTable<Bytes, Vec<u8>>>,
+    /// reply arrives, then the reply, as the socket handed it over. Its
+    /// window is the nfsd's replay window, so the mount is a client slot
+    /// table.
+    table: Mutex<RequestTable<Bytes, Bytes>>,
     /// Client-side counters.
     pub stats: NfsClientStats,
 }
@@ -187,23 +188,30 @@ impl NfsClient {
     /// One synchronous RPC: its split-phase halves back to back, inside a
     /// whole-RPC virtual-time span (`nfs.rpc_ns` / `nfs.rpc.calls` for the
     /// per-layer breakdown, and one trace event on completion).
-    fn call(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc) -> NfsResult<Vec<u8>> {
+    fn call(&self, ctx: &ActorCtx, proc_: NfsProc, args: Args) -> NfsResult<Bytes> {
         let _span = ctx.span("nfs", "rpc");
-        let xid = self.send_rpc(ctx, proc_, args, "rpc.start");
+        let xid = self.send_rpc(ctx, proc_, ARGS_ROOM, "rpc.start", args);
         self.recv_rpc(ctx, xid)
     }
 
     /// Issue half of one RPC: frame and send without waiting for the
     /// reply, traced as `event` (`rpc.start` for a blocking call,
     /// `rpc.issue` for a split-phase one, whose wall time overlaps the
-    /// caller's other work, so it opens no span). Returns the xid; the
-    /// table keeps the framed request for the completion half to
-    /// retransmit. While the window is full it waits for the oldest reply
-    /// (retransmitting it), keeping the others: the window does not move
-    /// past a lost reply until its retransmit is answered.
-    fn send_rpc(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc, event: &str) -> u32 {
-        let args = std::mem::take(args).finish();
-        let frame = |xid: u32| Bytes::from_vec(proto::call_record(xid, proc_, &args));
+    /// caller's other work, so it opens no span). `args` encodes the
+    /// arguments straight into the call record, `room` bytes held for them.
+    /// Returns the xid; the table keeps the framed request for the
+    /// completion half to retransmit. While the window is full it waits for
+    /// the oldest reply (retransmitting it), keeping the others: the window
+    /// does not move past a lost reply until its retransmit is answered.
+    fn send_rpc(
+        &self,
+        ctx: &ActorCtx,
+        proc_: NfsProc,
+        room: usize,
+        event: &str,
+        args: Args,
+    ) -> u32 {
+        let frame = |xid: u32| Bytes::from_vec(proto::call_record(xid, proc_, room, args));
         let xid = loop {
             if let Some(xid) = self.table.lock().post(&frame) {
                 break xid;
@@ -232,8 +240,8 @@ impl NfsClient {
     }
 
     /// Completion half of one RPC: await the reply to `xid` and collect it
-    /// — verify the status, return the payload.
-    fn recv_rpc(&self, ctx: &ActorCtx, xid: u32) -> NfsResult<Vec<u8>> {
+    /// — verify the status, return the payload, a view of the reply.
+    fn recv_rpc(&self, ctx: &ActorCtx, xid: u32) -> NfsResult<Bytes> {
         let arrived = self.await_reply(ctx, xid);
         let reply = self.table.lock().take(xid);
         let reply = arrived.and(reply.ok_or(NfsError::TimedOut))?;
@@ -243,7 +251,7 @@ impl NfsClient {
         if status != NfsStatus::Ok {
             return Err(NfsError::Status(status));
         }
-        Ok(reply[8..].to_vec())
+        Ok(reply.slice(8..))
     }
 
     /// Wait until the reply to `xid` is in the table (or `xid` is not). A
@@ -305,7 +313,7 @@ impl NfsClient {
         &self,
         ctx: &ActorCtx,
         deadline: Option<SimTime>,
-    ) -> NfsResult<Option<(u32, Vec<u8>)>> {
+    ) -> NfsResult<Option<(u32, Bytes)>> {
         let hdr = match deadline {
             None => self.sock.recv_exact(ctx, 4)?,
             Some(at) => match self.sock.recv_exact_deadline(ctx, 4, at)? {
@@ -313,7 +321,7 @@ impl NfsClient {
                 None => return Ok(None),
             },
         };
-        let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+        let len = u32::from_be_bytes(hdr[..].try_into().unwrap()) as usize;
         // Header seen: the body is in flight; wait for all of it.
         let reply = self.sock.recv_exact(ctx, len)?;
         let rxid = XdrDec::new(&reply).u32().map_err(|_| NfsError::Protocol)?;
@@ -327,7 +335,7 @@ impl NfsClient {
     }
 
     /// An RPC that answers with attributes, which the attribute cache takes.
-    fn call_attr(&self, ctx: &ActorCtx, proc_: NfsProc, args: &mut XdrEnc) -> NfsResult<FileAttr> {
+    fn call_attr(&self, ctx: &ActorCtx, proc_: NfsProc, args: Args) -> NfsResult<FileAttr> {
         let r = self.call(ctx, proc_, args)?;
         let a = proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)?;
         self.cache_attr(ctx, a);
@@ -336,8 +344,7 @@ impl NfsClient {
 
     /// NULL ping.
     pub fn null(&self, ctx: &ActorCtx) -> NfsResult<()> {
-        self.call(ctx, NfsProc::Null, &mut XdrEnc::new())
-            .map(|_| ())
+        self.call(ctx, NfsProc::Null, &|e| e).map(|_| ())
     }
 
     /// GETATTR, served from the attribute cache when fresh.
@@ -369,43 +376,39 @@ impl NfsClient {
 
     /// GETATTR bypassing the cache.
     pub fn getattr_uncached(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<FileAttr> {
-        self.call_attr(ctx, NfsProc::GetAttr, XdrEnc::new().u64(fh.0))
+        self.call_attr(ctx, NfsProc::GetAttr, &|e| e.u64(fh.0))
     }
 
     /// SETATTR (truncate to `size`).
     pub fn truncate(&self, ctx: &ActorCtx, fh: NodeId, size: u64) -> NfsResult<FileAttr> {
-        self.call_attr(
-            ctx,
-            NfsProc::SetAttr,
-            XdrEnc::new().u64(fh.0).u32(1).u64(size),
-        )
+        self.call_attr(ctx, NfsProc::SetAttr, &|e| e.u64(fh.0).u32(1).u64(size))
     }
 
     /// LOOKUP `name` in directory `dir`.
     pub fn lookup(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        self.call_attr(ctx, NfsProc::Lookup, XdrEnc::new().u64(dir.0).string(name))
+        self.call_attr(ctx, NfsProc::Lookup, &|e| e.u64(dir.0).string(name))
     }
 
     /// CREATE a regular file.
     pub fn create(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        self.call_attr(ctx, NfsProc::Create, XdrEnc::new().u64(dir.0).string(name))
+        self.call_attr(ctx, NfsProc::Create, &|e| e.u64(dir.0).string(name))
     }
 
     /// MKDIR.
     pub fn mkdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<FileAttr> {
-        let r = self.call(ctx, NfsProc::Mkdir, XdrEnc::new().u64(dir.0).string(name))?;
+        let r = self.call(ctx, NfsProc::Mkdir, &|e| e.u64(dir.0).string(name))?;
         proto::dec_attr(&mut XdrDec::new(&r)).map_err(|_| NfsError::Protocol)
     }
 
     /// REMOVE a regular file.
     pub fn remove(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<()> {
-        self.call(ctx, NfsProc::Remove, XdrEnc::new().u64(dir.0).string(name))
+        self.call(ctx, NfsProc::Remove, &|e| e.u64(dir.0).string(name))
             .map(|_| ())
     }
 
     /// RMDIR.
     pub fn rmdir(&self, ctx: &ActorCtx, dir: NodeId, name: &str) -> NfsResult<()> {
-        self.call(ctx, NfsProc::Rmdir, XdrEnc::new().u64(dir.0).string(name))
+        self.call(ctx, NfsProc::Rmdir, &|e| e.u64(dir.0).string(name))
             .map(|_| ())
     }
 
@@ -418,21 +421,15 @@ impl NfsClient {
         to: NodeId,
         to_name: &str,
     ) -> NfsResult<()> {
-        self.call(
-            ctx,
-            NfsProc::Rename,
-            XdrEnc::new()
-                .u64(from.0)
-                .string(name)
-                .u64(to.0)
-                .string(to_name),
-        )
+        self.call(ctx, NfsProc::Rename, &|e| {
+            e.u64(from.0).string(name).u64(to.0).string(to_name)
+        })
         .map(|_| ())
     }
 
     /// READDIR: (name, file id) pairs.
     pub fn readdir(&self, ctx: &ActorCtx, dir: NodeId) -> NfsResult<Vec<(String, NodeId)>> {
-        let r = self.call(ctx, NfsProc::ReadDir, XdrEnc::new().u64(dir.0))?;
+        let r = self.call(ctx, NfsProc::ReadDir, &|e| e.u64(dir.0))?;
         let mut d = XdrDec::new(&r);
         let n = d.u32().map_err(|_| NfsError::Protocol)?;
         let mut out = Vec::with_capacity(n as usize);
@@ -444,10 +441,10 @@ impl NfsClient {
         Ok(out)
     }
 
-    /// Decode the reply to a READ of `count` bytes: `(data, eof)`. More
-    /// data than was asked for is a protocol error — it would end up past
-    /// the caller's buffer.
-    fn dec_read_reply(reply: &[u8], count: u64) -> NfsResult<(&[u8], bool)> {
+    /// Decode the reply to a READ of `count` bytes: `(data, eof)`, the data
+    /// a view of the reply. More data than was asked for is a protocol
+    /// error — it would end up past the caller's buffer.
+    fn dec_read_reply(reply: &Bytes, count: u64) -> NfsResult<(Bytes, bool)> {
         let mut d = XdrDec::new(reply);
         let _count = d.u32().map_err(|_| NfsError::Protocol)?;
         let eof = d.u32().map_err(|_| NfsError::Protocol)? != 0;
@@ -460,7 +457,7 @@ impl NfsClient {
 
     /// Decode a WRITE reply: the attributes after it, which the attribute
     /// cache takes.
-    fn dec_write_reply(&self, ctx: &ActorCtx, reply: &[u8]) -> NfsResult<FileAttr> {
+    fn dec_write_reply(&self, ctx: &ActorCtx, reply: &Bytes) -> NfsResult<FileAttr> {
         let mut d = XdrDec::new(reply);
         let _count = d.u32().map_err(|_| NfsError::Protocol)?;
         let _committed = d.u32().map_err(|_| NfsError::Protocol)?;
@@ -483,9 +480,9 @@ impl NfsClient {
         io: NfsIo<'a>,
         window: usize,
     ) -> NfsTransfer<'a> {
-        let (len, data) = match &io {
-            NfsIo::Read(len) => (*len, Vec::with_capacity(*len as usize)),
-            NfsIo::Write(data) => (data.len() as u64, Vec::new()),
+        let len = match &io {
+            NfsIo::Read(len) => *len,
+            NfsIo::Write(data) => data.len() as u64,
         };
         let mut t = NfsTransfer {
             fh,
@@ -495,7 +492,7 @@ impl NfsClient {
             window: window.max(1),
             posted: 0,
             in_flight: VecDeque::new(),
-            data,
+            data: Rope::new(),
             attr: None,
             eof: false,
         };
@@ -519,33 +516,38 @@ impl NfsClient {
     }
 
     /// Post the READ or WRITE of the `count` bytes `at` bytes into the
-    /// transfer's range. A WRITE first copies its bytes from the
-    /// application buffer into the RPC buffer.
+    /// transfer's range. A WRITE copies its bytes from the application
+    /// buffer into the call record as it is built.
     fn post(&self, ctx: &ActorCtx, t: &NfsTransfer, at: u64, count: u64) -> Posted {
-        let off = t.off.saturating_add(at);
-        let mut args = XdrEnc::new();
-        args.u64(t.fh.0).u64(off);
-        let proc_ = match &t.io {
-            NfsIo::Read(_) => {
-                args.u32(count as u32);
-                NfsProc::Read
-            }
-            NfsIo::Write(data) => {
-                self.host.compute(ctx, self.config.host_cost.copy(count));
-                let chunk = &data[at as usize..(at + count) as usize];
-                args.u32(self.config.stable as u32).opaque(chunk);
-                NfsProc::Write
-            }
-        };
+        let (fh, off) = (t.fh.0, t.off.saturating_add(at));
+        // A WRITE's copy into the RPC buffer comes before the RPC's time.
+        if let NfsIo::Write(_) = t.io {
+            self.host.compute(ctx, self.config.host_cost.copy(count));
+        }
         let (sent, one) = (ctx.now(), t.window == 1);
         let event = if one { "rpc.start" } else { "rpc.issue" };
-        let xid = self.send_rpc(ctx, proc_, &mut args, event);
+        // File handle, offset, then the count or the stability: 20 bytes.
+        let xid = match &t.io {
+            NfsIo::Read(_) => self.send_rpc(ctx, NfsProc::Read, 20, event, &|e| {
+                e.u64(fh).u64(off).u32(count as u32)
+            }),
+            NfsIo::Write(data) => {
+                let chunk = &data[at as usize..(at + count) as usize];
+                let stable = self.config.stable as u32;
+                // The chunk an opaque: its length, its bytes, padded to 4.
+                let room = 20 + 4 + chunk.len().next_multiple_of(4);
+                self.send_rpc(ctx, NfsProc::Write, room, event, &|e| {
+                    e.u64(fh).u64(off).u32(stable).opaque(chunk)
+                })
+            }
+        };
         (xid, at, count, sent)
     }
 
     /// Collect the transfer's RPCs in range order, posting the rest as
-    /// each is collected. A READ reply's bytes are copied into the
-    /// application buffer and kept in file order. A short one without EOF
+    /// each is collected. A READ reply's bytes are kept, as views of the
+    /// reply, in file order: the copy into the application buffer charged
+    /// here is made where the caller lands them. A short one without EOF
     /// has the rest of its range read next (RFC 1813 allows short READs);
     /// EOF or an empty reply ends the read, and the replies already posted
     /// past it are drained. A WRITE keeps its last reply's attributes.
@@ -563,7 +565,7 @@ impl NfsClient {
                 let n = data.len() as u64;
                 if !t.eof {
                     self.host.compute(ctx, self.config.host_cost.copy(n));
-                    t.data.extend_from_slice(data);
+                    t.data.push(data);
                     t.eof = eof || n == 0;
                     if !t.eof && n < count {
                         let rest = self.post(ctx, t, at + n, count - n);
@@ -576,10 +578,11 @@ impl NfsClient {
         Ok(())
     }
 
-    /// Read `len` bytes at `off`: a transfer with one RPC in flight. Short
-    /// at EOF.
+    /// Read `len` bytes at `off`: a transfer with one RPC in flight, its
+    /// bytes copied into one vector. Short at EOF.
     pub fn read(&self, ctx: &ActorCtx, fh: NodeId, off: u64, len: u64) -> NfsResult<Vec<u8>> {
-        self.read_finish(ctx, self.begin(ctx, fh, off, NfsIo::Read(len), 1))
+        let t = self.begin(ctx, fh, off, NfsIo::Read(len), 1);
+        self.read_finish(ctx, t).map(|data| data.to_vec())
     }
 
     /// Write `data` at `off` at the mount's stability: a transfer with one
@@ -612,8 +615,9 @@ impl NfsClient {
         self.begin(ctx, fh, off, NfsIo::Write(data.into()), usize::MAX)
     }
 
-    /// Completion half of a read: the bytes read, short at EOF.
-    pub fn read_finish(&self, ctx: &ActorCtx, mut t: NfsTransfer) -> NfsResult<Vec<u8>> {
+    /// Completion half of a read: the bytes read, short at EOF, as views of
+    /// the replies in file order.
+    pub fn read_finish(&self, ctx: &ActorCtx, mut t: NfsTransfer) -> NfsResult<Rope> {
         self.collect(ctx, &mut t)?;
         Ok(t.data)
     }
@@ -628,7 +632,7 @@ impl NfsClient {
 
     /// COMMIT unstable writes to stable storage.
     pub fn commit(&self, ctx: &ActorCtx, fh: NodeId) -> NfsResult<()> {
-        self.call(ctx, NfsProc::Commit, XdrEnc::new().u64(fh.0))
+        self.call(ctx, NfsProc::Commit, &|e| e.u64(fh.0))
             .map(|_| ())
     }
 
@@ -675,13 +679,20 @@ pub struct NfsTransfer<'a> {
     posted: u64,
     /// Posted and not yet collected, in the order they are collected.
     in_flight: VecDeque<Posted>,
-    /// A READ's bytes, in file order.
-    data: Vec<u8>,
+    /// A READ's bytes, in file order: views of its replies.
+    data: Rope,
     /// The last WRITE reply's attributes.
     attr: Option<FileAttr>,
     /// A READ met EOF or an empty reply: post nothing more.
     eof: bool,
 }
+
+/// What encodes a call's arguments into its record.
+type Args<'a> = &'a dyn Fn(&mut XdrEnc) -> &mut XdrEnc;
+
+/// Bytes held for a call's arguments past a READ's or WRITE's: a file
+/// handle and a short name, say; a longer one grows the record.
+const ARGS_ROOM: usize = 32;
 
 /// Shared handle: several actors on one host may share a mount via `Arc`.
 pub type SharedNfsClient = Arc<NfsClient>;

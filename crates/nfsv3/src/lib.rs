@@ -124,6 +124,35 @@ mod tests {
         assert_eq!(b.server.stats.writes.ops.get(), 4);
     }
 
+    /// A written byte is materialised once, in its call record: the socket
+    /// hands the frame over by reference and the nfsd's page adopts its
+    /// slice of it, so a page-aligned 32 KiB WRITE adds its call record and
+    /// its small reply record to `bytes_total`, and no page slab.
+    #[test]
+    fn a_page_aligned_write_materialises_its_call_record_alone() {
+        let b = bed();
+        with_client(&b, |ctx, c| {
+            let f = c.create(ctx, ROOT_ID, "page").unwrap();
+            let page = vec![0x5A; 32 << 10];
+            let before = simnet::buf::bytes_total();
+            assert_eq!(c.write(ctx, f.id, 0, &page).unwrap().size, 32 << 10);
+            let grew = simnet::buf::bytes_total() - before;
+            // Mark, xid and procedure; file handle, offset and stability;
+            // the opaque's length and its bytes.
+            let record = 4 + 8 + 20 + 4 + page.len() as u64;
+            // Mark, xid and status; count and stability; the attributes.
+            let reply = 4 + 8 + 8 + 32;
+            assert_eq!(
+                grew,
+                record + reply,
+                "a {record} B call record and a {reply} B reply materialised {grew} B"
+            );
+        });
+        b.kernel.run();
+        let f = b.fs.resolve("/page").unwrap();
+        assert_eq!(b.fs.read(f.id, 0, 1 << 20).unwrap(), vec![0x5A; 32 << 10]);
+    }
+
     #[test]
     fn lookup_and_errors_cross_the_wire() {
         let b = bed();
@@ -515,7 +544,7 @@ mod tests {
             let call = |body: &[u8]| -> (u32, u32) {
                 sock.send(ctx, &proto::frame(body));
                 let len = sock.recv_exact(ctx, 4).unwrap();
-                let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+                let len = u32::from_be_bytes(len[..].try_into().unwrap()) as usize;
                 let reply = sock.recv_exact(ctx, len).unwrap();
                 let mut d = xdr::XdrDec::new(&reply);
                 (d.u32().unwrap(), d.u32().unwrap())

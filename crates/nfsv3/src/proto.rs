@@ -201,11 +201,19 @@ pub fn dec_attr(d: &mut XdrDec) -> Result<FileAttr, XdrError> {
 /// many replies for each open one.
 pub(crate) const REPLAY_WINDOW: usize = 256;
 
-/// One call record, built in one exact-size buffer: record mark, xid,
-/// procedure, then the encoded arguments.
-pub fn call_record(xid: u32, proc_: NfsProc, args: &[u8]) -> Vec<u8> {
-    let mut e = XdrEnc::record(8 + args.len());
-    e.u32(xid).u32(proc_ as u32).raw(args);
+/// One call record, built in one pass: record mark, xid, procedure, then
+/// the arguments `enc` encodes, for which `room` bytes are held (exactly
+/// what a READ's or WRITE's take, so the buffer is sized once and a
+/// WRITE's chunk is copied once, into it).
+pub fn call_record(
+    xid: u32,
+    proc_: NfsProc,
+    room: usize,
+    enc: impl FnOnce(&mut XdrEnc) -> &mut XdrEnc,
+) -> Vec<u8> {
+    let mut e = XdrEnc::record(8 + room);
+    e.u32(xid).u32(proc_ as u32);
+    enc(&mut e);
     e.finish_record()
 }
 
@@ -264,7 +272,7 @@ mod tests {
         };
         let mut e = XdrEnc::new();
         enc_attr(&mut e, &a);
-        let b = e.finish();
+        let b = simnet::Bytes::from_vec(e.finish());
         let mut d = XdrDec::new(&b);
         assert_eq!(dec_attr(&mut d).unwrap(), a);
     }
@@ -278,7 +286,7 @@ mod tests {
     #[test]
     fn a_call_record_is_the_framed_call_in_one_buffer() {
         for args in [&b""[..], &[9; 3], &[0xEE; 4096 + 12]] {
-            let wire = call_record(0xA1B2_C3D4, NfsProc::Write, args);
+            let wire = call_record(0xA1B2_C3D4, NfsProc::Write, args.len(), |e| e.raw(args));
             let mut body = XdrEnc::new();
             body.u32(0xA1B2_C3D4).u32(NfsProc::Write as u32).raw(args);
             assert_eq!(wire, frame(&body.finish()));

@@ -94,7 +94,7 @@ pub fn spawn_nfs_server(
                 n += 1;
                 ctx.spawn_daemon(&format!("nfs-conn{n}"), move |cctx| {
                     while let Ok(hdr) = sock.recv_exact(cctx, 4) {
-                        let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+                        let len = u32::from_be_bytes(hdr[..].try_into().unwrap()) as usize;
                         let Ok(body) = sock.recv_exact(cctx, len) else {
                             break;
                         };
@@ -130,8 +130,8 @@ pub fn spawn_nfs_server(
 
 /// What a connection's reader hands the nfsd, tagged with the connection.
 enum Work {
-    /// One request frame, and the socket to reply on.
-    Frame(Vec<u8>, Socket),
+    /// One request frame, as it arrived, and the socket to reply on.
+    Frame(Bytes, Socket),
     /// The connection closed; nothing more comes from it.
     Closed,
 }
@@ -177,7 +177,7 @@ impl Nfsd {
     /// reply to a retransmitted xid, or execute the frame and keep a
     /// mutating procedure's reply. Lookups and inserts charge no virtual
     /// time, and the resend costs what the first send did.
-    fn serve(&mut self, ctx: &ActorCtx, conn: u32, req: &[u8], sock: &Socket) {
+    fn serve(&mut self, ctx: &ActorCtx, conn: u32, req: &Bytes, sock: &Socket) {
         let mut d = XdrDec::new(req);
         let xid = d.u32().ok();
         if let Some(xid) = xid {
@@ -225,7 +225,7 @@ impl Nfsd {
     /// nfsd CPU time. Every frame gets one reply: a frame cut short of its
     /// xid is answered under xid 0, and one that names no procedure, or
     /// cuts its arguments short, with [`NfsStatus::Io`].
-    fn serve_one(&self, ctx: &ActorCtx, req: &[u8]) -> Vec<u8> {
+    fn serve_one(&self, ctx: &ActorCtx, req: &Bytes) -> Vec<u8> {
         self.stats.ops.inc();
         self.host.compute(ctx, self.cost.per_op);
 
@@ -276,8 +276,10 @@ impl Nfsd {
                 let (fh, off) = (NodeId(d.u64()?), d.u64()?);
                 let stable = Stable::from_u32(d.u32()?);
                 let data = d.opaque()?;
+                // Buffer-cache copy out of the request: modelled here, and
+                // made only for a page the frame does not cover whole.
                 host.compute(ctx, cost.host.copy(data.len() as u64));
-                let a = fs.write(fh, off, data)?;
+                let a = fs.write_bytes(fh, off, &data)?;
                 if stable != Stable::Unstable {
                     host.compute(ctx, cost.sync);
                 }

@@ -3,6 +3,8 @@
 //! Big-endian fixed-width integers; opaque byte strings carry a length and
 //! are padded to 4-byte alignment. Only the subset the NFS procedures need.
 
+use simnet::{Bytes, Rope};
+
 /// XDR encoder over a growable buffer.
 #[derive(Default)]
 pub struct XdrEnc {
@@ -51,7 +53,7 @@ impl XdrEnc {
 
     /// Append a variable-length opaque held as a rope of views (the copy
     /// of file pages into a reply).
-    pub fn opaque_rope(&mut self, v: &simnet::Rope) -> &mut Self {
+    pub fn opaque_rope(&mut self, v: &Rope) -> &mut Self {
         self.u32(v.len() as u32);
         v.copy_into(&mut self.buf);
         self.pad(v.len())
@@ -112,23 +114,24 @@ pub enum XdrError {
     BadLength,
 }
 
-/// XDR decoder over a byte slice.
+/// XDR decoder over a received message. An opaque comes back as a view of
+/// the message, not a copy.
 pub struct XdrDec<'a> {
-    buf: &'a [u8],
+    buf: &'a Bytes,
     pos: usize,
 }
 
 impl<'a> XdrDec<'a> {
     /// Decode from `buf`.
-    pub fn new(buf: &'a [u8]) -> XdrDec<'a> {
+    pub fn new(buf: &'a Bytes) -> XdrDec<'a> {
         XdrDec { buf, pos: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(XdrError::Truncated);
         }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = &self.buf.as_slice()[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
@@ -143,21 +146,30 @@ impl<'a> XdrDec<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a variable-length opaque, borrowed from the message.
-    pub fn opaque(&mut self) -> Result<&'a [u8], XdrError> {
+    /// Consume a variable-length opaque (its length, its bytes, their
+    /// padding) and say where its bytes lie.
+    fn body(&mut self) -> Result<std::ops::Range<usize>, XdrError> {
         let len = self.u32()? as usize;
-        if len > self.buf.len() - self.pos {
+        if len > self.remaining() {
             return Err(XdrError::BadLength);
         }
-        let data = self.take(len)?;
-        let pad = (4 - len % 4) % 4;
-        self.take(pad)?;
-        Ok(data)
+        let start = self.pos;
+        self.take(len)?;
+        self.take((4 - len % 4) % 4)?;
+        Ok(start..start + len)
+    }
+
+    /// Read a variable-length opaque, as a view of the message.
+    pub fn opaque(&mut self) -> Result<Bytes, XdrError> {
+        Ok(self.buf.slice(self.body()?))
     }
 
     /// Read a string.
     pub fn string(&mut self) -> Result<String, XdrError> {
-        String::from_utf8(self.opaque()?.to_vec()).map_err(|_| XdrError::BadLength)
+        let at = self.body()?;
+        std::str::from_utf8(&self.buf[at])
+            .map(str::to_owned)
+            .map_err(|_| XdrError::BadLength)
     }
 
     /// Bytes not yet consumed.
@@ -190,7 +202,7 @@ mod tests {
     fn ints_roundtrip() {
         let mut e = XdrEnc::new();
         e.u32(0xDEADBEEF).u64(0x0123456789ABCDEF);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         assert_eq!(b.len(), 12);
         let mut d = XdrDec::new(&b);
         assert_eq!(d.u32().unwrap(), 0xDEADBEEF);
@@ -204,18 +216,18 @@ mod tests {
             let data: Vec<u8> = (0..n as u8).collect();
             let mut e = XdrEnc::new();
             e.opaque(&data);
-            let b = e.finish();
+            let b = Bytes::from_vec(e.finish());
             assert_eq!(b.len() % 4, 0, "n={n}");
             let mut d = XdrDec::new(&b);
             assert_eq!(d.opaque().unwrap(), data);
             assert_eq!(d.remaining(), 0);
             // The same bytes held as two views encode the same.
-            let mut rope = simnet::Rope::new();
-            rope.push(simnet::Bytes::copy_from_slice(&data[..n / 2]));
-            rope.push(simnet::Bytes::copy_from_slice(&data[n / 2..]));
+            let mut rope = Rope::new();
+            rope.push(Bytes::copy_from_slice(&data[..n / 2]));
+            rope.push(Bytes::copy_from_slice(&data[n / 2..]));
             let mut e = XdrEnc::new();
             e.opaque_rope(&rope);
-            assert_eq!(e.finish(), b, "n={n}");
+            assert_eq!(b, e.finish(), "n={n}");
         }
     }
 
@@ -223,14 +235,15 @@ mod tests {
     fn string_roundtrip() {
         let mut e = XdrEnc::new();
         e.string("héllo.dat");
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = XdrDec::new(&b);
         assert_eq!(d.string().unwrap(), "héllo.dat");
     }
 
     #[test]
     fn truncated_detected() {
-        let mut d = XdrDec::new(&[0, 0]);
+        let b = Bytes::from_vec(vec![0, 0]);
+        let mut d = XdrDec::new(&b);
         assert_eq!(d.u32(), Err(XdrError::Truncated));
     }
 
@@ -239,7 +252,7 @@ mod tests {
         // Claims 100 bytes but only 2 follow.
         let mut e = XdrEnc::new();
         e.u32(100).u32(0);
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = XdrDec::new(&b);
         assert_eq!(d.opaque(), Err(XdrError::BadLength));
     }
@@ -248,11 +261,11 @@ mod tests {
     fn mixed_sequence() {
         let mut e = XdrEnc::new();
         e.u32(7).string("x").u64(9).opaque(b"abc");
-        let b = e.finish();
+        let b = Bytes::from_vec(e.finish());
         let mut d = XdrDec::new(&b);
         assert_eq!(d.u32().unwrap(), 7);
         assert_eq!(d.string().unwrap(), "x");
         assert_eq!(d.u64().unwrap(), 9);
-        assert_eq!(d.opaque().unwrap(), b"abc");
+        assert_eq!(d.opaque().unwrap(), &b"abc"[..]);
     }
 }

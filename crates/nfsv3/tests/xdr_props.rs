@@ -5,7 +5,7 @@
 //! ([`simnet::Rng64`]); every run checks the same 256 cases.
 
 use nfsv3::xdr::{XdrDec, XdrEnc};
-use simnet::Rng64;
+use simnet::{Bytes, Rng64};
 
 #[derive(Debug, Clone)]
 enum Field {
@@ -60,7 +60,7 @@ fn sequences_roundtrip() {
                 }
             }
         }
-        let bytes = e.finish();
+        let bytes = Bytes::from_vec(e.finish());
         assert_eq!(bytes.len() % 4, 0, "XDR stream must stay 4-aligned");
         let mut d = XdrDec::new(&bytes);
         for f in &fields {
@@ -82,7 +82,7 @@ fn decoder_is_total() {
     let mut rng = Rng64::new(0x0DD5_0002);
     for _ in 0..256 {
         let len = rng.range_usize(0, 64);
-        let bytes = rng.bytes(len);
+        let bytes = Bytes::from_vec(rng.bytes(len));
         let mut d = XdrDec::new(&bytes);
         let _ = d.u32();
         let _ = d.opaque();

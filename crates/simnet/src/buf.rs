@@ -473,6 +473,13 @@ impl Rope {
             out.extend_from_slice(p);
         }
     }
+
+    /// Copy the pieces out into one owned vector.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.copy_into(&mut out);
+        out
+    }
 }
 
 impl From<Bytes> for Rope {

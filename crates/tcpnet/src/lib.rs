@@ -27,6 +27,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::cost::HostCost;
 use simnet::fault::FaultPlan;
+use simnet::obs::{LazyByteMeter, LazyCounter};
 use simnet::time::units::*;
 use simnet::{
     buf, ActorCtx, Bandwidth, Bytes, Host, HostId, Port, RecvUntil, Resource, SimDuration, SimTime,
@@ -248,6 +249,7 @@ impl TcpFabric {
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
+                meters: Meters::default(),
             }),
         })
     }
@@ -290,6 +292,7 @@ impl TcpListener {
                 fin_seen: Mutex::new(false),
                 last_deliver: Mutex::new(simnet::SimTime::ZERO),
                 faults,
+                meters: Meters::default(),
             }),
         })
     }
@@ -314,13 +317,23 @@ impl RecvBuf {
         self.chunks.push_back(chunk);
     }
 
-    /// The next `n` bytes, once that many have arrived.
-    fn take(&mut self, n: usize) -> Option<Vec<u8>> {
+    /// The next `n` bytes, once that many have arrived: a view of the
+    /// front chunk when they lie in it (a whole segment read whole is the
+    /// sender's frame), else one concatenation into a pooled frame.
+    fn take(&mut self, n: usize) -> Option<Bytes> {
         if self.len < n {
             return None;
         }
         self.len -= n;
-        let mut out = Vec::with_capacity(n);
+        if let Some(first) = self.chunks.front_mut().filter(|f| n <= f.len()) {
+            let out = first.slice(..n);
+            *first = first.slice(n..);
+            if first.is_empty() {
+                self.chunks.pop_front();
+            }
+            return Some(out);
+        }
+        let mut out = buf::frame_pool().alloc(n);
         while out.len() < n {
             let first = self.chunks.front_mut().expect("len counts the chunks");
             let k = first.len().min(n - out.len());
@@ -331,7 +344,7 @@ impl RecvBuf {
                 *first = first.slice(k..);
             }
         }
-        Some(out)
+        Some(out.freeze())
     }
 }
 
@@ -351,6 +364,25 @@ struct SocketInner {
     /// Fault plan captured at connection time; `None` leaves the data path
     /// byte-identical to the pre-fault-injection code.
     faults: Option<FaultPlan>,
+    meters: Meters,
+}
+
+/// The stack's per-segment metrics, looked up once per socket rather than
+/// by name on every segment.
+struct Meters {
+    tx_bytes: LazyByteMeter,
+    packets: LazyCounter,
+    rx_bytes: LazyByteMeter,
+}
+
+impl Default for Meters {
+    fn default() -> Meters {
+        Meters {
+            tx_bytes: LazyByteMeter::new("tcp.tx.bytes"),
+            packets: LazyCounter::new("tcp.packets"),
+            rx_bytes: LazyByteMeter::new("tcp.rx.bytes"),
+        }
+    }
 }
 
 /// A connected stream socket.
@@ -386,8 +418,8 @@ impl Socket {
         let n = bytes.len() as u64;
         s.local_host.compute(ctx, s.cost.send_cpu(n));
         let npkts = s.cost.packets(n);
-        ctx.metrics().byte_meter("tcp.tx.bytes").record(n);
-        ctx.metrics().counter("tcp.packets").add(npkts);
+        s.meters.tx_bytes.resolve(ctx.metrics()).record(n);
+        s.meters.packets.resolve(ctx.metrics()).add(npkts);
         ctx.trace(
             "tcp",
             "segment.tx",
@@ -433,8 +465,9 @@ impl Socket {
     }
 
     /// Read exactly `n` bytes (blocking). Charges receiver-side CPU for the
-    /// bytes returned.
-    pub fn recv_exact(&self, ctx: &ActorCtx, n: usize) -> Result<Vec<u8>, TcpError> {
+    /// bytes returned, which are views of what arrived: the kernel-to-user
+    /// copy is modelled, not made.
+    pub fn recv_exact(&self, ctx: &ActorCtx, n: usize) -> Result<Bytes, TcpError> {
         self.recv_exact_by(ctx, n, None)
             .map(|got| got.expect("no deadline to pass"))
     }
@@ -449,7 +482,7 @@ impl Socket {
         ctx: &ActorCtx,
         n: usize,
         deadline: SimTime,
-    ) -> Result<Option<Vec<u8>>, TcpError> {
+    ) -> Result<Option<Bytes>, TcpError> {
         self.recv_exact_by(ctx, n, Some(deadline))
     }
 
@@ -460,13 +493,13 @@ impl Socket {
         ctx: &ActorCtx,
         n: usize,
         deadline: Option<SimTime>,
-    ) -> Result<Option<Vec<u8>>, TcpError> {
+    ) -> Result<Option<Bytes>, TcpError> {
         let s = &self.inner;
         loop {
             let got = s.buffer.lock().take(n);
             if let Some(out) = got {
                 s.local_host.compute(ctx, s.cost.recv_cpu(n as u64));
-                ctx.metrics().byte_meter("tcp.rx.bytes").record(n as u64);
+                s.meters.rx_bytes.resolve(ctx.metrics()).record(n as u64);
                 ctx.trace("tcp", "segment.rx", &[("bytes", obs::Value::U64(n as u64))]);
                 return Ok(Some(out));
             }
@@ -527,14 +560,13 @@ mod tests {
     #[test]
     fn stream_roundtrip_preserves_bytes() {
         let t = bed();
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             // Reads cut the stream where they like: inside the first
             // segment, then across its tail and the whole second one.
-            assert_eq!(s.recv_exact(ctx, 3).unwrap(), b"012");
-            assert_eq!(s.recv_exact(ctx, 7).unwrap(), b"3456789");
+            assert_eq!(s.recv_exact(ctx, 3).unwrap(), &b"012"[..]);
+            assert_eq!(s.recv_exact(ctx, 7).unwrap(), &b"3456789"[..]);
             s.send(ctx, b"ok");
         });
         let (f, a, bid) = (t.fabric.clone(), t.a.clone(), t.b.id);
@@ -544,7 +576,37 @@ mod tests {
             // semantics).
             s.send(ctx, b"01234");
             s.send(ctx, b"56789");
-            assert_eq!(s.recv_exact(ctx, 2).unwrap(), b"ok");
+            assert_eq!(s.recv_exact(ctx, 2).unwrap(), &b"ok"[..]);
+        });
+        t.kernel.run();
+    }
+
+    /// A segment read whole is handed over by reference: the receiver gets
+    /// a view of the frame the sender passed to `send_bytes`, at the same
+    /// address, as an RPC record is read. (Reads that cut segments are
+    /// `stream_roundtrip_preserves_bytes`.)
+    #[test]
+    fn a_whole_segment_arrives_as_the_senders_frame() {
+        let t = bed();
+        let sent = Arc::new(AtomicU64::new(0));
+        let got = sent.clone();
+        let l = t.fabric.listen(&t.b, 80);
+        t.kernel.spawn_daemon("server", move |ctx| {
+            let s = l.accept(ctx).unwrap();
+            let hdr = s.recv_exact(ctx, 4).unwrap();
+            let body = s.recv_exact(ctx, 4096).unwrap();
+            let at = got.load(Ordering::Relaxed);
+            assert_eq!((hdr.as_ptr() as u64, body.as_ptr() as u64), (at, at + 4));
+            assert!(body.iter().all(|&b| b == 0x5A));
+        });
+        let (f, a, bid) = (t.fabric.clone(), t.a.clone(), t.b.id);
+        t.kernel.spawn("client", move |ctx| {
+            let s = f.connect(ctx, &a, bid, 80).unwrap();
+            let mut frame = vec![0u8; 4];
+            frame.resize(4 + 4096, 0x5A);
+            let frame = Bytes::from_vec(frame);
+            sent.store(frame.as_ptr() as u64, Ordering::Relaxed);
+            s.send_bytes(ctx, frame);
         });
         t.kernel.run();
     }
@@ -552,9 +614,8 @@ mod tests {
     #[test]
     fn small_rpc_latency_much_higher_than_via() {
         let t = bed();
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             while let Ok(_req) = s.recv_exact(ctx, 16) {
                 s.send(ctx, &[0u8; 16]);
@@ -586,11 +647,10 @@ mod tests {
         let t = bed();
         const CHUNK: usize = 32 << 10;
         const COUNT: usize = 64;
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         let done = Arc::new(AtomicU64::new(0));
         let d2 = done.clone();
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             let t0 = ctx.now();
             for _ in 0..COUNT {
@@ -620,9 +680,8 @@ mod tests {
     #[test]
     fn receiver_kernel_time_accrues() {
         let t = bed();
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             let _ = s.recv_exact(ctx, 1 << 20);
         });
@@ -655,12 +714,11 @@ mod tests {
     #[test]
     fn close_then_recv_returns_closed() {
         let t = bed();
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             // Drain what was sent, then observe close.
-            assert_eq!(s.recv_exact(ctx, 3).unwrap(), b"end");
+            assert_eq!(s.recv_exact(ctx, 3).unwrap(), &b"end"[..]);
             assert_eq!(s.recv_exact(ctx, 1), Err(TcpError::Closed));
         });
         let (f, a, bid) = (t.fabric.clone(), t.a.clone(), t.b.id);
@@ -676,9 +734,8 @@ mod tests {
     fn two_flows_serialize_on_server_softirq() {
         let t = bed();
         let c2 = t.cluster.add_host("c2");
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s1 = l.accept(ctx).unwrap();
             let s2 = l.accept(ctx).unwrap();
             let _ = s1.recv_exact(ctx, 256 << 10);
@@ -706,9 +763,8 @@ mod tests {
         // the receiver's deadline read observes the loss as a timeout.
         t.fabric
             .set_fault_plan(FaultPlan::builder(3).link_loss(t.a.id, t.b.id, 1.0).build());
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             assert_eq!(
                 s.recv_exact_deadline(ctx, 4, ctx.now() + ms(10)).unwrap(),
@@ -727,22 +783,21 @@ mod tests {
     #[test]
     fn recv_exact_deadline_happy_path_matches_recv_exact() {
         let t = bed();
-        let (f, b) = (t.fabric.clone(), t.b.clone());
+        let l = t.fabric.listen(&t.b, 80);
         t.kernel.spawn_daemon("server", move |ctx| {
-            let l = f.listen(&b, 80);
             let s = l.accept(ctx).unwrap();
             let got = s
                 .recv_exact_deadline(ctx, 5, ctx.now() + ms(100))
                 .unwrap()
                 .unwrap();
-            assert_eq!(got, b"hello");
+            assert_eq!(got, &b"hello"[..]);
             s.send(ctx, b"ok");
         });
         let (f, a, bid) = (t.fabric.clone(), t.a.clone(), t.b.id);
         t.kernel.spawn("client", move |ctx| {
             let s = f.connect(ctx, &a, bid, 80).unwrap();
             s.send(ctx, b"hello");
-            assert_eq!(s.recv_exact(ctx, 2).unwrap(), b"ok");
+            assert_eq!(s.recv_exact(ctx, 2).unwrap(), &b"ok"[..]);
         });
         t.kernel.run();
     }

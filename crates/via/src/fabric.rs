@@ -6,7 +6,7 @@
 //! round trip at small-message latency, like the real connection manager.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -85,7 +85,7 @@ impl ViaFabric {
     }
 
     fn alloc_vi_id(&self) -> ViId {
-        ViId(self.next_vi_id.fetch_add(1, Ordering::Relaxed))
+        ViId(crate::update(&self.next_vi_id, |v| v + 1))
     }
 
     /// The fabric-wide cost model.
@@ -219,11 +219,7 @@ impl Listener {
     pub fn accept(&self, ctx: &ActorCtx, attrs: ViAttributes) -> Option<Vi> {
         let req = self.requests.recv(ctx)?;
         let ptag = attrs.ptag.unwrap_or_else(|| self.nic.create_ptag());
-        let server_end = ViEnd::new(
-            ViId(self.vi_ids.fetch_add(1, Ordering::Relaxed)),
-            attrs,
-            ptag,
-        );
+        let server_end = ViEnd::new(ViId(crate::update(&self.vi_ids, |v| v + 1)), attrs, ptag);
         let back = ctx.now() + self.nic.cost().unloaded_one_way(64);
         req.reply.send(
             ctx,

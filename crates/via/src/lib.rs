@@ -45,6 +45,17 @@ pub use mem::{AccessKind, MemAttributes, MemError, MemHandle, ProtectionTag};
 pub use nic::{RegistrationStats, ViaNic};
 pub use vi::{Reliability, Vi, ViAttributes, ViId, ViState};
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Replace `a`'s value with `f` of it and return the old one. The ids and
+/// tallies this updates live on the simulation's one thread, so it is a
+/// load and a store, not a locked read-modify-write.
+fn update(a: &AtomicU64, f: impl FnOnce(u64) -> u64) -> u64 {
+    let v = a.load(Ordering::Relaxed);
+    a.store(f(v), Ordering::Relaxed);
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,9 +114,9 @@ impl RegistrationTable {
     /// Register `[addr, addr+len)`; returns the new handle.
     pub fn register(&self, addr: VirtAddr, len: u64, attrs: MemAttributes) -> MemHandle {
         assert!(len > 0, "cannot register an empty region");
-        let id = self.next.fetch_add(1, Ordering::Relaxed) + 1;
+        let id = crate::update(&self.next, |v| v + 1) + 1;
         self.inner.lock().insert(id, Region { addr, len, attrs });
-        self.registered_bytes.fetch_add(len, Ordering::Relaxed);
+        crate::update(&self.registered_bytes, |v| v + len);
         MemHandle(id)
     }
 
@@ -124,7 +124,7 @@ impl RegistrationTable {
     pub fn deregister(&self, h: MemHandle) -> Result<u64, MemError> {
         match self.inner.lock().remove(&h.0) {
             Some(r) => {
-                self.registered_bytes.fetch_sub(r.len, Ordering::Relaxed);
+                crate::update(&self.registered_bytes, |v| v - r.len);
                 Ok(r.len)
             }
             None => Err(MemError::BadHandle),

@@ -80,7 +80,7 @@ impl ViaNic {
 
     /// Allocate a fresh protection tag (`VipCreatePtag`).
     pub fn create_ptag(&self) -> ProtectionTag {
-        ProtectionTag(self.inner.next_ptag.fetch_add(1, Ordering::Relaxed))
+        ProtectionTag(crate::update(&self.inner.next_ptag, |v| v + 1))
     }
 
     /// Register memory with the NIC (`VipRegisterMem`).
@@ -102,9 +102,7 @@ impl ViaNic {
         let cost = self.inner.cost.registration(len);
         self.inner.host.compute(ctx, cost);
         self.inner.registered.resolve(ctx.metrics()).record(len);
-        self.inner
-            .reg_cpu
-            .fetch_add(cost.as_nanos(), Ordering::Relaxed);
+        crate::update(&self.inner.reg_cpu, |v| v + cost.as_nanos());
         let h = self.inner.table.register(addr, len, attrs);
         ctx.trace(
             "via",
@@ -140,9 +138,8 @@ impl ViaNic {
         let len = self.inner.table.deregister(h)?;
         self.inner.host.compute(ctx, self.inner.cost.dereg);
         self.inner.deregistered.resolve(ctx.metrics()).inc();
-        self.inner
-            .reg_cpu
-            .fetch_add(self.inner.cost.dereg.as_nanos(), Ordering::Relaxed);
+        let dereg = self.inner.cost.dereg.as_nanos();
+        crate::update(&self.inner.reg_cpu, |v| v + dereg);
         ctx.trace(
             "via",
             "mem.deregister",

@@ -333,6 +333,27 @@ if [ -z "$deliver" ] || [ -z "$execute" ] ||
     exit 1
 fi
 
+echo "==> a socket hands over what arrived"
+# A TCP receive returns views of the segments that arrived, and one RPC
+# record is one segment, so a record read whole is the sender's frame: the
+# kernel-to-user copy is charged (`recv_cpu`), not made. The nfsd stores a
+# WRITE's data through `MemFs::write_bytes`, whose whole pages adopt the
+# request frame, and the NFS client keeps each reply as the view it got.
+# `RecvBuf::take` and `recv_exact*` return no `Vec<u8>`, the nfsd's WRITE
+# arm calls no `fs.write(`, and nfsv3's client.rs copies no reply out.
+receives=$(awk '/fn (take|recv_exact[a-z_]*)\(/ { on = 1 }
+    on { print FILENAME ":" FNR ":" $0 }
+    on && /\{$/ { on = 0 }' crates/tcpnet/src/lib.rs)
+write_arm=$(sed -n '/NfsProc::Write => {/,/^            }$/p' crates/nfsv3/src/server.rs)
+if [ -z "$receives" ] || echo "$receives" | grep 'Vec<u8>' ||
+    ! echo "$write_arm" | grep -q 'write_bytes(' || echo "$write_arm" | grep -n 'fs\.write(' ||
+    grep -nE '\b(reply|r)\b[^;]*\.to_vec\(\)' crates/nfsv3/src/client.rs; then
+    echo "ci: a TCP receive returns a Vec<u8>, the nfsd's WRITE stores through" \
+        "something other than write_bytes, or the NFS client copies a reply out" \
+        "(lines above)" >&2
+    exit 1
+fi
+
 echo "==> a table cell is a value"
 # Every bench table fills typed `report::Cell`s (the exact value and how it
 # prints) and one renderer makes the text: no row is built from strings,
@@ -364,7 +385,8 @@ fi
 echo "==> one thread, no lock prefix"
 # A simulation runs on one OS thread, so the state every event touches pays
 # for no cross-thread synchronisation: the kernel, ports, hosts, resources,
-# payload buffers and metrics take no std mutex and make no locked
+# payload buffers, metrics, the VIA NIC's ids and registration tallies and
+# the TCP and NFS stacks take no std mutex and make no locked
 # read-modify-write (a counter is a load and a store; what needs a lock sits
 # in the parking_lot shim's single-thread cell, whose one claim is the only
 # compare-and-swap), and the shim is not built on std's mutex. Tests are
@@ -374,7 +396,9 @@ std_mutex='std::sync::(\{[^}]*)?\bMutex\b'
 locked=$(
     for f in crates/simnet/src/kernel.rs crates/simnet/src/port.rs crates/simnet/src/host.rs \
         crates/simnet/src/resource.rs crates/simnet/src/buf.rs \
-        crates/obs/src/stats.rs crates/obs/src/registry.rs; do
+        crates/obs/src/stats.rs crates/obs/src/registry.rs \
+        crates/via/src/fabric.rs crates/via/src/mem.rs crates/via/src/nic.rs \
+        crates/tcpnet/src/lib.rs crates/nfsv3/src/*.rs; do
         no_tests "$f" "$std_mutex|\bfetch_(add|sub|max)\b|\bcompare_exchange"
     done
     no_tests crates/parking_lot/src/lib.rs "$std_mutex"

@@ -3,9 +3,9 @@
 //! job moves (`simnet::buf::bytes_total`, the benchmark's
 //! `simnet.buf.copy_ratio`). A written byte is materialised once — client
 //! memory → request frame — and the file page adopts its slice of the frame
-//! (the server's copy into its page is modelled, not made); a read byte
-//! rides views of the pages into the client's buffer and is materialised
-//! nowhere.
+//! (the server's copy into its page is modelled, not made); on DAFS a read
+//! byte rides views of the pages into the client's buffer and is
+//! materialised nowhere, on NFS once, in its READ's reply record.
 //!
 //! The gauge is per OS thread: a job runs on the test's thread, so the test
 //! reads only the bytes its own jobs materialised.
@@ -111,16 +111,21 @@ fn payload_bytes_buffered_per_byte_moved_stay_in_budget() {
         "collective buffered {coll:.3} bytes per byte moved"
     );
 
-    // NFS copies by design (the socket's user-to-kernel copy on each side);
-    // the bound is that this change does not add to it. Measured 1.5022,
-    // which is the parent's figure too: the parent already meets it.
+    // NFS materialises a byte once each way, in the frame that carries it:
+    // a written byte in its WRITE's call record (out of client memory; the
+    // nfsd's pages adopt their slices of it), a read byte in its READ's
+    // reply record (out of the server's pages). The socket hands each
+    // record over by reference: its user/kernel copies are charged, not
+    // made. Measured 1.0022 (read half 1.0017); it read 1.5022 while the
+    // nfsd copied each written byte into a page slab of its own. The bound
+    // is that plus a hundredth: a page copied again reads 1.5.
     let nfs = independent(Backend::nfs(), 8 * MIB, 128 << 10);
     println!(
         "nfs independent: job {:.4}, read half {:.4}",
         nfs.job, nfs.read_half
     );
     assert!(
-        nfs.job <= 1.5023,
+        nfs.job <= 1.0122,
         "NFS buffered {:.4} bytes per byte moved",
         nfs.job
     );

@@ -46,9 +46,8 @@ fn le(v: &[u8]) -> u64 {
 /// `ReadDir` with a count of `u32::MAX` entries and none of them; anything
 /// else gets an empty OK.
 fn spawn_dafs_peer(kernel: &SimKernel, fabric: &ViaFabric, nic: ViaNic, credits: u32, extra: u64) {
-    let fabric = fabric.clone();
+    let listener = fabric.listen(&nic, PORT);
     kernel.spawn_daemon("peer", move |ctx| {
-        let listener = fabric.listen(&nic, PORT);
         let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
         // One registration, cut into 64 receive slots and a send buffer:
         // the client's `Hello` must find a descriptor posted.
@@ -251,11 +250,11 @@ enum Reads {
 /// An NFS server that knows one file of [`FILE`] bytes and answers every
 /// READ as `reads` says.
 fn spawn_nfs_peer(kernel: &SimKernel, fabric: &TcpFabric, peer: Host, reads: Reads) {
-    let fabric = fabric.clone();
+    let listener = fabric.listen(&peer, PORT);
     kernel.spawn_daemon("peer", move |ctx| {
-        let sock = fabric.listen(&peer, PORT).accept(ctx).unwrap();
+        let sock = listener.accept(ctx).unwrap();
         while let Ok(hdr) = sock.recv_exact(ctx, 4) {
-            let len = u32::from_be_bytes(hdr.try_into().unwrap()) as usize;
+            let len = u32::from_be_bytes(hdr[..].try_into().unwrap()) as usize;
             let req = sock.recv_exact(ctx, len).unwrap();
             let word = |at: usize| u32::from_be_bytes(req[at..at + 4].try_into().unwrap());
             let mut e = XdrEnc::new();
@@ -311,7 +310,8 @@ fn nfs_read_longer_than_count_is_a_protocol_error() {
         let c = Arc::new(NfsClient::mount(ctx, &fabric, &host, sid, PORT, config).unwrap());
         assert_eq!(c.read(ctx, FH, 0, 256), Err(NfsError::Protocol));
         let pending = c.read_begin(ctx, FH, 0, 256);
-        assert_eq!(c.read_finish(ctx, pending), Err(NfsError::Protocol));
+        let got = c.read_finish(ctx, pending).map(|data| data.to_vec());
+        assert_eq!(got, Err(NfsError::Protocol));
         // And from the ADIO driver, which copies what it gets to `dst`.
         let f = NfsAdio::new(c.clone()).open(ctx, "/f", false).unwrap();
         let buf = host.mem.alloc(4096);
@@ -389,7 +389,10 @@ fn nfs_short_reads_read_on_to_eof() {
         let whole: Vec<u8> = (0..FILE).map(file_byte).collect();
         assert!(c.read(ctx, FH, 0, 2 * FILE).unwrap() == whole, "read");
         let t = c.read_begin(ctx, FH, 0, 2 * FILE);
-        assert!(c.read_finish(ctx, t).unwrap() == whole, "read_begin");
+        assert!(
+            c.read_finish(ctx, t).unwrap().to_vec() == whole,
+            "read_begin"
+        );
         let f = NfsAdio::new(c.clone()).open(ctx, "/f", false).unwrap();
         let (mem, buf) = (&host.mem, host.mem.alloc(2 * FILE as usize));
         assert_eq!(f.read_contig(ctx, 0, buf, 2 * FILE), Ok(FILE));
