@@ -629,11 +629,6 @@ impl DafsClient {
         *self.caps.lock()
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &DafsClientConfig {
-        &self.config
-    }
-
     /// The session's registration cache, whose `hits`, `misses` and
     /// `evictions` are its `{host, server}` series of `dafs.regcache.*`
     /// (shared as [`DafsClientStats`] says).
@@ -1126,7 +1121,6 @@ impl DafsClient {
             direct_threshold: self.config.direct_threshold,
             list_max_segments: proto::LIST_MAX_SEGMENTS,
             via: *self.nic.cost(),
-            host: self.config.host,
         };
         cut(&rule, &mut |addr, len| self.regcache.warm(addr, len))
     }
@@ -1352,9 +1346,7 @@ impl DafsClient {
     /// `dafs.inline.copied_bytes` (which costs no virtual time).
     fn charge_copy(&self, ctx: &ActorCtx, header: u64, payload: u64) {
         self.copied_bytes.resolve(ctx.metrics()).add(payload);
-        self.nic
-            .host()
-            .compute(ctx, self.config.host.copy(header + payload));
+        self.nic.host().copy(ctx, header + payload);
     }
 
     /// Give back a registration [`Self::encode_sub`] acquired, if it did.
@@ -1701,7 +1693,7 @@ impl CacheIo for Live<'_> {
 
     fn charge_copy(&mut self, bytes: u64) {
         let Live(c, ctx) = *self;
-        c.nic.host().compute(ctx, c.config.host.copy(bytes));
+        c.nic.host().copy(ctx, bytes);
     }
 
     fn note_recall(&mut self, fh: u64, id: u32) {

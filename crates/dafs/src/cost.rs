@@ -1,6 +1,5 @@
 //! DAFS cost model and tunables.
 
-use simnet::cost::HostCost;
 use simnet::time::units::*;
 use simnet::SimDuration;
 
@@ -13,10 +12,6 @@ pub struct DafsServerCost {
     pub per_op: SimDuration,
     /// Stable-storage flush (FLUSH op, synchronous creates). NVRAM-backed.
     pub sync: SimDuration,
-    /// Host primitives: the buffer-cache copy of the inline paths. The
-    /// buffer cache is registered with the NIC (NetApp-prototype style), so
-    /// direct transfers DMA straight from cache pages and pay no copy.
-    pub host: HostCost,
 }
 
 impl Default for DafsServerCost {
@@ -24,7 +19,6 @@ impl Default for DafsServerCost {
         DafsServerCost {
             per_op: us(9),
             sync: us(30),
-            host: HostCost::default(),
         }
     }
 }
@@ -42,8 +36,6 @@ pub struct DafsClientConfig {
     pub use_regcache: bool,
     /// Client CPU per request (build + parse, beyond VIA posting costs).
     pub per_op: SimDuration,
-    /// Host primitives (the inline-path copies).
-    pub host: HostCost,
     /// Session re-establishment attempts after a transport failure before
     /// the error surfaces to the caller. Only exercised when the fabric
     /// carries a fault plan — a lossless fabric never breaks a session.
@@ -71,7 +63,6 @@ impl Default for DafsClientConfig {
             direct_threshold: 8 << 10,
             use_regcache: true,
             per_op: us(4),
-            host: HostCost::default(),
             max_reconnects: 9,
             cache_write_back: false,
             tenant: None,

@@ -54,6 +54,7 @@ pub use striped::{DafsStripedBatch, DafsStripedFile};
 mod tests {
     use super::*;
     use memfs::{MemFs, ROOT_ID};
+    use simnet::cost::HOST;
     use simnet::time::units::*;
     use simnet::{Cluster, SimKernel, VirtAddr};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1072,7 +1073,7 @@ mod tests {
                     cpu() - t0
                 })
                 .collect();
-            let (via, copy) = (nic.cost(), |n| c.config().host.copy(n));
+            let (via, copy) = (nic.cost(), |n| HOST.copy(n));
             // Header, arguments (fh, offset) and the payload's length prefix.
             let header = (proto::REQ_HEADER_LEN + 8 + 8 + 4) as u64;
             let in_place = copy(header) + via.per_segment;
@@ -1116,7 +1117,7 @@ mod tests {
                     cpu() - t0
                 })
                 .collect();
-            let (via, copy) = (nic.cost(), |n| c.config().host.copy(n));
+            let (via, copy) = (nic.cost(), |n| HOST.copy(n));
             // Header, arguments (fh, mode, a one-segment list) and the
             // payload's length prefix.
             let header = (proto::REQ_HEADER_LEN + 8 + 1 + 4 + 24 + 4) as u64;

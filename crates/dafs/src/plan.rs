@@ -25,7 +25,7 @@
 //! and then the reply (`post_send + per_segment`, one more completion
 //! `poll`) and each NIC handles one more descriptor (`tx_nic_proc`,
 //! `rx_nic_proc`); the data bytes cross the wire once either way. It wins
-//! when the two copies it saves, `2 · host.copy(len)`, cost more than that
+//! when the two copies it saves, `2 · HOST.copy(len)`, cost more than that
 //! — 560 bytes with the default costs (`tests::the_floors_are_560_and_60_bytes`),
 //! and computed from them.
 //!
@@ -33,11 +33,11 @@
 //! one more data segment (`per_segment`) per range — one for a contiguous
 //! chunk, one per segment of a `WriteList` message, at most
 //! [`crate::proto::LIST_MAX_SEGMENTS`] — in place of the copy into the slot,
-//! `host.copy(len)`: 60 bytes for one range with the default costs (the
+//! `HOST.copy(len)`: 60 bytes for one range with the default costs (the
 //! same test), and computed from them. The wire bytes, messages and server
 //! work are the same.
 
-use simnet::cost::HostCost;
+use simnet::cost::HOST;
 use simnet::VirtAddr;
 use via::ViaCost;
 
@@ -46,15 +46,14 @@ use crate::proto::ListSeg;
 use crate::recover::Kind;
 
 /// What the cut reads: the caps' `inline_max`, the session's
-/// `direct_threshold`, the wire's segment cap, and the cost terms of the
-/// two floors — the NIC's (`via`) against the client's copy (`host`).
+/// `direct_threshold`, the wire's segment cap, and the NIC's cost terms
+/// (`via`), which the two floors weigh against the host's copy ([`HOST`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rule {
     pub inline_max: u64,
     pub direct_threshold: u64,
     pub list_max_segments: usize,
     pub via: ViaCost,
-    pub host: HostCost,
 }
 
 impl Rule {
@@ -69,7 +68,7 @@ impl Rule {
         }
         let c = &self.via;
         let one_more_message = c.post_send + c.per_segment + c.poll + c.tx_nic_proc + c.rx_nic_proc;
-        self.host.copy(len) * 2 > one_more_message && warm(region.0, region.1)
+        HOST.copy(len) * 2 > one_more_message && warm(region.0, region.1)
     }
 }
 
@@ -201,7 +200,7 @@ fn cut(dir: BatchDir, units: impl Iterator<Item = Sub>, rule: &Rule, warm: Warm)
 fn inline(dir: BatchDir, sub: &Sub, rule: &Rule, warm: Warm) -> Vec<Sub> {
     let write = dir == BatchDir::Write;
     let ranges = |s: &Sub| s.segs.as_ref().map_or(1, Vec::len);
-    let gathers = |s: &Sub| rule.via.gathers(&rule.host, s.len, ranges(s));
+    let gathers = |s: &Sub| rule.via.gathers(s.len, ranges(s));
     let Some(segs) = &sub.segs else {
         let chunks = chunk(&[(sub.off, sub.len, 0)], 1, rule.inline_max);
         let each = |c: Vec<ListSeg>| {
@@ -290,7 +289,6 @@ pub(crate) mod tests {
             direct_threshold: c.direct_threshold,
             list_max_segments: LIST_MAX_SEGMENTS,
             via: ViaCost::default(),
-            host: HostCost::default(),
         }
     }
 
@@ -312,11 +310,11 @@ pub(crate) mod tests {
     /// The floors, spelled out from the cost terms.
     fn past_read_floor(r: &Rule, len: u64) -> bool {
         let v = &r.via;
-        r.host.copy(len) * 2 > v.post_send + v.per_segment + v.poll + v.tx_nic_proc + v.rx_nic_proc
+        HOST.copy(len) * 2 > v.post_send + v.per_segment + v.poll + v.tx_nic_proc + v.rx_nic_proc
     }
     fn past_gather_floor(r: &Rule, s: &Sub) -> bool {
         let ranges = s.segs.as_ref().map_or(1, Vec::len) as u64;
-        r.host.copy(s.len) > r.via.per_segment * ranges
+        HOST.copy(s.len) > r.via.per_segment * ranges
     }
 
     /// The bytes `subs` move as `(file offset, len, address)` runs, merged

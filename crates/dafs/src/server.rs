@@ -1082,7 +1082,7 @@ impl Server {
             None => {
                 // Buffer-cache copy into the response message. A direct
                 // transfer DMAs from the registered cache pages instead.
-                self.host.compute(ctx, self.cost.host.copy(moved));
+                self.host.copy(ctx, moved);
                 &self.stats.inline_reads
             }
             Some(_) => &self.stats.direct_reads,
@@ -1112,7 +1112,7 @@ impl Server {
         }
         // Buffer-cache copy out of the request message. It is modelled
         // here; memfs adopts the frame's whole pages as they lie.
-        self.host.compute(ctx, self.cost.host.copy(total));
+        self.host.copy(ctx, total);
         let mut pos = 0usize;
         for &(off, len, _) in segs {
             self.fs
@@ -1159,10 +1159,9 @@ mod tests {
         let server_host = snic.host().id;
         let published: Arc<Mutex<Option<RemoteSegment>>> = Arc::new(Mutex::new(None));
         {
-            let (fabric, published) = (fabric.clone(), published.clone());
+            let (listener, published) = (fabric.listen(&snic, 7), published.clone());
             // Not a daemon: the run ends only once `server` has returned.
             kernel.spawn("server", move |ctx| {
-                let listener = fabric.listen(&snic, 7);
                 let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
                 let mut sess = Session::open(ctx, &snic, vi);
                 // The client's first message says its buffer is registered.

@@ -23,7 +23,7 @@ pub use dafs::{BatchDir, IoReq};
 use dafs::{DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListReq};
 use memfs::{FsError, MemFs, NodeId, SetAttr};
 use nfsv3::{NfsClient, NfsError, NfsIo, NfsTransfer};
-use simnet::cost::HostCost;
+use simnet::cost::HOST;
 use simnet::time::units::*;
 use simnet::{ActorCtx, Host, SimDuration, VirtAddr};
 
@@ -441,11 +441,6 @@ pub trait AdioFs: Send + Sync {
 
     /// Which driver this is.
     fn kind(&self) -> DriverKind;
-
-    /// The client host's cost model, as the testbed handed it to this
-    /// driver: what the MPI-IO core charges its own copies with (packing,
-    /// sieving, the two-phase aggregator's overlay and reply build).
-    fn host_cost(&self) -> HostCost;
 }
 
 // ---------------------------------------------------------------------------
@@ -696,10 +691,6 @@ impl AdioFs for DafsAdio {
             DriverKind::DafsStriped
         }
     }
-
-    fn host_cost(&self) -> HostCost {
-        self.clients[0].config().host
-    }
 }
 
 /// Issue half of every DAFS transfer: one list request when `listed` (the
@@ -901,10 +892,6 @@ impl AdioFs for NfsAdio {
     fn kind(&self) -> DriverKind {
         DriverKind::Nfs
     }
-
-    fn host_cost(&self) -> HostCost {
-        self.client.config().host_cost
-    }
 }
 
 impl AdioFile for NfsFileHandle {
@@ -1007,16 +994,11 @@ impl PendingIo for NfsPending {
 pub struct UfsCost {
     /// Syscall + VFS dispatch per operation.
     pub per_op: SimDuration,
-    /// Host primitives (the page-cache copy).
-    pub host: HostCost,
 }
 
 impl Default for UfsCost {
     fn default() -> Self {
-        UfsCost {
-            per_op: us(5),
-            host: HostCost::default(),
-        }
+        UfsCost { per_op: us(5) }
     }
 }
 
@@ -1073,10 +1055,6 @@ impl AdioFs for UfsAdio {
     fn kind(&self) -> DriverKind {
         DriverKind::Ufs
     }
-
-    fn host_cost(&self) -> HostCost {
-        self.cost.host
-    }
 }
 
 impl AdioFile for UfsFileHandle {
@@ -1092,8 +1070,8 @@ impl AdioFile for UfsFileHandle {
         let run = || -> AdioResult<u64> {
             let mut total = 0;
             for r in reqs {
-                self.host
-                    .compute(ctx, self.cost.per_op + self.cost.host.copy(r.len));
+                // The syscall and its copy are one `cpu.compute` event.
+                self.host.compute(ctx, self.cost.per_op + HOST.copy(r.len));
                 total += match dir {
                     BatchDir::Read => {
                         let data = self.fs.read(self.fh, r.off, r.len)?;

@@ -333,7 +333,7 @@ fn decode_requests(s: &Sweep, a: usize, msgs: &[Vec<u8>]) -> OthersReq {
 fn charge_pieces(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, peer: usize, pieces: &[(u64, u64)]) {
     let via = ViaCost::default();
     let bytes = pieces.iter().map(|p| p.1).sum();
-    if peer != comm.rank() && via.gathers(file.host_cost(), bytes, pieces.len()) {
+    if peer != comm.rank() && via.gathers(bytes, pieces.len()) {
         file.host()
             .compute(ctx, via.per_segment * pieces.len() as u64);
     } else {

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::cost::HostCost;
 use simnet::{ActorCtx, Host, VirtAddr};
 
 use crate::adio::{AdioError, AdioFile, AdioFs, AdioResult, BatchDir, DriverKind, IoReq, Shape};
@@ -143,8 +142,6 @@ pub struct MpiFile {
     mode: OpenMode,
     driver: DriverKind,
     host: Host,
-    /// The driver's host cost model: what this layer's own copies cost.
-    host_cost: HostCost,
     /// `mpiio.copy_bytes`: the bytes those copies moved.
     copy_bytes: obs::LazyCounter,
     view: Mutex<FileView>,
@@ -181,7 +178,6 @@ impl MpiFile {
             mode,
             driver: fs.kind(),
             host: host.clone(),
-            host_cost: fs.host_cost(),
             copy_bytes: obs::LazyCounter::new("mpiio.copy_bytes"),
             view: Mutex::new(FileView::contiguous()),
             fp: Mutex::new(0),
@@ -213,20 +209,15 @@ impl MpiFile {
         &self.host
     }
 
-    /// Charge the rank's CPU one copy of `bytes` at the driver's host cost
-    /// model, and count them in `mpiio.copy_bytes` (which costs no virtual
-    /// time). The copies this layer makes itself: packing through a memory
-    /// datatype, picking pieces out of (or into) a sieve buffer, and the
-    /// pieces of the two-phase exchange that stay on the host — an
-    /// aggregator's own, and those of messages below the gather floor.
+    /// Charge the rank's CPU one copy of `bytes` ([`Host::copy`]), and count
+    /// them in `mpiio.copy_bytes` (which costs no virtual time). The copies
+    /// this layer makes itself: packing through a memory datatype, picking
+    /// pieces out of (or into) a sieve buffer, and the pieces of the
+    /// two-phase exchange that stay on the host — an aggregator's own, and
+    /// those of messages below the gather floor.
     pub(crate) fn charge_copy(&self, ctx: &ActorCtx, bytes: u64) {
         self.copy_bytes.resolve(ctx.metrics()).add(bytes);
-        self.host.compute(ctx, self.host_cost.copy(bytes));
-    }
-
-    /// The driver's host cost model.
-    pub(crate) fn host_cost(&self) -> &HostCost {
-        &self.host_cost
+        self.host.copy(ctx, bytes);
     }
 
     /// The underlying ADIO handle (collective I/O uses it directly).

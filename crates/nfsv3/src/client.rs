@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
-use simnet::cost::HostCost;
 use simnet::obs::{Labels, LazyCounter};
 use simnet::reqtab::RequestTable;
 use simnet::time::units::*;
@@ -53,8 +52,6 @@ pub struct NfsClientConfig {
     pub stable: Stable,
     /// Client CPU per RPC (encode/decode + RPC layer), beyond socket costs.
     pub per_rpc_cpu: SimDuration,
-    /// Host primitives.
-    pub host_cost: HostCost,
 }
 
 impl Default for NfsClientConfig {
@@ -65,7 +62,6 @@ impl Default for NfsClientConfig {
             timeo: SimDuration::from_millis(30),
             stable: Stable::FileSync,
             per_rpc_cpu: us(6),
-            host_cost: HostCost::default(),
         }
     }
 }
@@ -173,11 +169,6 @@ impl NfsClient {
                 ac_misses: LazyCounter::at("nfs.attrcache.misses", labels),
             },
         })
-    }
-
-    /// The mount's configuration.
-    pub fn config(&self) -> &NfsClientConfig {
-        &self.config
     }
 
     /// The host the mount runs on: whose memory its callers' buffers are in.
@@ -522,7 +513,7 @@ impl NfsClient {
         let (fh, off) = (t.fh.0, t.off.saturating_add(at));
         // A WRITE's copy into the RPC buffer comes before the RPC's time.
         if let NfsIo::Write(_) = t.io {
-            self.host.compute(ctx, self.config.host_cost.copy(count));
+            self.host.copy(ctx, count);
         }
         let (sent, one) = (ctx.now(), t.window == 1);
         let event = if one { "rpc.start" } else { "rpc.issue" };
@@ -564,7 +555,7 @@ impl NfsClient {
                 let (data, eof) = Self::dec_read_reply(&reply, count)?;
                 let n = data.len() as u64;
                 if !t.eof {
-                    self.host.compute(ctx, self.config.host_cost.copy(n));
+                    self.host.copy(ctx, n);
                     t.data.push(data);
                     t.eof = eof || n == 0;
                     if !t.eof && n < count {

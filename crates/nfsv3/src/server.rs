@@ -18,7 +18,6 @@
 //! go when its reader reports it closed.
 
 use memfs::{MemFs, NodeId, SetAttr};
-use simnet::cost::HostCost;
 use simnet::replay::ReplayCache;
 use simnet::time::units::*;
 use simnet::{ActorCtx, ByteMeter, Bytes, Counter, Host, Port, SimDuration, SimKernel};
@@ -35,8 +34,6 @@ pub struct NfsServerCost {
     /// Additional cost of a FILE_SYNC write or COMMIT (stable-storage
     /// flush; NVRAM-backed, so modest).
     pub sync: SimDuration,
-    /// Host primitives (the buffer-cache copy for data ops).
-    pub host: HostCost,
 }
 
 impl Default for NfsServerCost {
@@ -44,7 +41,6 @@ impl Default for NfsServerCost {
         NfsServerCost {
             per_op: us(20),
             sync: us(40),
-            host: HostCost::default(),
         }
     }
 }
@@ -267,7 +263,7 @@ impl Nfsd {
                 let (fh, off, len) = (NodeId(d.u64()?), d.u64()?, d.u32()? as u64);
                 let data = fs.read_views(fh, off, len)?;
                 // Buffer-cache copy into the reply.
-                host.compute(ctx, cost.host.copy(data.len() as u64));
+                host.copy(ctx, data.len() as u64);
                 stats.reads.record(data.len() as u64);
                 let eof = off + data.len() as u64 >= fs.getattr(fh)?.size;
                 e.u32(data.len() as u32).u32(eof as u32).opaque_rope(&data);
@@ -278,7 +274,7 @@ impl Nfsd {
                 let data = d.opaque()?;
                 // Buffer-cache copy out of the request: modelled here, and
                 // made only for a page the frame does not cover whole.
-                host.compute(ctx, cost.host.copy(data.len() as u64));
+                host.copy(ctx, data.len() as u64);
                 let a = fs.write_bytes(fh, off, &data)?;
                 if stable != Stable::Unstable {
                     host.compute(ctx, cost.sync);

@@ -1,10 +1,13 @@
-//! Shared host-side cost model constants, calibrated to the 2001-era
-//! platform the paper's testbed represents (Pentium-III class nodes,
-//! GigaNet cLAN VIA NICs, Fast/Gigabit Ethernet kernel path).
+//! The host-side (CPU) cost model, calibrated to the 2001-era platform the
+//! paper's testbed represents (Pentium-III class nodes, GigaNet cLAN VIA
+//! NICs, Fast/Gigabit Ethernet kernel path).
 //!
-//! Every constant lives in [`HostCost`] so that ablation experiments can
-//! sweep them; the transport-specific models (`via::ViaCost`,
-//! `tcpnet::TcpCost`) reference these for the host-side terms.
+//! Every host runs at the one rate [`HOST`], so the DAFS and NFS stacks
+//! price a syscall and a memcpy the same way: the comparison's differences
+//! are in how many each stack makes, never in what one costs. A copy a host
+//! makes is charged with [`crate::Host::copy`]; the transport-specific
+//! models (`via::ViaCost`, `tcpnet::TcpCost`) read [`HOST`] for the
+//! host-side terms they sum or compare.
 
 use crate::time::{Bandwidth, SimDuration};
 
@@ -17,24 +20,15 @@ pub struct HostCost {
     pub memcpy_setup: SimDuration,
     /// Sustainable copy bandwidth of the host memory system.
     pub memcpy_bw: Bandwidth,
-    /// Taking one device interrupt (dispatch + handler prologue/epilogue).
-    pub interrupt: SimDuration,
-    /// One context switch (schedule + register/TLB state).
-    pub context_switch: SimDuration,
 }
 
-impl Default for HostCost {
-    fn default() -> Self {
-        HostCost {
-            syscall: SimDuration::from_nanos(3_000),
-            memcpy_setup: SimDuration::from_nanos(150),
-            // P-III era SDRAM copy bandwidth.
-            memcpy_bw: Bandwidth::mb_per_sec(400),
-            interrupt: SimDuration::from_micros(5),
-            context_switch: SimDuration::from_micros(4),
-        }
-    }
-}
+/// The CPU costs of every simulated host.
+pub const HOST: HostCost = HostCost {
+    syscall: SimDuration::from_nanos(3_000),
+    memcpy_setup: SimDuration::from_nanos(150),
+    // P-III era SDRAM copy bandwidth.
+    memcpy_bw: Bandwidth::mb_per_sec(400),
+};
 
 impl HostCost {
     /// CPU time to copy `bytes` once.
@@ -53,17 +47,14 @@ mod tests {
 
     #[test]
     fn default_values_sane() {
-        let c = HostCost::default();
-        assert_eq!(c.syscall, us(3));
-        assert!(c.interrupt > c.syscall);
+        assert_eq!(HOST.syscall, us(3));
     }
 
     #[test]
     fn copy_scales_with_size() {
-        let c = HostCost::default();
-        assert_eq!(c.copy(0), SimDuration::ZERO);
-        let small = c.copy(64);
-        let big = c.copy(1 << 20);
+        assert_eq!(HOST.copy(0), SimDuration::ZERO);
+        let small = HOST.copy(64);
+        let big = HOST.copy(1 << 20);
         assert!(big > small * 100);
         // 1 MiB at 400 MB/s ≈ 2.62 ms.
         assert!(big.as_secs_f64() > 0.0025 && big.as_secs_f64() < 0.0028);

@@ -14,6 +14,7 @@ use parking_lot::Mutex;
 
 use crate::buf::Bytes;
 use crate::coro::Mapping;
+use crate::cost::HOST;
 use crate::kernel::ActorCtx;
 use crate::time::{SimDuration, SimTime};
 
@@ -376,6 +377,13 @@ impl Host {
         );
         ctx.advance(d);
     }
+
+    /// Charge this host's CPU one memcpy of `bytes`: one [`Host::compute`]
+    /// of [`HOST`]`.copy(bytes)`, the price of a copy on every host. It
+    /// moves no byte; the caller makes the copy, or models it.
+    pub fn copy(&self, ctx: &ActorCtx, bytes: u64) {
+        self.compute(ctx, HOST.copy(bytes));
+    }
 }
 
 /// A registry of hosts, shared by the transport layers.
@@ -728,6 +736,27 @@ mod tests {
         let end = k.run();
         assert_eq!(h.cpu.busy(), us(30));
         assert!((h.cpu.utilization(end.since(SimTime::ZERO)) - 0.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_copy_charges_the_one_host_rate() {
+        for n in [0, 1, 64 << 10] {
+            let k = SimKernel::new();
+            let h = Cluster::new().add_host("node0");
+            let h2 = h.clone();
+            k.spawn("w", move |ctx| h2.copy(ctx, n));
+            let end = k.run();
+            assert_eq!(
+                end.since(SimTime::ZERO),
+                HOST.copy(n),
+                "clock after copying {n} bytes"
+            );
+            assert_eq!(
+                h.cpu.busy(),
+                HOST.copy(n),
+                "CPU meter after copying {n} bytes"
+            );
+        }
     }
 
     #[test]

@@ -261,7 +261,7 @@ pub struct Bandwidth(u64);
 impl Bandwidth {
     /// From raw bytes/second. Panics on zero.
     #[inline]
-    pub fn bytes_per_sec(bps: u64) -> Bandwidth {
+    pub const fn bytes_per_sec(bps: u64) -> Bandwidth {
         assert!(bps > 0, "bandwidth must be positive");
         Bandwidth(bps)
     }
@@ -269,7 +269,7 @@ impl Bandwidth {
     /// From megabytes/second (decimal MB, matching how NIC datasheets of the
     /// era quoted application-level throughput).
     #[inline]
-    pub fn mb_per_sec(mb: u64) -> Bandwidth {
+    pub const fn mb_per_sec(mb: u64) -> Bandwidth {
         Bandwidth::bytes_per_sec(mb * 1_000_000)
     }
 

@@ -25,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::cost::HostCost;
+use simnet::cost::HOST;
 use simnet::fault::FaultPlan;
 use simnet::obs::{LazyByteMeter, LazyCounter};
 use simnet::time::units::*;
@@ -51,8 +51,6 @@ pub struct TcpCost {
     /// Physical wire rate. Defaults to the *same* rate as the VIA fabric so
     /// the stacks are compared on an equal wire.
     pub wire_bw: Bandwidth,
-    /// Host primitives (syscall, memcpy).
-    pub host: HostCost,
 }
 
 impl Default for TcpCost {
@@ -64,7 +62,6 @@ impl Default for TcpCost {
             per_packet_rx: us(25),
             wire_latency: us(30),
             wire_bw: Bandwidth::mb_per_sec(110),
-            host: HostCost::default(),
         }
     }
 }
@@ -77,12 +74,12 @@ impl TcpCost {
 
     /// Sender-side CPU time for a send(2) of `n` bytes.
     pub fn send_cpu(&self, n: u64) -> SimDuration {
-        self.host.syscall + self.host.copy(n) + self.per_packet_tx.saturating_mul(self.packets(n))
+        HOST.syscall + HOST.copy(n) + self.per_packet_tx.saturating_mul(self.packets(n))
     }
 
     /// Receiver-side application CPU for a recv(2) returning `n` bytes.
     pub fn recv_cpu(&self, n: u64) -> SimDuration {
-        self.host.syscall + self.host.copy(n)
+        HOST.syscall + HOST.copy(n)
     }
 }
 
@@ -221,7 +218,7 @@ impl TcpFabric {
             .get(&(remote, port))
             .cloned()
             .ok_or(TcpError::ConnectionRefused)?;
-        host.compute(ctx, self.cost.host.syscall);
+        host.compute(ctx, HOST.syscall);
         let my_port: Port<Chunk> = Port::new("tcp-sock");
         let reply: Port<ConnReply> = Port::new("tcp-synack");
         listener.send(
@@ -267,7 +264,7 @@ impl TcpListener {
     /// listener is closed.
     pub fn accept(&self, ctx: &ActorCtx) -> Option<Socket> {
         let req = self.requests.recv(ctx)?;
-        self.host.compute(ctx, self.fabric.cost.host.syscall);
+        self.host.compute(ctx, HOST.syscall);
         let my_port: Port<Chunk> = Port::new("tcp-sock");
         req.reply.send(
             ctx,
@@ -524,7 +521,7 @@ impl Socket {
     /// Half-close: the peer's reads will drain then fail with `Closed`.
     pub fn close(&self, ctx: &ActorCtx) {
         let s = &self.inner;
-        s.local_host.compute(ctx, s.cost.host.syscall);
+        s.local_host.compute(ctx, HOST.syscall);
         let at = (ctx.now() + s.cost.wire_latency).max(*s.last_deliver.lock());
         s.peer_port.send(ctx, Chunk::Fin, at);
     }

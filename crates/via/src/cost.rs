@@ -5,7 +5,7 @@
 //! The constants are deliberately centralized so ablation experiments can
 //! sweep them; see `DESIGN.md` §4.3 for the calibration table.
 
-use simnet::cost::HostCost;
+use simnet::cost::HOST;
 use simnet::time::units::*;
 use simnet::{Bandwidth, SimDuration};
 
@@ -40,9 +40,6 @@ pub struct ViaCost {
     /// Whether the NIC supports RDMA Read (optional in the VIA spec; the
     /// cLAN did *not*, which shapes how DAFS implements direct writes).
     pub rdma_read_supported: bool,
-    /// Host-side cost constants (copies, syscalls) for the few host-mediated
-    /// paths (e.g. unregistered-buffer bounce).
-    pub host: HostCost,
 }
 
 impl Default for ViaCost {
@@ -60,7 +57,6 @@ impl Default for ViaCost {
             reg_per_page: SimDuration::from_nanos(1_200),
             dereg: us(8),
             rdma_read_supported: false,
-            host: HostCost::default(),
         }
     }
 }
@@ -79,11 +75,11 @@ impl ViaCost {
     }
 
     /// The gather floor: true if `len` bytes in `segments` pieces cost the
-    /// host less posted as one data segment each than copied once at
-    /// `host`'s rate — the point past which a message is sent from (or
-    /// received into) the pieces where they lie.
-    pub fn gathers(&self, host: &HostCost, len: u64, segments: usize) -> bool {
-        host.copy(len) > self.per_segment * segments as u64
+    /// host less posted as one data segment each than copied once at the
+    /// host rate ([`HOST`]) — the point past which a message is sent from
+    /// (or received into) the pieces where they lie.
+    pub fn gathers(&self, len: u64, segments: usize) -> bool {
+        HOST.copy(len) > self.per_segment * segments as u64
     }
 }
 

@@ -107,10 +107,9 @@ mod tests {
     fn connect_send_recv_roundtrip() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 4096, MemAttributes::local(tag));
@@ -152,10 +151,9 @@ mod tests {
     fn a_reposted_buffer_holds_no_unread_frame() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let (buf, h) = reg_buf(ctx, &snic, 64, MemAttributes::local(vi.ptag()));
             let mem = &snic.host().mem;
@@ -194,12 +192,11 @@ mod tests {
     fn small_message_one_way_latency_in_envelope() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let recv_time = Arc::new(parking_lot::Mutex::new((SimTime::ZERO, SimTime::ZERO)));
         let rt = recv_time.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 64, MemAttributes::local(tag));
@@ -233,13 +230,12 @@ mod tests {
     fn rdma_write_places_data_without_peer_cpu() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let slot = shared.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 4096, MemAttributes::rdma_write_target(tag));
@@ -299,15 +295,14 @@ mod tests {
         use simnet::{Bytes, Rope};
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let slot = shared.clone();
         let expect: Vec<u8> = (0..3000u32).map(|i| (i % 241) as u8).collect();
         let want = expect.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 4096, MemAttributes::rdma_write_target(tag));
@@ -365,13 +360,12 @@ mod tests {
         use simnet::{buf::Slab, Bytes};
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let slot = shared.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let (buf, h) = reg_buf(
                 ctx,
@@ -422,13 +416,12 @@ mod tests {
     fn rdma_write_to_unwritable_region_is_protection_error() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let slot = shared.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             // Local-only registration: remote writes must be denied.
@@ -497,14 +490,10 @@ mod tests {
             // The client's buffer, once its end has broken.
             let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
                 Arc::new(parking_lot::Mutex::new(None));
-            let (fabric, snic, cnic) = (
-                tb.fabric.clone(),
-                tb.server_nic.clone(),
-                tb.client_nic.clone(),
-            );
+            let (snic, cnic) = (tb.server_nic.clone(), tb.client_nic.clone());
             let slot = shared.clone();
+            let listener = tb.fabric.listen(&snic, 7);
             tb.kernel.spawn_daemon("server", move |ctx| {
-                let listener = fabric.listen(&snic, 7);
                 let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
                 let (buf, h) = reg_buf(ctx, &snic, LEN, MemAttributes::local(vi.ptag()));
                 snic.host().mem.fill(buf, LEN, 0xAB);
@@ -560,10 +549,9 @@ mod tests {
     fn send_without_posted_recv_breaks_reliable_vi() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             // No post_recv: reliable VI must break on arrival.
             let c = vi.recv_wait(ctx);
@@ -592,11 +580,10 @@ mod tests {
         };
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let sattrs = attrs.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, sattrs).unwrap();
             let c = vi.recv_wait(ctx);
             assert_eq!(c.status, ViaStatus::DescriptorError);
@@ -618,10 +605,9 @@ mod tests {
     fn oversized_send_is_descriptor_error() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let _vi = listener.accept(ctx, ViAttributes::default());
             ctx.advance(secs(1));
         });
@@ -647,10 +633,9 @@ mod tests {
     fn unregistered_send_buffer_is_local_protection_error() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let _vi = listener.accept(ctx, ViAttributes::default());
             ctx.advance(secs(1));
         });
@@ -674,10 +659,9 @@ mod tests {
     fn rdma_read_unsupported_on_default_nic() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let _vi = listener.accept(ctx, ViAttributes::default());
             ctx.advance(secs(1));
         });
@@ -712,13 +696,12 @@ mod tests {
         };
         let tb = testbed_with(cost);
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let slot = shared.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 256, MemAttributes::rdma_read_source(tag));
@@ -780,14 +763,9 @@ mod tests {
         let shared: Arc<parking_lot::Mutex<Option<(VirtAddr, MemHandle)>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let out = Arc::new(parking_lot::Mutex::new(Burst::default()));
-        let (fabric, snic, slot, o) = (
-            tb.fabric.clone(),
-            tb.server_nic.clone(),
-            shared.clone(),
-            out.clone(),
-        );
+        let (snic, slot, o) = (tb.server_nic.clone(), shared.clone(), out.clone());
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let attrs = MemAttributes {
                 ptag: vi.ptag(),
@@ -952,12 +930,11 @@ mod tests {
     fn completion_queue_multiplexes_vis() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         const CLIENTS: usize = 4;
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
             let cq = Cq::new("server-cq");
-            let listener = fabric.listen(&snic, 7);
             let mut vis = std::collections::HashMap::new();
             for _ in 0..CLIENTS {
                 let attrs = ViAttributes {
@@ -1005,10 +982,9 @@ mod tests {
     fn disconnect_is_observed_by_peer() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let c = vi.recv_wait(ctx);
             assert_eq!(c.status, ViaStatus::ConnectionLost);
@@ -1045,10 +1021,9 @@ mod tests {
         // descriptor shapes.
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (b1, h1) = reg_buf(ctx, &snic, 64, MemAttributes::local(tag));
@@ -1099,10 +1074,9 @@ mod tests {
         // complete with LengthError, not corrupt memory.
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, 64, MemAttributes::local(tag));
@@ -1131,14 +1105,13 @@ mod tests {
     fn large_transfer_bandwidth_approaches_wire_rate() {
         let tb = testbed();
         let server_host = tb.server_nic.host().id;
-        let fabric = tb.fabric.clone();
         let snic = tb.server_nic.clone();
         const MSG: usize = 64 << 10;
         const COUNT: usize = 64;
         let span = Arc::new(parking_lot::Mutex::new((SimTime::ZERO, SimTime::ZERO)));
         let sp = span.clone();
+        let listener = tb.fabric.listen(&snic, 7);
         tb.kernel.spawn_daemon("server", move |ctx| {
-            let listener = fabric.listen(&snic, 7);
             let vi = listener.accept(ctx, ViAttributes::default()).unwrap();
             let tag = vi.ptag();
             let (buf, h) = reg_buf(ctx, &snic, MSG, MemAttributes::local(tag));

@@ -354,6 +354,20 @@ if [ -z "$receives" ] || echo "$receives" | grep 'Vec<u8>' ||
     exit 1
 fi
 
+echo "==> one host cost"
+# Every host runs at the one rate `simnet::cost::HOST`, so the DAFS and NFS
+# stacks price a syscall and a memcpy the same way: no crate but simnet
+# names `HostCost`, nothing keeps a `host_cost`, and outside simnet a copy
+# is charged with `Host::copy(ctx, n)`, never priced off a cost field
+# (`.host.copy(n)`, `.host.syscall`).
+if grep -rn 'HostCost' crates src tests examples | grep -v '^crates/simnet/src/' ||
+    grep -rn 'host_cost' crates src tests examples ||
+    grep -rnE '\.host\.(copy\([^,]*\)|syscall)' crates src tests examples |
+    grep -v '^crates/simnet/src/'; then
+    echo "ci: a host cost outside simnet::cost::HOST (lines above)" >&2
+    exit 1
+fi
+
 echo "==> a table cell is a value"
 # Every bench table fills typed `report::Cell`s (the exact value and how it
 # prints) and one renderer makes the text: no row is built from strings,
