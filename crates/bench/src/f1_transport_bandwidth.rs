@@ -39,9 +39,8 @@ fn via_sendrecv_mb_s(size: u64) -> Cell {
     let sid = snic.host().id;
     let span = Probe::new();
     let sp = span.clone();
-    let f2 = fabric.clone();
+    let l = fabric.listen(&snic, 7);
     kernel.spawn_daemon("sink", move |ctx| {
-        let l = f2.listen(&snic, 7);
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size as usize);
@@ -88,9 +87,8 @@ fn via_rdma_mb_s(size: u64) -> Cell {
     let target = Probe::new(); // (addr, handle) squeezed into two probes
     let target_h = Probe::new();
     let (t1, t2) = (target.clone(), target_h.clone());
-    let f2 = fabric.clone();
+    let l = fabric.listen(&snic, 7);
     kernel.spawn_daemon("sink", move |ctx| {
-        let l = f2.listen(&snic, 7);
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size as usize);
@@ -151,9 +149,8 @@ fn tcp_mb_s(size: u64) -> Cell {
     let sid = sh.id;
     let span = Probe::new();
     let sp = span.clone();
-    let f2 = fabric.clone();
+    let l = fabric.listen(&sh, 7);
     kernel.spawn_daemon("sink", move |ctx| {
-        let l = f2.listen(&sh, 7);
         let s = l.accept(ctx).unwrap();
         s.recv_exact(ctx, size as usize).unwrap();
         let t0 = ctx.now();

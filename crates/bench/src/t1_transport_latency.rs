@@ -22,9 +22,8 @@ fn via_one_way_ns(size: usize) -> u64 {
     let sid = snic.host().id;
     let out = Probe::new();
     let o = out.clone();
-    let f2 = fabric.clone();
+    let l = fabric.listen(&snic, 7);
     kernel.spawn_daemon("server", move |ctx| {
-        let l = f2.listen(&snic, 7);
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size.max(64));
@@ -80,9 +79,8 @@ fn tcp_one_way_ns(size: usize) -> u64 {
     let sid = sh.id;
     let out = Probe::new();
     let o = out.clone();
-    let f2 = fabric.clone();
+    let l = fabric.listen(&sh, 7);
     kernel.spawn_daemon("server", move |ctx| {
-        let l = f2.listen(&sh, 7);
         let s = l.accept(ctx).unwrap();
         while let Ok(req) = s.recv_exact(ctx, size) {
             s.send(ctx, &req);

@@ -25,6 +25,14 @@
 //! missing: no short page for a read to take for a hole or a fetch to
 //! overwrite.
 //!
+//! **A page is a view.** A fetched page is a slice of the reply its fetch
+//! landed as — for a direct read, the server's memfs pages the NIC placed —
+//! and is copied only when it straddles two pieces or the reply ends inside
+//! it. Nothing writes a page in place: a write replaces it (a page it covers
+//! whole by a view of the write, one it covers part of by a copy with the
+//! write laid over it), so a fetched view is never written through. The
+//! flush hands the dirty pages over as views too.
+//!
 //! **When a session dies** so does every lease, and every clean page goes.
 //! Dirty pages, the only copy of their bytes, wait for the next session to
 //! flush them. The dead lease's attributes stay as a *claim*: a fetch that
@@ -35,6 +43,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::DerefMut;
 
 use memfs::FileAttr;
+use simnet::{Bytes, Rope};
 
 use crate::proto::{LeaseKind, ListSeg};
 
@@ -45,8 +54,8 @@ pub(crate) const CACHE_CAPACITY: usize = 1024;
 
 /// A page-aligned byte range of the file to fetch: `(offset, length)`.
 pub(crate) type Run = (u64, u64);
-/// A run and the server's reply to its fetch.
-pub(crate) type Fetched = (Run, Vec<u8>);
+/// A run and the server's reply to its fetch, as the views it landed as.
+pub(crate) type Fetched = (Run, Rope);
 
 /// What a server-acknowledged write did to the attributes a lease vouches
 /// for.
@@ -59,9 +68,12 @@ pub(crate) enum AttrAfter {
     Forget,
 }
 
+/// A page's bytes are a view, never written in place: a page that came
+/// whole from one piece of a fetch shares that piece's slab, and a write
+/// replaces the view (copying the page once if it covers only part of it).
 #[derive(Clone)]
 struct Page {
-    bytes: Vec<u8>,
+    bytes: Bytes,
     dirty: bool,
 }
 
@@ -198,24 +210,33 @@ impl PageCache {
         Some((end, runs))
     }
 
-    /// Install the server's replies to fetches. One shorter than its run is
-    /// zero-padded: the server's image is shorter than the size the lease
-    /// vouches for exactly where unflushed growth is. A page already there
-    /// stays as it is (it may be dirty); with neither a lease nor a claim
-    /// to size a page against, nothing is kept.
+    /// Install the server's replies to fetches. A page that lies in one
+    /// piece of its reply is a view of that piece; one that straddles two
+    /// is assembled once. One shorter than its run is zero-padded: the
+    /// server's image is shorter than the size the lease vouches for
+    /// exactly where unflushed growth is. A page already there stays as it
+    /// is (it may be dirty); with neither a lease nor a claim to size a
+    /// page against, nothing is kept.
     pub(crate) fn fill(&mut self, fh: u64, fetched: &[Fetched]) {
         let Some(size) = self.size(fh) else { return };
-        for ((off, len), bytes) in fetched {
+        for ((off, len), reply) in fetched {
             assert!(off.is_multiple_of(self.page), "runs are page-aligned");
             let mut lo = *off;
             while lo < (off + len).min(size) {
                 let want = self.page.min(size - lo) as usize;
                 self.pages.entry((fh, lo / self.page)).or_insert_with(|| {
-                    let at = ((lo - off) as usize).min(bytes.len());
-                    let mut page = bytes[at..bytes.len().min(at + want)].to_vec();
-                    page.resize(want, 0);
+                    let at = ((lo - off) as usize).min(reply.len());
+                    let got = reply.slice(at..reply.len().min(at + want));
+                    let bytes = match got.as_single() {
+                        Some(whole) if whole.len() == want => whole.clone(),
+                        _ => {
+                            let mut page = got.to_vec();
+                            page.resize(want, 0);
+                            Bytes::from_vec(page)
+                        }
+                    };
                     let dirty = false;
-                    Page { bytes: page, dirty }
+                    Page { bytes, dirty }
                 });
                 lo = lo.saturating_add(self.page);
             }
@@ -251,9 +272,13 @@ impl PageCache {
 
     /// Buffer `data` at `off` under the write lease: grow the size it
     /// vouches for (zero-extending the cached old tail page), lay the bytes
-    /// over the pages, mark them dirty. The pages [`Self::plan`] named must
-    /// be there. `None`, and nothing changed, without the write lease.
-    pub(crate) fn buffer(&mut self, fh: u64, off: u64, data: &[u8]) -> Option<FileAttr> {
+    /// over the pages, mark them dirty. A page the write covers whole
+    /// becomes a view of `data`; one it covers part of is copied once with
+    /// the write laid over it — a page is never written in place, so a
+    /// view it shares with a fetch's reply stays as the server sent it. The
+    /// pages [`Self::plan`] named must be there. `None`, and nothing
+    /// changed, without the write lease.
+    pub(crate) fn buffer(&mut self, fh: u64, off: u64, data: &Bytes) -> Option<FileAttr> {
         let Some((LeaseKind::Write, Some(attr))) = self.leases.get_mut(&fh) else {
             return None;
         };
@@ -265,25 +290,33 @@ impl PageCache {
             let at = off + pos as u64;
             let start = at / self.page * self.page;
             let want = self.page.min(attr.size - start) as usize;
-            let (bytes, dirty) = (vec![0; want], false);
-            let key = (fh, at / self.page);
-            let page = self.pages.entry(key).or_insert(Page { bytes, dirty });
             let within = (at - start) as usize;
             let take = (want - within).min(data.len() - pos);
-            page.bytes[within..within + take].copy_from_slice(&data[pos..pos + take]);
-            self.dirty += usize::from(!page.dirty);
-            page.dirty = true;
+            let key = (fh, at / self.page);
+            let bytes = if take == want {
+                data.slice(pos..pos + take)
+            } else {
+                let mut page = match self.pages.get(&key) {
+                    Some(old) => old.bytes.to_vec(),
+                    None => vec![0; want],
+                };
+                page[within..within + take].copy_from_slice(&data[pos..pos + take]);
+                Bytes::from_vec(page)
+            };
+            let was = self.pages.insert(key, Page { bytes, dirty: true });
+            self.dirty += usize::from(!was.is_some_and(|p| p.dirty));
             pos += take;
         }
         Some(attr)
     }
 
     /// `fh`'s dirty pages as one sorted vectored write: segments `(file
-    /// offset, length, staging offset)`, the staging bytes, the page count.
+    /// offset, length, staging offset)`, the pages' bytes in that order as
+    /// views (their concatenation is the staging), the page count.
     /// Adjacent pages merge into one segment; a short page is the file's
     /// tail, and ending before the next page boundary it ends its run.
-    pub(crate) fn dirty_runs(&self, fh: u64) -> (Vec<ListSeg>, Vec<u8>, u64) {
-        let (mut segs, mut data, mut pages) = (Vec::<ListSeg>::new(), Vec::new(), 0);
+    pub(crate) fn dirty_runs(&self, fh: u64) -> (Vec<ListSeg>, Rope, u64) {
+        let (mut segs, mut data, mut pages) = (Vec::<ListSeg>::new(), Rope::new(), 0);
         if self.dirty > 0 {
             let of_fh = self.pages.range((fh, 0)..=(fh, u64::MAX));
             for (&(_, p), page) in of_fh.filter(|(_, page)| page.dirty) {
@@ -292,7 +325,7 @@ impl PageCache {
                     Some(s) if s.0 + s.1 == off => s.1 += page.bytes.len() as u64,
                     _ => segs.push((off, page.bytes.len() as u64, data.len() as u64)),
                 }
-                data.extend_from_slice(&page.bytes);
+                data.push(page.bytes.clone());
                 pages += 1;
             }
         }
@@ -387,15 +420,23 @@ impl PageCache {
 
     /// Re-establish the page invariant for `size`: drop the pages at or
     /// past it, then cut or zero-extend the last one left — the only page
-    /// that can be short, before or after. Growth under a lease is this
-    /// session's own, and a write drops the pages it covers, so what a
-    /// surviving page gains is a hole: zeros. Returns the pages dropped.
+    /// that can be short, before or after; a cut is a sub-view, and only
+    /// growth copies. Growth under a lease is this session's own, and a
+    /// write drops the pages it covers, so what a surviving page gains is a
+    /// hole: zeros. Returns the pages dropped.
     fn resize(&mut self, fh: u64, size: u64) -> u64 {
         let dropped = self.drop_pages(fh, size.div_ceil(self.page), u64::MAX);
         let page = self.page;
         let mut of_fh = self.pages.range_mut((fh, 0)..=(fh, u64::MAX));
         if let Some((&(_, p), last)) = of_fh.next_back() {
-            last.bytes.resize(page.min(size - p * page) as usize, 0);
+            let want = page.min(size - p * page) as usize;
+            if want < last.bytes.len() {
+                last.bytes = last.bytes.slice(..want);
+            } else if want > last.bytes.len() {
+                let mut grown = last.bytes.to_vec();
+                grown.resize(want, 0);
+                last.bytes = Bytes::from_vec(grown);
+            }
         }
         dropped
     }
@@ -442,17 +483,14 @@ pub(crate) trait CacheIo {
     fn lease_grant(&mut self, fh: u64, kind: LeaseKind) -> Result<Option<FileAttr>, Self::Error>;
     /// Acknowledge recall `id` of `fh` (0: a voluntary release).
     fn lease_ack(&mut self, fh: u64, id: u32) -> Result<(), Self::Error>;
-    /// Read one run of `fh` from the server.
-    fn fetch(&mut self, fh: u64, run: Run) -> Result<Vec<u8>, Self::Error>;
+    /// Read one run of `fh` from the server: the reply as the views it
+    /// landed as.
+    fn fetch(&mut self, fh: u64, run: Run) -> Result<Rope, Self::Error>;
     /// Ship the write-back flush of `fh` — the one request exempt from
-    /// [`past_cache`]. Returns the wire requests it cost, replays included,
-    /// and whether the server acknowledged it.
-    fn flush(
-        &mut self,
-        fh: u64,
-        segs: Vec<ListSeg>,
-        data: Vec<u8>,
-    ) -> (u64, Result<(), Self::Error>);
+    /// [`past_cache`]: `segs` over the dirty pages' bytes `data`. Returns
+    /// the wire requests it cost, replays included, and whether the server
+    /// acknowledged it.
+    fn flush(&mut self, fh: u64, segs: Vec<ListSeg>, data: Rope) -> (u64, Result<(), Self::Error>);
     /// Ask the server for `fh`'s attributes.
     fn getattr(&mut self, fh: u64) -> Result<FileAttr, Self::Error>;
 }
@@ -713,7 +751,7 @@ fn buffer_write<S: CacheIo>(
     // Pre-fault the partly covered pages, so overlaying the write cannot
     // lose the bytes beside it.
     let fetched = fetch_pages(s, fh, &runs)?;
-    let bytes = data(s);
+    let bytes = Bytes::from_vec(data(s));
     s.charge_copy(len);
     Ok(with_fetched(s, fh, &fetched, |c| c.buffer(fh, off, &bytes)))
 }
@@ -744,6 +782,11 @@ pub(crate) fn cache_shutdown<S: CacheIo>(s: &mut S) -> Result<(), S::Error> {
 
 #[cfg(test)]
 impl PageCache {
+    /// The bytes of page `p` of `fh`, if it is cached.
+    pub(crate) fn page(&self, fh: u64, p: u64) -> Option<Bytes> {
+        self.pages.get(&(fh, p)).map(|page| page.bytes.clone())
+    }
+
     /// Assert the page invariant and the bookkeeping around it.
     pub(crate) fn check(&self) {
         let dirty = self.pages.values().filter(|p| p.dirty).count();
@@ -782,7 +825,7 @@ impl PageCache {
             self.claims.iter().map(|(fh, a)| (*fh, *a)).collect(),
             self.pages
                 .iter()
-                .map(|(k, p)| (k.0, k.1, p.bytes.clone(), p.dirty))
+                .map(|(k, p)| (k.0, k.1, p.bytes.to_vec(), p.dirty))
                 .collect(),
             self.recalls.len(),
         )
@@ -823,7 +866,22 @@ mod tests {
     }
 
     fn fill(c: &mut PageCache, run: Run, reply: &[u8]) {
-        c.fill(FH, &[(run, reply.to_vec())]);
+        c.fill(FH, &[(run, Rope::from(Bytes::copy_from_slice(reply)))]);
+    }
+
+    fn buffer(c: &mut PageCache, off: u64, data: &[u8]) -> Option<FileAttr> {
+        c.buffer(FH, off, &Bytes::copy_from_slice(data))
+    }
+
+    /// [`PageCache::dirty_runs`] with the pages' bytes gathered.
+    fn dirty(c: &PageCache) -> (Vec<ListSeg>, Vec<u8>, u64) {
+        let (segs, data, pages) = c.dirty_runs(FH);
+        (segs, data.to_vec(), pages)
+    }
+
+    /// Where page `p`'s bytes live.
+    fn at(c: &PageCache, p: u64) -> *const u8 {
+        c.pages[&(FH, p)].bytes.as_ptr()
     }
 
     fn read(c: &PageCache, off: u64, end: u64) -> Option<Vec<u8>> {
@@ -872,7 +930,7 @@ mod tests {
     #[test]
     fn fill_zero_pads_a_short_reply_and_never_replaces_a_page() {
         let mut c = leased(LeaseKind::Write, 8, 8);
-        assert_eq!(c.buffer(FH, 4, b"WXYZ").unwrap().size, 8);
+        assert_eq!(buffer(&mut c, 4, b"WXYZ").unwrap().size, 8);
         // The server's image ends at 2: the fetch of [0, 8) comes back short.
         fill(&mut c, (0, 8), b"ab");
         assert_eq!(read(&c, 0, 8).unwrap(), b"ab\0\0WXYZ", "dirty page 1 stays");
@@ -887,26 +945,64 @@ mod tests {
         );
     }
 
+    /// A fetched page is a view of the reply piece it lies in; only one
+    /// that straddles two pieces, or that the reply ends inside, is
+    /// assembled. A write never reaches the reply's bytes: a partial one
+    /// copies the page, a whole one takes a view of the write, and a
+    /// shrink cuts the view.
+    #[test]
+    fn pages_are_views_of_the_reply_and_a_write_replaces_them() {
+        let mut c = leased(LeaseKind::Write, 14, 8);
+        let (one, two) = (Bytes::from(&b"aaaabb"[..]), Bytes::from(&b"bbccccdd"[..]));
+        let mut reply = Rope::from(one.clone());
+        reply.push(two.clone());
+        c.fill(FH, &[((0, 16), reply)]);
+        assert_eq!(read(&c, 0, 14).unwrap(), b"aaaabbbbccccdd");
+        assert_eq!(at(&c, 0), one.as_ptr(), "page 0 lies in the first piece");
+        assert_eq!(
+            at(&c, 2),
+            two.as_ptr().wrapping_add(2),
+            "page 2 in the second"
+        );
+        let straddles = at(&c, 1);
+        assert!(straddles != one.as_ptr().wrapping_add(4) && straddles != two.as_ptr());
+        buffer(&mut c, 9, b"X").unwrap();
+        assert_eq!(read(&c, 8, 12).unwrap(), b"cXcc");
+        assert_eq!(two.as_slice(), b"bbccccdd", "the reply is as it came");
+        let data = Bytes::from(&b"YYYY"[..]);
+        c.buffer(FH, 0, &data).unwrap();
+        assert_eq!(at(&c, 0), data.as_ptr(), "a whole page is the write's view");
+        assert_eq!(one.as_slice(), b"aaaabb");
+        assert_eq!(c.wrote(FH, 100, 1, AttrAfter::Set(attr(13, 2))), 0);
+        assert_eq!(
+            at(&c, 3),
+            two.as_ptr().wrapping_add(6),
+            "a cut is a sub-view"
+        );
+        assert_eq!(read(&c, 0, 13).unwrap(), b"YYYYbbbbcXccd");
+        c.check();
+    }
+
     #[test]
     fn growth_zero_extends_the_old_tail_page() {
         let mut c = leased(LeaseKind::Write, 2, 8);
         fill(&mut c, (0, 2), b"ab");
-        assert_eq!(c.buffer(FH, 9, b"Z").unwrap().size, 10);
+        assert_eq!(buffer(&mut c, 9, b"Z").unwrap().size, 10);
         assert_eq!(c.plan(FH, 0, 10, false), Some((10, vec![(4, 4)])));
         fill(&mut c, (4, 4), b""); // the server has nothing there yet
         assert_eq!(read(&c, 0, 10).unwrap(), b"ab\0\0\0\0\0\0\0Z");
         c.check();
         // Only the pages the write touched are dirty.
-        assert_eq!(c.dirty_runs(FH), (vec![(8, 2, 0)], b"\0Z".to_vec(), 1));
+        assert_eq!(dirty(&c), (vec![(8, 2, 0)], b"\0Z".to_vec(), 1));
     }
 
     #[test]
     fn dirty_runs_merge_adjacent_pages_and_end_at_the_short_tail() {
         let mut c = leased(LeaseKind::Write, 0, 8);
-        c.buffer(FH, 0, b"aaaabbbb").unwrap();
-        c.buffer(FH, 16, b"eeeeff").unwrap();
+        buffer(&mut c, 0, b"aaaabbbb").unwrap();
+        buffer(&mut c, 16, b"eeeeff").unwrap();
         fill(&mut c, (8, 8), b""); // clean zeros between the two runs
-        let (segs, data, pages) = c.dirty_runs(FH);
+        let (segs, data, pages) = dirty(&c);
         assert_eq!(segs, [(0, 8, 0), (16, 6, 8)]);
         assert_eq!((data.as_slice(), pages), (&b"aaaabbbbeeeeff"[..], 4));
         assert!(c.orphans().is_empty(), "the write lease is held");
@@ -914,19 +1010,19 @@ mod tests {
         // and the size the lease vouches for stays.
         assert_eq!(c.wrote(FH, 0, 22, AttrAfter::Keep), 6);
         assert_eq!(c.held(FH), Some((LeaseKind::Write, Some(attr(22, 1)))));
-        assert_eq!(c.dirty_runs(FH), (vec![], vec![], 0));
+        assert_eq!(dirty(&c), (vec![], vec![], 0));
         c.check();
     }
 
     #[test]
     fn eviction_takes_the_lowest_clean_key_and_never_a_dirty_page() {
         let mut c = leased(LeaseKind::Write, 16, 2);
-        c.buffer(FH, 0, b"AAAA").unwrap();
+        buffer(&mut c, 0, b"AAAA").unwrap();
         fill(&mut c, (4, 12), b"bbbbccccdddd");
         assert_eq!(c.evict(), 2);
         let left: Vec<u64> = c.pages.keys().map(|k| k.1).collect();
         assert_eq!(left, [0, 3], "pages 1 and 2 went, dirty page 0 did not");
-        c.buffer(FH, 4, b"BBBBCCCC").unwrap();
+        buffer(&mut c, 4, b"BBBBCCCC").unwrap();
         assert_eq!(c.evict(), 1, "the one clean page");
         assert_eq!(c.evict(), 0, "over capacity, but all dirty");
         assert_eq!(c.pages.len(), 3);
@@ -937,13 +1033,13 @@ mod tests {
     fn a_lost_session_keeps_exactly_the_dirty_pages() {
         let mut c = leased(LeaseKind::Write, 12, 8);
         fill(&mut c, (0, 12), b"aaaabbbbcccc");
-        c.buffer(FH, 4, b"BBBB").unwrap();
+        buffer(&mut c, 4, b"BBBB").unwrap();
         c.queue_recall(FH, 3);
         assert_eq!(c.session_lost(), 2);
         assert_eq!((c.held(FH), c.next_recall()), (None, None));
         assert_eq!(c.orphans(), [FH]);
         assert!(!c.is_idle(), "the orphan has to be flushed");
-        assert_eq!(c.dirty_runs(FH), (vec![(4, 4, 0)], b"BBBB".to_vec(), 1));
+        assert_eq!(dirty(&c), (vec![(4, 4, 0)], b"BBBB".to_vec(), 1));
         c.check();
         // A fetch that was in flight lands against the dead lease's claim.
         fill(&mut c, (8, 4), b"cccc");

@@ -54,7 +54,7 @@ use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::obs::{Labels, LazyByteMeter, LazyCounter};
 use simnet::reqtab::{RequestTable, State};
-use simnet::{ActorCtx, Bytes, HostId, HostMem, SimDuration, SimTime, VirtAddr};
+use simnet::{ActorCtx, Bytes, HostId, HostMem, Rope, SimDuration, SimTime, VirtAddr};
 use via::{
     ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
     ViAttributes, ViState, ViaFabric, ViaNic, ViaStatus,
@@ -1208,9 +1208,9 @@ impl DafsClient {
     }
 
     /// Convenience: [`Self::read`] into a fresh vector. What comes off the
-    /// wire stages through an internal scratch buffer (one extra mechanical
-    /// copy, uncharged); what the cache serves lands in the vector itself —
-    /// the cache's own fetches use that scratch buffer.
+    /// wire lands in an internal scratch buffer, the cache's fetches' too,
+    /// and is copied into the vector once (uncharged); what the cache
+    /// serves lands in the vector itself.
     pub fn read_to_vec(
         &self,
         ctx: &ActorCtx,
@@ -1222,7 +1222,7 @@ impl DafsClient {
         // The cache hands its pieces over in stream order.
         let sink = |_, bytes: &[u8]| out.borrow_mut().extend_from_slice(bytes);
         let wire = |s: &mut Live| {
-            *out.borrow_mut() = s.fetch(fh.0, (off, len))?;
+            *out.borrow_mut() = s.fetch(fh.0, (off, len))?.to_vec();
             Ok(out.borrow().len() as u64)
         };
         cache::read(&mut Live(self, ctx), fh.0, (off, len), sink, wire)?;
@@ -1737,29 +1737,29 @@ impl CacheIo for Live<'_> {
     }
 
     /// One [`DafsClient::transfer_wire`] read into the shared scratch
-    /// buffer: a batch of the one request, already past the cache.
-    fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Vec<u8>> {
+    /// buffer: a batch of the one request, already past the cache. The
+    /// reply is what landed there, as views: what the NIC placed (a direct
+    /// read's memfs pages) shared, an inline reply's copy-out copied once.
+    fn fetch(&mut self, fh: u64, (off, len): Run) -> DafsResult<Rope> {
         let Live(c, ctx) = *self;
         let addr = c.scratch(len as usize);
         let req = IoReq { off, addr, len };
         let (n, _) = c.transfer_wire(ctx, BatchDir::Read, NodeId(fh), req)?;
-        Ok(c.nic.host().mem.read_vec(addr, n as usize))
+        Ok(c.nic.host().mem.read_views(addr, n as usize))
     }
 
-    /// The sorted dirty runs go through the scratch buffer as one vectored
-    /// `WriteList` batch — one wire request per credit-window chunk, not
-    /// one per extent. A flush interrupted by session death is redone by
-    /// the batch's recovery, its inline requests under their own ids, so
-    /// the bytes still land exactly once.
-    fn flush(
-        &mut self,
-        fh: u64,
-        segs: Vec<proto::ListSeg>,
-        data: Vec<u8>,
-    ) -> (u64, DafsResult<()>) {
+    /// The dirty pages are written into the scratch buffer in order and go
+    /// out as one vectored `WriteList` batch — one wire request per
+    /// credit-window chunk, not one per extent. A flush interrupted by
+    /// session death is redone by the batch's recovery, its inline requests
+    /// under their own ids, so the bytes still land exactly once.
+    fn flush(&mut self, fh: u64, segs: Vec<proto::ListSeg>, data: Rope) -> (u64, DafsResult<()>) {
         let Live(c, ctx) = *self;
-        let buf = c.scratch(data.len());
-        c.nic.host().mem.write(buf, &data);
+        let (buf, mut at) = (c.scratch(data.len()), 0);
+        for page in &data {
+            c.nic.host().mem.write(buf.offset(at), page);
+            at += page.len() as u64;
+        }
         let ops = &c.stats.ops;
         let before = ops.get();
         let reqs = [ListReq { segs, buf }];
@@ -1778,5 +1778,13 @@ impl CacheIo for Live<'_> {
 
     fn getattr(&mut self, fh: u64) -> DafsResult<FileAttr> {
         self.0.getattr_wire(self.1, NodeId(fh))
+    }
+}
+
+#[cfg(test)]
+impl DafsClient {
+    /// The bytes of cached page `p` of `fh`, if the cache holds it.
+    pub(crate) fn cached_page(&self, fh: NodeId, p: u64) -> Option<Bytes> {
+        self.cache.lock().page(fh.0, p)
     }
 }

@@ -33,7 +33,7 @@ use std::ops::DerefMut;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use memfs::{FileAttr, FileType, NodeId};
-use simnet::Bytes;
+use simnet::{Bytes, Rope};
 use via::ViId;
 
 use crate::cache::{self, AttrAfter, CacheIo, CacheStat, PageCache, Run};
@@ -547,14 +547,16 @@ impl CacheIo for Sim<'_> {
         Ok(())
     }
 
-    fn fetch(&mut self, _: u64, (off, len): Run) -> Result<Vec<u8>, Parked> {
+    fn fetch(&mut self, _: u64, (off, len): Run) -> Result<Rope, Parked> {
         let fetched = self.0.send(self.1, Req::Read { off, len });
-        Ok(fetched.ok().expect("a holder's fetch parked").0)
+        let data = fetched.ok().expect("a holder's fetch parked").0;
+        Ok(Rope::from(Bytes::from_vec(data)))
     }
 
-    fn flush(&mut self, _: u64, segs: Vec<ListSeg>, data: Vec<u8>) -> (u64, Result<(), Parked>) {
-        let bytes =
-            |&(off, len, rel): &ListSeg| (off, data[rel as usize..(rel + len) as usize].to_vec());
+    fn flush(&mut self, _: u64, segs: Vec<ListSeg>, data: Rope) -> (u64, Result<(), Parked>) {
+        let bytes = |&(off, len, rel): &ListSeg| {
+            (off, data.slice(rel as usize..(rel + len) as usize).to_vec())
+        };
         let req = Req::Flush(segs.iter().map(bytes).collect());
         (1, self.0.send(self.1, req).map(|_| ()))
     }

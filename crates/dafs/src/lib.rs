@@ -1936,6 +1936,79 @@ mod tests {
         b.kernel.run();
     }
 
+    /// A cached miss keeps what the NIC placed: a direct fetch lands the
+    /// server's memfs pages in the scratch buffer as views, and each cached
+    /// page is a view of them — the same bytes in the server's memory, not
+    /// a copy. (Each page used to be copied twice on the way in.)
+    #[test]
+    fn a_cached_miss_keeps_views_of_the_servers_pages() {
+        let b = bed();
+        let image: Vec<u8> = (0..16384u32).map(|i| (i % 253) as u8).collect();
+        let fh = server_file(&b, "views", &image);
+        let fs = b.fs.clone();
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let f = c.lookup(ctx, ROOT_ID, "views").unwrap().id;
+            c.cache_file(f);
+            let dst = nic.host().mem.alloc(16384);
+            assert_eq!(c.read(ctx, f, 0, dst, 16384).unwrap(), 16384);
+            assert_eq!(nic.host().mem.read_vec(dst, 16384), image);
+            assert_eq!(c.cache_stats.misses.get(), 1);
+            for p in 0..4 {
+                let page = c.cached_page(f, p).expect("cached");
+                let server = fs.read_views(fh, p * 4096, 4096).unwrap();
+                let server = server.as_single().expect("inside one memfs page");
+                assert_eq!(page, *server);
+                assert!(
+                    std::ptr::eq(page.as_ptr(), server.as_ptr()),
+                    "page {p} is a copy of the server's bytes"
+                );
+            }
+        });
+        b.kernel.run();
+    }
+
+    /// A buffered write into part of a page that is a view of the server's
+    /// memfs page copies that page first: the server's bytes stay as they
+    /// were until the flush, and the pages the write did not touch are
+    /// still the server's views.
+    #[test]
+    fn a_partial_write_back_write_into_a_fetched_page_leaves_the_memfs_page_alone() {
+        let b = bed();
+        let image: Vec<u8> = (0..16384u32).map(|i| (i % 251) as u8).collect();
+        let fh = server_file(&b, "cow", &image);
+        let fs = b.fs.clone();
+        let want = image.clone();
+        with_client(&b, write_back(), move |ctx, c, nic| {
+            let f = c.lookup(ctx, ROOT_ID, "cow").unwrap().id;
+            c.cache_file(f);
+            let mem = &nic.host().mem;
+            let (src, dst) = (mem.alloc(100), mem.alloc(16384));
+            assert_eq!(c.read(ctx, f, 0, dst, 16384).unwrap(), 16384);
+            mem.fill(src, 100, 0xEE);
+            c.write(ctx, f, 1000, src, 100).unwrap();
+            assert_eq!(
+                fs.read(fh, 0, 16384).unwrap(),
+                want,
+                "the server's pages moved"
+            );
+            let page = c.cached_page(f, 0).unwrap();
+            assert!(page[1000..1100] == [0xEE; 100] && page[..1000] == want[..1000]);
+            for p in 1..4 {
+                let server = fs.read_views(fh, p * 4096, 4096).unwrap();
+                let page = c.cached_page(f, p).unwrap();
+                assert!(
+                    std::ptr::eq(page.as_ptr(), server.as_single().unwrap().as_ptr()),
+                    "untouched page {p} is not the server's view"
+                );
+            }
+            assert_eq!(c.cache_sync(ctx).unwrap(), 1);
+        });
+        b.kernel.run();
+        let got = b.fs.read(fh, 0, 16384).unwrap();
+        assert!(got[1000..1100] == [0xEE; 100], "the flush did not land");
+        assert!(got[..1000] == image[..1000] && got[1100..] == image[1100..]);
+    }
+
     #[test]
     fn conflicting_write_recalls_lease_and_reader_sees_new_bytes() {
         let b = bed();

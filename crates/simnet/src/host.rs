@@ -7,12 +7,13 @@
 //! [`CpuMeter`] accumulates busy time for the host-overhead experiments.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::buf::Bytes;
+use crate::buf::{Bytes, Rope};
 use crate::coro::Mapping;
 use crate::cost::HOST;
 use crate::kernel::ActorCtx;
@@ -78,24 +79,34 @@ impl Allocation {
         }
     }
 
-    /// Hand `f` the contents of `[off, end)` in order: slices of the placed
-    /// views in range and of the mapping between them.
-    fn pieces(&self, off: usize, end: usize, mut f: impl FnMut(&[u8])) {
+    /// Walk `[off, end)` in order: `f(Some(view), r)` for the bytes `r` of
+    /// a placed view in range, `f(None, r)` for the mapping's bytes `r`
+    /// between them.
+    fn walk(&self, off: usize, end: usize, mut f: impl FnMut(Option<&Bytes>, Range<usize>)) {
         let reaching_in = self.placed.range(..off).next_back();
         let reaching_in = reaching_in.filter(|&(&o, b)| o + b.len() > off);
         let mut at = off;
         for (&o, b) in reaching_in.into_iter().chain(self.placed.range(off..end)) {
             if o > at {
-                f(&self.data[at..o]);
+                f(None, at..o);
                 at = o;
             }
             let stop = (o + b.len()).min(end);
-            f(&b[at - o..stop - o]);
+            f(Some(b), at - o..stop - o);
             at = stop;
         }
         if at < end {
-            f(&self.data[at..end]);
+            f(None, at..end);
         }
+    }
+
+    /// Hand `f` the contents of `[off, end)` in order: slices of the placed
+    /// views in range and of the mapping between them.
+    fn pieces(&self, off: usize, end: usize, mut f: impl FnMut(&[u8])) {
+        self.walk(off, end, |view, r| match view {
+            Some(b) => f(&b[r]),
+            None => f(&self.data[r]),
+        });
     }
 }
 
@@ -270,6 +281,22 @@ impl HostMem {
         let mut v = Vec::with_capacity(len);
         self.read_into(addr, len, &mut v);
         v
+    }
+
+    /// The contents of `[addr, addr + len)` as views, in order: what a NIC
+    /// placed comes back shared — a sub-view of the placed view, no byte
+    /// copied — and only the mapping's bytes between placements are copied,
+    /// one exact-size slab per gap. The twin of `MemFs::read_views`, for a
+    /// consumer that keeps what it read.
+    pub fn read_views(&self, addr: VirtAddr, len: usize) -> Rope {
+        let mut out = Rope::new();
+        self.with_alloc(addr, len, |a, off| {
+            a.walk(off, off + len, |view, r| match view {
+                Some(b) => out.push(b.slice(r)),
+                None => out.push(Bytes::copy_from_slice(&a.data[r])),
+            })
+        });
+        out
     }
 
     /// Copy bytes out into a pooled, refcounted frame. One copy out of the
@@ -516,6 +543,48 @@ mod tests {
         assert_eq!(m.read_bytes(a.offset(8), 5), b"frame".as_slice());
     }
 
+    /// What a NIC placed comes back as the view it placed, not a copy;
+    /// only the mapping between placements is copied, and a range that
+    /// starts and ends inside views takes just their parts in range.
+    #[test]
+    fn read_views_shares_what_was_placed_and_copies_only_the_gaps() {
+        let m = HostMem::new();
+        let a = m.alloc(64);
+        m.fill(a, 64, b'.');
+        let first = Bytes::from(&b"0123456789"[..]);
+        let second = Bytes::from(&b"abcdefghij"[..]);
+        m.place(a.offset(4), first.clone());
+        m.place(a.offset(20), second.clone());
+        let views = m.read_views(a.offset(6), 20);
+        assert_eq!(views.to_vec(), b"23456789......abcdef");
+        let pieces: Vec<&Bytes> = views.iter().collect();
+        assert_eq!(pieces.len(), 3, "view, gap, view");
+        assert!(
+            std::ptr::eq(pieces[0].as_ptr(), &first[2]),
+            "placed, not copied"
+        );
+        assert!(
+            std::ptr::eq(pieces[2].as_ptr(), &second[0]),
+            "placed, not copied"
+        );
+        assert_eq!(pieces[1].as_slice(), b"......");
+        // The gap is a slab of its own: a later write to the mapping does
+        // not reach it.
+        m.fill(a.offset(14), 6, b'!');
+        assert_eq!(pieces[1].as_slice(), b"......");
+        // Inside one view, one piece; outside every view, one copied gap.
+        let inside = m.read_views(a.offset(21), 3);
+        assert!(std::ptr::eq(
+            inside.as_single().unwrap().as_ptr(),
+            &second[1]
+        ));
+        assert_eq!(
+            m.read_views(a.offset(40), 8).as_single().unwrap(),
+            b"........".as_slice()
+        );
+        assert!(m.read_views(a, 0).is_empty());
+    }
+
     #[test]
     fn overlapping_placements_apply_in_order() {
         let m = HostMem::new();
@@ -705,6 +774,8 @@ mod tests {
                         m.read_into(at, end - off, &mut out);
                         assert_eq!(out[3..], want[..], "read_into, seed {seed} step {step}");
                         assert_eq!(m.read_bytes(at, end - off), want, "read_bytes");
+                        let views = m.read_views(at, end - off);
+                        assert_eq!(views.to_vec(), want, "read_views, seed {seed} step {step}");
                     }
                     _ => {
                         m.free(a);

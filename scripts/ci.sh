@@ -333,6 +333,20 @@ if [ -z "$deliver" ] || [ -z "$execute" ] ||
     exit 1
 fi
 
+echo "==> the page cache keeps what the NIC placed"
+# A cached page is a view of what its fetch landed as (a direct read places
+# the server's memfs pages in the scratch buffer), so a miss copies no byte
+# the NIC placed: `Page` and `Fetched` in cache.rs hold views, not vectors,
+# and `Live::fetch` hands over `HostMem::read_views`, not a `read_vec` copy.
+page_types=$(sed -n '/^struct Page {/,/^}/p; /^pub(crate) type Fetched /p' crates/dafs/src/cache.rs)
+fetch_body=$(sed -n '/^    fn fetch(&mut self, fh: u64/,/^    }$/p' crates/dafs/src/client.rs)
+if [ "$(echo "$page_types" | grep -c 'Page {\|type Fetched')" -ne 2 ] || [ -z "$fetch_body" ] ||
+    echo "$page_types" | grep -n 'Vec<u8>' || echo "$fetch_body" | grep -n 'read_vec'; then
+    echo "ci: a cached page or fetch reply is a Vec<u8>, Live::fetch copies with" \
+        "read_vec, or either definition is gone (lines above)" >&2
+    exit 1
+fi
+
 echo "==> a socket hands over what arrived"
 # A TCP receive returns views of the segments that arrived, and one RPC
 # record is one segment, so a record read whole is the sender's frame: the
