@@ -54,6 +54,7 @@ use memfs::{FileAttr, NodeId};
 use parking_lot::Mutex;
 use simnet::obs::{Labels, LazyByteMeter, LazyCounter};
 use simnet::reqtab::{RequestTable, State};
+use simnet::window::{Outcome, Window};
 use simnet::{ActorCtx, Bytes, HostId, HostMem, Rope, SimDuration, SimTime, VirtAddr};
 use via::{
     ConnectError, DataSegment, MemAttributes, MemHandle, ProtectionTag, RecvDesc, SendDesc, Vi,
@@ -301,8 +302,9 @@ pub struct DafsBatch {
     /// Shared with the request table's records of the posted ones.
     subs: Arc<[Sub]>,
     results: Vec<DafsResult<u64>>,
-    inflight: VecDeque<(u32, usize, (MemHandle, bool))>,
-    next: usize,
+    /// The subs posted, each under its id and with the registration it
+    /// holds; the unposted rest.
+    window: Window<(u32, (MemHandle, bool))>,
     /// The caller is already past the cache and keeps it in step itself —
     /// the cache's driver, or the read or write it hands to the wire: no
     /// [`cache::past_cache`] first, no `note_wrote` at the finish.
@@ -318,7 +320,7 @@ pub struct DafsBatch {
 impl DafsBatch {
     /// Sub-requests posted but not yet retired.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.window.in_flight()
     }
 
     /// Count what sub `s` moved toward its request, or fail the request;
@@ -1359,15 +1361,15 @@ impl DafsClient {
     /// Post the batch's unposted subs while the request table has room:
     /// none while the session has lost requests.
     fn batch_fill(&self, ctx: &ActorCtx, b: &mut DafsBatch) {
-        while b.next < b.subs.len() {
-            let resend = Resend(b.dir, b.fh, b.subs.clone(), b.next);
+        while let Some(piece) = b.window.next() {
+            let sub = piece.start as usize;
+            let resend = Resend(b.dir, b.fh, b.subs.clone(), sub);
             let Some(id) = self.table.lock().post(|_| Some(resend)) else {
                 break;
             };
-            let (op, args, payload, held) = self.encode_sub(ctx, b.dir, b.fh, &b.subs[b.next]);
+            let (op, args, payload, held) = self.encode_sub(ctx, b.dir, b.fh, &b.subs[sub]);
             self.post_request_raw(ctx, id, op, &args.finish(), payload);
-            b.inflight.push_back((id, b.next, held));
-            b.next += 1;
+            b.window.posted((id, held));
         }
     }
 
@@ -1445,9 +1447,13 @@ impl DafsClient {
     /// Retire the oldest in-flight sub: wait for its reply, unless the
     /// session has lost it — then it is left to the batch's
     /// [`Self::recover`], by its [`Kind`], and this returns true. (One
-    /// another recovery gave up fails its request, or is redone.)
+    /// another recovery gave up fails its request, or is redone.) To the
+    /// window every sub is full: a failed one fails its own request, and
+    /// the request table holds posting back while the session is lost.
     fn batch_retire_front(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
-        let (id, s, held) = b.inflight.pop_front().expect("inflight");
+        let (piece, &(id, _)) = b.window.front().expect("in flight");
+        let s = piece.start as usize;
+        let (_, held) = b.window.retire(Outcome::Full);
         let arrived = self.await_reply(ctx, id);
         let lost = arrived.is_err() && self.table.lock().state(id).is_some();
         let res = arrived.and_then(|()| self.collect(id, Ok(())));
@@ -1475,9 +1481,10 @@ impl DafsClient {
         let ids = died.then(|| self.table.lock().session_lost());
         let lost: Vec<_> = ids.into_iter().flatten().map(|id| (id, kind(id))).collect();
         let (redo, rest) = match b.as_deref_mut() {
-            Some(b) => (std::mem::take(&mut b.redo), b.next..b.subs.len()),
+            Some(b) => (std::mem::take(&mut b.redo), b.window.rest()),
             None => (Vec::new(), 0..0),
         };
+        let rest = rest.start as usize..rest.end as usize;
         for step in recover::plan(&lost, down, &redo, rest) {
             let (id, redial, Resend(dir, fh, subs, s)) = match (step, b.as_deref()) {
                 (Step::GiveUp(id), _) => {
@@ -1557,10 +1564,9 @@ impl DafsClient {
             dir,
             fh,
             start,
+            window: Window::new(subs.len() as u64, 1, usize::MAX),
             subs: subs.into(),
             results: vec![refused.map_or(Ok(0), Err); reqs.len()],
-            inflight: VecDeque::new(),
-            next: 0,
             past,
             redo: Vec::new(),
             attr: None,
@@ -1616,11 +1622,11 @@ impl DafsClient {
     pub fn batch_test(&self, ctx: &ActorCtx, b: &mut DafsBatch) -> bool {
         while let Ok(true) = self.receive(ctx, false) {}
         let arrived = |id| self.table.lock().state(id) == Some(State::Arrived);
-        while b.inflight.front().is_some_and(|&(id, ..)| arrived(id)) {
+        while b.window.front().is_some_and(|(_, &(id, _))| arrived(id)) {
             self.batch_retire_front(ctx, b);
             self.batch_fill(ctx, b);
         }
-        b.next == b.subs.len() && b.inflight.is_empty()
+        b.window.done()
     }
 
     /// Completion half: block until every sub-request has retired — the
@@ -1638,9 +1644,9 @@ impl DafsClient {
         let mut died = false;
         loop {
             self.batch_fill(ctx, &mut b);
-            if !b.inflight.is_empty() {
+            if b.window.front().is_some() {
                 died |= self.batch_retire_front(ctx, &mut b);
-            } else if died || b.next == b.subs.len() {
+            } else if died || b.window.done() {
                 break;
             } else {
                 // Other requests hold the window.

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The two halves of the lease protocol composed and exhausted at small
 //! scope, with no kernel: two sessions' [`PageCache`]s (two-byte pages,
 //! capacity two, so partial pages, EOF pages and eviction all occur; the

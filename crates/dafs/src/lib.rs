@@ -22,7 +22,6 @@
 
 mod cache;
 mod client;
-#[cfg(test)]
 mod explore;
 mod lease;
 mod plan;

@@ -148,17 +148,6 @@ pub struct DafsStripedBatch {
     done: Option<DafsResult<u64>>,
 }
 
-impl DafsStripedBatch {
-    /// Sub-requests posted but not yet retired, across all servers.
-    pub fn in_flight(&self) -> usize {
-        self.per_server
-            .iter()
-            .flatten()
-            .map(|b| b.in_flight())
-            .sum()
-    }
-}
-
 /// One logical file striped over N DAFS sessions.
 pub struct DafsStripedFile {
     clients: Vec<Arc<DafsClient>>,

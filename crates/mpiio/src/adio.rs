@@ -967,16 +967,19 @@ struct NfsPending {
 impl PendingIo for NfsPending {
     fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
         let p = *self;
-        let collected = (p.transfers.into_iter().zip(&p.reqs))
+        // Every transfer is collected, the first error winning: one left
+        // uncollected would leave its RPCs in the mount's request table.
+        let collected: Vec<_> = (p.transfers.into_iter().zip(&p.reqs))
             .map(|(t, r)| p.file.collect(ctx, p.dir, t, r))
-            .sum();
-        match collected {
+            .collect();
+        match collected.into_iter().sum() {
             Err(e) if transient(&e) => {
                 // Residual transient failure after the RPC layer's own
                 // retransmits: re-run the whole batch the blocking way
                 // (idempotent — reads re-fetch, writes re-put the same
-                // bytes). The retransmit-armed blocking path treats any
-                // leftover replies on the stream as stale duplicates.
+                // bytes). Every RPC of the batch is answered or given up
+                // by now; a timed-out one's late reply is dropped as a
+                // stale duplicate.
                 ctx.metrics().counter("adio.retries").inc();
                 p.file.transfer(ctx, p.dir, Shape::Batch, &p.reqs)
             }
@@ -1202,5 +1205,41 @@ mod tests {
                 assert_eq!(got[i * 100], i as u8 + 1);
             }
         });
+    }
+
+    /// A split-phase NFS batch that fails is collected whole: `wait` takes
+    /// every transfer's replies before it returns the first error, so by
+    /// then the nfsd has served every RPC the batch posted. It used to stop
+    /// at the first failed transfer and drop the rest uncollected.
+    #[test]
+    fn a_failed_nfs_batch_is_collected_whole() {
+        let (kernel, cluster) = (SimKernel::new(), Cluster::new());
+        let fabric = tcpnet::TcpFabric::new(tcpnet::TcpCost::default());
+        let (host, server_host) = (cluster.add_host("client"), cluster.add_host("server"));
+        let fs = MemFs::new();
+        let cost = nfsv3::NfsServerCost::default();
+        let server = nfsv3::spawn_nfs_server(&kernel, &fabric, server_host, fs.clone(), 2049, cost);
+        let (ops, sid) = (server.stats.ops.clone(), server.host.id);
+        kernel.spawn("rank", move |ctx| {
+            let config = nfsv3::NfsClientConfig::default();
+            let c = NfsClient::mount(ctx, &fabric, &host, sid, 2049, config).unwrap();
+            let f = NfsAdio::new(Arc::new(c)).open(ctx, "/gone", true).unwrap();
+            // The server forgets the file: every WRITE to it fails.
+            fs.remove(memfs::ROOT_ID, "gone").unwrap();
+            let len = 4 * config.wsize;
+            let buf = host.mem.alloc(2 * len as usize);
+            let reqs: Vec<IoReq> = (0..2)
+                .map(|i| IoReq {
+                    off: i * len,
+                    addr: buf.offset(i * len),
+                    len,
+                })
+                .collect();
+            let before = ops.get();
+            let req = f.itransfer(ctx, BatchDir::Write, Shape::Batch, &reqs);
+            assert!(req.wait(ctx).is_err());
+            assert_eq!(ops.get() - before, 8, "every WRITE served before the error");
+        });
+        kernel.run();
     }
 }

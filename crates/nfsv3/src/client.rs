@@ -6,7 +6,8 @@
 //! whole range at once. They differ in nothing else.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use memfs::{FileAttr, NodeId};
@@ -14,6 +15,7 @@ use parking_lot::Mutex;
 use simnet::obs::{Labels, LazyCounter};
 use simnet::reqtab::RequestTable;
 use simnet::time::units::*;
+use simnet::window::{Outcome, Window};
 use simnet::{ActorCtx, Bytes, Host, HostId, Rope, SimDuration, SimTime};
 use tcpnet::{TcpError, TcpFabric};
 
@@ -471,51 +473,43 @@ impl NfsClient {
         io: NfsIo<'a>,
         window: usize,
     ) -> NfsTransfer<'a> {
-        let len = match &io {
-            NfsIo::Read(len) => *len,
-            NfsIo::Write(data) => data.len() as u64,
+        let (len, max) = match &io {
+            NfsIo::Read(len) => (*len, self.config.rsize.max(1)),
+            NfsIo::Write(data) => (data.len() as u64, self.config.wsize.max(1)),
         };
+        let window = Window::new(len, max, window);
+        let (data, attr) = (Rope::new(), None);
         let mut t = NfsTransfer {
             fh,
             off,
             io,
-            len,
-            window: window.max(1),
-            posted: 0,
-            in_flight: VecDeque::new(),
-            data: Rope::new(),
-            attr: None,
-            eof: false,
+            window,
+            data,
+            attr,
         };
         self.fill(ctx, &mut t);
         t
     }
 
-    /// Post RPCs in range order until `window` are in flight, the whole
-    /// range is posted, or a READ has met its end.
+    /// Post RPCs in range order while the window has room.
     fn fill(&self, ctx: &ActorCtx, t: &mut NfsTransfer) {
-        let max = match t.io {
-            NfsIo::Read(_) => self.config.rsize,
-            NfsIo::Write(_) => self.config.wsize,
-        };
-        while t.in_flight.len() < t.window && t.posted < t.len && !t.eof {
-            let count = (t.len - t.posted).min(max.max(1));
-            let rpc = self.post(ctx, t, t.posted, count);
-            t.in_flight.push_back(rpc);
-            t.posted += count;
+        while let Some(piece) = t.window.next() {
+            let rpc = self.post(ctx, t, piece);
+            t.window.posted(rpc);
         }
     }
 
-    /// Post the READ or WRITE of the `count` bytes `at` bytes into the
-    /// transfer's range. A WRITE copies its bytes from the application
-    /// buffer into the call record as it is built.
-    fn post(&self, ctx: &ActorCtx, t: &NfsTransfer, at: u64, count: u64) -> Posted {
+    /// Post the READ or WRITE of the bytes `piece` of the transfer's range.
+    /// A WRITE copies them from the application buffer into the call
+    /// record as it is built.
+    fn post(&self, ctx: &ActorCtx, t: &NfsTransfer, piece: Range<u64>) -> (u32, SimTime) {
+        let (at, count) = (piece.start, piece.end - piece.start);
         let (fh, off) = (t.fh.0, t.off.saturating_add(at));
         // A WRITE's copy into the RPC buffer comes before the RPC's time.
         if let NfsIo::Write(_) = t.io {
             self.host.copy(ctx, count);
         }
-        let (sent, one) = (ctx.now(), t.window == 1);
+        let (sent, one) = (ctx.now(), t.window.cap() == 1);
         let event = if one { "rpc.start" } else { "rpc.issue" };
         // File handle, offset, then the count or the stability: 20 bytes.
         let xid = match &t.io {
@@ -532,41 +526,58 @@ impl NfsClient {
                 })
             }
         };
-        (xid, at, count, sent)
+        (xid, sent)
     }
 
-    /// Collect the transfer's RPCs in range order, posting the rest as
-    /// each is collected. A READ reply's bytes are kept, as views of the
-    /// reply, in file order: the copy into the application buffer charged
-    /// here is made where the caller lands them. A short one without EOF
-    /// has the rest of its range read next (RFC 1813 allows short READs);
-    /// EOF or an empty reply ends the read, and the replies already posted
-    /// past it are drained. A WRITE keeps its last reply's attributes.
+    /// Collect the transfer's RPCs in range order, posting the rest by
+    /// the window's rule as each is collected. A READ reply's bytes are
+    /// kept, as views of the reply, in file order: the copy into the
+    /// application buffer charged here is made where the caller lands them.
+    /// A short one without EOF has the rest of its range read next (RFC
+    /// 1813 allows short READs); EOF, an empty reply or a failure ends
+    /// posting, and the RPCs already posted are drained. A WRITE keeps its
+    /// last reply's attributes. The first failure is returned once nothing
+    /// is left in the mount's table; a timeout gives the rest up, and the
+    /// armed mount drops their late replies as stale duplicates.
     fn collect(&self, ctx: &ActorCtx, t: &mut NfsTransfer) -> NfsResult<()> {
-        while let Some((xid, at, count, sent)) = t.in_flight.pop_front() {
-            let reply = self.recv_rpc(ctx, xid);
-            if t.window == 1 {
+        let mut first = Ok(());
+        while let Some((piece, &(xid, sent))) = t.window.front() {
+            let reply = if first == Err(NfsError::TimedOut) {
+                self.table.lock().take(xid);
+                Err(NfsError::TimedOut)
+            } else {
+                self.recv_rpc(ctx, xid)
+            };
+            if t.window.cap() == 1 {
                 drop(ctx.span_since("nfs", "rpc", sent));
             }
-            let reply = reply?;
-            if let NfsIo::Write(_) = t.io {
-                t.attr = Some(self.dec_write_reply(ctx, &reply)?);
-            } else {
-                let (data, eof) = Self::dec_read_reply(&reply, count)?;
-                let n = data.len() as u64;
-                if !t.eof {
-                    self.host.copy(ctx, n);
-                    t.data.push(data);
-                    t.eof = eof || n == 0;
-                    if !t.eof && n < count {
-                        let rest = self.post(ctx, t, at + n, count - n);
-                        t.in_flight.push_front(rest);
-                    }
+            let count = piece.end - piece.start;
+            let outcome = reply.and_then(|reply| match t.io {
+                NfsIo::Write(_) => {
+                    t.attr = Some(self.dec_write_reply(ctx, &reply)?);
+                    Ok(Outcome::Full)
                 }
-            }
+                NfsIo::Read(_) => {
+                    let (data, eof) = Self::dec_read_reply(&reply, count)?;
+                    let n = data.len() as u64;
+                    if !t.window.draining() {
+                        self.host.copy(ctx, n);
+                        t.data.push(data);
+                    }
+                    Ok(match n {
+                        _ if eof || n == 0 => Outcome::Eof,
+                        n if n < count => Outcome::Short(n),
+                        _ => Outcome::Full,
+                    })
+                }
+            });
+            t.window.retire(outcome.unwrap_or_else(|e| {
+                first = first.and(Err(e));
+                Outcome::Failed
+            }));
             self.fill(ctx, t);
         }
-        Ok(())
+        first
     }
 
     /// Read `len` bytes at `off`: a transfer with one RPC in flight, its
@@ -652,10 +663,6 @@ pub enum NfsIo<'a> {
     Write(Cow<'a, [u8]>),
 }
 
-/// One READ or WRITE RPC in flight: `(xid, at, count, sent)` — the `count`
-/// bytes `at` bytes into its transfer's range, and when it was posted.
-type Posted = (u32, u64, u64, SimTime);
-
 /// A READ or WRITE of one file range in flight: rsize / wsize RPCs, at most
 /// `window` of them posted and not yet collected. Opened by
 /// [`NfsClient::begin`]; collected by [`NfsClient::read_finish`] or
@@ -664,18 +671,13 @@ pub struct NfsTransfer<'a> {
     fh: NodeId,
     off: u64,
     io: NfsIo<'a>,
-    len: u64,
-    window: usize,
-    /// Bytes of the range posted so far, from its start.
-    posted: u64,
-    /// Posted and not yet collected, in the order they are collected.
-    in_flight: VecDeque<Posted>,
+    /// The RPCs, each `(xid, sent)`: an rsize or wsize of the range's
+    /// bytes, or the rest of a short READ.
+    window: Window<(u32, SimTime)>,
     /// A READ's bytes, in file order: views of its replies.
     data: Rope,
     /// The last WRITE reply's attributes.
     attr: Option<FileAttr>,
-    /// A READ met EOF or an empty reply: post nothing more.
-    eof: bool,
 }
 
 /// What encodes a call's arguments into its record.
@@ -687,3 +689,11 @@ const ARGS_ROOM: usize = 32;
 
 /// Shared handle: several actors on one host may share a mount via `Arc`.
 pub type SharedNfsClient = Arc<NfsClient>;
+
+#[cfg(test)]
+impl NfsClient {
+    /// Whether the mount's request table still holds `xid`, sent or answered.
+    pub(crate) fn holds(&self, xid: u32) -> bool {
+        self.table.lock().state(xid).is_some()
+    }
+}

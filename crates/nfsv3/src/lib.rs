@@ -31,7 +31,7 @@ mod tests {
     use super::*;
     use memfs::{MemFs, NodeId, ROOT_ID};
     use simnet::time::units::*;
-    use simnet::{Cluster, Host, SimKernel};
+    use simnet::{Cluster, FaultPlan, Host, SimKernel, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use tcpnet::{TcpCost, TcpFabric};
@@ -576,5 +576,56 @@ mod tests {
             snapshot(&b.fs) == before,
             "a truncated frame changed the fs"
         );
+    }
+
+    /// A transfer that fails leaves none of its RPCs behind: it stops
+    /// posting, drains what is in flight and returns the first error. A
+    /// split-phase READ of four rsizes on a handle the server does not know
+    /// fails on its first reply; its other three xids used to stay in the
+    /// mount's request table, their replies stored there and never taken.
+    #[test]
+    fn a_failed_transfer_leaves_nothing_in_the_request_table() {
+        let b = bed();
+        with_client(&b, |ctx, c| {
+            let rsize = NfsClientConfig::default().rsize;
+            let t = c.read_begin(ctx, NodeId(999), 0, 4 * rsize);
+            let failed = c.read_finish(ctx, t).map(|data| data.len());
+            assert_eq!(failed, Err(NfsError::Status(NfsStatus::Stale)));
+            // The mount sent nothing before: the READs were xids 1 to 4.
+            // A NULL behind them takes every reply still on the stream.
+            c.null(ctx).unwrap();
+            let held: Vec<u32> = (1..=4).filter(|&xid| c.holds(xid)).collect();
+            assert_eq!(held, [] as [u32; 0], "xids left in the table");
+        });
+        b.kernel.run();
+        assert_eq!(b.server.stats.ops.get(), 5);
+    }
+
+    /// A transfer whose RPC times out after every retransmit gives the
+    /// rest up at once, rather than waiting each of them out in turn: the
+    /// server is gone, and the armed mount drops a late reply as a stale
+    /// duplicate. Nothing is left in the request table.
+    #[test]
+    fn a_timed_out_transfer_gives_the_rest_up() {
+        let b = bed();
+        let (client, server) = (b.client_host.id, b.server.host.id);
+        let down = (SimTime::ZERO + ms(1), SimTime::ZERO + secs(1_000));
+        let plan = FaultPlan::builder(1).link_down(client, server, down.0, down.1);
+        b.fabric.set_fault_plan(plan.build());
+        with_client(&b, |ctx, c| {
+            ctx.advance(ms(1));
+            let rsize = NfsClientConfig::default().rsize;
+            let t = c.read_begin(ctx, NodeId(999), 0, 4 * rsize);
+            let failed = c.read_finish(ctx, t).map(|data| data.len());
+            assert_eq!(failed, Err(NfsError::TimedOut));
+            assert_eq!(
+                ctx.metrics().counter("nfs.timeouts").get(),
+                1,
+                "one waited out"
+            );
+            let held: Vec<u32> = (1..=4).filter(|&xid| c.holds(xid)).collect();
+            assert_eq!(held, [] as [u32; 0], "xids left in the table");
+        });
+        b.kernel.run();
     }
 }

@@ -58,6 +58,7 @@ pub mod reqtab;
 pub mod rng;
 pub mod time;
 pub mod topo;
+pub mod window;
 
 /// Re-export of the observability crate so downstream layers can name
 /// `simnet::obs::...` without a separate dependency edge.

@@ -7,15 +7,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> the lease, replay, request and recovery state machines stay pure"
+echo "==> the lease, replay, request, window and recovery state machines stay pure"
 # The server's lease table, the client's page cache, the explorer that
 # composes them, the replay cache both servers drive, the request table
-# both clients keep and the DAFS client's recovery planner name no kernel,
-# NIC, simulated memory, metric or trace — tests included: both explorers
-# and the planner's exhaustive test run without a SimKernel.
+# and transfer window both clients keep and the DAFS client's recovery
+# planner name no kernel, NIC, simulated memory, metric or trace — tests
+# included: both explorers and the planner's and the window's exhaustive
+# tests run without a SimKernel.
 if grep -nE 'ActorCtx|ViaNic|HostMem|VirtAddr|obs::|metrics\(|\.trace\(|\.compute\(' \
     crates/dafs/src/cache.rs crates/dafs/src/lease.rs crates/dafs/src/explore.rs \
-    crates/dafs/src/recover.rs crates/simnet/src/replay.rs crates/simnet/src/reqtab.rs; then
+    crates/dafs/src/recover.rs crates/simnet/src/replay.rs crates/simnet/src/reqtab.rs \
+    crates/simnet/src/window.rs; then
     echo "ci: I/O in a pure module (lines above)" >&2
     exit 1
 fi
@@ -36,6 +38,21 @@ echo "==> one request table"
 if grep -nE 'AtomicU32|\bpending:|\boutstanding:' crates/dafs/src/client.rs \
     crates/nfsv3/src/client.rs; then
     echo "ci: request bookkeeping outside the request table (lines above)" >&2
+    exit 1
+fi
+
+echo "==> one transfer window"
+# Both clients pipeline a transfer through one `simnet::window::Window`:
+# which piece goes next, how many are in flight, and what a short, EOF or
+# failed reply does to the rest. Neither `NfsTransfer` nor `DafsBatch`
+# keeps an in-flight queue or a post counter of its own.
+transfers=$(sed -n '/^pub struct NfsTransfer\b/,/^}/p' crates/nfsv3/src/client.rs
+    sed -n '/^pub struct DafsBatch\b/,/^}/p' crates/dafs/src/client.rs)
+if grep -nE '\b(in_flight|inflight): *VecDeque' crates/nfsv3/src/client.rs \
+    crates/dafs/src/client.rs || echo "$transfers" | grep -nE '^ *(posted|next):' ||
+    [ "$(echo "$transfers" | grep -c ': Window<')" -ne 2 ]; then
+    echo "ci: a transfer keeps its own window (lines above), or NfsTransfer and" \
+        "DafsBatch do not each hold a Window" >&2
     exit 1
 fi
 
