@@ -1231,6 +1231,48 @@ mod tests {
         assert_eq!(b.server.host.mem.allocated_bytes(), 0);
     }
 
+    /// Only a NIC places into a ring slot, so neither host maps one: the
+    /// client and the server each allocate both rings of `CREDITS` slots,
+    /// and the one mapped buffer is the one the client's CPU wrote — the
+    /// test's pattern, then the inline reads copied into it. A direct
+    /// read's target is placed into, not mapped.
+    #[test]
+    fn ring_slots_map_nothing_on_either_host() {
+        const W: usize = 4096;
+        const R: usize = 256 << 10;
+        let b = bed();
+        b.fs.create(ROOT_ID, "f").unwrap();
+        let fh = b.fs.resolve("/f").unwrap().id;
+        let payload: Vec<u8> = (0..R as u32).map(|i| (i % 241) as u8).collect();
+        b.fs.write(fh, 0, &payload).unwrap();
+        let rings = 2 * server::CREDITS as u64 * server::SLOT;
+        let shost = b.server.host.clone();
+        with_client(&b, client_config(), move |ctx, c, nic| {
+            let mem = &nic.host().mem;
+            let f = c.lookup(ctx, ROOT_ID, "f").unwrap().id;
+            let (wbuf, rbuf) = (mem.alloc(W), mem.alloc(R));
+            let pattern: Vec<u8> = (0..W).map(|i| (i % 13) as u8).collect();
+            mem.write(wbuf, &pattern);
+            assert_eq!(c.write(ctx, f, 0, wbuf, W as u64).unwrap().size, R as u64);
+            assert_eq!(c.read(ctx, f, 0, rbuf, R as u64), Ok(R as u64));
+            for k in 0..4u64 {
+                let at = 1000 * k;
+                assert_eq!(c.read(ctx, f, at, wbuf.offset(at), 100), Ok(100));
+            }
+            assert_eq!(c.stats.direct_reads.bytes(), R as u64);
+            assert_eq!(c.stats.inline_reads.bytes(), 400);
+            let mut want = payload.clone();
+            want[..W].copy_from_slice(&pattern);
+            assert_eq!(mem.read_vec(rbuf, R), want);
+            assert_eq!(mem.read_vec(wbuf, W), pattern);
+            assert_eq!(mem.allocated_bytes(), rings + (W + R) as u64);
+            assert_eq!(mem.mapped_bytes(), W as u64, "client mapped a slot");
+            assert_eq!(shost.mem.allocated_bytes(), rings);
+            assert_eq!(shost.mem.mapped_bytes(), 0, "server mapped a slot");
+        });
+        b.kernel.run();
+    }
+
     #[test]
     fn batch_read_pipelines_and_verifies() {
         let b = bed();

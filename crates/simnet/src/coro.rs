@@ -2,19 +2,21 @@
 //! The only `unsafe` in `simnet`.
 //!
 //! Two users. [`Mapping`] is a region of anonymous zero pages: every
-//! [`HostMem`](crate::HostMem) allocation is one, so a slot nobody touches
-//! costs no memory whatever the allocator's history, and freeing it returns
-//! the pages. [`Coroutines`] is the kernel's set of actor contexts: each actor
-//! runs on a mapped stack of its own, and [`Coroutines::switch`] moves the
-//! calling thread from one stack to another in user space — fifteen
-//! instructions where a thread handoff is a futex round trip.
+//! [`HostMem`](crate::HostMem) allocation holds one, reserved at `alloc` and
+//! mapped at its first CPU write, so a slot only a NIC places into costs no
+//! syscall and no page, a written one costs no memory whatever the
+//! allocator's history, and freeing it returns the pages. [`Coroutines`] is
+//! the kernel's set of actor contexts: each actor runs on a mapped stack of
+//! its own, and [`Coroutines::switch`] moves the calling thread from one
+//! stack to another in user space — fifteen instructions where a thread
+//! handoff is a futex round trip.
 //!
 //! The contract the kernel keeps: from the first switch on, a set is driven
 //! by one OS thread (the one inside `SimKernel::run`), so a context is always
 //! resumed on the thread that suspended it.
 
 use std::ffi::c_void;
-use std::ops::{Deref, DerefMut};
+use std::ops::DerefMut;
 use std::ptr::NonNull;
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
@@ -41,10 +43,11 @@ const PAGE: usize = 4096;
 /// What `std::thread` gave each actor when actors were threads.
 const STACK_BYTES: usize = 2 << 20;
 
-/// `len` zeroed bytes in a private anonymous mapping of their own; unmapped
-/// on drop.
+/// `len` zeroed bytes in a private anonymous mapping of their own, or only
+/// reserved: `len` bytes that read as zeros and own no page. Unmapped on drop.
 pub(crate) struct Mapping {
-    ptr: NonNull<u8>,
+    /// `None` while reserved.
+    ptr: Option<NonNull<u8>>,
     len: usize,
 }
 
@@ -53,16 +56,49 @@ pub(crate) struct Mapping {
 unsafe impl Send for Mapping {}
 
 impl Mapping {
+    /// Reserve `len` zeroed bytes without mapping them: no syscall, no page.
+    pub(crate) fn reserved(len: usize) -> Mapping {
+        Mapping { ptr: None, len }
+    }
+
     /// Map `len` zeroed bytes. Panics when the OS refuses (address space or
     /// `vm.max_map_count` exhausted), as a failed `malloc` aborts.
     pub(crate) fn zeroed(len: usize) -> Mapping {
         Mapping::map(len, 0)
     }
 
+    /// The length, mapped or reserved.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The bytes, or `None` while reserved (then every one reads as zero).
+    pub(crate) fn bytes(&self) -> Option<&[u8]> {
+        // SAFETY: a mapped `ptr` heads `len` mapped, readable, initialised
+        // (zero-filled by the OS) bytes that live as long as `self`; for
+        // `len == 0` it is dangling but aligned, which is what an empty slice
+        // asks for.
+        self.ptr
+            .map(|p| unsafe { std::slice::from_raw_parts(p.as_ptr(), self.len) })
+    }
+
+    /// The bytes to write, or `None` while reserved.
+    pub(crate) fn bytes_mut(&mut self) -> Option<&mut [u8]> {
+        // SAFETY: as in `bytes`; the pages are writable and `&mut self` makes
+        // this the only view of them.
+        self.ptr
+            .map(|p| unsafe { std::slice::from_raw_parts_mut(p.as_ptr(), self.len) })
+    }
+
+    /// Where the pages of a mapping `map` made start: a stack's.
+    fn base(&self) -> *mut u8 {
+        self.ptr.expect("a stack is mapped").as_ptr()
+    }
+
     fn map(len: usize, flags: i32) -> Mapping {
         if len == 0 {
             return Mapping {
-                ptr: NonNull::dangling(),
+                ptr: Some(NonNull::dangling()),
                 len,
             };
         }
@@ -83,38 +119,23 @@ impl Mapping {
             let err = std::io::Error::last_os_error();
             panic!("mmap of {len} bytes failed: {err}");
         }
+        let ptr = NonNull::new(ptr.cast()).expect("mmap returned neither MAP_FAILED nor null");
         Mapping {
-            ptr: NonNull::new(ptr.cast()).expect("mmap returned neither MAP_FAILED nor null"),
+            ptr: Some(ptr),
             len,
         }
     }
 }
 
-impl Deref for Mapping {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: `ptr` heads `len` mapped, readable, initialised (zero-filled
-        // by the OS) bytes that live as long as `self`; for `len == 0` it is
-        // dangling but aligned, which is what an empty slice asks for.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl DerefMut for Mapping {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as in `deref`; the pages are writable and `&mut self` makes
-        // this the only view of them.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
 impl Drop for Mapping {
     fn drop(&mut self) {
+        let Some(ptr) = self.ptr else {
+            return;
+        };
         if self.len != 0 {
             // SAFETY: exactly the range `map` mapped (the OS rounds both
             // lengths up to whole pages alike), which no reference outlives.
-            unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
+            unsafe { munmap(ptr.as_ptr().cast(), self.len) };
         }
     }
 }
@@ -205,7 +226,7 @@ impl Stack {
         let map = Mapping::map(PAGE + STACK_BYTES, MAP_NORESERVE | MAP_STACK);
         // SAFETY: the lowest page of a mapping nothing points into yet; an
         // overflowing actor now faults instead of writing below its stack.
-        let rc = unsafe { mprotect(map.ptr.as_ptr().cast(), PAGE, PROT_NONE) };
+        let rc = unsafe { mprotect(map.base().cast(), PAGE, PROT_NONE) };
         assert_eq!(rc, 0, "mprotect of a stack guard page failed");
         Stack(map)
     }
@@ -233,12 +254,7 @@ impl Stack {
         // bounds, writable (only the lowest page is protected), 8-aligned
         // (the top is page-aligned) and referenced by nothing else.
         unsafe {
-            let rsp = map
-                .ptr
-                .as_ptr()
-                .add(map.len)
-                .cast::<usize>()
-                .sub(frame.len());
+            let rsp = map.base().add(map.len).cast::<usize>().sub(frame.len());
             rsp.copy_from_nonoverlapping(frame.as_ptr(), frame.len());
             rsp as usize
         }

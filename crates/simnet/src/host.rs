@@ -45,9 +45,12 @@ impl std::fmt::Display for VirtAddr {
 
 struct Allocation {
     base: u64,
-    /// Mapped from the OS, not `malloc`ed: sessions allocate megabytes of
-    /// slots and staging they mostly never touch, which cost nothing as
-    /// untouched zero pages but a `memset` each from a recycled heap.
+    /// Reserved at `alloc` and mapped at the first CPU write ([`HostMem::write`],
+    /// or [`HostMem::fill`] with a non-zero byte): sessions allocate
+    /// megabytes of ring slots that only a NIC places into, which so cost no
+    /// syscall and no page, and read as zeros wherever nothing was placed.
+    /// Mapped from the OS, not `malloc`ed: a written region costs no `memset`
+    /// from a recycled heap either.
     data: Mapping,
     /// Views recorded by [`HostMem::place`] as the contents of
     /// `[offset, offset + len)`, disjoint and keyed by offset. The
@@ -81,7 +84,7 @@ impl Allocation {
 
     /// Walk `[off, end)` in order: `f(Some(view), r)` for the bytes `r` of
     /// a placed view in range, `f(None, r)` for the mapping's bytes `r`
-    /// between them.
+    /// between them (zeros while it is only reserved).
     fn walk(&self, off: usize, end: usize, mut f: impl FnMut(Option<&Bytes>, Range<usize>)) {
         let reaching_in = self.placed.range(..off).next_back();
         let reaching_in = reaching_in.filter(|&(&o, b)| o + b.len() > off);
@@ -101,14 +104,36 @@ impl Allocation {
     }
 
     /// Hand `f` the contents of `[off, end)` in order: slices of the placed
-    /// views in range and of the mapping between them.
+    /// views in range and of the mapping between them, or of [`ZEROS`]
+    /// while it is only reserved.
     fn pieces(&self, off: usize, end: usize, mut f: impl FnMut(&[u8])) {
-        self.walk(off, end, |view, r| match view {
-            Some(b) => f(&b[r]),
-            None => f(&self.data[r]),
+        self.walk(off, end, |view, r| match (view, self.data.bytes()) {
+            (Some(b), _) => f(&b[r]),
+            (None, Some(data)) => f(&data[r]),
+            (None, None) => {
+                for at in r.clone().step_by(ZEROS.len()) {
+                    f(&ZEROS[..(r.end - at).min(ZEROS.len())]);
+                }
+            }
         });
     }
+
+    /// The mapping's bytes `[off, end)` for a CPU to write, the placed views
+    /// there cut: the first write of a non-empty range maps the allocation.
+    fn written(&mut self, off: usize, end: usize) -> &mut [u8] {
+        self.cut(off, end);
+        if off == end {
+            return &mut [];
+        }
+        if self.data.bytes().is_none() {
+            self.data = Mapping::zeroed(self.data.len());
+        }
+        &mut self.data.bytes_mut().expect("mapped above")[off..end]
+    }
 }
+
+/// What a reserved mapping reads as, a page at a time.
+static ZEROS: [u8; 4096] = [0; 4096];
 
 /// A host's memory arena. Addresses start at 0x1000 (null stays invalid);
 /// allocations are contiguous ranges; access outside any allocation panics —
@@ -165,7 +190,8 @@ impl HostMem {
         }
     }
 
-    /// Allocate `len` zeroed bytes; returns the base address.
+    /// Allocate `len` zeroed bytes; returns the base address. Only the
+    /// address range is taken: the pages are mapped at the first CPU write.
     pub fn alloc(&self, len: usize) -> VirtAddr {
         let mut st = self.state.lock();
         let base = st.next;
@@ -178,7 +204,7 @@ impl HostMem {
             base,
             Allocation {
                 base,
-                data: Mapping::zeroed(len),
+                data: Mapping::reserved(len),
                 placed: BTreeMap::new(),
             },
         );
@@ -200,6 +226,14 @@ impl HostMem {
     /// Total live allocated bytes.
     pub fn allocated_bytes(&self) -> u64 {
         self.state.lock().allocated_bytes
+    }
+
+    /// Live allocated bytes that are mapped: those of every allocation a
+    /// CPU has written. What only a NIC placed is not among them.
+    pub fn mapped_bytes(&self) -> u64 {
+        let st = self.state.lock();
+        let mapped = st.allocs.values().filter(|a| a.data.bytes().is_some());
+        mapped.map(|a| a.data.len() as u64).sum()
     }
 
     /// Every byte access goes through here, with the allocation and
@@ -291,9 +325,10 @@ impl HostMem {
     pub fn read_views(&self, addr: VirtAddr, len: usize) -> Rope {
         let mut out = Rope::new();
         self.with_alloc(addr, len, |a, off| {
-            a.walk(off, off + len, |view, r| match view {
-                Some(b) => out.push(b.slice(r)),
-                None => out.push(Bytes::copy_from_slice(&a.data[r])),
+            a.walk(off, off + len, |view, r| match (view, a.data.bytes()) {
+                (Some(b), _) => out.push(b.slice(r)),
+                (None, Some(data)) => out.push(Bytes::copy_from_slice(&data[r])),
+                (None, None) => out.push(Bytes::from_vec(vec![0; r.len()])),
             })
         });
         out
@@ -307,23 +342,28 @@ impl HostMem {
         frame.freeze()
     }
 
-    /// Copy bytes into simulated memory.
+    /// Copy bytes into simulated memory: a CPU's write, which maps the
+    /// allocation if it is the first.
     pub fn write(&self, addr: VirtAddr, data: &[u8]) {
         self.with_alloc(addr, data.len(), |a, off| {
-            a.cut(off, off + data.len());
-            a.data[off..off + data.len()].copy_from_slice(data);
+            a.written(off, off + data.len()).copy_from_slice(data);
         });
     }
 
-    /// Fill a range with one byte value.
+    /// Fill a range with one byte value. Zeros over an allocation no CPU
+    /// has written only drop what was placed there: they map nothing.
     pub fn fill(&self, addr: VirtAddr, len: usize, value: u8) {
         self.with_alloc(addr, len, |a, off| {
-            a.cut(off, off + len);
-            a.data[off..off + len].fill(value);
+            if value == 0 && a.data.bytes().is_none() {
+                a.cut(off, off + len);
+            } else {
+                a.written(off, off + len).fill(value);
+            }
         });
     }
 
-    /// True if `[addr, addr+len)` lies inside one live allocation.
+    /// True if `[addr, addr+len)` lies inside one live allocation, whether
+    /// a CPU has written it (and so mapped it) or not.
     pub fn is_mapped(&self, addr: VirtAddr, len: usize) -> bool {
         let st = self.state.lock();
         match st.allocs.range(..=addr.0).next_back() {
@@ -534,6 +574,133 @@ mod tests {
         assert_eq!(m.allocated_bytes(), 0);
     }
 
+    /// Every path a read can take, over `[addr, addr + len)`: each must
+    /// agree with the others.
+    fn read_every_way(m: &HostMem, addr: VirtAddr, len: usize) -> Vec<u8> {
+        let mut out = vec![0xA5; len];
+        m.read(addr, &mut out);
+        let mut frame = b"hdr".to_vec();
+        m.read_into(addr, len, &mut frame);
+        assert_eq!(frame[3..], out[..], "read_into");
+        assert_eq!(m.read_vec(addr, len), out, "read_vec");
+        assert_eq!(m.read_bytes(addr, len), out, "read_bytes");
+        assert_eq!(m.read_views(addr, len).to_vec(), out, "read_views");
+        out
+    }
+
+    #[test]
+    fn alloc_place_and_every_read_map_nothing() {
+        let m = HostMem::new();
+        let a = m.alloc(66 << 10);
+        let b = m.alloc(8 << 20);
+        m.place(a.offset(100), Bytes::from(&b"frame"[..]));
+        m.unplace(a, 64);
+        read_every_way(&m, a, 66 << 10);
+        read_every_way(&m, b.offset(12345), 100_000);
+        assert_eq!(m.allocated_bytes(), (66 << 10) + (8 << 20));
+        assert_eq!(m.mapped_bytes(), 0, "a NIC's placement or a read mapped");
+    }
+
+    #[test]
+    fn bytes_nobody_wrote_or_placed_read_as_zeros_on_every_path() {
+        let m = HostMem::new();
+        let a = m.alloc(3 * 4096 + 7);
+        assert_eq!(read_every_way(&m, a, 3 * 4096 + 7), vec![0; 3 * 4096 + 7]);
+        // Across a placement, and spanning more than one page of zeros on
+        // each side of it.
+        m.place(a.offset(5000), Bytes::from(&b"nic"[..]));
+        let mut want = vec![0; 10_000];
+        want[4999..5002].copy_from_slice(b"nic");
+        assert_eq!(read_every_way(&m, a.offset(1), 10_000), want);
+        assert_eq!(m.mapped_bytes(), 0);
+        // The same zeros once a write mapped the allocation elsewhere.
+        m.write(a.offset(3 * 4096), b"cpu");
+        assert_eq!(read_every_way(&m, a.offset(1), 10_000), want);
+        assert_eq!(m.mapped_bytes(), 3 * 4096 + 7);
+    }
+
+    /// Where the pages of the allocation at `a` are, if it is mapped.
+    fn pages_of(m: &HostMem, a: VirtAddr) -> Option<*const u8> {
+        let st = m.state.lock();
+        st.allocs[&a.0].data.bytes().map(<[u8]>::as_ptr)
+    }
+
+    #[test]
+    fn the_first_write_maps_that_allocation_once_and_only_it() {
+        let m = HostMem::new();
+        let a = m.alloc(10_000);
+        let b = m.alloc(20_000);
+        m.write(a, &[]);
+        assert_eq!(m.mapped_bytes(), 0, "a write of no byte mapped");
+        m.place(a.offset(50), Bytes::from(&b"placed"[..]));
+        m.write(a.offset(8), b"first");
+        let pages = pages_of(&m, a);
+        assert!(pages.is_some());
+        assert_eq!(
+            pages_of(&m, b),
+            None,
+            "a write to one allocation mapped another"
+        );
+        assert_eq!(m.mapped_bytes(), 10_000);
+        m.write(a.offset(9000), b"second");
+        m.fill(a.offset(200), 100, 0xEE);
+        assert_eq!(pages_of(&m, a), pages, "a second write mapped again");
+        assert_eq!(m.mapped_bytes(), 10_000);
+        assert_eq!(
+            m.read_vec(a.offset(8), 5),
+            b"first",
+            "remapping lost a write"
+        );
+        assert_eq!(m.read_vec(a.offset(50), 6), b"placed");
+        assert_eq!(m.read_vec(a.offset(9000), 6), b"second");
+        m.fill(b, 20_000, 7);
+        assert_eq!(m.mapped_bytes(), 30_000, "a non-zero fill is a write");
+    }
+
+    #[test]
+    fn a_zero_fill_over_unwritten_memory_drops_placements_and_maps_nothing() {
+        let m = HostMem::new();
+        let a = m.alloc(64);
+        m.place(a, Bytes::from(&b"gone"[..]));
+        m.place(a.offset(10), Bytes::from(&b"half"[..]));
+        m.fill(a, 12, 0);
+        assert_eq!(m.read_vec(a, 16), b"\0\0\0\0\0\0\0\0\0\0\0\0lf\0\0");
+        assert_eq!(views_of(&m, a), vec![(12, 2)]);
+        assert_eq!(m.mapped_bytes(), 0, "zeros over zeros mapped");
+        // Over written memory a zero fill writes.
+        m.write(a.offset(20), b"cpu");
+        m.fill(a.offset(21), 1, 0);
+        assert_eq!(m.read_vec(a.offset(20), 3), b"c\0u");
+    }
+
+    #[test]
+    fn free_of_an_unmapped_region_works() {
+        let m = HostMem::new();
+        let a = m.alloc(66 << 10);
+        m.place(a.offset(4096), Bytes::from(&b"frame"[..]));
+        let b = m.alloc(4096);
+        m.write(b, b"kept");
+        m.free(a);
+        assert!(!m.is_mapped(a, 1));
+        assert_eq!(m.allocated_bytes(), 4096);
+        assert_eq!(m.mapped_bytes(), 4096);
+        assert_eq!(m.read_vec(b, 4), b"kept");
+        let c = m.alloc(100);
+        assert!(c.0 > b.0, "addresses are not reused");
+        m.free(c);
+        m.free(b);
+        assert_eq!((m.allocated_bytes(), m.mapped_bytes()), (0, 0));
+    }
+
+    /// A mapping is as large as a pointer and a length whether it is
+    /// reserved or mapped, so an allocation is no larger than when every
+    /// one was mapped at `alloc`.
+    #[test]
+    fn a_reserved_mapping_costs_no_more_than_a_mapped_one() {
+        assert_eq!(std::mem::size_of::<Mapping>(), 16);
+        assert_eq!(std::mem::size_of::<Allocation>(), 48);
+    }
+
     #[test]
     fn a_placed_frame_is_what_a_read_sees() {
         let m = HostMem::new();
@@ -639,10 +806,12 @@ mod tests {
     /// `HostMem` against a flat model: per byte, the mapping's value and,
     /// if placed, the view's value and the id of the view it lies in (a
     /// cut gives the part past it a new id, as the real map makes it a
-    /// new entry).
+    /// new entry); and whether a CPU has written the allocation, so that
+    /// it is mapped.
     struct Model {
         mapping: Vec<u8>,
         placed: Vec<Option<(u32, u8)>>,
+        mapped: bool,
     }
 
     impl Model {
@@ -650,6 +819,7 @@ mod tests {
             Model {
                 mapping: vec![0; len],
                 placed: vec![None; len],
+                mapped: false,
             }
         }
 
@@ -752,12 +922,14 @@ mod tests {
                         let data = rng.bytes(end - off);
                         model.cut(off, end, &mut fresh);
                         model.mapping[off..end].copy_from_slice(&data);
+                        model.mapped |= end > off;
                         m.write(a.offset(off as u64), &data);
                     }
                     5 => {
                         let v = rng.byte();
                         model.cut(off, end, &mut fresh);
                         model.mapping[off..end].fill(v);
+                        model.mapped |= end > off && v != 0;
                         m.fill(a.offset(off as u64), end - off, v);
                     }
                     6 | 7 => {
@@ -790,6 +962,8 @@ mod tests {
                     "seed {seed} step {step}"
                 );
                 assert_eq!(views_of(&m, a), model.views(), "seed {seed} step {step}");
+                let mapped = pages_of(&m, a).is_some();
+                assert_eq!(mapped, model.mapped, "mapped, seed {seed} step {step}");
             }
         }
     }

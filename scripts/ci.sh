@@ -350,6 +350,25 @@ if [ -z "$deliver" ] || [ -z "$execute" ] ||
     exit 1
 fi
 
+echo "==> a HostMem region maps on its first write"
+# An allocation only reserves its address range. It is mapped the first time
+# a CPU writes into it: `Allocation::written`, under `HostMem::write` and a
+# non-zero `HostMem::fill`. So a ring slot or an RDMA target that only a NIC
+# places into costs no syscall and no page, at connect or at teardown.
+# `Mapping::zeroed` has one call in host.rs, inside `written`, and
+# `written` has two callers, `write` and `fill`.
+fn_body() { awk -v f="$1" '$0 ~ "^    (pub )?fn " f "\\(" { on = 1 } on { print } on && /^    }$/ { exit }' crates/simnet/src/host.rs; }
+host_src=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/simnet/src/host.rs)
+if [ "$(echo "$host_src" | grep -c 'Mapping::zeroed')" -ne 1 ] ||
+    [ "$(fn_body written | grep -c 'Mapping::zeroed')" -ne 1 ] ||
+    [ "$(echo "$host_src" | grep -c '\.written(')" -ne 2 ] ||
+    [ "$(printf '%s\n%s\n' "$(fn_body write)" "$(fn_body fill)" | grep -c '\.written(')" -ne 2 ]; then
+    echo "ci: Mapping::zeroed is reachable from HostMem::alloc: host.rs must call it" \
+        "once, inside Allocation::written, which only write and fill call" >&2
+    echo "$host_src" | grep -nE 'Mapping::zeroed|\.written\(' >&2
+    exit 1
+fi
+
 echo "==> the page cache keeps what the NIC placed"
 # A cached page is a view of what its fetch landed as (a direct read places
 # the server's memfs pages in the scratch buffer), so a miss copies no byte
@@ -524,7 +543,7 @@ echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # costs that factor of ten — not on host noise.
 bench --only R-K1 --smoke --floor 500000
 
-echo "==> host profile by owner (scripts/hostprof.sh --by-owner on R-K1)"
+echo "==> host profile by owner and heap by owner (scripts/hostprof.sh --by-owner, --heap on R-K1)"
 # The profiler's owner view must still see through std to the code that
 # asked for the work: the kernel benchmark's samples fall in simnet. It
 # builds its sampler with cc and names frames with addr2line; without
@@ -536,8 +555,16 @@ if command -v cc >/dev/null 2>&1 && command -v addr2line >/dev/null 2>&1; then
         echo "ci: hostprof --by-owner printed no by-crate section with a simnet row" >&2
         exit 1
     }
+    # The heap view: a preloaded allocation tracker must see the run's peak
+    # and say what of VmHWM it could not attribute.
+    heap=$(scripts/hostprof.sh --heap -n 5 target/release/bench --only R-K1 2>&1 >/dev/null)
+    echo "$heap"
+    echo "$heap" | grep -qE '^hostprof: process [0-9]+: peak live heap [0-9.]+ MiB .*VmHWM [0-9.]+ MiB' || {
+        echo "ci: hostprof --heap printed no peak line" >&2
+        exit 1
+    }
 else
-    echo "ci: skipping the host-profile check: cc or addr2line is missing"
+    echo "ci: skipping the host-profile checks: cc or addr2line is missing"
 fi
 
 echo "==> repo benchmark smoke (isolation, determinism, bytes-verified, ladder checks)"
@@ -577,7 +604,9 @@ diff -u "$tmp_json.golden" "$tmp_json.got" || {
 echo "==> R-F10 1024-client cell wall-clock budget"
 # The 1024-client cell is the largest single simulation in the suite:
 # over a thousand actors, each a coroutine on a mapped stack, and 1 024
-# sessions of mapped slot buffers. The floor is a tenth of a
+# sessions whose ring slots are reserved address ranges, never mapped
+# (only a NIC places into them; what is mapped is the buffers the ranks
+# write). The floor is a tenth of a
 # quiet-machine reading (five pinned suite runs: 238 700-272 300
 # events/s, median 251 000; the same cell ran 28 700-53 500 when every
 # handoff was a futex round trip between threads), so a kernel, fabric,
