@@ -12,7 +12,7 @@
 //! * `--floor N` — exit 1 if any R-K1 workload dispatches fewer than `N`
 //!   events per wall-clock second;
 //! * `--json PATH` — also write the tables as JSON lines, one object per
-//!   experiment.
+//!   experiment, with the runs behind each.
 //!
 //! A flag an experiment has no run for is an error, never a silent full run.
 use std::io::Write;
@@ -126,10 +126,8 @@ fn main() {
         .as_deref()
         .map(|p| std::fs::File::create(p).expect("create JSON output"));
     for run in runs {
-        let ((mut table, verdict), wall_note) = run_timed(run, cpu);
-        // JSON first: the wall-clock note stays out of the JSON stream
-        // (one object per line — it would exclude the whole table from
-        // the byte-identity comparison instead of just its own line).
+        let ((mut table, verdict), runs, wall_note) = run_timed(run, cpu);
+        table.runs = runs;
         if let Some(f) = json.as_mut() {
             writeln!(f, "{}", table.to_json()).expect("write JSON line");
         }

@@ -38,14 +38,14 @@
 //! [`Topology::dumbbell`]: simnet::topo::Topology::dumbbell
 //! [`PortStats`]: simnet::topo::PortStats
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
 use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::{Bandwidth, SimTime};
 use via::ViaCost;
 
 use crate::report::{Cell, Table};
-use crate::testbeds::{with_dafs_cluster, Dial, Probe};
+use crate::testbeds::{with_dafs_cluster, Dial};
 
 /// Request size for every read.
 const REQ: u64 = 128 << 10;
@@ -94,14 +94,11 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
     let via = ViaCost::default();
     let wire = via.wire_bw;
     let latency = via.wire_latency;
-    let span = Probe::new();
-    let sp = span.clone();
     let expect = pattern(PER_CLIENT as usize);
-    let (_, topology, run) = with_dafs_cluster(
+    let (spans, ran, _, topology) = with_dafs_cluster(
         servers,
         clients,
         via,
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         Some(Box::new(move |cluster, sids| {
@@ -144,7 +141,7 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
                     "corrupt read-back at {off} ({servers} servers, {clients} clients)"
                 );
             }
-            sp.max(ctx.now().since(SimTime::ZERO).as_nanos());
+            ctx.now().since(SimTime::ZERO).as_nanos()
         },
     );
     // The trunk is the inter-switch port on either leaf; reads flow
@@ -157,15 +154,14 @@ fn sweep_case(servers: usize, clients: usize, oversub: u64, policy: QueuePolicy)
             drops += p.drops;
         }
     }
-    let snap = run.snapshot();
-    let counter = |name: &str| snap.expect(name).value();
+    let last = spans.iter().max().unwrap();
     CaseOut {
-        agg: Cell::mbps(clients as u64 * PER_CLIENT, span.get()),
+        agg: Cell::mbps(clients as u64 * PER_CLIENT, *last),
         trunk_qdepth_max: qmax,
         trunk_queued_ns: queued,
         trunk_drops: drops,
-        reconnects: counter("dafs.reconnects"),
-        sim_events: counter("sim.events.total"),
+        reconnects: ran.snapshot().expect("dafs.reconnects").value(),
+        sim_events: ran.run.events,
     }
 }
 
@@ -332,12 +328,19 @@ mod tests {
     use super::*;
 
     /// Bench tables through a switch are as reproducible as everything
-    /// else: two identical sweeps serialize byte-identically.
+    /// else: two identical sweeps serialize byte-identically, the runs
+    /// behind them included, as `bench --json` writes them.
     #[test]
     fn smoke_sweep_is_byte_identical_across_runs() {
-        let a = run_smoke().to_json();
-        let b = run_smoke().to_json();
+        let json = || {
+            let (mut t, runs) = crate::testbeds::logged(run_smoke);
+            t.runs = runs;
+            t.to_json()
+        };
+        let (a, b) = (json(), json());
         assert_eq!(a, b, "switched bench table diverged between runs");
         assert!(a.contains("oversub"), "table lost its oversubscription id");
+        // Four sweep cells and the drop-policy row, each one run.
+        assert_eq!(a.matches(r#"{"end_ns":"#).count(), 5, "{a}");
     }
 }

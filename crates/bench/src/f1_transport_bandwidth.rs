@@ -5,7 +5,9 @@
 //! KiB; TCP is host-limited well below the wire at every size. RDMA edges
 //! out send/recv slightly at small sizes (no receive-descriptor handling).
 
-use simnet::{ActorCtx, Cluster, SimKernel, SimTime};
+use std::sync::{Arc, OnceLock};
+
+use simnet::{ActorCtx, Cluster, SimTime};
 use tcpnet::{TcpCost, TcpFabric};
 use via::{
     DataSegment, MemAttributes, RecvDesc, RemoteSegment, SendDesc, Vi, ViAttributes, ViaCost,
@@ -13,7 +15,7 @@ use via::{
 };
 
 use crate::report::{Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::with_client;
 
 /// Total bytes pushed per measurement point.
 const TOTAL: u64 = 8 << 20;
@@ -31,16 +33,13 @@ fn recv_span(ctx: &ActorCtx, vi: &Vi, count: u64) -> u64 {
 
 fn via_sendrecv_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
-    let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = ViaFabric::new(ViaCost::default());
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let span = Probe::new();
-    let sp = span.clone();
     let l = fabric.listen(&snic, 7);
-    kernel.spawn_daemon("sink", move |ctx| {
+    let sink = move |ctx: &ActorCtx| {
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size as usize);
@@ -51,9 +50,9 @@ fn via_sendrecv_mb_s(size: u64) -> Cell {
                 RecvDesc::new(vec![DataSegment::new(buf, size as u32, h)]),
             );
         }
-        sp.set(recv_span(ctx, &vi, count));
-    });
-    kernel.spawn("source", move |ctx| {
+        recv_span(ctx, &vi, count)
+    };
+    let source = move |ctx: &ActorCtx| {
         let vi = fabric
             .connect(ctx, &cnic, sid, 7, ViAttributes::default())
             .unwrap();
@@ -69,32 +68,31 @@ fn via_sendrecv_mb_s(size: u64) -> Cell {
         for _ in 0..count {
             vi.send_wait(ctx);
         }
+    };
+    let (span, _) = with_client("sink", None, |kernel| {
+        kernel.spawn("source", source);
+        sink
     });
-    kernel.run();
-    Cell::mbps((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span)
 }
 
 fn via_rdma_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
-    let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = ViaFabric::new(ViaCost::default());
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let span = Probe::new();
-    let sp = span.clone();
-    let target = Probe::new(); // (addr, handle) squeezed into two probes
-    let target_h = Probe::new();
-    let (t1, t2) = (target.clone(), target_h.clone());
+    // Where the sink's buffer is, once it has published it.
+    let target = Arc::new(OnceLock::new());
+    let published = target.clone();
     let l = fabric.listen(&snic, 7);
-    kernel.spawn_daemon("sink", move |ctx| {
+    let sink = move |ctx: &ActorCtx| {
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size as usize);
         let h = snic.register_mem(ctx, buf, size, MemAttributes::rdma_write_target(tag));
-        t1.set(buf.as_u64());
-        t2.set(h.0);
+        published.set((buf, h)).unwrap();
         // Post receives for the completion immediates.
         let (ibuf, ih) = {
             let b = snic.host().mem.alloc(64);
@@ -104,23 +102,21 @@ fn via_rdma_mb_s(size: u64) -> Cell {
         for _ in 0..count {
             vi.post_recv(ctx, RecvDesc::new(vec![DataSegment::new(ibuf, 64, ih)]));
         }
-        sp.set(recv_span(ctx, &vi, count));
-    });
-    kernel.spawn("source", move |ctx| {
+        recv_span(ctx, &vi, count)
+    };
+    let source = move |ctx: &ActorCtx| {
         let vi = fabric
             .connect(ctx, &cnic, sid, 7, ViAttributes::default())
             .unwrap();
         // Wait (virtually) until the sink published its buffer.
-        while target_h.get() == 0 {
+        while target.get().is_none() {
             ctx.advance(simnet::time::units::us(10));
         }
         let tag = vi.ptag();
         let buf = cnic.host().mem.alloc(size as usize);
         let h = cnic.register_mem(ctx, buf, size, MemAttributes::local(tag));
-        let remote = RemoteSegment {
-            addr: simnet::VirtAddr(target.get()),
-            handle: via::MemHandle(target_h.get()),
-        };
+        let (addr, handle) = *target.get().unwrap();
+        let remote = RemoteSegment { addr, handle };
         for i in 0..count {
             vi.post_send(
                 ctx,
@@ -134,40 +130,43 @@ fn via_rdma_mb_s(size: u64) -> Cell {
         for _ in 0..count {
             vi.send_wait(ctx);
         }
+    };
+    let (span, _) = with_client("sink", None, |kernel| {
+        kernel.spawn("source", source);
+        sink
     });
-    kernel.run();
-    Cell::mbps((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span)
 }
 
 fn tcp_mb_s(size: u64) -> Cell {
     let count = TOTAL / size;
-    let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = TcpFabric::new(TcpCost::default());
     let sh = cluster.add_host("server0");
     let ch = cluster.add_host("client0");
     let sid = sh.id;
-    let span = Probe::new();
-    let sp = span.clone();
     let l = fabric.listen(&sh, 7);
-    kernel.spawn_daemon("sink", move |ctx| {
+    let sink = move |ctx: &ActorCtx| {
         let s = l.accept(ctx).unwrap();
         s.recv_exact(ctx, size as usize).unwrap();
         let t0 = ctx.now();
         for _ in 1..count {
             s.recv_exact(ctx, size as usize).unwrap();
         }
-        sp.set(ctx.now().since(t0).as_nanos());
-    });
-    kernel.spawn("source", move |ctx| {
+        ctx.now().since(t0).as_nanos()
+    };
+    let source = move |ctx: &ActorCtx| {
         let s = fabric.connect(ctx, &ch, sid, 7).unwrap();
         let msg = vec![0u8; size as usize];
         for _ in 0..count {
             s.send(ctx, &msg);
         }
+    };
+    let (span, _) = with_client("sink", None, |kernel| {
+        kernel.spawn("source", source);
+        sink
     });
-    kernel.run();
-    Cell::mbps((count - 1) * size, span.get())
+    Cell::mbps((count - 1) * size, span)
 }
 
 /// Run R-F1.

@@ -8,10 +8,9 @@
 //! buffer their inline bytes are sent in place; NFS stays host-limited
 //! everywhere. Forced-inline DAFS shows what is lost without RDMA.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use nfsv3::{NfsClientConfig, NfsServerCost};
-use tcpnet::TcpCost;
+use nfsv3::NfsClientConfig;
 use via::ViaCost;
 
 use crate::report::{Cell, Table};
@@ -35,7 +34,6 @@ pub(crate) fn dafs_rw_ns(req: u64, force_inline: bool) -> (u64, u64) {
     };
     with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         cfg,
         None,
         |fs| {
@@ -63,15 +61,13 @@ pub(crate) fn dafs_rw_ns(req: u64, force_inline: bool) -> (u64, u64) {
 
 fn nfs_rw_ns(req: u64) -> (u64, u64) {
     with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
         NfsClientConfig::default(),
         None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![3u8; FILE as usize]).unwrap();
         },
-        move |ctx, c| {
+        move |ctx, c, _| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let chunk = vec![5u8; req as usize];
             let w = timed(ctx, || {

@@ -9,17 +9,13 @@
 use mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 
 use crate::report::{Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::{run_ranks, timed};
 
 const PER_RANK: usize = 4 << 20;
 
 /// (write MB/s, read MB/s) aggregate for `ranks` on `backend`.
 pub fn agg_rw(backend: Backend, ranks: usize) -> (Cell, Cell) {
-    let tb = Testbed::new(backend);
-    let wns = Probe::new();
-    let rns = Probe::new();
-    let (w, r) = (wns.clone(), rns.clone());
-    tb.run(ranks, move |ctx, comm, adio| {
+    let (spans, _) = run_ranks(Testbed::new(backend), ranks, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let f = MpiFile::open(
             ctx,
@@ -33,18 +29,21 @@ pub fn agg_rw(backend: Backend, ranks: usize) -> (Cell, Cell) {
         let buf = host.mem.alloc(PER_RANK);
         let off = (comm.rank() * PER_RANK) as u64;
         comm.barrier(ctx);
-        let t0 = ctx.now();
-        f.write_at(ctx, off, buf, PER_RANK as u64).unwrap();
+        let w = timed(ctx, || {
+            f.write_at(ctx, off, buf, PER_RANK as u64).unwrap();
+            comm.barrier(ctx);
+        });
         comm.barrier(ctx);
-        w.max(ctx.now().since(t0).as_nanos());
-        comm.barrier(ctx);
-        let t1 = ctx.now();
-        f.read_at(ctx, off, buf, PER_RANK as u64).unwrap();
-        comm.barrier(ctx);
-        r.max(ctx.now().since(t1).as_nanos());
+        let r = timed(ctx, || {
+            f.read_at(ctx, off, buf, PER_RANK as u64).unwrap();
+            comm.barrier(ctx);
+        });
+        (w, r)
     });
     let total = (ranks * PER_RANK) as u64;
-    (Cell::mbps(total, wns.get()), Cell::mbps(total, rns.get()))
+    let w = spans.iter().map(|s| s.0).max().unwrap();
+    let r = spans.iter().map(|s| s.1).max().unwrap();
+    (Cell::mbps(total, w), Cell::mbps(total, r))
 }
 
 /// Run R-F3.

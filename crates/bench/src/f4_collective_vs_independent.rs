@@ -9,7 +9,7 @@
 use mpiio::{write_at_all, Backend, Datatype, Hints, JobReport, MpiFile, OpenMode, Testbed};
 
 use crate::report::{layer_breakdown, Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::run_ranks;
 
 const BLOCK: u64 = 512; // fine-grained interleave: per-op costs dominate
 const ROUNDS: u64 = 256;
@@ -31,9 +31,7 @@ enum Method {
 /// plus the job's accounting report (metrics snapshot included).
 fn run_pattern(ranks: usize, method: Method) -> (u64, JobReport) {
     let tb = Testbed::new(Backend::dafs());
-    let dur = Probe::new();
-    let d = dur.clone();
-    let report = tb.run(ranks, move |ctx, comm, adio| {
+    let (spans, report) = run_ranks(tb, ranks, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let mut hints = Hints::default();
         match method {
@@ -77,9 +75,9 @@ fn run_pattern(ranks: usize, method: Method) -> (u64, JobReport) {
                 comm.barrier(ctx);
             }
         }
-        d.max(ctx.now().since(t0).as_nanos());
+        ctx.now().since(t0).as_nanos()
     });
-    (dur.get(), report)
+    (spans.into_iter().max().unwrap(), report)
 }
 
 /// Run R-F4.

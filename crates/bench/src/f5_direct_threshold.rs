@@ -16,7 +16,7 @@
 //! configuration is the envelope — of the cold columns with a fresh buffer,
 //! of every column with a reused one.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
 use via::ViaCost;
 
@@ -29,9 +29,8 @@ const FILE: u64 = 4 << 20;
 /// the next `req` bytes of one file-sized arena (a range offered once),
 /// otherwise all share the arena's head.
 fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> Cell {
-    let (ns, ..) = with_dafs_client(
+    let ns = with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         cfg,
         None,
         |fs| {
@@ -54,7 +53,8 @@ fn read_mb_s(req: u64, cfg: DafsClientConfig, cold: bool) -> Cell {
                 }
             })
         },
-    );
+    )
+    .0;
     Cell::mbps(FILE, ns)
 }
 

@@ -16,7 +16,7 @@ use mpiio::{
 };
 
 use crate::report::{layer_breakdown, Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::run_ranks;
 
 const RANKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
@@ -36,10 +36,7 @@ fn run_case(
     write: bool,
     pipelined: bool,
 ) -> (u64, JobReport) {
-    let tb = Testbed::new(backend);
-    let dur = Probe::new();
-    let d = dur.clone();
-    let report = tb.run(RANKS, move |ctx, comm, adio| {
+    let (spans, report) = run_ranks(Testbed::new(backend), RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let mut hints = Hints::default();
         hints.set("romio_cb_write", "enable");
@@ -72,9 +69,9 @@ fn run_case(
             read_at_all(ctx, comm, &f, 0, buf, total).unwrap();
         }
         comm.barrier(ctx);
-        d.max(ctx.now().since(t0).as_nanos());
+        ctx.now().since(t0).as_nanos()
     });
-    (dur.get(), report)
+    (spans.into_iter().max().unwrap(), report)
 }
 
 /// Run R-F7 with explicit geometry (`--smoke` shrinks it).

@@ -19,14 +19,14 @@
 //!   one server's links, exercising reconnect/replay under striping; every
 //!   cell in every row verifies byte-exact read-back.
 
-use dafs::{DafsClientConfig, DafsServerCost, DafsStripedFile};
+use dafs::{DafsClientConfig, DafsStripedFile};
 use memfs::ROOT_ID;
 use simnet::{FaultPlan, HostId};
 use via::ViaCost;
 
 use crate::f2_file_bandwidth::{self, FILE};
 use crate::report::{mb_per_s, Cell, Table};
-use crate::testbeds::{timed, with_dafs_cluster, Dial, Probe};
+use crate::testbeds::{timed, with_dafs_cluster, Dial};
 
 /// Bytes written (then read back) by each client.
 const PER_CLIENT: u64 = 4 << 20;
@@ -56,14 +56,10 @@ fn striped_case(
     per_client: u64,
     plan: Option<FaultPlan>,
 ) -> (Cell, Cell, u64) {
-    let wspan = Probe::new();
-    let rspan = Probe::new();
-    let (ws, rs) = (wspan.clone(), rspan.clone());
-    let (_, _, obs) = with_dafs_cluster(
+    let (spans, ran, ..) = with_dafs_cluster(
         servers,
         clients,
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         plan,
         None,
@@ -81,12 +77,12 @@ fn striped_case(
             let data = pattern(rank, REQ as usize);
             let buf = nic.host().mem.alloc(REQ as usize);
             nic.host().mem.write(buf, &data);
-            ws.max(timed(ctx, || {
+            let w = timed(ctx, || {
                 for off in (0..per_client).step_by(REQ as usize) {
                     file.write(ctx, off, buf, REQ).unwrap();
                 }
-            }));
-            rs.max(timed(ctx, || {
+            });
+            let r = timed(ctx, || {
                 for off in (0..per_client).step_by(REQ as usize) {
                     let n = file.read(ctx, off, buf, REQ).unwrap();
                     assert_eq!(n, REQ, "short striped read at {off}");
@@ -96,16 +92,15 @@ fn striped_case(
                         "corrupt striped read-back at {off} ({servers} servers)"
                     );
                 }
-            }));
+            });
+            (w, r)
         },
     );
     let total = clients as u64 * per_client;
-    let reconnects = obs.snapshot().expect("dafs.reconnects").value();
-    (
-        Cell::mbps(total, wspan.get()),
-        Cell::mbps(total, rspan.get()),
-        reconnects,
-    )
+    let reconnects = ran.snapshot().expect("dafs.reconnects").value();
+    let w = spans.iter().map(|s| s.0).max().unwrap();
+    let r = spans.iter().map(|s| s.1).max().unwrap();
+    (Cell::mbps(total, w), Cell::mbps(total, r), reconnects)
 }
 
 /// The R-F2 512 KiB workload ([`f2_file_bandwidth::dafs_rw_ns`]) through
@@ -113,14 +108,10 @@ fn striped_case(
 /// one identity piece, so the striped driver must delegate straight to the
 /// raw client — same ops, same virtual times.
 fn striped_control_ns() -> (u64, u64) {
-    let wtime = Probe::new();
-    let rtime = Probe::new();
-    let (wt, rt) = (wtime.clone(), rtime.clone());
-    with_dafs_cluster(
+    let (spans, ..) = with_dafs_cluster(
         1,
         1,
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         None,
@@ -133,19 +124,20 @@ fn striped_control_ns() -> (u64, u64) {
             let f = cs[0].lookup(ctx, ROOT_ID, "f").unwrap();
             let file = DafsStripedFile::new(cs.to_vec(), vec![f.id], STRIPE);
             let buf = nic.host().mem.alloc(REQ as usize);
-            wt.set(timed(ctx, || {
+            let w = timed(ctx, || {
                 for off in (0..FILE).step_by(REQ as usize) {
                     file.write(ctx, off, buf, REQ).unwrap();
                 }
-            }));
-            rt.set(timed(ctx, || {
+            });
+            let r = timed(ctx, || {
                 for off in (0..FILE).step_by(REQ as usize) {
                     file.read(ctx, off, buf, REQ).unwrap();
                 }
-            }));
+            });
+            (w, r)
         },
     );
-    (wtime.get(), rtime.get())
+    spans[0]
 }
 
 /// A plan that degrades exactly one server: seeded loss on the links

@@ -33,7 +33,7 @@
 use mpiio::{Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
 use crate::report::{human_size, Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::{run_ranks, timed};
 
 /// Span of file the strided pattern sweeps.
 const SPAN: u64 = 8 << 20;
@@ -63,14 +63,11 @@ fn strided_case(
     let tb = Testbed::new(backend);
     let raw_image = tb.server_fss.len() <= 1;
     let fs = tb.fs.clone();
-    let wns = Probe::new();
-    let rns = Probe::new();
-    let (w, r) = (wns.clone(), rns.clone());
     let pairs: Vec<(String, String)> = pairs
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
-    let report = tb.run(1, move |ctx, comm, adio| {
+    let (spans, report) = run_ranks(tb, 1, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let hints = Hints::from_pairs(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         let f = MpiFile::open(ctx, adio, &host, "/f9", OpenMode::create(), hints).unwrap();
@@ -89,19 +86,17 @@ fn strided_case(
         let data: Vec<u8> = (0..payload as usize).map(|i| (i * 11 + 3) as u8).collect();
         let src = host.mem.alloc(payload as usize);
         host.mem.write(src, &data);
-        let t0 = ctx.now();
-        f.write_at(ctx, 0, src, payload).unwrap();
-        w.max(ctx.now().since(t0).as_nanos());
+        let w = timed(ctx, || _ = f.write_at(ctx, 0, src, payload).unwrap());
         let dst = host.mem.alloc(payload as usize);
-        let t1 = ctx.now();
-        let n = f.read_at(ctx, 0, dst, payload).unwrap();
-        r.max(ctx.now().since(t1).as_nanos());
+        let mut n = 0;
+        let r = timed(ctx, || n = f.read_at(ctx, 0, dst, payload).unwrap());
         assert_eq!(n, payload, "short strided read ({block}/{stride})");
         assert_eq!(
             host.mem.read_vec(dst, payload as usize),
             data,
             "corrupt strided read-back ({block}/{stride})"
         );
+        (w, r)
     });
     let list_reqs = report.snapshot.expect("dafs.list.reqs").value();
     let image = if raw_image {
@@ -110,9 +105,10 @@ fn strided_case(
     } else {
         Vec::new()
     };
+    let (w, r) = spans[0];
     (
-        Cell::mbps(payload, wns.get()),
-        Cell::mbps(payload, rns.get()),
+        Cell::mbps(payload, w),
+        Cell::mbps(payload, r),
         list_reqs,
         image,
     )

@@ -37,6 +37,7 @@ pub mod x5_small_op_cache;
 pub mod x6_qos_fairness;
 
 pub use report::Table;
+use testbeds::Run;
 
 /// What `--floor` says of a run: the line for stdout, or the violation.
 pub type Verdict = Result<String, String>;
@@ -214,17 +215,17 @@ fn pin_note(cpu: Option<usize>) -> String {
 
 /// Run one experiment, measuring wall-clock harness telemetry around it:
 /// sim-events/s, MiB of payload materialized per second, peak refcounted
-/// bytes alive, on the CPU `cpu` names (see [`pin_to_one_cpu`]). Returns the table untouched plus a `wall-clock:`-prefixed
-/// note line; callers append the note only to *rendered* output (its own
-/// line, so the byte-identity filter drops exactly it), never to the
-/// one-object-per-line JSON stream (where it would knock out the whole
-/// table from the comparison).
-pub fn run_timed<T>(run: impl FnOnce() -> T, cpu: Option<usize>) -> (T, String) {
+/// bytes alive, on the CPU `cpu` names (see [`pin_to_one_cpu`]). Returns
+/// what the experiment returned, the [`Run`]s its fixtures logged
+/// ([`testbeds::logged`]), and a `wall-clock:`-prefixed note line for the
+/// *rendered* output only (its own line, so the byte-identity filter drops
+/// exactly it); [`Table::to_json`] leaves such notes out.
+pub fn run_timed<T>(run: impl FnOnce() -> T, cpu: Option<usize>) -> (T, Vec<Run>, String) {
     let ev0 = simnet::events_scheduled_global();
     let bytes0 = simnet::buf::bytes_total();
     simnet::buf::reset_bytes_peak();
     let t0 = std::time::Instant::now();
-    let out = run();
+    let (out, runs) = testbeds::logged(run);
     let el = t0.elapsed().as_secs_f64().max(1e-9);
     let events = simnet::events_scheduled_global() - ev0;
     let bytes = simnet::buf::bytes_total() - bytes0;
@@ -236,5 +237,5 @@ pub fn run_timed<T>(run: impl FnOnce() -> T, cpu: Option<usize>) -> (T, String) 
         peak >> 10,
         pin_note(cpu),
     );
-    (out, note)
+    (out, runs, note)
 }

@@ -5,6 +5,8 @@
 use obs::json;
 use obs::Snapshot;
 
+use crate::testbeds::Run;
+
 /// How a [`Cell::Ratio`]'s `num / den` reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
@@ -127,6 +129,9 @@ pub struct Table {
     /// Experiments attach these only when tracing is enabled, so default
     /// output is unchanged.
     pub extras: Vec<Table>,
+    /// The simulations behind the table, oldest first, as the harness
+    /// logged them around the experiment; only the JSON carries them.
+    pub runs: Vec<Run>,
 }
 
 impl Table {
@@ -140,6 +145,7 @@ impl Table {
             rows: Vec::new(),
             notes: Vec::new(),
             extras: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -212,7 +218,8 @@ impl Table {
     }
 
     /// Serialize to one JSON object: headers, the rows as printed, each
-    /// row's exact `values` ([`Cell`]'s JSON form), notes and extras.
+    /// row's exact `values` ([`Cell`]'s JSON form), the `runs` behind them,
+    /// notes and extras. A `wall-clock:` note is host time, so it stays out.
     pub fn to_json(&self) -> String {
         let array = |items: Vec<String>| format!("[{}]", items.join(","));
         let quoted = |cells: &[String]| array(cells.iter().map(|c| json::quote(c)).collect());
@@ -220,13 +227,20 @@ impl Table {
             .rows
             .iter()
             .map(|r| array(r.iter().map(Cell::to_json).collect()));
+        let runs = self.runs.iter().map(|r| {
+            let seed = r.fault_seed.map_or("null".to_string(), |s| s.to_string());
+            let (end, events) = (r.end_ns, r.events);
+            format!("{{\"end_ns\":{end},\"events\":{events},\"fault_seed\":{seed}}}")
+        });
+        let notes = self.notes.iter().filter(|n| !n.starts_with("wall-clock:"));
         let mut out = format!(
-            "{{\"title\":{},\"headers\":{},\"rows\":{},\"values\":{},\"notes\":{}",
+            "{{\"title\":{},\"headers\":{},\"rows\":{},\"values\":{},\"runs\":{},\"notes\":{}",
             json::quote(&self.title),
             quoted(&self.headers),
             array(self.rendered().map(|r| quoted(&r)).collect()),
             array(values.collect()),
-            quoted(&self.notes),
+            array(runs.collect()),
+            array(notes.map(|n| json::quote(n)).collect()),
         );
         if !self.extras.is_empty() {
             let extras = self.extras.iter().map(Table::to_json).collect();
@@ -364,9 +378,41 @@ mod tests {
             Cell::Missing,
         ]);
         t.note("n");
+        t.runs = vec![
+            Run {
+                end_ns: 7,
+                events: 3,
+                fault_seed: None,
+            },
+            Run {
+                end_ns: 9,
+                events: 4,
+                fault_seed: Some(5),
+            },
+        ];
         assert_eq!(
             t.to_json(),
-            r#"{"title":"R-X: json","headers":["a","b","c","d"],"rows":[["1","2\"q","0.3","-"]],"values":[[1,"2\"q",[1000000,3000000000],null]],"notes":["n"]}"#
+            r#"{"title":"R-X: json","headers":["a","b","c","d"],"rows":[["1","2\"q","0.3","-"]],"values":[[1,"2\"q",[1000000,3000000000],null]],"runs":[{"end_ns":7,"events":3,"fault_seed":null},{"end_ns":9,"events":4,"fault_seed":5}],"notes":["n"]}"#
+        );
+    }
+
+    /// A `wall-clock:` note is host time: the rendered table shows it, the
+    /// JSON (the golden the suite is diffed against) leaves it out and
+    /// keeps every other note.
+    #[test]
+    fn json_leaves_out_wall_clock_notes() {
+        let mut t = Table::new("R-X: notes", &[("a", 0)]);
+        t.row([Cell::Int(1)]);
+        t.note("expect a plateau");
+        t.note("wall-clock: 4096 sim events in 0.01s");
+        t.note("a wall-clock: later in the line is kept");
+        assert!(t.render().contains("note: wall-clock: 4096 sim events"));
+        let j = t.to_json();
+        assert!(
+            j.ends_with(
+                r#""notes":["expect a plateau","a wall-clock: later in the line is kept"]}"#
+            ),
+            "{j}"
         );
     }
 

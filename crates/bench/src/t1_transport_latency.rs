@@ -4,26 +4,24 @@
 //! sizes; TCP ≈60–90 µs — roughly an order of magnitude apart. This gap is
 //! the raw material every higher-level DAFS advantage is built from.
 
-use simnet::{Cluster, SimKernel};
+use simnet::{ActorCtx, Cluster};
 use tcpnet::{TcpCost, TcpFabric};
 use via::{DataSegment, MemAttributes, RecvDesc, SendDesc, ViAttributes, ViaCost, ViaFabric};
 
-use crate::report::{Cell, Table};
-use crate::testbeds::Probe;
+use crate::report::{Cell, Table, Unit};
+use crate::testbeds::with_client;
 
 const ITERS: u64 = 50;
 
-fn via_one_way_ns(size: usize) -> u64 {
-    let kernel = SimKernel::new();
+/// Virtual ns of [`ITERS`] VIA round trips of `size` bytes.
+fn via_ping_pong_ns(size: usize) -> u64 {
     let cluster = Cluster::new();
     let fabric = ViaFabric::new(ViaCost::default());
     let snic = fabric.open_nic(cluster.add_host("server0"));
     let cnic = fabric.open_nic(cluster.add_host("client0"));
     let sid = snic.host().id;
-    let out = Probe::new();
-    let o = out.clone();
     let l = fabric.listen(&snic, 7);
-    kernel.spawn_daemon("server", move |ctx| {
+    let server = move |ctx: &ActorCtx| {
         let vi = l.accept(ctx, ViAttributes::default()).unwrap();
         let tag = vi.ptag();
         let buf = snic.host().mem.alloc(size.max(64));
@@ -41,8 +39,8 @@ fn via_one_way_ns(size: usize) -> u64 {
             );
             vi.send_wait(ctx);
         }
-    });
-    kernel.spawn("client", move |ctx| {
+    };
+    let client = move |ctx: &ActorCtx| {
         let vi = fabric
             .connect(ctx, &cnic, sid, 7, ViAttributes::default())
             .unwrap();
@@ -63,30 +61,30 @@ fn via_one_way_ns(size: usize) -> u64 {
             let c = vi.recv_wait(ctx);
             assert!(c.status.is_ok());
         }
-        // One-way = RTT / 2.
-        o.set(ctx.now().since(t0).as_nanos() / ITERS / 2);
-    });
-    kernel.run();
-    out.get()
+        ctx.now().since(t0).as_nanos()
+    };
+    with_client("client", None, |kernel| {
+        kernel.spawn_daemon("server", server);
+        client
+    })
+    .0
 }
 
-fn tcp_one_way_ns(size: usize) -> u64 {
-    let kernel = SimKernel::new();
+/// Virtual ns of [`ITERS`] TCP round trips of `size` bytes.
+fn tcp_ping_pong_ns(size: usize) -> u64 {
     let cluster = Cluster::new();
     let fabric = TcpFabric::new(TcpCost::default());
     let sh = cluster.add_host("server0");
     let ch = cluster.add_host("client0");
     let sid = sh.id;
-    let out = Probe::new();
-    let o = out.clone();
     let l = fabric.listen(&sh, 7);
-    kernel.spawn_daemon("server", move |ctx| {
+    let server = move |ctx: &ActorCtx| {
         let s = l.accept(ctx).unwrap();
         while let Ok(req) = s.recv_exact(ctx, size) {
             s.send(ctx, &req);
         }
-    });
-    kernel.spawn("client", move |ctx| {
+    };
+    let client = move |ctx: &ActorCtx| {
         let s = fabric.connect(ctx, &ch, sid, 7).unwrap();
         let msg = vec![0u8; size];
         let t0 = ctx.now();
@@ -94,11 +92,15 @@ fn tcp_one_way_ns(size: usize) -> u64 {
             s.send(ctx, &msg);
             s.recv_exact(ctx, size).unwrap();
         }
-        o.set(ctx.now().since(t0).as_nanos() / ITERS / 2);
+        let ns = ctx.now().since(t0).as_nanos();
         s.close(ctx);
-    });
-    kernel.run();
-    out.get()
+        ns
+    };
+    with_client("client", None, |kernel| {
+        kernel.spawn_daemon("server", server);
+        client
+    })
+    .0
 }
 
 /// Run R-T1.
@@ -108,12 +110,13 @@ pub fn run() -> Table {
         &[("size", 0), ("VIA", 1), ("TCP", 1), ("TCP/VIA", 1)],
     );
     for size in [8usize, 64, 256, 1024] {
-        let v = via_one_way_ns(size);
-        let k = tcp_one_way_ns(size);
+        let v = via_ping_pong_ns(size);
+        let k = tcp_ping_pong_ns(size);
+        // One-way = RTT / 2.
         t.row([
             Cell::Size(size as u64),
-            Cell::us(v),
-            Cell::us(k),
+            Cell::Ratio(v, 2 * ITERS, Unit::Us),
+            Cell::Ratio(k, 2 * ITERS, Unit::Us),
             Cell::times(k, v),
         ]);
     }

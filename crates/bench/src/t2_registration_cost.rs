@@ -4,44 +4,40 @@
 //! (pin plus translation-table update per page); with the cache enabled,
 //! a repeated-buffer workload pays the cost once instead of per request.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use simnet::{Cluster, SimKernel};
+use simnet::Cluster;
 use via::{MemAttributes, ViaCost, ViaFabric};
 
 use crate::report::{Cell, Table};
-use crate::testbeds::{with_dafs_client, Probe};
+use crate::testbeds::{with_client, with_dafs_client};
 
 /// Registration + deregistration virtual time for one buffer of `len`.
 fn reg_cycle(len: u64) -> (Cell, Cell) {
-    let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = ViaFabric::new(ViaCost::default());
     let nic = fabric.open_nic(cluster.add_host("h"));
-    let reg = Probe::new();
-    let dereg = Probe::new();
-    let (r, d) = (reg.clone(), dereg.clone());
-    kernel.spawn("app", move |ctx| {
-        let tag = nic.create_ptag();
-        let buf = nic.host().mem.alloc(len as usize);
-        let t0 = ctx.now();
-        let h = nic.register_mem(ctx, buf, len, MemAttributes::local(tag));
-        r.set(ctx.now().since(t0).as_nanos());
-        let t1 = ctx.now();
-        nic.deregister_mem(ctx, h).unwrap();
-        d.set(ctx.now().since(t1).as_nanos());
-    });
-    kernel.run();
-    (Cell::us(reg.get()), Cell::us(dereg.get()))
+    let (reg, dereg) = with_client("app", None, |_| {
+        move |ctx| {
+            let tag = nic.create_ptag();
+            let buf = nic.host().mem.alloc(len as usize);
+            let t0 = ctx.now();
+            let h = nic.register_mem(ctx, buf, len, MemAttributes::local(tag));
+            let t1 = ctx.now();
+            nic.deregister_mem(ctx, h).unwrap();
+            (t1.since(t0).as_nanos(), ctx.now().since(t1).as_nanos())
+        }
+    })
+    .0;
+    (Cell::us(reg), Cell::us(dereg))
 }
 
 /// Total client registration CPU for 50 repeated 1 MiB direct reads,
 /// with/without the registration cache.
 fn workload_reg_cpu_ms(use_cache: bool) -> (f64, u64) {
     const LEN: u64 = 1 << 20;
-    let ((regs, cpu), ..) = with_dafs_client(
+    let (regs, cpu) = with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig {
             use_regcache: use_cache,
             ..Default::default()
@@ -60,7 +56,8 @@ fn workload_reg_cpu_ms(use_cache: bool) -> (f64, u64) {
             let regs = nic.registration_stats().registrations;
             (regs, nic.registration_cpu().as_nanos())
         },
-    );
+    )
+    .0;
     (cpu as f64 / 1e6, regs)
 }
 

@@ -4,28 +4,26 @@
 //! microseconds (one VIA round trip + a lean server); NFS in the hundreds
 //! (kernel RPC path) — a 3–6× gap.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use nfsv3::{NfsClientConfig, NfsServerCost};
+use nfsv3::NfsClientConfig;
 use simnet::ActorCtx;
-use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::{Cell, Table};
+use crate::report::{Cell, Table, Unit};
 use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
 const ITERS: u64 = 20;
 
-/// Mean virtual ns of each op over [`ITERS`] calls, in order.
-fn mean_ns(ctx: &ActorCtx, ops: [&dyn Fn(); 4]) -> [u64; 4] {
-    ops.map(|op| timed(ctx, || (0..ITERS).for_each(|_| op())) / ITERS)
+/// Virtual ns of [`ITERS`] calls of each op, in order.
+fn elapsed_ns(ctx: &ActorCtx, ops: [&dyn Fn(); 4]) -> [u64; 4] {
+    ops.map(|op| timed(ctx, || (0..ITERS).for_each(|_| op())))
 }
 
-/// (getattr, lookup, read512, write512) mean latencies in ns.
+/// (getattr, lookup, read512, write512): ns of [`ITERS`] calls each.
 fn dafs_ops_ns() -> [u64; 4] {
     with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         |fs| {
@@ -35,7 +33,7 @@ fn dafs_ops_ns() -> [u64; 4] {
         move |ctx, c, nic| {
             let f = c.lookup(ctx, ROOT_ID, "target").unwrap();
             let buf = nic.host().mem.alloc(512);
-            mean_ns(
+            elapsed_ns(
                 ctx,
                 [
                     &|| _ = c.getattr(ctx, f.id).unwrap(),
@@ -51,18 +49,16 @@ fn dafs_ops_ns() -> [u64; 4] {
 
 fn nfs_ops_ns() -> [u64; 4] {
     with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
         NfsClientConfig::default(),
         None,
         |fs| {
             let f = fs.create(ROOT_ID, "target").unwrap();
             fs.write(f.id, 0, &vec![1u8; 4096]).unwrap();
         },
-        move |ctx, c| {
+        move |ctx, c, _| {
             let f = c.lookup(ctx, ROOT_ID, "target").unwrap();
             let data = vec![2u8; 512];
-            mean_ns(
+            elapsed_ns(
                 ctx,
                 [
                     &|| _ = c.getattr_uncached(ctx, f.id).unwrap(),
@@ -90,8 +86,8 @@ pub fn run() -> Table {
     {
         t.row([
             Cell::text(*name),
-            Cell::us(d[i]),
-            Cell::us(n[i]),
+            Cell::Ratio(d[i], ITERS, Unit::Us),
+            Cell::Ratio(n[i], ITERS, Unit::Us),
             Cell::times(n[i], d[i]),
         ]);
     }

@@ -5,26 +5,25 @@
 //! copies, per-packet processing, and interrupt handling. This is the
 //! headline "offload" argument for DAFS on user-level networking.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use nfsv3::{NfsClientConfig, NfsServerCost};
-use tcpnet::TcpCost;
+use nfsv3::NfsClientConfig;
+use simnet::obs::Snapshot;
 use via::ViaCost;
 
 use crate::report::{layer_breakdown, Cell, Table, Unit};
-use crate::testbeds::{with_dafs_client, with_nfs_client, RunObs};
+use crate::testbeds::{with_dafs_client, with_nfs_client};
 
 const LEN: u64 = 64 << 20;
 
 /// The least NFS/DAFS client CPU ratio the table may show.
 const RATIO_FLOOR: f64 = 50.0;
 
-/// (client cpu ns, client kernel ns, run observability) for a 64 MiB
-/// sequential read + write on DAFS.
-fn dafs_overhead() -> (u64, u64, RunObs) {
-    let ((), client_host, run) = with_dafs_client(
+/// (client cpu ns, client kernel ns, the run's metrics when traced) for a
+/// 64 MiB sequential read + write on DAFS.
+fn dafs_overhead() -> (u64, u64, Option<Snapshot>) {
+    let (host, ran) = with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         |fs| {
@@ -36,31 +35,33 @@ fn dafs_overhead() -> (u64, u64, RunObs) {
             let buf = nic.host().mem.alloc(LEN as usize);
             c.read(ctx, f.id, 0, buf, LEN).unwrap();
             c.write(ctx, f.id, 0, buf, LEN).unwrap();
+            nic.host().clone()
         },
     );
-    (client_host.cpu.busy().as_nanos(), 0, run)
+    let snap = ran.obs.enabled().then(|| ran.snapshot());
+    (host.cpu.busy().as_nanos(), 0, snap)
 }
 
-fn nfs_overhead() -> (u64, u64, RunObs) {
-    let ((), client_host, fabric, run) = with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
+fn nfs_overhead() -> (u64, u64, Option<Snapshot>) {
+    let ((host, fabric), ran) = with_nfs_client(
         NfsClientConfig::default(),
         None,
         |fs| {
             let f = fs.create(ROOT_ID, "f").unwrap();
             fs.write(f.id, 0, &vec![1u8; LEN as usize]).unwrap();
         },
-        move |ctx, c| {
+        move |ctx, c, fabric| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let data = c.read(ctx, f.id, 0, LEN).unwrap();
             c.write(ctx, f.id, 0, &data).unwrap();
+            (c.host().clone(), fabric.clone())
         },
     );
+    let snap = ran.obs.enabled().then(|| ran.snapshot());
     (
-        client_host.cpu.busy().as_nanos(),
-        fabric.kernel_busy(&client_host).as_nanos(),
-        run,
+        host.cpu.busy().as_nanos(),
+        fabric.kernel_busy(&host).as_nanos(),
+        snap,
     )
 }
 
@@ -75,8 +76,8 @@ pub fn run() -> Table {
             ("CPU ms / MiB moved", 3),
         ],
     );
-    let (d_cpu, d_k, d_run) = dafs_overhead();
-    let (n_cpu, n_k, n_run) = nfs_overhead();
+    let (d_cpu, d_k, d_snap) = dafs_overhead();
+    let (n_cpu, n_k, n_snap) = nfs_overhead();
     let mib_moved = 2 * (LEN >> 20);
     for (name, cpu, kernel) in [("dafs", d_cpu, d_k), ("nfs", n_cpu, n_k)] {
         t.row([
@@ -97,16 +98,16 @@ pub fn run() -> Table {
     ));
     t.note("the NFS write path still pays copies; DAFS's inline write chunks send from the read's registered buffer in place");
     // With MPIO_DAFS_TRACE set, show where each stack's virtual time went.
-    if d_run.traced() {
+    if let Some(snap) = d_snap {
         t.push_extra(layer_breakdown(
             "R-T4a: DAFS per-layer time breakdown",
-            &d_run.snapshot(),
+            &snap,
         ));
     }
-    if n_run.traced() {
+    if let Some(snap) = n_snap {
         t.push_extra(layer_breakdown(
             "R-T4b: NFS per-layer time breakdown",
-            &n_run.snapshot(),
+            &snap,
         ));
     }
     t

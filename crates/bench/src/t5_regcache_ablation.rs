@@ -5,12 +5,12 @@
 //! large-transfer throughput sags measurably; with it enabled the cost is
 //! paid once per buffer.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 use via::ViaCost;
 
 use crate::report::{Cell, Table};
-use crate::testbeds::{with_dafs_client, Probe};
+use crate::testbeds::{run_ranks, with_dafs_client};
 
 const REQ: u64 = 1 << 20;
 const COUNT: u64 = 64;
@@ -29,10 +29,7 @@ fn run_case(use_regcache: bool) -> (Cell, u64) {
     // Pre-create the file content.
     let f = tb.fs.create(memfs::ROOT_ID, "big").unwrap();
     tb.fs.write(f.id, 0, &vec![1u8; REQ as usize]).unwrap();
-    let dur = Probe::new();
-    let cpu = Probe::new();
-    let (d, c) = (dur.clone(), cpu.clone());
-    tb.run(1, move |ctx, comm, adio| {
+    let (out, _) = run_ranks(tb, 1, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let f =
             MpiFile::open(ctx, adio, &host, "/big", OpenMode::open(), Hints::default()).unwrap();
@@ -41,10 +38,11 @@ fn run_case(use_regcache: bool) -> (Cell, u64) {
         for _ in 0..COUNT {
             f.read_at(ctx, 0, buf, REQ).unwrap();
         }
-        d.set(ctx.now().since(t0).as_nanos());
-        c.set(comm.host().cpu.busy().as_nanos());
+        let dur = ctx.now().since(t0).as_nanos();
+        (dur, comm.host().cpu.busy().as_nanos())
     });
-    (Cell::mbps(REQ * COUNT, dur.get()), cpu.get())
+    let (dur, cpu) = out[0];
+    (Cell::mbps(REQ * COUNT, dur), cpu)
 }
 
 /// Silent invariant pass backing the table: the same direct-read workload
@@ -52,9 +50,8 @@ fn run_case(use_regcache: bool) -> (Cell, u64) {
 /// balances. Any violation panics, aborting the run; nothing is printed,
 /// so the table output is unchanged.
 fn verify_regcache_invariants(use_regcache: bool) {
-    let (stats, _, obs) = with_dafs_client(
+    let (stats, ran) = with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig {
             use_regcache,
             ..Default::default()
@@ -93,7 +90,7 @@ fn verify_regcache_invariants(use_regcache: bool) {
     );
     // The session's counters are its series of the run-wide metrics: with
     // one session, each rolled-up total is its count.
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     assert_eq!(counter("dafs.regcache.hits"), stats[0]);
     assert_eq!(counter("dafs.regcache.misses"), stats[1]);

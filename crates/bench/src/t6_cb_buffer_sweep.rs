@@ -13,17 +13,14 @@
 use mpiio::{write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
 use crate::report::{Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::run_ranks;
 
 const RANKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
 const ROUNDS: u64 = 64;
 
 fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> Cell {
-    let tb = Testbed::new(backend);
-    let dur = Probe::new();
-    let d = dur.clone();
-    tb.run(RANKS, move |ctx, comm, adio| {
+    let (spans, _) = run_ranks(Testbed::new(backend), RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let mut hints = Hints::default();
         hints.set("romio_cb_write", "enable");
@@ -45,9 +42,10 @@ fn run_cb(backend: Backend, cb_bytes: u64, pipelined: bool) -> Cell {
         let t0 = ctx.now();
         write_at_all(ctx, comm, &f, 0, src, ROUNDS * BLOCK).unwrap();
         comm.barrier(ctx);
-        d.max(ctx.now().since(t0).as_nanos());
+        ctx.now().since(t0).as_nanos()
     });
-    Cell::mbps(RANKS as u64 * ROUNDS * BLOCK, dur.get())
+    let span = spans.into_iter().max().unwrap();
+    Cell::mbps(RANKS as u64 * ROUNDS * BLOCK, span)
 }
 
 /// Run R-T6.

@@ -14,7 +14,7 @@
 use mpiio::{read_at_all, write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed};
 
 use crate::report::{Cell, Table};
-use crate::testbeds::Probe;
+use crate::testbeds::{run_ranks, timed};
 
 const N: u64 = 64; // N^3 cells of 8 bytes = 2 MiB
 const CELL: u64 = 8;
@@ -22,11 +22,7 @@ const RANKS: usize = 4;
 
 /// (slab-write MB/s, cross-read MB/s).
 fn run_backend(backend: Backend) -> (Cell, Cell) {
-    let tb = Testbed::new(backend);
-    let wns = Probe::new();
-    let rns = Probe::new();
-    let (w, r) = (wns.clone(), rns.clone());
-    tb.run(RANKS, move |ctx, comm, adio| {
+    let (spans, _) = run_ranks(Testbed::new(backend), RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
         let f = MpiFile::open(
             ctx,
@@ -51,10 +47,10 @@ fn run_backend(backend: Backend) -> (Cell, Cell) {
         let src = host.mem.alloc(mine as usize);
         host.mem.fill(src, mine as usize, comm.rank() as u8 + 1);
         comm.barrier(ctx);
-        let t0 = ctx.now();
-        write_at_all(ctx, comm, &f, 0, src, mine).unwrap();
-        comm.barrier(ctx);
-        w.max(ctx.now().since(t0).as_nanos());
+        let w = timed(ctx, || {
+            write_at_all(ctx, comm, &f, 0, src, mine).unwrap();
+            comm.barrier(ctx);
+        });
 
         // Phase 2: cross-read — slabs along dim 1 (strided on disk: each
         // rank's view is N runs of slab×N cells).
@@ -67,10 +63,11 @@ fn run_backend(backend: Backend) -> (Cell, Cell) {
         f.set_view(0, &Datatype::bytes(CELL), &ft2);
         let dst = host.mem.alloc(mine as usize);
         comm.barrier(ctx);
-        let t1 = ctx.now();
-        let n = read_at_all(ctx, comm, &f, 0, dst, mine).unwrap();
-        comm.barrier(ctx);
-        r.max(ctx.now().since(t1).as_nanos());
+        let mut n = 0;
+        let r = timed(ctx, || {
+            n = read_at_all(ctx, comm, &f, 0, dst, mine).unwrap();
+            comm.barrier(ctx);
+        });
         assert_eq!(n, mine);
         // Verify a sample: plane p of dim 0 was written by rank p/slab.
         let plane_bytes = slab * N * CELL; // one dim-0 plane within my view
@@ -79,9 +76,12 @@ fn run_backend(backend: Backend) -> (Cell, Cell) {
             let got = host.mem.read_vec(dst.offset(p * plane_bytes), 8);
             assert_eq!(got, vec![owner; 8], "plane {p}");
         }
+        (w, r)
     });
     let total = N * N * N * CELL;
-    (Cell::mbps(total, wns.get()), Cell::mbps(total, rns.get()))
+    let w = spans.iter().map(|s| s.0).max().unwrap();
+    let r = spans.iter().map(|s| s.1).max().unwrap();
+    (Cell::mbps(total, w), Cell::mbps(total, r))
 }
 
 /// Run X-1.

@@ -10,11 +10,10 @@
 //! Expected shape: the whole DAFS distribution sits several× below NFS,
 //! and the tails stay tight (no kernel-path interrupt jitter terms).
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::{MemFs, NodeId, ROOT_ID};
-use nfsv3::{NfsClientConfig, NfsServerCost};
+use nfsv3::NfsClientConfig;
 use simnet::{Rng64, SampleSet};
-use tcpnet::TcpCost;
 use via::ViaCost;
 
 use crate::report::{Cell, Table, Unit};
@@ -59,7 +58,6 @@ fn prefill(fs: &MemFs) {
 fn dafs_hist() -> SampleSet {
     with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         prefill,
@@ -84,12 +82,10 @@ fn dafs_hist() -> SampleSet {
 
 fn nfs_hist() -> SampleSet {
     with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
         NfsClientConfig::default(),
         None,
         prefill,
-        move |ctx, c| {
+        move |ctx, c, _| {
             let files: Vec<NodeId> = (0..FILES)
                 .map(|i| c.lookup(ctx, ROOT_ID, &format!("f{i}")).unwrap().id)
                 .collect();

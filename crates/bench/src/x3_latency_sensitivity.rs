@@ -10,25 +10,24 @@
 //! (2·latency + constant)); by ~100 µs one-way the fabrics converge and
 //! protocol leanness is all that's left.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use nfsv3::{NfsClientConfig, NfsServerCost};
+use nfsv3::NfsClientConfig;
 use simnet::time::units::*;
-use tcpnet::TcpCost;
 use via::ViaCost;
 
-use crate::report::{Cell, Table};
+use crate::report::{Cell, Table, Unit};
 use crate::testbeds::{timed, with_dafs_client, with_nfs_client};
 
 const ITERS: u64 = 20;
 
+/// Virtual ns of [`ITERS`] DAFS getattrs over a wire of this latency.
 fn dafs_getattr_ns(wire_latency_us: u64) -> u64 {
     with_dafs_client(
         ViaCost {
             wire_latency: us(wire_latency_us),
             ..ViaCost::default()
         },
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         |fs| {
@@ -40,30 +39,29 @@ fn dafs_getattr_ns(wire_latency_us: u64) -> u64 {
                 for _ in 0..ITERS {
                     c.getattr(ctx, f.id).unwrap();
                 }
-            }) / ITERS
+            })
         },
     )
     .0
 }
 
 /// The NFS getattr the sweep is held against, measured as R-T3 measures
-/// it: the mean uncached round trip over the fixed TCP fabric.
+/// it: virtual ns of [`ITERS`] uncached round trips over the fixed TCP
+/// fabric.
 fn nfs_getattr_ns() -> u64 {
     with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
         NfsClientConfig::default(),
         None,
         |fs| {
             fs.create(ROOT_ID, "f").unwrap();
         },
-        move |ctx, c| {
+        move |ctx, c, _| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             timed(ctx, || {
                 for _ in 0..ITERS {
                     c.getattr_uncached(ctx, f.id).unwrap();
                 }
-            }) / ITERS
+            })
         },
     )
     .0
@@ -72,18 +70,20 @@ fn nfs_getattr_ns() -> u64 {
 /// Run X-3.
 pub fn run() -> Table {
     let nfs = nfs_getattr_ns();
+    let nfs_us = nfs as f64 / ITERS as f64 / 1e3;
     let mut t = Table::new(
         "X-3 (extension): DAFS getattr vs VIA wire latency (us)",
         &[
             ("wire latency".to_string(), 0),
             ("DAFS getattr".to_string(), 1),
-            (format!("vs NFS ({:.1}us)", nfs as f64 / 1e3), 1),
+            (format!("vs NFS ({nfs_us:.1}us)"), 1),
         ],
     );
     for wire in [5u64, 10, 20, 50, 100] {
         let d = dafs_getattr_ns(wire);
         let label = format!("{wire}us");
-        t.row([Cell::text(label), Cell::us(d), Cell::times(nfs, d)]);
+        let per_call = Cell::Ratio(d, ITERS, Unit::Us);
+        t.row([Cell::text(label), per_call, Cell::times(nfs, d)]);
     }
     t.note("the DAFS advantage is mostly the fabric: it decays from ~6x to ~1x as latency grows");
     t

@@ -13,11 +13,10 @@
 //! Every cell also verifies the data: the read pass must return exactly the
 //! bytes the write pass put down, whatever the fault timeline did.
 
-use dafs::{DafsClientConfig, DafsServerCost};
+use dafs::DafsClientConfig;
 use memfs::ROOT_ID;
-use nfsv3::{NfsClientConfig, NfsServerCost};
+use nfsv3::NfsClientConfig;
 use simnet::FaultPlan;
-use tcpnet::TcpCost;
 use via::ViaCost;
 
 use crate::report::{Cell, Table, Unit};
@@ -48,9 +47,8 @@ fn pattern(len: usize) -> Vec<u8> {
 
 /// (MB/s write, MB/s read, reconnects, direct fallbacks)
 fn dafs_case(seed: u64, loss: u64) -> (Cell, Cell, u64, u64) {
-    let ((w, r), _, obs) = with_dafs_client(
+    let ((w, r), ran) = with_dafs_client(
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         plan(seed, loss),
         |fs| {
@@ -81,7 +79,7 @@ fn dafs_case(seed: u64, loss: u64) -> (Cell, Cell, u64, u64) {
             (w, r)
         },
     );
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     (
         Cell::mbps(FILE, w),
@@ -93,15 +91,13 @@ fn dafs_case(seed: u64, loss: u64) -> (Cell, Cell, u64, u64) {
 
 /// (MB/s write, MB/s read, retransmissions)
 fn nfs_case(seed: u64, loss: u64) -> (Cell, Cell, u64) {
-    let ((w, r), _, _, obs) = with_nfs_client(
-        TcpCost::default(),
-        NfsServerCost::default(),
+    let ((w, r), ran) = with_nfs_client(
         NfsClientConfig::default(),
         plan(seed, loss),
         |fs| {
             fs.create(ROOT_ID, "f").unwrap();
         },
-        move |ctx, c| {
+        move |ctx, c, _| {
             let f = c.lookup(ctx, ROOT_ID, "f").unwrap();
             let data = pattern(REQ as usize);
             let w = timed(ctx, || {
@@ -118,7 +114,7 @@ fn nfs_case(seed: u64, loss: u64) -> (Cell, Cell, u64) {
             (w, r)
         },
     );
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let retrans = snap.expect("nfs.retrans").value();
     (Cell::mbps(FILE, w), Cell::mbps(FILE, r), retrans)
 }
@@ -161,4 +157,26 @@ pub fn run_with_seed(seed: u64) -> Table {
 /// Run R-X4 with the default seed.
 pub fn run() -> Table {
     run_with_seed(DEFAULT_SEED)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testbeds::logged;
+
+    /// Every simulation behind the table is logged once, in sweep order
+    /// (DAFS then NFS at each loss), each lossy one under the table's seed,
+    /// and the same seed logs the same runs.
+    #[test]
+    fn each_simulation_logs_its_run() {
+        let seed = 0x5eed;
+        let (_, runs) = logged(|| run_with_seed(seed));
+        assert_eq!(runs.len(), 2 * LOSS_SWEEP.len());
+        for (i, run) in runs.iter().enumerate() {
+            let lossy = LOSS_SWEEP[i / 2] > 0;
+            assert_eq!(run.fault_seed, lossy.then_some(seed), "run {i}");
+            assert!(run.end_ns > 0 && run.events > 0, "run {i}: {run:?}");
+        }
+        assert_eq!(logged(|| run_with_seed(seed)).1, runs);
+    }
 }

@@ -31,7 +31,7 @@
 //!   holders at once; the storm must complete with a bounded flush-request
 //!   count (asserted) and every reader re-reads the writer's flushed image.
 
-use dafs::{DafsClientConfig, DafsServerCost, DafsStripedFile, CACHE_PAGE};
+use dafs::{DafsClientConfig, DafsStripedFile, CACHE_PAGE};
 use memfs::ROOT_ID;
 use simnet::topo::{DumbbellSpec, QueuePolicy, Topology};
 use simnet::units::*;
@@ -39,7 +39,7 @@ use simnet::{Bandwidth, FaultPlan};
 use via::ViaCost;
 
 use crate::report::{Cell, Table, Unit};
-use crate::testbeds::{timed, with_dafs_cluster, Dial, Probe};
+use crate::testbeds::{timed, with_dafs_cluster, Dial};
 
 /// Shared region each client re-reads.
 const REGION: u64 = 128 << 10;
@@ -79,13 +79,10 @@ struct CaseOut {
 }
 
 fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> CaseOut {
-    let elapsed = Probe::new();
-    let el = elapsed.clone();
-    let (_, _, obs) = with_dafs_cluster(
+    let (spans, ran, ..) = with_dafs_cluster(
         1,
         clients,
         ViaCost::default(),
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         plan,
         None,
@@ -107,7 +104,7 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
                 let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
                 assert_eq!(n, REQ, "short warm read at {off}");
             }
-            el.max(timed(ctx, || {
+            timed(ctx, || {
                 for _ in 0..rounds {
                     for off in (0..REGION).step_by(REQ as usize) {
                         let n = c.read(ctx, f.id, off, dst, REQ).unwrap();
@@ -123,12 +120,12 @@ fn case(clients: usize, cached: bool, rounds: u64, plan: Option<FaultPlan>) -> C
                         assert_eq!(a.size, REGION);
                     }
                 }
-            }));
+            })
         },
     );
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
-    let ns = elapsed.get();
+    let ns = spans.into_iter().max().unwrap();
     let ops = clients as u64 * rounds * (REGION / REQ + GETATTRS_PER_ROUND);
     CaseOut {
         reread_mb_s: Cell::mbps(clients as u64 * rounds * REGION, ns),
@@ -153,11 +150,10 @@ fn writeback_case() -> WbOut {
         ..DafsClientConfig::default()
     };
     let page = CACHE_PAGE;
-    let (_, _, obs) = with_dafs_cluster(
+    let (_, ran, ..) = with_dafs_cluster(
         1,
         1,
         ViaCost::default(),
-        DafsServerCost::default(),
         cfg,
         None,
         None,
@@ -193,7 +189,7 @@ fn writeback_case() -> WbOut {
             }
         },
     );
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     WbOut {
         flush_pages: counter("dafs.cache.flush_pages"),
@@ -228,15 +224,11 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
     let via = ViaCost::default();
     let wire = via.wire_bw;
     let latency = via.wire_latency;
-    let cold = Probe::new();
-    let warm = Probe::new();
-    let (cd, wm) = (cold.clone(), warm.clone());
     let expect = pattern();
-    let (_, _topology, obs) = with_dafs_cluster(
+    let (spans, ran, ..) = with_dafs_cluster(
         SCALE_SERVERS,
         clients,
         via,
-        DafsServerCost::default(),
         DafsClientConfig::default(),
         None,
         Some(Box::new(move |cluster, sids| {
@@ -295,16 +287,17 @@ fn scale_case(clients: usize, rounds: u64) -> ScaleOut {
             };
             // Cold pass: every page crosses the switch once, seeding one
             // read lease per server.
-            cd.max(timed(ctx, || pass("cold")));
+            let cold = timed(ctx, || pass("cold"));
             // Warm passes: pure client-memory hits, nothing on the wire.
-            wm.max(timed(ctx, || (0..rounds).for_each(|_| pass("warm"))));
+            let warm = timed(ctx, || (0..rounds).for_each(|_| pass("warm")));
+            (cold, warm)
         },
     );
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     ScaleOut {
-        cold_ns: cold.get(),
-        warm_ns: warm.get(),
+        cold_ns: spans.iter().map(|s| s.0).max().unwrap(),
+        warm_ns: spans.iter().map(|s| s.1).max().unwrap(),
         rounds,
         hits: counter("dafs.cache.hits"),
         reconnects: counter("dafs.reconnects"),
@@ -334,11 +327,10 @@ fn storm_case(readers: usize) -> StormOut {
     let img_a: Vec<u8> = (0..REGION as usize).map(|j| (j * 7 + 3) as u8).collect();
     let img_b: Vec<u8> = (0..REGION as usize).map(|j| (j * 13 + 1) as u8).collect();
     let (a, b) = (img_a.clone(), img_b.clone());
-    let (fss, _, obs) = with_dafs_cluster(
+    let (_, ran, fss, _) = with_dafs_cluster(
         1,
         readers + 1,
         ViaCost::default(),
-        DafsServerCost::default(),
         cfg,
         None,
         None,
@@ -403,7 +395,7 @@ fn storm_case(readers: usize) -> StormOut {
     // Stable storage holds exactly the writer's flushed phase-B image.
     let fh = fss[0].resolve("/storm").unwrap();
     assert_eq!(fss[0].read(fh.id, 0, REGION).unwrap(), img_b);
-    let snap = obs.snapshot();
+    let snap = ran.snapshot();
     let counter = |n: &str| snap.expect(n).value();
     StormOut {
         recalls: counter("dafs.cache.recalls"),

@@ -29,11 +29,11 @@ use dafs::sched::tenant_labels;
 use dafs::{BatchDir, DafsClient, DafsClientConfig, DafsServerCost, IoReq, SchedPolicy};
 use memfs::{MemFs, ROOT_ID};
 use simnet::time::units::*;
-use simnet::{Cluster, SampleSet, SimKernel};
+use simnet::{ActorCtx, Cluster, SampleSet};
 use via::{ViaCost, ViaFabric};
 
 use crate::report::{Cell, Table};
-use crate::testbeds::PORT;
+use crate::testbeds::{simulate, PORT};
 
 /// Streaming-tenant clients.
 const STREAMERS: usize = 3;
@@ -71,10 +71,10 @@ struct CaseOut {
 }
 
 fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
-    let kernel = SimKernel::new();
     let cluster = Cluster::new();
     let fabric = Arc::new(ViaFabric::new(ViaCost::default()));
     let server_nic = fabric.open_nic(cluster.add_host("server0"));
+    let sid = server_nic.host().id;
     let fs = MemFs::new();
     for i in 0..STREAMERS {
         let f = fs.create(ROOT_ID, &format!("stream{i}")).unwrap();
@@ -83,109 +83,109 @@ fn case(policy: SchedPolicy, small_ops: usize) -> CaseOut {
     }
     let small_file = fs.create(ROOT_ID, "meta").unwrap();
     fs.write(small_file.id, 0, &vec![9u8; 64 << 10]).unwrap();
-    let server = dafs::spawn_dafs_server_sched(
-        &kernel,
-        &fabric,
-        server_nic,
-        fs,
-        PORT,
-        DafsServerCost::default(),
-        policy,
-    );
-    let sid = server.host.id;
 
     let running = Arc::new(AtomicU64::new(SMALL_CLIENTS as u64));
     let small = SampleSet::new();
     let stream = SampleSet::new();
-    let stream_bytes = Arc::new(AtomicU64::new(0));
-    let stream_ns = Arc::new(AtomicU64::new(0));
 
-    // Small-op tenant: declares weight 8 in its Hello. Spawned first so the
-    // server learns the max weight before the streamers' Hellos are
-    // credit-scaled against it.
-    for i in 0..SMALL_CLIENTS {
-        let fabric = fabric.clone();
-        let host = cluster.add_host(&format!("small{i}"));
-        let running = running.clone();
-        let lat = small.clone();
-        kernel.spawn(&format!("small{i}"), move |ctx| {
-            let nic = fabric.open_nic(host.clone());
-            let cfg = DafsClientConfig {
-                tenant: Some((TENANT_SMALL, 8)),
-                ..DafsClientConfig::default()
-            };
-            let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, cfg).unwrap();
-            let f = c.lookup(ctx, ROOT_ID, "meta").unwrap();
-            let buf = nic.host().mem.alloc(4 << 10);
-            // Let the streamers connect and fill the server queue first.
-            ctx.advance(ms(2));
-            for _ in 0..small_ops {
-                let t0 = ctx.now();
-                c.getattr(ctx, f.id).unwrap();
-                c.read(ctx, f.id, 0, buf, 4 << 10).unwrap();
-                lat.record(ctx.now().since(t0).as_nanos());
-                ctx.advance(THINK);
-            }
-            running.fetch_sub(1, Ordering::Relaxed);
-            c.disconnect(ctx);
-        });
-    }
+    let (streamed, ran) = simulate(None, |kernel| {
+        dafs::spawn_dafs_server_sched(
+            kernel,
+            &fabric,
+            server_nic,
+            fs,
+            PORT,
+            DafsServerCost::default(),
+            policy,
+        );
 
-    // Streaming tenant: three weight-1 clients keep batched direct reads
-    // in flight until the small tenant finishes.
-    for i in 0..STREAMERS {
-        let fabric = fabric.clone();
-        let host = cluster.add_host(&format!("stream{i}"));
-        let running = running.clone();
-        let lat = stream.clone();
-        let bytes = stream_bytes.clone();
-        let span = stream_ns.clone();
-        kernel.spawn(&format!("stream{i}"), move |ctx| {
-            let nic = fabric.open_nic(host.clone());
-            // Connect strictly after the small tenant's Hello so the
-            // weight-1 declaration is scaled against the known max.
-            ctx.advance(ms(1));
-            let cfg = DafsClientConfig {
-                tenant: Some((TENANT_STREAM, 1)),
-                ..DafsClientConfig::default()
-            };
-            let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, cfg).unwrap();
-            let f = c.lookup(ctx, ROOT_ID, &format!("stream{i}")).unwrap();
-            let buf = nic.host().mem.alloc((CHUNK as usize) * BATCH);
-            let t0 = ctx.now();
-            let mut off = 0u64;
-            while running.load(Ordering::Relaxed) > 0 {
-                let reqs: Vec<IoReq> = (0..BATCH)
-                    .map(|j| IoReq {
-                        off: (off + j as u64 * CHUNK) % REGION,
-                        addr: buf.offset(j as u64 * CHUNK),
-                        len: CHUNK,
-                    })
-                    .collect();
-                let t1 = ctx.now();
-                let batch = c.issue(ctx, BatchDir::Read, f.id, &reqs);
-                for r in c.batch_finish(ctx, batch) {
-                    assert_eq!(r.unwrap(), CHUNK, "short streaming read");
+        // Small-op tenant: declares weight 8 in its Hello. Spawned first so
+        // the server learns the max weight before the streamers' Hellos are
+        // credit-scaled against it.
+        for i in 0..SMALL_CLIENTS {
+            let fabric = fabric.clone();
+            let host = cluster.add_host(&format!("small{i}"));
+            let running = running.clone();
+            let lat = small.clone();
+            kernel.spawn(&format!("small{i}"), move |ctx| {
+                let nic = fabric.open_nic(host.clone());
+                let cfg = DafsClientConfig {
+                    tenant: Some((TENANT_SMALL, 8)),
+                    ..DafsClientConfig::default()
+                };
+                let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, cfg).unwrap();
+                let f = c.lookup(ctx, ROOT_ID, "meta").unwrap();
+                let buf = nic.host().mem.alloc(4 << 10);
+                // Let the streamers connect and fill the server queue first.
+                ctx.advance(ms(2));
+                for _ in 0..small_ops {
+                    let t0 = ctx.now();
+                    c.getattr(ctx, f.id).unwrap();
+                    c.read(ctx, f.id, 0, buf, 4 << 10).unwrap();
+                    lat.record(ctx.now().since(t0).as_nanos());
+                    ctx.advance(THINK);
                 }
-                lat.record(ctx.now().since(t1).as_nanos());
-                bytes.fetch_add(CHUNK * BATCH as u64, Ordering::Relaxed);
-                off = (off + (BATCH as u64) * CHUNK) % REGION;
-            }
-            span.fetch_max(ctx.now().since(t0).as_nanos(), Ordering::Relaxed);
-            c.disconnect(ctx);
-        });
-    }
+                running.fetch_sub(1, Ordering::Relaxed);
+                c.disconnect(ctx);
+            });
+        }
 
-    let obs = kernel.obs().clone();
-    kernel.run();
-    let reg = obs.registry();
+        // Streaming tenant: three weight-1 clients keep batched direct
+        // reads in flight until the small tenant finishes; each returns the
+        // bytes it streamed and how long it took.
+        (0..STREAMERS)
+            .map(|i| {
+                let fabric = fabric.clone();
+                let host = cluster.add_host(&format!("stream{i}"));
+                let running = running.clone();
+                let lat = stream.clone();
+                let client = move |ctx: &ActorCtx| {
+                    let nic = fabric.open_nic(host.clone());
+                    // Connect strictly after the small tenant's Hello so the
+                    // weight-1 declaration is scaled against the known max.
+                    ctx.advance(ms(1));
+                    let cfg = DafsClientConfig {
+                        tenant: Some((TENANT_STREAM, 1)),
+                        ..DafsClientConfig::default()
+                    };
+                    let c = DafsClient::connect(ctx, &fabric, &nic, sid, PORT, cfg).unwrap();
+                    let f = c.lookup(ctx, ROOT_ID, &format!("stream{i}")).unwrap();
+                    let buf = nic.host().mem.alloc((CHUNK as usize) * BATCH);
+                    let t0 = ctx.now();
+                    let mut off = 0u64;
+                    let mut bytes = 0;
+                    while running.load(Ordering::Relaxed) > 0 {
+                        let reqs: Vec<IoReq> = (0..BATCH)
+                            .map(|j| IoReq {
+                                off: (off + j as u64 * CHUNK) % REGION,
+                                addr: buf.offset(j as u64 * CHUNK),
+                                len: CHUNK,
+                            })
+                            .collect();
+                        let t1 = ctx.now();
+                        let batch = c.issue(ctx, BatchDir::Read, f.id, &reqs);
+                        for r in c.batch_finish(ctx, batch) {
+                            assert_eq!(r.unwrap(), CHUNK, "short streaming read");
+                        }
+                        lat.record(ctx.now().since(t1).as_nanos());
+                        bytes += CHUNK * BATCH as u64;
+                        off = (off + (BATCH as u64) * CHUNK) % REGION;
+                    }
+                    let span = ctx.now().since(t0).as_nanos();
+                    c.disconnect(ctx);
+                    (bytes, span)
+                };
+                (format!("stream{i}"), client)
+            })
+            .collect()
+    });
+    let reg = ran.obs.registry();
+    let bytes = streamed.iter().map(|s| s.0).sum();
+    let span = streamed.iter().map(|s| s.1).max().unwrap();
     CaseOut {
         small,
         stream,
-        stream_mb_s: Cell::mbps(
-            stream_bytes.load(Ordering::Relaxed),
-            stream_ns.load(Ordering::Relaxed),
-        ),
+        stream_mb_s: Cell::mbps(bytes, span),
         boosts: reg
             .counter_at("dafs.sched.boosts", tenant_labels(sid, TENANT_SMALL))
             .get(),

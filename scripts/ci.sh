@@ -446,6 +446,21 @@ if [ -n "$string_rows" ]; then
     exit 1
 fi
 
+echo "==> a bench run goes through testbeds"
+# Every simulation a table makes runs through a `testbeds` fixture, which
+# returns what the actors computed by value and logs the run (virtual end
+# time, events, fault seed) that `bench --json` writes under "runs": no
+# shared slot carries a value out of an actor (`Probe`), no second handle
+# type stands in for the run (`RunObs`), and no table module but R-K1's
+# (`kernel_speed.rs`, which times the kernel itself) makes or runs a
+# kernel or an MPI `Testbed`.
+if grep -rnwE 'Probe|RunObs' crates/bench/src ||
+    grep -rnE '\.run\(|SimKernel::new' crates/bench/src |
+    grep -vE '^crates/bench/src/(testbeds|kernel_speed)\.rs:'; then
+    echo "ci: a bench simulation bypasses testbeds (lines above)" >&2
+    exit 1
+fi
+
 echo "==> one thread, no lock prefix"
 # A simulation runs on one OS thread, so the state every event touches pays
 # for no cross-thread synchronisation: the kernel, ports, hosts, resources,
@@ -582,10 +597,13 @@ echo "==> bench suite golden diff"
 # a scheduler serves each frame on receipt, in completion order — every
 # table runs that path, X-6's fifo rows included.
 # Wall-clock lines are real elapsed time (nondeterministic by design):
-# the per-table harness throughput notes in the rendered text, R-F10's
-# embedded cell notes, and the R-K1 microbench (whose title carries the
-# marker, excluding its whole JSON line). Both diffs filter them; every
-# other line is compared byte-for-byte.
+# the per-table harness throughput notes and R-F10's cell notes in the
+# rendered text (`Table::to_json` leaves every `wall-clock:` note out, so
+# R-F10's JSON line, its runs included, is compared), and the R-K1
+# microbench (whose title carries the marker, excluding its whole JSON
+# line). Both diffs filter them; every other line is compared
+# byte-for-byte, each table's "runs" (virtual end time and event count
+# of every simulation behind it) with its "values".
 tmp_json=$(mktemp) tmp_txt=$(mktemp)
 bench --json "$tmp_json" >"$tmp_txt"
 grep -v 'wall-clock' bench_output.txt >"$tmp_txt.golden"
