@@ -17,8 +17,6 @@ const COUNT: u64 = 64;
 
 fn run_case(use_regcache: bool) -> (Cell, u64) {
     let backend = Backend::Dafs {
-        via: ViaCost::default(),
-        server: Default::default(),
         client: DafsClientConfig {
             use_regcache,
             ..Default::default()

@@ -424,6 +424,9 @@ fn written((_, attr): (u64, Option<FileAttr>)) -> FileAttr {
 /// recently used registration.
 const REGCACHE_CAPACITY: u64 = 64 << 20;
 
+/// Client CPU per request (build + parse, beyond VIA posting costs).
+const PER_OP: SimDuration = SimDuration::from_micros(4);
+
 /// Delay before the second dial after a break; doubles on each later one.
 /// The first dial goes at once: nothing has refused it yet, and a lost
 /// frame — the common break — leaves the server ready to take it. So
@@ -698,7 +701,7 @@ impl DafsClient {
     ) {
         let frame = request_frame(&self.nic.host().mem, reqid, op, args, payload);
         self.stats.ops.resolve(ctx.metrics()).inc();
-        self.nic.host().compute(ctx, self.config.per_op);
+        self.nic.host().compute(ctx, PER_OP);
         let header = frame.len() as u64 - payload.len();
         let (copied, in_place) = match payload {
             Payload::Pinned(s, h) => {
@@ -1121,8 +1124,6 @@ impl DafsClient {
         let rule = Rule {
             inline_max: caps.inline_max,
             direct_threshold: self.config.direct_threshold,
-            list_max_segments: proto::LIST_MAX_SEGMENTS,
-            via: *self.nic.cost(),
         };
         cut(&rule, &mut |addr, len| self.regcache.warm(addr, len))
     }

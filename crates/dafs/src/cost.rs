@@ -1,29 +1,9 @@
-//! DAFS cost model and tunables.
+//! The DAFS client's configuration: what a table or test varies per
+//! session. What nothing varies is a constant where it is charged — the
+//! client's per-request CPU in `client.rs`, the server's costs in
+//! [`crate::DafsServerCost`]'s one value, the NIC's in [`via::NIC`].
 
-use simnet::time::units::*;
-use simnet::SimDuration;
-
-/// Server-side cost constants.
-#[derive(Debug, Clone, Copy)]
-pub struct DafsServerCost {
-    /// Fixed request dispatch + filesystem cost per operation. DAFS server
-    /// prototypes ran a lean user-level event loop, well under the kernel
-    /// RPC path's cost.
-    pub per_op: SimDuration,
-    /// Stable-storage flush (FLUSH op, synchronous creates). NVRAM-backed.
-    pub sync: SimDuration,
-}
-
-impl Default for DafsServerCost {
-    fn default() -> Self {
-        DafsServerCost {
-            per_op: us(9),
-            sync: us(30),
-        }
-    }
-}
-
-/// Client-side configuration and cost constants.
+/// Client-side configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DafsClientConfig {
     /// Largest payload carried inline in a single message (must fit the
@@ -34,8 +14,6 @@ pub struct DafsClientConfig {
     pub direct_threshold: u64,
     /// Enable the client registration cache for direct-I/O buffers.
     pub use_regcache: bool,
-    /// Client CPU per request (build + parse, beyond VIA posting costs).
-    pub per_op: SimDuration,
     /// Session re-establishment attempts after a transport failure before
     /// the error surfaces to the caller. Only exercised when the fabric
     /// carries a fault plan — a lossless fabric never breaks a session.
@@ -62,7 +40,6 @@ impl Default for DafsClientConfig {
             inline_max: 32 << 10,
             direct_threshold: 8 << 10,
             use_regcache: true,
-            per_op: us(4),
             max_reconnects: 9,
             cache_write_back: false,
             tenant: None,
@@ -78,8 +55,6 @@ mod tests {
     fn defaults_are_consistent() {
         let c = DafsClientConfig::default();
         assert!(c.direct_threshold <= c.inline_max);
-        assert!(c.inline_max <= 64 << 10);
-        let s = DafsServerCost::default();
-        assert!(s.per_op < us(20), "DAFS per-op must undercut NFS's 20us");
+        assert!(c.inline_max <= via::MTU);
     }
 }

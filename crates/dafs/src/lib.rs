@@ -40,13 +40,15 @@ pub use client::{
     BatchDir, DafsBatch, DafsCacheStats, DafsClient, DafsClientStats, DafsError, DafsResult, IoReq,
     ListReq,
 };
-pub use cost::{DafsClientConfig, DafsServerCost};
+pub use cost::DafsClientConfig;
 pub use proto::{
     list_acceptable, list_well_formed, DafsOp, DafsStatus, LeaseKind, ListSeg, ServerCaps,
     LIST_MAX_SEGMENTS,
 };
 pub use sched::SchedPolicy;
-pub use server::{spawn_dafs_server, spawn_dafs_server_sched, DafsServerHandle, DafsServerStats};
+pub use server::{
+    spawn_dafs_server, spawn_dafs_server_sched, DafsServerCost, DafsServerHandle, DafsServerStats,
+};
 pub use striped::{DafsStripedBatch, DafsStripedFile};
 
 #[cfg(test)]
@@ -1072,7 +1074,7 @@ mod tests {
                     cpu() - t0
                 })
                 .collect();
-            let (via, copy) = (nic.cost(), |n| HOST.copy(n));
+            let (via, copy) = (via::NIC, |n| HOST.copy(n));
             // Header, arguments (fh, offset) and the payload's length prefix.
             let header = (proto::REQ_HEADER_LEN + 8 + 8 + 4) as u64;
             let in_place = copy(header) + via.per_segment;
@@ -1116,7 +1118,7 @@ mod tests {
                     cpu() - t0
                 })
                 .collect();
-            let (via, copy) = (nic.cost(), |n| HOST.copy(n));
+            let (via, copy) = (via::NIC, |n| HOST.copy(n));
             // Header, arguments (fh, mode, a one-segment list) and the
             // payload's length prefix.
             let header = (proto::REQ_HEADER_LEN + 8 + 1 + 4 + 24 + 4) as u64;

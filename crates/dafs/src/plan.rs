@@ -7,7 +7,7 @@
 //!   buffer the NIC has never seen: a copy on the server, and on the client
 //!   a copy into the request slot (a write) or out of the reply (a read) —
 //!   except that an inline write from a warm buffer sends its bytes in
-//!   place (`ViaCost::gathers`), one gather segment per range under the
+//!   place (`NIC.gathers`), one gather segment per range under the
 //!   buffer's cached registration, and the client copies only the header;
 //! * a **direct read** (READ_DIRECT) has the server RDMA-Write into the
 //!   (cached-registered) user buffer; the client CPU does nothing per byte.
@@ -39,21 +39,20 @@
 
 use simnet::cost::HOST;
 use simnet::VirtAddr;
-use via::ViaCost;
+use via::NIC;
 
 use crate::client::{BatchDir, IoReq, ListReq};
-use crate::proto::ListSeg;
+use crate::proto::{ListSeg, LIST_MAX_SEGMENTS};
 use crate::recover::Kind;
 
-/// What the cut reads: the caps' `inline_max`, the session's
-/// `direct_threshold`, the wire's segment cap, and the NIC's cost terms
-/// (`via`), which the two floors weigh against the host's copy ([`HOST`]).
+/// What the cut reads of the session: the caps' `inline_max` and the
+/// configured `direct_threshold`. The rest are constants: the wire's
+/// segment cap ([`LIST_MAX_SEGMENTS`]) and the NIC's cost terms ([`NIC`]),
+/// which the two floors weigh against the host's copy ([`HOST`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rule {
     pub inline_max: u64,
     pub direct_threshold: u64,
-    pub list_max_segments: usize,
-    pub via: ViaCost,
 }
 
 impl Rule {
@@ -66,7 +65,7 @@ impl Rule {
         if len > self.direct_threshold {
             return true;
         }
-        let c = &self.via;
+        let c = &NIC;
         let one_more_message = c.post_send + c.per_segment + c.poll + c.tx_nic_proc + c.rx_nic_proc;
         HOST.copy(len) * 2 > one_more_message && warm(region.0, region.1)
     }
@@ -165,11 +164,11 @@ pub(crate) fn contiguous(dir: BatchDir, reqs: &[IoReq], rule: &Rule, warm: Warm)
 }
 
 /// List requests as segment-capped subs: each group of at most
-/// `list_max_segments` non-empty segments goes whole if direct (one RDMA
+/// [`LIST_MAX_SEGMENTS`] non-empty segments goes whole if direct (one RDMA
 /// list op against one registration), else as inline list messages.
 pub(crate) fn list(dir: BatchDir, reqs: &[ListReq], rule: &Rule, warm: Warm) -> Vec<Sub> {
     let units = reqs.iter().enumerate().flat_map(|(owner, r)| {
-        let groups = chunk(&r.segs, rule.list_max_segments, u64::MAX);
+        let groups = chunk(&r.segs, LIST_MAX_SEGMENTS, u64::MAX);
         groups.into_iter().map(move |g| Sub::list(owner, r.buf, g))
     });
     cut(dir, units, rule, warm)
@@ -191,7 +190,7 @@ fn cut(dir: BatchDir, units: impl Iterator<Item = Sub>, rule: &Rule, warm: Warm)
 }
 
 /// The one chunker: `sub` as inline messages of at most `inline_max`
-/// bytes (and `list_max_segments` segments), in order, none for an empty
+/// bytes (and [`LIST_MAX_SEGMENTS`] segments), in order, none for an empty
 /// range. A contiguous write chunk past the gather floor asks whether its
 /// own range is warm. A list write asks once, over the sub's whole region,
 /// if any message is past the floor; each such message from a warm region
@@ -200,7 +199,7 @@ fn cut(dir: BatchDir, units: impl Iterator<Item = Sub>, rule: &Rule, warm: Warm)
 fn inline(dir: BatchDir, sub: &Sub, rule: &Rule, warm: Warm) -> Vec<Sub> {
     let write = dir == BatchDir::Write;
     let ranges = |s: &Sub| s.segs.as_ref().map_or(1, Vec::len);
-    let gathers = |s: &Sub| rule.via.gathers(s.len, ranges(s));
+    let gathers = |s: &Sub| NIC.gathers(s.len, ranges(s));
     let Some(segs) = &sub.segs else {
         let chunks = chunk(&[(sub.off, sub.len, 0)], 1, rule.inline_max);
         let each = |c: Vec<ListSeg>| {
@@ -213,7 +212,7 @@ fn inline(dir: BatchDir, sub: &Sub, rule: &Rule, warm: Warm) -> Vec<Sub> {
         };
         return chunks.into_iter().map(each).collect();
     };
-    let groups = chunk(segs, rule.list_max_segments, rule.inline_max);
+    let groups = chunk(segs, LIST_MAX_SEGMENTS, rule.inline_max);
     let list = groups
         .into_iter()
         .map(|g| Sub::list(sub.owner, sub.addr, g));
@@ -256,7 +255,7 @@ fn chunk(segs: &[ListSeg], seg_cap: usize, byte_cap: u64) -> Vec<Vec<ListSeg>> {
 pub(crate) mod tests {
     use super::*;
     use crate::cost::DafsClientConfig;
-    use crate::proto::{list_well_formed, LIST_MAX_SEGMENTS};
+    use crate::proto::list_well_formed;
     use BatchDir::{Read, Write};
 
     const KIB: u64 = 1 << 10;
@@ -287,8 +286,6 @@ pub(crate) mod tests {
         Rule {
             inline_max: c.inline_max,
             direct_threshold: c.direct_threshold,
-            list_max_segments: LIST_MAX_SEGMENTS,
-            via: ViaCost::default(),
         }
     }
 
@@ -308,13 +305,13 @@ pub(crate) mod tests {
     }
 
     /// The floors, spelled out from the cost terms.
-    fn past_read_floor(r: &Rule, len: u64) -> bool {
-        let v = &r.via;
+    fn past_read_floor(len: u64) -> bool {
+        let v = &NIC;
         HOST.copy(len) * 2 > v.post_send + v.per_segment + v.poll + v.tx_nic_proc + v.rx_nic_proc
     }
-    fn past_gather_floor(r: &Rule, s: &Sub) -> bool {
+    fn past_gather_floor(s: &Sub) -> bool {
         let ranges = s.segs.as_ref().map_or(1, Vec::len) as u64;
-        HOST.copy(s.len) > r.via.per_segment * ranges
+        HOST.copy(s.len) > NIC.per_segment * ranges
     }
 
     /// The bytes `subs` move as `(file offset, len, address)` runs, merged
@@ -358,7 +355,7 @@ pub(crate) mod tests {
             let (r, w) = (self.rule, self.what.clone());
             let direct = self.dir == Read
                 && (unit.len > r.direct_threshold
-                    || past_read_floor(r, unit.len) && self.ask(unit.region()));
+                    || past_read_floor(unit.len) && self.ask(unit.region()));
             if direct || unit.len == 0 && self.dir == Write {
                 assert_eq!(
                     subs,
@@ -387,15 +384,15 @@ pub(crate) mod tests {
             match unit.segs {
                 None => {
                     for s in subs {
-                        let asked = write && past_gather_floor(r, s) && self.ask(s.region());
+                        let asked = write && past_gather_floor(s) && self.ask(s.region());
                         assert_eq!(s.pinned, asked.then_some(s.region()), "{}", self.what);
                     }
                 }
                 Some(_) => {
-                    let any = write && subs.iter().any(|s| past_gather_floor(r, s));
+                    let any = write && subs.iter().any(past_gather_floor);
                     let warm = any && self.ask(unit.region());
                     for s in subs {
-                        let pinned = warm && past_gather_floor(r, s);
+                        let pinned = warm && past_gather_floor(s);
                         assert_eq!(s.pinned, pinned.then_some(unit.region()), "{}", self.what);
                     }
                 }

@@ -992,30 +992,20 @@ impl PendingIo for NfsPending {
 // UFS driver (node-local)
 // ---------------------------------------------------------------------------
 
-/// Cost model for the node-local filesystem (memory-resident page cache).
-#[derive(Debug, Clone, Copy)]
-pub struct UfsCost {
-    /// Syscall + VFS dispatch per operation.
-    pub per_op: SimDuration,
-}
-
-impl Default for UfsCost {
-    fn default() -> Self {
-        UfsCost { per_op: us(5) }
-    }
-}
+/// The node-local filesystem's (memory-resident page cache) syscall + VFS
+/// dispatch per operation.
+const UFS_PER_OP: SimDuration = us(5);
 
 /// ADIO over a node-local in-memory filesystem.
 pub struct UfsAdio {
     fs: MemFs,
     host: Host,
-    cost: UfsCost,
 }
 
 impl UfsAdio {
     /// A local filesystem on `host`.
-    pub fn new(fs: MemFs, host: Host, cost: UfsCost) -> UfsAdio {
-        UfsAdio { fs, host, cost }
+    pub fn new(fs: MemFs, host: Host) -> UfsAdio {
+        UfsAdio { fs, host }
     }
 }
 
@@ -1023,12 +1013,11 @@ struct UfsFileHandle {
     fs: MemFs,
     fh: NodeId,
     host: Host,
-    cost: UfsCost,
 }
 
 impl AdioFs for UfsAdio {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
-        self.host.compute(ctx, self.cost.per_op);
+        self.host.compute(ctx, UFS_PER_OP);
         let fs = &self.fs;
         let lookup = |dir, name: &str| Ok(fs.lookup(dir, name)?.id);
         let mkdir = |dir, name: &str| Ok(fs.mkdir(dir, name)?.id);
@@ -1042,12 +1031,11 @@ impl AdioFs for UfsAdio {
             fs: self.fs.clone(),
             fh,
             host: self.host.clone(),
-            cost: self.cost,
         }))
     }
 
     fn delete(&self, ctx: &ActorCtx, path: &str) -> AdioResult<()> {
-        self.host.compute(ctx, self.cost.per_op);
+        self.host.compute(ctx, UFS_PER_OP);
         let fs = &self.fs;
         let lookup = |dir, name: &str| Ok(fs.lookup(dir, name)?.id);
         let mkdir = |dir, name: &str| Ok(fs.mkdir(dir, name)?.id);
@@ -1074,7 +1062,7 @@ impl AdioFile for UfsFileHandle {
             let mut total = 0;
             for r in reqs {
                 // The syscall and its copy are one `cpu.compute` event.
-                self.host.compute(ctx, self.cost.per_op + HOST.copy(r.len));
+                self.host.compute(ctx, UFS_PER_OP + HOST.copy(r.len));
                 total += match dir {
                     BatchDir::Read => {
                         let data = self.fs.read(self.fh, r.off, r.len)?;
@@ -1094,12 +1082,12 @@ impl AdioFile for UfsFileHandle {
     }
 
     fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
-        self.host.compute(ctx, self.cost.per_op);
+        self.host.compute(ctx, UFS_PER_OP);
         Ok(self.fs.getattr(self.fh).map_err(AdioError::from)?.size)
     }
 
     fn set_size(&self, ctx: &ActorCtx, size: u64) -> AdioResult<()> {
-        self.host.compute(ctx, self.cost.per_op);
+        self.host.compute(ctx, UFS_PER_OP);
         self.fs
             .setattr(self.fh, SetAttr { size: Some(size) })
             .map(|_| ())
@@ -1107,7 +1095,7 @@ impl AdioFile for UfsFileHandle {
     }
 
     fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        self.host.compute(ctx, self.cost.per_op);
+        self.host.compute(ctx, UFS_PER_OP);
         Ok(())
     }
 }
@@ -1124,7 +1112,7 @@ mod tests {
         let fs = MemFs::new();
         let h2 = host.clone();
         kernel.spawn("t", move |ctx| {
-            let adio = UfsAdio::new(fs, h2.clone(), UfsCost::default());
+            let adio = UfsAdio::new(fs, h2.clone());
             f(ctx, &adio, &h2);
         });
         kernel.run();

@@ -31,7 +31,7 @@
 //! run of its buffer (`clipped`), sent or landed as it lies — ROMIO's
 //! contiguous-buffer path. Knowing the layout first, the aggregator moves
 //! another rank's pieces as one VIA data segment each past the gather
-//! floor (`ViaCost::gathers`, as the DAFS client's inline writes); below
+//! floor (`NIC.gathers`, as the DAFS client's inline writes); below
 //! it, and for its own pieces, which no NIC touches, it copies them
 //! (`charge_pieces`). The collective buffers outlive the call
 //! (`MpiFile::coll_bufs`), so a driver that registers memory registers
@@ -48,7 +48,7 @@
 //! of an interconnect exchange — cheap on a VIA-class network.
 
 use simnet::{ActorCtx, SimTime, VirtAddr};
-use via::ViaCost;
+use via::NIC;
 
 use crate::adio::{AdioError, AdioRequest, AdioResult, BatchDir, IoFault, IoReq, Shape};
 use crate::comm::Comm;
@@ -331,11 +331,10 @@ fn decode_requests(s: &Sweep, a: usize, msgs: &[Vec<u8>]) -> OthersReq {
 /// data segment past the gather floor; below it, and for the aggregator's
 /// own pieces, which no NIC touches, each piece is one copy.
 fn charge_pieces(ctx: &ActorCtx, comm: &Comm, file: &MpiFile, peer: usize, pieces: &[(u64, u64)]) {
-    let via = ViaCost::default();
     let bytes = pieces.iter().map(|p| p.1).sum();
-    if peer != comm.rank() && via.gathers(bytes, pieces.len()) {
+    if peer != comm.rank() && NIC.gathers(bytes, pieces.len()) {
         file.host()
-            .compute(ctx, via.per_segment * pieces.len() as u64);
+            .compute(ctx, NIC.per_segment * pieces.len() as u64);
     } else {
         for &(_, len) in pieces {
             file.charge_copy(ctx, len);

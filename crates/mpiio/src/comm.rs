@@ -28,26 +28,12 @@ use parking_lot::Mutex;
 use simnet::time::units::*;
 use simnet::{ActorCtx, Bandwidth, Host, Port, Resource, SimDuration, SimTime};
 
-/// Interconnect cost constants (VIA-class network).
-#[derive(Debug, Clone, Copy)]
-pub struct CommCost {
-    /// One-way wire + switch latency.
-    pub latency: SimDuration,
-    /// Wire rate per host port direction.
-    pub bw: Bandwidth,
-    /// Sender/receiver CPU per message (post + poll).
-    pub per_msg_cpu: SimDuration,
-}
-
-impl Default for CommCost {
-    fn default() -> Self {
-        CommCost {
-            latency: us(7),
-            bw: Bandwidth::mb_per_sec(110),
-            per_msg_cpu: SimDuration::from_nanos(800),
-        }
-    }
-}
+/// One-way wire + switch latency of the MPI rail (a VIA-class network).
+const LATENCY: SimDuration = us(7);
+/// The rail's wire rate per host port direction.
+const BW: Bandwidth = Bandwidth::mb_per_sec(110);
+/// Sender/receiver CPU per message (post + poll).
+const PER_MSG_CPU: SimDuration = SimDuration::from_nanos(800);
 
 struct Envelope {
     src: usize,
@@ -67,7 +53,6 @@ struct RankEndpoint {
 }
 
 struct WorldInner {
-    cost: CommCost,
     endpoints: Vec<RankEndpoint>,
     /// Messages and their bytes: the job's `mpi.msgs` and `mpi.bytes`.
     msgs: LazyCounter,
@@ -83,7 +68,7 @@ pub struct CommWorld {
 
 impl CommWorld {
     /// Build a world of `hosts.len()` ranks, rank i on `hosts[i]`.
-    pub fn new(cost: CommCost, hosts: Vec<Host>) -> CommWorld {
+    pub fn new(hosts: Vec<Host>) -> CommWorld {
         let endpoints = hosts
             .into_iter()
             .enumerate()
@@ -96,7 +81,6 @@ impl CommWorld {
             .collect();
         CommWorld {
             inner: Arc::new(WorldInner {
-                cost,
                 endpoints,
                 msgs: LazyCounter::new("mpi.msgs"),
                 bytes: LazyCounter::new("mpi.bytes"),
@@ -183,12 +167,12 @@ impl Comm {
         assert!(dst < w.endpoints.len(), "send to invalid rank {dst}");
         let me = &w.endpoints[self.rank];
         let peer = &w.endpoints[dst];
-        me.host.compute(ctx, w.cost.per_msg_cpu);
+        me.host.compute(ctx, PER_MSG_CPU);
         w.msgs.resolve(ctx.metrics()).inc();
         w.bytes.resolve(ctx.metrics()).add(data.len() as u64);
-        let ser = w.cost.bw.time_for(data.len() as u64);
+        let ser = BW.time_for(data.len() as u64);
         let (tx_start, _) = me.tx_wire.book_span(ctx.now(), ser);
-        let head = tx_start + w.cost.latency;
+        let head = tx_start + LATENCY;
         let e = Envelope {
             src: self.rank,
             tag,
@@ -218,7 +202,7 @@ impl Comm {
                     let (done, e) = q.remove(pos);
                     drop(q);
                     ctx.sleep_until(done);
-                    me.host.compute(ctx, w.cost.per_msg_cpu);
+                    me.host.compute(ctx, PER_MSG_CPU);
                     return (e.src, e.tag, e.data);
                 }
             }
@@ -385,7 +369,6 @@ pub enum ReduceOp {
 pub fn spawn_ranks<F>(
     kernel: &simnet::SimKernel,
     cluster: &simnet::Cluster,
-    cost: CommCost,
     n: usize,
     body: F,
 ) -> CommWorld
@@ -395,7 +378,7 @@ where
     let hosts: Vec<Host> = (0..n)
         .map(|i| cluster.add_host(&format!("rank{i}")))
         .collect();
-    let world = CommWorld::new(cost, hosts);
+    let world = CommWorld::new(hosts);
     let body = Arc::new(body);
     for r in 0..n {
         let comm = world.comm(r);
@@ -419,7 +402,7 @@ mod tests {
     {
         let kernel = SimKernel::new();
         let cluster = Cluster::new();
-        let world = spawn_ranks(&kernel, &cluster, CommCost::default(), n, body);
+        let world = spawn_ranks(&kernel, &cluster, n, body);
         kernel.run();
         world
     }
@@ -598,8 +581,7 @@ mod tests {
                 s2.store(ctx.now().as_nanos(), Ordering::Relaxed);
             }
         });
-        let c = CommCost::default();
-        let want = c.latency + c.bw.time_for(4096) + c.per_msg_cpu;
+        let want = LATENCY + BW.time_for(4096) + PER_MSG_CPU;
         let took = got.load(Ordering::Relaxed) - sent.load(Ordering::Relaxed);
         assert_eq!(took, want.as_nanos());
     }
@@ -617,8 +599,7 @@ mod tests {
             comm.alltoallv(ctx, sends);
             l2.fetch_max(ctx.now().as_nanos(), Ordering::Relaxed);
         });
-        let c = CommCost::default();
-        let bound = c.bw.time_for(8192) * 7 + c.latency + c.per_msg_cpu * 14;
+        let bound = BW.time_for(8192) * 7 + LATENCY + PER_MSG_CPU * 14;
         let last = last.load(Ordering::Relaxed);
         assert!(last <= bound.as_nanos(), "{last} ns > {bound}");
     }

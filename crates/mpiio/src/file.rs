@@ -42,63 +42,6 @@ impl OpenMode {
     }
 }
 
-/// Builder-style open, so new knobs extend the builder instead of growing
-/// the [`MpiFile::open`] signature:
-///
-/// ```ignore
-/// let file = OpenOptions::new()
-///     .create(true)
-///     .hints(hints)
-///     .open(ctx, adio, &host, "/data.out")?;
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OpenOptions {
-    mode: OpenMode,
-    hints: Hints,
-}
-
-impl OpenOptions {
-    /// Defaults: plain read/write of an existing file, default hints.
-    pub fn new() -> OpenOptions {
-        OpenOptions::default()
-    }
-
-    /// Create the file (and missing parents) if absent (`MPI_MODE_CREATE`).
-    pub fn create(mut self, yes: bool) -> OpenOptions {
-        self.mode.create = yes;
-        self
-    }
-
-    /// Delete the file when closed (`MPI_MODE_DELETE_ON_CLOSE`).
-    pub fn delete_on_close(mut self, yes: bool) -> OpenOptions {
-        self.mode.delete_on_close = yes;
-        self
-    }
-
-    /// Replace the whole mode at once.
-    pub fn mode(mut self, mode: OpenMode) -> OpenOptions {
-        self.mode = mode;
-        self
-    }
-
-    /// I/O-strategy hints (`MPI_Info`).
-    pub fn hints(mut self, hints: Hints) -> OpenOptions {
-        self.hints = hints;
-        self
-    }
-
-    /// Open `path` on `fs` with the collected options.
-    pub fn open(
-        &self,
-        ctx: &ActorCtx,
-        fs: &dyn AdioFs,
-        host: &Host,
-        path: &str,
-    ) -> AdioResult<MpiFile> {
-        MpiFile::open(ctx, fs, host, path, self.mode, self.hints.clone())
-    }
-}
-
 /// Whence modes for [`MpiFile::seek_whence`] (`MPI_SEEK_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeekWhence {

@@ -35,15 +35,15 @@ pub mod world;
 
 pub use adio::{
     AdioError, AdioFile, AdioFs, AdioRequest, AdioResult, BatchDir, DafsAdio, DriverKind, IoFault,
-    IoReq, NfsAdio, PendingIo, Shape, UfsAdio, UfsCost,
+    IoReq, NfsAdio, PendingIo, Shape, UfsAdio,
 };
 pub use collective::{
     read_all, read_at_all, read_at_all_begin, read_at_all_end, read_ordered, write_all,
     write_at_all, write_at_all_begin, write_at_all_end, write_ordered, SplitColl,
 };
-pub use comm::{Comm, CommCost, CommWorld, ReduceOp, TrafficStats};
+pub use comm::{Comm, CommWorld, ReduceOp, TrafficStats};
 pub use datatype::{Datatype, Flattened};
-pub use file::{mpi_file_delete, MpiFile, OpenMode, OpenOptions, Request, SeekWhence};
+pub use file::{mpi_file_delete, MpiFile, OpenMode, Request, SeekWhence};
 pub use hints::{HintField, HintValue, Hints, TriState};
 pub use view::FileView;
 pub use world::{Backend, JobReport, Testbed};

@@ -20,8 +20,8 @@ use simnet::{
 use tcpnet::{TcpCost, TcpFabric};
 use via::{ViaCost, ViaFabric};
 
-use crate::adio::{AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio, UfsCost};
-use crate::comm::{Comm, CommCost};
+use crate::adio::{AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio};
+use crate::comm::Comm;
 
 /// Which file-access stack the job runs on.
 #[derive(Clone)]
@@ -29,10 +29,6 @@ pub enum Backend {
     /// The paper's system: DAFS over VIA, one server or files striped
     /// round-robin over several (one session per server per rank).
     Dafs {
-        /// VIA fabric cost model.
-        via: ViaCost,
-        /// Per-server cost model.
-        server: DafsServerCost,
         /// Per-rank, per-session client configuration.
         client: DafsClientConfig,
         /// Number of DAFS servers (hosts 0..servers-1); 1 is the paper's.
@@ -40,19 +36,12 @@ pub enum Backend {
     },
     /// The baseline: NFSv3 over the kernel TCP path.
     Nfs {
-        /// TCP path cost model.
-        tcp: TcpCost,
-        /// Server cost model.
-        server: NfsServerCost,
         /// Per-rank mount configuration.
         client: NfsClientConfig,
     },
     /// Node-local in-memory filesystem (each rank its own; the "local
     /// bound" comparator).
-    Ufs {
-        /// Local filesystem cost model.
-        cost: UfsCost,
-    },
+    Ufs,
 }
 
 impl Backend {
@@ -64,8 +53,6 @@ impl Backend {
     /// Default DAFS backend striped over `servers` servers.
     pub fn dafs_striped(servers: usize) -> Backend {
         Backend::Dafs {
-            via: ViaCost::default(),
-            server: DafsServerCost::default(),
             client: DafsClientConfig::default(),
             servers,
         }
@@ -74,17 +61,13 @@ impl Backend {
     /// Default NFS backend.
     pub fn nfs() -> Backend {
         Backend::Nfs {
-            tcp: TcpCost::default(),
-            server: NfsServerCost::default(),
             client: NfsClientConfig::default(),
         }
     }
 
     /// Default UFS backend.
     pub fn ufs() -> Backend {
-        Backend::Ufs {
-            cost: UfsCost::default(),
-        }
+        Backend::Ufs
     }
 
     /// Which ADIO driver this backend mounts (DAFS over more than one
@@ -94,7 +77,7 @@ impl Backend {
             Backend::Dafs { servers: 1, .. } => DriverKind::Dafs,
             Backend::Dafs { .. } => DriverKind::DafsStriped,
             Backend::Nfs { .. } => DriverKind::Nfs,
-            Backend::Ufs { .. } => DriverKind::Ufs,
+            Backend::Ufs => DriverKind::Ufs,
         }
     }
 }
@@ -193,14 +176,9 @@ impl Testbed {
         let mut via_fabric = None;
         let mut tcp_fabric = None;
         match &backend {
-            Backend::Dafs {
-                via,
-                server,
-                servers,
-                ..
-            } => {
+            Backend::Dafs { servers, .. } => {
                 assert!(*servers >= 1, "DAFS backend needs at least one server");
-                let fabric = ViaFabric::new(*via);
+                let fabric = ViaFabric::new(ViaCost::default());
                 for s in 0..*servers {
                     // Server 0 exports the testbed's primary fs handle.
                     let sfs = if s == 0 { fs.clone() } else { MemFs::new() };
@@ -211,14 +189,14 @@ impl Testbed {
                         nic,
                         sfs.clone(),
                         PORT,
-                        *server,
+                        DafsServerCost::default(),
                     ));
                     server_fss.push(sfs);
                 }
                 via_fabric = Some(fabric);
             }
-            Backend::Nfs { tcp, server, .. } => {
-                let fabric = TcpFabric::new(*tcp);
+            Backend::Nfs { .. } => {
+                let fabric = TcpFabric::new(TcpCost::default());
                 let host = cluster.add_host("server0");
                 nfs_handle = Some(nfsv3::spawn_nfs_server(
                     &kernel,
@@ -226,12 +204,12 @@ impl Testbed {
                     host,
                     fs.clone(),
                     PORT,
-                    *server,
+                    NfsServerCost::default(),
                 ));
                 server_fss.push(fs.clone());
                 tcp_fabric = Some(fabric);
             }
-            Backend::Ufs { .. } => {}
+            Backend::Ufs => {}
         }
         Testbed {
             kernel,
@@ -382,56 +360,50 @@ impl Testbed {
         let rh = rank_hosts.clone();
         let shared_fs = self.fs.clone();
         let body = Arc::new(body);
-        crate::comm::spawn_ranks(
-            &self.kernel,
-            &self.cluster,
-            CommCost::default(),
-            ranks,
-            move |ctx, comm| {
-                let host = comm.host().clone();
-                rh.lock().push(host.clone());
-                match &backend {
-                    Backend::Dafs { client, .. } => {
-                        let fabric = via_fabric.as_ref().unwrap();
-                        let nic = fabric.open_nic(host.clone());
-                        // One session per server (one, for the paper's
-                        // single-server system), all over the rank's NIC.
-                        let clients: Vec<Arc<DafsClient>> = server_host_ids
-                            .iter()
-                            .map(|sid| {
-                                Arc::new(
-                                    DafsClient::connect(ctx, fabric, &nic, *sid, PORT, *client)
-                                        .expect("DAFS session"),
-                                )
-                            })
-                            .collect();
-                        let adio = DafsAdio::new(clients);
-                        body(ctx, comm, &adio);
-                    }
-                    Backend::Nfs { client, .. } => {
-                        let fabric = tcp_fabric.as_ref().unwrap();
-                        let c = NfsClient::mount(
-                            ctx,
-                            fabric,
-                            &host,
-                            server_host_id.unwrap(),
-                            PORT,
-                            *client,
-                        )
-                        .expect("NFS mount");
-                        let adio = NfsAdio::new(Arc::new(c));
-                        body(ctx, comm, &adio);
-                    }
-                    Backend::Ufs { cost } => {
-                        // Node-local model: all ranks share one filesystem
-                        // object (an idealized shared local disk) so parallel
-                        // jobs still see one namespace.
-                        let adio = UfsAdio::new(shared_fs.clone(), host.clone(), *cost);
-                        body(ctx, comm, &adio);
-                    }
+        crate::comm::spawn_ranks(&self.kernel, &self.cluster, ranks, move |ctx, comm| {
+            let host = comm.host().clone();
+            rh.lock().push(host.clone());
+            match &backend {
+                Backend::Dafs { client, .. } => {
+                    let fabric = via_fabric.as_ref().unwrap();
+                    let nic = fabric.open_nic(host.clone());
+                    // One session per server (one, for the paper's
+                    // single-server system), all over the rank's NIC.
+                    let clients: Vec<Arc<DafsClient>> = server_host_ids
+                        .iter()
+                        .map(|sid| {
+                            Arc::new(
+                                DafsClient::connect(ctx, fabric, &nic, *sid, PORT, *client)
+                                    .expect("DAFS session"),
+                            )
+                        })
+                        .collect();
+                    let adio = DafsAdio::new(clients);
+                    body(ctx, comm, &adio);
                 }
-            },
-        );
+                Backend::Nfs { client } => {
+                    let fabric = tcp_fabric.as_ref().unwrap();
+                    let c = NfsClient::mount(
+                        ctx,
+                        fabric,
+                        &host,
+                        server_host_id.unwrap(),
+                        PORT,
+                        *client,
+                    )
+                    .expect("NFS mount");
+                    let adio = NfsAdio::new(Arc::new(c));
+                    body(ctx, comm, &adio);
+                }
+                Backend::Ufs => {
+                    // Node-local model: all ranks share one filesystem
+                    // object (an idealized shared local disk) so parallel
+                    // jobs still see one namespace.
+                    let adio = UfsAdio::new(shared_fs.clone(), host.clone());
+                    body(ctx, comm, &adio);
+                }
+            }
+        });
         let obs = self.kernel.obs().clone();
         let ev0 = simnet::events_scheduled_global();
         let bytes0 = simnet::buf::bytes_total();

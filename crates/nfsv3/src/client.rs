@@ -30,6 +30,9 @@ const BACKOFF_FACTOR: u64 = 2;
 /// [`NfsError::TimedOut`] (`retrans` + 1).
 const MAX_ATTEMPTS: u32 = 8;
 
+/// Client CPU per RPC (encode/decode + RPC layer), beyond socket costs.
+const PER_RPC_CPU: SimDuration = us(6);
+
 /// Client configuration (mount options).
 #[derive(Debug, Clone, Copy)]
 pub struct NfsClientConfig {
@@ -52,8 +55,6 @@ pub struct NfsClientConfig {
     pub timeo: SimDuration,
     /// Default stability for writes.
     pub stable: Stable,
-    /// Client CPU per RPC (encode/decode + RPC layer), beyond socket costs.
-    pub per_rpc_cpu: SimDuration,
 }
 
 impl Default for NfsClientConfig {
@@ -63,7 +64,6 @@ impl Default for NfsClientConfig {
             wsize: 32 << 10,
             timeo: SimDuration::from_millis(30),
             stable: Stable::FileSync,
-            per_rpc_cpu: us(6),
         }
     }
 }
@@ -226,7 +226,7 @@ impl NfsClient {
                 ],
             );
         }
-        self.host.compute(ctx, self.config.per_rpc_cpu);
+        self.host.compute(ctx, PER_RPC_CPU);
         let framed = self.table.lock().request(xid).cloned();
         self.sock.send_bytes(ctx, framed.expect("just posted"));
         xid

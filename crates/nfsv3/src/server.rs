@@ -26,14 +26,16 @@ use tcpnet::{Socket, TcpFabric};
 use crate::proto::{self, NfsProc, NfsStatus, Stable, REPLAY_WINDOW};
 use crate::xdr::{XdrDec, XdrEnc};
 
-/// Server-side CPU cost constants.
+/// Server-side CPU cost constants. [`Default`] is the only value: nothing
+/// sets a field. The type and [`spawn_nfs_server`]'s parameter stay only
+/// because the frozen benchmark crate names them (ROADMAP item 25).
 #[derive(Debug, Clone, Copy)]
 pub struct NfsServerCost {
     /// Fixed RPC dispatch + VFS cost per operation.
-    pub per_op: SimDuration,
+    per_op: SimDuration,
     /// Additional cost of a FILE_SYNC write or COMMIT (stable-storage
     /// flush; NVRAM-backed, so modest).
-    pub sync: SimDuration,
+    sync: SimDuration,
 }
 
 impl Default for NfsServerCost {

@@ -5,9 +5,15 @@
 //! Every host runs at the one rate [`HOST`], so the DAFS and NFS stacks
 //! price a syscall and a memcpy the same way: the comparison's differences
 //! are in how many each stack makes, never in what one costs. A copy a host
-//! makes is charged with [`crate::Host::copy`]; the transport-specific
-//! models (`via::ViaCost`, `tcpnet::TcpCost`) read [`HOST`] for the
-//! host-side terms they sum or compare.
+//! makes is charged with [`crate::Host::copy`]; the transport models
+//! (`via::NIC`, `tcpnet::TcpCost`) read [`HOST`] for the host-side terms
+//! they sum or compare.
+//!
+//! The paper measures one platform, so a cost no table or test varies is
+//! a constant like [`HOST`], not a field someone could set: the NIC's
+//! `via::NIC`, the TCP path's and both servers' one `Default`, and the MPI
+//! rail's and the local filesystem's constants in `mpiio`. `DESIGN.md`
+//! §4.3 lists every value and the few that stay settable.
 
 use crate::time::{Bandwidth, SimDuration};
 

@@ -33,24 +33,27 @@ use simnet::{
     buf, ActorCtx, Bandwidth, Bytes, Host, HostId, Port, RecvUntil, Resource, SimDuration, SimTime,
 };
 
-/// Timing constants of the kernel network path.
+/// Timing constants of the kernel network path. The paper measures one
+/// platform, so [`Default`] is the only value: nothing sets a field. The
+/// type and [`TcpFabric::new`]'s parameter stay only because the frozen
+/// benchmark crate names them (ROADMAP item 25).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpCost {
     /// TCP payload bytes per packet (Ethernet MTU minus headers).
-    pub mtu_payload: u64,
+    mtu_payload: u64,
     /// Header bytes per packet on the wire (Ethernet + IP + TCP).
-    pub header_bytes: u64,
+    header_bytes: u64,
     /// Transmit-side protocol processing per packet (runs in the sender's
     /// send(2) call).
-    pub per_packet_tx: SimDuration,
+    per_packet_tx: SimDuration,
     /// Receive-side protocol + interrupt processing per packet (softirq),
     /// including software checksumming — 2001-era NICs lacked offload.
-    pub per_packet_rx: SimDuration,
+    per_packet_rx: SimDuration,
     /// One-way wire + switch propagation (driver queue included).
-    pub wire_latency: SimDuration,
-    /// Physical wire rate. Defaults to the *same* rate as the VIA fabric so
-    /// the stacks are compared on an equal wire.
-    pub wire_bw: Bandwidth,
+    wire_latency: SimDuration,
+    /// Physical wire rate: the *same* rate as the VIA fabric, so the
+    /// stacks are compared on an equal wire.
+    wire_bw: Bandwidth,
 }
 
 impl Default for TcpCost {
@@ -68,17 +71,17 @@ impl Default for TcpCost {
 
 impl TcpCost {
     /// Packets needed for `n` payload bytes (at least one).
-    pub fn packets(&self, n: u64) -> u64 {
+    fn packets(&self, n: u64) -> u64 {
         n.div_ceil(self.mtu_payload).max(1)
     }
 
     /// Sender-side CPU time for a send(2) of `n` bytes.
-    pub fn send_cpu(&self, n: u64) -> SimDuration {
+    fn send_cpu(&self, n: u64) -> SimDuration {
         HOST.syscall + HOST.copy(n) + self.per_packet_tx.saturating_mul(self.packets(n))
     }
 
     /// Receiver-side application CPU for a recv(2) returning `n` bytes.
-    pub fn recv_cpu(&self, n: u64) -> SimDuration {
+    fn recv_cpu(&self, n: u64) -> SimDuration {
         HOST.syscall + HOST.copy(n)
     }
 }
@@ -150,11 +153,6 @@ impl TcpFabric {
             state: Arc::new(Mutex::new(FabricState::default())),
             cost,
         }
-    }
-
-    /// The cost model in effect.
-    pub fn cost(&self) -> &TcpCost {
-        &self.cost
     }
 
     /// Attach a fault plan: sockets created after this call judge every

@@ -1,24 +1,22 @@
 //! Completion queues (`VipCQCreate` family).
 //!
-//! A VI's send and/or receive work queue may be attached to a completion
-//! queue at creation time. When a descriptor completes, a token naming the
-//! VI and queue is deposited on the CQ; the application then dequeues the
-//! descriptor itself with `send_done`/`recv_done` on that VI. A server
-//! multiplexing hundreds of client VIs polls one CQ instead of every VI —
-//! exactly how the DAFS server event loop is structured.
+//! A VI's receive work queue may be attached to a completion queue at
+//! creation time. When a message arrives, a token naming the VI is
+//! deposited on the CQ; the application then dequeues the completion
+//! itself with `recv_done` on that VI. A server multiplexing hundreds of
+//! client VIs polls one CQ instead of every VI — exactly how the DAFS
+//! server event loop is structured.
 
 use simnet::{ActorCtx, Port, SimTime};
 
-use crate::desc::WhichQueue;
 use crate::vi::ViId;
 
-/// A token deposited on a CQ when some descriptor completes.
+/// A token deposited on a CQ when a message arrives on a VI's receive
+/// queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CqToken {
-    /// The VI whose work queue completed.
+    /// The VI whose receive queue completed.
     pub vi: ViId,
-    /// Which of its queues.
-    pub queue: WhichQueue,
 }
 
 /// A completion queue.
@@ -70,10 +68,7 @@ mod tests {
     use std::sync::Arc;
 
     fn token(n: u64) -> CqToken {
-        CqToken {
-            vi: ViId(n),
-            queue: WhichQueue::Recv,
-        }
+        CqToken { vi: ViId(n) }
     }
 
     #[test]

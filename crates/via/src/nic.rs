@@ -13,7 +13,7 @@ use std::sync::Arc;
 use obs::{Labels, LazyByteMeter, LazyCounter};
 use simnet::{ActorCtx, Host, Resource, SimDuration, VirtAddr};
 
-use crate::cost::ViaCost;
+use crate::cost::{ViaCost, NIC};
 use crate::mem::{MemAttributes, MemError, MemHandle, ProtectionTag, RegistrationTable};
 
 pub(crate) struct NicInner {
@@ -99,7 +99,7 @@ impl ViaNic {
             self.inner.host.mem.is_mapped(addr, len as usize),
             "registering unmapped memory [{addr} + {len})"
         );
-        let cost = self.inner.cost.registration(len);
+        let cost = NIC.registration(len);
         self.inner.host.compute(ctx, cost);
         self.inner.registered.resolve(ctx.metrics()).record(len);
         crate::update(&self.inner.reg_cpu, |v| v + cost.as_nanos());
@@ -136,10 +136,9 @@ impl ViaNic {
     /// Deregister memory (`VipDeregisterMem`).
     pub fn deregister_mem(&self, ctx: &ActorCtx, h: MemHandle) -> Result<(), MemError> {
         let len = self.inner.table.deregister(h)?;
-        self.inner.host.compute(ctx, self.inner.cost.dereg);
+        self.inner.host.compute(ctx, NIC.dereg);
         self.inner.deregistered.resolve(ctx.metrics()).inc();
-        let dereg = self.inner.cost.dereg.as_nanos();
-        crate::update(&self.inner.reg_cpu, |v| v + dereg);
+        crate::update(&self.inner.reg_cpu, |v| v + NIC.dereg.as_nanos());
         ctx.trace(
             "via",
             "mem.deregister",
@@ -206,7 +205,7 @@ mod tests {
             let tag = n2.create_ptag();
             let h = n2.register_mem(ctx, buf, 64 << 10, MemAttributes::local(tag));
             // 16 pages + base.
-            let expect = n2.cost().registration(64 << 10);
+            let expect = NIC.registration(64 << 10);
             assert_eq!(ctx.now(), SimTime::ZERO + expect);
             n2.deregister_mem(ctx, h).unwrap();
         });

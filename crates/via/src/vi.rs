@@ -15,8 +15,8 @@
 //!    survives, its one jitter; a loss breaks the reliable VI;
 //! 3. **land** them: on the peer's receive queue, in the peer's memory (plus
 //!    an optional immediate), or in this end's own segments;
-//! 4. **complete** the send queue (and CQ) at its future instant: when the
-//!    bytes have left, or for a read when they have arrived.
+//! 4. **complete** the send queue at its future instant: when the bytes
+//!    have left, or for a read when they have arrived.
 //!
 //! Data placement is performed by the simulated NIC with no host CPU
 //! charge — the essence of why DAFS direct I/O leaves the client CPU idle.
@@ -33,6 +33,7 @@ use simnet::fault::FaultPlan;
 use simnet::topo::Topology;
 use simnet::{buf, ActorCtx, Bytes, Port, Rope, SimTime};
 
+use crate::cost::{MTU, NIC};
 use crate::cq::{Cq, CqToken};
 use crate::desc::{Completion, RecvDesc, RemoteSegment, SendDesc, SendOp, ViaStatus, WhichQueue};
 use crate::mem::{AccessKind, ProtectionTag};
@@ -61,24 +62,12 @@ pub enum Reliability {
 pub struct ViAttributes {
     /// Reliability level.
     pub reliability: Reliability,
-    /// Maximum bytes in a two-sided send (the cLAN's 64 KiB MTU). RDMA
-    /// transfers are not subject to this limit. `None` = 64 KiB default.
-    pub max_transfer: Option<u64>,
-    /// CQ to notify on send completions.
-    pub send_cq: Option<Cq>,
     /// CQ to notify on receive completions.
     pub recv_cq: Option<Cq>,
     /// Protection tag the endpoint is created with (`VIP_VI_ATTRIBUTES.Ptag`).
     /// `None` = a fresh tag from the NIC. A tag outlives any one VI: memory
     /// registered under it serves every VI created with it.
     pub ptag: Option<ProtectionTag>,
-}
-
-impl ViAttributes {
-    /// Effective two-sided-send MTU.
-    pub fn max_transfer(&self) -> u64 {
-        self.max_transfer.unwrap_or(64 << 10)
-    }
 }
 
 /// Connection state of an endpoint.
@@ -218,16 +207,6 @@ impl Vi {
             );
         }
         self.local.send_completions.send(ctx, c, at);
-        if let Some(cq) = &self.local.attrs.send_cq {
-            cq.notify(
-                ctx,
-                CqToken {
-                    vi: self.local.id,
-                    queue: WhichQueue::Send,
-                },
-                at,
-            );
-        }
     }
 
     /// The send queue completes the descriptor being posted with `status`,
@@ -299,14 +278,7 @@ impl Vi {
     fn signal_peer(&self, ctx: &ActorCtx, at: SimTime, msg: WireMsg) {
         self.peer.incoming.send(ctx, Arrived { at, msg }, at);
         if let Some(cq) = &self.peer.attrs.recv_cq {
-            cq.notify(
-                ctx,
-                CqToken {
-                    vi: self.peer.id,
-                    queue: WhichQueue::Recv,
-                },
-                at,
-            );
+            cq.notify(ctx, CqToken { vi: self.peer.id }, at);
         }
     }
 
@@ -320,12 +292,7 @@ impl Vi {
         for s in &desc.segs {
             self.nic.host().mem.unplace(s.addr, s.len as usize);
         }
-        let cost = self.nic.cost().post_recv
-            + self
-                .nic
-                .cost()
-                .per_segment
-                .saturating_mul(desc.segs.len() as u64);
+        let cost = NIC.post_recv + NIC.per_segment.saturating_mul(desc.segs.len() as u64);
         self.nic.host().compute(ctx, cost);
         self.counters.recv_posted.resolve(ctx.metrics()).inc();
         ctx.trace(
@@ -349,14 +316,9 @@ impl Vi {
 
     /// Post a send descriptor (`VipPostSend`): two-sided send, RDMA Write,
     /// or RDMA Read, per `desc.op`. Returns after the doorbell; the
-    /// completion arrives asynchronously on the send queue / CQ.
+    /// completion arrives asynchronously on the send queue.
     pub fn post_send(&self, ctx: &ActorCtx, desc: SendDesc) {
-        let cost = self.nic.cost().post_send
-            + self
-                .nic
-                .cost()
-                .per_segment
-                .saturating_mul(desc.segs.len() as u64);
+        let cost = NIC.post_send + NIC.per_segment.saturating_mul(desc.segs.len() as u64);
         self.nic.host().compute(ctx, cost);
         // The doorbell write is the user-level I/O submission the paper's
         // VIA path is built around: count every ring.
@@ -405,7 +367,7 @@ impl Vi {
         // Check, before anything moves; `via.*.bytes` count what then moves
         // (or is lost on the way).
         let landing = if desc.op == SendOp::Send {
-            if len > self.local.attrs.max_transfer() {
+            if len > MTU {
                 return self.refuse(ctx, ViaStatus::DescriptorError);
             }
             self.counters.send_bytes.resolve(ctx.metrics()).record(len);
@@ -424,13 +386,12 @@ impl Vi {
         // descriptor, or, for a read, back from the peer's NIC once the
         // request (a small control message, neither booked nor judged) has
         // reached it.
-        let c = self.nic.cost();
         let (way, ready) = match landing {
             Landing::OwnSegments(_) => (
                 (&self.peer_nic, &self.nic),
-                ctx.now() + c.tx_nic_proc + c.wire_latency,
+                ctx.now() + NIC.tx_nic_proc + self.nic.cost().wire_latency,
             ),
-            _ => ((&self.nic, &self.peer_nic), ctx.now() + c.tx_nic_proc),
+            _ => ((&self.nic, &self.peer_nic), ctx.now() + NIC.tx_nic_proc),
         };
         let (tx_done, delivery) = match self.trip(ctx, way, ready, len) {
             Ok(t) => t,
@@ -546,7 +507,7 @@ impl Vi {
                 .deliver(ctx, self.faults.as_ref(), src, dst, bytes, tx_start)
                 .map_err(|d| d.at)?,
         };
-        let delivery = to.inner.rx_wire.book(rx_first, ser) + c.rx_nic_proc;
+        let delivery = to.inner.rx_wire.book(rx_first, ser) + NIC.rx_nic_proc;
         let Some(f) = &self.faults else {
             return Ok((tx_done, delivery));
         };
@@ -595,13 +556,13 @@ impl Vi {
 
     /// Non-blocking send-completion poll (`VipSendDone`).
     pub fn send_done(&self, ctx: &ActorCtx) -> Option<Completion> {
-        self.nic.host().compute(ctx, self.nic.cost().poll);
+        self.nic.host().compute(ctx, NIC.poll);
         self.local.send_completions.try_recv(ctx)
     }
 
     /// Blocking send-completion wait (`VipSendWait`).
     pub fn send_wait(&self, ctx: &ActorCtx) -> Completion {
-        self.nic.host().compute(ctx, self.nic.cost().poll);
+        self.nic.host().compute(ctx, NIC.poll);
         self.local
             .send_completions
             .recv(ctx)
@@ -611,14 +572,14 @@ impl Vi {
     /// Non-blocking receive poll (`VipRecvDone`): processes the next arrived
     /// message, if any.
     pub fn recv_done(&self, ctx: &ActorCtx) -> Option<Completion> {
-        self.nic.host().compute(ctx, self.nic.cost().poll);
+        self.nic.host().compute(ctx, NIC.poll);
         let arrived = self.local.incoming.try_recv(ctx)?;
         Some(self.deliver(arrived))
     }
 
     /// Blocking receive wait (`VipRecvWait`).
     pub fn recv_wait(&self, ctx: &ActorCtx) -> Completion {
-        self.nic.host().compute(ctx, self.nic.cost().poll);
+        self.nic.host().compute(ctx, NIC.poll);
         match self.local.incoming.recv(ctx) {
             Some(arrived) => self.deliver(arrived),
             None => Completion::failed(WhichQueue::Recv, ViaStatus::ConnectionLost, ctx.now()),
@@ -720,7 +681,7 @@ impl Vi {
             }
             *st = ViState::Disconnected;
         }
-        let at = ctx.now() + c.tx_nic_proc + c.wire_latency + c.rx_nic_proc;
+        let at = ctx.now() + NIC.tx_nic_proc + c.wire_latency + NIC.rx_nic_proc;
         // A disconnect notification rides the same faulty wire as data, but
         // on the control path: judged for loss only, neither booked nor
         // jittered (one more draw would re-deal every later loss).

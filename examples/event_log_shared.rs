@@ -12,7 +12,7 @@
 //! cargo run --example event_log_shared --release
 //! ```
 
-use mpio_dafs::mpiio::{Backend, OpenOptions, Testbed};
+use mpio_dafs::mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 
 const RANKS: usize = 6;
 const EVENTS_PER_RANK: usize = 10;
@@ -33,10 +33,15 @@ fn main() {
 
     let report = testbed.run(RANKS, |ctx, comm, adio| {
         let host = comm.host().clone();
-        let log = OpenOptions::new()
-            .create(true)
-            .open(ctx, adio, &host, "/logs/events.bin")
-            .expect("open log");
+        let log = MpiFile::open(
+            ctx,
+            adio,
+            &host,
+            "/logs/events.bin",
+            OpenMode::create(),
+            Hints::default(),
+        )
+        .expect("open log");
         for seq in 0..EVENTS_PER_RANK {
             let rec = record(comm.rank(), seq);
             let buf = host.mem.alloc(rec.len());

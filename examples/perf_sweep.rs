@@ -8,7 +8,7 @@
 //! cargo run --example perf_sweep --release
 //! ```
 
-use mpio_dafs::mpiio::{Backend, OpenOptions, Testbed};
+use mpio_dafs::mpiio::{Backend, Hints, MpiFile, OpenMode, Testbed};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,10 +33,15 @@ fn run(backend: Backend) -> PerfRow {
 
     testbed.run(RANKS, move |ctx, comm, adio| {
         let host = comm.host().clone();
-        let file = OpenOptions::new()
-            .create(true)
-            .open(ctx, adio, &host, "/perf.dat")
-            .expect("open");
+        let file = MpiFile::open(
+            ctx,
+            adio,
+            &host,
+            "/perf.dat",
+            OpenMode::create(),
+            Hints::default(),
+        )
+        .expect("open");
         let buf = host.mem.alloc(SLAB);
         host.mem.fill(buf, SLAB, comm.rank() as u8 + 1);
         let my_off = (comm.rank() * SLAB) as u64;

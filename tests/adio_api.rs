@@ -1,5 +1,5 @@
-//! Unit tests backfilling the typed ADIO API surface: the `OpenOptions`
-//! builder, `DriverKind` string round-trips, the `source()` chain threaded
+//! Unit tests backfilling the typed ADIO API surface: `MpiFile::open`'s
+//! modes, `DriverKind` string round-trips, the `source()` chain threaded
 //! through `AdioError::Io`, and the one multi-request transfer every
 //! driver carries (shape × direction × blocking/split-phase), with the
 //! retry and in-flight accounting around it.
@@ -9,8 +9,8 @@ use std::str::FromStr;
 
 use mpio_dafs::dafs::{DafsClientConfig, DafsError};
 use mpio_dafs::mpiio::{
-    AdioError, Backend, BatchDir, DriverKind, Hints, IoFault, IoReq, MpiFile, OpenMode,
-    OpenOptions, Shape, Testbed,
+    AdioError, Backend, BatchDir, DriverKind, Hints, IoFault, IoReq, MpiFile, OpenMode, Shape,
+    Testbed,
 };
 use mpio_dafs::nfsv3::NfsError;
 use mpio_dafs::simnet::units::ms;
@@ -34,68 +34,52 @@ fn driver_kind_round_trips_through_strings() {
 }
 
 #[test]
-fn open_options_default_is_plain_open_of_existing_file() {
+fn a_plain_open_of_a_missing_file_is_no_such_file() {
     let tb = Testbed::new(Backend::ufs());
     tb.run(1, |ctx, comm, adio| {
         let host = comm.host().clone();
-        // Defaults: no create, no delete-on-close.
-        let err = OpenOptions::new()
-            .open(ctx, adio, &host, "/missing")
-            .unwrap_err();
+        let err = MpiFile::open(
+            ctx,
+            adio,
+            &host,
+            "/missing",
+            OpenMode::open(),
+            Hints::default(),
+        )
+        .unwrap_err();
         assert_eq!(err, AdioError::NoSuchFile);
-        let _ = comm;
     });
 }
 
 #[test]
-fn open_options_overrides_take_effect() {
+fn a_created_file_persists_past_close_unless_deleted_on_close() {
     let tb = Testbed::new(Backend::ufs());
     let fs = tb.fs.clone();
     tb.run(1, |ctx, comm, adio| {
         let host = comm.host().clone();
-        // create(true) materialises the file; it persists after close.
-        let f = OpenOptions::new()
-            .create(true)
-            .open(ctx, adio, &host, "/kept")
-            .unwrap();
-        f.close(ctx, adio).unwrap();
-        OpenOptions::new()
-            .open(ctx, adio, &host, "/kept")
+        let open = |path, mode| MpiFile::open(ctx, adio, &host, path, mode, Hints::default());
+        // `OpenMode::create()` materialises the file; it persists after close.
+        open("/kept", OpenMode::create())
             .unwrap()
             .close(ctx, adio)
             .unwrap();
-        // delete_on_close(true) removes it at close.
-        let f = OpenOptions::new()
-            .create(true)
-            .delete_on_close(true)
-            .open(ctx, adio, &host, "/scratch")
+        open("/kept", OpenMode::open())
+            .unwrap()
+            .close(ctx, adio)
             .unwrap();
-        f.close(ctx, adio).unwrap();
+        // `delete_on_close` removes it at close.
+        let scratch = OpenMode {
+            create: true,
+            delete_on_close: true,
+        };
+        open("/scratch", scratch).unwrap().close(ctx, adio).unwrap();
         assert_eq!(
-            OpenOptions::new()
-                .open(ctx, adio, &host, "/scratch")
-                .unwrap_err(),
+            open("/scratch", OpenMode::open()).unwrap_err(),
             AdioError::NoSuchFile
         );
-        // mode() replaces the whole mode in one call.
-        let f = OpenOptions::new()
-            .mode(OpenMode::create())
-            .open(ctx, adio, &host, "/via-mode")
-            .unwrap();
-        f.close(ctx, adio).unwrap();
-        // Later setters override earlier ones.
-        let err = OpenOptions::new()
-            .create(true)
-            .create(false)
-            .open(ctx, adio, &host, "/never-created")
-            .unwrap_err();
-        assert_eq!(err, AdioError::NoSuchFile);
-        let _ = comm;
     });
     assert!(fs.resolve("/kept").is_ok());
-    assert!(fs.resolve("/via-mode").is_ok());
     assert!(fs.resolve("/scratch").is_err());
-    assert!(fs.resolve("/never-created").is_err());
 }
 
 #[test]
@@ -278,8 +262,6 @@ fn an_uncached_handle_reads_what_a_write_back_handle_buffered_at_any_stripe_coun
     const LEN: u64 = 128 << 10;
     for servers in [1, 2] {
         let backend = Backend::Dafs {
-            via: Default::default(),
-            server: Default::default(),
             client: DafsClientConfig {
                 cache_write_back: true,
                 ..DafsClientConfig::default()
@@ -380,8 +362,6 @@ fn a_split_phase_call_on_a_cached_file_goes_through_the_cache() {
 #[test]
 fn transient_faults_spend_one_retry_budget_and_every_dafs_transfer_is_in_flight() {
     let backend = Backend::Dafs {
-        via: Default::default(),
-        server: Default::default(),
         client: DafsClientConfig {
             max_reconnects: 0,
             ..DafsClientConfig::default()

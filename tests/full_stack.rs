@@ -7,7 +7,6 @@ use mpio_dafs::mpiio::{
     read_at_all, write_at_all, Backend, Datatype, Hints, MpiFile, OpenMode, Testbed,
 };
 use mpio_dafs::simnet::{Rng64, SimDuration};
-use mpio_dafs::via::ViaCost;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -518,8 +517,6 @@ fn runs(bytes: &[u8]) -> Runs {
 fn strided_access_over_dirty_pages(strided_write: bool) -> (Runs, Runs) {
     const LEN: usize = 16 << 10;
     let backend = Backend::Dafs {
-        via: ViaCost::default(),
-        server: Default::default(),
         client: DafsClientConfig {
             cache_write_back: true,
             ..DafsClientConfig::default()
